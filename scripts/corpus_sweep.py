@@ -9,8 +9,9 @@ label mismatch, so the sweep doubles as a regression run.
 import argparse
 import sys
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from superscheme.fields import PrimeField, QQ  # noqa: E402
 from superscheme.corpus import seeded_random, validate_entry  # noqa: E402

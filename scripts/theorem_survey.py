@@ -9,8 +9,9 @@ column is observational data only; nothing is asserted about it.
 import argparse
 import sys
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from superscheme.corpus import seeded_random  # noqa: E402
 from superscheme.ksdim import theorem_fiber_dimension_check  # noqa: E402

@@ -195,7 +195,7 @@ def cmd_grouplikes(args):
         for g in gls:
             rep.add("grouplike", _basis_line(C.space, g))
     else:
-        gls = grouplikes_over(C, over, workers=args.threads)
+        gls = grouplikes_over(C, over)
         rep.add("grouplike-count", len(gls))
         for u in gls:
             flat = [c for row in u for c in row]
@@ -501,9 +501,6 @@ def build_parser():
         prog="superscheme",
         description="exact checks for superalgebra duality, formal "
                     "superschemes and Krull superdimension")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count for internal enumerations; output "
-                             "is identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, **kwargs):

@@ -43,9 +43,6 @@ class Rng:
     def randint(self, n):
         return self.next64() % n
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
     def scalar(self, F, spread=5):
         """A small scalar: integers -2..2 over Q, any element over F_p."""
         if F.is_finite():

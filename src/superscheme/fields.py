@@ -43,9 +43,6 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)

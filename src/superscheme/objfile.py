@@ -118,7 +118,11 @@ def parse_text(text):
         if not header_seen:
             if tokens[0] != FORMAT_HEADER or len(tokens) != 2:
                 raise ParseError("file must start with 'superscheme <version>'", lineno)
-            if int(tokens[1]) != FORMAT_VERSION:
+            try:
+                version = int(tokens[1])
+            except ValueError:
+                version = None
+            if version != FORMAT_VERSION:
                 raise ParseError(f"unsupported format version {tokens[1]}", lineno)
             header_seen = True
             continue
@@ -200,12 +204,23 @@ def _collect_basis(doc, po):
         if tokens[0] == "basis":
             if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
                 raise ParseError("basis line needs 'basis <label> even|odd'", lineno)
+            if tokens[1] in labels:
+                raise ParseError(f"{po.kind} {po.name}: duplicate basis label "
+                                 f"{tokens[1]!r}", lineno)
             labels.append(tokens[1])
             parities.append(0 if tokens[2] == "even" else 1)
     return SuperVectorSpace(doc.field, tuple(labels), tuple(parities))
 
 
-def _triple_tensor(doc, po, keyword, n, ncols=None, depth=3):
+def _index(token, n):
+    """A basis index in range(n); a negative one would wrap around in Python."""
+    i = int(token)
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range for dimension {n}")
+    return i
+
+
+def _triple_tensor(doc, po, keyword, n, ncols=None):
     F = doc.field
     ncols = ncols if ncols is not None else n
     tensor = [[[F.zero] * ncols for _ in range(n)] for _ in range(n)]
@@ -215,13 +230,13 @@ def _triple_tensor(doc, po, keyword, n, ncols=None, depth=3):
         if len(tokens) != 5:
             raise ParseError(f"{keyword} line needs 3 indices and a scalar", lineno)
         try:
-            i, j, k = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            i, j, k = _index(tokens[1], n), _index(tokens[2], n), _index(tokens[3], ncols)
             tensor[i][j][k] = F.parse(tokens[4])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad {keyword} entry: {exc}", lineno)
         except FieldError as exc:
             raise ParseError(str(exc), lineno)
-    return tensor
+    return tuple(tuple(tuple(c) for c in row) for row in tensor)
 
 
 def _vector(doc, po, keyword, n):
@@ -233,7 +248,7 @@ def _vector(doc, po, keyword, n):
         if len(tokens) != 3:
             raise ParseError(f"{keyword} line needs an index and a scalar", lineno)
         try:
-            vec[int(tokens[1])] = F.parse(tokens[2])
+            vec[_index(tokens[1], n)] = F.parse(tokens[2])
         except (ValueError, IndexError, FieldError) as exc:
             raise ParseError(f"bad {keyword} entry: {exc}", lineno)
     return tuple(vec)
@@ -255,9 +270,7 @@ def _build_coalgebra(doc, po):
     n = space.dim
     delta = _triple_tensor(doc, po, "delta", n)
     counit = _vector(doc, po, "counit", n)
-    return SuperCoalgebra(space,
-                          tuple(tuple(tuple(c) for c in row) for row in delta),
-                          counit)
+    return SuperCoalgebra(space, delta, counit)
 
 
 def _build_comodule(doc, po):
@@ -265,20 +278,7 @@ def _build_comodule(doc, po):
         raise ParseError(f"comodule {po.name} needs 'over <coalgebra>'")
     C = doc.get(po.over)
     space = _collect_basis(doc, po)
-    n = space.dim
-    F = doc.field
-    psi = [[[F.zero] * C.dim for _ in range(n)] for _ in range(n)]
-    for lineno, tokens in po.lines:
-        if tokens[0] != "coaction":
-            continue
-        if len(tokens) != 5:
-            raise ParseError("coaction line needs 3 indices and a scalar", lineno)
-        try:
-            psi[int(tokens[1])][int(tokens[2])][int(tokens[3])] = F.parse(tokens[4])
-        except (ValueError, IndexError, FieldError) as exc:
-            raise ParseError(f"bad coaction entry: {exc}", lineno)
-    return SuperComodule(space, C,
-                         tuple(tuple(tuple(c) for c in row) for row in psi))
+    return SuperComodule(space, C, _triple_tensor(doc, po, "coaction", space.dim, C.dim))
 
 
 def _build_morphism(doc, po):
@@ -294,7 +294,7 @@ def _build_morphism(doc, po):
         if len(tokens) != 4:
             raise ParseError("map line needs 'map <row> <col> <scalar>'", lineno)
         try:
-            rows[int(tokens[1])][int(tokens[2])] = F.parse(tokens[3])
+            rows[_index(tokens[1], D.dim)][_index(tokens[2], C.dim)] = F.parse(tokens[3])
         except (ValueError, IndexError, FieldError) as exc:
             raise ParseError(f"bad map entry: {exc}", lineno)
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
     GradedMap, Matrix, Subspace, coordinates_in, quotient_data, unit_vec,
-    vec_add, vec_scale, zero_vec,
+    vec_add, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -37,9 +37,6 @@ class SuperAlgebra:
     def parity(self, i):
         return self.space.parities[i]
 
-    def basis_product(self, i, j):
-        return self.mul[i][j]
-
     def multiply(self, x, y):
         F = self.field
         out = zero_vec(F, self.dim)
@@ -63,15 +60,6 @@ class SuperAlgebra:
             self.space,
             [unit_vec(self.field, self.dim, i)
              for i in range(self.dim) if self.parity(i) == 1])
-
-    def even_subspace(self):
-        return Subspace.from_vectors(
-            self.space,
-            [unit_vec(self.field, self.dim, i)
-             for i in range(self.dim) if self.parity(i) == 0])
-
-    def with_labels(self, labels):
-        return SuperAlgebra(self.space.with_labels(labels), self.mul, self.unit)
 
 
 def make_superalgebra(space, mul, unit, check=True):
@@ -516,7 +504,7 @@ def local_decomposition(A):
         incl = GradedMap(B.space, A.space,
                          Matrix(F, sub.basis(), A.space.dim).transpose(), 0)
         e1 = incl.apply(e_sub)
-        e2 = vec_sub_safe(F, e, e1)
+        e2 = vec_sub(F, e, e1)
         pending.insert(0, e2)
         pending.insert(0, e1)
     factors = []
@@ -531,19 +519,11 @@ def local_decomposition(A):
     return factors
 
 
-def vec_sub_safe(F, u, v):
-    return tuple(F.sub(a, b) for a, b in zip(u, v))
-
-
 def _ideal_span(A, e):
     """The subspace e*A."""
     F = A.field
     vecs = [A.multiply(e, unit_vec(F, A.dim, i)) for i in range(A.dim)]
     return Subspace.from_vectors(A.space, vecs)
-
-
-def is_local(A):
-    return len(local_decomposition(A)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -775,17 +755,3 @@ def monomial_superalgebra(field, p, q, degree, generators=(),
     alg = make_superalgebra(space, mul, unit)
     degrees = tuple(sum(e) + len(o) for e, o in monomials)
     return alg, monomials, degrees
-
-
-# ---------------------------------------------------------------------------
-# base change
-
-def base_change_algebra(A, ext):
-    """Extend scalars along base -> ext (an ExtensionField over A's field)."""
-    if ext.base != A.field:
-        raise ValueError("extension field has a different base")
-    space = type(A.space)(ext, A.space.labels, A.space.parities)
-    emb = ext.embed
-    mul = tuple(tuple(tuple(emb(c) for c in cell) for cell in row) for row in A.mul)
-    unit = tuple(emb(c) for c in A.unit)
-    return SuperAlgebra(space, mul, unit)

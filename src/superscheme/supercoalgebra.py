@@ -7,13 +7,12 @@ which preserves all the super axioms in both directions.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .superalgebra import make_superalgebra, local_decomposition, radical
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, unit_vec,
-    vec_add, vec_scale, zero_vec,
+    vec_add, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -64,9 +63,6 @@ class SuperCoalgebra:
     def coproduct_of(self, vec):
         """Coproduct coordinates in the tensor-square basis."""
         return self.coproduct_map().apply(vec)
-
-    def with_labels(self, labels):
-        return SuperCoalgebra(self.space.with_labels(labels), self.delta, self.counit)
 
 
 def make_supercoalgebra(space, delta, counit, check=True):
@@ -189,30 +185,14 @@ def _delta_lands_in(C, W, X):
     _, proj_w, _ = quotient_data(C.space, W)
     _, proj_x, _ = quotient_data(C.space, X)
     ident = GradedMap.identity(C.space)
-    left = _raw_tensor(proj_w, ident).compose(C.coproduct_map())
-    right = _raw_tensor(ident, proj_x).compose(C.coproduct_map())
+    left = proj_w.tensor(ident).compose(C.coproduct_map())
+    right = ident.tensor(proj_x).compose(C.coproduct_map())
     for v in W.basis():
         if any(not F.is_zero(c) for c in left.apply(v)):
             return False
         if any(not F.is_zero(c) for c in right.apply(v)):
             return False
     return True
-
-
-def _raw_tensor(f, g):
-    """Kronecker product of two maps, no Koszul signs (even or raw use)."""
-    F = f.domain.field
-    dom = f.domain.tensor(g.domain)
-    cod = f.codomain.tensor(g.codomain)
-    rows = []
-    for i in range(f.codomain.dim):
-        for j in range(g.codomain.dim):
-            row = []
-            for k in range(f.domain.dim):
-                for l in range(g.domain.dim):
-                    row.append(F.mul(f.matrix.rows[i][k], g.matrix.rows[j][l]))
-            rows.append(row)
-    return GradedMap(dom, cod, Matrix(F, rows, dom.dim), None)
 
 
 def subcoalgebra_on(C, W, prefix="v"):
@@ -258,7 +238,7 @@ def is_coideal(C, W):
         if not F.is_zero(C.counit_value(v)):
             return False
     _, proj, _ = quotient_data(C.space, W)
-    both = _raw_tensor(proj, proj).compose(C.coproduct_map())
+    both = proj.tensor(proj).compose(C.coproduct_map())
     return all(all(F.is_zero(c) for c in both.apply(v)) for v in W.basis())
 
 
@@ -291,7 +271,7 @@ def wedge(C, X, Y):
     """Kernel of C -> C (x) C -> C/X (x) C/Y."""
     _, proj_x, _ = quotient_data(C.space, X)
     _, proj_y, _ = quotient_data(C.space, Y)
-    comp = _raw_tensor(proj_x, proj_y).compose(C.coproduct_map())
+    comp = proj_x.tensor(proj_y).compose(C.coproduct_map())
     return comp.kernel()
 
 
@@ -351,10 +331,6 @@ def irreducible_components(C):
     total = sum(c.subspace.dim for c in comps)
     assert total == C.dim, "components do not fill the coalgebra"
     return comps
-
-
-def vec_sub(F, u, v):
-    return tuple(F.sub(a, b) for a, b in zip(u, v))
 
 
 def is_grouplike(C, u):
@@ -434,12 +410,11 @@ def _grouplike_test_over(C, R, u):
     return all(lhs.get(k, F.zero) == rhs.get(k, F.zero) for k in keys)
 
 
-def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND, workers=1):
+def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     """Exhaustive enumeration of group-likes in (R (x) C)_even.
 
     Candidates are indexed in mixed radix over the even coordinate slots
-    ((R basis major, C basis minor)); the result keeps that order, so the
-    output is deterministic for any worker count.
+    ((R basis major, C basis minor)); the result keeps that order.
     """
     F = C.field
     if not F.is_finite():
@@ -465,24 +440,8 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND, workers=1):
             rem //= q
         return tuple(tuple(row) for row in u)
 
-    def scan(lo, hi):
-        hits = []
-        for idx in range(lo, hi):
-            u = candidate(idx)
-            if _grouplike_test_over(C, R, u):
-                hits.append((idx, u))
-        return hits
-
-    if workers <= 1 or total < 2 * workers:
-        found = scan(0, total)
-    else:
-        chunk = (total + workers - 1) // workers
-        ranges = [(i * chunk, min(total, (i + 1) * chunk)) for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: scan(*r), ranges))
-        found = [hit for part in parts for hit in part]
-    found.sort(key=lambda pair: pair[0])
-    return [u for _, u in found]
+    candidates = (candidate(idx) for idx in range(total))
+    return [u for u in candidates if _grouplike_test_over(C, R, u)]
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def transpose(self):
         return Matrix(self.field,
                       [[self.rows[i][j] for i in range(self.nrows)]
@@ -262,9 +259,6 @@ class SuperVectorSpace:
     def tensor_index(self, other, i, j):
         return i * other.dim + j
 
-    def with_labels(self, labels):
-        return SuperVectorSpace(self.field, tuple(labels), self.parities)
-
 
 def standard_space(field, even, odd, even_prefix="e", odd_prefix="o"):
     labels = tuple(f"{even_prefix}{i + 1}" for i in range(even)) + \
@@ -371,10 +365,6 @@ class Subspace:
         return (self.even_part().dim, self.odd_part().dim)
 
 
-def subspace_equality(a, b):
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # graded maps
 
@@ -383,7 +373,7 @@ class GradedMap:
     """Linear map between super vector spaces with a declared parity.
 
     parity 0 and 1 are enforced as matrix block structure; parity None marks
-    raw linear data exempt from homogeneity (and from tensoring).
+    raw linear data exempt from homogeneity.
     """
 
     __slots__ = ("domain", "codomain", "matrix", "parity")
@@ -419,11 +409,6 @@ class GradedMap:
         return cls(domain, codomain,
                    Matrix.zero(domain.field, codomain.dim, domain.dim), 0)
 
-    @classmethod
-    def from_columns(cls, domain, codomain, columns, parity=0):
-        mat = Matrix(domain.field, list(columns), codomain.dim).transpose()
-        return cls(domain, codomain, mat, parity)
-
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.domain == other.domain
                 and self.codomain == other.codomain and self.matrix == other.matrix)
@@ -444,11 +429,8 @@ class GradedMap:
         """self after other."""
         if other.codomain != self.domain:
             raise DimensionMismatch("composition domain mismatch")
-        parity = None
-        if self.parity is not None and other.parity is not None:
-            parity = (self.parity + other.parity) % 2
-        return GradedMap(other.domain, self.codomain,
-                         self.matrix.mul(other.matrix), parity)
+        return GradedMap(other.domain, self.codomain, self.matrix.mul(other.matrix),
+                         _parity_sum(self.parity, other.parity))
 
     def add(self, other):
         parity = self.parity if self.parity == other.parity else None
@@ -475,22 +457,12 @@ class GradedMap:
     def is_surjective(self):
         return self.rank() == self.codomain.dim
 
-    def is_bijective(self):
-        return self.is_injective() and self.is_surjective()
-
-    def inverse(self):
-        if not self.is_bijective():
-            raise ValueError("map is not invertible")
-        F = self.domain.field
-        cols = [self.matrix.solve(unit_vec(F, self.codomain.dim, i))
-                for i in range(self.codomain.dim)]
-        mat = Matrix(F, cols, self.domain.dim).transpose()
-        return GradedMap(self.codomain, self.domain, mat, self.parity)
-
     def tensor(self, other):
-        """(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w)."""
-        if self.parity is None or other.parity is None:
-            raise ValueError("cannot tensor maps without a declared parity")
+        """(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w).
+
+        A factor g of parity None contributes no sign; the product has a
+        declared parity only when both factors do.
+        """
         F = self.domain.field
         dom = self.domain.tensor(other.domain)
         cod = self.codomain.tensor(other.codomain)
@@ -499,7 +471,7 @@ class GradedMap:
             for j in range(other.codomain.dim):
                 row = []
                 for k in range(self.domain.dim):
-                    sign = other.parity * self.domain.parities[k]
+                    sign = (other.parity or 0) * self.domain.parities[k]
                     for l in range(other.domain.dim):
                         val = F.mul(self.matrix.rows[i][k], other.matrix.rows[j][l])
                         if sign % 2:
@@ -507,22 +479,12 @@ class GradedMap:
                         row.append(val)
                 rows.append(row)
         return GradedMap(dom, cod, Matrix(F, rows, dom.dim),
-                         (self.parity + other.parity) % 2)
-
-def kernel(f):
-    return f.kernel()
+                         _parity_sum(self.parity, other.parity))
 
 
-def image(f):
-    return f.image()
-
-
-def rank(f):
-    return f.rank()
-
-
-def solve(f, target):
-    return f.matrix.solve(target)
+def _parity_sum(p, q):
+    """Parity of a composite or tensor product; None if either is undeclared."""
+    return None if p is None or q is None else (p + q) % 2
 
 
 def twist(V, W):
@@ -540,14 +502,6 @@ def twist(V, W):
                 val = F.neg(val)
             rows[dst][src] = val
     return GradedMap(dom, cod, Matrix(F, rows, dom.dim), 0)
-
-
-def tensor_map(f, g):
-    return f.tensor(g)
-
-
-def parity_shift(V):
-    return V.parity_shift()
 
 
 def perp(sub):
@@ -573,15 +527,6 @@ def subspace_as_space(sub, prefix="w"):
         parities.append(ps.pop() if len(ps) == 1 else 0)
     labels = tuple(f"{prefix}{i + 1}" for i in range(sub.dim))
     return SuperVectorSpace(F, labels, tuple(parities))
-
-
-def inclusion_map(sub, space=None):
-    """The inclusion of a subspace into its ambient, rows as columns."""
-    F = sub.space.field
-    space = space or subspace_as_space(sub)
-    mat = Matrix(F, list(sub.matrix.rows), sub.space.dim).transpose()
-    parity = 0 if sub.is_graded() else None
-    return GradedMap(space, sub.space, mat, parity)
 
 
 def coordinates_in(sub, vec):
@@ -626,24 +571,3 @@ def quotient_data(space, sub):
     section = GradedMap(qspace, space,
                         Matrix(F, sec_cols, space.dim).transpose(), parity)
     return qspace, proj, section
-
-
-def quotient_basis(space, sub):
-    """Representative coordinates of a basis of V / W."""
-    _, pivots = sub.matrix.rref()
-    pivot_set = set(pivots)
-    return tuple(c for c in range(space.dim) if c not in pivot_set)
-
-
-def direct_sum_map(f, g):
-    """Block-diagonal sum of two maps."""
-    F = f.domain.field
-    dom = f.domain.direct_sum(g.domain)
-    cod = f.codomain.direct_sum(g.codomain)
-    rows = []
-    for i in range(f.codomain.dim):
-        rows.append(list(f.matrix.rows[i]) + [F.zero] * g.domain.dim)
-    for i in range(g.codomain.dim):
-        rows.append([F.zero] * f.domain.dim + list(g.matrix.rows[i]))
-    parity = f.parity if f.parity == g.parity else None
-    return GradedMap(dom, cod, Matrix(F, rows, dom.dim), parity)

