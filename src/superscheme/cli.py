@@ -15,8 +15,8 @@ from . import __version__
 from .fields import ExtensionField, FieldError
 from .objfile import ParseError, parse_path, serialize_document
 from .superalgebra import (
-    FactorizationIncomplete, SuperAlgebra, ksdim_finite, local_decomposition,
-    radical, validate_superalgebra,
+    FactorizationIncomplete, InvalidStructure, SuperAlgebra, ksdim_finite,
+    local_decomposition, radical, validate_superalgebra,
 )
 from .supercoalgebra import (
     SearchBoundExceeded, coradical, coradical_filtration, dualize_algebra,
@@ -579,6 +579,8 @@ def run(argv):
     except CotensorNotSubcoalgebra as exc:
         return (f"superscheme-report error\nclosure-failure {exc}\nstatus error\n",
                 EXIT_FAIL)
+    except InvalidStructure as exc:
+        return f"superscheme-report error\naxiom-failure {exc}\nstatus fail\n", EXIT_FAIL
     return text, code
 
 

@@ -99,7 +99,7 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def sort_key(self, a):
-        return (float(a), a.numerator, a.denominator)
+        return a
 
     def describe(self):
         return "Q"
@@ -409,11 +409,16 @@ def field_sqrt(F, a):
     return None
 
 
+_ROOT_SCAN_BOUND = 10 ** 12
+
+
 def poly_roots(F, p):
     """All roots in F (with multiplicity stripped), in sorted order.
 
-    Complete for finite fields and for Q.  Over extension fields of Q only
-    degree <= 2 is decided; higher degrees return the empty list.
+    Complete for finite fields and for Q.  Over Q the divisor scan raises
+    FieldError when the cleared constant or leading coefficient exceeds
+    10^12.  Over extension fields of Q only degree <= 2 is decided; higher
+    degrees return the empty list.
     """
     p = poly_trim(F, p)
     if len(p) <= 1:
@@ -434,6 +439,10 @@ def poly_roots(F, p):
             ints = ints[1:]
         if len(ints) > 1:
             a0, an = abs(ints[0]), abs(ints[-1])
+            if max(a0, an) > _ROOT_SCAN_BOUND:
+                raise FieldError(
+                    "rational root search: a constant or leading coefficient "
+                    "exceeds the divisor scan bound 10^12")
             for num in _divisors(a0):
                 for den in _divisors(an):
                     for cand in (Fraction(num, den), Fraction(-num, den)):

@@ -18,11 +18,12 @@ from .supercoalgebra import (
     subcoalgebra_on, tensor_coalgebra, _grouplike_test_over,
 )
 from .supercomodule import (
-    comodule_along, cotensor_kernel, flat_check, regular_comodule,
+    comodule_along, cotensor, cotensor_kernel, flat_check, regular_comodule,
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, coordinates_in, quotient_data, unit_vec,
+    GradedMap, Matrix, Subspace, coordinates_in, quotient_data, subspace_as_space,
+    tensor_after, tensor_apply, unit_vec, vec_sub,
 )
 
 
@@ -301,10 +302,7 @@ def _fiber_product_carrier(f, g):
     B = f.target.coalgebra
     M = comodule_along(regular_comodule(A1), f.deep, B)
     N = comodule_along(regular_comodule(A2), g.deep, B)
-    carrier = cotensor_kernel(M.coaction_map().matrix,
-                              N.left_coaction_map().matrix,
-                              A1.space, A2.space, B.dim)
-    return carrier, A1, A2
+    return cotensor(M, N), A1, A2
 
 
 def fiber_product(f, g, with_projections=False):
@@ -320,16 +318,12 @@ def fiber_product(f, g, with_projections=False):
     scheme = FormalSuperscheme.finite(sub)
     if not with_projections:
         return scheme
-    F = A1.field
-    n1, n2 = A1.dim, A2.dim
-    rows1 = [[F.zero] * (n1 * n2) for _ in range(n1)]
-    rows2 = [[F.zero] * (n1 * n2) for _ in range(n2)]
-    for i in range(n1):
-        for j in range(n2):
-            rows1[i][i * n2 + j] = A2.counit[j]
-            rows2[j][i * n2 + j] = A1.counit[i]
-    p1 = GradedMap(big.space, A1.space, Matrix(F, rows1, n1 * n2), 0).compose(incl)
-    p2 = GradedMap(big.space, A2.space, Matrix(F, rows2, n1 * n2), 0).compose(incl)
+    # id (x) eps lands in A1 (x) k and eps (x) id in k (x) A2: the matrices of maps
+    # into A1 and A2
+    p1 = tensor_after(GradedMap.identity(A1.space), A2.counit_map(), incl)
+    p2 = tensor_after(A1.counit_map(), GradedMap.identity(A2.space), incl)
+    p1 = GradedMap(sub.space, A1.space, p1.matrix, 0)
+    p2 = GradedMap(sub.space, A2.space, p2.matrix, 0)
     pi1 = SchemeMorphism.finite(p1, scheme, FormalSuperscheme.finite(A1))
     pi2 = SchemeMorphism.finite(p2, scheme, FormalSuperscheme.finite(A2))
     return scheme, pi1, pi2
@@ -457,87 +451,60 @@ class _TowerLevel:
     space: object
     psi: object             # right B-coaction matrix S_n -> S_n (x) B
     carrier: object = None  # Subspace of S_{n-1} (x) A, absent at level 0
-    faces: tuple = ()       # matrices S_n -> S_{n-1}
+    faces: tuple = ()       # maps S_n -> S_{n-1}, of parity None
 
 
-def _iterated_cotensor_tower(M, A, psi_r, theta_l, B_dim, depth):
+def _carrier_coords(carrier, vecs, what):
+    coords = [coordinates_in(carrier, v) for v in vecs]
+    assert None not in coords, f"{what} escapes the carrier"
+    return coords
+
+
+def _iterated_cotensor_tower(M, A, reg, depth):
     """Levels T_n = M box_B A^{box n} with faces, built iteratively.
 
-    Each new level is the cotensor of the previous one with A, so the
-    ambient tensor spaces stay small.  Face j collapses A-slot j with the
-    counit of A (the net effect of applying the structure map there).
+    reg is A as a right B-comodule.  Each new level is the cotensor of the
+    previous one with A, so the ambient tensor spaces stay small.  Face j
+    collapses A-slot j with the counit of A (the net effect of applying the
+    structure map there).
     """
-    from .superlinear import subspace_as_space
     F = M.field
-    nA = A.dim
+    rho = reg.coaction_map()
+    theta_l = reg.left_coaction_map().matrix
+    B_dim = reg.coalgebra.dim
+    ident_A = GradedMap.identity(A.space)
     levels = [_TowerLevel(M.space, M.coaction_map().matrix)]
     for n in range(1, depth + 1):
         prev = levels[-1]
-        nP = prev.space.dim
+        ident_P = GradedMap.identity(prev.space)
         carrier = cotensor_kernel(prev.psi, theta_l, prev.space, A.space, B_dim)
         space = subspace_as_space(carrier, prefix=f"t{n}_")
-        # right coaction (id (x) rho_r) restricted to the carrier
-        psi_rows = [[F.zero] * space.dim for _ in range(space.dim * B_dim)]
-        for col, v in enumerate(carrier.basis()):
-            big = [F.zero] * (nP * nA * B_dim)
-            for i in range(nP):
-                for j in range(nA):
-                    c = v[i * nA + j]
-                    if F.is_zero(c):
-                        continue
-                    for jk in range(nA * B_dim):
-                        r = psi_r.rows[jk][j]
-                        if not F.is_zero(r):
-                            pos = (i * nA + jk // B_dim) * B_dim + jk % B_dim
-                            big[pos] = F.add(big[pos], F.mul(c, r))
-            for k in range(B_dim):
-                slice_vec = tuple(big[t * B_dim + k] for t in range(nP * nA))
-                coords = coordinates_in(carrier, slice_vec)
-                assert coords is not None, "right coaction escapes the carrier"
-                for row_i, cc in enumerate(coords):
-                    psi_rows[row_i * B_dim + k][col] = cc
-        faces = []
-        for face_idx in range(n):
-            rows = [[F.zero] * space.dim for _ in range(nP)]
-            for col, v in enumerate(carrier.basis()):
-                if face_idx == n - 1:
-                    out = [F.zero] * nP
-                    for i in range(nP):
-                        for j in range(nA):
-                            c = v[i * nA + j]
-                            if not F.is_zero(c):
-                                out[i] = F.add(out[i], F.mul(c, A.counit[j]))
-                    target = tuple(out)
-                else:
-                    pf = prev.faces[face_idx]
-                    nQ = pf.nrows
-                    out = [F.zero] * (nQ * nA)
-                    for i in range(nP):
-                        for j in range(nA):
-                            c = v[i * nA + j]
-                            if F.is_zero(c):
-                                continue
-                            for i2 in range(nQ):
-                                w = pf.rows[i2][i]
-                                if not F.is_zero(w):
-                                    out[i2 * nA + j] = F.add(out[i2 * nA + j],
-                                                             F.mul(c, w))
-                    target = coordinates_in(prev.carrier, tuple(out))
-                    assert target is not None, "face map escapes the lower carrier"
-                for row_i, cc in enumerate(target):
-                    rows[row_i][col] = cc
-            faces.append(Matrix(F, rows, space.dim))
-        levels.append(_TowerLevel(space, Matrix(F, psi_rows, space.dim),
-                                  carrier, tuple(faces)))
+        basis = carrier.basis()
+        # right coaction id (x) rho on the carrier, read back one B-slot at a time
+        psi_cols = []
+        for big in tensor_apply(ident_P, rho, basis):
+            slots = _carrier_coords(carrier, [big[k::B_dim] for k in range(B_dim)],
+                                    "right coaction")
+            psi_cols.append([c for row in zip(*slots) for c in row])
+        # face j < n - 1 is (face j one level down) (x) id_A; face n - 1 is id (x) eps
+        faces = [_carrier_coords(prev.carrier, tensor_apply(pf, ident_A, basis),
+                                 "face map") for pf in prev.faces]
+        faces.append(tensor_apply(ident_P, A.counit_map(), basis))
+        faces = tuple(GradedMap(space, prev.space,
+                                Matrix(F, cols, prev.space.dim).transpose(), None)
+                      for cols in faces)
+        psi = Matrix(F, psi_cols, space.dim * B_dim).transpose()
+        levels.append(_TowerLevel(space, psi, carrier, faces))
     return levels
 
 
 def _boundary(level):
     """partial = sum of signed faces down one level."""
-    F = level.faces[0].field
-    out = level.faces[0]
+    F = level.faces[0].domain.field
+    out = level.faces[0].matrix
     for idx, face in enumerate(level.faces[1:], start=1):
-        out = out.add(face.scale(F.neg(F.one))) if idx % 2 else out.add(face)
+        m = face.matrix
+        out = out.add(m.scale(F.neg(F.one))) if idx % 2 else out.add(m)
     return out
 
 
@@ -570,26 +537,13 @@ def _coequalizer_check(f):
     """
     from .supercoalgebra import is_coideal
     A = f.source.coalgebra
-    B = f.target.coalgebra
-    F = A.field
-    M = comodule_along(regular_comodule(A), f.deep, B)
-    carrier = cotensor_kernel(M.coaction_map().matrix,
-                              M.left_coaction_map().matrix,
-                              A.space, A.space, B.dim)
-    diffs = []
-    nA = A.dim
-    for v in carrier.basis():
-        p1 = [F.zero] * nA
-        p2 = [F.zero] * nA
-        for i in range(nA):
-            for j in range(nA):
-                c = v[i * nA + j]
-                if F.is_zero(c):
-                    continue
-                p1[i] = F.add(p1[i], F.mul(c, A.counit[j]))
-                p2[j] = F.add(p2[j], F.mul(c, A.counit[i]))
-        diffs.append(tuple(F.sub(a, b) for a, b in zip(p1, p2)))
-    coideal = Subspace.from_vectors(A.space, diffs)
+    M = comodule_along(regular_comodule(A), f.deep, f.target.coalgebra)
+    basis = cotensor(M, M).basis()
+    ident, eps = GradedMap.identity(A.space), A.counit_map()
+    p1 = tensor_apply(ident, eps, basis)
+    p2 = tensor_apply(eps, ident, basis)
+    coideal = Subspace.from_vectors(A.space,
+                                    [vec_sub(A.field, a, b) for a, b in zip(p1, p2)])
     if coideal.dim > 0:
         assert is_coideal(A, coideal), \
             "difference image of the projections must be a coideal"
@@ -608,8 +562,6 @@ def descent_check(f, depth=3):
     A = f.source.coalgebra
     B = f.target.coalgebra
     reg = comodule_along(regular_comodule(A), f.deep, B)
-    psi_r = reg.coaction_map().matrix
-    theta_l = reg.left_coaction_map().matrix
     tests = [("O(Y)", regular_comodule(B))]
     for y in points(FormalSuperscheme.finite(B)):
         kappa_sub = Subspace.from_vectors(
@@ -620,7 +572,7 @@ def descent_check(f, depth=3):
         tests.append((f"kappa({y.index})", kom))
     names, all_results, failures = [], [], []
     for name, M in tests:
-        levels = _iterated_cotensor_tower(M, A, psi_r, theta_l, B.dim, depth + 1)
+        levels = _iterated_cotensor_tower(M, A, reg, depth + 1)
         results = _complex_exactness(levels, depth)
         names.append(name)
         all_results.append(tuple(results))

@@ -11,9 +11,13 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, coordinates_in, quotient_data, unit_vec,
-    vec_add, vec_scale, vec_sub, zero_vec,
+    GradedMap, Matrix, Subspace, coordinates_in, quotient_data, tensor_after,
+    twist, unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
 )
+
+
+class InvalidStructure(ValueError):
+    """Structure constants that violate an axiom; the message names instances."""
 
 
 class FactorizationIncomplete(RuntimeError):
@@ -49,6 +53,13 @@ class SuperAlgebra:
                 out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), self.mul[i][j]))
         return out
 
+    def multiplication_map(self):
+        """m: A (x) A -> A."""
+        n = self.dim
+        products = [self.mul[i][j] for i in range(n) for j in range(n)]
+        return GradedMap(self.space.tensor(self.space), self.space,
+                         Matrix(self.field, products, n).transpose(), 0)
+
     def power(self, x, n):
         out = self.unit
         for _ in range(n):
@@ -68,7 +79,7 @@ def make_superalgebra(space, mul, unit, check=True):
     if check:
         problems = validate_superalgebra(alg)
         if problems:
-            raise ValueError("invalid superalgebra: " + "; ".join(problems[:3]))
+            raise InvalidStructure("invalid superalgebra: " + "; ".join(problems[:3]))
     return alg
 
 
@@ -639,40 +650,17 @@ def enumerate_homs(A, R, generators):
 # tensor product
 
 def tensor_superalgebra(A, B):
-    """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'."""
+    """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', that is
+    (m_A (x) m_B)(id_A (x) twist(B, A) (x) id_B)."""
     F = A.field
-    space = A.space.tensor(B.space)
-    na, nb = A.dim, B.dim
-    n = space.dim
-    mul = []
-    for i in range(na):
-        for j in range(nb):
-            row = []
-            for k in range(na):
-                sign_flip = (B.parity(j) * A.parity(k)) % 2 == 1
-                for l in range(nb):
-                    pa = A.mul[i][k]
-                    pb = B.mul[j][l]
-                    out = [F.zero] * n
-                    for m, ca in enumerate(pa):
-                        if F.is_zero(ca):
-                            continue
-                        for nn, cb in enumerate(pb):
-                            if F.is_zero(cb):
-                                continue
-                            val = F.mul(ca, cb)
-                            if sign_flip:
-                                val = F.neg(val)
-                            out[m * nb + nn] = F.add(out[m * nb + nn], val)
-                    row.append(tuple(out))
-            mul.append(row)
-    mul = [[mul[i * nb + j][k * nb + l] for k in range(na) for l in range(nb)]
-           for i in range(na) for j in range(nb)]
-    unit = [F.zero] * n
-    for i, ca in enumerate(A.unit):
-        for j, cb in enumerate(B.unit):
-            unit[i * nb + j] = F.mul(ca, cb)
-    return make_superalgebra(space, mul, unit)
+    swap = twist(B.space, A.space).tensor(GradedMap.identity(B.space))
+    mul = tensor_after(A.multiplication_map(), B.multiplication_map(),
+                       GradedMap.identity(A.space).tensor(swap))
+    n = mul.codomain.dim
+    products = mul.matrix.transpose().rows
+    unit = [F.mul(a, b) for a in A.unit for b in B.unit]
+    return make_superalgebra(mul.codomain,
+                             [products[i * n:(i + 1) * n] for i in range(n)], unit)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import make_superalgebra, local_decomposition, radical
+from .superalgebra import (
+    InvalidStructure, make_superalgebra, local_decomposition, radical,
+)
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, unit_vec,
-    vec_add, vec_scale, vec_sub, zero_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, tensor_after,
+    tensor_apply, tensor_blocks, twist, unit_vec, vec_add, vec_scale, vec_sub,
+    zero_vec,
 )
 
 
@@ -60,10 +63,6 @@ class SuperCoalgebra:
             out = F.add(out, F.mul(c, e))
         return out
 
-    def coproduct_of(self, vec):
-        """Coproduct coordinates in the tensor-square basis."""
-        return self.coproduct_map().apply(vec)
-
 
 def make_supercoalgebra(space, delta, counit, check=True):
     C = SuperCoalgebra(space, tuple(tuple(tuple(c) for c in row) for row in delta),
@@ -71,7 +70,7 @@ def make_supercoalgebra(space, delta, counit, check=True):
     if check:
         problems = validate_supercoalgebra(C)
         if problems:
-            raise ValueError("invalid super-coalgebra: " + "; ".join(problems[:3]))
+            raise InvalidStructure("invalid super-coalgebra: " + "; ".join(problems[:3]))
     return C
 
 
@@ -163,7 +162,7 @@ def is_coalgebra_morphism(f, C, D):
     if f.domain != C.space or f.codomain != D.space:
         return False
     lhs = D.coproduct_map().compose(f)
-    rhs = f.tensor(f).compose(C.coproduct_map())
+    rhs = tensor_after(f, f, C.coproduct_map())
     if lhs.matrix != rhs.matrix:
         return False
     return D.counit_map().compose(f).matrix == C.counit_map().matrix
@@ -185,8 +184,9 @@ def _delta_lands_in(C, W, X):
     _, proj_w, _ = quotient_data(C.space, W)
     _, proj_x, _ = quotient_data(C.space, X)
     ident = GradedMap.identity(C.space)
-    left = proj_w.tensor(ident).compose(C.coproduct_map())
-    right = ident.tensor(proj_x).compose(C.coproduct_map())
+    delta = C.coproduct_map()
+    left = tensor_after(proj_w, ident, delta)
+    right = tensor_after(ident, proj_x, delta)
     for v in W.basis():
         if any(not F.is_zero(c) for c in left.apply(v)):
             return False
@@ -209,26 +209,14 @@ def subcoalgebra_on(C, W, prefix="v"):
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)),
                              tuple(parities))
-    pair_rows = [_kron_vec(F, basis[a], basis[b]) for a in range(m) for b in range(m)]
-    pair_mat = Matrix(F, pair_rows, C.dim * C.dim).transpose()
-    delta = []
-    for v in basis:
-        big = C.coproduct_of(v)
-        coords = pair_mat.solve(big)
-        assert coords is not None
-        delta.append([[coords[a * m + b] for b in range(m)] for a in range(m)])
-    counit = [C.counit_value(v) for v in basis]
-    sub = make_supercoalgebra(space, delta, counit)
     incl = GradedMap(space, C.space, Matrix(F, basis, C.dim).transpose(), 0)
+    pair_mat = incl.tensor(incl).matrix
+    delta_map = C.coproduct_map()
+    coords = [pair_mat.solve(delta_map.apply(v)) for v in basis]
+    assert None not in coords
+    counit = [C.counit_value(v) for v in basis]
+    sub = make_supercoalgebra(space, tensor_blocks(coords, m, m), counit)
     return sub, incl
-
-
-def _kron_vec(F, u, v):
-    out = []
-    for a in u:
-        for b in v:
-            out.append(F.mul(a, b))
-    return tuple(out)
 
 
 def is_coideal(C, W):
@@ -238,7 +226,7 @@ def is_coideal(C, W):
         if not F.is_zero(C.counit_value(v)):
             return False
     _, proj, _ = quotient_data(C.space, W)
-    both = proj.tensor(proj).compose(C.coproduct_map())
+    both = tensor_after(proj, proj, C.coproduct_map())
     return all(all(F.is_zero(c) for c in both.apply(v)) for v in W.basis())
 
 
@@ -248,16 +236,13 @@ def quotient_by_coideal(C, W):
         raise ValueError("coideal must be graded for a super quotient")
     if not is_coideal(C, W):
         raise ValueError("subspace is not a coideal")
-    F = C.field
     qspace, proj, section = quotient_data(C.space, W)
     m = qspace.dim
-    pp = proj.tensor(proj)
-    delta = []
-    for i in range(m):
-        big = pp.apply(C.coproduct_of(section.apply(unit_vec(F, m, i))))
-        delta.append([[big[a * m + b] for b in range(m)] for a in range(m)])
-    counit = [C.counit_value(section.apply(unit_vec(F, m, i))) for i in range(m)]
-    quot = make_supercoalgebra(qspace, delta, counit)
+    delta_map = C.coproduct_map()
+    lifts = [section.column(i) for i in range(m)]
+    delta = tensor_apply(proj, proj, [delta_map.apply(v) for v in lifts])
+    counit = [C.counit_value(v) for v in lifts]
+    quot = make_supercoalgebra(qspace, tensor_blocks(delta, m, m), counit)
     return quot, proj
 
 
@@ -271,8 +256,7 @@ def wedge(C, X, Y):
     """Kernel of C -> C (x) C -> C/X (x) C/Y."""
     _, proj_x, _ = quotient_data(C.space, X)
     _, proj_y, _ = quotient_data(C.space, Y)
-    comp = proj_x.tensor(proj_y).compose(C.coproduct_map())
-    return comp.kernel()
+    return tensor_after(proj_x, proj_y, C.coproduct_map()).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +321,7 @@ def is_grouplike(C, u):
     F = C.field
     if not F.is_one(C.counit_value(u)):
         return False
-    return C.coproduct_of(u) == _kron_vec(F, u, u)
+    return C.coproduct_map().apply(u) == tuple(F.mul(a, b) for a in u for b in u)
 
 
 def grouplikes(C):
@@ -450,32 +434,13 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
 def tensor_coalgebra(C, D):
     """Coproduct (id (x) twist (x) id)(delta_C (x) delta_D); counit product."""
     F = C.field
-    nc, nd = C.dim, D.dim
-    n = nc * nd
-    delta = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(nc):
-        for j in range(nd):
-            src = i * nd + j
-            for k in range(nc):
-                for m in range(nc):
-                    dc = C.delta[i][k][m]
-                    if F.is_zero(dc):
-                        continue
-                    for l in range(nd):
-                        sign = (C.parity(m) * D.parity(l)) % 2
-                        for p in range(nd):
-                            dd = D.delta[j][l][p]
-                            if F.is_zero(dd):
-                                continue
-                            val = F.mul(dc, dd)
-                            if sign:
-                                val = F.neg(val)
-                            a = k * nd + l
-                            b = m * nd + p
-                            delta[src][a][b] = F.add(delta[src][a][b], val)
-    space = C.space.tensor(D.space)
-    counit = [F.mul(C.counit[i], D.counit[j]) for i in range(nc) for j in range(nd)]
-    return make_supercoalgebra(space, delta, counit)
+    swap = twist(C.space, D.space).tensor(GradedMap.identity(D.space))
+    delta = tensor_after(GradedMap.identity(C.space), swap,
+                         C.coproduct_map().tensor(D.coproduct_map()))
+    n = delta.domain.dim
+    counit = [F.mul(a, b) for a in C.counit for b in D.counit]
+    return make_supercoalgebra(delta.domain,
+                               tensor_blocks(delta.matrix.transpose().rows, n, n), counit)
 
 
 def unit_coalgebra(field, label="g"):

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import radical
+from .superalgebra import InvalidStructure, radical
 from .supercoalgebra import (
     coradical_filtration, dualize_coalgebra, irreducible_components,
     subcoalgebra_on,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, unit_vec,
-    vec_add, vec_scale, zero_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, tensor_after,
+    tensor_apply, tensor_blocks, twist, unit_vec, vec_add, vec_scale, zero_vec,
 )
 
 
@@ -51,21 +51,7 @@ class SuperComodule:
 
     def left_coaction_map(self):
         """Twisted coaction M -> C (x) M."""
-        F = self.field
-        nm, nc = self.dim, self.coalgebra.dim
-        target = self.coalgebra.space.tensor(self.space)
-        rows = [[F.zero] * nm for _ in range(nc * nm)]
-        for i in range(nm):
-            for j in range(nm):
-                pj = self.space.parities[j]
-                for k in range(nc):
-                    c = self.psi[i][j][k]
-                    if F.is_zero(c):
-                        continue
-                    if pj and self.coalgebra.parity(k):
-                        c = F.neg(c)
-                    rows[k * nm + j][i] = c
-        return GradedMap(self.space, target, Matrix(F, rows, nm), 0)
+        return twist(self.space, self.coalgebra.space).compose(self.coaction_map())
 
 
 def make_supercomodule(space, coalgebra, psi, check=True):
@@ -74,7 +60,7 @@ def make_supercomodule(space, coalgebra, psi, check=True):
     if check:
         problems = validate_comodule(M)
         if problems:
-            raise ValueError("invalid super-comodule: " + "; ".join(problems[:3]))
+            raise InvalidStructure("invalid super-comodule: " + "; ".join(problems[:3]))
     return M
 
 
@@ -127,18 +113,9 @@ def regular_comodule(C):
 
 def free_comodule(W, C):
     """W (x) C with coaction id_W (x) delta."""
-    F = W.field
-    nw, nc = W.dim, C.dim
-    space = W.tensor(C.space)
-    n = space.dim
-    psi = [[[F.zero] * nc for _ in range(n)] for _ in range(n)]
-    for w in range(nw):
-        for i in range(nc):
-            src = w * nc + i
-            for j in range(nc):
-                for k in range(nc):
-                    psi[src][w * nc + j][k] = C.delta[i][j][k]
-    return make_supercomodule(space, C, psi, check=False)
+    coaction = GradedMap.identity(W).tensor(C.coproduct_map())
+    psi = tensor_blocks(coaction.matrix.transpose().rows, coaction.domain.dim, C.dim)
+    return make_supercomodule(coaction.domain, C, psi, check=False)
 
 
 def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
@@ -158,41 +135,21 @@ def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
 
 def subcoalgebra_comodule(C, W, prefix="v"):
     """A subcoalgebra W <= C as a right C-comodule via the coproduct."""
-    F = C.field
     sub, incl = subcoalgebra_on(C, W, prefix=prefix)
-    basis = W.basis()
-    m = W.dim
-    expand = Matrix(F, basis, C.dim).transpose()
+    delta = C.coproduct_map()
     psi = []
-    for v in basis:
-        big = C.coproduct_of(v)  # coords in C (x) C
-        rows = [[F.zero] * C.dim for _ in range(m)]
-        mat = [[big[a * C.dim + k] for k in range(C.dim)] for a in range(C.dim)]
-        for k in range(C.dim):
-            col = [mat[a][k] for a in range(C.dim)]
-            sol = expand.solve(col)
-            assert sol is not None, "coproduct leaves the subcoalgebra"
-            for j in range(m):
-                rows[j][k] = sol[j]
-        psi.append(rows)
+    for v in W.basis():
+        big = delta.apply(v)  # coords in C (x) C; the k-th right slot is big[k::dim]
+        sols = [incl.matrix.solve(big[k::C.dim]) for k in range(C.dim)]
+        assert None not in sols, "coproduct leaves the subcoalgebra"
+        psi.append([[sol[j] for sol in sols] for j in range(W.dim)])
     return make_supercomodule(sub.space, C, psi), sub, incl
 
 
 def comodule_along(M, f, B):
     """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B."""
-    F = M.field
-    nm, nb = M.dim, B.dim
-    psi = [[[F.zero] * nb for _ in range(nm)] for _ in range(nm)]
-    for i in range(nm):
-        for j in range(nm):
-            for k in range(M.coalgebra.dim):
-                c = M.psi[i][j][k]
-                if F.is_zero(c):
-                    continue
-                img = f.column(k)
-                for kk, cc in enumerate(img):
-                    if not F.is_zero(cc):
-                        psi[i][j][kk] = F.add(psi[i][j][kk], F.mul(c, cc))
+    pushed = tensor_after(GradedMap.identity(M.space), f, M.coaction_map())
+    psi = tensor_blocks(pushed.matrix.transpose().rows, M.dim, B.dim)
     return make_supercomodule(M.space, B, psi, check=False)
 
 
@@ -202,7 +159,7 @@ def is_comodule_morphism(f, M, N):
     ident = GradedMap.identity(M.coalgebra.space)
     lhs = N.coaction_map().compose(f)
     # f (x) id carries no Koszul sign whatever the parity of f
-    rhs = f.tensor(ident).compose(M.coaction_map())
+    rhs = tensor_after(f, ident, M.coaction_map())
     return lhs.matrix == rhs.matrix
 
 
@@ -211,7 +168,7 @@ def is_subcomodule(M, W):
     F = M.field
     _, proj, _ = quotient_data(M.space, W)
     ident = GradedMap.identity(M.coalgebra.space)
-    test = proj.tensor(ident).compose(M.coaction_map())
+    test = tensor_after(proj, ident, M.coaction_map())
     return all(all(F.is_zero(c) for c in test.apply(v)) for v in W.basis())
 
 
@@ -221,17 +178,13 @@ def quotient_comodule(M, W, check=True):
         raise ValueError("comodule quotient needs a graded subcomodule")
     if check and not is_subcomodule(M, W):
         raise ValueError("subspace is not a subcomodule")
-    F = M.field
     C = M.coalgebra
     qspace, proj, section = quotient_data(M.space, W)
-    m = qspace.dim
-    ident = GradedMap.identity(C.space)
-    big = proj.tensor(ident).compose(M.coaction_map())
-    psi = []
-    for i in range(m):
-        vec = big.apply(section.apply(unit_vec(F, m, i)))
-        psi.append([[vec[j * C.dim + k] for k in range(C.dim)] for j in range(m)])
-    quot = make_supercomodule(qspace, C, psi, check=False)
+    coaction = M.coaction_map()
+    psi = tensor_apply(proj, GradedMap.identity(C.space),
+                       [coaction.apply(section.column(i)) for i in range(qspace.dim)])
+    quot = make_supercomodule(qspace, C, tensor_blocks(psi, qspace.dim, C.dim),
+                              check=False)
     return quot, GradedMap(M.space, qspace, proj.matrix, 0)
 
 
@@ -337,7 +290,6 @@ def cotensor(M, N):
 
 def socle_filtration(M):
     """M_n = ker(M -> M (x) C/A_n) along the coradical filtration A_n."""
-    F = M.field
     C = M.coalgebra
     chain = coradical_filtration(C)
     psi = M.coaction_map()
@@ -346,8 +298,7 @@ def socle_filtration(M):
     full = Subspace.full(M.space)
     for stage in chain:
         _, proj, _ = quotient_data(C.space, stage)
-        comp = ident.tensor(proj).compose(psi)
-        out.append(comp.kernel())
+        out.append(tensor_after(ident, proj, psi).kernel())
         if out[-1] == full:
             break
     assert out[-1] == full, "socle filtration did not exhaust the comodule"
@@ -444,12 +395,9 @@ def cotensor_functor_image(phi, P, Q, M):
     Returns (image subspace, Q box M subspace); the functor - box M is exact
     on this epi iff the two agree.
     """
-    F = M.field
     pm = cotensor(P, M)
     qm = cotensor(Q, M)
-    ident = GradedMap.identity(M.space)
-    big = phi.tensor(ident)
-    image_vecs = [big.apply(v) for v in pm.basis()]
+    image_vecs = tensor_apply(phi, GradedMap.identity(M.space), pm.basis())
     image = Subspace.from_vectors(qm.space, image_vecs)
     for v in image.basis():
         assert qm.contains(v), "functor image escapes the cotensor subspace"

@@ -458,33 +458,76 @@ class GradedMap:
         return self.rank() == self.codomain.dim
 
     def tensor(self, other):
-        """(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w).
+        """f (x) g: (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w).
 
         A factor g of parity None contributes no sign; the product has a
         declared parity only when both factors do.
         """
-        F = self.domain.field
-        dom = self.domain.tensor(other.domain)
-        cod = self.codomain.tensor(other.codomain)
-        rows = []
-        for i in range(self.codomain.dim):
-            for j in range(other.codomain.dim):
-                row = []
-                for k in range(self.domain.dim):
-                    sign = (other.parity or 0) * self.domain.parities[k]
-                    for l in range(other.domain.dim):
-                        val = F.mul(self.matrix.rows[i][k], other.matrix.rows[j][l])
-                        if sign % 2:
-                            val = F.neg(val)
-                        row.append(val)
-                rows.append(row)
-        return GradedMap(dom, cod, Matrix(F, rows, dom.dim),
-                         _parity_sum(self.parity, other.parity))
+        return tensor_after(self, other,
+                            GradedMap.identity(self.domain.tensor(other.domain)))
 
 
 def _parity_sum(p, q):
     """Parity of a composite or tensor product; None if either is undeclared."""
     return None if p is None or q is None else (p + q) % 2
+
+
+def tensor_apply(f, g, vecs):
+    """(f (x) g)(v) for each v in vecs, in the tensor basis of the codomains.
+
+    (f (x) g)(x_k (x) y_l) = (-1)^{|g||x_k|} f(x_k) (x) g(y_l); a factor g of
+    parity None contributes no sign.  Sparse row products in the manner of
+    Gustavson (ACM TOMS 1978): only the nonzero coordinates of v and the
+    nonzero column entries of f and g are visited.
+    """
+    F = f.domain.field
+    nl, nj = g.domain.dim, g.codomain.dim
+    fcols, gcols = _sparse_columns(f), _sparse_columns(g)
+    flips = [bool(g.parity and p) for p in f.domain.parities]
+    out = []
+    for v in vecs:
+        acc = [F.zero] * (f.codomain.dim * nj)
+        for kl, c in enumerate(v):
+            if F.is_zero(c):
+                continue
+            k, l = divmod(kl, nl)
+            if flips[k]:
+                c = F.neg(c)
+            for i, a in fcols[k]:
+                ca = F.mul(c, a)
+                for j, b in gcols[l]:
+                    acc[i * nj + j] = F.add(acc[i * nj + j], F.mul(ca, b))
+        out.append(tuple(acc))
+    return out
+
+
+def tensor_after(f, g, h):
+    """(f (x) g) o h, built column by column without the Kronecker matrix."""
+    if h.codomain.dim != f.domain.dim * g.domain.dim:
+        raise DimensionMismatch(
+            f"{h.codomain.dim}-dimensional codomain vs tensor of "
+            f"{f.domain.dim} and {g.domain.dim}")
+    cod = f.codomain.tensor(g.codomain)
+    cols = tensor_apply(f, g, h.matrix.transpose().rows)
+    return GradedMap(h.domain, cod, Matrix(h.domain.field, cols, cod.dim).transpose(),
+                     _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
+
+
+def _sparse_columns(f):
+    """Per column k of f, the (row, entry) pairs with a nonzero entry."""
+    F = f.domain.field
+    cols = [[] for _ in range(f.domain.dim)]
+    for i, row in enumerate(f.matrix.rows):
+        for k, a in enumerate(row):
+            if not F.is_zero(a):
+                cols[k].append((i, a))
+    return cols
+
+
+def tensor_blocks(vecs, n, width):
+    """Each vector of X (x) Y, dim X = n and dim Y = width, as n rows of width
+    coefficients: the [i][a][b] layout of structure constants."""
+    return [[v[a * width:(a + 1) * width] for a in range(n)] for v in vecs]
 
 
 def twist(V, W):

@@ -209,6 +209,45 @@ def test_exit_codes(files, tmp_path):
     assert code4 == EXIT_IO
 
 
+UPPER_TRIANGULAR_DUAL = """object coalgebra {name}
+  basis a even
+  basis b even
+  basis c even
+  counit 0 1
+  counit 2 1
+  delta 0 0 0 1
+  delta 1 0 1 1
+  delta 1 1 2 1
+  delta 2 2 2 1
+end
+"""
+
+
+def test_invalid_coalgebra_is_an_axiom_failure(tmp_path):
+    # coassociative and counital, but not cocommutative: its dual algebra is
+    # the noncommutative upper triangular 2x2 matrices
+    p = tmp_path / "upper.coalg"
+    p.write_text("superscheme 1\nfield Q\n" + UPPER_TRIANGULAR_DUAL.format(name="T")
+                 + UPPER_TRIANGULAR_DUAL.format(name="U"))
+    for command in ("dual", "components", "coradical", "filtration", "grouplikes",
+                    "coproduct", "product"):
+        text, code = run([command, str(p)])
+        assert code == EXIT_FAIL, (command, text)
+        lines = text.splitlines()
+        assert lines[0] == "superscheme-report error" and lines[-1] == "status fail"
+        assert lines[1].startswith("axiom-failure invalid super"), (command, text)
+        assert "cocommutativity" in lines[1] or "supercommutativity" in lines[1]
+
+
+def test_huge_rational_constant_is_unsupported(tmp_path):
+    p = tmp_path / "huge.alg"
+    A = quotient_ring_algebra([Fraction(-10 ** 700), Fraction(0), Fraction(1)], QQ)
+    p.write_text(serialize_document(QQ, [("A", A)]))
+    text, code = run(["report-all", str(p)])
+    assert code == EXIT_UNSUPPORTED
+    assert "unsupported rational root search" in text and "10^12" in text
+
+
 def test_byte_identical_runs(files):
     argv = ["grouplikes", files["gdual3.coalg"], "--over", files["r3.alg"]]
     outs = {run(argv)[0] for _ in range(3)}

@@ -93,6 +93,24 @@ def test_poly_roots_rational():
     assert poly_roots(F, poly) == [Fraction(-1), Fraction(1, 2), Fraction(2)]
 
 
+def test_poly_roots_rational_scan_bound():
+    F = QQ
+    with pytest.raises(FieldError, match="10\\^12"):
+        poly_roots(F, (Fraction(-10 ** 700), Fraction(0), Fraction(1)))
+    with pytest.raises(FieldError):
+        poly_roots(F, (Fraction(1), Fraction(0), Fraction(10 ** 12 + 1)))
+    # at the bound itself the divisor scan still runs
+    roots = poly_roots(F, (Fraction(-10 ** 12), Fraction(0), Fraction(1)))
+    assert roots == [Fraction(-10 ** 6), Fraction(10 ** 6)]
+
+
+def test_rational_sort_key_is_exact_beyond_float_range():
+    big = Fraction(10 ** 400)
+    values = [big + 1, -big, Fraction(1, 3), big, big + Fraction(1, 10 ** 400)]
+    assert sorted(values, key=QQ.sort_key) == [
+        -big, Fraction(1, 3), big, big + Fraction(1, 10 ** 400), big + 1]
+
+
 def test_poly_roots_finite():
     poly = (2, 0, 1)  # x^2 + 2 = x^2 - 1 over F3
     assert poly_roots(F3, poly) == [1, 2]

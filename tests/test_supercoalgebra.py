@@ -264,6 +264,25 @@ def test_tensor_coalgebra_is_dual_of_tensor_algebra():
         assert lhs.delta == rhs.delta and lhs.counit == rhs.counit
 
 
+@pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
+def test_tensor_coalgebra_is_transpose_of_dual_tensor_algebra(F):
+    # odd x odd: the Koszul sign of the twist shows on both sides
+    from superscheme.superalgebra import tensor_superalgebra
+    C, D = dualize_algebra(grassmann(1, F)), dualize_algebra(grassmann(2, F))
+    T = tensor_coalgebra(C, D)
+    A = tensor_superalgebra(dualize_coalgebra(C), dualize_coalgebra(D))
+    n, nd = T.dim, D.dim
+    for s in range(n):
+        for a in range(n):
+            for b in range(n):
+                assert T.delta[s][a][b] == A.mul[a][b][s]
+                (i, j), (k, l), (m, p) = divmod(s, nd), divmod(a, nd), divmod(b, nd)
+                expected = F.mul(C.delta[i][k][m], D.delta[j][l][p])
+                if C.parity(m) and D.parity(l):
+                    expected = F.neg(expected)
+                assert T.delta[s][a][b] == expected
+
+
 def test_truncated_cofree_shapes():
     V = standard_space(QQ, 0, 1, odd_prefix="v")
     tc = truncated_cofree(V, 1)

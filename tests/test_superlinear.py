@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from superscheme.fields import QQ, PrimeField
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, coordinates_in, perp, quotient_data,
-    standard_space, subspace_as_space, twist, unit_vec,
+    DimensionMismatch, GradedMap, Matrix, Subspace, coordinates_in, perp,
+    quotient_data, standard_space, subspace_as_space, tensor_after, tensor_apply,
+    twist, unit_vec,
 )
 from superscheme.corpus import Rng
 
@@ -86,7 +87,7 @@ def _random_homogeneous_map(rng, dom, cod, parity):
     for i in range(cod.dim):
         row = []
         for j in range(dom.dim):
-            if (cod.parities[i] - dom.parities[j] - parity) % 2 == 0:
+            if parity is None or (cod.parities[i] - dom.parities[j] - parity) % 2 == 0:
                 row.append(F.from_int(rng.randint(5) - 2))
             else:
                 row.append(F.zero)
@@ -131,6 +132,49 @@ def test_tensor_compose_sign_rule():
         rhs = f.compose(f2).tensor(g.compose(g2))
         sign = (-1) ** (pg * pf2)
         assert lhs.matrix == rhs.matrix.scale(Fraction(sign))
+
+
+def _tensor_by_entry_formula(f, g):
+    """(f (x) g)[i nj + j][k nl + l] = (-1)^{|g||v_k|} f[i][k] g[j][l]."""
+    F = f.domain.field
+    nj, nl = g.codomain.dim, g.domain.dim
+    rows = [[F.zero] * (f.domain.dim * nl) for _ in range(f.codomain.dim * nj)]
+    for i, frow in enumerate(f.matrix.rows):
+        for j, grow in enumerate(g.matrix.rows):
+            for k, a in enumerate(frow):
+                for l, b in enumerate(grow):
+                    val = F.mul(a, b)
+                    if (g.parity or 0) * f.domain.parities[k]:
+                        val = F.neg(val)
+                    rows[i * nj + j][k * nl + l] = val
+    return Matrix(F, rows, f.domain.dim * nl)
+
+
+@pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
+def test_tensor_apply_matches_entry_formula(F):
+    rng = Rng(17)
+    V, W, U = standard_space(F, 2, 1), standard_space(F, 1, 2), standard_space(F, 2, 2)
+    for pf in (0, 1, None):
+        for pg in (0, 1, None):
+            f = _random_homogeneous_map(rng, V, W, pf)
+            g = _random_homogeneous_map(rng, W, V, pg)
+            expected = _tensor_by_entry_formula(f, g)
+            dom = V.tensor(W)
+            cols = tensor_apply(f, g, [unit_vec(F, dom.dim, c) for c in range(dom.dim)])
+            assert Matrix(F, cols, expected.nrows).transpose() == expected
+            assert f.tensor(g).matrix == expected
+            h = _random_homogeneous_map(rng, U, dom, None)
+            fgh = tensor_after(f, g, h)
+            assert fgh.matrix == expected.mul(h.matrix)
+            assert fgh.matrix == f.tensor(g).compose(h).matrix
+            assert fgh.domain == U and fgh.codomain == W.tensor(V)
+
+
+def test_tensor_after_rejects_wrong_size():
+    V = standard_space(QQ, 1, 1)
+    f = GradedMap.identity(V)
+    with pytest.raises(DimensionMismatch):
+        tensor_after(f, f, GradedMap.identity(standard_space(QQ, 2, 1)))
 
 
 def test_perp_examples():
