@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, coordinates_in, quotient_data, tensor_after,
-    twist, unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
+    GradedMap, Matrix, Subspace, _defects, _parity_defects, coordinates_in,
+    linear_form, quotient_data, tensor_after, tensor_apply, twist, twist_apply,
+    unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -55,10 +56,8 @@ class SuperAlgebra:
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
-        n = self.dim
-        products = [self.mul[i][j] for i in range(n) for j in range(n)]
-        return GradedMap(self.space.tensor(self.space), self.space,
-                         Matrix(self.field, products, n).transpose(), 0)
+        return GradedMap.from_columns(self.space.tensor(self.space), self.space,
+                                      [v for row in self.mul for v in row])
 
     def power(self, x, n):
         out = self.unit
@@ -84,47 +83,51 @@ def make_superalgebra(space, mul, unit, check=True):
 
 
 def validate_superalgebra(A):
-    """Return the list of violated axiom instances (empty means valid)."""
+    """Return the list of violated axiom instances (empty means valid).
+
+    Each axiom is an equality of two composed structure maps, compared
+    column by column on the transpose coproduct cop: A -> A (x) A of the
+    multiplication (column l holds the coefficients of b_l in the products
+    b_i * b_j).  The unit is the counit of cop, supercommutativity is
+    twist o cop = cop and associativity is (cop (x) id) cop = (id (x) cop) cop.
+    """
     F = A.field
     n = A.dim
     labels = A.space.labels
-    problems = []
+    sq = A.space.tensor(A.space)
+    products = [v for row in A.mul for v in row]
+    # raw maps of parity None, so that a parity violation is listed, not raised
+    cop = GradedMap(A.space, sq, Matrix(F, products, n), None)
+    unit = linear_form(A.space, A.unit, None)
+    ident = GradedMap.identity(A.space)
+    cols = cop.matrix.transpose().rows
+    problems = [
+        f"parity: {labels[ij // n]}*{labels[ij % n]} has a component on {labels[k]}"
+        for ij, k in _parity_defects(products, sq.parities, A.space.parities, F.zero)]
+    left = {j for _, j in _defects(tensor_apply(unit, ident, cols), ident.matrix.rows)}
+    right = {i for _, i in _defects(tensor_apply(ident, unit, cols), ident.matrix.rows)}
     for i in range(n):
-        for j in range(n):
-            target = (A.parity(i) + A.parity(j)) % 2
-            for k in range(n):
-                if not F.is_zero(A.mul[i][j][k]) and A.parity(k) != target:
-                    problems.append(
-                        f"parity: {labels[i]}*{labels[j]} has a component on {labels[k]}")
-    for i in range(n):
-        e = unit_vec(F, n, i)
-        if A.multiply(A.unit, e) != e:
+        if i in left:
             problems.append(f"unit: 1*{labels[i]} != {labels[i]}")
-        if A.multiply(e, A.unit) != e:
+        if i in right:
             problems.append(f"unit: {labels[i]}*1 != {labels[i]}")
+    swapped = {ij for _, ij in _defects(cols, twist_apply(A.space, A.space, cols))}
     for i in range(n):
         for j in range(n):
-            ij = A.mul[i][j]
-            ji = A.mul[j][i]
-            expected = ji if (A.parity(i) * A.parity(j)) % 2 == 0 else \
-                vec_scale(F, F.neg(F.one), ji)
-            if ij != expected:
+            if i * n + j in swapped:
                 problems.append(
                     f"supercommutativity: {labels[i]}*{labels[j]} != "
                     f"(-1)^|x||y| {labels[j]}*{labels[i]}")
-        if A.parity(i) == 1:
-            e = unit_vec(F, n, i)
-            if A.multiply(e, e) != zero_vec(F, n):
-                problems.append(f"odd square: {labels[i]}^2 != 0")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = A.multiply(A.mul[i][j], unit_vec(F, n, k))
-                right = A.multiply(unit_vec(F, n, i), A.mul[j][k])
-                if left != right:
-                    problems.append(
-                        f"associativity: ({labels[i]}*{labels[j]})*{labels[k]} != "
-                        f"{labels[i]}*({labels[j]}*{labels[k]})")
+        if A.parity(i) == 1 and A.mul[i][i] != zero_vec(F, n):
+            problems.append(f"odd square: {labels[i]}^2 != 0")
+    lhs = tensor_apply(cop, ident, cols)
+    rhs = tensor_apply(ident, cop, cols)
+    for ijk in sorted({r for _, r in _defects(lhs, rhs)}):
+        i, jk = divmod(ijk, n * n)
+        j, k = divmod(jk, n)
+        problems.append(
+            f"associativity: ({labels[i]}*{labels[j]})*{labels[k]} != "
+            f"{labels[i]}*({labels[j]}*{labels[k]})")
     return problems
 
 
@@ -255,10 +258,7 @@ def _trace_form_kernel(A):
     """Radical of a finite-dimensional algebra over a char-0 field."""
     F = A.field
     n = A.dim
-    left_mult = []
-    for i in range(n):
-        cols = [A.multiply(unit_vec(F, n, i), unit_vec(F, n, j)) for j in range(n)]
-        left_mult.append(Matrix(F, cols, n).transpose())
+    left_mult = [Matrix(F, A.mul[i], n).transpose() for i in range(n)]
     gram = []
     for i in range(n):
         row = []
@@ -461,9 +461,7 @@ def _subalgebra_on(A, sub, unit):
     ucoords = coordinates_in(sub, unit)
     assert ucoords is not None
     B = make_superalgebra(space, mul, ucoords)
-    incl = GradedMap(space, A.space,
-                     Matrix(F, basis, A.space.dim).transpose(), 0)
-    return B, incl
+    return B, GradedMap.from_columns(space, A.space, basis)
 
 
 def _find_nontrivial_idempotent(A):
@@ -512,9 +510,7 @@ def local_decomposition(A):
         if e_sub is None:
             primitive.append(e)
             continue
-        incl = GradedMap(B.space, A.space,
-                         Matrix(F, sub.basis(), A.space.dim).transpose(), 0)
-        e1 = incl.apply(e_sub)
+        e1 = GradedMap.from_columns(B.space, A.space, sub.basis()).apply(e_sub)
         e2 = vec_sub(F, e, e1)
         pending.insert(0, e2)
         pending.insert(0, e1)

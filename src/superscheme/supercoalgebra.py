@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .superalgebra import (
-    InvalidStructure, make_superalgebra, local_decomposition, radical,
+    InvalidStructure, make_superalgebra, local_decomposition, monomial_superalgebra,
+    radical,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, tensor_after,
-    tensor_apply, tensor_blocks, twist, unit_vec, vec_add, vec_scale, vec_sub,
-    zero_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
+    flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
+    tensor_apply, tensor_blocks, twist, twist_apply, unit_vec, vec_scale,
+    vec_sub,
 )
 
 
@@ -41,20 +43,11 @@ class SuperCoalgebra:
         return self.space.parities[i]
 
     def coproduct_map(self):
-        F = self.field
-        n = self.dim
-        sq = self.space.tensor(self.space)
-        rows = [[F.zero] * n for _ in range(sq.dim)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    rows[j * n + k][i] = self.delta[i][j][k]
-        return GradedMap(self.space, sq, Matrix(F, rows, n), 0)
+        return GradedMap.from_columns(self.space, self.space.tensor(self.space),
+                                      flat_columns(self.delta))
 
     def counit_map(self):
-        F = self.field
-        line = SuperVectorSpace(F, ("k",), (0,))
-        return GradedMap(self.space, line, Matrix(F, [list(self.counit)], self.dim), 0)
+        return linear_form(self.space, self.counit)
 
     def counit_value(self, vec):
         F = self.field
@@ -76,60 +69,49 @@ def make_supercoalgebra(space, delta, counit, check=True):
 
 def validate_supercoalgebra(C):
     """Violated axiom instances for parity, counit, coassociativity and
-    super-cocommutativity (empty list means valid)."""
+    super-cocommutativity (empty list means valid).
+
+    Each axiom is an equality of two composed structure maps, compared
+    column by column: (eps (x) id) delta = id = (id (x) eps) delta,
+    (delta (x) id) delta = (id (x) delta) delta and twist o delta = delta.
+    """
     F = C.field
     n = C.dim
     labels = C.space.labels
+    sq = C.space.tensor(C.space)
+    cols = flat_columns(C.delta)
+    # raw maps of parity None, so that a parity violation is listed, not raised
+    delta = GradedMap.from_columns(C.space, sq, cols, None)
+    eps = linear_form(C.space, C.counit, None)
+    ident = GradedMap.identity(C.space)
     problems = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not F.is_zero(C.delta[i][j][k]) and \
-                        (C.parity(j) + C.parity(k)) % 2 != C.parity(i):
-                    problems.append(
-                        f"parity: delta({labels[i]}) hits {labels[j]}(x){labels[k]}")
-        if C.parity(i) == 1 and not F.is_zero(C.counit[i]):
+    # delta and eps stacked as one map C -> C (x) C + k: the odd counit
+    # value of b_i comes after the coproduct violations of b_i
+    stacked = [v + (e,) for v, e in zip(cols, C.counit)]
+    for i, r in _parity_defects(stacked, C.space.parities, sq.parities + (0,), F.zero):
+        if r < n * n:
+            problems.append(
+                f"parity: delta({labels[i]}) hits {labels[r // n]}(x){labels[r % n]}")
+        else:
             problems.append(f"counit: nonzero on odd {labels[i]}")
+    left = {i for i, _ in _defects(tensor_apply(eps, ident, cols), ident.matrix.rows)}
+    right = {i for i, _ in _defects(tensor_apply(ident, eps, cols), ident.matrix.rows)}
     for i in range(n):
-        left = zero_vec(F, n)
-        right = zero_vec(F, n)
-        for j in range(n):
-            for k in range(n):
-                c = C.delta[i][j][k]
-                if F.is_zero(c):
-                    continue
-                left = vec_add(F, left, vec_scale(F, F.mul(c, C.counit[j]),
-                                                  unit_vec(F, n, k)))
-                right = vec_add(F, right, vec_scale(F, F.mul(c, C.counit[k]),
-                                                    unit_vec(F, n, j)))
-        e = unit_vec(F, n, i)
-        if left != e:
+        if i in left:
             problems.append(f"counit: (eps(x)id)delta({labels[i]}) != {labels[i]}")
-        if right != e:
+        if i in right:
             problems.append(f"counit: (id(x)eps)delta({labels[i]}) != {labels[i]}")
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lhs = F.zero
-                    rhs = F.zero
-                    for m in range(n):
-                        lhs = F.add(lhs, F.mul(C.delta[i][m][c], C.delta[m][a][b]))
-                        rhs = F.add(rhs, F.mul(C.delta[i][a][m], C.delta[m][b][c]))
-                    if lhs != rhs:
-                        problems.append(
-                            f"coassociativity fails on {labels[i]} at "
-                            f"({labels[a]},{labels[b]},{labels[c]})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                expected = C.delta[i][k][j]
-                if (C.parity(j) * C.parity(k)) % 2:
-                    expected = F.neg(expected)
-                if C.delta[i][j][k] != expected:
-                    problems.append(
-                        f"cocommutativity: delta({labels[i]}) asymmetric at "
-                        f"({labels[j]},{labels[k]})")
+    lhs = tensor_apply(delta, ident, cols)
+    rhs = tensor_apply(ident, delta, cols)
+    for i, abc in _defects(lhs, rhs):
+        a, bc = divmod(abc, n * n)
+        problems.append(
+            f"coassociativity fails on {labels[i]} at "
+            f"({labels[a]},{labels[bc // n]},{labels[bc % n]})")
+    for i, jk in _defects(cols, twist_apply(C.space, C.space, cols)):
+        problems.append(
+            f"cocommutativity: delta({labels[i]}) asymmetric at "
+            f"({labels[jk // n]},{labels[jk % n]})")
     return problems
 
 
@@ -196,7 +178,11 @@ def _delta_lands_in(C, W, X):
 
 
 def subcoalgebra_on(C, W, prefix="v"):
-    """The coalgebra structure restricted to a subcoalgebra subspace W."""
+    """The coalgebra structure restricted to a subcoalgebra subspace W.
+
+    delta(W) lies in W (x) W, so the coordinates of each delta(w) in the
+    echelon basis are read off the pivot columns of W in both factors.
+    """
     F = C.field
     if not is_subcoalgebra(C, W):
         raise ValueError("subspace is not a subcoalgebra")
@@ -209,11 +195,10 @@ def subcoalgebra_on(C, W, prefix="v"):
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)),
                              tuple(parities))
-    incl = GradedMap(space, C.space, Matrix(F, basis, C.dim).transpose(), 0)
-    pair_mat = incl.tensor(incl).matrix
+    incl = GradedMap.from_columns(space, C.space, basis)
+    sel = pivot_selection(W, space)
     delta_map = C.coproduct_map()
-    coords = [pair_mat.solve(delta_map.apply(v)) for v in basis]
-    assert None not in coords
+    coords = tensor_apply(sel, sel, [delta_map.apply(v) for v in basis])
     counit = [C.counit_value(v) for v in basis]
     sub = make_supercoalgebra(space, tensor_blocks(coords, m, m), counit)
     return sub, incl
@@ -512,8 +497,7 @@ def truncated_cofree(V, d):
     if d < 1:
         raise ValueError("truncation degree must be at least 1")
     F = V.field
-    p, q = V.sdim
-    alg, monomials, degrees = _monomial_algebra_for(V, d)
+    alg, monomials, degrees = monomial_superalgebra(F, *V.sdim, d)
     cof = dualize_algebra(alg)
     even_positions = [i for i, par in enumerate(V.parities) if par == 0]
     odd_positions = [i for i, par in enumerate(V.parities) if par == 1]
@@ -529,12 +513,6 @@ def truncated_cofree(V, d):
             rows[even_positions[i]][m] = F.one
     proj = GradedMap(cof.space, V, Matrix(F, rows, cof.dim), 0)
     return TruncatedCofree(cof, proj, degrees, V, d)
-
-
-def _monomial_algebra_for(V, d):
-    from .superalgebra import monomial_superalgebra
-    p, q = V.sdim
-    return monomial_superalgebra(V.field, p, q, d)
 
 
 def cofree_universal_map(tc, B, theta):

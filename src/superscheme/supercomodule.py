@@ -15,8 +15,9 @@ from .supercoalgebra import (
     subcoalgebra_on,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, tensor_after,
-    tensor_apply, tensor_blocks, twist, unit_vec, vec_add, vec_scale, zero_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
+    flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
+    tensor_apply, tensor_blocks, twist, unit_vec,
 )
 
 
@@ -39,15 +40,8 @@ class SuperComodule:
         return self.space.dim
 
     def coaction_map(self):
-        F = self.field
-        nm, nc = self.dim, self.coalgebra.dim
-        target = self.space.tensor(self.coalgebra.space)
-        rows = [[F.zero] * nm for _ in range(nm * nc)]
-        for i in range(nm):
-            for j in range(nm):
-                for k in range(nc):
-                    rows[j * nc + k][i] = self.psi[i][j][k]
-        return GradedMap(self.space, target, Matrix(F, rows, nm), 0)
+        return GradedMap.from_columns(self.space, self.space.tensor(self.coalgebra.space),
+                                      flat_columns(self.psi))
 
     def left_coaction_map(self):
         """Twisted coaction M -> C (x) M."""
@@ -65,42 +59,35 @@ def make_supercomodule(space, coalgebra, psi, check=True):
 
 
 def validate_comodule(M):
-    """Violated coaction axioms (parity, coassociativity, counit)."""
+    """Violated coaction axioms (parity, counit, coassociativity).
+
+    Each axiom is an equality of two composed structure maps, compared
+    column by column: (id (x) eps) psi = id and
+    (psi (x) id) psi = (id (x) delta) psi.
+    """
     F = M.field
     C = M.coalgebra
-    nm, nc = M.dim, C.dim
+    nc = C.dim
     labels = M.space.labels
-    problems = []
-    for i in range(nm):
-        for j in range(nm):
-            for k in range(nc):
-                if not F.is_zero(M.psi[i][j][k]) and \
-                        (M.space.parities[j] + C.parity(k)) % 2 != M.space.parities[i]:
-                    problems.append(f"parity: psi({labels[i]}) is not homogeneous")
-    for i in range(nm):
-        back = zero_vec(F, nm)
-        for j in range(nm):
-            for k in range(nc):
-                c = M.psi[i][j][k]
-                if not F.is_zero(c):
-                    back = vec_add(F, back,
-                                   vec_scale(F, F.mul(c, C.counit[k]), unit_vec(F, nm, j)))
-        if back != unit_vec(F, nm, i):
-            problems.append(f"counit: (id(x)eps)psi({labels[i]}) != {labels[i]}")
-    for i in range(nm):
-        for j in range(nm):
-            for a in range(nc):
-                for b in range(nc):
-                    lhs = F.zero
-                    for m in range(nm):
-                        lhs = F.add(lhs, F.mul(M.psi[i][m][b], M.psi[m][j][a]))
-                    rhs = F.zero
-                    for m in range(nc):
-                        rhs = F.add(rhs, F.mul(M.psi[i][j][m], C.delta[m][a][b]))
-                    if lhs != rhs:
-                        problems.append(
-                            f"coassociativity fails on {labels[i]} at "
-                            f"({labels[j]},{a},{b})")
+    target = M.space.tensor(C.space)
+    cols = flat_columns(M.psi)
+    # raw maps of parity None, so that a parity violation is listed, not raised
+    psi = GradedMap.from_columns(M.space, target, cols, None)
+    delta = GradedMap.from_columns(C.space, C.space.tensor(C.space),
+                                   flat_columns(C.delta), None)
+    eps = linear_form(C.space, C.counit, None)
+    ident_m, ident_c = GradedMap.identity(M.space), GradedMap.identity(C.space)
+    problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in
+                _parity_defects(cols, M.space.parities, target.parities, F.zero)]
+    back = _defects(tensor_apply(ident_m, eps, cols), ident_m.matrix.rows)
+    problems += [f"counit: (id(x)eps)psi({labels[i]}) != {labels[i]}"
+                 for i in dict.fromkeys(i for i, _ in back)]
+    lhs = tensor_apply(psi, ident_c, cols)
+    rhs = tensor_apply(ident_m, delta, cols)
+    for i, jab in _defects(lhs, rhs):
+        j, ab = divmod(jab, nc * nc)
+        problems.append(
+            f"coassociativity fails on {labels[i]} at ({labels[j]},{ab // nc},{ab % nc})")
     return problems
 
 
@@ -134,16 +121,16 @@ def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
 
 
 def subcoalgebra_comodule(C, W, prefix="v"):
-    """A subcoalgebra W <= C as a right C-comodule via the coproduct."""
+    """A subcoalgebra W <= C as a right C-comodule via the coproduct.
+
+    delta(W) lies in W (x) C, so the coordinates of each delta(w) are read
+    off the pivot columns of W in the left factor.
+    """
     sub, incl = subcoalgebra_on(C, W, prefix=prefix)
     delta = C.coproduct_map()
-    psi = []
-    for v in W.basis():
-        big = delta.apply(v)  # coords in C (x) C; the k-th right slot is big[k::dim]
-        sols = [incl.matrix.solve(big[k::C.dim]) for k in range(C.dim)]
-        assert None not in sols, "coproduct leaves the subcoalgebra"
-        psi.append([[sol[j] for sol in sols] for j in range(W.dim)])
-    return make_supercomodule(sub.space, C, psi), sub, incl
+    psi = tensor_apply(pivot_selection(W, sub.space), GradedMap.identity(C.space),
+                       [delta.apply(v) for v in W.basis()])
+    return make_supercomodule(sub.space, C, tensor_blocks(psi, W.dim, C.dim)), sub, incl
 
 
 def comodule_along(M, f, B):
@@ -199,19 +186,9 @@ def dual_action(M):
     signed variant belongs to the signed dual product and breaks
     associativity against the transpose product on odd pairs).
     """
-    F = M.field
-    C = M.coalgebra
-    nm, nc = M.dim, C.dim
-    mats = []
-    for t in range(nc):
-        rows = [[F.zero] * nm for _ in range(nm)]
-        for i in range(nm):
-            for j in range(nm):
-                c = M.psi[i][j][t]
-                if not F.is_zero(c):
-                    rows[j][i] = c
-        mats.append(Matrix(F, rows, nm))
-    return mats
+    nm = M.dim
+    return [Matrix(M.field, [[M.psi[i][j][t] for i in range(nm)] for j in range(nm)], nm)
+            for t in range(M.coalgebra.dim)]
 
 
 def dual_action_of(M, mats, functional):

@@ -84,12 +84,12 @@ class Matrix:
         cols = other.ncols
         out = []
         for r in self.rows:
+            terms = [(a, other.rows[k]) for k, a in enumerate(r) if not F.is_zero(a)]
             row = []
             for j in range(cols):
                 acc = F.zero
-                for k in range(self.ncols):
-                    if not F.is_zero(r[k]):
-                        acc = F.add(acc, F.mul(r[k], other.rows[k][j]))
+                for a, o in terms:
+                    acc = F.add(acc, F.mul(a, o[j]))
                 row.append(acc)
             out.append(row)
         return Matrix(F, out, cols)
@@ -326,22 +326,12 @@ class Subspace:
         a, b = self.matrix, other.matrix
         if a.nrows == 0 or b.nrows == 0:
             return Subspace.zero(self.space)
-        block = Matrix(F, [list(ra) + [F.zero] * b.nrows for ra in a.transpose().rows],
-                       a.nrows + b.nrows)
-        blockb = Matrix(F, [[F.zero] * a.nrows + list(rb) for rb in b.transpose().rows],
-                        a.nrows + b.nrows)
-        combined = Matrix(F, [vec_sub(F, ra, rb)
-                              for ra, rb in zip(block.rows, blockb.rows)],
+        # x a = y b exactly when (x, y) is in the kernel of [a^T | -b^T]
+        combined = Matrix(F, [list(ra) + [F.neg(c) for c in rb]
+                              for ra, rb in zip(a.transpose().rows, b.transpose().rows)],
                           a.nrows + b.nrows)
-        sols = combined.null_space()
-        vecs = []
-        for s in sols.rows:
-            coeffs = s[:a.nrows]
-            v = zero_vec(F, self.space.dim)
-            for c, row in zip(coeffs, a.rows):
-                v = vec_add(F, v, vec_scale(F, c, row))
-            vecs.append(v)
-        return Subspace.from_vectors(self.space, vecs)
+        coeffs = [s[:a.nrows] for s in combined.null_space().rows]
+        return Subspace.from_vectors(self.space, Matrix(F, coeffs, a.nrows).mul(a).rows)
 
     def parity_component(self, parity):
         """Intersection with the even or odd coordinate subspace."""
@@ -388,13 +378,11 @@ class GradedMap:
         if parity not in (0, 1, None):
             raise ValueError("parity must be 0, 1 or None")
         if parity is not None:
-            F = domain.field
-            for i in range(codomain.dim):
-                for j in range(domain.dim):
-                    if not F.is_zero(matrix.rows[i][j]) and \
-                            (codomain.parities[i] - domain.parities[j] - parity) % 2:
-                        raise ValueError(
-                            f"entry ({i},{j}) violates declared parity {parity}")
+            # row i of a map of this parity may only hit domain parity |i| + parity
+            shifted = [(p + parity) % 2 for p in codomain.parities]
+            for i, j in _parity_defects(matrix.rows, shifted, domain.parities,
+                                        domain.field.zero):
+                raise ValueError(f"entry ({i},{j}) violates declared parity {parity}")
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
@@ -408,6 +396,12 @@ class GradedMap:
     def zero(cls, domain, codomain):
         return cls(domain, codomain,
                    Matrix.zero(domain.field, codomain.dim, domain.dim), 0)
+
+    @classmethod
+    def from_columns(cls, domain, codomain, cols, parity=0):
+        """The map sending basis vector j of the domain to cols[j]."""
+        return cls(domain, codomain,
+                   Matrix(domain.field, cols, codomain.dim).transpose(), parity)
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.domain == other.domain
@@ -478,13 +472,13 @@ def tensor_apply(f, g, vecs):
     (f (x) g)(x_k (x) y_l) = (-1)^{|g||x_k|} f(x_k) (x) g(y_l); a factor g of
     parity None contributes no sign.  Sparse row products in the manner of
     Gustavson (ACM TOMS 1978): only the nonzero coordinates of v and the
-    nonzero column entries of f and g are visited.
+    nonzero column entries of f and g are visited.  Images are yielded one
+    at a time.
     """
     F = f.domain.field
     nl, nj = g.domain.dim, g.codomain.dim
     fcols, gcols = _sparse_columns(f), _sparse_columns(g)
     flips = [bool(g.parity and p) for p in f.domain.parities]
-    out = []
     for v in vecs:
         acc = [F.zero] * (f.codomain.dim * nj)
         for kl, c in enumerate(v):
@@ -497,8 +491,7 @@ def tensor_apply(f, g, vecs):
                 ca = F.mul(c, a)
                 for j, b in gcols[l]:
                     acc[i * nj + j] = F.add(acc[i * nj + j], F.mul(ca, b))
-        out.append(tuple(acc))
-    return out
+        yield tuple(acc)
 
 
 def tensor_after(f, g, h):
@@ -507,10 +500,10 @@ def tensor_after(f, g, h):
         raise DimensionMismatch(
             f"{h.codomain.dim}-dimensional codomain vs tensor of "
             f"{f.domain.dim} and {g.domain.dim}")
-    cod = f.codomain.tensor(g.codomain)
-    cols = tensor_apply(f, g, h.matrix.transpose().rows)
-    return GradedMap(h.domain, cod, Matrix(h.domain.field, cols, cod.dim).transpose(),
-                     _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
+    return GradedMap.from_columns(
+        h.domain, f.codomain.tensor(g.codomain),
+        tensor_apply(f, g, h.matrix.transpose().rows),
+        _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
 
 
 def _sparse_columns(f):
@@ -530,6 +523,27 @@ def tensor_blocks(vecs, n, width):
     return [[v[a * width:(a + 1) * width] for a in range(n)] for v in vecs]
 
 
+def flat_columns(blocks):
+    """[i][a][b] structure constants as columns in X (x) Y: tensor_blocks undone."""
+    return [tuple(c for row in block for c in row) for block in blocks]
+
+
+def _defects(lhs, rhs):
+    """The (column, row) positions where two maps, given as iterables of
+    columns, differ; the columns are consumed in step, one at a time."""
+    for c, (u, v) in enumerate(zip(lhs, rhs)):
+        if u != v:
+            yield from ((c, r) for r, (a, b) in enumerate(zip(u, v)) if a != b)
+
+
+def _parity_defects(cols, domain_parities, codomain_parities, zero):
+    """The (column, row) positions of the entries that keep a raw map, given
+    by its columns, from being even: its defects against its even part."""
+    even = (tuple(x if q == p else zero for x, q in zip(v, codomain_parities))
+            for v, p in zip(cols, domain_parities))
+    return _defects(cols, even)
+
+
 def twist(V, W):
     """Koszul twist c: V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v."""
     F = V.field
@@ -545,6 +559,23 @@ def twist(V, W):
                 val = F.neg(val)
             rows[dst][src] = val
     return GradedMap(dom, cod, Matrix(F, rows, dom.dim), 0)
+
+
+def twist_apply(V, W, vecs):
+    """twist(V, W)(v) for each v in V (x) W, read as the signed permutation
+    v_i (x) w_j -> (-1)^{|v_i||w_j|} w_j (x) v_i, without the twist matrix."""
+    F = V.field
+    src = [(i * W.dim + j, V.parities[i] and W.parities[j])
+           for j in range(W.dim) for i in range(V.dim)]
+    for v in vecs:
+        yield tuple(F.neg(v[k]) if flip else v[k] for k, flip in src)
+
+
+def linear_form(space, values, parity=0):
+    """The map space -> k sending basis vector i to values[i]."""
+    F = space.field
+    return GradedMap(space, SuperVectorSpace(F, ("k",), (0,)),
+                     Matrix(F, [values], space.dim), parity)
 
 
 def perp(sub):
@@ -588,6 +619,17 @@ def coordinates_in(sub, vec):
     return coeffs if recon == tuple(vec) else None
 
 
+def pivot_selection(sub, space):
+    """The even map V -> space that reads the coordinates of a vector of sub
+    in its echelon basis off the pivot columns; row s of sub is basis vector
+    s of space, as in subspace_as_space."""
+    F = sub.space.field
+    _, pivots = sub.matrix.rref()
+    return GradedMap(sub.space, space,
+                     Matrix(F, [unit_vec(F, sub.space.dim, c) for c in pivots],
+                            sub.space.dim), 0)
+
+
 def quotient_data(space, sub):
     """Quotient space, projection and section for V / W.
 
@@ -610,7 +652,6 @@ def quotient_data(space, sub):
         rows.append(row)
     parity = 0 if sub.is_graded() else None
     proj = GradedMap(space, qspace, Matrix(F, rows, space.dim), parity)
-    sec_cols = [unit_vec(F, space.dim, r) for r in reps]
-    section = GradedMap(qspace, space,
-                        Matrix(F, sec_cols, space.dim).transpose(), parity)
+    section = GradedMap.from_columns(
+        qspace, space, [unit_vec(F, space.dim, r) for r in reps], parity)
     return qspace, proj, section

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -112,7 +113,15 @@ def test_validate(files):
     assert "object G2 pass" in text
     bad_text, bad_code = run(["validate", files["bad.alg"]])
     assert bad_code == EXIT_FAIL
-    assert "supercommutativity" in bad_text
+    digest = hashlib.sha256(open(files["bad.alg"]).read().encode()).hexdigest()
+    assert bad_text == (
+        "superscheme-report validate\n"
+        "tool-version 0.1.0\n"
+        f"input {files['bad.alg']} sha256 {digest}\n"
+        "object G2 FAIL\n"
+        "  violation G2 supercommutativity: th1*th2 != (-1)^|x||y| th2*th1\n"
+        "  violation G2 supercommutativity: th2*th1 != (-1)^|x||y| th1*th2\n"
+        "status fail\n")
 
 
 def test_dual_and_product(files):

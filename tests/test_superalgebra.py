@@ -258,3 +258,78 @@ def test_ideal_and_quotient():
     assert quot.dim == 2
     assert validate_superalgebra(quot) == []
     assert proj.apply(G.unit) == quot.unit
+
+
+def _edited(table, F, edits):
+    """A copy of [i][j][k] structure constants with some entries replaced."""
+    out = [[list(cell) for cell in row] for row in table]
+    for (i, j, k), v in edits.items():
+        out[i][j][k] = F.from_int(v)
+    return out
+
+
+_F9 = ExtensionField(F3, (1, 0, 1), "j")
+
+# Grassmann(2) with edited products (and possibly another unit), and the
+# complete problem list in the validator's order: parity, unit,
+# supercommutativity with odd squares after their row, associativity.
+BROKEN_GRASSMANN_2 = {
+    "parity": (QQ, {(1, 2, 1): 1, (0, 3, 1): 1}, None,
+               ['parity: 1*th1*th2 has a component on th1',
+                'parity: th1*th2 has a component on th1',
+                'unit: 1*th1*th2 != th1*th2',
+                'supercommutativity: 1*th1*th2 != (-1)^|x||y| th1*th2*1',
+                'supercommutativity: th1*th2 != (-1)^|x||y| th2*th1',
+                'supercommutativity: th2*th1 != (-1)^|x||y| th1*th2',
+                'supercommutativity: th1*th2*1 != (-1)^|x||y| 1*th1*th2',
+                'associativity: (1*1)*th1*th2 != 1*(1*th1*th2)',
+                'associativity: (1*th1)*th2 != 1*(th1*th2)',
+                'associativity: (1*th2)*th1 != 1*(th2*th1)',
+                'associativity: (1*th1*th2)*th2 != 1*(th1*th2*th2)',
+                'associativity: (th1*th2)*th2 != th1*(th2*th2)',
+                'associativity: (th2*1)*th1*th2 != th2*(1*th1*th2)',
+                'associativity: (th2*th1)*th2 != th2*(th1*th2)']),
+    "unit": (QQ, {(0, 1, 1): 2}, None,
+             ['unit: 1*th1 != th1',
+              'supercommutativity: 1*th1 != (-1)^|x||y| th1*1',
+              'supercommutativity: th1*1 != (-1)^|x||y| 1*th1',
+              'associativity: (1*1)*th1 != 1*(1*th1)',
+              'associativity: (1*th1)*th2 != 1*(th1*th2)',
+              'associativity: (th2*1)*th1 != th2*(1*th1)']),
+    "odd-square": (F3, {(1, 1, 3): 1}, None,
+                   ['supercommutativity: th1*th1 != (-1)^|x||y| th1*th1',
+                    'odd square: th1^2 != 0']),
+    "sign": (F3, {(2, 1, 3): 1}, None,
+             ['supercommutativity: th1*th2 != (-1)^|x||y| th2*th1',
+              'supercommutativity: th2*th1 != (-1)^|x||y| th1*th2']),
+    "f9": (_F9, {(1, 2, 1): 1, (0, 3, 3): 2}, None,
+           ['parity: th1*th2 has a component on th1',
+            'unit: 1*th1*th2 != th1*th2',
+            'supercommutativity: 1*th1*th2 != (-1)^|x||y| th1*th2*1',
+            'supercommutativity: th1*th2 != (-1)^|x||y| th2*th1',
+            'supercommutativity: th2*th1 != (-1)^|x||y| th1*th2',
+            'supercommutativity: th1*th2*1 != (-1)^|x||y| 1*th1*th2',
+            'associativity: (1*1)*th1*th2 != 1*(1*th1*th2)',
+            'associativity: (1*th1)*th2 != 1*(th1*th2)',
+            'associativity: (1*th2)*th1 != 1*(th2*th1)',
+            'associativity: (th1*th2)*th2 != th1*(th2*th2)',
+            'associativity: (th2*th1)*th2 != th2*(th1*th2)']),
+    "unit-vector": (QQ, {}, (0, 0, 0, 1),
+                    ['unit: 1*1 != 1',
+                     'unit: 1*1 != 1',
+                     'unit: 1*th1 != th1',
+                     'unit: th1*1 != th1',
+                     'unit: 1*th2 != th2',
+                     'unit: th2*1 != th2',
+                     'unit: 1*th1*th2 != th1*th2',
+                     'unit: th1*th2*1 != th1*th2']),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_GRASSMANN_2))
+def test_validate_superalgebra_full_problem_list(case):
+    F, edits, unit, expected = BROKEN_GRASSMANN_2[case]
+    G = grassmann(2, F)
+    unit = G.unit if unit is None else tuple(F.from_int(c) for c in unit)
+    A = make_superalgebra(G.space, _edited(G.mul, F, edits), unit, check=False)
+    assert validate_superalgebra(A) == expected

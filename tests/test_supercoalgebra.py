@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superscheme.fields import PrimeField, QQ
+from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
     GradedMap, Matrix, Subspace, standard_space, unit_vec,
 )
@@ -11,7 +11,8 @@ from superscheme.supercoalgebra import (
     SearchBoundExceeded, SuperCoalgebra, cofree_universal_map, coradical,
     coradical_filtration, dualize_algebra, dualize_coalgebra, grouplikes,
     grouplikes_over, irreducible_components, is_coideal, is_grouplike,
-    is_subcoalgebra, quotient_by_coideal, odd_part_coideal, tensor_coalgebra,
+    is_subcoalgebra, make_supercoalgebra, quotient_by_coideal, odd_part_coideal,
+    tensor_coalgebra,
     truncated_cofree, unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.corpus import (
@@ -333,3 +334,61 @@ def test_cofree_rejects_bad_test_coalgebras():
     theta3 = GradedMap(B2.space, V, Matrix(QQ, [[Fraction(1), Fraction(0)]]), None)
     with pytest.raises(ValueError):
         cofree_universal_map(tc, B2, theta3)  # does not kill the coradical
+
+
+def _edited(table, F, edits):
+    """A copy of [i][j][k] structure constants with some entries replaced."""
+    out = [[list(cell) for cell in row] for row in table]
+    for (i, j, k), v in edits.items():
+        out[i][j][k] = F.from_int(v)
+    return out
+
+
+_F9 = ExtensionField(F3, (1, 0, 1), "j")
+
+# The dual of Grassmann(2) with edited coproducts (and possibly another
+# counit), and the complete problem list in the validator's order: parity
+# with each odd counit value after its row, counit, coassociativity,
+# cocommutativity.
+BROKEN_GRASSMANN_2_DUAL = {
+    "parity": (QQ, {(1, 0, 0): 1}, None,
+               ['parity: delta(th1*) hits 1*(x)1*',
+                'counit: (eps(x)id)delta(th1*) != th1*',
+                'counit: (id(x)eps)delta(th1*) != th1*',
+                'coassociativity fails on th1*th2* at (1*,1*,th2*)',
+                'coassociativity fails on th1*th2* at (th2*,1*,1*)']),
+    "odd-counit": (QQ, {}, (1, 1, 0, 0),
+                   ['counit: nonzero on odd th1*',
+                    'counit: (eps(x)id)delta(th1*) != th1*',
+                    'counit: (id(x)eps)delta(th1*) != th1*',
+                    'counit: (eps(x)id)delta(th1*th2*) != th1*th2*',
+                    'counit: (id(x)eps)delta(th1*th2*) != th1*th2*']),
+    "asymmetric": (F3, {(3, 1, 2): 2}, None,
+                   ['cocommutativity: delta(th1*th2*) asymmetric at (th1*,th2*)',
+                    'cocommutativity: delta(th1*th2*) asymmetric at (th2*,th1*)']),
+    "f9": (_F9, {(2, 0, 0): 1, (3, 1, 2): 2}, None,
+           ['parity: delta(th2*) hits 1*(x)1*',
+            'counit: (eps(x)id)delta(th2*) != th2*',
+            'counit: (id(x)eps)delta(th2*) != th2*',
+            'coassociativity fails on th1*th2* at (1*,1*,th1*)',
+            'coassociativity fails on th1*th2* at (th1*,1*,1*)',
+            'cocommutativity: delta(th1*th2*) asymmetric at (th1*,th2*)',
+            'cocommutativity: delta(th1*th2*) asymmetric at (th2*,th1*)']),
+    "coassociativity": (F3, {(3, 0, 3): 2}, None,
+                        ['counit: (eps(x)id)delta(th1*th2*) != th1*th2*',
+                         'coassociativity fails on th1*th2* at (1*,1*,th1*th2*)',
+                         'coassociativity fails on th1*th2* at (1*,th1*,th2*)',
+                         'coassociativity fails on th1*th2* at (1*,th2*,th1*)',
+                         'cocommutativity: delta(th1*th2*) asymmetric at (1*,th1*th2*)',
+                         'cocommutativity: delta(th1*th2*) asymmetric at (th1*th2*,1*)']),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_GRASSMANN_2_DUAL))
+def test_validate_supercoalgebra_full_problem_list(case):
+    F, edits, counit, expected = BROKEN_GRASSMANN_2_DUAL[case]
+    C = dualize_algebra(grassmann(2, F))
+    counit = C.counit if counit is None else tuple(F.from_int(c) for c in counit)
+    D = make_supercoalgebra(C.space, _edited(C.delta, F, edits), counit, check=False)
+    assert validate_supercoalgebra(D) == expected
+

@@ -8,17 +8,19 @@ from superscheme.superlinear import (
 )
 from superscheme.supercoalgebra import (
     base_change_coalgebra, dualize_algebra, dualize_coalgebra,
+    irreducible_components, tensor_coalgebra,
 )
 from superscheme.supercomodule import (
     NotConnected, SuperComodule, base_change_comodule, check_dual_action_axioms,
     cosocle_epi, cotensor, dual_action, dual_action_of, exactness_probe,
     faithfulness_probe, flat_check, free_comodule, is_comodule_morphism,
     make_supercomodule, quotient_comodule, regular_comodule, socle_filtration,
+    subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
 from superscheme.corpus import (
-    Rng, divided_power, grassmann, grouplike_coalgebra, seeded_random,
-    truncated_polynomial,
+    Rng, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
+    seeded_random, truncated_polynomial,
 )
 
 F3 = PrimeField(3)
@@ -234,3 +236,86 @@ def test_seeded_comodules_match_labels():
         assert verdict.free == entry.expected["flat"], seed
         if "rank" in entry.expected:
             assert verdict.rank == tuple(entry.expected["rank"])
+
+
+def _edited(table, F, edits):
+    """A copy of [i][j][k] structure constants with some entries replaced."""
+    out = [[list(cell) for cell in row] for row in table]
+    for (i, j, k), v in edits.items():
+        out[i][j][k] = F.from_int(v)
+    return out
+
+
+_F9 = ExtensionField(F3, (1, 0, 1), "j")
+
+# The regular comodule of the dual of Grassmann(2) with edited coactions,
+# and the complete problem list in the validator's order: parity, counit,
+# coassociativity with integer coalgebra indices.
+BROKEN_REGULAR_COMODULES = {
+    "parity": (QQ, {(1, 0, 0): 1, (1, 3, 0): 1},
+               ['parity: psi(th1*) is not homogeneous',
+                'parity: psi(th1*) is not homogeneous',
+                'counit: (id(x)eps)psi(th1*) != th1*',
+                'coassociativity fails on th1* at (1*,0,0)',
+                'coassociativity fails on th1* at (1*,3,0)',
+                'coassociativity fails on th1* at (th1*,2,0)',
+                'coassociativity fails on th1* at (th2*,1,0)',
+                'coassociativity fails on th1* at (th1*th2*,0,0)',
+                'coassociativity fails on th1*th2* at (1*,0,2)',
+                'coassociativity fails on th1*th2* at (th1*th2*,0,2)']),
+    "counit": (QQ, {(0, 0, 0): 2},
+               ['counit: (id(x)eps)psi(1*) != 1*',
+                'coassociativity fails on 1* at (1*,0,0)',
+                'coassociativity fails on th1* at (1*,0,1)',
+                'coassociativity fails on th2* at (1*,0,2)',
+                'coassociativity fails on th1*th2* at (1*,0,3)']),
+    "coassociativity": (F3, {(3, 1, 2): 2},
+                        ['coassociativity fails on th1*th2* at (1*,1,2)']),
+    "f9": (_F9, {(0, 1, 0): 1, (2, 1, 0): 1, (3, 0, 3): 2},
+           ['parity: psi(1*) is not homogeneous',
+            'counit: (id(x)eps)psi(1*) != 1*',
+            'counit: (id(x)eps)psi(th2*) != th2*',
+            'coassociativity fails on 1* at (1*,1,0)',
+            'coassociativity fails on 1* at (th1*,0,0)',
+            'coassociativity fails on th1* at (th1*,0,1)',
+            'coassociativity fails on th2* at (1*,1,0)',
+            'coassociativity fails on th2* at (th1*,0,0)',
+            'coassociativity fails on th2* at (th1*,0,2)',
+            'coassociativity fails on th1*th2* at (1*,1,2)',
+            'coassociativity fails on th1*th2* at (1*,2,1)',
+            'coassociativity fails on th1*th2* at (th1*,0,1)',
+            'coassociativity fails on th1*th2* at (th1*,0,3)']),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_REGULAR_COMODULES))
+def test_validate_comodule_full_problem_list(case):
+    F, edits, expected = BROKEN_REGULAR_COMODULES[case]
+    C = dualize_algebra(grassmann(2, F))
+    R = regular_comodule(C)
+    M = make_supercomodule(R.space, C, _edited(R.psi, F, edits), check=False)
+    assert validate_comodule(M) == expected
+
+
+@pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
+def test_subcoalgebra_coordinates_match_solve(F):
+    """Structure constants of a subcoalgebra and of its comodule agree with
+    solving against the inclusion, on a W whose echelon basis is not made
+    of unit vectors: W (x) G1* for the component W of (k[x]/((x^2-1)^2))*
+    at x = 1, inside (k[x]/((x^2-1)^2))* (x) Grassmann(1)*."""
+    D = dualize_algebra(quotient_ring_algebra(
+        [F.from_int(c) for c in (1, 0, -2, 0, 1)], F))
+    G = dualize_algebra(grassmann(1, F))
+    C = tensor_coalgebra(D, G)
+    W = Subspace.from_vectors(C.space, [
+        tuple(F.mul(a, b) for a in w for b in unit_vec(F, G.dim, k))
+        for w in irreducible_components(D)[0].subspace.basis() for k in range(G.dim)])
+    assert any(sum(1 for c in row if not F.is_zero(c)) > 1 for row in W.basis())
+    M, sub, incl = subcoalgebra_comodule(C, W)
+    pair = incl.tensor(incl).matrix
+    delta = C.coproduct_map()
+    for i, v in enumerate(W.basis()):
+        big = delta.apply(v)
+        assert tuple(c for row in sub.delta[i] for c in row) == pair.solve(big)
+        sols = [incl.matrix.solve(big[k::C.dim]) for k in range(C.dim)]
+        assert M.psi[i] == tuple(tuple(s[j] for s in sols) for j in range(W.dim))
