@@ -72,6 +72,9 @@ class RationalField(Field):
     zero = Fraction(0)
     one = Fraction(1)
 
+    def is_zero(self, a):
+        return not a
+
     def add(self, a, b):
         return a + b
 

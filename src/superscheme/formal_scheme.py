@@ -15,7 +15,7 @@ from .supercoalgebra import (
     base_change_coalgebra, coradical, coradical_filtration,
     direct_sum_coalgebra, dualize_algebra, dualize_coalgebra,
     irreducible_components, is_coalgebra_morphism, is_subcoalgebra,
-    subcoalgebra_on, tensor_coalgebra, _grouplike_test_over,
+    is_grouplike_over, subcoalgebra_on, tensor_coalgebra, _koszul_signed,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, regular_comodule,
@@ -229,7 +229,9 @@ def bosonic_reduction_morphism(f):
 # points as algebra morphisms (functor of points at finite level)
 
 def transport_point(phi, A, R):
-    """Algebra morphism phi: A -> R as a group-like in (R (x) A*)_even.
+    """Algebra morphism phi: A -> R as a group-like in (R (x) C)_even, where
+    C is the Koszul-signed dual of A: the transpose of A with b_i * b_j
+    negated when b_i and b_j are both odd.
 
     u = sum_i phi(a_i) (x) a_i*, returned as an R.dim x A.dim coefficient
     matrix; the group-like property is verified on the result.
@@ -238,16 +240,16 @@ def transport_point(phi, A, R):
     if not is_superalgebra_morphism(phi, A, R):
         raise ValueError("transport_point needs a superalgebra morphism")
     u = tuple(tuple(row) for row in phi.matrix.rows)
-    C = dualize_algebra(A)
-    assert _grouplike_test_over(C, R, u), "transported point is not group-like"
+    if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
+        raise AssertionError("transported point is not group-like")
     return u
 
 
 def transport_point_inverse(u, A, R):
-    """Group-like in (R (x) A*)_even back to the algebra morphism A -> R."""
+    """Group-like in (R (x) C)_even, C the Koszul-signed dual of A, back to
+    the algebra morphism A -> R."""
     from .superalgebra import is_superalgebra_morphism
-    C = dualize_algebra(A)
-    if not _grouplike_test_over(C, R, u):
+    if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
         raise ValueError("input is not group-like")
     phi = GradedMap(A.space, R.space, Matrix(A.field, [list(r) for r in u],
                                              A.dim), 0)

@@ -67,23 +67,24 @@ class ObjectFile:
 def _parse_field(tokens, lineno):
     if tokens == ["Q"]:
         return QQ
-    if tokens[0] == "Fp" and len(tokens) == 2:
+    if tokens[:1] == ["Fp"] and len(tokens) == 2:
         try:
             return PrimeField(int(tokens[1]))
         except (ValueError, FieldError) as exc:
             raise ParseError(str(exc), lineno)
-    if tokens[0] == "ext":
+    if tokens[:1] == ["ext"]:
         # field ext <base...> poly <c0> ... <cn> name <label>
         try:
             split_poly = tokens.index("poly")
             split_name = tokens.index("name")
         except ValueError:
             raise ParseError("extension needs 'poly' and 'name' sections", lineno)
+        if split_name != len(tokens) - 2:
+            raise ParseError("extension needs one label after 'name'", lineno)
         base = _parse_field(tokens[1:split_poly], lineno)
-        coeffs = [base.parse(t) for t in tokens[split_poly + 1:split_name]]
-        gen_name = tokens[split_name + 1]
         try:
-            return ExtensionField(base, coeffs, gen_name)
+            coeffs = [base.parse(t) for t in tokens[split_poly + 1:split_name]]
+            return ExtensionField(base, coeffs, tokens[-1])
         except FieldError as exc:
             raise ParseError(str(exc), lineno)
     raise ParseError(f"unknown field descriptor {' '.join(tokens)!r}", lineno)

@@ -560,10 +560,10 @@ def ksdim_finite(A):
 # morphism enumeration over finite fields
 
 def _word_basis(A, generators):
-    """Products of generators whose values form a basis of A.
+    """Products of generators whose values form a basis of the subalgebra
+    they generate, and that subalgebra as a subspace.
 
     Words are (parent_index, generator_index) pairs; index 0 is the unit.
-    Raises ValueError when the generators do not generate.
     """
     F = A.field
     words = [(-1, -1)]
@@ -582,9 +582,7 @@ def _word_basis(A, generators):
                     span = grown
                     nxt.append(len(words) - 1)
         frontier = nxt
-    if span.dim != A.dim:
-        raise ValueError("declared generators do not generate the algebra")
-    return words, values
+    return words, values, span
 
 
 def enumerate_homs(A, R, generators):
@@ -607,7 +605,9 @@ def enumerate_homs(A, R, generators):
             raise ValueError("generators must be nonzero homogeneous")
     gen_parities = [next(iter({A.parity(i) for i, c in enumerate(g)
                                if not F.is_zero(c)})) for g in gens]
-    words, values = _word_basis(A, gens)
+    words, values, span = _word_basis(A, gens)
+    if span.dim != A.dim:
+        raise ValueError("declared generators do not generate the algebra")
     value_mat = Matrix(F, values, A.dim).transpose()
     elems = sorted(F.elements(), key=F.sort_key)
     image_slots = []

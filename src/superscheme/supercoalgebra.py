@@ -2,7 +2,8 @@
 
 delta[i][j][k] is the coefficient of b_j (x) b_k in the coproduct of b_i.
 Duality with superalgebras is the plain transpose of structure constants,
-which preserves all the super axioms in both directions.
+which preserves all the super axioms in both directions.  Points over a
+superalgebra R pair C with its Koszul-signed dual instead (_koszul_signed).
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .superalgebra import (
-    InvalidStructure, make_superalgebra, local_decomposition, monomial_superalgebra,
-    radical,
+    InvalidStructure, _word_basis, enumerate_homs, make_superalgebra,
+    local_decomposition, monomial_superalgebra, radical,
 )
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
@@ -332,58 +333,46 @@ def grouplikes(C):
 DEFAULT_GROUPLIKE_BOUND = 3 ** 12
 
 
-def _grouplike_test_over(C, R, u):
-    """u is an R.dim x C.dim coefficient matrix for an element of R (x) C."""
+def _koszul_signed(A):
+    """A with b_i * b_j negated when b_i and b_j are both odd.
+
+    Group-likes of (R (x) C)_even are the superalgebra morphisms into R of
+    the Koszul-signed dual _koszul_signed(dualize_coalgebra(C)), not of the
+    plain transpose.  Signing is an involution and keeps every axiom.
+    """
+    F = A.field
+    mul = [[[F.neg(c) for c in cell] if A.parity(i) and A.parity(j) else cell
+            for j, cell in enumerate(row)] for i, row in enumerate(A.mul)]
+    return make_superalgebra(A.space, mul, A.unit, check=False)
+
+
+def is_grouplike_over(C, R, u):
+    """u, an R.dim x C.dim coefficient matrix of an element of R (x) C, is
+    group-like: (id (x) eps)u = 1_R and
+    (id_R (x) delta)u = (m_R (x) id)(id (x) twist(C, R) (x) id)(u (x) u)."""
     F = C.field
-    nr, nc = R.dim, C.dim
-    eps = [F.zero] * nr
-    for a in range(nr):
-        for m in range(nc):
-            eps[a] = F.add(eps[a], F.mul(u[a][m], C.counit[m]))
-    if tuple(eps) != R.unit:
+    v = tuple(c for row in u for c in row)
+    id_r, id_c = GradedMap.identity(R.space), GradedMap.identity(C.space)
+    if next(tensor_apply(id_r, C.counit_map(), [v])) != R.unit:
         return False
-    lhs = {}
-    for a in range(nr):
-        for m in range(nc):
-            c = u[a][m]
-            if F.is_zero(c):
-                continue
-            for j in range(nc):
-                for k in range(nc):
-                    d = C.delta[m][j][k]
-                    if F.is_zero(d):
-                        continue
-                    key = (a, j, k)
-                    lhs[key] = F.add(lhs.get(key, F.zero), F.mul(c, d))
-    rhs = {}
-    for a in range(nr):
-        for m in range(nc):
-            ca = u[a][m]
-            if F.is_zero(ca):
-                continue
-            for b in range(nr):
-                sign = (R.parity(b) * C.parity(m)) % 2
-                for n in range(nc):
-                    cb = u[b][n]
-                    if F.is_zero(cb):
-                        continue
-                    val = F.mul(ca, cb)
-                    if sign:
-                        val = F.neg(val)
-                    for cidx, cc in enumerate(R.mul[a][b]):
-                        if F.is_zero(cc):
-                            continue
-                        key = (cidx, m, n)
-                        rhs[key] = F.add(rhs.get(key, F.zero), F.mul(val, cc))
-    keys = set(lhs) | set(rhs)
-    return all(lhs.get(k, F.zero) == rhs.get(k, F.zero) for k in keys)
+    # the even map twist (x) id acts on u (x) u one R coordinate at a time
+    swapped = tensor_apply(twist(C.space, R.space), id_c,
+                           [tuple(F.mul(a, b) for a in row for b in v) for row in u])
+    uu = tuple(c for w in swapped for c in w)
+    id_cc = GradedMap.identity(C.space.tensor(C.space))
+    rhs = next(tensor_apply(R.multiplication_map(), id_cc, [uu]))
+    return next(tensor_apply(id_r, C.coproduct_map(), [v])) == rhs
 
 
 def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
-    """Exhaustive enumeration of group-likes in (R (x) C)_even.
+    """All group-likes in (R (x) C)_even, as R.dim x C.dim coefficient
+    matrices in the order of their entries (row-major, field elements in
+    sort_key order).
 
-    Candidates are indexed in mixed radix over the even coordinate slots
-    ((R basis major, C basis minor)); the result keeps that order.
+    They are read off the superalgebra morphisms A -> R of the
+    Koszul-signed dual A of C, found by enumerate_homs on generators kept
+    greedily from the basis of A.  The search visits
+    q^(sum over generators g of dim R_|g|) candidates, at most the bound.
     """
     F = C.field
     if not F.is_finite():
@@ -391,26 +380,26 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
         raise FieldError("group-like enumeration needs a finite base field")
     if R.field != F:
         raise ValueError("coefficient algebra over a different field")
-    slots = [(a, m) for a in range(R.dim) for m in range(C.dim)
-             if (R.parity(a) + C.parity(m)) % 2 == 0]
+    A = _koszul_signed(dualize_coalgebra(C))
+    gens, slots = [], 0
+    span = Subspace.from_vectors(A.space, [A.unit])
+    for i in range(A.dim):
+        e = unit_vec(F, A.dim, i)
+        if not span.contains(e):
+            gens.append(e)
+            slots += R.space.sdim[A.parity(i)]
+            span = _word_basis(A, gens)[2]
     q = F.order
-    total = q ** len(slots)
+    total = q ** slots
     if total > bound:
+        (re, ro), (ce, co) = R.space.sdim, C.space.sdim
+        blind = q ** (re * ce + ro * co)
         raise SearchBoundExceeded(
-            f"{total} candidates exceed the configured bound {bound}")
-    elems = sorted(F.elements(), key=F.sort_key)
-
-    def candidate(idx):
-        u = [[F.zero] * C.dim for _ in range(R.dim)]
-        rem = idx
-        for pos in range(len(slots) - 1, -1, -1):
-            a, m = slots[pos]
-            u[a][m] = elems[rem % q]
-            rem //= q
-        return tuple(tuple(row) for row in u)
-
-    candidates = (candidate(idx) for idx in range(total))
-    return [u for u in candidates if _grouplike_test_over(C, R, u)]
+            f"{total} candidates (blind scan of the even slots: {blind}) "
+            f"exceed the configured bound {bound}")
+    rank = {c: r for r, c in enumerate(sorted(F.elements(), key=F.sort_key))}
+    hits = [phi.matrix.rows for phi in enumerate_homs(A, R, gens)]
+    return sorted(hits, key=lambda u: [rank[c] for row in u for c in row])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,36 @@
+import itertools
 import os
 import sys
+
+import pytest
 
 # allow running the suite from a fresh checkout without installing
 _src = os.path.join(os.path.dirname(__file__), "..", "src")
 if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sys.path):
     sys.path.insert(0, os.path.abspath(_src))
+
+from superscheme.supercoalgebra import is_grouplike_over  # noqa: E402
+
+
+def grouplikes_by_scan(C, R):
+    """Reference for supercoalgebra.grouplikes_over: every even u in R (x) C,
+    in mixed radix over the even slots (R basis major, C basis minor), kept
+    when it is group-like."""
+    F = C.field
+    slots = [(a, m) for a in range(R.dim) for m in range(C.dim)
+             if R.parity(a) == C.parity(m)]
+    out = []
+    for values in itertools.product(sorted(F.elements(), key=F.sort_key),
+                                    repeat=len(slots)):
+        u = [[F.zero] * C.dim for _ in range(R.dim)]
+        for (a, m), c in zip(slots, values):
+            u[a][m] = c
+        u = tuple(map(tuple, u))
+        if is_grouplike_over(C, R, u):
+            out.append(u)
+    return out
+
+
+@pytest.fixture
+def grouplike_oracle():
+    return grouplikes_by_scan

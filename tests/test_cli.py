@@ -218,6 +218,16 @@ def test_exit_codes(files, tmp_path):
     assert code4 == EXIT_IO
 
 
+def test_malformed_field_lines_are_parse_errors(tmp_path):
+    p = tmp_path / "bad.coalg"
+    for bad in ["field", "field ext poly 1 0 1 name j",
+                "field ext Fp 3 poly 1 0 1 name", "field ext Fp 3 poly 1 z 1 name j"]:
+        p.write_text(f"superscheme 1\n{bad}\n")
+        text, code = run(["validate", str(p)])
+        assert code == EXIT_IO, (bad, text)
+        assert text.splitlines()[1].startswith("parse-error"), (bad, text)
+
+
 UPPER_TRIANGULAR_DUAL = """object coalgebra {name}
   basis a even
   basis b even

@@ -111,6 +111,17 @@ def test_transport_bijection_over_f3():
             assert transport_point_inverse(u, A, R).matrix == phi.matrix
 
 
+def test_transport_grassmann_odd_products_over_f3():
+    # phi(th1) phi(th2) != 0 for 48 of the 81 morphisms: the Koszul sign of
+    # the dual shows
+    G = grassmann(2, F3)
+    homs = enumerate_homs(G, G, [unit_vec(F3, 4, 1), unit_vec(F3, 4, 2)])
+    assert len(homs) == 81
+    for phi in homs:
+        u = transport_point(phi, G, G)
+        assert transport_point_inverse(u, G, G).matrix == phi.matrix
+
+
 def test_transport_natural_in_target():
     # postcomposition with an algebra morphism commutes with transport
     A = grassmann(1, F3)

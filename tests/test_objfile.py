@@ -173,6 +173,10 @@ def test_parse_errors():
         parse_text("superscheme 1\nfield Q\n" + 2 * (
             "object coalgebra C\n  basis g even\n  counit 0 1\n"
             "  delta 0 0 0 1\nend\n"))
+    for bad in ["field", "field ext poly 1 0 1 name j",
+                "field ext Fp 3 poly 1 0 1 name", "field ext Fp 3 poly 1 z 1 name j"]:
+        with pytest.raises(ParseError):
+            parse_text(f"superscheme 1\n{bad}\n")
     with pytest.raises(ParseError, match="unsupported format version x"):
         parse_text("superscheme x\nfield Q\n")
     with pytest.raises(ParseError, match="algebra A: duplicate basis label '1'"):

@@ -235,11 +235,28 @@ def test_grouplikes_over_examples():
     assert len(grouplikes_over(KK, R1)) == 2
 
 
+def test_grouplikes_over_matches_scan(grouplike_oracle):
+    # the scan is capped at 3^8 candidates over F3, which admits Grassmann(2)*
+    # over Grassmann(2), and at 9^3 over F9
+    F9 = ExtensionField(F3, (1, 0, 1), "j")
+    for field, cap in ((F3, 3 ** 8), (F9, 9 ** 3)):
+        algebras = [grassmann(0, field), grassmann(1, field), grassmann(2, field),
+                    truncated_polynomial(1, field), split_pair(field)]
+        for name, C in canonical_coalgebras(field):
+            for R in algebras:
+                (re, ro), (ce, co) = R.space.sdim, C.space.sdim
+                if field.order ** (re * ce + ro * co) > cap:
+                    continue
+                assert grouplikes_over(C, R) == grouplike_oracle(C, R), (
+                    field.describe(), name, R.space.labels)
+
+
 def test_grouplikes_over_bound():
     C = dualize_algebra(grassmann(2, F3))
     R = grassmann(2, F3)
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(SearchBoundExceeded, match=r"^81 candidates .*: 6561\) .* 10$"):
         grouplikes_over(C, R, bound=10)
+    assert len(grouplikes_over(C, R, bound=81)) == 81
 
 
 def test_tensor_coalgebra_examples():
