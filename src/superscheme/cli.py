@@ -66,6 +66,35 @@ def _load(path):
     return path, parse_path(path)
 
 
+def _problems(kind, value):
+    """Violated axiom instances of one built object (empty means valid)."""
+    if kind == "algebra":
+        return validate_superalgebra(value)
+    if kind == "coalgebra":
+        return validate_supercoalgebra(value)
+    if kind == "comodule":
+        return validate_comodule(value)
+    if kind in ("morphism", "tower"):
+        return value.validate()
+    return []
+
+
+_NOUNS = {"algebra": "superalgebra", "coalgebra": "super-coalgebra",
+          "comodule": "super-comodule"}
+
+
+def _load_valid(path):
+    """_load, raising InvalidStructure on the first object that fails its
+    axioms, so that no computation starts on an invalid input."""
+    path, doc = _load(path)
+    for name, (kind, value) in doc.built.items():
+        problems = _problems(kind, value)
+        if problems:
+            raise InvalidStructure(f"invalid {_NOUNS.get(kind, kind)} {name}: "
+                                   + "; ".join(problems[:3]))
+    return path, doc
+
+
 def _basis_line(space, vec):
     F = space.field
     parts = [f"{F.format(c)}*{l}" for c, l in zip(vec, space.labels)
@@ -81,18 +110,7 @@ def cmd_validate(args):
     rep = Report("validate", [(path, doc)])
     failures = 0
     for name, (kind, value) in doc.built.items():
-        if kind == "algebra":
-            problems = validate_superalgebra(value)
-        elif kind == "coalgebra":
-            problems = validate_supercoalgebra(value)
-        elif kind == "comodule":
-            problems = validate_comodule(value)
-        elif kind == "morphism":
-            problems = value.validate()
-        elif kind == "tower":
-            problems = value.validate()
-        else:
-            problems = []
+        problems = _problems(kind, value)
         rep.add(f"object {name}", "pass" if not problems else "FAIL")
         for p in problems:
             rep.add(f"  violation {name}", p)
@@ -179,11 +197,11 @@ def cmd_components(args):
 
 
 def cmd_grouplikes(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     docs = [(path, doc)]
     over = None
     if args.over:
-        opath, odoc = _load(args.over)
+        opath, odoc = _load_valid(args.over)
         docs.append((opath, odoc))
         _, over = odoc.first("algebra")
     rep = Report("grouplikes", docs)
@@ -204,7 +222,7 @@ def cmd_grouplikes(args):
 
 
 def cmd_cotensor(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("cotensor", [(path, doc)])
     mods = doc.all_of("comodule")
     if len(mods) < 2:
@@ -247,7 +265,7 @@ def cmd_coproduct(args):
 
 
 def cmd_fiber_product(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("fiber-product", [(path, doc)])
     f = doc.get(args.f)
     g = doc.get(args.g)
@@ -259,7 +277,7 @@ def cmd_fiber_product(args):
 
 
 def cmd_fiber(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("fiber", [(path, doc)])
     f = doc.get(args.morphism)
     pts = points(f.target)
@@ -293,7 +311,7 @@ def cmd_base_change(args):
 
 
 def cmd_immersion_check(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("immersion-check", [(path, doc)])
     name, f = doc.first("morphism")
     rep.add("morphism", name)
@@ -305,7 +323,7 @@ def cmd_immersion_check(args):
 
 
 def cmd_flat_check(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("flat-check", [(path, doc)])
     mods = doc.all_of("comodule")
     if mods:
@@ -326,7 +344,7 @@ def cmd_flat_check(args):
 
 
 def cmd_descent_check(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("descent-check", [(path, doc)])
     name, f = doc.first("morphism")
     result = descent_check(f, depth=args.depth)
@@ -344,7 +362,7 @@ def cmd_descent_check(args):
 
 
 def cmd_finite_check(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("finite-check", [(path, doc)])
     name, f = doc.first("morphism")
     finite, max_dim = is_finite_morphism(f)
@@ -436,60 +454,46 @@ def cmd_report_all(args):
     rep = Report("report-all", [(path, doc)])
     failures = 0
     for name, (kind, value) in doc.built.items():
+        problems = _problems(kind, value)
+        if kind in ("algebra", "coalgebra", "comodule", "morphism", "tower"):
+            rep.add(f"{kind} {name} valid", not problems)
+            failures += len(problems)
+        if problems:
+            continue
         if kind == "algebra":
-            problems = validate_superalgebra(value)
-            rep.add(f"algebra {name} valid", not problems)
-            failures += len(problems)
-            if not problems:
-                rep.add(f"algebra {name} sdim", _sdim(value.space.sdim))
-                rep.add(f"algebra {name} radical-dim", radical(value).subspace.dim)
-                rep.add(f"algebra {name} ksdim-finite", _sdim(ksdim_finite(value)))
-                try:
-                    rep.add(f"algebra {name} local-factors",
-                            len(local_decomposition(value)))
-                except FactorizationIncomplete:
-                    rep.add(f"algebra {name} local-factors",
-                            "unsupported-factorization")
+            rep.add(f"algebra {name} sdim", _sdim(value.space.sdim))
+            rep.add(f"algebra {name} radical-dim", radical(value).subspace.dim)
+            rep.add(f"algebra {name} ksdim-finite", _sdim(ksdim_finite(value)))
+            try:
+                rep.add(f"algebra {name} local-factors",
+                        len(local_decomposition(value)))
+            except FactorizationIncomplete:
+                rep.add(f"algebra {name} local-factors",
+                        "unsupported-factorization")
         elif kind == "coalgebra":
-            problems = validate_supercoalgebra(value)
-            rep.add(f"coalgebra {name} valid", not problems)
-            failures += len(problems)
-            if not problems:
-                rep.add(f"coalgebra {name} coradical-dim", coradical(value).dim)
-                rep.add(f"coalgebra {name} filtration-dims",
-                        *(s.dim for s in coradical_filtration(value)))
-                rep.add(f"coalgebra {name} components",
-                        len(irreducible_components(value)))
-                rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value)))
+            rep.add(f"coalgebra {name} coradical-dim", coradical(value).dim)
+            rep.add(f"coalgebra {name} filtration-dims",
+                    *(s.dim for s in coradical_filtration(value)))
+            rep.add(f"coalgebra {name} components",
+                    len(irreducible_components(value)))
+            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value)))
         elif kind == "comodule":
-            problems = validate_comodule(value)
-            rep.add(f"comodule {name} valid", not problems)
-            failures += len(problems)
-            if not problems:
-                try:
-                    rep.add(f"comodule {name} flat", flat_check(value).free)
-                except NotConnected:
-                    rep.add(f"comodule {name} flat", "needs-connected-base")
+            try:
+                rep.add(f"comodule {name} flat", flat_check(value).free)
+            except NotConnected:
+                rep.add(f"comodule {name} flat", "needs-connected-base")
         elif kind == "morphism":
-            problems = value.validate()
-            rep.add(f"morphism {name} valid", not problems)
-            failures += len(problems)
-            if not problems:
-                rep.add(f"morphism {name} closed-immersion",
-                        is_closed_immersion(value))
-                rep.add(f"morphism {name} flat", is_flat(value))
-                rep.add(f"morphism {name} faithfully-flat",
-                        is_faithfully_flat(value))
+            rep.add(f"morphism {name} closed-immersion",
+                    is_closed_immersion(value))
+            rep.add(f"morphism {name} flat", is_flat(value))
+            rep.add(f"morphism {name} faithfully-flat",
+                    is_faithfully_flat(value))
         elif kind == "presentation":
             rep.add(f"presentation {name} ksdim", _sdim(ksdim(value)))
         elif kind == "presmorphism":
             result = theorem_fiber_dimension_check(value)
             rep.add(f"presmorphism {name} even-inequality",
                     result.even_inequality)
-        elif kind == "tower":
-            problems = value.validate()
-            rep.add(f"tower {name} valid", not problems)
-            failures += len(problems)
     return rep.emit("ok" if failures == 0 else "fail"), \
         EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -141,33 +141,30 @@ def is_superideal(A, sub):
     problems = []
     if not sub.is_graded():
         problems.append("ideal subspace is not graded")
-    F = A.field
     for x in sub.basis():
-        for i in range(A.dim):
-            prod = A.multiply(unit_vec(F, A.dim, i), x)
+        for i, prod in enumerate(_products(A, [x])):
             if not sub.contains(prod):
                 problems.append(
                     f"not absorbing: {A.space.labels[i]} * ideal element escapes")
     return problems
 
 
-def ideal_generated_by(A, elements):
-    """Smallest superideal containing the given homogeneous elements."""
+def _products(A, elements):
+    """b_i * x for every given x and every basis vector b_i, x major."""
     F = A.field
-    current = Subspace.from_vectors(A.space, list(elements))
-    while True:
-        vecs = list(current.basis())
-        for x in current.basis():
-            for i in range(A.dim):
-                vecs.append(A.multiply(unit_vec(F, A.dim, i), x))
-        grown = Subspace.from_vectors(A.space, vecs)
-        if grown == current:
-            break
-        current = grown
-    problems = is_superideal(A, current)
-    if problems:
-        raise ValueError("generators span a non-graded ideal: " + problems[0])
-    return Superideal(A, current)
+    return [A.multiply(unit_vec(F, A.dim, i), x) for x in elements for i in range(A.dim)]
+
+
+def ideal_generated_by(A, elements):
+    """Smallest superideal containing the given homogeneous elements.
+
+    A unital, associative, supercommutative algebra makes A * S a two-sided
+    ideal already, so it is the span of the products b_i * s.
+    """
+    sub = Subspace.from_vectors(A.space, _products(A, elements))
+    if not sub.is_graded():
+        raise ValueError("generators span a non-graded ideal: ideal subspace is not graded")
+    return Superideal(A, sub)
 
 
 def canonical_ideal(A):
@@ -464,22 +461,8 @@ def _subalgebra_on(A, sub, unit):
     return B, GradedMap.from_columns(space, A.space, basis)
 
 
-def _find_nontrivial_idempotent(A):
-    rad = radical(A)
-    S, proj = quotient_by_superideal(A, rad)
-    if S.dim <= 1:
-        return None
-    e_bar = _semisimple_idempotent(S)
-    if e_bar is None:
-        return None
-    _, _, section = quotient_data(A.space, rad.subspace)
-    return _lift_idempotent(A, proj, section, e_bar)
-
-
-def _residue_descriptor(A):
-    """Residue field data of a local algebra."""
-    rad = radical(A)
-    S, _ = quotient_by_superideal(A, rad)
+def _residue_descriptor(S):
+    """Residue field data from the residue field S = B / rad B of a local B."""
     if S.dim == 1:
         return ResidueField(1)
     for b in _split_candidates(S):
@@ -496,29 +479,29 @@ def _residue_descriptor(A):
 
 
 def local_decomposition(A):
-    """Complete orthogonal idempotents and the corresponding local factors."""
+    """Complete orthogonal idempotents and the corresponding local factors.
+
+    Each pending idempotent e gives B = eA, its radical and S = B / rad B
+    once: a nontrivial idempotent of S is lifted and splits e in two,
+    otherwise S is the residue field of the local factor B.
+    """
     if A.dim == 0:
         return []
     F = A.field
     pending = [A.unit]
-    primitive = []
+    factors = []
     while pending:
         e = pending.pop(0)
-        sub = _ideal_span(A, e)
-        B, _ = _subalgebra_on(A, sub, e)
-        e_sub = _find_nontrivial_idempotent(B)
-        if e_sub is None:
-            primitive.append(e)
+        B, incl = _subalgebra_on(A, _ideal_span(A, e), e)
+        rad = radical(B)
+        S, proj = quotient_by_superideal(B, rad)
+        e_bar = _semisimple_idempotent(S)
+        if e_bar is None:
+            factors.append(LocalFactor(e, B, incl, _residue_descriptor(S)))
             continue
-        e1 = GradedMap.from_columns(B.space, A.space, sub.basis()).apply(e_sub)
-        e2 = vec_sub(F, e, e1)
-        pending.insert(0, e2)
-        pending.insert(0, e1)
-    factors = []
-    for e in primitive:
-        sub = _ideal_span(A, e)
-        B, incl = _subalgebra_on(A, sub, e)
-        factors.append(LocalFactor(e, B, incl, _residue_descriptor(B)))
+        _, _, section = quotient_data(B.space, rad.subspace)
+        e1 = incl.apply(_lift_idempotent(B, proj, section, e_bar))
+        pending[:0] = [e1, vec_sub(F, e, e1)]
     total = zero_vec(F, A.dim)
     for fac in factors:
         total = vec_add(F, total, fac.idempotent)
@@ -528,9 +511,7 @@ def local_decomposition(A):
 
 def _ideal_span(A, e):
     """The subspace e*A."""
-    F = A.field
-    vecs = [A.multiply(e, unit_vec(F, A.dim, i)) for i in range(A.dim)]
-    return Subspace.from_vectors(A.space, vecs)
+    return Subspace.from_vectors(A.space, _products(A, [e]))
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +569,12 @@ def _word_basis(A, generators):
 def enumerate_homs(A, R, generators):
     """All superalgebra morphisms A -> R over a finite field.
 
-    Generator images range over the matching parity component of R; the
-    induced linear map is kept when it is multiplicative and unital.  The
-    result order follows the lexicographic enumeration of images.
+    Generator images range over the matching parity component of R and fix
+    the image of every word.  The induced linear map is multiplicative once
+    phi(w * g) = phi(w) phi(g) for every word w and generator g; that holds
+    by construction when w * g is itself a word, so only the other pairs are
+    checked, against their coordinates in the word basis.  The result order
+    follows the lexicographic enumeration of images.
     """
     F = A.field
     if not F.is_finite():
@@ -599,22 +583,24 @@ def enumerate_homs(A, R, generators):
     if F != R.field:
         raise ValueError("source and target over different fields")
     gens = [tuple(g) for g in generators]
+    gen_parities = []
     for g in gens:
         ps = {A.parity(i) for i, c in enumerate(g) if not F.is_zero(c)}
         if len(ps) != 1:
             raise ValueError("generators must be nonzero homogeneous")
-    gen_parities = [next(iter({A.parity(i) for i, c in enumerate(g)
-                               if not F.is_zero(c)})) for g in gens]
+        gen_parities.append(ps.pop())
     words, values, span = _word_basis(A, gens)
     if span.dim != A.dim:
         raise ValueError("declared generators do not generate the algebra")
     value_mat = Matrix(F, values, A.dim).transpose()
-    elems = sorted(F.elements(), key=F.sort_key)
-    image_slots = []
-    for p in gen_parities:
-        slots = [i for i in range(R.dim) if R.parity(i) == p]
-        image_slots.append(slots)
     basis_in_words = [value_mat.solve(unit_vec(F, A.dim, k)) for k in range(A.dim)]
+    in_words = Matrix(F, basis_in_words, len(words)).transpose()
+    built = set(words)
+    relations = [(w, gi, in_words.apply(A.multiply(values[w], g)))
+                 for w in range(len(words)) for gi, g in enumerate(gens)
+                 if (w, gi) not in built]
+    elems = sorted(F.elements(), key=F.sort_key)
+    image_slots = [[i for i in range(R.dim) if R.parity(i) == p] for p in gen_parities]
     found = []
     spaces = [list(itertools.product(elems, repeat=len(s))) for s in image_slots]
     for combo in itertools.product(*spaces):
@@ -624,22 +610,26 @@ def enumerate_homs(A, R, generators):
             for s, c in zip(slots, coeffs):
                 v[s] = c
             gen_imgs.append(tuple(v))
-        word_values = []
-        for parent, gi in words:
-            if parent == -1:
-                word_values.append(R.unit)
-            else:
-                word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
-        img_mat = Matrix(F, word_values, R.dim).transpose()
-        phi_cols = [img_mat.apply(sol) for sol in basis_in_words]
-        phi_mat = Matrix(F, phi_cols, R.dim).transpose()
+        word_values = [R.unit]
+        for parent, gi in words[1:]:
+            word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
+        if any(R.multiply(word_values[w], gen_imgs[gi]) != _combination(F, c, word_values)
+               for w, gi, c in relations):
+            continue
         try:
-            phi = GradedMap(A.space, R.space, phi_mat, 0)
+            found.append(GradedMap.from_columns(
+                A.space, R.space, [_combination(F, c, word_values) for c in basis_in_words]))
         except ValueError:
             continue
-        if is_superalgebra_morphism(phi, A, R):
-            found.append(phi)
     return found
+
+
+def _combination(F, coeffs, vecs):
+    out = zero_vec(F, len(vecs[0]))
+    for c, v in zip(coeffs, vecs):
+        if not F.is_zero(c):
+            out = vec_add(F, out, vec_scale(F, c, v))
+    return out
 
 
 # ---------------------------------------------------------------------------

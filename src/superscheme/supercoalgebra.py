@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .superalgebra import (
-    InvalidStructure, _word_basis, enumerate_homs, make_superalgebra,
+    InvalidStructure, _ideal_span, _word_basis, enumerate_homs, make_superalgebra,
     local_decomposition, monomial_superalgebra, radical,
 )
 from .superlinear import (
@@ -288,10 +288,7 @@ def irreducible_components(C):
     F = C.field
     comps = []
     for idx, fac in enumerate(factors):
-        complement = vec_sub(F, dual.unit, fac.idempotent)
-        ideal_vecs = [dual.multiply(complement, unit_vec(F, dual.dim, i))
-                      for i in range(dual.dim)]
-        ideal = Subspace.from_vectors(dual.space, ideal_vecs)
+        ideal = _ideal_span(dual, vec_sub(F, dual.unit, fac.idempotent))
         if ideal.dim == 0:
             sub = Subspace.full(C.space)
         else:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import InvalidStructure, radical
-from .supercoalgebra import (
-    coradical_filtration, dualize_coalgebra, irreducible_components,
-    subcoalgebra_on,
+from .superalgebra import (
+    InvalidStructure, _semisimple_idempotent, quotient_by_superideal, radical,
 )
+from .supercoalgebra import coradical_filtration, dualize_coalgebra, subcoalgebra_on
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
     flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
@@ -299,19 +298,21 @@ class FlatVerdict:
 def flat_check(M):
     """Lemma: over a connected coalgebra, flat comodule <=> free comodule.
 
-    Dualizes to the finite module M* over the local algebra C*.  A minimal
-    homogeneous generating set is lifted greedily in echelon order, counted
-    over the residue field (which may be a proper extension of the base),
-    and freeness is bijectivity of the induced map (C*)^r -> M*.
+    C is connected iff C*/rad C* is a field, that is, has no nontrivial
+    idempotent.  M* is then a finite module over the local algebra C*.  A
+    minimal homogeneous generating set is lifted greedily in echelon order,
+    counted over the residue field (which may be a proper extension of the
+    base), and freeness is bijectivity of the induced map (C*)^r -> M*.
     """
     C = M.coalgebra
     if C.dim == 0:
         raise NotConnected("flatness over the zero coalgebra is undefined")
-    if len(irreducible_components(C)) != 1:
-        raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     F = M.field
     dual = dualize_coalgebra(C)
     rad = radical(dual).subspace
+    residue, _ = quotient_by_superideal(dual, rad)
+    if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
+        raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     mats = dual_action(M)
     acts = [dual_action_of(M, mats, w).transpose() for w in rad.basis()]
     dual_space = M.space.dual()

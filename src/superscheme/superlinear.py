@@ -307,8 +307,8 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.space.dim})"
 
     def contains(self, vec):
-        stacked = self.matrix.stack(Matrix(self.space.field, [vec], self.space.dim))
-        return stacked.rank() == self.dim
+        """Read against the cached echelon basis; no fresh reduction."""
+        return coordinates_in(self, vec) is not None
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis())
@@ -348,7 +348,11 @@ class Subspace:
         return self.parity_component(1)
 
     def is_graded(self):
-        return self.even_part().sum(self.odd_part()) == self
+        """W = W_even + W_odd iff the even part of each basis vector of W lies in W."""
+        zero = self.space.field.zero
+        return all(self.contains([c if p == 0 else zero
+                                  for c, p in zip(v, self.space.parities)])
+                   for v in self.basis())
 
     @property
     def sdim(self):

@@ -10,6 +10,7 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
     sys.path.insert(0, os.path.abspath(_src))
 
 from superscheme.supercoalgebra import is_grouplike_over  # noqa: E402
+from superscheme.superlinear import Subspace, unit_vec  # noqa: E402
 
 
 def grouplikes_by_scan(C, R):
@@ -34,3 +35,25 @@ def grouplikes_by_scan(C, R):
 @pytest.fixture
 def grouplike_oracle():
     return grouplikes_by_scan
+
+
+def ideal_by_fixpoint(A, elements):
+    """Reference for superalgebra.ideal_generated_by: grow the span of the
+    elements by the products b_i * x with every basis vector until it is
+    stable."""
+    F = A.field
+    current = Subspace.from_vectors(A.space, list(elements))
+    while True:
+        vecs = list(current.basis())
+        for x in current.basis():
+            for i in range(A.dim):
+                vecs.append(A.multiply(unit_vec(F, A.dim, i), x))
+        grown = Subspace.from_vectors(A.space, vecs)
+        if grown == current:
+            return current
+        current = grown
+
+
+@pytest.fixture
+def ideal_oracle():
+    return ideal_by_fixpoint

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,46 @@ def test_invalid_coalgebra_is_an_axiom_failure(tmp_path):
         assert lines[0] == "superscheme-report error" and lines[-1] == "status fail"
         assert lines[1].startswith("axiom-failure invalid super"), (command, text)
         assert "cocommutativity" in lines[1] or "supercommutativity" in lines[1]
+
+
+def test_flat_check_validates_its_comodule(tmp_path):
+    # psi(n) = 0 breaks the counit axiom; computing on it used to escape as
+    # an AssertionError from flat_check
+    p = tmp_path / "bad.comod"
+    p.write_text("""superscheme 1
+field Q
+object coalgebra C
+  basis g even
+  basis x odd
+  counit 0 1
+  delta 0 0 0 1
+  delta 1 0 1 1
+  delta 1 1 0 1
+end
+object comodule M over C
+  basis m even
+  basis n odd
+  coaction 0 0 0 1
+  coaction 0 1 1 1
+end
+""")
+    assert run(["validate", str(p)])[1] == EXIT_FAIL
+    text, code = run(["flat-check", str(p)])
+    assert code == EXIT_FAIL
+    assert text.splitlines() == [
+        "superscheme-report error",
+        "axiom-failure invalid super-comodule M: counit: (id(x)eps)psi(n) != n; "
+        "coassociativity fails on m at (n,0,1)",
+        "status fail"]
+
+
+def test_grouplikes_over_validates_its_algebra(files, tmp_path):
+    # without th1*1 = th1 the morphism search would run on a non-unital R
+    p = tmp_path / "bad.alg"
+    p.write_text(Path(files["r3.alg"]).read_text().replace("  mul 1 0 1 1\n", ""))
+    text, code = run(["grouplikes", files["gdual3.coalg"], "--over", str(p)])
+    assert code == EXIT_FAIL
+    assert text.splitlines()[1].startswith("axiom-failure invalid superalgebra R: unit: ")
 
 
 def test_huge_rational_constant_is_unsupported(tmp_path):

@@ -8,13 +8,25 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script, seeds", [("corpus_sweep.py", "2"),
-                                           ("theorem_survey.py", "5")])
-def test_script_runs_from_any_directory(tmp_path, script, seeds):
+def _run_elsewhere(tmp_path, script, *args):
     # no PYTHONPATH: the script must find the package on its own
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--seeds", seeds],
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script, seeds", [("corpus_sweep.py", "2"),
+                                           ("theorem_survey.py", "5")])
+def test_script_runs_from_any_directory(tmp_path, script, seeds):
+    assert _run_elsewhere(tmp_path, script, "--seeds", seeds).strip()
+
+
+def test_size_wall_prints_one_row_per_grassmann_dual(tmp_path):
+    lines = _run_elsewhere(tmp_path, "size_wall.py", "--max", "3").splitlines()
+    assert lines[0].split() == ["coalgebra", "dim", "dual+validate", "filtration",
+                                "flat_check", "components"]
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["Grassmann(1)*", "2"], ["Grassmann(2)*", "4"], ["Grassmann(3)*", "8"]]

@@ -6,12 +6,13 @@ from superscheme.fields import FieldError, PrimeField, QQ, ExtensionField
 from superscheme.superlinear import GradedMap, Matrix, Subspace, unit_vec
 from superscheme.superalgebra import (
     FactorizationIncomplete, SuperAlgebra, bosonic_reduction, canonical_ideal,
-    enumerate_homs, ideal_generated_by, is_superalgebra_morphism, ksdim_finite,
+    enumerate_homs, ideal_generated_by, is_superalgebra_morphism, is_superideal,
+    ksdim_finite,
     local_decomposition, make_superalgebra, quotient_by_superideal, radical,
     tensor_superalgebra, validate_superalgebra,
 )
 from superscheme.corpus import (
-    canonical_algebras, grassmann, quotient_ring_algebra, split_pair,
+    Rng, canonical_algebras, grassmann, quotient_ring_algebra, split_pair,
     truncated_polynomial,
 )
 
@@ -258,6 +259,36 @@ def test_ideal_and_quotient():
     assert quot.dim == 2
     assert validate_superalgebra(quot) == []
     assert proj.apply(G.unit) == quot.unit
+
+
+def test_ideal_generated_by_matches_fixpoint(ideal_oracle):
+    # one or two random generators, each homogeneous of a random parity
+    F9 = ExtensionField(F3, (1, 0, 1), "j")
+    rng = Rng(11)
+    for field in (QQ, F3, F9):
+        for name, A in canonical_algebras(field):
+            for _ in range(6):
+                gens = []
+                for _ in range(1 + rng.randint(2)):
+                    parity = rng.randint(2)
+                    gens.append(tuple(rng.scalar(field) if A.parity(i) == parity
+                                      else field.zero for i in range(A.dim)))
+                ideal = ideal_generated_by(A, gens).subspace
+                assert ideal == ideal_oracle(A, gens), (field.describe(), name, gens)
+                assert is_superideal(A, ideal) == []
+
+
+def test_is_superideal_names_escaping_products():
+    G = grassmann(2)
+    th1, th2 = unit_vec(QQ, 4, 1), unit_vec(QQ, 4, 2)
+    assert is_superideal(G, Subspace.from_vectors(G.space, [th1])) == [
+        "not absorbing: th2 * ideal element escapes"]
+    mixed = Subspace.from_vectors(G.space, [tuple(a + b for a, b in zip(G.unit, th1))])
+    assert is_superideal(G, mixed) == [
+        "ideal subspace is not graded",
+        "not absorbing: th1 * ideal element escapes",
+        "not absorbing: th2 * ideal element escapes",
+        "not absorbing: th1*th2 * ideal element escapes"]
 
 
 def _edited(table, F, edits):

@@ -19,7 +19,7 @@ from superscheme.supercomodule import (
     trivial_comodule, validate_comodule,
 )
 from superscheme.corpus import (
-    Rng, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
+    Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
     seeded_random, truncated_polynomial,
 )
 
@@ -319,3 +319,27 @@ def test_subcoalgebra_coordinates_match_solve(F):
         assert tuple(c for row in sub.delta[i] for c in row) == pair.solve(big)
         sols = [incl.matrix.solve(big[k::C.dim]) for k in range(C.dim)]
         assert M.psi[i] == tuple(tuple(s[j] for s in sols) for j in range(W.dim))
+
+
+def _connected_by_flat_check(C):
+    try:
+        flat_check(regular_comodule(C))
+    except NotConnected:
+        return False
+    return True
+
+
+def test_flat_check_connected_iff_one_component():
+    # C*/rad C* is a field exactly when C* has one local factor
+    coalgebras = [dualize_algebra(quotient_ring_algebra([QQ.one, QQ.zero, QQ.one])),
+                  grouplike_coalgebra(2)]
+    for field in (QQ, F3):
+        coalgebras += [C for _, C in canonical_coalgebras(field)]
+        for seed in range(6):
+            coalgebras.append(seeded_random("subspace-triple", seed, field=field).payload[0])
+            coalgebras.append(seeded_random("comodule", seed, field=field).payload[0])
+            f = seeded_random("morphism", seed, field=field).payload[0]
+            coalgebras += [f.source.coalgebra, f.target.coalgebra]
+    verdicts = [_connected_by_flat_check(C) for C in coalgebras]
+    assert verdicts == [len(irreducible_components(C)) == 1 for C in coalgebras]
+    assert verdicts[:2] == [True, False] and verdicts.count(False) >= 10

@@ -227,6 +227,27 @@ def test_subspace_graded_parts():
     assert graded.sdim == (1, 1)
 
 
+def test_subspace_membership_matches_rank_and_intersection():
+    # contains and is_graded read the echelon basis; the references are a
+    # rank test of the stacked rows and W = (W meet V_even) + (W meet V_odd)
+    rng = Rng(23)
+    for F in (QQ, PrimeField(3)):
+        for even, odd in ((1, 1), (2, 1), (2, 3)):
+            V = standard_space(F, even, odd)
+            for _ in range(25):
+                vecs = []
+                for _ in range(rng.randint(V.dim + 1)):
+                    keep = rng.randint(3)   # 0 even, 1 odd, 2 mixed support
+                    vecs.append(tuple(rng.scalar(F) if keep in (2, p) else F.zero
+                                      for p in V.parities))
+                W = Subspace.from_vectors(V, vecs)
+                assert W.is_graded() == (W.even_part().sum(W.odd_part()) == W)
+                probe = tuple(rng.scalar(F) for _ in range(V.dim))
+                for v in vecs + [probe]:
+                    stacked = W.matrix.stack(Matrix(F, [v], V.dim))
+                    assert W.contains(v) == (stacked.rank() == W.dim)
+
+
 def test_subspace_as_space_parities():
     V = standard_space(QQ, 1, 1)
     S = Subspace.from_vectors(V, [(Fraction(0), Fraction(2))])
