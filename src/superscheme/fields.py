@@ -131,6 +131,9 @@ class PrimeField(Field):
         self.zero = 0
         self.one = 1
 
+    def is_zero(self, a):
+        return not a        # residues are canonical in [0, p)
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -199,6 +202,16 @@ class ExtensionField(Field):
         self.one = tuple([base.one] + [base.zero] * (self.degree - 1))
         self.generator = tuple(
             [base.zero, base.one] + [base.zero] * (self.degree - 2))
+        # x^k mod minpoly for degree <= k <= 2*degree - 2, the powers a
+        # product of two reduced elements can reach; x * (sum c_i x^i) is the
+        # shift minus its top coefficient times the monic minpoly
+        self._powers = {}
+        power = tuple([base.zero] * (self.degree - 1) + [base.one])    # x^(degree-1)
+        for k in range(self.degree, 2 * self.degree - 1):
+            top = power[-1]
+            power = tuple(base.sub(c, base.mul(top, m))
+                          for c, m in zip((base.zero,) + power[:-1], minpoly))
+            self._powers[k] = power
 
     def _wrap(self, coeffs):
         coeffs = list(coeffs)[: self.degree]
@@ -212,9 +225,23 @@ class ExtensionField(Field):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        prod = poly_mul(self.base, a, b)
-        _, rem = poly_divmod(self.base, prod, self.minpoly)
-        return self._wrap(rem)
+        """Schoolbook product, its high coefficients folded back through the
+        precomputed powers x^k mod minpoly."""
+        B = self.base
+        d = self.degree
+        out = [B.zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if B.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                if not B.is_zero(y):
+                    out[i + j] = B.add(out[i + j], B.mul(x, y))
+        for k in range(d, 2 * d - 1):
+            c = out[k]
+            if not B.is_zero(c):
+                for i, t in enumerate(self._powers[k]):
+                    out[i] = B.add(out[i], B.mul(c, t))
+        return tuple(out[:d])
 
     def inv(self, a):
         if all(self.base.is_zero(c) for c in a):

@@ -16,7 +16,7 @@ from .supercoalgebra import coradical_filtration, dualize_coalgebra, subcoalgebr
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
     flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
-    tensor_apply, tensor_blocks, twist, unit_vec,
+    tensor_apply, tensor_blocks, twist,
 )
 
 
@@ -191,13 +191,21 @@ def dual_action(M):
 
 
 def dual_action_of(M, mats, functional):
-    """Action matrix of an arbitrary element of C* (coordinates over C basis)."""
+    """Action matrix of an arbitrary element of C* (coordinates over C basis).
+
+    A basis functional acts by mats[t] itself; otherwise the nonzero
+    entries of the terms are summed into one matrix.
+    """
     F = M.field
-    out = Matrix.zero(F, M.dim, M.dim)
-    for t, c in enumerate(functional):
-        if not F.is_zero(c):
-            out = out.add(mats[t].scale(c))
-    return out
+    terms = [(t, c) for t, c in enumerate(functional) if not F.is_zero(c)]
+    if len(terms) == 1 and F.is_one(terms[0][1]):
+        return mats[terms[0][0]]
+    rows = [[F.zero] * M.dim for _ in range(M.dim)]
+    for t, c in terms:
+        for row, entries in zip(rows, mats[t].support()):
+            for j, a in entries:
+                row[j] = F.add(row[j], F.mul(c, a))
+    return Matrix(F, rows, M.dim)
 
 
 def check_dual_action_axioms(M):
@@ -314,20 +322,17 @@ def flat_check(M):
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     mats = dual_action(M)
-    acts = [dual_action_of(M, mats, w).transpose() for w in rad.basis()]
     dual_space = M.space.dual()
-    vecs = []
-    for act in acts:
-        for u in range(M.dim):
-            vecs.append(act.apply(unit_vec(F, M.dim, u)))
-    radM = Subspace.from_vectors(dual_space, vecs)
+    # on M* each w acts by the transpose of its action, whose columns are
+    # the rows of the action itself
+    radM = Subspace.from_vectors(
+        dual_space, [row for w in rad.basis() for row in dual_action_of(M, mats, w).rows])
     qspace, _, section = quotient_data(dual_space, radM)
-    basis_acts = [dual_action_of(M, mats, unit_vec(F, C.dim, t)).transpose()
-                  for t in range(C.dim)]
+    basis_acts = [m.transpose() for m in mats]
     kept = []
     span = radM
     for i in range(qspace.dim):
-        lift = section.apply(unit_vec(F, qspace.dim, i))
+        lift = section.column(i)
         if span.contains(lift):
             continue
         kept.append((lift, qspace.parities[i]))
@@ -354,16 +359,13 @@ def flat_check(M):
 
 def cosocle_epi(M):
     """The quotient of M by rad(C*) . M, a canonical comodule surjection."""
-    F = M.field
     dual = dualize_coalgebra(M.coalgebra)
     rad = radical(dual).subspace
     mats = dual_action(M)
-    vecs = []
-    for w in rad.basis():
-        act = dual_action_of(M, mats, w)
-        for u in range(M.dim):
-            vecs.append(act.apply(unit_vec(F, M.dim, u)))
-    sub = Subspace.from_vectors(M.space, vecs)
+    # the columns of each action, read as the rows of its transpose
+    sub = Subspace.from_vectors(
+        M.space, [col for w in rad.basis()
+                  for col in dual_action_of(M, mats, w).transpose().rows])
     return quotient_comodule(M, sub)
 
 

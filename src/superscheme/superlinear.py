@@ -9,9 +9,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import PrimeField, RationalField
+
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def _plain_char(F):
+    """p for F_p, 0 for Q, None for any other field.
+
+    Over F_p and Q the elements are plain ints in [0, p) and Fractions, so
+    the exact kernels below test zero by truthiness and inline the
+    arithmetic (with ``% p`` over F_p); every other field, and any field
+    that only wraps one of these, takes the generic path through the Field
+    methods, which the tests use as the oracle.
+    """
+    kind = type(F)
+    if kind is PrimeField:
+        return F.p
+    if kind is RationalField:
+        return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -19,15 +38,20 @@ class DimensionMismatch(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over an explicit field; rref is cached."""
+    """Immutable dense matrix over an explicit field.
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_rref")
+    The rref and the nonzero entries of each row are cached.  A cached rref
+    of (None, pivots) marks a matrix that is its own rref.
+    """
+
+    __slots__ = ("field", "rows", "nrows", "ncols", "_rref", "_support")
 
     def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         self.field = field
         self.rows = rows
         self._rref = None
+        self._support = None
         self.nrows = len(rows)
         if rows:
             widths = {len(r) for r in rows}
@@ -67,8 +91,15 @@ class Matrix:
         F = self.field
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(F, [[F.add(a, b) for a, b in zip(r, s)]
-                          for r, s in zip(self.rows, other.rows)], self.ncols)
+        p = _plain_char(F)
+        pairs = zip(self.rows, other.rows)
+        if p is None:
+            rows = [[F.add(a, b) for a, b in zip(r, s)] for r, s in pairs]
+        elif p:
+            rows = [[(a + b) % p for a, b in zip(r, s)] for r, s in pairs]
+        else:
+            rows = [[a + b for a, b in zip(r, s)] for r, s in pairs]
+        return Matrix(F, rows, self.ncols)
 
     def sub(self, other):
         return self.add(other.scale(self.field.neg(self.field.one)))
@@ -77,12 +108,35 @@ class Matrix:
         F = self.field
         return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.ncols)
 
+    def support(self):
+        """Per row, the (column, entry) pairs with a nonzero entry."""
+        if self._support is None:
+            F = self.field
+            if _plain_char(F) is None:
+                self._support = tuple(tuple([(j, a) for j, a in enumerate(r)
+                                             if not F.is_zero(a)]) for r in self.rows)
+            else:
+                self._support = tuple(tuple([(j, a) for j, a in enumerate(r) if a])
+                                      for r in self.rows)
+        return self._support
+
     def mul(self, other):
         F = self.field
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
         cols = other.ncols
+        p = _plain_char(F)
         out = []
+        if p is not None:
+            osupp = other.support()
+            for r in self.rows:
+                acc = [F.zero] * cols
+                for a, o in zip(r, osupp):
+                    if a:
+                        for j, b in o:
+                            acc[j] += a * b
+                out.append([x % p for x in acc] if p else acc)
+            return Matrix(F, out, cols)
         for r in self.rows:
             terms = [(a, other.rows[k]) for k, a in enumerate(r) if not F.is_zero(a)]
             row = []
@@ -98,8 +152,14 @@ class Matrix:
         F = self.field
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(
-            _dot(F, row, vec) for row in self.rows)
+        p = _plain_char(F)
+        if p is None:
+            return tuple(_dot(F, row, vec) for row in self.rows)
+        terms = [(j, b) for j, b in enumerate(vec) if b]
+        if p:
+            return tuple(sum(row[j] * b for j, b in terms) % p for row in self.rows)
+        return tuple(sum((row[j] * b for j, b in terms if row[j]), F.zero)
+                     for row in self.rows)
 
     def stack(self, other):
         if self.ncols != other.ncols:
@@ -109,33 +169,19 @@ class Matrix:
     def rref(self):
         """Reduced row-echelon form and the pivot column tuple."""
         if self._rref is not None:
-            return self._rref
+            red, pivots = self._rref
+            return (self if red is None else red), pivots
         F = self.field
         rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = None
-            for i in range(r, len(rows)):
-                if not F.is_zero(rows[i][c]):
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and not F.is_zero(rows[i][c]):
-                    fac = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        result = Matrix(F, rows, self.ncols), tuple(pivots)
-        self._rref = result
-        return result
+        p = _plain_char(F)
+        if p is None:
+            pivots = _rref_generic(F, rows, self.ncols)
+        else:
+            pivots = _rref_plain(rows, self.ncols, p)
+        red = Matrix(F, rows, self.ncols)
+        red._rref = (None, pivots)
+        self._rref = (red, pivots)
+        return red, pivots
 
     def rank(self):
         _, pivots = self.rref()
@@ -144,7 +190,12 @@ class Matrix:
     def row_space(self):
         """Canonical spanning matrix: RREF with zero rows dropped."""
         red, pivots = self.rref()
-        return Matrix(self.field, red.rows[:len(pivots)], self.ncols)
+        if red.nrows == len(pivots):
+            return red
+        # an rref with its zero rows dropped is its own rref
+        out = Matrix(self.field, red.rows[:len(pivots)], self.ncols)
+        out._rref = (None, pivots)
+        return out
 
     def null_space(self):
         """Canonical matrix whose rows span {v : M v = 0}."""
@@ -172,6 +223,72 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = red.rows[r][self.ncols]
         return tuple(x)
+
+
+def _rref_generic(F, rows, ncols):
+    """Reduce rows in place through the Field methods; return the pivots."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if not F.is_zero(rows[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not F.is_zero(rows[i][c]):
+                fac = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(pivots)
+
+
+def _rref_plain(rows, ncols, p):
+    """_rref_generic on plain values: residues mod p > 0, or Fractions for
+    p = 0.  Left of its pivot the pivot row is zero, so only its nonzero
+    columns from the pivot on are scaled and eliminated."""
+    pivots = []
+    r = 0
+    n = len(rows)
+    for c in range(ncols):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        lead = prow[c]
+        inv = pow(lead, p - 2, p) if p else 1 / lead
+        if p:
+            pairs = [(j, prow[j] * inv % p) for j in range(c, ncols) if prow[j]]
+        else:
+            pairs = [(j, prow[j] * inv) for j in range(c, ncols) if prow[j]]
+        for j, y in pairs:
+            prow[j] = y
+        for i in range(n):
+            row = rows[i]
+            fac = row[c]
+            if fac and i != r:
+                if p:
+                    for j, y in pairs:
+                        row[j] = (row[j] - fac * y) % p
+                else:
+                    for j, y in pairs:
+                        row[j] = row[j] - fac * y
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return tuple(pivots)
 
 
 def _dot(F, u, v):
@@ -480,22 +597,40 @@ def tensor_apply(f, g, vecs):
     at a time.
     """
     F = f.domain.field
+    p = _plain_char(F)
     nl, nj = g.domain.dim, g.codomain.dim
+    size = f.codomain.dim * nj
     fcols, gcols = _sparse_columns(f), _sparse_columns(g)
-    flips = [bool(g.parity and p) for p in f.domain.parities]
+    flips = [bool(g.parity and q) for q in f.domain.parities]
     for v in vecs:
-        acc = [F.zero] * (f.codomain.dim * nj)
+        acc = [F.zero] * size
+        if p is None:
+            for kl, c in enumerate(v):
+                if F.is_zero(c):
+                    continue
+                k, l = divmod(kl, nl)
+                if flips[k]:
+                    c = F.neg(c)
+                for i, a in fcols[k]:
+                    ca = F.mul(c, a)
+                    for j, b in gcols[l]:
+                        acc[i * nj + j] = F.add(acc[i * nj + j], F.mul(ca, b))
+            yield tuple(acc)
+            continue
+        # plain values: accumulate unreduced, reduce mod p once per image
         for kl, c in enumerate(v):
-            if F.is_zero(c):
+            if not c:
                 continue
             k, l = divmod(kl, nl)
             if flips[k]:
-                c = F.neg(c)
+                c = -c
+            gl = gcols[l]
             for i, a in fcols[k]:
-                ca = F.mul(c, a)
-                for j, b in gcols[l]:
-                    acc[i * nj + j] = F.add(acc[i * nj + j], F.mul(ca, b))
-        yield tuple(acc)
+                ca = c * a
+                base = i * nj
+                for j, b in gl:
+                    acc[base + j] += ca * b
+        yield tuple([x % p for x in acc]) if p else tuple(acc)
 
 
 def tensor_after(f, g, h):
@@ -512,12 +647,10 @@ def tensor_after(f, g, h):
 
 def _sparse_columns(f):
     """Per column k of f, the (row, entry) pairs with a nonzero entry."""
-    F = f.domain.field
     cols = [[] for _ in range(f.domain.dim)]
-    for i, row in enumerate(f.matrix.rows):
-        for k, a in enumerate(row):
-            if not F.is_zero(a):
-                cols[k].append((i, a))
+    for i, row in enumerate(f.matrix.support()):
+        for k, a in row:
+            cols[k].append((i, a))
     return cols
 
 
@@ -600,8 +733,8 @@ def subspace_as_space(sub, prefix="w"):
     """
     F = sub.space.field
     parities = []
-    for row in sub.matrix.rows:
-        ps = {sub.space.parities[j] for j, c in enumerate(row) if not F.is_zero(c)}
+    for row in sub.matrix.support():
+        ps = {sub.space.parities[j] for j, _ in row}
         parities.append(ps.pop() if len(ps) == 1 else 0)
     labels = tuple(f"{prefix}{i + 1}" for i in range(sub.dim))
     return SuperVectorSpace(F, labels, tuple(parities))
@@ -614,13 +747,23 @@ def coordinates_in(sub, vec):
     the pivot columns and verified by reconstruction.
     """
     F = sub.space.field
+    p = _plain_char(F)
     _, pivots = sub.matrix.rref()
-    coeffs = tuple(vec[c] for c in pivots)
-    recon = zero_vec(F, sub.space.dim)
-    for c, row in zip(coeffs, sub.matrix.rows):
-        if not F.is_zero(c):
-            recon = vec_add(F, recon, vec_scale(F, c, row))
-    return coeffs if recon == tuple(vec) else None
+    coeffs = tuple([vec[c] for c in pivots])
+    if p is None:
+        recon = zero_vec(F, sub.space.dim)
+        for c, row in zip(coeffs, sub.matrix.rows):
+            if not F.is_zero(c):
+                recon = vec_add(F, recon, vec_scale(F, c, row))
+        return coeffs if recon == tuple(vec) else None
+    recon = [F.zero] * sub.space.dim
+    for c, row in zip(coeffs, sub.matrix.support()):
+        if c:
+            for j, a in row:
+                recon[j] += c * a
+    if p:
+        recon = [x % p for x in recon]
+    return coeffs if recon == list(vec) else None
 
 
 def pivot_selection(sub, space):

@@ -9,6 +9,7 @@ _src = os.path.join(os.path.dirname(__file__), "..", "src")
 if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sys.path):
     sys.path.insert(0, os.path.abspath(_src))
 
+from superscheme.fields import Field  # noqa: E402
 from superscheme.supercoalgebra import is_grouplike_over  # noqa: E402
 from superscheme.superlinear import Subspace, unit_vec  # noqa: E402
 
@@ -57,3 +58,43 @@ def ideal_by_fixpoint(A, elements):
 @pytest.fixture
 def ideal_oracle():
     return ideal_by_fixpoint
+
+
+class GenericField(Field):
+    """Computes by an inner PrimeField or Q without being one, so every
+    kernel of superlinear takes its generic path through the Field methods:
+    the oracle for the plain-value kernels over F_p and Q."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.char, self.order = inner.char, inner.order
+        self.zero, self.one = inner.zero, inner.one
+
+    def add(self, a, b):
+        return self.inner.add(a, b)
+
+    def neg(self, a):
+        return self.inner.neg(a)
+
+    def mul(self, a, b):
+        return self.inner.mul(a, b)
+
+    def inv(self, a):
+        return self.inner.inv(a)
+
+    def elements(self):
+        return self.inner.elements()
+
+    def describe(self):
+        return f"generic {self.inner.describe()}"
+
+    def __eq__(self, other):
+        return isinstance(other, GenericField) and other.inner == self.inner
+
+    def __hash__(self):
+        return hash(("generic", self.inner))
+
+
+@pytest.fixture(scope="session")
+def generic_field():
+    return GenericField

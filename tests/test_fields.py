@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from superscheme.corpus import Rng
 from superscheme.fields import (
     ExtensionField, FieldError, PrimeField, QQ, field_sqrt,
     poly_divmod, poly_factor_supported, poly_gcd, poly_is_irreducible,
@@ -146,3 +147,33 @@ def test_field_sqrt():
         (Fraction(0), Fraction(2)), (Fraction(0), Fraction(-2)))
     r = field_sqrt(F9, F9.embed(2))
     assert r is not None and F9.mul(r, r) == F9.embed(2)
+
+
+def test_prime_field_is_zero_on_canonical_residues():
+    for p in (3, 5, 7):
+        F = PrimeField(p)
+        assert [F.is_zero(a) for a in F.elements()] == [a == 0 for a in range(p)]
+        assert F.is_zero(F.add(1, p - 1)) and F.is_zero(F.sub(2, 2))
+        assert F.is_zero(F.mul(F.from_int(p), 3)) and not F.is_zero(F.neg(1))
+
+
+def _mul_by_divmod(E, a, b):
+    """The product as poly_mul followed by reduction with poly_divmod."""
+    _, rem = poly_divmod(E.base, poly_mul(E.base, a, b), E.minpoly)
+    return E._wrap(rem)
+
+
+def test_extension_mul_matches_divmod_product():
+    F5_3 = ExtensionField(F5, (1, 1, 0, 1), "b")          # x^3 + x + 1
+    Q_3 = ExtensionField(QQ, tuple(Fraction(c) for c in (-2, 0, 0, 1)), "r")
+    elems = list(F9.elements())
+    for a in elems:
+        for b in elems:
+            assert F9.mul(a, b) == _mul_by_divmod(F9, a, b)
+    rng = Rng(31)
+    for E in (F5_3, Q_3, QI):
+        for _ in range(200):
+            a, b = (tuple(rng.scalar(E.base) for _ in range(E.degree)) for _ in range(2))
+            got = E.mul(a, b)
+            assert got == _mul_by_divmod(E, a, b)
+            assert all(type(c) is type(E.base.zero) for c in got)

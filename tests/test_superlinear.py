@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, PrimeField
 from superscheme.superlinear import (
     DimensionMismatch, GradedMap, Matrix, Subspace, coordinates_in, perp,
     quotient_data, standard_space, subspace_as_space, tensor_after, tensor_apply,
-    twist, unit_vec,
+    twist, unit_vec, vec_add, vec_scale, zero_vec,
 )
 from superscheme.corpus import Rng
 
@@ -253,3 +253,96 @@ def test_subspace_as_space_parities():
     S = Subspace.from_vectors(V, [(Fraction(0), Fraction(2))])
     abstract = subspace_as_space(S)
     assert abstract.parities == (1,)
+
+
+# ---------------------------------------------------------------------------
+# plain-value kernels over F_p and Q against the generic path
+
+PLAIN_FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7)]
+
+
+def _entries(F):
+    """Scalars of F, zero about half the time."""
+    if F == QQ:
+        scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        scalars = st.integers(0, F.p - 1)
+    return st.one_of(st.just(F.zero), scalars)
+
+
+@st.composite
+def plain_matrices(draw):
+    """(field, rows, width), with zero rows and 0 x n shapes among them."""
+    F = draw(st.sampled_from(PLAIN_FIELDS))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_entries(F), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [F.zero] * n
+    return F, rows, n
+
+
+def _typed(rows):
+    """Entries with their types, so a Q result must hold Fractions throughout."""
+    return tuple(tuple((type(x), x) for x in r) for r in rows)
+
+
+@seed(2718)
+@given(plain_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_plain_kernels_match_generic_path(generic_field, case, data):
+    F, rows, n = case
+    G = generic_field(F)
+    fast, slow = Matrix(F, rows, n), Matrix(G, rows, n)
+    assert fast.rref()[1] == slow.rref()[1]
+    for f_out, g_out in [(fast.rref()[0], slow.rref()[0]),
+                         (fast.row_space(), slow.row_space()),
+                         (fast.null_space(), slow.null_space()),
+                         (fast.mul(fast.transpose()), slow.mul(slow.transpose())),
+                         (fast.add(fast), slow.add(slow))]:
+        assert _typed(f_out.rows) == _typed(g_out.rows)
+        assert (f_out.nrows, f_out.ncols) == (g_out.nrows, g_out.ncols)
+    # a canonical matrix is its own rref and is not reduced again
+    canon = fast.row_space()
+    assert canon.rref() == (canon, fast.rref()[1]) and canon.row_space() is canon
+
+    VF, VG = standard_space(F, n, 0), standard_space(G, n, 0)
+    sub_f, sub_g = Subspace(VF, fast), Subspace(VG, slow)
+    assert subspace_as_space(sub_f).parities == subspace_as_space(sub_g).parities
+    entries = _entries(F)
+    inside = zero_vec(F, n)
+    for row in sub_f.basis():
+        inside = vec_add(F, inside, vec_scale(F, data.draw(entries), row))
+    outside = tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    assert coordinates_in(sub_f, inside) is not None
+    for v in (inside, outside):
+        got, want = coordinates_in(sub_f, v), coordinates_in(sub_g, v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _typed([got]) == _typed([want])
+        assert _typed([fast.apply(v)]) == _typed([slow.apply(v)])
+
+
+@seed(2718)
+@given(st.sampled_from(PLAIN_FIELDS), st.sampled_from([0, 1, None]),
+       st.sampled_from([0, 1, None]), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_seed):
+    G = generic_field(F)
+    rng = Rng(rng_seed)
+    shapes = [standard_space(F, rng.randint(3), rng.randint(3)) for _ in range(4)]
+    V, W, X, Y = shapes
+    f = _random_homogeneous_map(rng, V, W, pf)
+    g = _random_homogeneous_map(rng, X, Y, pg)
+
+    def over_g(h):
+        dom = standard_space(G, *h.domain.sdim)
+        cod = standard_space(G, *h.codomain.sdim)
+        return GradedMap(dom, cod, Matrix(G, h.matrix.rows, dom.dim), h.parity)
+
+    dim = V.dim * X.dim
+    vecs = [tuple(rng.scalar(F) if rng.randint(2) else F.zero for _ in range(dim))
+            for _ in range(3)] + [zero_vec(F, dim)]
+    fast = list(tensor_apply(f, g, vecs))
+    slow = list(tensor_apply(over_g(f), over_g(g), vecs))
+    assert _typed(fast) == _typed(slow)
