@@ -9,6 +9,7 @@ output.  Exit codes: 0 success, 1 axiom or validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -120,7 +121,7 @@ def cmd_validate(args):
 
 
 def cmd_dual(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("dual", [(path, doc)])
     name, value = doc.first("algebra", "coalgebra")
     if isinstance(value, SuperAlgebra):
@@ -134,7 +135,7 @@ def cmd_dual(args):
 
 
 def cmd_radical(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("radical", [(path, doc)])
     name, A = doc.first("algebra")
     rad = radical(A)
@@ -147,7 +148,7 @@ def cmd_radical(args):
 
 
 def cmd_coradical(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("coradical", [(path, doc)])
     name, C = doc.first("coalgebra")
     cor = coradical(C)
@@ -159,7 +160,7 @@ def cmd_coradical(args):
 
 
 def cmd_filtration(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("filtration", [(path, doc)])
     name, C = doc.first("coalgebra")
     chain = coradical_filtration(C)
@@ -171,11 +172,13 @@ def cmd_filtration(args):
 
 
 def cmd_wedge(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("wedge", [(path, doc)])
-    _, C = doc.first("coalgebra")
-    X = doc.get(args.x)
-    Y = doc.get(args.y)
+    name, C = doc.first("coalgebra")
+    X = doc.get(args.x, "subspace")
+    Y = doc.get(args.y, "subspace")
+    if X.space != C.space or Y.space != C.space:
+        raise ParseError(f"wedge needs two subspaces of coalgebra {name}")
     W = wedge(C, X, Y)
     rep.add("wedge-dim", W.dim)
     for row in W.basis():
@@ -184,7 +187,7 @@ def cmd_wedge(args):
 
 
 def cmd_components(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("components", [(path, doc)])
     name, C = doc.first("coalgebra")
     comps = irreducible_components(C)
@@ -237,7 +240,7 @@ def cmd_cotensor(args):
 
 
 def cmd_product(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("product", [(path, doc)])
     coalgs = doc.all_of("coalgebra")
     if len(coalgs) < 2:
@@ -252,7 +255,7 @@ def cmd_product(args):
 
 
 def cmd_coproduct(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("coproduct", [(path, doc)])
     coalgs = doc.all_of("coalgebra")
     if not coalgs:
@@ -267,8 +270,10 @@ def cmd_coproduct(args):
 def cmd_fiber_product(args):
     path, doc = _load_valid(args.file)
     rep = Report("fiber-product", [(path, doc)])
-    f = doc.get(args.f)
-    g = doc.get(args.g)
+    f = doc.get(args.f, "morphism")
+    g = doc.get(args.g, "morphism")
+    if f.target != g.target:
+        raise ParseError(f"morphisms {args.f} and {args.g} have different targets")
     W = fiber_product(f, g)
     rep.add("carrier-dim", W.coalgebra.dim)
     rep.add("carrier-sdim", _sdim(W.coalgebra.space.sdim))
@@ -279,7 +284,7 @@ def cmd_fiber_product(args):
 def cmd_fiber(args):
     path, doc = _load_valid(args.file)
     rep = Report("fiber", [(path, doc)])
-    f = doc.get(args.morphism)
+    f = doc.get(args.morphism, "morphism")
     pts = points(f.target)
     if args.point >= len(pts):
         raise ParseError(f"target has only {len(pts)} points")
@@ -292,7 +297,7 @@ def cmd_fiber(args):
 
 
 def cmd_base_change(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("base-change", [(path, doc)])
     name, C = doc.first("coalgebra")
     minpoly = [doc.field.parse(t) for t in args.minpoly.split()]
@@ -374,7 +379,7 @@ def cmd_finite_check(args):
 
 
 def cmd_ksdim(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("ksdim", [(path, doc)])
     name, P = doc.first("presentation")
     val = ksdim(P)
@@ -389,7 +394,7 @@ def cmd_ksdim(args):
 
 
 def cmd_check_thm513(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("check-thm513", [(path, doc)])
     name, f = doc.first("presmorphism")
     result = theorem_fiber_dimension_check(f, assert_flat=args.assert_flat)
@@ -412,7 +417,7 @@ def cmd_check_thm513(args):
 
 
 def cmd_check_thm515(args):
-    path, doc = _load(args.file)
+    path, doc = _load_valid(args.file)
     rep = Report("check-thm515", [(path, doc)])
     pres = doc.all_of("presentation")
     if len(pres) < 2:
@@ -453,12 +458,16 @@ def cmd_report_all(args):
     path, doc = _load(args.file)
     rep = Report("report-all", [(path, doc)])
     failures = 0
+    invalid = set()
     for name, (kind, value) in doc.built.items():
         problems = _problems(kind, value)
         if kind in ("algebra", "coalgebra", "comodule", "morphism", "tower"):
             rep.add(f"{kind} {name} valid", not problems)
             failures += len(problems)
-        if problems:
+        over = ([value.coalgebra] if kind == "comodule" else
+                value.source.levels + value.target.levels if kind == "morphism" else ())
+        if problems or any(id(c) in invalid for c in over):
+            invalid.add(id(value))      # nothing is computed on or over it
             continue
         if kind == "algebra":
             rep.add(f"algebra {name} sdim", _sdim(value.space.sdim))
@@ -500,7 +509,10 @@ def cmd_report_all(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """Built once, on the first run and not at import: it binds the cmd_*
+    handlers as they stand then."""
     parser = argparse.ArgumentParser(
         prog="superscheme",
         description="exact checks for superalgebra duality, formal "
@@ -565,9 +577,8 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:
             return "", EXIT_OK

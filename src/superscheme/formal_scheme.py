@@ -102,12 +102,11 @@ class SchemeMorphism:
     maps: tuple
 
     @classmethod
-    def finite(cls, f, X, Y, check=True):
+    def finite(cls, f, X, Y):
         m = cls(X, Y, (f,))
-        if check:
-            problems = m.validate()
-            if problems:
-                raise ValueError("invalid morphism: " + "; ".join(problems[:3]))
+        problems = m.validate()
+        if problems:
+            raise ValueError("invalid morphism: " + "; ".join(problems[:3]))
         return m
 
     @property
@@ -335,7 +334,7 @@ def point_scheme(Y, y):
     """{y} = Sp*(kappa(y)) with its inclusion morphism into Y."""
     kappa_scheme = FormalSuperscheme.finite(y.kappa)
     incl = y.component.inclusion.compose(y.kappa_inclusion)
-    return kappa_scheme, SchemeMorphism.finite(incl, kappa_scheme, Y, check=False)
+    return kappa_scheme, SchemeMorphism(kappa_scheme, Y, (incl,))
 
 
 def fiber(f, y, with_projection=False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
 from .superlinear import GradedMap, Matrix, Subspace, SuperVectorSpace
-from .superalgebra import SuperAlgebra, make_superalgebra
+from .superalgebra import SuperAlgebra
 from .supercoalgebra import SuperCoalgebra
 from .supercomodule import SuperComodule
 from .formal_scheme import FormalSuperscheme, SchemeMorphism
@@ -58,10 +58,14 @@ class ObjectFile:
         return [(name, value) for name, (kind, value) in self.built.items()
                 if kind in kinds]
 
-    def get(self, name):
+    def get(self, name, *kinds):
+        """The object called name; with kinds given, it must have one of them."""
         if name not in self.built:
             raise ParseError(f"no object named {name!r} in file")
-        return self.built[name][1]
+        kind, value = self.built[name]
+        if kinds and kind not in kinds:
+            raise ParseError(f"object {name!r} has kind {kind}, expected {'/'.join(kinds)}")
+        return value
 
 
 def _parse_field(tokens, lineno):
@@ -260,10 +264,7 @@ def _build_algebra(doc, po):
     n = space.dim
     mul = _triple_tensor(doc, po, "mul", n)
     unit = _vector(doc, po, "unit", n)
-    try:
-        return make_superalgebra(space, mul, unit, check=False)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    return SuperAlgebra(space, mul, unit)
 
 
 def _build_coalgebra(doc, po):
@@ -277,7 +278,7 @@ def _build_coalgebra(doc, po):
 def _build_comodule(doc, po):
     if po.over is None:
         raise ParseError(f"comodule {po.name} needs 'over <coalgebra>'")
-    C = doc.get(po.over)
+    C = doc.get(po.over, "coalgebra")
     space = _collect_basis(doc, po)
     return SuperComodule(space, C, _triple_tensor(doc, po, "coaction", space.dim, C.dim))
 
@@ -285,8 +286,8 @@ def _build_comodule(doc, po):
 def _build_morphism(doc, po):
     if po.source is None or po.target is None:
         raise ParseError(f"morphism {po.name} needs 'from <C> to <D>'")
-    C = doc.get(po.source)
-    D = doc.get(po.target)
+    C = doc.get(po.source, "coalgebra")
+    D = doc.get(po.target, "coalgebra")
     F = doc.field
     rows = [[F.zero] * C.dim for _ in range(D.dim)]
     for lineno, tokens in po.lines:
@@ -309,7 +310,7 @@ def _build_morphism(doc, po):
 def _build_subspace(doc, po):
     if po.over is None:
         raise ParseError(f"subspace {po.name} needs 'over <object>'")
-    host = doc.get(po.over)
+    host = doc.get(po.over, "algebra", "coalgebra", "comodule")
     space = host.space
     F = doc.field
     vecs = []
@@ -376,8 +377,8 @@ def _build_presentation(doc, po):
 def _build_presmorphism(doc, po):
     if po.source is None or po.target is None:
         raise ParseError(f"presmorphism {po.name} needs 'from <P> to <Q>'")
-    src = doc.get(po.source)
-    dst = doc.get(po.target)
+    src = doc.get(po.source, "presentation")
+    dst = doc.get(po.target, "presentation")
     src_po = next(p for p in doc.objects if p.name == po.source)
     evars, ovars = _presentation_vars(src_po)
     even_images = [None] * dst.p
@@ -408,10 +409,9 @@ def _build_tower(doc, po):
     tmaps = []
     for lineno, tokens in po.lines:
         if tokens[0] == "level":
-            levels.append(doc.get(tokens[1]))
+            levels.append(doc.get(tokens[1], "coalgebra"))
         elif tokens[0] == "tmap":
-            m = doc.get(tokens[1])
-            tmaps.append(m.deep if isinstance(m, SchemeMorphism) else m)
+            tmaps.append(doc.get(tokens[1], "morphism").deep)
     if len(levels) == 1 and not tmaps:
         return FormalSuperscheme.finite(levels[0])
     try:

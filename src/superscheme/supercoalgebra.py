@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .superalgebra import (
-    InvalidStructure, _ideal_span, _word_basis, enumerate_homs, make_superalgebra,
+    _ideal_span, _word_basis, enumerate_homs, make_superalgebra,
     local_decomposition, monomial_superalgebra, radical,
 )
 from .superlinear import (
@@ -58,14 +58,10 @@ class SuperCoalgebra:
         return out
 
 
-def make_supercoalgebra(space, delta, counit, check=True):
-    C = SuperCoalgebra(space, tuple(tuple(tuple(c) for c in row) for row in delta),
-                       tuple(counit))
-    if check:
-        problems = validate_supercoalgebra(C)
-        if problems:
-            raise InvalidStructure("invalid super-coalgebra: " + "; ".join(problems[:3]))
-    return C
+def make_supercoalgebra(space, delta, counit):
+    """Constants as tuples. It does not validate: call validate_supercoalgebra."""
+    return SuperCoalgebra(space, tuple(tuple(tuple(c) for c in row) for row in delta),
+                          tuple(counit))
 
 
 def validate_supercoalgebra(C):
@@ -340,7 +336,7 @@ def _koszul_signed(A):
     F = A.field
     mul = [[[F.neg(c) for c in cell] if A.parity(i) and A.parity(j) else cell
             for j, cell in enumerate(row)] for i, row in enumerate(A.mul)]
-    return make_superalgebra(A.space, mul, A.unit, check=False)
+    return make_superalgebra(A.space, mul, A.unit)
 
 
 def is_grouplike_over(C, R, u):

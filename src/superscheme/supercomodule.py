@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import (
-    InvalidStructure, _semisimple_idempotent, quotient_by_superideal, radical,
+from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
+from .supercoalgebra import (
+    coradical_filtration, dualize_coalgebra, is_grouplike, subcoalgebra_on,
 )
-from .supercoalgebra import coradical_filtration, dualize_coalgebra, subcoalgebra_on
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
     flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
@@ -47,14 +47,10 @@ class SuperComodule:
         return twist(self.space, self.coalgebra.space).compose(self.coaction_map())
 
 
-def make_supercomodule(space, coalgebra, psi, check=True):
-    M = SuperComodule(space, coalgebra,
-                      tuple(tuple(tuple(c) for c in row) for row in psi))
-    if check:
-        problems = validate_comodule(M)
-        if problems:
-            raise InvalidStructure("invalid super-comodule: " + "; ".join(problems[:3]))
-    return M
+def make_supercomodule(space, coalgebra, psi):
+    """Constants as tuples. It does not validate: call validate_comodule."""
+    return SuperComodule(space, coalgebra,
+                         tuple(tuple(tuple(c) for c in row) for row in psi))
 
 
 def validate_comodule(M):
@@ -94,18 +90,20 @@ def validate_comodule(M):
 # constructions
 
 def regular_comodule(C):
-    return make_supercomodule(C.space, C, C.delta, check=False)
+    return make_supercomodule(C.space, C, C.delta)
 
 
 def free_comodule(W, C):
     """W (x) C with coaction id_W (x) delta."""
     coaction = GradedMap.identity(W).tensor(C.coproduct_map())
     psi = tensor_blocks(coaction.matrix.transpose().rows, coaction.domain.dim, C.dim)
-    return make_supercomodule(coaction.domain, C, psi, check=False)
+    return make_supercomodule(coaction.domain, C, psi)
 
 
 def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
     """W (x) span(g) for a group-like g: psi(m) = m (x) g."""
+    if not is_grouplike(C, g):
+        raise ValueError("trivial comodule needs a group-like element")
     F = C.field
     space = SuperVectorSpace(
         F,
@@ -136,7 +134,7 @@ def comodule_along(M, f, B):
     """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B."""
     pushed = tensor_after(GradedMap.identity(M.space), f, M.coaction_map())
     psi = tensor_blocks(pushed.matrix.transpose().rows, M.dim, B.dim)
-    return make_supercomodule(M.space, B, psi, check=False)
+    return make_supercomodule(M.space, B, psi)
 
 
 def is_comodule_morphism(f, M, N):
@@ -158,19 +156,18 @@ def is_subcomodule(M, W):
     return all(all(F.is_zero(c) for c in test.apply(v)) for v in W.basis())
 
 
-def quotient_comodule(M, W, check=True):
+def quotient_comodule(M, W):
     """Quotient by a graded subcomodule, with the projection morphism."""
     if not W.is_graded():
         raise ValueError("comodule quotient needs a graded subcomodule")
-    if check and not is_subcomodule(M, W):
+    if not is_subcomodule(M, W):
         raise ValueError("subspace is not a subcomodule")
     C = M.coalgebra
     qspace, proj, section = quotient_data(M.space, W)
     coaction = M.coaction_map()
     psi = tensor_apply(proj, GradedMap.identity(C.space),
                        [coaction.apply(section.column(i)) for i in range(qspace.dim)])
-    quot = make_supercomodule(qspace, C, tensor_blocks(psi, qspace.dim, C.dim),
-                              check=False)
+    quot = make_supercomodule(qspace, C, tensor_blocks(psi, qspace.dim, C.dim))
     return quot, GradedMap(M.space, qspace, proj.matrix, 0)
 
 
@@ -317,7 +314,7 @@ def flat_check(M):
         raise NotConnected("flatness over the zero coalgebra is undefined")
     F = M.field
     dual = dualize_coalgebra(C)
-    rad = radical(dual).subspace
+    rad = radical(dual)
     residue, _ = quotient_by_superideal(dual, rad)
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
@@ -326,7 +323,8 @@ def flat_check(M):
     # on M* each w acts by the transpose of its action, whose columns are
     # the rows of the action itself
     radM = Subspace.from_vectors(
-        dual_space, [row for w in rad.basis() for row in dual_action_of(M, mats, w).rows])
+        dual_space, [row for w in rad.subspace.basis()
+                     for row in dual_action_of(M, mats, w).rows])
     qspace, _, section = quotient_data(dual_space, radM)
     basis_acts = [m.transpose() for m in mats]
     kept = []

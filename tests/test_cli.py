@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
 from superscheme.fields import QQ, PrimeField
@@ -243,20 +244,84 @@ end
 """
 
 
+# every command that reads an object file, with the options it needs
+FILE_COMMANDS = [
+    ["dual"], ["radical"], ["coradical"], ["filtration"],
+    ["wedge", "--x", "X", "--y", "Y"], ["components"], ["grouplikes"],
+    ["cotensor"], ["product"], ["coproduct"], ["fiber-product", "--f", "f", "--g", "g"],
+    ["fiber", "--morphism", "f", "--point", "0"], ["base-change", "--minpoly", "1 0 1"],
+    ["immersion-check"], ["flat-check"], ["descent-check", "--depth", "1"],
+    ["finite-check"], ["ksdim"], ["check-thm513"], ["check-thm515"],
+    ["validate"], ["report-all"],
+]
+
+
 def test_invalid_coalgebra_is_an_axiom_failure(tmp_path):
     # coassociative and counital, but not cocommutative: its dual algebra is
     # the noncommutative upper triangular 2x2 matrices
     p = tmp_path / "upper.coalg"
     p.write_text("superscheme 1\nfield Q\n" + UPPER_TRIANGULAR_DUAL.format(name="T")
                  + UPPER_TRIANGULAR_DUAL.format(name="U"))
-    for command in ("dual", "components", "coradical", "filtration", "grouplikes",
-                    "coproduct", "product"):
-        text, code = run([command, str(p)])
+    for command, *options in FILE_COMMANDS:
+        text, code = run([command, str(p)] + options)
         assert code == EXIT_FAIL, (command, text)
         lines = text.splitlines()
-        assert lines[0] == "superscheme-report error" and lines[-1] == "status fail"
-        assert lines[1].startswith("axiom-failure invalid super"), (command, text)
-        assert "cocommutativity" in lines[1] or "supercommutativity" in lines[1]
+        if command in ("validate", "report-all"):
+            # these two report each object's problems themselves
+            assert lines[-1] == "status fail", (command, text)
+            continue
+        assert lines == [
+            "superscheme-report error",
+            "axiom-failure invalid super-coalgebra T: "
+            "cocommutativity: delta(b) asymmetric at (a,b); "
+            "cocommutativity: delta(b) asymmetric at (b,a); "
+            "cocommutativity: delta(b) asymmetric at (b,c)",
+            "status fail"], (command, text)
+
+
+@pytest.mark.parametrize("command", ["radical", "dual"])
+def test_invalid_algebra_is_an_axiom_failure(files, command):
+    # bad.alg breaks supercommutativity; radical used to compute on it
+    text, code = run([command, files["bad.alg"]])
+    assert code == EXIT_FAIL, text
+    assert text.splitlines() == [
+        "superscheme-report error",
+        "axiom-failure invalid superalgebra G2: supercommutativity: "
+        "th1*th2 != (-1)^|x||y| th2*th1; supercommutativity: th2*th1 != (-1)^|x||y| th1*th2",
+        "status fail"]
+
+
+def test_references_are_checked_before_computing(tmp_path):
+    G = serialize_document(QQ, [("G", grassmann(1)), ("D", divided_power(1)),
+                                ("GK", grouplike_coalgebra(2))])
+    cases = [
+        ("object comodule M over G\n  basis m even\n  coaction 0 0 0 1\nend\n",
+         ["validate"], "parse-error object 'G' has kind algebra, expected coalgebra"),
+        ("object tower T\n  level D\n  level D\n  tmap D\nend\n",
+         ["validate"], "parse-error object 'D' has kind coalgebra, expected morphism"),
+        ("object subspace X over GK\n  row 1 0\nend\n", ["wedge", "--x", "X", "--y", "X"],
+         "parse-error wedge needs two subspaces of coalgebra D"),
+        ("object morphism f from D to D\n  map 0 0 1\n  map 1 1 1\nend\n"
+         "object morphism g from GK to GK\n  map 0 0 1\n  map 1 1 1\nend\n",
+         ["fiber-product", "--f", "f", "--g", "g"],
+         "parse-error morphisms f and g have different targets"),
+    ]
+    p = tmp_path / "refs.obj"
+    for extra, (command, *options), line in cases:
+        p.write_text(G + extra)
+        text, code = run([command, str(p)] + options)
+        assert code == EXIT_IO and text.splitlines()[1] == line, text
+
+
+def test_report_all_skips_objects_over_an_invalid_coalgebra(files, tmp_path):
+    # delta(x1) = x1 (x) g breaks the counit of C; the trivial comodule N
+    # reads only delta(g) and eps(g), so it satisfies its own axioms
+    p = tmp_path / "mods.comod"
+    p.write_text(Path(files["mods.comod"]).read_text().replace("  delta 1 1 0 1\n", ""))
+    text, code = run(["report-all", str(p)])
+    assert code == EXIT_FAIL
+    assert "coalgebra C valid False" in text and "comodule N valid True" in text, text
+    assert "flat" not in text, text
 
 
 def test_flat_check_validates_its_comodule(tmp_path):
@@ -346,3 +411,76 @@ def test_every_command_deterministic(files):
         a = run(argv)
         b = run(argv)
         assert a == b, argv
+
+
+def _fuzz_inputs():
+    """Small corpus object files and the commands that read each of them."""
+    GK, K, D1, D2 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1), divided_power(2)
+    m = GradedMap(GK.space, K.space, Matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK), FormalSuperscheme.finite(K))
+    from superscheme.supercomodule import regular_comodule, trivial_comodule
+    from superscheme.superlinear import unit_vec
+    coalg = serialize_document(QQ, [("D2", D2), ("GK", GK)]) + (
+        "object subspace X over D2\n  row 1 0 0\nend\n"
+        "object subspace Y over D2\n  row 1 0 0\n  row 0 1 0\nend\n")
+    texts = {
+        "alg": serialize_document(QQ, [("G2", grassmann(2))]),
+        "alg3": serialize_document(F3, [("R", quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))]),
+        "coalg": coalg,
+        "comod": serialize_document(QQ, [("C", D1), ("M", regular_comodule(D1), "C"),
+                                         ("N", trivial_comodule(D1, unit_vec(QQ, 2, 0)), "C")]),
+        "mor": serialize_document(QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]),
+        "pres": ("superscheme 1\nfield Q\n"
+                 "object presentation S\n  evar T U\n  ovar a b\n  gen T a\nend\n"
+                 "object presentation Y\n  evar T\n  ovar a\nend\n"
+                 "object presmorphism proj from S to Y\n  eimage T T\n  oimage a a\nend\n"),
+    }
+    commands = {
+        "alg": [["radical"], ["dual"]],
+        "alg3": [["radical"], ["dual"]],
+        "coalg": [["dual"], ["coradical"], ["filtration"], ["components"], ["grouplikes"],
+                  ["product"], ["coproduct"], ["base-change", "--minpoly", "1 0 1"],
+                  ["wedge", "--x", "X", "--y", "Y"]],
+        "comod": [["cotensor"], ["flat-check"]],
+        "mor": [["flat-check"], ["descent-check", "--depth", "1"],
+                ["fiber", "--morphism", "f", "--point", "0"],
+                ["fiber-product", "--f", "f", "--g", "f"], ["immersion-check"],
+                ["finite-check"]],
+        "pres": [["ksdim"], ["check-thm513"], ["check-thm515"]],
+    }
+    return [(texts[key], argv) for key in texts
+            for argv in commands[key] + [["validate"], ["report-all"]]]
+
+
+FUZZ_INPUTS = _fuzz_inputs()
+
+
+def _mutate(text, kind, index, scalar):
+    lines = text.splitlines()
+    i = index % len(lines)
+    tokens = lines[i].split()
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "truncate":
+        lines[i] = " ".join(tokens[:-1])
+    else:
+        lines[i] = " ".join(tokens[:-1] + [scalar])
+    return "\n".join(lines) + "\n"
+
+
+@seed(20261018)
+@given(case=st.sampled_from(FUZZ_INPUTS),
+       kind=st.sampled_from(["delete", "duplicate", "truncate", "scalar"]),
+       index=st.integers(min_value=0, max_value=200),
+       # a scalar, or the name of an object of another kind
+       scalar=st.sampled_from(["0", "1", "-1", "2", "1/2", "x", "C", "GK", "f", "S"]))
+@settings(max_examples=150, deadline=None, database=None)
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, case, kind, index, scalar):
+    text, (command, *options) = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.obj"
+    path.write_text(_mutate(text, kind, index, scalar))
+    report, code = run([command, str(path)] + options)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_UNSUPPORTED, EXIT_IO), report
+    assert any(line.startswith("status ") for line in report.splitlines()), report

@@ -362,5 +362,5 @@ def test_validate_superalgebra_full_problem_list(case):
     F, edits, unit, expected = BROKEN_GRASSMANN_2[case]
     G = grassmann(2, F)
     unit = G.unit if unit is None else tuple(F.from_int(c) for c in unit)
-    A = make_superalgebra(G.space, _edited(G.mul, F, edits), unit, check=False)
+    A = make_superalgebra(G.space, _edited(G.mul, F, edits), unit)
     assert validate_superalgebra(A) == expected

@@ -212,6 +212,13 @@ def test_exactness_probe_agrees_with_verdict():
     assert not exactness_probe(T, epis)
 
 
+def test_trivial_comodule_needs_a_grouplike():
+    D = divided_power(2)
+    for g in [unit_vec(QQ, 3, 1), (QQ.zero,) * 3, (Fraction(2), QQ.zero, QQ.zero)]:
+        with pytest.raises(ValueError, match="group-like"):
+            trivial_comodule(D, g)
+
+
 def test_faithfulness_probe_on_free():
     D = divided_power(1)
     free = regular_comodule(D)
@@ -293,7 +300,7 @@ def test_validate_comodule_full_problem_list(case):
     F, edits, expected = BROKEN_REGULAR_COMODULES[case]
     C = dualize_algebra(grassmann(2, F))
     R = regular_comodule(C)
-    M = make_supercomodule(R.space, C, _edited(R.psi, F, edits), check=False)
+    M = make_supercomodule(R.space, C, _edited(R.psi, F, edits))
     assert validate_comodule(M) == expected
 
 
