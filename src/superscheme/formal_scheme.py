@@ -22,8 +22,8 @@ from .supercomodule import (
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, coordinates_in, quotient_data, subspace_as_space,
-    tensor_after, tensor_apply, unit_vec, vec_sub,
+    GradedMap, Matrix, Subspace, coordinates, quotient_data, subspace_as_space,
+    tensor_after, tensor_apply, tensor_blocks, unit_vec, vec_sub,
 )
 
 
@@ -153,10 +153,8 @@ def point_image(f, x):
     """The point of the target that an irreducible component maps into."""
     ycomps = irreducible_components(f.target.coalgebra)
     img = [f.deep.apply(v) for v in x.component.subspace.basis()]
-    hits = []
-    for j, comp in enumerate(ycomps):
-        if all(comp.subspace.contains(v) for v in img):
-            hits.append(j)
+    hits = [j for j, comp in enumerate(ycomps)
+            if coordinates(comp.subspace, img) is not None]
     assert len(hits) == 1, "component image must meet exactly one component"
     return hits[0]
 
@@ -200,17 +198,16 @@ def bosonic_reduction_scheme(X):
 
 
 def _restrict_between(m, incl_src, incl_dst):
-    """Restriction of m to the bosonic carriers, in carrier coordinates."""
-    F = m.domain.field
-    cols = []
-    dst_expand = incl_dst.matrix
-    for j in range(incl_src.domain.dim):
-        img = m.apply(incl_src.apply(unit_vec(F, incl_src.domain.dim, j)))
-        coords = dst_expand.solve(img)
-        assert coords is not None, "bosonic carrier is not preserved"
-        cols.append(coords)
-    mat = Matrix(F, cols, incl_dst.domain.dim).transpose()
-    return GradedMap(incl_src.domain, incl_dst.domain, mat, 0)
+    """Restriction of m to the bosonic carriers, in carrier coordinates.
+
+    The columns of incl_dst are the echelon rows of the target carrier, so
+    the coordinates of the images are read on that carrier.
+    """
+    carrier = Subspace(incl_dst.codomain, incl_dst.matrix.transpose())
+    cols = coordinates(carrier, m.compose(incl_src).matrix.transpose().rows)
+    if cols is None:
+        raise AssertionError("bosonic image escapes the target carrier")
+    return GradedMap.from_columns(incl_src.domain, incl_dst.domain, cols, 0)
 
 
 def bosonic_reduction_morphism(f):
@@ -394,15 +391,11 @@ def _component_comodule(f, x, y_index=None):
     j = point_image(f, x) if y_index is None else y_index
     ycomp = ycomps[j]
     O_x = x.component.coalgebra
-    F = O_x.field
-    cols = []
-    for i in range(O_x.dim):
-        img = f.deep.apply(x.component.inclusion.apply(unit_vec(F, O_x.dim, i)))
-        coords = coordinates_in(ycomp.subspace, img)
-        assert coords is not None
-        cols.append(coords)
-    g = GradedMap(O_x.space, ycomp.coalgebra.space,
-                  Matrix(F, cols, ycomp.coalgebra.dim).transpose(), 0)
+    img = f.deep.compose(x.component.inclusion).matrix.transpose().rows
+    cols = coordinates(ycomp.subspace, img)
+    if cols is None:
+        raise AssertionError("component image escapes the target component")
+    g = GradedMap.from_columns(O_x.space, ycomp.coalgebra.space, cols, 0)
     return comodule_along(regular_comodule(O_x), g, ycomp.coalgebra), j
 
 
@@ -455,12 +448,6 @@ class _TowerLevel:
     faces: tuple = ()       # maps S_n -> S_{n-1}, of parity None
 
 
-def _carrier_coords(carrier, vecs, what):
-    coords = [coordinates_in(carrier, v) for v in vecs]
-    assert None not in coords, f"{what} escapes the carrier"
-    return coords
-
-
 def _iterated_cotensor_tower(M, A, reg, depth):
     """Levels T_n = M box_B A^{box n} with faces, built iteratively.
 
@@ -481,15 +468,20 @@ def _iterated_cotensor_tower(M, A, reg, depth):
         carrier = cotensor_kernel(prev.psi, theta_l, prev.space, A.space, B_dim)
         space = subspace_as_space(carrier, prefix=f"t{n}_")
         basis = carrier.basis()
-        # right coaction id (x) rho on the carrier, read back one B-slot at a time
-        psi_cols = []
-        for big in tensor_apply(ident_P, rho, basis):
-            slots = _carrier_coords(carrier, [big[k::B_dim] for k in range(B_dim)],
-                                    "right coaction")
-            psi_cols.append([c for row in zip(*slots) for c in row])
+        # right coaction id (x) rho on the carrier, read back in one call over
+        # every B-slot of every basis vector
+        slots = coordinates(carrier, [big[k::B_dim] for big in
+                                      tensor_apply(ident_P, rho, basis)
+                                      for k in range(B_dim)])
+        if slots is None:
+            raise AssertionError("right coaction escapes the carrier")
+        psi_cols = [[c for row in zip(*block) for c in row]
+                    for block in tensor_blocks([slots], len(basis), B_dim)[0]]
         # face j < n - 1 is (face j one level down) (x) id_A; face n - 1 is id (x) eps
-        faces = [_carrier_coords(prev.carrier, tensor_apply(pf, ident_A, basis),
-                                 "face map") for pf in prev.faces]
+        faces = [coordinates(prev.carrier, tensor_apply(pf, ident_A, basis))
+                 for pf in prev.faces]
+        if None in faces:
+            raise AssertionError("face map escapes the carrier")
         faces.append(tensor_apply(ident_P, A.counit_map(), basis))
         faces = tuple(GradedMap(space, prev.space,
                                 Matrix(F, cols, prev.space.dim).transpose(), None)
@@ -684,7 +676,7 @@ def is_algebraic_at(X, point_index):
         piece = Subspace.zero(C.space)
         for comp in irreducible_components(C):
             img = [inc.apply(v) for v in comp.subspace.basis()]
-            if all(target.contains(w) for w in img):
+            if coordinates(target, img) is not None:
                 piece = piece.sum(comp.subspace)
         if piece.dim == 0:
             images.append(Subspace.zero(deepest.space))

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _defects, _parity_defects, coordinates_in,
-    linear_form, quotient_data, tensor_after, tensor_apply, twist, twist_apply,
-    unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
+    GradedMap, Matrix, Subspace, _defects, _parity_defects, coordinates,
+    linear_form, quotient_data, tensor_after, tensor_apply, tensor_blocks, twist,
+    twist_apply, unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -321,9 +321,9 @@ def _minimal_polynomial(A, x):
     while True:
         powers.append(A.multiply(powers[-1], x))
         mat = Matrix(F, powers[:-1], A.dim).transpose()
-        sol = mat.solve(powers[-1])
+        sol = mat.solve([powers[-1]])
         if sol is not None:
-            coeffs = [F.neg(c) for c in sol] + [F.one]
+            coeffs = [F.neg(c) for c in sol[0]] + [F.one]
             return poly_trim(F, coeffs)
 
 
@@ -441,18 +441,11 @@ def _subalgebra_on(A, sub, unit):
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"f{i + 1}" for i in range(sub.dim)),
                              tuple(parities))
-    mul = []
-    for x in basis:
-        row = []
-        for y in basis:
-            prod = A.multiply(x, y)
-            coords = coordinates_in(sub, prod)
-            assert coords is not None, "subspace not closed under multiplication"
-            row.append(coords)
-        mul.append(row)
-    ucoords = coordinates_in(sub, unit)
-    assert ucoords is not None
-    B = make_superalgebra(space, mul, ucoords)
+    coords = coordinates(sub, [A.multiply(x, y) for x in basis for y in basis] + [unit])
+    if coords is None:
+        raise AssertionError("a product or the unit escapes the subalgebra subspace")
+    *products, ucoords = coords
+    B = make_superalgebra(space, tensor_blocks([products], sub.dim, sub.dim)[0], ucoords)
     return B, GradedMap.from_columns(space, A.space, basis)
 
 
@@ -588,7 +581,7 @@ def enumerate_homs(A, R, generators):
     if span.dim != A.dim:
         raise ValueError("declared generators do not generate the algebra")
     value_mat = Matrix(F, values, A.dim).transpose()
-    basis_in_words = [value_mat.solve(unit_vec(F, A.dim, k)) for k in range(A.dim)]
+    basis_in_words = value_mat.solve(Matrix.identity(F, A.dim).rows)
     in_words = Matrix(F, basis_in_words, len(words)).transpose()
     built = set(words)
     relations = [(w, gi, in_words.apply(A.multiply(values[w], g)))

@@ -541,8 +541,9 @@ def cofree_universal_map(tc, B, theta):
         sysmat = Matrix(F, [[cof.delta[m][mu][nu] for m in idxs]
                             for mu, nu in pairs], len(idxs))
         assert sysmat.rank() == len(idxs), "stratum system is not uniquely solvable"
+        rhs = []
         for b in range(nb):
-            rhs = []
+            col = []
             for mu, nu in pairs:
                 acc = F.zero
                 for s in range(nb):
@@ -551,10 +552,13 @@ def cofree_universal_map(tc, B, theta):
                         if F.is_zero(dB):
                             continue
                         acc = F.add(acc, F.mul(dB, F.mul(rows[mu][s], rows[nu][t])))
-                rhs.append(acc)
-            sol = sysmat.solve(rhs)
-            if sol is None:
-                raise ValueError("no coalgebra map extends theta")
+                col.append(acc)
+            rhs.append(col)
+        # the right-hand sides read only lower strata, so one solve serves all b
+        sols = sysmat.solve(rhs)
+        if sols is None:
+            raise ValueError("no coalgebra map extends theta")
+        for b, sol in enumerate(sols):
             for m, c in zip(idxs, sol):
                 rows[m][b] = c
     Fmap = GradedMap(B.space, cof.space, Matrix(F, rows, nb), 0)

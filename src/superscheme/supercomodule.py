@@ -16,7 +16,7 @@ from .supercoalgebra import (
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
     flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
-    tensor_apply, tensor_blocks, twist,
+    tensor_apply, tensor_blocks, twist_apply,
 )
 
 
@@ -44,7 +44,9 @@ class SuperComodule:
 
     def left_coaction_map(self):
         """Twisted coaction M -> C (x) M."""
-        return twist(self.space, self.coalgebra.space).compose(self.coaction_map())
+        return GradedMap.from_columns(
+            self.space, self.coalgebra.space.tensor(self.space),
+            twist_apply(self.space, self.coalgebra.space, flat_columns(self.psi)))
 
 
 def make_supercomodule(space, coalgebra, psi):
@@ -237,23 +239,19 @@ def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
     F = m_space.field
     nm, nn = m_space.dim, n_space.dim
     amb = m_space.tensor(n_space)
-    # T(m_i (x) n_j) = psi(m_i) (x) n_j - m_i (x) theta(n_j)
+    # T(m_i (x) n_j) = psi(m_i) (x) n_j - m_i (x) theta(n_j), filled from the
+    # nonzero entries only; a cell gets at most one term of each kind
     rows = [[F.zero] * (nm * nn) for _ in range(nm * c_dim * nn)]
-    for i in range(nm):
-        for j in range(nn):
-            src = i * nn + j
-            for a in range(nm):
-                for k in range(c_dim):
-                    c = psi_right.rows[a * c_dim + k][i]
-                    if not F.is_zero(c):
-                        dst = (a * c_dim + k) * nn + j
-                        rows[dst][src] = F.add(rows[dst][src], c)
-            for k in range(c_dim):
-                for b in range(nn):
-                    c = theta_left.rows[k * nn + b][j]
-                    if not F.is_zero(c):
-                        dst = (i * c_dim + k) * nn + b
-                        rows[dst][src] = F.sub(rows[dst][src], c)
+    for r, entries in enumerate(psi_right.support()):      # r = a * c_dim + k
+        for i, c in entries:
+            for j in range(nn):
+                row = rows[r * nn + j]
+                row[i * nn + j] = F.add(row[i * nn + j], c)
+    for r, entries in enumerate(theta_left.support()):     # r = k * nn + b
+        for j, c in entries:
+            for i in range(nm):
+                row = rows[i * c_dim * nn + r]
+                row[i * nn + j] = F.sub(row[i * nn + j], c)
     mat = Matrix(F, rows, nm * nn)
     return Subspace(amb, mat.null_space())
 
@@ -377,8 +375,8 @@ def cotensor_functor_image(phi, P, Q, M):
     qm = cotensor(Q, M)
     image_vecs = tensor_apply(phi, GradedMap.identity(M.space), pm.basis())
     image = Subspace.from_vectors(qm.space, image_vecs)
-    for v in image.basis():
-        assert qm.contains(v), "functor image escapes the cotensor subspace"
+    if not qm.contains_subspace(image):
+        raise AssertionError("functor image escapes the cotensor subspace")
     return image, qm
 
 

@@ -212,17 +212,21 @@ class Matrix:
             basis.append(v)
         return Matrix(F, basis, self.ncols).row_space()
 
-    def solve(self, b):
-        """One solution x of M x = b, or None."""
+    def solve(self, bs):
+        """Solutions x of M x = b, one per right-hand side b in bs, from one
+        reduction of [M | B]; None if any b lies outside the column space."""
         F = self.field
-        aug = Matrix(F, [list(r) + [bv] for r, bv in zip(self.rows, b)], self.ncols + 1)
+        n = self.ncols
+        cols = list(zip(*bs)) or [()] * self.nrows
+        aug = Matrix(F, [r + c for r, c in zip(self.rows, cols)], n + len(bs))
         red, pivots = aug.rref()
-        if self.ncols in pivots:
+        if pivots and pivots[-1] >= n:
             return None
-        x = [F.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
-        return tuple(x)
+        out = [[F.zero] * n for _ in bs]
+        for row, pc in zip(red.rows, pivots):
+            for x, c in zip(out, row[n:]):
+                x[pc] = c
+        return [tuple(x) for x in out]
 
 
 def _rref_generic(F, rows, ncols):
@@ -425,10 +429,10 @@ class Subspace:
 
     def contains(self, vec):
         """Read against the cached echelon basis; no fresh reduction."""
-        return coordinates_in(self, vec) is not None
+        return coordinates(self, [vec]) is not None
 
     def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis())
+        return coordinates(self, other.basis()) is not None
 
     def sum(self, other):
         if self.space != other.space:
@@ -467,9 +471,9 @@ class Subspace:
     def is_graded(self):
         """W = W_even + W_odd iff the even part of each basis vector of W lies in W."""
         zero = self.space.field.zero
-        return all(self.contains([c if p == 0 else zero
-                                  for c, p in zip(v, self.space.parities)])
-                   for v in self.basis())
+        return coordinates(self, [[c if p == 0 else zero
+                                   for c, p in zip(v, self.space.parities)]
+                                  for v in self.basis()]) is not None
 
     @property
     def sdim(self):
@@ -740,30 +744,18 @@ def subspace_as_space(sub, prefix="w"):
     return SuperVectorSpace(F, labels, tuple(parities))
 
 
-def coordinates_in(sub, vec):
-    """Coordinates of vec in the canonical basis of sub, or None.
+def coordinates(sub, vecs):
+    """Coordinates of each vector in the canonical basis of sub, or None if
+    any of them lies outside sub.
 
-    The spanning matrix is in RREF, so candidate coordinates are read off
-    the pivot columns and verified by reconstruction.
+    The spanning matrix is in RREF, so the coordinates are read off its
+    pivot columns, and one product with it checks them all.
     """
-    F = sub.space.field
-    p = _plain_char(F)
+    vecs = tuple(map(tuple, vecs))
     _, pivots = sub.matrix.rref()
-    coeffs = tuple([vec[c] for c in pivots])
-    if p is None:
-        recon = zero_vec(F, sub.space.dim)
-        for c, row in zip(coeffs, sub.matrix.rows):
-            if not F.is_zero(c):
-                recon = vec_add(F, recon, vec_scale(F, c, row))
-        return coeffs if recon == tuple(vec) else None
-    recon = [F.zero] * sub.space.dim
-    for c, row in zip(coeffs, sub.matrix.support()):
-        if c:
-            for j, a in row:
-                recon[j] += c * a
-    if p:
-        recon = [x % p for x in recon]
-    return coeffs if recon == list(vec) else None
+    coeffs = [tuple([v[c] for c in pivots]) for v in vecs]
+    recon = Matrix(sub.space.field, coeffs, sub.dim).mul(sub.matrix)
+    return coeffs if recon.rows == vecs else None
 
 
 def pivot_selection(sub, space):

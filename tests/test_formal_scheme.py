@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from superscheme.formal_scheme import (
     is_algebraic_at, is_closed_immersion, is_faithfully_flat,
     is_finite_morphism, is_flat, is_flat_at, is_open_immersion,
     is_strictly_surjective, is_surjective, point_map, points, product,
-    transport_point, transport_point_inverse,
+    transport_point, transport_point_inverse, _bosonic_subcoalgebra,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
@@ -27,6 +31,7 @@ from superscheme.corpus import (
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _scheme(C):
@@ -71,7 +76,34 @@ def test_point_map_equals_bosonic_point_map():
     for seed in range(20):
         entry = seeded_random("morphism", seed)
         (f,) = entry.payload
-        assert point_map(f) == point_map(bosonic_reduction_morphism(f)), seed
+        g = bosonic_reduction_morphism(f)
+        assert point_map(f) == point_map(g), seed
+        # each restricted map r, read off the carrier's pivot columns, closes
+        # the square incl_dst r = m incl_src
+        for m, r, src, dst in zip(f.maps, g.maps, f.source.levels, f.target.levels):
+            _, incl_src = _bosonic_subcoalgebra(src)
+            _, incl_dst = _bosonic_subcoalgebra(dst)
+            assert incl_dst.compose(r).matrix == m.compose(incl_src).matrix, seed
+
+
+def test_restrict_between_escape_is_named_under_python_O():
+    """The escape check raises by itself, so python -O keeps it: the image of
+    e2 under the identity leaves the carrier spanned by e1."""
+    code = "\n".join([
+        "from superscheme.fields import QQ",
+        "from superscheme.formal_scheme import _restrict_between",
+        "from superscheme.superlinear import GradedMap, standard_space, unit_vec",
+        "V, W = standard_space(QQ, 2, 0), standard_space(QQ, 1, 0)",
+        "ident = GradedMap.identity(V)",
+        "_restrict_between(ident, ident,"
+        " GradedMap.from_columns(W, V, [unit_vec(QQ, 2, 0)]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1] == \
+        "AssertionError: bosonic image escapes the target carrier"
 
 
 def test_transport_point_example():

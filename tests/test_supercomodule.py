@@ -321,10 +321,12 @@ def test_subcoalgebra_coordinates_match_solve(F):
     M, sub, incl = subcoalgebra_comodule(C, W)
     pair = incl.tensor(incl).matrix
     delta = C.coproduct_map()
-    for i, v in enumerate(W.basis()):
-        big = delta.apply(v)
-        assert tuple(c for row in sub.delta[i] for c in row) == pair.solve(big)
-        sols = [incl.matrix.solve(big[k::C.dim]) for k in range(C.dim)]
+    bigs = [delta.apply(v) for v in W.basis()]
+    flat = pair.solve(bigs)
+    slots = incl.matrix.solve([big[k::C.dim] for big in bigs for k in range(C.dim)])
+    for i in range(W.dim):
+        assert tuple(c for row in sub.delta[i] for c in row) == flat[i]
+        sols = slots[i * C.dim:(i + 1) * C.dim]
         assert M.psi[i] == tuple(tuple(s[j] for s in sols) for j in range(W.dim))
 
 

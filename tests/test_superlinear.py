@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, GradedMap, Matrix, Subspace, coordinates_in, perp,
+    DimensionMismatch, GradedMap, Matrix, Subspace, coordinates, perp,
     quotient_data, standard_space, subspace_as_space, tensor_after, tensor_apply,
     twist, unit_vec, vec_add, vec_scale, zero_vec,
 )
@@ -212,9 +212,9 @@ def test_quotient_data_and_coordinates():
     assert q.dim == 2
     for i in range(q.dim):
         assert proj.apply(section.apply(unit_vec(QQ, 2, i))) == unit_vec(QQ, 2, i)
-    coords = coordinates_in(W, (Fraction(2), Fraction(2), Fraction(0)))
-    assert coords == (Fraction(2),)
-    assert coordinates_in(W, (Fraction(1), Fraction(0), Fraction(0))) is None
+    coords = coordinates(W, [(Fraction(2), Fraction(2), Fraction(0))])
+    assert coords == [(Fraction(2),)]
+    assert coordinates(W, [(Fraction(1), Fraction(0), Fraction(0))]) is None
 
 
 def test_subspace_graded_parts():
@@ -314,13 +314,35 @@ def test_plain_kernels_match_generic_path(generic_field, case, data):
     for row in sub_f.basis():
         inside = vec_add(F, inside, vec_scale(F, data.draw(entries), row))
     outside = tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
-    assert coordinates_in(sub_f, inside) is not None
+    assert coordinates(sub_f, [inside]) is not None
     for v in (inside, outside):
-        got, want = coordinates_in(sub_f, v), coordinates_in(sub_g, v)
+        got, want = coordinates(sub_f, [v]), coordinates(sub_g, [v])
         assert (got is None) == (want is None)
         if got is not None:
-            assert _typed([got]) == _typed([want])
+            assert _typed(got) == _typed(want)
         assert _typed([fast.apply(v)]) == _typed([slow.apply(v)])
+    # a batch is read whole: one vector outside makes it None, against a rank test
+    outside_in = fast.stack(Matrix(F, [outside], n)).rank() == fast.rank()
+    assert (coordinates(sub_f, [inside, outside, inside]) is None) == (not outside_in)
+    batch = [inside, vec_scale(F, F.neg(F.one), inside), zero_vec(F, n)]
+    assert _typed(coordinates(sub_f, batch)) == _typed(coordinates(sub_g, batch))
+
+    # solve reduces [M | B] once: M X = B, and None exactly when rank [M | B] > rank M
+    m = fast.nrows
+    xs = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2)]
+    bs = [fast.apply(x) for x in xs]
+    if data.draw(st.booleans()):
+        bs.append(tuple(data.draw(st.lists(entries, min_size=m, max_size=m))))
+    B = Matrix(F, bs, m).transpose()
+    aug = Matrix(F, [r + c for r, c in zip(fast.rows, B.rows)], n + len(bs))
+    X = fast.solve(bs)
+    assert (X is None) == (aug.rank() > fast.rank())
+    if X is not None:
+        assert fast.mul(Matrix(F, X, n).transpose()) == B
+    slow_x = slow.solve(bs)
+    assert (X is None) == (slow_x is None)
+    if X is not None:
+        assert _typed(X) == _typed(slow_x)
 
 
 @seed(2718)
