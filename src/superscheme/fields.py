@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
+
+_entry = itemgetter(1)
 
 
 class FieldError(ValueError):
@@ -36,6 +39,11 @@ class Field:
 
     def is_zero(self, a):
         return a == self.zero
+
+    def nonzeros(self, vec):
+        """The (index, entry) pairs of the nonzero entries of vec."""
+        is_zero = self.is_zero
+        return [(j, a) for j, a in enumerate(vec) if not is_zero(a)]
 
     def is_one(self, a):
         return a == self.one
@@ -74,6 +82,9 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return not a
+
+    def nonzeros(self, vec):
+        return list(filter(_entry, enumerate(vec)))     # zero is falsy
 
     def add(self, a, b):
         return a + b
@@ -133,6 +144,9 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return not a        # residues are canonical in [0, p)
+
+    def nonzeros(self, vec):
+        return list(filter(_entry, enumerate(vec)))     # zero is falsy
 
     def add(self, a, b):
         return (a + b) % self.p

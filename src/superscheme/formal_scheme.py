@@ -22,8 +22,9 @@ from .supercomodule import (
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, coordinates, quotient_data, subspace_as_space,
-    tensor_after, tensor_apply, tensor_blocks, unit_vec, vec_sub,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _null_space_sparse,
+    _read_coordinates, _rref_sparse, _sparse_columns, _tensor_apply_sparse,
+    coordinates, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
 )
 
 
@@ -443,9 +444,9 @@ class DescentReport:
 @dataclass
 class _TowerLevel:
     space: object
-    psi: object             # right B-coaction matrix S_n -> S_n (x) B
-    carrier: object = None  # Subspace of S_{n-1} (x) A, absent at level 0
-    faces: tuple = ()       # maps S_n -> S_{n-1}, of parity None
+    psi: list               # right B-coaction S_n -> S_n (x) B, as sparse columns
+    carrier: object = None  # canonical Subspace of S_{n-1} (x) A, absent at level 0
+    faces: tuple = ()       # maps S_n -> S_{n-1}, as sparse columns
 
 
 def _iterated_cotensor_tower(M, A, reg, depth):
@@ -454,68 +455,92 @@ def _iterated_cotensor_tower(M, A, reg, depth):
     reg is A as a right B-comodule.  Each new level is the cotensor of the
     previous one with A, so the ambient tensor spaces stay small.  Face j
     collapses A-slot j with the counit of A (the net effect of applying the
-    structure map there).
+    structure map there).  Every map of a level is kept as sparse columns
+    (per basis vector, the (index, entry) pairs of its image with a nonzero
+    entry), and basis vector s of T_n is row s of its carrier.
     """
     F = M.field
-    rho = reg.coaction_map()
-    theta_l = reg.left_coaction_map().matrix
     B_dim = reg.coalgebra.dim
-    ident_A = GradedMap.identity(A.space)
-    levels = [_TowerLevel(M.space, M.coaction_map().matrix)]
+    rho = _sparse_columns(reg.coaction_map())
+    theta = _sparse_columns(reg.left_coaction_map())
+    eps = _sparse_columns(A.counit_map())
+    ident_A = _sparse_columns(GradedMap.identity(A.space))
+    levels = [_TowerLevel(M.space, _sparse_columns(M.coaction_map()))]
     for n in range(1, depth + 1):
         prev = levels[-1]
-        ident_P = GradedMap.identity(prev.space)
-        carrier = cotensor_kernel(prev.psi, theta_l, prev.space, A.space, B_dim)
-        space = subspace_as_space(carrier, prefix=f"t{n}_")
-        basis = carrier.basis()
+        carrier = cotensor_kernel(prev.psi, theta, prev.space, A.space, B_dim)
+        support, (_, pivots) = carrier.matrix.support(), carrier.matrix.rref()
+        # rows of a graded subspace in RREF are homogeneous: each has the
+        # parity of its pivot
+        space = SuperVectorSpace(F, tuple(f"t{n}_{s + 1}" for s in range(len(pivots))),
+                                 tuple(carrier.space.parities[c] for c in pivots))
+        ident_P = [[(i, F.one)] for i in range(prev.space.dim)]
         # right coaction id (x) rho on the carrier, read back in one call over
         # every B-slot of every basis vector
-        slots = coordinates(carrier, [big[k::B_dim] for big in
-                                      tensor_apply(ident_P, rho, basis)
-                                      for k in range(B_dim)])
-        if slots is None:
+        slots = []
+        for big in _tensor_apply_sparse(F, ident_P, rho, A.dim * B_dim, (), support):
+            split = [[] for _ in range(B_dim)]
+            for ik, c in big:
+                i, k = divmod(ik, B_dim)
+                split[k].append((i, c))
+            slots += split
+        coords = _read_coordinates(F, support, pivots, slots)
+        if coords is None:
             raise AssertionError("right coaction escapes the carrier")
-        psi_cols = [[c for row in zip(*block) for c in row]
-                    for block in tensor_blocks([slots], len(basis), B_dim)[0]]
+        psi = [[(t * B_dim + k, c) for k in range(B_dim) for t, c in coords[s * B_dim + k]]
+               for s in range(len(support))]
         # face j < n - 1 is (face j one level down) (x) id_A; face n - 1 is id (x) eps
-        faces = [coordinates(prev.carrier, tensor_apply(pf, ident_A, basis))
+        faces = [_read_coordinates(F, prev.carrier.matrix.support(),
+                                   prev.carrier.matrix.rref()[1],
+                                   _tensor_apply_sparse(F, pf, ident_A, A.dim, (), support))
                  for pf in prev.faces]
         if None in faces:
             raise AssertionError("face map escapes the carrier")
-        faces.append(tensor_apply(ident_P, A.counit_map(), basis))
-        faces = tuple(GradedMap(space, prev.space,
-                                Matrix(F, cols, prev.space.dim).transpose(), None)
-                      for cols in faces)
-        psi = Matrix(F, psi_cols, space.dim * B_dim).transpose()
-        levels.append(_TowerLevel(space, psi, carrier, faces))
+        faces.append(list(_tensor_apply_sparse(F, ident_P, eps, 1, (), support)))
+        levels.append(_TowerLevel(space, psi, carrier, tuple(faces)))
     return levels
 
 
 def _boundary(level):
-    """partial = sum of signed faces down one level."""
-    F = level.faces[0].domain.field
-    out = level.faces[0].matrix
-    for idx, face in enumerate(level.faces[1:], start=1):
-        m = face.matrix
-        out = out.add(m.scale(F.neg(F.one))) if idx % 2 else out.add(m)
+    """partial = sum of signed faces down one level, as sparse columns."""
+    F = level.space.field
+    add, neg, is_zero = F.add, F.neg, F.is_zero
+    out = []
+    for cols in zip(*level.faces):
+        acc = {}
+        for idx, col in enumerate(cols):
+            for u, c in col:
+                if idx % 2:
+                    c = neg(c)
+                acc[u] = add(acc[u], c) if u in acc else c
+        out.append([(u, c) for u, c in acc.items() if not is_zero(c)])
     return out
 
 
 def _complex_exactness(levels, depth):
-    """Per-degree exactness of 0 <- T_0 <- T_1 <- ... up to the given depth."""
+    """Per-degree exactness of 0 <- T_0 <- T_1 <- ... up to the given depth.
+
+    The boundaries are sparse columns; ker d_n and im d_{n+1} are compared
+    as sparse RREFs.
+    """
+    F = levels[0].space.field
     boundaries = [_boundary(levels[n]) for n in range(1, len(levels))]
+    # lower o upper, read as (lower (x) id_k) on T_n (x) k = T_n
+    ident_k = [[(0, F.one)]]
     for lower, upper in zip(boundaries, boundaries[1:]):
-        prod = lower.mul(upper)
-        assert all(all(lower.field.is_zero(c) for c in row) for row in prod.rows), \
-            "boundary maps do not compose to zero"
+        if any(_tensor_apply_sparse(F, lower, ident_k, 1, (), upper)):
+            raise AssertionError("boundary maps do not compose to zero")
     results = []
     for deg in range(depth + 1):
         if deg == 0:
-            exact = boundaries[0].rank() == levels[0].space.dim
+            exact = len(_rref_sparse(F, boundaries[0])[1]) == levels[0].space.dim
         else:
-            ker = boundaries[deg - 1].null_space()
-            img = boundaries[deg].transpose().row_space()
-            exact = ker == img
+            rows = [{} for _ in range(levels[deg - 1].space.dim)]
+            for s, col in enumerate(boundaries[deg - 1]):
+                for u, c in col:
+                    rows[u][s] = c
+            ker = _null_space_sparse(F, *_rref_sparse(F, rows), levels[deg].space.dim)
+            exact = ker == _rref_sparse(F, boundaries[deg])
         results.append((deg, exact))
     return results
 
@@ -537,9 +562,8 @@ def _coequalizer_check(f):
     p2 = tensor_apply(eps, ident, basis)
     coideal = Subspace.from_vectors(A.space,
                                     [vec_sub(A.field, a, b) for a, b in zip(p1, p2)])
-    if coideal.dim > 0:
-        assert is_coideal(A, coideal), \
-            "difference image of the projections must be a coideal"
+    if coideal.dim > 0 and not is_coideal(A, coideal):
+        raise AssertionError("difference image of the projections must be a coideal")
     if coideal != f.deep.kernel():
         return False
     return f.deep.is_surjective()

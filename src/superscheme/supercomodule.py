@@ -14,9 +14,10 @@ from .supercoalgebra import (
     coradical_filtration, dualize_coalgebra, is_grouplike, subcoalgebra_on,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
-    flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
-    tensor_apply, tensor_blocks, twist_apply,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _null_space_sparse,
+    _parity_defects, _rref_sparse, _sparse_columns, flat_columns, linear_form,
+    pivot_selection, quotient_data, tensor_after, tensor_apply, tensor_blocks,
+    twist_apply,
 )
 
 
@@ -233,34 +234,41 @@ def check_dual_action_axioms(M):
 def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
     """Kernel of psi_M (x) id - id (x) theta_N inside M (x) N.
 
-    psi_right: matrix of M -> M (x) C; theta_left: matrix of N -> C (x) N.
-    Returns a Subspace of the tensor product space.
+    psi_right and theta_left are the sparse columns (per basis vector, the
+    (index, entry) pairs of its image with a nonzero entry) of M -> M (x) C
+    and N -> C (x) N.  The kernel is taken on sparse rows and returned as a
+    Subspace of the tensor product space that is already canonical.
     """
     F = m_space.field
     nm, nn = m_space.dim, n_space.dim
-    amb = m_space.tensor(n_space)
-    # T(m_i (x) n_j) = psi(m_i) (x) n_j - m_i (x) theta(n_j), filled from the
-    # nonzero entries only; a cell gets at most one term of each kind
-    rows = [[F.zero] * (nm * nn) for _ in range(nm * c_dim * nn)]
-    for r, entries in enumerate(psi_right.support()):      # r = a * c_dim + k
-        for i, c in entries:
+    neg, sub, is_zero = F.neg, F.sub, F.is_zero
+    # row (a, k, b) of T(m_i (x) n_j) = psi(m_i) (x) n_j - m_i (x) theta(n_j),
+    # filled from the nonzero entries only; a cell gets at most one term of each kind
+    rows = {}
+    for i, col in enumerate(psi_right):
+        for r, c in col:                    # r = a * c_dim + k
             for j in range(nn):
-                row = rows[r * nn + j]
-                row[i * nn + j] = F.add(row[i * nn + j], c)
-    for r, entries in enumerate(theta_left.support()):     # r = k * nn + b
-        for j, c in entries:
+                rows.setdefault(r * nn + j, {})[i * nn + j] = c
+    for j, col in enumerate(theta_left):
+        for r, c in col:                    # r = k * nn + b
             for i in range(nm):
-                row = rows[i * c_dim * nn + r]
-                row[i * nn + j] = F.sub(row[i * nn + j], c)
-    mat = Matrix(F, rows, nm * nn)
-    return Subspace(amb, mat.null_space())
+                row = rows.setdefault(i * c_dim * nn + r, {})
+                ij = i * nn + j
+                x = sub(row[ij], c) if ij in row else neg(c)
+                if is_zero(x):
+                    del row[ij]
+                else:
+                    row[ij] = x
+    kernel, pivots = _null_space_sparse(F, *_rref_sparse(F, rows.values()), nm * nn)
+    return Subspace(m_space.tensor(n_space), Matrix._echelon(F, kernel, pivots, nm * nn))
 
 
 def cotensor(M, N):
     """M box_C N for two right comodules; N is twisted to the left side."""
     if M.coalgebra != N.coalgebra:
         raise ValueError("cotensor factors over different coalgebras")
-    return cotensor_kernel(M.coaction_map().matrix, N.left_coaction_map().matrix,
+    return cotensor_kernel(_sparse_columns(M.coaction_map()),
+                           _sparse_columns(N.left_coaction_map()),
                            M.space, N.space, M.coalgebra.dim)
 
 

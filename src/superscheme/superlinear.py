@@ -7,6 +7,7 @@ Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .fields import PrimeField, RationalField
@@ -41,7 +42,8 @@ class Matrix:
     """Immutable dense matrix over an explicit field.
 
     The rref and the nonzero entries of each row are cached.  A cached rref
-    of (None, pivots) marks a matrix that is its own rref.
+    of (None, pivots) marks a matrix that is its own rref.  A matrix built
+    from its support by ``_echelon`` makes its dense rows on first use.
     """
 
     __slots__ = ("field", "rows", "nrows", "ncols", "_rref", "_support")
@@ -62,6 +64,33 @@ class Matrix:
                 raise DimensionMismatch("declared width disagrees with rows")
         else:
             self.ncols = 0 if ncols is None else ncols
+
+    @classmethod
+    def _echelon(cls, field, red, pivots, ncols, nrows=None):
+        """The reduced echelon matrix with the sparse rows red (index ->
+        entry dicts) over these pivots, then zero rows up to nrows; it is
+        marked as its own rref."""
+        out = cls.__new__(cls)
+        out.field, out.ncols = field, ncols
+        out._support = (tuple(tuple(sorted(r.items())) for r in red)
+                        + ((),) * ((nrows or len(red)) - len(red)))
+        out.nrows = len(out._support)
+        out._rref = (None, tuple(pivots))
+        return out
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the rows of a matrix made by _echelon
+        if name != "rows":
+            raise AttributeError(name)
+        zero, n = self.field.zero, self.ncols
+        rows = []
+        for entries in self._support:
+            row = [zero] * n
+            for j, a in entries:
+                row[j] = a
+            rows.append(tuple(row))
+        self.rows = tuple(rows)
+        return self.rows
 
     @classmethod
     def zero(cls, field, m, n):
@@ -111,13 +140,8 @@ class Matrix:
     def support(self):
         """Per row, the (column, entry) pairs with a nonzero entry."""
         if self._support is None:
-            F = self.field
-            if _plain_char(F) is None:
-                self._support = tuple(tuple([(j, a) for j, a in enumerate(r)
-                                             if not F.is_zero(a)]) for r in self.rows)
-            else:
-                self._support = tuple(tuple([(j, a) for j, a in enumerate(r) if a])
-                                      for r in self.rows)
+            nonzeros = self.field.nonzeros
+            self._support = tuple(tuple(nonzeros(r)) for r in self.rows)
         return self._support
 
     def mul(self, other):
@@ -172,14 +196,15 @@ class Matrix:
             red, pivots = self._rref
             return (self if red is None else red), pivots
         F = self.field
-        rows = [list(r) for r in self.rows]
         p = _plain_char(F)
         if p is None:
-            pivots = _rref_generic(F, rows, self.ncols)
+            red, pivots = _rref_sparse(F, map(dict, self.support()))
+            red = Matrix._echelon(F, red, pivots, self.ncols, self.nrows)
         else:
+            rows = [list(r) for r in self.rows]
             pivots = _rref_plain(rows, self.ncols, p)
-        red = Matrix(F, rows, self.ncols)
-        red._rref = (None, pivots)
+            red = Matrix(F, rows, self.ncols)
+            red._rref = (None, pivots)
         self._rref = (red, pivots)
         return red, pivots
 
@@ -229,36 +254,81 @@ class Matrix:
         return [tuple(x) for x in out]
 
 
-def _rref_generic(F, rows, ncols):
-    """Reduce rows in place through the Field methods; return the pivots."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not F.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
+def _rref_sparse(F, rows):
+    """Gauss-Jordan elimination over sparse rows (column -> nonzero entry
+    dicts, or lists of such pairs).
+
+    Each incoming row is reduced against the pivot rows found so far.  Its
+    least column becomes a new pivot, which is cleared only from the pivot
+    rows that hold it, found through a column -> pivot-rows index; only
+    nonzeros are touched (LaMacchia-Odlyzko, CRYPTO 1990).  A pivot row's
+    pivot stays its least column, so the rows in pivot order are the unique
+    reduced echelon form.  Returns (rows, pivots), the rows as dicts.
+    """
+    add, mul, neg, inv, is_zero = F.add, F.mul, F.neg, F.inv, F.is_zero
+    one = F.one
+    red = {}            # pivot column -> its row
+    holders = {}        # non-pivot column -> pivot columns whose rows hold it
+    for row in rows:
+        row = dict(row)
+        # pivot rows hold no other pivot column, so one pass clears them all
+        for c in [c for c in row if c in red]:
+            fac = neg(row.pop(c))
+            for j, y in red[c].items():
+                if j != c:
+                    x = add(row[j], mul(fac, y)) if j in row else mul(fac, y)
+                    if is_zero(x):
+                        del row[j]
+                    else:
+                        row[j] = x
+        if not row:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
-                fac = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(pivots)
+        c = min(row)
+        if row[c] != one:
+            s = inv(row[c])
+            row = {j: mul(s, y) for j, y in row.items()}
+        for pc in holders.pop(c, ()):
+            prow = red[pc]
+            fac = neg(prow.pop(c))
+            for j, y in row.items():
+                if j == c:
+                    continue
+                if j in prow:
+                    x = add(prow[j], mul(fac, y))
+                    if is_zero(x):
+                        del prow[j]
+                        holders[j].discard(pc)
+                    else:
+                        prow[j] = x
+                else:
+                    prow[j] = mul(fac, y)
+                    holders.setdefault(j, set()).add(pc)
+        red[c] = row
+        for j in row:
+            if j != c:
+                holders.setdefault(j, set()).add(c)
+    pivots = sorted(red)
+    return [red[c] for c in pivots], tuple(pivots)
+
+
+def _null_space_sparse(F, red, pivots, ncols):
+    """Sparse RREF (rows as dicts, pivots) of {v : M v = 0}, from that of
+    M: one vector per free column, reduced by _rref_sparse."""
+    kernel = {c: {c: F.one} for c in range(ncols)}
+    for c in pivots:
+        del kernel[c]
+    for row, c in zip(red, pivots):
+        for j, y in row.items():
+            if j != c:
+                kernel[j][c] = F.neg(y)
+    return _rref_sparse(F, kernel.values())
 
 
 def _rref_plain(rows, ncols, p):
-    """_rref_generic on plain values: residues mod p > 0, or Fractions for
-    p = 0.  Left of its pivot the pivot row is zero, so only its nonzero
-    columns from the pivot on are scaled and eliminated."""
+    """Dense Gauss-Jordan elimination in place on plain values: residues
+    mod p > 0, or Fractions for p = 0; returns the pivots.  Left of its
+    pivot the pivot row is zero, so only its nonzero columns from the pivot
+    on are scaled and eliminated."""
     pivots = []
     r = 0
     n = len(rows)
@@ -595,46 +665,61 @@ def tensor_apply(f, g, vecs):
     """(f (x) g)(v) for each v in vecs, in the tensor basis of the codomains.
 
     (f (x) g)(x_k (x) y_l) = (-1)^{|g||x_k|} f(x_k) (x) g(y_l); a factor g of
-    parity None contributes no sign.  Sparse row products in the manner of
-    Gustavson (ACM TOMS 1978): only the nonzero coordinates of v and the
-    nonzero column entries of f and g are visited.  Images are yielded one
-    at a time.
+    parity None contributes no sign.  The dense vectors are read through
+    _tensor_apply_sparse, and images are yielded one at a time.
     """
     F = f.domain.field
-    p = _plain_char(F)
-    nl, nj = g.domain.dim, g.codomain.dim
-    size = f.codomain.dim * nj
-    fcols, gcols = _sparse_columns(f), _sparse_columns(g)
-    flips = [bool(g.parity and q) for q in f.domain.parities]
+    zero = F.zero
+    size = f.codomain.dim * g.codomain.dim
+    odd = {k for k, q in enumerate(f.domain.parities) if q} if g.parity else ()
+    for image in _tensor_apply_sparse(F, _sparse_columns(f), _sparse_columns(g),
+                                      g.codomain.dim, odd, map(F.nonzeros, vecs)):
+        out = [zero] * size
+        for ij, c in image:
+            out[ij] = c
+        yield tuple(out)
+
+
+def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
+    """(f (x) g)(v) for each sparse vector v, with f and g given by their
+    sparse columns and nj = dim of g's codomain; the terms of x_k with k in
+    odd are negated.  Sparse row products in the manner of Gustavson (ACM
+    TOMS 1978): only the nonzero coordinates of v and the nonzero column
+    entries of f and g are visited.  Over F_p the sums are plain ints,
+    reduced mod p once per entry.  Images are yielded one at a time, as
+    sparse vectors.
+    """
+    add, mul, p = _sum_ops(F)
+    neg, is_zero = F.neg, F.is_zero
+    nl = len(gcols)
     for v in vecs:
-        acc = [F.zero] * size
-        if p is None:
-            for kl, c in enumerate(v):
-                if F.is_zero(c):
-                    continue
-                k, l = divmod(kl, nl)
-                if flips[k]:
-                    c = F.neg(c)
-                for i, a in fcols[k]:
-                    ca = F.mul(c, a)
-                    for j, b in gcols[l]:
-                        acc[i * nj + j] = F.add(acc[i * nj + j], F.mul(ca, b))
-            yield tuple(acc)
-            continue
-        # plain values: accumulate unreduced, reduce mod p once per image
-        for kl, c in enumerate(v):
-            if not c:
-                continue
+        acc = {}
+        for kl, c in v:
             k, l = divmod(kl, nl)
-            if flips[k]:
-                c = -c
+            if k in odd:
+                c = neg(c)
             gl = gcols[l]
             for i, a in fcols[k]:
-                ca = c * a
+                ca = mul(c, a)
                 base = i * nj
                 for j, b in gl:
-                    acc[base + j] += ca * b
-        yield tuple([x % p for x in acc]) if p else tuple(acc)
+                    t = mul(ca, b)
+                    ij = base + j
+                    acc[ij] = add(acc[ij], t) if ij in acc else t
+        if p:
+            yield [(ij, r) for ij, c in acc.items() if (r := c % p)]
+        else:
+            yield [(ij, c) for ij, c in acc.items() if not is_zero(c)]
+
+
+def _sum_ops(F):
+    """(add, mul, p) for accumulating sums of products over F: over F_p
+    plain int + and *, each sum then reduced mod p once; else the Field
+    methods and p = None."""
+    p = _plain_char(F)
+    if p:
+        return operator.add, operator.mul, p
+    return F.add, F.mul, None
 
 
 def tensor_after(f, g, h):
@@ -650,7 +735,8 @@ def tensor_after(f, g, h):
 
 
 def _sparse_columns(f):
-    """Per column k of f, the (row, entry) pairs with a nonzero entry."""
+    """The columns of f as sparse vectors: per column k, the (row, entry)
+    pairs with a nonzero entry."""
     cols = [[] for _ in range(f.domain.dim)]
     for i, row in enumerate(f.matrix.support()):
         for k, a in row:
@@ -727,41 +813,57 @@ def perp(sub):
     return Subspace(dual, sub.matrix.null_space())
 
 
-def subspace_as_space(sub, prefix="w"):
-    """A standalone super vector space on the rows of a graded subspace.
-
-    Basis vector i of the result corresponds to row i of the canonical
-    spanning matrix.  Rows of a graded subspace in RREF are homogeneous;
-    for ungraded subspaces the parity assignment is not meaningful and the
-    result should only be used for unlabeled linear algebra.
-    """
-    F = sub.space.field
-    parities = []
-    for row in sub.matrix.support():
-        ps = {sub.space.parities[j] for j, _ in row}
-        parities.append(ps.pop() if len(ps) == 1 else 0)
-    labels = tuple(f"{prefix}{i + 1}" for i in range(sub.dim))
-    return SuperVectorSpace(F, labels, tuple(parities))
-
-
 def coordinates(sub, vecs):
     """Coordinates of each vector in the canonical basis of sub, or None if
-    any of them lies outside sub.
-
-    The spanning matrix is in RREF, so the coordinates are read off its
-    pivot columns, and one product with it checks them all.
-    """
-    vecs = tuple(map(tuple, vecs))
+    any of them lies outside sub: _read_coordinates on the nonzero entries."""
+    F = sub.space.field
     _, pivots = sub.matrix.rref()
-    coeffs = [tuple([v[c] for c in pivots]) for v in vecs]
-    recon = Matrix(sub.space.field, coeffs, sub.dim).mul(sub.matrix)
-    return coeffs if recon.rows == vecs else None
+    coeffs = _read_coordinates(F, sub.matrix.support(), pivots, map(F.nonzeros, vecs))
+    if coeffs is None:
+        return None
+    out = []
+    for x in coeffs:
+        row = [F.zero] * sub.dim
+        for s, a in x:
+            row[s] = a
+        out.append(tuple(row))
+    return out
+
+
+def _read_coordinates(F, support, pivots, vecs):
+    """Coordinates of sparse vectors in the echelon basis with this support
+    and these pivots, as sparse vectors over its rows; None if any vector
+    lies outside the span.
+
+    The basis is in RREF, so the coordinates are the entries on the pivot
+    columns; rebuilding each vector from the rows' supports checks them.
+    """
+    add, mul, p = _sum_ops(F)
+    is_zero = F.is_zero
+    row_of = {c: s for s, c in enumerate(pivots)}
+    out = []
+    for v in vecs:
+        v = dict(v)
+        coeffs = [(row_of[c], a) for c, a in v.items() if c in row_of]
+        recon = {}
+        for s, a in coeffs:
+            for j, b in support[s]:
+                t = mul(a, b)
+                recon[j] = add(recon[j], t) if j in recon else t
+        if p:
+            recon = {j: r for j, x in recon.items() if (r := x % p)}
+        else:
+            recon = {j: x for j, x in recon.items() if not is_zero(x)}
+        if recon != v:
+            return None
+        out.append(coeffs)
+    return out
 
 
 def pivot_selection(sub, space):
     """The even map V -> space that reads the coordinates of a vector of sub
     in its echelon basis off the pivot columns; row s of sub is basis vector
-    s of space, as in subspace_as_space."""
+    s of space."""
     F = sub.space.field
     _, pivots = sub.matrix.rref()
     return GradedMap(sub.space, space,

@@ -10,8 +10,15 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
     sys.path.insert(0, os.path.abspath(_src))
 
 from superscheme.fields import Field  # noqa: E402
+from superscheme.formal_scheme import FormalSuperscheme, points  # noqa: E402
 from superscheme.supercoalgebra import is_grouplike_over  # noqa: E402
-from superscheme.superlinear import Subspace, unit_vec  # noqa: E402
+from superscheme.supercomodule import (  # noqa: E402
+    comodule_along, regular_comodule, subcoalgebra_comodule,
+)
+from superscheme.superlinear import (  # noqa: E402
+    GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, tensor_apply,
+    tensor_blocks, unit_vec,
+)
 
 
 def grouplikes_by_scan(C, R):
@@ -58,6 +65,111 @@ def ideal_by_fixpoint(A, elements):
 @pytest.fixture
 def ideal_oracle():
     return ideal_by_fixpoint
+
+
+def _dense_cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
+    """Kernel of psi_M (x) id - id (x) theta_N as the null space of the dense
+    (nm * c_dim * nn) x (nm * nn) matrix; psi_right and theta_left are the
+    coaction matrices."""
+    F = m_space.field
+    nm, nn = m_space.dim, n_space.dim
+    rows = [[F.zero] * (nm * nn) for _ in range(nm * c_dim * nn)]
+    for r, entries in enumerate(psi_right.support()):      # r = a * c_dim + k
+        for i, c in entries:
+            for j in range(nn):
+                row = rows[r * nn + j]
+                row[i * nn + j] = F.add(row[i * nn + j], c)
+    for r, entries in enumerate(theta_left.support()):     # r = k * nn + b
+        for j, c in entries:
+            for i in range(nm):
+                row = rows[i * c_dim * nn + r]
+                row[i * nn + j] = F.sub(row[i * nn + j], c)
+    return Subspace(m_space.tensor(n_space), Matrix(F, rows, nm * nn).null_space())
+
+
+def _dense_tower(M, A, reg, depth):
+    """Levels (space, psi, carrier, faces) of M box_B A^{box n}, every map a
+    dense Matrix or GradedMap: the reference for the sparse tower of
+    formal_scheme._iterated_cotensor_tower."""
+    F = M.field
+    rho = reg.coaction_map()
+    theta_l = reg.left_coaction_map().matrix
+    B_dim = reg.coalgebra.dim
+    ident_A = GradedMap.identity(A.space)
+    levels = [(M.space, M.coaction_map().matrix, None, ())]
+    for n in range(1, depth + 1):
+        prev_space, prev_psi, prev_carrier, prev_faces = levels[-1]
+        ident_P = GradedMap.identity(prev_space)
+        carrier = _dense_cotensor_kernel(prev_psi, theta_l, prev_space, A.space, B_dim)
+        parities = []
+        for row in carrier.matrix.support():
+            ps = {carrier.space.parities[j] for j, _ in row}
+            parities.append(ps.pop() if len(ps) == 1 else 0)
+        space = SuperVectorSpace(F, tuple(f"t{n}_{s + 1}" for s in range(carrier.dim)),
+                                 tuple(parities))
+        basis = carrier.basis()
+        slots = coordinates(carrier, [big[k::B_dim] for big in
+                                      tensor_apply(ident_P, rho, basis)
+                                      for k in range(B_dim)])
+        assert slots is not None, "right coaction escapes the carrier"
+        psi_cols = [[c for row in zip(*block) for c in row]
+                    for block in tensor_blocks([slots], len(basis), B_dim)[0]]
+        faces = [coordinates(prev_carrier, tensor_apply(pf, ident_A, basis))
+                 for pf in prev_faces]
+        assert None not in faces, "face map escapes the carrier"
+        faces.append(tensor_apply(ident_P, A.counit_map(), basis))
+        faces = tuple(GradedMap(space, prev_space,
+                                Matrix(F, cols, prev_space.dim).transpose(), None)
+                      for cols in faces)
+        psi = Matrix(F, psi_cols, space.dim * B_dim).transpose()
+        levels.append((space, psi, carrier, faces))
+    return levels
+
+
+def _dense_exactness(levels, depth):
+    """Per-degree exactness of the dense tower: boundaries as add/scale
+    chains of the face matrices, ker and im as dense row spaces."""
+    boundaries = []
+    for _, _, _, faces in levels[1:]:
+        F = faces[0].domain.field
+        out = faces[0].matrix
+        for idx, face in enumerate(faces[1:], start=1):
+            out = out.add(face.matrix.scale(F.neg(F.one))) if idx % 2 else \
+                out.add(face.matrix)
+        boundaries.append(out)
+    for lower, upper in zip(boundaries, boundaries[1:]):
+        prod = lower.mul(upper)
+        assert all(lower.field.is_zero(c) for row in prod.rows for c in row)
+    results = []
+    for deg in range(depth + 1):
+        if deg == 0:
+            exact = boundaries[0].rank() == levels[0][0].dim
+        else:
+            exact = (boundaries[deg - 1].null_space()
+                     == boundaries[deg].transpose().row_space())
+        results.append((deg, exact))
+    return tuple(results)
+
+
+def descent_degrees_by_dense_tower(f, depth):
+    """Reference for the per-comodule degrees of formal_scheme.descent_check:
+    the same test comodules (O(Y), then kappa(y) per point), each complex
+    built and checked densely."""
+    A, B = f.source.coalgebra, f.target.coalgebra
+    reg = comodule_along(regular_comodule(A), f.deep, B)
+    tests = [regular_comodule(B)]
+    for y in points(FormalSuperscheme.finite(B)):
+        kappa_sub = Subspace.from_vectors(
+            B.space, [y.component.inclusion.apply(y.kappa_inclusion.apply(
+                unit_vec(B.field, y.kappa.dim, i))) for i in range(y.kappa.dim)])
+        tests.append(subcoalgebra_comodule(B, kappa_sub, prefix=f"s{y.index}.")[0])
+    return tuple(_dense_exactness(_dense_tower(M, A, reg, depth + 1), depth)
+                 for M in tests)
+
+
+@pytest.fixture
+def descent_oracle():
+    return descent_degrees_by_dense_tower
 
 
 class GenericField(Field):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from superscheme.corpus import Rng
 from superscheme.fields import (
-    ExtensionField, FieldError, PrimeField, QQ, field_sqrt,
+    ExtensionField, Field, FieldError, PrimeField, QQ, field_sqrt,
     poly_divmod, poly_factor_supported, poly_gcd, poly_is_irreducible,
     poly_mul, poly_roots,
 )
@@ -155,6 +155,17 @@ def test_prime_field_is_zero_on_canonical_residues():
         assert [F.is_zero(a) for a in F.elements()] == [a == 0 for a in range(p)]
         assert F.is_zero(F.add(1, p - 1)) and F.is_zero(F.sub(2, 2))
         assert F.is_zero(F.mul(F.from_int(p), 3)) and not F.is_zero(F.neg(1))
+
+
+def test_truthy_nonzeros_match_the_is_zero_scan():
+    """F_p and Q find nonzero entries by truthiness; the base Field method
+    scans with is_zero, as every other field does."""
+    for F in (F3, F5, PrimeField(7), QQ):
+        vec = [F.from_int(n) for n in (0, 1, -1, 0, 2, 0, F.char, 3)]
+        assert F.nonzeros(vec) == Field.nonzeros(F, vec)
+        assert [a for _, a in F.nonzeros(vec)] == [a for a in vec if not F.is_zero(a)]
+    vec = [F9.zero, F9.one, F9.generator, F9.zero]
+    assert F9.nonzeros(vec) == [(1, F9.one), (2, F9.generator)]
 
 
 def _mul_by_divmod(E, a, b):

@@ -31,6 +31,7 @@ from superscheme.corpus import (
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F9 = ExtensionField(F3, (1, 0, 1), "j")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -248,7 +249,6 @@ def test_base_change_splits_components():
     C = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
     X = _scheme(C)
     assert len(points(X)) == 1
-    F9 = ExtensionField(F3, (1, 0, 1), "j")
     X9 = base_change(X, F9)
     assert len(points(X9)) == 2
     CQ = dualize_algebra(quotient_ring_algebra([Fraction(1), Fraction(0),
@@ -285,7 +285,6 @@ def test_faithfully_flat_equivalences_on_seeds():
 
 
 def test_flat_invariant_under_base_change():
-    F9 = ExtensionField(F3, (1, 0, 1), "j")
     for seed in range(12):
         (f,) = seeded_random("morphism", seed, field=F3).payload
         f9 = base_change_morphism(f, F9)
@@ -306,6 +305,43 @@ def test_descent_examples():
     rep3 = descent_check(incl, depth=2)
     assert not rep3.passed
     assert ("kappa(1)", 0) in rep3.failures
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F9], ids=["Q", "F3", "F9"])
+def test_descent_degrees_match_dense_tower(descent_oracle, field):
+    """The sparse tower's exactness per (comodule, degree) equals that of
+    the dense reference tower on seeded morphisms of every label."""
+    labels = set()
+    for seed in range(10):
+        entry = seeded_random("morphism", seed, field=field)
+        (f,) = entry.payload
+        labels.add(entry.expected["label"])
+        for depth in (1, 2):
+            assert descent_check(f, depth).degrees == descent_oracle(f, depth), \
+                (seed, depth)
+    assert labels == {"counit-collapse", "identity", "component-inclusion",
+                      "point-into-fat"}
+
+
+def test_complex_exactness_is_checked_under_python_O():
+    """The boundary check raises by itself, so python -O keeps it: the
+    faces of the top level give d1 o d2 = -1 on one-dimensional levels."""
+    code = "\n".join([
+        "from superscheme.fields import QQ",
+        "from superscheme.formal_scheme import _TowerLevel, _complex_exactness",
+        "from superscheme.superlinear import standard_space",
+        "V, one = standard_space(QQ, 1, 0), QQ.one",
+        "levels = [_TowerLevel(V, None),",
+        "          _TowerLevel(V, None, None, ([[(0, one)]],)),",
+        "          _TowerLevel(V, None, None, ([[(0, one)]], [[(0, one + one)]]))]",
+        "_complex_exactness(levels, 1)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1] == \
+        "AssertionError: boundary maps do not compose to zero"
 
 
 def test_finite_morphism_degrees():

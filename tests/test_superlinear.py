@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from superscheme.fields import QQ, PrimeField
+from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, GradedMap, Matrix, Subspace, coordinates, perp,
-    quotient_data, standard_space, subspace_as_space, tensor_after, tensor_apply,
-    twist, unit_vec, vec_add, vec_scale, zero_vec,
+    DimensionMismatch, GradedMap, Matrix, Subspace, _null_space_sparse,
+    _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_after,
+    tensor_apply, twist, unit_vec, vec_add, vec_scale, zero_vec,
 )
 from superscheme.corpus import Rng
 
@@ -248,13 +248,6 @@ def test_subspace_membership_matches_rank_and_intersection():
                     assert W.contains(v) == (stacked.rank() == W.dim)
 
 
-def test_subspace_as_space_parities():
-    V = standard_space(QQ, 1, 1)
-    S = Subspace.from_vectors(V, [(Fraction(0), Fraction(2))])
-    abstract = subspace_as_space(S)
-    assert abstract.parities == (1,)
-
-
 # ---------------------------------------------------------------------------
 # plain-value kernels over F_p and Q against the generic path
 
@@ -282,6 +275,11 @@ def plain_matrices(draw):
     return F, rows, n
 
 
+def _dense(F, rows, n):
+    """Sparse rows (index -> entry dicts) as dense tuples."""
+    return tuple(tuple(r.get(j, F.zero) for j in range(n)) for r in rows)
+
+
 def _typed(rows):
     """Entries with their types, so a Q result must hold Fractions throughout."""
     return tuple(tuple((type(x), x) for x in r) for r in rows)
@@ -305,10 +303,17 @@ def test_plain_kernels_match_generic_path(generic_field, case, data):
     # a canonical matrix is its own rref and is not reduced again
     canon = fast.row_space()
     assert canon.rref() == (canon, fast.rref()[1]) and canon.row_space() is canon
+    # the sparse elimination and its null space on the same rows, over F
+    # against _rref_plain and over G against Matrix.rref, which runs it
+    for K, M in ((F, fast), (G, slow)):
+        red, pivots = _rref_sparse(K, [dict(r) for r in M.support()])
+        assert pivots == M.rref()[1]
+        assert _typed(_dense(K, red, n)) == _typed(M.row_space().rows)
+        kernel, _ = _null_space_sparse(K, red, pivots, n)
+        assert _typed(_dense(K, kernel, n)) == _typed(M.null_space().rows)
 
     VF, VG = standard_space(F, n, 0), standard_space(G, n, 0)
     sub_f, sub_g = Subspace(VF, fast), Subspace(VG, slow)
-    assert subspace_as_space(sub_f).parities == subspace_as_space(sub_g).parities
     entries = _entries(F)
     inside = zero_vec(F, n)
     for row in sub_f.basis():
@@ -368,3 +373,52 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
     fast = list(tensor_apply(f, g, vecs))
     slow = list(tensor_apply(over_g(f), over_g(g), vecs))
     assert _typed(fast) == _typed(slow)
+    # both run the one sparse body: check it against the Koszul-signed
+    # formula, entry by entry
+    nl, nj = X.dim, Y.dim
+    for v, image in zip(vecs, fast):
+        want = [F.zero] * (W.dim * nj)
+        for k in range(V.dim):
+            sign = F.neg(F.one) if pg and V.parities[k] else F.one
+            for l in range(nl):
+                for i in range(W.dim):
+                    for j in range(nj):
+                        term = F.mul(F.mul(sign, v[k * nl + l]),
+                                     F.mul(f.matrix.rows[i][k], g.matrix.rows[j][l]))
+                        want[i * nj + j] = F.add(want[i * nj + j], term)
+        assert image == tuple(want)
+
+
+@seed(2718)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                         max_size=5))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparse_elimination_over_f9(case, data):
+    """Over F9 Matrix.rref runs the sparse elimination itself.  Scaling the
+    rows of an F3 matrix by units of F9 and appending F9 combinations of
+    them keeps its row space, so the RREF and null space over F9 must be
+    those of _rref_plain over F3, embedded."""
+    n, rows = case
+    F9 = ExtensionField(F3, (1, 0, 1), "j")
+    units = [a for a in F9.elements() if a != F9.zero]
+    emb = [[F9.embed(x) for x in r] for r in rows]
+    mixed = [[F9.mul(u, x) for x in r] for u, r in
+             zip(data.draw(st.lists(st.sampled_from(units), min_size=len(emb),
+                                    max_size=len(emb))), emb)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        combo = [F9.zero] * n
+        for r in mixed:
+            c = data.draw(st.sampled_from([F9.zero] + units))
+            combo = [F9.add(a, F9.mul(c, b)) for a, b in zip(combo, r)]
+        mixed.append(combo)
+    base = Matrix(F3, rows, n)
+    want = Matrix(F9, [[F9.embed(x) for x in r] for r in base.row_space().rows], n)
+    red, pivots = _rref_sparse(F9, [{j: x for j, x in enumerate(r) if x != F9.zero}
+                                    for r in mixed])
+    assert pivots == base.rref()[1]
+    assert _dense(F9, red, n) == want.rows
+    assert Matrix(F9, mixed, n).row_space() == want
+    kernel, _ = _null_space_sparse(F9, red, pivots, n)
+    assert _dense(F9, kernel, n) == tuple(
+        tuple(F9.embed(x) for x in r) for r in base.null_space().rows)
