@@ -3,7 +3,7 @@
 
 Usage: python scripts/size_wall.py [--max N]
 Prints one row per n = 1..N (default 5) for C = Grassmann(n)*, of
-dimension 2^n: the seconds spent in dual + validate,
+dimension 2^n: the seconds spent in dual + validate, coradical plus
 coradical_filtration, flat_check(regular_comodule) and
 irreducible_components, each timed on its own.
 """
@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from superscheme.corpus import grassmann  # noqa: E402
 from superscheme.supercoalgebra import (  # noqa: E402
-    coradical_filtration, dualize_algebra, irreducible_components,
+    coradical, coradical_filtration, dualize_algebra, irreducible_components,
     validate_supercoalgebra,
 )
 from superscheme.supercomodule import flat_check, regular_comodule  # noqa: E402
@@ -45,7 +45,7 @@ def main():
           f"{'filtration':>11s} {'flat_check':>11s} {'components':>11s}")
     for n in range(1, args.max + 1):
         C, t_dual = _timed(_dual_and_validate, grassmann(n))
-        _, t_filt = _timed(coradical_filtration, C)
+        _, t_filt = _timed(lambda C: coradical_filtration(C, coradical(C)), C)
         verdict, t_flat = _timed(flat_check, regular_comodule(C))
         comps, t_comp = _timed(irreducible_components, C)
         if not verdict.free or len(comps) != 1:

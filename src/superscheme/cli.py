@@ -27,10 +27,9 @@ from .supercoalgebra import (
 from .supercomodule import NotConnected, cotensor, flat_check, validate_comodule
 from .formal_scheme import (
     CotensorNotSubcoalgebra, FormalSuperscheme, base_change, coproduct,
-    descent_check, fiber, fiber_product, finite_bounded_degree,
-    is_closed_immersion, is_faithfully_flat, is_finite_morphism, is_flat,
-    is_flat_at, is_open_immersion, is_strictly_surjective, is_surjective,
-    points, product,
+    descent_check, fiber, fiber_product, finite_bounded_degree, flatness,
+    is_closed_immersion, is_finite_morphism, is_open_immersion,
+    is_strictly_surjective, is_surjective, morphism_components, points, product,
 )
 from .ksdim import (
     SubsetBoundExceeded, ksdim, oracle_annihilator_dim,
@@ -163,7 +162,7 @@ def cmd_filtration(args):
     path, doc = _load_valid(args.file)
     rep = Report("filtration", [(path, doc)])
     name, C = doc.first("coalgebra")
-    chain = coradical_filtration(C)
+    chain = coradical_filtration(C, coradical(C))
     rep.add("coalgebra", name)
     rep.add("stages", len(chain))
     for n, stage in enumerate(chain):
@@ -211,7 +210,7 @@ def cmd_grouplikes(args):
     name, C = doc.first("coalgebra")
     rep.add("coalgebra", name)
     if over is None:
-        gls = grouplikes(C)
+        gls = grouplikes(C, irreducible_components(C))
         rep.add("grouplike-count", len(gls))
         for g in gls:
             rep.add("grouplike", _basis_line(C.space, g))
@@ -319,10 +318,11 @@ def cmd_immersion_check(args):
     path, doc = _load_valid(args.file)
     rep = Report("immersion-check", [(path, doc)])
     name, f = doc.first("morphism")
+    xcomps, ycomps = morphism_components(f)
     rep.add("morphism", name)
     rep.add("closed-immersion", is_closed_immersion(f))
-    rep.add("open-immersion", is_open_immersion(f))
-    rep.add("surjective", is_surjective(f))
+    rep.add("open-immersion", is_open_immersion(f, ycomps))
+    rep.add("surjective", is_surjective(f, xcomps, ycomps))
     rep.add("strictly-surjective", is_strictly_surjective(f))
     return rep.emit(), EXIT_OK
 
@@ -340,11 +340,12 @@ def cmd_flat_check(args):
             rep.add("rank", _sdim(verdict.rank))
         return rep.emit(), EXIT_OK
     name, f = doc.first("morphism")
+    verdict = flatness(f, *morphism_components(f))
     rep.add("morphism", name)
-    for x in points(f.source):
-        rep.add(f"flat-at {x.index}", is_flat_at(f, x))
-    rep.add("flat", is_flat(f))
-    rep.add("faithfully-flat", is_faithfully_flat(f))
+    for i, flat in enumerate(verdict.flat_at):
+        rep.add(f"flat-at {i}", flat)
+    rep.add("flat", verdict.flat)
+    rep.add("faithfully-flat", verdict.faithfully_flat)
     return rep.emit(), EXIT_OK
 
 
@@ -480,23 +481,24 @@ def cmd_report_all(args):
                 rep.add(f"algebra {name} local-factors",
                         "unsupported-factorization")
         elif kind == "coalgebra":
-            rep.add(f"coalgebra {name} coradical-dim", coradical(value).dim)
+            corad = coradical(value)
+            comps = irreducible_components(value)
+            rep.add(f"coalgebra {name} coradical-dim", corad.dim)
             rep.add(f"coalgebra {name} filtration-dims",
-                    *(s.dim for s in coradical_filtration(value)))
-            rep.add(f"coalgebra {name} components",
-                    len(irreducible_components(value)))
-            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value)))
+                    *(s.dim for s in coradical_filtration(value, corad)))
+            rep.add(f"coalgebra {name} components", len(comps))
+            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value, comps)))
         elif kind == "comodule":
             try:
                 rep.add(f"comodule {name} flat", flat_check(value).free)
             except NotConnected:
                 rep.add(f"comodule {name} flat", "needs-connected-base")
         elif kind == "morphism":
+            verdict = flatness(value, *morphism_components(value))
             rep.add(f"morphism {name} closed-immersion",
                     is_closed_immersion(value))
-            rep.add(f"morphism {name} flat", is_flat(value))
-            rep.add(f"morphism {name} faithfully-flat",
-                    is_faithfully_flat(value))
+            rep.add(f"morphism {name} flat", verdict.flat)
+            rep.add(f"morphism {name} faithfully-flat", verdict.faithfully_flat)
         elif kind == "presentation":
             rep.add(f"presentation {name} ksdim", _sdim(ksdim(value)))
         elif kind == "presmorphism":

@@ -6,12 +6,13 @@ mul[i][j][k] is the coefficient of basis vector k in the product b_i * b_j.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _defects, _parity_defects, coordinates,
+    GradedMap, Matrix, Subspace, _defects, _parity_defects, _sum_ops, coordinates,
     linear_form, quotient_data, tensor_after, tensor_apply, tensor_blocks, twist,
     twist_apply, unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
 )
@@ -42,17 +43,29 @@ class SuperAlgebra:
     def parity(self, i):
         return self.space.parities[i]
 
+    @functools.cached_property
+    def _terms(self):
+        """Per basis pair (i, j), the (k, c) pairs of b_i * b_j with c nonzero."""
+        nonzeros = self.field.nonzeros
+        return tuple(tuple(tuple(nonzeros(cell)) for cell in row) for row in self.mul)
+
     def multiply(self, x, y):
         F = self.field
-        out = zero_vec(F, self.dim)
-        for i, xi in enumerate(x):
-            if F.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if F.is_zero(yj):
-                    continue
-                out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), self.mul[i][j]))
-        return out
+        add, mul, p = _sum_ops(F)
+        terms = self._terms
+        ys = F.nonzeros(y)
+        acc = {}
+        for i, xi in F.nonzeros(x):
+            row = terms[i]
+            for j, yj in ys:
+                xy = mul(xi, yj)
+                for k, c in row[j]:
+                    t = mul(xy, c)
+                    acc[k] = add(acc[k], t) if k in acc else t
+        out = [F.zero] * self.dim
+        for k, c in acc.items():
+            out[k] = c % p if p else c
+        return tuple(out)
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
@@ -390,7 +403,8 @@ def _semisimple_idempotent(S):
                 e = S.multiply(e, vec_add(F, b, vec_scale(F, F.neg(c), S.unit)))
                 denom = F.mul(denom, F.sub(c0, c))
             e = vec_scale(F, F.inv(denom), e)
-            assert S.multiply(e, e) == e
+            if S.multiply(e, e) != e:
+                raise AssertionError("split element is not idempotent")
             return e
         raise AssertionError("unreachable: no splitting element in fixed algebra")
     certified_field = False
@@ -402,7 +416,8 @@ def _semisimple_idempotent(S):
             for extra in factors[2:]:
                 rest = poly_mul(F, rest, extra)
             e = _bezout_idempotent(S, b, factors[0], rest)
-            assert S.multiply(e, e) == e
+            if S.multiply(e, e) != e:
+                raise AssertionError("split element is not idempotent")
             if e != zero_vec(F, n) and e != S.unit:
                 return e
         elif complete and len(minpoly) - 1 == n:
@@ -471,7 +486,8 @@ def local_decomposition(A):
 
     Each pending idempotent e gives B = eA, its radical and S = B / rad B
     once: a nontrivial idempotent of S is lifted and splits e in two,
-    otherwise S is the residue field of the local factor B.
+    otherwise S is the residue field of the local factor B.  For e = 1,
+    B is A itself.
     """
     if A.dim == 0:
         return []
@@ -480,7 +496,10 @@ def local_decomposition(A):
     factors = []
     while pending:
         e = pending.pop(0)
-        B, incl = _subalgebra_on(A, _ideal_span(A, e), e)
+        if e == A.unit:
+            B, incl = A, GradedMap.identity(A.space)
+        else:
+            B, incl = _subalgebra_on(A, _ideal_span(A, e), e)
         rad = radical(B)
         S, proj = quotient_by_superideal(B, rad)
         e_bar = _semisimple_idempotent(S)
@@ -493,7 +512,8 @@ def local_decomposition(A):
     total = zero_vec(F, A.dim)
     for fac in factors:
         total = vec_add(F, total, fac.idempotent)
-    assert total == A.unit, "idempotents do not sum to 1"
+    if total != A.unit:
+        raise AssertionError("idempotents do not sum to 1")
     return factors
 
 

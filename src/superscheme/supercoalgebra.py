@@ -252,12 +252,11 @@ def coradical(C):
     return Subspace(C.space, rad.subspace.matrix.null_space())
 
 
-def coradical_filtration(C):
-    """Ascending wedge powers of the coradical, ending at C itself."""
+def coradical_filtration(C, corad):
+    """Ascending wedge powers of corad, the coradical of C, ending at C itself."""
     if C.dim == 0:
         return [Subspace.zero(C.space)]
-    stage = coradical(C)
-    chain = [stage]
+    chain = [corad]
     full = Subspace.full(C.space)
     while chain[-1] != full:
         nxt = wedge(C, chain[-1], chain[0])
@@ -291,8 +290,8 @@ def irreducible_components(C):
             sub = Subspace(C.space, ideal.matrix.null_space())
         coalg, incl = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
         comps.append(Component(coalg, sub, incl, fac.residue))
-    total = sum(c.subspace.dim for c in comps)
-    assert total == C.dim, "components do not fill the coalgebra"
+    if sum(c.subspace.dim for c in comps) != C.dim:
+        raise AssertionError("components do not fill the coalgebra")
     return comps
 
 
@@ -303,19 +302,23 @@ def is_grouplike(C, u):
     return C.coproduct_map().apply(u) == tuple(F.mul(a, b) for a in u for b in u)
 
 
-def grouplikes(C):
-    """Group-like elements found through components with base residue field."""
+def grouplikes(C, comps):
+    """Group-like elements of C, read off comps, its irreducible components:
+    one per component with base residue field."""
     out = []
-    for comp in irreducible_components(C):
+    for comp in comps:
         if comp.residue.degree != 1:
             continue
         corad = coradical(comp.coalgebra)
-        assert corad.dim == 1
+        if corad.dim != 1:
+            raise AssertionError("a component with base residue field has a "
+                                 "coradical of dimension other than 1")
         v = corad.basis()[0]
         eps = comp.coalgebra.counit_value(v)
         g_local = vec_scale(C.field, C.field.inv(eps), v)
         g = comp.inclusion.apply(g_local)
-        assert is_grouplike(C, g), "component candidate is not group-like"
+        if not is_grouplike(C, g):
+            raise AssertionError("component candidate is not group-like")
         out.append(g)
     return out
 
@@ -506,10 +509,10 @@ def cofree_universal_map(tc, B, theta):
     """
     cof = tc.coalgebra
     F = cof.field
-    chain = coradical_filtration(B)
-    corad = chain[0]
+    corad = coradical(B)
     if corad.dim != 1:
         raise ValueError("test coalgebra is not connected")
+    chain = coradical_filtration(B, corad)
     if len(chain) - 1 > tc.bound:
         raise ValueError("coradical filtration exceeds the truncation degree")
     for v in corad.basis():

@@ -17,7 +17,7 @@ from superscheme.supercomodule import (  # noqa: E402
 )
 from superscheme.superlinear import (  # noqa: E402
     GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, tensor_apply,
-    tensor_blocks, unit_vec,
+    tensor_blocks, unit_vec, vec_add, vec_scale, zero_vec,
 )
 
 
@@ -43,6 +43,26 @@ def grouplikes_by_scan(C, R):
 @pytest.fixture
 def grouplike_oracle():
     return grouplikes_by_scan
+
+
+def multiply_by_dense_loop(A, x, y):
+    """Reference for SuperAlgebra.multiply: for every pair of nonzero
+    coordinates x_i, y_j, add x_i y_j times the dense row mul[i][j]."""
+    F = A.field
+    out = zero_vec(F, A.dim)
+    for i, xi in enumerate(x):
+        if F.is_zero(xi):
+            continue
+        for j, yj in enumerate(y):
+            if F.is_zero(yj):
+                continue
+            out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), A.mul[i][j]))
+    return out
+
+
+@pytest.fixture(scope="session")
+def multiply_oracle():
+    return multiply_by_dense_loop
 
 
 def ideal_by_fixpoint(A, elements):

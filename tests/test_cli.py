@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +163,50 @@ def test_morphism_commands(files):
                                 "--depth", "1"])
     assert fail_code == EXIT_FAIL and "failure comodule kappa(1) degree 0" in fail_text
     assert "bounded-degree 2" in _ok(["finite-check", files["collapse.mor"]])
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of superscheme function `name` of `module`, wrapped
+    in every superscheme module that holds it by name; a list of the
+    argument tuples of the calls."""
+    original = getattr(sys.modules[f"superscheme.{module}"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("superscheme") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_flat_check_computes_each_invariant_once(files, monkeypatch):
+    """flat-check on a morphism: the components of source and target once
+    each, one flat_check per source point."""
+    comps = _count_calls(monkeypatch, "supercoalgebra", "irreducible_components")
+    flats = _count_calls(monkeypatch, "supercomodule", "flat_check")
+    text = _ok(["flat-check", files["collapse.mor"]])
+    assert "flat-at 0 True\nflat-at 1 True\n" in text
+    assert [C.dim for (C,) in comps] == [2, 1]
+    assert len(flats) == 2
+
+
+def test_descent_check_on_a_counit_collapse_builds_one_tower(files, monkeypatch):
+    """The target k is its own residue field, so kappa(0) shares the O(Y)
+    tower."""
+    towers = _count_calls(monkeypatch, "formal_scheme", "_iterated_cotensor_tower")
+    text = _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
+    assert "exact kappa(0) degree 2 yes" in text
+    assert len(towers) == 1
+
+
+def test_report_all_computes_components_once(files, monkeypatch):
+    comps = _count_calls(monkeypatch, "supercoalgebra", "irreducible_components")
+    text = _ok(["report-all", files["pair.coalg"]])
+    assert "coalgebra A grouplikes 2" in text
+    assert len(comps) == 2          # once for each of the file's two coalgebras
 
 
 def test_cotensor_and_comodule_flat(files):

@@ -5,7 +5,8 @@ import pytest
 from superscheme.fields import PrimeField, QQ
 from superscheme.superalgebra import validate_superalgebra
 from superscheme.supercoalgebra import (
-    coradical_filtration, dualize_algebra, grouplikes, validate_supercoalgebra,
+    coradical, coradical_filtration, dualize_algebra, grouplikes,
+    irreducible_components, validate_supercoalgebra,
 )
 from superscheme.corpus import (
     CorpusEntry, Rng, canonical_algebras, canonical_coalgebras, divided_power,
@@ -53,14 +54,15 @@ def test_divided_power_shapes():
             truncated_polynomial(d).mul
     assert dualize_coalgebra(grouplike_coalgebra(2)).mul == split_pair().mul
     D3 = divided_power(3)
-    assert [s.dim for s in coradical_filtration(D3)] == [1, 2, 3, 4]
+    assert [s.dim for s in coradical_filtration(D3, coradical(D3))] == [1, 2, 3, 4]
 
 
 def test_grouplike_coalgebra_shapes():
     assert grouplike_coalgebra(1).dim == 1
-    assert len(grouplikes(grouplike_coalgebra(2))) == 2
+    gl2 = grouplike_coalgebra(2)
+    assert len(grouplikes(gl2, irreducible_components(gl2))) == 2
     gl3 = grouplike_coalgebra(3, F3)
-    assert len(grouplikes(gl3)) == 3
+    assert len(grouplikes(gl3, irreducible_components(gl3))) == 3
     with pytest.raises(ValueError):
         grouplike_coalgebra(0)
 

@@ -20,8 +20,8 @@ from superscheme.formal_scheme import (
     base_change_morphism, coproduct, descent_check, fiber, fiber_product,
     finite_bounded_degree, identity_morphism, immersion_fiberwise_check,
     is_algebraic_at, is_closed_immersion, is_faithfully_flat,
-    is_finite_morphism, is_flat, is_flat_at, is_open_immersion,
-    is_strictly_surjective, is_surjective, point_map, points, product,
+    is_finite_morphism, is_flat, is_open_immersion, is_strictly_surjective,
+    is_surjective, morphism_components, point_map, points, product,
     transport_point, transport_point_inverse, _bosonic_subcoalgebra,
 )
 from superscheme.corpus import (
@@ -178,23 +178,25 @@ def test_immersion_predicates():
     incl = SchemeMorphism.finite(
         GradedMap(K.space, KK.space, Matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), X)
-    assert is_closed_immersion(incl) and is_open_immersion(incl)
-    assert not is_surjective(incl)
+    xcomps, ycomps = morphism_components(incl)
+    assert is_closed_immersion(incl) and is_open_immersion(incl, ycomps)
+    assert not is_surjective(incl, xcomps, ycomps)
     G = dualize_algebra(grassmann(1))
     j = SchemeMorphism.finite(
         GradedMap(K.space, G.space, Matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), _scheme(G))
-    assert is_closed_immersion(j) and not is_open_immersion(j)
+    assert is_closed_immersion(j) and not is_open_immersion(j, morphism_components(j)[1])
     ident = identity_morphism(X)
-    assert is_closed_immersion(ident) and is_open_immersion(ident)
-    assert is_surjective(ident) and is_strictly_surjective(ident)
+    xcomps, ycomps = morphism_components(ident)
+    assert is_closed_immersion(ident) and is_open_immersion(ident, ycomps)
+    assert is_surjective(ident, xcomps, ycomps) and is_strictly_surjective(ident)
 
 
 def test_strict_surjectivity_implies_surjectivity():
     for seed in range(20):
         (f,) = seeded_random("morphism", seed).payload
         if is_strictly_surjective(f):
-            assert is_surjective(f)
+            assert is_surjective(f, *morphism_components(f))
 
 
 def test_product_coproduct():
@@ -279,9 +281,10 @@ def test_faithfully_flat_equivalences_on_seeds():
         (f,) = seeded_random("morphism", seed).payload
         flat = is_flat(f)
         ff = is_faithfully_flat(f)
-        assert ff == (flat and is_surjective(f))
+        surj = is_surjective(f, *morphism_components(f))
+        assert ff == (flat and surj)
         if flat:
-            assert is_surjective(f) == is_strictly_surjective(f)
+            assert surj == is_strictly_surjective(f)
 
 
 def test_flat_invariant_under_base_change():
@@ -342,6 +345,29 @@ def test_complex_exactness_is_checked_under_python_O():
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines()[-1] == \
         "AssertionError: boundary maps do not compose to zero"
+
+
+def test_point_image_check_holds_under_python_O():
+    """The point-image check raises by itself, so python -O keeps it: a map
+    sending the group-like e1 of k x k to e1 + e2 meets no component."""
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from superscheme.corpus import split_pair",
+        "from superscheme.formal_scheme import FormalSuperscheme, SchemeMorphism, point_map",
+        "from superscheme.supercoalgebra import dualize_algebra",
+        "from superscheme.superlinear import GradedMap, Matrix",
+        "C = dualize_algebra(split_pair())",
+        "X = FormalSuperscheme.finite(C)",
+        "one, zero = Fraction(1), Fraction(0)",
+        "f = GradedMap(C.space, C.space, Matrix(C.field, [[one, zero], [one, one]]), 0)",
+        "point_map(SchemeMorphism(X, X, (f,)))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1] == \
+        "AssertionError: component image must meet exactly one component"
 
 
 def test_finite_morphism_degrees():

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import FieldError, PrimeField, QQ, ExtensionField
-from superscheme.superlinear import GradedMap, Matrix, Subspace, unit_vec
+from superscheme.superlinear import (
+    GradedMap, Matrix, Subspace, standard_space, unit_vec,
+)
 from superscheme.superalgebra import (
     FactorizationIncomplete, SuperAlgebra, bosonic_reduction, canonical_ideal,
     enumerate_homs, ideal_generated_by, is_superalgebra_morphism, is_superideal,
@@ -364,3 +367,32 @@ def test_validate_superalgebra_full_problem_list(case):
     unit = G.unit if unit is None else tuple(F.from_int(c) for c in unit)
     A = make_superalgebra(G.space, _edited(G.mul, F, edits), unit)
     assert validate_superalgebra(A) == expected
+
+
+def _typed(vec):
+    """Entries with their types, so a Q result must hold Fractions throughout."""
+    return tuple((type(c), c) for c in vec)
+
+
+@seed(314)
+@given(st.sampled_from([QQ, F3, _F9]), st.booleans(), st.integers(0, 3),
+       st.integers(0, 2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_multiply_matches_dense_loop(generic_field, multiply_oracle, F, generic,
+                                     even, odd, data):
+    """multiply over the cached nonzero terms agrees with the dense loop on
+    arbitrary structure constants, on the plain path over Q and F3, over F9,
+    and on the generic path through the Field methods."""
+    K = generic_field(F) if generic else F
+    if F.is_finite():
+        nonzero = st.sampled_from(sorted((c for c in F.elements() if c != F.zero),
+                                         key=F.sort_key))
+    else:
+        nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    n = even + odd
+    vec = st.lists(st.one_of(st.just(F.zero), nonzero), min_size=n, max_size=n).map(tuple)
+    mul = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n), min_size=n, max_size=n))
+    A = make_superalgebra(standard_space(K, even, odd), mul, [K.zero] * n)
+    for _ in range(3):
+        x, y = data.draw(vec), data.draw(vec)
+        assert _typed(A.multiply(x, y)) == _typed(multiply_oracle(A, x, y))
