@@ -20,9 +20,9 @@ from .superalgebra import (
     local_decomposition, radical, validate_superalgebra,
 )
 from .supercoalgebra import (
-    SearchBoundExceeded, coradical, coradical_filtration, dualize_algebra,
-    dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
-    validate_supercoalgebra, wedge,
+    SearchBoundExceeded, coradical, coradical_filtration, dual_radical,
+    dualize_algebra, dualize_coalgebra, grouplikes, grouplikes_over,
+    irreducible_components, validate_supercoalgebra, wedge,
 )
 from .supercomodule import NotConnected, cotensor, flat_check, validate_comodule
 from .formal_scheme import (
@@ -150,7 +150,7 @@ def cmd_coradical(args):
     path, doc = _load_valid(args.file)
     rep = Report("coradical", [(path, doc)])
     name, C = doc.first("coalgebra")
-    cor = coradical(C)
+    cor = coradical(C, dual_radical(C))
     rep.add("coalgebra", name)
     rep.add("coradical-dim", cor.dim)
     for row in cor.basis():
@@ -162,7 +162,7 @@ def cmd_filtration(args):
     path, doc = _load_valid(args.file)
     rep = Report("filtration", [(path, doc)])
     name, C = doc.first("coalgebra")
-    chain = coradical_filtration(C, coradical(C))
+    chain = coradical_filtration(C, coradical(C, dual_radical(C)))
     rep.add("coalgebra", name)
     rep.add("stages", len(chain))
     for n, stage in enumerate(chain):
@@ -189,7 +189,7 @@ def cmd_components(args):
     path, doc = _load_valid(args.file)
     rep = Report("components", [(path, doc)])
     name, C = doc.first("coalgebra")
-    comps = irreducible_components(C)
+    comps = irreducible_components(C, dual_radical(C))
     rep.add("coalgebra", name)
     rep.add("component-count", len(comps))
     for i, comp in enumerate(comps):
@@ -210,7 +210,7 @@ def cmd_grouplikes(args):
     name, C = doc.first("coalgebra")
     rep.add("coalgebra", name)
     if over is None:
-        gls = grouplikes(C, irreducible_components(C))
+        gls = grouplikes(C, irreducible_components(C, dual_radical(C)))
         rep.add("grouplike-count", len(gls))
         for g in gls:
             rep.add("grouplike", _basis_line(C.space, g))
@@ -471,18 +471,20 @@ def cmd_report_all(args):
             invalid.add(id(value))      # nothing is computed on or over it
             continue
         if kind == "algebra":
+            rad = radical(value)
             rep.add(f"algebra {name} sdim", _sdim(value.space.sdim))
-            rep.add(f"algebra {name} radical-dim", radical(value).subspace.dim)
+            rep.add(f"algebra {name} radical-dim", rad.subspace.dim)
             rep.add(f"algebra {name} ksdim-finite", _sdim(ksdim_finite(value)))
             try:
                 rep.add(f"algebra {name} local-factors",
-                        len(local_decomposition(value)))
+                        len(local_decomposition(value, rad)))
             except FactorizationIncomplete:
                 rep.add(f"algebra {name} local-factors",
                         "unsupported-factorization")
         elif kind == "coalgebra":
-            corad = coradical(value)
-            comps = irreducible_components(value)
+            rad = dual_radical(value)
+            corad = coradical(value, rad)
+            comps = irreducible_components(value, rad)
             rep.add(f"coalgebra {name} coradical-dim", corad.dim)
             rep.add(f"coalgebra {name} filtration-dims",
                     *(s.dim for s in coradical_filtration(value, corad)))

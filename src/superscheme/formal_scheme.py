@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .superalgebra import local_decomposition, radical
 from .supercoalgebra import (
     base_change_coalgebra, coradical, coradical_filtration,
-    direct_sum_coalgebra, dualize_algebra, dualize_coalgebra,
+    direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
     irreducible_components, is_coalgebra_morphism, is_subcoalgebra,
     is_grouplike_over, subcoalgebra_on, tensor_coalgebra, _koszul_signed,
 )
@@ -141,10 +141,10 @@ def identity_morphism(X):
 # points and components
 
 def points(X):
-    comps = irreducible_components(X.coalgebra)
+    comps = irreducible_components(X.coalgebra, dual_radical(X.coalgebra))
     out = []
     for i, comp in enumerate(comps):
-        corad = coradical(comp.coalgebra)
+        corad = coradical(comp.coalgebra, dual_radical(comp.coalgebra))
         kappa, incl = subcoalgebra_on(comp.coalgebra, corad, prefix=f"k{i}.")
         out.append(Point(i, comp, kappa, incl))
     return out
@@ -171,8 +171,8 @@ def point_images(f, xcomps, ycomps):
 
 def morphism_components(f):
     """The irreducible components of the source and of the target of f."""
-    return (irreducible_components(f.source.coalgebra),
-            irreducible_components(f.target.coalgebra))
+    return tuple(irreducible_components(C, dual_radical(C))
+                 for C in (f.source.coalgebra, f.target.coalgebra))
 
 
 def point_map(f):
@@ -511,7 +511,7 @@ def _iterated_cotensor_tower(M, A, reg, depth):
         slots = []
         for big in _tensor_apply_sparse(F, ident_P, rho, A.dim * B_dim, (), support):
             split = [[] for _ in range(B_dim)]
-            for ik, c in big:
+            for ik, c in big.items():
                 i, k = divmod(ik, B_dim)
                 split[k].append((i, c))
             slots += split
@@ -527,7 +527,8 @@ def _iterated_cotensor_tower(M, A, reg, depth):
                  for pf in prev.faces]
         if None in faces:
             raise AssertionError("face map escapes the carrier")
-        faces.append(list(_tensor_apply_sparse(F, ident_P, eps, 1, (), support)))
+        faces.append([list(face.items()) for face in
+                      _tensor_apply_sparse(F, ident_P, eps, 1, (), support)])
         levels.append(_TowerLevel(space, psi, carrier, tuple(faces)))
     return levels
 
@@ -672,15 +673,15 @@ def finite_bounded_degree(f):
     dualB = dualize_coalgebra(B)
     # B* -> A* is the transpose of the coalgebra map
     psi_t = f.deep.matrix.transpose()
-    factors = local_decomposition(dualB)
-    radB = radical(dualB).subspace
+    radB = radical(dualB)
+    factors = local_decomposition(dualB, radB)
 
     def act(bstar_vec, astar_vec):
         img = psi_t.apply(bstar_vec)
         return dualA.multiply(img, astar_vec)
 
     jvecs = []
-    for w in radB.basis():
+    for w in radB.subspace.basis():
         for i in range(dualA.dim):
             jvecs.append(act(w, unit_vec(F, dualA.dim, i)))
     JA = Subspace.from_vectors(dualA.space, jvecs)
@@ -723,19 +724,20 @@ def is_algebraic_at(X, point_index):
     subspaces of the deepest coalgebra) across the last two levels.
     """
     if X.is_finite_level:
-        comp = irreducible_components(X.coalgebra)[point_index]
-        chain = coradical_filtration(comp.coalgebra, coradical(comp.coalgebra))
+        comp = irreducible_components(X.coalgebra, dual_radical(X.coalgebra))[point_index]
+        B = comp.coalgebra
+        chain = coradical_filtration(B, coradical(B, dual_radical(B)))
         a1 = chain[min(1, len(chain) - 1)]
         return AlgebraicityVerdict(True, 1, (a1.dim,))
     deepest = X.coalgebra
-    target = irreducible_components(deepest)[point_index].subspace
+    target = irreducible_components(deepest, dual_radical(deepest))[point_index].subspace
     images = []
     dims = []
     for lvl in range(len(X.levels)):
         C = X.levels[lvl]
         inc = X.inclusion_to_deepest(lvl)
         piece = Subspace.zero(C.space)
-        for comp in irreducible_components(C):
+        for comp in irreducible_components(C, dual_radical(C)):
             img = [inc.apply(v) for v in comp.subspace.basis()]
             if coordinates(target, img) is not None:
                 piece = piece.sum(comp.subspace)
@@ -744,7 +746,7 @@ def is_algebraic_at(X, point_index):
             dims.append(0)
             continue
         sub, incl = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
-        chain = coradical_filtration(sub, coradical(sub))
+        chain = coradical_filtration(sub, coradical(sub, dual_radical(sub)))
         a1 = chain[min(1, len(chain) - 1)]
         img_vecs = [inc.apply(incl.apply(v)) for v in a1.basis()]
         images.append(Subspace.from_vectors(deepest.space, img_vecs))

@@ -45,27 +45,28 @@ class SuperAlgebra:
 
     @functools.cached_property
     def _terms(self):
-        """Per basis pair (i, j), the (k, c) pairs of b_i * b_j with c nonzero."""
+        """Per basis pair (i, j), the (k, c) pairs of b_i * b_j with c nonzero,
+        lifted over D by the field's accumulation rule; D; and the rule
+        (_sum_ops) itself."""
+        n = self.dim
         nonzeros = self.field.nonzeros
-        return tuple(tuple(tuple(nonzeros(cell)) for cell in row) for row in self.mul)
+        rule = _sum_ops(self.field)
+        cells, D = rule[0]([nonzeros(cell) for row in self.mul for cell in row])
+        return [cells[i * n:(i + 1) * n] for i in range(n)], D, rule
 
     def multiply(self, x, y):
         F = self.field
-        add, mul, p = _sum_ops(F)
-        terms = self._terms
-        ys = F.nonzeros(y)
+        terms, dm, (lift, _, add, mul, lower) = self._terms
+        (xs, ys), d = lift((F.nonzeros(x), F.nonzeros(y)))
         acc = {}
-        for i, xi in F.nonzeros(x):
+        for i, xi in xs:
             row = terms[i]
             for j, yj in ys:
                 xy = mul(xi, yj)
                 for k, c in row[j]:
                     t = mul(xy, c)
                     acc[k] = add(acc[k], t) if k in acc else t
-        out = [F.zero] * self.dim
-        for k, c in acc.items():
-            out[k] = c % p if p else c
-        return tuple(out)
+        return tuple(lower(acc.items(), dm * d * d, [F.zero] * self.dim))
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
@@ -260,29 +261,24 @@ def _frobenius_kernel(A):
 
 
 def _trace_form_kernel(A):
-    """Radical of a finite-dimensional algebra over a char-0 field."""
+    """Radical of a finite-dimensional algebra over a char-0 field: the kernel
+    of the trace form (b_i, b_j) -> Tr(L_{b_i b_j}) = sum_k c_ijk Tr(L_{b_k}),
+    with Tr(L_{b_k}) = sum_i mul[k][i][i]."""
     F = A.field
     n = A.dim
-    left_mult = [Matrix(F, A.mul[i], n).transpose() for i in range(n)]
+    traces = [functools.reduce(F.add, (A.mul[k][i][i] for i in range(n)), F.zero)
+              for k in range(n)]
     gram = []
     for i in range(n):
         row = []
         for j in range(n):
-            prod = A.mul[i][j]
             tr = F.zero
-            for k, c in enumerate(prod):
+            for c, t in zip(A.mul[i][j], traces):
                 if not F.is_zero(c):
-                    tr = F.add(tr, F.mul(c, _trace(F, left_mult[k])))
+                    tr = F.add(tr, F.mul(c, t))
             row.append(tr)
         gram.append(row)
     return Subspace(A.space, Matrix(F, gram, n).null_space())
-
-
-def _trace(F, mat):
-    t = F.zero
-    for i in range(mat.nrows):
-        t = F.add(t, mat.rows[i][i])
-    return t
 
 
 def radical(A):
@@ -481,13 +477,14 @@ def _residue_descriptor(S):
     return ResidueField(S.dim, None)
 
 
-def local_decomposition(A):
-    """Complete orthogonal idempotents and the corresponding local factors.
+def local_decomposition(A, rad):
+    """Complete orthogonal idempotents and the corresponding local factors;
+    rad is radical(A).
 
     Each pending idempotent e gives B = eA, its radical and S = B / rad B
     once: a nontrivial idempotent of S is lifted and splits e in two,
     otherwise S is the residue field of the local factor B.  For e = 1,
-    B is A itself.
+    B is A itself, with the given radical.
     """
     if A.dim == 0:
         return []
@@ -497,16 +494,16 @@ def local_decomposition(A):
     while pending:
         e = pending.pop(0)
         if e == A.unit:
-            B, incl = A, GradedMap.identity(A.space)
+            B, incl, rad_b = A, GradedMap.identity(A.space), rad
         else:
             B, incl = _subalgebra_on(A, _ideal_span(A, e), e)
-        rad = radical(B)
-        S, proj = quotient_by_superideal(B, rad)
+            rad_b = radical(B)
+        S, proj = quotient_by_superideal(B, rad_b)
         e_bar = _semisimple_idempotent(S)
         if e_bar is None:
             factors.append(LocalFactor(e, B, incl, _residue_descriptor(S)))
             continue
-        _, _, section = quotient_data(B.space, rad.subspace)
+        _, _, section = quotient_data(B.space, rad_b.subspace)
         e1 = incl.apply(_lift_idempotent(B, proj, section, e_bar))
         pending[:0] = [e1, vec_sub(F, e, e1)]
     total = zero_vec(F, A.dim)

@@ -8,6 +8,7 @@ superalgebra R pair C with its Koszul-signed dual instead (_koszul_signed).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .superalgebra import (
@@ -44,6 +45,11 @@ class SuperCoalgebra:
         return self.space.parities[i]
 
     def coproduct_map(self):
+        return self._coproduct
+
+    @functools.cached_property
+    def _coproduct(self):
+        """delta: C -> C (x) C, built once per frozen coalgebra."""
         return GradedMap.from_columns(self.space, self.space.tensor(self.space),
                                       flat_columns(self.delta))
 
@@ -244,9 +250,14 @@ def wedge(C, X, Y):
 # ---------------------------------------------------------------------------
 # coradical machinery
 
-def coradical(C):
-    """(rad C*) perp, as a subspace of C."""
-    rad = radical(dualize_coalgebra(C))
+def dual_radical(C):
+    """rad C*, the radical of the dual algebra (which it carries as its
+    algebra): what coradical and irreducible_components read C through."""
+    return radical(dualize_coalgebra(C))
+
+
+def coradical(C, rad):
+    """(rad C*) perp, as a subspace of C; rad is dual_radical(C)."""
     if rad.subspace.dim == 0:
         return Subspace.full(C.space)
     return Subspace(C.space, rad.subspace.matrix.null_space())
@@ -276,10 +287,10 @@ class Component:
     residue: object
 
 
-def irreducible_components(C):
-    """Direct summands dual to the local factors of C*."""
-    dual = dualize_coalgebra(C)
-    factors = local_decomposition(dual)
+def irreducible_components(C, rad):
+    """Direct summands dual to the local factors of C*; rad is dual_radical(C)."""
+    dual = rad.algebra
+    factors = local_decomposition(dual, rad)
     F = C.field
     comps = []
     for idx, fac in enumerate(factors):
@@ -309,7 +320,7 @@ def grouplikes(C, comps):
     for comp in comps:
         if comp.residue.degree != 1:
             continue
-        corad = coradical(comp.coalgebra)
+        corad = coradical(comp.coalgebra, dual_radical(comp.coalgebra))
         if corad.dim != 1:
             raise AssertionError("a component with base residue field has a "
                                  "coradical of dimension other than 1")
@@ -509,7 +520,7 @@ def cofree_universal_map(tc, B, theta):
     """
     cof = tc.coalgebra
     F = cof.field
-    corad = coradical(B)
+    corad = coradical(B, dual_radical(B))
     if corad.dim != 1:
         raise ValueError("test coalgebra is not connected")
     chain = coradical_filtration(B, corad)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
 from .supercoalgebra import (
-    coradical, coradical_filtration, dualize_coalgebra, is_grouplike,
+    coradical, coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike,
     subcoalgebra_on,
 )
 from .superlinear import (
@@ -279,7 +279,7 @@ def cotensor(M, N):
 def socle_filtration(M):
     """M_n = ker(M -> M (x) C/A_n) along the coradical filtration A_n."""
     C = M.coalgebra
-    chain = coradical_filtration(C, coradical(C))
+    chain = coradical_filtration(C, coradical(C, dual_radical(C)))
     psi = M.coaction_map()
     ident = GradedMap.identity(M.space)
     out = []

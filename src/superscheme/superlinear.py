@@ -7,8 +7,12 @@ Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 
 from .fields import PrimeField, RationalField
 
@@ -675,29 +679,29 @@ def tensor_apply(f, g, vecs):
     for image in _tensor_apply_sparse(F, _sparse_columns(f), _sparse_columns(g),
                                       g.codomain.dim, odd, map(F.nonzeros, vecs)):
         out = [zero] * size
-        for ij, c in image:
+        for ij, c in image.items():
             out[ij] = c
         yield tuple(out)
 
 
 def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
     """(f (x) g)(v) for each sparse vector v, with f and g given by their
-    sparse columns and nj = dim of g's codomain; the terms of x_k with k in
-    odd are negated.  Sparse row products in the manner of Gustavson (ACM
+    sparse columns and nj = dim of g's codomain; the columns x_k of f with k
+    in odd are negated.  Sparse row products in the manner of Gustavson (ACM
     TOMS 1978): only the nonzero coordinates of v and the nonzero column
-    entries of f and g are visited.  Over F_p the sums are plain ints,
-    reduced mod p once per entry.  Images are yielded one at a time, as
-    sparse vectors.
+    entries of f and g are visited, and sums are accumulated by _sum_ops.
+    Images are yielded one at a time, as index -> entry dicts.
     """
-    add, mul, p = _sum_ops(F)
-    neg, is_zero = F.neg, F.is_zero
+    lift, lift_each, add, mul, lower = _sum_ops(F)
+    neg = F.neg
+    fcols, df = lift([[(i, neg(a)) for i, a in col] if k in odd else col
+                      for k, col in enumerate(fcols)])
+    gcols, dg = lift(gcols)
     nl = len(gcols)
-    for v in vecs:
+    for v, dv in lift_each(vecs):
         acc = {}
         for kl, c in v:
             k, l = divmod(kl, nl)
-            if k in odd:
-                c = neg(c)
             gl = gcols[l]
             for i, a in fcols[k]:
                 ca = mul(c, a)
@@ -706,20 +710,66 @@ def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
                     t = mul(ca, b)
                     ij = base + j
                     acc[ij] = add(acc[ij], t) if ij in acc else t
-        if p:
-            yield [(ij, r) for ij, c in acc.items() if (r := c % p)]
-        else:
-            yield [(ij, c) for ij, c in acc.items() if not is_zero(c)]
+        yield lower(acc.items(), df * dg * dv, {})
 
 
 def _sum_ops(F):
-    """(add, mul, p) for accumulating sums of products over F: over F_p
-    plain int + and *, each sum then reduced mod p once; else the Field
-    methods and p = None."""
+    """(lift, lift_each, add, mul, lower): how sums of products accumulate.
+
+    lift takes one operand set (a list of sparse vectors) to (lifted, D),
+    lift_each a stream of vectors to one (lifted, D) per vector.  Kernels
+    add and multiply lifted entries; lower(items, D, out) writes the nonzero
+    sums of one output, D the product of its operands' D, into out (a dict
+    or a dense list).  Over Q lifted entries are ints over D, the lcm of the
+    denominators, and lower makes one Fraction per entry; over F_p sums are
+    plain ints reduced mod p once; other fields use their Field methods.
+    """
     p = _plain_char(F)
+    if p == 0:
+        return _lift_q, _lift_each_q, operator.add, operator.mul, _lower_q
     if p:
-        return operator.add, operator.mul, p
-    return F.add, F.mul, None
+        return _no_lift, _no_lift_each, operator.add, operator.mul, partial(_lower_mod, p)
+    return _no_lift, _no_lift_each, F.add, F.mul, partial(_lower_field, F.is_zero)
+
+
+def _no_lift(vecs):
+    return vecs, 1
+
+
+def _no_lift_each(vecs):
+    return zip(vecs, itertools.repeat(1))
+
+
+def _lift_q(vecs):
+    D = math.lcm(*(a.denominator for v in vecs for _, a in v))
+    return [[(i, a.numerator * (D // a.denominator)) for i, a in v] for v in vecs], D
+
+
+def _lift_each_q(vecs):
+    for v in vecs:
+        (v,), D = _lift_q((v,))
+        yield v, D
+
+
+def _lower_q(items, D, out):
+    for k, n in items:
+        if n:
+            out[k] = Fraction(n, D) if D != 1 else Fraction(n)
+    return out
+
+
+def _lower_mod(p, items, D, out):
+    for k, c in items:
+        if c := c % p:
+            out[k] = c
+    return out
+
+
+def _lower_field(is_zero, items, D, out):
+    for k, c in items:
+        if not is_zero(c):
+            out[k] = c
+    return out
 
 
 def tensor_after(f, g, h):
@@ -838,25 +888,19 @@ def _read_coordinates(F, support, pivots, vecs):
     The basis is in RREF, so the coordinates are the entries on the pivot
     columns; rebuilding each vector from the rows' supports checks them.
     """
-    add, mul, p = _sum_ops(F)
-    is_zero = F.is_zero
+    lift, lift_each, add, mul, lower = _sum_ops(F)
+    support, ds = lift(support)
     row_of = {c: s for s, c in enumerate(pivots)}
-    out = []
-    for v in vecs:
-        v = dict(v)
-        coeffs = [(row_of[c], a) for c, a in v.items() if c in row_of]
+    vecs = [dict(v) for v in vecs]
+    out = [[(row_of[c], a) for c, a in v.items() if c in row_of] for v in vecs]
+    for v, (lifted, dc) in zip(vecs, lift_each(out)):
         recon = {}
-        for s, a in coeffs:
+        for s, a in lifted:
             for j, b in support[s]:
                 t = mul(a, b)
                 recon[j] = add(recon[j], t) if j in recon else t
-        if p:
-            recon = {j: r for j, x in recon.items() if (r := x % p)}
-        else:
-            recon = {j: x for j, x in recon.items() if not is_zero(x)}
-        if recon != v:
+        if lower(recon.items(), ds * dc, {}) != v:
             return None
-        out.append(coeffs)
     return out
 
 

@@ -15,9 +15,9 @@ from superscheme.superalgebra import (
     SuperAlgebra, enumerate_homs, ksdim_finite, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
-    SuperCoalgebra, coradical, coradical_filtration, dualize_algebra, dualize_coalgebra,
-    grouplikes, grouplikes_over, irreducible_components, is_subcoalgebra,
-    unit_coalgebra, validate_supercoalgebra, wedge,
+    SuperCoalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
+    dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
+    is_subcoalgebra, unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.supercomodule import (
     SuperComodule, base_change_comodule, cosocle_epi, cotensor_functor_image,
@@ -143,17 +143,17 @@ def test_criterion_3_coradical_machinery():
     ok = True
     for d in range(1, 5):
         C = divided_power(d)
-        dims = [s.dim for s in coradical_filtration(C, coradical(C))]
+        dims = [s.dim for s in coradical_filtration(C, coradical(C, dual_radical(C)))]
         ok &= dims == list(range(1, d + 2))
     for q in range(1, 4):
         C = dualize_algebra(grassmann(q))
-        dims = [s.dim for s in coradical_filtration(C, coradical(C))]
+        dims = [s.dim for s in coradical_filtration(C, coradical(C, dual_radical(C)))]
         expected = [sum(_binomial(q, i) for i in range(n + 1))
                     for n in range(q + 1)]
         ok &= dims == expected
     for field in (QQ, F3):
         for name, C in canonical_coalgebras(field):
-            chain = coradical_filtration(C, coradical(C))
+            chain = coradical_filtration(C, coradical(C, dual_radical(C)))
             ok &= len(chain) <= C.dim + 1
             ok &= chain[-1] == Subspace.full(C.space)
     _report(3, "coradical machinery", ok)
@@ -185,8 +185,8 @@ def test_criterion_4_wedge_algebra():
              dualize_algebra(grassmann(1))]
     for C in hosts:
         zero = Subspace.zero(C.space)
-        cands = [c.subspace for c in irreducible_components(C)]
-        cands += coradical_filtration(C, coradical(C))
+        cands = [c.subspace for c in irreducible_components(C, dual_radical(C))]
+        cands += coradical_filtration(C, coradical(C, dual_radical(C)))
         cands.append(Subspace.full(C.space))
         for B in cands:
             if not is_subcoalgebra(C, B):
@@ -203,7 +203,7 @@ def test_criterion_5_components_and_grouplikes():
     ok = True
     for field in (QQ, F3):
         for name, C in canonical_coalgebras(field):
-            comps = irreducible_components(C)
+            comps = irreducible_components(C, dual_radical(C))
             ok &= sum(c.subspace.dim for c in comps) == C.dim
             total = Subspace.zero(C.space)
             for c in comps:
@@ -216,7 +216,7 @@ def test_criterion_5_components_and_grouplikes():
             if field.order ** sum(1 for m in range(C.dim)
                                   if C.parity(m) == 0) > 3 ** 12:
                 continue
-            structural = grouplikes(C, irreducible_components(C))
+            structural = grouplikes(C, irreducible_components(C, dual_radical(C)))
             brute = grouplikes_over(C, k_alg)
             ok &= len(structural) == len(brute)
             ok &= sorted(structural) == sorted(tuple(u[0]) for u in brute)

@@ -189,7 +189,7 @@ def test_flat_check_computes_each_invariant_once(files, monkeypatch):
     flats = _count_calls(monkeypatch, "supercomodule", "flat_check")
     text = _ok(["flat-check", files["collapse.mor"]])
     assert "flat-at 0 True\nflat-at 1 True\n" in text
-    assert [C.dim for (C,) in comps] == [2, 1]
+    assert [C.dim for C, _ in comps] == [2, 1]
     assert len(flats) == 2
 
 
@@ -207,6 +207,28 @@ def test_report_all_computes_components_once(files, monkeypatch):
     text = _ok(["report-all", files["pair.coalg"]])
     assert "coalgebra A grouplikes 2" in text
     assert len(comps) == 2          # once for each of the file's two coalgebras
+
+
+def test_report_all_takes_each_radical_once(monkeypatch, tmp_path):
+    """An algebra's radical serves its radical-dim and its local factors; a
+    coalgebra's one dual, and the radical of that dual, serve its coradical
+    and its components.  Calls on other objects (the component coalgebras
+    of grouplikes, subalgebras of local factors) carry other labels."""
+    G = grassmann(3)
+    C = dualize_algebra(G)
+    path = tmp_path / "both.ss"
+    path.write_text(serialize_document(QQ, [("A", G), ("C", C)]))
+    radicals = _count_calls(monkeypatch, "superalgebra", "radical")
+    duals = _count_calls(monkeypatch, "supercoalgebra", "dualize_coalgebra")
+    text = _ok(["report-all", str(path)])
+    assert "algebra A local-factors 1\n" in text and "coalgebra C components 1\n" in text
+
+    def on(calls, labels):
+        return sum(1 for args in calls if args[0].space.labels == labels)
+
+    assert on(radicals, G.space.labels) == 1
+    assert on(duals, C.space.labels) == 1
+    assert on(radicals, tuple(f"{label}*" for label in C.space.labels)) == 1
 
 
 def test_cotensor_and_comodule_flat(files):

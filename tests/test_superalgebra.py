@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import FieldError, PrimeField, QQ, ExtensionField
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, standard_space, unit_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.superalgebra import (
     FactorizationIncomplete, SuperAlgebra, bosonic_reduction, canonical_ideal,
@@ -121,7 +121,7 @@ def test_radical_invariants_on_corpus():
 
 def test_local_decomposition_split():
     A = quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)])
-    facs = local_decomposition(A)
+    facs = local_decomposition(A, radical(A))
     assert len(facs) == 2
     idems = sorted(f.idempotent for f in facs)
     assert idems == [(Fraction(1, 2), Fraction(-1, 2)),
@@ -130,14 +130,15 @@ def test_local_decomposition_split():
 
 
 def test_local_decomposition_local():
-    facs = local_decomposition(grassmann(2))
+    G = grassmann(2)
+    facs = local_decomposition(G, radical(G))
     assert len(facs) == 1
-    assert facs[0].idempotent == grassmann(2).unit
+    assert facs[0].idempotent == G.unit
 
 
 def test_local_decomposition_extension_residue():
     A = quotient_ring_algebra([F3.one, F3.zero, F3.one], F3)
-    facs = local_decomposition(A)
+    facs = local_decomposition(A, radical(A))
     assert len(facs) == 1
     assert facs[0].residue.degree == 2
     assert facs[0].residue.minpoly == (1, 0, 1)
@@ -145,7 +146,7 @@ def test_local_decomposition_extension_residue():
 
 def test_local_decomposition_invariants():
     for name, A in canonical_algebras(QQ) + canonical_algebras(F3):
-        facs = local_decomposition(A)
+        facs = local_decomposition(A, radical(A))
         F = A.field
         total = tuple([F.zero] * A.dim)
         for f in facs:
@@ -163,27 +164,27 @@ def test_factorization_incomplete_over_q():
     # Q[x]/(x^4+1) is semisimple; its splitting needs a quartic factorization
     A = quotient_ring_algebra([Fraction(c) for c in (1, 0, 0, 0, 1)])
     with pytest.raises(FactorizationIncomplete):
-        local_decomposition(A)
+        local_decomposition(A, radical(A))
     # the finite-field model handles it
     B = quotient_ring_algebra([F3.one, F3.zero, F3.zero, F3.zero, F3.one], F3)
-    assert len(local_decomposition(B)) == 2  # x^4+1 = two quadratics over F3
+    assert len(local_decomposition(B, radical(B))) == 2  # x^4+1 = two quadratics over F3
 
 
 def test_local_decomposition_many_factors():
     from superscheme.fields import poly_mul
     A = quotient_ring_algebra([0, 4, 0, 1], F5)  # x^3 - x, three roots
-    assert [f.residue.degree for f in local_decomposition(A)] == [1, 1, 1]
+    assert [f.residue.degree for f in local_decomposition(A, radical(A))] == [1, 1, 1]
     poly = poly_mul(F3, (1, 0, 1), (0, 2, 1))    # (x^2+1)(x^2-x)
     B = quotient_ring_algebra(poly, F3)
-    assert sorted(f.residue.degree for f in local_decomposition(B)) == [1, 1, 2]
+    assert sorted(f.residue.degree for f in local_decomposition(B, radical(B))) == [1, 1, 2]
     C = tensor_superalgebra(B, grassmann(1, F3))
-    facs = local_decomposition(C)
+    facs = local_decomposition(C, radical(C))
     assert sorted(f.residue.degree for f in facs) == [1, 1, 2]
     assert sum(f.algebra.dim for f in facs) == C.dim
     D = tensor_superalgebra(
         quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)]),
         truncated_polynomial(1))
-    facs_d = local_decomposition(D)
+    facs_d = local_decomposition(D, radical(D))
     assert [f.algebra.dim for f in facs_d] == [2, 2]
     assert radical(D).subspace.dim == 2
 
@@ -369,6 +370,47 @@ def test_validate_superalgebra_full_problem_list(case):
     assert validate_superalgebra(A) == expected
 
 
+def _rational(rng):
+    """a/b with |a| <= 9 and 1 <= b <= 9."""
+    return Fraction(rng.randint(19) - 9, rng.randint(9) + 1)
+
+
+def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field):
+    """Grassmann(3) over Q in a dense rational basis b'_i = P b_i, P = LU
+    with L and U unitriangular within each parity block, with three products
+    edited: over Q every sum of products runs on integer numerators over a
+    common denominator, and the problem list must be that of the same
+    constants over GenericField(QQ), which computes on Fractions."""
+    A = grassmann(3)
+    n, parities = A.dim, A.space.parities
+    rng = Rng(15)
+
+    def unitriangular(lower):
+        return Matrix(QQ, [[QQ.one if i == j else _rational(rng)
+                            if (i > j) == lower and parities[i] == parities[j]
+                            else QQ.zero for j in range(n)] for i in range(n)], n)
+
+    P = unitriangular(True).mul(unitriangular(False))
+    basis = P.transpose().rows
+    products = P.solve([A.multiply(x, y) for x in basis for y in basis])
+    mul = [[list(products[i * n + j]) for j in range(n)] for i in range(n)]
+    assert len({c.denominator for row in mul for cell in row for c in cell}) > 10
+    for (i, j, k), c in {(1, 2, 3): Fraction(1, 7), (0, 4, 1): Fraction(2, 3),
+                         (3, 5, 7): Fraction(-5, 9)}.items():
+        mul[i][j][k] += c
+    unit = P.solve([A.unit])[0]
+    problems = validate_superalgebra(make_superalgebra(A.space, mul, unit))
+    G = generic_field(QQ)
+    space = SuperVectorSpace(G, A.space.labels, parities)
+    assert problems == validate_superalgebra(make_superalgebra(space, mul, unit))
+    assert len(problems) == 177
+    assert problems[:3] == ['parity: 1*th1*th2 has a component on th1',
+                            'parity: th1*th2 has a component on th3',
+                            'unit: 1*1 != 1']
+    assert {p.split(":")[0] for p in problems} == {
+        "parity", "unit", "supercommutativity", "associativity"}
+
+
 def _typed(vec):
     """Entries with their types, so a Q result must hold Fractions throughout."""
     return tuple((type(c), c) for c in vec)
@@ -388,7 +430,7 @@ def test_multiply_matches_dense_loop(generic_field, multiply_oracle, F, generic,
         nonzero = st.sampled_from(sorted((c for c in F.elements() if c != F.zero),
                                          key=F.sort_key))
     else:
-        nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
     n = even + odd
     vec = st.lists(st.one_of(st.just(F.zero), nonzero), min_size=n, max_size=n).map(tuple)
     mul = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n), min_size=n, max_size=n))

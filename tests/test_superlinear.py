@@ -81,14 +81,25 @@ def test_twist_signs_and_involution():
     assert back.matrix == Matrix.identity(QQ, 4)
 
 
-def _random_homogeneous_map(rng, dom, cod, parity):
+def _small_int(rng, F):
+    return F.from_int(rng.randint(5) - 2)
+
+
+def _scalar(rng, F):
+    """Any element over F_p; over Q, a/b with |a| <= 9 and 1 <= b <= 9."""
+    if F.is_finite():
+        return rng.scalar(F)
+    return Fraction(rng.randint(19) - 9, rng.randint(9) + 1)
+
+
+def _random_homogeneous_map(rng, dom, cod, parity, scalar=_small_int):
     F = dom.field
     rows = []
     for i in range(cod.dim):
         row = []
         for j in range(dom.dim):
             if parity is None or (cod.parities[i] - dom.parities[j] - parity) % 2 == 0:
-                row.append(F.from_int(rng.randint(5) - 2))
+                row.append(scalar(rng, F))
             else:
                 row.append(F.zero)
         rows.append(row)
@@ -255,9 +266,10 @@ PLAIN_FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7)]
 
 
 def _entries(F):
-    """Scalars of F, zero about half the time."""
+    """Scalars of F, zero about half the time; over Q, a/b with |a| <= 9 and
+    1 <= b <= 9, so that sums of products need a common denominator."""
     if F == QQ:
-        scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
     else:
         scalars = st.integers(0, F.p - 1)
     return st.one_of(st.just(F.zero), scalars)
@@ -359,8 +371,8 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
     rng = Rng(rng_seed)
     shapes = [standard_space(F, rng.randint(3), rng.randint(3)) for _ in range(4)]
     V, W, X, Y = shapes
-    f = _random_homogeneous_map(rng, V, W, pf)
-    g = _random_homogeneous_map(rng, X, Y, pg)
+    f = _random_homogeneous_map(rng, V, W, pf, _scalar)
+    g = _random_homogeneous_map(rng, X, Y, pg, _scalar)
 
     def over_g(h):
         dom = standard_space(G, *h.domain.sdim)
@@ -368,7 +380,7 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
         return GradedMap(dom, cod, Matrix(G, h.matrix.rows, dom.dim), h.parity)
 
     dim = V.dim * X.dim
-    vecs = [tuple(rng.scalar(F) if rng.randint(2) else F.zero for _ in range(dim))
+    vecs = [tuple(_scalar(rng, F) if rng.randint(2) else F.zero for _ in range(dim))
             for _ in range(3)] + [zero_vec(F, dim)]
     fast = list(tensor_apply(f, g, vecs))
     slow = list(tensor_apply(over_g(f), over_g(g), vecs))
