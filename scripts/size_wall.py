@@ -3,7 +3,7 @@
 
 Usage: python scripts/size_wall.py [--max N]
 Prints one row per n = 1..N (default 5) for C = Grassmann(n)*, of
-dimension 2^n: the seconds spent in dual + validate, coradical plus
+dimension 2^n: the seconds spent in dual + validate, dual_radical plus
 coradical_filtration, flat_check(regular_comodule) and
 irreducible_components, each timed on its own.
 """
@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from superscheme.corpus import grassmann  # noqa: E402
 from superscheme.supercoalgebra import (  # noqa: E402
-    coradical, coradical_filtration, dual_radical, dualize_algebra,
+    coradical_filtration, dual_radical, dualize_algebra,
     irreducible_components, validate_supercoalgebra,
 )
 from superscheme.supercomodule import flat_check, regular_comodule  # noqa: E402
@@ -45,8 +45,7 @@ def main():
           f"{'filtration':>11s} {'flat_check':>11s} {'components':>11s}")
     for n in range(1, args.max + 1):
         C, t_dual = _timed(_dual_and_validate, grassmann(n))
-        _, t_filt = _timed(
-            lambda C: coradical_filtration(C, coradical(C, dual_radical(C))), C)
+        _, t_filt = _timed(lambda C: coradical_filtration(C, dual_radical(C)), C)
         verdict, t_flat = _timed(flat_check, regular_comodule(C))
         comps, t_comp = _timed(lambda C: irreducible_components(C, dual_radical(C)), C)
         if not verdict.free or len(comps) != 1:

@@ -162,7 +162,7 @@ def cmd_filtration(args):
     path, doc = _load_valid(args.file)
     rep = Report("filtration", [(path, doc)])
     name, C = doc.first("coalgebra")
-    chain = coradical_filtration(C, coradical(C, dual_radical(C)))
+    chain = coradical_filtration(C, dual_radical(C))
     rep.add("coalgebra", name)
     rep.add("stages", len(chain))
     for n, stage in enumerate(chain):
@@ -210,7 +210,8 @@ def cmd_grouplikes(args):
     name, C = doc.first("coalgebra")
     rep.add("coalgebra", name)
     if over is None:
-        gls = grouplikes(C, irreducible_components(C, dual_radical(C)))
+        rad = dual_radical(C)
+        gls = grouplikes(C, irreducible_components(C, rad), coradical(C, rad))
         rep.add("grouplike-count", len(gls))
         for g in gls:
             rep.add("grouplike", _basis_line(C.space, g))
@@ -487,9 +488,9 @@ def cmd_report_all(args):
             comps = irreducible_components(value, rad)
             rep.add(f"coalgebra {name} coradical-dim", corad.dim)
             rep.add(f"coalgebra {name} filtration-dims",
-                    *(s.dim for s in coradical_filtration(value, corad)))
+                    *(s.dim for s in coradical_filtration(value, rad)))
             rep.add(f"coalgebra {name} components", len(comps))
-            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value, comps)))
+            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value, comps, corad)))
         elif kind == "comodule":
             try:
                 rep.add(f"comodule {name} flat", flat_check(value).free)

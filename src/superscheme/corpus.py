@@ -284,7 +284,8 @@ def _host_grouplike(C):
 
 def _direct_sum_comodule(M, N):
     from .supercomodule import make_supercomodule
-    assert M.coalgebra == N.coalgebra
+    if M.coalgebra != N.coalgebra:
+        raise AssertionError("direct sum of comodules over different coalgebras")
     F = M.field
     space = M.space.direct_sum(N.space)
     n = space.dim

@@ -24,7 +24,7 @@ from .supercomodule import (
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _null_space_sparse,
     _read_coordinates, _rref_sparse, _sparse_columns, _tensor_apply_sparse,
-    coordinates, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
+    coordinates, perp, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
 )
 
 
@@ -141,11 +141,17 @@ def identity_morphism(X):
 # points and components
 
 def points(X):
-    comps = irreducible_components(X.coalgebra, dual_radical(X.coalgebra))
+    """Per irreducible component, its coradical kappa: where the coradical
+    of X.coalgebra meets the component, in the component's own basis."""
+    C = X.coalgebra
+    rad = dual_radical(C)
+    corad = coradical(C, rad)
     out = []
-    for i, comp in enumerate(comps):
-        corad = coradical(comp.coalgebra, dual_radical(comp.coalgebra))
-        kappa, incl = subcoalgebra_on(comp.coalgebra, corad, prefix=f"k{i}.")
+    for i, comp in enumerate(irreducible_components(C, rad)):
+        local = coordinates(comp.subspace, corad.intersect(comp.subspace).basis())
+        kappa, incl = subcoalgebra_on(
+            comp.coalgebra, Subspace.from_vectors(comp.coalgebra.space, local),
+            prefix=f"k{i}.")
         out.append(Point(i, comp, kappa, incl))
     return out
 
@@ -189,12 +195,7 @@ def _bosonic_subcoalgebra(C):
     """
     from .superalgebra import canonical_ideal
     dual = dualize_coalgebra(C)
-    J = canonical_ideal(dual).subspace
-    if J.dim == 0:
-        sub = Subspace.full(C.space)
-    else:
-        sub = Subspace(C.space, J.matrix.null_space())
-    return subcoalgebra_on(C, sub, prefix="b")
+    return subcoalgebra_on(C, perp(canonical_ideal(dual).subspace, C.space), prefix="b")
 
 
 def bosonic_reduction_scheme(X):
@@ -265,7 +266,8 @@ def transport_point_inverse(u, A, R):
         raise ValueError("input is not group-like")
     phi = GradedMap(A.space, R.space, Matrix(A.field, [list(r) for r in u],
                                              A.dim), 0)
-    assert is_superalgebra_morphism(phi, A, R)
+    if not is_superalgebra_morphism(phi, A, R):
+        raise AssertionError("transported map is not a superalgebra morphism")
     return phi
 
 
@@ -695,8 +697,8 @@ def finite_bounded_degree(f):
         even = comp.even_part().dim
         odd = comp.odd_part().dim
         d = fac.residue.degree
-        assert even % d == 0 and odd % d == 0, \
-            "residue field does not divide the cogenerator count"
+        if even % d or odd % d:
+            raise AssertionError("residue field does not divide the cogenerator count")
         degree = max(degree, even // d, odd // d)
     return degree
 
@@ -726,7 +728,7 @@ def is_algebraic_at(X, point_index):
     if X.is_finite_level:
         comp = irreducible_components(X.coalgebra, dual_radical(X.coalgebra))[point_index]
         B = comp.coalgebra
-        chain = coradical_filtration(B, coradical(B, dual_radical(B)))
+        chain = coradical_filtration(B, dual_radical(B))
         a1 = chain[min(1, len(chain) - 1)]
         return AlgebraicityVerdict(True, 1, (a1.dim,))
     deepest = X.coalgebra
@@ -746,7 +748,7 @@ def is_algebraic_at(X, point_index):
             dims.append(0)
             continue
         sub, incl = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
-        chain = coradical_filtration(sub, coradical(sub, dual_radical(sub)))
+        chain = coradical_filtration(sub, dual_radical(sub))
         a1 = chain[min(1, len(chain) - 1)]
         img_vecs = [inc.apply(incl.apply(v)) for v in a1.basis()]
         images.append(Subspace.from_vectors(deepest.space, img_vecs))

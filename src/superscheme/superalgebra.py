@@ -349,7 +349,8 @@ def _bezout_idempotent(A, x, f, rest):
     from .fields import poly_ext_gcd
     F = A.field
     g, u, _ = poly_ext_gcd(F, f, rest)
-    assert len(g) == 1, "factors are not coprime"
+    if len(g) != 1:
+        raise AssertionError("factors are not coprime")
     uf = poly_mul(F, u, f)
     return _eval_in_algebra(A, uf, x)
 
@@ -391,7 +392,8 @@ def _semisimple_idempotent(S):
                 continue
             minpoly = _minimal_polynomial(S, b)
             roots = poly_roots(F, minpoly)
-            assert len(roots) == len(minpoly) - 1 >= 2, "Frobenius-fixed element must split"
+            if not len(roots) == len(minpoly) - 1 >= 2:
+                raise AssertionError("Frobenius-fixed element must split")
             c0 = roots[0]
             e = S.unit
             denom = F.one
@@ -448,7 +450,8 @@ def _subalgebra_on(A, sub, unit):
     parities = []
     for row in basis:
         ps = {A.parity(j) for j, c in enumerate(row) if not F.is_zero(c)}
-        assert len(ps) == 1, "subalgebra basis vector is not homogeneous"
+        if len(ps) != 1:
+            raise AssertionError("subalgebra basis vector is not homogeneous")
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"f{i + 1}" for i in range(sub.dim)),
                              tuple(parities))

@@ -17,7 +17,7 @@ from .superalgebra import (
 )
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
-    flat_columns, linear_form, pivot_selection, quotient_data, tensor_after,
+    flat_columns, linear_form, perp, quotient_data, tensor_after,
     tensor_apply, tensor_blocks, twist, twist_apply, unit_vec, vec_scale,
     vec_sub,
 )
@@ -157,21 +157,16 @@ def is_coalgebra_morphism(f, C, D):
 # subobjects, coideals, wedge
 
 def is_subcoalgebra(C, W):
-    """delta(W) <= W (x) W, for a graded subspace W."""
+    """delta(W) <= W (x) W = W (x) C intersect C (x) W, for a graded subspace
+    W, tested via the quotient projection."""
     if not W.is_graded():
         raise ValueError("subcoalgebra test needs a graded subspace")
-    return _delta_lands_in(C, W, W)
-
-
-def _delta_lands_in(C, W, X):
-    """delta(W) <= W (x) C intersect C (x) X, tested via quotient projections."""
     F = C.field
-    _, proj_w, _ = quotient_data(C.space, W)
-    _, proj_x, _ = quotient_data(C.space, X)
+    _, proj, _ = quotient_data(C.space, W)
     ident = GradedMap.identity(C.space)
     delta = C.coproduct_map()
-    left = tensor_after(proj_w, ident, delta)
-    right = tensor_after(ident, proj_x, delta)
+    left = tensor_after(proj, ident, delta)
+    right = tensor_after(ident, proj, delta)
     for v in W.basis():
         if any(not F.is_zero(c) for c in left.apply(v)):
             return False
@@ -183,25 +178,29 @@ def _delta_lands_in(C, W, X):
 def subcoalgebra_on(C, W, prefix="v"):
     """The coalgebra structure restricted to a subcoalgebra subspace W.
 
-    delta(W) lies in W (x) W, so the coordinates of each delta(w) in the
-    echelon basis are read off the pivot columns of W in both factors.
+    Where delta(w) lies in W (x) W, its coordinates in the echelon basis
+    are its entries on the pivot columns of W in both factors; rebuilding
+    each delta(w) from them tells whether it does.
     """
     F = C.field
-    if not is_subcoalgebra(C, W):
-        raise ValueError("subspace is not a subcoalgebra")
+    if not W.is_graded():
+        raise ValueError("subcoalgebra test needs a graded subspace")
     basis = W.basis()
     m = W.dim
     parities = []
     for row in basis:
         ps = {C.parity(j) for j, c in enumerate(row) if not F.is_zero(c)}
-        assert len(ps) == 1, "graded subspace rows must be homogeneous"
+        if len(ps) != 1:
+            raise AssertionError("graded subspace rows must be homogeneous")
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)),
                              tuple(parities))
     incl = GradedMap.from_columns(space, C.space, basis)
-    sel = pivot_selection(W, space)
-    delta_map = C.coproduct_map()
-    coords = tensor_apply(sel, sel, [delta_map.apply(v) for v in basis])
+    _, pivots = W.matrix.rref()
+    images = [C.coproduct_map().apply(v) for v in basis]
+    coords = [tuple(v[a * C.dim + b] for a in pivots for b in pivots) for v in images]
+    if list(tensor_apply(incl, incl, coords)) != images:
+        raise ValueError("subspace is not a subcoalgebra")
     counit = [C.counit_value(v) for v in basis]
     sub = make_supercoalgebra(space, tensor_blocks(coords, m, m), counit)
     return sub, incl
@@ -241,10 +240,12 @@ def odd_part_coideal(C):
 
 
 def wedge(C, X, Y):
-    """Kernel of C -> C (x) C -> C/X (x) C/Y."""
-    _, proj_x, _ = quotient_data(C.space, X)
-    _, proj_y, _ = quotient_data(C.space, Y)
-    return tensor_after(proj_x, proj_y, C.coproduct_map()).kernel()
+    """X ^ Y = (X^perp . Y^perp)^perp, the product taken in C* (Sweedler,
+    Hopf Algebras, 1969, ch. 9): the kernel of C -> C/X (x) C/Y."""
+    dual = dualize_coalgebra(C)
+    xs, ys = perp(X, dual.space).basis(), perp(Y, dual.space).basis()
+    return perp(Subspace.from_vectors(
+        dual.space, [dual.multiply(f, g) for f in xs for g in ys]), C.space)
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +259,32 @@ def dual_radical(C):
 
 def coradical(C, rad):
     """(rad C*) perp, as a subspace of C; rad is dual_radical(C)."""
-    if rad.subspace.dim == 0:
-        return Subspace.full(C.space)
-    return Subspace(C.space, rad.subspace.matrix.null_space())
+    return perp(rad.subspace, C.space)
 
 
-def coradical_filtration(C, corad):
-    """Ascending wedge powers of corad, the coradical of C, ending at C itself."""
-    if C.dim == 0:
-        return [Subspace.zero(C.space)]
-    chain = [corad]
-    full = Subspace.full(C.space)
-    while chain[-1] != full:
-        nxt = wedge(C, chain[-1], chain[0])
-        if nxt == chain[-1]:
+def coradical_filtration(C, rad):
+    """C_0 <= C_1 <= ... <= C with C_k = (J^(k+1)) perp, for J = rad C*
+    given as rad = dual_radical(C) (Montgomery, Hopf Algebras and Their
+    Actions on Rings, 1993, 5.2).  J^2 is spanned by the products x_i x_j,
+    i <= j, of the echelon rows of J: they are homogeneous, so x_j x_i is
+    +-x_i x_j.  Then J^(k+1) = J^k . S for S the rows of J off the pivots
+    of J^2, which lift a basis of J/J^2.
+    """
+    dual, J = rad.algebra, rad.subspace
+    if J.dim == 0:
+        return [Subspace.full(C.space)]
+    basis = J.basis()
+    powers = [J, Subspace.from_vectors(
+        dual.space, [dual.multiply(x, y) for i, x in enumerate(basis) for y in basis[i:]])]
+    square = set(powers[1].matrix.rref()[1])
+    gens = [x for x, c in zip(basis, J.matrix.rref()[1]) if c not in square]
+    while True:
+        if powers[-1].dim >= powers[-2].dim:
             raise AssertionError("coradical filtration stalled below the whole space")
-        chain.append(nxt)
-        if len(chain) > C.dim + 1:
-            raise AssertionError("coradical filtration failed to stabilize")
-    return chain
+        if powers[-1].dim == 0:
+            return [perp(power, C.space) for power in powers]
+        powers.append(Subspace.from_vectors(
+            dual.space, [dual.multiply(x, s) for x in powers[-1].basis() for s in gens]))
 
 
 @dataclass(frozen=True)
@@ -294,11 +302,7 @@ def irreducible_components(C, rad):
     F = C.field
     comps = []
     for idx, fac in enumerate(factors):
-        ideal = _ideal_span(dual, vec_sub(F, dual.unit, fac.idempotent))
-        if ideal.dim == 0:
-            sub = Subspace.full(C.space)
-        else:
-            sub = Subspace(C.space, ideal.matrix.null_space())
+        sub = perp(_ideal_span(dual, vec_sub(F, dual.unit, fac.idempotent)), C.space)
         coalg, incl = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
         comps.append(Component(coalg, sub, incl, fac.residue))
     if sum(c.subspace.dim for c in comps) != C.dim:
@@ -313,21 +317,21 @@ def is_grouplike(C, u):
     return C.coproduct_map().apply(u) == tuple(F.mul(a, b) for a in u for b in u)
 
 
-def grouplikes(C, comps):
-    """Group-like elements of C, read off comps, its irreducible components:
-    one per component with base residue field."""
+def grouplikes(C, comps, corad):
+    """Group-like elements of C, one per component with base residue field
+    among comps, its irreducible components: the coradical corad of C meets
+    such a component in the line of its group-like."""
+    F = C.field
     out = []
     for comp in comps:
         if comp.residue.degree != 1:
             continue
-        corad = coradical(comp.coalgebra, dual_radical(comp.coalgebra))
-        if corad.dim != 1:
+        line = corad.intersect(comp.subspace)
+        if line.dim != 1:
             raise AssertionError("a component with base residue field has a "
                                  "coradical of dimension other than 1")
-        v = corad.basis()[0]
-        eps = comp.coalgebra.counit_value(v)
-        g_local = vec_scale(C.field, C.field.inv(eps), v)
-        g = comp.inclusion.apply(g_local)
+        v = line.basis()[0]
+        g = vec_scale(F, F.inv(C.counit_value(v)), v)
         if not is_grouplike(C, g):
             raise AssertionError("component candidate is not group-like")
         out.append(g)
@@ -520,10 +524,11 @@ def cofree_universal_map(tc, B, theta):
     """
     cof = tc.coalgebra
     F = cof.field
-    corad = coradical(B, dual_radical(B))
+    rad = dual_radical(B)
+    corad = coradical(B, rad)
     if corad.dim != 1:
         raise ValueError("test coalgebra is not connected")
-    chain = coradical_filtration(B, corad)
+    chain = coradical_filtration(B, rad)
     if len(chain) - 1 > tc.bound:
         raise ValueError("coradical filtration exceeds the truncation degree")
     for v in corad.basis():
@@ -554,7 +559,8 @@ def cofree_universal_map(tc, B, theta):
                     pairs.append((mu, nu))
         sysmat = Matrix(F, [[cof.delta[m][mu][nu] for m in idxs]
                             for mu, nu in pairs], len(idxs))
-        assert sysmat.rank() == len(idxs), "stratum system is not uniquely solvable"
+        if sysmat.rank() != len(idxs):
+            raise AssertionError("stratum system is not uniquely solvable")
         rhs = []
         for b in range(nb):
             col = []
@@ -576,6 +582,8 @@ def cofree_universal_map(tc, B, theta):
             for m, c in zip(idxs, sol):
                 rows[m][b] = c
     Fmap = GradedMap(B.space, cof.space, Matrix(F, rows, nb), 0)
-    assert is_coalgebra_morphism(Fmap, B, cof), "solved map is not a coalgebra morphism"
-    assert tc.projection.compose(Fmap).matrix == theta.matrix
+    if not is_coalgebra_morphism(Fmap, B, cof):
+        raise AssertionError("solved map is not a coalgebra morphism")
+    if tc.projection.compose(Fmap).matrix != theta.matrix:
+        raise AssertionError("solved map does not project to theta")
     return Fmap

@@ -10,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
-from .supercoalgebra import (
-    coradical, coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike,
-    subcoalgebra_on,
-)
+from .supercoalgebra import dualize_coalgebra, is_grouplike, subcoalgebra_on
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _null_space_sparse,
     _parity_defects, _rref_sparse, _sparse_columns, flat_columns, linear_form,
@@ -274,26 +271,6 @@ def cotensor(M, N):
 
 
 # ---------------------------------------------------------------------------
-# socle filtration
-
-def socle_filtration(M):
-    """M_n = ker(M -> M (x) C/A_n) along the coradical filtration A_n."""
-    C = M.coalgebra
-    chain = coradical_filtration(C, coradical(C, dual_radical(C)))
-    psi = M.coaction_map()
-    ident = GradedMap.identity(M.space)
-    out = []
-    full = Subspace.full(M.space)
-    for stage in chain:
-        _, proj, _ = quotient_data(C.space, stage)
-        out.append(tensor_after(ident, proj, psi).kernel())
-        if out[-1] == full:
-            break
-    assert out[-1] == full, "socle filtration did not exhaust the comodule"
-    return out
-
-
-# ---------------------------------------------------------------------------
 # flatness via dual freeness
 
 @dataclass(frozen=True)
@@ -345,8 +322,8 @@ def flat_check(M):
         for t in range(dual.dim):
             generated.append(basis_acts[t].apply(lift))
         span = Subspace.from_vectors(dual_space, generated)
-    assert span == Subspace.full(dual_space), \
-        "echelon lifts fail to generate over the local dual algebra"
+    if span != Subspace.full(dual_space):
+        raise AssertionError("echelon lifts fail to generate over the local dual algebra")
     r = len(kept)
     r_even = sum(1 for _, p in kept if p == 0)
     rank = (r_even, r - r_even)

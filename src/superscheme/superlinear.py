@@ -855,12 +855,13 @@ def linear_form(space, values, parity=0):
                      Matrix(F, [values], space.dim), parity)
 
 
-def perp(sub):
-    """{f in V* : f(s) = 0 for all s in S}, as a subspace of the dual."""
-    dual = sub.space.dual()
+def perp(sub, space=None):
+    """{f in V* : f(s) = 0 for all s in S}, V the space of S, as a subspace
+    of space (by default V*) read in the dual basis."""
+    space = sub.space.dual() if space is None else space
     if sub.dim == 0:
-        return Subspace.full(dual)
-    return Subspace(dual, sub.matrix.null_space())
+        return Subspace.full(space)
+    return Subspace(space, sub.matrix.null_space())
 
 
 def coordinates(sub, vecs):

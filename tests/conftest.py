@@ -11,13 +11,16 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
 
 from superscheme.fields import Field  # noqa: E402
 from superscheme.formal_scheme import FormalSuperscheme, points  # noqa: E402
-from superscheme.supercoalgebra import is_grouplike_over  # noqa: E402
+from superscheme.supercoalgebra import (  # noqa: E402
+    coradical_filtration, dual_radical, is_grouplike_over,
+)
 from superscheme.supercomodule import (  # noqa: E402
     comodule_along, regular_comodule, subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, tensor_apply,
-    tensor_blocks, unit_vec, vec_add, vec_scale, zero_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, quotient_data,
+    tensor_after, tensor_apply, tensor_blocks, unit_vec, vec_add, vec_scale,
+    zero_vec,
 )
 
 
@@ -85,6 +88,62 @@ def ideal_by_fixpoint(A, elements):
 @pytest.fixture
 def ideal_oracle():
     return ideal_by_fixpoint
+
+
+def wedge_by_kernel(C, X, Y):
+    """Reference for supercoalgebra.wedge: the kernel of
+    C -> C (x) C -> C/X (x) C/Y."""
+    _, proj_x, _ = quotient_data(C.space, X)
+    _, proj_y, _ = quotient_data(C.space, Y)
+    return tensor_after(proj_x, proj_y, C.coproduct_map()).kernel()
+
+
+def filtration_by_wedge_powers(C, corad):
+    """Reference for supercoalgebra.coradical_filtration: C_0 = corad, the
+    coradical of C, and C_(k+1) = C_k ^ C_0 by wedge_by_kernel, ending at C
+    itself."""
+    if C.dim == 0:
+        return [Subspace.zero(C.space)]
+    chain = [corad]
+    full = Subspace.full(C.space)
+    while chain[-1] != full:
+        nxt = wedge_by_kernel(C, chain[-1], chain[0])
+        assert nxt != chain[-1], "coradical filtration stalled below the whole space"
+        chain.append(nxt)
+        assert len(chain) <= C.dim + 1, "coradical filtration failed to stabilize"
+    return chain
+
+
+@pytest.fixture(scope="session")
+def wedge_oracle():
+    return wedge_by_kernel
+
+
+@pytest.fixture(scope="session")
+def filtration_oracle():
+    return filtration_by_wedge_powers
+
+
+def socle_by_filtration(M):
+    """M_n = ker(M -> M (x) C/A_n) along the coradical filtration A_n of the
+    coalgebra C of M."""
+    C = M.coalgebra
+    psi = M.coaction_map()
+    ident = GradedMap.identity(M.space)
+    out = []
+    full = Subspace.full(M.space)
+    for stage in coradical_filtration(C, dual_radical(C)):
+        _, proj, _ = quotient_data(C.space, stage)
+        out.append(tensor_after(ident, proj, psi).kernel())
+        if out[-1] == full:
+            break
+    assert out[-1] == full, "socle filtration did not exhaust the comodule"
+    return out
+
+
+@pytest.fixture(scope="session")
+def socle_filtration():
+    return socle_by_filtration
 
 
 def _dense_cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):

@@ -14,8 +14,8 @@ from superscheme.superalgebra import (
     quotient_by_superideal, radical, tensor_superalgebra, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
-    direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra, grouplikes,
-    irreducible_components, odd_part_coideal, quotient_by_coideal,
+    coradical, direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
+    grouplikes, irreducible_components, odd_part_coideal, quotient_by_coideal,
     tensor_coalgebra, truncated_cofree, unit_coalgebra, validate_supercoalgebra,
 )
 from superscheme.supercomodule import (
@@ -59,7 +59,8 @@ def test_coalgebra_builders_give_valid_structures(F, name):
     C = _named(canonical_coalgebras, F, name)
     K = unit_coalgebra(F)
     assert validate_superalgebra(dualize_coalgebra(C)) == []
-    comps = irreducible_components(C, dual_radical(C))
+    rad = dual_radical(C)
+    comps = irreducible_components(C, rad)
     for comp in comps:
         assert validate_supercoalgebra(comp.coalgebra) == []
         M, _, _ = subcoalgebra_comodule(C, comp.subspace)
@@ -71,7 +72,7 @@ def test_coalgebra_builders_give_valid_structures(F, name):
     assert validate_supercoalgebra(quot) == []
     assert validate_supercoalgebra(tensor_coalgebra(C, divided_power(1, F))) == []
     assert validate_supercoalgebra(direct_sum_coalgebra([C, K])) == []
-    for g in grouplikes(C, irreducible_components(C, dual_radical(C))):
+    for g in grouplikes(C, comps, coradical(C, rad)):
         assert validate_comodule(trivial_comodule(C, g, 1, 1)) == []
     W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
     assert validate_comodule(free_comodule(W, C)) == []

@@ -1,18 +1,22 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
+from superscheme.superalgebra import make_superalgebra
 from superscheme.superlinear import (
     GradedMap, Matrix, Subspace, standard_space, unit_vec,
 )
 from superscheme.supercoalgebra import (
     SearchBoundExceeded, SuperCoalgebra, cofree_universal_map, coradical,
-    coradical_filtration, dual_radical, dualize_algebra, dualize_coalgebra, grouplikes,
-    grouplikes_over, irreducible_components, is_coideal, is_grouplike,
-    is_subcoalgebra, make_supercoalgebra, quotient_by_coideal, odd_part_coideal,
-    tensor_coalgebra,
-    truncated_cofree, unit_coalgebra, validate_supercoalgebra, wedge,
+    coradical_filtration, direct_sum_coalgebra, dual_radical, dualize_algebra,
+    dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
+    is_coalgebra_morphism, is_coideal, is_grouplike, is_subcoalgebra,
+    make_supercoalgebra, odd_part_coideal, quotient_by_coideal, subcoalgebra_on,
+    tensor_coalgebra, truncated_cofree, unit_coalgebra, validate_supercoalgebra,
+    wedge,
 )
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
@@ -22,6 +26,12 @@ from superscheme.corpus import (
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+_F9 = ExtensionField(F3, (1, 0, 1), "j")
+
+
+def _grouplikes(C):
+    rad = dual_radical(C)
+    return grouplikes(C, irreducible_components(C, rad), coradical(C, rad))
 
 
 def test_broken_counit_detected():
@@ -70,6 +80,29 @@ def test_is_subcoalgebra_examples():
     xonly = Subspace.from_vectors(C.space, [unit_vec(QQ, 2, 1)])
     assert not is_subcoalgebra(C, xonly)
     assert is_subcoalgebra(D, Subspace.full(D.space))
+
+
+def test_subcoalgebra_on_accepts_exactly_the_subcoalgebras():
+    """subcoalgebra_on rebuilds each delta(w) from its entries on the pivot
+    columns; it must accept exactly the subspaces is_subcoalgebra accepts,
+    here every coordinate subspace of small coalgebras, in the standard
+    and in a dense basis."""
+    rng = Rng(17)
+    for F in (QQ, F3):
+        cases = canonical_coalgebras(F) + [
+            ("dense Grassmann(2)*", _dense_basis_dual(grassmann(2, F), rng))]
+        for name, C in cases:
+            for size in range(C.dim + 1):
+                for cols in itertools.combinations(range(C.dim), size):
+                    W = Subspace.from_vectors(C.space, [unit_vec(F, C.dim, c) for c in cols])
+                    try:
+                        sub, incl = subcoalgebra_on(C, W)
+                    except ValueError:
+                        assert not is_subcoalgebra(C, W), (name, cols)
+                        continue
+                    assert is_subcoalgebra(C, W), (name, cols)
+                    assert validate_supercoalgebra(sub) == [], (name, cols)
+                    assert is_coalgebra_morphism(incl, sub, C), (name, cols)
 
 
 def test_quotient_by_coideal():
@@ -128,12 +161,12 @@ def test_filtration_examples():
                     (dualize_algebra(split_pair()), [2]),
                     (dualize_algebra(grassmann(2)), [1, 3, 4]),
                     (dualize_algebra(grassmann(3)), [1, 4, 7, 8])]:
-        assert [s.dim for s in coradical_filtration(C, coradical(C, dual_radical(C)))] == dims
+        assert [s.dim for s in coradical_filtration(C, dual_radical(C))] == dims
 
 
 def test_filtration_stabilizes_within_dim_steps():
     for name, C in canonical_coalgebras(QQ):
-        chain = coradical_filtration(C, coradical(C, dual_radical(C)))
+        chain = coradical_filtration(C, dual_radical(C))
         assert len(chain) <= C.dim + 1, name
         assert chain[-1] == Subspace.full(C.space)
         for a, b in zip(chain, chain[1:]):
@@ -143,12 +176,75 @@ def test_filtration_stabilizes_within_dim_steps():
 def test_filtration_wedge_superadditivity():
     # A_m wedge A_n <= A_{m+n+1}
     for C in (divided_power(3), dualize_algebra(grassmann(2))):
-        chain = coradical_filtration(C, coradical(C, dual_radical(C)))
+        chain = coradical_filtration(C, dual_radical(C))
         ext = chain + [chain[-1]] * (2 * len(chain))
         for m in range(len(chain)):
             for n in range(len(chain)):
                 w = wedge(C, chain[m], chain[n])
                 assert ext[m + n + 1].contains_subspace(w)
+
+
+def _dense_basis_dual(A, rng):
+    """The dual of A in the dense basis b'_i = sum_j P_ij b_j, P = LU with L
+    and U unitriangular within each parity block, so the echelon basis of
+    the radical of its dual algebra is not made of unit vectors."""
+    F, n, parities = A.field, A.dim, A.space.parities
+
+    def unitriangular(lower):
+        return Matrix(F, [[F.one if i == j else rng.scalar(F)
+                           if (i > j) == lower and parities[i] == parities[j]
+                           else F.zero for j in range(n)] for i in range(n)], n)
+
+    P = unitriangular(True).mul(unitriangular(False))
+    basis = P.rows
+    products = P.transpose().solve([A.multiply(x, y) for x in basis for y in basis])
+    mul = [[products[i * n + j] for j in range(n)] for i in range(n)]
+    unit = P.transpose().solve([A.unit])[0]
+    return dualize_algebra(make_superalgebra(A.space, mul, unit))
+
+
+def _filtration_cases(F):
+    """Coalgebras over F with one and with several components, and
+    Grassmann duals in a dense basis."""
+    rng = Rng(16)
+    cases = canonical_coalgebras(F) + [
+        ("(k x k)*", dualize_algebra(split_pair(F))),
+        ("D2 + G2", direct_sum_coalgebra([divided_power(2, F), grouplike_coalgebra(2, F)])),
+    ]
+    cases += [(f"dense Grassmann({q})*", _dense_basis_dual(grassmann(q, F), rng))
+              for q in (2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("F", [QQ, F3, _F9], ids=["Q", "F3", "F9"])
+def test_wedge_and_filtration_match_kernel_oracle(F, wedge_oracle, filtration_oracle):
+    """wedge and coradical_filtration, read in C*, against the kernel of
+    C -> C/X (x) C/Y and its wedge powers of the coradical."""
+    rng = Rng(61)
+    for name, C in _filtration_cases(F):
+        assert validate_supercoalgebra(C) == [], name
+        rad = dual_radical(C)
+        chain = coradical_filtration(C, rad)
+        assert chain == filtration_oracle(C, coradical(C, rad)), name
+        comps = irreducible_components(C, rad)
+        subspaces = [Subspace.zero(C.space), chain[0], chain[min(1, len(chain) - 1)],
+                     comps[-1].subspace, Subspace.from_vectors(
+                         C.space, [[rng.scalar(F) for _ in range(C.dim)]
+                                   for _ in range(1 + rng.randint(C.dim))])]
+        for X in subspaces:
+            for Y in subspaces:
+                assert wedge(C, X, Y) == wedge_oracle(C, X, Y), name
+
+
+def test_grassmann_dual_filtration_closed_form():
+    """C_k of Grassmann(n)* is spanned by the duals of the monomials of
+    degree at most k: dim C_k = sum over i <= k of binomial(n, i)."""
+    for F, top in ((QQ, 6), (F3, 4)):
+        for n in range(top + 1):
+            C = dualize_algebra(grassmann(n, F))
+            dims = [s.dim for s in coradical_filtration(C, dual_radical(C))]
+            assert dims == [sum(math.comb(n, i) for i in range(k + 1))
+                            for k in range(n + 1)], (F.describe(), n)
 
 
 def test_components_examples():
@@ -172,22 +268,22 @@ def test_component_decomposition_invariants():
             for b in comps[i + 1:]:
                 assert a.subspace.intersect(b.subspace).dim == 0
         base_count = sum(1 for c in comps if c.residue.is_base)
-        assert base_count == len(grouplikes(C, irreducible_components(C, dual_radical(C)))), name
+        assert base_count == len(_grouplikes(C)), name
 
 
 def test_grouplikes_examples():
     KK = dualize_algebra(split_pair())
-    gls = grouplikes(KK, irreducible_components(KK, dual_radical(KK)))
+    gls = _grouplikes(KK)
     assert sorted(gls) == [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
     D = divided_power(3)
-    assert grouplikes(D, irreducible_components(D, dual_radical(D))) == [unit_vec(QQ, 4, 0)]
+    assert _grouplikes(D) == [unit_vec(QQ, 4, 0)]
     C9 = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
-    assert grouplikes(C9, irreducible_components(C9, dual_radical(C9))) == []
+    assert _grouplikes(C9) == []
 
 
 def test_grouplikes_always_even():
     for name, C in canonical_coalgebras(QQ):
-        for g in grouplikes(C, irreducible_components(C, dual_radical(C))):
+        for g in _grouplikes(C):
             for i, c in enumerate(g):
                 if not QQ.is_zero(c):
                     assert C.parity(i) == 0, name
@@ -200,7 +296,7 @@ def test_grouplikes_structural_vs_brute_force():
         for name, C in canonical_coalgebras(field):
             if C.dim > 4:
                 continue
-            structural = grouplikes(C, irreducible_components(C, dual_radical(C)))
+            structural = _grouplikes(C)
             brute = grouplikes_over(C, k_as_algebra)
             assert len(structural) == len(brute), (field.p, name)
             brute_vecs = sorted(tuple(u[0]) for u in brute)
@@ -253,7 +349,7 @@ def test_tensor_coalgebra_examples():
     assert T.delta == C.delta and T.counit == C.counit
     KK = dualize_algebra(split_pair())
     T4 = tensor_coalgebra(KK, KK)
-    assert len(grouplikes(T4, irreducible_components(T4, dual_radical(T4)))) == 4
+    assert len(_grouplikes(T4)) == 4
     GG = tensor_coalgebra(dualize_algebra(grassmann(1)),
                           dualize_algebra(grassmann(1)))
     assert validate_supercoalgebra(GG) == []
@@ -348,7 +444,6 @@ def _edited(table, F, edits):
     return out
 
 
-_F9 = ExtensionField(F3, (1, 0, 1), "j")
 
 # The dual of Grassmann(2) with edited coproducts (and possibly another
 # counit), and the complete problem list in the validator's order: parity

@@ -14,8 +14,7 @@ from superscheme.supercomodule import (
     NotConnected, SuperComodule, base_change_comodule, check_dual_action_axioms,
     cosocle_epi, cotensor, dual_action, dual_action_of, exactness_probe,
     faithfulness_probe, flat_check, free_comodule, is_comodule_morphism,
-    make_supercomodule, quotient_comodule, regular_comodule, socle_filtration,
-    subcoalgebra_comodule,
+    make_supercomodule, quotient_comodule, regular_comodule, subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
 from superscheme.corpus import (
@@ -155,7 +154,7 @@ def _module_tensor_dim(M, N):
     return nm * nn - rank
 
 
-def test_socle_filtration_examples():
+def test_socle_filtration_examples(socle_filtration):
     D = divided_power(3)
     M = regular_comodule(D)
     stages = socle_filtration(M)
