@@ -14,8 +14,8 @@ from .superalgebra import local_decomposition, radical
 from .supercoalgebra import (
     base_change_coalgebra, coradical, coradical_filtration,
     direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
-    irreducible_components, is_coalgebra_morphism, is_subcoalgebra,
-    is_grouplike_over, subcoalgebra_on, tensor_coalgebra, _koszul_signed,
+    irreducible_components, is_coalgebra_morphism, is_grouplike_over,
+    NotSubcoalgebra, subcoalgebra_on, tensor_coalgebra, _koszul_signed,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, regular_comodule,
@@ -330,11 +330,11 @@ def fiber_product(f, g, with_projections=False):
     if f.target is not g.target and f.target != g.target:
         raise ValueError("fiber product needs a shared target")
     carrier, A1, A2 = _fiber_product_carrier(f, g)
-    big = tensor_coalgebra(A1, A2)
-    if not is_subcoalgebra(big, carrier):
+    try:
+        sub, incl = subcoalgebra_on(tensor_coalgebra(A1, A2), carrier, prefix="w")
+    except NotSubcoalgebra as exc:
         raise CotensorNotSubcoalgebra(
-            "restricted coproduct does not close on the cotensor carrier")
-    sub, incl = subcoalgebra_on(big, carrier, prefix="w")
+            "restricted coproduct does not close on the cotensor carrier") from exc
     scheme = FormalSuperscheme.finite(sub)
     if not with_projections:
         return scheme

@@ -554,7 +554,6 @@ def _word_basis(A, generators):
 
     Words are (parent_index, generator_index) pairs; index 0 is the unit.
     """
-    F = A.field
     words = [(-1, -1)]
     values = [A.unit]
     span = Subspace.from_vectors(A.space, [A.unit])
@@ -564,11 +563,10 @@ def _word_basis(A, generators):
         for w in frontier:
             for gi, g in enumerate(generators):
                 val = A.multiply(values[w], g)
-                grown = span.sum(Subspace.from_vectors(A.space, [val]))
-                if grown.dim > span.dim:
+                if not span.contains(val):
                     words.append((w, gi))
                     values.append(val)
-                    span = grown
+                    span = Subspace.from_vectors(A.space, values)
                     nxt.append(len(words) - 1)
         frontier = nxt
     return words, values, span

@@ -23,6 +23,10 @@ from .superlinear import (
 )
 
 
+class NotSubcoalgebra(ValueError):
+    """delta(W) does not lie in W (x) W."""
+
+
 class SearchBoundExceeded(RuntimeError):
     pass
 
@@ -200,7 +204,7 @@ def subcoalgebra_on(C, W, prefix="v"):
     images = [C.coproduct_map().apply(v) for v in basis]
     coords = [tuple(v[a * C.dim + b] for a in pivots for b in pivots) for v in images]
     if list(tensor_apply(incl, incl, coords)) != images:
-        raise ValueError("subspace is not a subcoalgebra")
+        raise NotSubcoalgebra("subspace is not a subcoalgebra")
     counit = [C.counit_value(v) for v in basis]
     sub = make_supercoalgebra(space, tensor_blocks(coords, m, m), counit)
     return sub, incl

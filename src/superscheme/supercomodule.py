@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
+from .superalgebra import (
+    _combination, _semisimple_idempotent, quotient_by_superideal, radical,
+)
 from .supercoalgebra import dualize_coalgebra, is_grouplike, subcoalgebra_on
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _null_space_sparse,
@@ -305,12 +307,12 @@ def flat_check(M):
     mats = dual_action(M)
     dual_space = M.space.dual()
     # on M* each w acts by the transpose of its action, whose columns are
-    # the rows of the action itself
+    # the rows of the action itself: a lift goes to the combination of the
+    # rows of mats[t] that its entries give
     radM = Subspace.from_vectors(
         dual_space, [row for w in rad.subspace.basis()
                      for row in dual_action_of(M, mats, w).rows])
     qspace, _, section = quotient_data(dual_space, radM)
-    basis_acts = [m.transpose() for m in mats]
     kept = []
     span = radM
     for i in range(qspace.dim):
@@ -320,7 +322,7 @@ def flat_check(M):
         kept.append((lift, qspace.parities[i]))
         generated = list(span.basis())
         for t in range(dual.dim):
-            generated.append(basis_acts[t].apply(lift))
+            generated.append(_combination(F, lift, mats[t].rows))
         span = Subspace.from_vectors(dual_space, generated)
     if span != Subspace.full(dual_space):
         raise AssertionError("echelon lifts fail to generate over the local dual algebra")
@@ -332,9 +334,9 @@ def flat_check(M):
     cols = []
     for lift, _ in kept:
         for t in range(dual.dim):
-            cols.append(basis_acts[t].apply(lift))
-    phi = Matrix(F, cols, M.dim).transpose()
-    if phi.rank() == M.dim:
+            cols.append(_combination(F, lift, mats[t].rows))
+    # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
+    if Matrix(F, cols, M.dim).rank() == M.dim:
         return FlatVerdict(True, rank)
     return FlatVerdict(False)
 

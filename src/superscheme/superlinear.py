@@ -25,10 +25,9 @@ def _plain_char(F):
     """p for F_p, 0 for Q, None for any other field.
 
     Over F_p and Q the elements are plain ints in [0, p) and Fractions, so
-    the exact kernels below test zero by truthiness and inline the
-    arithmetic (with ``% p`` over F_p); every other field, and any field
-    that only wraps one of these, takes the generic path through the Field
-    methods, which the tests use as the oracle.
+    _sum_ops, the one accumulation rule, sums products on plain values;
+    every other field, and any field that only wraps one of these, sums
+    through the Field methods, which the tests use as the oracle.
     """
     kind = type(F)
     if kind is PrimeField:
@@ -48,6 +47,8 @@ class Matrix:
     The rref and the nonzero entries of each row are cached.  A cached rref
     of (None, pivots) marks a matrix that is its own rref.  A matrix built
     from its support by ``_echelon`` makes its dense rows on first use.
+    Every field takes the same path: one sparse elimination, products
+    summed by _sum_ops, and the Field methods everywhere else.
     """
 
     __slots__ = ("field", "rows", "nrows", "ncols", "_rref", "_support")
@@ -71,13 +72,12 @@ class Matrix:
 
     @classmethod
     def _echelon(cls, field, red, pivots, ncols, nrows=None):
-        """The reduced echelon matrix with the sparse rows red (index ->
-        entry dicts) over these pivots, then zero rows up to nrows; it is
-        marked as its own rref."""
+        """The reduced echelon matrix with the sparse rows red (sorted
+        (index, entry) pairs) over these pivots, then zero rows up to nrows;
+        it is marked as its own rref."""
         out = cls.__new__(cls)
         out.field, out.ncols = field, ncols
-        out._support = (tuple(tuple(sorted(r.items())) for r in red)
-                        + ((),) * ((nrows or len(red)) - len(red)))
+        out._support = tuple(red) + ((),) * ((nrows or len(red)) - len(red))
         out.nrows = len(out._support)
         out._rref = (None, tuple(pivots))
         return out
@@ -124,14 +124,13 @@ class Matrix:
         F = self.field
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        p = _plain_char(F)
-        pairs = zip(self.rows, other.rows)
-        if p is None:
-            rows = [[F.add(a, b) for a, b in zip(r, s)] for r, s in pairs]
-        elif p:
-            rows = [[(a + b) % p for a, b in zip(r, s)] for r, s in pairs]
-        else:
-            rows = [[a + b for a, b in zip(r, s)] for r, s in pairs]
+        add = F.add
+        rows = []
+        for r, s in zip(self.rows, other.support()):
+            row = list(r)
+            for j, b in s:
+                row[j] = add(row[j], b)
+            rows.append(row)
         return Matrix(F, rows, self.ncols)
 
     def sub(self, other):
@@ -149,45 +148,28 @@ class Matrix:
         return self._support
 
     def mul(self, other):
+        """Row r of the product is other^T applied to row r of self: the
+        sparse tensor kernel with g = id_k."""
         F = self.field
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        cols = other.ncols
-        p = _plain_char(F)
-        out = []
-        if p is not None:
-            osupp = other.support()
-            for r in self.rows:
-                acc = [F.zero] * cols
-                for a, o in zip(r, osupp):
-                    if a:
-                        for j, b in o:
-                            acc[j] += a * b
-                out.append([x % p for x in acc] if p else acc)
-            return Matrix(F, out, cols)
-        for r in self.rows:
-            terms = [(a, other.rows[k]) for k, a in enumerate(r) if not F.is_zero(a)]
-            row = []
-            for j in range(cols):
-                acc = F.zero
-                for a, o in terms:
-                    acc = F.add(acc, F.mul(a, o[j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(F, out, cols)
+        return Matrix(F, _dense(F, other.ncols, _tensor_apply_sparse(
+            F, other.support(), [[(0, F.one)]], 1, (), self.support())), other.ncols)
 
     def apply(self, vec):
         F = self.field
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        p = _plain_char(F)
-        if p is None:
-            return tuple(_dot(F, row, vec) for row in self.rows)
-        terms = [(j, b) for j, b in enumerate(vec) if b]
-        if p:
-            return tuple(sum(row[j] * b for j, b in terms) % p for row in self.rows)
-        return tuple(sum((row[j] * b for j, b in terms if row[j]), F.zero)
-                     for row in self.rows)
+        add, mul, zero = F.add, F.mul, F.zero
+        terms = dict(F.nonzeros(vec))
+        out = []
+        for row in self.support():
+            acc = zero
+            for j, a in row:
+                if j in terms:
+                    acc = add(acc, mul(a, terms[j]))
+            out.append(acc)
+        return tuple(out)
 
     def stack(self, other):
         if self.ncols != other.ncols:
@@ -199,16 +181,8 @@ class Matrix:
         if self._rref is not None:
             red, pivots = self._rref
             return (self if red is None else red), pivots
-        F = self.field
-        p = _plain_char(F)
-        if p is None:
-            red, pivots = _rref_sparse(F, map(dict, self.support()))
-            red = Matrix._echelon(F, red, pivots, self.ncols, self.nrows)
-        else:
-            rows = [list(r) for r in self.rows]
-            pivots = _rref_plain(rows, self.ncols, p)
-            red = Matrix(F, rows, self.ncols)
-            red._rref = (None, pivots)
+        red, pivots = _rref_sparse(self.field, self.support())
+        red = Matrix._echelon(self.field, red, pivots, self.ncols, self.nrows)
         self._rref = (red, pivots)
         return red, pivots
 
@@ -222,24 +196,15 @@ class Matrix:
         if red.nrows == len(pivots):
             return red
         # an rref with its zero rows dropped is its own rref
-        out = Matrix(self.field, red.rows[:len(pivots)], self.ncols)
-        out._rref = (None, pivots)
-        return out
+        return Matrix._echelon(self.field, red.support()[:len(pivots)], pivots,
+                               self.ncols)
 
     def null_space(self):
         """Canonical matrix whose rows span {v : M v = 0}."""
-        F = self.field
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [F.zero] * self.ncols
-            v[fc] = F.one
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg(red.rows[r][fc])
-            basis.append(v)
-        return Matrix(F, basis, self.ncols).row_space()
+        kernel, kpivots = _null_space_sparse(self.field, red.support()[:len(pivots)],
+                                             pivots, self.ncols)
+        return Matrix._echelon(self.field, kernel, kpivots, self.ncols)
 
     def solve(self, bs):
         """Solutions x of M x = b, one per right-hand side b in bs, from one
@@ -252,9 +217,10 @@ class Matrix:
         if pivots and pivots[-1] >= n:
             return None
         out = [[F.zero] * n for _ in bs]
-        for row, pc in zip(red.rows, pivots):
-            for x, c in zip(out, row[n:]):
-                x[pc] = c
+        for row, pc in zip(red.support(), pivots):
+            for j, c in row:
+                if j >= n:
+                    out[j - n][pc] = c
         return [tuple(x) for x in out]
 
 
@@ -267,7 +233,8 @@ def _rref_sparse(F, rows):
     rows that hold it, found through a column -> pivot-rows index; only
     nonzeros are touched (LaMacchia-Odlyzko, CRYPTO 1990).  A pivot row's
     pivot stays its least column, so the rows in pivot order are the unique
-    reduced echelon form.  Returns (rows, pivots), the rows as dicts.
+    reduced echelon form.  Returns (rows, pivots), each row as sorted
+    (column, entry) pairs.
     """
     add, mul, neg, inv, is_zero = F.add, F.mul, F.neg, F.inv, F.is_zero
     one = F.one
@@ -312,69 +279,20 @@ def _rref_sparse(F, rows):
             if j != c:
                 holders.setdefault(j, set()).add(c)
     pivots = sorted(red)
-    return [red[c] for c in pivots], tuple(pivots)
+    return [tuple(sorted(red[c].items())) for c in pivots], tuple(pivots)
 
 
 def _null_space_sparse(F, red, pivots, ncols):
-    """Sparse RREF (rows as dicts, pivots) of {v : M v = 0}, from that of
-    M: one vector per free column, reduced by _rref_sparse."""
+    """Sparse RREF (rows as sorted pairs, pivots) of {v : M v = 0}, from
+    that of M: one vector per free column, reduced by _rref_sparse."""
     kernel = {c: {c: F.one} for c in range(ncols)}
     for c in pivots:
         del kernel[c]
     for row, c in zip(red, pivots):
-        for j, y in row.items():
+        for j, y in row:
             if j != c:
                 kernel[j][c] = F.neg(y)
     return _rref_sparse(F, kernel.values())
-
-
-def _rref_plain(rows, ncols, p):
-    """Dense Gauss-Jordan elimination in place on plain values: residues
-    mod p > 0, or Fractions for p = 0; returns the pivots.  Left of its
-    pivot the pivot row is zero, so only its nonzero columns from the pivot
-    on are scaled and eliminated."""
-    pivots = []
-    r = 0
-    n = len(rows)
-    for c in range(ncols):
-        for i in range(r, n):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        prow = rows[r]
-        lead = prow[c]
-        inv = pow(lead, p - 2, p) if p else 1 / lead
-        if p:
-            pairs = [(j, prow[j] * inv % p) for j in range(c, ncols) if prow[j]]
-        else:
-            pairs = [(j, prow[j] * inv) for j in range(c, ncols) if prow[j]]
-        for j, y in pairs:
-            prow[j] = y
-        for i in range(n):
-            row = rows[i]
-            fac = row[c]
-            if fac and i != r:
-                if p:
-                    for j, y in pairs:
-                        row[j] = (row[j] - fac * y) % p
-                else:
-                    for j, y in pairs:
-                        row[j] = row[j] - fac * y
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return tuple(pivots)
-
-
-def _dot(F, u, v):
-    acc = F.zero
-    for a, b in zip(u, v):
-        if not (F.is_zero(a) or F.is_zero(b)):
-            acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def vec_add(F, u, v):
@@ -673,14 +591,19 @@ def tensor_apply(f, g, vecs):
     _tensor_apply_sparse, and images are yielded one at a time.
     """
     F = f.domain.field
-    zero = F.zero
-    size = f.codomain.dim * g.codomain.dim
     odd = {k for k, q in enumerate(f.domain.parities) if q} if g.parity else ()
-    for image in _tensor_apply_sparse(F, _sparse_columns(f), _sparse_columns(g),
-                                      g.codomain.dim, odd, map(F.nonzeros, vecs)):
-        out = [zero] * size
-        for ij, c in image.items():
-            out[ij] = c
+    yield from _dense(F, f.codomain.dim * g.codomain.dim, _tensor_apply_sparse(
+        F, _sparse_columns(f), _sparse_columns(g), g.codomain.dim, odd,
+        map(F.nonzeros, vecs)))
+
+
+def _dense(F, n, images):
+    """Each index -> entry dict of images as a dense n-tuple, one at a time."""
+    zero = F.zero
+    for image in images:
+        out = [zero] * n
+        for j, c in image.items():
+            out[j] = c
         yield tuple(out)
 
 

@@ -289,3 +289,64 @@ class GenericField(Field):
 @pytest.fixture(scope="session")
 def generic_field():
     return GenericField
+
+
+def rref_by_gauss_jordan(F, rows, ncols):
+    """Reference for Matrix.rref over F_p and Q: dense Gauss-Jordan
+    elimination on plain values (residues mod p, or Fractions) with the
+    arithmetic inlined and no Field method.  Returns (rows, pivots), the
+    rows as dense tuples, zero rows last."""
+    p = F.char
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    n = len(rows)
+    for c in range(ncols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        inv = pow(prow[c], p - 2, p) if p else 1 / prow[c]
+        for j in range(c, ncols):
+            prow[j] = prow[j] * inv % p if p else prow[j] * inv
+        for i, row in enumerate(rows):
+            fac = row[c]
+            if fac and i != r:
+                for j in range(c, ncols):
+                    row[j] = (row[j] - fac * prow[j]) % p if p else row[j] - fac * prow[j]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def null_space_by_gauss_jordan(F, rows, ncols):
+    """Reference for Matrix.null_space over F_p and Q: one vector per free
+    column of the dense RREF, reduced by rref_by_gauss_jordan, zero rows
+    dropped."""
+    red, pivots = rref_by_gauss_jordan(F, rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] % F.char if F.char else -row[fc]
+        basis.append(v)
+    kernel, kernel_pivots = rref_by_gauss_jordan(F, basis, ncols)
+    return kernel[:len(kernel_pivots)]
+
+
+@pytest.fixture(scope="session")
+def rref_oracle():
+    return rref_by_gauss_jordan
+
+
+@pytest.fixture(scope="session")
+def null_space_oracle():
+    return null_space_by_gauss_jordan

@@ -551,3 +551,25 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, case, kind
     report, code = run([command, str(path)] + options)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_UNSUPPORTED, EXIT_IO), report
     assert any(line.startswith("status ") for line in report.splitlines()), report
+
+
+def test_fiber_product_reports_a_carrier_that_is_not_a_subcoalgebra(files, monkeypatch):
+    """fiber_product makes its one subcoalgebra test in subcoalgebra_on; a
+    graded carrier that fails it is a closure failure with exit 1."""
+    from superscheme import formal_scheme
+    from superscheme.superlinear import Subspace
+    real = formal_scheme._fiber_product_carrier
+
+    def skewed(f, g):
+        carrier, A1, A2 = real(f, g)
+        # g1 (x) g1 + g2 (x) g2 is even, but its coproduct has cross terms
+        # outside W (x) W
+        return Subspace.from_vectors(carrier.space, [[QQ.one, QQ.zero, QQ.zero, QQ.one]]), A1, A2
+
+    monkeypatch.setattr(formal_scheme, "_fiber_product_carrier", skewed)
+    tests_made = _count_calls(monkeypatch, "supercoalgebra", "subcoalgebra_on")
+    text, code = run(["fiber-product", files["collapse.mor"], "--f", "f", "--g", "f"])
+    assert (text, code) == ("superscheme-report error\nclosure-failure restricted "
+                            "coproduct does not close on the cotensor carrier\n"
+                            "status error\n", EXIT_FAIL)
+    assert len(tests_made) == 1

@@ -15,3 +15,31 @@ def test_no_bare_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _references(tree, name):
+    """The innermost enclosing function of every reference to name, as a
+    variable, an attribute or an import; "<module>" at top level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_field_arithmetic_in_one_place():
+    """Only _sum_ops, the one accumulation rule, asks which field it runs
+    over; every other kernel takes the same path for every field."""
+    found = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _references(ast.parse(path.read_text(encoding="utf-8")),
+                                      "_plain_char")}
+    assert found == {("superlinear.py", "_sum_ops")}

@@ -288,8 +288,8 @@ def plain_matrices(draw):
 
 
 def _dense(F, rows, n):
-    """Sparse rows (index -> entry dicts) as dense tuples."""
-    return tuple(tuple(r.get(j, F.zero) for j in range(n)) for r in rows)
+    """Sparse rows (sorted (index, entry) pairs) as dense tuples."""
+    return tuple(tuple(dict(r).get(j, F.zero) for j in range(n)) for r in rows)
 
 
 def _typed(rows):
@@ -300,10 +300,17 @@ def _typed(rows):
 @seed(2718)
 @given(plain_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_plain_kernels_match_generic_path(generic_field, case, data):
+def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space_oracle,
+                                         case, data):
     F, rows, n = case
     G = generic_field(F)
     fast, slow = Matrix(F, rows, n), Matrix(G, rows, n)
+    # Matrix runs one sparse elimination for every field; the dense
+    # Gauss-Jordan reference on plain values checks it from outside
+    want, want_pivots = rref_oracle(F, rows, n)
+    assert fast.rref()[1] == want_pivots
+    assert _typed(fast.rref()[0].rows) == _typed(want)
+    assert _typed(fast.null_space().rows) == _typed(null_space_oracle(F, rows, n))
     assert fast.rref()[1] == slow.rref()[1]
     for f_out, g_out in [(fast.rref()[0], slow.rref()[0]),
                          (fast.row_space(), slow.row_space()),
@@ -316,7 +323,7 @@ def test_plain_kernels_match_generic_path(generic_field, case, data):
     canon = fast.row_space()
     assert canon.rref() == (canon, fast.rref()[1]) and canon.row_space() is canon
     # the sparse elimination and its null space on the same rows, over F
-    # against _rref_plain and over G against Matrix.rref, which runs it
+    # and over G, against Matrix.rref and null_space, which run them
     for K, M in ((F, fast), (G, slow)):
         red, pivots = _rref_sparse(K, [dict(r) for r in M.support()])
         assert pivots == M.rref()[1]
@@ -406,11 +413,11 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
     st.just(n), st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
                          max_size=5))), st.data())
 @settings(max_examples=40, deadline=None)
-def test_sparse_elimination_over_f9(case, data):
-    """Over F9 Matrix.rref runs the sparse elimination itself.  Scaling the
-    rows of an F3 matrix by units of F9 and appending F9 combinations of
-    them keeps its row space, so the RREF and null space over F9 must be
-    those of _rref_plain over F3, embedded."""
+def test_sparse_elimination_over_f9(rref_oracle, null_space_oracle, case, data):
+    """Scaling the rows of an F3 matrix by units of F9 and appending F9
+    combinations of them keeps its row space, so the RREF and null space
+    over F9 must be those over F3, embedded: those of Matrix and those of
+    the dense Gauss-Jordan reference."""
     n, rows = case
     F9 = ExtensionField(F3, (1, 0, 1), "j")
     units = [a for a in F9.elements() if a != F9.zero]
@@ -425,6 +432,11 @@ def test_sparse_elimination_over_f9(case, data):
             combo = [F9.add(a, F9.mul(c, b)) for a, b in zip(combo, r)]
         mixed.append(combo)
     base = Matrix(F3, rows, n)
+    ref, ref_pivots = rref_oracle(F3, rows, n)
+    ref_kernel = null_space_oracle(F3, rows, n)
+    assert base.rref()[1] == ref_pivots
+    assert base.row_space().rows == ref[:len(ref_pivots)]
+    assert base.null_space().rows == ref_kernel
     want = Matrix(F9, [[F9.embed(x) for x in r] for r in base.row_space().rows], n)
     red, pivots = _rref_sparse(F9, [{j: x for j, x in enumerate(r) if x != F9.zero}
                                     for r in mixed])
