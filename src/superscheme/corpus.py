@@ -67,15 +67,13 @@ def grassmann(q, field=QQ):
     F = field
     mul = []
     for s in subsets:
-        row = []
         for t in subsets:
-            out = [F.zero] * n
+            col = []
             if not set(s) & set(t):
                 inversions = sum(1 for a in s for b in t if a > b)
                 merged = tuple(sorted(s + t))
-                out[index[merged]] = F.neg(F.one) if inversions % 2 else F.one
-            row.append(tuple(out))
-        mul.append(row)
+                col.append((index[merged], F.neg(F.one) if inversions % 2 else F.one))
+            mul.append(col)
     unit = [F.zero] * n
     unit[0] = F.one
     return make_superalgebra(space, mul, unit)
@@ -86,12 +84,7 @@ def divided_power(d, field=QQ):
     F = field
     labels = tuple(["g"] + [f"x{i}" for i in range(1, d + 1)])
     space = SuperVectorSpace(F, labels, (0,) * (d + 1))
-    delta = []
-    for n in range(d + 1):
-        mat = [[F.zero] * (d + 1) for _ in range(d + 1)]
-        for i in range(n + 1):
-            mat[i][n - i] = F.one
-        delta.append(mat)
+    delta = [[(i * (d + 1) + n - i, F.one) for i in range(n + 1)] for n in range(d + 1)]
     counit = [F.one] + [F.zero] * d
     return make_supercoalgebra(space, delta, counit)
 
@@ -102,8 +95,7 @@ def grouplike_coalgebra(n, field=QQ):
         raise ValueError("need at least one group-like")
     F = field
     space = SuperVectorSpace(F, tuple(f"g{i + 1}" for i in range(n)), (0,) * n)
-    delta = [[[F.one if (j == i and k == i) else F.zero for k in range(n)]
-              for j in range(n)] for i in range(n)]
+    delta = [[(i * n + i, F.one)] for i in range(n)]
     return make_supercoalgebra(space, delta, [F.one] * n)
 
 
@@ -125,14 +117,11 @@ def quotient_ring_algebra(poly, field=QQ, name="x"):
     space = SuperVectorSpace(F, labels, (0,) * deg)
     mul = []
     for i in range(deg):
-        row = []
         for j in range(deg):
             prod = [F.zero] * (i + j + 1)
             prod[i + j] = F.one
             _, rem = poly_divmod(F, prod, f)
-            out = list(rem) + [F.zero] * (deg - len(rem))
-            row.append(tuple(out[:deg]))
-        mul.append(row)
+            mul.append(enumerate(rem))
     unit = [F.one] + [F.zero] * (deg - 1)
     return make_superalgebra(space, mul, unit)
 
@@ -141,8 +130,7 @@ def split_pair(field=QQ):
     """k x k with idempotent basis."""
     F = field
     space = SuperVectorSpace(F, ("e1", "e2"), (0, 0))
-    mul = [[(F.one, F.zero), (F.zero, F.zero)],
-           [(F.zero, F.zero), (F.zero, F.one)]]
+    mul = [[(0, F.one)], [], [], [(1, F.one)]]
     return make_superalgebra(space, mul, (F.one, F.one))
 
 
@@ -286,20 +274,10 @@ def _direct_sum_comodule(M, N):
     from .supercomodule import make_supercomodule
     if M.coalgebra != N.coalgebra:
         raise AssertionError("direct sum of comodules over different coalgebras")
-    F = M.field
-    space = M.space.direct_sum(N.space)
-    n = space.dim
-    nc = M.coalgebra.dim
-    psi = [[[F.zero] * nc for _ in range(n)] for _ in range(n)]
-    for i in range(M.dim):
-        for j in range(M.dim):
-            for k in range(nc):
-                psi[i][j][k] = M.psi[i][j][k]
-    for i in range(N.dim):
-        for j in range(N.dim):
-            for k in range(nc):
-                psi[M.dim + i][M.dim + j][k] = N.psi[i][j][k]
-    return make_supercomodule(space, M.coalgebra, psi)
+    # m_j (x) c_k keeps its index j * nc + k; n_j (x) c_k moves to (dim M + j) * nc + k
+    shift = M.dim * M.coalgebra.dim
+    psi = M.psi + tuple([(jk + shift, c) for jk, c in col] for col in N.psi)
+    return make_supercomodule(M.space.direct_sum(N.space), M.coalgebra, psi)
 
 
 def _seeded_morphism(rng, seed, field):

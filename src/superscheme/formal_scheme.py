@@ -494,11 +494,10 @@ def _iterated_cotensor_tower(M, A, reg, depth):
     """
     F = M.field
     B_dim = reg.coalgebra.dim
-    rho = _sparse_columns(reg.coaction_map())
-    theta = _sparse_columns(reg.left_coaction_map())
+    rho, theta = reg.psi, reg.left_coaction()
     eps = _sparse_columns(A.counit_map())
     ident_A = _sparse_columns(GradedMap.identity(A.space))
-    levels = [_TowerLevel(M.space, _sparse_columns(M.coaction_map()))]
+    levels = [_TowerLevel(M.space, M.psi)]
     for n in range(1, depth + 1):
         prev = levels[-1]
         carrier = cotensor_kernel(prev.psi, theta, prev.space, A.space, B_dim)

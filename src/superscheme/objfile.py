@@ -13,9 +13,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
 from .superlinear import GradedMap, Matrix, Subspace, SuperVectorSpace
-from .superalgebra import SuperAlgebra
-from .supercoalgebra import SuperCoalgebra
-from .supercomodule import SuperComodule
+from .superalgebra import SuperAlgebra, make_superalgebra
+from .supercoalgebra import SuperCoalgebra, make_supercoalgebra
+from .supercomodule import SuperComodule, make_supercomodule
 from .formal_scheme import FormalSuperscheme, SchemeMorphism
 from .ksdim import presentation, presentation_morphism
 
@@ -225,23 +225,28 @@ def _index(token, n):
     return i
 
 
-def _triple_tensor(doc, po, keyword, n, ncols=None):
+def _triple_tensor(doc, po, keyword, n, w, count):
+    """The "keyword i j k c" lines of an n x n x w table as count columns
+    of n * n * w / count entries each: entry (i, j, k) has flat index
+    (i * n + j) * w + k = c * height + r, column c and row r.  The last line
+    for an entry counts; make_* drops the zeros."""
     F = doc.field
-    ncols = ncols if ncols is not None else n
-    tensor = [[[F.zero] * ncols for _ in range(n)] for _ in range(n)]
+    cols = [{} for _ in range(count)]
+    height = n * n * w // count if count else 0
     for lineno, tokens in po.lines:
         if tokens[0] != keyword:
             continue
         if len(tokens) != 5:
             raise ParseError(f"{keyword} line needs 3 indices and a scalar", lineno)
         try:
-            i, j, k = _index(tokens[1], n), _index(tokens[2], n), _index(tokens[3], ncols)
-            tensor[i][j][k] = F.parse(tokens[4])
+            i, j, k = _index(tokens[1], n), _index(tokens[2], n), _index(tokens[3], w)
+            c, r = divmod((i * n + j) * w + k, height)
+            cols[c][r] = F.parse(tokens[4])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad {keyword} entry: {exc}", lineno)
         except FieldError as exc:
             raise ParseError(str(exc), lineno)
-    return tuple(tuple(tuple(c) for c in row) for row in tensor)
+    return cols
 
 
 def _vector(doc, po, keyword, n):
@@ -262,17 +267,17 @@ def _vector(doc, po, keyword, n):
 def _build_algebra(doc, po):
     space = _collect_basis(doc, po)
     n = space.dim
-    mul = _triple_tensor(doc, po, "mul", n)
+    mul = _triple_tensor(doc, po, "mul", n, n, n * n)
     unit = _vector(doc, po, "unit", n)
-    return SuperAlgebra(space, mul, unit)
+    return make_superalgebra(space, mul, unit)
 
 
 def _build_coalgebra(doc, po):
     space = _collect_basis(doc, po)
     n = space.dim
-    delta = _triple_tensor(doc, po, "delta", n)
+    delta = _triple_tensor(doc, po, "delta", n, n, n)
     counit = _vector(doc, po, "counit", n)
-    return SuperCoalgebra(space, delta, counit)
+    return make_supercoalgebra(space, delta, counit)
 
 
 def _build_comodule(doc, po):
@@ -280,7 +285,8 @@ def _build_comodule(doc, po):
         raise ParseError(f"comodule {po.name} needs 'over <coalgebra>'")
     C = doc.get(po.over, "coalgebra")
     space = _collect_basis(doc, po)
-    return SuperComodule(space, C, _triple_tensor(doc, po, "coaction", space.dim, C.dim))
+    psi = _triple_tensor(doc, po, "coaction", space.dim, C.dim, space.dim)
+    return make_supercomodule(space, C, psi)
 
 
 def _build_morphism(doc, po):
@@ -435,13 +441,16 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 # serialization
 
-def _scalar_lines(F, keyword, tensor):
+def _scalar_lines(F, keyword, cols, n, w):
+    """One line per stored entry of an n x n x w table given as columns;
+    entry r of column c has flat index c * height + r = (i * n + j) * w + k,
+    which ascends as the lines do."""
+    height = n * n * w // len(cols) if cols else 0
     lines = []
-    for i, row in enumerate(tensor):
-        for j, cell in enumerate(row):
-            for k, c in enumerate(cell):
-                if not F.is_zero(c):
-                    lines.append(f"  {keyword} {i} {j} {k} {F.format(c)}")
+    for c, col in enumerate(cols):
+        for r, a in col:
+            i, jk = divmod(c * height + r, n * w)
+            lines.append(f"  {keyword} {i} {jk // w} {jk % w} {F.format(a)}")
     return lines
 
 
@@ -457,18 +466,19 @@ def serialize_object(name, value, F, over=None, endpoints=None):
         for l, p in zip(value.space.labels, value.space.parities):
             lines.append(f"  basis {l} {'odd' if p else 'even'}")
         lines.extend(_vector_lines(F, "unit", value.unit))
-        lines.extend(_scalar_lines(F, "mul", value.mul))
+        lines.extend(_scalar_lines(F, "mul", value.mul, value.dim, value.dim))
     elif isinstance(value, SuperCoalgebra):
         lines.append(f"object coalgebra {name}")
         for l, p in zip(value.space.labels, value.space.parities):
             lines.append(f"  basis {l} {'odd' if p else 'even'}")
         lines.extend(_vector_lines(F, "counit", value.counit))
-        lines.extend(_scalar_lines(F, "delta", value.delta))
+        lines.extend(_scalar_lines(F, "delta", value.delta, value.dim, value.dim))
     elif isinstance(value, SuperComodule):
         lines.append(f"object comodule {name} over {over}")
         for l, p in zip(value.space.labels, value.space.parities):
             lines.append(f"  basis {l} {'odd' if p else 'even'}")
-        lines.extend(_scalar_lines(F, "coaction", value.psi))
+        lines.extend(_scalar_lines(F, "coaction", value.psi, value.dim,
+                                   value.coalgebra.dim))
     elif isinstance(value, SchemeMorphism):
         src, dst = endpoints
         lines.append(f"object morphism {name} from {src} to {dst}")

@@ -1,7 +1,8 @@
 """Finite-dimensional supercommutative superalgebras by structure constants.
 
 Elements are coordinate tuples over the underlying super vector space.
-mul[i][j][k] is the coefficient of basis vector k in the product b_i * b_j.
+mul holds the sparse columns of m: A (x) A -> A: column i * n + j lists the
+(k, c) pairs, sorted by k with c nonzero, of b_i * b_j = sum c b_k.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _defects, _parity_defects, _sum_ops, coordinates,
-    linear_form, quotient_data, tensor_after, tensor_apply, tensor_blocks, twist,
-    twist_apply, unit_vec, vec_add, vec_scale, vec_sub, zero_vec,
+    GradedMap, Matrix, Subspace, _defects, _dense, _identity_columns, _parity_defects,
+    _sparse_columns, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
+    coordinates, quotient_data, tensor_after, twist, twist_apply, unit_vec, vec_add,
+    vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -45,13 +47,12 @@ class SuperAlgebra:
 
     @functools.cached_property
     def _terms(self):
-        """Per basis pair (i, j), the (k, c) pairs of b_i * b_j with c nonzero,
-        lifted over D by the field's accumulation rule; D; and the rule
-        (_sum_ops) itself."""
+        """Per basis pair (i, j), the (k, c) pairs of b_i * b_j, lifted over
+        D by the field's accumulation rule; D; and the rule (_sum_ops)
+        itself."""
         n = self.dim
-        nonzeros = self.field.nonzeros
         rule = _sum_ops(self.field)
-        cells, D = rule[0]([nonzeros(cell) for row in self.mul for cell in row])
+        cells, D = rule[0](self.mul)
         return [cells[i * n:(i + 1) * n] for i in range(n)], D, rule
 
     def multiply(self, x, y):
@@ -70,8 +71,8 @@ class SuperAlgebra:
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
-        return GradedMap.from_columns(self.space.tensor(self.space), self.space,
-                                      [v for row in self.mul for v in row])
+        return GradedMap.from_sparse_columns(self.space.tensor(self.space), self.space,
+                                             self.mul)
 
     def power(self, x, n):
         out = self.unit
@@ -87,9 +88,10 @@ class SuperAlgebra:
 
 
 def make_superalgebra(space, mul, unit):
-    """Constants as tuples. It does not validate: call validate_superalgebra."""
-    return SuperAlgebra(space, tuple(tuple(tuple(c) for c in row) for row in mul),
-                        tuple(unit))
+    """The algebra with these columns of m (see canonical_columns) and unit;
+    the one constructor.  It does not validate: call validate_superalgebra."""
+    n = space.dim
+    return SuperAlgebra(space, canonical_columns(space.field, mul, n * n, n), tuple(unit))
 
 
 def validate_superalgebra(A):
@@ -105,17 +107,14 @@ def validate_superalgebra(A):
     n = A.dim
     labels = A.space.labels
     sq = A.space.tensor(A.space)
-    products = [v for row in A.mul for v in row]
-    # raw maps of parity None, so that a parity violation is listed, not raised
-    cop = GradedMap(A.space, sq, Matrix(F, products, n), None)
-    unit = linear_form(A.space, A.unit, None)
-    ident = GradedMap.identity(A.space)
-    cols = cop.matrix.transpose().rows
+    cols = _transpose(A.mul, n)     # the columns of cop
+    ident = _identity_columns(F, n)
+    unit = _transpose([F.nonzeros(A.unit)], n)
     problems = [
         f"parity: {labels[ij // n]}*{labels[ij % n]} has a component on {labels[k]}"
-        for ij, k in _parity_defects(products, sq.parities, A.space.parities, F.zero)]
-    left = {j for _, j in _defects(tensor_apply(unit, ident, cols), ident.matrix.rows)}
-    right = {i for _, i in _defects(tensor_apply(ident, unit, cols), ident.matrix.rows)}
+        for ij, k in _parity_defects(A.mul, sq.parities, A.space.parities)]
+    left = {j for _, j in _defects(_tensor_apply_sparse(F, unit, ident, n, (), cols), ident)}
+    right = {i for _, i in _defects(_tensor_apply_sparse(F, ident, unit, 1, (), cols), ident)}
     for i in range(n):
         if i in left:
             problems.append(f"unit: 1*{labels[i]} != {labels[i]}")
@@ -128,10 +127,10 @@ def validate_superalgebra(A):
                 problems.append(
                     f"supercommutativity: {labels[i]}*{labels[j]} != "
                     f"(-1)^|x||y| {labels[j]}*{labels[i]}")
-        if A.parity(i) == 1 and A.mul[i][i] != zero_vec(F, n):
+        if A.parity(i) == 1 and A.mul[i * n + i]:
             problems.append(f"odd square: {labels[i]}^2 != 0")
-    lhs = tensor_apply(cop, ident, cols)
-    rhs = tensor_apply(ident, cop, cols)
+    lhs = _tensor_apply_sparse(F, cols, ident, n, (), cols)
+    rhs = _tensor_apply_sparse(F, ident, cols, n * n, (), cols)
     for ijk in sorted({r for _, r in _defects(lhs, rhs)}):
         i, jk = divmod(ijk, n * n)
         j, k = divmod(jk, n)
@@ -189,15 +188,8 @@ def quotient_by_superideal(A, ideal):
     """Quotient superalgebra by a Superideal and the projection map."""
     qspace, proj, section = quotient_data(A.space, ideal.subspace)
     F = A.field
-    n = qspace.dim
-    mul = []
-    for i in range(n):
-        row = []
-        xi = section.apply(unit_vec(F, n, i))
-        for j in range(n):
-            xj = section.apply(unit_vec(F, n, j))
-            row.append(proj.apply(A.multiply(xi, xj)))
-        mul.append(row)
+    lifts = [section.column(i) for i in range(qspace.dim)]
+    mul = [F.nonzeros(proj.apply(A.multiply(x, y))) for x in lifts for y in lifts]
     quot = make_superalgebra(qspace, mul, proj.apply(A.unit))
     return quot, proj
 
@@ -263,22 +255,16 @@ def _frobenius_kernel(A):
 def _trace_form_kernel(A):
     """Radical of a finite-dimensional algebra over a char-0 field: the kernel
     of the trace form (b_i, b_j) -> Tr(L_{b_i b_j}) = sum_k c_ijk Tr(L_{b_k}),
-    with Tr(L_{b_k}) = sum_i mul[k][i][i]."""
+    with Tr(L_{b_k}) the sum of the coefficients of b_i in b_k * b_i."""
     F = A.field
     n = A.dim
-    traces = [functools.reduce(F.add, (A.mul[k][i][i] for i in range(n)), F.zero)
+    traces = [functools.reduce(F.add, (c for i in range(n) for r, c in A.mul[k * n + i]
+                                       if r == i), F.zero)
               for k in range(n)]
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            tr = F.zero
-            for c, t in zip(A.mul[i][j], traces):
-                if not F.is_zero(c):
-                    tr = F.add(tr, F.mul(c, t))
-            row.append(tr)
-        gram.append(row)
-    return Subspace(A.space, Matrix(F, gram, n).null_space())
+    gram = [functools.reduce(F.add, (F.mul(c, traces[k]) for k, c in col), F.zero)
+            for col in A.mul]
+    return Subspace(A.space, Matrix(F, [gram[i * n:(i + 1) * n] for i in range(n)],
+                                    n).null_space())
 
 
 def radical(A):
@@ -459,7 +445,7 @@ def _subalgebra_on(A, sub, unit):
     if coords is None:
         raise AssertionError("a product or the unit escapes the subalgebra subspace")
     *products, ucoords = coords
-    B = make_superalgebra(space, tensor_blocks([products], sub.dim, sub.dim)[0], ucoords)
+    B = make_superalgebra(space, map(F.nonzeros, products), ucoords)
     return B, GradedMap.from_columns(space, A.space, basis)
 
 
@@ -602,9 +588,10 @@ def enumerate_homs(A, R, generators):
     basis_in_words = value_mat.solve(Matrix.identity(F, A.dim).rows)
     in_words = Matrix(F, basis_in_words, len(words)).transpose()
     built = set(words)
-    relations = [(w, gi, in_words.apply(A.multiply(values[w], g)))
+    relations = [(w, gi, F.nonzeros(in_words.apply(A.multiply(values[w], g))))
                  for w in range(len(words)) for gi, g in enumerate(gens)
                  if (w, gi) not in built]
+    basis_coeffs = [F.nonzeros(c) for c in basis_in_words]
     elems = sorted(F.elements(), key=F.sort_key)
     image_slots = [[i for i in range(R.dim) if R.parity(i) == p] for p in gen_parities]
     found = []
@@ -619,22 +606,24 @@ def enumerate_homs(A, R, generators):
         word_values = [R.unit]
         for parent, gi in words[1:]:
             word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
-        if any(R.multiply(word_values[w], gen_imgs[gi]) != _combination(F, c, word_values)
+        rows = [F.nonzeros(v) for v in word_values]
+        if any(R.multiply(word_values[w], gen_imgs[gi]) != _combination(F, c, rows, R.dim)
                for w, gi, c in relations):
             continue
         try:
             found.append(GradedMap.from_columns(
-                A.space, R.space, [_combination(F, c, word_values) for c in basis_in_words]))
+                A.space, R.space, [_combination(F, c, rows, R.dim) for c in basis_coeffs]))
         except ValueError:
             continue
     return found
 
 
-def _combination(F, coeffs, vecs):
-    out = zero_vec(F, len(vecs[0]))
-    for c, v in zip(coeffs, vecs):
-        if not F.is_zero(c):
-            out = vec_add(F, out, vec_scale(F, c, v))
+def _combination(F, coeffs, rows, n):
+    """The sum of c * rows[s] over the sparse coefficients (s, c), for
+    sparse rows of length n, as a dense tuple: a row times a matrix, summed
+    as in Matrix.mul."""
+    (out,) = _dense(F, n, _tensor_apply_sparse(F, rows, _identity_columns(F, 1), 1, (),
+                                               (coeffs,)))
     return out
 
 
@@ -648,11 +637,8 @@ def tensor_superalgebra(A, B):
     swap = twist(B.space, A.space).tensor(GradedMap.identity(B.space))
     mul = tensor_after(A.multiplication_map(), B.multiplication_map(),
                        GradedMap.identity(A.space).tensor(swap))
-    n = mul.codomain.dim
-    products = mul.matrix.transpose().rows
     unit = [F.mul(a, b) for a in A.unit for b in B.unit]
-    return make_superalgebra(mul.codomain,
-                             [products[i * n:(i + 1) * n] for i in range(n)], unit)
+    return make_superalgebra(mul.codomain, _sparse_columns(mul), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +705,15 @@ def monomial_superalgebra(field, p, q, degree, generators=(),
     n = len(monomials)
     mul = []
     for exps1, odds1 in monomials:
-        row = []
         for exps2, odds2 in monomials:
-            out = [F.zero] * n
+            col = []
             if not (odds1 & odds2):
                 exps = tuple(a + b for a, b in zip(exps1, exps2))
                 odds = odds1 | odds2
                 if sum(exps) + len(odds) <= degree and not in_ideal(exps, odds):
                     inv = sum(1 for a in odds1 for b in odds2 if a > b)
-                    out[index[(exps, odds)]] = F.neg(F.one) if inv % 2 else F.one
-            row.append(tuple(out))
-        mul.append(row)
+                    col.append((index[(exps, odds)], F.neg(F.one) if inv % 2 else F.one))
+            mul.append(col)
     unit = [F.zero] * n
     unit[index[((0,) * p, frozenset())]] = F.one
     alg = make_superalgebra(space, mul, unit)

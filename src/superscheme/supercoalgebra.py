@@ -1,6 +1,8 @@
 """Finite-dimensional super-cocommutative super-coalgebras.
 
-delta[i][j][k] is the coefficient of b_j (x) b_k in the coproduct of b_i.
+delta holds the sparse columns of the coproduct C -> C (x) C: column i
+lists the (j * n + k, c) pairs, sorted with c nonzero, of the terms
+c b_j (x) b_k of delta(b_i).
 Duality with superalgebras is the plain transpose of structure constants,
 which preserves all the super axioms in both directions.  Points over a
 superalgebra R pair C with its Koszul-signed dual instead (_koszul_signed).
@@ -16,10 +18,10 @@ from .superalgebra import (
     local_decomposition, monomial_superalgebra, radical,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _parity_defects,
-    flat_columns, linear_form, perp, quotient_data, tensor_after,
-    tensor_apply, tensor_blocks, twist, twist_apply, unit_vec, vec_scale,
-    vec_sub,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
+    _parity_defects, _sparse_columns, _tensor_apply_sparse, _transpose,
+    canonical_columns, linear_form, perp, quotient_data, tensor_after,
+    tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub,
 )
 
 
@@ -54,8 +56,8 @@ class SuperCoalgebra:
     @functools.cached_property
     def _coproduct(self):
         """delta: C -> C (x) C, built once per frozen coalgebra."""
-        return GradedMap.from_columns(self.space, self.space.tensor(self.space),
-                                      flat_columns(self.delta))
+        return GradedMap.from_sparse_columns(self.space, self.space.tensor(self.space),
+                                             self.delta)
 
     def counit_map(self):
         return linear_form(self.space, self.counit)
@@ -69,8 +71,11 @@ class SuperCoalgebra:
 
 
 def make_supercoalgebra(space, delta, counit):
-    """Constants as tuples. It does not validate: call validate_supercoalgebra."""
-    return SuperCoalgebra(space, tuple(tuple(tuple(c) for c in row) for row in delta),
+    """The coalgebra with these columns of delta (see canonical_columns) and
+    counit; the one constructor.  It does not validate: call
+    validate_supercoalgebra."""
+    n = space.dim
+    return SuperCoalgebra(space, canonical_columns(space.field, delta, n, n * n),
                           tuple(counit))
 
 
@@ -86,30 +91,28 @@ def validate_supercoalgebra(C):
     n = C.dim
     labels = C.space.labels
     sq = C.space.tensor(C.space)
-    cols = flat_columns(C.delta)
-    # raw maps of parity None, so that a parity violation is listed, not raised
-    delta = GradedMap.from_columns(C.space, sq, cols, None)
-    eps = linear_form(C.space, C.counit, None)
-    ident = GradedMap.identity(C.space)
+    cols = C.delta
+    eps = _transpose([F.nonzeros(C.counit)], n)
+    ident = _identity_columns(F, n)
     problems = []
     # delta and eps stacked as one map C -> C (x) C + k: the odd counit
     # value of b_i comes after the coproduct violations of b_i
-    stacked = [v + (e,) for v, e in zip(cols, C.counit)]
-    for i, r in _parity_defects(stacked, C.space.parities, sq.parities + (0,), F.zero):
+    stacked = [v + tuple((n * n, e) for _, e in u) for v, u in zip(cols, eps)]
+    for i, r in _parity_defects(stacked, C.space.parities, sq.parities + (0,)):
         if r < n * n:
             problems.append(
                 f"parity: delta({labels[i]}) hits {labels[r // n]}(x){labels[r % n]}")
         else:
             problems.append(f"counit: nonzero on odd {labels[i]}")
-    left = {i for i, _ in _defects(tensor_apply(eps, ident, cols), ident.matrix.rows)}
-    right = {i for i, _ in _defects(tensor_apply(ident, eps, cols), ident.matrix.rows)}
+    left = {i for i, _ in _defects(_tensor_apply_sparse(F, eps, ident, n, (), cols), ident)}
+    right = {i for i, _ in _defects(_tensor_apply_sparse(F, ident, eps, 1, (), cols), ident)}
     for i in range(n):
         if i in left:
             problems.append(f"counit: (eps(x)id)delta({labels[i]}) != {labels[i]}")
         if i in right:
             problems.append(f"counit: (id(x)eps)delta({labels[i]}) != {labels[i]}")
-    lhs = tensor_apply(delta, ident, cols)
-    rhs = tensor_apply(ident, delta, cols)
+    lhs = _tensor_apply_sparse(F, cols, ident, n, (), cols)
+    rhs = _tensor_apply_sparse(F, ident, cols, n * n, (), cols)
     for i, abc in _defects(lhs, rhs):
         a, bc = divmod(abc, n * n)
         problems.append(
@@ -127,9 +130,7 @@ def validate_supercoalgebra(C):
 
 def dualize_algebra(A):
     """Coproduct = transpose of multiplication, counit = evaluation at 1."""
-    n = A.dim
-    delta = [[[A.mul[j][k][i] for k in range(n)] for j in range(n)]
-             for i in range(n)]
+    delta = _transpose(A.mul, A.dim)
     space = SuperVectorSpace(A.field, tuple(f"{l}*" for l in A.space.labels),
                              A.space.parities)
     return make_supercoalgebra(space, delta, A.unit)
@@ -137,9 +138,7 @@ def dualize_algebra(A):
 
 def dualize_coalgebra(C):
     """Multiplication = transpose of the coproduct, unit = counit."""
-    n = C.dim
-    mul = [[[C.delta[k][i][j] for k in range(n)] for j in range(n)]
-           for i in range(n)]
+    mul = _transpose(C.delta, C.dim * C.dim)
     space = SuperVectorSpace(C.field, tuple(f"{l}*" for l in C.space.labels),
                              C.space.parities)
     return make_superalgebra(space, mul, C.counit)
@@ -206,7 +205,7 @@ def subcoalgebra_on(C, W, prefix="v"):
     if list(tensor_apply(incl, incl, coords)) != images:
         raise NotSubcoalgebra("subspace is not a subcoalgebra")
     counit = [C.counit_value(v) for v in basis]
-    sub = make_supercoalgebra(space, tensor_blocks(coords, m, m), counit)
+    sub = make_supercoalgebra(space, map(F.nonzeros, coords), counit)
     return sub, incl
 
 
@@ -233,7 +232,7 @@ def quotient_by_coideal(C, W):
     lifts = [section.column(i) for i in range(m)]
     delta = tensor_apply(proj, proj, [delta_map.apply(v) for v in lifts])
     counit = [C.counit_value(v) for v in lifts]
-    quot = make_supercoalgebra(qspace, tensor_blocks(delta, m, m), counit)
+    quot = make_supercoalgebra(qspace, map(C.field.nonzeros, delta), counit)
     return quot, proj
 
 
@@ -355,9 +354,9 @@ def _koszul_signed(A):
     the Koszul-signed dual _koszul_signed(dualize_coalgebra(C)), not of the
     plain transpose.  Signing is an involution and keeps every axiom.
     """
-    F = A.field
-    mul = [[[F.neg(c) for c in cell] if A.parity(i) and A.parity(j) else cell
-            for j, cell in enumerate(row)] for i, row in enumerate(A.mul)]
+    neg, n = A.field.neg, A.dim
+    mul = [[(k, neg(c)) for k, c in col] if A.parity(ij // n) and A.parity(ij % n) else col
+           for ij, col in enumerate(A.mul)]
     return make_superalgebra(A.space, mul, A.unit)
 
 
@@ -426,20 +425,18 @@ def tensor_coalgebra(C, D):
     swap = twist(C.space, D.space).tensor(GradedMap.identity(D.space))
     delta = tensor_after(GradedMap.identity(C.space), swap,
                          C.coproduct_map().tensor(D.coproduct_map()))
-    n = delta.domain.dim
     counit = [F.mul(a, b) for a in C.counit for b in D.counit]
-    return make_supercoalgebra(delta.domain,
-                               tensor_blocks(delta.matrix.transpose().rows, n, n), counit)
+    return make_supercoalgebra(delta.domain, _sparse_columns(delta), counit)
 
 
 def unit_coalgebra(field, label="g"):
     space = SuperVectorSpace(field, (label,), (0,))
-    return make_supercoalgebra(space, [[[field.one]]], (field.one,))
+    return make_supercoalgebra(space, [[(0, field.one)]], (field.one,))
 
 
 def zero_coalgebra(field):
     space = SuperVectorSpace(field, (), ())
-    return SuperCoalgebra(space, (), ())
+    return make_supercoalgebra(space, (), ())
 
 
 def direct_sum_coalgebra(summands, labels=None):
@@ -457,16 +454,13 @@ def direct_sum_coalgebra(summands, labels=None):
     if labels:
         new_labels = list(labels)
     space = SuperVectorSpace(F, tuple(new_labels), tuple(parities))
-    delta = [[[F.zero] * total for _ in range(total)] for _ in range(total)]
-    counit = [F.zero] * total
-    offset = 0
+    delta, counit = [], []
     for c in summands:
-        for i in range(c.dim):
-            counit[offset + i] = c.counit[i]
-            for j in range(c.dim):
-                for k in range(c.dim):
-                    delta[offset + i][offset + j][offset + k] = c.delta[i][j][k]
-        offset += c.dim
+        # b_j (x) b_k of a summand at this offset is (offset + j) (x) (offset + k)
+        offset = len(counit)
+        delta += [[((offset + jk // c.dim) * total + offset + jk % c.dim, a) for jk, a in col]
+                  for col in c.delta]
+        counit += c.counit
     return make_supercoalgebra(space, delta, counit)
 
 
@@ -475,9 +469,8 @@ def base_change_coalgebra(C, ext):
         raise ValueError("extension field has a different base")
     emb = ext.embed
     space = SuperVectorSpace(ext, C.space.labels, C.space.parities)
-    delta = tuple(tuple(tuple(emb(c) for c in cell) for cell in row) for row in C.delta)
-    counit = tuple(emb(c) for c in C.counit)
-    return SuperCoalgebra(space, delta, counit)
+    delta = [[(jk, emb(c)) for jk, c in col] for col in C.delta]
+    return make_supercoalgebra(space, delta, [emb(c) for c in C.counit])
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +554,8 @@ def cofree_universal_map(tc, B, theta):
             for mu in strata.get(e1, []):
                 for nu in strata.get(e - e1, []):
                     pairs.append((mu, nu))
-        sysmat = Matrix(F, [[cof.delta[m][mu][nu] for m in idxs]
+        cols = [dict(cof.delta[m]) for m in idxs]
+        sysmat = Matrix(F, [[col.get(mu * cof.dim + nu, F.zero) for col in cols]
                             for mu, nu in pairs], len(idxs))
         if sysmat.rank() != len(idxs):
             raise AssertionError("stratum system is not uniquely solvable")
@@ -570,12 +564,9 @@ def cofree_universal_map(tc, B, theta):
             col = []
             for mu, nu in pairs:
                 acc = F.zero
-                for s in range(nb):
-                    for t in range(nb):
-                        dB = B.delta[b][s][t]
-                        if F.is_zero(dB):
-                            continue
-                        acc = F.add(acc, F.mul(dB, F.mul(rows[mu][s], rows[nu][t])))
+                for st, dB in B.delta[b]:
+                    s, t = divmod(st, nb)
+                    acc = F.add(acc, F.mul(dB, F.mul(rows[mu][s], rows[nu][t])))
                 col.append(acc)
             rhs.append(col)
         # the right-hand sides read only lower strata, so one solve serves all b

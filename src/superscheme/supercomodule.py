@@ -1,6 +1,8 @@
 """Right super-comodules over a super-coalgebra.
 
-psi[i][j][k] is the coefficient of m_j (x) c_k in the coaction of m_i.
+psi holds the sparse columns of the coaction M -> M (x) C: column i lists
+the (j * nc + k, c) pairs, sorted with c nonzero, of the terms c m_j (x) c_k
+of psi(m_i), nc = dim C.
 Left comodules are derived by composing with the Koszul twist, which is
 canonical here because all coalgebras are super-cocommutative.
 """
@@ -14,10 +16,10 @@ from .superalgebra import (
 )
 from .supercoalgebra import dualize_coalgebra, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _null_space_sparse,
-    _parity_defects, _rref_sparse, _sparse_columns, flat_columns, linear_form,
-    pivot_selection, quotient_data, tensor_after, tensor_apply, tensor_blocks,
-    twist_apply,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
+    _null_space_sparse, _parity_defects, _rref_sparse, _sparse_columns,
+    _tensor_apply_sparse, _transpose, canonical_columns, pivot_selection,
+    quotient_data, tensor_after, tensor_apply, twist_apply,
 )
 
 
@@ -40,20 +42,20 @@ class SuperComodule:
         return self.space.dim
 
     def coaction_map(self):
-        return GradedMap.from_columns(self.space, self.space.tensor(self.coalgebra.space),
-                                      flat_columns(self.psi))
+        return GradedMap.from_sparse_columns(
+            self.space, self.space.tensor(self.coalgebra.space), self.psi)
 
-    def left_coaction_map(self):
-        """Twisted coaction M -> C (x) M."""
-        return GradedMap.from_columns(
-            self.space, self.coalgebra.space.tensor(self.space),
-            twist_apply(self.space, self.coalgebra.space, flat_columns(self.psi)))
+    def left_coaction(self):
+        """The sparse columns of the twisted coaction M -> C (x) M."""
+        return tuple(twist_apply(self.space, self.coalgebra.space, self.psi))
 
 
 def make_supercomodule(space, coalgebra, psi):
-    """Constants as tuples. It does not validate: call validate_comodule."""
+    """The comodule with these columns of psi (see canonical_columns); the
+    one constructor.  It does not validate: call validate_comodule."""
+    n = space.dim
     return SuperComodule(space, coalgebra,
-                         tuple(tuple(tuple(c) for c in row) for row in psi))
+                         canonical_columns(space.field, psi, n, n * coalgebra.dim))
 
 
 def validate_comodule(M):
@@ -68,20 +70,16 @@ def validate_comodule(M):
     nc = C.dim
     labels = M.space.labels
     target = M.space.tensor(C.space)
-    cols = flat_columns(M.psi)
-    # raw maps of parity None, so that a parity violation is listed, not raised
-    psi = GradedMap.from_columns(M.space, target, cols, None)
-    delta = GradedMap.from_columns(C.space, C.space.tensor(C.space),
-                                   flat_columns(C.delta), None)
-    eps = linear_form(C.space, C.counit, None)
-    ident_m, ident_c = GradedMap.identity(M.space), GradedMap.identity(C.space)
+    cols = M.psi
+    eps = _transpose([F.nonzeros(C.counit)], nc)
+    ident_m, ident_c = _identity_columns(F, M.dim), _identity_columns(F, nc)
     problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in
-                _parity_defects(cols, M.space.parities, target.parities, F.zero)]
-    back = _defects(tensor_apply(ident_m, eps, cols), ident_m.matrix.rows)
+                _parity_defects(cols, M.space.parities, target.parities)]
+    back = _defects(_tensor_apply_sparse(F, ident_m, eps, 1, (), cols), ident_m)
     problems += [f"counit: (id(x)eps)psi({labels[i]}) != {labels[i]}"
                  for i in dict.fromkeys(i for i, _ in back)]
-    lhs = tensor_apply(psi, ident_c, cols)
-    rhs = tensor_apply(ident_m, delta, cols)
+    lhs = _tensor_apply_sparse(F, cols, ident_c, nc, (), cols)
+    rhs = _tensor_apply_sparse(F, ident_m, C.delta, nc * nc, (), cols)
     for i, jab in _defects(lhs, rhs):
         j, ab = divmod(jab, nc * nc)
         problems.append(
@@ -97,10 +95,11 @@ def regular_comodule(C):
 
 
 def free_comodule(W, C):
-    """W (x) C with coaction id_W (x) delta."""
-    coaction = GradedMap.identity(W).tensor(C.coproduct_map())
-    psi = tensor_blocks(coaction.matrix.transpose().rows, coaction.domain.dim, C.dim)
-    return make_supercomodule(coaction.domain, C, psi)
+    """W (x) C with coaction id_W (x) delta: w (x) b_j (x) b_k sits at index
+    w * nc^2 + j * nc + k of (W (x) C) (x) C."""
+    shift = C.dim * C.dim
+    psi = [[(w * shift + jk, c) for jk, c in col] for w in range(W.dim) for col in C.delta]
+    return make_supercomodule(W.tensor(C.space), C, psi)
 
 
 def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
@@ -112,11 +111,7 @@ def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
         F,
         tuple(f"{prefix}{i + 1}" for i in range(dim_even + dim_odd)),
         (0,) * dim_even + (1,) * dim_odd)
-    n = space.dim
-    psi = [[[F.zero] * C.dim for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k, c in enumerate(g):
-            psi[i][i][k] = c
+    psi = [[(i * C.dim + k, c) for k, c in F.nonzeros(g)] for i in range(space.dim)]
     return make_supercomodule(space, C, psi)
 
 
@@ -130,14 +125,13 @@ def subcoalgebra_comodule(C, W, prefix="v"):
     delta = C.coproduct_map()
     psi = tensor_apply(pivot_selection(W, sub.space), GradedMap.identity(C.space),
                        [delta.apply(v) for v in W.basis()])
-    return make_supercomodule(sub.space, C, tensor_blocks(psi, W.dim, C.dim)), sub, incl
+    return make_supercomodule(sub.space, C, map(C.field.nonzeros, psi)), sub, incl
 
 
 def comodule_along(M, f, B):
     """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B."""
     pushed = tensor_after(GradedMap.identity(M.space), f, M.coaction_map())
-    psi = tensor_blocks(pushed.matrix.transpose().rows, M.dim, B.dim)
-    return make_supercomodule(M.space, B, psi)
+    return make_supercomodule(M.space, B, _sparse_columns(pushed))
 
 
 def is_comodule_morphism(f, M, N):
@@ -170,7 +164,7 @@ def quotient_comodule(M, W):
     coaction = M.coaction_map()
     psi = tensor_apply(proj, GradedMap.identity(C.space),
                        [coaction.apply(section.column(i)) for i in range(qspace.dim)])
-    quot = make_supercomodule(qspace, C, tensor_blocks(psi, qspace.dim, C.dim))
+    quot = make_supercomodule(qspace, C, map(C.field.nonzeros, psi))
     return quot, GradedMap(M.space, qspace, proj.matrix, 0)
 
 
@@ -185,19 +179,24 @@ def dual_action(M):
     signed variant belongs to the signed dual product and breaks
     associativity against the transpose product on odd pairs).
     """
-    nm = M.dim
-    return [Matrix(M.field, [[M.psi[i][j][t] for i in range(nm)] for j in range(nm)], nm)
-            for t in range(M.coalgebra.dim)]
+    nm, nc = M.dim, M.coalgebra.dim
+    # entry (j, i) of mats[t] is the coefficient of m_j (x) c_t in psi(m_i)
+    rows = [[[] for _ in range(nm)] for _ in range(nc)]
+    for i, col in enumerate(M.psi):
+        for jt, c in col:
+            j, t = divmod(jt, nc)
+            rows[t][j].append((i, c))
+    return [Matrix.from_support(M.field, map(tuple, mat), nm) for mat in rows]
 
 
-def dual_action_of(M, mats, functional):
-    """Action matrix of an arbitrary element of C* (coordinates over C basis).
+def dual_action_of(M, mats, terms):
+    """Action matrix of an arbitrary element of C*, given by its sparse
+    coordinates terms over the dual basis ((t, c) pairs, c nonzero).
 
     A basis functional acts by mats[t] itself; otherwise the nonzero
     entries of the terms are summed into one matrix.
     """
     F = M.field
-    terms = [(t, c) for t, c in enumerate(functional) if not F.is_zero(c)]
     if len(terms) == 1 and F.is_one(terms[0][1]):
         return mats[terms[0][0]]
     rows = [[F.zero] * M.dim for _ in range(M.dim)]
@@ -215,13 +214,12 @@ def check_dual_action_axioms(M):
     dual = dualize_coalgebra(C)
     mats = dual_action(M)
     problems = []
-    unit_mat = dual_action_of(M, mats, dual.unit)
+    unit_mat = dual_action_of(M, mats, F.nonzeros(dual.unit))
     if unit_mat != Matrix.identity(F, M.dim):
         problems.append("counit functional does not act as identity")
     for s in range(C.dim):
         for t in range(C.dim):
-            prod = dual.mul[s][t]
-            lhs = dual_action_of(M, mats, prod)
+            lhs = dual_action_of(M, mats, dual.mul[s * C.dim + t])
             rhs = mats[s].mul(mats[t])
             if lhs != rhs:
                 problems.append(f"action not multiplicative at ({s},{t})")
@@ -260,16 +258,14 @@ def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
                 else:
                     row[ij] = x
     kernel, pivots = _null_space_sparse(F, *_rref_sparse(F, rows.values()), nm * nn)
-    return Subspace(m_space.tensor(n_space), Matrix._echelon(F, kernel, pivots, nm * nn))
+    return Subspace(m_space.tensor(n_space), Matrix.from_support(F, kernel, nm * nn, pivots))
 
 
 def cotensor(M, N):
     """M box_C N for two right comodules; N is twisted to the left side."""
     if M.coalgebra != N.coalgebra:
         raise ValueError("cotensor factors over different coalgebras")
-    return cotensor_kernel(_sparse_columns(M.coaction_map()),
-                           _sparse_columns(N.left_coaction_map()),
-                           M.space, N.space, M.coalgebra.dim)
+    return cotensor_kernel(M.psi, N.left_coaction(), M.space, N.space, M.coalgebra.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,7 @@ def flat_check(M):
     # the rows of the action itself: a lift goes to the combination of the
     # rows of mats[t] that its entries give
     radM = Subspace.from_vectors(
-        dual_space, [row for w in rad.subspace.basis()
+        dual_space, [row for w in rad.subspace.matrix.support()
                      for row in dual_action_of(M, mats, w).rows])
     qspace, _, section = quotient_data(dual_space, radM)
     kept = []
@@ -319,10 +315,11 @@ def flat_check(M):
         lift = section.column(i)
         if span.contains(lift):
             continue
+        lift = F.nonzeros(lift)
         kept.append((lift, qspace.parities[i]))
         generated = list(span.basis())
         for t in range(dual.dim):
-            generated.append(_combination(F, lift, mats[t].rows))
+            generated.append(_combination(F, lift, mats[t].support(), M.dim))
         span = Subspace.from_vectors(dual_space, generated)
     if span != Subspace.full(dual_space):
         raise AssertionError("echelon lifts fail to generate over the local dual algebra")
@@ -334,7 +331,7 @@ def flat_check(M):
     cols = []
     for lift, _ in kept:
         for t in range(dual.dim):
-            cols.append(_combination(F, lift, mats[t].rows))
+            cols.append(_combination(F, lift, mats[t].support(), M.dim))
     # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
     if Matrix(F, cols, M.dim).rank() == M.dim:
         return FlatVerdict(True, rank)
@@ -348,7 +345,7 @@ def cosocle_epi(M):
     mats = dual_action(M)
     # the columns of each action, read as the rows of its transpose
     sub = Subspace.from_vectors(
-        M.space, [col for w in rad.basis()
+        M.space, [col for w in rad.matrix.support()
                   for col in dual_action_of(M, mats, w).transpose().rows])
     return quotient_comodule(M, sub)
 
@@ -388,5 +385,5 @@ def faithfulness_probe(M, others):
 def base_change_comodule(M, ext, C_ext):
     emb = ext.embed
     space = SuperVectorSpace(ext, M.space.labels, M.space.parities)
-    psi = tuple(tuple(tuple(emb(c) for c in cell) for cell in row) for row in M.psi)
-    return SuperComodule(space, C_ext, psi)
+    psi = [[(jk, emb(c)) for jk, c in col] for col in M.psi]
+    return make_supercomodule(space, C_ext, psi)

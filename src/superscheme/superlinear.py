@@ -46,7 +46,7 @@ class Matrix:
 
     The rref and the nonzero entries of each row are cached.  A cached rref
     of (None, pivots) marks a matrix that is its own rref.  A matrix built
-    from its support by ``_echelon`` makes its dense rows on first use.
+    from its support by ``from_support`` makes its dense rows on first use.
     Every field takes the same path: one sparse elimination, products
     summed by _sum_ops, and the Field methods everywhere else.
     """
@@ -71,19 +71,21 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
 
     @classmethod
-    def _echelon(cls, field, red, pivots, ncols, nrows=None):
-        """The reduced echelon matrix with the sparse rows red (sorted
-        (index, entry) pairs) over these pivots, then zero rows up to nrows;
-        it is marked as its own rref."""
+    def from_support(cls, field, support, ncols, pivots=None, nrows=None):
+        """The matrix whose rows have this support (sorted (column, entry)
+        pairs with a nonzero entry), then zero rows up to nrows.  Given the
+        pivots, it is the reduced echelon matrix over them and is marked as
+        its own rref."""
         out = cls.__new__(cls)
         out.field, out.ncols = field, ncols
-        out._support = tuple(red) + ((),) * ((nrows or len(red)) - len(red))
+        out._support = tuple(support)
+        out._support += ((),) * ((nrows or len(out._support)) - len(out._support))
         out.nrows = len(out._support)
-        out._rref = (None, tuple(pivots))
+        out._rref = None if pivots is None else (None, tuple(pivots))
         return out
 
     def __getattr__(self, name):
-        # only an unset slot gets here: the rows of a matrix made by _echelon
+        # only an unset slot gets here: the rows of a matrix made by from_support
         if name != "rows":
             raise AttributeError(name)
         zero, n = self.field.zero, self.ncols
@@ -106,11 +108,12 @@ class Matrix:
                            for i in range(n)], n)
 
     def __eq__(self, other):
+        # the support is canonical, so it decides equality without dense rows
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.ncols == other.ncols)
+                and self.support() == other.support() and self.ncols == other.ncols)
 
     def __hash__(self):
-        return hash((self.rows, self.ncols))
+        return hash((self.support(), self.ncols))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -182,7 +185,7 @@ class Matrix:
             red, pivots = self._rref
             return (self if red is None else red), pivots
         red, pivots = _rref_sparse(self.field, self.support())
-        red = Matrix._echelon(self.field, red, pivots, self.ncols, self.nrows)
+        red = Matrix.from_support(self.field, red, self.ncols, pivots, self.nrows)
         self._rref = (red, pivots)
         return red, pivots
 
@@ -196,15 +199,15 @@ class Matrix:
         if red.nrows == len(pivots):
             return red
         # an rref with its zero rows dropped is its own rref
-        return Matrix._echelon(self.field, red.support()[:len(pivots)], pivots,
-                               self.ncols)
+        return Matrix.from_support(self.field, red.support()[:len(pivots)], self.ncols,
+                                   pivots)
 
     def null_space(self):
         """Canonical matrix whose rows span {v : M v = 0}."""
         red, pivots = self.rref()
         kernel, kpivots = _null_space_sparse(self.field, red.support()[:len(pivots)],
                                              pivots, self.ncols)
-        return Matrix._echelon(self.field, kernel, kpivots, self.ncols)
+        return Matrix.from_support(self.field, kernel, self.ncols, kpivots)
 
     def solve(self, bs):
         """Solutions x of M x = b, one per right-hand side b in bs, from one
@@ -497,8 +500,7 @@ class GradedMap:
         if parity is not None:
             # row i of a map of this parity may only hit domain parity |i| + parity
             shifted = [(p + parity) % 2 for p in codomain.parities]
-            for i, j in _parity_defects(matrix.rows, shifted, domain.parities,
-                                        domain.field.zero):
+            for i, j in _parity_defects(matrix.support(), shifted, domain.parities):
                 raise ValueError(f"entry ({i},{j}) violates declared parity {parity}")
         self.domain = domain
         self.codomain = codomain
@@ -519,6 +521,13 @@ class GradedMap:
         """The map sending basis vector j of the domain to cols[j]."""
         return cls(domain, codomain,
                    Matrix(domain.field, cols, codomain.dim).transpose(), parity)
+
+    @classmethod
+    def from_sparse_columns(cls, domain, codomain, cols, parity=0):
+        """The map sending basis vector j of the domain to the sparse vector
+        cols[j] (sorted (index, entry) pairs), built without dense rows."""
+        return cls(domain, codomain, Matrix.from_support(
+            domain.field, _transpose(cols, codomain.dim), domain.dim), parity)
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.domain == other.domain
@@ -710,38 +719,55 @@ def tensor_after(f, g, h):
 def _sparse_columns(f):
     """The columns of f as sparse vectors: per column k, the (row, entry)
     pairs with a nonzero entry."""
-    cols = [[] for _ in range(f.domain.dim)]
-    for i, row in enumerate(f.matrix.support()):
-        for k, a in row:
-            cols[k].append((i, a))
-    return cols
+    return _transpose(f.matrix.support(), f.domain.dim)
 
 
-def tensor_blocks(vecs, n, width):
-    """Each vector of X (x) Y, dim X = n and dim Y = width, as n rows of width
-    coefficients: the [i][a][b] layout of structure constants."""
-    return [[v[a * width:(a + 1) * width] for a in range(n)] for v in vecs]
+def _transpose(vecs, n):
+    """Sparse vectors read the other way, for indices below n: entry i of
+    the result lists (k, a) for each pair (i, a) of vecs[k].  Sorted pairs
+    in give sorted pairs out."""
+    out = [[] for _ in range(n)]
+    for k, v in enumerate(vecs):
+        for i, a in v:
+            out[i].append((k, a))
+    return tuple(map(tuple, out))
 
 
-def flat_columns(blocks):
-    """[i][a][b] structure constants as columns in X (x) Y: tensor_blocks undone."""
-    return [tuple(c for row in block for c in row) for block in blocks]
+def _identity_columns(F, n):
+    """The sparse columns of the identity of an n-dimensional space."""
+    return tuple(((k, F.one),) for k in range(n))
+
+
+def canonical_columns(F, cols, count, height):
+    """The stored form of a structure map with count domain and height
+    codomain basis vectors: per column, the (index, entry) pairs with a
+    nonzero entry, sorted by index.  A column may come as such pairs in any
+    order or as an index -> entry dict; of repeated indices the last counts."""
+    is_zero = F.is_zero
+    out = tuple(tuple(sorted((i, a) for i, a in dict(col).items() if not is_zero(a)))
+                for col in cols)
+    if len(out) != count or any(col and not 0 <= col[0][0] <= col[-1][0] < height
+                                for col in out):
+        raise DimensionMismatch(
+            f"a structure map needs {count} columns with indices below {height}")
+    return out
 
 
 def _defects(lhs, rhs):
     """The (column, row) positions where two maps, given as iterables of
-    columns, differ; the columns are consumed in step, one at a time."""
+    sparse columns (pairs or index -> entry dicts), differ; the columns are
+    consumed in step, one at a time."""
     for c, (u, v) in enumerate(zip(lhs, rhs)):
+        u, v = dict(u), dict(v)
         if u != v:
-            yield from ((c, r) for r, (a, b) in enumerate(zip(u, v)) if a != b)
+            yield from ((c, r) for r in sorted(u.keys() | v.keys()) if u.get(r) != v.get(r))
 
 
-def _parity_defects(cols, domain_parities, codomain_parities, zero):
+def _parity_defects(cols, domain_parities, codomain_parities):
     """The (column, row) positions of the entries that keep a raw map, given
-    by its columns, from being even: its defects against its even part."""
-    even = (tuple(x if q == p else zero for x, q in zip(v, codomain_parities))
-            for v, p in zip(cols, domain_parities))
-    return _defects(cols, even)
+    by its sparse columns, from being even."""
+    return ((c, r) for c, (col, p) in enumerate(zip(cols, domain_parities))
+            for r, _ in col if codomain_parities[r] != p)
 
 
 def twist(V, W):
@@ -762,13 +788,18 @@ def twist(V, W):
 
 
 def twist_apply(V, W, vecs):
-    """twist(V, W)(v) for each v in V (x) W, read as the signed permutation
-    v_i (x) w_j -> (-1)^{|v_i||w_j|} w_j (x) v_i, without the twist matrix."""
-    F = V.field
-    src = [(i * W.dim + j, V.parities[i] and W.parities[j])
-           for j in range(W.dim) for i in range(V.dim)]
+    """twist(V, W)(v) for each sparse v in V (x) W, read as the signed
+    permutation v_i (x) w_j -> (-1)^{|v_i||w_j|} w_j (x) v_i, without the
+    twist matrix; images are sorted (index, entry) pairs."""
+    neg, nv, nw = V.field.neg, V.dim, W.dim
+    pv, pw = V.parities, W.parities
     for v in vecs:
-        yield tuple(F.neg(v[k]) if flip else v[k] for k, flip in src)
+        out = []
+        for k, a in v:
+            i, j = divmod(k, nw)
+            out.append((j * nv + i, neg(a) if pv[i] and pw[j] else a))
+        out.sort()
+        yield tuple(out)
 
 
 def linear_form(space, values, parity=0):
@@ -852,12 +883,14 @@ def quotient_data(space, sub):
     reps = [c for c in range(space.dim) if c not in pivot_set]
     qspace = SuperVectorSpace(F, tuple(space.labels[c] for c in reps),
                               tuple(space.parities[c] for c in reps))
+    pivot_rows = list(zip(pivots, map(dict, red.support())))
     rows = []
     for r in reps:
         row = [F.zero] * space.dim
         row[r] = F.one
-        for i, pc in enumerate(pivots):
-            row[pc] = F.neg(red.rows[i][r])
+        for pc, entries in pivot_rows:
+            if r in entries:
+                row[pc] = F.neg(entries[r])
         rows.append(row)
     parity = 0 if sub.is_graded() else None
     proj = GradedMap(space, qspace, Matrix(F, rows, space.dim), parity)

@@ -19,9 +19,51 @@ from superscheme.supercomodule import (  # noqa: E402
 )
 from superscheme.superlinear import (  # noqa: E402
     GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, quotient_data,
-    tensor_after, tensor_apply, tensor_blocks, unit_vec, vec_add, vec_scale,
-    zero_vec,
+    tensor_after, tensor_apply, twist, unit_vec, vec_add, vec_scale, zero_vec,
 )
+
+
+def _table_shape(x):
+    """(stored columns, n, w, height) of x.mul, x.delta or x.psi read as an
+    n x n x w table: entry (i, j, k) has flat index (i * n + j) * w + k,
+    which is row flat % height of column flat // height."""
+    if hasattr(x, "mul"):
+        return x.mul, x.dim, x.dim, x.dim
+    if hasattr(x, "delta"):
+        return x.delta, x.dim, x.dim, x.dim * x.dim
+    return x.psi, x.dim, x.coalgebra.dim, x.dim * x.coalgebra.dim
+
+
+class DenseView:
+    """The [i][j][k] tables of the structure maps of algebras, coalgebras
+    and comodules, which store them as sparse columns: mul[i][j][k] is the
+    coefficient of b_k in b_i * b_j, delta[i][j][k] that of b_j (x) b_k in
+    delta(b_i), psi[i][j][k] that of m_j (x) c_k in psi(m_i)."""
+
+    @staticmethod
+    def table(x):
+        """The table of x as nested lists, to read or to edit."""
+        cols, n, w, height = _table_shape(x)
+        flat = [x.field.zero] * (n * n * w)
+        for c, col in enumerate(cols):
+            for r, a in col:
+                flat[c * height + r] = a
+        return [[flat[(i * n + j) * w:(i * n + j + 1) * w] for j in range(n)]
+                for i in range(n)]
+
+    @staticmethod
+    def columns(kind, table):
+        """A table of kind "mul", "delta" or "psi" as the columns make_*
+        takes: one per pair (i, j) for mul, one per i otherwise."""
+        if kind == "mul":
+            return [list(enumerate(cell)) for row in table for cell in row]
+        return [[(j * len(cell) + k, a) for j, cell in enumerate(row)
+                 for k, a in enumerate(cell)] for row in table]
+
+
+@pytest.fixture(scope="session")
+def dense_view():
+    return DenseView
 
 
 def grouplikes_by_scan(C, R):
@@ -52,6 +94,7 @@ def multiply_by_dense_loop(A, x, y):
     """Reference for SuperAlgebra.multiply: for every pair of nonzero
     coordinates x_i, y_j, add x_i y_j times the dense row mul[i][j]."""
     F = A.field
+    mul = DenseView.table(A)
     out = zero_vec(F, A.dim)
     for i, xi in enumerate(x):
         if F.is_zero(xi):
@@ -59,7 +102,7 @@ def multiply_by_dense_loop(A, x, y):
         for j, yj in enumerate(y):
             if F.is_zero(yj):
                 continue
-            out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), A.mul[i][j]))
+            out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), mul[i][j]))
     return out
 
 
@@ -172,7 +215,7 @@ def _dense_tower(M, A, reg, depth):
     formal_scheme._iterated_cotensor_tower."""
     F = M.field
     rho = reg.coaction_map()
-    theta_l = reg.left_coaction_map().matrix
+    theta_l = twist(reg.space, reg.coalgebra.space).compose(rho).matrix
     B_dim = reg.coalgebra.dim
     ident_A = GradedMap.identity(A.space)
     levels = [(M.space, M.coaction_map().matrix, None, ())]
@@ -191,8 +234,8 @@ def _dense_tower(M, A, reg, depth):
                                       tensor_apply(ident_P, rho, basis)
                                       for k in range(B_dim)])
         assert slots is not None, "right coaction escapes the carrier"
-        psi_cols = [[c for row in zip(*block) for c in row]
-                    for block in tensor_blocks([slots], len(basis), B_dim)[0]]
+        psi_cols = [[c for row in zip(*slots[s * B_dim:(s + 1) * B_dim]) for c in row]
+                    for s in range(len(basis))]
         faces = [coordinates(prev_carrier, tensor_apply(pf, ident_A, basis))
                  for pf in prev_faces]
         assert None not in faces, "face map escapes the carrier"

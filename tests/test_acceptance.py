@@ -12,7 +12,7 @@ from superscheme.superlinear import (
     GradedMap, Matrix, Subspace, standard_space, unit_vec,
 )
 from superscheme.superalgebra import (
-    SuperAlgebra, enumerate_homs, ksdim_finite, validate_superalgebra,
+    enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
     SuperCoalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
@@ -20,8 +20,8 @@ from superscheme.supercoalgebra import (
     is_subcoalgebra, unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.supercomodule import (
-    SuperComodule, base_change_comodule, cosocle_epi, cotensor_functor_image,
-    dual_action, dual_action_of, exactness_probe, flat_check, free_comodule,
+    base_change_comodule, cosocle_epi, cotensor_functor_image, dual_action,
+    dual_action_of, exactness_probe, flat_check, free_comodule, make_supercomodule,
     quotient_comodule, regular_comodule, trivial_comodule, validate_comodule,
 )
 from superscheme.formal_scheme import (
@@ -53,7 +53,7 @@ def _report(n, label, ok):
 
 # -------------------------------------------------------------------- 1
 
-def test_criterion_1_axiom_suites():
+def test_criterion_1_axiom_suites(dense_view):
     ok = True
     for field in (QQ, F3):
         for name, A in canonical_algebras(field):
@@ -66,10 +66,9 @@ def test_criterion_1_axiom_suites():
         ok &= validate_comodule(trivial_comodule(C, unit_vec(QQ, C.dim, 0))) == []
     # flipped Koszul sign: the violated instance is named
     G = grassmann(2)
-    mul = [list(map(list, row)) for row in G.mul]
-    mul[2][1] = list(G.mul[1][2])
-    bad = SuperAlgebra(G.space, tuple(tuple(tuple(c) for c in r) for r in mul),
-                       G.unit)
+    mul = dense_view.table(G)
+    mul[2][1] = list(mul[1][2])
+    bad = make_superalgebra(G.space, dense_view.columns("mul", mul), G.unit)
     problems = validate_superalgebra(bad)
     ok &= any("supercommutativity" in p and "th2" in p for p in problems)
     # broken counit: named instance
@@ -78,9 +77,9 @@ def test_criterion_1_axiom_suites():
     problems_c = validate_supercoalgebra(badc)
     ok &= any("counit" in p for p in problems_c)
     # broken comodule coaction
-    bad_psi = (((QQ.zero, QQ.one, QQ.zero),),)
-    badm = SuperComodule(standard_space(QQ, 1, 0, even_prefix="m"),
-                         divided_power(2), bad_psi)
+    bad_psi = [[(1, QQ.one)]]     # psi(m) = m (x) x1
+    badm = make_supercomodule(standard_space(QQ, 1, 0, even_prefix="m"),
+                              divided_power(2), bad_psi)
     ok &= any("counit" in p for p in validate_comodule(badm))
     _report(1, "axiom suites", ok)
 
@@ -247,7 +246,7 @@ def _seeded_epis(C, count=10):
         P = free_comodule(W, C)
         vec = tuple(F.from_int(rng.randint(5) - 2) for _ in range(P.dim))
         mats = dual_action(P)
-        closure = [vec] + [dual_action_of(P, mats, unit_vec(F, C.dim, t)).apply(vec)
+        closure = [vec] + [dual_action_of(P, mats, [(t, F.one)]).apply(vec)
                            for t in range(C.dim)]
         sub = Subspace.from_vectors(P.space, closure)
         prev = None
@@ -256,8 +255,7 @@ def _seeded_epis(C, count=10):
             vecs = list(sub.basis())
             for v in sub.basis():
                 for t in range(C.dim):
-                    vecs.append(dual_action_of(P, mats,
-                                               unit_vec(F, C.dim, t)).apply(v))
+                    vecs.append(dual_action_of(P, mats, [(t, F.one)]).apply(v))
             sub = Subspace.from_vectors(P.space, vecs)
         if not sub.is_graded():
             even = sub.even_part()
@@ -266,8 +264,7 @@ def _seeded_epis(C, count=10):
             vecs = list(sub.basis())
             for v in sub.basis():
                 for t in range(C.dim):
-                    vecs.append(dual_action_of(P, mats,
-                                               unit_vec(F, C.dim, t)).apply(v))
+                    vecs.append(dual_action_of(P, mats, [(t, F.one)]).apply(v))
             sub2 = Subspace.from_vectors(P.space, vecs)
             if sub2 != sub:
                 continue
@@ -293,7 +290,7 @@ def test_criterion_6_flatness():
             ok &= verdict.rank == tuple(entry.expected["rank"])
         # quadratic base change preserves the verdict
         C2 = type(C)(type(C.space)(QI, C.space.labels, C.space.parities),
-                     _embed3(C.delta, QI), _embed1(C.counit, QI))
+                     _embed_columns(C.delta, QI), _embed1(C.counit, QI))
         M2 = base_change_comodule(M, QI, C2)
         after = flat_check(M2)
         ok &= after.free == verdict.free
@@ -309,9 +306,8 @@ def test_criterion_6_flatness():
     _report(6, "flatness (50 seeded comodules)", ok)
 
 
-def _embed3(tensor, ext):
-    return tuple(tuple(tuple(ext.embed(c) for c in cell) for cell in row)
-                 for row in tensor)
+def _embed_columns(cols, ext):
+    return tuple(tuple((r, ext.embed(c)) for r, c in col) for col in cols)
 
 
 def _embed1(vec, ext):

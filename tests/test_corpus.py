@@ -2,12 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from superscheme.fields import PrimeField, QQ
-from superscheme.superalgebra import validate_superalgebra
-from superscheme.supercoalgebra import (
-    coradical, coradical_filtration, dual_radical, dualize_algebra, grouplikes,
-    irreducible_components, validate_supercoalgebra,
+from superscheme.fields import ExtensionField, PrimeField, QQ
+from superscheme.superalgebra import (
+    canonical_ideal, quotient_by_superideal, tensor_superalgebra, validate_superalgebra,
 )
+from superscheme.supercoalgebra import (
+    base_change_coalgebra, coradical, coradical_filtration, direct_sum_coalgebra,
+    dual_radical, dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
+    odd_part_coideal, quotient_by_coideal, subcoalgebra_on, tensor_coalgebra,
+    validate_supercoalgebra,
+)
+from superscheme.supercomodule import (
+    base_change_comodule, cosocle_epi, free_comodule, regular_comodule, trivial_comodule,
+)
+from superscheme.superlinear import standard_space, unit_vec
 from superscheme.corpus import (
     CorpusEntry, Rng, canonical_algebras, canonical_coalgebras, divided_power,
     grassmann, grouplike_coalgebra, seeded_random, validate_entry,
@@ -29,7 +37,7 @@ def test_splitmix64_reference_vectors():
     assert Rng(42).next64() == first
 
 
-def test_grassmann_shapes():
+def test_grassmann_shapes(dense_view):
     assert grassmann(0).dim == 1
     assert grassmann(1).space.sdim == (1, 1)
     for q in (1, 2, 3):
@@ -41,7 +49,7 @@ def test_grassmann_shapes():
     i1 = G3.space.labels.index("th1")
     i2 = G3.space.labels.index("th2")
     i12 = G3.space.labels.index("th1*th2")
-    assert G3.mul[i2][i1][i12] == Fraction(-1)
+    assert dense_view.table(G3)[i2][i1][i12] == Fraction(-1)
 
 
 def test_divided_power_shapes():
@@ -100,3 +108,56 @@ def test_seeded_entries_deterministic():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         seeded_random("nonsense", 0)
+
+
+def _constructions():
+    """(name, object) for every way the package builds an algebra, a
+    coalgebra or a comodule."""
+    out = []
+    for F in (QQ, F3):
+        for name, A in canonical_algebras(F):
+            out += [(f"algebra {name}/{F.describe()}", A),
+                    (f"dual of algebra {name}/{F.describe()}", dualize_algebra(A))]
+        for name, C in canonical_coalgebras(F):
+            out += [(f"coalgebra {name}/{F.describe()}", C),
+                    (f"dual of coalgebra {name}/{F.describe()}", dualize_coalgebra(C))]
+    G2, D2 = grassmann(2), divided_power(2)
+    G2d = dualize_algebra(G2)
+    QI = ExtensionField(QQ, (QQ.one, QQ.zero, QQ.one), "i")
+    D2i = base_change_coalgebra(D2, QI)
+    W = standard_space(QQ, 1, 1, even_prefix="w", odd_prefix="u")
+    comp = irreducible_components(grouplike_coalgebra(2), dual_radical(grouplike_coalgebra(2)))[0]
+    return out + [
+        ("tensor algebra", tensor_superalgebra(G2, grassmann(1))),
+        ("tensor coalgebra", tensor_coalgebra(D2, G2d)),
+        ("direct sum", direct_sum_coalgebra([D2, G2d])),
+        ("base change coalgebra", D2i),
+        ("base change comodule", base_change_comodule(free_comodule(W, D2), QI, D2i)),
+        ("quotient algebra", quotient_by_superideal(G2, canonical_ideal(G2))[0]),
+        ("quotient coalgebra", quotient_by_coideal(G2d, odd_part_coideal(G2d))[0]),
+        ("quotient comodule", cosocle_epi(free_comodule(W, D2))[0]),
+        ("subcoalgebra", subcoalgebra_on(grouplike_coalgebra(2), comp.subspace)[0]),
+        ("regular comodule", regular_comodule(G2d)),
+        ("free comodule", free_comodule(W, G2d)),
+        ("trivial comodule", trivial_comodule(D2, unit_vec(QQ, D2.dim, 0), 2, 1)),
+    ]
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=name) for name, x in _constructions()])
+def test_stored_columns_are_canonical(x):
+    """mul, delta and psi are stored once, as the sparse columns of their
+    maps: one tuple per domain basis vector of sorted (index, entry) pairs,
+    every entry nonzero and every index in range."""
+    if hasattr(x, "mul"):
+        cols, count, height = x.mul, x.dim * x.dim, x.dim
+    elif hasattr(x, "delta"):
+        cols, count, height = x.delta, x.dim, x.dim * x.dim
+    else:
+        cols, count, height = x.psi, x.dim, x.dim * x.coalgebra.dim
+    assert isinstance(cols, tuple) and len(cols) == count
+    for col in cols:
+        assert isinstance(col, tuple)
+        indices = [i for i, _ in col]
+        assert indices == sorted(set(indices))
+        assert all(0 <= i < height for i in indices)
+        assert not any(x.field.is_zero(a) for _, a in col)

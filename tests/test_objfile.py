@@ -22,6 +22,21 @@ def test_algebra_round_trip():
     assert serialize_document(QQ, [("G2", A)]) == text
 
 
+def test_zero_and_repeated_entries_parse_to_the_stored_form():
+    """An explicit zero is dropped and of two lines for one entry the last
+    counts, so the parsed algebra equals that of the file without them."""
+    text = serialize_document(QQ, [("G2", grassmann(2))])
+    head, tail = text.split("  mul ", 1)
+    # 1*1 and th1*th2 are repeated later in the file; th1*th1 has no term on 1
+    noisy = (head + "  mul 0 0 0 0\n  mul 1 2 3 5\n  mul "
+             + tail.replace("end\n", "  mul 1 1 0 0\nend\n"))
+    assert tail.startswith("0 0 0 1\n") and "mul 1 2 3 1\n" in tail
+    _, plain = parse_text(text).first("algebra")
+    _, parsed = parse_text(noisy).first("algebra")
+    assert parsed == plain
+    assert serialize_document(QQ, [("G2", parsed)]) == text
+
+
 def test_coalgebra_round_trip_fp():
     C = divided_power(2, F3)
     text = serialize_document(F3, [("D2", C)])

@@ -17,17 +17,21 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
-def _references(tree, name):
+def _references(tree, name, calls=False):
     """The innermost enclosing function of every reference to name, as a
-    variable, an attribute or an import; "<module>" at top level."""
+    variable, an attribute or an import, or with calls set, of every call
+    of it; "<module>" at top level."""
     found = []
+
+    def named(node):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name)
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and node.name == name):
+        if isinstance(node, ast.Call) and named(node.func) if calls else named(node):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -43,3 +47,19 @@ def test_field_arithmetic_in_one_place():
              for scope in _references(ast.parse(path.read_text(encoding="utf-8")),
                                       "_plain_char")}
     assert found == {("superlinear.py", "_sum_ops")}
+
+
+def test_structure_maps_in_one_form():
+    """mul, delta and psi are stored once, as sparse columns: no converter
+    to or from dense [i][j][k] tables is left, and each object is built
+    only by its make_*, which puts the columns in canonical form."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    for name in ("flat_columns", "tensor_blocks"):
+        assert [scope for tree in trees.values() for scope in _references(tree, name)] == []
+    for cls, module, maker in [("SuperAlgebra", "superalgebra.py", "make_superalgebra"),
+                               ("SuperCoalgebra", "supercoalgebra.py", "make_supercoalgebra"),
+                               ("SuperComodule", "supercomodule.py", "make_supercomodule")]:
+        found = {(fname, scope) for fname, tree in trees.items()
+                 for scope in _references(tree, cls, calls=True)}
+        assert found == {(module, maker)}, cls

@@ -28,12 +28,11 @@ def test_grassmann_validates():
         assert validate_superalgebra(grassmann(q)) == []
 
 
-def test_flipped_sign_fails_supercommutativity():
+def test_flipped_sign_fails_supercommutativity(dense_view):
     G = grassmann(2)
-    mul = [list(map(list, row)) for row in G.mul]
-    mul[2][1] = list(G.mul[1][2])  # th2*th1 := +th1*th2
-    bad = SuperAlgebra(G.space, tuple(tuple(tuple(c) for c in r) for r in mul),
-                       G.unit)
+    mul = dense_view.table(G)
+    mul[2][1] = list(mul[1][2])  # th2*th1 := +th1*th2
+    bad = make_superalgebra(G.space, dense_view.columns("mul", mul), G.unit)
     problems = validate_superalgebra(bad)
     assert any("supercommutativity" in p for p in problems)
 
@@ -49,10 +48,9 @@ def test_odd_square_violation_detected():
     # one odd basis vector with th^2 = 1 breaks both axioms
     from superscheme.superlinear import SuperVectorSpace
     space = SuperVectorSpace(QQ, ("1", "th"), (0, 1))
-    mul = [[(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))],
-           [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]]
-    bad = SuperAlgebra(space, tuple(tuple(tuple(c) for c in r) for r in mul),
-                       (Fraction(1), Fraction(0)))
+    # 1*1 = 1, 1*th = th*1 = th, th*th = 1
+    mul = [[(0, Fraction(1))], [(1, Fraction(1))], [(1, Fraction(1))], [(0, Fraction(1))]]
+    bad = make_superalgebra(space, mul, (Fraction(1), Fraction(0)))
     problems = validate_superalgebra(bad)
     assert any("odd square" in p for p in problems) or \
         any("parity" in p for p in problems)
@@ -295,12 +293,12 @@ def test_is_superideal_names_escaping_products():
         "not absorbing: th1*th2 * ideal element escapes"]
 
 
-def _edited(table, F, edits):
-    """A copy of [i][j][k] structure constants with some entries replaced."""
-    out = [[list(cell) for cell in row] for row in table]
+def _edited(dense_view, x, F, edits):
+    """The columns of x with some [i][j][k] entries of its table replaced."""
+    out = dense_view.table(x)
     for (i, j, k), v in edits.items():
         out[i][j][k] = F.from_int(v)
-    return out
+    return dense_view.columns("mul", out)
 
 
 _F9 = ExtensionField(F3, (1, 0, 1), "j")
@@ -362,11 +360,11 @@ BROKEN_GRASSMANN_2 = {
 
 
 @pytest.mark.parametrize("case", list(BROKEN_GRASSMANN_2))
-def test_validate_superalgebra_full_problem_list(case):
+def test_validate_superalgebra_full_problem_list(case, dense_view):
     F, edits, unit, expected = BROKEN_GRASSMANN_2[case]
     G = grassmann(2, F)
     unit = G.unit if unit is None else tuple(F.from_int(c) for c in unit)
-    A = make_superalgebra(G.space, _edited(G.mul, F, edits), unit)
+    A = make_superalgebra(G.space, _edited(dense_view, G, F, edits), unit)
     assert validate_superalgebra(A) == expected
 
 
@@ -375,7 +373,8 @@ def _rational(rng):
     return Fraction(rng.randint(19) - 9, rng.randint(9) + 1)
 
 
-def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field):
+def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field,
+                                                                 dense_view):
     """Grassmann(3) over Q in a dense rational basis b'_i = P b_i, P = LU
     with L and U unitriangular within each parity block, with three products
     edited: over Q every sum of products runs on integer numerators over a
@@ -399,6 +398,7 @@ def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field)
                          (3, 5, 7): Fraction(-5, 9)}.items():
         mul[i][j][k] += c
     unit = P.solve([A.unit])[0]
+    mul = dense_view.columns("mul", mul)
     problems = validate_superalgebra(make_superalgebra(A.space, mul, unit))
     G = generic_field(QQ)
     space = SuperVectorSpace(G, A.space.labels, parities)
@@ -420,8 +420,8 @@ def _typed(vec):
 @given(st.sampled_from([QQ, F3, _F9]), st.booleans(), st.integers(0, 3),
        st.integers(0, 2), st.data())
 @settings(max_examples=120, deadline=None)
-def test_multiply_matches_dense_loop(generic_field, multiply_oracle, F, generic,
-                                     even, odd, data):
+def test_multiply_matches_dense_loop(generic_field, multiply_oracle, dense_view, F,
+                                     generic, even, odd, data):
     """multiply over the cached nonzero terms agrees with the dense loop on
     arbitrary structure constants, on the plain path over Q and F3, over F9,
     and on the generic path through the Field methods."""
@@ -434,7 +434,8 @@ def test_multiply_matches_dense_loop(generic_field, multiply_oracle, F, generic,
     n = even + odd
     vec = st.lists(st.one_of(st.just(F.zero), nonzero), min_size=n, max_size=n).map(tuple)
     mul = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n), min_size=n, max_size=n))
-    A = make_superalgebra(standard_space(K, even, odd), mul, [K.zero] * n)
+    A = make_superalgebra(standard_space(K, even, odd), dense_view.columns("mul", mul),
+                          [K.zero] * n)
     for _ in range(3):
         x, y = data.draw(vec), data.draw(vec)
         assert _typed(A.multiply(x, y)) == _typed(multiply_oracle(A, x, y))

@@ -40,27 +40,28 @@ def test_broken_counit_detected():
     assert any("counit" in p for p in validate_supercoalgebra(bad))
 
 
-def test_flipped_cocommutativity_detected():
+def test_flipped_cocommutativity_detected(dense_view):
     G = dualize_algebra(grassmann(2))
-    delta = [list(map(list, row)) for row in G.delta]
+    delta = dense_view.table(G)
     # flip one Koszul sign on the th1*th2 component
     delta[3][2][1] = QQ.neg(delta[3][2][1])
-    bad = SuperCoalgebra(G.space, tuple(tuple(tuple(c) for c in r)
-                                        for r in delta), G.counit)
+    bad = make_supercoalgebra(G.space, dense_view.columns("delta", delta), G.counit)
     assert any("cocommutativity" in p or "coassociativity" in p
                for p in validate_supercoalgebra(bad))
 
 
-def test_dualize_algebra_examples():
+def test_dualize_algebra_examples(dense_view):
     C = dualize_algebra(truncated_polynomial(1))
+    delta = dense_view.table(C)
     # x* is primitive
-    assert C.delta[1][0][1] == 1 and C.delta[1][1][0] == 1 and C.delta[1][1][1] == 0
+    assert delta[1][0][1] == 1 and delta[1][1][0] == 1 and delta[1][1][1] == 0
     KK = dualize_algebra(split_pair())
     assert is_grouplike(KK, unit_vec(QQ, 2, 0))
     assert is_grouplike(KK, unit_vec(QQ, 2, 1))
     G = dualize_algebra(grassmann(1))
     assert G.space.parities == (0, 1)
-    assert G.delta[1][0][1] == 1 and G.delta[1][1][0] == 1
+    delta = dense_view.table(G)
+    assert delta[1][0][1] == 1 and delta[1][1][0] == 1
 
 
 def test_double_dual_round_trip():
@@ -198,7 +199,7 @@ def _dense_basis_dual(A, rng):
     P = unitriangular(True).mul(unitriangular(False))
     basis = P.rows
     products = P.transpose().solve([A.multiply(x, y) for x in basis for y in basis])
-    mul = [[products[i * n + j] for j in range(n)] for i in range(n)]
+    mul = [F.nonzeros(p) for p in products]     # column i * n + j is b'_i * b'_j
     unit = P.transpose().solve([A.unit])[0]
     return dualize_algebra(make_superalgebra(A.space, mul, unit))
 
@@ -366,22 +367,24 @@ def test_tensor_coalgebra_is_dual_of_tensor_algebra():
 
 
 @pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
-def test_tensor_coalgebra_is_transpose_of_dual_tensor_algebra(F):
+def test_tensor_coalgebra_is_transpose_of_dual_tensor_algebra(F, dense_view):
     # odd x odd: the Koszul sign of the twist shows on both sides
     from superscheme.superalgebra import tensor_superalgebra
     C, D = dualize_algebra(grassmann(1, F)), dualize_algebra(grassmann(2, F))
     T = tensor_coalgebra(C, D)
     A = tensor_superalgebra(dualize_coalgebra(C), dualize_coalgebra(D))
     n, nd = T.dim, D.dim
+    T_delta, A_mul = dense_view.table(T), dense_view.table(A)
+    C_delta, D_delta = dense_view.table(C), dense_view.table(D)
     for s in range(n):
         for a in range(n):
             for b in range(n):
-                assert T.delta[s][a][b] == A.mul[a][b][s]
+                assert T_delta[s][a][b] == A_mul[a][b][s]
                 (i, j), (k, l), (m, p) = divmod(s, nd), divmod(a, nd), divmod(b, nd)
-                expected = F.mul(C.delta[i][k][m], D.delta[j][l][p])
+                expected = F.mul(C_delta[i][k][m], D_delta[j][l][p])
                 if C.parity(m) and D.parity(l):
                     expected = F.neg(expected)
-                assert T.delta[s][a][b] == expected
+                assert T_delta[s][a][b] == expected
 
 
 def test_truncated_cofree_shapes():
@@ -436,12 +439,12 @@ def test_cofree_rejects_bad_test_coalgebras():
         cofree_universal_map(tc, B2, theta3)  # does not kill the coradical
 
 
-def _edited(table, F, edits):
-    """A copy of [i][j][k] structure constants with some entries replaced."""
-    out = [[list(cell) for cell in row] for row in table]
+def _edited(dense_view, x, F, edits):
+    """The columns of x with some [i][j][k] entries of its table replaced."""
+    out = dense_view.table(x)
     for (i, j, k), v in edits.items():
         out[i][j][k] = F.from_int(v)
-    return out
+    return dense_view.columns("delta", out)
 
 
 
@@ -484,10 +487,10 @@ BROKEN_GRASSMANN_2_DUAL = {
 
 
 @pytest.mark.parametrize("case", list(BROKEN_GRASSMANN_2_DUAL))
-def test_validate_supercoalgebra_full_problem_list(case):
+def test_validate_supercoalgebra_full_problem_list(case, dense_view):
     F, edits, counit, expected = BROKEN_GRASSMANN_2_DUAL[case]
     C = dualize_algebra(grassmann(2, F))
     counit = C.counit if counit is None else tuple(F.from_int(c) for c in counit)
-    D = make_supercoalgebra(C.space, _edited(C.delta, F, edits), counit)
+    D = make_supercoalgebra(C.space, _edited(dense_view, C, F, edits), counit)
     assert validate_supercoalgebra(D) == expected
 

@@ -10,6 +10,7 @@ from superscheme.superlinear import (
     tensor_apply, twist, unit_vec, vec_add, vec_scale, zero_vec,
 )
 from superscheme.corpus import Rng
+from superscheme.superalgebra import _combination
 
 F3 = PrimeField(3)
 
@@ -367,6 +368,12 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     assert (X is None) == (slow_x is None)
     if X is not None:
         assert _typed(X) == _typed(slow_x)
+
+    # a combination of the sparse rows is the transpose applied to its coefficients
+    coeffs = tuple(data.draw(st.lists(entries, min_size=m, max_size=m)))
+    combo = _combination(F, F.nonzeros(coeffs), fast.support(), n)
+    assert _typed([combo]) == _typed([_combination(G, G.nonzeros(coeffs), slow.support(), n)])
+    assert _typed([combo]) == _typed([fast.transpose().apply(coeffs)])
 
 
 @seed(2718)
