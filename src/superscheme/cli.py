@@ -97,8 +97,7 @@ def _load_valid(path):
 
 def _basis_line(space, vec):
     F = space.field
-    parts = [f"{F.format(c)}*{l}" for c, l in zip(vec, space.labels)
-             if not F.is_zero(c)]
+    parts = [f"{F.format(c)}*{space.labels[i]}" for i, c in vec]
     return " + ".join(parts) if parts else "0"
 
 
@@ -218,9 +217,14 @@ def cmd_grouplikes(args):
     else:
         gls = grouplikes_over(C, over)
         rep.add("grouplike-count", len(gls))
+        F = C.field
         for u in gls:
-            flat = [c for row in u for c in row]
-            rep.add("grouplike", " ".join(C.field.format(c) for c in flat))
+            # every entry of the coefficient matrix, row-major, zeros included
+            dense = [F.zero] * (len(u) * C.dim)
+            for a, row in enumerate(u):
+                for m, c in row:
+                    dense[a * C.dim + m] = c
+            rep.add("grouplike", " ".join(F.format(c) for c in dense))
     return rep.emit(), EXIT_OK
 
 

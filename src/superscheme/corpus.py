@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
 )
 from .superalgebra import make_superalgebra, tensor_superalgebra
 from .supercoalgebra import (
@@ -63,7 +63,6 @@ def grassmann(q, field=QQ):
                    for s in subsets)
     parities = tuple(len(s) % 2 for s in subsets)
     space = SuperVectorSpace(field, labels, parities)
-    n = len(subsets)
     F = field
     mul = []
     for s in subsets:
@@ -74,9 +73,7 @@ def grassmann(q, field=QQ):
                 merged = tuple(sorted(s + t))
                 col.append((index[merged], F.neg(F.one) if inversions % 2 else F.one))
             mul.append(col)
-    unit = [F.zero] * n
-    unit[0] = F.one
-    return make_superalgebra(space, mul, unit)
+    return make_superalgebra(space, mul, [(0, F.one)])
 
 
 def divided_power(d, field=QQ):
@@ -85,8 +82,7 @@ def divided_power(d, field=QQ):
     labels = tuple(["g"] + [f"x{i}" for i in range(1, d + 1)])
     space = SuperVectorSpace(F, labels, (0,) * (d + 1))
     delta = [[(i * (d + 1) + n - i, F.one) for i in range(n + 1)] for n in range(d + 1)]
-    counit = [F.one] + [F.zero] * d
-    return make_supercoalgebra(space, delta, counit)
+    return make_supercoalgebra(space, delta, [(0, F.one)])
 
 
 def grouplike_coalgebra(n, field=QQ):
@@ -96,7 +92,7 @@ def grouplike_coalgebra(n, field=QQ):
     F = field
     space = SuperVectorSpace(F, tuple(f"g{i + 1}" for i in range(n)), (0,) * n)
     delta = [[(i * n + i, F.one)] for i in range(n)]
-    return make_supercoalgebra(space, delta, [F.one] * n)
+    return make_supercoalgebra(space, delta, [(i, F.one) for i in range(n)])
 
 
 def truncated_polynomial(d, field=QQ):
@@ -122,8 +118,7 @@ def quotient_ring_algebra(poly, field=QQ, name="x"):
             prod[i + j] = F.one
             _, rem = poly_divmod(F, prod, f)
             mul.append(enumerate(rem))
-    unit = [F.one] + [F.zero] * (deg - 1)
-    return make_superalgebra(space, mul, unit)
+    return make_superalgebra(space, mul, [(0, F.one)])
 
 
 def split_pair(field=QQ):
@@ -131,7 +126,7 @@ def split_pair(field=QQ):
     F = field
     space = SuperVectorSpace(F, ("e1", "e2"), (0, 0))
     mul = [[(0, F.one)], [], [], [(1, F.one)]]
-    return make_superalgebra(space, mul, (F.one, F.one))
+    return make_superalgebra(space, mul, [(0, F.one), (1, F.one)])
 
 
 def canonical_algebras(field=QQ):
@@ -187,7 +182,7 @@ def _seeded_subspace(rng, space, rows):
     F = space.field
     vecs = []
     for _ in range(rows):
-        vecs.append(tuple(rng.scalar(F) for _ in range(space.dim)))
+        vecs.append(vector(F, enumerate([rng.scalar(F) for _ in range(space.dim)])))
     return Subspace.from_vectors(space, vecs)
 
 
@@ -266,8 +261,7 @@ def seeded_random(kind, seed, field=QQ, **bounds):
 def _host_grouplike(C):
     """The canonical group-like of the connected hosts (counit-normalized
     first basis vector, which is group-like for every host in the list)."""
-    F = C.field
-    return unit_vec(F, C.dim, 0)
+    return unit_vec(C.field, 0)
 
 
 def _direct_sum_comodule(M, N):
@@ -290,7 +284,7 @@ def _seeded_morphism(rng, seed, field):
         K = unit_coalgebra(F)
         X = FormalSuperscheme.finite(C)
         Y = FormalSuperscheme.finite(K)
-        m = GradedMap(C.space, K.space, Matrix(F, [list(C.counit)], C.dim), 0)
+        m = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
         f = SchemeMorphism.finite(m, X, Y)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": True,
@@ -311,10 +305,7 @@ def _seeded_morphism(rng, seed, field):
         big = direct_sum_coalgebra([C, other])
         X = FormalSuperscheme.finite(C)
         Y = FormalSuperscheme.finite(big)
-        rows = [[F.zero] * C.dim for _ in range(big.dim)]
-        for i in range(C.dim):
-            rows[i][i] = F.one
-        m = GradedMap(C.space, big.space, Matrix(F, rows, C.dim), 0)
+        m = GradedMap.from_columns(C.space, big.space, [unit_vec(F, i) for i in range(C.dim)], 0)
         f = SchemeMorphism.finite(m, X, Y)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": False,
@@ -325,7 +316,7 @@ def _seeded_morphism(rng, seed, field):
     X = FormalSuperscheme.finite(K)
     Y = FormalSuperscheme.finite(C)
     g = _host_grouplike(C)
-    m = GradedMap(K.space, C.space, Matrix(F, [[c] for c in g], 1), 0)
+    m = GradedMap.from_columns(K.space, C.space, [g], 0)
     f = SchemeMorphism.finite(m, X, Y)
     return CorpusEntry("morphism", seed, (f,),
                        {"flat": False, "faithfully_flat": False,

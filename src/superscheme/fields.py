@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import itemgetter
-
-_entry = itemgetter(1)
 
 
 class FieldError(ValueError):
@@ -39,11 +36,6 @@ class Field:
 
     def is_zero(self, a):
         return a == self.zero
-
-    def nonzeros(self, vec):
-        """The (index, entry) pairs of the nonzero entries of vec."""
-        is_zero = self.is_zero
-        return [(j, a) for j, a in enumerate(vec) if not is_zero(a)]
 
     def is_one(self, a):
         return a == self.one
@@ -82,9 +74,6 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return not a
-
-    def nonzeros(self, vec):
-        return list(filter(_entry, enumerate(vec)))     # zero is falsy
 
     def add(self, a, b):
         return a + b
@@ -144,9 +133,6 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return not a        # residues are canonical in [0, p)
-
-    def nonzeros(self, vec):
-        return list(filter(_entry, enumerate(vec)))     # zero is falsy
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -362,16 +348,6 @@ def poly_divmod(F, p, q):
             p[shift + i] = F.sub(p[shift + i], F.mul(c, b))
         p = list(poly_trim(F, p))
     return poly_trim(F, quot), poly_trim(F, p)
-
-
-def poly_gcd(F, p, q):
-    p, q = poly_trim(F, p), poly_trim(F, q)
-    while q:
-        _, r = poly_divmod(F, p, q)
-        p, q = q, r
-    if p:
-        p = poly_scale(F, p, F.inv(p[-1]))
-    return p
 
 
 def poly_ext_gcd(F, p, q):

@@ -15,7 +15,8 @@ from .supercoalgebra import (
     base_change_coalgebra, coradical, coradical_filtration,
     direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
     irreducible_components, is_coalgebra_morphism, is_grouplike_over,
-    NotSubcoalgebra, subcoalgebra_on, tensor_coalgebra, _koszul_signed,
+    NotSubcoalgebra, subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
+    _koszul_signed,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, regular_comodule,
@@ -25,6 +26,7 @@ from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _null_space_sparse,
     _read_coordinates, _rref_sparse, _sparse_columns, _tensor_apply_sparse,
     coordinates, perp, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
+    vector,
 )
 
 
@@ -62,10 +64,13 @@ class FormalSuperscheme:
         return self.coalgebra.field
 
     def validate(self):
-        problems = []
         if len(self.maps) != len(self.levels) - 1:
             return ["tower needs one transition map per adjacent pair"]
+        bad = _invalid_levels(self.levels)
+        problems = [f"level {l} is not a valid super-coalgebra" for l in bad]
         for i, m in enumerate(self.maps):
+            if i in bad or i + 1 in bad:
+                continue
             if not is_coalgebra_morphism(m, self.levels[i], self.levels[i + 1]):
                 problems.append(f"transition {i} is not a coalgebra morphism")
             elif not m.is_injective():
@@ -115,12 +120,17 @@ class SchemeMorphism:
         return self.maps[-1]
 
     def validate(self):
-        problems = []
         if len(self.maps) != len(self.source.levels):
             return ["need one coalgebra map per level"]
         if len(self.source.levels) != len(self.target.levels):
             return ["source and target towers differ in depth"]
+        bad = {end: _invalid_levels(X.levels)
+               for end, X in (("source", self.source), ("target", self.target))}
+        problems = [f"{end} level {l} is not a valid super-coalgebra"
+                    for end, levels in bad.items() for l in levels]
         for l, m in enumerate(self.maps):
+            if l in bad["source"] or l in bad["target"]:
+                continue
             if not is_coalgebra_morphism(m, self.source.levels[l],
                                          self.target.levels[l]):
                 problems.append(f"level {l} map is not a coalgebra morphism")
@@ -130,6 +140,13 @@ class SchemeMorphism:
             if left.matrix != right.matrix:
                 problems.append(f"square at level {l} does not commute")
         return problems
+
+
+def _invalid_levels(levels):
+    """The indices of the levels that fail the super-coalgebra axioms: a
+    map out of or into one is not checked, as its coproduct map may not
+    even be even."""
+    return [l for l, C in enumerate(levels) if validate_supercoalgebra(C)]
 
 
 def identity_morphism(X):
@@ -220,8 +237,8 @@ def _restrict_between(m, incl_src, incl_dst):
     The columns of incl_dst are the echelon rows of the target carrier, so
     the coordinates of the images are read on that carrier.
     """
-    carrier = Subspace(incl_dst.codomain, incl_dst.matrix.transpose())
-    cols = coordinates(carrier, m.compose(incl_src).matrix.transpose().rows)
+    carrier = Subspace(incl_dst.codomain, incl_dst.matrix._transpose())
+    cols = coordinates(carrier, _sparse_columns(m.compose(incl_src)))
     if cols is None:
         raise AssertionError("bosonic image escapes the target carrier")
     return GradedMap.from_columns(incl_src.domain, incl_dst.domain, cols, 0)
@@ -247,12 +264,12 @@ def transport_point(phi, A, R):
     negated when b_i and b_j are both odd.
 
     u = sum_i phi(a_i) (x) a_i*, returned as an R.dim x A.dim coefficient
-    matrix; the group-like property is verified on the result.
+    matrix, as its rows; the group-like property is verified on the result.
     """
     from .superalgebra import is_superalgebra_morphism
     if not is_superalgebra_morphism(phi, A, R):
         raise ValueError("transport_point needs a superalgebra morphism")
-    u = tuple(tuple(row) for row in phi.matrix.rows)
+    u = phi.matrix.rows
     if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
         raise AssertionError("transported point is not group-like")
     return u
@@ -264,8 +281,7 @@ def transport_point_inverse(u, A, R):
     from .superalgebra import is_superalgebra_morphism
     if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
         raise ValueError("input is not group-like")
-    phi = GradedMap(A.space, R.space, Matrix(A.field, [list(r) for r in u],
-                                             A.dim), 0)
+    phi = GradedMap(A.space, R.space, Matrix(A.field, u, A.dim), 0)
     if not is_superalgebra_morphism(phi, A, R):
         raise AssertionError("transported map is not a superalgebra morphism")
     return phi
@@ -385,8 +401,7 @@ def base_change(X, ext):
     levels = [base_change_coalgebra(C, ext) for C in X.levels]
     maps = []
     for m, src, dst in zip(X.maps, levels, levels[1:]):
-        mat = Matrix(ext, [[ext.embed(c) for c in row] for row in m.matrix.rows],
-                     m.matrix.ncols)
+        mat = _embed_matrix(m.matrix, ext)
         maps.append(GradedMap(src.space, dst.space, mat, 0))
     if X.is_finite_level:
         return FormalSuperscheme.finite(levels[0])
@@ -398,10 +413,14 @@ def base_change_morphism(f, ext):
     newY = base_change(f.target, ext)
     maps = []
     for m, src, dst in zip(f.maps, newX.levels, newY.levels):
-        mat = Matrix(ext, [[ext.embed(c) for c in row] for row in m.matrix.rows],
-                     m.matrix.ncols)
+        mat = _embed_matrix(m.matrix, ext)
         maps.append(GradedMap(src.space, dst.space, mat, 0))
     return SchemeMorphism(newX, newY, tuple(maps))
+
+
+def _embed_matrix(mat, ext):
+    return Matrix(ext, [tuple((j, ext.embed(c)) for j, c in row) for row in mat.rows],
+                  mat.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +520,7 @@ def _iterated_cotensor_tower(M, A, reg, depth):
     for n in range(1, depth + 1):
         prev = levels[-1]
         carrier = cotensor_kernel(prev.psi, theta, prev.space, A.space, B_dim)
-        support, (_, pivots) = carrier.matrix.support(), carrier.matrix.rref()
+        support, (_, pivots) = carrier.matrix.rows, carrier.matrix.rref()
         # rows of a graded subspace in RREF are homogeneous: each has the
         # parity of its pivot
         space = SuperVectorSpace(F, tuple(f"t{n}_{s + 1}" for s in range(len(pivots))),
@@ -512,24 +531,24 @@ def _iterated_cotensor_tower(M, A, reg, depth):
         slots = []
         for big in _tensor_apply_sparse(F, ident_P, rho, A.dim * B_dim, (), support):
             split = [[] for _ in range(B_dim)]
-            for ik, c in big.items():
+            for ik, c in big:
                 i, k = divmod(ik, B_dim)
                 split[k].append((i, c))
-            slots += split
+            slots += map(tuple, split)
         coords = _read_coordinates(F, support, pivots, slots)
         if coords is None:
             raise AssertionError("right coaction escapes the carrier")
-        psi = [[(t * B_dim + k, c) for k in range(B_dim) for t, c in coords[s * B_dim + k]]
+        psi = [tuple(sorted((t * B_dim + k, c) for k in range(B_dim)
+                            for t, c in coords[s * B_dim + k]))
                for s in range(len(support))]
         # face j < n - 1 is (face j one level down) (x) id_A; face n - 1 is id (x) eps
-        faces = [_read_coordinates(F, prev.carrier.matrix.support(),
+        faces = [_read_coordinates(F, prev.carrier.matrix.rows,
                                    prev.carrier.matrix.rref()[1],
                                    _tensor_apply_sparse(F, pf, ident_A, A.dim, (), support))
                  for pf in prev.faces]
         if None in faces:
             raise AssertionError("face map escapes the carrier")
-        faces.append([list(face.items()) for face in
-                      _tensor_apply_sparse(F, ident_P, eps, 1, (), support)])
+        faces.append(list(_tensor_apply_sparse(F, ident_P, eps, 1, (), support)))
         levels.append(_TowerLevel(space, psi, carrier, tuple(faces)))
     return levels
 
@@ -537,7 +556,7 @@ def _iterated_cotensor_tower(M, A, reg, depth):
 def _boundary(level):
     """partial = sum of signed faces down one level, as sparse columns."""
     F = level.space.field
-    add, neg, is_zero = F.add, F.neg, F.is_zero
+    add, neg = F.add, F.neg
     out = []
     for cols in zip(*level.faces):
         acc = {}
@@ -546,7 +565,7 @@ def _boundary(level):
                 if idx % 2:
                     c = neg(c)
                 acc[u] = add(acc[u], c) if u in acc else c
-        out.append([(u, c) for u, c in acc.items() if not is_zero(c)])
+        out.append(vector(F, acc))
     return out
 
 
@@ -641,7 +660,7 @@ def descent_check(f, depth=3):
 
 def _std_basis(C):
     F = C.field
-    return [unit_vec(F, C.dim, i) for i in range(C.dim)]
+    return [unit_vec(F, i) for i in range(C.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +692,7 @@ def finite_bounded_degree(f):
     dualA = dualize_coalgebra(A)
     dualB = dualize_coalgebra(B)
     # B* -> A* is the transpose of the coalgebra map
-    psi_t = f.deep.matrix.transpose()
+    psi_t = f.deep.matrix._transpose()
     radB = radical(dualB)
     factors = local_decomposition(dualB, radB)
 
@@ -684,13 +703,13 @@ def finite_bounded_degree(f):
     jvecs = []
     for w in radB.subspace.basis():
         for i in range(dualA.dim):
-            jvecs.append(act(w, unit_vec(F, dualA.dim, i)))
+            jvecs.append(act(w, unit_vec(F, i)))
     JA = Subspace.from_vectors(dualA.space, jvecs)
     qspace, proj, _ = quotient_data(dualA.space, JA)
     degree = 0
     for fac in factors:
         evec = fac.idempotent
-        comp_vecs = [proj.apply(act(evec, unit_vec(F, dualA.dim, i)))
+        comp_vecs = [proj.apply(act(evec, unit_vec(F, i)))
                      for i in range(dualA.dim)]
         comp = Subspace.from_vectors(qspace, comp_vecs)
         even = comp.even_part().dim

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .superalgebra import monomial_superalgebra
 from .supercoalgebra import dualize_algebra
-from .superlinear import GradedMap, Matrix
+from .superlinear import GradedMap, unit_vec
 
 
 class SubsetBoundExceeded(RuntimeError):
@@ -390,12 +390,8 @@ def truncation_tower(P, depth):
     coalgebras = [dualize_algebra(A) for A in algebras]
     maps = []
     for small, big in zip(coalgebras, coalgebras[1:]):
-        F = small.field
-        rows = []
-        small_labels = small.space.labels
         big_index = {l: i for i, l in enumerate(big.space.labels)}
-        mat = [[F.zero] * small.dim for _ in range(big.dim)]
-        for j, lab in enumerate(small_labels):
-            mat[big_index[lab]][j] = F.one
-        maps.append(GradedMap(small.space, big.space, Matrix(F, mat, small.dim), 0))
+        maps.append(GradedMap.from_columns(
+            small.space, big.space,
+            [unit_vec(small.field, big_index[l]) for l in small.space.labels], 0))
     return FormalSuperscheme.tower(coalgebras, maps)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
-from .superlinear import GradedMap, Matrix, Subspace, SuperVectorSpace
+from .superlinear import GradedMap, Matrix, Subspace, SuperVectorSpace, vector
 from .superalgebra import SuperAlgebra, make_superalgebra
 from .supercoalgebra import SuperCoalgebra, make_supercoalgebra
 from .supercomodule import SuperComodule, make_supercomodule
@@ -250,8 +250,10 @@ def _triple_tensor(doc, po, keyword, n, w, count):
 
 
 def _vector(doc, po, keyword, n):
+    """The "keyword i c" lines as an index -> entry dict; the last line for
+    an index counts, and make_* drops the zeros."""
     F = doc.field
-    vec = [F.zero] * n
+    vec = {}
     for lineno, tokens in po.lines:
         if tokens[0] != keyword:
             continue
@@ -261,7 +263,7 @@ def _vector(doc, po, keyword, n):
             vec[_index(tokens[1], n)] = F.parse(tokens[2])
         except (ValueError, IndexError, FieldError) as exc:
             raise ParseError(f"bad {keyword} entry: {exc}", lineno)
-    return tuple(vec)
+    return vec
 
 
 def _build_algebra(doc, po):
@@ -295,7 +297,7 @@ def _build_morphism(doc, po):
     C = doc.get(po.source, "coalgebra")
     D = doc.get(po.target, "coalgebra")
     F = doc.field
-    rows = [[F.zero] * C.dim for _ in range(D.dim)]
+    rows = [{} for _ in range(D.dim)]
     for lineno, tokens in po.lines:
         if tokens[0] != "map":
             continue
@@ -306,7 +308,7 @@ def _build_morphism(doc, po):
         except (ValueError, IndexError, FieldError) as exc:
             raise ParseError(f"bad map entry: {exc}", lineno)
     try:
-        gm = GradedMap(C.space, D.space, Matrix(F, rows, C.dim), 0)
+        gm = GradedMap(C.space, D.space, Matrix(F, [vector(F, r) for r in rows], C.dim), 0)
     except ValueError as exc:
         raise ParseError(f"morphism {po.name}: {exc}")
     return SchemeMorphism(FormalSuperscheme.finite(C),
@@ -327,7 +329,7 @@ def _build_subspace(doc, po):
         if len(coords) != space.dim:
             raise ParseError(f"row needs {space.dim} scalars", lineno)
         try:
-            vecs.append(tuple(F.parse(c) for c in coords))
+            vecs.append(vector(F, enumerate(F.parse(c) for c in coords)))
         except FieldError as exc:
             raise ParseError(str(exc), lineno)
     return Subspace.from_vectors(space, vecs)
@@ -455,8 +457,7 @@ def _scalar_lines(F, keyword, cols, n, w):
 
 
 def _vector_lines(F, keyword, vec):
-    return [f"  {keyword} {i} {F.format(c)}"
-            for i, c in enumerate(vec) if not F.is_zero(c)]
+    return [f"  {keyword} {i} {F.format(c)}" for i, c in vec]
 
 
 def serialize_object(name, value, F, over=None, endpoints=None):
@@ -482,11 +483,8 @@ def serialize_object(name, value, F, over=None, endpoints=None):
     elif isinstance(value, SchemeMorphism):
         src, dst = endpoints
         lines.append(f"object morphism {name} from {src} to {dst}")
-        mat = value.deep.matrix
-        for i in range(mat.nrows):
-            for j in range(mat.ncols):
-                if not F.is_zero(mat.rows[i][j]):
-                    lines.append(f"  map {i} {j} {F.format(mat.rows[i][j])}")
+        for i, row in enumerate(value.deep.matrix.rows):
+            lines.extend(f"  map {i} {j} {F.format(c)}" for j, c in row)
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
     lines.append("end")

@@ -1,8 +1,9 @@
 """Finite-dimensional supercommutative superalgebras by structure constants.
 
-Elements are coordinate tuples over the underlying super vector space.
-mul holds the sparse columns of m: A (x) A -> A: column i * n + j lists the
-(k, c) pairs, sorted by k with c nonzero, of b_i * b_j = sum c b_k.
+Elements are vectors (see superlinear.vector) over the underlying super
+vector space.  mul holds the sparse columns of m: A (x) A -> A: column
+i * n + j lists the (k, c) pairs, sorted by k with c nonzero, of
+b_i * b_j = sum c b_k.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _defects, _dense, _identity_columns, _parity_defects,
+    GradedMap, Matrix, Subspace, _defects, _identity_columns, _parity_defects,
     _sparse_columns, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
     coordinates, quotient_data, tensor_after, twist, twist_apply, unit_vec, vec_add,
-    vec_scale, vec_sub, zero_vec,
+    vec_scale, vec_sub, vector,
 )
 
 
@@ -56,9 +57,8 @@ class SuperAlgebra:
         return [cells[i * n:(i + 1) * n] for i in range(n)], D, rule
 
     def multiply(self, x, y):
-        F = self.field
         terms, dm, (lift, _, add, mul, lower) = self._terms
-        (xs, ys), d = lift((F.nonzeros(x), F.nonzeros(y)))
+        (xs, ys), d = lift((x, y))
         acc = {}
         for i, xi in xs:
             row = terms[i]
@@ -67,12 +67,11 @@ class SuperAlgebra:
                 for k, c in row[j]:
                     t = mul(xy, c)
                     acc[k] = add(acc[k], t) if k in acc else t
-        return tuple(lower(acc.items(), dm * d * d, [F.zero] * self.dim))
+        return lower(acc.items(), dm * d * d)
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
-        return GradedMap.from_sparse_columns(self.space.tensor(self.space), self.space,
-                                             self.mul)
+        return GradedMap.from_columns(self.space.tensor(self.space), self.space, self.mul)
 
     def power(self, x, n):
         out = self.unit
@@ -83,15 +82,16 @@ class SuperAlgebra:
     def odd_subspace(self):
         return Subspace.from_vectors(
             self.space,
-            [unit_vec(self.field, self.dim, i)
-             for i in range(self.dim) if self.parity(i) == 1])
+            [unit_vec(self.field, i) for i in range(self.dim) if self.parity(i) == 1])
 
 
 def make_superalgebra(space, mul, unit):
-    """The algebra with these columns of m (see canonical_columns) and unit;
-    the one constructor.  It does not validate: call validate_superalgebra."""
+    """The algebra with these columns of m and this unit (see
+    canonical_columns); the one constructor.  It does not validate: call
+    validate_superalgebra."""
     n = space.dim
-    return SuperAlgebra(space, canonical_columns(space.field, mul, n * n, n), tuple(unit))
+    (unit,) = canonical_columns(space.field, [unit], 1, n)
+    return SuperAlgebra(space, canonical_columns(space.field, mul, n * n, n), unit)
 
 
 def validate_superalgebra(A):
@@ -109,7 +109,7 @@ def validate_superalgebra(A):
     sq = A.space.tensor(A.space)
     cols = _transpose(A.mul, n)     # the columns of cop
     ident = _identity_columns(F, n)
-    unit = _transpose([F.nonzeros(A.unit)], n)
+    unit = _transpose([A.unit], n)
     problems = [
         f"parity: {labels[ij // n]}*{labels[ij % n]} has a component on {labels[k]}"
         for ij, k in _parity_defects(A.mul, sq.parities, A.space.parities)]
@@ -161,7 +161,7 @@ def is_superideal(A, sub):
 def _products(A, elements):
     """b_i * x for every given x and every basis vector b_i, x major."""
     F = A.field
-    return [A.multiply(unit_vec(F, A.dim, i), x) for x in elements for i in range(A.dim)]
+    return [A.multiply(unit_vec(F, i), x) for x in elements for i in range(A.dim)]
 
 
 def ideal_generated_by(A, elements):
@@ -178,7 +178,7 @@ def ideal_generated_by(A, elements):
 
 def canonical_ideal(A):
     """The smallest superideal containing the odd part: A * A_odd."""
-    odd = [unit_vec(A.field, A.dim, i) for i in range(A.dim) if A.parity(i) == 1]
+    odd = [unit_vec(A.field, i) for i in range(A.dim) if A.parity(i) == 1]
     if not odd:
         return Superideal(A, Subspace.zero(A.space))
     return ideal_generated_by(A, odd)
@@ -187,9 +187,8 @@ def canonical_ideal(A):
 def quotient_by_superideal(A, ideal):
     """Quotient superalgebra by a Superideal and the projection map."""
     qspace, proj, section = quotient_data(A.space, ideal.subspace)
-    F = A.field
-    lifts = [section.column(i) for i in range(qspace.dim)]
-    mul = [F.nonzeros(proj.apply(A.multiply(x, y))) for x in lifts for y in lifts]
+    lifts = _sparse_columns(section)
+    mul = [proj.apply(A.multiply(x, y)) for x in lifts for y in lifts]
     quot = make_superalgebra(qspace, mul, proj.apply(A.unit))
     return quot, proj
 
@@ -208,9 +207,9 @@ def is_superalgebra_morphism(phi, A, B):
         return False
     F = A.field
     for i in range(A.dim):
-        ei = unit_vec(F, A.dim, i)
+        ei = unit_vec(F, i)
         for j in range(A.dim):
-            ej = unit_vec(F, A.dim, j)
+            ej = unit_vec(F, j)
             lhs = phi.apply(A.multiply(ei, ej))
             rhs = B.multiply(phi.apply(ei), phi.apply(ej))
             if lhs != rhs:
@@ -240,11 +239,11 @@ def _frobenius_kernel(A):
     while True:
         cols = []
         for i in range(n):
-            cols.append(A.power(unit_vec(F, n, i), p ** m))
-        mat = Matrix(F, cols, n).transpose()
+            cols.append(A.power(unit_vec(F, i), p ** m))
+        mat = Matrix(F, cols, n)._transpose()
         null = mat.null_space()
         inv_exp = p ** ((e - (m % e)) % e)
-        rows = [[F.pow(c, inv_exp) for c in row] for row in null.rows]
+        rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row) for row in null.rows]
         ker = Subspace.from_vectors(A.space, rows)
         if p ** m >= n and (last is None or ker == last):
             return ker
@@ -263,8 +262,8 @@ def _trace_form_kernel(A):
               for k in range(n)]
     gram = [functools.reduce(F.add, (F.mul(c, traces[k]) for k, c in col), F.zero)
             for col in A.mul]
-    return Subspace(A.space, Matrix(F, [gram[i * n:(i + 1) * n] for i in range(n)],
-                                    n).null_space())
+    return Subspace(A.space, Matrix(F, [vector(F, enumerate(gram[i * n:(i + 1) * n]))
+                                        for i in range(n)], n).null_space())
 
 
 def radical(A):
@@ -315,16 +314,17 @@ def _minimal_polynomial(A, x):
     powers = [A.unit]
     while True:
         powers.append(A.multiply(powers[-1], x))
-        mat = Matrix(F, powers[:-1], A.dim).transpose()
+        mat = Matrix(F, powers[:-1], A.dim)._transpose()
         sol = mat.solve([powers[-1]])
         if sol is not None:
-            coeffs = [F.neg(c) for c in sol[0]] + [F.one]
+            sol = dict(sol[0])
+            coeffs = [F.neg(sol.get(j, F.zero)) for j in range(mat.ncols)] + [F.one]
             return poly_trim(F, coeffs)
 
 
 def _eval_in_algebra(A, poly, x):
     F = A.field
-    out = zero_vec(F, A.dim)
+    out = ()
     for c in reversed(poly):
         out = vec_add(F, A.multiply(out, x), vec_scale(F, c, A.unit))
     return out
@@ -344,7 +344,7 @@ def _bezout_idempotent(A, x, f, rest):
 def _split_candidates(S):
     F = S.field
     n = S.dim
-    basis = [unit_vec(F, n, i) for i in range(n)]
+    basis = [unit_vec(F, i) for i in range(n)]
     for b in basis:
         yield b
     two = F.from_int(2)
@@ -368,8 +368,8 @@ def _semisimple_idempotent(S):
         return None
     if F.char != 0:
         q = F.order
-        cols = [S.power(unit_vec(F, n, i), q) for i in range(n)]
-        mat = Matrix(F, cols, n).transpose().sub(Matrix.identity(F, n))
+        cols = [S.power(unit_vec(F, i), q) for i in range(n)]
+        mat = Matrix(F, cols, n)._transpose().sub(Matrix.identity(F, n))
         fixed = Subspace(S.space, mat.null_space())
         if fixed.dim == 1:
             return None  # one component: S is a field
@@ -402,7 +402,7 @@ def _semisimple_idempotent(S):
             e = _bezout_idempotent(S, b, factors[0], rest)
             if S.multiply(e, e) != e:
                 raise AssertionError("split element is not idempotent")
-            if e != zero_vec(F, n) and e != S.unit:
+            if e and e != S.unit:
                 return e
         elif complete and len(minpoly) - 1 == n:
             certified_field = True
@@ -435,7 +435,7 @@ def _subalgebra_on(A, sub, unit):
     basis = sub.basis()
     parities = []
     for row in basis:
-        ps = {A.parity(j) for j, c in enumerate(row) if not F.is_zero(c)}
+        ps = {A.parity(j) for j, _ in row}
         if len(ps) != 1:
             raise AssertionError("subalgebra basis vector is not homogeneous")
         parities.append(ps.pop())
@@ -445,7 +445,7 @@ def _subalgebra_on(A, sub, unit):
     if coords is None:
         raise AssertionError("a product or the unit escapes the subalgebra subspace")
     *products, ucoords = coords
-    B = make_superalgebra(space, map(F.nonzeros, products), ucoords)
+    B = make_superalgebra(space, products, ucoords)
     return B, GradedMap.from_columns(space, A.space, basis)
 
 
@@ -495,7 +495,7 @@ def local_decomposition(A, rad):
         _, _, section = quotient_data(B.space, rad_b.subspace)
         e1 = incl.apply(_lift_idempotent(B, proj, section, e_bar))
         pending[:0] = [e1, vec_sub(F, e, e1)]
-    total = zero_vec(F, A.dim)
+    total = ()
     for fac in factors:
         total = vec_add(F, total, fac.idempotent)
     if total != A.unit:
@@ -577,54 +577,48 @@ def enumerate_homs(A, R, generators):
     gens = [tuple(g) for g in generators]
     gen_parities = []
     for g in gens:
-        ps = {A.parity(i) for i, c in enumerate(g) if not F.is_zero(c)}
+        ps = {A.parity(i) for i, _ in g}
         if len(ps) != 1:
             raise ValueError("generators must be nonzero homogeneous")
         gen_parities.append(ps.pop())
     words, values, span = _word_basis(A, gens)
     if span.dim != A.dim:
         raise ValueError("declared generators do not generate the algebra")
-    value_mat = Matrix(F, values, A.dim).transpose()
-    basis_in_words = value_mat.solve(Matrix.identity(F, A.dim).rows)
-    in_words = Matrix(F, basis_in_words, len(words)).transpose()
+    value_mat = Matrix(F, values, A.dim)._transpose()
+    basis_coeffs = value_mat.solve(Matrix.identity(F, A.dim).rows)
+    in_words = Matrix(F, basis_coeffs, len(words))._transpose()
     built = set(words)
-    relations = [(w, gi, F.nonzeros(in_words.apply(A.multiply(values[w], g))))
+    relations = [(w, gi, in_words.apply(A.multiply(values[w], g)))
                  for w in range(len(words)) for gi, g in enumerate(gens)
                  if (w, gi) not in built]
-    basis_coeffs = [F.nonzeros(c) for c in basis_in_words]
     elems = sorted(F.elements(), key=F.sort_key)
     image_slots = [[i for i in range(R.dim) if R.parity(i) == p] for p in gen_parities]
     found = []
-    spaces = [list(itertools.product(elems, repeat=len(s))) for s in image_slots]
-    for combo in itertools.product(*spaces):
-        gen_imgs = []
-        for slots, coeffs in zip(image_slots, combo):
-            v = [F.zero] * R.dim
-            for s, c in zip(slots, coeffs):
-                v[s] = c
-            gen_imgs.append(tuple(v))
+    # every candidate image of each generator, as a vector, in the
+    # lexicographic order of its coefficients on the slots; the (slot, c)
+    # pairs are shared, so a candidate costs no more than its coefficients
+    spaces = [[tuple(t for t in combo if t) for combo in itertools.product(
+                   *([(s, c) if not F.is_zero(c) else () for c in elems] for s in slots))]
+              for slots in image_slots]
+    for gen_imgs in itertools.product(*spaces):
         word_values = [R.unit]
         for parent, gi in words[1:]:
             word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
-        rows = [F.nonzeros(v) for v in word_values]
-        if any(R.multiply(word_values[w], gen_imgs[gi]) != _combination(F, c, rows, R.dim)
+        if any(R.multiply(word_values[w], gen_imgs[gi]) != _combination(F, c, word_values)
                for w, gi, c in relations):
             continue
         try:
             found.append(GradedMap.from_columns(
-                A.space, R.space, [_combination(F, c, rows, R.dim) for c in basis_coeffs]))
+                A.space, R.space, [_combination(F, c, word_values) for c in basis_coeffs]))
         except ValueError:
             continue
     return found
 
 
-def _combination(F, coeffs, rows, n):
-    """The sum of c * rows[s] over the sparse coefficients (s, c), for
-    sparse rows of length n, as a dense tuple: a row times a matrix, summed
-    as in Matrix.mul."""
-    (out,) = _dense(F, n, _tensor_apply_sparse(F, rows, _identity_columns(F, 1), 1, (),
-                                               (coeffs,)))
-    return out
+def _combination(F, coeffs, rows):
+    """The sum of c * rows[s] over the coefficients (s, c), a vector: a row
+    times a matrix, summed as in Matrix.mul."""
+    return next(_tensor_apply_sparse(F, rows, _identity_columns(F, 1), 1, (), (coeffs,)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +631,7 @@ def tensor_superalgebra(A, B):
     swap = twist(B.space, A.space).tensor(GradedMap.identity(B.space))
     mul = tensor_after(A.multiplication_map(), B.multiplication_map(),
                        GradedMap.identity(A.space).tensor(swap))
-    unit = [F.mul(a, b) for a in A.unit for b in B.unit]
+    unit = [(i * B.dim + j, F.mul(a, b)) for i, a in A.unit for j, b in B.unit]
     return make_superalgebra(mul.codomain, _sparse_columns(mul), unit)
 
 
@@ -702,7 +696,6 @@ def monomial_superalgebra(field, p, q, degree, generators=(),
     labels = tuple(monomial_label(e, o, even_names, odd_names) for e, o in monomials)
     parities = tuple(len(o) % 2 for _, o in monomials)
     space = SuperVectorSpace(F, labels, parities)
-    n = len(monomials)
     mul = []
     for exps1, odds1 in monomials:
         for exps2, odds2 in monomials:
@@ -714,8 +707,7 @@ def monomial_superalgebra(field, p, q, degree, generators=(),
                     inv = sum(1 for a in odds1 for b in odds2 if a > b)
                     col.append((index[(exps, odds)], F.neg(F.one) if inv % 2 else F.one))
             mul.append(col)
-    unit = [F.zero] * n
-    unit[index[((0,) * p, frozenset())]] = F.one
+    unit = [(index[((0,) * p, frozenset())], F.one)]
     alg = make_superalgebra(space, mul, unit)
     degrees = tuple(sum(e) + len(o) for e, o in monomials)
     return alg, monomials, degrees

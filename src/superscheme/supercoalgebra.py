@@ -21,7 +21,7 @@ from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
     _parity_defects, _sparse_columns, _tensor_apply_sparse, _transpose,
     canonical_columns, linear_form, perp, quotient_data, tensor_after,
-    tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub,
+    tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub, vector,
 )
 
 
@@ -56,27 +56,28 @@ class SuperCoalgebra:
     @functools.cached_property
     def _coproduct(self):
         """delta: C -> C (x) C, built once per frozen coalgebra."""
-        return GradedMap.from_sparse_columns(self.space, self.space.tensor(self.space),
-                                             self.delta)
+        return GradedMap.from_columns(self.space, self.space.tensor(self.space), self.delta)
 
     def counit_map(self):
         return linear_form(self.space, self.counit)
 
     def counit_value(self, vec):
         F = self.field
+        eps = dict(self.counit)
         out = F.zero
-        for c, e in zip(vec, self.counit):
-            out = F.add(out, F.mul(c, e))
+        for j, c in vec:
+            if j in eps:
+                out = F.add(out, F.mul(c, eps[j]))
         return out
 
 
 def make_supercoalgebra(space, delta, counit):
-    """The coalgebra with these columns of delta (see canonical_columns) and
-    counit; the one constructor.  It does not validate: call
+    """The coalgebra with these columns of delta and this counit (see
+    canonical_columns); the one constructor.  It does not validate: call
     validate_supercoalgebra."""
     n = space.dim
-    return SuperCoalgebra(space, canonical_columns(space.field, delta, n, n * n),
-                          tuple(counit))
+    (counit,) = canonical_columns(space.field, [counit], 1, n)
+    return SuperCoalgebra(space, canonical_columns(space.field, delta, n, n * n), counit)
 
 
 def validate_supercoalgebra(C):
@@ -92,7 +93,7 @@ def validate_supercoalgebra(C):
     labels = C.space.labels
     sq = C.space.tensor(C.space)
     cols = C.delta
-    eps = _transpose([F.nonzeros(C.counit)], n)
+    eps = _transpose([C.counit], n)
     ident = _identity_columns(F, n)
     problems = []
     # delta and eps stacked as one map C -> C (x) C + k: the odd counit
@@ -164,18 +165,12 @@ def is_subcoalgebra(C, W):
     W, tested via the quotient projection."""
     if not W.is_graded():
         raise ValueError("subcoalgebra test needs a graded subspace")
-    F = C.field
     _, proj, _ = quotient_data(C.space, W)
     ident = GradedMap.identity(C.space)
     delta = C.coproduct_map()
     left = tensor_after(proj, ident, delta)
     right = tensor_after(ident, proj, delta)
-    for v in W.basis():
-        if any(not F.is_zero(c) for c in left.apply(v)):
-            return False
-        if any(not F.is_zero(c) for c in right.apply(v)):
-            return False
-    return True
+    return not any(left.apply(v) or right.apply(v) for v in W.basis())
 
 
 def subcoalgebra_on(C, W, prefix="v"):
@@ -192,7 +187,7 @@ def subcoalgebra_on(C, W, prefix="v"):
     m = W.dim
     parities = []
     for row in basis:
-        ps = {C.parity(j) for j, c in enumerate(row) if not F.is_zero(c)}
+        ps = {C.parity(j) for j, _ in row}
         if len(ps) != 1:
             raise AssertionError("graded subspace rows must be homogeneous")
         parities.append(ps.pop())
@@ -200,12 +195,16 @@ def subcoalgebra_on(C, W, prefix="v"):
                              tuple(parities))
     incl = GradedMap.from_columns(space, C.space, basis)
     _, pivots = W.matrix.rref()
+    slot = {c: s for s, c in enumerate(pivots)}
+    n = C.dim
     images = [C.coproduct_map().apply(v) for v in basis]
-    coords = [tuple(v[a * C.dim + b] for a in pivots for b in pivots) for v in images]
+    # the entries on pivot (x) pivot, in order since slot ascends with the pivots
+    coords = [tuple((slot[ab // n] * m + slot[ab % n], c) for ab, c in v
+                    if ab // n in slot and ab % n in slot) for v in images]
     if list(tensor_apply(incl, incl, coords)) != images:
         raise NotSubcoalgebra("subspace is not a subcoalgebra")
-    counit = [C.counit_value(v) for v in basis]
-    sub = make_supercoalgebra(space, map(F.nonzeros, coords), counit)
+    counit = enumerate(C.counit_value(v) for v in basis)
+    sub = make_supercoalgebra(space, coords, counit)
     return sub, incl
 
 
@@ -217,7 +216,7 @@ def is_coideal(C, W):
             return False
     _, proj, _ = quotient_data(C.space, W)
     both = tensor_after(proj, proj, C.coproduct_map())
-    return all(all(F.is_zero(c) for c in both.apply(v)) for v in W.basis())
+    return not any(both.apply(v) for v in W.basis())
 
 
 def quotient_by_coideal(C, W):
@@ -227,19 +226,17 @@ def quotient_by_coideal(C, W):
     if not is_coideal(C, W):
         raise ValueError("subspace is not a coideal")
     qspace, proj, section = quotient_data(C.space, W)
-    m = qspace.dim
     delta_map = C.coproduct_map()
-    lifts = [section.column(i) for i in range(m)]
+    lifts = _sparse_columns(section)
     delta = tensor_apply(proj, proj, [delta_map.apply(v) for v in lifts])
-    counit = [C.counit_value(v) for v in lifts]
-    quot = make_supercoalgebra(qspace, map(C.field.nonzeros, delta), counit)
+    counit = enumerate(C.counit_value(v) for v in lifts)
+    quot = make_supercoalgebra(qspace, delta, counit)
     return quot, proj
 
 
 def odd_part_coideal(C):
     return Subspace.from_vectors(
-        C.space, [unit_vec(C.field, C.dim, i)
-                  for i in range(C.dim) if C.parity(i) == 1])
+        C.space, [unit_vec(C.field, i) for i in range(C.dim) if C.parity(i) == 1])
 
 
 def wedge(C, X, Y):
@@ -317,7 +314,9 @@ def is_grouplike(C, u):
     F = C.field
     if not F.is_one(C.counit_value(u)):
         return False
-    return C.coproduct_map().apply(u) == tuple(F.mul(a, b) for a in u for b in u)
+    n = C.dim
+    return C.coproduct_map().apply(u) == tuple((i * n + j, F.mul(a, b))
+                                               for i, a in u for j, b in u)
 
 
 def grouplikes(C, comps, corad):
@@ -361,27 +360,30 @@ def _koszul_signed(A):
 
 
 def is_grouplike_over(C, R, u):
-    """u, an R.dim x C.dim coefficient matrix of an element of R (x) C, is
+    """u, the rows (vectors over C, one per basis vector of R) of the
+    R.dim x C.dim coefficient matrix of an element of R (x) C, is
     group-like: (id (x) eps)u = 1_R and
     (id_R (x) delta)u = (m_R (x) id)(id (x) twist(C, R) (x) id)(u (x) u)."""
     F = C.field
-    v = tuple(c for row in u for c in row)
+    nc, nv = C.dim, R.dim * C.dim
+    v = tuple((a * nc + m, c) for a, row in enumerate(u) for m, c in row)
     id_r, id_c = GradedMap.identity(R.space), GradedMap.identity(C.space)
     if next(tensor_apply(id_r, C.counit_map(), [v])) != R.unit:
         return False
     # the even map twist (x) id acts on u (x) u one R coordinate at a time
     swapped = tensor_apply(twist(C.space, R.space), id_c,
-                           [tuple(F.mul(a, b) for a in row for b in v) for row in u])
-    uu = tuple(c for w in swapped for c in w)
+                           [tuple((m * nv + k, F.mul(a, b)) for m, a in row for k, b in v)
+                            for row in u])
+    uu = tuple((a * nv * nc + k, c) for a, w in enumerate(swapped) for k, c in w)
     id_cc = GradedMap.identity(C.space.tensor(C.space))
     rhs = next(tensor_apply(R.multiplication_map(), id_cc, [uu]))
     return next(tensor_apply(id_r, C.coproduct_map(), [v])) == rhs
 
 
 def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
-    """All group-likes in (R (x) C)_even, as R.dim x C.dim coefficient
-    matrices in the order of their entries (row-major, field elements in
-    sort_key order).
+    """All group-likes in (R (x) C)_even, as the rows of R.dim x C.dim
+    coefficient matrices, in the order of their entries (row-major, field
+    elements in sort_key order).
 
     They are read off the superalgebra morphisms A -> R of the
     Koszul-signed dual A of C, found by enumerate_homs on generators kept
@@ -398,7 +400,7 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     gens, slots = [], 0
     span = Subspace.from_vectors(A.space, [A.unit])
     for i in range(A.dim):
-        e = unit_vec(F, A.dim, i)
+        e = unit_vec(F, i)
         if not span.contains(e):
             gens.append(e)
             slots += R.space.sdim[A.parity(i)]
@@ -413,7 +415,10 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
             f"exceed the configured bound {bound}")
     rank = {c: r for r, c in enumerate(sorted(F.elements(), key=F.sort_key))}
     hits = [phi.matrix.rows for phi in enumerate_homs(A, R, gens)]
-    return sorted(hits, key=lambda u: [rank[c] for row in u for c in row])
+    # zero comes first in sort_key order, so the row-major entries compare
+    # as the (-position, rank) pairs of the nonzero ones
+    return sorted(hits, key=lambda u: [(-(a * C.dim + m), rank[c])
+                                       for a, row in enumerate(u) for m, c in row])
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +430,13 @@ def tensor_coalgebra(C, D):
     swap = twist(C.space, D.space).tensor(GradedMap.identity(D.space))
     delta = tensor_after(GradedMap.identity(C.space), swap,
                          C.coproduct_map().tensor(D.coproduct_map()))
-    counit = [F.mul(a, b) for a in C.counit for b in D.counit]
+    counit = [(i * D.dim + j, F.mul(a, b)) for i, a in C.counit for j, b in D.counit]
     return make_supercoalgebra(delta.domain, _sparse_columns(delta), counit)
 
 
 def unit_coalgebra(field, label="g"):
     space = SuperVectorSpace(field, (label,), (0,))
-    return make_supercoalgebra(space, [[(0, field.one)]], (field.one,))
-
-
-def zero_coalgebra(field):
-    space = SuperVectorSpace(field, (), ())
-    return make_supercoalgebra(space, (), ())
+    return make_supercoalgebra(space, [[(0, field.one)]], [(0, field.one)])
 
 
 def direct_sum_coalgebra(summands, labels=None):
@@ -457,10 +457,10 @@ def direct_sum_coalgebra(summands, labels=None):
     delta, counit = [], []
     for c in summands:
         # b_j (x) b_k of a summand at this offset is (offset + j) (x) (offset + k)
-        offset = len(counit)
+        offset = len(delta)
         delta += [[((offset + jk // c.dim) * total + offset + jk % c.dim, a) for jk, a in col]
                   for col in c.delta]
-        counit += c.counit
+        counit += [(offset + j, a) for j, a in c.counit]
     return make_supercoalgebra(space, delta, counit)
 
 
@@ -470,7 +470,7 @@ def base_change_coalgebra(C, ext):
     emb = ext.embed
     space = SuperVectorSpace(ext, C.space.labels, C.space.parities)
     delta = [[(jk, emb(c)) for jk, c in col] for col in C.delta]
-    return make_supercoalgebra(space, delta, [emb(c) for c in C.counit])
+    return make_supercoalgebra(space, delta, [(j, emb(c)) for j, c in C.counit])
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +498,16 @@ def truncated_cofree(V, d):
     cof = dualize_algebra(alg)
     even_positions = [i for i, par in enumerate(V.parities) if par == 0]
     odd_positions = [i for i, par in enumerate(V.parities) if par == 1]
-    rows = [[F.zero] * cof.dim for _ in range(V.dim)]
+    rows = [[] for _ in range(V.dim)]
     for m, (exps, odds) in enumerate(monomials):
         if sum(exps) + len(odds) != 1:
             continue
         if odds:
             j = next(iter(odds))
-            rows[odd_positions[j]][m] = F.one
+            rows[odd_positions[j]].append((m, F.one))
         else:
             i = exps.index(1)
-            rows[even_positions[i]][m] = F.one
+            rows[even_positions[i]].append((m, F.one))
     proj = GradedMap(cof.space, V, Matrix(F, rows, cof.dim), 0)
     return TruncatedCofree(cof, proj, degrees, V, d)
 
@@ -528,22 +528,18 @@ def cofree_universal_map(tc, B, theta):
     chain = coradical_filtration(B, rad)
     if len(chain) - 1 > tc.bound:
         raise ValueError("coradical filtration exceeds the truncation degree")
-    for v in corad.basis():
-        if any(not F.is_zero(c) for c in theta.apply(v)):
-            raise ValueError("theta does not vanish on the coradical")
+    if any(theta.apply(v) for v in corad.basis()):
+        raise ValueError("theta does not vanish on the coradical")
     nb = B.dim
     strata = {}
     for m, deg in enumerate(tc.degrees):
         strata.setdefault(deg, []).append(m)
-    rows = [[F.zero] * nb for _ in range(cof.dim)]
-    unit_idx = strata[0][0]
-    for b in range(nb):
-        rows[unit_idx][b] = B.counit[b]
+    # rows[m] maps b to the entry of F(b) on the cofree basis vector m
+    rows = [{} for _ in range(cof.dim)]
+    rows[strata[0][0]] = dict(B.counit)
+    proj_cols = _sparse_columns(tc.projection)
     for m in strata.get(1, []):
-        target = tc.projection.matrix.transpose().rows[m]
-        v_index = next(i for i, c in enumerate(target) if not F.is_zero(c))
-        for b in range(nb):
-            rows[m][b] = theta.matrix.rows[v_index][b]
+        rows[m] = dict(theta.matrix.rows[proj_cols[m][0][0]])
     max_deg = max(strata)
     for e in range(2, max_deg + 1):
         idxs = strata.get(e, [])
@@ -555,7 +551,8 @@ def cofree_universal_map(tc, B, theta):
                 for nu in strata.get(e - e1, []):
                     pairs.append((mu, nu))
         cols = [dict(cof.delta[m]) for m in idxs]
-        sysmat = Matrix(F, [[col.get(mu * cof.dim + nu, F.zero) for col in cols]
+        sysmat = Matrix(F, [tuple((s, col[mu * cof.dim + nu]) for s, col in enumerate(cols)
+                                  if mu * cof.dim + nu in col)
                             for mu, nu in pairs], len(idxs))
         if sysmat.rank() != len(idxs):
             raise AssertionError("stratum system is not uniquely solvable")
@@ -566,16 +563,18 @@ def cofree_universal_map(tc, B, theta):
                 acc = F.zero
                 for st, dB in B.delta[b]:
                     s, t = divmod(st, nb)
-                    acc = F.add(acc, F.mul(dB, F.mul(rows[mu][s], rows[nu][t])))
+                    if s in rows[mu] and t in rows[nu]:
+                        acc = F.add(acc, F.mul(dB, F.mul(rows[mu][s], rows[nu][t])))
                 col.append(acc)
-            rhs.append(col)
+            rhs.append(vector(F, enumerate(col)))
         # the right-hand sides read only lower strata, so one solve serves all b
         sols = sysmat.solve(rhs)
         if sols is None:
             raise ValueError("no coalgebra map extends theta")
         for b, sol in enumerate(sols):
-            for m, c in zip(idxs, sol):
-                rows[m][b] = c
+            for s, c in sol:
+                rows[idxs[s]][b] = c
+    rows = [tuple(sorted(row.items())) for row in rows]
     Fmap = GradedMap(B.space, cof.space, Matrix(F, rows, nb), 0)
     if not is_coalgebra_morphism(Fmap, B, cof):
         raise AssertionError("solved map is not a coalgebra morphism")

@@ -19,7 +19,7 @@ from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
     _null_space_sparse, _parity_defects, _rref_sparse, _sparse_columns,
     _tensor_apply_sparse, _transpose, canonical_columns, pivot_selection,
-    quotient_data, tensor_after, tensor_apply, twist_apply,
+    quotient_data, tensor_after, tensor_apply, twist_apply, vector,
 )
 
 
@@ -42,7 +42,7 @@ class SuperComodule:
         return self.space.dim
 
     def coaction_map(self):
-        return GradedMap.from_sparse_columns(
+        return GradedMap.from_columns(
             self.space, self.space.tensor(self.coalgebra.space), self.psi)
 
     def left_coaction(self):
@@ -71,7 +71,7 @@ def validate_comodule(M):
     labels = M.space.labels
     target = M.space.tensor(C.space)
     cols = M.psi
-    eps = _transpose([F.nonzeros(C.counit)], nc)
+    eps = _transpose([C.counit], nc)
     ident_m, ident_c = _identity_columns(F, M.dim), _identity_columns(F, nc)
     problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in
                 _parity_defects(cols, M.space.parities, target.parities)]
@@ -111,7 +111,7 @@ def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
         F,
         tuple(f"{prefix}{i + 1}" for i in range(dim_even + dim_odd)),
         (0,) * dim_even + (1,) * dim_odd)
-    psi = [[(i * C.dim + k, c) for k, c in F.nonzeros(g)] for i in range(space.dim)]
+    psi = [[(i * C.dim + k, c) for k, c in g] for i in range(space.dim)]
     return make_supercomodule(space, C, psi)
 
 
@@ -125,7 +125,7 @@ def subcoalgebra_comodule(C, W, prefix="v"):
     delta = C.coproduct_map()
     psi = tensor_apply(pivot_selection(W, sub.space), GradedMap.identity(C.space),
                        [delta.apply(v) for v in W.basis()])
-    return make_supercomodule(sub.space, C, map(C.field.nonzeros, psi)), sub, incl
+    return make_supercomodule(sub.space, C, psi), sub, incl
 
 
 def comodule_along(M, f, B):
@@ -146,11 +146,10 @@ def is_comodule_morphism(f, M, N):
 
 def is_subcomodule(M, W):
     """psi(W) <= W (x) C."""
-    F = M.field
     _, proj, _ = quotient_data(M.space, W)
     ident = GradedMap.identity(M.coalgebra.space)
     test = tensor_after(proj, ident, M.coaction_map())
-    return all(all(F.is_zero(c) for c in test.apply(v)) for v in W.basis())
+    return not any(test.apply(v) for v in W.basis())
 
 
 def quotient_comodule(M, W):
@@ -163,8 +162,8 @@ def quotient_comodule(M, W):
     qspace, proj, section = quotient_data(M.space, W)
     coaction = M.coaction_map()
     psi = tensor_apply(proj, GradedMap.identity(C.space),
-                       [coaction.apply(section.column(i)) for i in range(qspace.dim)])
-    quot = make_supercomodule(qspace, C, map(C.field.nonzeros, psi))
+                       [coaction.apply(v) for v in _sparse_columns(section)])
+    quot = make_supercomodule(qspace, C, psi)
     return quot, GradedMap(M.space, qspace, proj.matrix, 0)
 
 
@@ -186,7 +185,7 @@ def dual_action(M):
         for jt, c in col:
             j, t = divmod(jt, nc)
             rows[t][j].append((i, c))
-    return [Matrix.from_support(M.field, map(tuple, mat), nm) for mat in rows]
+    return [Matrix(M.field, map(tuple, mat), nm) for mat in rows]
 
 
 def dual_action_of(M, mats, terms):
@@ -199,12 +198,13 @@ def dual_action_of(M, mats, terms):
     F = M.field
     if len(terms) == 1 and F.is_one(terms[0][1]):
         return mats[terms[0][0]]
-    rows = [[F.zero] * M.dim for _ in range(M.dim)]
+    rows = [{} for _ in range(M.dim)]
     for t, c in terms:
-        for row, entries in zip(rows, mats[t].support()):
+        for row, entries in zip(rows, mats[t].rows):
             for j, a in entries:
-                row[j] = F.add(row[j], F.mul(c, a))
-    return Matrix(F, rows, M.dim)
+                x = F.mul(c, a)
+                row[j] = F.add(row[j], x) if j in row else x
+    return Matrix(F, [vector(F, row) for row in rows], M.dim)
 
 
 def check_dual_action_axioms(M):
@@ -214,7 +214,7 @@ def check_dual_action_axioms(M):
     dual = dualize_coalgebra(C)
     mats = dual_action(M)
     problems = []
-    unit_mat = dual_action_of(M, mats, F.nonzeros(dual.unit))
+    unit_mat = dual_action_of(M, mats, dual.unit)
     if unit_mat != Matrix.identity(F, M.dim):
         problems.append("counit functional does not act as identity")
     for s in range(C.dim):
@@ -258,7 +258,7 @@ def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
                 else:
                     row[ij] = x
     kernel, pivots = _null_space_sparse(F, *_rref_sparse(F, rows.values()), nm * nn)
-    return Subspace(m_space.tensor(n_space), Matrix.from_support(F, kernel, nm * nn, pivots))
+    return Subspace(m_space.tensor(n_space), Matrix(F, kernel, nm * nn, pivots))
 
 
 def cotensor(M, N):
@@ -306,20 +306,18 @@ def flat_check(M):
     # the rows of the action itself: a lift goes to the combination of the
     # rows of mats[t] that its entries give
     radM = Subspace.from_vectors(
-        dual_space, [row for w in rad.subspace.matrix.support()
+        dual_space, [row for w in rad.subspace.matrix.rows
                      for row in dual_action_of(M, mats, w).rows])
     qspace, _, section = quotient_data(dual_space, radM)
     kept = []
     span = radM
-    for i in range(qspace.dim):
-        lift = section.column(i)
+    for lift, parity in zip(_sparse_columns(section), qspace.parities):
         if span.contains(lift):
             continue
-        lift = F.nonzeros(lift)
-        kept.append((lift, qspace.parities[i]))
+        kept.append((lift, parity))
         generated = list(span.basis())
         for t in range(dual.dim):
-            generated.append(_combination(F, lift, mats[t].support(), M.dim))
+            generated.append(_combination(F, lift, mats[t].rows))
         span = Subspace.from_vectors(dual_space, generated)
     if span != Subspace.full(dual_space):
         raise AssertionError("echelon lifts fail to generate over the local dual algebra")
@@ -331,7 +329,7 @@ def flat_check(M):
     cols = []
     for lift, _ in kept:
         for t in range(dual.dim):
-            cols.append(_combination(F, lift, mats[t].support(), M.dim))
+            cols.append(_combination(F, lift, mats[t].rows))
     # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
     if Matrix(F, cols, M.dim).rank() == M.dim:
         return FlatVerdict(True, rank)
@@ -345,8 +343,8 @@ def cosocle_epi(M):
     mats = dual_action(M)
     # the columns of each action, read as the rows of its transpose
     sub = Subspace.from_vectors(
-        M.space, [col for w in rad.matrix.support()
-                  for col in dual_action_of(M, mats, w).transpose().rows])
+        M.space, [col for w in rad.matrix.rows
+                  for col in dual_action_of(M, mats, w)._transpose().rows])
     return quotient_comodule(M, sub)
 
 

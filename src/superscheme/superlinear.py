@@ -1,8 +1,11 @@
 """Z2-graded exact linear algebra: spaces, canonical subspaces, graded maps.
 
-Subspaces are kept in reduced row-echelon form so equality is syntactic.
-Tensor bases are ordered lexicographically with the left factor major; the
-Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
+Every vector is sparse: a tuple of (index, entry) pairs, sorted by index,
+with every entry nonzero (see vector).  So is every matrix row and every
+column of a structure map, and equal vectors are equal tuples.  Subspaces
+are kept in reduced row-echelon form so equality is syntactic.  Tensor bases
+are ordered lexicographically with the left factor major; the Koszul sign
+(-1)^{|x||y|} enters whenever two odd symbols swap.
 """
 
 from __future__ import annotations
@@ -38,117 +41,111 @@ def _plain_char(F):
 
 
 # ---------------------------------------------------------------------------
+# sparse vectors
+
+
+def vector(F, entries):
+    """The vector with these (index, entry) pairs, given in any order or as
+    an index -> entry dict: sorted by index, zero entries dropped; of
+    repeated indices the last counts."""
+    is_zero = F.is_zero
+    return tuple(sorted((i, a) for i, a in dict(entries).items() if not is_zero(a)))
+
+
+def unit_vec(F, i):
+    return ((i, F.one),)
+
+
+def vec_add(F, u, v):
+    if not u or not v:
+        return u or v
+    add, is_zero = F.add, F.is_zero
+    out = dict(u)
+    for j, b in v:
+        if j in out:
+            x = add(out[j], b)
+            if is_zero(x):
+                del out[j]
+            else:
+                out[j] = x
+        else:
+            out[j] = b
+    return tuple(sorted(out.items()))
+
+
+def vec_scale(F, c, u):
+    # a product of nonzero field elements is nonzero
+    if F.is_zero(c):
+        return ()
+    mul = F.mul
+    return tuple((j, mul(c, a)) for j, a in u)
+
+
+def vec_sub(F, u, v):
+    return vec_add(F, u, vec_scale(F, F.neg(F.one), v))
+
+
+# ---------------------------------------------------------------------------
 # exact matrices
 
 
 class Matrix:
-    """Immutable dense matrix over an explicit field.
+    """Immutable matrix over an explicit field, held as its rows, each a
+    vector (sorted (column, entry) pairs with a nonzero entry).
 
-    The rref and the nonzero entries of each row are cached.  A cached rref
-    of (None, pivots) marks a matrix that is its own rref.  A matrix built
-    from its support by ``from_support`` makes its dense rows on first use.
-    Every field takes the same path: one sparse elimination, products
-    summed by _sum_ops, and the Field methods everywhere else.
+    The rref is cached.  A cached rref of (None, pivots) marks a matrix that
+    is its own rref; the pivots given to the constructor say so.  Every
+    field takes the same path: one sparse elimination, products summed by
+    _sum_ops, and the Field methods everywhere else.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_rref", "_support")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_rref")
 
-    def __init__(self, field, rows, ncols=None):
-        rows = tuple(map(tuple, rows))
+    def __init__(self, field, rows, ncols, pivots=None):
+        rows = tuple(rows)
+        if any(r and not 0 <= r[0][0] <= r[-1][0] < ncols for r in rows):
+            raise DimensionMismatch(f"a row has an index outside width {ncols}")
         self.field = field
         self.rows = rows
-        self._rref = None
-        self._support = None
         self.nrows = len(rows)
-        if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise DimensionMismatch("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise DimensionMismatch("declared width disagrees with rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
-
-    @classmethod
-    def from_support(cls, field, support, ncols, pivots=None, nrows=None):
-        """The matrix whose rows have this support (sorted (column, entry)
-        pairs with a nonzero entry), then zero rows up to nrows.  Given the
-        pivots, it is the reduced echelon matrix over them and is marked as
-        its own rref."""
-        out = cls.__new__(cls)
-        out.field, out.ncols = field, ncols
-        out._support = tuple(support)
-        out._support += ((),) * ((nrows or len(out._support)) - len(out._support))
-        out.nrows = len(out._support)
-        out._rref = None if pivots is None else (None, tuple(pivots))
-        return out
-
-    def __getattr__(self, name):
-        # only an unset slot gets here: the rows of a matrix made by from_support
-        if name != "rows":
-            raise AttributeError(name)
-        zero, n = self.field.zero, self.ncols
-        rows = []
-        for entries in self._support:
-            row = [zero] * n
-            for j, a in entries:
-                row[j] = a
-            rows.append(tuple(row))
-        self.rows = tuple(rows)
-        return self.rows
+        self.ncols = ncols
+        self._rref = None if pivots is None else (None, tuple(pivots))
 
     @classmethod
     def zero(cls, field, m, n):
-        return cls(field, [[field.zero] * n for _ in range(m)], n)
+        return cls(field, ((),) * m, n)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)]
-                           for i in range(n)], n)
+        return cls(field, _identity_columns(field, n), n, range(n))
 
     def __eq__(self, other):
-        # the support is canonical, so it decides equality without dense rows
+        # rows are canonical, so they decide equality
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.support() == other.support() and self.ncols == other.ncols)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.support(), self.ncols))
+        return hash((self.rows, self.ncols))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
-    def transpose(self):
-        return Matrix(self.field,
-                      [[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], self.nrows)
+    def _transpose(self):
+        return Matrix(self.field, _transpose(self.rows, self.ncols), self.nrows)
 
     def add(self, other):
         F = self.field
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        add = F.add
-        rows = []
-        for r, s in zip(self.rows, other.support()):
-            row = list(r)
-            for j, b in s:
-                row[j] = add(row[j], b)
-            rows.append(row)
-        return Matrix(F, rows, self.ncols)
+        return Matrix(F, [vec_add(F, u, v) for u, v in zip(self.rows, other.rows)],
+                      self.ncols)
 
     def sub(self, other):
         return self.add(other.scale(self.field.neg(self.field.one)))
 
     def scale(self, c):
         F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.ncols)
-
-    def support(self):
-        """Per row, the (column, entry) pairs with a nonzero entry."""
-        if self._support is None:
-            nonzeros = self.field.nonzeros
-            self._support = tuple(tuple(nonzeros(r)) for r in self.rows)
-        return self._support
+        return Matrix(F, [vec_scale(F, c, u) for u in self.rows], self.ncols)
 
     def mul(self, other):
         """Row r of the product is other^T applied to row r of self: the
@@ -156,22 +153,24 @@ class Matrix:
         F = self.field
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        return Matrix(F, _dense(F, other.ncols, _tensor_apply_sparse(
-            F, other.support(), [[(0, F.one)]], 1, (), self.support())), other.ncols)
+        return Matrix(F, _tensor_apply_sparse(F, other.rows, _identity_columns(F, 1), 1, (),
+                                              self.rows), other.ncols)
 
     def apply(self, vec):
-        F = self.field
-        if len(vec) != self.ncols:
+        if vec and vec[-1][0] >= self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        add, mul, zero = F.add, F.mul, F.zero
-        terms = dict(F.nonzeros(vec))
+        F = self.field
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        terms = dict(vec)
         out = []
-        for row in self.support():
-            acc = zero
+        for i, row in enumerate(self.rows):
+            acc = None
             for j, a in row:
                 if j in terms:
-                    acc = add(acc, mul(a, terms[j]))
-            out.append(acc)
+                    t = mul(a, terms[j])
+                    acc = t if acc is None else add(acc, t)
+            if acc is not None and not is_zero(acc):
+                out.append((i, acc))
         return tuple(out)
 
     def stack(self, other):
@@ -184,8 +183,8 @@ class Matrix:
         if self._rref is not None:
             red, pivots = self._rref
             return (self if red is None else red), pivots
-        red, pivots = _rref_sparse(self.field, self.support())
-        red = Matrix.from_support(self.field, red, self.ncols, pivots, self.nrows)
+        rows, pivots = _rref_sparse(self.field, self.rows)
+        red = Matrix(self.field, rows + [()] * (self.nrows - len(rows)), self.ncols, pivots)
         self._rref = (red, pivots)
         return red, pivots
 
@@ -199,45 +198,45 @@ class Matrix:
         if red.nrows == len(pivots):
             return red
         # an rref with its zero rows dropped is its own rref
-        return Matrix.from_support(self.field, red.support()[:len(pivots)], self.ncols,
-                                   pivots)
+        return Matrix(self.field, red.rows[:len(pivots)], self.ncols, pivots)
 
     def null_space(self):
         """Canonical matrix whose rows span {v : M v = 0}."""
         red, pivots = self.rref()
-        kernel, kpivots = _null_space_sparse(self.field, red.support()[:len(pivots)],
+        kernel, kpivots = _null_space_sparse(self.field, red.rows[:len(pivots)],
                                              pivots, self.ncols)
-        return Matrix.from_support(self.field, kernel, self.ncols, kpivots)
+        return Matrix(self.field, kernel, self.ncols, kpivots)
 
     def solve(self, bs):
         """Solutions x of M x = b, one per right-hand side b in bs, from one
         reduction of [M | B]; None if any b lies outside the column space."""
         F = self.field
         n = self.ncols
-        cols = list(zip(*bs)) or [()] * self.nrows
-        aug = Matrix(F, [r + c for r, c in zip(self.rows, cols)], n + len(bs))
+        # row r of B holds (k, entry r of bs[k]); it goes to column n + k
+        aug = Matrix(F, [r + tuple((n + k, c) for k, c in b)
+                         for r, b in zip(self.rows, _transpose(bs, self.nrows))],
+                     n + len(bs))
         red, pivots = aug.rref()
         if pivots and pivots[-1] >= n:
             return None
-        out = [[F.zero] * n for _ in bs]
-        for row, pc in zip(red.support(), pivots):
+        out = [[] for _ in bs]
+        for row, pc in zip(red.rows, pivots):
             for j, c in row:
                 if j >= n:
-                    out[j - n][pc] = c
+                    out[j - n].append((pc, c))
         return [tuple(x) for x in out]
 
 
 def _rref_sparse(F, rows):
     """Gauss-Jordan elimination over sparse rows (column -> nonzero entry
-    dicts, or lists of such pairs).
+    dicts, or vectors).
 
     Each incoming row is reduced against the pivot rows found so far.  Its
     least column becomes a new pivot, which is cleared only from the pivot
     rows that hold it, found through a column -> pivot-rows index; only
-    nonzeros are touched (LaMacchia-Odlyzko, CRYPTO 1990).  A pivot row's
+    nonzero entries are touched (LaMacchia-Odlyzko, CRYPTO 1990).  A pivot row's
     pivot stays its least column, so the rows in pivot order are the unique
-    reduced echelon form.  Returns (rows, pivots), each row as sorted
-    (column, entry) pairs.
+    reduced echelon form.  Returns (rows, pivots), each row a vector.
     """
     add, mul, neg, inv, is_zero = F.add, F.mul, F.neg, F.inv, F.is_zero
     one = F.one
@@ -286,8 +285,8 @@ def _rref_sparse(F, rows):
 
 
 def _null_space_sparse(F, red, pivots, ncols):
-    """Sparse RREF (rows as sorted pairs, pivots) of {v : M v = 0}, from
-    that of M: one vector per free column, reduced by _rref_sparse."""
+    """Sparse RREF (rows as vectors, pivots) of {v : M v = 0}, from that of
+    M: one vector per free column, reduced by _rref_sparse."""
     kernel = {c: {c: F.one} for c in range(ncols)}
     for c in pivots:
         del kernel[c]
@@ -296,26 +295,6 @@ def _null_space_sparse(F, red, pivots, ncols):
             if j != c:
                 kernel[j][c] = F.neg(y)
     return _rref_sparse(F, kernel.values())
-
-
-def vec_add(F, u, v):
-    return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(F, u, v):
-    return tuple(F.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(F, c, u):
-    return tuple(F.mul(c, a) for a in u)
-
-
-def zero_vec(F, n):
-    return tuple([F.zero] * n)
-
-
-def unit_vec(F, n, i):
-    return tuple(F.one if j == i else F.zero for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +346,6 @@ class SuperVectorSpace:
             tuple(f"{l}.0" for l in self.labels) + tuple(f"{l}.1" for l in other.labels),
             self.parities + other.parities)
 
-    def parity_shift(self):
-        return SuperVectorSpace(self.field,
-                                tuple(f"Π{l}" for l in self.labels),
-                                tuple(1 - p for p in self.parities))
-
     def tensor_index(self, other, i, j):
         return i * other.dim + j
 
@@ -395,7 +369,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, space, vectors):
-        return cls(space, Matrix(space.field, list(vectors), space.dim))
+        return cls(space, Matrix(space.field, vectors, space.dim))
 
     @classmethod
     def zero(cls, space):
@@ -443,18 +417,18 @@ class Subspace:
         if a.nrows == 0 or b.nrows == 0:
             return Subspace.zero(self.space)
         # x a = y b exactly when (x, y) is in the kernel of [a^T | -b^T]
-        combined = Matrix(F, [list(ra) + [F.neg(c) for c in rb]
-                              for ra, rb in zip(a.transpose().rows, b.transpose().rows)],
-                          a.nrows + b.nrows)
-        coeffs = [s[:a.nrows] for s in combined.null_space().rows]
-        return Subspace.from_vectors(self.space, Matrix(F, coeffs, a.nrows).mul(a).rows)
+        na, neg = a.nrows, F.neg
+        combined = Matrix(F, [ra + tuple((na + k, neg(c)) for k, c in rb)
+                              for ra, rb in zip(a._transpose().rows, b._transpose().rows)],
+                          na + b.nrows)
+        coeffs = [tuple(t for t in s if t[0] < na) for s in combined.null_space().rows]
+        return Subspace.from_vectors(self.space, Matrix(F, coeffs, na).mul(a).rows)
 
     def parity_component(self, parity):
         """Intersection with the even or odd coordinate subspace."""
         axis = Subspace.from_vectors(
-            self.space,
-            [unit_vec(self.space.field, self.space.dim, i)
-             for i, p in enumerate(self.space.parities) if p == parity])
+            self.space, [unit_vec(self.space.field, i)
+                         for i, p in enumerate(self.space.parities) if p == parity])
         return self.intersect(axis)
 
     def even_part(self):
@@ -465,9 +439,8 @@ class Subspace:
 
     def is_graded(self):
         """W = W_even + W_odd iff the even part of each basis vector of W lies in W."""
-        zero = self.space.field.zero
-        return coordinates(self, [[c if p == 0 else zero
-                                   for c, p in zip(v, self.space.parities)]
+        parities = self.space.parities
+        return coordinates(self, [tuple(t for t in v if not parities[t[0]])
                                   for v in self.basis()]) is not None
 
     @property
@@ -500,7 +473,7 @@ class GradedMap:
         if parity is not None:
             # row i of a map of this parity may only hit domain parity |i| + parity
             shifted = [(p + parity) % 2 for p in codomain.parities]
-            for i, j in _parity_defects(matrix.support(), shifted, domain.parities):
+            for i, j in _parity_defects(matrix.rows, shifted, domain.parities):
                 raise ValueError(f"entry ({i},{j}) violates declared parity {parity}")
         self.domain = domain
         self.codomain = codomain
@@ -518,16 +491,13 @@ class GradedMap:
 
     @classmethod
     def from_columns(cls, domain, codomain, cols, parity=0):
-        """The map sending basis vector j of the domain to cols[j]."""
+        """The map sending basis vector j of the domain to the vector cols[j]."""
+        cols = tuple(cols)
+        if len(cols) != domain.dim:
+            raise DimensionMismatch(
+                f"{len(cols)} columns for a {domain.dim}-dimensional domain")
         return cls(domain, codomain,
-                   Matrix(domain.field, cols, codomain.dim).transpose(), parity)
-
-    @classmethod
-    def from_sparse_columns(cls, domain, codomain, cols, parity=0):
-        """The map sending basis vector j of the domain to the sparse vector
-        cols[j] (sorted (index, entry) pairs), built without dense rows."""
-        return cls(domain, codomain, Matrix.from_support(
-            domain.field, _transpose(cols, codomain.dim), domain.dim), parity)
+                   Matrix(domain.field, _transpose(cols, codomain.dim), domain.dim), parity)
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.domain == other.domain
@@ -541,9 +511,6 @@ class GradedMap:
 
     def apply(self, vec):
         return self.matrix.apply(vec)
-
-    def column(self, j):
-        return tuple(self.matrix.rows[i][j] for i in range(self.matrix.nrows))
 
     def compose(self, other):
         """self after other."""
@@ -566,7 +533,7 @@ class GradedMap:
         return Subspace(self.domain, self.matrix.null_space())
 
     def image(self):
-        return Subspace(self.codomain, self.matrix.transpose().row_space())
+        return Subspace(self.codomain, self.matrix._transpose().row_space())
 
     def rank(self):
         return self.matrix.rank()
@@ -593,36 +560,25 @@ def _parity_sum(p, q):
 
 
 def tensor_apply(f, g, vecs):
-    """(f (x) g)(v) for each v in vecs, in the tensor basis of the codomains.
+    """(f (x) g)(v) for each vector v in vecs, in the tensor basis of the
+    codomains, yielded one at a time.
 
     (f (x) g)(x_k (x) y_l) = (-1)^{|g||x_k|} f(x_k) (x) g(y_l); a factor g of
-    parity None contributes no sign.  The dense vectors are read through
-    _tensor_apply_sparse, and images are yielded one at a time.
+    parity None contributes no sign.
     """
     F = f.domain.field
     odd = {k for k, q in enumerate(f.domain.parities) if q} if g.parity else ()
-    yield from _dense(F, f.codomain.dim * g.codomain.dim, _tensor_apply_sparse(
-        F, _sparse_columns(f), _sparse_columns(g), g.codomain.dim, odd,
-        map(F.nonzeros, vecs)))
-
-
-def _dense(F, n, images):
-    """Each index -> entry dict of images as a dense n-tuple, one at a time."""
-    zero = F.zero
-    for image in images:
-        out = [zero] * n
-        for j, c in image.items():
-            out[j] = c
-        yield tuple(out)
+    return _tensor_apply_sparse(F, _sparse_columns(f), _sparse_columns(g), g.codomain.dim,
+                                odd, vecs)
 
 
 def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
-    """(f (x) g)(v) for each sparse vector v, with f and g given by their
-    sparse columns and nj = dim of g's codomain; the columns x_k of f with k
-    in odd are negated.  Sparse row products in the manner of Gustavson (ACM
-    TOMS 1978): only the nonzero coordinates of v and the nonzero column
-    entries of f and g are visited, and sums are accumulated by _sum_ops.
-    Images are yielded one at a time, as index -> entry dicts.
+    """(f (x) g)(v) for each vector v, with f and g given by their sparse
+    columns and nj = dim of g's codomain; the columns x_k of f with k in odd
+    are negated.  Sparse row products in the manner of Gustavson (ACM TOMS
+    1978): only the nonzero coordinates of v and the nonzero column entries
+    of f and g are visited, and sums are accumulated by _sum_ops.  Images
+    are yielded one at a time, as vectors.
     """
     lift, lift_each, add, mul, lower = _sum_ops(F)
     neg = F.neg
@@ -642,19 +598,19 @@ def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
                     t = mul(ca, b)
                     ij = base + j
                     acc[ij] = add(acc[ij], t) if ij in acc else t
-        yield lower(acc.items(), df * dg * dv, {})
+        yield lower(acc.items(), df * dg * dv)
 
 
 def _sum_ops(F):
     """(lift, lift_each, add, mul, lower): how sums of products accumulate.
 
-    lift takes one operand set (a list of sparse vectors) to (lifted, D),
+    lift takes one operand set (a list of vectors) to (lifted, D),
     lift_each a stream of vectors to one (lifted, D) per vector.  Kernels
-    add and multiply lifted entries; lower(items, D, out) writes the nonzero
-    sums of one output, D the product of its operands' D, into out (a dict
-    or a dense list).  Over Q lifted entries are ints over D, the lcm of the
-    denominators, and lower makes one Fraction per entry; over F_p sums are
-    plain ints reduced mod p once; other fields use their Field methods.
+    add and multiply lifted entries; lower(items, D) turns the (index, sum)
+    items of one output, D the product of its operands' D, into a vector.
+    Over Q lifted entries are ints over D, the lcm of the denominators, and
+    lower makes one Fraction per entry; over F_p sums are plain ints reduced
+    mod p once; other fields use their Field methods.
     """
     p = _plain_char(F)
     if p == 0:
@@ -683,25 +639,35 @@ def _lift_each_q(vecs):
         yield v, D
 
 
-def _lower_q(items, D, out):
-    for k, n in items:
-        if n:
-            out[k] = Fraction(n, D) if D != 1 else Fraction(n)
-    return out
+# Most images are empty or have one entry (4,729 of 4,757 in the descent
+# tower of the counit collapse of Grassmann(3)* over F3), so the lowerings
+# test for those before they build or sort a list.
+
+def _lower_q(items, D):
+    if not items:
+        return ()
+    out = [(k, Fraction(n, D) if D != 1 else Fraction(n)) for k, n in items if n]
+    if len(out) > 1:
+        out.sort()
+    return tuple(out)
 
 
-def _lower_mod(p, items, D, out):
-    for k, c in items:
-        if c := c % p:
-            out[k] = c
-    return out
+def _lower_mod(p, items, D):
+    if not items:
+        return ()
+    out = [(k, r) for k, c in items if (r := c % p)]
+    if len(out) > 1:
+        out.sort()
+    return tuple(out)
 
 
-def _lower_field(is_zero, items, D, out):
-    for k, c in items:
-        if not is_zero(c):
-            out[k] = c
-    return out
+def _lower_field(is_zero, items, D):
+    if not items:
+        return ()
+    out = [(k, c) for k, c in items if not is_zero(c)]
+    if len(out) > 1:
+        out.sort()
+    return tuple(out)
 
 
 def tensor_after(f, g, h):
@@ -712,14 +678,13 @@ def tensor_after(f, g, h):
             f"{f.domain.dim} and {g.domain.dim}")
     return GradedMap.from_columns(
         h.domain, f.codomain.tensor(g.codomain),
-        tensor_apply(f, g, h.matrix.transpose().rows),
+        tensor_apply(f, g, _sparse_columns(h)),
         _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
 
 
 def _sparse_columns(f):
-    """The columns of f as sparse vectors: per column k, the (row, entry)
-    pairs with a nonzero entry."""
-    return _transpose(f.matrix.support(), f.domain.dim)
+    """The columns of f, as vectors."""
+    return _transpose(f.matrix.rows, f.domain.dim)
 
 
 def _transpose(vecs, n):
@@ -740,12 +705,9 @@ def _identity_columns(F, n):
 
 def canonical_columns(F, cols, count, height):
     """The stored form of a structure map with count domain and height
-    codomain basis vectors: per column, the (index, entry) pairs with a
-    nonzero entry, sorted by index.  A column may come as such pairs in any
-    order or as an index -> entry dict; of repeated indices the last counts."""
-    is_zero = F.is_zero
-    out = tuple(tuple(sorted((i, a) for i, a in dict(col).items() if not is_zero(a)))
-                for col in cols)
+    codomain basis vectors: per column, a vector.  A column may come as
+    (index, entry) pairs in any order or as an index -> entry dict."""
+    out = tuple(vector(F, col) for col in cols)
     if len(out) != count or any(col and not 0 <= col[0][0] <= col[-1][0] < height
                                 for col in out):
         raise DimensionMismatch(
@@ -755,11 +717,10 @@ def canonical_columns(F, cols, count, height):
 
 def _defects(lhs, rhs):
     """The (column, row) positions where two maps, given as iterables of
-    sparse columns (pairs or index -> entry dicts), differ; the columns are
-    consumed in step, one at a time."""
+    vectors, differ; the columns are consumed in step, one at a time."""
     for c, (u, v) in enumerate(zip(lhs, rhs)):
-        u, v = dict(u), dict(v)
         if u != v:
+            u, v = dict(u), dict(v)
             yield from ((c, r) for r in sorted(u.keys() | v.keys()) if u.get(r) != v.get(r))
 
 
@@ -772,25 +733,15 @@ def _parity_defects(cols, domain_parities, codomain_parities):
 
 def twist(V, W):
     """Koszul twist c: V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v."""
-    F = V.field
     dom = V.tensor(W)
-    cod = W.tensor(V)
-    rows = [[F.zero] * dom.dim for _ in range(cod.dim)]
-    for i in range(V.dim):
-        for j in range(W.dim):
-            src = V.tensor_index(W, i, j)
-            dst = W.tensor_index(V, j, i)
-            val = F.one
-            if V.parities[i] and W.parities[j]:
-                val = F.neg(val)
-            rows[dst][src] = val
-    return GradedMap(dom, cod, Matrix(F, rows, dom.dim), 0)
+    return GradedMap.from_columns(
+        dom, W.tensor(V), twist_apply(V, W, _identity_columns(V.field, dom.dim)), 0)
 
 
 def twist_apply(V, W, vecs):
-    """twist(V, W)(v) for each sparse v in V (x) W, read as the signed
+    """twist(V, W)(v) for each vector v in V (x) W, read as the signed
     permutation v_i (x) w_j -> (-1)^{|v_i||w_j|} w_j (x) v_i, without the
-    twist matrix; images are sorted (index, entry) pairs."""
+    twist matrix."""
     neg, nv, nw = V.field.neg, V.dim, W.dim
     pv, pw = V.parities, W.parities
     for v in vecs:
@@ -803,7 +754,8 @@ def twist_apply(V, W, vecs):
 
 
 def linear_form(space, values, parity=0):
-    """The map space -> k sending basis vector i to values[i]."""
+    """The map space -> k sending basis vector i to entry i of the vector
+    values."""
     F = space.field
     return GradedMap(space, SuperVectorSpace(F, ("k",), (0,)),
                      Matrix(F, [values], space.dim), parity)
@@ -819,42 +771,33 @@ def perp(sub, space=None):
 
 
 def coordinates(sub, vecs):
-    """Coordinates of each vector in the canonical basis of sub, or None if
-    any of them lies outside sub: _read_coordinates on the nonzero entries."""
-    F = sub.space.field
+    """Coordinates of each vector in the canonical basis of sub, as vectors
+    over its rows, or None if any of them lies outside sub."""
     _, pivots = sub.matrix.rref()
-    coeffs = _read_coordinates(F, sub.matrix.support(), pivots, map(F.nonzeros, vecs))
-    if coeffs is None:
-        return None
-    out = []
-    for x in coeffs:
-        row = [F.zero] * sub.dim
-        for s, a in x:
-            row[s] = a
-        out.append(tuple(row))
-    return out
+    return _read_coordinates(sub.space.field, sub.matrix.rows, pivots, vecs)
 
 
-def _read_coordinates(F, support, pivots, vecs):
-    """Coordinates of sparse vectors in the echelon basis with this support
-    and these pivots, as sparse vectors over its rows; None if any vector
-    lies outside the span.
+def _read_coordinates(F, rows, pivots, vecs):
+    """Coordinates of vectors in the echelon basis with these rows and
+    these pivots, as vectors over its rows; None if any vector lies outside
+    the span.
 
     The basis is in RREF, so the coordinates are the entries on the pivot
-    columns; rebuilding each vector from the rows' supports checks them.
+    columns; rebuilding each vector from the rows checks them.
     """
     lift, lift_each, add, mul, lower = _sum_ops(F)
-    support, ds = lift(support)
+    rows, ds = lift(rows)
     row_of = {c: s for s, c in enumerate(pivots)}
-    vecs = [dict(v) for v in vecs]
-    out = [[(row_of[c], a) for c, a in v.items() if c in row_of] for v in vecs]
+    vecs = list(vecs)
+    # pivots ascend with their rows, so the coordinates come out sorted
+    out = [tuple([(row_of[c], a) for c, a in v if c in row_of]) for v in vecs]
     for v, (lifted, dc) in zip(vecs, lift_each(out)):
         recon = {}
         for s, a in lifted:
-            for j, b in support[s]:
+            for j, b in rows[s]:
                 t = mul(a, b)
                 recon[j] = add(recon[j], t) if j in recon else t
-        if lower(recon.items(), ds * dc, {}) != v:
+        if lower(recon.items(), ds * dc) != v:
             return None
     return out
 
@@ -866,8 +809,7 @@ def pivot_selection(sub, space):
     F = sub.space.field
     _, pivots = sub.matrix.rref()
     return GradedMap(sub.space, space,
-                     Matrix(F, [unit_vec(F, sub.space.dim, c) for c in pivots],
-                            sub.space.dim), 0)
+                     Matrix(F, [unit_vec(F, c) for c in pivots], sub.space.dim), 0)
 
 
 def quotient_data(space, sub):
@@ -883,17 +825,11 @@ def quotient_data(space, sub):
     reps = [c for c in range(space.dim) if c not in pivot_set]
     qspace = SuperVectorSpace(F, tuple(space.labels[c] for c in reps),
                               tuple(space.parities[c] for c in reps))
-    pivot_rows = list(zip(pivots, map(dict, red.support())))
-    rows = []
-    for r in reps:
-        row = [F.zero] * space.dim
-        row[r] = F.one
-        for pc, entries in pivot_rows:
-            if r in entries:
-                row[pc] = F.neg(entries[r])
-        rows.append(row)
+    pivot_rows = list(zip(pivots, map(dict, red.rows)))
+    rows = [tuple(sorted([(r, F.one)] + [(pc, F.neg(entries[r]))
+                                         for pc, entries in pivot_rows if r in entries]))
+            for r in reps]
     parity = 0 if sub.is_graded() else None
     proj = GradedMap(space, qspace, Matrix(F, rows, space.dim), parity)
-    section = GradedMap.from_columns(
-        qspace, space, [unit_vec(F, space.dim, r) for r in reps], parity)
+    section = GradedMap.from_columns(qspace, space, [unit_vec(F, r) for r in reps], parity)
     return qspace, proj, section

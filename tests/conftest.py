@@ -19,8 +19,43 @@ from superscheme.supercomodule import (  # noqa: E402
 )
 from superscheme.superlinear import (  # noqa: E402
     GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, quotient_data,
-    tensor_after, tensor_apply, twist, unit_vec, vec_add, vec_scale, zero_vec,
+    tensor_after, tensor_apply, twist, unit_vec, vec_add, vec_scale, vector,
 )
+
+
+# ---------------------------------------------------------------------------
+# dense views: the package keeps every vector sparse (sorted (index, entry)
+# pairs with a nonzero entry); tests that state vectors and matrices as
+# dense coordinate tuples convert at this boundary
+
+
+def sparse(F, vec):
+    """A dense coordinate sequence as a vector."""
+    return vector(F, enumerate(vec))
+
+
+def dense(F, n, vec):
+    """A vector as its dense n-tuple of coordinates."""
+    out = [F.zero] * n
+    for j, a in vec:
+        out[j] = a
+    return tuple(out)
+
+
+def dense_matrix(F, rows, ncols=None):
+    """The Matrix with these dense rows; the width defaults to that of the
+    first row."""
+    rows = [tuple(r) for r in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged dense rows")
+    return Matrix(F, [sparse(F, r) for r in rows], ncols)
+
+
+def dense_rows(M):
+    """The rows of a Matrix as dense tuples."""
+    return tuple(dense(M.field, M.ncols, r) for r in M.rows)
 
 
 def _table_shape(x):
@@ -79,7 +114,7 @@ def grouplikes_by_scan(C, R):
         u = [[F.zero] * C.dim for _ in range(R.dim)]
         for (a, m), c in zip(slots, values):
             u[a][m] = c
-        u = tuple(map(tuple, u))
+        u = tuple(sparse(F, row) for row in u)
         if is_grouplike_over(C, R, u):
             out.append(u)
     return out
@@ -95,14 +130,10 @@ def multiply_by_dense_loop(A, x, y):
     coordinates x_i, y_j, add x_i y_j times the dense row mul[i][j]."""
     F = A.field
     mul = DenseView.table(A)
-    out = zero_vec(F, A.dim)
-    for i, xi in enumerate(x):
-        if F.is_zero(xi):
-            continue
-        for j, yj in enumerate(y):
-            if F.is_zero(yj):
-                continue
-            out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), mul[i][j]))
+    out = ()
+    for i, xi in x:
+        for j, yj in y:
+            out = vec_add(F, out, vec_scale(F, F.mul(xi, yj), sparse(F, mul[i][j])))
     return out
 
 
@@ -121,7 +152,7 @@ def ideal_by_fixpoint(A, elements):
         vecs = list(current.basis())
         for x in current.basis():
             for i in range(A.dim):
-                vecs.append(A.multiply(unit_vec(F, A.dim, i), x))
+                vecs.append(A.multiply(unit_vec(F, i), x))
         grown = Subspace.from_vectors(A.space, vecs)
         if grown == current:
             return current
@@ -196,17 +227,17 @@ def _dense_cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
     F = m_space.field
     nm, nn = m_space.dim, n_space.dim
     rows = [[F.zero] * (nm * nn) for _ in range(nm * c_dim * nn)]
-    for r, entries in enumerate(psi_right.support()):      # r = a * c_dim + k
+    for r, entries in enumerate(psi_right.rows):      # r = a * c_dim + k
         for i, c in entries:
             for j in range(nn):
                 row = rows[r * nn + j]
                 row[i * nn + j] = F.add(row[i * nn + j], c)
-    for r, entries in enumerate(theta_left.support()):     # r = k * nn + b
+    for r, entries in enumerate(theta_left.rows):     # r = k * nn + b
         for j, c in entries:
             for i in range(nm):
                 row = rows[i * c_dim * nn + r]
                 row[i * nn + j] = F.sub(row[i * nn + j], c)
-    return Subspace(m_space.tensor(n_space), Matrix(F, rows, nm * nn).null_space())
+    return Subspace(m_space.tensor(n_space), dense_matrix(F, rows, nm * nn).null_space())
 
 
 def _dense_tower(M, A, reg, depth):
@@ -224,26 +255,29 @@ def _dense_tower(M, A, reg, depth):
         ident_P = GradedMap.identity(prev_space)
         carrier = _dense_cotensor_kernel(prev_psi, theta_l, prev_space, A.space, B_dim)
         parities = []
-        for row in carrier.matrix.support():
+        for row in carrier.matrix.rows:
             ps = {carrier.space.parities[j] for j, _ in row}
             parities.append(ps.pop() if len(ps) == 1 else 0)
         space = SuperVectorSpace(F, tuple(f"t{n}_{s + 1}" for s in range(carrier.dim)),
                                  tuple(parities))
         basis = carrier.basis()
-        slots = coordinates(carrier, [big[k::B_dim] for big in
+        big_dim = prev_space.dim * A.dim * B_dim
+        slots = coordinates(carrier, [sparse(F, dense(F, big_dim, big)[k::B_dim]) for big in
                                       tensor_apply(ident_P, rho, basis)
                                       for k in range(B_dim)])
         assert slots is not None, "right coaction escapes the carrier"
-        psi_cols = [[c for row in zip(*slots[s * B_dim:(s + 1) * B_dim]) for c in row]
+        slots = [dense(F, space.dim, s) for s in slots]
+        psi_cols = [sparse(F, [c for row in zip(*slots[s * B_dim:(s + 1) * B_dim])
+                               for c in row])
                     for s in range(len(basis))]
         faces = [coordinates(prev_carrier, tensor_apply(pf, ident_A, basis))
                  for pf in prev_faces]
         assert None not in faces, "face map escapes the carrier"
         faces.append(tensor_apply(ident_P, A.counit_map(), basis))
         faces = tuple(GradedMap(space, prev_space,
-                                Matrix(F, cols, prev_space.dim).transpose(), None)
+                                Matrix(F, cols, prev_space.dim)._transpose(), None)
                       for cols in faces)
-        psi = Matrix(F, psi_cols, space.dim * B_dim).transpose()
+        psi = Matrix(F, psi_cols, space.dim * B_dim)._transpose()
         levels.append((space, psi, carrier, faces))
     return levels
 
@@ -261,14 +295,14 @@ def _dense_exactness(levels, depth):
         boundaries.append(out)
     for lower, upper in zip(boundaries, boundaries[1:]):
         prod = lower.mul(upper)
-        assert all(lower.field.is_zero(c) for row in prod.rows for c in row)
+        assert all(lower.field.is_zero(c) for row in dense_rows(prod) for c in row)
     results = []
     for deg in range(depth + 1):
         if deg == 0:
             exact = boundaries[0].rank() == levels[0][0].dim
         else:
             exact = (boundaries[deg - 1].null_space()
-                     == boundaries[deg].transpose().row_space())
+                     == boundaries[deg]._transpose().row_space())
         results.append((deg, exact))
     return tuple(results)
 
@@ -283,7 +317,7 @@ def descent_degrees_by_dense_tower(f, depth):
     for y in points(FormalSuperscheme.finite(B)):
         kappa_sub = Subspace.from_vectors(
             B.space, [y.component.inclusion.apply(y.kappa_inclusion.apply(
-                unit_vec(B.field, y.kappa.dim, i))) for i in range(y.kappa.dim)])
+                unit_vec(B.field, i))) for i in range(y.kappa.dim)])
         tests.append(subcoalgebra_comodule(B, kappa_sub, prefix=f"s{y.index}.")[0])
     return tuple(_dense_exactness(_dense_tower(M, A, reg, depth + 1), depth)
                  for M in tests)
@@ -393,3 +427,103 @@ def rref_oracle():
 @pytest.fixture(scope="session")
 def null_space_oracle():
     return null_space_by_gauss_jordan
+
+
+class DenseReference:
+    """Reference for the operations of Matrix: the same operations on dense
+    rows (lists of field elements), through the Field methods only, so it
+    holds over every field; elimination is dense Gauss-Jordan."""
+
+    @staticmethod
+    def transpose(rows, ncols):
+        return [[row[j] for row in rows] for j in range(ncols)]
+
+    @staticmethod
+    def add(F, a, b):
+        return [[F.add(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    @staticmethod
+    def sub(F, a, b):
+        return [[F.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    @staticmethod
+    def scale(F, c, a):
+        return [[F.mul(c, x) for x in r] for r in a]
+
+    @staticmethod
+    def stack(a, b):
+        return [list(r) for r in a] + [list(r) for r in b]
+
+    @staticmethod
+    def mul(F, a, b, ncols):
+        out = []
+        for r in a:
+            row = []
+            for j in range(ncols):
+                acc = F.zero
+                for x, brow in zip(r, b):
+                    acc = F.add(acc, F.mul(x, brow[j]))
+                row.append(acc)
+            out.append(row)
+        return out
+
+    @staticmethod
+    def apply(F, a, v):
+        return [DenseReference.mul(F, [v], DenseReference.transpose(a, len(v)), len(a))[0][i]
+                for i in range(len(a))]
+
+    @staticmethod
+    def rref(F, rows, ncols):
+        """(rows, pivots): the reduced row-echelon form, zero rows last."""
+        rows = [list(r) for r in rows]
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            hit = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+            if hit is None:
+                continue
+            rows[r], rows[hit] = rows[hit], rows[r]
+            inv = F.inv(rows[r][c])
+            rows[r] = [F.mul(inv, x) for x in rows[r]]
+            for i, row in enumerate(rows):
+                if i != r and not F.is_zero(row[c]):
+                    fac = row[c]
+                    rows[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(row, rows[r])]
+            pivots.append(c)
+            r += 1
+        return rows, pivots
+
+    @staticmethod
+    def null_space(F, rows, ncols):
+        """One vector per free column of the rref, reduced, zero rows dropped."""
+        red, pivots = DenseReference.rref(F, rows, ncols)
+        basis = []
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            v = [F.zero] * ncols
+            v[fc] = F.one
+            for row, pc in zip(red, pivots):
+                v[pc] = F.neg(row[fc])
+            basis.append(v)
+        kernel, kernel_pivots = DenseReference.rref(F, basis, ncols)
+        return kernel[:len(kernel_pivots)]
+
+    @staticmethod
+    def solve(F, rows, ncols, bs):
+        """Per right-hand side b, the solution of M x = b with every free
+        coordinate zero; None if any b lies outside the column space."""
+        aug = [list(r) + [b[i] for b in bs] for i, r in enumerate(rows)]
+        red, pivots = DenseReference.rref(F, aug, ncols + len(bs))
+        if pivots and pivots[-1] >= ncols:
+            return None
+        out = [[F.zero] * ncols for _ in bs]
+        for row, pc in zip(red, pivots):
+            for k in range(len(bs)):
+                out[k][pc] = row[ncols + k]
+        return out
+
+
+@pytest.fixture(scope="session")
+def dense_reference():
+    return DenseReference

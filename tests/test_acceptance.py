@@ -41,6 +41,7 @@ from superscheme.corpus import (
 )
 from superscheme.cli import EXIT_OK, run as cli_run
 from superscheme.objfile import serialize_document
+from conftest import dense_matrix, sparse
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -63,7 +64,7 @@ def test_criterion_1_axiom_suites(dense_view):
     hosts = [divided_power(2), dualize_algebra(grassmann(2))]
     for C in hosts:
         ok &= validate_comodule(regular_comodule(C)) == []
-        ok &= validate_comodule(trivial_comodule(C, unit_vec(QQ, C.dim, 0))) == []
+        ok &= validate_comodule(trivial_comodule(C, unit_vec(QQ, 0))) == []
     # flipped Koszul sign: the violated instance is named
     G = grassmann(2)
     mul = dense_view.table(G)
@@ -73,7 +74,7 @@ def test_criterion_1_axiom_suites(dense_view):
     ok &= any("supercommutativity" in p and "th2" in p for p in problems)
     # broken counit: named instance
     D = divided_power(1)
-    badc = SuperCoalgebra(D.space, D.delta, (QQ.zero, QQ.zero))
+    badc = SuperCoalgebra(D.space, D.delta, sparse(QQ, (QQ.zero, QQ.zero)))
     problems_c = validate_supercoalgebra(badc)
     ok &= any("counit" in p for p in problems_c)
     # broken comodule coaction
@@ -92,10 +93,10 @@ def _hom_grouplike_pairs(field):
     dual_num = truncated_polynomial(1, field)
     kk = split_pair(field)
     k = grassmann(0, field)
-    th = unit_vec(field, 2, 1)
-    x = unit_vec(field, 2, 1)
-    e1 = unit_vec(field, 2, 0)
-    th12 = [unit_vec(field, 4, 1), unit_vec(field, 4, 2)]
+    th = unit_vec(field, 1)
+    x = unit_vec(field, 1)
+    e1 = unit_vec(field, 0)
+    th12 = [unit_vec(field, 1), unit_vec(field, 2)]
     pairs = [
         (lam1, [th], k), (lam1, [th], lam1), (lam1, [th], dual_num),
         (dual_num, [x], k), (dual_num, [x], dual_num),
@@ -244,7 +245,7 @@ def _seeded_epis(C, count=10):
         W = standard_space(F, r0, rng.randint(2), even_prefix="w",
                            odd_prefix="u")
         P = free_comodule(W, C)
-        vec = tuple(F.from_int(rng.randint(5) - 2) for _ in range(P.dim))
+        vec = sparse(F, [F.from_int(rng.randint(5) - 2) for _ in range(P.dim)])
         mats = dual_action(P)
         closure = [vec] + [dual_action_of(P, mats, [(t, F.one)]).apply(vec)
                            for t in range(C.dim)]
@@ -311,7 +312,7 @@ def _embed_columns(cols, ext):
 
 
 def _embed1(vec, ext):
-    return tuple(ext.embed(c) for c in vec)
+    return tuple((i, ext.embed(c)) for i, c in vec)
 
 
 # -------------------------------------------------------------------- 7
@@ -319,7 +320,7 @@ def _embed1(vec, ext):
 def _collapse_morphism(C):
     F = C.field
     K = unit_coalgebra(F)
-    m = GradedMap(C.space, K.space, Matrix(F, [list(C.counit)], C.dim), 0)
+    m = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
     return SchemeMorphism.finite(m, FormalSuperscheme.finite(C),
                                  FormalSuperscheme.finite(K))
 
@@ -331,7 +332,7 @@ def _component_inclusion(C, extra):
     rows = [[F.zero] * C.dim for _ in range(big.dim)]
     for i in range(C.dim):
         rows[i][i] = F.one
-    m = GradedMap(C.space, big.space, Matrix(F, rows, C.dim), 0)
+    m = GradedMap(C.space, big.space, dense_matrix(F, rows, C.dim), 0)
     return SchemeMorphism.finite(m, FormalSuperscheme.finite(C),
                                  FormalSuperscheme.finite(big))
 
@@ -435,7 +436,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     write("d3.coalg", serialize_document(QQ, [("D3", divided_power(3))]))
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, Matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    m = GradedMap(GK.space, K.space, dense_matrix(QQ, [[QQ.one, QQ.one]]), 0)
     f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK),
                               FormalSuperscheme.finite(K))
     write("collapse.mor", serialize_document(
@@ -449,7 +450,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     D1 = divided_power(1)
     write("mods.comod", serialize_document(QQ, [
         ("C", D1), ("M", _reg(D1), "C"),
-        ("N", trivial_comodule(D1, unit_vec(QQ, 2, 0)), "C")]))
+        ("N", trivial_comodule(D1, unit_vec(QQ, 0)), "C")]))
     write("twopres.pres", "superscheme 1\nfield Q\n"
           "object presentation P\n  ovar a\nend\n"
           "object presentation Q2\n  ovar b\nend\n")

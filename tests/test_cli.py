@@ -17,6 +17,8 @@ from superscheme.corpus import (
     truncated_polynomial,
 )
 
+from conftest import dense_matrix, sparse
+
 F3 = PrimeField(3)
 
 
@@ -33,12 +35,12 @@ def files(tmp_path):
     write("d3.coalg", serialize_document(QQ, [("D3", divided_power(3))]))
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, Matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    m = GradedMap(GK.space, K.space, dense_matrix(QQ, [[QQ.one, QQ.one]]), 0)
     f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK),
                               FormalSuperscheme.finite(K))
     write("collapse.mor", serialize_document(
         QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]))
-    j = GradedMap(K.space, GK.space, Matrix(QQ, [[QQ.one], [QQ.zero]]), 0)
+    j = GradedMap(K.space, GK.space, dense_matrix(QQ, [[QQ.one], [QQ.zero]]), 0)
     fj = SchemeMorphism.finite(j, FormalSuperscheme.finite(K),
                                FormalSuperscheme.finite(GK))
     write("inclusion.mor", serialize_document(
@@ -98,7 +100,7 @@ end
     write("mods.comod", serialize_document(QQ, [
         ("C", D1),
         ("M", regular_comodule(D1), "C"),
-        ("N", trivial_comodule(D1, unit_vec(QQ, 2, 0)), "C")]))
+        ("N", trivial_comodule(D1, unit_vec(QQ, 0)), "C")]))
     bad = serialize_document(QQ, [("G2", grassmann(2))])
     bad = bad.replace("mul 2 1 3 -1", "mul 2 1 3 1")
     write("bad.alg", bad)
@@ -483,8 +485,13 @@ def test_every_command_deterministic(files):
 def _fuzz_inputs():
     """Small corpus object files and the commands that read each of them."""
     GK, K, D1, D2 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1), divided_power(2)
-    m = GradedMap(GK.space, K.space, Matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    m = GradedMap(GK.space, K.space, dense_matrix(QQ, [[QQ.one, QQ.one]]), 0)
     f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK), FormalSuperscheme.finite(K))
+    # the counit collapse of Grassmann(2)*, whose source has odd basis vectors
+    G2d = dualize_algebra(grassmann(2, F3))
+    K3 = unit_coalgebra(F3)
+    g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, Matrix(F3, [G2d.counit], G2d.dim)),
+                              FormalSuperscheme.finite(G2d), FormalSuperscheme.finite(K3))
     from superscheme.supercomodule import regular_comodule, trivial_comodule
     from superscheme.superlinear import unit_vec
     coalg = serialize_document(QQ, [("D2", D2), ("GK", GK)]) + (
@@ -495,8 +502,13 @@ def _fuzz_inputs():
         "alg3": serialize_document(F3, [("R", quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))]),
         "coalg": coalg,
         "comod": serialize_document(QQ, [("C", D1), ("M", regular_comodule(D1), "C"),
-                                         ("N", trivial_comodule(D1, unit_vec(QQ, 2, 0)), "C")]),
+                                         ("N", trivial_comodule(D1, unit_vec(QQ, 0)), "C")]),
         "mor": serialize_document(QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]),
+        # an explicit zero on delta(1*) at 1* (x) th1*: one scalar mutation
+        # makes G fail its parity axiom under a morphism out of it
+        "mor_odd": serialize_document(
+            F3, [("G", G2d), ("K", K3), ("f", g, None, ("G", "K"))]).replace(
+                "  counit 0 1\n", "  counit 0 1\n  delta 0 0 1 0\n", 1),
         "pres": ("superscheme 1\nfield Q\n"
                  "object presentation S\n  evar T U\n  ovar a b\n  gen T a\nend\n"
                  "object presentation Y\n  evar T\n  ovar a\nend\n"
@@ -513,6 +525,7 @@ def _fuzz_inputs():
                 ["fiber", "--morphism", "f", "--point", "0"],
                 ["fiber-product", "--f", "f", "--g", "f"], ["immersion-check"],
                 ["finite-check"]],
+        "mor_odd": [["flat-check"], ["descent-check", "--depth", "1"], ["immersion-check"]],
         "pres": [["ksdim"], ["check-thm513"], ["check-thm515"]],
     }
     return [(texts[key], argv) for key in texts
@@ -553,6 +566,46 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, case, kind
     assert any(line.startswith("status ") for line in report.splitlines()), report
 
 
+PARITY_BROKEN_SOURCE = """superscheme 1
+field Fp 3
+object coalgebra A
+  basis g even
+  basis x odd
+  counit 0 1
+  delta 0 0 0 1
+  delta 1 0 1 1
+  delta 1 1 0 1
+  delta 0 0 1 1
+end
+object coalgebra B
+  basis h even
+  counit 0 1
+  delta 0 0 0 1
+end
+object morphism f from A to B
+  map 0 0 1
+end
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "report-all"])
+def test_a_morphism_out_of_a_coalgebra_failing_parity_is_reported(tmp_path, command):
+    """delta(g) hits g (x) x, so A fails its parity axiom and its coproduct
+    is not even: the morphism out of it names the invalid source instead of
+    building that map, and the report ends with exit 1."""
+    path = tmp_path / "parity.ss"
+    path.write_text(PARITY_BROKEN_SOURCE)
+    text, code = run([command, str(path)])
+    assert code == EXIT_FAIL
+    assert text.endswith("status fail\n") and "Traceback" not in text
+    if command == "validate":
+        assert text.splitlines()[-3:-1] == [
+            "object f FAIL", "  violation f source level 0 is not a valid super-coalgebra"]
+    else:
+        assert text.splitlines()[-3:-1] == ["coalgebra B grouplikes 1", "morphism f valid False"]
+        assert "coalgebra A valid False" in text.splitlines()
+
+
 def test_fiber_product_reports_a_carrier_that_is_not_a_subcoalgebra(files, monkeypatch):
     """fiber_product makes its one subcoalgebra test in subcoalgebra_on; a
     graded carrier that fails it is a closure failure with exit 1."""
@@ -564,7 +617,8 @@ def test_fiber_product_reports_a_carrier_that_is_not_a_subcoalgebra(files, monke
         carrier, A1, A2 = real(f, g)
         # g1 (x) g1 + g2 (x) g2 is even, but its coproduct has cross terms
         # outside W (x) W
-        return Subspace.from_vectors(carrier.space, [[QQ.one, QQ.zero, QQ.zero, QQ.one]]), A1, A2
+        return Subspace.from_vectors(carrier.space, [sparse(QQ, [QQ.one, QQ.zero, QQ.zero,
+                                                                QQ.one])]), A1, A2
 
     monkeypatch.setattr(formal_scheme, "_fiber_product_carrier", skewed)
     tests_made = _count_calls(monkeypatch, "supercoalgebra", "subcoalgebra_on")

@@ -139,7 +139,7 @@ def _constructions():
         ("subcoalgebra", subcoalgebra_on(grouplike_coalgebra(2), comp.subspace)[0]),
         ("regular comodule", regular_comodule(G2d)),
         ("free comodule", free_comodule(W, G2d)),
-        ("trivial comodule", trivial_comodule(D2, unit_vec(QQ, D2.dim, 0), 2, 1)),
+        ("trivial comodule", trivial_comodule(D2, unit_vec(QQ, 0), 2, 1)),
     ]
 
 

@@ -76,7 +76,7 @@ def test_coalgebra_builders_give_valid_structures(F, name):
         assert validate_comodule(trivial_comodule(C, g, 1, 1)) == []
     W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
     assert validate_comodule(free_comodule(W, C)) == []
-    counit = GradedMap(C.space, K.space, Matrix(F, [list(C.counit)], C.dim), 0)
+    counit = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
     assert validate_comodule(comodule_along(free_comodule(W, C), counit, K)) == []
 
 

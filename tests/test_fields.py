@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superscheme.corpus import Rng
+from superscheme.superlinear import vector
 from superscheme.fields import (
-    ExtensionField, Field, FieldError, PrimeField, QQ, field_sqrt,
-    poly_divmod, poly_factor_supported, poly_gcd, poly_is_irreducible,
+    ExtensionField, FieldError, PrimeField, QQ, field_sqrt,
+    poly_divmod, poly_factor_supported, poly_is_irreducible,
     poly_mul, poly_roots,
 )
 
@@ -84,7 +85,6 @@ def test_poly_division_and_gcd():
     q, r = poly_divmod(F, f, g)
     assert r == ()
     assert poly_mul(F, q, g) == f
-    assert poly_gcd(F, f, g) == g
 
 
 def test_poly_roots_rational():
@@ -157,15 +157,15 @@ def test_prime_field_is_zero_on_canonical_residues():
         assert F.is_zero(F.mul(F.from_int(p), 3)) and not F.is_zero(F.neg(1))
 
 
-def test_truthy_nonzeros_match_the_is_zero_scan():
-    """F_p and Q find nonzero entries by truthiness; the base Field method
-    scans with is_zero, as every other field does."""
+def test_vector_keeps_exactly_the_entries_is_zero_rejects():
+    """A vector keeps the pairs whose entry the field's is_zero rejects, in
+    index order, whatever order they come in."""
     for F in (F3, F5, PrimeField(7), QQ):
         vec = [F.from_int(n) for n in (0, 1, -1, 0, 2, 0, F.char, 3)]
-        assert F.nonzeros(vec) == Field.nonzeros(F, vec)
-        assert [a for _, a in F.nonzeros(vec)] == [a for a in vec if not F.is_zero(a)]
+        assert vector(F, reversed(list(enumerate(vec)))) == tuple(
+            (j, a) for j, a in enumerate(vec) if not F.is_zero(a))
     vec = [F9.zero, F9.one, F9.generator, F9.zero]
-    assert F9.nonzeros(vec) == [(1, F9.one), (2, F9.generator)]
+    assert vector(F9, enumerate(vec)) == ((1, F9.one), (2, F9.generator))
 
 
 def _mul_by_divmod(E, a, b):

@@ -9,6 +9,8 @@ from superscheme.corpus import (
 )
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
 
+from conftest import dense
+
 F3 = PrimeField(3)
 
 
@@ -57,7 +59,7 @@ end
     doc = parse_text(text)
     assert doc.field.order == 9
     _, C = doc.first("coalgebra")
-    assert C.counit == ((1, 0),)
+    assert dense(doc.field, 1, C.counit) == ((1, 0),)
 
 
 def test_comodule_and_morphism_sections():

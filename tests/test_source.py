@@ -63,3 +63,14 @@ def test_structure_maps_in_one_form():
         found = {(fname, scope) for fname, tree in trees.items()
                  for scope in _references(tree, cls, calls=True)}
         assert found == {(module, maker)}, cls
+
+
+def test_vectors_in_one_form():
+    """Every vector and matrix row is a sorted tuple of nonzero (index,
+    entry) pairs: no dense scan or converter between two forms is left, and
+    a Matrix holds its rows in one slot."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    for name in ("nonzeros", "_dense", "from_sparse_columns", "_support", "from_support"):
+        assert [scope for tree in trees for scope in _references(tree, name)] == [], name
+    from superscheme.superlinear import Matrix
+    assert set(Matrix.__slots__) - {"field", "nrows", "ncols", "_rref"} == {"rows"}

@@ -19,6 +19,8 @@ from superscheme.corpus import (
     truncated_polynomial,
 )
 
+from conftest import dense, dense_matrix, dense_rows, sparse
+
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
@@ -39,7 +41,7 @@ def test_flipped_sign_fails_supercommutativity(dense_view):
 
 def test_broken_unit_fails():
     G = grassmann(1)
-    bad = SuperAlgebra(G.space, G.mul, (QQ.zero, QQ.zero))
+    bad = SuperAlgebra(G.space, G.mul, sparse(QQ, (QQ.zero, QQ.zero)))
     problems = validate_superalgebra(bad)
     assert any("unit" in p for p in problems)
 
@@ -50,7 +52,7 @@ def test_odd_square_violation_detected():
     space = SuperVectorSpace(QQ, ("1", "th"), (0, 1))
     # 1*1 = 1, 1*th = th*1 = th, th*th = 1
     mul = [[(0, Fraction(1))], [(1, Fraction(1))], [(1, Fraction(1))], [(0, Fraction(1))]]
-    bad = make_superalgebra(space, mul, (Fraction(1), Fraction(0)))
+    bad = make_superalgebra(space, mul, sparse(QQ, (Fraction(1), Fraction(0))))
     problems = validate_superalgebra(bad)
     assert any("odd square" in p for p in problems) or \
         any("parity" in p for p in problems)
@@ -59,7 +61,7 @@ def test_odd_square_violation_detected():
 def test_canonical_ideal_examples():
     assert canonical_ideal(truncated_polynomial(1)).subspace.dim == 0
     G1 = grassmann(1)
-    assert canonical_ideal(G1).subspace.basis() == [(Fraction(0), Fraction(1))]
+    assert canonical_ideal(G1).subspace.basis() == [sparse(QQ, (Fraction(0), Fraction(1)))]
     G2 = grassmann(2)
     assert canonical_ideal(G2).subspace.sdim == (1, 2)
 
@@ -81,7 +83,7 @@ def test_radical_semisimple_is_zero():
 
 def test_radical_grassmann():
     G = grassmann(1)
-    assert radical(G).subspace.basis() == [(Fraction(0), Fraction(1))]
+    assert radical(G).subspace.basis() == [sparse(QQ, (Fraction(0), Fraction(1)))]
 
 
 def test_radical_dual_numbers_matches_trace_oracle():
@@ -89,14 +91,14 @@ def test_radical_dual_numbers_matches_trace_oracle():
     D = truncated_polynomial(1)
     left = []
     for i in range(2):
-        cols = [D.multiply(unit_vec(QQ, 2, i), unit_vec(QQ, 2, j)) for j in range(2)]
-        left.append(Matrix(QQ, cols, 2).transpose())
-    gram = [[sum(D.multiply(unit_vec(QQ, 2, i), unit_vec(QQ, 2, j))[k]
-                 * left[k].rows[t][t]
+        cols = [D.multiply(unit_vec(QQ, i), unit_vec(QQ, j)) for j in range(2)]
+        left.append(dense_rows(Matrix(QQ, cols, 2)._transpose()))
+    gram = [[sum(dense(QQ, 2, D.multiply(unit_vec(QQ, i), unit_vec(QQ, j)))[k]
+                 * left[k][t][t]
                  for k in range(2) for t in range(2)) for j in range(2)]
             for i in range(2)]
     assert gram == [[2, 0], [0, 0]]
-    expected = Subspace(D.space, Matrix(QQ, gram, 2).null_space())
+    expected = Subspace(D.space, dense_matrix(QQ, gram, 2).null_space())
     assert radical(D).subspace == expected
 
 
@@ -106,7 +108,7 @@ def test_radical_char_p_and_extension_field():
     assert rad.subspace.dim == 3
     F9 = ExtensionField(F3, (1, 0, 1), "j")
     D9 = truncated_polynomial(1, F9)
-    assert radical(D9).subspace.basis() == [(F9.zero, F9.one)]
+    assert radical(D9).subspace.basis() == [sparse(F9, (F9.zero, F9.one))]
 
 
 def test_radical_invariants_on_corpus():
@@ -121,7 +123,7 @@ def test_local_decomposition_split():
     A = quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)])
     facs = local_decomposition(A, radical(A))
     assert len(facs) == 2
-    idems = sorted(f.idempotent for f in facs)
+    idems = sorted(dense(A.field, A.dim, f.idempotent) for f in facs)
     assert idems == [(Fraction(1, 2), Fraction(-1, 2)),
                      (Fraction(1, 2), Fraction(1, 2))]
     assert all(f.residue.is_base for f in facs)
@@ -148,13 +150,13 @@ def test_local_decomposition_invariants():
         F = A.field
         total = tuple([F.zero] * A.dim)
         for f in facs:
-            total = tuple(F.add(a, b) for a, b in zip(total, f.idempotent))
+            total = tuple(F.add(a, b) for a, b in zip(total, dense(F, A.dim, f.idempotent)))
             assert A.multiply(f.idempotent, f.idempotent) == f.idempotent
-        assert total == A.unit, name
+        assert total == dense(F, A.dim, A.unit), name
         for i, f in enumerate(facs):
             for g in facs[i + 1:]:
                 zero = tuple([F.zero] * A.dim)
-                assert A.multiply(f.idempotent, g.idempotent) == zero
+                assert dense(F, A.dim, A.multiply(f.idempotent, g.idempotent)) == zero
         assert sum(f.algebra.dim for f in facs) == A.dim, name
 
 
@@ -203,43 +205,43 @@ def test_morphism_checks():
     G = grassmann(1)
     assert is_superalgebra_morphism(GradedMap.identity(G.space), G, G)
     K = grassmann(0)
-    to_k = GradedMap(G.space, K.space, Matrix(QQ, [[Fraction(1), Fraction(0)]]), 0)
+    to_k = GradedMap(G.space, K.space, dense_matrix(QQ, [[Fraction(1), Fraction(0)]]), 0)
     assert is_superalgebra_morphism(to_k, G, K)
     # x -> 1 + eps is not square-zero
     D = truncated_polynomial(1)
     phi = GradedMap(D.space, D.space,
-                    Matrix(QQ, [[Fraction(1), Fraction(1)],
-                                [Fraction(0), Fraction(1)]]), 0)
+                    dense_matrix(QQ, [[Fraction(1), Fraction(1)],
+                                      [Fraction(0), Fraction(1)]]), 0)
     assert not is_superalgebra_morphism(phi, D, D)
 
 
 def test_enumerate_homs_counts():
     G = grassmann(1, F3)
     K = grassmann(0, F3)
-    theta = unit_vec(F3, 2, 1)
+    theta = unit_vec(F3, 1)
     assert len(enumerate_homs(G, K, [theta])) == 1
     assert len(enumerate_homs(G, G, [theta])) == 3
     D = truncated_polynomial(1, F3)
-    x = unit_vec(F3, 2, 1)
+    x = unit_vec(F3, 1)
     assert len(enumerate_homs(D, K, [x])) == 1
 
 
 def test_enumerate_homs_requires_finite_field():
     G = grassmann(1)
     with pytest.raises(FieldError):
-        enumerate_homs(G, G, [unit_vec(QQ, 2, 1)])
+        enumerate_homs(G, G, [unit_vec(QQ, 1)])
 
 
 def test_enumerate_homs_rejects_non_generators():
     G = grassmann(2, F3)
     with pytest.raises(ValueError):
-        enumerate_homs(G, G, [unit_vec(F3, 4, 1)])  # th1 alone does not generate
+        enumerate_homs(G, G, [unit_vec(F3, 1)])  # th1 alone does not generate
 
 
 def test_enumerate_homs_deterministic():
     G = grassmann(1, F3)
-    a = [h.matrix.rows for h in enumerate_homs(G, G, [unit_vec(F3, 2, 1)])]
-    b = [h.matrix.rows for h in enumerate_homs(G, G, [unit_vec(F3, 2, 1)])]
+    a = [h.matrix.rows for h in enumerate_homs(G, G, [unit_vec(F3, 1)])]
+    b = [h.matrix.rows for h in enumerate_homs(G, G, [unit_vec(F3, 1)])]
     assert a == b
 
 
@@ -247,15 +249,15 @@ def test_tensor_superalgebra_koszul():
     G = tensor_superalgebra(grassmann(1), grassmann(1))
     assert validate_superalgebra(G) == []
     # (1 (x) eta)(th (x) 1) = -(th (x) eta)
-    v_eta = unit_vec(QQ, 4, 1)
-    v_th = unit_vec(QQ, 4, 2)
+    v_eta = unit_vec(QQ, 1)
+    v_th = unit_vec(QQ, 2)
     prod = G.multiply(v_eta, v_th)
-    assert prod == (Fraction(0), Fraction(0), Fraction(0), Fraction(-1))
+    assert dense(QQ, 4, prod) == (Fraction(0), Fraction(0), Fraction(0), Fraction(-1))
 
 
 def test_ideal_and_quotient():
     G = grassmann(2)
-    ideal = ideal_generated_by(G, [unit_vec(QQ, 4, 1)])
+    ideal = ideal_generated_by(G, [unit_vec(QQ, 1)])
     assert ideal.subspace.dim == 2  # th1, th1*th2
     quot, proj = quotient_by_superideal(G, ideal)
     assert quot.dim == 2
@@ -273,8 +275,8 @@ def test_ideal_generated_by_matches_fixpoint(ideal_oracle):
                 gens = []
                 for _ in range(1 + rng.randint(2)):
                     parity = rng.randint(2)
-                    gens.append(tuple(rng.scalar(field) if A.parity(i) == parity
-                                      else field.zero for i in range(A.dim)))
+                    gens.append(sparse(field, [rng.scalar(field) if A.parity(i) == parity
+                                               else field.zero for i in range(A.dim)]))
                 ideal = ideal_generated_by(A, gens).subspace
                 assert ideal == ideal_oracle(A, gens), (field.describe(), name, gens)
                 assert is_superideal(A, ideal) == []
@@ -282,10 +284,11 @@ def test_ideal_generated_by_matches_fixpoint(ideal_oracle):
 
 def test_is_superideal_names_escaping_products():
     G = grassmann(2)
-    th1, th2 = unit_vec(QQ, 4, 1), unit_vec(QQ, 4, 2)
+    th1, th2 = unit_vec(QQ, 1), unit_vec(QQ, 2)
     assert is_superideal(G, Subspace.from_vectors(G.space, [th1])) == [
         "not absorbing: th2 * ideal element escapes"]
-    mixed = Subspace.from_vectors(G.space, [tuple(a + b for a, b in zip(G.unit, th1))])
+    mixed = Subspace.from_vectors(G.space, [sparse(QQ, [a + b for a, b in zip(
+        dense(QQ, 4, G.unit), dense(QQ, 4, th1))])])
     assert is_superideal(G, mixed) == [
         "ideal subspace is not graded",
         "not absorbing: th1 * ideal element escapes",
@@ -363,7 +366,7 @@ BROKEN_GRASSMANN_2 = {
 def test_validate_superalgebra_full_problem_list(case, dense_view):
     F, edits, unit, expected = BROKEN_GRASSMANN_2[case]
     G = grassmann(2, F)
-    unit = G.unit if unit is None else tuple(F.from_int(c) for c in unit)
+    unit = G.unit if unit is None else sparse(F, [F.from_int(c) for c in unit])
     A = make_superalgebra(G.space, _edited(dense_view, G, F, edits), unit)
     assert validate_superalgebra(A) == expected
 
@@ -385,14 +388,14 @@ def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field,
     rng = Rng(15)
 
     def unitriangular(lower):
-        return Matrix(QQ, [[QQ.one if i == j else _rational(rng)
-                            if (i > j) == lower and parities[i] == parities[j]
-                            else QQ.zero for j in range(n)] for i in range(n)], n)
+        return dense_matrix(QQ, [[QQ.one if i == j else _rational(rng)
+                                  if (i > j) == lower and parities[i] == parities[j]
+                                  else QQ.zero for j in range(n)] for i in range(n)], n)
 
     P = unitriangular(True).mul(unitriangular(False))
-    basis = P.transpose().rows
+    basis = P._transpose().rows
     products = P.solve([A.multiply(x, y) for x in basis for y in basis])
-    mul = [[list(products[i * n + j]) for j in range(n)] for i in range(n)]
+    mul = [[list(dense(QQ, n, products[i * n + j])) for j in range(n)] for i in range(n)]
     assert len({c.denominator for row in mul for cell in row for c in cell}) > 10
     for (i, j, k), c in {(1, 2, 3): Fraction(1, 7), (0, 4, 1): Fraction(2, 3),
                          (3, 5, 7): Fraction(-5, 9)}.items():
@@ -413,7 +416,7 @@ def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field,
 
 def _typed(vec):
     """Entries with their types, so a Q result must hold Fractions throughout."""
-    return tuple((type(c), c) for c in vec)
+    return tuple((type(c), j, c) for j, c in vec)
 
 
 @seed(314)
@@ -434,8 +437,7 @@ def test_multiply_matches_dense_loop(generic_field, multiply_oracle, dense_view,
     n = even + odd
     vec = st.lists(st.one_of(st.just(F.zero), nonzero), min_size=n, max_size=n).map(tuple)
     mul = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n), min_size=n, max_size=n))
-    A = make_superalgebra(standard_space(K, even, odd), dense_view.columns("mul", mul),
-                          [K.zero] * n)
+    A = make_superalgebra(standard_space(K, even, odd), dense_view.columns("mul", mul), ())
     for _ in range(3):
-        x, y = data.draw(vec), data.draw(vec)
+        x, y = sparse(F, data.draw(vec)), sparse(F, data.draw(vec))
         assert _typed(A.multiply(x, y)) == _typed(multiply_oracle(A, x, y))

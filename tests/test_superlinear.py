@@ -7,10 +7,12 @@ from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
     DimensionMismatch, GradedMap, Matrix, Subspace, _null_space_sparse,
     _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_after,
-    tensor_apply, twist, unit_vec, vec_add, vec_scale, zero_vec,
+    tensor_apply, twist, unit_vec, vec_add, vec_scale,
 )
 from superscheme.corpus import Rng
 from superscheme.superalgebra import _combination
+
+from conftest import dense, dense_matrix, dense_rows, sparse
 
 F3 = PrimeField(3)
 
@@ -22,7 +24,7 @@ def mat_strategy(max_dim=4):
         lambda m: st.integers(1, max_dim).flatmap(
             lambda n: st.lists(
                 st.lists(small_scalars, min_size=n, max_size=n),
-                min_size=m, max_size=m).map(lambda rows: Matrix(QQ, rows, n))))
+                min_size=m, max_size=m).map(lambda rows: dense_matrix(QQ, rows, n))))
 
 
 @given(mat_strategy())
@@ -38,7 +40,7 @@ def test_rref_idempotent_and_kernel(M):
     red2, pivots2 = red.rref()
     assert red.rows == red2.rows and pivots == pivots2
     for row in M.null_space().rows:
-        assert all(c == 0 for c in M.apply(row))
+        assert all(c == 0 for c in dense(QQ, M.nrows, M.apply(row)))
 
 
 @given(mat_strategy(3), mat_strategy(3))
@@ -46,8 +48,8 @@ def test_rref_idempotent_and_kernel(M):
 def test_modular_law(A, B):
     n = max(A.ncols, B.ncols)
     V = standard_space(QQ, n, 0)
-    pad = lambda M: Matrix(QQ, [list(r) + [Fraction(0)] * (n - M.ncols)
-                                for r in M.rows], n)
+    pad = lambda M: dense_matrix(QQ, [list(r) + [Fraction(0)] * (n - M.ncols)
+                                      for r in dense_rows(M)], n)
     X = Subspace(V, pad(A))
     Y = Subspace(V, pad(B))
     assert X.sum(Y).dim + X.intersect(Y).dim == X.dim + Y.dim
@@ -65,8 +67,8 @@ def test_kernel_examples():
     assert GradedMap.identity(U).kernel().dim == 0
     # (1 1): kernel spanned by (1, -1)
     V2 = standard_space(QQ, 2, 0)
-    f = GradedMap(V2, W, Matrix(QQ, [[Fraction(1), Fraction(1)]]), 0)
-    assert f.kernel().basis() == [(Fraction(1), Fraction(-1))]
+    f = GradedMap(V2, W, dense_matrix(QQ, [[Fraction(1), Fraction(1)]]), 0)
+    assert [dense(QQ, 2, v) for v in f.kernel().basis()] == [(Fraction(1), Fraction(-1))]
 
 
 def test_twist_signs_and_involution():
@@ -74,9 +76,9 @@ def test_twist_signs_and_involution():
     W = standard_space(QQ, 1, 1)
     c = twist(V, W)
     # even (x) even keeps sign, odd (x) odd flips
-    ee = c.apply(unit_vec(QQ, 4, 0))       # e (x) e slot -> e (x) e
+    ee = dense(QQ, 4, c.apply(unit_vec(QQ, 0)))       # e (x) e slot -> e (x) e
     assert ee[0] == 1
-    oo = c.apply(unit_vec(QQ, 4, 3))       # o (x) o
+    oo = dense(QQ, 4, c.apply(unit_vec(QQ, 3)))       # o (x) o
     assert oo[3] == -1
     back = twist(W, V).compose(c)
     assert back.matrix == Matrix.identity(QQ, 4)
@@ -104,7 +106,7 @@ def _random_homogeneous_map(rng, dom, cod, parity, scalar=_small_int):
             else:
                 row.append(F.zero)
         rows.append(row)
-    return GradedMap(dom, cod, Matrix(F, rows, dom.dim), parity)
+    return GradedMap(dom, cod, dense_matrix(F, rows, dom.dim), parity)
 
 
 def test_tensor_map_identity_and_even_kronecker():
@@ -120,15 +122,16 @@ def test_tensor_map_odd_sign_block():
     f = GradedMap.identity(V)
     g = _random_homogeneous_map(rng, V, V, 1)
     fg = f.tensor(g)
+    f_rows, g_rows, fg_rows = dense_rows(f.matrix), dense_rows(g.matrix), dense_rows(fg.matrix)
     # column (v_odd (x) w): entries use -g
     for i in range(V.dim):
         for j in range(V.dim):
             for k in range(V.dim):
                 for l in range(V.dim):
-                    expected = f.matrix.rows[i][k] * g.matrix.rows[j][l]
+                    expected = f_rows[i][k] * g_rows[j][l]
                     if V.parities[k] == 1:
                         expected = -expected
-                    assert fg.matrix.rows[i * 2 + j][k * 2 + l] == expected
+                    assert fg_rows[i * 2 + j][k * 2 + l] == expected
 
 
 def test_tensor_compose_sign_rule():
@@ -151,15 +154,15 @@ def _tensor_by_entry_formula(f, g):
     F = f.domain.field
     nj, nl = g.codomain.dim, g.domain.dim
     rows = [[F.zero] * (f.domain.dim * nl) for _ in range(f.codomain.dim * nj)]
-    for i, frow in enumerate(f.matrix.rows):
-        for j, grow in enumerate(g.matrix.rows):
+    for i, frow in enumerate(dense_rows(f.matrix)):
+        for j, grow in enumerate(dense_rows(g.matrix)):
             for k, a in enumerate(frow):
                 for l, b in enumerate(grow):
                     val = F.mul(a, b)
                     if (g.parity or 0) * f.domain.parities[k]:
                         val = F.neg(val)
                     rows[i * nj + j][k * nl + l] = val
-    return Matrix(F, rows, f.domain.dim * nl)
+    return dense_matrix(F, rows, f.domain.dim * nl)
 
 
 @pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
@@ -172,8 +175,8 @@ def test_tensor_apply_matches_entry_formula(F):
             g = _random_homogeneous_map(rng, W, V, pg)
             expected = _tensor_by_entry_formula(f, g)
             dom = V.tensor(W)
-            cols = tensor_apply(f, g, [unit_vec(F, dom.dim, c) for c in range(dom.dim)])
-            assert Matrix(F, cols, expected.nrows).transpose() == expected
+            cols = tensor_apply(f, g, [unit_vec(F, c) for c in range(dom.dim)])
+            assert Matrix(F, cols, expected.nrows)._transpose() == expected
             assert f.tensor(g).matrix == expected
             h = _random_homogeneous_map(rng, U, dom, None)
             fgh = tensor_after(f, g, h)
@@ -194,47 +197,39 @@ def test_perp_examples():
     zero = Subspace.zero(V)
     assert perp(zero) == Subspace.full(V.dual())
     assert perp(Subspace.full(V)).dim == 0
-    S = Subspace.from_vectors(V, [(Fraction(1), Fraction(1))])
+    S = Subspace.from_vectors(V, [sparse(QQ, (Fraction(1), Fraction(1)))])
     P = perp(S)
-    assert P.basis() == [(Fraction(1), Fraction(-1))]
+    assert [dense(QQ, 2, v) for v in P.basis()] == [(Fraction(1), Fraction(-1))]
     assert S.dim + P.dim == V.dim
     assert perp(P).matrix == S.matrix
-
-
-def test_parity_shift():
-    V = standard_space(QQ, 2, 1)
-    assert V.parity_shift().sdim == (1, 2)
-    assert V.parity_shift().parity_shift().sdim == (2, 1)
-    empty = standard_space(QQ, 0, 0)
-    assert empty.parity_shift().sdim == (0, 0)
 
 
 def test_graded_map_parity_enforced():
     V = standard_space(QQ, 1, 1)
     bad = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
     with pytest.raises(ValueError):
-        GradedMap(V, V, Matrix(QQ, bad, 2), 0)
-    GradedMap(V, V, Matrix(QQ, bad, 2), 1)  # odd block structure is fine
+        GradedMap(V, V, dense_matrix(QQ, bad, 2), 0)
+    GradedMap(V, V, dense_matrix(QQ, bad, 2), 1)  # odd block structure is fine
 
 
 def test_quotient_data_and_coordinates():
     V = standard_space(QQ, 3, 0)
-    W = Subspace.from_vectors(V, [(Fraction(1), Fraction(1), Fraction(0))])
+    W = Subspace.from_vectors(V, [sparse(QQ, (Fraction(1), Fraction(1), Fraction(0)))])
     q, proj, section = quotient_data(V, W)
     assert q.dim == 2
     for i in range(q.dim):
-        assert proj.apply(section.apply(unit_vec(QQ, 2, i))) == unit_vec(QQ, 2, i)
-    coords = coordinates(W, [(Fraction(2), Fraction(2), Fraction(0))])
-    assert coords == [(Fraction(2),)]
-    assert coordinates(W, [(Fraction(1), Fraction(0), Fraction(0))]) is None
+        assert proj.apply(section.apply(unit_vec(QQ, i))) == unit_vec(QQ, i)
+    coords = coordinates(W, [sparse(QQ, (Fraction(2), Fraction(2), Fraction(0)))])
+    assert [dense(QQ, 1, c) for c in coords] == [(Fraction(2),)]
+    assert coordinates(W, [sparse(QQ, (Fraction(1), Fraction(0), Fraction(0)))]) is None
 
 
 def test_subspace_graded_parts():
     V = standard_space(QQ, 1, 1)
-    mixed = Subspace.from_vectors(V, [(Fraction(1), Fraction(1))])
+    mixed = Subspace.from_vectors(V, [sparse(QQ, (Fraction(1), Fraction(1)))])
     assert not mixed.is_graded()
-    graded = Subspace.from_vectors(V, [(Fraction(1), Fraction(0)),
-                                       (Fraction(0), Fraction(1))])
+    graded = Subspace.from_vectors(V, [sparse(QQ, (Fraction(1), Fraction(0))),
+                                       sparse(QQ, (Fraction(0), Fraction(1)))])
     assert graded.is_graded()
     assert graded.sdim == (1, 1)
 
@@ -250,11 +245,11 @@ def test_subspace_membership_matches_rank_and_intersection():
                 vecs = []
                 for _ in range(rng.randint(V.dim + 1)):
                     keep = rng.randint(3)   # 0 even, 1 odd, 2 mixed support
-                    vecs.append(tuple(rng.scalar(F) if keep in (2, p) else F.zero
-                                      for p in V.parities))
+                    vecs.append(sparse(F, [rng.scalar(F) if keep in (2, p) else F.zero
+                                           for p in V.parities]))
                 W = Subspace.from_vectors(V, vecs)
                 assert W.is_graded() == (W.even_part().sum(W.odd_part()) == W)
-                probe = tuple(rng.scalar(F) for _ in range(V.dim))
+                probe = sparse(F, [rng.scalar(F) for _ in range(V.dim)])
                 for v in vecs + [probe]:
                     stacked = W.matrix.stack(Matrix(F, [v], V.dim))
                     assert W.contains(v) == (stacked.rank() == W.dim)
@@ -289,13 +284,16 @@ def plain_matrices(draw):
 
 
 def _dense(F, rows, n):
-    """Sparse rows (sorted (index, entry) pairs) as dense tuples."""
-    return tuple(tuple(dict(r).get(j, F.zero) for j in range(n)) for r in rows)
+    """Vectors as dense tuples."""
+    return tuple(dense(F, n, r) for r in rows)
 
 
 def _typed(rows):
-    """Entries with their types, so a Q result must hold Fractions throughout."""
-    return tuple(tuple((type(x), x) for x in r) for r in rows)
+    """Entries with their types, so a Q result must hold Fractions throughout;
+    rows are dense tuples or vectors, whose entries are the second items of
+    their pairs."""
+    return tuple(tuple((type(x[1]), x) if isinstance(x, tuple) else (type(x), x) for x in r)
+                 for r in rows)
 
 
 @seed(2718)
@@ -305,18 +303,18 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
                                          case, data):
     F, rows, n = case
     G = generic_field(F)
-    fast, slow = Matrix(F, rows, n), Matrix(G, rows, n)
+    fast, slow = dense_matrix(F, rows, n), dense_matrix(G, rows, n)
     # Matrix runs one sparse elimination for every field; the dense
     # Gauss-Jordan reference on plain values checks it from outside
     want, want_pivots = rref_oracle(F, rows, n)
     assert fast.rref()[1] == want_pivots
-    assert _typed(fast.rref()[0].rows) == _typed(want)
-    assert _typed(fast.null_space().rows) == _typed(null_space_oracle(F, rows, n))
+    assert _typed(dense_rows(fast.rref()[0])) == _typed(want)
+    assert _typed(dense_rows(fast.null_space())) == _typed(null_space_oracle(F, rows, n))
     assert fast.rref()[1] == slow.rref()[1]
     for f_out, g_out in [(fast.rref()[0], slow.rref()[0]),
                          (fast.row_space(), slow.row_space()),
                          (fast.null_space(), slow.null_space()),
-                         (fast.mul(fast.transpose()), slow.mul(slow.transpose())),
+                         (fast.mul(fast._transpose()), slow.mul(slow._transpose())),
                          (fast.add(fast), slow.add(slow))]:
         assert _typed(f_out.rows) == _typed(g_out.rows)
         assert (f_out.nrows, f_out.ncols) == (g_out.nrows, g_out.ncols)
@@ -326,19 +324,19 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # the sparse elimination and its null space on the same rows, over F
     # and over G, against Matrix.rref and null_space, which run them
     for K, M in ((F, fast), (G, slow)):
-        red, pivots = _rref_sparse(K, [dict(r) for r in M.support()])
+        red, pivots = _rref_sparse(K, [dict(r) for r in M.rows])
         assert pivots == M.rref()[1]
-        assert _typed(_dense(K, red, n)) == _typed(M.row_space().rows)
+        assert _typed(_dense(K, red, n)) == _typed(dense_rows(M.row_space()))
         kernel, _ = _null_space_sparse(K, red, pivots, n)
-        assert _typed(_dense(K, kernel, n)) == _typed(M.null_space().rows)
+        assert _typed(_dense(K, kernel, n)) == _typed(dense_rows(M.null_space()))
 
     VF, VG = standard_space(F, n, 0), standard_space(G, n, 0)
     sub_f, sub_g = Subspace(VF, fast), Subspace(VG, slow)
     entries = _entries(F)
-    inside = zero_vec(F, n)
+    inside = ()
     for row in sub_f.basis():
         inside = vec_add(F, inside, vec_scale(F, data.draw(entries), row))
-    outside = tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    outside = sparse(F, data.draw(st.lists(entries, min_size=n, max_size=n)))
     assert coordinates(sub_f, [inside]) is not None
     for v in (inside, outside):
         got, want = coordinates(sub_f, [v]), coordinates(sub_g, [v])
@@ -349,31 +347,32 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # a batch is read whole: one vector outside makes it None, against a rank test
     outside_in = fast.stack(Matrix(F, [outside], n)).rank() == fast.rank()
     assert (coordinates(sub_f, [inside, outside, inside]) is None) == (not outside_in)
-    batch = [inside, vec_scale(F, F.neg(F.one), inside), zero_vec(F, n)]
+    batch = [inside, vec_scale(F, F.neg(F.one), inside), ()]
     assert _typed(coordinates(sub_f, batch)) == _typed(coordinates(sub_g, batch))
 
     # solve reduces [M | B] once: M X = B, and None exactly when rank [M | B] > rank M
     m = fast.nrows
-    xs = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2)]
+    xs = [sparse(F, data.draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(2)]
     bs = [fast.apply(x) for x in xs]
     if data.draw(st.booleans()):
-        bs.append(tuple(data.draw(st.lists(entries, min_size=m, max_size=m))))
-    B = Matrix(F, bs, m).transpose()
-    aug = Matrix(F, [r + c for r, c in zip(fast.rows, B.rows)], n + len(bs))
+        bs.append(sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m))))
+    B = Matrix(F, bs, m)._transpose()
+    aug = dense_matrix(F, [r + c for r, c in zip(dense_rows(fast), dense_rows(B))],
+                       n + len(bs))
     X = fast.solve(bs)
     assert (X is None) == (aug.rank() > fast.rank())
     if X is not None:
-        assert fast.mul(Matrix(F, X, n).transpose()) == B
+        assert fast.mul(Matrix(F, X, n)._transpose()) == B
     slow_x = slow.solve(bs)
     assert (X is None) == (slow_x is None)
     if X is not None:
         assert _typed(X) == _typed(slow_x)
 
     # a combination of the sparse rows is the transpose applied to its coefficients
-    coeffs = tuple(data.draw(st.lists(entries, min_size=m, max_size=m)))
-    combo = _combination(F, F.nonzeros(coeffs), fast.support(), n)
-    assert _typed([combo]) == _typed([_combination(G, G.nonzeros(coeffs), slow.support(), n)])
-    assert _typed([combo]) == _typed([fast.transpose().apply(coeffs)])
+    coeffs = sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m)))
+    combo = _combination(F, coeffs, fast.rows)
+    assert _typed([combo]) == _typed([_combination(G, coeffs, slow.rows)])
+    assert _typed([combo]) == _typed([fast._transpose().apply(coeffs)])
 
 
 @seed(2718)
@@ -394,15 +393,17 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
         return GradedMap(dom, cod, Matrix(G, h.matrix.rows, dom.dim), h.parity)
 
     dim = V.dim * X.dim
-    vecs = [tuple(_scalar(rng, F) if rng.randint(2) else F.zero for _ in range(dim))
-            for _ in range(3)] + [zero_vec(F, dim)]
+    vecs = [sparse(F, [_scalar(rng, F) if rng.randint(2) else F.zero for _ in range(dim)])
+            for _ in range(3)] + [()]
     fast = list(tensor_apply(f, g, vecs))
     slow = list(tensor_apply(over_g(f), over_g(g), vecs))
     assert _typed(fast) == _typed(slow)
     # both run the one sparse body: check it against the Koszul-signed
     # formula, entry by entry
     nl, nj = X.dim, Y.dim
+    f_rows, g_rows = dense_rows(f.matrix), dense_rows(g.matrix)
     for v, image in zip(vecs, fast):
+        v = dense(F, dim, v)
         want = [F.zero] * (W.dim * nj)
         for k in range(V.dim):
             sign = F.neg(F.one) if pg and V.parities[k] else F.one
@@ -410,9 +411,9 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
                 for i in range(W.dim):
                     for j in range(nj):
                         term = F.mul(F.mul(sign, v[k * nl + l]),
-                                     F.mul(f.matrix.rows[i][k], g.matrix.rows[j][l]))
+                                     F.mul(f_rows[i][k], g_rows[j][l]))
                         want[i * nj + j] = F.add(want[i * nj + j], term)
-        assert image == tuple(want)
+        assert image == sparse(F, want)
 
 
 @seed(2718)
@@ -438,18 +439,78 @@ def test_sparse_elimination_over_f9(rref_oracle, null_space_oracle, case, data):
             c = data.draw(st.sampled_from([F9.zero] + units))
             combo = [F9.add(a, F9.mul(c, b)) for a, b in zip(combo, r)]
         mixed.append(combo)
-    base = Matrix(F3, rows, n)
+    base = dense_matrix(F3, rows, n)
     ref, ref_pivots = rref_oracle(F3, rows, n)
     ref_kernel = null_space_oracle(F3, rows, n)
     assert base.rref()[1] == ref_pivots
-    assert base.row_space().rows == ref[:len(ref_pivots)]
-    assert base.null_space().rows == ref_kernel
-    want = Matrix(F9, [[F9.embed(x) for x in r] for r in base.row_space().rows], n)
+    assert dense_rows(base.row_space()) == ref[:len(ref_pivots)]
+    assert dense_rows(base.null_space()) == ref_kernel
+    want = dense_matrix(F9, [[F9.embed(x) for x in r] for r in dense_rows(base.row_space())],
+                        n)
     red, pivots = _rref_sparse(F9, [{j: x for j, x in enumerate(r) if x != F9.zero}
                                     for r in mixed])
     assert pivots == base.rref()[1]
-    assert _dense(F9, red, n) == want.rows
-    assert Matrix(F9, mixed, n).row_space() == want
+    assert _dense(F9, red, n) == dense_rows(want)
+    assert dense_matrix(F9, mixed, n).row_space() == want
     kernel, _ = _null_space_sparse(F9, red, pivots, n)
     assert _dense(F9, kernel, n) == tuple(
-        tuple(F9.embed(x) for x in r) for r in base.null_space().rows)
+        tuple(F9.embed(x) for x in r) for r in dense_rows(base.null_space()))
+
+
+F9 = ExtensionField(F3, (1, 0, 1), "j")
+
+
+@st.composite
+def _matrix_cases(draw):
+    """A field, shapes m, n, k, matrices A and B (m x n), C (k x n) and
+    D (n x k), a vector v, a scalar c and right-hand sides for A x = b, one
+    of them possibly outside the column space; most entries zero."""
+    F = draw(st.sampled_from([QQ, F3, F9]))
+    if F == QQ:
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    else:
+        nonzero = st.sampled_from(sorted((a for a in F.elements() if a != F.zero),
+                                         key=F.sort_key))
+    entry = st.one_of(st.just(F.zero), st.just(F.zero), nonzero)
+    m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def rows(h, w):
+        return draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+    v = draw(st.lists(entry, min_size=n, max_size=n))
+    xs = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2)]
+    extra = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=1))
+    return F, m, n, k, rows(m, n), rows(m, n), rows(k, n), rows(n, k), v, draw(entry), xs, extra
+
+
+@seed(1978)
+@given(_matrix_cases())
+@settings(max_examples=150, deadline=None)
+def test_matrix_operations_match_the_dense_reference(dense_reference, case):
+    """Every Matrix operation, on sparse rows, against the same operation
+    on dense rows over Q, F3 and F9."""
+    R = dense_reference
+    F, m, n, k, a, b, c_rows, d, v, c, xs, extra = case
+    A, B = dense_matrix(F, a, n), dense_matrix(F, b, n)
+    C, D = dense_matrix(F, c_rows, n), dense_matrix(F, d, k)
+
+    def same(M, rows, shape):
+        assert (M.nrows, M.ncols) == shape
+        assert dense_rows(M) == tuple(map(tuple, rows))
+        # the rows are in the one vector form
+        assert all(list(r) == sorted(r) and all(not F.is_zero(x) for _, x in r)
+                   for r in M.rows)
+
+    same(A._transpose(), R.transpose(a, n), (n, m))
+    same(A.add(B), R.add(F, a, b), (m, n))
+    same(A.sub(B), R.sub(F, a, b), (m, n))
+    same(A.scale(c), R.scale(F, c, a), (m, n))
+    same(A.stack(C), R.stack(a, c_rows), (m + k, n))
+    same(A.mul(D), R.mul(F, a, d, k), (m, k))
+    assert dense(F, m, A.apply(sparse(F, v))) == tuple(R.apply(F, a, v))
+    same(A.null_space(), R.null_space(F, a, n), (len(R.null_space(F, a, n)), n))
+    bs = [R.apply(F, a, x) for x in xs] + extra
+    got = A.solve([sparse(F, b) for b in bs])
+    want = R.solve(F, a, n, bs)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [dense(F, n, x) for x in got] == [tuple(x) for x in want]
