@@ -518,6 +518,15 @@ def cmd_report_all(args):
 
 # ---------------------------------------------------------------------------
 
+def _count(text):
+    """A non-negative int argument: a depth or an index, which Python would
+    otherwise read from the end when negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 @functools.cache
 def build_parser():
     """Built once, on the first run and not at import: it binds the cmd_*
@@ -556,7 +565,7 @@ def build_parser():
     p = add("fiber", cmd_fiber)
     p.add_argument("file")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--point", type=int, required=True)
+    p.add_argument("--point", type=_count, required=True)
     p = add("base-change", cmd_base_change)
     p.add_argument("file")
     p.add_argument("--minpoly", required=True,
@@ -566,7 +575,7 @@ def build_parser():
     add("flat-check", cmd_flat_check).add_argument("file")
     p = add("descent-check", cmd_descent_check)
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_count, default=3)
     add("finite-check", cmd_finite_check).add_argument("file")
     p = add("ksdim", cmd_ksdim)
     p.add_argument("file")

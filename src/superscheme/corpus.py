@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
+    GradedMap, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
 )
 from .superalgebra import make_superalgebra, tensor_superalgebra
 from .supercoalgebra import (
@@ -284,7 +284,7 @@ def _seeded_morphism(rng, seed, field):
         K = unit_coalgebra(F)
         X = FormalSuperscheme.finite(C)
         Y = FormalSuperscheme.finite(K)
-        m = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
+        m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
         f = SchemeMorphism.finite(m, X, Y)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": True,
@@ -305,7 +305,7 @@ def _seeded_morphism(rng, seed, field):
         big = direct_sum_coalgebra([C, other])
         X = FormalSuperscheme.finite(C)
         Y = FormalSuperscheme.finite(big)
-        m = GradedMap.from_columns(C.space, big.space, [unit_vec(F, i) for i in range(C.dim)], 0)
+        m = GradedMap(C.space, big.space, [unit_vec(F, i) for i in range(C.dim)], 0)
         f = SchemeMorphism.finite(m, X, Y)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": False,
@@ -316,7 +316,7 @@ def _seeded_morphism(rng, seed, field):
     X = FormalSuperscheme.finite(K)
     Y = FormalSuperscheme.finite(C)
     g = _host_grouplike(C)
-    m = GradedMap.from_columns(K.space, C.space, [g], 0)
+    m = GradedMap(K.space, C.space, [g], 0)
     f = SchemeMorphism.finite(m, X, Y)
     return CorpusEntry("morphism", seed, (f,),
                        {"flat": False, "faithfully_flat": False,

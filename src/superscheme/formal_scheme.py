@@ -15,17 +15,17 @@ from .supercoalgebra import (
     base_change_coalgebra, coradical, coradical_filtration,
     direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
     irreducible_components, is_coalgebra_morphism, is_grouplike_over,
-    NotSubcoalgebra, subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
-    _koszul_signed,
+    NotSubcoalgebra, SearchBoundExceeded, subcoalgebra_on, tensor_coalgebra,
+    validate_supercoalgebra, _koszul_signed,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, regular_comodule,
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _null_space_sparse,
-    _read_coordinates, _rref_sparse, _sparse_columns, _tensor_apply_sparse,
-    coordinates, perp, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
+    GradedMap, Subspace, SuperVectorSpace, _identity_columns, _null_space_sparse,
+    _read_coordinates, _rref_sparse, _tensor_apply_sparse, _transpose, coordinates,
+    linear_form, perp, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
     vector,
 )
 
@@ -137,7 +137,7 @@ class SchemeMorphism:
         for l in range(len(self.maps) - 1):
             left = self.maps[l + 1].compose(self.source.maps[l])
             right = self.target.maps[l].compose(self.maps[l])
-            if left.matrix != right.matrix:
+            if left.columns != right.columns:
                 problems.append(f"square at level {l} does not commute")
         return problems
 
@@ -183,7 +183,7 @@ def point_images(f, xcomps, ycomps):
     """
     out = []
     for xcomp in xcomps:
-        img = [f.deep.apply(v) for v in xcomp.subspace.basis()]
+        img = list(f.deep.images(xcomp.subspace.basis()))
         hits = [(j, cols) for j, ycomp in enumerate(ycomps)
                 if (cols := coordinates(ycomp.subspace, img)) is not None]
         if len(hits) != 1:
@@ -237,11 +237,11 @@ def _restrict_between(m, incl_src, incl_dst):
     The columns of incl_dst are the echelon rows of the target carrier, so
     the coordinates of the images are read on that carrier.
     """
-    carrier = Subspace(incl_dst.codomain, incl_dst.matrix._transpose())
-    cols = coordinates(carrier, _sparse_columns(m.compose(incl_src)))
+    carrier = incl_dst.image()
+    cols = coordinates(carrier, m.compose(incl_src).columns)
     if cols is None:
         raise AssertionError("bosonic image escapes the target carrier")
-    return GradedMap.from_columns(incl_src.domain, incl_dst.domain, cols, 0)
+    return GradedMap(incl_src.domain, incl_dst.domain, cols, 0)
 
 
 def bosonic_reduction_morphism(f):
@@ -269,7 +269,8 @@ def transport_point(phi, A, R):
     from .superalgebra import is_superalgebra_morphism
     if not is_superalgebra_morphism(phi, A, R):
         raise ValueError("transport_point needs a superalgebra morphism")
-    u = phi.matrix.rows
+    # u = sum_i phi(a_i) (x) a_i*, read by R-row
+    u = _transpose(phi.columns, R.dim)
     if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
         raise AssertionError("transported point is not group-like")
     return u
@@ -281,7 +282,7 @@ def transport_point_inverse(u, A, R):
     from .superalgebra import is_superalgebra_morphism
     if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
         raise ValueError("input is not group-like")
-    phi = GradedMap(A.space, R.space, Matrix(A.field, u, A.dim), 0)
+    phi = GradedMap(A.space, R.space, _transpose(u, A.dim), 0)
     if not is_superalgebra_morphism(phi, A, R):
         raise AssertionError("transported map is not a superalgebra morphism")
     return phi
@@ -358,8 +359,8 @@ def fiber_product(f, g, with_projections=False):
     # into A1 and A2
     p1 = tensor_after(GradedMap.identity(A1.space), A2.counit_map(), incl)
     p2 = tensor_after(A1.counit_map(), GradedMap.identity(A2.space), incl)
-    p1 = GradedMap(sub.space, A1.space, p1.matrix, 0)
-    p2 = GradedMap(sub.space, A2.space, p2.matrix, 0)
+    p1 = GradedMap(sub.space, A1.space, p1.columns, 0)
+    p2 = GradedMap(sub.space, A2.space, p2.columns, 0)
     pi1 = SchemeMorphism.finite(p1, scheme, FormalSuperscheme.finite(A1))
     pi2 = SchemeMorphism.finite(p2, scheme, FormalSuperscheme.finite(A2))
     return scheme, pi1, pi2
@@ -401,8 +402,7 @@ def base_change(X, ext):
     levels = [base_change_coalgebra(C, ext) for C in X.levels]
     maps = []
     for m, src, dst in zip(X.maps, levels, levels[1:]):
-        mat = _embed_matrix(m.matrix, ext)
-        maps.append(GradedMap(src.space, dst.space, mat, 0))
+        maps.append(GradedMap(src.space, dst.space, _embed_columns(m, ext), 0))
     if X.is_finite_level:
         return FormalSuperscheme.finite(levels[0])
     return FormalSuperscheme.tower(levels, maps)
@@ -413,14 +413,12 @@ def base_change_morphism(f, ext):
     newY = base_change(f.target, ext)
     maps = []
     for m, src, dst in zip(f.maps, newX.levels, newY.levels):
-        mat = _embed_matrix(m.matrix, ext)
-        maps.append(GradedMap(src.space, dst.space, mat, 0))
+        maps.append(GradedMap(src.space, dst.space, _embed_columns(m, ext), 0))
     return SchemeMorphism(newX, newY, tuple(maps))
 
 
-def _embed_matrix(mat, ext):
-    return Matrix(ext, [tuple((j, ext.embed(c)) for j, c in row) for row in mat.rows],
-                  mat.ncols)
+def _embed_columns(m, ext):
+    return [tuple((i, ext.embed(c)) for i, c in col) for col in m.columns]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +452,7 @@ def flatness(f, xcomps, ycomps):
     flat_at = []
     for xcomp, (j, cols) in zip(xcomps, images):
         O_x, O_y = xcomp.coalgebra, ycomps[j].coalgebra
-        g = GradedMap.from_columns(O_x.space, O_y.space, cols, 0)
+        g = GradedMap(O_x.space, O_y.space, cols, 0)
         flat_at.append(flat_check(comodule_along(regular_comodule(O_x), g, O_y)).free)
     surjective = _hits_every_point(images, ycomps)
     if all(flat_at) and surjective != is_strictly_surjective(f):
@@ -501,6 +499,12 @@ class _TowerLevel:
     faces: tuple = ()       # maps S_n -> S_{n-1}, as sparse columns
 
 
+# The largest ambient space T_(n-1) (x) A a level of a descent tower may be
+# cut from.  The counit collapse of Grassmann(3)* reaches 8^6 = 2^18 at
+# depth 5 (about 7 s and 300 MB); each further level is 8 times larger.
+TOWER_AMBIENT_BOUND = 2 ** 18
+
+
 def _iterated_cotensor_tower(M, A, reg, depth):
     """Levels T_n = M box_B A^{box n} with faces, built iteratively.
 
@@ -509,16 +513,23 @@ def _iterated_cotensor_tower(M, A, reg, depth):
     collapses A-slot j with the counit of A (the net effect of applying the
     structure map there).  Every map of a level is kept as sparse columns
     (per basis vector, the (index, entry) pairs of its image with a nonzero
-    entry), and basis vector s of T_n is row s of its carrier.
+    entry), and basis vector s of T_n is row s of its carrier.  A level
+    whose ambient space exceeds TOWER_AMBIENT_BOUND is not built.
     """
     F = M.field
     B_dim = reg.coalgebra.dim
     rho, theta = reg.psi, reg.left_coaction()
-    eps = _sparse_columns(A.counit_map())
-    ident_A = _sparse_columns(GradedMap.identity(A.space))
+    eps = A.counit_map().columns
+    ident_A = _identity_columns(F, A.dim)
     levels = [_TowerLevel(M.space, M.psi)]
     for n in range(1, depth + 1):
         prev = levels[-1]
+        ambient = prev.space.dim * A.dim
+        if ambient > TOWER_AMBIENT_BOUND:
+            raise SearchBoundExceeded(
+                f"descent tower level {n} lies in a space of dimension "
+                f"{prev.space.dim} x {A.dim} = {ambient}, over the bound "
+                f"{TOWER_AMBIENT_BOUND}")
         carrier = cotensor_kernel(prev.psi, theta, prev.space, A.space, B_dim)
         support, (_, pivots) = carrier.matrix.rows, carrier.matrix.rref()
         # rows of a graded subspace in RREF are homogeneous: each has the
@@ -642,9 +653,7 @@ def descent_check(f, depth=3):
     tests = [("O(Y)", whole)]
     for y in points(FormalSuperscheme.finite(B)):
         kappa_sub = Subspace.from_vectors(
-            B.space, [y.component.inclusion.apply(v)
-                      for v in (y.kappa_inclusion.apply(u)
-                                for u in _std_basis(y.kappa))])
+            B.space, y.component.inclusion.compose(y.kappa_inclusion).columns)
         if kappa_sub.dim == B.dim:
             results = whole
         else:
@@ -656,11 +665,6 @@ def descent_check(f, depth=3):
     coeq = _coequalizer_check(f)
     return DescentReport(not failures and coeq, tuple(name for name, _ in tests),
                          tuple(results for _, results in tests), failures, coeq)
-
-
-def _std_basis(C):
-    F = C.field
-    return [unit_vec(F, i) for i in range(C.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -691,27 +695,22 @@ def finite_bounded_degree(f):
         return 0
     dualA = dualize_coalgebra(A)
     dualB = dualize_coalgebra(B)
-    # B* -> A* is the transpose of the coalgebra map
-    psi_t = f.deep.matrix._transpose()
     radB = radical(dualB)
     factors = local_decomposition(dualB, radB)
 
-    def act(bstar_vec, astar_vec):
-        img = psi_t.apply(bstar_vec)
-        return dualA.multiply(img, astar_vec)
+    def acting(w):
+        """w . a* for every basis vector a* of A*: B* acts on A* through the
+        transpose of the coalgebra map, which sends w to w o f."""
+        cols = linear_form(B.space, w, None).compose(f.deep).columns
+        pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
+        return [dualA.multiply(pulled, unit_vec(F, i)) for i in range(dualA.dim)]
 
-    jvecs = []
-    for w in radB.subspace.basis():
-        for i in range(dualA.dim):
-            jvecs.append(act(w, unit_vec(F, i)))
-    JA = Subspace.from_vectors(dualA.space, jvecs)
+    JA = Subspace.from_vectors(dualA.space,
+                               [v for w in radB.subspace.basis() for v in acting(w)])
     qspace, proj, _ = quotient_data(dualA.space, JA)
     degree = 0
     for fac in factors:
-        evec = fac.idempotent
-        comp_vecs = [proj.apply(act(evec, unit_vec(F, i)))
-                     for i in range(dualA.dim)]
-        comp = Subspace.from_vectors(qspace, comp_vecs)
+        comp = Subspace.from_vectors(qspace, proj.images(acting(fac.idempotent)))
         even = comp.even_part().dim
         odd = comp.odd_part().dim
         d = fac.residue.degree
@@ -758,7 +757,7 @@ def is_algebraic_at(X, point_index):
         inc = X.inclusion_to_deepest(lvl)
         piece = Subspace.zero(C.space)
         for comp in irreducible_components(C, dual_radical(C)):
-            img = [inc.apply(v) for v in comp.subspace.basis()]
+            img = list(inc.images(comp.subspace.basis()))
             if coordinates(target, img) is not None:
                 piece = piece.sum(comp.subspace)
         if piece.dim == 0:
@@ -768,7 +767,7 @@ def is_algebraic_at(X, point_index):
         sub, incl = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
         chain = coradical_filtration(sub, dual_radical(sub))
         a1 = chain[min(1, len(chain) - 1)]
-        img_vecs = [inc.apply(incl.apply(v)) for v in a1.basis()]
+        img_vecs = inc.images(incl.images(a1.basis()))
         images.append(Subspace.from_vectors(deepest.space, img_vecs))
         dims.append(a1.dim)
     stabilized = len(images) >= 2 and images[-1] == images[-2]

@@ -391,7 +391,7 @@ def truncation_tower(P, depth):
     maps = []
     for small, big in zip(coalgebras, coalgebras[1:]):
         big_index = {l: i for i, l in enumerate(big.space.labels)}
-        maps.append(GradedMap.from_columns(
+        maps.append(GradedMap(
             small.space, big.space,
             [unit_vec(small.field, big_index[l]) for l in small.space.labels], 0))
     return FormalSuperscheme.tower(coalgebras, maps)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
-from .superlinear import GradedMap, Matrix, Subspace, SuperVectorSpace, vector
+from .superlinear import GradedMap, Subspace, SuperVectorSpace, _transpose, vector
 from .superalgebra import SuperAlgebra, make_superalgebra
 from .supercoalgebra import SuperCoalgebra, make_supercoalgebra
 from .supercomodule import SuperComodule, make_supercomodule
@@ -297,18 +297,20 @@ def _build_morphism(doc, po):
     C = doc.get(po.source, "coalgebra")
     D = doc.get(po.target, "coalgebra")
     F = doc.field
-    rows = [{} for _ in range(D.dim)]
+    cols = [{} for _ in range(C.dim)]
     for lineno, tokens in po.lines:
         if tokens[0] != "map":
             continue
         if len(tokens) != 4:
             raise ParseError("map line needs 'map <row> <col> <scalar>'", lineno)
         try:
-            rows[_index(tokens[1], D.dim)][_index(tokens[2], C.dim)] = F.parse(tokens[3])
+            c = F.parse(tokens[3])
+            i = _index(tokens[1], D.dim)
+            cols[_index(tokens[2], C.dim)][i] = c
         except (ValueError, IndexError, FieldError) as exc:
             raise ParseError(f"bad map entry: {exc}", lineno)
     try:
-        gm = GradedMap(C.space, D.space, Matrix(F, [vector(F, r) for r in rows], C.dim), 0)
+        gm = GradedMap(C.space, D.space, [vector(F, col) for col in cols], 0)
     except ValueError as exc:
         raise ParseError(f"morphism {po.name}: {exc}")
     return SchemeMorphism(FormalSuperscheme.finite(C),
@@ -483,7 +485,7 @@ def serialize_object(name, value, F, over=None, endpoints=None):
     elif isinstance(value, SchemeMorphism):
         src, dst = endpoints
         lines.append(f"object morphism {name} from {src} to {dst}")
-        for i, row in enumerate(value.deep.matrix.rows):
+        for i, row in enumerate(_transpose(value.deep.columns, value.deep.codomain.dim)):
             lines.extend(f"  map {i} {j} {F.format(c)}" for j, c in row)
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _defects, _identity_columns, _parity_defects,
-    _sparse_columns, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
-    coordinates, quotient_data, tensor_after, twist, twist_apply, unit_vec, vec_add,
-    vec_scale, vec_sub, vector,
+    GradedMap, Matrix, Subspace, _combination, _defects, _identity_columns,
+    _parity_defects, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
+    coordinates, linear_form, quotient_data, tensor_after, twist, twist_apply, unit_vec,
+    vec_add, vec_scale, vec_sub, vector,
 )
 
 
@@ -71,7 +71,7 @@ class SuperAlgebra:
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
-        return GradedMap.from_columns(self.space.tensor(self.space), self.space, self.mul)
+        return GradedMap(self.space.tensor(self.space), self.space, self.mul)
 
     def power(self, x, n):
         out = self.unit
@@ -109,7 +109,7 @@ def validate_superalgebra(A):
     sq = A.space.tensor(A.space)
     cols = _transpose(A.mul, n)     # the columns of cop
     ident = _identity_columns(F, n)
-    unit = _transpose([A.unit], n)
+    unit = linear_form(A.space, A.unit, None).columns
     problems = [
         f"parity: {labels[ij // n]}*{labels[ij % n]} has a component on {labels[k]}"
         for ij, k in _parity_defects(A.mul, sq.parities, A.space.parities)]
@@ -187,8 +187,8 @@ def canonical_ideal(A):
 def quotient_by_superideal(A, ideal):
     """Quotient superalgebra by a Superideal and the projection map."""
     qspace, proj, section = quotient_data(A.space, ideal.subspace)
-    lifts = _sparse_columns(section)
-    mul = [proj.apply(A.multiply(x, y)) for x in lifts for y in lifts]
+    lifts = section.columns
+    mul = proj.images([A.multiply(x, y) for x in lifts for y in lifts])
     quot = make_superalgebra(qspace, mul, proj.apply(A.unit))
     return quot, proj
 
@@ -205,16 +205,10 @@ def is_superalgebra_morphism(phi, A, B):
         return False
     if phi.apply(A.unit) != B.unit:
         return False
-    F = A.field
-    for i in range(A.dim):
-        ei = unit_vec(F, i)
-        for j in range(A.dim):
-            ej = unit_vec(F, j)
-            lhs = phi.apply(A.multiply(ei, ej))
-            rhs = B.multiply(phi.apply(ei), phi.apply(ej))
-            if lhs != rhs:
-                return False
-    return True
+    n, cols = A.dim, phi.columns
+    # column i * n + j of A.mul is b_i * b_j
+    return all(img == B.multiply(cols[ij // n], cols[ij % n])
+               for ij, img in enumerate(phi.images(A.mul)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +231,10 @@ def _frobenius_kernel(A):
     m = 1
     last = None
     while True:
-        cols = []
-        for i in range(n):
-            cols.append(A.power(unit_vec(F, i), p ** m))
-        mat = Matrix(F, cols, n)._transpose()
-        null = mat.null_space()
+        cols = [A.power(unit_vec(F, i), p ** m) for i in range(n)]
+        null = GradedMap(A.space, A.space, cols, None).kernel()
         inv_exp = p ** ((e - (m % e)) % e)
-        rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row) for row in null.rows]
+        rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row) for row in null.basis()]
         ker = Subspace.from_vectors(A.space, rows)
         if p ** m >= n and (last is None or ker == last):
             return ker
@@ -369,8 +360,7 @@ def _semisimple_idempotent(S):
     if F.char != 0:
         q = F.order
         cols = [S.power(unit_vec(F, i), q) for i in range(n)]
-        mat = Matrix(F, cols, n)._transpose().sub(Matrix.identity(F, n))
-        fixed = Subspace(S.space, mat.null_space())
+        fixed = GradedMap(S.space, S.space, cols, None).sub(GradedMap.identity(S.space)).kernel()
         if fixed.dim == 1:
             return None  # one component: S is a field
         for b in fixed.basis():
@@ -446,7 +436,7 @@ def _subalgebra_on(A, sub, unit):
         raise AssertionError("a product or the unit escapes the subalgebra subspace")
     *products, ucoords = coords
     B = make_superalgebra(space, products, ucoords)
-    return B, GradedMap.from_columns(space, A.space, basis)
+    return B, GradedMap(space, A.space, basis)
 
 
 def _residue_descriptor(S):
@@ -584,11 +574,11 @@ def enumerate_homs(A, R, generators):
     words, values, span = _word_basis(A, gens)
     if span.dim != A.dim:
         raise ValueError("declared generators do not generate the algebra")
-    value_mat = Matrix(F, values, A.dim)._transpose()
+    value_mat = Matrix(F, _transpose(values, A.dim), len(words))
     basis_coeffs = value_mat.solve(Matrix.identity(F, A.dim).rows)
-    in_words = Matrix(F, basis_coeffs, len(words))._transpose()
     built = set(words)
-    relations = [(w, gi, in_words.apply(A.multiply(values[w], g)))
+    # basis vector i of A is the combination basis_coeffs[i] of the words
+    relations = [(w, gi, _combination(F, A.multiply(values[w], g), basis_coeffs))
                  for w in range(len(words)) for gi, g in enumerate(gens)
                  if (w, gi) not in built]
     elems = sorted(F.elements(), key=F.sort_key)
@@ -608,17 +598,11 @@ def enumerate_homs(A, R, generators):
                for w, gi, c in relations):
             continue
         try:
-            found.append(GradedMap.from_columns(
+            found.append(GradedMap(
                 A.space, R.space, [_combination(F, c, word_values) for c in basis_coeffs]))
         except ValueError:
             continue
     return found
-
-
-def _combination(F, coeffs, rows):
-    """The sum of c * rows[s] over the coefficients (s, c), a vector: a row
-    times a matrix, summed as in Matrix.mul."""
-    return next(_tensor_apply_sparse(F, rows, _identity_columns(F, 1), 1, (), (coeffs,)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +616,7 @@ def tensor_superalgebra(A, B):
     mul = tensor_after(A.multiplication_map(), B.multiplication_map(),
                        GradedMap.identity(A.space).tensor(swap))
     unit = [(i * B.dim + j, F.mul(a, b)) for i, a in A.unit for j, b in B.unit]
-    return make_superalgebra(mul.codomain, _sparse_columns(mul), unit)
+    return make_superalgebra(mul.codomain, mul.columns, unit)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from .superalgebra import (
 )
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
-    _parity_defects, _sparse_columns, _tensor_apply_sparse, _transpose,
-    canonical_columns, linear_form, perp, quotient_data, tensor_after,
-    tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub, vector,
+    _parity_defects, _tensor_apply_sparse, _transpose, canonical_columns, linear_form,
+    perp, quotient_data, tensor_after, tensor_apply, twist, twist_apply, unit_vec,
+    vec_scale, vec_sub, vector,
 )
 
 
@@ -56,7 +56,7 @@ class SuperCoalgebra:
     @functools.cached_property
     def _coproduct(self):
         """delta: C -> C (x) C, built once per frozen coalgebra."""
-        return GradedMap.from_columns(self.space, self.space.tensor(self.space), self.delta)
+        return GradedMap(self.space, self.space.tensor(self.space), self.delta)
 
     def counit_map(self):
         return linear_form(self.space, self.counit)
@@ -93,7 +93,7 @@ def validate_supercoalgebra(C):
     labels = C.space.labels
     sq = C.space.tensor(C.space)
     cols = C.delta
-    eps = _transpose([C.counit], n)
+    eps = linear_form(C.space, C.counit, None).columns
     ident = _identity_columns(F, n)
     problems = []
     # delta and eps stacked as one map C -> C (x) C + k: the odd counit
@@ -152,26 +152,13 @@ def is_coalgebra_morphism(f, C, D):
         return False
     lhs = D.coproduct_map().compose(f)
     rhs = tensor_after(f, f, C.coproduct_map())
-    if lhs.matrix != rhs.matrix:
+    if lhs.columns != rhs.columns:
         return False
-    return D.counit_map().compose(f).matrix == C.counit_map().matrix
+    return D.counit_map().compose(f).columns == C.counit_map().columns
 
 
 # ---------------------------------------------------------------------------
 # subobjects, coideals, wedge
-
-def is_subcoalgebra(C, W):
-    """delta(W) <= W (x) W = W (x) C intersect C (x) W, for a graded subspace
-    W, tested via the quotient projection."""
-    if not W.is_graded():
-        raise ValueError("subcoalgebra test needs a graded subspace")
-    _, proj, _ = quotient_data(C.space, W)
-    ident = GradedMap.identity(C.space)
-    delta = C.coproduct_map()
-    left = tensor_after(proj, ident, delta)
-    right = tensor_after(ident, proj, delta)
-    return not any(left.apply(v) or right.apply(v) for v in W.basis())
-
 
 def subcoalgebra_on(C, W, prefix="v"):
     """The coalgebra structure restricted to a subcoalgebra subspace W.
@@ -193,11 +180,11 @@ def subcoalgebra_on(C, W, prefix="v"):
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)),
                              tuple(parities))
-    incl = GradedMap.from_columns(space, C.space, basis)
+    incl = GradedMap(space, C.space, basis)
     _, pivots = W.matrix.rref()
     slot = {c: s for s, c in enumerate(pivots)}
     n = C.dim
-    images = [C.coproduct_map().apply(v) for v in basis]
+    images = list(C.coproduct_map().images(basis))
     # the entries on pivot (x) pivot, in order since slot ascends with the pivots
     coords = [tuple((slot[ab // n] * m + slot[ab % n], c) for ab, c in v
                     if ab // n in slot and ab % n in slot) for v in images]
@@ -216,7 +203,7 @@ def is_coideal(C, W):
             return False
     _, proj, _ = quotient_data(C.space, W)
     both = tensor_after(proj, proj, C.coproduct_map())
-    return not any(both.apply(v) for v in W.basis())
+    return not any(both.images(W.basis()))
 
 
 def quotient_by_coideal(C, W):
@@ -226,9 +213,8 @@ def quotient_by_coideal(C, W):
     if not is_coideal(C, W):
         raise ValueError("subspace is not a coideal")
     qspace, proj, section = quotient_data(C.space, W)
-    delta_map = C.coproduct_map()
-    lifts = _sparse_columns(section)
-    delta = tensor_apply(proj, proj, [delta_map.apply(v) for v in lifts])
+    lifts = section.columns
+    delta = tensor_apply(proj, proj, C.coproduct_map().images(lifts))
     counit = enumerate(C.counit_value(v) for v in lifts)
     quot = make_supercoalgebra(qspace, delta, counit)
     return quot, proj
@@ -414,7 +400,8 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
             f"{total} candidates (blind scan of the even slots: {blind}) "
             f"exceed the configured bound {bound}")
     rank = {c: r for r, c in enumerate(sorted(F.elements(), key=F.sort_key))}
-    hits = [phi.matrix.rows for phi in enumerate_homs(A, R, gens)]
+    # phi is the element sum_i phi(a_i) (x) a_i* of R (x) C, read by R-row
+    hits = [_transpose(phi.columns, R.dim) for phi in enumerate_homs(A, R, gens)]
     # zero comes first in sort_key order, so the row-major entries compare
     # as the (-position, rank) pairs of the nonzero ones
     return sorted(hits, key=lambda u: [(-(a * C.dim + m), rank[c])
@@ -431,7 +418,7 @@ def tensor_coalgebra(C, D):
     delta = tensor_after(GradedMap.identity(C.space), swap,
                          C.coproduct_map().tensor(D.coproduct_map()))
     counit = [(i * D.dim + j, F.mul(a, b)) for i, a in C.counit for j, b in D.counit]
-    return make_supercoalgebra(delta.domain, _sparse_columns(delta), counit)
+    return make_supercoalgebra(delta.domain, delta.columns, counit)
 
 
 def unit_coalgebra(field, label="g"):
@@ -498,17 +485,15 @@ def truncated_cofree(V, d):
     cof = dualize_algebra(alg)
     even_positions = [i for i, par in enumerate(V.parities) if par == 0]
     odd_positions = [i for i, par in enumerate(V.parities) if par == 1]
-    rows = [[] for _ in range(V.dim)]
+    cols = [()] * cof.dim
     for m, (exps, odds) in enumerate(monomials):
         if sum(exps) + len(odds) != 1:
             continue
         if odds:
-            j = next(iter(odds))
-            rows[odd_positions[j]].append((m, F.one))
+            cols[m] = ((odd_positions[next(iter(odds))], F.one),)
         else:
-            i = exps.index(1)
-            rows[even_positions[i]].append((m, F.one))
-    proj = GradedMap(cof.space, V, Matrix(F, rows, cof.dim), 0)
+            cols[m] = ((even_positions[exps.index(1)], F.one),)
+    proj = GradedMap(cof.space, V, cols, 0)
     return TruncatedCofree(cof, proj, degrees, V, d)
 
 
@@ -534,12 +519,15 @@ def cofree_universal_map(tc, B, theta):
     strata = {}
     for m, deg in enumerate(tc.degrees):
         strata.setdefault(deg, []).append(m)
-    # rows[m] maps b to the entry of F(b) on the cofree basis vector m
-    rows = [{} for _ in range(cof.dim)]
-    rows[strata[0][0]] = dict(B.counit)
-    proj_cols = _sparse_columns(tc.projection)
-    for m in strata.get(1, []):
-        rows[m] = dict(theta.matrix.rows[proj_cols[m][0][0]])
+    # cols[b] maps the cofree basis vector m to the entry of F(b) on it
+    cols = [{} for _ in range(nb)]
+    for b, c in B.counit:
+        cols[b][strata[0][0]] = c
+    # a degree-1 monomial m projects to one basis vector of V
+    degree_one = {tc.projection.columns[m][0][0]: m for m in strata.get(1, [])}
+    for b, col in enumerate(theta.columns):
+        for r, c in col:
+            cols[b][degree_one[r]] = c
     max_deg = max(strata)
     for e in range(2, max_deg + 1):
         idxs = strata.get(e, [])
@@ -550,8 +538,8 @@ def cofree_universal_map(tc, B, theta):
             for mu in strata.get(e1, []):
                 for nu in strata.get(e - e1, []):
                     pairs.append((mu, nu))
-        cols = [dict(cof.delta[m]) for m in idxs]
-        sysmat = Matrix(F, [tuple((s, col[mu * cof.dim + nu]) for s, col in enumerate(cols)
+        deltas = [dict(cof.delta[m]) for m in idxs]
+        sysmat = Matrix(F, [tuple((s, col[mu * cof.dim + nu]) for s, col in enumerate(deltas)
                                   if mu * cof.dim + nu in col)
                             for mu, nu in pairs], len(idxs))
         if sysmat.rank() != len(idxs):
@@ -563,8 +551,8 @@ def cofree_universal_map(tc, B, theta):
                 acc = F.zero
                 for st, dB in B.delta[b]:
                     s, t = divmod(st, nb)
-                    if s in rows[mu] and t in rows[nu]:
-                        acc = F.add(acc, F.mul(dB, F.mul(rows[mu][s], rows[nu][t])))
+                    if mu in cols[s] and nu in cols[t]:
+                        acc = F.add(acc, F.mul(dB, F.mul(cols[s][mu], cols[t][nu])))
                 col.append(acc)
             rhs.append(vector(F, enumerate(col)))
         # the right-hand sides read only lower strata, so one solve serves all b
@@ -573,11 +561,10 @@ def cofree_universal_map(tc, B, theta):
             raise ValueError("no coalgebra map extends theta")
         for b, sol in enumerate(sols):
             for s, c in sol:
-                rows[idxs[s]][b] = c
-    rows = [tuple(sorted(row.items())) for row in rows]
-    Fmap = GradedMap(B.space, cof.space, Matrix(F, rows, nb), 0)
+                cols[b][idxs[s]] = c
+    Fmap = GradedMap(B.space, cof.space, [vector(F, col) for col in cols], 0)
     if not is_coalgebra_morphism(Fmap, B, cof):
         raise AssertionError("solved map is not a coalgebra morphism")
-    if tc.projection.compose(Fmap).matrix != theta.matrix:
+    if tc.projection.compose(Fmap).columns != theta.columns:
         raise AssertionError("solved map does not project to theta")
     return Fmap

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import (
-    _combination, _semisimple_idempotent, quotient_by_superideal, radical,
-)
+from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
 from .supercoalgebra import dualize_coalgebra, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
-    _null_space_sparse, _parity_defects, _rref_sparse, _sparse_columns,
-    _tensor_apply_sparse, _transpose, canonical_columns, pivot_selection,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _combination, _defects,
+    _identity_columns, _null_space_sparse, _parity_defects, _rref_sparse,
+    _tensor_apply_sparse, canonical_columns, linear_form, pivot_selection,
     quotient_data, tensor_after, tensor_apply, twist_apply, vector,
 )
 
@@ -42,8 +40,7 @@ class SuperComodule:
         return self.space.dim
 
     def coaction_map(self):
-        return GradedMap.from_columns(
-            self.space, self.space.tensor(self.coalgebra.space), self.psi)
+        return GradedMap(self.space, self.space.tensor(self.coalgebra.space), self.psi)
 
     def left_coaction(self):
         """The sparse columns of the twisted coaction M -> C (x) M."""
@@ -71,7 +68,7 @@ def validate_comodule(M):
     labels = M.space.labels
     target = M.space.tensor(C.space)
     cols = M.psi
-    eps = _transpose([C.counit], nc)
+    eps = linear_form(C.space, C.counit, None).columns
     ident_m, ident_c = _identity_columns(F, M.dim), _identity_columns(F, nc)
     problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in
                 _parity_defects(cols, M.space.parities, target.parities)]
@@ -122,16 +119,15 @@ def subcoalgebra_comodule(C, W, prefix="v"):
     off the pivot columns of W in the left factor.
     """
     sub, incl = subcoalgebra_on(C, W, prefix=prefix)
-    delta = C.coproduct_map()
     psi = tensor_apply(pivot_selection(W, sub.space), GradedMap.identity(C.space),
-                       [delta.apply(v) for v in W.basis()])
+                       C.coproduct_map().images(W.basis()))
     return make_supercomodule(sub.space, C, psi), sub, incl
 
 
 def comodule_along(M, f, B):
     """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B."""
     pushed = tensor_after(GradedMap.identity(M.space), f, M.coaction_map())
-    return make_supercomodule(M.space, B, _sparse_columns(pushed))
+    return make_supercomodule(M.space, B, pushed.columns)
 
 
 def is_comodule_morphism(f, M, N):
@@ -141,7 +137,7 @@ def is_comodule_morphism(f, M, N):
     lhs = N.coaction_map().compose(f)
     # f (x) id carries no Koszul sign whatever the parity of f
     rhs = tensor_after(f, ident, M.coaction_map())
-    return lhs.matrix == rhs.matrix
+    return lhs.columns == rhs.columns
 
 
 def is_subcomodule(M, W):
@@ -149,7 +145,7 @@ def is_subcomodule(M, W):
     _, proj, _ = quotient_data(M.space, W)
     ident = GradedMap.identity(M.coalgebra.space)
     test = tensor_after(proj, ident, M.coaction_map())
-    return not any(test.apply(v) for v in W.basis())
+    return not any(test.images(W.basis()))
 
 
 def quotient_comodule(M, W):
@@ -160,11 +156,10 @@ def quotient_comodule(M, W):
         raise ValueError("subspace is not a subcomodule")
     C = M.coalgebra
     qspace, proj, section = quotient_data(M.space, W)
-    coaction = M.coaction_map()
     psi = tensor_apply(proj, GradedMap.identity(C.space),
-                       [coaction.apply(v) for v in _sparse_columns(section)])
+                       M.coaction_map().images(section.columns))
     quot = make_supercomodule(qspace, C, psi)
-    return quot, GradedMap(M.space, qspace, proj.matrix, 0)
+    return quot, GradedMap(M.space, qspace, proj.columns, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +306,7 @@ def flat_check(M):
     qspace, _, section = quotient_data(dual_space, radM)
     kept = []
     span = radM
-    for lift, parity in zip(_sparse_columns(section), qspace.parities):
+    for lift, parity in zip(section.columns, qspace.parities):
         if span.contains(lift):
             continue
         kept.append((lift, parity))
@@ -338,13 +333,13 @@ def flat_check(M):
 
 def cosocle_epi(M):
     """The quotient of M by rad(C*) . M, a canonical comodule surjection."""
-    dual = dualize_coalgebra(M.coalgebra)
-    rad = radical(dual).subspace
-    mats = dual_action(M)
-    # the columns of each action, read as the rows of its transpose
+    C = M.coalgebra
+    rad = radical(dualize_coalgebra(C)).subspace
+    # w . m = (id (x) w)(psi(m)), the pairing with no Koszul sign
+    ident = GradedMap.identity(M.space)
     sub = Subspace.from_vectors(
-        M.space, [col for w in rad.matrix.rows
-                  for col in dual_action_of(M, mats, w)._transpose().rows])
+        M.space, [v for w in rad.basis()
+                  for v in tensor_apply(ident, linear_form(C.space, w, None), M.psi)])
     return quotient_comodule(M, sub)
 
 

@@ -2,10 +2,11 @@
 
 Every vector is sparse: a tuple of (index, entry) pairs, sorted by index,
 with every entry nonzero (see vector).  So is every matrix row and every
-column of a structure map, and equal vectors are equal tuples.  Subspaces
-are kept in reduced row-echelon form so equality is syntactic.  Tensor bases
-are ordered lexicographically with the left factor major; the Koszul sign
-(-1)^{|x||y|} enters whenever two odd symbols swap.
+column of a structure map or a graded map, and equal vectors are equal
+tuples.  A graded map is held as its columns; a Matrix holds rows, for
+elimination.  Subspaces are kept in reduced row-echelon form so equality is
+syntactic.  Tensor bases are ordered lexicographically with the left factor
+major; the Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def vec_sub(F, u, v):
 
 class Matrix:
     """Immutable matrix over an explicit field, held as its rows, each a
-    vector (sorted (column, entry) pairs with a nonzero entry).
+    vector (sorted (column, entry) pairs with a nonzero entry): what
+    elimination runs on.  A linear map is a GradedMap, held as columns.
 
     The rref is cached.  A cached rref of (None, pivots) marks a matrix that
     is its own rref; the pivots given to the constructor say so.  Every
@@ -133,20 +135,6 @@ class Matrix:
     def _transpose(self):
         return Matrix(self.field, _transpose(self.rows, self.ncols), self.nrows)
 
-    def add(self, other):
-        F = self.field
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(F, [vec_add(F, u, v) for u, v in zip(self.rows, other.rows)],
-                      self.ncols)
-
-    def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one)))
-
-    def scale(self, c):
-        F = self.field
-        return Matrix(F, [vec_scale(F, c, u) for u in self.rows], self.ncols)
-
     def mul(self, other):
         """Row r of the product is other^T applied to row r of self: the
         sparse tensor kernel with g = id_k."""
@@ -155,23 +143,6 @@ class Matrix:
             raise DimensionMismatch("matrix product shape mismatch")
         return Matrix(F, _tensor_apply_sparse(F, other.rows, _identity_columns(F, 1), 1, (),
                                               self.rows), other.ncols)
-
-    def apply(self, vec):
-        if vec and vec[-1][0] >= self.ncols:
-            raise DimensionMismatch("vector length mismatch")
-        F = self.field
-        add, mul, is_zero = F.add, F.mul, F.is_zero
-        terms = dict(vec)
-        out = []
-        for i, row in enumerate(self.rows):
-            acc = None
-            for j, a in row:
-                if j in terms:
-                    t = mul(a, terms[j])
-                    acc = t if acc is None else add(acc, t)
-            if acc is not None and not is_zero(acc):
-                out.append((i, acc))
-        return tuple(out)
 
     def stack(self, other):
         if self.ncols != other.ncols:
@@ -453,90 +424,104 @@ class Subspace:
 
 
 class GradedMap:
-    """Linear map between super vector spaces with a declared parity.
+    """Linear map between super vector spaces with a declared parity, held
+    as its sparse columns: columns[j], a vector, is the image of basis
+    vector j of the domain.  Rows are built only where elimination needs
+    them (kernel) and at the text boundary of objfile.
 
-    parity 0 and 1 are enforced as matrix block structure; parity None marks
-    raw linear data exempt from homogeneity.
+    parity 0 and 1 are enforced as block structure; parity None marks raw
+    linear data exempt from homogeneity.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "parity")
+    __slots__ = ("domain", "codomain", "columns", "parity")
 
-    def __init__(self, domain, codomain, matrix, parity=0):
-        if matrix.nrows != codomain.dim or matrix.ncols != domain.dim:
+    def __init__(self, domain, codomain, columns, parity=0):
+        columns = tuple(columns)
+        if len(columns) != domain.dim or any(
+                col and not 0 <= col[0][0] <= col[-1][0] < codomain.dim for col in columns):
             raise DimensionMismatch(
-                f"map shape {matrix.nrows}x{matrix.ncols} vs "
-                f"{codomain.dim}x{domain.dim}")
+                f"a {codomain.dim}x{domain.dim} map needs {domain.dim} columns "
+                f"with indices below {codomain.dim}")
         if domain.field != codomain.field:
             raise ValueError("domain and codomain over different fields")
         if parity not in (0, 1, None):
             raise ValueError("parity must be 0, 1 or None")
         if parity is not None:
-            # row i of a map of this parity may only hit domain parity |i| + parity
-            shifted = [(p + parity) % 2 for p in codomain.parities]
-            for i, j in _parity_defects(matrix.rows, shifted, domain.parities):
-                raise ValueError(f"entry ({i},{j}) violates declared parity {parity}")
+            # column j of a map of this parity may only hit parity |j| + parity
+            shifted = [(p + parity) % 2 for p in domain.parities]
+            bad = min(((i, j) for j, i in _parity_defects(columns, shifted, codomain.parities)),
+                      default=None)
+            if bad:
+                raise ValueError(f"entry ({bad[0]},{bad[1]}) violates declared parity {parity}")
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
+        self.columns = columns
         self.parity = parity
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, Matrix.identity(space.field, space.dim), 0)
+        return cls(space, space, _identity_columns(space.field, space.dim), 0)
 
     @classmethod
     def zero(cls, domain, codomain):
-        return cls(domain, codomain,
-                   Matrix.zero(domain.field, codomain.dim, domain.dim), 0)
-
-    @classmethod
-    def from_columns(cls, domain, codomain, cols, parity=0):
-        """The map sending basis vector j of the domain to the vector cols[j]."""
-        cols = tuple(cols)
-        if len(cols) != domain.dim:
-            raise DimensionMismatch(
-                f"{len(cols)} columns for a {domain.dim}-dimensional domain")
-        return cls(domain, codomain,
-                   Matrix(domain.field, _transpose(cols, codomain.dim), domain.dim), parity)
+        return cls(domain, codomain, ((),) * domain.dim, 0)
 
     def __eq__(self, other):
+        # columns are canonical, so they decide equality
         return (isinstance(other, GradedMap) and self.domain == other.domain
-                and self.codomain == other.codomain and self.matrix == other.matrix)
+                and self.codomain == other.codomain and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix))
+        return hash((self.domain, self.codomain, self.columns))
 
     def __repr__(self):
         return f"GradedMap({self.domain.dim}->{self.codomain.dim}, parity={self.parity})"
 
     def apply(self, vec):
-        return self.matrix.apply(vec)
+        """The image of one vector: the combination of the columns in its
+        support, at a cost that follows the entries read."""
+        if vec and vec[-1][0] >= self.domain.dim:
+            raise DimensionMismatch("vector length mismatch")
+        return _combination(self.domain.field, vec, self.columns)
+
+    def images(self, vecs):
+        """The image of each vector of vecs, yielded one at a time, from one
+        batched product that lifts the columns once."""
+        F = self.domain.field
+        return _tensor_apply_sparse(F, self.columns, _identity_columns(F, 1), 1, (), vecs)
 
     def compose(self, other):
-        """self after other."""
+        """self after other: self applied to each column of other."""
         if other.codomain != self.domain:
             raise DimensionMismatch("composition domain mismatch")
-        return GradedMap(other.domain, self.codomain, self.matrix.mul(other.matrix),
+        return GradedMap(other.domain, self.codomain, self.images(other.columns),
                          _parity_sum(self.parity, other.parity))
 
     def add(self, other):
-        parity = self.parity if self.parity == other.parity else None
-        return GradedMap(self.domain, self.codomain,
-                         self.matrix.add(other.matrix), parity)
+        return self._columnwise(vec_add, other)
 
     def sub(self, other):
+        return self._columnwise(vec_sub, other)
+
+    def _columnwise(self, op, other):
+        if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
+            raise DimensionMismatch("map sum shape mismatch")
+        F = self.domain.field
         parity = self.parity if self.parity == other.parity else None
         return GradedMap(self.domain, self.codomain,
-                         self.matrix.sub(other.matrix), parity)
+                         [op(F, u, v) for u, v in zip(self.columns, other.columns)], parity)
 
     def kernel(self):
-        return Subspace(self.domain, self.matrix.null_space())
+        """The null space of the rows, read off the columns for elimination."""
+        rows = _transpose(self.columns, self.codomain.dim)
+        return Subspace(self.domain, Matrix(self.domain.field, rows, self.domain.dim).null_space())
 
     def image(self):
-        return Subspace(self.codomain, self.matrix._transpose().row_space())
+        """The row space of the columns."""
+        return Subspace.from_vectors(self.codomain, self.columns)
 
     def rank(self):
-        return self.matrix.rank()
+        return self.image().dim
 
     def is_injective(self):
         return self.rank() == self.domain.dim
@@ -568,8 +553,7 @@ def tensor_apply(f, g, vecs):
     """
     F = f.domain.field
     odd = {k for k, q in enumerate(f.domain.parities) if q} if g.parity else ()
-    return _tensor_apply_sparse(F, _sparse_columns(f), _sparse_columns(g), g.codomain.dim,
-                                odd, vecs)
+    return _tensor_apply_sparse(F, f.columns, g.columns, g.codomain.dim, odd, vecs)
 
 
 def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
@@ -676,15 +660,24 @@ def tensor_after(f, g, h):
         raise DimensionMismatch(
             f"{h.codomain.dim}-dimensional codomain vs tensor of "
             f"{f.domain.dim} and {g.domain.dim}")
-    return GradedMap.from_columns(
-        h.domain, f.codomain.tensor(g.codomain),
-        tensor_apply(f, g, _sparse_columns(h)),
-        _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
+    return GradedMap(h.domain, f.codomain.tensor(g.codomain), tensor_apply(f, g, h.columns),
+                     _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
 
 
-def _sparse_columns(f):
-    """The columns of f, as vectors."""
-    return _transpose(f.matrix.rows, f.domain.dim)
+def _combination(F, coeffs, cols):
+    """The sum of c * cols[s] over the pairs (s, c) of the vector coeffs: a
+    row times a matrix, summed by _sum_ops, lifting only the columns it
+    reads."""
+    if not coeffs:
+        return ()
+    lift, _, add, mul, lower = _sum_ops(F)
+    (coeffs, *used), D = lift([coeffs, *(cols[s] for s, _ in coeffs)])
+    acc = {}
+    for (_, c), col in zip(coeffs, used):
+        for i, a in col:
+            t = mul(c, a)
+            acc[i] = add(acc[i], t) if i in acc else t
+    return lower(acc.items(), D * D)
 
 
 def _transpose(vecs, n):
@@ -734,8 +727,7 @@ def _parity_defects(cols, domain_parities, codomain_parities):
 def twist(V, W):
     """Koszul twist c: V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v."""
     dom = V.tensor(W)
-    return GradedMap.from_columns(
-        dom, W.tensor(V), twist_apply(V, W, _identity_columns(V.field, dom.dim)), 0)
+    return GradedMap(dom, W.tensor(V), twist_apply(V, W, _identity_columns(V.field, dom.dim)), 0)
 
 
 def twist_apply(V, W, vecs):
@@ -756,9 +748,10 @@ def twist_apply(V, W, vecs):
 def linear_form(space, values, parity=0):
     """The map space -> k sending basis vector i to entry i of the vector
     values."""
-    F = space.field
-    return GradedMap(space, SuperVectorSpace(F, ("k",), (0,)),
-                     Matrix(F, [values], space.dim), parity)
+    cols = [()] * space.dim
+    for i, a in values:
+        cols[i] = ((0, a),)
+    return GradedMap(space, SuperVectorSpace(space.field, ("k",), (0,)), cols, parity)
 
 
 def perp(sub, space=None):
@@ -808,8 +801,10 @@ def pivot_selection(sub, space):
     s of space."""
     F = sub.space.field
     _, pivots = sub.matrix.rref()
-    return GradedMap(sub.space, space,
-                     Matrix(F, [unit_vec(F, c) for c in pivots], sub.space.dim), 0)
+    cols = [()] * sub.space.dim
+    for s, c in enumerate(pivots):
+        cols[c] = ((s, F.one),)
+    return GradedMap(sub.space, space, cols, 0)
 
 
 def quotient_data(space, sub):
@@ -825,11 +820,13 @@ def quotient_data(space, sub):
     reps = [c for c in range(space.dim) if c not in pivot_set]
     qspace = SuperVectorSpace(F, tuple(space.labels[c] for c in reps),
                               tuple(space.parities[c] for c in reps))
-    pivot_rows = list(zip(pivots, map(dict, red.rows)))
-    rows = [tuple(sorted([(r, F.one)] + [(pc, F.neg(entries[r]))
-                                         for pc, entries in pivot_rows if r in entries]))
-            for r in reps]
+    # a basis vector off the pivots is its own class; a pivot column is the
+    # negated rest of its echelon row, whose other entries lie off the pivots
+    slot = {r: q for q, r in enumerate(reps)}
+    cols = {r: ((q, F.one),) for r, q in slot.items()}
+    for row, pc in zip(red.rows, pivots):
+        cols[pc] = tuple((slot[j], F.neg(a)) for j, a in row if j != pc)
     parity = 0 if sub.is_graded() else None
-    proj = GradedMap(space, qspace, Matrix(F, rows, space.dim), parity)
-    section = GradedMap.from_columns(qspace, space, [unit_vec(F, r) for r in reps], parity)
+    proj = GradedMap(space, qspace, [cols[c] for c in range(space.dim)], parity)
+    section = GradedMap(qspace, space, [unit_vec(F, r) for r in reps], parity)
     return qspace, proj, section

@@ -19,7 +19,8 @@ from superscheme.supercomodule import (  # noqa: E402
 )
 from superscheme.superlinear import (  # noqa: E402
     GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, quotient_data,
-    tensor_after, tensor_apply, twist, unit_vec, vec_add, vec_scale, vector,
+    standard_space, tensor_after, tensor_apply, twist, unit_vec, vec_add, vec_scale,
+    vector,
 )
 
 
@@ -56,6 +57,24 @@ def dense_matrix(F, rows, ncols=None):
 def dense_rows(M):
     """The rows of a Matrix as dense tuples."""
     return tuple(dense(M.field, M.ncols, r) for r in M.rows)
+
+
+def dense_columns(F, rows, ncols=None):
+    """The columns, as vectors, of the matrix with these dense rows: what a
+    GradedMap holds."""
+    return dense_matrix(F, rows, ncols)._transpose().rows
+
+
+def matrix_of(f):
+    """The Matrix of a GradedMap: its rows, read off its columns."""
+    return Matrix(f.domain.field, f.columns, f.codomain.dim)._transpose()
+
+
+def graded_map(M):
+    """The raw map k^n -> k^m whose matrix is the m x n Matrix M."""
+    F = M.field
+    return GradedMap(standard_space(F, M.ncols, 0), standard_space(F, M.nrows, 0),
+                     M._transpose().rows, None)
 
 
 def _table_shape(x):
@@ -164,6 +183,20 @@ def ideal_oracle():
     return ideal_by_fixpoint
 
 
+def is_subcoalgebra(C, W):
+    """Reference for the subcoalgebra test of supercoalgebra.subcoalgebra_on:
+    delta(W) <= W (x) W = W (x) C intersect C (x) W, for a graded subspace
+    W, tested via the quotient projection."""
+    if not W.is_graded():
+        raise ValueError("subcoalgebra test needs a graded subspace")
+    _, proj, _ = quotient_data(C.space, W)
+    ident = GradedMap.identity(C.space)
+    delta = C.coproduct_map()
+    left = tensor_after(proj, ident, delta)
+    right = tensor_after(ident, proj, delta)
+    return not any(left.apply(v) or right.apply(v) for v in W.basis())
+
+
 def wedge_by_kernel(C, X, Y):
     """Reference for supercoalgebra.wedge: the kernel of
     C -> C (x) C -> C/X (x) C/Y."""
@@ -246,10 +279,10 @@ def _dense_tower(M, A, reg, depth):
     formal_scheme._iterated_cotensor_tower."""
     F = M.field
     rho = reg.coaction_map()
-    theta_l = twist(reg.space, reg.coalgebra.space).compose(rho).matrix
+    theta_l = matrix_of(twist(reg.space, reg.coalgebra.space).compose(rho))
     B_dim = reg.coalgebra.dim
     ident_A = GradedMap.identity(A.space)
-    levels = [(M.space, M.coaction_map().matrix, None, ())]
+    levels = [(M.space, matrix_of(M.coaction_map()), None, ())]
     for n in range(1, depth + 1):
         prev_space, prev_psi, prev_carrier, prev_faces = levels[-1]
         ident_P = GradedMap.identity(prev_space)
@@ -274,25 +307,21 @@ def _dense_tower(M, A, reg, depth):
                  for pf in prev_faces]
         assert None not in faces, "face map escapes the carrier"
         faces.append(tensor_apply(ident_P, A.counit_map(), basis))
-        faces = tuple(GradedMap(space, prev_space,
-                                Matrix(F, cols, prev_space.dim)._transpose(), None)
-                      for cols in faces)
+        faces = tuple(GradedMap(space, prev_space, cols, None) for cols in faces)
         psi = Matrix(F, psi_cols, space.dim * B_dim)._transpose()
         levels.append((space, psi, carrier, faces))
     return levels
 
 
 def _dense_exactness(levels, depth):
-    """Per-degree exactness of the dense tower: boundaries as add/scale
-    chains of the face matrices, ker and im as dense row spaces."""
+    """Per-degree exactness of the dense tower: boundaries as alternating
+    sums of the face maps, ker and im as dense row spaces."""
     boundaries = []
     for _, _, _, faces in levels[1:]:
-        F = faces[0].domain.field
-        out = faces[0].matrix
+        out = faces[0]
         for idx, face in enumerate(faces[1:], start=1):
-            out = out.add(face.matrix.scale(F.neg(F.one))) if idx % 2 else \
-                out.add(face.matrix)
-        boundaries.append(out)
+            out = out.sub(face) if idx % 2 else out.add(face)
+        boundaries.append(matrix_of(out))
     for lower, upper in zip(boundaries, boundaries[1:]):
         prod = lower.mul(upper)
         assert all(lower.field.is_zero(c) for row in dense_rows(prod) for c in row)
@@ -430,9 +459,10 @@ def null_space_oracle():
 
 
 class DenseReference:
-    """Reference for the operations of Matrix: the same operations on dense
-    rows (lists of field elements), through the Field methods only, so it
-    holds over every field; elimination is dense Gauss-Jordan."""
+    """Reference for the operations of Matrix and GradedMap: the same
+    operations on dense rows (lists of field elements), through the Field
+    methods only, so it holds over every field; elimination is dense
+    Gauss-Jordan."""
 
     @staticmethod
     def transpose(rows, ncols):
@@ -492,6 +522,16 @@ class DenseReference:
             pivots.append(c)
             r += 1
         return rows, pivots
+
+    @staticmethod
+    def rank(F, rows, ncols):
+        return len(DenseReference.rref(F, rows, ncols)[1])
+
+    @staticmethod
+    def image(F, rows, ncols):
+        """The column space, as the reduced rows of the transpose."""
+        red, pivots = DenseReference.rref(F, DenseReference.transpose(rows, ncols), len(rows))
+        return red[:len(pivots)]
 
     @staticmethod
     def null_space(F, rows, ncols):

@@ -9,7 +9,7 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, standard_space, unit_vec,
+    GradedMap, Subspace, standard_space, unit_vec,
 )
 from superscheme.superalgebra import (
     enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
@@ -17,7 +17,7 @@ from superscheme.superalgebra import (
 from superscheme.supercoalgebra import (
     SuperCoalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
     dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
-    is_subcoalgebra, unit_coalgebra, validate_supercoalgebra, wedge,
+    unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.supercomodule import (
     base_change_comodule, cosocle_epi, cotensor_functor_image, dual_action,
@@ -41,7 +41,7 @@ from superscheme.corpus import (
 )
 from superscheme.cli import EXIT_OK, run as cli_run
 from superscheme.objfile import serialize_document
-from conftest import dense_matrix, sparse
+from conftest import dense_columns, graded_map, is_subcoalgebra, sparse
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -126,7 +126,7 @@ def test_criterion_2_duality_equivalence(grouplike_oracle):
             ok &= transported == sorted(gls)
             for phi in homs:
                 u = transport_point(phi, A, R)
-                ok &= transport_point_inverse(u, A, R).matrix == phi.matrix
+                ok &= transport_point_inverse(u, A, R).columns == phi.columns
             pair_count += 1
     ok &= pair_count >= 10
     _report(2, f"duality equivalence ({pair_count} pairs)", ok)
@@ -247,7 +247,7 @@ def _seeded_epis(C, count=10):
         P = free_comodule(W, C)
         vec = sparse(F, [F.from_int(rng.randint(5) - 2) for _ in range(P.dim)])
         mats = dual_action(P)
-        closure = [vec] + [dual_action_of(P, mats, [(t, F.one)]).apply(vec)
+        closure = [vec] + [graded_map(dual_action_of(P, mats, [(t, F.one)])).apply(vec)
                            for t in range(C.dim)]
         sub = Subspace.from_vectors(P.space, closure)
         prev = None
@@ -256,7 +256,7 @@ def _seeded_epis(C, count=10):
             vecs = list(sub.basis())
             for v in sub.basis():
                 for t in range(C.dim):
-                    vecs.append(dual_action_of(P, mats, [(t, F.one)]).apply(v))
+                    vecs.append(graded_map(dual_action_of(P, mats, [(t, F.one)])).apply(v))
             sub = Subspace.from_vectors(P.space, vecs)
         if not sub.is_graded():
             even = sub.even_part()
@@ -265,7 +265,7 @@ def _seeded_epis(C, count=10):
             vecs = list(sub.basis())
             for v in sub.basis():
                 for t in range(C.dim):
-                    vecs.append(dual_action_of(P, mats, [(t, F.one)]).apply(v))
+                    vecs.append(graded_map(dual_action_of(P, mats, [(t, F.one)])).apply(v))
             sub2 = Subspace.from_vectors(P.space, vecs)
             if sub2 != sub:
                 continue
@@ -320,7 +320,7 @@ def _embed1(vec, ext):
 def _collapse_morphism(C):
     F = C.field
     K = unit_coalgebra(F)
-    m = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
+    m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
     return SchemeMorphism.finite(m, FormalSuperscheme.finite(C),
                                  FormalSuperscheme.finite(K))
 
@@ -332,7 +332,7 @@ def _component_inclusion(C, extra):
     rows = [[F.zero] * C.dim for _ in range(big.dim)]
     for i in range(C.dim):
         rows[i][i] = F.one
-    m = GradedMap(C.space, big.space, dense_matrix(F, rows, C.dim), 0)
+    m = GradedMap(C.space, big.space, dense_columns(F, rows, C.dim), 0)
     return SchemeMorphism.finite(m, FormalSuperscheme.finite(C),
                                  FormalSuperscheme.finite(big))
 
@@ -436,7 +436,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     write("d3.coalg", serialize_document(QQ, [("D3", divided_power(3))]))
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, dense_matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
     f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK),
                               FormalSuperscheme.finite(K))
     write("collapse.mor", serialize_document(

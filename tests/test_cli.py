@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,15 +10,17 @@ from hypothesis import given, seed, settings, strategies as st
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
 from superscheme.fields import QQ, PrimeField
 from superscheme.objfile import serialize_document
-from superscheme.superlinear import GradedMap, Matrix
+from superscheme.superlinear import GradedMap
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
-from superscheme.formal_scheme import FormalSuperscheme, SchemeMorphism
+from superscheme.formal_scheme import (
+    TOWER_AMBIENT_BOUND, FormalSuperscheme, SchemeMorphism,
+)
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
     truncated_polynomial,
 )
 
-from conftest import dense_matrix, sparse
+from conftest import dense_columns, sparse
 
 F3 = PrimeField(3)
 
@@ -35,12 +38,12 @@ def files(tmp_path):
     write("d3.coalg", serialize_document(QQ, [("D3", divided_power(3))]))
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, dense_matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
     f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK),
                               FormalSuperscheme.finite(K))
     write("collapse.mor", serialize_document(
         QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]))
-    j = GradedMap(K.space, GK.space, dense_matrix(QQ, [[QQ.one], [QQ.zero]]), 0)
+    j = GradedMap(K.space, GK.space, dense_columns(QQ, [[QQ.one], [QQ.zero]]), 0)
     fj = SchemeMorphism.finite(j, FormalSuperscheme.finite(K),
                                FormalSuperscheme.finite(GK))
     write("inclusion.mor", serialize_document(
@@ -246,6 +249,46 @@ def test_fiber_commands(files):
     assert "fiber-dim 2" in text
     text2 = _ok(["fiber-product", files["collapse.mor"], "--f", "f", "--g", "f"])
     assert "carrier-dim 4" in text2
+
+
+@pytest.mark.parametrize("depth, code, line", [
+    ("-1", EXIT_IO, "argument-error"),
+    ("0", EXIT_OK, "exact O(Y) degree 0 yes"),
+])
+def test_descent_check_rejects_a_negative_depth(files, depth, code, line):
+    """A negative depth would build no degree and pass vacuously."""
+    text, got = run(["descent-check", files["collapse.mor"], "--depth", depth])
+    assert got == code and line in text.splitlines(), text
+
+
+@pytest.mark.parametrize("point, code, line", [
+    ("-1", EXIT_IO, "argument-error"),
+    ("0", EXIT_OK, "fiber-dim 2"),
+    ("1", EXIT_IO, "parse-error target has only 1 points"),
+])
+def test_fiber_rejects_a_point_out_of_range(files, point, code, line):
+    """A negative index would read the points from the end."""
+    text, got = run(["fiber", files["collapse.mor"], "--morphism", "f", "--point", point])
+    assert got == code and line in text.splitlines(), text
+
+
+def test_descent_tower_over_the_bound_is_unsupported(tmp_path):
+    """Depth 50 on the counit collapse of 65 group-likes: level 3 would lie
+    in a space of dimension 65^3, over the bound, so the run stops before
+    building it, with an unsupported line that names the bound."""
+    assert 65 ** 2 <= TOWER_AMBIENT_BOUND < 65 ** 3
+    C, K = grouplike_coalgebra(65, F3), unit_coalgebra(F3)
+    f = SchemeMorphism.finite(GradedMap(C.space, K.space, C.counit_map().columns, 0),
+                              FormalSuperscheme.finite(C), FormalSuperscheme.finite(K))
+    path = tmp_path / "collapse65.mor"
+    path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
+    start = time.perf_counter()
+    text, code = run(["descent-check", str(path), "--depth", "50"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_UNSUPPORTED
+    assert text.splitlines()[1] == (
+        "unsupported descent tower level 3 lies in a space of dimension 4225 x 65 = "
+        f"274625, over the bound {TOWER_AMBIENT_BOUND}")
 
 
 def test_base_change(files):
@@ -485,12 +528,12 @@ def test_every_command_deterministic(files):
 def _fuzz_inputs():
     """Small corpus object files and the commands that read each of them."""
     GK, K, D1, D2 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1), divided_power(2)
-    m = GradedMap(GK.space, K.space, dense_matrix(QQ, [[QQ.one, QQ.one]]), 0)
+    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
     f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK), FormalSuperscheme.finite(K))
     # the counit collapse of Grassmann(2)*, whose source has odd basis vectors
     G2d = dualize_algebra(grassmann(2, F3))
     K3 = unit_coalgebra(F3)
-    g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, Matrix(F3, [G2d.counit], G2d.dim)),
+    g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, G2d.counit_map().columns),
                               FormalSuperscheme.finite(G2d), FormalSuperscheme.finite(K3))
     from superscheme.supercomodule import regular_comodule, trivial_comodule
     from superscheme.superlinear import unit_vec

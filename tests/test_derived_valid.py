@@ -22,7 +22,7 @@ from superscheme.supercomodule import (
     comodule_along, cosocle_epi, free_comodule, regular_comodule, subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
-from superscheme.superlinear import GradedMap, Matrix, standard_space
+from superscheme.superlinear import GradedMap, standard_space
 from superscheme.corpus import (
     canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     seeded_random,
@@ -76,7 +76,7 @@ def test_coalgebra_builders_give_valid_structures(F, name):
         assert validate_comodule(trivial_comodule(C, g, 1, 1)) == []
     W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
     assert validate_comodule(free_comodule(W, C)) == []
-    counit = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
+    counit = GradedMap(C.space, K.space, C.counit_map().columns, 0)
     assert validate_comodule(comodule_along(free_comodule(W, C), counit, K)) == []
 
 

@@ -24,7 +24,7 @@ from superscheme.formal_scheme import (
     is_surjective, morphism_components, point_map, points, product,
     transport_point, transport_point_inverse, _bosonic_subcoalgebra,
 )
-from conftest import dense, dense_matrix, dense_rows, sparse
+from conftest import dense, dense_columns, dense_rows, matrix_of, sparse
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
     seeded_random, split_pair, truncated_polynomial,
@@ -44,7 +44,7 @@ def _collapse(C):
     """Counit morphism Sp*(C) -> Sp*(k)."""
     F = C.field
     K = unit_coalgebra(F)
-    m = GradedMap(C.space, K.space, Matrix(F, [C.counit], C.dim), 0)
+    m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
     return SchemeMorphism.finite(m, _scheme(C), _scheme(K))
 
 
@@ -85,7 +85,7 @@ def test_point_map_equals_bosonic_point_map():
         for m, r, src, dst in zip(f.maps, g.maps, f.source.levels, f.target.levels):
             _, incl_src = _bosonic_subcoalgebra(src)
             _, incl_dst = _bosonic_subcoalgebra(dst)
-            assert incl_dst.compose(r).matrix == m.compose(incl_src).matrix, seed
+            assert incl_dst.compose(r).columns == m.compose(incl_src).columns, seed
 
 
 def test_restrict_between_escape_is_named_under_python_O():
@@ -98,7 +98,7 @@ def test_restrict_between_escape_is_named_under_python_O():
         "V, W = standard_space(QQ, 2, 0), standard_space(QQ, 1, 0)",
         "ident = GradedMap.identity(V)",
         "_restrict_between(ident, ident,"
-        " GradedMap.from_columns(W, V, [unit_vec(QQ, 0)]))",
+        " GradedMap(W, V, [unit_vec(QQ, 0)]))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -111,19 +111,19 @@ def test_restrict_between_escape_is_named_under_python_O():
 def test_transport_point_example():
     D = truncated_polynomial(1)
     phi = GradedMap(D.space, D.space,
-                    dense_matrix(QQ, [[Fraction(1), Fraction(0)],
+                    dense_columns(QQ, [[Fraction(1), Fraction(0)],
                                       [Fraction(0), Fraction(2)]]), 0)
     u = transport_point(phi, D, D)
     assert dense_rows(Matrix(QQ, u, 2)) == ((Fraction(1), Fraction(0)),
                                             (Fraction(0), Fraction(2)))
     back = transport_point_inverse(u, D, D)
-    assert back.matrix.rows == u
+    assert matrix_of(back).rows == u
 
 
 def test_transport_rejects_non_morphism():
     D = truncated_polynomial(1)
     bad = GradedMap(D.space, D.space,
-                    dense_matrix(QQ, [[Fraction(1), Fraction(1)],
+                    dense_columns(QQ, [[Fraction(1), Fraction(1)],
                                       [Fraction(0), Fraction(1)]]), 0)
     with pytest.raises(ValueError):
         transport_point(bad, D, D)
@@ -143,7 +143,7 @@ def test_transport_bijection_over_f3():
         assert transported == sorted(gls)
         for phi in homs:
             u = transport_point(phi, A, R)
-            assert transport_point_inverse(u, A, R).matrix == phi.matrix
+            assert transport_point_inverse(u, A, R).columns == phi.columns
 
 
 def test_transport_grassmann_odd_products_over_f3():
@@ -154,7 +154,7 @@ def test_transport_grassmann_odd_products_over_f3():
     assert len(homs) == 81
     for phi in homs:
         u = transport_point(phi, G, G)
-        assert transport_point_inverse(u, G, G).matrix == phi.matrix
+        assert transport_point_inverse(u, G, G).columns == phi.columns
 
 
 def test_transport_natural_in_target():
@@ -162,11 +162,11 @@ def test_transport_natural_in_target():
     A = grassmann(1, F3)
     R = grassmann(1, F3)
     Rp = grassmann(0, F3)
-    rho = GradedMap(R.space, Rp.space, dense_matrix(F3, [[1, 0]]), 0)
+    rho = GradedMap(R.space, Rp.space, dense_columns(F3, [[1, 0]]), 0)
     for phi in enumerate_homs(A, R, [unit_vec(F3, 1)]):
         u = dense_rows(Matrix(F3, transport_point(rho.compose(phi), A, Rp), A.dim))
         v = dense_rows(Matrix(F3, transport_point(phi, A, R), A.dim))
-        pushed = tuple(dense(F3, Rp.dim, rho.matrix.apply(sparse(F3, [row[i] for row in v])))
+        pushed = tuple(dense(F3, Rp.dim, rho.apply(sparse(F3, [row[i] for row in v])))
                        for i in range(A.dim))
         pushed = tuple(tuple(pushed[i][a] for i in range(A.dim))
                        for a in range(Rp.dim))
@@ -178,14 +178,14 @@ def test_immersion_predicates():
     X = _scheme(KK)
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), X)
     xcomps, ycomps = morphism_components(incl)
     assert is_closed_immersion(incl) and is_open_immersion(incl, ycomps)
     assert not is_surjective(incl, xcomps, ycomps)
     G = dualize_algebra(grassmann(1))
     j = SchemeMorphism.finite(
-        GradedMap(K.space, G.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, G.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), _scheme(G))
     assert is_closed_immersion(j) and not is_open_immersion(j, morphism_components(j)[1])
     ident = identity_morphism(X)
@@ -231,7 +231,7 @@ def test_fiber_examples():
     assert fib2.coalgebra.dim == 2
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), X)
     assert fiber(incl, pts[1]).coalgebra.dim == 0
 
@@ -240,7 +240,7 @@ def test_immersion_fiberwise():
     KK = dualize_algebra(split_pair())
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), _scheme(KK))
     ok, total, fiberwise = immersion_fiberwise_check(incl)
     assert ok and total and fiberwise
@@ -268,12 +268,12 @@ def test_flat_morphism_examples():
     assert is_faithfully_flat(col)
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), _scheme(KK))
     assert is_flat(incl) and not is_faithfully_flat(incl)
     D = divided_power(1)
     pt = SchemeMorphism.finite(
-        GradedMap(K.space, D.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, D.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), _scheme(D))
     assert not is_flat(pt)
 
@@ -305,7 +305,7 @@ def test_descent_examples():
     assert descent_check(ident, depth=2).passed
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_matrix(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
+        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
         _scheme(K), _scheme(KK))
     rep3 = descent_check(incl, depth=2)
     assert not rep3.passed
@@ -357,12 +357,11 @@ def test_point_image_check_holds_under_python_O():
         "from superscheme.corpus import split_pair",
         "from superscheme.formal_scheme import FormalSuperscheme, SchemeMorphism, point_map",
         "from superscheme.supercoalgebra import dualize_algebra",
-        "from superscheme.superlinear import GradedMap, Matrix",
+        "from superscheme.superlinear import GradedMap",
         "C = dualize_algebra(split_pair())",
         "X = FormalSuperscheme.finite(C)",
         "one, zero = Fraction(1), Fraction(0)",
-        "f = GradedMap(C.space, C.space, Matrix(C.field, [((0, one),), ((0, one), (1, one))], 2),"
-        " 0)",
+        "f = GradedMap(C.space, C.space, [((0, one), (1, one)), ((1, one),)], 0)",
         "point_map(SchemeMorphism(X, X, (f,)))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -409,7 +408,7 @@ def test_descent_over_extension_residue_target():
     rows = [[F3.zero] * CA.dim for _ in range(C9.dim)]
     for i in range(2):
         rows[i][i * 2] = F3.one  # dual of the inclusion b -> b (x) 1
-    m = GradedMap(CA.space, C9.space, dense_matrix(F3, rows, CA.dim), 0)
+    m = GradedMap(CA.space, C9.space, dense_columns(F3, rows, CA.dim), 0)
     f = SchemeMorphism.finite(m, _scheme(CA), Y)
     assert is_faithfully_flat(f)
     assert descent_check(f, depth=2).passed
@@ -441,7 +440,7 @@ def test_empty_scheme_predicates():
     empty = _scheme(make_supercoalgebra(SuperVectorSpace(QQ, (), ()), (), ()))
     assert points(empty) == []
     KK = dualize_algebra(split_pair())
-    m = GradedMap(empty.coalgebra.space, KK.space, dense_matrix(QQ, [[], []], 0), 0)
+    m = GradedMap(empty.coalgebra.space, KK.space, dense_columns(QQ, [[], []], 0), 0)
     f = SchemeMorphism.finite(m, empty, _scheme(KK))
     assert is_flat(f)                       # vacuously, no points
     assert not is_faithfully_flat(f)        # misses every point
@@ -469,7 +468,7 @@ def test_algebraicity_growing_cofree_tower():
         rows = [[QQ.zero] * small.dim for _ in range(big.dim)]
         for j, lab in enumerate(small.space.labels):
             rows[big_index[lab]][j] = QQ.one
-        maps.append(GradedMap(small.space, big.space, dense_matrix(QQ, rows, small.dim), 0))
+        maps.append(GradedMap(small.space, big.space, dense_columns(QQ, rows, small.dim), 0))
     tower = FormalSuperscheme.tower(levels, maps)
     verdict = is_algebraic_at(tower, 0)
     assert not verdict.stabilized

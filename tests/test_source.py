@@ -74,3 +74,15 @@ def test_vectors_in_one_form():
         assert [scope for tree in trees for scope in _references(tree, name)] == [], name
     from superscheme.superlinear import Matrix
     assert set(Matrix.__slots__) - {"field", "nrows", "ncols", "_rref"} == {"rows"}
+
+
+def test_maps_in_one_orientation():
+    """A GradedMap holds its sparse columns in one slot, and a Matrix holds
+    rows only for elimination: nothing applies a Matrix to a vector, and no
+    converter from rows to columns or back is left."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    for name in ("_sparse_columns", "from_columns"):
+        assert [scope for tree in trees for scope in _references(tree, name)] == [], name
+    from superscheme.superlinear import GradedMap, Matrix
+    assert not hasattr(Matrix, "apply")
+    assert set(GradedMap.__slots__) - {"domain", "codomain", "parity"} == {"columns"}

@@ -19,7 +19,7 @@ from superscheme.corpus import (
     truncated_polynomial,
 )
 
-from conftest import dense, dense_matrix, dense_rows, sparse
+from conftest import dense, dense_columns, dense_matrix, dense_rows, sparse
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -205,12 +205,12 @@ def test_morphism_checks():
     G = grassmann(1)
     assert is_superalgebra_morphism(GradedMap.identity(G.space), G, G)
     K = grassmann(0)
-    to_k = GradedMap(G.space, K.space, dense_matrix(QQ, [[Fraction(1), Fraction(0)]]), 0)
+    to_k = GradedMap(G.space, K.space, dense_columns(QQ, [[Fraction(1), Fraction(0)]]), 0)
     assert is_superalgebra_morphism(to_k, G, K)
     # x -> 1 + eps is not square-zero
     D = truncated_polynomial(1)
     phi = GradedMap(D.space, D.space,
-                    dense_matrix(QQ, [[Fraction(1), Fraction(1)],
+                    dense_columns(QQ, [[Fraction(1), Fraction(1)],
                                       [Fraction(0), Fraction(1)]]), 0)
     assert not is_superalgebra_morphism(phi, D, D)
 
@@ -240,8 +240,8 @@ def test_enumerate_homs_rejects_non_generators():
 
 def test_enumerate_homs_deterministic():
     G = grassmann(1, F3)
-    a = [h.matrix.rows for h in enumerate_homs(G, G, [unit_vec(F3, 1)])]
-    b = [h.matrix.rows for h in enumerate_homs(G, G, [unit_vec(F3, 1)])]
+    a = [h.columns for h in enumerate_homs(G, G, [unit_vec(F3, 1)])]
+    b = [h.columns for h in enumerate_homs(G, G, [unit_vec(F3, 1)])]
     assert a == b
 
 

@@ -13,12 +13,14 @@ from superscheme.supercoalgebra import (
     SearchBoundExceeded, SuperCoalgebra, cofree_universal_map, coradical,
     coradical_filtration, direct_sum_coalgebra, dual_radical, dualize_algebra,
     dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
-    is_coalgebra_morphism, is_coideal, is_grouplike, is_subcoalgebra,
+    is_coalgebra_morphism, is_coideal, is_grouplike,
     make_supercoalgebra, odd_part_coideal, quotient_by_coideal, subcoalgebra_on,
     tensor_coalgebra, truncated_cofree, unit_coalgebra, validate_supercoalgebra,
     wedge,
 )
-from conftest import dense, dense_matrix, dense_rows, sparse
+from conftest import (
+    dense, dense_columns, dense_matrix, dense_rows, is_subcoalgebra, matrix_of, sparse,
+)
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     grouplike_coalgebra, quotient_ring_algebra, split_pair,
@@ -398,7 +400,7 @@ def test_truncated_cofree_shapes():
     tc3 = truncated_cofree(V2, 3)
     assert tc3.coalgebra.delta == divided_power(3).delta
     # projection hits exactly the degree-1 stratum
-    assert dense_rows(tc3.projection.matrix)[0] == (Fraction(0), Fraction(1),
+    assert dense_rows(matrix_of(tc3.projection))[0] == (Fraction(0), Fraction(1),
                                                     Fraction(0), Fraction(0))
 
 
@@ -407,9 +409,9 @@ def test_cofree_universal_property_unique():
     tc = truncated_cofree(V, 1)
     B = dualize_algebra(grassmann(1))
     for c in (Fraction(0), Fraction(1), Fraction(-2)):
-        theta = GradedMap(B.space, V, dense_matrix(QQ, [[Fraction(0), c]]), 0)
+        theta = GradedMap(B.space, V, dense_columns(QQ, [[Fraction(0), c]]), 0)
         F = cofree_universal_map(tc, B, theta)
-        assert dense_rows(F.matrix)[1] == (Fraction(0), c)
+        assert dense_rows(matrix_of(F))[1] == (Fraction(0), c)
 
 
 def test_cofree_universal_property_divided_power():
@@ -417,11 +419,11 @@ def test_cofree_universal_property_divided_power():
     tc = truncated_cofree(V, 3)
     B = divided_power(2)
     theta = GradedMap(B.space, V,
-                      dense_matrix(QQ, [[Fraction(0), Fraction(1), Fraction(0)]]), 0)
+                      dense_columns(QQ, [[Fraction(0), Fraction(1), Fraction(0)]]), 0)
     F = cofree_universal_map(tc, B, theta)
     from superscheme.supercoalgebra import is_coalgebra_morphism
     assert is_coalgebra_morphism(F, B, tc.coalgebra)
-    assert tc.projection.compose(F).matrix == theta.matrix
+    assert tc.projection.compose(F).columns == theta.columns
 
 
 def test_cofree_rejects_bad_test_coalgebras():
@@ -436,7 +438,7 @@ def test_cofree_rejects_bad_test_coalgebras():
     with pytest.raises(ValueError):
         cofree_universal_map(tc, B, theta2)   # filtration too long
     B2 = divided_power(1)
-    theta3 = GradedMap(B2.space, V, dense_matrix(QQ, [[Fraction(1), Fraction(0)]]), None)
+    theta3 = GradedMap(B2.space, V, dense_columns(QQ, [[Fraction(1), Fraction(0)]]), None)
     with pytest.raises(ValueError):
         cofree_universal_map(tc, B2, theta3)  # does not kill the coradical
 

@@ -17,7 +17,7 @@ from superscheme.supercomodule import (
     make_supercomodule, quotient_comodule, regular_comodule, subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
-from conftest import dense, dense_matrix, sparse
+from conftest import dense, dense_columns, dense_matrix, graded_map, matrix_of, sparse
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
     seeded_random, truncated_polynomial,
@@ -42,7 +42,7 @@ def test_dual_action_sign_example():
     M = regular_comodule(C)
     mats = dual_action(M)
     # (th*)* acts on th* and yields +1*
-    assert dense(QQ, 2, mats[1].apply(unit_vec(QQ, 1))) == (Fraction(1), Fraction(0))
+    assert dense(QQ, 2, graded_map(mats[1]).apply(unit_vec(QQ, 1))) == (Fraction(1), Fraction(0))
     # counit functional acts as the identity
     eps = dualize_coalgebra(C).unit
     assert dual_action_of(M, mats, eps) == Matrix.identity(QQ, 2)
@@ -61,8 +61,8 @@ def test_trivial_coaction_factors_through_evaluation():
     T = trivial_comodule(C, unit_vec(QQ, 1))
     mats = dual_action(T)
     # g1* acts as 0, g2* acts as 1 on the trivial comodule over g2
-    assert dense(QQ, 1, mats[0].apply(sparse(QQ, (QQ.one,)))) == (QQ.zero,)
-    assert dense(QQ, 1, mats[1].apply(sparse(QQ, (QQ.one,)))) == (QQ.one,)
+    assert dense(QQ, 1, graded_map(mats[0]).apply(sparse(QQ, (QQ.one,)))) == (QQ.zero,)
+    assert dense(QQ, 1, graded_map(mats[1]).apply(sparse(QQ, (QQ.one,)))) == (QQ.one,)
 
 
 def test_comodule_vs_module_morphisms_seeded():
@@ -77,14 +77,14 @@ def test_comodule_vs_module_morphisms_seeded():
     for _ in range(40):
         rows = [[QQ.from_int(rng.randint(3) - 1) for _ in range(M.dim)]
                 for _ in range(N.dim)]
-        candidates.append(GradedMap(M.space, N.space, dense_matrix(QQ, rows, M.dim),
+        candidates.append(GradedMap(M.space, N.space, dense_columns(QQ, rows, M.dim),
                                     None))
     # the canonical identification m -> w (x) m is a genuine morphism
-    candidates.append(GradedMap(M.space, N.space, Matrix.identity(QQ, 3), None))
+    candidates.append(GradedMap(M.space, N.space, Matrix.identity(QQ, 3).rows, None))
     agree = 0
     for f in candidates:
         comod = is_comodule_morphism(f, M, N)
-        module = all(f.matrix.mul(matsM[t]) == matsN[t].mul(f.matrix)
+        module = all(matrix_of(f).mul(matsM[t]) == matsN[t].mul(matrix_of(f))
                      for t in range(C.dim))
         assert comod == module
         agree += comod
@@ -138,11 +138,11 @@ def _module_tensor_dim(M, N):
         pt = C.parity(t)
         for u in range(nm):
             fu = unit_vec(F, u)
-            fa = dense(F, nm, matsM[t].apply(fu))
+            fa = dense(F, nm, graded_map(matsM[t]).apply(fu))
             for v in range(nn):
                 gv = unit_vec(F, v)
                 # a.g = (-1)^{|a||g|} g.a
-                ag = dense(F, nn, matsN[t].apply(gv))
+                ag = dense(F, nn, graded_map(matsN[t]).apply(gv))
                 sign = F.neg(F.one) if (pt * N.space.parities[v]) % 2 else F.one
                 rel = [F.zero] * (nm * nn)
                 for i, c in enumerate(fa):
@@ -321,12 +321,12 @@ def test_subcoalgebra_coordinates_match_solve(F, dense_view):
         for w in comp.subspace.basis() for k in range(G.dim)])
     assert any(len(row) > 1 for row in W.basis())
     M, sub, incl = subcoalgebra_comodule(C, W)
-    pair = incl.tensor(incl).matrix
+    pair = matrix_of(incl.tensor(incl))
     delta = C.coproduct_map()
     bigs = [delta.apply(v) for v in W.basis()]
     flat = [dense(F, W.dim * W.dim, x) for x in pair.solve(bigs)]
-    slots = incl.matrix.solve([sparse(F, dense(F, C.dim * C.dim, big)[k::C.dim])
-                               for big in bigs for k in range(C.dim)])
+    slots = matrix_of(incl).solve([sparse(F, dense(F, C.dim * C.dim, big)[k::C.dim])
+                                  for big in bigs for k in range(C.dim)])
     slots = [dense(F, W.dim, x) for x in slots]
     sub_delta, psi = dense_view.table(sub), dense_view.table(M)
     for i in range(W.dim):

@@ -5,14 +5,15 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, GradedMap, Matrix, Subspace, _null_space_sparse,
+    DimensionMismatch, GradedMap, Matrix, Subspace, _combination, _null_space_sparse,
     _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_after,
     tensor_apply, twist, unit_vec, vec_add, vec_scale,
 )
 from superscheme.corpus import Rng
-from superscheme.superalgebra import _combination
 
-from conftest import dense, dense_matrix, dense_rows, sparse
+from conftest import (
+    dense, dense_columns, dense_matrix, dense_rows, graded_map, matrix_of, sparse,
+)
 
 F3 = PrimeField(3)
 
@@ -40,7 +41,7 @@ def test_rref_idempotent_and_kernel(M):
     red2, pivots2 = red.rref()
     assert red.rows == red2.rows and pivots == pivots2
     for row in M.null_space().rows:
-        assert all(c == 0 for c in dense(QQ, M.nrows, M.apply(row)))
+        assert all(c == 0 for c in dense(QQ, M.nrows, graded_map(M).apply(row)))
 
 
 @given(mat_strategy(3), mat_strategy(3))
@@ -67,7 +68,7 @@ def test_kernel_examples():
     assert GradedMap.identity(U).kernel().dim == 0
     # (1 1): kernel spanned by (1, -1)
     V2 = standard_space(QQ, 2, 0)
-    f = GradedMap(V2, W, dense_matrix(QQ, [[Fraction(1), Fraction(1)]]), 0)
+    f = GradedMap(V2, W, dense_columns(QQ, [[Fraction(1), Fraction(1)]]), 0)
     assert [dense(QQ, 2, v) for v in f.kernel().basis()] == [(Fraction(1), Fraction(-1))]
 
 
@@ -81,7 +82,7 @@ def test_twist_signs_and_involution():
     oo = dense(QQ, 4, c.apply(unit_vec(QQ, 3)))       # o (x) o
     assert oo[3] == -1
     back = twist(W, V).compose(c)
-    assert back.matrix == Matrix.identity(QQ, 4)
+    assert back.columns == Matrix.identity(QQ, 4).rows
 
 
 def _small_int(rng, F):
@@ -106,13 +107,13 @@ def _random_homogeneous_map(rng, dom, cod, parity, scalar=_small_int):
             else:
                 row.append(F.zero)
         rows.append(row)
-    return GradedMap(dom, cod, dense_matrix(F, rows, dom.dim), parity)
+    return GradedMap(dom, cod, dense_columns(F, rows, dom.dim), parity)
 
 
 def test_tensor_map_identity_and_even_kronecker():
     V = standard_space(QQ, 1, 1)
     i = GradedMap.identity(V)
-    assert i.tensor(i).matrix == Matrix.identity(QQ, 4)
+    assert i.tensor(i).columns == Matrix.identity(QQ, 4).rows
 
 
 def test_tensor_map_odd_sign_block():
@@ -122,7 +123,7 @@ def test_tensor_map_odd_sign_block():
     f = GradedMap.identity(V)
     g = _random_homogeneous_map(rng, V, V, 1)
     fg = f.tensor(g)
-    f_rows, g_rows, fg_rows = dense_rows(f.matrix), dense_rows(g.matrix), dense_rows(fg.matrix)
+    f_rows, g_rows, fg_rows = (dense_rows(matrix_of(h)) for h in (f, g, fg))
     # column (v_odd (x) w): entries use -g
     for i in range(V.dim):
         for j in range(V.dim):
@@ -146,7 +147,7 @@ def test_tensor_compose_sign_rule():
         lhs = f.tensor(g).compose(f2.tensor(g2))
         rhs = f.compose(f2).tensor(g.compose(g2))
         sign = (-1) ** (pg * pf2)
-        assert lhs.matrix == rhs.matrix.scale(Fraction(sign))
+        assert lhs.columns == tuple(vec_scale(QQ, Fraction(sign), col) for col in rhs.columns)
 
 
 def _tensor_by_entry_formula(f, g):
@@ -154,8 +155,8 @@ def _tensor_by_entry_formula(f, g):
     F = f.domain.field
     nj, nl = g.codomain.dim, g.domain.dim
     rows = [[F.zero] * (f.domain.dim * nl) for _ in range(f.codomain.dim * nj)]
-    for i, frow in enumerate(dense_rows(f.matrix)):
-        for j, grow in enumerate(dense_rows(g.matrix)):
+    for i, frow in enumerate(dense_rows(matrix_of(f))):
+        for j, grow in enumerate(dense_rows(matrix_of(g))):
             for k, a in enumerate(frow):
                 for l, b in enumerate(grow):
                     val = F.mul(a, b)
@@ -177,11 +178,11 @@ def test_tensor_apply_matches_entry_formula(F):
             dom = V.tensor(W)
             cols = tensor_apply(f, g, [unit_vec(F, c) for c in range(dom.dim)])
             assert Matrix(F, cols, expected.nrows)._transpose() == expected
-            assert f.tensor(g).matrix == expected
+            assert matrix_of(f.tensor(g)) == expected
             h = _random_homogeneous_map(rng, U, dom, None)
             fgh = tensor_after(f, g, h)
-            assert fgh.matrix == expected.mul(h.matrix)
-            assert fgh.matrix == f.tensor(g).compose(h).matrix
+            assert matrix_of(fgh) == expected.mul(matrix_of(h))
+            assert fgh.columns == f.tensor(g).compose(h).columns
             assert fgh.domain == U and fgh.codomain == W.tensor(V)
 
 
@@ -208,8 +209,8 @@ def test_graded_map_parity_enforced():
     V = standard_space(QQ, 1, 1)
     bad = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
     with pytest.raises(ValueError):
-        GradedMap(V, V, dense_matrix(QQ, bad, 2), 0)
-    GradedMap(V, V, dense_matrix(QQ, bad, 2), 1)  # odd block structure is fine
+        GradedMap(V, V, dense_columns(QQ, bad, 2), 0)
+    GradedMap(V, V, dense_columns(QQ, bad, 2), 1)  # odd block structure is fine
 
 
 def test_quotient_data_and_coordinates():
@@ -315,7 +316,8 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
                          (fast.row_space(), slow.row_space()),
                          (fast.null_space(), slow.null_space()),
                          (fast.mul(fast._transpose()), slow.mul(slow._transpose())),
-                         (fast.add(fast), slow.add(slow))]:
+                         (matrix_of(graded_map(fast).add(graded_map(fast))),
+                          matrix_of(graded_map(slow).add(graded_map(slow))))]:
         assert _typed(f_out.rows) == _typed(g_out.rows)
         assert (f_out.nrows, f_out.ncols) == (g_out.nrows, g_out.ncols)
     # a canonical matrix is its own rref and is not reduced again
@@ -343,7 +345,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
         assert (got is None) == (want is None)
         if got is not None:
             assert _typed(got) == _typed(want)
-        assert _typed([fast.apply(v)]) == _typed([slow.apply(v)])
+        assert _typed([graded_map(fast).apply(v)]) == _typed([graded_map(slow).apply(v)])
     # a batch is read whole: one vector outside makes it None, against a rank test
     outside_in = fast.stack(Matrix(F, [outside], n)).rank() == fast.rank()
     assert (coordinates(sub_f, [inside, outside, inside]) is None) == (not outside_in)
@@ -353,7 +355,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # solve reduces [M | B] once: M X = B, and None exactly when rank [M | B] > rank M
     m = fast.nrows
     xs = [sparse(F, data.draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(2)]
-    bs = [fast.apply(x) for x in xs]
+    bs = [graded_map(fast).apply(x) for x in xs]
     if data.draw(st.booleans()):
         bs.append(sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m))))
     B = Matrix(F, bs, m)._transpose()
@@ -372,7 +374,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     coeffs = sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m)))
     combo = _combination(F, coeffs, fast.rows)
     assert _typed([combo]) == _typed([_combination(G, coeffs, slow.rows)])
-    assert _typed([combo]) == _typed([fast._transpose().apply(coeffs)])
+    assert _typed([combo]) == _typed([graded_map(fast._transpose()).apply(coeffs)])
 
 
 @seed(2718)
@@ -390,7 +392,7 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
     def over_g(h):
         dom = standard_space(G, *h.domain.sdim)
         cod = standard_space(G, *h.codomain.sdim)
-        return GradedMap(dom, cod, Matrix(G, h.matrix.rows, dom.dim), h.parity)
+        return GradedMap(dom, cod, h.columns, h.parity)
 
     dim = V.dim * X.dim
     vecs = [sparse(F, [_scalar(rng, F) if rng.randint(2) else F.zero for _ in range(dim)])
@@ -401,7 +403,7 @@ def test_plain_tensor_apply_matches_generic_path(generic_field, F, pf, pg, rng_s
     # both run the one sparse body: check it against the Koszul-signed
     # formula, entry by entry
     nl, nj = X.dim, Y.dim
-    f_rows, g_rows = dense_rows(f.matrix), dense_rows(g.matrix)
+    f_rows, g_rows = dense_rows(matrix_of(f)), dense_rows(matrix_of(g))
     for v, image in zip(vecs, fast):
         v = dense(F, dim, v)
         want = [F.zero] * (W.dim * nj)
@@ -486,12 +488,17 @@ def _matrix_cases(draw):
 @given(_matrix_cases())
 @settings(max_examples=150, deadline=None)
 def test_matrix_operations_match_the_dense_reference(dense_reference, case):
-    """Every Matrix operation, on sparse rows, against the same operation
-    on dense rows over Q, F3 and F9."""
+    """Every Matrix operation, on sparse rows, and every GradedMap
+    operation, on sparse columns, against the same operation on dense rows
+    over Q, F3 and F9."""
     R = dense_reference
     F, m, n, k, a, b, c_rows, d, v, c, xs, extra = case
-    A, B = dense_matrix(F, a, n), dense_matrix(F, b, n)
+    A = dense_matrix(F, a, n)
     C, D = dense_matrix(F, c_rows, n), dense_matrix(F, d, k)
+    # the maps k^n -> k^m of the rows a and b, and k^k -> k^n of the rows d
+    Vk, Vn, Vm = (standard_space(F, dim, 0) for dim in (k, n, m))
+    f, h = (GradedMap(Vn, Vm, dense_columns(F, rows, n), None) for rows in (a, b))
+    g = GradedMap(Vk, Vn, dense_columns(F, d, k), None)
 
     def same(M, rows, shape):
         assert (M.nrows, M.ncols) == shape
@@ -501,12 +508,21 @@ def test_matrix_operations_match_the_dense_reference(dense_reference, case):
                    for r in M.rows)
 
     same(A._transpose(), R.transpose(a, n), (n, m))
-    same(A.add(B), R.add(F, a, b), (m, n))
-    same(A.sub(B), R.sub(F, a, b), (m, n))
-    same(A.scale(c), R.scale(F, c, a), (m, n))
+    same(matrix_of(f.add(h)), R.add(F, a, b), (m, n))
+    same(matrix_of(f.sub(h)), R.sub(F, a, b), (m, n))
+    scaled = GradedMap(Vn, Vm, [vec_scale(F, c, col) for col in f.columns], None)
+    same(matrix_of(scaled), R.scale(F, c, a), (m, n))
     same(A.stack(C), R.stack(a, c_rows), (m + k, n))
     same(A.mul(D), R.mul(F, a, d, k), (m, k))
-    assert dense(F, m, A.apply(sparse(F, v))) == tuple(R.apply(F, a, v))
+    assert dense(F, m, f.apply(sparse(F, v))) == tuple(R.apply(F, a, v))
+    same(matrix_of(f.compose(g)), R.mul(F, a, d, k), (m, k))
+    same(f.kernel().matrix, R.null_space(F, a, n), (len(R.null_space(F, a, n)), n))
+    image = R.image(F, a, n)
+    same(f.image().matrix, image, (len(image), m))
+    assert f.rank() == R.rank(F, a, n) == len(image)
+    # the columns are in the one vector form
+    assert all(list(col) == sorted(col) and all(not F.is_zero(x) for _, x in col)
+               for col in f.compose(g).columns + f.add(h).columns + f.sub(h).columns)
     same(A.null_space(), R.null_space(F, a, n), (len(R.null_space(F, a, n)), n))
     bs = [R.apply(F, a, x) for x in xs] + extra
     got = A.solve([sparse(F, b) for b in bs])
