@@ -25,8 +25,7 @@ from .supercomodule import (
 from .superlinear import (
     GradedMap, Subspace, SuperVectorSpace, _identity_columns, _null_space_sparse,
     _read_coordinates, _rref_sparse, _tensor_apply_sparse, _transpose, coordinates,
-    linear_form, perp, quotient_data, tensor_after, tensor_apply, unit_vec, vec_sub,
-    vector,
+    linear_form, perp, quotient_data, tensor_after, tensor_apply, vec_sub, vector,
 )
 
 
@@ -503,6 +502,9 @@ class _TowerLevel:
 # cut from.  The counit collapse of Grassmann(3)* reaches 8^6 = 2^18 at
 # depth 5 (about 7 s and 300 MB); each further level is 8 times larger.
 TOWER_AMBIENT_BOUND = 2 ** 18
+# The deepest descent complex descent_check builds: a tower whose levels do not
+# grow (an identity) never meets TOWER_AMBIENT_BOUND, yet level n holds n faces.
+TOWER_DEPTH_BOUND = 64
 
 
 def _iterated_cotensor_tower(M, A, reg, depth):
@@ -641,6 +643,9 @@ def descent_check(f, depth=3):
     A kappa(y) whose carrier is all of B is O(Y) up to the names of its
     basis, so it takes the degrees of O(Y) and builds no tower of its own.
     """
+    if depth > TOWER_DEPTH_BOUND:
+        raise SearchBoundExceeded(
+            f"descent depth {depth} is over the bound {TOWER_DEPTH_BOUND}")
     A = f.source.coalgebra
     B = f.target.coalgebra
     reg = comodule_along(regular_comodule(A), f.deep, B)
@@ -703,7 +708,7 @@ def finite_bounded_degree(f):
         transpose of the coalgebra map, which sends w to w o f."""
         cols = linear_form(B.space, w, None).compose(f.deep).columns
         pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
-        return [dualA.multiply(pulled, unit_vec(F, i)) for i in range(dualA.dim)]
+        return dualA.products([pulled], _identity_columns(F, dualA.dim))
 
     JA = Subspace.from_vectors(dualA.space,
                                [v for w in radB.subspace.basis() for v in acting(w)])

@@ -56,18 +56,31 @@ class SuperAlgebra:
         cells, D = rule[0](self.mul)
         return [cells[i * n:(i + 1) * n] for i in range(n)], D, rule
 
-    def multiply(self, x, y):
+    def products(self, xs, ys):
+        """x * y for every x of xs and every y of ys, x major: the one sum of
+        products over mul.  The operands are lifted together, once."""
         terms, dm, (lift, _, add, mul, lower) = self._terms
-        (xs, ys), d = lift((x, y))
-        acc = {}
-        for i, xi in xs:
-            row = terms[i]
-            for j, yj in ys:
-                xy = mul(xi, yj)
-                for k, c in row[j]:
-                    t = mul(xy, c)
-                    acc[k] = add(acc[k], t) if k in acc else t
-        return lower(acc.items(), dm * d * d)
+        lifted, d = lift([*xs, *ys])
+        nx = len(xs)
+        lys = lifted[nx:]
+        D = dm * d * d
+        out = []
+        for x in lifted[:nx]:
+            for y in lys:
+                acc = {}
+                for i, xi in x:
+                    row = terms[i]
+                    for j, yj in y:
+                        xy = mul(xi, yj)
+                        for k, c in row[j]:
+                            t = mul(xy, c)
+                            acc[k] = add(acc[k], t) if k in acc else t
+                out.append(lower(acc.items(), D))
+        return out
+
+    def multiply(self, x, y):
+        """x * y, the one-pair case of products."""
+        return self.products((x,), (y,))[0]
 
     def multiplication_map(self):
         """m: A (x) A -> A."""
@@ -150,27 +163,21 @@ def is_superideal(A, sub):
     problems = []
     if not sub.is_graded():
         problems.append("ideal subspace is not graded")
-    for x in sub.basis():
-        for i, prod in enumerate(_products(A, [x])):
-            if not sub.contains(prod):
-                problems.append(
-                    f"not absorbing: {A.space.labels[i]} * ideal element escapes")
+    n = A.dim
+    for xi, prod in enumerate(A.products(sub.basis(), _identity_columns(A.field, n))):
+        if not sub.contains(prod):
+            problems.append(
+                f"not absorbing: {A.space.labels[xi % n]} * ideal element escapes")
     return problems
-
-
-def _products(A, elements):
-    """b_i * x for every given x and every basis vector b_i, x major."""
-    F = A.field
-    return [A.multiply(unit_vec(F, i), x) for x in elements for i in range(A.dim)]
 
 
 def ideal_generated_by(A, elements):
     """Smallest superideal containing the given homogeneous elements.
 
     A unital, associative, supercommutative algebra makes A * S a two-sided
-    ideal already, so it is the span of the products b_i * s.
+    ideal already, so it is the span of the products s * b_i.
     """
-    sub = Subspace.from_vectors(A.space, _products(A, elements))
+    sub = Subspace.from_vectors(A.space, A.products(elements, _identity_columns(A.field, A.dim)))
     if not sub.is_graded():
         raise ValueError("generators span a non-graded ideal: ideal subspace is not graded")
     return Superideal(A, sub)
@@ -188,7 +195,7 @@ def quotient_by_superideal(A, ideal):
     """Quotient superalgebra by a Superideal and the projection map."""
     qspace, proj, section = quotient_data(A.space, ideal.subspace)
     lifts = section.columns
-    mul = proj.images([A.multiply(x, y) for x in lifts for y in lifts])
+    mul = proj.images(A.products(lifts, lifts))
     quot = make_superalgebra(qspace, mul, proj.apply(A.unit))
     return quot, proj
 
@@ -205,10 +212,8 @@ def is_superalgebra_morphism(phi, A, B):
         return False
     if phi.apply(A.unit) != B.unit:
         return False
-    n, cols = A.dim, phi.columns
     # column i * n + j of A.mul is b_i * b_j
-    return all(img == B.multiply(cols[ij // n], cols[ij % n])
-               for ij, img in enumerate(phi.images(A.mul)))
+    return B.products(phi.columns, phi.columns) == list(phi.images(A.mul))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +235,10 @@ def _frobenius_kernel(A):
         e += 1
     m = 1
     last = None
+    cols = _identity_columns(F, n)
     while True:
-        cols = [A.power(unit_vec(F, i), p ** m) for i in range(n)]
+        # the p^m-th power of b_i is the p-th power of its p^(m-1)-th power
+        cols = [A.power(c, p) for c in cols]
         null = GradedMap(A.space, A.space, cols, None).kernel()
         inv_exp = p ** ((e - (m % e)) % e)
         rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row) for row in null.basis()]
@@ -431,7 +438,7 @@ def _subalgebra_on(A, sub, unit):
         parities.append(ps.pop())
     space = SuperVectorSpace(F, tuple(f"f{i + 1}" for i in range(sub.dim)),
                              tuple(parities))
-    coords = coordinates(sub, [A.multiply(x, y) for x in basis for y in basis] + [unit])
+    coords = coordinates(sub, A.products(basis, basis) + [unit])
     if coords is None:
         raise AssertionError("a product or the unit escapes the subalgebra subspace")
     *products, ucoords = coords
@@ -475,7 +482,7 @@ def local_decomposition(A, rad):
         if e == A.unit:
             B, incl, rad_b = A, GradedMap.identity(A.space), rad
         else:
-            B, incl = _subalgebra_on(A, _ideal_span(A, e), e)
+            B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
             rad_b = radical(B)
         S, proj = quotient_by_superideal(B, rad_b)
         e_bar = _semisimple_idempotent(S)
@@ -493,28 +500,18 @@ def local_decomposition(A, rad):
     return factors
 
 
-def _ideal_span(A, e):
-    """The subspace e*A."""
-    return Subspace.from_vectors(A.space, _products(A, [e]))
-
-
 # ---------------------------------------------------------------------------
 # finite Krull superdimension
 
 def ksdim_finite(A):
     """(0 | largest n with a nonzero n-fold product of odd elements)."""
-    F = A.field
     odd = A.odd_subspace()
     if odd.dim == 0:
         return (0, 0)
     current = odd
     n = 1
     while True:
-        vecs = []
-        for x in current.basis():
-            for y in odd.basis():
-                vecs.append(A.multiply(x, y))
-        nxt = Subspace.from_vectors(A.space, vecs)
+        nxt = Subspace.from_vectors(A.space, A.products(current.basis(), odd.basis()))
         if nxt.dim == 0:
             return (0, n)
         current = nxt
@@ -536,14 +533,13 @@ def _word_basis(A, generators):
     frontier = [0]
     while frontier:
         nxt = []
-        for w in frontier:
-            for gi, g in enumerate(generators):
-                val = A.multiply(values[w], g)
-                if not span.contains(val):
-                    words.append((w, gi))
-                    values.append(val)
-                    span = Subspace.from_vectors(A.space, values)
-                    nxt.append(len(words) - 1)
+        vals = A.products([values[w] for w in frontier], generators)
+        for (w, gi), val in zip(itertools.product(frontier, range(len(generators))), vals):
+            if not span.contains(val):
+                words.append((w, gi))
+                values.append(val)
+                span = Subspace.from_vectors(A.space, values)
+                nxt.append(len(words) - 1)
         frontier = nxt
     return words, values, span
 
@@ -578,8 +574,9 @@ def enumerate_homs(A, R, generators):
     basis_coeffs = value_mat.solve(Matrix.identity(F, A.dim).rows)
     built = set(words)
     # basis vector i of A is the combination basis_coeffs[i] of the words
-    relations = [(w, gi, _combination(F, A.multiply(values[w], g), basis_coeffs))
-                 for w in range(len(words)) for gi, g in enumerate(gens)
+    relations = [(w, gi, _combination(F, val, basis_coeffs))
+                 for (w, gi), val in zip(itertools.product(range(len(words)), range(len(gens))),
+                                         A.products(values, gens))
                  if (w, gi) not in built]
     elems = sorted(F.elements(), key=F.sort_key)
     image_slots = [[i for i in range(R.dim) if R.parity(i) == p] for p in gen_parities]

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from .superalgebra import (
-    _ideal_span, _word_basis, enumerate_homs, make_superalgebra,
+    _word_basis, enumerate_homs, ideal_generated_by, make_superalgebra,
     local_decomposition, monomial_superalgebra, radical,
 )
 from .superlinear import (
@@ -230,8 +230,7 @@ def wedge(C, X, Y):
     Hopf Algebras, 1969, ch. 9): the kernel of C -> C/X (x) C/Y."""
     dual = dualize_coalgebra(C)
     xs, ys = perp(X, dual.space).basis(), perp(Y, dual.space).basis()
-    return perp(Subspace.from_vectors(
-        dual.space, [dual.multiply(f, g) for f in xs for g in ys]), C.space)
+    return perp(Subspace.from_vectors(dual.space, dual.products(xs, ys)), C.space)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +250,15 @@ def coradical(C, rad):
 def coradical_filtration(C, rad):
     """C_0 <= C_1 <= ... <= C with C_k = (J^(k+1)) perp, for J = rad C*
     given as rad = dual_radical(C) (Montgomery, Hopf Algebras and Their
-    Actions on Rings, 1993, 5.2).  J^2 is spanned by the products x_i x_j,
-    i <= j, of the echelon rows of J: they are homogeneous, so x_j x_i is
-    +-x_i x_j.  Then J^(k+1) = J^k . S for S the rows of J off the pivots
-    of J^2, which lift a basis of J/J^2.
+    Actions on Rings, 1993, 5.2).  J^2 is spanned by the products of the
+    echelon rows of J.  Then J^(k+1) = J^k . S for S the rows of J off the
+    pivots of J^2, which lift a basis of J/J^2.
     """
     dual, J = rad.algebra, rad.subspace
     if J.dim == 0:
         return [Subspace.full(C.space)]
     basis = J.basis()
-    powers = [J, Subspace.from_vectors(
-        dual.space, [dual.multiply(x, y) for i, x in enumerate(basis) for y in basis[i:]])]
+    powers = [J, Subspace.from_vectors(dual.space, dual.products(basis, basis))]
     square = set(powers[1].matrix.rref()[1])
     gens = [x for x, c in zip(basis, J.matrix.rref()[1]) if c not in square]
     while True:
@@ -269,8 +266,7 @@ def coradical_filtration(C, rad):
             raise AssertionError("coradical filtration stalled below the whole space")
         if powers[-1].dim == 0:
             return [perp(power, C.space) for power in powers]
-        powers.append(Subspace.from_vectors(
-            dual.space, [dual.multiply(x, s) for x in powers[-1].basis() for s in gens]))
+        powers.append(Subspace.from_vectors(dual.space, dual.products(powers[-1].basis(), gens)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +284,8 @@ def irreducible_components(C, rad):
     F = C.field
     comps = []
     for idx, fac in enumerate(factors):
-        sub = perp(_ideal_span(dual, vec_sub(F, dual.unit, fac.idempotent)), C.space)
+        rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
+        sub = perp(rest.subspace, C.space)
         coalg, incl = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
         comps.append(Component(coalg, sub, incl, fac.residue))
     if sum(c.subspace.dim for c in comps) != C.dim:

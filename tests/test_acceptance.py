@@ -5,8 +5,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 from fractions import Fraction
 
-import pytest
-
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
     GradedMap, Subspace, standard_space, unit_vec,
@@ -20,9 +18,9 @@ from superscheme.supercoalgebra import (
     unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.supercomodule import (
-    base_change_comodule, cosocle_epi, cotensor_functor_image, dual_action,
-    dual_action_of, exactness_probe, flat_check, free_comodule, make_supercomodule,
-    quotient_comodule, regular_comodule, trivial_comodule, validate_comodule,
+    base_change_comodule, cosocle_epi, dual_action, dual_action_of, exactness_probe,
+    flat_check, free_comodule, make_supercomodule, quotient_comodule, regular_comodule,
+    trivial_comodule, validate_comodule,
 )
 from superscheme.formal_scheme import (
     FormalSuperscheme, SchemeMorphism, base_change, bosonic_reduction_morphism,
@@ -37,9 +35,9 @@ from superscheme.ksdim import (
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     grouplike_coalgebra, quotient_ring_algebra, seeded_random, split_pair,
-    truncated_polynomial, validate_entry,
+    truncated_polynomial,
 )
-from superscheme.cli import EXIT_OK, run as cli_run
+from superscheme.cli import run as cli_run
 from superscheme.objfile import serialize_document
 from conftest import dense_columns, graded_map, is_subcoalgebra, sparse
 

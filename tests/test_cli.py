@@ -13,11 +13,10 @@ from superscheme.objfile import serialize_document
 from superscheme.superlinear import GradedMap
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
 from superscheme.formal_scheme import (
-    TOWER_AMBIENT_BOUND, FormalSuperscheme, SchemeMorphism,
+    TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, FormalSuperscheme, SchemeMorphism,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
-    truncated_polynomial,
 )
 
 from conftest import dense_columns, sparse
@@ -270,6 +269,25 @@ def test_fiber_rejects_a_point_out_of_range(files, point, code, line):
     """A negative index would read the points from the end."""
     text, got = run(["fiber", files["collapse.mor"], "--morphism", "f", "--point", point])
     assert got == code and line in text.splitlines(), text
+
+
+@pytest.mark.parametrize("value", [str(10 ** 6), str(10 ** 30)])
+@pytest.mark.parametrize("argv, code, line", [
+    (["descent-check", "collapse.mor", "--depth"], EXIT_UNSUPPORTED,
+     f"unsupported descent depth {{}} is over the bound {TOWER_DEPTH_BOUND}"),
+    (["fiber", "collapse.mor", "--morphism", "f", "--point"], EXIT_IO,
+     "parse-error target has only 1 points"),
+    (["corpus", "--seed"], EXIT_OK, "entry subspace-triple seed {} pass"),
+])
+def test_huge_counts_keep_the_exit_code_contract(files, value, argv, code, line):
+    """A huge depth is refused before any tower level is built, a huge point
+    is out of range and a huge seed is read modulo 2^64: each run ends at
+    once, with no traceback."""
+    start = time.perf_counter()
+    text, got = run([files.get(a, a) for a in argv] + [value])
+    assert time.perf_counter() - start < 1.0
+    assert got == code and line.format(value) in text.splitlines(), text
+    assert "Traceback" not in text
 
 
 def test_descent_tower_over_the_bound_is_unsupported(tmp_path):

@@ -17,7 +17,7 @@ from superscheme.supercomodule import (
 )
 from superscheme.superlinear import standard_space, unit_vec
 from superscheme.corpus import (
-    CorpusEntry, Rng, canonical_algebras, canonical_coalgebras, divided_power,
+    Rng, canonical_algebras, canonical_coalgebras, divided_power,
     grassmann, grouplike_coalgebra, seeded_random, validate_entry,
 )
 

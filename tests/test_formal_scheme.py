@@ -8,14 +8,14 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
+    GradedMap, Matrix, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.superalgebra import enumerate_homs
 from superscheme.supercoalgebra import (
     dualize_algebra, grouplikes_over, make_supercoalgebra, truncated_cofree, unit_coalgebra,
 )
 from superscheme.formal_scheme import (
-    AlgebraicityVerdict, FormalSuperscheme, SchemeMorphism,
+    FormalSuperscheme, SchemeMorphism,
     bosonic_reduction_morphism, bosonic_reduction_scheme, base_change,
     base_change_morphism, coproduct, descent_check, fiber, fiber_product,
     finite_bounded_degree, identity_morphism, immersion_fiberwise_check,
@@ -26,7 +26,7 @@ from superscheme.formal_scheme import (
 )
 from conftest import dense, dense_columns, dense_rows, matrix_of, sparse
 from superscheme.corpus import (
-    divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
+    divided_power, grassmann, quotient_ring_algebra,
     seeded_random, split_pair, truncated_polynomial,
 )
 

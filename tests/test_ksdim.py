@@ -1,11 +1,10 @@
 import pytest
 
-from superscheme.fields import PrimeField, QQ
 from superscheme.superalgebra import ksdim_finite
 from superscheme.ksdim import (
     SubsetBoundExceeded, even_kdim, fiber_presentation, is_split_projection,
     ksdim, odd_annihilator_dim, oracle_annihilator_dim, presentation,
-    presentation_morphism, presentation_truncation, product_presentation,
+    presentation_morphism, presentation_truncation,
     theorem_fiber_dimension_check, theorem_product_dimension_check,
     truncation_tower,
 )

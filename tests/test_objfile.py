@@ -4,10 +4,7 @@ from superscheme.fields import PrimeField, QQ
 from superscheme.objfile import (
     ParseError, parse_text, serialize_document,
 )
-from superscheme.corpus import (
-    divided_power, grassmann, grouplike_coalgebra, truncated_polynomial,
-)
-from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
+from superscheme.corpus import divided_power, grassmann
 
 from conftest import dense
 

@@ -86,3 +86,21 @@ def test_maps_in_one_orientation():
     from superscheme.superlinear import GradedMap, Matrix
     assert not hasattr(Matrix, "apply")
     assert set(GradedMap.__slots__) - {"domain", "codomain", "parity"} == {"columns"}
+
+
+def test_one_product_rule():
+    """SuperAlgebra.products is the one sum of products over mul: no other
+    helper multiplies two element lists, and multiply, its one-pair case,
+    is called only where each product needs the one before it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for name in ("_products", "_ideal_span"):
+        assert name not in defined, name
+        assert [scope for tree in trees.values() for scope in _references(tree, name)] == [], name
+    found = {(fname, scope) for fname, tree in trees.items()
+             for scope in _references(tree, "multiply", calls=True)}
+    assert found <= {("superalgebra.py", scope) for scope in (
+        "power", "_minimal_polynomial", "_eval_in_algebra", "_semisimple_idempotent",
+        "_lift_idempotent", "enumerate_homs")}, found

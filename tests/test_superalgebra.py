@@ -425,9 +425,11 @@ def _typed(vec):
 @settings(max_examples=120, deadline=None)
 def test_multiply_matches_dense_loop(generic_field, multiply_oracle, dense_view, F,
                                      generic, even, odd, data):
-    """multiply over the cached nonzero terms agrees with the dense loop on
-    arbitrary structure constants, on the plain path over Q and F3, over F9,
-    and on the generic path through the Field methods."""
+    """multiply and products over the cached nonzero terms agree with the
+    dense loop on arbitrary structure constants, on the plain path over Q
+    and F3, over F9, and on the generic path through the Field methods.
+    products lifts all its operands over one D, so its lists mix
+    denominators, the zero vector and the empty list."""
     K = generic_field(F) if generic else F
     if F.is_finite():
         nonzero = st.sampled_from(sorted((c for c in F.elements() if c != F.zero),
@@ -441,3 +443,7 @@ def test_multiply_matches_dense_loop(generic_field, multiply_oracle, dense_view,
     for _ in range(3):
         x, y = sparse(F, data.draw(vec)), sparse(F, data.draw(vec))
         assert _typed(A.multiply(x, y)) == _typed(multiply_oracle(A, x, y))
+    operands = st.lists(st.one_of(st.just(()), vec.map(lambda v: sparse(F, v))), max_size=3)
+    xs, ys = data.draw(operands), data.draw(operands)
+    assert list(map(_typed, A.products(xs, ys))) == [
+        _typed(multiply_oracle(A, x, y)) for x in xs for y in ys]

@@ -14,13 +14,13 @@ from superscheme.supercomodule import (
     NotConnected, base_change_comodule, check_dual_action_axioms,
     cosocle_epi, cotensor, dual_action, dual_action_of, exactness_probe,
     faithfulness_probe, flat_check, free_comodule, is_comodule_morphism,
-    make_supercomodule, quotient_comodule, regular_comodule, subcoalgebra_comodule,
+    make_supercomodule, regular_comodule, subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
 from conftest import dense, dense_columns, dense_matrix, graded_map, matrix_of, sparse
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
-    seeded_random, truncated_polynomial,
+    seeded_random,
 )
 
 F3 = PrimeField(3)
