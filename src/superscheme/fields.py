@@ -590,16 +590,3 @@ def poly_is_irreducible(F, p):
         raise FieldError(
             f"cannot certify irreducibility of degree {len(p) - 1} over {F.describe()}")
     return len(factors) == 1
-
-
-def field_from_descriptor(desc):
-    """Build a field from 'Q', ('Fp', p) or ('ext', base_desc, minpoly_strs, name)."""
-    if desc == "Q":
-        return QQ
-    if isinstance(desc, tuple) and desc[0] == "Fp":
-        return PrimeField(desc[1])
-    if isinstance(desc, tuple) and desc[0] == "ext":
-        base = field_from_descriptor(desc[1])
-        minpoly = tuple(base.parse(s) for s in desc[2])
-        return ExtensionField(base, minpoly, desc[3])
-    raise FieldError(f"unknown field descriptor {desc!r}")

@@ -23,9 +23,9 @@ from .supercomodule import (
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Subspace, SuperVectorSpace, _identity_columns, _null_space_sparse,
-    _read_coordinates, _rref_sparse, _tensor_apply_sparse, _transpose, coordinates,
-    linear_form, perp, quotient_data, tensor_after, tensor_apply, vec_sub, vector,
+    GradedMap, Subspace, SuperVectorSpace, _identity_columns, _read_coordinates,
+    _rref_sparse, _tensor_apply_sparse, _transpose, coordinates, linear_form, perp,
+    quotient_data, tensor_after, tensor_apply, vec_add, vec_sub,
 )
 
 
@@ -495,43 +495,56 @@ class _TowerLevel:
     space: object
     psi: list               # right B-coaction S_n -> S_n (x) B, as sparse columns
     carrier: object = None  # canonical Subspace of S_{n-1} (x) A, absent at level 0
-    faces: tuple = ()       # maps S_n -> S_{n-1}, as sparse columns
+    boundary: list = None   # d_n: S_n -> S_{n-1}, as sparse columns, absent at level 0
 
 
 # The largest ambient space T_(n-1) (x) A a level of a descent tower may be
 # cut from.  The counit collapse of Grassmann(3)* reaches 8^6 = 2^18 at
-# depth 5 (about 7 s and 300 MB); each further level is 8 times larger.
+# depth 5 (about 6 s and 300 MB); each further level is 8 times larger.
 TOWER_AMBIENT_BOUND = 2 ** 18
 # The deepest descent complex descent_check builds: a tower whose levels do not
-# grow (an identity) never meets TOWER_AMBIENT_BOUND, yet level n holds n faces.
+# grow (an identity) never meets TOWER_AMBIENT_BOUND, yet each level costs a
+# cotensor kernel and an elimination, so the time grows linearly with the depth.
 TOWER_DEPTH_BOUND = 64
 
 
+def _check_ambient(n, prev_dim, a_dim):
+    """Refuse level n of a descent tower when T_(n-1) (x) A is over the bound."""
+    ambient = prev_dim * a_dim
+    if ambient > TOWER_AMBIENT_BOUND:
+        raise SearchBoundExceeded(
+            f"descent tower level {n} lies in a space of dimension "
+            f"{prev_dim} x {a_dim} = {ambient}, over the bound {TOWER_AMBIENT_BOUND}")
+
+
 def _iterated_cotensor_tower(M, A, reg, depth):
-    """Levels T_n = M box_B A^{box n} with faces, built iteratively.
+    """Levels T_n = M box_B A^{box n} with their boundaries, built iteratively.
 
     reg is A as a right B-comodule.  Each new level is the cotensor of the
     previous one with A, so the ambient tensor spaces stay small.  Face j
     collapses A-slot j with the counit of A (the net effect of applying the
-    structure map there).  Every map of a level is kept as sparse columns
-    (per basis vector, the (index, entry) pairs of its image with a nonzero
-    entry), and basis vector s of T_n is row s of its carrier.  A level
-    whose ambient space exceeds TOWER_AMBIENT_BOUND is not built.
+    structure map there); faces j < n - 1 of T_n are those of T_(n-1) tensored
+    with id_A, and face n - 1 is id (x) eps.  So the alternating face sum is
+    d_n = (d_(n-1) (x) id_A) + (-1)^(n-1) id (x) eps, with d_1 = id (x) eps:
+    one tensor apply and one coordinate read per level.  Every map of a
+    level is kept as sparse columns (per basis vector, the (index, entry)
+    pairs of its image with a nonzero entry), and basis vector s of T_n is
+    row s of its carrier.  A level whose ambient space exceeds
+    TOWER_AMBIENT_BOUND is not built; over B = k the cotensor is the whole
+    tensor, dim T_n = dim M (dim A)^n, so such a tower is refused at once.
     """
     F = M.field
     B_dim = reg.coalgebra.dim
+    if B_dim == 1:
+        for n in range(1, depth + 1):
+            _check_ambient(n, M.space.dim * A.dim ** (n - 1), A.dim)
     rho, theta = reg.psi, reg.left_coaction()
     eps = A.counit_map().columns
     ident_A = _identity_columns(F, A.dim)
     levels = [_TowerLevel(M.space, M.psi)]
     for n in range(1, depth + 1):
         prev = levels[-1]
-        ambient = prev.space.dim * A.dim
-        if ambient > TOWER_AMBIENT_BOUND:
-            raise SearchBoundExceeded(
-                f"descent tower level {n} lies in a space of dimension "
-                f"{prev.space.dim} x {A.dim} = {ambient}, over the bound "
-                f"{TOWER_AMBIENT_BOUND}")
+        _check_ambient(n, prev.space.dim, A.dim)
         carrier = cotensor_kernel(prev.psi, theta, prev.space, A.space, B_dim)
         support, (_, pivots) = carrier.matrix.rows, carrier.matrix.rref()
         # rows of a graded subspace in RREF are homogeneous: each has the
@@ -554,60 +567,37 @@ def _iterated_cotensor_tower(M, A, reg, depth):
         psi = [tuple(sorted((t * B_dim + k, c) for k in range(B_dim)
                             for t, c in coords[s * B_dim + k]))
                for s in range(len(support))]
-        # face j < n - 1 is (face j one level down) (x) id_A; face n - 1 is id (x) eps
-        faces = [_read_coordinates(F, prev.carrier.matrix.rows,
-                                   prev.carrier.matrix.rref()[1],
-                                   _tensor_apply_sparse(F, pf, ident_A, A.dim, (), support))
-                 for pf in prev.faces]
-        if None in faces:
-            raise AssertionError("face map escapes the carrier")
-        faces.append(list(_tensor_apply_sparse(F, ident_P, eps, 1, (), support)))
-        levels.append(_TowerLevel(space, psi, carrier, tuple(faces)))
+        collapse = list(_tensor_apply_sparse(F, ident_P, eps, 1, (), support))
+        if prev.boundary is None:
+            boundary = collapse
+        else:
+            lifted = _read_coordinates(
+                F, prev.carrier.matrix.rows, prev.carrier.matrix.rref()[1],
+                _tensor_apply_sparse(F, prev.boundary, ident_A, A.dim, (), support))
+            if lifted is None:
+                raise AssertionError("boundary escapes the carrier")
+            signed = vec_add if n % 2 else vec_sub
+            boundary = [signed(F, u, v) for u, v in zip(lifted, collapse)]
+        levels.append(_TowerLevel(space, psi, carrier, boundary))
     return levels
-
-
-def _boundary(level):
-    """partial = sum of signed faces down one level, as sparse columns."""
-    F = level.space.field
-    add, neg = F.add, F.neg
-    out = []
-    for cols in zip(*level.faces):
-        acc = {}
-        for idx, col in enumerate(cols):
-            for u, c in col:
-                if idx % 2:
-                    c = neg(c)
-                acc[u] = add(acc[u], c) if u in acc else c
-        out.append(vector(F, acc))
-    return out
 
 
 def _complex_exactness(levels, depth):
     """Per-degree exactness of 0 <- T_0 <- T_1 <- ... up to the given depth.
 
-    The boundaries are sparse columns; ker d_n and im d_{n+1} are compared
-    as sparse RREFs.
+    Once consecutive boundaries compose to zero, im d_(n+1) lies in ker d_n,
+    so the complex is exact at T_n exactly when rank d_n + rank d_(n+1) =
+    dim T_n, with d_0 = 0.
     """
     F = levels[0].space.field
-    boundaries = [_boundary(levels[n]) for n in range(1, len(levels))]
     # lower o upper, read as (lower (x) id_k) on T_n (x) k = T_n
     ident_k = [[(0, F.one)]]
-    for lower, upper in zip(boundaries, boundaries[1:]):
-        if any(_tensor_apply_sparse(F, lower, ident_k, 1, (), upper)):
+    for lower, upper in zip(levels[1:], levels[2:]):
+        if any(_tensor_apply_sparse(F, lower.boundary, ident_k, 1, (), upper.boundary)):
             raise AssertionError("boundary maps do not compose to zero")
-    results = []
-    for deg in range(depth + 1):
-        if deg == 0:
-            exact = len(_rref_sparse(F, boundaries[0])[1]) == levels[0].space.dim
-        else:
-            rows = [{} for _ in range(levels[deg - 1].space.dim)]
-            for s, col in enumerate(boundaries[deg - 1]):
-                for u, c in col:
-                    rows[u][s] = c
-            ker = _null_space_sparse(F, *_rref_sparse(F, rows), levels[deg].space.dim)
-            exact = ker == _rref_sparse(F, boundaries[deg])
-        results.append((deg, exact))
-    return results
+    ranks = [0] + [len(_rref_sparse(F, level.boundary)[1]) for level in levels[1:]]
+    return [(deg, ranks[deg] + ranks[deg + 1] == levels[deg].space.dim)
+            for deg in range(depth + 1)]
 
 
 def _coequalizer_check(f):

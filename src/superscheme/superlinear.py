@@ -317,9 +317,6 @@ class SuperVectorSpace:
             tuple(f"{l}.0" for l in self.labels) + tuple(f"{l}.1" for l in other.labels),
             self.parities + other.parities)
 
-    def tensor_index(self, other, i, j):
-        return i * other.dim + j
-
 
 def standard_space(field, even, odd, even_prefix="e", odd_prefix="o"):
     labels = tuple(f"{even_prefix}{i + 1}" for i in range(even)) + \

@@ -309,6 +309,25 @@ def test_descent_tower_over_the_bound_is_unsupported(tmp_path):
         f"274625, over the bound {TOWER_AMBIENT_BOUND}")
 
 
+def test_counit_collapse_tower_over_the_bound_is_refused_before_any_level(tmp_path):
+    """Over B = k every level is the whole tensor, dim T_n = 8^n for the
+    counit collapse of Grassmann(3)*, so depth 6 is refused for its level 7
+    before level 1 is built."""
+    C, K = dualize_algebra(grassmann(3, F3)), unit_coalgebra(F3)
+    f = SchemeMorphism.finite(GradedMap(C.space, K.space, C.counit_map().columns, 0),
+                              FormalSuperscheme.finite(C), FormalSuperscheme.finite(K))
+    path = tmp_path / "collapse-g3.mor"
+    path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
+    start = time.perf_counter()
+    text, code = run(["descent-check", str(path), "--depth", "6"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_UNSUPPORTED
+    assert "Traceback" not in text
+    assert text.splitlines()[1] == (
+        "unsupported descent tower level 7 lies in a space of dimension 262144 x 8 = "
+        f"2097152, over the bound {TOWER_AMBIENT_BOUND}")
+
+
 def test_base_change(files):
     text = _ok(["base-change", files["f9split.coalg"],
                 "--minpoly", "1 0 1", "--name", "j"])

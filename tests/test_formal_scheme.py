@@ -11,9 +11,11 @@ from superscheme.superlinear import (
     GradedMap, Matrix, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.superalgebra import enumerate_homs
+from superscheme.supercomodule import comodule_along, regular_comodule
 from superscheme.supercoalgebra import (
     dualize_algebra, grouplikes_over, make_supercoalgebra, truncated_cofree, unit_coalgebra,
 )
+from superscheme import formal_scheme
 from superscheme.formal_scheme import (
     FormalSuperscheme, SchemeMorphism,
     bosonic_reduction_morphism, bosonic_reduction_scheme, base_change,
@@ -321,24 +323,49 @@ def test_descent_degrees_match_dense_tower(descent_oracle, field):
         entry = seeded_random("morphism", seed, field=field)
         (f,) = entry.payload
         labels.add(entry.expected["label"])
-        for depth in (1, 2):
+        for depth in (1, 2, 3):
             assert descent_check(f, depth).degrees == descent_oracle(f, depth), \
                 (seed, depth)
     assert labels == {"counit-collapse", "identity", "component-inclusion",
                       "point-into-fat"}
 
 
+@pytest.mark.parametrize("make", [_collapse, lambda C: identity_morphism(_scheme(C))],
+                         ids=["collapse", "identity"])
+def test_tower_reads_coordinates_twice_per_level_above_the_first(monkeypatch, make):
+    """Level n reads its coaction, and for n > 1 its boundary d_(n-1) (x) id_A,
+    back in one call each: a tower of depth d makes 2d - 1 reads, over B = k
+    and over B = A alike."""
+    f = make(dualize_algebra(grassmann(2, F3)))
+    A = f.source.coalgebra
+    B = f.target.coalgebra
+    reg = comodule_along(regular_comodule(A), f.deep, B)
+    original = formal_scheme._read_coordinates
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(formal_scheme, "_read_coordinates", counting)
+    for depth in range(1, 5):
+        calls.clear()
+        levels = formal_scheme._iterated_cotensor_tower(regular_comodule(B), A, reg, depth)
+        assert len(levels) == depth + 1
+        assert len(calls) == 2 * depth - 1, depth
+
+
 def test_complex_exactness_is_checked_under_python_O():
     """The boundary check raises by itself, so python -O keeps it: the
-    faces of the top level give d1 o d2 = -1 on one-dimensional levels."""
+    boundaries d1 = 1 and d2 = -1 give d1 o d2 = -1 on one-dimensional levels."""
     code = "\n".join([
         "from superscheme.fields import QQ",
         "from superscheme.formal_scheme import _TowerLevel, _complex_exactness",
         "from superscheme.superlinear import standard_space",
         "V, one = standard_space(QQ, 1, 0), QQ.one",
         "levels = [_TowerLevel(V, None),",
-        "          _TowerLevel(V, None, None, ([[(0, one)]],)),",
-        "          _TowerLevel(V, None, None, ([[(0, one)]], [[(0, one + one)]]))]",
+        "          _TowerLevel(V, None, None, [[(0, one)]]),",
+        "          _TowerLevel(V, None, None, [[(0, -one)]])]",
         "_complex_exactness(levels, 1)",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
