@@ -7,6 +7,7 @@ operations.  Characteristic 2 is rejected everywhere.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -274,19 +275,8 @@ class ExtensionField(Field):
     def elements(self):
         if self.order is None:
             raise FieldError(f"field {self.describe()} is not finite")
-        base_elems = list(self.base.elements())
-
-        def rec(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in rec(k - 1):
-                for c in base_elems:
-                    yield rest + (c,)
-
         # low coordinate varies slowest for a stable enumeration order
-        for tup in rec(self.degree):
-            yield tup
+        return itertools.product(self.base.elements(), repeat=self.degree)
 
     def describe(self):
         poly = " ".join(self.base.format(c) for c in self.minpoly)
@@ -546,11 +536,12 @@ def _finite_factor(F, p):
     half = deg // 2
     if F.order ** half > _FACTOR_SEARCH_BOUND:
         return [p], False
+    elems = list(F.elements())
     factors = []
     d = 1
     while d <= (len(p) - 1) // 2:
         found = False
-        for tail in _monic_tails(F, d):
+        for tail in itertools.product(elems, repeat=d):
             cand = tail + (F.one,)
             quot, rem = poly_divmod(F, p, cand)
             if not rem:
@@ -563,20 +554,6 @@ def _finite_factor(F, p):
     if len(p) > 1:
         factors.append(p)
     return factors, True
-
-
-def _monic_tails(F, d):
-    elems = list(F.elements())
-
-    def rec(k):
-        if k == 0:
-            yield ()
-            return
-        for head in rec(k - 1):
-            for c in elems:
-                yield head + (c,)
-
-    return rec(d)
 
 
 def poly_is_irreducible(F, p):

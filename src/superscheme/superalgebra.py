@@ -87,9 +87,15 @@ class SuperAlgebra:
         return GradedMap(self.space.tensor(self.space), self.space, self.mul)
 
     def power(self, x, n):
-        out = self.unit
-        for _ in range(n):
-            out = self.multiply(out, x)
+        """x^n by square-and-multiply from the top bit of n down: at most
+        2 floor(log2 n) products."""
+        if n == 0:
+            return self.unit
+        out = x
+        for bit in bin(n)[3:]:
+            out = self.multiply(out, out)
+            if bit == "1":
+                out = self.multiply(out, x)
         return out
 
     def odd_subspace(self):

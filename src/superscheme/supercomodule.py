@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
 from .supercoalgebra import dualize_coalgebra, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _combination, _defects,
-    _identity_columns, _null_space_sparse, _parity_defects, _rref_sparse,
-    _tensor_apply_sparse, canonical_columns, linear_form, pivot_selection,
-    quotient_data, tensor_after, tensor_apply, twist_apply, vector,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
+    _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
+    canonical_columns, linear_form, pivot_selection, quotient_data, tensor_after,
+    tensor_apply, twist_apply, vector,
 )
 
 
@@ -280,16 +280,19 @@ class FlatVerdict:
 def flat_check(M):
     """Lemma: over a connected coalgebra, flat comodule <=> free comodule.
 
-    C is connected iff C*/rad C* is a field, that is, has no nontrivial
-    idempotent.  M* is then a finite module over the local algebra C*.  A
-    minimal homogeneous generating set is lifted greedily in echelon order,
-    counted over the residue field (which may be a proper extension of the
-    base), and freeness is bijectivity of the induced map (C*)^r -> M*.
+    C is connected iff K = C*/rad C* is a field, that is, has no nontrivial
+    idempotent.  M* is then a finite module over the local algebra C*, and
+    its freeness is one count.  K is even, because the odd part of C* lies
+    in J = rad C*, so M*/JM* is a graded K-vector space and d = dim K
+    divides both parts (e, o) of its sdim.  By Nakayama's lemma (Matsumura,
+    Commutative Ring Theory, Thm 2.3) lifts of a homogeneous K-basis of
+    M*/JM* generate M*, so phi: (C*)^r -> M*, r = (e + o)/d, is onto; it is
+    bijective exactly when r dim C* = dim M, and the free rank is then
+    (e/d, o/d).
     """
     C = M.coalgebra
     if C.dim == 0:
         raise NotConnected("flatness over the zero coalgebra is undefined")
-    F = M.field
     dual = dualize_coalgebra(C)
     rad = radical(dual)
     residue, _ = quotient_by_superideal(dual, rad)
@@ -298,37 +301,18 @@ def flat_check(M):
     mats = dual_action(M)
     dual_space = M.space.dual()
     # on M* each w acts by the transpose of its action, whose columns are
-    # the rows of the action itself: a lift goes to the combination of the
-    # rows of mats[t] that its entries give
+    # the rows of the action itself
     radM = Subspace.from_vectors(
         dual_space, [row for w in rad.subspace.matrix.rows
                      for row in dual_action_of(M, mats, w).rows])
-    qspace, _, section = quotient_data(dual_space, radM)
-    kept = []
-    span = radM
-    for lift, parity in zip(section.columns, qspace.parities):
-        if span.contains(lift):
-            continue
-        kept.append((lift, parity))
-        generated = list(span.basis())
-        for t in range(dual.dim):
-            generated.append(_combination(F, lift, mats[t].rows))
-        span = Subspace.from_vectors(dual_space, generated)
-    if span != Subspace.full(dual_space):
-        raise AssertionError("echelon lifts fail to generate over the local dual algebra")
-    r = len(kept)
-    r_even = sum(1 for _, p in kept if p == 0)
-    rank = (r_even, r - r_even)
-    if r * dual.dim != M.dim:
+    d = residue.dim
+    e, o = quotient_data(dual_space, radM)[0].sdim
+    if e % d or o % d:
+        raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "
+                             f"over a residue field of degree {d}")
+    if (e + o) // d * dual.dim != M.dim:
         return FlatVerdict(False)
-    cols = []
-    for lift, _ in kept:
-        for t in range(dual.dim):
-            cols.append(_combination(F, lift, mats[t].rows))
-    # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
-    if Matrix(F, cols, M.dim).rank() == M.dim:
-        return FlatVerdict(True, rank)
-    return FlatVerdict(False)
+    return FlatVerdict(True, (e // d, o // d))
 
 
 def cosocle_epi(M):
@@ -341,38 +325,6 @@ def cosocle_epi(M):
         M.space, [v for w in rad.basis()
                   for v in tensor_apply(ident, linear_form(C.space, w, None), M.psi)])
     return quotient_comodule(M, sub)
-
-
-def cotensor_functor_image(phi, P, Q, M):
-    """Image of P box M -> Q box M induced by a comodule epi phi: P -> Q.
-
-    Returns (image subspace, Q box M subspace); the functor - box M is exact
-    on this epi iff the two agree.
-    """
-    pm = cotensor(P, M)
-    qm = cotensor(Q, M)
-    image_vecs = tensor_apply(phi, GradedMap.identity(M.space), pm.basis())
-    image = Subspace.from_vectors(qm.space, image_vecs)
-    if not qm.contains_subspace(image):
-        raise AssertionError("functor image escapes the cotensor subspace")
-    return image, qm
-
-
-def exactness_probe(M, epis):
-    """True when - box M preserves surjectivity on every given epi."""
-    for phi, P, Q in epis:
-        image, qm = cotensor_functor_image(phi, P, Q, M)
-        if image.dim != qm.dim:
-            return False
-    return True
-
-
-def faithfulness_probe(M, others):
-    """Nonzero cotensor against every nonzero comodule in the list."""
-    for N in others:
-        if N.dim > 0 and cotensor(N, M).dim == 0:
-            return False
-    return True
 
 
 def base_change_comodule(M, ext, C_ext):

@@ -11,16 +11,20 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
 
 from superscheme.fields import Field  # noqa: E402
 from superscheme.formal_scheme import FormalSuperscheme, points  # noqa: E402
+from superscheme.superalgebra import (  # noqa: E402
+    _semisimple_idempotent, quotient_by_superideal, radical,
+)
 from superscheme.supercoalgebra import (  # noqa: E402
-    coradical_filtration, dual_radical, is_grouplike_over,
+    coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike_over,
 )
 from superscheme.supercomodule import (  # noqa: E402
-    comodule_along, regular_comodule, subcoalgebra_comodule,
+    FlatVerdict, NotConnected, comodule_along, cotensor, dual_action, dual_action_of,
+    regular_comodule, subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates, quotient_data,
-    standard_space, tensor_after, tensor_apply, twist, unit_vec, vec_add, vec_scale,
-    vector,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _combination, coordinates,
+    quotient_data, standard_space, tensor_after, tensor_apply, twist, unit_vec, vec_add,
+    vec_scale, vector,
 )
 
 
@@ -355,6 +359,101 @@ def descent_degrees_by_dense_tower(f, depth):
 @pytest.fixture
 def descent_oracle():
     return descent_degrees_by_dense_tower
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of superscheme function `name` of `module`, wrapped
+    in every superscheme module that holds it by name; a list of the
+    argument tuples of the calls."""
+    original = getattr(sys.modules[f"superscheme.{module}"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("superscheme") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def flat_by_lifting(M):
+    """Reference for supercomodule.flat_check: a minimal homogeneous
+    generating set of M* over the local dual algebra C* is lifted greedily
+    in echelon order, each kept lift widening the span by its C*-orbit, and
+    freeness is bijectivity of the induced map (C*)^r -> M*."""
+    C = M.coalgebra
+    if C.dim == 0:
+        raise NotConnected("flatness over the zero coalgebra is undefined")
+    F = M.field
+    dual = dualize_coalgebra(C)
+    rad = radical(dual)
+    residue, _ = quotient_by_superideal(dual, rad)
+    if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
+        raise NotConnected("flat_check needs a connected coalgebra; decompose first")
+    mats = dual_action(M)
+    dual_space = M.space.dual()
+    # on M* each w acts by the transpose of its action, whose columns are
+    # the rows of the action itself: a lift goes to the combination of the
+    # rows of mats[t] that its entries give
+    radM = Subspace.from_vectors(
+        dual_space, [row for w in rad.subspace.matrix.rows
+                     for row in dual_action_of(M, mats, w).rows])
+    qspace, _, section = quotient_data(dual_space, radM)
+    kept = []
+    span = radM
+    for lift, parity in zip(section.columns, qspace.parities):
+        if span.contains(lift):
+            continue
+        kept.append((lift, parity))
+        generated = list(span.basis())
+        for t in range(dual.dim):
+            generated.append(_combination(F, lift, mats[t].rows))
+        span = Subspace.from_vectors(dual_space, generated)
+    if span != Subspace.full(dual_space):
+        raise AssertionError("echelon lifts fail to generate over the local dual algebra")
+    r = len(kept)
+    r_even = sum(1 for _, p in kept if p == 0)
+    if r * dual.dim != M.dim:
+        return FlatVerdict(False)
+    cols = [_combination(F, lift, mats[t].rows) for lift, _ in kept for t in range(dual.dim)]
+    # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
+    if Matrix(F, cols, M.dim).rank() == M.dim:
+        return FlatVerdict(True, (r_even, r - r_even))
+    return FlatVerdict(False)
+
+
+def cotensor_functor_image(phi, P, Q, M):
+    """Image of P box M -> Q box M induced by a comodule epi phi: P -> Q.
+
+    Returns (image subspace, Q box M subspace); the functor - box M is exact
+    on this epi iff the two agree.
+    """
+    pm = cotensor(P, M)
+    qm = cotensor(Q, M)
+    image_vecs = tensor_apply(phi, GradedMap.identity(M.space), pm.basis())
+    image = Subspace.from_vectors(qm.space, image_vecs)
+    if not qm.contains_subspace(image):
+        raise AssertionError("functor image escapes the cotensor subspace")
+    return image, qm
+
+
+def exactness_probe(M, epis):
+    """True when - box M preserves surjectivity on every given epi."""
+    for phi, P, Q in epis:
+        image, qm = cotensor_functor_image(phi, P, Q, M)
+        if image.dim != qm.dim:
+            return False
+    return True
+
+
+def faithfulness_probe(M, others):
+    """Nonzero cotensor against every nonzero comodule in the list."""
+    for N in others:
+        if N.dim > 0 and cotensor(N, M).dim == 0:
+            return False
+    return True
 
 
 class GenericField(Field):

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,7 @@ from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
 )
 
-from conftest import dense_columns, sparse
+from conftest import _count_calls, dense_columns, sparse
 
 F3 = PrimeField(3)
 
@@ -169,23 +168,6 @@ def test_morphism_commands(files):
     assert "bounded-degree 2" in _ok(["finite-check", files["collapse.mor"]])
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of superscheme function `name` of `module`, wrapped
-    in every superscheme module that holds it by name; a list of the
-    argument tuples of the calls."""
-    original = getattr(sys.modules[f"superscheme.{module}"], name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("superscheme") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
 def test_flat_check_computes_each_invariant_once(files, monkeypatch):
     """flat-check on a morphism: the components of source and target once
     each, one flat_check per source point."""
@@ -287,6 +269,24 @@ def test_huge_counts_keep_the_exit_code_contract(files, value, argv, code, line)
     text, got = run([files.get(a, a) for a in argv] + [value])
     assert time.perf_counter() - start < 1.0
     assert got == code and line.format(value) in text.splitlines(), text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("command, build, line", [
+    ("radical", lambda F: quotient_ring_algebra([2, 0, 1], F), "radical-dim 0"),
+    ("grouplikes", lambda F: dualize_algebra(grassmann(1, F)), "grouplike-count 1"),
+], ids=["radical", "grouplikes"])
+def test_frobenius_powers_over_a_large_prime_field_end_at_once(tmp_path, command, build, line):
+    """The p-th power maps of radical and the q-th power test of a residue
+    field take ~2 log2 p products each, so over F_(10^9 + 7) the run ends
+    at once."""
+    F = PrimeField(1000000007)
+    path = tmp_path / "big-prime.ss"
+    path.write_text(serialize_document(F, [("X", build(F))]))
+    start = time.perf_counter()
+    text, code = run([command, str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and line in text.splitlines(), text
     assert "Traceback" not in text
 
 

@@ -77,6 +77,27 @@ def test_bosonic_reduction_examples():
     assert all(p == 0 for p in B.space.parities)
 
 
+def test_power_by_squaring(monkeypatch):
+    """x^n takes at most 2 floor(log2 n) products; in k[x]/(x^2 + 2) an odd
+    power x^n is (-2)^((n - 1)/2) x."""
+    F = PrimeField(1000000007)
+    A = quotient_ring_algebra([2, 0, 1], F)
+    x = unit_vec(F, 1)
+    assert A.power(x, 0) == A.unit and A.power(x, 1) == x
+    products = []
+    multiply = SuperAlgebra.multiply
+
+    def counting(self, a, b):
+        products.append((a, b))
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(SuperAlgebra, "multiply", counting)
+    for n in (3, 9, F.p):
+        products.clear()
+        assert A.power(x, n) == ((1, F.pow(F.from_int(-2), (n - 1) // 2)),)
+        assert len(products) <= 2 * (n.bit_length() - 1), n
+
+
 def test_radical_semisimple_is_zero():
     assert radical(split_pair()).subspace.dim == 0
 

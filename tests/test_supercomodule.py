@@ -7,17 +7,20 @@ from superscheme.superlinear import (
     GradedMap, Matrix, Subspace, standard_space, unit_vec,
 )
 from superscheme.supercoalgebra import (
-    base_change_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
-    irreducible_components, tensor_coalgebra,
+    base_change_coalgebra, coradical_filtration, dual_radical, dualize_algebra,
+    dualize_coalgebra, irreducible_components, tensor_coalgebra,
 )
 from superscheme.supercomodule import (
-    NotConnected, base_change_comodule, check_dual_action_axioms,
-    cosocle_epi, cotensor, dual_action, dual_action_of, exactness_probe,
-    faithfulness_probe, flat_check, free_comodule, is_comodule_morphism,
-    make_supercomodule, regular_comodule, subcoalgebra_comodule,
+    FlatVerdict, NotConnected, base_change_comodule, check_dual_action_axioms,
+    cosocle_epi, cotensor, dual_action, dual_action_of, flat_check, free_comodule,
+    is_comodule_morphism, make_supercomodule, regular_comodule, subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
-from conftest import dense, dense_columns, dense_matrix, graded_map, matrix_of, sparse
+from superscheme.formal_scheme import is_flat
+from conftest import (
+    _count_calls, dense, dense_columns, dense_matrix, exactness_probe, faithfulness_probe,
+    flat_by_lifting, graded_map, matrix_of, sparse,
+)
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
     seeded_random,
@@ -243,6 +246,68 @@ def test_seeded_comodules_match_labels():
         assert verdict.free == entry.expected["flat"], seed
         if "rank" in entry.expected:
             assert verdict.rank == tuple(entry.expected["rank"])
+
+
+def _flat_outcome(check, M):
+    """(free, rank) of a flatness verdict, or the NotConnected it raises."""
+    try:
+        verdict = check(M)
+    except NotConnected as exc:
+        return ("NotConnected", str(exc))
+    return (verdict.free, verdict.rank)
+
+
+def _residue_degree_two_comodules():
+    """Regular, free of sdim 1|1 and coradical-filtration-stage comodules
+    over (k[x]/(f))* (x) H, f irreducible of degree 2, whose residue field
+    k[x]/(f) has degree 2 over k."""
+    out = []
+    for poly, fields in (((1, 0, 1), (QQ, F3)), ((2, 0, 1), (QQ, PrimeField(5)))):
+        for F in fields:
+            K = dualize_algebra(quotient_ring_algebra([F.from_int(c) for c in poly], F))
+            for H in (divided_power(1, F), divided_power(2, F), dualize_algebra(grassmann(1, F))):
+                C = tensor_coalgebra(K, H)
+                W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
+                out += [regular_comodule(C), free_comodule(W, C)]
+                out += [subcoalgebra_comodule(C, stage)[0]
+                        for stage in coradical_filtration(C, dual_radical(C))]
+    return out
+
+
+def test_flat_check_matches_greedy_lifting(monkeypatch):
+    """The Nakayama count agrees with lifting a minimal generating set and
+    testing (C*)^r -> M* for bijectivity, on corpus, canonical, residue
+    degree 2 and point comodules."""
+    degree_two = _residue_degree_two_comodules()
+    fields = (QQ, F3, PrimeField(5), _F9)
+    comodules = degree_two + [seeded_random("comodule", seed, field=F).payload[1]
+                              for F in fields for seed in range(60)]
+    comodules += [regular_comodule(C) for F in fields for _, C in canonical_coalgebras(F)]
+    points = _count_calls(monkeypatch, "supercomodule", "flat_check")
+    for F in fields:
+        for seed in range(40):
+            is_flat(seeded_random("morphism", seed, field=F).payload[0])
+    comodules += [M for M, in points]
+    outcomes = [_flat_outcome(flat_check, M) for M in comodules]
+    assert outcomes == [_flat_outcome(flat_by_lifting, M) for M in comodules]
+    kinds = [verdict for verdict, _ in outcomes]
+    assert min(kinds.count(True), kinds.count(False), kinds.count("NotConnected")) > 0
+    assert {(True, (1, 0)), (True, (1, 1))} <= set(outcomes[:len(degree_two)])
+
+
+@pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
+def test_flat_check_eliminations_do_not_grow_with_the_rank(F, monkeypatch):
+    """The free rank is one count on M*/rad(C*)M*, so a free comodule of
+    any rank costs flat_check the same eliminations."""
+    C = divided_power(2, F)
+    calls = _count_calls(monkeypatch, "superlinear", "_rref_sparse")
+    counts = []
+    for r0, r1 in ((1, 0), (2, 0), (2, 1), (3, 2)):
+        M = free_comodule(standard_space(F, r0, r1, even_prefix="w", odd_prefix="u"), C)
+        before = len(calls)
+        assert flat_check(M) == FlatVerdict(True, (r0, r1))
+        counts.append(len(calls) - before)
+    assert len(set(counts)) == 1, counts
 
 
 def _edited(dense_view, x, F, edits):
