@@ -614,6 +614,9 @@ def run(argv):
                 EXIT_FAIL)
     except InvalidStructure as exc:
         return f"superscheme-report error\naxiom-failure {exc}\nstatus fail\n", EXIT_FAIL
+    except (MemoryError, RecursionError) as exc:     # the last line of defence
+        return (f"superscheme-report error\nunsupported resource {type(exc).__name__}\n"
+                "status error\n", EXIT_UNSUPPORTED)
     return text, code
 
 

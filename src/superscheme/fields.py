@@ -16,17 +16,20 @@ class FieldError(ValueError):
     pass
 
 
+PRIMALITY_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Miller-Rabin on the first 13 prime bases, a proof for n below
+    PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86, 2017): with n - 1
+    = 2^s d, d odd, n passes base a if a^d = 1 or a^(2^r d) = -1 for an r < s."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 class Field:
@@ -122,6 +125,9 @@ class PrimeField(Field):
     """F_p for an odd prime p; elements are ints in [0, p)."""
 
     def __init__(self, p):
+        if p >= PRIMALITY_BOUND:
+            raise FieldError(f"cannot certify that {p} is prime: Miller-Rabin on the first "
+                             f"13 prime bases is a proof only below {PRIMALITY_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         if p == 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _combination, _defects, _identity_columns,
+    GradedMap, Matrix, Subspace, _defects, _identity_columns, _images,
     _parity_defects, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
     coordinates, linear_form, quotient_data, tensor_after, twist, twist_apply, unit_vec,
     vec_add, vec_scale, vec_sub, vector,
@@ -579,11 +579,10 @@ def enumerate_homs(A, R, generators):
     value_mat = Matrix(F, _transpose(values, A.dim), len(words))
     basis_coeffs = value_mat.solve(Matrix.identity(F, A.dim).rows)
     built = set(words)
-    # basis vector i of A is the combination basis_coeffs[i] of the words
-    relations = [(w, gi, _combination(F, val, basis_coeffs))
-                 for (w, gi), val in zip(itertools.product(range(len(words)), range(len(gens))),
-                                         A.products(values, gens))
-                 if (w, gi) not in built]
+    # the word coordinates of each w * g that is no word, read once via basis_coeffs
+    unbuilt = [(wg, val) for wg, val in zip(itertools.product(range(len(words)), range(len(gens))),
+                                            A.products(values, gens)) if wg not in built]
+    relation_coeffs = list(_images(F, basis_coeffs, [val for _, val in unbuilt]))
     elems = sorted(F.elements(), key=F.sort_key)
     image_slots = [[i for i in range(R.dim) if R.parity(i) == p] for p in gen_parities]
     found = []
@@ -597,12 +596,13 @@ def enumerate_homs(A, R, generators):
         word_values = [R.unit]
         for parent, gi in words[1:]:
             word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
-        if any(R.multiply(word_values[w], gen_imgs[gi]) != _combination(F, c, word_values)
-               for w, gi, c in relations):
+        # the right-hand sides come one at a time: the first failure ends it
+        rhs = _images(F, word_values, relation_coeffs)
+        if any(R.multiply(word_values[w], gen_imgs[gi]) != r
+               for ((w, gi), _), r in zip(unbuilt, rhs)):
             continue
         try:
-            found.append(GradedMap(
-                A.space, R.space, [_combination(F, c, word_values) for c in basis_coeffs]))
+            found.append(GradedMap(A.space, R.space, _images(F, word_values, basis_coeffs)))
         except ValueError:
             continue
     return found

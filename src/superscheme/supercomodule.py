@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import _semisimple_idempotent, quotient_by_superideal, radical
-from .supercoalgebra import dualize_coalgebra, is_grouplike, subcoalgebra_on
+from .superalgebra import _semisimple_idempotent, quotient_by_superideal
+from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns, _transpose,
     _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
     canonical_columns, linear_form, pivot_selection, quotient_data, tensor_after,
-    tensor_apply, twist_apply, vector,
+    tensor_apply, twist_apply,
 )
 
 
@@ -163,65 +163,6 @@ def quotient_comodule(M, W):
 
 
 # ---------------------------------------------------------------------------
-# dual action of C*
-
-def dual_action(M):
-    """Action matrices of the dual basis of C* on M (rational structure).
-
-    a* . m = (id (x) a*)(psi(m)); the evaluation pairing carries no Koszul
-    sign, matching the plain-transpose convention of the dual algebra (the
-    signed variant belongs to the signed dual product and breaks
-    associativity against the transpose product on odd pairs).
-    """
-    nm, nc = M.dim, M.coalgebra.dim
-    # entry (j, i) of mats[t] is the coefficient of m_j (x) c_t in psi(m_i)
-    rows = [[[] for _ in range(nm)] for _ in range(nc)]
-    for i, col in enumerate(M.psi):
-        for jt, c in col:
-            j, t = divmod(jt, nc)
-            rows[t][j].append((i, c))
-    return [Matrix(M.field, map(tuple, mat), nm) for mat in rows]
-
-
-def dual_action_of(M, mats, terms):
-    """Action matrix of an arbitrary element of C*, given by its sparse
-    coordinates terms over the dual basis ((t, c) pairs, c nonzero).
-
-    A basis functional acts by mats[t] itself; otherwise the nonzero
-    entries of the terms are summed into one matrix.
-    """
-    F = M.field
-    if len(terms) == 1 and F.is_one(terms[0][1]):
-        return mats[terms[0][0]]
-    rows = [{} for _ in range(M.dim)]
-    for t, c in terms:
-        for row, entries in zip(rows, mats[t].rows):
-            for j, a in entries:
-                x = F.mul(c, a)
-                row[j] = F.add(row[j], x) if j in row else x
-    return Matrix(F, [vector(F, row) for row in rows], M.dim)
-
-
-def check_dual_action_axioms(M):
-    """Module axioms of the dual action against the dual algebra of C."""
-    F = M.field
-    C = M.coalgebra
-    dual = dualize_coalgebra(C)
-    mats = dual_action(M)
-    problems = []
-    unit_mat = dual_action_of(M, mats, dual.unit)
-    if unit_mat != Matrix.identity(F, M.dim):
-        problems.append("counit functional does not act as identity")
-    for s in range(C.dim):
-        for t in range(C.dim):
-            lhs = dual_action_of(M, mats, dual.mul[s * C.dim + t])
-            rhs = mats[s].mul(mats[t])
-            if lhs != rhs:
-                problems.append(f"action not multiplicative at ({s},{t})")
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # cotensor product
 
 def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
@@ -288,29 +229,30 @@ def flat_check(M):
     Commutative Ring Theory, Thm 2.3) lifts of a homogeneous K-basis of
     M*/JM* generate M*, so phi: (C*)^r -> M*, r = (e + o)/d, is onto; it is
     bijective exactly when r dim C* = dim M, and the free rank is then
-    (e/d, o/d).
+    (e/d, o/d).  The count is read in M: w in C* acts on M by
+    (id (x) w) psi and on M* by the transpose, so (e, o) is the sdim of
+    (JM*) perp = psi^-1(M (x) J perp) = psi^-1(M (x) C_0), the socle of M,
+    for C_0 the coradical (Montgomery, Hopf Algebras and Their Actions on
+    Rings, 1993, 5.1-5.2): the kernel of (id (x) pi) psi, pi: C -> C/C_0.
     """
     C = M.coalgebra
     if C.dim == 0:
         raise NotConnected("flatness over the zero coalgebra is undefined")
-    dual = dualize_coalgebra(C)
-    rad = radical(dual)
-    residue, _ = quotient_by_superideal(dual, rad)
+    rad = dual_radical(C)
+    residue, _ = quotient_by_superideal(rad.algebra, rad)
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
-    mats = dual_action(M)
-    dual_space = M.space.dual()
-    # on M* each w acts by the transpose of its action, whose columns are
-    # the rows of the action itself
-    radM = Subspace.from_vectors(
-        dual_space, [row for w in rad.subspace.matrix.rows
-                     for row in dual_action_of(M, mats, w).rows])
+    _, pi, _ = quotient_data(C.space, coradical(C, rad))
+    cols = tensor_apply(GradedMap.identity(M.space), pi, M.psi)
+    socle = Matrix(M.field, _transpose(cols, M.dim * pi.codomain.dim), M.dim).null_space()
+    # the kernel of an even map is graded: each echelon row has its pivot's parity
+    o = sum(M.space.parities[c] for c in socle.rref()[1])
+    e = socle.nrows - o
     d = residue.dim
-    e, o = quotient_data(dual_space, radM)[0].sdim
     if e % d or o % d:
         raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "
                              f"over a residue field of degree {d}")
-    if (e + o) // d * dual.dim != M.dim:
+    if (e + o) // d * C.dim != M.dim:
         return FlatVerdict(False)
     return FlatVerdict(True, (e // d, o // d))
 
@@ -318,7 +260,7 @@ def flat_check(M):
 def cosocle_epi(M):
     """The quotient of M by rad(C*) . M, a canonical comodule surjection."""
     C = M.coalgebra
-    rad = radical(dualize_coalgebra(C)).subspace
+    rad = dual_radical(C).subspace
     # w . m = (id (x) w)(psi(m)), the pairing with no Koszul sign
     ident = GradedMap.identity(M.space)
     sub = Subspace.from_vectors(

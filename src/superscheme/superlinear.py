@@ -136,13 +136,11 @@ class Matrix:
         return Matrix(self.field, _transpose(self.rows, self.ncols), self.nrows)
 
     def mul(self, other):
-        """Row r of the product is other^T applied to row r of self: the
-        sparse tensor kernel with g = id_k."""
+        """Row r of the product is other^T applied to row r of self."""
         F = self.field
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        return Matrix(F, _tensor_apply_sparse(F, other.rows, _identity_columns(F, 1), 1, (),
-                                              self.rows), other.ncols)
+        return Matrix(F, _images(F, other.rows, self.rows), other.ncols)
 
     def stack(self, other):
         if self.ncols != other.ncols:
@@ -475,17 +473,15 @@ class GradedMap:
         return f"GradedMap({self.domain.dim}->{self.codomain.dim}, parity={self.parity})"
 
     def apply(self, vec):
-        """The image of one vector: the combination of the columns in its
-        support, at a cost that follows the entries read."""
+        """The image of one vector: the one-vector case of images."""
         if vec and vec[-1][0] >= self.domain.dim:
             raise DimensionMismatch("vector length mismatch")
-        return _combination(self.domain.field, vec, self.columns)
+        return next(self.images((vec,)))
 
     def images(self, vecs):
         """The image of each vector of vecs, yielded one at a time, from one
         batched product that lifts the columns once."""
-        F = self.domain.field
-        return _tensor_apply_sparse(F, self.columns, _identity_columns(F, 1), 1, (), vecs)
+        return _images(self.domain.field, self.columns, vecs)
 
     def compose(self, other):
         """self after other: self applied to each column of other."""
@@ -562,9 +558,10 @@ def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
     are yielded one at a time, as vectors.
     """
     lift, lift_each, add, mul, lower = _sum_ops(F)
-    neg = F.neg
-    fcols, df = lift([[(i, neg(a)) for i, a in col] if k in odd else col
-                      for k, col in enumerate(fcols)])
+    if odd:
+        neg = F.neg
+        fcols = [[(i, neg(a)) for i, a in col] if k in odd else col for k, col in enumerate(fcols)]
+    fcols, df = lift(fcols)
     gcols, dg = lift(gcols)
     nl = len(gcols)
     for v, dv in lift_each(vecs):
@@ -580,6 +577,11 @@ def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
                     ij = base + j
                     acc[ij] = add(acc[ij], t) if ij in acc else t
         yield lower(acc.items(), df * dg * dv)
+
+
+def _images(F, cols, vecs):
+    """Each vector of vecs applied to cols: the tensor kernel, f = id_k."""
+    return _tensor_apply_sparse(F, (((0, F.one),),), cols, 0, (), vecs)
 
 
 def _sum_ops(F):
@@ -659,22 +661,6 @@ def tensor_after(f, g, h):
             f"{f.domain.dim} and {g.domain.dim}")
     return GradedMap(h.domain, f.codomain.tensor(g.codomain), tensor_apply(f, g, h.columns),
                      _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
-
-
-def _combination(F, coeffs, cols):
-    """The sum of c * cols[s] over the pairs (s, c) of the vector coeffs: a
-    row times a matrix, summed by _sum_ops, lifting only the columns it
-    reads."""
-    if not coeffs:
-        return ()
-    lift, _, add, mul, lower = _sum_ops(F)
-    (coeffs, *used), D = lift([coeffs, *(cols[s] for s, _ in coeffs)])
-    acc = {}
-    for (_, c), col in zip(coeffs, used):
-        for i, a in col:
-            t = mul(c, a)
-            acc[i] = add(acc[i], t) if i in acc else t
-    return lower(acc.items(), D * D)
 
 
 def _transpose(vecs, n):
@@ -775,20 +761,12 @@ def _read_coordinates(F, rows, pivots, vecs):
     The basis is in RREF, so the coordinates are the entries on the pivot
     columns; rebuilding each vector from the rows checks them.
     """
-    lift, lift_each, add, mul, lower = _sum_ops(F)
-    rows, ds = lift(rows)
     row_of = {c: s for s, c in enumerate(pivots)}
     vecs = list(vecs)
     # pivots ascend with their rows, so the coordinates come out sorted
     out = [tuple([(row_of[c], a) for c, a in v if c in row_of]) for v in vecs]
-    for v, (lifted, dc) in zip(vecs, lift_each(out)):
-        recon = {}
-        for s, a in lifted:
-            for j, b in rows[s]:
-                t = mul(a, b)
-                recon[j] = add(recon[j], t) if j in recon else t
-        if lower(recon.items(), ds * dc) != v:
-            return None
+    if not all(map(operator.eq, _images(F, rows, out), vecs)):
+        return None
     return out
 
 

@@ -18,11 +18,11 @@ from superscheme.supercoalgebra import (  # noqa: E402
     coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike_over,
 )
 from superscheme.supercomodule import (  # noqa: E402
-    FlatVerdict, NotConnected, comodule_along, cotensor, dual_action, dual_action_of,
-    regular_comodule, subcoalgebra_comodule,
+    FlatVerdict, NotConnected, comodule_along, cotensor, regular_comodule,
+    subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _combination, coordinates,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates,
     quotient_data, standard_space, tensor_after, tensor_apply, twist, unit_vec, vec_add,
     vec_scale, vector,
 )
@@ -378,6 +378,73 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def dual_action(M):
+    """Action matrices of the dual basis of C* on M (rational structure).
+
+    a* . m = (id (x) a*)(psi(m)); the evaluation pairing carries no Koszul
+    sign, matching the plain-transpose convention of the dual algebra (the
+    signed variant belongs to the signed dual product and breaks
+    associativity against the transpose product on odd pairs).
+    """
+    nm, nc = M.dim, M.coalgebra.dim
+    # entry (j, i) of mats[t] is the coefficient of m_j (x) c_t in psi(m_i)
+    rows = [[[] for _ in range(nm)] for _ in range(nc)]
+    for i, col in enumerate(M.psi):
+        for jt, c in col:
+            j, t = divmod(jt, nc)
+            rows[t][j].append((i, c))
+    return [Matrix(M.field, map(tuple, mat), nm) for mat in rows]
+
+
+def dual_action_of(M, mats, terms):
+    """Action matrix of an arbitrary element of C*, given by its sparse
+    coordinates terms over the dual basis ((t, c) pairs, c nonzero).
+
+    A basis functional acts by mats[t] itself; otherwise the nonzero
+    entries of the terms are summed into one matrix.
+    """
+    F = M.field
+    if len(terms) == 1 and F.is_one(terms[0][1]):
+        return mats[terms[0][0]]
+    rows = [{} for _ in range(M.dim)]
+    for t, c in terms:
+        for row, entries in zip(rows, mats[t].rows):
+            for j, a in entries:
+                x = F.mul(c, a)
+                row[j] = F.add(row[j], x) if j in row else x
+    return Matrix(F, [vector(F, row) for row in rows], M.dim)
+
+
+def check_dual_action_axioms(M):
+    """Module axioms of the dual action against the dual algebra of C."""
+    F = M.field
+    C = M.coalgebra
+    dual = dualize_coalgebra(C)
+    mats = dual_action(M)
+    problems = []
+    unit_mat = dual_action_of(M, mats, dual.unit)
+    if unit_mat != Matrix.identity(F, M.dim):
+        problems.append("counit functional does not act as identity")
+    for s in range(C.dim):
+        for t in range(C.dim):
+            lhs = dual_action_of(M, mats, dual.mul[s * C.dim + t])
+            rhs = mats[s].mul(mats[t])
+            if lhs != rhs:
+                problems.append(f"action not multiplicative at ({s},{t})")
+    return problems
+
+
+def _field_combination(F, coeffs, rows):
+    """The sum of c * rows[s] over the pairs (s, c) of coeffs, by the Field
+    methods alone."""
+    acc = {}
+    for s, c in coeffs:
+        for j, a in rows[s]:
+            x = F.mul(c, a)
+            acc[j] = F.add(acc[j], x) if j in acc else x
+    return vector(F, acc)
+
+
 def flat_by_lifting(M):
     """Reference for supercomodule.flat_check: a minimal homogeneous
     generating set of M* over the local dual algebra C* is lifted greedily
@@ -409,7 +476,7 @@ def flat_by_lifting(M):
         kept.append((lift, parity))
         generated = list(span.basis())
         for t in range(dual.dim):
-            generated.append(_combination(F, lift, mats[t].rows))
+            generated.append(_field_combination(F, lift, mats[t].rows))
         span = Subspace.from_vectors(dual_space, generated)
     if span != Subspace.full(dual_space):
         raise AssertionError("echelon lifts fail to generate over the local dual algebra")
@@ -417,7 +484,8 @@ def flat_by_lifting(M):
     r_even = sum(1 for _, p in kept if p == 0)
     if r * dual.dim != M.dim:
         return FlatVerdict(False)
-    cols = [_combination(F, lift, mats[t].rows) for lift, _ in kept for t in range(dual.dim)]
+    cols = [_field_combination(F, lift, mats[t].rows)
+            for lift, _ in kept for t in range(dual.dim)]
     # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
     if Matrix(F, cols, M.dim).rank() == M.dim:
         return FlatVerdict(True, (r_even, r - r_even))

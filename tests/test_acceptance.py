@@ -18,9 +18,8 @@ from superscheme.supercoalgebra import (
     unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.supercomodule import (
-    base_change_comodule, cosocle_epi, dual_action, dual_action_of, flat_check,
-    free_comodule, make_supercomodule, quotient_comodule, regular_comodule,
-    trivial_comodule, validate_comodule,
+    base_change_comodule, cosocle_epi, flat_check, free_comodule, make_supercomodule,
+    quotient_comodule, regular_comodule, trivial_comodule, validate_comodule,
 )
 from superscheme.formal_scheme import (
     FormalSuperscheme, SchemeMorphism, base_change, bosonic_reduction_morphism,
@@ -39,7 +38,10 @@ from superscheme.corpus import (
 )
 from superscheme.cli import run as cli_run
 from superscheme.objfile import serialize_document
-from conftest import dense_columns, exactness_probe, graded_map, is_subcoalgebra, sparse
+from conftest import (
+    dense_columns, dual_action, dual_action_of, exactness_probe, graded_map, is_subcoalgebra,
+    sparse,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from superscheme import cli
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
-from superscheme.fields import QQ, PrimeField
+from superscheme.fields import PRIMALITY_BOUND, QQ, PrimeField
 from superscheme.objfile import serialize_document
 from superscheme.superlinear import GradedMap
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
@@ -287,6 +288,44 @@ def test_frobenius_powers_over_a_large_prime_field_end_at_once(tmp_path, command
     text, code = run([command, str(path)])
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_OK and line in text.splitlines(), text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("p, code, line", [
+    ("1000000007", EXIT_OK, "object X pass"),
+    ("1000000000000000000000000000057", EXIT_IO, None),
+    (str(2 ** 127 - 1), EXIT_IO, None),
+], ids=["1e9+7", "1e30+57", "2^127-1"])
+def test_prime_field_lines_answer_at_once(tmp_path, p, code, line):
+    """Primality is Miller-Rabin, so a field line answers at once: F_(10^9 + 7)
+    validates, and a prime at or above the bound of the test is refused
+    with a parse error that names the bound."""
+    F = PrimeField(1000000007)
+    text = serialize_document(F, [("X", quotient_ring_algebra([2, 0, 1], F))])
+    path = tmp_path / "prime.ss"
+    path.write_text(text.replace("field Fp 1000000007", f"field Fp {p}"))
+    start = time.perf_counter()
+    text, got = run(["validate", str(path)])
+    assert time.perf_counter() - start < 1.0
+    if line is None:
+        line = (f"parse-error line 2: cannot certify that {p} is prime: Miller-Rabin on the "
+                f"first 13 prime bases is a proof only below {PRIMALITY_BOUND}")
+    assert got == code and line in text.splitlines(), text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_exhausted_resource_is_unsupported(tmp_path, monkeypatch, error):
+    """run turns an exhausted resource into an unsupported line with exit 2,
+    whatever the command was doing."""
+    def exhausted(path):
+        raise error()
+
+    monkeypatch.setattr(cli, "_load", exhausted)
+    text, code = run(["validate", str(tmp_path / "any.ss")])
+    assert code == EXIT_UNSUPPORTED
+    assert text.splitlines() == ["superscheme-report error",
+                                 f"unsupported resource {error.__name__}", "status error"]
     assert "Traceback" not in text
 
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from superscheme.corpus import Rng
 from superscheme.superlinear import vector
 from superscheme.fields import (
-    ExtensionField, FieldError, PrimeField, QQ, field_sqrt,
+    PRIMALITY_BOUND, ExtensionField, FieldError, PrimeField, QQ, _is_prime, field_sqrt,
     poly_divmod, poly_factor_supported, poly_is_irreducible,
     poly_mul, poly_roots,
 )
@@ -18,6 +20,25 @@ QI = ExtensionField(QQ, (Fraction(1), Fraction(0), Fraction(1)), "i")
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 f5_elems = st.integers(min_value=0, max_value=4)
+
+
+def test_primality_matches_trial_division():
+    """Miller-Rabin on the first 13 prime bases against trial division, for
+    every n below 10^5."""
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10 ** 5) if _is_prime(n) != by_trial_division(n)] == []
+
+
+def test_prime_field_refuses_what_miller_rabin_cannot_certify():
+    """The bound is itself a strong pseudoprime to all 13 bases, so the test
+    alone would call it prime; PrimeField refuses it and every larger p."""
+    assert PRIMALITY_BOUND == 1287836182261 * 2575672364521 and _is_prime(PRIMALITY_BOUND)
+    for p in (PRIMALITY_BOUND, 2 ** 127 - 1):
+        with pytest.raises(FieldError, match=str(PRIMALITY_BOUND)):
+            PrimeField(p)
+    assert PrimeField(2 ** 61 - 1).order == 2 ** 61 - 1
 
 
 @given(rationals, rationals, rationals)

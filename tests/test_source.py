@@ -104,3 +104,20 @@ def test_one_product_rule():
     assert found <= {("superalgebra.py", scope) for scope in (
         "power", "_minimal_polynomial", "_eval_in_algebra", "_semisimple_idempotent",
         "_lift_idempotent", "enumerate_homs")}, found
+
+
+def test_one_sum_of_products():
+    """_tensor_apply_sparse is the one kernel for every linear combination
+    of sparse columns, and SuperAlgebra.products the one over mul: only
+    these two ask _sum_ops how sums of products accumulate.  No helper for
+    a combination, for the counit of one vector or for the action matrices
+    of C* is left."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = sorted((fname, scope) for fname, tree in trees.items()
+                   for scope in _references(tree, "_sum_ops", calls=True))
+    assert found == [("superalgebra.py", "_terms"), ("superlinear.py", "_tensor_apply_sparse")]
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for name in ("_combination", "dual_action", "dual_action_of", "counit_value"):
+        assert name not in defined, name

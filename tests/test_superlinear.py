@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, GradedMap, Matrix, Subspace, _combination, _null_space_sparse,
+    DimensionMismatch, GradedMap, Matrix, Subspace, _null_space_sparse,
     _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_after,
     tensor_apply, twist, unit_vec, vec_add, vec_scale,
 )
@@ -370,11 +370,13 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     if X is not None:
         assert _typed(X) == _typed(slow_x)
 
-    # a combination of the sparse rows is the transpose applied to its coefficients
+    # a combination of the sparse rows is the transpose applied to its
+    # coefficients: over F, over the generic path, and as the row of
+    # coefficients times the matrix
     coeffs = sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m)))
-    combo = _combination(F, coeffs, fast.rows)
-    assert _typed([combo]) == _typed([_combination(G, coeffs, slow.rows)])
-    assert _typed([combo]) == _typed([graded_map(fast._transpose()).apply(coeffs)])
+    combo = graded_map(fast._transpose()).apply(coeffs)
+    assert _typed([combo]) == _typed([graded_map(slow._transpose()).apply(coeffs)])
+    assert _typed([combo]) == _typed(Matrix(F, [coeffs], m).mul(fast).rows)
 
 
 @seed(2718)
