@@ -317,15 +317,18 @@ def _dense_tower(M, A, reg, depth):
     return levels
 
 
+def _alternating_sum(faces):
+    """The boundary of a dense tower level: the alternating sum of its faces."""
+    out = faces[0]
+    for idx, face in enumerate(faces[1:], start=1):
+        out = out.sub(face) if idx % 2 else out.add(face)
+    return out
+
+
 def _dense_exactness(levels, depth):
     """Per-degree exactness of the dense tower: boundaries as alternating
     sums of the face maps, ker and im as dense row spaces."""
-    boundaries = []
-    for _, _, _, faces in levels[1:]:
-        out = faces[0]
-        for idx, face in enumerate(faces[1:], start=1):
-            out = out.sub(face) if idx % 2 else out.add(face)
-        boundaries.append(matrix_of(out))
+    boundaries = [matrix_of(_alternating_sum(faces)) for _, _, _, faces in levels[1:]]
     for lower, upper in zip(boundaries, boundaries[1:]):
         prod = lower.mul(upper)
         assert all(lower.field.is_zero(c) for row in dense_rows(prod) for c in row)

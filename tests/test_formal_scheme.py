@@ -26,7 +26,9 @@ from superscheme.formal_scheme import (
     is_surjective, morphism_components, point_map, points, product,
     transport_point, transport_point_inverse, _bosonic_subcoalgebra,
 )
-from conftest import dense, dense_columns, dense_rows, matrix_of, sparse
+from conftest import (
+    _alternating_sum, _count_calls, _dense_tower, dense, dense_columns, dense_rows, matrix_of, sparse,
+)
 from superscheme.corpus import (
     divided_power, grassmann, quotient_ring_algebra,
     seeded_random, split_pair, truncated_polynomial,
@@ -330,29 +332,60 @@ def test_descent_degrees_match_dense_tower(descent_oracle, field):
                       "point-into-fat"}
 
 
-@pytest.mark.parametrize("make", [_collapse, lambda C: identity_morphism(_scheme(C))],
+@pytest.mark.parametrize("make, per_level", [(_collapse, False),
+                                              (lambda C: identity_morphism(_scheme(C)), True)],
                          ids=["collapse", "identity"])
-def test_tower_reads_coordinates_twice_per_level_above_the_first(monkeypatch, make):
-    """Level n reads its coaction, and for n > 1 its boundary d_(n-1) (x) id_A,
-    back in one call each: a tower of depth d makes 2d - 1 reads, over B = k
-    and over B = A alike."""
+def test_tower_reads_coordinates_twice_per_level_above_the_first(monkeypatch, make, per_level):
+    """Over B = A level n solves one cotensor kernel and reads its coaction,
+    and for n > 1 its boundary d_(n-1) (x) id_A, back in one call each: a
+    tower of depth d makes d kernels and 2d - 1 reads.  Over B = k a level
+    is the whole tensor T_(n-1) (x) A, so the tower makes neither."""
     f = make(dualize_algebra(grassmann(2, F3)))
     A = f.source.coalgebra
     B = f.target.coalgebra
     reg = comodule_along(regular_comodule(A), f.deep, B)
-    original = formal_scheme._read_coordinates
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(formal_scheme, "_read_coordinates", counting)
+    reads = _count_calls(monkeypatch, "formal_scheme", "_read_coordinates")
+    kernels = _count_calls(monkeypatch, "formal_scheme", "cotensor_kernel")
     for depth in range(1, 5):
-        calls.clear()
+        reads.clear()
+        kernels.clear()
         levels = formal_scheme._iterated_cotensor_tower(regular_comodule(B), A, reg, depth)
         assert len(levels) == depth + 1
-        assert len(calls) == 2 * depth - 1, depth
+        assert len(reads) == (2 * depth - 1 if per_level else 0), depth
+        assert len(kernels) == (depth if per_level else 0), depth
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F9], ids=["Q", "F3", "F9"])
+def test_point_target_tower_matches_dense_tower(field):
+    """Over B = k the carriers of the dense reference tower are the identity
+    in RREF, so every level of the tower equals the dense one exactly: its
+    dim, its parities and its boundary columns, the dense boundary taken as
+    the alternating sum of its faces."""
+    collapses = 0
+    for seed in range(10):
+        entry = seeded_random("morphism", seed, field=field)
+        if entry.expected["label"] != "counit-collapse":
+            continue
+        collapses += 1
+        (f,) = entry.payload
+        A, B = f.source.coalgebra, f.target.coalgebra
+        assert B.dim == 1
+        reg = comodule_along(regular_comodule(A), f.deep, B)
+        M = regular_comodule(B)
+        for depth in (1, 2, 3):
+            levels = formal_scheme._iterated_cotensor_tower(M, A, reg, depth)
+            reference = _dense_tower(M, A, reg, depth)
+            assert len(levels) == len(reference) == depth + 1
+            for n, (level, (space, _, carrier, faces)) in enumerate(zip(levels, reference)):
+                assert level.space.dim == space.dim, (seed, depth, n)
+                assert level.space.parities == space.parities, (seed, depth, n)
+                if n == 0:
+                    continue
+                assert carrier.matrix.rows == tuple(unit_vec(field, s)
+                                                    for s in range(space.dim))
+                assert list(level.boundary) == list(_alternating_sum(faces).columns), \
+                    (seed, depth, n)
+    assert collapses > 0
 
 
 def test_complex_exactness_is_checked_under_python_O():
