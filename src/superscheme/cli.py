@@ -243,6 +243,11 @@ def cmd_cotensor(args):
     return rep.emit(), EXIT_OK
 
 
+def _point_count(X):
+    """The number of points of X: the irreducible components of its coalgebra."""
+    return len(irreducible_components(X.coalgebra, dual_radical(X.coalgebra)))
+
+
 def cmd_product(args):
     path, doc = _load_valid(args.file)
     rep = Report("product", [(path, doc)])
@@ -253,7 +258,7 @@ def cmd_product(args):
     P = product(FormalSuperscheme.finite(A), FormalSuperscheme.finite(B))
     rep.add("factors", na, nb)
     rep.add("product-dim", P.coalgebra.dim)
-    rep.add("product-points", len(points(P)))
+    rep.add("product-points", _point_count(P))
     body = serialize_document(doc.field, [(f"{na}_x_{nb}", P.coalgebra)])
     return rep.emit() + body, EXIT_OK
 
@@ -267,7 +272,7 @@ def cmd_coproduct(args):
     S = coproduct([FormalSuperscheme.finite(C) for _, C in coalgs])
     rep.add("summands", *(n for n, _ in coalgs))
     rep.add("coproduct-dim", S.coalgebra.dim)
-    rep.add("coproduct-points", len(points(S)))
+    rep.add("coproduct-points", _point_count(S))
     return rep.emit(), EXIT_OK
 
 
@@ -281,7 +286,7 @@ def cmd_fiber_product(args):
     W = fiber_product(f, g)
     rep.add("carrier-dim", W.coalgebra.dim)
     rep.add("carrier-sdim", _sdim(W.coalgebra.space.sdim))
-    rep.add("points", len(points(W)))
+    rep.add("points", _point_count(W))
     return rep.emit(), EXIT_OK
 
 
@@ -310,8 +315,8 @@ def cmd_base_change(args):
     except FieldError as exc:
         raise ParseError(str(exc))
     X = FormalSuperscheme.finite(C)
-    before = len(points(X))
-    after = len(points(base_change(X, ext)))
+    before = _point_count(X)
+    after = _point_count(base_change(X, ext))
     rep.add("coalgebra", name)
     rep.add("extension", ext.describe())
     rep.add("points-before", before)

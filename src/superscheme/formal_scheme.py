@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .superalgebra import local_decomposition, radical
 from .supercoalgebra import (
     base_change_coalgebra, coradical, coradical_filtration,
     direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
@@ -19,13 +18,12 @@ from .supercoalgebra import (
     validate_supercoalgebra, _koszul_signed,
 )
 from .supercomodule import (
-    comodule_along, cotensor, cotensor_kernel, flat_check, regular_comodule,
+    comodule_along, cotensor, cotensor_kernel, flat_check, preimage, regular_comodule,
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Subspace, SuperVectorSpace, _identity_columns, _read_coordinates,
-    _rref_sparse, _tensor_apply_sparse, _transpose, coordinates, linear_form, perp,
-    quotient_data, tensor_after, tensor_apply, vec_add, vec_sub,
+    GradedMap, Subspace, _identity_columns, _read_coordinates, _rref_sparse,
+    _tensor_apply_sparse, _transpose, coordinates, perp, tensor_apply, vec_add, vec_sub,
 )
 
 
@@ -88,16 +86,7 @@ class FormalSuperscheme:
 class Point:
     index: int
     component: object
-    kappa: object
-    kappa_inclusion: object
-
-    @property
-    def coalgebra(self):
-        return self.component.coalgebra
-
-    @property
-    def residue(self):
-        return self.component.residue
+    kappa: object           # the subcoalgebra kappa(y), a Subspace of the whole coalgebra
 
 
 @dataclass(frozen=True)
@@ -158,18 +147,12 @@ def identity_morphism(X):
 
 def points(X):
     """Per irreducible component, its coradical kappa: where the coradical
-    of X.coalgebra meets the component, in the component's own basis."""
+    of X.coalgebra meets the component."""
     C = X.coalgebra
     rad = dual_radical(C)
     corad = coradical(C, rad)
-    out = []
-    for i, comp in enumerate(irreducible_components(C, rad)):
-        local = coordinates(comp.subspace, corad.intersect(comp.subspace).basis())
-        kappa, incl = subcoalgebra_on(
-            comp.coalgebra, Subspace.from_vectors(comp.coalgebra.space, local),
-            prefix=f"k{i}.")
-        out.append(Point(i, comp, kappa, incl))
-    return out
+    return [Point(i, comp, corad.intersect(comp.subspace))
+            for i, comp in enumerate(irreducible_components(C, rad))]
 
 
 def point_images(f, xcomps, ycomps):
@@ -333,62 +316,58 @@ def coproduct(schemes):
         direct_sum_coalgebra([S.coalgebra for S in schemes]))
 
 
+def _pushed(f):
+    """The source coalgebra A of f as a right B-comodule: psi = (id (x) f) delta."""
+    return comodule_along(regular_comodule(f.source.coalgebra), f.deep, f.target.coalgebra)
+
+
+def _closed_scheme(C, carrier):
+    """Sp* of the subcoalgebra of C on carrier; a carrier the coproduct does
+    not close on is a CotensorNotSubcoalgebra."""
+    try:
+        sub, _ = subcoalgebra_on(C, carrier, prefix="w")
+    except NotSubcoalgebra as exc:
+        raise CotensorNotSubcoalgebra(
+            "restricted coproduct does not close on the cotensor carrier") from exc
+    return FormalSuperscheme.finite(sub)
+
+
 def _fiber_product_carrier(f, g):
-    A1, A2 = f.source.coalgebra, g.source.coalgebra
-    B = f.target.coalgebra
-    M = comodule_along(regular_comodule(A1), f.deep, B)
-    N = comodule_along(regular_comodule(A2), g.deep, B)
-    return cotensor(M, N), A1, A2
+    return cotensor(_pushed(f), _pushed(g)), f.source.coalgebra, g.source.coalgebra
 
 
-def fiber_product(f, g, with_projections=False):
+def fiber_product(f, g):
     """Sp* of the cotensor A1 box_B A2, with closure explicitly verified."""
     if f.target is not g.target and f.target != g.target:
         raise ValueError("fiber product needs a shared target")
     carrier, A1, A2 = _fiber_product_carrier(f, g)
-    try:
-        sub, incl = subcoalgebra_on(tensor_coalgebra(A1, A2), carrier, prefix="w")
-    except NotSubcoalgebra as exc:
-        raise CotensorNotSubcoalgebra(
-            "restricted coproduct does not close on the cotensor carrier") from exc
-    scheme = FormalSuperscheme.finite(sub)
-    if not with_projections:
-        return scheme
-    # id (x) eps lands in A1 (x) k and eps (x) id in k (x) A2: the matrices of maps
-    # into A1 and A2
-    p1 = tensor_after(GradedMap.identity(A1.space), A2.counit_map(), incl)
-    p2 = tensor_after(A1.counit_map(), GradedMap.identity(A2.space), incl)
-    p1 = GradedMap(sub.space, A1.space, p1.columns, 0)
-    p2 = GradedMap(sub.space, A2.space, p2.columns, 0)
-    pi1 = SchemeMorphism.finite(p1, scheme, FormalSuperscheme.finite(A1))
-    pi2 = SchemeMorphism.finite(p2, scheme, FormalSuperscheme.finite(A2))
-    return scheme, pi1, pi2
+    return _closed_scheme(tensor_coalgebra(A1, A2), carrier)
 
 
-def point_scheme(Y, y):
-    """{y} = Sp*(kappa(y)) with its inclusion morphism into Y."""
-    kappa_scheme = FormalSuperscheme.finite(y.kappa)
-    incl = y.component.inclusion.compose(y.kappa_inclusion)
-    return kappa_scheme, SchemeMorphism(kappa_scheme, Y, (incl,))
+def fiber(f, y):
+    """X_y = X x_Y Sp*(kappa(y)) for a point y of the target: the cotensor
+    A box_B kappa(y), read in A as the preimage psi^-1(A (x) kappa(y)) of
+    the coaction psi of A pushed along f, with closure explicitly verified."""
+    carrier, _ = preimage(_pushed(f), y.kappa)
+    return _closed_scheme(f.source.coalgebra, carrier)
 
 
-def fiber(f, y, with_projection=False):
-    """The fiber product of f with the inclusion of {y}."""
-    kappa_scheme, incl = point_scheme(f.target, y)
-    if not with_projection:
-        return fiber_product(f, incl)
-    scheme, pi1, pi2 = fiber_product(f, incl, with_projections=True)
-    return scheme, pi2
+def _point_fibers(f):
+    """Per point y of the target, the fiber psi^-1(A (x) kappa(y)) with its
+    sdim, and the degree of the residue field of y."""
+    psi = _pushed(f)
+    for y in points(f.target):
+        carrier, sdim = preimage(psi, y.kappa)
+        yield carrier, sdim, y.component.residue.degree
 
 
 def immersion_fiberwise_check(f):
-    """Immersion iff every fiber maps to its point as an immersion."""
+    """Immersion iff every fiber maps to its point as an immersion.  The map
+    from X_y = psi^-1(A (x) kappa(y)) to {y} is (eps (x) id) psi = f, so it
+    is one iff f is injective on that preimage."""
     total = is_closed_immersion(f)
-    fiberwise = True
-    for y in points(f.target):
-        fib, to_point = fiber(f, y, with_projection=True)
-        if not is_closed_immersion(to_point):
-            fiberwise = False
+    fiberwise = all(Subspace.from_vectors(f.deep.codomain, f.deep.images(P.basis())).dim == P.dim
+                    for P, _, _ in _point_fibers(f))
     return total == fiberwise, total, fiberwise
 
 
@@ -492,10 +471,15 @@ class DescentReport:
 
 @dataclass
 class _TowerLevel:
-    space: object
+    field: object
+    parities: tuple         # of the basis of S_n
     psi: list               # right B-coaction S_n -> S_n (x) B; None over B = k, n > 0
-    carrier: object = None  # canonical Subspace of S_{n-1} (x) A; None at n = 0 or B = k
+    carrier: object = None  # canonical Matrix, rows in S_{n-1} (x) A; None at n = 0 or B = k
     boundary: list = None   # d_n: S_n -> S_{n-1}, as sparse columns, absent at level 0
+
+    @property
+    def dim(self):
+        return len(self.parities)
 
 
 # The largest ambient space T_(n-1) (x) A a level of a descent tower may be
@@ -533,48 +517,46 @@ def _iterated_cotensor_tower(M, A, reg, depth):
     TOWER_AMBIENT_BOUND is refused at once.  Otherwise T_n is the cotensor of
     T_(n-1) with A, its basis vector s row s of its carrier, and its coaction
     and (for n > 1) d_(n-1) (x) id_A are read back in that carrier; a level
-    whose ambient space exceeds TOWER_AMBIENT_BOUND is not built.
+    whose ambient space exceeds TOWER_AMBIENT_BOUND is not built.  A level
+    keeps the parities of its basis, not a labelled space.
     """
     F = M.field
     B_dim = reg.coalgebra.dim
+    a_dim, a_parities = A.dim, A.space.parities
     eps = A.counit_map().columns
-    levels = [_TowerLevel(M.space, M.psi)]
+    levels = [_TowerLevel(F, M.space.parities, M.psi)]
     if B_dim == 1:
-        a_dim = A.dim
         for n in range(1, depth + 1):
-            _check_ambient(n, M.space.dim * a_dim ** (n - 1), a_dim)
+            _check_ambient(n, M.dim * a_dim ** (n - 1), a_dim)
         for n in range(1, depth + 1):
             prev = levels[-1]
             sign = F.one if n % 2 else F.neg(F.one)
             # the id (x) eps term of column (s, a), at index s
             ends = [F.mul(sign, e[0][1]) if e else None for e in eps]
             boundary = []
-            for s, col in enumerate(prev.boundary or [()] * prev.space.dim):
+            for s, col in enumerate(prev.boundary or [()] * prev.dim):
                 for a, end in enumerate(ends):
                     lifted = tuple((i * a_dim + a, c) for i, c in col)
                     boundary.append(lifted if end is None else vec_add(F, lifted, ((s, end),)))
-            parities = tuple((p + q) % 2 for p in prev.space.parities
-                             for q in A.space.parities)
-            space = SuperVectorSpace(F, tuple(f"t{n}_{s + 1}" for s in range(len(parities))),
-                                     parities)
-            levels.append(_TowerLevel(space, None, boundary=boundary))
+            parities = tuple((p + q) % 2 for p in prev.parities for q in a_parities)
+            levels.append(_TowerLevel(F, parities, None, boundary=boundary))
         return levels
     rho, theta = reg.psi, reg.left_coaction()
-    ident_A = _identity_columns(F, A.dim)
+    ident_A = _identity_columns(F, a_dim)
     for n in range(1, depth + 1):
         prev = levels[-1]
-        _check_ambient(n, prev.space.dim, A.dim)
-        carrier = cotensor_kernel(prev.psi, theta, prev.space, A.space, B_dim)
-        support, (_, pivots) = carrier.matrix.rows, carrier.matrix.rref()
+        _check_ambient(n, prev.dim, a_dim)
+        carrier = cotensor_kernel(prev.psi, theta, prev, A.space, B_dim)
+        support, (_, pivots) = carrier.rows, carrier.rref()
         # rows of a graded subspace in RREF are homogeneous: each has the
-        # parity of its pivot
-        space = SuperVectorSpace(F, tuple(f"t{n}_{s + 1}" for s in range(len(pivots))),
-                                 tuple(carrier.space.parities[c] for c in pivots))
-        ident_P = [[(i, F.one)] for i in range(prev.space.dim)]
+        # parity of its pivot (s, a), which is p_s + q_a
+        parities = tuple((prev.parities[c // a_dim] + a_parities[c % a_dim]) % 2
+                         for c in pivots)
+        ident_P = _identity_columns(F, prev.dim)
         # right coaction id (x) rho on the carrier, read back in one call over
         # every B-slot of every basis vector
         slots = []
-        for big in _tensor_apply_sparse(F, ident_P, rho, A.dim * B_dim, (), support):
+        for big in _tensor_apply_sparse(F, ident_P, rho, a_dim * B_dim, (), support):
             split = [[] for _ in range(B_dim)]
             for ik, c in big:
                 i, k = divmod(ik, B_dim)
@@ -591,13 +573,13 @@ def _iterated_cotensor_tower(M, A, reg, depth):
             boundary = collapse
         else:
             lifted = _read_coordinates(
-                F, prev.carrier.matrix.rows, prev.carrier.matrix.rref()[1],
-                _tensor_apply_sparse(F, prev.boundary, ident_A, A.dim, (), support))
+                F, prev.carrier.rows, prev.carrier.rref()[1],
+                _tensor_apply_sparse(F, prev.boundary, ident_A, a_dim, (), support))
             if lifted is None:
                 raise AssertionError("boundary escapes the carrier")
             signed = vec_add if n % 2 else vec_sub
             boundary = [signed(F, u, v) for u, v in zip(lifted, collapse)]
-        levels.append(_TowerLevel(space, psi, carrier, boundary))
+        levels.append(_TowerLevel(F, parities, psi, carrier, boundary))
     return levels
 
 
@@ -608,14 +590,14 @@ def _complex_exactness(levels, depth):
     so the complex is exact at T_n exactly when rank d_n + rank d_(n+1) =
     dim T_n, with d_0 = 0.
     """
-    F = levels[0].space.field
+    F = levels[0].field
     # lower o upper, read as (lower (x) id_k) on T_n (x) k = T_n
     ident_k = [[(0, F.one)]]
     for lower, upper in zip(levels[1:], levels[2:]):
         if any(_tensor_apply_sparse(F, lower.boundary, ident_k, 1, (), upper.boundary)):
             raise AssertionError("boundary maps do not compose to zero")
     ranks = [0] + [len(_rref_sparse(F, level.boundary)[1]) for level in levels[1:]]
-    return [(deg, ranks[deg] + ranks[deg + 1] == levels[deg].space.dim)
+    return [(deg, ranks[deg] + ranks[deg + 1] == levels[deg].dim)
             for deg in range(depth + 1)]
 
 
@@ -629,7 +611,7 @@ def _coequalizer_check(f):
     """
     from .supercoalgebra import is_coideal
     A = f.source.coalgebra
-    M = comodule_along(regular_comodule(A), f.deep, f.target.coalgebra)
+    M = _pushed(f)
     basis = cotensor(M, M).basis()
     ident, eps = GradedMap.identity(A.space), A.counit_map()
     p1 = tensor_apply(ident, eps, basis)
@@ -657,7 +639,7 @@ def descent_check(f, depth=3):
             f"descent depth {depth} is over the bound {TOWER_DEPTH_BOUND}")
     A = f.source.coalgebra
     B = f.target.coalgebra
-    reg = comodule_along(regular_comodule(A), f.deep, B)
+    reg = _pushed(f)
 
     def degrees(M):
         return tuple(_complex_exactness(_iterated_cotensor_tower(M, A, reg, depth + 1),
@@ -666,12 +648,10 @@ def descent_check(f, depth=3):
     whole = degrees(regular_comodule(B))
     tests = [("O(Y)", whole)]
     for y in points(FormalSuperscheme.finite(B)):
-        kappa_sub = Subspace.from_vectors(
-            B.space, y.component.inclusion.compose(y.kappa_inclusion).columns)
-        if kappa_sub.dim == B.dim:
+        if y.kappa.dim == B.dim:
             results = whole
         else:
-            kom, _, _ = subcoalgebra_comodule(B, kappa_sub, prefix=f"s{y.index}.")
+            kom, _, _ = subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}.")
             results = degrees(kom)
         tests.append((f"kappa({y.index})", results))
     failures = tuple((name, deg) for name, results in tests
@@ -689,48 +669,22 @@ def is_finite_morphism(f):
 
     Returns (True, max fiber dimension) as evidence.
     """
-    dims = []
-    for y in points(f.target):
-        fib = fiber(f, y)
-        dims.append(fib.coalgebra.dim)
-    return True, max(dims, default=0)
+    return True, max((e + o for _, (e, o), _ in _point_fibers(f)), default=0)
 
 
 def finite_bounded_degree(f):
     """Minimal n with f_* O_*(X) embedding into (O_*(Y) + parity shift)^n.
 
-    Computed as the largest minimal homogeneous generator count, per parity,
-    of the dual module A* over any local factor of B*.
+    The largest minimal homogeneous generator count, per parity, of the dual
+    module A* over a local factor B_i* of B*: by Nakayama's lemma the sdim
+    (e, o) of A*/rad(B_i*)A*, over a residue field of degree d, divided by d.
+    That quotient is dual to the fiber psi^-1(A (x) kappa_i), as in flat_check.
     """
-    A = f.source.coalgebra
-    B = f.target.coalgebra
-    F = A.field
-    if A.dim == 0:
-        return 0
-    dualA = dualize_coalgebra(A)
-    dualB = dualize_coalgebra(B)
-    radB = radical(dualB)
-    factors = local_decomposition(dualB, radB)
-
-    def acting(w):
-        """w . a* for every basis vector a* of A*: B* acts on A* through the
-        transpose of the coalgebra map, which sends w to w o f."""
-        cols = linear_form(B.space, w, None).compose(f.deep).columns
-        pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
-        return dualA.products([pulled], _identity_columns(F, dualA.dim))
-
-    JA = Subspace.from_vectors(dualA.space,
-                               [v for w in radB.subspace.basis() for v in acting(w)])
-    qspace, proj, _ = quotient_data(dualA.space, JA)
     degree = 0
-    for fac in factors:
-        comp = Subspace.from_vectors(qspace, proj.images(acting(fac.idempotent)))
-        even = comp.even_part().dim
-        odd = comp.odd_part().dim
-        d = fac.residue.degree
-        if even % d or odd % d:
+    for _, (e, o), d in _point_fibers(f):
+        if e % d or o % d:
             raise AssertionError("residue field does not divide the cogenerator count")
-        degree = max(degree, even // d, odd // d)
+        degree = max(degree, e // d, o // d)
     return degree
 
 

@@ -125,9 +125,25 @@ def subcoalgebra_comodule(C, W, prefix="v"):
 
 
 def comodule_along(M, f, B):
-    """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B."""
-    pushed = tensor_after(GradedMap.identity(M.space), f, M.coaction_map())
-    return make_supercomodule(M.space, B, pushed.columns)
+    """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B:
+    the coaction (id (x) f) psi."""
+    return make_supercomodule(M.space, B, tensor_apply(GradedMap.identity(M.space), f, M.psi))
+
+
+def preimage(M, W):
+    """psi^-1(M (x) W) for a graded subspace W of C, with its sdim: the
+    kernel of (id (x) pi) psi for pi: C -> C/W.  For a subcoalgebra K of B
+    and psi the coaction of A pushed along f: A -> B, this is the image of
+    the cotensor A box_B K in A under id (x) eps (Takeuchi, Formal schemes
+    over fields, Comm. Algebra 5, 1977).  psi and pi are even, so the
+    kernel is graded: each echelon row has the parity of its pivot.
+    """
+    _, pi, _ = quotient_data(M.coalgebra.space, W)
+    cols = tensor_apply(GradedMap.identity(M.space), pi, M.psi)
+    P = Subspace(M.space, Matrix(M.field, _transpose(cols, M.dim * pi.codomain.dim),
+                                 M.dim).null_space())
+    o = sum(M.space.parities[c] for c in P.matrix.rref()[1])
+    return P, (P.dim - o, o)
 
 
 def is_comodule_morphism(f, M, N):
@@ -170,8 +186,9 @@ def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
 
     psi_right and theta_left are the sparse columns (per basis vector, the
     (index, entry) pairs of its image with a nonzero entry) of M -> M (x) C
-    and N -> C (x) N.  The kernel is taken on sparse rows and returned as a
-    Subspace of the tensor product space that is already canonical.
+    and N -> C (x) N; of m_space and n_space only .field and .dim are read.
+    The kernel is taken on sparse rows and returned as its canonical Matrix,
+    in the basis m_i (x) n_j at index i * dim N + j.
     """
     F = m_space.field
     nm, nn = m_space.dim, n_space.dim
@@ -194,14 +211,15 @@ def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
                 else:
                     row[ij] = x
     kernel, pivots = _null_space_sparse(F, *_rref_sparse(F, rows.values()), nm * nn)
-    return Subspace(m_space.tensor(n_space), Matrix(F, kernel, nm * nn, pivots))
+    return Matrix(F, kernel, nm * nn, pivots)
 
 
 def cotensor(M, N):
     """M box_C N for two right comodules; N is twisted to the left side."""
     if M.coalgebra != N.coalgebra:
         raise ValueError("cotensor factors over different coalgebras")
-    return cotensor_kernel(M.psi, N.left_coaction(), M.space, N.space, M.coalgebra.dim)
+    return Subspace(M.space.tensor(N.space), cotensor_kernel(
+        M.psi, N.left_coaction(), M.space, N.space, M.coalgebra.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +251,7 @@ def flat_check(M):
     (id (x) w) psi and on M* by the transpose, so (e, o) is the sdim of
     (JM*) perp = psi^-1(M (x) J perp) = psi^-1(M (x) C_0), the socle of M,
     for C_0 the coradical (Montgomery, Hopf Algebras and Their Actions on
-    Rings, 1993, 5.1-5.2): the kernel of (id (x) pi) psi, pi: C -> C/C_0.
+    Rings, 1993, 5.1-5.2): the preimage of C_0.
     """
     C = M.coalgebra
     if C.dim == 0:
@@ -242,12 +260,7 @@ def flat_check(M):
     residue, _ = quotient_by_superideal(rad.algebra, rad)
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
-    _, pi, _ = quotient_data(C.space, coradical(C, rad))
-    cols = tensor_apply(GradedMap.identity(M.space), pi, M.psi)
-    socle = Matrix(M.field, _transpose(cols, M.dim * pi.codomain.dim), M.dim).null_space()
-    # the kernel of an even map is graded: each echelon row has its pivot's parity
-    o = sum(M.space.parities[c] for c in socle.rref()[1])
-    e = socle.nrows - o
+    _, (e, o) = preimage(M, coradical(C, rad))
     d = residue.dim
     if e % d or o % d:
         raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "

@@ -10,21 +10,23 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
     sys.path.insert(0, os.path.abspath(_src))
 
 from superscheme.fields import Field  # noqa: E402
-from superscheme.formal_scheme import FormalSuperscheme, points  # noqa: E402
+from superscheme.formal_scheme import (  # noqa: E402
+    FormalSuperscheme, SchemeMorphism, fiber_product, points,
+)
 from superscheme.superalgebra import (  # noqa: E402
-    _semisimple_idempotent, quotient_by_superideal, radical,
+    _semisimple_idempotent, local_decomposition, quotient_by_superideal, radical,
 )
 from superscheme.supercoalgebra import (  # noqa: E402
-    coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike_over,
+    coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike_over, subcoalgebra_on,
 )
 from superscheme.supercomodule import (  # noqa: E402
     FlatVerdict, NotConnected, comodule_along, cotensor, regular_comodule,
     subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    GradedMap, Matrix, Subspace, SuperVectorSpace, coordinates,
-    quotient_data, standard_space, tensor_after, tensor_apply, twist, unit_vec, vec_add,
-    vec_scale, vector,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns, coordinates,
+    linear_form, quotient_data, standard_space, tensor_after, tensor_apply, twist, unit_vec,
+    vec_add, vec_scale, vector,
 )
 
 
@@ -351,10 +353,7 @@ def descent_degrees_by_dense_tower(f, depth):
     reg = comodule_along(regular_comodule(A), f.deep, B)
     tests = [regular_comodule(B)]
     for y in points(FormalSuperscheme.finite(B)):
-        kappa_sub = Subspace.from_vectors(
-            B.space, [y.component.inclusion.apply(y.kappa_inclusion.apply(
-                unit_vec(B.field, i))) for i in range(y.kappa.dim)])
-        tests.append(subcoalgebra_comodule(B, kappa_sub, prefix=f"s{y.index}.")[0])
+        tests.append(subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}.")[0])
     return tuple(_dense_exactness(_dense_tower(M, A, reg, depth + 1), depth)
                  for M in tests)
 
@@ -362,6 +361,49 @@ def descent_degrees_by_dense_tower(f, depth):
 @pytest.fixture
 def descent_oracle():
     return descent_degrees_by_dense_tower
+
+
+def fiber_by_cotensor(f, y):
+    """Reference for formal_scheme.fiber: the fiber product of f with the
+    inclusion of {y} = Sp*(kappa(y)), a cotensor inside A (x) kappa(y)."""
+    kappa, incl = subcoalgebra_on(f.target.coalgebra, y.kappa, prefix="k")
+    return fiber_product(f, SchemeMorphism(FormalSuperscheme.finite(kappa), f.target, (incl,)))
+
+
+def bounded_degree_by_dual_action(f):
+    """Reference for formal_scheme.finite_bounded_degree: the largest minimal
+    homogeneous generator count, per parity, of the dual module A* over any
+    local factor of B*, with B* acting on A* through the transpose of f."""
+    A = f.source.coalgebra
+    B = f.target.coalgebra
+    F = A.field
+    if A.dim == 0:
+        return 0
+    dualA = dualize_coalgebra(A)
+    dualB = dualize_coalgebra(B)
+    radB = radical(dualB)
+    factors = local_decomposition(dualB, radB)
+
+    def acting(w):
+        """w . a* for every basis vector a* of A*: B* acts on A* through the
+        transpose of the coalgebra map, which sends w to w o f."""
+        cols = linear_form(B.space, w, None).compose(f.deep).columns
+        pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
+        return dualA.products([pulled], _identity_columns(F, dualA.dim))
+
+    JA = Subspace.from_vectors(dualA.space,
+                               [v for w in radB.subspace.basis() for v in acting(w)])
+    qspace, proj, _ = quotient_data(dualA.space, JA)
+    degree = 0
+    for fac in factors:
+        comp = Subspace.from_vectors(qspace, proj.images(acting(fac.idempotent)))
+        even = comp.even_part().dim
+        odd = comp.odd_part().dim
+        d = fac.residue.degree
+        if even % d or odd % d:
+            raise AssertionError("residue field does not divide the cogenerator count")
+        degree = max(degree, even // d, odd // d)
+    return degree
 
 
 def _count_calls(monkeypatch, module, name):

@@ -16,7 +16,7 @@ from superscheme.formal_scheme import (
     TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, FormalSuperscheme, SchemeMorphism,
 )
 from superscheme.corpus import (
-    divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
+    divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra, seeded_random,
 )
 
 from conftest import _count_calls, dense_columns, sparse
@@ -746,3 +746,91 @@ def test_fiber_product_reports_a_carrier_that_is_not_a_subcoalgebra(files, monke
                             "coproduct does not close on the cotensor carrier\n"
                             "status error\n", EXIT_FAIL)
     assert len(tests_made) == 1
+
+
+def test_fiber_reports_a_carrier_that_is_not_a_subcoalgebra(files, monkeypatch):
+    """fiber makes its one subcoalgebra test in subcoalgebra_on; a graded
+    preimage that fails it is a closure failure with exit 1, not a traceback."""
+    from superscheme import formal_scheme
+    from superscheme.superlinear import Subspace
+
+    def skewed(M, W):
+        # g1 + g2 is even, but its coproduct g1 (x) g1 + g2 (x) g2 leaves W (x) W
+        return Subspace.from_vectors(M.space, [sparse(QQ, [QQ.one, QQ.one])]), (1, 0)
+
+    monkeypatch.setattr(formal_scheme, "preimage", skewed)
+    text, code = run(["fiber", files["collapse.mor"], "--morphism", "f", "--point", "0"])
+    assert (text, code) == ("superscheme-report error\nclosure-failure restricted "
+                            "coproduct does not close on the cotensor carrier\n"
+                            "status error\n", EXIT_FAIL)
+    assert "Traceback" not in text
+
+
+# The fiber and finite-check reports of seeded_random("morphism", 0..4) over
+# F3 and Q, per entry: the sha256 of the serialized input, the finite-check
+# lines after "morphism f" and, per point i, the fiber lines after "point i".
+PINNED_FIBER_REPORTS = {
+    ("F3", 0): ("775235860d5098d46c29aa6a1e446238aa0bb34ed3ef7479fe3a3f1a56c9bbd1",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("F3", 1): ("5c3b018e6d5fc5f09a50a74ebcad2aa8f69252ff460c07601c22c96a9372ce1d",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("F3", 2): ("e14ae967f6a6e0440b1780c9e981581b47078ee350b9ca7d65d00042526a9308",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 0", "fiber-sdim 0|0"),
+                 ("fiber-dim 0", "fiber-sdim 0|0"),
+                 ("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("F3", 3): ("8691506163007fb708dddd3fcee14754d1eec20060f4e41db355704eb1083288",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("F3", 4): ("7230fe494b833ad737795d41cee355a2240ac2e25fbc108ab5d480bb867ce67a",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 0", "fiber-sdim 0|0"),
+                 ("fiber-dim 0", "fiber-sdim 0|0"),
+                 ("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("Q", 0):  ("e9250fcb8a44cf09f550e84964878b87f5f8c6b7b790562b0daeb1711dd1ff24",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("Q", 1):  ("4ed4d8686ee70304cf7674c00b68ebf34a230eea81b3257a5c5619c744331168",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("Q", 2):  ("1a2ea77b44c2bd85064ef7638ddd7e47fd8a64afbd18eeb926cf8f6ae3a9e057",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0"),
+                 ("fiber-dim 0", "fiber-sdim 0|0"),
+                 ("fiber-dim 0", "fiber-sdim 0|0")]),
+    ("Q", 3):  ("bf220a1bf09ad9f9f5786531121b5e7a621eb90c3417e2c693decc0b0c5c4a07",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0")]),
+    ("Q", 4):  ("812c96741d6e0a1a2dbb7217ef5cbe8505b32d1743e73b6c829bb76aa9566e24",
+                ("finite True", "max-fiber-dim 1", "bounded-degree 1"),
+                [("fiber-dim 1", "fiber-sdim 1|0"),
+                 ("fiber-dim 0", "fiber-sdim 0|0"),
+                 ("fiber-dim 0", "fiber-sdim 0|0")]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_FIBER_REPORTS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_fiber_and_finite_check_reports_are_pinned(tmp_path, key):
+    """The reports of finite-check and of fiber at every point are pinned
+    byte for byte, and one point past the last is out of range."""
+    name, seed = key
+    F = {"F3": F3, "Q": QQ}[name]
+    digest, finite_lines, fiber_lines = PINNED_FIBER_REPORTS[key]
+    (f,) = seeded_random("morphism", seed, field=F).payload
+    path = tmp_path / "m.ss"
+    path.write_text(serialize_document(F, [("A", f.source.coalgebra), ("B", f.target.coalgebra),
+                                           ("f", f, None, ("A", "B"))]))
+
+    def report(command, *lines):
+        return "\n".join([f"superscheme-report {command}", "tool-version 0.1.0",
+                          f"input {path} sha256 {digest}", "morphism f", *lines,
+                          "status ok"]) + "\n"
+
+    assert run(["finite-check", str(path)]) == (report("finite-check", *finite_lines), EXIT_OK)
+    for i, lines in enumerate(fiber_lines):
+        assert run(["fiber", str(path), "--morphism", "f", "--point", str(i)]) == \
+            (report("fiber", f"point {i}", *lines), EXIT_OK)
+    text, code = run(["fiber", str(path), "--morphism", "f", "--point", str(len(fiber_lines))])
+    assert code == EXIT_IO and f"target has only {len(fiber_lines)} points" in text

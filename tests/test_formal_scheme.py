@@ -13,7 +13,8 @@ from superscheme.superlinear import (
 from superscheme.superalgebra import enumerate_homs
 from superscheme.supercomodule import comodule_along, regular_comodule
 from superscheme.supercoalgebra import (
-    dualize_algebra, grouplikes_over, make_supercoalgebra, truncated_cofree, unit_coalgebra,
+    dualize_algebra, grouplikes_over, make_supercoalgebra, tensor_coalgebra, truncated_cofree,
+    unit_coalgebra,
 )
 from superscheme import formal_scheme
 from superscheme.formal_scheme import (
@@ -27,10 +28,11 @@ from superscheme.formal_scheme import (
     transport_point, transport_point_inverse, _bosonic_subcoalgebra,
 )
 from conftest import (
-    _alternating_sum, _count_calls, _dense_tower, dense, dense_columns, dense_rows, matrix_of, sparse,
+    _alternating_sum, _count_calls, _dense_tower, bounded_degree_by_dual_action, dense,
+    dense_columns, dense_rows, fiber_by_cotensor, matrix_of, sparse,
 )
 from superscheme.corpus import (
-    divided_power, grassmann, quotient_ring_algebra,
+    divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
     seeded_random, split_pair, truncated_polynomial,
 )
 
@@ -377,8 +379,8 @@ def test_point_target_tower_matches_dense_tower(field):
             reference = _dense_tower(M, A, reg, depth)
             assert len(levels) == len(reference) == depth + 1
             for n, (level, (space, _, carrier, faces)) in enumerate(zip(levels, reference)):
-                assert level.space.dim == space.dim, (seed, depth, n)
-                assert level.space.parities == space.parities, (seed, depth, n)
+                assert level.dim == space.dim, (seed, depth, n)
+                assert level.parities == space.parities, (seed, depth, n)
                 if n == 0:
                     continue
                 assert carrier.matrix.rows == tuple(unit_vec(field, s)
@@ -394,11 +396,10 @@ def test_complex_exactness_is_checked_under_python_O():
     code = "\n".join([
         "from superscheme.fields import QQ",
         "from superscheme.formal_scheme import _TowerLevel, _complex_exactness",
-        "from superscheme.superlinear import standard_space",
-        "V, one = standard_space(QQ, 1, 0), QQ.one",
-        "levels = [_TowerLevel(V, None),",
-        "          _TowerLevel(V, None, None, [[(0, one)]]),",
-        "          _TowerLevel(V, None, None, [[(0, -one)]])]",
+        "one = QQ.one",
+        "levels = [_TowerLevel(QQ, (0,), None),",
+        "          _TowerLevel(QQ, (0,), None, None, [[(0, one)]]),",
+        "          _TowerLevel(QQ, (0,), None, None, [[(0, -one)]])]",
         "_complex_exactness(levels, 1)",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -480,6 +481,66 @@ def test_finite_bounded_degree_deeper():
     assert finite_bounded_degree(colD2) == 3  # dual module k[x]/(x^3) over k
     colG2 = _collapse(dualize_algebra(grassmann(2)))
     assert finite_bounded_degree(colG2) == 2  # sdim 2|2 needs two mixed slots
+
+
+def _projection(C, D):
+    """The product projection Sp*(C (x) D) -> Sp*(C), id (x) eps_D."""
+    P = tensor_coalgebra(C, D)
+    eps = D.counit_map().columns
+    cols = [tuple((i, c) for _, c in eps[j]) for i in range(C.dim) for j in range(D.dim)]
+    return SchemeMorphism.finite(GradedMap(P.space, C.space, cols, 0), _scheme(P), _scheme(C))
+
+
+def _fiber_corpus():
+    """The first 40 seeded morphisms over Q, F3, F5 and F9; and over Q, F3
+    and F5 the identity and the counit collapse of eight small coalgebras,
+    one of them (k[x]/(q))* for an irreducible quadratic q, whose point has a
+    residue field of degree 2, and six product projections."""
+    out = [seeded_random("morphism", seed, field=F).payload[0]
+           for F in (QQ, F3, F5, F9) for seed in range(40)]
+    for F, quadratic in ((QQ, (1, 0, 1)), (F3, (1, 0, 1)), (F5, (2, 0, 1))):
+        KK, R = (dualize_algebra(split_pair(F)),
+                 dualize_algebra(quotient_ring_algebra([F.from_int(c) for c in quadratic], F)))
+        D1, D2 = divided_power(1, F), divided_power(2, F)
+        G1 = dualize_algebra(grassmann(1, F))
+        for C in (KK, R, D1, D2, divided_power(3, F), G1, dualize_algebra(grassmann(2, F)),
+                  grouplike_coalgebra(2, F)):
+            out += [identity_morphism(_scheme(C)), _collapse(C)]
+        out += [_projection(C, D) for C, D in ((D1, G1), (G1, D2), (KK, R), (R, G1), (R, D1),
+                                               (D2, KK))]
+    return out
+
+
+def test_fibers_and_degrees_match_the_cotensor_and_dual_action_references():
+    """fiber reads X_y as the preimage psi^-1(A (x) kappa(y)), and the
+    degree is its sdim over the residue degree; the references build X_y as
+    the fiber product with the inclusion of {y}, and the degree from the
+    action of B* on A*."""
+    morphisms = _fiber_corpus()
+    assert len(morphisms) == 226
+    residue_degrees = set()
+    for f in morphisms:
+        dims = []
+        for y in points(f.target):
+            got = fiber(f, y).coalgebra.space.sdim
+            assert got == fiber_by_cotensor(f, y).coalgebra.space.sdim
+            dims.append(sum(got))
+            residue_degrees.add(y.component.residue.degree)
+        assert is_finite_morphism(f) == (True, max(dims, default=0))
+        assert finite_bounded_degree(f) == bounded_degree_by_dual_action(f)
+    assert residue_degrees == {1, 2}
+
+
+def test_finiteness_of_an_empty_source():
+    """A = 0 has empty fibers: every fiber dimension and the degree are 0."""
+    empty = _scheme(make_supercoalgebra(SuperVectorSpace(F3, (), ()), (), ()))
+    for target in (_scheme(divided_power(2, F3)), _scheme(dualize_algebra(split_pair(F3)))):
+        B = target.coalgebra
+        f = SchemeMorphism.finite(GradedMap(empty.coalgebra.space, B.space, [], 0), empty, target)
+        assert is_finite_morphism(f) == (True, 0)
+        assert finite_bounded_degree(f) == bounded_degree_by_dual_action(f) == 0
+        assert [fiber(f, y).coalgebra.dim for y in points(target)] == [0] * len(points(target))
+        assert immersion_fiberwise_check(f) == (True, True, True)
 
 
 def test_algebraicity_divided_power_tower():

@@ -121,3 +121,27 @@ def test_one_sum_of_products():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     for name in ("_combination", "dual_action", "dual_action_of", "counit_value"):
         assert name not in defined, name
+
+
+def test_a_fiber_is_one_preimage():
+    """fiber, finite-check and flat_check read one kernel, psi^-1(M (x) W) =
+    ker (id (x) pi) psi for pi: C -> C/W, built by supercomodule.preimage: no
+    point scheme and no projection flags are defined, and no other function
+    applies a quotient projection and takes a kernel."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    for name in ("point_scheme", "with_projection", "with_projections"):
+        defined = [node for tree in trees.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == name
+                   or isinstance(node, ast.arg) and node.arg == name]
+        assert defined == [], name
+        assert [scope for tree in trees.values() for scope in _references(tree, name)] == [], name
+
+    def scopes(tree, *names):
+        return {scope for name in names for scope in _references(tree, name)}
+
+    builders = {(fname, scope) for fname, tree in trees.items()
+                for scope in scopes(tree, "quotient_data")
+                & scopes(tree, "tensor_apply", "tensor_after")
+                & scopes(tree, "null_space", "kernel")}
+    assert builders == {("supercomodule.py", "preimage")}
