@@ -20,16 +20,15 @@ from .superalgebra import (
     local_decomposition, radical, validate_superalgebra,
 )
 from .supercoalgebra import (
-    SearchBoundExceeded, coradical, coradical_filtration, dual_radical,
-    dualize_algebra, dualize_coalgebra, grouplikes, grouplikes_over,
-    irreducible_components, validate_supercoalgebra, wedge,
+    SearchBoundExceeded, base_change_coalgebra, coradical, coradical_filtration,
+    direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra, grouplikes,
+    grouplikes_over, irreducible_components, tensor_coalgebra, validate_supercoalgebra, wedge,
 )
 from .supercomodule import NotConnected, cotensor, flat_check, validate_comodule
 from .formal_scheme import (
-    CotensorNotSubcoalgebra, FormalSuperscheme, base_change, coproduct,
-    descent_check, fiber, fiber_product, finite_bounded_degree, flatness,
-    is_closed_immersion, is_finite_morphism, is_open_immersion,
-    is_strictly_surjective, is_surjective, morphism_components, points, product,
+    CotensorNotSubcoalgebra, descent_check, fiber, fiber_product, finiteness, flatness,
+    is_closed_immersion, is_open_immersion, is_strictly_surjective, is_surjective,
+    morphism_components, points,
 )
 from .ksdim import (
     SubsetBoundExceeded, ksdim, oracle_annihilator_dim,
@@ -243,9 +242,9 @@ def cmd_cotensor(args):
     return rep.emit(), EXIT_OK
 
 
-def _point_count(X):
-    """The number of points of X: the irreducible components of its coalgebra."""
-    return len(irreducible_components(X.coalgebra, dual_radical(X.coalgebra)))
+def _point_count(C):
+    """The number of points of Sp*(C): the irreducible components of C."""
+    return len(irreducible_components(C, dual_radical(C)))
 
 
 def cmd_product(args):
@@ -255,11 +254,11 @@ def cmd_product(args):
     if len(coalgs) < 2:
         raise ParseError("product needs two coalgebras in the file")
     (na, A), (nb, B) = coalgs[0], coalgs[1]
-    P = product(FormalSuperscheme.finite(A), FormalSuperscheme.finite(B))
+    P = tensor_coalgebra(A, B)
     rep.add("factors", na, nb)
-    rep.add("product-dim", P.coalgebra.dim)
+    rep.add("product-dim", P.dim)
     rep.add("product-points", _point_count(P))
-    body = serialize_document(doc.field, [(f"{na}_x_{nb}", P.coalgebra)])
+    body = serialize_document(doc.field, [(f"{na}_x_{nb}", P)])
     return rep.emit() + body, EXIT_OK
 
 
@@ -269,9 +268,9 @@ def cmd_coproduct(args):
     coalgs = doc.all_of("coalgebra")
     if not coalgs:
         raise ParseError("coproduct needs coalgebras in the file")
-    S = coproduct([FormalSuperscheme.finite(C) for _, C in coalgs])
+    S = direct_sum_coalgebra([C for _, C in coalgs])
     rep.add("summands", *(n for n, _ in coalgs))
-    rep.add("coproduct-dim", S.coalgebra.dim)
+    rep.add("coproduct-dim", S.dim)
     rep.add("coproduct-points", _point_count(S))
     return rep.emit(), EXIT_OK
 
@@ -284,8 +283,8 @@ def cmd_fiber_product(args):
     if f.target != g.target:
         raise ParseError(f"morphisms {args.f} and {args.g} have different targets")
     W = fiber_product(f, g)
-    rep.add("carrier-dim", W.coalgebra.dim)
-    rep.add("carrier-sdim", _sdim(W.coalgebra.space.sdim))
+    rep.add("carrier-dim", W.dim)
+    rep.add("carrier-sdim", _sdim(W.space.sdim))
     rep.add("points", _point_count(W))
     return rep.emit(), EXIT_OK
 
@@ -300,8 +299,8 @@ def cmd_fiber(args):
     fib = fiber(f, pts[args.point])
     rep.add("morphism", args.morphism)
     rep.add("point", args.point)
-    rep.add("fiber-dim", fib.coalgebra.dim)
-    rep.add("fiber-sdim", _sdim(fib.coalgebra.space.sdim))
+    rep.add("fiber-dim", fib.dim)
+    rep.add("fiber-sdim", _sdim(fib.space.sdim))
     return rep.emit(), EXIT_OK
 
 
@@ -314,9 +313,8 @@ def cmd_base_change(args):
         ext = ExtensionField(doc.field, minpoly, args.name)
     except FieldError as exc:
         raise ParseError(str(exc))
-    X = FormalSuperscheme.finite(C)
-    before = _point_count(X)
-    after = _point_count(base_change(X, ext))
+    before = _point_count(C)
+    after = _point_count(base_change_coalgebra(C, ext))
     rep.add("coalgebra", name)
     rep.add("extension", ext.describe())
     rep.add("points-before", before)
@@ -381,11 +379,11 @@ def cmd_finite_check(args):
     path, doc = _load_valid(args.file)
     rep = Report("finite-check", [(path, doc)])
     name, f = doc.first("morphism")
-    finite, max_dim = is_finite_morphism(f)
+    max_dim, degree = finiteness(f)
     rep.add("morphism", name)
-    rep.add("finite", finite)
+    rep.add("finite", True)
     rep.add("max-fiber-dim", max_dim)
-    rep.add("bounded-degree", finite_bounded_degree(f))
+    rep.add("bounded-degree", degree)
     return rep.emit(), EXIT_OK
 
 
@@ -476,7 +474,7 @@ def cmd_report_all(args):
             rep.add(f"{kind} {name} valid", not problems)
             failures += len(problems)
         over = ([value.coalgebra] if kind == "comodule" else
-                value.source.levels + value.target.levels if kind == "morphism" else ())
+                (value.source, value.target) if kind == "morphism" else ())
         if problems or any(id(c) in invalid for c in over):
             invalid.add(id(value))      # nothing is computed on or over it
             continue

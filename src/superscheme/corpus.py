@@ -20,7 +20,7 @@ from .supercoalgebra import (
     dualize_algebra, make_supercoalgebra, tensor_coalgebra, unit_coalgebra,
 )
 from .supercomodule import free_comodule, trivial_comodule
-from .formal_scheme import FormalSuperscheme, SchemeMorphism, identity_morphism
+from .formal_scheme import SchemeMorphism, identity_morphism
 from .ksdim import presentation, presentation_morphism, product_presentation
 
 
@@ -282,18 +282,15 @@ def _seeded_morphism(rng, seed, field):
     if shape == 0:
         # collapse to the point: O(X) -> k by the counit
         K = unit_coalgebra(F)
-        X = FormalSuperscheme.finite(C)
-        Y = FormalSuperscheme.finite(K)
         m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
-        f = SchemeMorphism.finite(m, X, Y)
+        f = SchemeMorphism.finite(m, C, K)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": True,
                             "label": "counit-collapse"},
                            f"counit collapse of {name}: the source is the "
                            "free rank-1 comodule over the point")
     if shape == 1:
-        X = FormalSuperscheme.finite(C)
-        f = identity_morphism(X)
+        f = identity_morphism(C)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": True,
                             "label": "identity"},
@@ -303,21 +300,17 @@ def _seeded_morphism(rng, seed, field):
         other = grouplike_coalgebra(1 + rng.randint(2), F)
         from .supercoalgebra import direct_sum_coalgebra
         big = direct_sum_coalgebra([C, other])
-        X = FormalSuperscheme.finite(C)
-        Y = FormalSuperscheme.finite(big)
         m = GradedMap(C.space, big.space, [unit_vec(F, i) for i in range(C.dim)], 0)
-        f = SchemeMorphism.finite(m, X, Y)
+        f = SchemeMorphism.finite(m, C, big)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": False,
                             "label": "component-inclusion"},
                            "summand inclusion misses the other components")
     # point into a fat connected scheme: not flat when dim > 1
     K = unit_coalgebra(F)
-    X = FormalSuperscheme.finite(K)
-    Y = FormalSuperscheme.finite(C)
     g = _host_grouplike(C)
     m = GradedMap(K.space, C.space, [g], 0)
-    f = SchemeMorphism.finite(m, X, Y)
+    f = SchemeMorphism.finite(m, K, C)
     return CorpusEntry("morphism", seed, (f,),
                        {"flat": False, "faithfully_flat": False,
                         "label": "point-into-fat"},
@@ -465,11 +458,12 @@ def validate_entry(entry):
         if exp.get("rank") and verdict.rank != tuple(exp["rank"]):
             problems.append(f"rank mismatch: {verdict.rank} vs {exp['rank']}")
     elif entry.kind == "morphism":
-        from .formal_scheme import is_faithfully_flat, is_flat
+        from .formal_scheme import flatness, morphism_components
         (f,) = entry.payload
-        if is_flat(f) != exp["flat"]:
+        verdict = flatness(f, *morphism_components(f))
+        if verdict.flat != exp["flat"]:
             problems.append("flat label mismatch")
-        if is_faithfully_flat(f) != exp["faithfully_flat"]:
+        if verdict.faithfully_flat != exp["faithfully_flat"]:
             problems.append("faithfully flat label mismatch")
     elif entry.kind == "presentation-morphism":
         from .ksdim import is_split_projection, theorem_fiber_dimension_check

@@ -1,9 +1,9 @@
 """Formal superschemes as super-cocommutative coalgebras, plus finite towers.
 
-A finite-level scheme is one coalgebra; a tower is a chain of injective
-coalgebra maps standing in for a filtered system.  Scheme morphisms carry
-coalgebra maps in the same direction.  Points are the irreducible components
-(dual local factors) of the deepest coalgebra.
+A finite-level scheme is its coalgebra, and a morphism of such schemes is
+one coalgebra map in the same direction.  A tower is a chain of injective
+coalgebra maps standing in for a filtered system.  Points are the
+irreducible components (dual local factors) of a coalgebra.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .supercoalgebra import (
-    base_change_coalgebra, coradical, coradical_filtration,
-    direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
-    irreducible_components, is_coalgebra_morphism, is_grouplike_over,
-    NotSubcoalgebra, SearchBoundExceeded, subcoalgebra_on, tensor_coalgebra,
-    validate_supercoalgebra, _koszul_signed,
+    base_change_coalgebra, coradical, coradical_filtration, dual_radical,
+    dualize_algebra, dualize_coalgebra, irreducible_components, is_coalgebra_morphism,
+    is_grouplike_over, NotSubcoalgebra, SearchBoundExceeded, subcoalgebra_on,
+    tensor_coalgebra, validate_supercoalgebra, _koszul_signed,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, preimage, regular_comodule,
@@ -33,12 +32,10 @@ class CotensorNotSubcoalgebra(RuntimeError):
 
 @dataclass(frozen=True)
 class FormalSuperscheme:
+    """A tower: levels joined by injective coalgebra maps, standing in for a
+    filtered system.  A finite-level scheme is its coalgebra and needs none."""
     levels: tuple
     maps: tuple = ()
-
-    @classmethod
-    def finite(cls, coalgebra):
-        return cls((coalgebra,), ())
 
     @classmethod
     def tower(cls, coalgebras, maps):
@@ -52,18 +49,10 @@ class FormalSuperscheme:
     def coalgebra(self):
         return self.levels[-1]
 
-    @property
-    def is_finite_level(self):
-        return len(self.levels) == 1
-
-    @property
-    def field(self):
-        return self.coalgebra.field
-
     def validate(self):
         if len(self.maps) != len(self.levels) - 1:
             return ["tower needs one transition map per adjacent pair"]
-        bad = _invalid_levels(self.levels)
+        bad = [l for l, C in enumerate(self.levels) if validate_supercoalgebra(C)]
         problems = [f"level {l} is not a valid super-coalgebra" for l in bad]
         for i, m in enumerate(self.maps):
             if i in bad or i + 1 in bad:
@@ -91,64 +80,41 @@ class Point:
 
 @dataclass(frozen=True)
 class SchemeMorphism:
+    """Sp*(source) -> Sp*(target): two super-coalgebras and one even
+    coalgebra map between them."""
     source: object
     target: object
-    maps: tuple
+    map: object
 
     @classmethod
-    def finite(cls, f, X, Y):
-        m = cls(X, Y, (f,))
+    def finite(cls, f, C, D):
+        m = cls(C, D, f)
         problems = m.validate()
         if problems:
             raise ValueError("invalid morphism: " + "; ".join(problems[:3]))
         return m
 
-    @property
-    def deep(self):
-        return self.maps[-1]
-
     def validate(self):
-        if len(self.maps) != len(self.source.levels):
-            return ["need one coalgebra map per level"]
-        if len(self.source.levels) != len(self.target.levels):
-            return ["source and target towers differ in depth"]
-        bad = {end: _invalid_levels(X.levels)
-               for end, X in (("source", self.source), ("target", self.target))}
-        problems = [f"{end} level {l} is not a valid super-coalgebra"
-                    for end, levels in bad.items() for l in levels]
-        for l, m in enumerate(self.maps):
-            if l in bad["source"] or l in bad["target"]:
-                continue
-            if not is_coalgebra_morphism(m, self.source.levels[l],
-                                         self.target.levels[l]):
-                problems.append(f"level {l} map is not a coalgebra morphism")
-        for l in range(len(self.maps) - 1):
-            left = self.maps[l + 1].compose(self.source.maps[l])
-            right = self.target.maps[l].compose(self.maps[l])
-            if left.columns != right.columns:
-                problems.append(f"square at level {l} does not commute")
+        problems = [f"{end} level 0 is not a valid super-coalgebra"
+                    for end, C in (("source", self.source), ("target", self.target))
+                    if validate_supercoalgebra(C)]
+        # a map out of or into an invalid coalgebra is not checked, as its
+        # coproduct map may not even be even
+        if not problems and not is_coalgebra_morphism(self.map, self.source, self.target):
+            problems.append("level 0 map is not a coalgebra morphism")
         return problems
 
 
-def _invalid_levels(levels):
-    """The indices of the levels that fail the super-coalgebra axioms: a
-    map out of or into one is not checked, as its coproduct map may not
-    even be even."""
-    return [l for l, C in enumerate(levels) if validate_supercoalgebra(C)]
-
-
-def identity_morphism(X):
-    return SchemeMorphism(X, X, tuple(GradedMap.identity(c.space)
-                                      for c in X.levels))
+def identity_morphism(C):
+    return SchemeMorphism(C, C, GradedMap.identity(C.space))
 
 
 # ---------------------------------------------------------------------------
 # points and components
 
-def points(X):
-    """Per irreducible component, its coradical kappa: where the coradical
-    of X.coalgebra meets the component."""
-    C = X.coalgebra
+def points(C):
+    """Per irreducible component of C, its coradical kappa: where the
+    coradical of C meets the component."""
     rad = dual_radical(C)
     corad = coradical(C, rad)
     return [Point(i, comp, corad.intersect(comp.subspace))
@@ -165,7 +131,7 @@ def point_images(f, xcomps, ycomps):
     """
     out = []
     for xcomp in xcomps:
-        img = list(f.deep.images(xcomp.subspace.basis()))
+        img = list(f.map.images(xcomp.subspace.basis()))
         hits = [(j, cols) for j, ycomp in enumerate(ycomps)
                 if (cols := coordinates(ycomp.subspace, img)) is not None]
         if len(hits) != 1:
@@ -177,7 +143,7 @@ def point_images(f, xcomps, ycomps):
 def morphism_components(f):
     """The irreducible components of the source and of the target of f."""
     return tuple(irreducible_components(C, dual_radical(C))
-                 for C in (f.source.coalgebra, f.target.coalgebra))
+                 for C in (f.source, f.target))
 
 
 def point_map(f):
@@ -185,8 +151,9 @@ def point_map(f):
     return [j for j, _ in point_images(f, *morphism_components(f))]
 
 
-def _bosonic_subcoalgebra(C):
-    """The subcoalgebra dual to the bosonic reduction of the dual algebra.
+def bosonic_reduction_scheme(C):
+    """The subcoalgebra dual to the bosonic reduction of the dual algebra,
+    with its inclusion into C; a purely even coalgebra.
 
     Killing only the odd coideal is not enough: even products of odd dual
     functionals (like (th1*th2)*) must die too, so the carrier is the perp
@@ -195,22 +162,6 @@ def _bosonic_subcoalgebra(C):
     from .superalgebra import canonical_ideal
     dual = dualize_coalgebra(C)
     return subcoalgebra_on(C, perp(canonical_ideal(dual).subspace, C.space), prefix="b")
-
-
-def bosonic_reduction_scheme(X):
-    """Sp* of the bosonic carrier of every level; purely even result."""
-    new_levels = []
-    inclusions = []
-    for C in X.levels:
-        sub, incl = _bosonic_subcoalgebra(C)
-        new_levels.append(sub)
-        inclusions.append(incl)
-    new_maps = []
-    for l, m in enumerate(X.maps):
-        new_maps.append(_restrict_between(m, inclusions[l], inclusions[l + 1]))
-    if X.is_finite_level:
-        return FormalSuperscheme.finite(new_levels[0])
-    return FormalSuperscheme.tower(new_levels, new_maps)
 
 
 def _restrict_between(m, incl_src, incl_dst):
@@ -227,14 +178,9 @@ def _restrict_between(m, incl_src, incl_dst):
 
 
 def bosonic_reduction_morphism(f):
-    newX = bosonic_reduction_scheme(f.source)
-    newY = bosonic_reduction_scheme(f.target)
-    maps = []
-    for l, m in enumerate(f.maps):
-        _, incl_src = _bosonic_subcoalgebra(f.source.levels[l])
-        _, incl_dst = _bosonic_subcoalgebra(f.target.levels[l])
-        maps.append(_restrict_between(m, incl_src, incl_dst))
-    return SchemeMorphism(newX, newY, tuple(maps))
+    X, incl_src = bosonic_reduction_scheme(f.source)
+    Y, incl_dst = bosonic_reduction_scheme(f.target)
+    return SchemeMorphism(X, Y, _restrict_between(f.map, incl_src, incl_dst))
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +220,11 @@ def transport_point_inverse(u, A, R):
 # morphism predicates
 
 def is_closed_immersion(f):
-    return all(m.is_injective() for m in f.maps)
+    return f.map.is_injective()
 
 
 def is_strictly_surjective(f):
-    return all(m.is_surjective() for m in f.maps)
+    return f.map.is_surjective()
 
 
 def _hits_every_point(images, ycomps):
@@ -296,8 +242,8 @@ def is_open_immersion(f, ycomps):
     the target."""
     if not is_closed_immersion(f):
         return False
-    img = f.deep.image()
-    covered = Subspace.zero(f.target.coalgebra.space)
+    img = f.map.image()
+    covered = Subspace.zero(f.target.space)
     for comp in ycomps:
         if img.contains_subspace(comp.subspace):
             covered = covered.sum(comp.subspace)
@@ -305,39 +251,30 @@ def is_open_immersion(f, ycomps):
 
 
 # ---------------------------------------------------------------------------
-# products, coproducts, fiber products, fibers
-
-def product(X, Y):
-    return FormalSuperscheme.finite(tensor_coalgebra(X.coalgebra, Y.coalgebra))
-
-
-def coproduct(schemes):
-    return FormalSuperscheme.finite(
-        direct_sum_coalgebra([S.coalgebra for S in schemes]))
-
+# fiber products and fibers
 
 def _pushed(f):
     """The source coalgebra A of f as a right B-comodule: psi = (id (x) f) delta."""
-    return comodule_along(regular_comodule(f.source.coalgebra), f.deep, f.target.coalgebra)
+    return comodule_along(regular_comodule(f.source), f.map, f.target)
 
 
 def _closed_scheme(C, carrier):
-    """Sp* of the subcoalgebra of C on carrier; a carrier the coproduct does
-    not close on is a CotensorNotSubcoalgebra."""
+    """The subcoalgebra of C on carrier; a carrier the coproduct does not
+    close on is a CotensorNotSubcoalgebra."""
     try:
         sub, _ = subcoalgebra_on(C, carrier, prefix="w")
     except NotSubcoalgebra as exc:
         raise CotensorNotSubcoalgebra(
             "restricted coproduct does not close on the cotensor carrier") from exc
-    return FormalSuperscheme.finite(sub)
+    return sub
 
 
 def _fiber_product_carrier(f, g):
-    return cotensor(_pushed(f), _pushed(g)), f.source.coalgebra, g.source.coalgebra
+    return cotensor(_pushed(f), _pushed(g)), f.source, g.source
 
 
 def fiber_product(f, g):
-    """Sp* of the cotensor A1 box_B A2, with closure explicitly verified."""
+    """The cotensor A1 box_B A2, with closure explicitly verified."""
     if f.target is not g.target and f.target != g.target:
         raise ValueError("fiber product needs a shared target")
     carrier, A1, A2 = _fiber_product_carrier(f, g)
@@ -349,7 +286,7 @@ def fiber(f, y):
     A box_B kappa(y), read in A as the preimage psi^-1(A (x) kappa(y)) of
     the coaction psi of A pushed along f, with closure explicitly verified."""
     carrier, _ = preimage(_pushed(f), y.kappa)
-    return _closed_scheme(f.source.coalgebra, carrier)
+    return _closed_scheme(f.source, carrier)
 
 
 def _point_fibers(f):
@@ -366,7 +303,7 @@ def immersion_fiberwise_check(f):
     from X_y = psi^-1(A (x) kappa(y)) to {y} is (eps (x) id) psi = f, so it
     is one iff f is injective on that preimage."""
     total = is_closed_immersion(f)
-    fiberwise = all(Subspace.from_vectors(f.deep.codomain, f.deep.images(P.basis())).dim == P.dim
+    fiberwise = all(Subspace.from_vectors(f.map.codomain, f.map.images(P.basis())).dim == P.dim
                     for P, _, _ in _point_fibers(f))
     return total == fiberwise, total, fiberwise
 
@@ -374,25 +311,9 @@ def immersion_fiberwise_check(f):
 # ---------------------------------------------------------------------------
 # base change
 
-def base_change(X, ext):
-    if ext == X.field:
-        return X
-    levels = [base_change_coalgebra(C, ext) for C in X.levels]
-    maps = []
-    for m, src, dst in zip(X.maps, levels, levels[1:]):
-        maps.append(GradedMap(src.space, dst.space, _embed_columns(m, ext), 0))
-    if X.is_finite_level:
-        return FormalSuperscheme.finite(levels[0])
-    return FormalSuperscheme.tower(levels, maps)
-
-
 def base_change_morphism(f, ext):
-    newX = base_change(f.source, ext)
-    newY = base_change(f.target, ext)
-    maps = []
-    for m, src, dst in zip(f.maps, newX.levels, newY.levels):
-        maps.append(GradedMap(src.space, dst.space, _embed_columns(m, ext), 0))
-    return SchemeMorphism(newX, newY, tuple(maps))
+    X, Y = (base_change_coalgebra(C, ext) for C in (f.source, f.target))
+    return SchemeMorphism(X, Y, GradedMap(X.space, Y.space, _embed_columns(f.map, ext), 0))
 
 
 def _embed_columns(m, ext):
@@ -437,15 +358,6 @@ def flatness(f, xcomps, ycomps):
         raise AssertionError(
             "flat morphism breaks the surjective/strictly-surjective equivalence")
     return Flatness(tuple(flat_at), surjective)
-
-
-def is_flat(f):
-    return flatness(f, *morphism_components(f)).flat
-
-
-def is_faithfully_flat(f):
-    """Flat and surjective; the strict-surjectivity equivalence is re-checked."""
-    return flatness(f, *morphism_components(f)).faithfully_flat
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +522,7 @@ def _coequalizer_check(f):
     when that image is the kernel of O_*(f) and O_*(f) is onto.
     """
     from .supercoalgebra import is_coideal
-    A = f.source.coalgebra
+    A = f.source
     M = _pushed(f)
     basis = cotensor(M, M).basis()
     ident, eps = GradedMap.identity(A.space), A.counit_map()
@@ -620,9 +532,9 @@ def _coequalizer_check(f):
                                     [vec_sub(A.field, a, b) for a, b in zip(p1, p2)])
     if coideal.dim > 0 and not is_coideal(A, coideal):
         raise AssertionError("difference image of the projections must be a coideal")
-    if coideal != f.deep.kernel():
+    if coideal != f.map.kernel():
         return False
-    return f.deep.is_surjective()
+    return f.map.is_surjective()
 
 
 def descent_check(f, depth=3):
@@ -637,8 +549,7 @@ def descent_check(f, depth=3):
     if depth > TOWER_DEPTH_BOUND:
         raise SearchBoundExceeded(
             f"descent depth {depth} is over the bound {TOWER_DEPTH_BOUND}")
-    A = f.source.coalgebra
-    B = f.target.coalgebra
+    A, B = f.source, f.target
     reg = _pushed(f)
 
     def degrees(M):
@@ -647,7 +558,7 @@ def descent_check(f, depth=3):
 
     whole = degrees(regular_comodule(B))
     tests = [("O(Y)", whole)]
-    for y in points(FormalSuperscheme.finite(B)):
+    for y in points(B):
         if y.kappa.dim == B.dim:
             results = whole
         else:
@@ -664,28 +575,24 @@ def descent_check(f, depth=3):
 # ---------------------------------------------------------------------------
 # finiteness of morphisms
 
-def is_finite_morphism(f):
-    """Every fiber is finite-dimensional; trivially true at finite level.
+def finiteness(f):
+    """The largest fiber dimension of f, and its bounded degree: the minimal
+    n with f_* O_*(X) embedding into (O_*(Y) + parity shift)^n.  Every fiber
+    of a finite-level morphism is finite-dimensional.
 
-    Returns (True, max fiber dimension) as evidence.
+    The degree is the largest minimal homogeneous generator count, per
+    parity, of the dual module A* over a local factor B_i* of B*: by
+    Nakayama's lemma the sdim (e, o) of A*/rad(B_i*)A*, over a residue field
+    of degree d, divided by d.  That quotient is dual to the fiber
+    psi^-1(A (x) kappa_i), as in flat_check.
     """
-    return True, max((e + o for _, (e, o), _ in _point_fibers(f)), default=0)
-
-
-def finite_bounded_degree(f):
-    """Minimal n with f_* O_*(X) embedding into (O_*(Y) + parity shift)^n.
-
-    The largest minimal homogeneous generator count, per parity, of the dual
-    module A* over a local factor B_i* of B*: by Nakayama's lemma the sdim
-    (e, o) of A*/rad(B_i*)A*, over a residue field of degree d, divided by d.
-    That quotient is dual to the fiber psi^-1(A (x) kappa_i), as in flat_check.
-    """
-    degree = 0
+    largest = degree = 0
     for _, (e, o), d in _point_fibers(f):
         if e % d or o % d:
             raise AssertionError("residue field does not divide the cogenerator count")
+        largest = max(largest, e + o)
         degree = max(degree, e // d, o // d)
-    return degree
+    return largest, degree
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +613,11 @@ class AlgebraicityVerdict:
 def is_algebraic_at(X, point_index):
     """Stabilization of the coradical-filtration stage A_1 along a tower.
 
-    Finite-level schemes are always verified.  For towers, the A_1 stage of
-    the component of the point is computed at each level and compared (as
+    A one-level tower is always verified.  Otherwise the A_1 stage of the
+    component of the point is computed at each level and compared (as
     subspaces of the deepest coalgebra) across the last two levels.
     """
-    if X.is_finite_level:
+    if len(X.levels) == 1:
         comp = irreducible_components(X.coalgebra, dual_radical(X.coalgebra))[point_index]
         B = comp.coalgebra
         chain = coradical_filtration(B, dual_radical(B))

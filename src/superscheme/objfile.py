@@ -313,8 +313,7 @@ def _build_morphism(doc, po):
         gm = GradedMap(C.space, D.space, [vector(F, col) for col in cols], 0)
     except ValueError as exc:
         raise ParseError(f"morphism {po.name}: {exc}")
-    return SchemeMorphism(FormalSuperscheme.finite(C),
-                          FormalSuperscheme.finite(D), (gm,))
+    return SchemeMorphism(C, D, gm)
 
 
 def _build_subspace(doc, po):
@@ -421,9 +420,9 @@ def _build_tower(doc, po):
         if tokens[0] == "level":
             levels.append(doc.get(tokens[1], "coalgebra"))
         elif tokens[0] == "tmap":
-            tmaps.append(doc.get(tokens[1], "morphism").deep)
+            tmaps.append(doc.get(tokens[1], "morphism").map)
     if len(levels) == 1 and not tmaps:
-        return FormalSuperscheme.finite(levels[0])
+        return FormalSuperscheme((levels[0],))
     try:
         return FormalSuperscheme.tower(levels, tmaps)
     except ValueError as exc:
@@ -485,7 +484,7 @@ def serialize_object(name, value, F, over=None, endpoints=None):
     elif isinstance(value, SchemeMorphism):
         src, dst = endpoints
         lines.append(f"object morphism {name} from {src} to {dst}")
-        for i, row in enumerate(_transpose(value.deep.columns, value.deep.codomain.dim)):
+        for i, row in enumerate(_transpose(value.map.columns, value.map.codomain.dim)):
             lines.extend(f"  map {i} {j} {F.format(c)}" for j, c in row)
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")

@@ -11,7 +11,7 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
 
 from superscheme.fields import Field  # noqa: E402
 from superscheme.formal_scheme import (  # noqa: E402
-    FormalSuperscheme, SchemeMorphism, fiber_product, points,
+    SchemeMorphism, fiber_product, flatness, morphism_components, points,
 )
 from superscheme.superalgebra import (  # noqa: E402
     _semisimple_idempotent, local_decomposition, quotient_by_superideal, radical,
@@ -349,10 +349,10 @@ def descent_degrees_by_dense_tower(f, depth):
     """Reference for the per-comodule degrees of formal_scheme.descent_check:
     the same test comodules (O(Y), then kappa(y) per point), each complex
     built and checked densely."""
-    A, B = f.source.coalgebra, f.target.coalgebra
-    reg = comodule_along(regular_comodule(A), f.deep, B)
+    A, B = f.source, f.target
+    reg = comodule_along(regular_comodule(A), f.map, B)
     tests = [regular_comodule(B)]
-    for y in points(FormalSuperscheme.finite(B)):
+    for y in points(B):
         tests.append(subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}.")[0])
     return tuple(_dense_exactness(_dense_tower(M, A, reg, depth + 1), depth)
                  for M in tests)
@@ -363,19 +363,24 @@ def descent_oracle():
     return descent_degrees_by_dense_tower
 
 
+def flatness_of(f):
+    """formal_scheme.flatness of f, from the components of its source and
+    target."""
+    return flatness(f, *morphism_components(f))
+
+
 def fiber_by_cotensor(f, y):
     """Reference for formal_scheme.fiber: the fiber product of f with the
     inclusion of {y} = Sp*(kappa(y)), a cotensor inside A (x) kappa(y)."""
-    kappa, incl = subcoalgebra_on(f.target.coalgebra, y.kappa, prefix="k")
-    return fiber_product(f, SchemeMorphism(FormalSuperscheme.finite(kappa), f.target, (incl,)))
+    kappa, incl = subcoalgebra_on(f.target, y.kappa, prefix="k")
+    return fiber_product(f, SchemeMorphism(kappa, f.target, incl))
 
 
 def bounded_degree_by_dual_action(f):
-    """Reference for formal_scheme.finite_bounded_degree: the largest minimal
+    """Reference for the degree of formal_scheme.finiteness: the largest minimal
     homogeneous generator count, per parity, of the dual module A* over any
     local factor of B*, with B* acting on A* through the transpose of f."""
-    A = f.source.coalgebra
-    B = f.target.coalgebra
+    A, B = f.source, f.target
     F = A.field
     if A.dim == 0:
         return 0
@@ -387,7 +392,7 @@ def bounded_degree_by_dual_action(f):
     def acting(w):
         """w . a* for every basis vector a* of A*: B* acts on A* through the
         transpose of the coalgebra map, which sends w to w o f."""
-        cols = linear_form(B.space, w, None).compose(f.deep).columns
+        cols = linear_form(B.space, w, None).compose(f.map).columns
         pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
         return dualA.products([pulled], _identity_columns(F, dualA.dim))
 

@@ -13,7 +13,7 @@ from superscheme.superalgebra import (
     enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
-    SuperCoalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
+    SuperCoalgebra, base_change_coalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
     dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
     unit_coalgebra, validate_supercoalgebra, wedge,
 )
@@ -22,9 +22,8 @@ from superscheme.supercomodule import (
     quotient_comodule, regular_comodule, trivial_comodule, validate_comodule,
 )
 from superscheme.formal_scheme import (
-    FormalSuperscheme, SchemeMorphism, base_change, bosonic_reduction_morphism,
-    descent_check, identity_morphism, point_map, points, transport_point,
-    transport_point_inverse,
+    SchemeMorphism, bosonic_reduction_morphism, descent_check, identity_morphism,
+    point_map, points, transport_point, transport_point_inverse,
 )
 from superscheme.ksdim import (
     even_kdim, ksdim, odd_annihilator_dim, oracle_annihilator_dim,
@@ -222,10 +221,9 @@ def test_criterion_5_components_and_grouplikes():
             ok &= len(structural) == len(brute)
             ok &= sorted(structural) == sorted(tuple(u[0]) for u in brute)
     C9 = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
-    X = FormalSuperscheme.finite(C9)
-    ok &= len(points(X)) == 1
+    ok &= len(points(C9)) == 1
     F9 = ExtensionField(F3, (1, 0, 1), "j")
-    ok &= len(points(base_change(X, F9))) == 2
+    ok &= len(points(base_change_coalgebra(C9, F9))) == 2
     _report(5, "components and group-likes", ok)
 
 
@@ -321,8 +319,7 @@ def _collapse_morphism(C):
     F = C.field
     K = unit_coalgebra(F)
     m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
-    return SchemeMorphism.finite(m, FormalSuperscheme.finite(C),
-                                 FormalSuperscheme.finite(K))
+    return SchemeMorphism.finite(m, C, K)
 
 
 def _component_inclusion(C, extra):
@@ -333,8 +330,7 @@ def _component_inclusion(C, extra):
     for i in range(C.dim):
         rows[i][i] = F.one
     m = GradedMap(C.space, big.space, dense_columns(F, rows, C.dim), 0)
-    return SchemeMorphism.finite(m, FormalSuperscheme.finite(C),
-                                 FormalSuperscheme.finite(big))
+    return SchemeMorphism.finite(m, C, big)
 
 
 def test_criterion_7_descent():
@@ -345,8 +341,7 @@ def test_criterion_7_descent():
         ("D1 collapse", _collapse_morphism(divided_power(1))),
         ("D2 collapse", _collapse_morphism(divided_power(2))),
         ("odd-line collapse", _collapse_morphism(dualize_algebra(grassmann(1)))),
-        ("identity on D1", identity_morphism(
-            FormalSuperscheme.finite(divided_power(1)))),
+        ("identity on D1", identity_morphism(divided_power(1))),
     ]
     for name, f in faithfully_flat:
         rep = descent_check(f, depth=3)
@@ -437,8 +432,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
     m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK),
-                              FormalSuperscheme.finite(K))
+    f = SchemeMorphism.finite(m, GK, K)
     write("collapse.mor", serialize_document(
         QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]))
     write("pres.pres", "superscheme 1\nfield Q\nobject presentation P\n"

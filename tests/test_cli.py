@@ -13,7 +13,7 @@ from superscheme.objfile import serialize_document
 from superscheme.superlinear import GradedMap
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
 from superscheme.formal_scheme import (
-    TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, FormalSuperscheme, SchemeMorphism,
+    TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra, seeded_random,
@@ -38,13 +38,11 @@ def files(tmp_path):
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
     m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK),
-                              FormalSuperscheme.finite(K))
+    f = SchemeMorphism.finite(m, GK, K)
     write("collapse.mor", serialize_document(
         QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]))
     j = GradedMap(K.space, GK.space, dense_columns(QQ, [[QQ.one], [QQ.zero]]), 0)
-    fj = SchemeMorphism.finite(j, FormalSuperscheme.finite(K),
-                               FormalSuperscheme.finite(GK))
+    fj = SchemeMorphism.finite(j, K, GK)
     write("inclusion.mor", serialize_document(
         QQ, [("K", K), ("GK", GK), ("fj", fj, None, ("K", "GK"))]))
     write("pres.pres", """superscheme 1
@@ -336,7 +334,7 @@ def test_descent_tower_over_the_bound_is_unsupported(tmp_path):
     assert 65 ** 2 <= TOWER_AMBIENT_BOUND < 65 ** 3
     C, K = grouplike_coalgebra(65, F3), unit_coalgebra(F3)
     f = SchemeMorphism.finite(GradedMap(C.space, K.space, C.counit_map().columns, 0),
-                              FormalSuperscheme.finite(C), FormalSuperscheme.finite(K))
+                              C, K)
     path = tmp_path / "collapse65.mor"
     path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
     start = time.perf_counter()
@@ -354,7 +352,7 @@ def test_counit_collapse_tower_over_the_bound_is_refused_before_any_level(tmp_pa
     before level 1 is built."""
     C, K = dualize_algebra(grassmann(3, F3)), unit_coalgebra(F3)
     f = SchemeMorphism.finite(GradedMap(C.space, K.space, C.counit_map().columns, 0),
-                              FormalSuperscheme.finite(C), FormalSuperscheme.finite(K))
+                              C, K)
     path = tmp_path / "collapse-g3.mor"
     path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
     start = time.perf_counter()
@@ -605,12 +603,12 @@ def _fuzz_inputs():
     """Small corpus object files and the commands that read each of them."""
     GK, K, D1, D2 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1), divided_power(2)
     m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    f = SchemeMorphism.finite(m, FormalSuperscheme.finite(GK), FormalSuperscheme.finite(K))
+    f = SchemeMorphism.finite(m, GK, K)
     # the counit collapse of Grassmann(2)*, whose source has odd basis vectors
     G2d = dualize_algebra(grassmann(2, F3))
     K3 = unit_coalgebra(F3)
     g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, G2d.counit_map().columns),
-                              FormalSuperscheme.finite(G2d), FormalSuperscheme.finite(K3))
+                              G2d, K3)
     from superscheme.supercomodule import regular_comodule, trivial_comodule
     from superscheme.superlinear import unit_vec
     coalg = serialize_document(QQ, [("D2", D2), ("GK", GK)]) + (
@@ -820,7 +818,7 @@ def test_fiber_and_finite_check_reports_are_pinned(tmp_path, key):
     digest, finite_lines, fiber_lines = PINNED_FIBER_REPORTS[key]
     (f,) = seeded_random("morphism", seed, field=F).payload
     path = tmp_path / "m.ss"
-    path.write_text(serialize_document(F, [("A", f.source.coalgebra), ("B", f.target.coalgebra),
+    path.write_text(serialize_document(F, [("A", f.source), ("B", f.target),
                                            ("f", f, None, ("A", "B"))]))
 
     def report(command, *lines):
@@ -834,3 +832,78 @@ def test_fiber_and_finite_check_reports_are_pinned(tmp_path, key):
             (report("fiber", f"point {i}", *lines), EXIT_OK)
     text, code = run(["fiber", str(path), "--morphism", "f", "--point", str(len(fiber_lines))])
     assert code == EXIT_IO and f"target has only {len(fiber_lines)} points" in text
+
+
+def test_finite_check_takes_each_preimage_once(tmp_path, monkeypatch):
+    """finite-check reads the largest fiber dimension and the degree from
+    one pass over the fibers: A is pushed along f once, and each of the 3
+    target points of the seed-2 morphism over Q takes one preimage."""
+    (f,) = seeded_random("morphism", 2).payload
+    path = tmp_path / "m.ss"
+    path.write_text(serialize_document(QQ, [("A", f.source), ("B", f.target),
+                                            ("f", f, None, ("A", "B"))]))
+    pushed = _count_calls(monkeypatch, "formal_scheme", "_pushed")
+    preimages = _count_calls(monkeypatch, "supercomodule", "preimage")
+    assert "max-fiber-dim 1" in _ok(["finite-check", str(path)])
+    assert (len(pushed), len(preimages)) == (1, 3)
+
+
+# B breaks the counit axiom: delta(h) = 0.
+BROKEN_COUNIT = "object coalgebra B\n  basis h even\n  counit 0 1\nend\n"
+
+# Objects added to a file holding the coalgebras D1, D2, GK and K; the last
+# lines validate and report-all print before their status line; and the exit
+# code of both.
+MORPHISM_AND_TOWER_CASES = {
+    # f sends the group-like of k to x, which is not group-like
+    "map-not-a-coalgebra-morphism": (
+        "object morphism f from K to D1\n  map 1 0 1\nend\n",
+        ["object f FAIL", "  violation f level 0 map is not a coalgebra morphism"],
+        ["morphism f valid False"], EXIT_FAIL),
+    "morphism-into-an-invalid-coalgebra": (
+        BROKEN_COUNIT + "object morphism f from K to B\n  map 0 0 1\nend\n",
+        ["object f FAIL", "  violation f target level 0 is not a valid super-coalgebra"],
+        ["coalgebra B valid False", "morphism f valid False"], EXIT_FAIL),
+    "two-level-tower": (
+        "object morphism i from D1 to D2\n  map 0 0 1\n  map 1 1 1\nend\n"
+        "object tower T\n  level D1\n  level D2\n  tmap i\nend\n",
+        ["object i pass", "object T pass"],
+        ["morphism i valid True", "morphism i closed-immersion True", "morphism i flat False",
+         "morphism i faithfully-flat False", "tower T valid True"], EXIT_OK),
+    "one-level-tower-with-an-invalid-level": (
+        BROKEN_COUNIT + "object tower T\n  level B\nend\n",
+        ["object T FAIL", "  violation T level 0 is not a valid super-coalgebra"],
+        ["coalgebra B valid False", "tower T valid False"], EXIT_FAIL),
+}
+
+
+def _with_coalgebras(tmp_path, extra):
+    path = tmp_path / "objects.ss"
+    path.write_text(serialize_document(QQ, [
+        ("D1", divided_power(1)), ("D2", divided_power(2)), ("GK", grouplike_coalgebra(2)),
+        ("K", unit_coalgebra(QQ))]) + extra)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(MORPHISM_AND_TOWER_CASES))
+def test_morphism_and_tower_reports_are_pinned(tmp_path, case):
+    extra, validate_lines, report_lines, code = MORPHISM_AND_TOWER_CASES[case]
+    path = _with_coalgebras(tmp_path, extra)
+    status = "status ok" if code == EXIT_OK else "status fail"
+    for command, lines in (("validate", validate_lines), ("report-all", report_lines)):
+        text, got = run([command, path])
+        assert got == code, text
+        assert text.splitlines()[-len(lines) - 1:] == lines + [status], text
+
+
+@pytest.mark.parametrize("command", ["validate", "report-all"])
+def test_a_tower_with_a_non_injective_transition_is_a_parse_error(tmp_path, command):
+    """The counit collapse of two group-likes is a coalgebra map but not
+    injective, so it cannot join two levels of a tower."""
+    path = _with_coalgebras(tmp_path, (
+        "object morphism f from GK to K\n  map 0 0 1\n  map 0 1 1\nend\n"
+        "object tower T\n  level GK\n  level K\n  tmap f\nend\n"))
+    assert run([command, path]) == (
+        "superscheme-report error\n"
+        "parse-error invalid tower: transition 0 is not injective\n"
+        "status error\n", EXIT_IO)

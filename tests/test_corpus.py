@@ -100,7 +100,7 @@ def test_seeded_entries_deterministic():
         if kind == "comodule":
             assert a.payload[1].psi == b.payload[1].psi
         if kind == "morphism":
-            assert a.payload[0].deep.columns == b.payload[0].deep.columns
+            assert a.payload[0].map.columns == b.payload[0].map.columns
         if kind == "presentation":
             assert a.payload[0] == b.payload[0]
 

@@ -13,23 +13,21 @@ from superscheme.superlinear import (
 from superscheme.superalgebra import enumerate_homs
 from superscheme.supercomodule import comodule_along, regular_comodule
 from superscheme.supercoalgebra import (
-    dualize_algebra, grouplikes_over, make_supercoalgebra, tensor_coalgebra, truncated_cofree,
-    unit_coalgebra,
+    base_change_coalgebra, direct_sum_coalgebra, dualize_algebra, grouplikes_over,
+    make_supercoalgebra, tensor_coalgebra, truncated_cofree, unit_coalgebra,
 )
 from superscheme import formal_scheme
 from superscheme.formal_scheme import (
     FormalSuperscheme, SchemeMorphism,
-    bosonic_reduction_morphism, bosonic_reduction_scheme, base_change,
-    base_change_morphism, coproduct, descent_check, fiber, fiber_product,
-    finite_bounded_degree, identity_morphism, immersion_fiberwise_check,
-    is_algebraic_at, is_closed_immersion, is_faithfully_flat,
-    is_finite_morphism, is_flat, is_open_immersion, is_strictly_surjective,
-    is_surjective, morphism_components, point_map, points, product,
-    transport_point, transport_point_inverse, _bosonic_subcoalgebra,
+    bosonic_reduction_morphism, bosonic_reduction_scheme, base_change_morphism,
+    descent_check, fiber, fiber_product, finiteness, identity_morphism,
+    immersion_fiberwise_check, is_algebraic_at, is_closed_immersion, is_open_immersion,
+    is_strictly_surjective, is_surjective, morphism_components, point_map, points,
+    transport_point, transport_point_inverse,
 )
 from conftest import (
     _alternating_sum, _count_calls, _dense_tower, bounded_degree_by_dual_action, dense,
-    dense_columns, dense_rows, fiber_by_cotensor, matrix_of, sparse,
+    dense_columns, dense_rows, fiber_by_cotensor, flatness_of, matrix_of, sparse,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
@@ -42,42 +40,36 @@ F9 = ExtensionField(F3, (1, 0, 1), "j")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _scheme(C):
-    return FormalSuperscheme.finite(C)
-
-
 def _collapse(C):
     """Counit morphism Sp*(C) -> Sp*(k)."""
     F = C.field
     K = unit_coalgebra(F)
     m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
-    return SchemeMorphism.finite(m, _scheme(C), _scheme(K))
+    return SchemeMorphism.finite(m, C, K)
 
 
 def test_points_examples():
-    X = _scheme(dualize_algebra(split_pair()))
+    X = dualize_algebra(split_pair())
     assert len(points(X)) == 2
-    Y = _scheme(divided_power(3))
+    Y = divided_power(3)
     pts = points(Y)
     assert len(pts) == 1 and pts[0].kappa.dim == 1
-    Z = _scheme(dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one],
-                                                      F3)))
+    Z = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
     pz = points(Z)
     assert len(pz) == 1 and pz[0].kappa.dim == 2
 
 
 def test_bosonic_reduction_scheme():
     G = dualize_algebra(grassmann(1))
-    X = _scheme(G)
-    B = bosonic_reduction_scheme(X)
-    assert B.coalgebra.dim == 1
-    assert len(points(B)) == len(points(X))
-    D = _scheme(divided_power(2))
-    assert bosonic_reduction_scheme(D).coalgebra.delta == D.coalgebra.delta
-    G2 = _scheme(dualize_algebra(grassmann(2)))
-    B2 = bosonic_reduction_scheme(G2)
-    assert B2.coalgebra.dim == 1
-    assert all(p == 0 for p in B2.coalgebra.space.parities)
+    B, _ = bosonic_reduction_scheme(G)
+    assert B.dim == 1
+    assert len(points(B)) == len(points(G))
+    D = divided_power(2)
+    assert bosonic_reduction_scheme(D)[0].delta == D.delta
+    G2 = dualize_algebra(grassmann(2))
+    B2, _ = bosonic_reduction_scheme(G2)
+    assert B2.dim == 1
+    assert all(p == 0 for p in B2.space.parities)
 
 
 def test_point_map_equals_bosonic_point_map():
@@ -86,12 +78,11 @@ def test_point_map_equals_bosonic_point_map():
         (f,) = entry.payload
         g = bosonic_reduction_morphism(f)
         assert point_map(f) == point_map(g), seed
-        # each restricted map r, read off the carrier's pivot columns, closes
-        # the square incl_dst r = m incl_src
-        for m, r, src, dst in zip(f.maps, g.maps, f.source.levels, f.target.levels):
-            _, incl_src = _bosonic_subcoalgebra(src)
-            _, incl_dst = _bosonic_subcoalgebra(dst)
-            assert incl_dst.compose(r).columns == m.compose(incl_src).columns, seed
+        # the restricted map, read off the carrier's pivot columns, closes
+        # the square incl_dst g = f incl_src
+        _, incl_src = bosonic_reduction_scheme(f.source)
+        _, incl_dst = bosonic_reduction_scheme(f.target)
+        assert incl_dst.compose(g.map).columns == f.map.compose(incl_src).columns, seed
 
 
 def test_restrict_between_escape_is_named_under_python_O():
@@ -181,20 +172,19 @@ def test_transport_natural_in_target():
 
 def test_immersion_predicates():
     KK = dualize_algebra(split_pair())
-    X = _scheme(KK)
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
         GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), X)
+        K, KK)
     xcomps, ycomps = morphism_components(incl)
     assert is_closed_immersion(incl) and is_open_immersion(incl, ycomps)
     assert not is_surjective(incl, xcomps, ycomps)
     G = dualize_algebra(grassmann(1))
     j = SchemeMorphism.finite(
         GradedMap(K.space, G.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), _scheme(G))
+        K, G)
     assert is_closed_immersion(j) and not is_open_immersion(j, morphism_components(j)[1])
-    ident = identity_morphism(X)
+    ident = identity_morphism(KK)
     xcomps, ycomps = morphism_components(ident)
     assert is_closed_immersion(ident) and is_open_immersion(ident, ycomps)
     assert is_surjective(ident, xcomps, ycomps) and is_strictly_surjective(ident)
@@ -209,37 +199,36 @@ def test_strict_surjectivity_implies_surjectivity():
 
 def test_product_coproduct():
     KK = dualize_algebra(split_pair())
-    P = product(_scheme(KK), _scheme(KK))
+    P = tensor_coalgebra(KK, KK)
     assert len(points(P)) == 4
-    S = coproduct([_scheme(KK), _scheme(divided_power(1))])
+    S = direct_sum_coalgebra([KK, divided_power(1)])
     assert len(points(S)) == 3
-    assert S.coalgebra.dim == 4
+    assert S.dim == 4
 
 
 def test_fiber_product_over_self():
     # A box_A A along identities is A again
     D = divided_power(2)
-    ident = identity_morphism(_scheme(D))
+    ident = identity_morphism(D)
     W = fiber_product(ident, ident)
-    assert W.coalgebra.dim == D.dim
+    assert W.dim == D.dim
     assert len(points(W)) == 1
 
 
 def test_fiber_examples():
     KK = dualize_algebra(split_pair())
-    X = _scheme(KK)
-    ident = identity_morphism(X)
-    pts = points(X)
+    ident = identity_morphism(KK)
+    pts = points(KK)
     fib = fiber(ident, pts[0])
-    assert fib.coalgebra.dim == 1
+    assert fib.dim == 1
     col = _collapse(KK)
     fib2 = fiber(col, points(col.target)[0])
-    assert fib2.coalgebra.dim == 2
+    assert fib2.dim == 2
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
         GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), X)
-    assert fiber(incl, pts[1]).coalgebra.dim == 0
+        K, KK)
+    assert fiber(incl, pts[1]).dim == 0
 
 
 def test_immersion_fiberwise():
@@ -247,7 +236,7 @@ def test_immersion_fiberwise():
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
         GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), _scheme(KK))
+        K, KK)
     ok, total, fiberwise = immersion_fiberwise_check(incl)
     assert ok and total and fiberwise
     col = _collapse(KK)
@@ -257,38 +246,35 @@ def test_immersion_fiberwise():
 
 def test_base_change_splits_components():
     C = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
-    X = _scheme(C)
-    assert len(points(X)) == 1
-    X9 = base_change(X, F9)
-    assert len(points(X9)) == 2
+    assert len(points(C)) == 1
+    assert len(points(base_change_coalgebra(C, F9))) == 2
     CQ = dualize_algebra(quotient_ring_algebra([Fraction(1), Fraction(0),
                                                 Fraction(1)]))
     QI = ExtensionField(QQ, (Fraction(1), Fraction(0), Fraction(1)), "i")
-    assert len(points(base_change(_scheme(CQ), QI))) == 2
-    assert base_change(X, F3) is X  # trivial extension
+    assert len(points(base_change_coalgebra(CQ, QI))) == 2
 
 
 def test_flat_morphism_examples():
     KK = dualize_algebra(split_pair())
     col = _collapse(KK)
-    assert is_faithfully_flat(col)
+    assert flatness_of(col).faithfully_flat
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
         GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), _scheme(KK))
-    assert is_flat(incl) and not is_faithfully_flat(incl)
+        K, KK)
+    assert flatness_of(incl).flat and not flatness_of(incl).faithfully_flat
     D = divided_power(1)
     pt = SchemeMorphism.finite(
         GradedMap(K.space, D.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), _scheme(D))
-    assert not is_flat(pt)
+        K, D)
+    assert not flatness_of(pt).flat
 
 
 def test_faithfully_flat_equivalences_on_seeds():
     for seed in range(25):
         (f,) = seeded_random("morphism", seed).payload
-        flat = is_flat(f)
-        ff = is_faithfully_flat(f)
+        verdict = flatness_of(f)
+        flat, ff = verdict.flat, verdict.faithfully_flat
         surj = is_surjective(f, *morphism_components(f))
         assert ff == (flat and surj)
         if flat:
@@ -299,20 +285,21 @@ def test_flat_invariant_under_base_change():
     for seed in range(12):
         (f,) = seeded_random("morphism", seed, field=F3).payload
         f9 = base_change_morphism(f, F9)
-        assert is_flat(f) == is_flat(f9), seed
-        assert is_faithfully_flat(f) == is_faithfully_flat(f9), seed
+        before, after = flatness_of(f), flatness_of(f9)
+        assert before.flat == after.flat, seed
+        assert before.faithfully_flat == after.faithfully_flat, seed
 
 
 def test_descent_examples():
     KK = dualize_algebra(split_pair())
     rep = descent_check(_collapse(KK), depth=3)
     assert rep.passed
-    ident = identity_morphism(_scheme(divided_power(1)))
+    ident = identity_morphism(divided_power(1))
     assert descent_check(ident, depth=2).passed
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(
         GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        _scheme(K), _scheme(KK))
+        K, KK)
     rep3 = descent_check(incl, depth=2)
     assert not rep3.passed
     assert ("kappa(1)", 0) in rep3.failures
@@ -335,7 +322,7 @@ def test_descent_degrees_match_dense_tower(descent_oracle, field):
 
 
 @pytest.mark.parametrize("make, per_level", [(_collapse, False),
-                                              (lambda C: identity_morphism(_scheme(C)), True)],
+                                              (identity_morphism, True)],
                          ids=["collapse", "identity"])
 def test_tower_reads_coordinates_twice_per_level_above_the_first(monkeypatch, make, per_level):
     """Over B = A level n solves one cotensor kernel and reads its coaction,
@@ -343,9 +330,8 @@ def test_tower_reads_coordinates_twice_per_level_above_the_first(monkeypatch, ma
     tower of depth d makes d kernels and 2d - 1 reads.  Over B = k a level
     is the whole tensor T_(n-1) (x) A, so the tower makes neither."""
     f = make(dualize_algebra(grassmann(2, F3)))
-    A = f.source.coalgebra
-    B = f.target.coalgebra
-    reg = comodule_along(regular_comodule(A), f.deep, B)
+    A, B = f.source, f.target
+    reg = comodule_along(regular_comodule(A), f.map, B)
     reads = _count_calls(monkeypatch, "formal_scheme", "_read_coordinates")
     kernels = _count_calls(monkeypatch, "formal_scheme", "cotensor_kernel")
     for depth in range(1, 5):
@@ -370,9 +356,9 @@ def test_point_target_tower_matches_dense_tower(field):
             continue
         collapses += 1
         (f,) = entry.payload
-        A, B = f.source.coalgebra, f.target.coalgebra
+        A, B = f.source, f.target
         assert B.dim == 1
-        reg = comodule_along(regular_comodule(A), f.deep, B)
+        reg = comodule_along(regular_comodule(A), f.map, B)
         M = regular_comodule(B)
         for depth in (1, 2, 3):
             levels = formal_scheme._iterated_cotensor_tower(M, A, reg, depth)
@@ -416,14 +402,13 @@ def test_point_image_check_holds_under_python_O():
     code = "\n".join([
         "from fractions import Fraction",
         "from superscheme.corpus import split_pair",
-        "from superscheme.formal_scheme import FormalSuperscheme, SchemeMorphism, point_map",
+        "from superscheme.formal_scheme import SchemeMorphism, point_map",
         "from superscheme.supercoalgebra import dualize_algebra",
         "from superscheme.superlinear import GradedMap",
         "C = dualize_algebra(split_pair())",
-        "X = FormalSuperscheme.finite(C)",
         "one, zero = Fraction(1), Fraction(0)",
         "f = GradedMap(C.space, C.space, [((0, one), (1, one)), ((1, one),)], 0)",
-        "point_map(SchemeMorphism(X, X, (f,)))",
+        "point_map(SchemeMorphism(C, C, f))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -435,27 +420,20 @@ def test_point_image_check_holds_under_python_O():
 
 def test_finite_morphism_degrees():
     KK = dualize_algebra(split_pair())
-    ident = identity_morphism(_scheme(KK))
-    finite, max_dim = is_finite_morphism(ident)
-    assert finite and max_dim == 1
-    assert finite_bounded_degree(ident) == 1
-    col = _collapse(KK)
-    assert finite_bounded_degree(col) == 2
-    colG = _collapse(dualize_algebra(grassmann(1)))
-    assert finite_bounded_degree(colG) == 1
-    assert is_finite_morphism(colG) == (True, 2)
+    assert finiteness(identity_morphism(KK)) == (1, 1)
+    assert finiteness(_collapse(KK)) == (2, 2)
+    assert finiteness(_collapse(dualize_algebra(grassmann(1)))) == (2, 1)
 
 
 def test_fiber_over_non_rational_point():
     # the target's unique point has residue field F9; kappa(y) is 2-dimensional
     C9 = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
-    X = _scheme(C9)
-    ident = identity_morphism(X)
-    y = points(X)[0]
+    ident = identity_morphism(C9)
+    y = points(C9)[0]
     assert y.kappa.dim == 2
     fib = fiber(ident, y)
-    assert fib.coalgebra.dim == 2
-    assert is_faithfully_flat(ident)
+    assert fib.dim == 2
+    assert flatness_of(ident).faithfully_flat
 
 
 def test_descent_over_extension_residue_target():
@@ -463,24 +441,23 @@ def test_descent_over_extension_residue_target():
     from superscheme.superalgebra import tensor_superalgebra
     B = quotient_ring_algebra([F3.one, F3.zero, F3.one], F3)
     C9 = dualize_algebra(B)
-    Y = _scheme(C9)
     A = tensor_superalgebra(B, grassmann(1, F3))
     CA = dualize_algebra(A)
     rows = [[F3.zero] * CA.dim for _ in range(C9.dim)]
     for i in range(2):
         rows[i][i * 2] = F3.one  # dual of the inclusion b -> b (x) 1
     m = GradedMap(CA.space, C9.space, dense_columns(F3, rows, CA.dim), 0)
-    f = SchemeMorphism.finite(m, _scheme(CA), Y)
-    assert is_faithfully_flat(f)
+    f = SchemeMorphism.finite(m, CA, C9)
+    assert flatness_of(f).faithfully_flat
     assert descent_check(f, depth=2).passed
-    assert descent_check(identity_morphism(Y), depth=2).passed
+    assert descent_check(identity_morphism(C9), depth=2).passed
 
 
 def test_finite_bounded_degree_deeper():
     colD2 = _collapse(divided_power(2))
-    assert finite_bounded_degree(colD2) == 3  # dual module k[x]/(x^3) over k
+    assert finiteness(colD2)[1] == 3  # dual module k[x]/(x^3) over k
     colG2 = _collapse(dualize_algebra(grassmann(2)))
-    assert finite_bounded_degree(colG2) == 2  # sdim 2|2 needs two mixed slots
+    assert finiteness(colG2)[1] == 2  # sdim 2|2 needs two mixed slots
 
 
 def _projection(C, D):
@@ -488,7 +465,7 @@ def _projection(C, D):
     P = tensor_coalgebra(C, D)
     eps = D.counit_map().columns
     cols = [tuple((i, c) for _, c in eps[j]) for i in range(C.dim) for j in range(D.dim)]
-    return SchemeMorphism.finite(GradedMap(P.space, C.space, cols, 0), _scheme(P), _scheme(C))
+    return SchemeMorphism.finite(GradedMap(P.space, C.space, cols, 0), P, C)
 
 
 def _fiber_corpus():
@@ -505,7 +482,7 @@ def _fiber_corpus():
         G1 = dualize_algebra(grassmann(1, F))
         for C in (KK, R, D1, D2, divided_power(3, F), G1, dualize_algebra(grassmann(2, F)),
                   grouplike_coalgebra(2, F)):
-            out += [identity_morphism(_scheme(C)), _collapse(C)]
+            out += [identity_morphism(C), _collapse(C)]
         out += [_projection(C, D) for C, D in ((D1, G1), (G1, D2), (KK, R), (R, G1), (R, D1),
                                                (D2, KK))]
     return out
@@ -522,24 +499,22 @@ def test_fibers_and_degrees_match_the_cotensor_and_dual_action_references():
     for f in morphisms:
         dims = []
         for y in points(f.target):
-            got = fiber(f, y).coalgebra.space.sdim
-            assert got == fiber_by_cotensor(f, y).coalgebra.space.sdim
+            got = fiber(f, y).space.sdim
+            assert got == fiber_by_cotensor(f, y).space.sdim
             dims.append(sum(got))
             residue_degrees.add(y.component.residue.degree)
-        assert is_finite_morphism(f) == (True, max(dims, default=0))
-        assert finite_bounded_degree(f) == bounded_degree_by_dual_action(f)
+        assert finiteness(f) == (max(dims, default=0), bounded_degree_by_dual_action(f))
     assert residue_degrees == {1, 2}
 
 
 def test_finiteness_of_an_empty_source():
     """A = 0 has empty fibers: every fiber dimension and the degree are 0."""
-    empty = _scheme(make_supercoalgebra(SuperVectorSpace(F3, (), ()), (), ()))
-    for target in (_scheme(divided_power(2, F3)), _scheme(dualize_algebra(split_pair(F3)))):
-        B = target.coalgebra
-        f = SchemeMorphism.finite(GradedMap(empty.coalgebra.space, B.space, [], 0), empty, target)
-        assert is_finite_morphism(f) == (True, 0)
-        assert finite_bounded_degree(f) == bounded_degree_by_dual_action(f) == 0
-        assert [fiber(f, y).coalgebra.dim for y in points(target)] == [0] * len(points(target))
+    empty = make_supercoalgebra(SuperVectorSpace(F3, (), ()), (), ())
+    for B in (divided_power(2, F3), dualize_algebra(split_pair(F3))):
+        f = SchemeMorphism.finite(GradedMap(empty.space, B.space, [], 0), empty, B)
+        assert finiteness(f) == (0, 0)
+        assert bounded_degree_by_dual_action(f) == 0
+        assert [fiber(f, y).dim for y in points(B)] == [0] * len(points(B))
         assert immersion_fiberwise_check(f) == (True, True, True)
 
 
@@ -553,28 +528,26 @@ def test_algebraicity_divided_power_tower():
 
 
 def test_algebraicity_finite_level_trivial():
-    X = _scheme(divided_power(2))
+    X = FormalSuperscheme((divided_power(2),))
     assert is_algebraic_at(X, 0).stabilized
 
 
 def test_empty_scheme_predicates():
-    empty = _scheme(make_supercoalgebra(SuperVectorSpace(QQ, (), ()), (), ()))
+    empty = make_supercoalgebra(SuperVectorSpace(QQ, (), ()), (), ())
     assert points(empty) == []
     KK = dualize_algebra(split_pair())
-    m = GradedMap(empty.coalgebra.space, KK.space, dense_columns(QQ, [[], []], 0), 0)
-    f = SchemeMorphism.finite(m, empty, _scheme(KK))
-    assert is_flat(f)                       # vacuously, no points
-    assert not is_faithfully_flat(f)        # misses every point
+    m = GradedMap(empty.space, KK.space, dense_columns(QQ, [[], []], 0), 0)
+    f = SchemeMorphism.finite(m, empty, KK)
+    assert flatness_of(f).flat                      # vacuously, no points
+    assert not flatness_of(f).faithfully_flat       # misses every point
     assert is_closed_immersion(f)
-    assert fiber(f, points(_scheme(KK))[0]).coalgebra.dim == 0
+    assert fiber(f, points(KK)[0]).dim == 0
 
 
 def test_product_of_finite_level_algebraic_everywhere():
-    X = _scheme(dualize_algebra(split_pair()))
-    Y = _scheme(divided_power(2))
-    P = product(X, Y)
+    P = tensor_coalgebra(dualize_algebra(split_pair()), divided_power(2))
     for p in points(P):
-        assert is_algebraic_at(P, p.index).stabilized
+        assert is_algebraic_at(FormalSuperscheme((P,)), p.index).stabilized
 
 
 def test_algebraicity_growing_cofree_tower():

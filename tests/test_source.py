@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superscheme"
@@ -145,3 +146,40 @@ def test_a_fiber_is_one_preimage():
                 & scopes(tree, "tensor_apply", "tensor_after")
                 & scopes(tree, "null_space", "kernel")}
     assert builders == {("supercomodule.py", "preimage")}
+
+
+# Top-level names of the package that only tests reach.  The list may only
+# shrink: a new helper without a caller in src/ or scripts/ fails the guard,
+# and a listed one that gains a caller must leave the list.
+UNREFERENCED_ALLOWED = {
+    "base_change_comodule", "base_change_morphism", "bosonic_reduction",
+    "bosonic_reduction_morphism", "canonical_algebras", "canonical_coalgebras",
+    "cofree_universal_map", "cosocle_epi", "immersion_fiberwise_check", "is_algebraic_at",
+    "is_comodule_morphism", "is_superideal", "odd_part_coideal", "point_map",
+    "quotient_by_coideal", "transport_point", "transport_point_inverse", "truncated_cofree",
+    "truncation_tower",
+}
+
+
+def test_no_new_unreferenced_helper():
+    """Every top-level function and class of the package has a word-boundary
+    reference outside its own definition somewhere in src/ or scripts/, or
+    is on the allowlist.  A name is an identifier, so a word-boundary match
+    of it is a whole word of a line."""
+    root = PACKAGE.parent.parent
+    places = {}
+    for folder in ("src", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                for word in re.findall(r"\w+", line):
+                    places.setdefault(word, []).append((path, n))
+    unreferenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if all(other == path and start <= n <= node.end_lineno
+                   for other, n in places[node.name]):
+                unreferenced.add(node.name)
+    assert unreferenced == UNREFERENCED_ALLOWED

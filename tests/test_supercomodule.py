@@ -15,11 +15,10 @@ from superscheme.supercomodule import (
     free_comodule, is_comodule_morphism, make_supercomodule, regular_comodule,
     subcoalgebra_comodule, trivial_comodule, validate_comodule,
 )
-from superscheme.formal_scheme import is_flat
 from conftest import (
     _count_calls, check_dual_action_axioms, dense, dense_columns, dense_matrix, dual_action,
-    dual_action_of, exactness_probe, faithfulness_probe, flat_by_lifting, graded_map,
-    matrix_of, sparse,
+    dual_action_of, exactness_probe, faithfulness_probe, flat_by_lifting, flatness_of,
+    graded_map, matrix_of, sparse,
 )
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
@@ -286,7 +285,7 @@ def test_flat_check_matches_greedy_lifting(monkeypatch):
     points = _count_calls(monkeypatch, "supercomodule", "flat_check")
     for F in fields:
         for seed in range(40):
-            is_flat(seeded_random("morphism", seed, field=F).payload[0])
+            flatness_of(seeded_random("morphism", seed, field=F).payload[0])
     comodules += [M for M, in points]
     outcomes = [_flat_outcome(flat_check, M) for M in comodules]
     assert outcomes == [_flat_outcome(flat_by_lifting, M) for M in comodules]
@@ -418,7 +417,7 @@ def test_flat_check_connected_iff_one_component():
             coalgebras.append(seeded_random("subspace-triple", seed, field=field).payload[0])
             coalgebras.append(seeded_random("comodule", seed, field=field).payload[0])
             f = seeded_random("morphism", seed, field=field).payload[0]
-            coalgebras += [f.source.coalgebra, f.target.coalgebra]
+            coalgebras += [f.source, f.target]
     verdicts = [_connected_by_flat_check(C) for C in coalgebras]
     assert verdicts == [len(irreducible_components(C, dual_radical(C))) == 1 for C in coalgebras]
     assert verdicts[:2] == [True, False] and verdicts.count(False) >= 10
