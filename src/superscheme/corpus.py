@@ -130,7 +130,9 @@ def split_pair(field=QQ):
 
 
 def canonical_algebras(field=QQ):
-    """The named algebra corpus over the given field."""
+    """The named algebra corpus over the given field: the example catalogue
+    the test suites sweep, and the only caller of truncated_polynomial and
+    split_pair in the package.  No command reads it."""
     F = field
     out = [
         ("k", grassmann(0, F)),
@@ -148,6 +150,8 @@ def canonical_algebras(field=QQ):
 
 
 def canonical_coalgebras(field=QQ):
+    """The named coalgebra corpus over the given field; the seeded comodules
+    and morphisms draw their connected hosts from it by name."""
     F = field
     out = [
         ("k", unit_coalgebra(F)),
@@ -191,13 +195,7 @@ _CONNECTED_HOSTS = ("D1", "D2", "Grassmann(1)*", "Grassmann(2)*")
 
 def _connected_coalgebra(rng, field):
     name = _CONNECTED_HOSTS[rng.randint(len(_CONNECTED_HOSTS))]
-    if name == "D1":
-        return name, divided_power(1, field)
-    if name == "D2":
-        return name, divided_power(2, field)
-    if name == "Grassmann(1)*":
-        return name, dualize_algebra(grassmann(1, field))
-    return name, dualize_algebra(grassmann(2, field))
+    return name, dict(canonical_coalgebras(field))[name]
 
 
 def seeded_random(kind, seed, field=QQ, **bounds):

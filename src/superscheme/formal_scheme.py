@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .supercoalgebra import (
-    base_change_coalgebra, coradical, coradical_filtration, dual_radical,
-    dualize_algebra, dualize_coalgebra, irreducible_components, is_coalgebra_morphism,
-    is_grouplike_over, NotSubcoalgebra, SearchBoundExceeded, subcoalgebra_on,
-    tensor_coalgebra, validate_supercoalgebra, _koszul_signed,
+    coradical, dual_radical, irreducible_components, is_coalgebra_morphism, NotSubcoalgebra,
+    SearchBoundExceeded, subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, preimage, regular_comodule,
@@ -22,7 +20,7 @@ from .supercomodule import (
 )
 from .superlinear import (
     GradedMap, Subspace, _identity_columns, _read_coordinates, _rref_sparse,
-    _tensor_apply_sparse, _transpose, coordinates, perp, tensor_apply, vec_add, vec_sub,
+    _tensor_apply_sparse, coordinates, tensor_apply, vec_add, vec_sub,
 )
 
 
@@ -45,10 +43,6 @@ class FormalSuperscheme:
             raise ValueError("invalid tower: " + "; ".join(problems[:3]))
         return X
 
-    @property
-    def coalgebra(self):
-        return self.levels[-1]
-
     def validate(self):
         if len(self.maps) != len(self.levels) - 1:
             return ["tower needs one transition map per adjacent pair"]
@@ -62,13 +56,6 @@ class FormalSuperscheme:
             elif not m.is_injective():
                 problems.append(f"transition {i} is not injective")
         return problems
-
-    def inclusion_to_deepest(self, level):
-        """Composite transition map levels[level] -> deepest."""
-        comp = GradedMap.identity(self.levels[level].space)
-        for m in self.maps[level:]:
-            comp = m.compose(comp)
-        return comp
 
 
 @dataclass(frozen=True)
@@ -144,76 +131,6 @@ def morphism_components(f):
     """The irreducible components of the source and of the target of f."""
     return tuple(irreducible_components(C, dual_radical(C))
                  for C in (f.source, f.target))
-
-
-def point_map(f):
-    """Index map points(X) -> points(Y)."""
-    return [j for j, _ in point_images(f, *morphism_components(f))]
-
-
-def bosonic_reduction_scheme(C):
-    """The subcoalgebra dual to the bosonic reduction of the dual algebra,
-    with its inclusion into C; a purely even coalgebra.
-
-    Killing only the odd coideal is not enough: even products of odd dual
-    functionals (like (th1*th2)*) must die too, so the carrier is the perp
-    of the canonical superideal of C*.
-    """
-    from .superalgebra import canonical_ideal
-    dual = dualize_coalgebra(C)
-    return subcoalgebra_on(C, perp(canonical_ideal(dual).subspace, C.space), prefix="b")
-
-
-def _restrict_between(m, incl_src, incl_dst):
-    """Restriction of m to the bosonic carriers, in carrier coordinates.
-
-    The columns of incl_dst are the echelon rows of the target carrier, so
-    the coordinates of the images are read on that carrier.
-    """
-    carrier = incl_dst.image()
-    cols = coordinates(carrier, m.compose(incl_src).columns)
-    if cols is None:
-        raise AssertionError("bosonic image escapes the target carrier")
-    return GradedMap(incl_src.domain, incl_dst.domain, cols, 0)
-
-
-def bosonic_reduction_morphism(f):
-    X, incl_src = bosonic_reduction_scheme(f.source)
-    Y, incl_dst = bosonic_reduction_scheme(f.target)
-    return SchemeMorphism(X, Y, _restrict_between(f.map, incl_src, incl_dst))
-
-
-# ---------------------------------------------------------------------------
-# points as algebra morphisms (functor of points at finite level)
-
-def transport_point(phi, A, R):
-    """Algebra morphism phi: A -> R as a group-like in (R (x) C)_even, where
-    C is the Koszul-signed dual of A: the transpose of A with b_i * b_j
-    negated when b_i and b_j are both odd.
-
-    u = sum_i phi(a_i) (x) a_i*, returned as an R.dim x A.dim coefficient
-    matrix, as its rows; the group-like property is verified on the result.
-    """
-    from .superalgebra import is_superalgebra_morphism
-    if not is_superalgebra_morphism(phi, A, R):
-        raise ValueError("transport_point needs a superalgebra morphism")
-    # u = sum_i phi(a_i) (x) a_i*, read by R-row
-    u = _transpose(phi.columns, R.dim)
-    if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
-        raise AssertionError("transported point is not group-like")
-    return u
-
-
-def transport_point_inverse(u, A, R):
-    """Group-like in (R (x) C)_even, C the Koszul-signed dual of A, back to
-    the algebra morphism A -> R."""
-    from .superalgebra import is_superalgebra_morphism
-    if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
-        raise ValueError("input is not group-like")
-    phi = GradedMap(A.space, R.space, _transpose(u, A.dim), 0)
-    if not is_superalgebra_morphism(phi, A, R):
-        raise AssertionError("transported map is not a superalgebra morphism")
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +213,6 @@ def _point_fibers(f):
     for y in points(f.target):
         carrier, sdim = preimage(psi, y.kappa)
         yield carrier, sdim, y.component.residue.degree
-
-
-def immersion_fiberwise_check(f):
-    """Immersion iff every fiber maps to its point as an immersion.  The map
-    from X_y = psi^-1(A (x) kappa(y)) to {y} is (eps (x) id) psi = f, so it
-    is one iff f is injective on that preimage."""
-    total = is_closed_immersion(f)
-    fiberwise = all(Subspace.from_vectors(f.map.codomain, f.map.images(P.basis())).dim == P.dim
-                    for P, _, _ in _point_fibers(f))
-    return total == fiberwise, total, fiberwise
-
-
-# ---------------------------------------------------------------------------
-# base change
-
-def base_change_morphism(f, ext):
-    X, Y = (base_change_coalgebra(C, ext) for C in (f.source, f.target))
-    return SchemeMorphism(X, Y, GradedMap(X.space, Y.space, _embed_columns(f.map, ext), 0))
-
-
-def _embed_columns(m, ext):
-    return [tuple((i, ext.embed(c)) for i, c in col) for col in m.columns]
 
 
 # ---------------------------------------------------------------------------
@@ -593,57 +488,3 @@ def finiteness(f):
         largest = max(largest, e + o)
         degree = max(degree, e // d, o // d)
     return largest, degree
-
-
-# ---------------------------------------------------------------------------
-# algebraicity along towers
-
-@dataclass(frozen=True)
-class AlgebraicityVerdict:
-    stabilized: bool
-    checked_levels: int
-    stage_dims: tuple
-
-    def __str__(self):
-        status = "verified" if self.stabilized else "not stabilized"
-        return (f"finite-type {status} to level {self.checked_levels - 1} "
-                f"(A_1 dims {list(self.stage_dims)})")
-
-
-def is_algebraic_at(X, point_index):
-    """Stabilization of the coradical-filtration stage A_1 along a tower.
-
-    A one-level tower is always verified.  Otherwise the A_1 stage of the
-    component of the point is computed at each level and compared (as
-    subspaces of the deepest coalgebra) across the last two levels.
-    """
-    if len(X.levels) == 1:
-        comp = irreducible_components(X.coalgebra, dual_radical(X.coalgebra))[point_index]
-        B = comp.coalgebra
-        chain = coradical_filtration(B, dual_radical(B))
-        a1 = chain[min(1, len(chain) - 1)]
-        return AlgebraicityVerdict(True, 1, (a1.dim,))
-    deepest = X.coalgebra
-    target = irreducible_components(deepest, dual_radical(deepest))[point_index].subspace
-    images = []
-    dims = []
-    for lvl in range(len(X.levels)):
-        C = X.levels[lvl]
-        inc = X.inclusion_to_deepest(lvl)
-        piece = Subspace.zero(C.space)
-        for comp in irreducible_components(C, dual_radical(C)):
-            img = list(inc.images(comp.subspace.basis()))
-            if coordinates(target, img) is not None:
-                piece = piece.sum(comp.subspace)
-        if piece.dim == 0:
-            images.append(Subspace.zero(deepest.space))
-            dims.append(0)
-            continue
-        sub, incl = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
-        chain = coradical_filtration(sub, dual_radical(sub))
-        a1 = chain[min(1, len(chain) - 1)]
-        img_vecs = inc.images(incl.images(a1.basis()))
-        images.append(Subspace.from_vectors(deepest.space, img_vecs))
-        dims.append(a1.dim)
-    stabilized = len(images) >= 2 and images[-1] == images[-2]
-    return AlgebraicityVerdict(stabilized, len(X.levels), tuple(dims))

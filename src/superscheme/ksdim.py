@@ -11,9 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import QQ
-from .superalgebra import monomial_superalgebra
-from .supercoalgebra import dualize_algebra
-from .superlinear import GradedMap, unit_vec
 
 
 class SubsetBoundExceeded(RuntimeError):
@@ -372,26 +369,3 @@ def theorem_product_dimension_check(P, Q):
         sp, sq, prod,
         prod[0] == sp[0] + sq[0],
         prod[1] >= sp[1] + sq[1])
-
-
-# ---------------------------------------------------------------------------
-# truncations and dual towers
-
-def presentation_truncation(P, d):
-    """The finite-dimensional quotient by all monomials of degree > d."""
-    alg, _, _ = monomial_superalgebra(P.field, P.p, P.q, d, P.generators)
-    return alg
-
-
-def truncation_tower(P, depth):
-    """Duals of the truncations d = 1..depth as a formal superscheme tower."""
-    from .formal_scheme import FormalSuperscheme
-    algebras = [presentation_truncation(P, d) for d in range(1, depth + 1)]
-    coalgebras = [dualize_algebra(A) for A in algebras]
-    maps = []
-    for small, big in zip(coalgebras, coalgebras[1:]):
-        big_index = {l: i for i, l in enumerate(big.space.labels)}
-        maps.append(GradedMap(
-            small.space, big.space,
-            [unit_vec(small.field, big_index[l]) for l in small.space.labels], 0))
-    return FormalSuperscheme.tower(coalgebras, maps)

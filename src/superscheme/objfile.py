@@ -204,17 +204,16 @@ def _build_all(doc):
 
 
 def _collect_basis(doc, po):
-    labels, parities = [], []
+    parities = {}           # label -> parity, in the order of the lines
     for lineno, tokens in po.lines:
         if tokens[0] == "basis":
             if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
                 raise ParseError("basis line needs 'basis <label> even|odd'", lineno)
-            if tokens[1] in labels:
+            if tokens[1] in parities:
                 raise ParseError(f"{po.kind} {po.name}: duplicate basis label "
                                  f"{tokens[1]!r}", lineno)
-            labels.append(tokens[1])
-            parities.append(0 if tokens[2] == "even" else 1)
-    return SuperVectorSpace(doc.field, tuple(labels), tuple(parities))
+            parities[tokens[1]] = 0 if tokens[2] == "even" else 1
+    return SuperVectorSpace(doc.field, tuple(parities), tuple(parities.values()))
 
 
 def _index(token, n):

@@ -165,18 +165,6 @@ class Superideal:
     subspace: object
 
 
-def is_superideal(A, sub):
-    problems = []
-    if not sub.is_graded():
-        problems.append("ideal subspace is not graded")
-    n = A.dim
-    for xi, prod in enumerate(A.products(sub.basis(), _identity_columns(A.field, n))):
-        if not sub.contains(prod):
-            problems.append(
-                f"not absorbing: {A.space.labels[xi % n]} * ideal element escapes")
-    return problems
-
-
 def ideal_generated_by(A, elements):
     """Smallest superideal containing the given homogeneous elements.
 
@@ -204,22 +192,6 @@ def quotient_by_superideal(A, ideal):
     mul = proj.images(A.products(lifts, lifts))
     quot = make_superalgebra(qspace, mul, proj.apply(A.unit))
     return quot, proj
-
-
-def bosonic_reduction(A):
-    quot, _ = quotient_by_superideal(A, canonical_ideal(A))
-    return quot
-
-
-def is_superalgebra_morphism(phi, A, B):
-    if phi.parity != 0:
-        return False
-    if phi.domain != A.space or phi.codomain != B.space:
-        return False
-    if phi.apply(A.unit) != B.unit:
-        return False
-    # column i * n + j of A.mul is b_i * b_j
-    return B.products(phi.columns, phi.columns) == list(phi.images(A.mul))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 from .superalgebra import (
     _word_basis, enumerate_homs, ideal_generated_by, make_superalgebra,
-    local_decomposition, monomial_superalgebra, radical,
+    local_decomposition, radical,
 )
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns,
-    _parity_defects, _tensor_apply_sparse, _transpose, canonical_columns, linear_form,
-    perp, quotient_data, tensor_after, tensor_apply, twist, twist_apply, unit_vec,
-    vec_scale, vec_sub, vector,
+    GradedMap, Subspace, SuperVectorSpace, _defects, _identity_columns, _parity_defects,
+    _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp, quotient_data,
+    tensor_after, tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub,
 )
 
 
@@ -137,13 +136,13 @@ def dualize_coalgebra(C):
 
 
 def is_coalgebra_morphism(f, C, D):
+    """delta_D f = (f (x) f) delta_C and eps_D f = eps_C, compared column
+    by column."""
     if f.parity != 0:
         return False
     if f.domain != C.space or f.codomain != D.space:
         return False
-    lhs = D.coproduct_map().compose(f)
-    rhs = tensor_after(f, f, C.coproduct_map())
-    if lhs.columns != rhs.columns:
+    if list(D.coproduct_map().images(f.columns)) != list(tensor_apply(f, f, C.delta)):
         return False
     return D.counit_map().compose(f).columns == C.counit_map().columns
 
@@ -182,31 +181,12 @@ def subcoalgebra_on(C, W, prefix="v"):
 
 
 def is_coideal(C, W):
-    """delta(W) <= W (x) C + C (x) W and eps(W) = 0."""
+    """delta(W) <= W (x) C + C (x) W and eps(W) = 0: (pi (x) pi) delta kills
+    W for pi: C -> C/W."""
     if any(C.counit_map().images(W.basis())):
         return False
     _, proj, _ = quotient_data(C.space, W)
-    both = tensor_after(proj, proj, C.coproduct_map())
-    return not any(both.images(W.basis()))
-
-
-def quotient_by_coideal(C, W):
-    """Quotient coalgebra and projection; W must be a graded coideal."""
-    if not W.is_graded():
-        raise ValueError("coideal must be graded for a super quotient")
-    if not is_coideal(C, W):
-        raise ValueError("subspace is not a coideal")
-    qspace, proj, section = quotient_data(C.space, W)
-    lifts = section.columns
-    delta = tensor_apply(proj, proj, C.coproduct_map().images(lifts))
-    counit = [(i, a) for i, e in enumerate(C.counit_map().images(lifts)) for _, a in e]
-    quot = make_supercoalgebra(qspace, delta, counit)
-    return quot, proj
-
-
-def odd_part_coideal(C):
-    return Subspace.from_vectors(
-        C.space, [unit_vec(C.field, i) for i in range(C.dim) if C.parity(i) == 1])
+    return not any(tensor_apply(proj, proj, C.coproduct_map().images(W.basis())))
 
 
 def wedge(C, X, Y):
@@ -326,27 +306,6 @@ def _koszul_signed(A):
     return make_superalgebra(A.space, mul, A.unit)
 
 
-def is_grouplike_over(C, R, u):
-    """u, the rows (vectors over C, one per basis vector of R) of the
-    R.dim x C.dim coefficient matrix of an element of R (x) C, is
-    group-like: (id (x) eps)u = 1_R and
-    (id_R (x) delta)u = (m_R (x) id)(id (x) twist(C, R) (x) id)(u (x) u)."""
-    F = C.field
-    nc, nv = C.dim, R.dim * C.dim
-    v = tuple((a * nc + m, c) for a, row in enumerate(u) for m, c in row)
-    id_r, id_c = GradedMap.identity(R.space), GradedMap.identity(C.space)
-    if next(tensor_apply(id_r, C.counit_map(), [v])) != R.unit:
-        return False
-    # the even map twist (x) id acts on u (x) u one R coordinate at a time
-    swapped = tensor_apply(twist(C.space, R.space), id_c,
-                           [tuple((m * nv + k, F.mul(a, b)) for m, a in row for k, b in v)
-                            for row in u])
-    uu = tuple((a * nv * nc + k, c) for a, w in enumerate(swapped) for k, c in w)
-    id_cc = GradedMap.identity(C.space.tensor(C.space))
-    rhs = next(tensor_apply(R.multiplication_map(), id_cc, [uu]))
-    return next(tensor_apply(id_r, C.coproduct_map(), [v])) == rhs
-
-
 def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     """All group-likes in (R (x) C)_even, as the rows of R.dim x C.dim
     coefficient matrices, in the order of their entries (row-major, field
@@ -439,113 +398,3 @@ def base_change_coalgebra(C, ext):
     space = SuperVectorSpace(ext, C.space.labels, C.space.parities)
     delta = [[(jk, emb(c)) for jk, c in col] for col in C.delta]
     return make_supercoalgebra(space, delta, [(j, emb(c)) for j, c in C.counit])
-
-
-# ---------------------------------------------------------------------------
-# truncated cofree coalgebras
-
-@dataclass(frozen=True)
-class TruncatedCofree:
-    coalgebra: object
-    projection: object
-    degrees: tuple
-    space: object
-    bound: int
-
-
-def truncated_cofree(V, d):
-    """Graded dual of k[T|th]/(degree > d) on sdim V variables.
-
-    The projection sends the degree-1 dual monomials to the matching basis
-    vectors of V and everything else to 0.
-    """
-    if d < 1:
-        raise ValueError("truncation degree must be at least 1")
-    F = V.field
-    alg, monomials, degrees = monomial_superalgebra(F, *V.sdim, d)
-    cof = dualize_algebra(alg)
-    even_positions = [i for i, par in enumerate(V.parities) if par == 0]
-    odd_positions = [i for i, par in enumerate(V.parities) if par == 1]
-    cols = [()] * cof.dim
-    for m, (exps, odds) in enumerate(monomials):
-        if sum(exps) + len(odds) != 1:
-            continue
-        if odds:
-            cols[m] = ((odd_positions[next(iter(odds))], F.one),)
-        else:
-            cols[m] = ((even_positions[exps.index(1)], F.one),)
-    proj = GradedMap(cof.space, V, cols, 0)
-    return TruncatedCofree(cof, proj, degrees, V, d)
-
-
-def cofree_universal_map(tc, B, theta):
-    """The unique coalgebra map F: B -> Cof_d(V) with projection theta.
-
-    B must be connected with coradical filtration length <= d, and theta must
-    kill the coradical.  The map is solved stratum by stratum in the monomial
-    degree; each stratum system is checked to have a unique solution.
-    """
-    cof = tc.coalgebra
-    F = cof.field
-    rad = dual_radical(B)
-    corad = coradical(B, rad)
-    if corad.dim != 1:
-        raise ValueError("test coalgebra is not connected")
-    chain = coradical_filtration(B, rad)
-    if len(chain) - 1 > tc.bound:
-        raise ValueError("coradical filtration exceeds the truncation degree")
-    if any(theta.apply(v) for v in corad.basis()):
-        raise ValueError("theta does not vanish on the coradical")
-    nb = B.dim
-    strata = {}
-    for m, deg in enumerate(tc.degrees):
-        strata.setdefault(deg, []).append(m)
-    # cols[b] maps the cofree basis vector m to the entry of F(b) on it
-    cols = [{} for _ in range(nb)]
-    for b, c in B.counit:
-        cols[b][strata[0][0]] = c
-    # a degree-1 monomial m projects to one basis vector of V
-    degree_one = {tc.projection.columns[m][0][0]: m for m in strata.get(1, [])}
-    for b, col in enumerate(theta.columns):
-        for r, c in col:
-            cols[b][degree_one[r]] = c
-    max_deg = max(strata)
-    for e in range(2, max_deg + 1):
-        idxs = strata.get(e, [])
-        if not idxs:
-            continue
-        pairs = []
-        for e1 in range(1, e):
-            for mu in strata.get(e1, []):
-                for nu in strata.get(e - e1, []):
-                    pairs.append((mu, nu))
-        deltas = [dict(cof.delta[m]) for m in idxs]
-        sysmat = Matrix(F, [tuple((s, col[mu * cof.dim + nu]) for s, col in enumerate(deltas)
-                                  if mu * cof.dim + nu in col)
-                            for mu, nu in pairs], len(idxs))
-        if sysmat.rank() != len(idxs):
-            raise AssertionError("stratum system is not uniquely solvable")
-        rhs = []
-        for b in range(nb):
-            col = []
-            for mu, nu in pairs:
-                acc = F.zero
-                for st, dB in B.delta[b]:
-                    s, t = divmod(st, nb)
-                    if mu in cols[s] and nu in cols[t]:
-                        acc = F.add(acc, F.mul(dB, F.mul(cols[s][mu], cols[t][nu])))
-                col.append(acc)
-            rhs.append(vector(F, enumerate(col)))
-        # the right-hand sides read only lower strata, so one solve serves all b
-        sols = sysmat.solve(rhs)
-        if sols is None:
-            raise ValueError("no coalgebra map extends theta")
-        for b, sol in enumerate(sols):
-            for s, c in sol:
-                cols[b][idxs[s]] = c
-    Fmap = GradedMap(B.space, cof.space, [vector(F, col) for col in cols], 0)
-    if not is_coalgebra_morphism(Fmap, B, cof):
-        raise AssertionError("solved map is not a coalgebra morphism")
-    if tc.projection.compose(Fmap).columns != theta.columns:
-        raise AssertionError("solved map does not project to theta")
-    return Fmap

@@ -16,8 +16,8 @@ from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_
 from .superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns, _transpose,
     _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
-    canonical_columns, linear_form, pivot_selection, quotient_data, tensor_after,
-    tensor_apply, twist_apply,
+    canonical_columns, linear_form, pivot_selection, quotient_data, tensor_apply,
+    twist_apply,
 )
 
 
@@ -38,9 +38,6 @@ class SuperComodule:
     @property
     def dim(self):
         return self.space.dim
-
-    def coaction_map(self):
-        return GradedMap(self.space, self.space.tensor(self.coalgebra.space), self.psi)
 
     def left_coaction(self):
         """The sparse columns of the twisted coaction M -> C (x) M."""
@@ -146,38 +143,6 @@ def preimage(M, W):
     return P, (P.dim - o, o)
 
 
-def is_comodule_morphism(f, M, N):
-    if M.coalgebra != N.coalgebra:
-        return False
-    ident = GradedMap.identity(M.coalgebra.space)
-    lhs = N.coaction_map().compose(f)
-    # f (x) id carries no Koszul sign whatever the parity of f
-    rhs = tensor_after(f, ident, M.coaction_map())
-    return lhs.columns == rhs.columns
-
-
-def is_subcomodule(M, W):
-    """psi(W) <= W (x) C."""
-    _, proj, _ = quotient_data(M.space, W)
-    ident = GradedMap.identity(M.coalgebra.space)
-    test = tensor_after(proj, ident, M.coaction_map())
-    return not any(test.images(W.basis()))
-
-
-def quotient_comodule(M, W):
-    """Quotient by a graded subcomodule, with the projection morphism."""
-    if not W.is_graded():
-        raise ValueError("comodule quotient needs a graded subcomodule")
-    if not is_subcomodule(M, W):
-        raise ValueError("subspace is not a subcomodule")
-    C = M.coalgebra
-    qspace, proj, section = quotient_data(M.space, W)
-    psi = tensor_apply(proj, GradedMap.identity(C.space),
-                       M.coaction_map().images(section.columns))
-    quot = make_supercomodule(qspace, C, psi)
-    return quot, GradedMap(M.space, qspace, proj.columns, 0)
-
-
 # ---------------------------------------------------------------------------
 # cotensor product
 
@@ -268,22 +233,3 @@ def flat_check(M):
     if (e + o) // d * C.dim != M.dim:
         return FlatVerdict(False)
     return FlatVerdict(True, (e // d, o // d))
-
-
-def cosocle_epi(M):
-    """The quotient of M by rad(C*) . M, a canonical comodule surjection."""
-    C = M.coalgebra
-    rad = dual_radical(C).subspace
-    # w . m = (id (x) w)(psi(m)), the pairing with no Koszul sign
-    ident = GradedMap.identity(M.space)
-    sub = Subspace.from_vectors(
-        M.space, [v for w in rad.basis()
-                  for v in tensor_apply(ident, linear_form(C.space, w, None), M.psi)])
-    return quotient_comodule(M, sub)
-
-
-def base_change_comodule(M, ext, C_ext):
-    emb = ext.embed
-    space = SuperVectorSpace(ext, M.space.labels, M.space.parities)
-    psi = [[(jk, emb(c)) for jk, c in col] for col in M.psi]
-    return make_supercomodule(space, C_ext, psi)

@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,22 +12,25 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
 
 from superscheme.fields import Field  # noqa: E402
 from superscheme.formal_scheme import (  # noqa: E402
-    SchemeMorphism, fiber_product, flatness, morphism_components, points,
+    FormalSuperscheme, SchemeMorphism, _point_fibers, fiber_product, flatness,
+    is_closed_immersion, morphism_components, point_images, points,
 )
 from superscheme.superalgebra import (  # noqa: E402
-    _semisimple_idempotent, local_decomposition, quotient_by_superideal, radical,
+    _semisimple_idempotent, canonical_ideal, local_decomposition, monomial_superalgebra,
+    quotient_by_superideal, radical,
 )
 from superscheme.supercoalgebra import (  # noqa: E402
-    coradical_filtration, dual_radical, dualize_coalgebra, is_grouplike_over, subcoalgebra_on,
+    _koszul_signed, base_change_coalgebra, coradical_filtration, dual_radical,
+    dualize_algebra, dualize_coalgebra, irreducible_components, subcoalgebra_on,
 )
 from superscheme.supercomodule import (  # noqa: E402
-    FlatVerdict, NotConnected, comodule_along, cotensor, regular_comodule,
-    subcoalgebra_comodule,
+    FlatVerdict, NotConnected, comodule_along, cotensor, make_supercomodule,
+    regular_comodule, subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns, coordinates,
-    linear_form, quotient_data, standard_space, tensor_after, tensor_apply, twist, unit_vec,
-    vec_add, vec_scale, vector,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns, _transpose,
+    coordinates, linear_form, perp, quotient_data, standard_space, tensor_after,
+    tensor_apply, twist, unit_vec, vec_add, vec_scale, vector,
 )
 
 
@@ -70,6 +74,10 @@ def dense_columns(F, rows, ncols=None):
     GradedMap holds."""
     return dense_matrix(F, rows, ncols)._transpose().rows
 
+
+def coaction_map(M):
+    """The coaction psi: M -> M (x) C of a comodule as a map."""
+    return GradedMap(M.space, M.space.tensor(M.coalgebra.space), M.psi)
 
 def matrix_of(f):
     """The Matrix of a GradedMap: its rows, read off its columns."""
@@ -124,6 +132,71 @@ class DenseView:
 @pytest.fixture(scope="session")
 def dense_view():
     return DenseView
+
+
+# ---------------------------------------------------------------------------
+# points over a superalgebra R: algebra morphisms A -> R and group-likes of
+# (R (x) C)_even, C the Koszul-signed dual of A (criterion 2)
+
+
+def is_superalgebra_morphism(phi, A, B):
+    if phi.parity != 0:
+        return False
+    if phi.domain != A.space or phi.codomain != B.space:
+        return False
+    if phi.apply(A.unit) != B.unit:
+        return False
+    # column i * n + j of A.mul is b_i * b_j
+    return B.products(phi.columns, phi.columns) == list(phi.images(A.mul))
+
+
+def is_grouplike_over(C, R, u):
+    """u, the rows (vectors over C, one per basis vector of R) of the
+    R.dim x C.dim coefficient matrix of an element of R (x) C, is
+    group-like: (id (x) eps)u = 1_R and
+    (id_R (x) delta)u = (m_R (x) id)(id (x) twist(C, R) (x) id)(u (x) u)."""
+    F = C.field
+    nc, nv = C.dim, R.dim * C.dim
+    v = tuple((a * nc + m, c) for a, row in enumerate(u) for m, c in row)
+    id_r, id_c = GradedMap.identity(R.space), GradedMap.identity(C.space)
+    if next(tensor_apply(id_r, C.counit_map(), [v])) != R.unit:
+        return False
+    # the even map twist (x) id acts on u (x) u one R coordinate at a time
+    swapped = tensor_apply(twist(C.space, R.space), id_c,
+                           [tuple((m * nv + k, F.mul(a, b)) for m, a in row for k, b in v)
+                            for row in u])
+    uu = tuple((a * nv * nc + k, c) for a, w in enumerate(swapped) for k, c in w)
+    id_cc = GradedMap.identity(C.space.tensor(C.space))
+    rhs = next(tensor_apply(R.multiplication_map(), id_cc, [uu]))
+    return next(tensor_apply(id_r, C.coproduct_map(), [v])) == rhs
+
+
+def transport_point(phi, A, R):
+    """Algebra morphism phi: A -> R as a group-like in (R (x) C)_even, where
+    C is the Koszul-signed dual of A: the transpose of A with b_i * b_j
+    negated when b_i and b_j are both odd.
+
+    u = sum_i phi(a_i) (x) a_i*, returned as an R.dim x A.dim coefficient
+    matrix, as its rows; the group-like property is verified on the result.
+    """
+    if not is_superalgebra_morphism(phi, A, R):
+        raise ValueError("transport_point needs a superalgebra morphism")
+    # u = sum_i phi(a_i) (x) a_i*, read by R-row
+    u = _transpose(phi.columns, R.dim)
+    if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
+        raise AssertionError("transported point is not group-like")
+    return u
+
+
+def transport_point_inverse(u, A, R):
+    """Group-like in (R (x) C)_even, C the Koszul-signed dual of A, back to
+    the algebra morphism A -> R."""
+    if not is_grouplike_over(dualize_algebra(_koszul_signed(A)), R, u):
+        raise ValueError("input is not group-like")
+    phi = GradedMap(A.space, R.space, _transpose(u, A.dim), 0)
+    if not is_superalgebra_morphism(phi, A, R):
+        raise AssertionError("transported map is not a superalgebra morphism")
+    return phi
 
 
 def grouplikes_by_scan(C, R):
@@ -241,7 +314,7 @@ def socle_by_filtration(M):
     """M_n = ker(M -> M (x) C/A_n) along the coradical filtration A_n of the
     coalgebra C of M."""
     C = M.coalgebra
-    psi = M.coaction_map()
+    psi = coaction_map(M)
     ident = GradedMap.identity(M.space)
     out = []
     full = Subspace.full(M.space)
@@ -284,11 +357,11 @@ def _dense_tower(M, A, reg, depth):
     dense Matrix or GradedMap: the reference for the sparse tower of
     formal_scheme._iterated_cotensor_tower."""
     F = M.field
-    rho = reg.coaction_map()
+    rho = coaction_map(reg)
     theta_l = matrix_of(twist(reg.space, reg.coalgebra.space).compose(rho))
     B_dim = reg.coalgebra.dim
     ident_A = GradedMap.identity(A.space)
-    levels = [(M.space, matrix_of(M.coaction_map()), None, ())]
+    levels = [(M.space, matrix_of(coaction_map(M)), None, ())]
     for n in range(1, depth + 1):
         prev_space, prev_psi, prev_carrier, prev_faces = levels[-1]
         ident_P = GradedMap.identity(prev_space)
@@ -411,6 +484,145 @@ def bounded_degree_by_dual_action(f):
     return degree
 
 
+# ---------------------------------------------------------------------------
+# morphism helpers no command reaches: point maps, bosonic reductions, base
+# change, fiberwise immersion and algebraicity along towers (criterion 9)
+
+
+def point_map(f):
+    """Index map points(X) -> points(Y)."""
+    return [j for j, _ in point_images(f, *morphism_components(f))]
+
+
+def bosonic_reduction_scheme(C):
+    """The subcoalgebra dual to the bosonic reduction of the dual algebra,
+    with its inclusion into C; a purely even coalgebra.
+
+    Killing only the odd coideal is not enough: even products of odd dual
+    functionals (like (th1*th2)*) must die too, so the carrier is the perp
+    of the canonical superideal of C*.
+    """
+    dual = dualize_coalgebra(C)
+    return subcoalgebra_on(C, perp(canonical_ideal(dual).subspace, C.space), prefix="b")
+
+
+def _restrict_between(m, incl_src, incl_dst):
+    """Restriction of m to the bosonic carriers, in carrier coordinates.
+
+    The columns of incl_dst are the echelon rows of the target carrier, so
+    the coordinates of the images are read on that carrier.
+    """
+    carrier = incl_dst.image()
+    cols = coordinates(carrier, m.compose(incl_src).columns)
+    if cols is None:
+        raise AssertionError("bosonic image escapes the target carrier")
+    return GradedMap(incl_src.domain, incl_dst.domain, cols, 0)
+
+
+def bosonic_reduction_morphism(f):
+    X, incl_src = bosonic_reduction_scheme(f.source)
+    Y, incl_dst = bosonic_reduction_scheme(f.target)
+    return SchemeMorphism(X, Y, _restrict_between(f.map, incl_src, incl_dst))
+
+
+def _embed_columns(m, ext):
+    return [tuple((i, ext.embed(c)) for i, c in col) for col in m.columns]
+
+
+def base_change_morphism(f, ext):
+    X, Y = (base_change_coalgebra(C, ext) for C in (f.source, f.target))
+    return SchemeMorphism(X, Y, GradedMap(X.space, Y.space, _embed_columns(f.map, ext), 0))
+
+
+def immersion_fiberwise_check(f):
+    """Immersion iff every fiber maps to its point as an immersion.  The map
+    from X_y = psi^-1(A (x) kappa(y)) to {y} is (eps (x) id) psi = f, so it
+    is one iff f is injective on that preimage."""
+    total = is_closed_immersion(f)
+    fiberwise = all(Subspace.from_vectors(f.map.codomain, f.map.images(P.basis())).dim == P.dim
+                    for P, _, _ in _point_fibers(f))
+    return total == fiberwise, total, fiberwise
+
+
+def presentation_truncation(P, d):
+    """The finite-dimensional quotient of a ksdim presentation by all
+    monomials of degree > d."""
+    alg, _, _ = monomial_superalgebra(P.field, P.p, P.q, d, P.generators)
+    return alg
+
+
+def truncation_tower(P, depth):
+    """Duals of the truncations d = 1..depth as a formal superscheme tower."""
+    algebras = [presentation_truncation(P, d) for d in range(1, depth + 1)]
+    coalgebras = [dualize_algebra(A) for A in algebras]
+    maps = []
+    for small, big in zip(coalgebras, coalgebras[1:]):
+        big_index = {l: i for i, l in enumerate(big.space.labels)}
+        maps.append(GradedMap(
+            small.space, big.space,
+            [unit_vec(small.field, big_index[l]) for l in small.space.labels], 0))
+    return FormalSuperscheme.tower(coalgebras, maps)
+
+
+@dataclass(frozen=True)
+class AlgebraicityVerdict:
+    stabilized: bool
+    checked_levels: int
+    stage_dims: tuple
+
+    def __str__(self):
+        status = "verified" if self.stabilized else "not stabilized"
+        return (f"finite-type {status} to level {self.checked_levels - 1} "
+                f"(A_1 dims {list(self.stage_dims)})")
+
+
+def inclusion_to_deepest(X, level):
+    """Composite transition map X.levels[level] -> deepest level."""
+    comp = GradedMap.identity(X.levels[level].space)
+    for m in X.maps[level:]:
+        comp = m.compose(comp)
+    return comp
+
+
+def is_algebraic_at(X, point_index):
+    """Stabilization of the coradical-filtration stage A_1 along a tower.
+
+    A one-level tower is always verified.  Otherwise the A_1 stage of the
+    component of the point is computed at each level and compared (as
+    subspaces of the deepest coalgebra) across the last two levels.
+    """
+    deepest = X.levels[-1]
+    if len(X.levels) == 1:
+        comp = irreducible_components(deepest, dual_radical(deepest))[point_index]
+        B = comp.coalgebra
+        chain = coradical_filtration(B, dual_radical(B))
+        a1 = chain[min(1, len(chain) - 1)]
+        return AlgebraicityVerdict(True, 1, (a1.dim,))
+    target = irreducible_components(deepest, dual_radical(deepest))[point_index].subspace
+    images = []
+    dims = []
+    for lvl in range(len(X.levels)):
+        C = X.levels[lvl]
+        inc = inclusion_to_deepest(X, lvl)
+        piece = Subspace.zero(C.space)
+        for comp in irreducible_components(C, dual_radical(C)):
+            img = list(inc.images(comp.subspace.basis()))
+            if coordinates(target, img) is not None:
+                piece = piece.sum(comp.subspace)
+        if piece.dim == 0:
+            images.append(Subspace.zero(deepest.space))
+            dims.append(0)
+            continue
+        sub, incl = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
+        chain = coradical_filtration(sub, dual_radical(sub))
+        a1 = chain[min(1, len(chain) - 1)]
+        img_vecs = inc.images(incl.images(a1.basis()))
+        images.append(Subspace.from_vectors(deepest.space, img_vecs))
+        dims.append(a1.dim)
+    stabilized = len(images) >= 2 and images[-1] == images[-2]
+    return AlgebraicityVerdict(stabilized, len(X.levels), tuple(dims))
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of superscheme function `name` of `module`, wrapped
     in every superscheme module that holds it by name; a list of the
@@ -426,6 +638,62 @@ def _count_calls(monkeypatch, module, name):
         if modname.startswith("superscheme") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# comodule helpers no command reaches: morphisms, quotients, the cosocle
+# epimorphism and base change (criterion 6)
+
+
+def is_comodule_morphism(f, M, N):
+    if M.coalgebra != N.coalgebra:
+        return False
+    ident = GradedMap.identity(M.coalgebra.space)
+    lhs = coaction_map(N).compose(f)
+    # f (x) id carries no Koszul sign whatever the parity of f
+    rhs = tensor_after(f, ident, coaction_map(M))
+    return lhs.columns == rhs.columns
+
+
+def is_subcomodule(M, W):
+    """psi(W) <= W (x) C."""
+    _, proj, _ = quotient_data(M.space, W)
+    ident = GradedMap.identity(M.coalgebra.space)
+    test = tensor_after(proj, ident, coaction_map(M))
+    return not any(test.images(W.basis()))
+
+
+def quotient_comodule(M, W):
+    """Quotient by a graded subcomodule, with the projection morphism."""
+    if not W.is_graded():
+        raise ValueError("comodule quotient needs a graded subcomodule")
+    if not is_subcomodule(M, W):
+        raise ValueError("subspace is not a subcomodule")
+    C = M.coalgebra
+    qspace, proj, section = quotient_data(M.space, W)
+    psi = tensor_apply(proj, GradedMap.identity(C.space),
+                       coaction_map(M).images(section.columns))
+    quot = make_supercomodule(qspace, C, psi)
+    return quot, GradedMap(M.space, qspace, proj.columns, 0)
+
+
+def cosocle_epi(M):
+    """The quotient of M by rad(C*) . M, a canonical comodule surjection."""
+    C = M.coalgebra
+    rad = dual_radical(C).subspace
+    # w . m = (id (x) w)(psi(m)), the pairing with no Koszul sign
+    ident = GradedMap.identity(M.space)
+    sub = Subspace.from_vectors(
+        M.space, [v for w in rad.basis()
+                  for v in tensor_apply(ident, linear_form(C.space, w, None), M.psi)])
+    return quotient_comodule(M, sub)
+
+
+def base_change_comodule(M, ext, C_ext):
+    emb = ext.embed
+    space = SuperVectorSpace(ext, M.space.labels, M.space.parities)
+    psi = [[(jk, emb(c)) for jk, c in col] for col in M.psi]
+    return make_supercomodule(space, C_ext, psi)
 
 
 def dual_action(M):

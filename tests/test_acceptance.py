@@ -18,16 +18,15 @@ from superscheme.supercoalgebra import (
     unit_coalgebra, validate_supercoalgebra, wedge,
 )
 from superscheme.supercomodule import (
-    base_change_comodule, cosocle_epi, flat_check, free_comodule, make_supercomodule,
-    quotient_comodule, regular_comodule, trivial_comodule, validate_comodule,
+    flat_check, free_comodule, make_supercomodule, regular_comodule, trivial_comodule,
+    validate_comodule,
 )
 from superscheme.formal_scheme import (
-    SchemeMorphism, bosonic_reduction_morphism, descent_check, identity_morphism,
-    point_map, points, transport_point, transport_point_inverse,
+    SchemeMorphism, descent_check, identity_morphism, points,
 )
 from superscheme.ksdim import (
     even_kdim, ksdim, odd_annihilator_dim, oracle_annihilator_dim,
-    presentation, presentation_truncation, theorem_fiber_dimension_check,
+    presentation, theorem_fiber_dimension_check,
     theorem_product_dimension_check, is_split_projection,
 )
 from superscheme.corpus import (
@@ -38,8 +37,10 @@ from superscheme.corpus import (
 from superscheme.cli import run as cli_run
 from superscheme.objfile import serialize_document
 from conftest import (
-    dense_columns, dual_action, dual_action_of, exactness_probe, graded_map, is_subcoalgebra,
-    sparse,
+    base_change_comodule, bosonic_reduction_morphism, cosocle_epi, dense_columns,
+    dual_action, dual_action_of, exactness_probe, graded_map, is_subcoalgebra, point_map,
+    presentation_truncation, quotient_comodule, sparse, transport_point,
+    transport_point_inverse,
 )
 
 F3 = PrimeField(3)
@@ -288,8 +289,7 @@ def test_criterion_6_flatness():
         if "rank" in entry.expected:
             ok &= verdict.rank == tuple(entry.expected["rank"])
         # quadratic base change preserves the verdict
-        C2 = type(C)(type(C.space)(QI, C.space.labels, C.space.parities),
-                     _embed_columns(C.delta, QI), _embed1(C.counit, QI))
+        C2 = base_change_coalgebra(C, QI)
         M2 = base_change_comodule(M, QI, C2)
         after = flat_check(M2)
         ok &= after.free == verdict.free
@@ -303,14 +303,6 @@ def test_criterion_6_flatness():
         checked += 1
     ok &= checked == 50
     _report(6, "flatness (50 seeded comodules)", ok)
-
-
-def _embed_columns(cols, ext):
-    return tuple(tuple((r, ext.embed(c)) for r, c in col) for col in cols)
-
-
-def _embed1(vec, ext):
-    return tuple((i, ext.embed(c)) for i, c in vec)
 
 
 # -------------------------------------------------------------------- 7

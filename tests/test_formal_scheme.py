@@ -8,26 +8,26 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
-    GradedMap, Matrix, SuperVectorSpace, standard_space, unit_vec,
+    GradedMap, Matrix, SuperVectorSpace, unit_vec,
 )
-from superscheme.superalgebra import enumerate_homs
+from superscheme.superalgebra import enumerate_homs, monomial_superalgebra
 from superscheme.supercomodule import comodule_along, regular_comodule
 from superscheme.supercoalgebra import (
     base_change_coalgebra, direct_sum_coalgebra, dualize_algebra, grouplikes_over,
-    make_supercoalgebra, tensor_coalgebra, truncated_cofree, unit_coalgebra,
+    make_supercoalgebra, tensor_coalgebra, unit_coalgebra,
 )
 from superscheme import formal_scheme
 from superscheme.formal_scheme import (
-    FormalSuperscheme, SchemeMorphism,
-    bosonic_reduction_morphism, bosonic_reduction_scheme, base_change_morphism,
-    descent_check, fiber, fiber_product, finiteness, identity_morphism,
-    immersion_fiberwise_check, is_algebraic_at, is_closed_immersion, is_open_immersion,
-    is_strictly_surjective, is_surjective, morphism_components, point_map, points,
-    transport_point, transport_point_inverse,
+    FormalSuperscheme, SchemeMorphism, descent_check, fiber, fiber_product, finiteness,
+    identity_morphism, is_closed_immersion, is_open_immersion, is_strictly_surjective,
+    is_surjective, morphism_components, points,
 )
 from conftest import (
-    _alternating_sum, _count_calls, _dense_tower, bounded_degree_by_dual_action, dense,
-    dense_columns, dense_rows, fiber_by_cotensor, flatness_of, matrix_of, sparse,
+    _alternating_sum, _count_calls, _dense_tower, base_change_morphism,
+    bosonic_reduction_morphism, bosonic_reduction_scheme, bounded_degree_by_dual_action,
+    dense, dense_columns, dense_rows, fiber_by_cotensor, flatness_of,
+    immersion_fiberwise_check, is_algebraic_at, matrix_of, point_map, sparse,
+    transport_point, transport_point_inverse, truncation_tower,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
@@ -38,6 +38,7 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 F9 = ExtensionField(F3, (1, 0, 1), "j")
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
 
 
 def _collapse(C):
@@ -90,14 +91,14 @@ def test_restrict_between_escape_is_named_under_python_O():
     e2 under the identity leaves the carrier spanned by e1."""
     code = "\n".join([
         "from superscheme.fields import QQ",
-        "from superscheme.formal_scheme import _restrict_between",
+        "from conftest import _restrict_between",
         "from superscheme.superlinear import GradedMap, standard_space, unit_vec",
         "V, W = standard_space(QQ, 2, 0), standard_space(QQ, 1, 0)",
         "ident = GradedMap.identity(V)",
         "_restrict_between(ident, ident,"
         " GradedMap(W, V, [unit_vec(QQ, 0)]))",
     ])
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
@@ -402,13 +403,14 @@ def test_point_image_check_holds_under_python_O():
     code = "\n".join([
         "from fractions import Fraction",
         "from superscheme.corpus import split_pair",
-        "from superscheme.formal_scheme import SchemeMorphism, point_map",
+        "from superscheme.formal_scheme import SchemeMorphism, morphism_components, point_images",
         "from superscheme.supercoalgebra import dualize_algebra",
         "from superscheme.superlinear import GradedMap",
         "C = dualize_algebra(split_pair())",
         "one, zero = Fraction(1), Fraction(0)",
         "f = GradedMap(C.space, C.space, [((0, one), (1, one)), ((1, one),)], 0)",
-        "point_map(SchemeMorphism(C, C, f))",
+        "g = SchemeMorphism(C, C, f)",
+        "point_images(g, *morphism_components(g))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -519,7 +521,7 @@ def test_finiteness_of_an_empty_source():
 
 
 def test_algebraicity_divided_power_tower():
-    from superscheme.ksdim import presentation, truncation_tower
+    from superscheme.ksdim import presentation
     P = presentation(1, 0, [])
     tower = truncation_tower(P, 3)   # D1 < D2 < D3
     verdict = is_algebraic_at(tower, 0)
@@ -551,11 +553,10 @@ def test_product_of_finite_level_algebraic_everywhere():
 
 
 def test_algebraicity_growing_cofree_tower():
-    # first-jet coalgebras on k^{d|0}: A_1 grows with每 level
+    # first-jet coalgebras on k^{d|0}: A_1 grows with level
     levels = []
     for d in (1, 2, 3):
-        V = standard_space(QQ, d, 0, even_prefix="v")
-        levels.append(truncated_cofree(V, 1).coalgebra)
+        levels.append(dualize_algebra(monomial_superalgebra(QQ, d, 0, 1)[0]))
     maps = []
     for small, big in zip(levels, levels[1:]):
         big_index = {l: i for i, l in enumerate(big.space.labels)}

@@ -4,11 +4,10 @@ from superscheme.superalgebra import ksdim_finite
 from superscheme.ksdim import (
     SubsetBoundExceeded, even_kdim, fiber_presentation, is_split_projection,
     ksdim, odd_annihilator_dim, oracle_annihilator_dim, presentation,
-    presentation_morphism, presentation_truncation,
-    theorem_fiber_dimension_check, theorem_product_dimension_check,
-    truncation_tower,
+    presentation_morphism, theorem_fiber_dimension_check, theorem_product_dimension_check,
 )
 from superscheme.corpus import Rng, seeded_random
+from conftest import presentation_truncation, truncation_tower
 
 
 def test_even_kdim_examples():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from superscheme.fields import PrimeField, QQ
@@ -209,6 +211,22 @@ def test_parse_errors():
                 ("  mul 0 1 0 1\n", "", "")]:
         with pytest.raises(ParseError, match="out of range"):
             parse_text(one_dim.format(*bad))
+
+
+def test_wide_basis_is_collected_in_linear_time():
+    """Duplicate basis labels are found by a lookup, not by a scan of the
+    labels so far: 20,000 distinct basis lines parse in well under a second
+    where a quadratic check took seconds."""
+    n = 20000
+    text = ("superscheme 1\nfield Fp 3\nobject coalgebra C\n"
+            + "".join(f"  basis b{i} even\n" for i in range(n)) + "  counit 0 1\nend\n")
+    start = time.perf_counter()
+    _, C = parse_text(text).first("coalgebra")
+    assert time.perf_counter() - start < 1.0
+    assert C.space.labels == tuple(f"b{i}" for i in range(n))
+    duplicate = f"^line {n + 4}: coalgebra C: duplicate basis label 'b7'"
+    with pytest.raises(ParseError, match=duplicate):
+        parse_text(text.replace("  counit", "  basis b7 odd\n  counit"))
 
 
 def test_expected_block():

@@ -8,9 +8,8 @@ from superscheme.superlinear import (
     GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.superalgebra import (
-    FactorizationIncomplete, SuperAlgebra, bosonic_reduction, canonical_ideal,
-    enumerate_homs, ideal_generated_by, is_superalgebra_morphism, is_superideal,
-    ksdim_finite,
+    FactorizationIncomplete, SuperAlgebra, canonical_ideal, enumerate_homs,
+    ideal_generated_by, ksdim_finite,
     local_decomposition, make_superalgebra, quotient_by_superideal, radical,
     tensor_superalgebra, validate_superalgebra,
 )
@@ -19,7 +18,9 @@ from superscheme.corpus import (
     truncated_polynomial,
 )
 
-from conftest import dense, dense_columns, dense_matrix, dense_rows, sparse
+from conftest import (
+    dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism, sparse,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -66,12 +67,16 @@ def test_canonical_ideal_examples():
     assert canonical_ideal(G2).subspace.sdim == (1, 2)
 
 
+def _bosonic_reduction(A):
+    return quotient_by_superideal(A, canonical_ideal(A))[0]
+
+
 def test_bosonic_reduction_examples():
-    assert bosonic_reduction(grassmann(1)).dim == 1
+    assert _bosonic_reduction(grassmann(1)).dim == 1
     D = truncated_polynomial(1)
-    assert bosonic_reduction(D).mul == D.mul
+    assert _bosonic_reduction(D).mul == D.mul
     DT = tensor_superalgebra(truncated_polynomial(1), grassmann(1))
-    B = bosonic_reduction(DT)
+    B = _bosonic_reduction(DT)
     assert B.dim == 2
     assert validate_superalgebra(B) == []
     assert all(p == 0 for p in B.space.parities)
@@ -300,21 +305,6 @@ def test_ideal_generated_by_matches_fixpoint(ideal_oracle):
                                                else field.zero for i in range(A.dim)]))
                 ideal = ideal_generated_by(A, gens).subspace
                 assert ideal == ideal_oracle(A, gens), (field.describe(), name, gens)
-                assert is_superideal(A, ideal) == []
-
-
-def test_is_superideal_names_escaping_products():
-    G = grassmann(2)
-    th1, th2 = unit_vec(QQ, 1), unit_vec(QQ, 2)
-    assert is_superideal(G, Subspace.from_vectors(G.space, [th1])) == [
-        "not absorbing: th2 * ideal element escapes"]
-    mixed = Subspace.from_vectors(G.space, [sparse(QQ, [a + b for a, b in zip(
-        dense(QQ, 4, G.unit), dense(QQ, 4, th1))])])
-    assert is_superideal(G, mixed) == [
-        "ideal subspace is not graded",
-        "not absorbing: th1 * ideal element escapes",
-        "not absorbing: th2 * ideal element escapes",
-        "not absorbing: th1*th2 * ideal element escapes"]
 
 
 def _edited(dense_view, x, F, edits):

@@ -5,22 +5,20 @@ from fractions import Fraction
 import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superalgebra import make_superalgebra
+from superscheme.superalgebra import make_superalgebra, monomial_superalgebra
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, standard_space, unit_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, tensor_after, unit_vec,
 )
 from superscheme.supercoalgebra import (
-    SearchBoundExceeded, SuperCoalgebra, cofree_universal_map, coradical,
+    SearchBoundExceeded, SuperCoalgebra, coradical,
     coradical_filtration, direct_sum_coalgebra, dual_radical, dualize_algebra,
     dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
     is_coalgebra_morphism, is_coideal, is_grouplike,
-    make_supercoalgebra, odd_part_coideal, quotient_by_coideal, subcoalgebra_on,
-    tensor_coalgebra, truncated_cofree, unit_coalgebra, validate_supercoalgebra,
+    make_supercoalgebra, subcoalgebra_on, tensor_coalgebra, unit_coalgebra,
+    validate_supercoalgebra,
     wedge,
 )
-from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, is_subcoalgebra, matrix_of, sparse,
-)
+from conftest import dense, dense_matrix, dense_rows, is_subcoalgebra, sparse
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     grouplike_coalgebra, quotient_ring_algebra, split_pair,
@@ -109,19 +107,87 @@ def test_subcoalgebra_on_accepts_exactly_the_subcoalgebras():
                     assert is_coalgebra_morphism(incl, sub, C), (name, cols)
 
 
-def test_quotient_by_coideal():
-    G = dualize_algebra(grassmann(1))
-    quot, proj = quotient_by_coideal(G, odd_part_coideal(G))
-    assert quot.dim == 1
-    C = divided_power(2)
-    same, _ = quotient_by_coideal(C, Subspace.zero(C.space))
-    assert same.dim == C.dim and same.delta == C.delta
-    # ker eps on a two-group-like coalgebra is a coideal with 1-dim quotient
-    GK = grouplike_coalgebra(2)
-    keps = Subspace.from_vectors(GK.space, [sparse(QQ, (Fraction(1), Fraction(-1)))])
-    assert is_coideal(GK, keps)
-    quot2, _ = quotient_by_coideal(GK, keps)
-    assert quot2.dim == 1
+def _coalgebra_morphism_by_tensor_space(f, C, D):
+    """Reference for is_coalgebra_morphism: delta_D f and (f (x) f) delta_C
+    built as maps into D (x) D."""
+    if f.parity != 0 or f.domain != C.space or f.codomain != D.space:
+        return False
+    lhs = D.coproduct_map().compose(f)
+    rhs = tensor_after(f, f, C.coproduct_map())
+    return (lhs.columns == rhs.columns
+            and D.counit_map().compose(f).columns == C.counit_map().columns)
+
+
+def _coideal_by_tensor_space(C, W):
+    """Reference for is_coideal: (pi (x) pi) delta built as a map into
+    C/W (x) C/W."""
+    if any(C.counit_map().images(W.basis())):
+        return False
+    _, proj, _ = quotient_data(C.space, W)
+    return not any(tensor_after(proj, proj, C.coproduct_map()).images(W.basis()))
+
+
+def test_morphism_and_coideal_checks_match_the_tensor_space_reference():
+    """Identities, counit collapses, group-like inclusions and seeded even
+    maps between the small canonical coalgebras; odd parts, augmentation
+    lines, zero and seeded subspaces as coideal candidates."""
+    rng = Rng(31)
+    verdicts = {"morphism": set(), "coideal": set()}
+    for F in (QQ, F3):
+        small = [C for _, C in canonical_coalgebras(F) if C.dim <= 4]
+        K = unit_coalgebra(F)
+        for C in small:
+            rad = dual_radical(C)
+            cases = [(GradedMap.identity(C.space), C, C),
+                     (GradedMap(C.space, K.space, C.counit_map().columns, 0), C, K)]
+            cases += [(GradedMap(K.space, C.space, [g], 0), K, C)
+                      for g in grouplikes(C, irreducible_components(C, rad), coradical(C, rad))]
+            for D in small:
+                for _ in range(2):
+                    cols = [sparse(F, [rng.scalar(F) if D.parity(j) == C.parity(i) else F.zero
+                                       for j in range(D.dim)]) for i in range(C.dim)]
+                    cases.append((GradedMap(C.space, D.space, cols, 0), C, D))
+            for f, X, Y in cases:
+                verdict = is_coalgebra_morphism(f, X, Y)
+                assert verdict == _coalgebra_morphism_by_tensor_space(f, X, Y)
+                verdicts["morphism"].add(verdict)
+            odd = [unit_vec(F, i) for i in range(C.dim) if C.parity(i)]
+            eps = C.counit_map()
+            augmentation = [sparse(F, [F.one if j == 0 else F.neg(F.one) if j == i else F.zero
+                                       for j in range(C.dim)])
+                            for i in range(1, C.dim) if eps.apply(unit_vec(F, i))]
+            candidates = [[], odd, augmentation[:1]]
+            candidates += [[sparse(F, [rng.scalar(F) for _ in range(C.dim)])
+                            for _ in range(1 + rng.randint(C.dim))] for _ in range(3)]
+            for vecs in candidates:
+                W = Subspace.from_vectors(C.space, vecs)
+                verdict = is_coideal(C, W)
+                assert verdict == _coideal_by_tensor_space(C, W)
+                verdicts["coideal"].add(verdict)
+    assert verdicts == {"morphism": {True, False}, "coideal": {True, False}}
+
+
+def test_morphism_and_coideal_checks_build_no_tensor_space(monkeypatch):
+    """Once the coproduct maps are built, neither check makes a labelled
+    tensor space."""
+    C = dualize_algebra(grassmann(2))
+    K = unit_coalgebra(QQ)
+    collapse = GradedMap(C.space, K.space, C.counit_map().columns, 0)
+    odd = Subspace.from_vectors(C.space, [unit_vec(QQ, 1), unit_vec(QQ, 2)])
+    for X in (C, K):
+        X.coproduct_map()
+    calls = []
+    original = SuperVectorSpace.tensor
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(SuperVectorSpace, "tensor", counting)
+    assert is_coalgebra_morphism(collapse, C, K)
+    assert calls == []
+    assert is_coideal(C, odd)
+    assert calls == []
 
 
 def test_wedge_examples():
@@ -392,55 +458,12 @@ def test_tensor_coalgebra_is_transpose_of_dual_tensor_algebra(F, dense_view):
 
 
 def test_truncated_cofree_shapes():
-    V = standard_space(QQ, 0, 1, odd_prefix="v")
-    tc = truncated_cofree(V, 1)
+    """The truncated cofree coalgebra on k^{e|o} is the graded dual of the
+    monomial algebra k[T|th]/(degree > d)."""
     G = dualize_algebra(grassmann(1))
-    assert tc.coalgebra.delta == G.delta
-    V2 = standard_space(QQ, 1, 0, even_prefix="v")
-    tc3 = truncated_cofree(V2, 3)
-    assert tc3.coalgebra.delta == divided_power(3).delta
-    # projection hits exactly the degree-1 stratum
-    assert dense_rows(matrix_of(tc3.projection))[0] == (Fraction(0), Fraction(1),
-                                                    Fraction(0), Fraction(0))
-
-
-def test_cofree_universal_property_unique():
-    V = standard_space(QQ, 0, 1, odd_prefix="v")
-    tc = truncated_cofree(V, 1)
-    B = dualize_algebra(grassmann(1))
-    for c in (Fraction(0), Fraction(1), Fraction(-2)):
-        theta = GradedMap(B.space, V, dense_columns(QQ, [[Fraction(0), c]]), 0)
-        F = cofree_universal_map(tc, B, theta)
-        assert dense_rows(matrix_of(F))[1] == (Fraction(0), c)
-
-
-def test_cofree_universal_property_divided_power():
-    V = standard_space(QQ, 1, 0, even_prefix="v")
-    tc = truncated_cofree(V, 3)
-    B = divided_power(2)
-    theta = GradedMap(B.space, V,
-                      dense_columns(QQ, [[Fraction(0), Fraction(1), Fraction(0)]]), 0)
-    F = cofree_universal_map(tc, B, theta)
-    from superscheme.supercoalgebra import is_coalgebra_morphism
-    assert is_coalgebra_morphism(F, B, tc.coalgebra)
-    assert tc.projection.compose(F).columns == theta.columns
-
-
-def test_cofree_rejects_bad_test_coalgebras():
-    V = standard_space(QQ, 1, 0, even_prefix="v")
-    tc = truncated_cofree(V, 2)
-    GK = grouplike_coalgebra(2)
-    theta = GradedMap.zero(GK.space, V)
-    with pytest.raises(ValueError):
-        cofree_universal_map(tc, GK, theta)   # not connected
-    B = divided_power(3)
-    theta2 = GradedMap.zero(B.space, V)
-    with pytest.raises(ValueError):
-        cofree_universal_map(tc, B, theta2)   # filtration too long
-    B2 = divided_power(1)
-    theta3 = GradedMap(B2.space, V, dense_columns(QQ, [[Fraction(1), Fraction(0)]]), None)
-    with pytest.raises(ValueError):
-        cofree_universal_map(tc, B2, theta3)  # does not kill the coradical
+    assert dualize_algebra(monomial_superalgebra(QQ, 0, 1, 1)[0]).delta == G.delta
+    assert dualize_algebra(monomial_superalgebra(QQ, 1, 0, 3)[0]).delta == \
+        divided_power(3).delta
 
 
 def _edited(dense_view, x, F, edits):

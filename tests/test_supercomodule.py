@@ -11,14 +11,14 @@ from superscheme.supercoalgebra import (
     dualize_coalgebra, irreducible_components, tensor_coalgebra,
 )
 from superscheme.supercomodule import (
-    FlatVerdict, NotConnected, base_change_comodule, cosocle_epi, cotensor, flat_check,
-    free_comodule, is_comodule_morphism, make_supercomodule, regular_comodule,
-    subcoalgebra_comodule, trivial_comodule, validate_comodule,
+    FlatVerdict, NotConnected, cotensor, flat_check, free_comodule, make_supercomodule,
+    regular_comodule, subcoalgebra_comodule, trivial_comodule, validate_comodule,
 )
 from conftest import (
-    _count_calls, check_dual_action_axioms, dense, dense_columns, dense_matrix, dual_action,
-    dual_action_of, exactness_probe, faithfulness_probe, flat_by_lifting, flatness_of,
-    graded_map, matrix_of, sparse,
+    _count_calls, base_change_comodule, check_dual_action_axioms, cosocle_epi, dense,
+    dense_columns, dense_matrix, dual_action, dual_action_of, exactness_probe,
+    faithfulness_probe, flat_by_lifting, flatness_of, graded_map, is_comodule_morphism,
+    matrix_of, sparse,
 )
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
