@@ -13,11 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from superscheme.cli import CORPUS_KINDS as KINDS  # noqa: E402
 from superscheme.fields import PrimeField, QQ  # noqa: E402
 from superscheme.corpus import seeded_random, validate_entry  # noqa: E402
-
-KINDS = ("subspace-triple", "comodule", "morphism", "presentation",
-         "presentation-morphism")
 
 
 def main():

@@ -9,11 +9,10 @@ remainder, so streams are reproducible across platforms and languages.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fields import QQ
 from .superlinear import (
-    GradedMap, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
+    GradedMap, Record, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
 )
 from .superalgebra import make_superalgebra, tensor_superalgebra
 from .supercoalgebra import (
@@ -173,8 +172,7 @@ def canonical_coalgebras(field=QQ):
 # ---------------------------------------------------------------------------
 # seeded generators
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     kind: str
     seed: int
     payload: tuple

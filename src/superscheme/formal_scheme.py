@@ -8,8 +8,6 @@ irreducible components (dual local factors) of a coalgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .supercoalgebra import (
     coradical, dual_radical, irreducible_components, is_coalgebra_morphism, NotSubcoalgebra,
     SearchBoundExceeded, subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
@@ -19,7 +17,7 @@ from .supercomodule import (
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Subspace, _identity_columns, _read_coordinates, _rref_sparse,
+    GradedMap, Record, Subspace, _identity_columns, _read_coordinates, _rref_sparse,
     _tensor_apply_sparse, coordinates, tensor_apply, vec_add, vec_sub,
 )
 
@@ -28,8 +26,7 @@ class CotensorNotSubcoalgebra(RuntimeError):
     """The restricted coproduct failed to close on a cotensor carrier."""
 
 
-@dataclass(frozen=True)
-class FormalSuperscheme:
+class FormalSuperscheme(Record):
     """A tower: levels joined by injective coalgebra maps, standing in for a
     filtered system.  A finite-level scheme is its coalgebra and needs none."""
     levels: tuple
@@ -58,15 +55,13 @@ class FormalSuperscheme:
         return problems
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     index: int
     component: object
     kappa: object           # the subcoalgebra kappa(y), a Subspace of the whole coalgebra
 
 
-@dataclass(frozen=True)
-class SchemeMorphism:
+class SchemeMorphism(Record):
     """Sp*(source) -> Sp*(target): two super-coalgebras and one even
     coalgebra map between them."""
     source: object
@@ -218,8 +213,7 @@ def _point_fibers(f):
 # ---------------------------------------------------------------------------
 # flatness of morphisms
 
-@dataclass(frozen=True)
-class Flatness:
+class Flatness(Record):
     """Flatness of a morphism at each point of its source, in the order of
     the source's irreducible components, and surjectivity on points."""
     flat_at: tuple
@@ -258,8 +252,7 @@ def flatness(f, xcomps, ycomps):
 # ---------------------------------------------------------------------------
 # descent complex
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(Record):
     passed: bool
     comodules: tuple
     degrees: tuple          # per comodule: tuple of (degree, exact: bool)
@@ -276,13 +269,13 @@ class DescentReport:
         return "\n".join(lines)
 
 
-@dataclass
 class _TowerLevel:
-    field: object
-    parities: tuple         # of the basis of S_n
-    psi: list               # right B-coaction S_n -> S_n (x) B; None over B = k, n > 0
-    carrier: object = None  # canonical Matrix, rows in S_{n-1} (x) A; None at n = 0 or B = k
-    boundary: list = None   # d_n: S_n -> S_{n-1}, as sparse columns, absent at level 0
+    def __init__(self, field, parities, psi, carrier=None, boundary=None):
+        self.field = field
+        self.parities = parities    # of the basis of S_n
+        self.psi = psi              # right B-coaction S_n -> S_n (x) B; None over B = k, n > 0
+        self.carrier = carrier      # canonical Matrix, rows in S_(n-1) (x) A; None at n = 0, B = k
+        self.boundary = boundary    # d_n: S_n -> S_(n-1), as sparse columns; None at level 0
 
     @property
     def dim(self):

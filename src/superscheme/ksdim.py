@@ -8,12 +8,13 @@ theorem harnesses record the justifications they rely on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fields import QQ
+from .supercoalgebra import SearchBoundExceeded
+from .superlinear import Record
 
 
-class SubsetBoundExceeded(RuntimeError):
+class SubsetBoundExceeded(SearchBoundExceeded):
     pass
 
 
@@ -28,8 +29,7 @@ ODD_GENERATOR_NOTE = (
     "monomial ideals annihilators only grow when generators are mixed")
 
 
-@dataclass(frozen=True)
-class MonomialSuperPresentation:
+class MonomialSuperPresentation(Record):
     p: int
     q: int
     generators: tuple
@@ -176,8 +176,7 @@ def oracle_annihilator_dim(P, I=frozenset()):
 # ---------------------------------------------------------------------------
 # presentation morphisms
 
-@dataclass(frozen=True)
-class PresentationMorphism:
+class PresentationMorphism(Record):
     """X -> Y given by substituting source monomials for target variables."""
     source: MonomialSuperPresentation
     target: MonomialSuperPresentation
@@ -284,8 +283,7 @@ def is_split_projection(f):
 # ---------------------------------------------------------------------------
 # theorem harnesses
 
-@dataclass(frozen=True)
-class FiberDimensionReport:
+class FiberDimensionReport(Record):
     sdim_source: tuple
     sdim_target: tuple
     sdim_fiber: tuple
@@ -340,8 +338,7 @@ def theorem_fiber_dimension_check(f, assert_flat=False):
                                 target_regular, odd_ineq, odd_eq, tuple(notes))
 
 
-@dataclass(frozen=True)
-class ProductDimensionReport:
+class ProductDimensionReport(Record):
     sdim_left: tuple
     sdim_right: tuple
     sdim_product: tuple

@@ -9,7 +9,6 @@ Parsing then serializing is the identity on canonical files.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
 from .superlinear import GradedMap, Subspace, SuperVectorSpace, _transpose, vector
@@ -17,7 +16,6 @@ from .superalgebra import SuperAlgebra, make_superalgebra
 from .supercoalgebra import SuperCoalgebra, make_supercoalgebra
 from .supercomodule import SuperComodule, make_supercomodule
 from .formal_scheme import FormalSuperscheme, SchemeMorphism
-from .ksdim import presentation, presentation_morphism
 
 FORMAT_HEADER = "superscheme"
 FORMAT_VERSION = 1
@@ -30,23 +28,23 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
 class ParsedObject:
-    kind: str
-    name: str
-    over: str = None
-    source: str = None
-    target: str = None
-    lines: list = dc_field(default_factory=list)
+    def __init__(self, kind, name):
+        self.kind = kind
+        self.name = name
+        self.over = None        # set by the qualifiers of the object line
+        self.source = None
+        self.target = None
+        self.lines = []
 
 
-@dataclass
 class ObjectFile:
-    field: object
-    objects: list
-    expected: dict
-    digest: str
-    built: dict = dc_field(default_factory=dict)
+    def __init__(self, field, objects, expected, digest):
+        self.field = field
+        self.objects = objects
+        self.expected = expected
+        self.digest = digest
+        self.built = {}         # name -> (kind, value), filled in file order
 
     def first(self, *kinds):
         for name, (kind, value) in self.built.items():
@@ -376,6 +374,7 @@ def _build_presentation(doc, po):
     for lineno, tokens in po.lines:
         if tokens[0] == "gen":
             gens.append(_parse_monomial_tokens(tokens[1:], evars, ovars, lineno))
+    from .ksdim import presentation
     try:
         return presentation(len(evars), len(ovars), gens, doc.field)
     except ValueError as exc:
@@ -406,6 +405,7 @@ def _build_presmorphism(doc, po):
                 _parse_monomial_tokens(tokens[2:], evars, ovars, lineno)
     if any(v is None for v in even_images) or any(v is None for v in odd_images):
         raise ParseError(f"presmorphism {po.name} is missing variable images")
+    from .ksdim import presentation_morphism
     try:
         return presentation_morphism(src, dst, even_images, odd_images)
     except ValueError as exc:

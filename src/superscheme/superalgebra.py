@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
 from .superlinear import (
-    GradedMap, Matrix, Subspace, _defects, _identity_columns, _images,
+    GradedMap, Matrix, Record, Subspace, _defects, _identity_columns, _images,
     _parity_defects, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
     coordinates, linear_form, quotient_data, tensor_after, twist, twist_apply, unit_vec,
     vec_add, vec_scale, vec_sub, vector,
@@ -29,8 +28,7 @@ class FactorizationIncomplete(RuntimeError):
     """Raised when idempotent splitting needs an unsupported factorization."""
 
 
-@dataclass(frozen=True)
-class SuperAlgebra:
+class SuperAlgebra(Record):
     space: object
     mul: tuple
     unit: tuple
@@ -159,8 +157,7 @@ def validate_superalgebra(A):
     return problems
 
 
-@dataclass(frozen=True)
-class Superideal:
+class Superideal(Record):
     algebra: object
     subspace: object
 
@@ -266,8 +263,7 @@ def radical(A):
 # ---------------------------------------------------------------------------
 # local decomposition
 
-@dataclass(frozen=True)
-class ResidueField:
+class ResidueField(Record):
     degree: int
     minpoly: tuple = None
 
@@ -276,8 +272,7 @@ class ResidueField:
         return self.degree == 1
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Record):
     idempotent: tuple
     algebra: object
     inclusion: object

@@ -11,14 +11,13 @@ superalgebra R pair C with its Koszul-signed dual instead (_koszul_signed).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .superalgebra import (
     _word_basis, enumerate_homs, ideal_generated_by, make_superalgebra,
     local_decomposition, radical,
 )
 from .superlinear import (
-    GradedMap, Subspace, SuperVectorSpace, _defects, _identity_columns, _parity_defects,
+    GradedMap, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _parity_defects,
     _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp, quotient_data,
     tensor_after, tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub,
 )
@@ -32,8 +31,7 @@ class SearchBoundExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SuperCoalgebra:
+class SuperCoalgebra(Record):
     space: object
     delta: tuple
     counit: tuple
@@ -233,8 +231,7 @@ def coradical_filtration(C, rad):
         powers.append(Subspace.from_vectors(dual.space, dual.products(powers[-1].basis(), gens)))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     coalgebra: object
     subspace: object
     inclusion: object

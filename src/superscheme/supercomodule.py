@@ -9,12 +9,10 @@ canonical here because all coalgebras are super-cocommutative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
 from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _defects, _identity_columns, _transpose,
+    GradedMap, Matrix, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _transpose,
     _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
     canonical_columns, linear_form, pivot_selection, quotient_data, tensor_apply,
     twist_apply,
@@ -25,8 +23,7 @@ class NotConnected(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SuperComodule:
+class SuperComodule(Record):
     space: object
     coalgebra: object
     psi: tuple
@@ -190,8 +187,7 @@ def cotensor(M, N):
 # ---------------------------------------------------------------------------
 # flatness via dual freeness
 
-@dataclass(frozen=True)
-class FlatVerdict:
+class FlatVerdict(Record):
     free: bool
     rank: tuple = None
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -267,22 +266,98 @@ def _null_space_sparse(F, red, pivots, ncols):
 
 
 # ---------------------------------------------------------------------------
-# super vector spaces
+# records and super vector spaces
 
 
-@dataclass(frozen=True)
-class SuperVectorSpace:
+class Record:
+    """An immutable record, the contract of a frozen dataclass.
+
+    Its fields are the names annotated in the class body, in order; a class
+    attribute of the same name is a field's default.  It takes its fields
+    positionally or by keyword, compares equal to a record of the same type
+    with equal fields, hashes as the tuple of its fields, and refuses
+    assignment.  Defining a subclass generates no code, where a dataclass
+    execs the source of five methods.  An instance keeps a __dict__, so
+    functools.cached_property works on it.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        body = cls.__dict__
+        cls._fields = tuple(body.get("__annotations__", ()))
+        cls._defaults = {name: body[name] for name in cls._fields if name in body}
+
+    # Fields are set and read as attributes, never through self.__dict__: on
+    # CPython 3.11 touching __dict__ turns the instance's inline attribute
+    # values into a plain dict, and every later attribute read is slower.
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def _arguments(cls, args, kwargs):
+        """Every field's value, in order, from a call that passes some by
+        keyword or leaves some to their defaults."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[:len(args)]:
+            if field in kwargs:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
+        return values
+
+    def _values(self):
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{field}={value!r}" for field, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SuperVectorSpace(Record):
     field: object
     labels: tuple
     parities: tuple
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.parities):
+    def __init__(self, field, labels, parities):
+        if len(labels) != len(parities):
             raise DimensionMismatch("labels/parities length mismatch")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
-        if any(p not in (0, 1) for p in self.parities):
+        if any(p not in (0, 1) for p in parities):
             raise ValueError("parities must be 0 or 1")
+        super().__init__(field, labels, parities)
 
     @property
     def dim(self):

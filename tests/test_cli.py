@@ -1,4 +1,8 @@
 import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +24,8 @@ from superscheme.corpus import (
 )
 
 from conftest import _count_calls, dense_columns, sparse
+
+ROOT = Path(__file__).resolve().parent.parent
 
 F3 = PrimeField(3)
 
@@ -369,6 +375,69 @@ def test_base_change(files):
     text = _ok(["base-change", files["f9split.coalg"],
                 "--minpoly", "1 0 1", "--name", "j"])
     assert "points-before 1" in text and "points-after 2" in text
+
+
+@pytest.mark.parametrize("minpoly, line", [
+    ("1 x", "parse-error bad rational scalar 'x'"),
+    ("1 0 2", "parse-error minimal polynomial must be monic"),
+])
+def test_base_change_reports_a_malformed_minpoly_as_a_parse_error(files, minpoly, line):
+    """A scalar that does not parse and a polynomial that is not monic are
+    both faults of the input: exit 3, not an unsupported computation."""
+    text, code = run(["base-change", files["d3.coalg"], "--minpoly", minpoly])
+    assert code == EXIT_IO
+    assert text.splitlines() == ["superscheme-report error", line, "status error"]
+
+
+def test_corpus_rejects_an_unknown_kind():
+    """--kind takes the five documented kinds; any other word is an
+    argument error, not a traceback."""
+    text, code = run(["corpus", "--kind", "bogus"])
+    assert code == EXIT_IO
+    assert text.splitlines() == ["superscheme-report error", "argument-error", "status error"]
+    for kind in cli.CORPUS_KINDS:
+        assert run(["corpus", "--kind", kind, "--seed", "3"])[1] == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["ksdim", "report-all"])
+def test_subset_bound_is_unsupported_through_the_cli(tmp_path, command):
+    """13 odd variables are over the odd subset search bound of ksdim: both
+    commands that reach it exit 2 and name the bound."""
+    path = tmp_path / "odd13.pres"
+    path.write_text("superscheme 1\nfield Q\nobject presentation P\n"
+                    "  ovar " + " ".join(f"a{i}" for i in range(13)) + "\n  gen a0 a1\nend\n")
+    text, code = run([command, str(path)])
+    assert code == EXIT_UNSUPPORTED
+    assert text.splitlines() == [
+        "superscheme-report error",
+        "unsupported 13 odd variables exceed the subset search bound 12", "status error"]
+
+
+def _fresh(*args):
+    """A run of python in a fresh interpreter that sees the package source."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_the_traced_modules_and_nothing_more(files):
+    """import superscheme.cli loads every module the layer tracer wraps, and
+    not dataclasses (with the inspect it pulls in), ksdim or corpus; the
+    commands that need those two import them when they run."""
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    proc = _fresh("-c", "import sys, superscheme.cli; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert loaded.isdisjoint({"dataclasses", "inspect", "superscheme.ksdim", "superscheme.corpus"})
+    assert {f"superscheme.{modname}" for modname, _, _ in layertrace.SPANS} <= loaded
+    for argv in (["ksdim", files["pres.pres"]], ["check-thm515", files["twopres.pres"]],
+                 ["corpus", "--kind", "presentation"]):
+        proc = _fresh("-m", "superscheme.cli", *argv)
+        assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+        assert proc.stdout.endswith("status ok\n"), proc.stdout
 
 
 def test_ksdim_and_theorems(files):

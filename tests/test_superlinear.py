@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, GradedMap, Matrix, Subspace, _null_space_sparse,
+    DimensionMismatch, GradedMap, Matrix, Record, Subspace, _null_space_sparse,
     _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_after,
     tensor_apply, twist, unit_vec, vec_add, vec_scale,
 )
@@ -532,3 +533,87 @@ def test_matrix_operations_match_the_dense_reference(dense_reference, case):
     assert (got is None) == (want is None)
     if got is not None:
         assert [dense(F, n, x) for x in got] == [tuple(x) for x in want]
+
+
+# ---------------------------------------------------------------------------
+# Record against the frozen dataclass it stands in for
+
+
+@dataclasses.dataclass(frozen=True)
+class _Frozen:
+    a: object
+    b: tuple
+    c: object = None
+
+
+class _Rec(Record):
+    a: object
+    b: tuple
+    c: object = None
+
+
+class _OtherRec(Record):
+    a: object
+    b: tuple
+    c: object = None
+
+
+def _outcome(cls, args, kwargs):
+    try:
+        made = cls(*args, **kwargs)
+    except TypeError:
+        return TypeError
+    return (made.a, made.b, made.c)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, (2,)), {}), ((1, (2,), 3), {}), ((), {"b": (2,), "a": 1}),
+    ((1,), {"b": (2,), "c": 3}), ((), {}), ((1,), {}), ((1, (2,), 3, 4), {}),
+    ((1, (2,)), {"a": 1}), ((1, (2,)), {"d": 4}), ((), {"a": 1, "c": 3}),
+])
+def test_record_init_matches_a_frozen_dataclass(args, kwargs):
+    """Positional and keyword arguments, defaults, and a TypeError for a
+    missing, an extra, a repeated or an unknown argument."""
+    assert _outcome(_Rec, args, kwargs) == _outcome(_Frozen, args, kwargs)
+
+
+def test_record_compares_hashes_and_refuses_assignment_as_a_frozen_dataclass():
+    for cls in (_Rec, _Frozen):
+        x, y, z = cls(1, (2,)), cls(1, (2,), None), cls(1, (3,))
+        assert x == y and hash(x) == hash(y) == hash((1, (2,), None))
+        assert x != z and len({x, y, z}) == 2
+        for target, name in [(x, "a"), (x, "c"), (x, "new")]:
+            with pytest.raises(AttributeError):
+                setattr(target, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+        assert x == cls(1, (2,)) and not hasattr(x, "new")
+    # equal fields in another class: NotImplemented both ways, so unequal
+    for x, other in [(_Rec(1, (2,)), _Frozen(1, (2,))), (_Rec(1, (2,)), _OtherRec(1, (2,))),
+                     (_Frozen(1, (2,)), _Rec(1, (2,)))]:
+        assert x.__eq__(other) is NotImplemented and x != other
+    assert repr(_Rec(1, (2,))) == repr(_Frozen(1, (2,))).replace("_Frozen", "_Rec")
+    assert _Rec._fields == tuple(f.name for f in dataclasses.fields(_Frozen))
+
+
+def test_cached_properties_compute_once_on_records(monkeypatch):
+    """SuperAlgebra._terms and SuperCoalgebra._coproduct are cached in the
+    instance's __dict__: each is computed once, and neither the cache nor
+    its absence changes equality or hashing."""
+    from superscheme import superalgebra
+    from superscheme.corpus import grassmann
+    from superscheme.supercoalgebra import dualize_algebra
+
+    calls = []
+    rule = superalgebra._sum_ops
+    monkeypatch.setattr(superalgebra, "_sum_ops", lambda F: calls.append(F) or rule(F))
+    A, twin = grassmann(2), grassmann(2)
+    terms = A._terms
+    assert A._terms is terms and len(calls) == 1 and "_terms" in vars(A)
+    A.multiply(A.unit, A.unit)
+    assert len(calls) == 1
+    assert A == twin and hash(A) == hash(twin) and "_terms" not in vars(twin)
+    C, twin = dualize_algebra(A), dualize_algebra(twin)
+    delta = C.coproduct_map()
+    assert C.coproduct_map() is delta and vars(C)["_coproduct"] is delta
+    assert C == twin and hash(C) == hash(twin) and "_coproduct" not in vars(twin)
