@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Time the size-wall stages on the Grassmann duals over Q.
 
-Usage: python scripts/size_wall.py [--max N]
+Usage: python scripts/size_wall.py [--max N] [--json]
 Prints one row per n = 1..N (default 5) for C = Grassmann(n)*, of
 dimension 2^n: the seconds spent in dual + validate, dual_radical plus
 coradical_filtration, flat_check(regular_comodule) and
-irreducible_components, each timed on its own.
+irreducible_components, each timed on its own.  With --json the rows are
+printed at the end as one JSON object, keyed by coalgebra, each row holding
+its dim and its seconds per stage, so a benchmark record takes them as
+data.
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -37,12 +41,18 @@ def _dual_and_validate(A):
     return C
 
 
+STAGES = ("dual+validate", "filtration", "flat_check", "components")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--max", type=int, default=5)
+    parser.add_argument("--json", action="store_true", help="print the rows as one JSON object")
     args = parser.parse_args()
-    print(f"{'coalgebra':16s} {'dim':>4s} {'dual+validate':>14s} "
-          f"{'filtration':>11s} {'flat_check':>11s} {'components':>11s}")
+    rows = {}
+    if not args.json:
+        print(f"{'coalgebra':16s} {'dim':>4s} {'dual+validate':>14s} "
+              f"{'filtration':>11s} {'flat_check':>11s} {'components':>11s}")
     for n in range(1, args.max + 1):
         C, t_dual = _timed(_dual_and_validate, grassmann(n))
         _, t_filt = _timed(lambda C: coradical_filtration(C, dual_radical(C)), C)
@@ -51,8 +61,14 @@ def main():
         if not verdict.free or len(comps) != 1:
             raise SystemExit(f"Grassmann({n})*: unexpected verdict {verdict}, "
                              f"{len(comps)} components")
-        print(f"{f'Grassmann({n})*':16s} {C.dim:4d} {t_dual:14.2f} "
-              f"{t_filt:11.2f} {t_flat:11.2f} {t_comp:11.2f}", flush=True)
+        times = (t_dual, t_filt, t_flat, t_comp)
+        rows[f"Grassmann({n})*"] = dict(zip(("dim",) + STAGES,
+                                            (C.dim,) + tuple(round(t, 4) for t in times)))
+        if not args.json:
+            print(f"{f'Grassmann({n})*':16s} {C.dim:4d} {t_dual:14.2f} "
+                  f"{t_filt:11.2f} {t_flat:11.2f} {t_comp:11.2f}", flush=True)
+    if args.json:
+        print(json.dumps(rows, indent=1))
     return 0
 
 

@@ -1,8 +1,10 @@
 """Exact field arithmetic: rationals, odd prime fields, and simple extensions.
 
-Field elements are plain hashable values (Fraction for Q, int residues for
-F_p, coefficient tuples for extensions); a Field object supplies the
-operations.  Characteristic 2 is rejected everywhere.
+Field elements are plain hashable values (for Q an int when the value is
+an integer and a normalized Fraction otherwise, int residues for F_p,
+coefficient tuples for extensions); a Field object supplies the
+operations, and no element is ever divided with /.  Characteristic 2 is
+rejected everywhere.
 """
 
 from __future__ import annotations
@@ -69,38 +71,46 @@ class Field:
 
 
 class RationalField(Field):
-    """The rational numbers; elements are Fraction instances."""
+    """The rational numbers.  An element is an int when its value is an
+    integer and a normalized Fraction otherwise: parse, from_int, zero, one
+    and every operation return that form, from operands in either form, so
+    no Fraction is built for an integer.  An int carries .numerator and
+    .denominator too, so code that reads them takes either."""
 
     char = 0
     order = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def is_zero(self, a):
         return not a
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r.numerator if r.denominator == 1 else r
 
     def neg(self, a):
-        return -a
+        return -a.numerator if a.denominator == 1 else -a
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r.numerator if r.denominator == 1 else r
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        r = Fraction(a.denominator, a.numerator)
+        return r.numerator if r.denominator == 1 else r
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, s):
         try:
-            return Fraction(s)
+            r = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational scalar {s!r}") from exc
+        return r.numerator if r.denominator == 1 else r
 
     def format(self, a):
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
@@ -372,11 +382,12 @@ def poly_eval(F, p, x):
 
 
 def _fraction_sqrt(a):
+    """The nonnegative square root in Q of a rational a, or None."""
     if a < 0:
         return None
     rn, rd = isqrt(a.numerator), isqrt(a.denominator)
     if rn * rn == a.numerator and rd * rd == a.denominator:
-        return Fraction(rn, rd)
+        return rn if rd == 1 else Fraction(rn, rd)
     return None
 
 
@@ -401,23 +412,25 @@ def field_sqrt(F, a):
             return F.embed(r)
         # v != 0: let w = v^2, then (a1 - w t)^2 + 4 s w^2 = 4 a0 w
         # i.e. (t^2 + 4 s) w^2 - (2 a1 t + 4 a0) w + a1^2 = 0
+        Q = F.base
         A = t * t + 4 * s
         B = -(2 * a1 * t + 4 * a0)
         C = a1 * a1
         cands = []
         if A == 0:
             if B != 0:
-                cands.append(-C / B)
+                cands.append(Q.mul(-C, Q.inv(B)))
         else:
             disc = B * B - 4 * A * C
             rd = _fraction_sqrt(disc)
             if rd is not None:
-                cands.extend([(-B + rd) / (2 * A), (-B - rd) / (2 * A)])
+                half = Q.inv(2 * A)
+                cands.extend([Q.mul(-B + rd, half), Q.mul(-B - rd, half)])
         for w in cands:
             v = _fraction_sqrt(w)
             if v is None or v == 0:
                 continue
-            u = (a1 - w * t) / (2 * v)
+            u = Q.mul(a1 - w * t, Q.inv(2 * v))
             x = (u, v)
             if F.mul(x, x) == a:
                 return x
@@ -450,8 +463,8 @@ def poly_roots(F, p):
             denom = denom * c.denominator // gcd(denom, c.denominator)
         ints = [int(c * denom) for c in p]
         while ints and ints[0] == 0:
-            if Fraction(0) not in roots:
-                roots.append(Fraction(0))
+            if 0 not in roots:
+                roots.append(0)
             ints = ints[1:]
         if len(ints) > 1:
             a0, an = abs(ints[0]), abs(ints[-1])
@@ -461,7 +474,8 @@ def poly_roots(F, p):
                     "exceeds the divisor scan bound 10^12")
             for num in _divisors(a0):
                 for den in _divisors(an):
-                    for cand in (Fraction(num, den), Fraction(-num, den)):
+                    q = F.mul(num, F.inv(den))
+                    for cand in (q, F.neg(q)):
                         if F.is_zero(poly_eval(F, p, cand)) and cand not in roots:
                             roots.append(cand)
     elif len(p) == 3:

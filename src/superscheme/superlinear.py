@@ -27,8 +27,9 @@ class DimensionMismatch(ValueError):
 def _plain_char(F):
     """p for F_p, 0 for Q, None for any other field.
 
-    Over F_p and Q the elements are plain ints in [0, p) and Fractions, so
-    _sum_ops, the one accumulation rule, sums products on plain values;
+    Over F_p the elements are plain ints in [0, p), over Q ints and
+    Fractions (an int exactly when the value is integral), so _sum_ops, the
+    one accumulation rule, sums products on plain values;
     every other field, and any field that only wraps one of these, sums
     through the Field methods, which the tests use as the oracle.
     """
@@ -667,8 +668,9 @@ def _sum_ops(F):
     add and multiply lifted entries; lower(items, D) turns the (index, sum)
     items of one output, D the product of its operands' D, into a vector.
     Over Q lifted entries are ints over D, the lcm of the denominators, and
-    lower makes one Fraction per entry; over F_p sums are plain ints reduced
-    mod p once; other fields use their Field methods.
+    lower writes each entry in the canonical form of Q: the int n // D when
+    D divides n, one Fraction(n, D) otherwise.  Over F_p sums are plain ints
+    reduced mod p once; other fields use their Field methods.
     """
     p = _plain_char(F)
     if p == 0:
@@ -688,6 +690,8 @@ def _no_lift_each(vecs):
 
 def _lift_q(vecs):
     D = math.lcm(*(a.denominator for v in vecs for _, a in v))
+    if D == 1:
+        return vecs, 1      # every entry is an int, its own numerator
     return [[(i, a.numerator * (D // a.denominator)) for i, a in v] for v in vecs], D
 
 
@@ -702,9 +706,14 @@ def _lift_each_q(vecs):
 # test for those before they build or sort a list.
 
 def _lower_q(items, D):
+    """The vector of the nonzero sums n / D, each an int when D divides n
+    and a Fraction otherwise: no Fraction is built for an integer."""
     if not items:
         return ()
-    out = [(k, Fraction(n, D) if D != 1 else Fraction(n)) for k, n in items if n]
+    if D == 1:
+        out = [(k, n) for k, n in items if n]
+    else:
+        out = [(k, Fraction(n, D) if n % D else n // D) for k, n in items if n]
     if len(out) > 1:
         out.sort()
     return tuple(out)

@@ -2,6 +2,7 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -882,11 +883,19 @@ def generic_field():
     return GenericField
 
 
+def rational(num, den=1):
+    """num/den in the canonical form of Q: an int when it is integral, a
+    normalized Fraction otherwise."""
+    x = Fraction(num, den)
+    return x.numerator if x.denominator == 1 else x
+
+
 def rref_by_gauss_jordan(F, rows, ncols):
     """Reference for Matrix.rref over F_p and Q: dense Gauss-Jordan
-    elimination on plain values (residues mod p, or Fractions) with the
-    arithmetic inlined and no Field method.  Returns (rows, pivots), the
-    rows as dense tuples, zero rows last."""
+    elimination on plain values (residues mod p, or exact Fractions written
+    in the canonical form of Q at the end) with the arithmetic inlined and
+    no Field method.  Returns (rows, pivots), the rows as dense tuples, zero
+    rows last."""
     p = F.char
     rows = [list(r) for r in rows]
     pivots = []
@@ -902,7 +911,7 @@ def rref_by_gauss_jordan(F, rows, ncols):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
-        inv = pow(prow[c], p - 2, p) if p else 1 / prow[c]
+        inv = pow(prow[c], p - 2, p) if p else Fraction(1) / prow[c]
         for j in range(c, ncols):
             prow[j] = prow[j] * inv % p if p else prow[j] * inv
         for i, row in enumerate(rows):
@@ -912,6 +921,8 @@ def rref_by_gauss_jordan(F, rows, ncols):
                     row[j] = (row[j] - fac * prow[j]) % p if p else row[j] - fac * prow[j]
         pivots.append(c)
         r += 1
+    if not p:
+        rows = [map(rational, row) for row in rows]
     return tuple(map(tuple, rows)), tuple(pivots)
 
 

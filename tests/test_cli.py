@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -438,6 +439,42 @@ def test_cli_import_loads_the_traced_modules_and_nothing_more(files):
         proc = _fresh("-m", "superscheme.cli", *argv)
         assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
         assert proc.stdout.endswith("status ok\n"), proc.stdout
+
+
+TRACED_JOB = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from superscheme import cli
+from layertrace import Tracer
+import run
+tracer = Tracer()
+tracer.install()
+walls = []
+for argv in json.loads(sys.argv[2]):
+    text, code = tracer.run_job(len(walls), cli.run, argv)
+    # layer_report divides by the summed job walls; their values do not matter here
+    walls.append({"wall_s": 1.0, "code": code})
+traced = {"layers": tracer.metrics(), "skipped": tracer.skipped, "jobs": walls}
+per_layer = run.layer_report(traced, [traced], "test")
+print(json.dumps({"skipped": tracer.skipped, "codes": [j["code"] for j in walls],
+                  "per_layer": sorted(per_layer)}))
+"""
+
+
+def test_traced_run_measures_every_per_layer_metric(files):
+    """In a fresh interpreter the perfbench layer tracer wraps every span of
+    an imported superscheme.cli but formal_scheme.is_flat, and a traced run
+    yields every per_layer metric that BENCHMARK.json names, the
+    layer.<module>.self_s sums by run.py's own rule included."""
+    jobs = [["report-all", files["g2.alg"]], ["report-all", files["d3.coalg"]],
+            ["flat-check", files["collapse.mor"]]]
+    proc = _fresh("-c", TRACED_JOB, str(ROOT / "perfbench"), json.dumps(jobs))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["skipped"] == ["formal_scheme.is_flat"]
+    assert result["codes"] == [EXIT_OK] * len(jobs)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert result["per_layer"] == sorted(m["name"] for m in benchmark["per_layer"])
 
 
 def test_ksdim_and_theorems(files):

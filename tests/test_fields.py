@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superscheme.corpus import Rng
-from superscheme.superlinear import vector
+from superscheme.superlinear import _lower_q, vector
 from superscheme.fields import (
     PRIMALITY_BOUND, ExtensionField, FieldError, PrimeField, QQ, _is_prime, field_sqrt,
     poly_divmod, poly_factor_supported, poly_is_irreducible,
@@ -168,6 +168,85 @@ def test_field_sqrt():
         (Fraction(0), Fraction(2)), (Fraction(0), Fraction(-2)))
     r = field_sqrt(F9, F9.embed(2))
     assert r is not None and F9.mul(r, r) == F9.embed(2)
+
+
+def _canonical_q(x):
+    """x is an element of Q in its canonical form: an int when it is
+    integral, a Fraction otherwise, and never a float or a bool."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
+# ints, Fractions and integral Fractions such as Fraction(3, 1), which the
+# operations take but never return
+mixed_rationals = st.one_of(st.integers(-50, 50), rationals, st.integers(-50, 50).map(Fraction))
+
+
+@given(mixed_rationals, mixed_rationals)
+def test_rational_field_returns_its_canonical_form(a, b):
+    F = QQ
+    assert _canonical_q(F.zero) and _canonical_q(F.one)
+    for value in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.from_int(a.numerator),
+                  F.pow(a, 3), F.parse(str(a)), F.parse(f"{a.numerator * 2}/2")):
+        assert _canonical_q(value), repr(value)
+    assert F.from_int(a.numerator) == a.numerator
+    assert F.parse(f"{a.numerator}/{a.denominator}") == a
+    if a:
+        assert _canonical_q(F.inv(a)) and F.mul(a, F.inv(a)) == 1
+        assert _canonical_q(F.pow(a, -2))
+
+
+def test_rational_parse_and_inverse_are_exact():
+    assert [QQ.parse(s) for s in ("3", "6/2", "-4/2", "3.0", "0", "-0")] == [3, 3, -2, 3, 0, 0]
+    assert all(type(QQ.parse(s)) is int for s in ("3", "6/2", "-4/2", "3.0", "0", "-0"))
+    assert QQ.parse("2.5") == Fraction(5, 2) and QQ.parse("-1/3") == Fraction(-1, 3)
+    assert [QQ.inv(a) for a in (1, -1, 2, -3, Fraction(1, 4), Fraction(-2, 3))] == [
+        1, -1, Fraction(1, 2), Fraction(-1, 3), 4, Fraction(-3, 2)]
+    assert all(_canonical_q(QQ.inv(a)) for a in (1, -1, 2, Fraction(1, 4), Fraction(3, 1)))
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_lower_q_writes_integral_sums_as_ints():
+    """_lower_q, the end of every sum of products over Q: n / D is the int
+    n // D when D divides n and one Fraction(n, D) otherwise."""
+    cases = [([(2, 6), (0, -3), (1, 0), (5, 4)], 3,
+              ((0, -1), (2, 2), (5, Fraction(4, 3)))),
+             ([(1, 7), (0, -2), (3, 0)], 1, ((0, -2), (1, 7))),
+             ([(4, 1)], 2, ((4, Fraction(1, 2)),)),
+             ([(4, 0)], 5, ()),
+             ([], 7, ())]
+    for items, D, want in cases:
+        got = _lower_q(items, D)
+        assert got == want
+        assert [type(a) for _, a in got] == [type(a) for _, a in want]
+
+
+def test_square_roots_and_roots_over_q_are_exact():
+    """field_sqrt and poly_roots over Q and over Q(i) divide only through
+    the field, so their values are exact and in canonical form."""
+    def canonical(x):
+        return all(map(_canonical_q, x)) if isinstance(x, tuple) else _canonical_q(x)
+
+    # per case the square roots field_sqrt may return, None when there is none
+    sqrt_cases = [(QQ, 9, (3,)), (QQ, Fraction(9, 4), (Fraction(3, 2),)), (QQ, 2, (None,)),
+                  (QI, QI.embed(-4), ((0, 2), (0, -2))),
+                  (QI, (0, 2), ((1, 1), (-1, -1))),
+                  (QI, (0, Fraction(1, 2)), ((Fraction(1, 2), Fraction(1, 2)),
+                                             (Fraction(-1, 2), Fraction(-1, 2)))),
+                  (QI, (Fraction(9, 4), 0), ((Fraction(3, 2), 0), (Fraction(-3, 2), 0)))]
+    for F, a, want in sqrt_cases:
+        r = field_sqrt(F, a)
+        assert r in want
+        assert r is None or canonical(r) and F.mul(r, r) == a
+    roots_cases = [(QQ, (2, -3, -3, 2), [-1, Fraction(1, 2), 2]),
+                   (QQ, (0, 0, Fraction(3, 2)), [0]),
+                   (QQ, (Fraction(-1, 4), 0, 1), [Fraction(-1, 2), Fraction(1, 2)]),
+                   (QI, ((1, 0), (0, 0), (1, 0)), [(0, -1), (0, 1)]),
+                   (QI, ((Fraction(1, 4), 0), (0, 0), (1, 0)),
+                    [(0, Fraction(-1, 2)), (0, Fraction(1, 2))])]
+    for F, p, want in roots_cases:
+        got = poly_roots(F, p)
+        assert got == want and all(map(canonical, got))
 
 
 def test_prime_field_is_zero_on_canonical_residues():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,12 @@ def test_size_wall_prints_one_row_per_grassmann_dual(tmp_path):
                                 "flat_check", "components"]
     assert [line.split()[:2] for line in lines[1:]] == [
         ["Grassmann(1)*", "2"], ["Grassmann(2)*", "4"], ["Grassmann(3)*", "8"]]
+
+
+def test_size_wall_prints_its_rows_as_one_json_object(tmp_path):
+    rows = json.loads(_run_elsewhere(tmp_path, "size_wall.py", "--max", "3", "--json"))
+    assert list(rows) == ["Grassmann(1)*", "Grassmann(2)*", "Grassmann(3)*"]
+    assert [row["dim"] for row in rows.values()] == [2, 4, 8]
+    for row in rows.values():
+        assert list(row) == ["dim", "dual+validate", "filtration", "flat_check", "components"]
+        assert all(isinstance(t, float) and t >= 0 for t in list(row.values())[1:])

@@ -18,6 +18,15 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_no_true_division_in_package():
+    """Field elements are divided only through Field.inv: / on two ints
+    gives a float, and an element of Q may be an int."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert found == []
+
+
 def _references(tree, name, calls=False):
     """The innermost enclosing function of every reference to name, as a
     variable, an attribute or an import, or with calls set, of every call

@@ -19,7 +19,7 @@ from superscheme.corpus import (
 )
 
 from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism, sparse,
+    dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism, rational, sparse,
 )
 
 F3 = PrimeField(3)
@@ -384,7 +384,7 @@ def test_validate_superalgebra_full_problem_list(case, dense_view):
 
 def _rational(rng):
     """a/b with |a| <= 9 and 1 <= b <= 9."""
-    return Fraction(rng.randint(19) - 9, rng.randint(9) + 1)
+    return rational(rng.randint(19) - 9, rng.randint(9) + 1)
 
 
 def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field,
@@ -426,7 +426,9 @@ def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field,
 
 
 def _typed(vec):
-    """Entries with their types, so a Q result must hold Fractions throughout."""
+    """Entries with their types, so a Q result must hold its canonical form
+    throughout: an int exactly when the entry is integral, a Fraction
+    otherwise."""
     return tuple((type(c), j, c) for j, c in vec)
 
 
@@ -446,7 +448,7 @@ def test_multiply_matches_dense_loop(generic_field, multiply_oracle, dense_view,
         nonzero = st.sampled_from(sorted((c for c in F.elements() if c != F.zero),
                                          key=F.sort_key))
     else:
-        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+        nonzero = st.builds(rational, st.integers(-9, 9).filter(bool), st.integers(1, 9))
     n = even + odd
     vec = st.lists(st.one_of(st.just(F.zero), nonzero), min_size=n, max_size=n).map(tuple)
     mul = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n), min_size=n, max_size=n))

@@ -13,7 +13,7 @@ from superscheme.superlinear import (
 from superscheme.corpus import Rng
 
 from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, graded_map, matrix_of, sparse,
+    dense, dense_columns, dense_matrix, dense_rows, graded_map, matrix_of, rational, sparse,
 )
 
 F3 = PrimeField(3)
@@ -94,7 +94,7 @@ def _scalar(rng, F):
     """Any element over F_p; over Q, a/b with |a| <= 9 and 1 <= b <= 9."""
     if F.is_finite():
         return rng.scalar(F)
-    return Fraction(rng.randint(19) - 9, rng.randint(9) + 1)
+    return rational(rng.randint(19) - 9, rng.randint(9) + 1)
 
 
 def _random_homogeneous_map(rng, dom, cod, parity, scalar=_small_int):
@@ -267,7 +267,7 @@ def _entries(F):
     """Scalars of F, zero about half the time; over Q, a/b with |a| <= 9 and
     1 <= b <= 9, so that sums of products need a common denominator."""
     if F == QQ:
-        scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+        scalars = st.builds(rational, st.integers(-9, 9), st.integers(1, 9))
     else:
         scalars = st.integers(0, F.p - 1)
     return st.one_of(st.just(F.zero), scalars)
@@ -291,9 +291,10 @@ def _dense(F, rows, n):
 
 
 def _typed(rows):
-    """Entries with their types, so a Q result must hold Fractions throughout;
-    rows are dense tuples or vectors, whose entries are the second items of
-    their pairs."""
+    """Entries with their types, so a Q result must hold its canonical form
+    throughout (an int exactly when the entry is integral, a Fraction
+    otherwise); rows are dense tuples or vectors, whose entries are the
+    second items of their pairs."""
     return tuple(tuple((type(x[1]), x) if isinstance(x, tuple) else (type(x), x) for x in r)
                  for r in rows)
 
@@ -472,7 +473,7 @@ def _matrix_cases(draw):
     of them possibly outside the column space; most entries zero."""
     F = draw(st.sampled_from([QQ, F3, F9]))
     if F == QQ:
-        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+        nonzero = st.builds(rational, st.integers(-9, 9).filter(bool), st.integers(1, 9))
     else:
         nonzero = st.sampled_from(sorted((a for a in F.elements() if a != F.zero),
                                          key=F.sort_key))
