@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Digest every report of the benchmark jobs and of the seeded corpus.
+
+Usage: python scripts/report_digest.py [--seeds 1,2,7] [--corpus N]
+
+Per workload and seed, writes the job inputs of perfbench/workloads.py to a
+temporary directory, runs each job once in this process with
+superscheme.cli.run, and prints `<workload> seed <s> <sha256>` over every
+job's (name, exit code, report), in job order.  Then prints
+`corpus seeds 0..<N-1> <sha256>` over the (seed, exit code, report) of
+`corpus --seed s` for s < N (default 50; 0 skips it).  Two trees that print
+the same lines print byte-identical reports.  The benchmark's files are
+only imported, never written.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from superscheme.cli import run  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def _digest(records):
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, ensure_ascii=False).encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def workload_digest(name, seed):
+    """The digest of one workload's jobs on one seed.  Jobs name their
+    inputs relative to the directory they run in, so no report holds a
+    temporary path."""
+    workload = WORKLOADS[name](seed)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        records = []
+        try:
+            os.chdir(tmp)
+            for job in workload.jobs:
+                for fname, text in job.files:
+                    Path(fname).write_text(text, encoding="utf-8")
+                paths = [fname for fname, _ in job.files]
+                text, code = run([a.format(*paths) for a in job.argv])
+                records.append([job.name, code, text])
+        finally:
+            os.chdir(cwd)
+    return _digest(records)
+
+
+def corpus_digest(count):
+    records = []
+    for seed in range(count):
+        text, code = run(["corpus", "--seed", str(seed)])
+        records.append([seed, code, text])
+    return _digest(records)
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seeds", default="1,2,7")
+    parser.add_argument("--corpus", type=int, default=50)
+    args = parser.parse_args()
+    for name in WORKLOADS:
+        for seed in args.seeds.split(","):
+            print(f"{name} seed {seed} {workload_digest(name, int(seed))}", flush=True)
+    if args.corpus:
+        print(f"corpus seeds 0..{args.corpus - 1} {corpus_digest(args.corpus)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

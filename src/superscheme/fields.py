@@ -106,6 +106,14 @@ class RationalField(Field):
         return n
 
     def parse(self, s):
+        """int(s) when it reads s, else Fraction(s).  int accepts some of
+        the strings Fraction accepts, with the same value, and no other, so
+        the accepted strings are Fraction's and an integral token builds no
+        Fraction."""
+        try:
+            return int(s)
+        except ValueError:
+            pass
         try:
             r = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

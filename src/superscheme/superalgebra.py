@@ -240,13 +240,16 @@ def _trace_form_kernel(A):
 
 
 def radical(A):
-    """Jacobson radical (= nilradical here); always contains the odd part."""
-    if A.dim == 0:
-        return Superideal(A, Subspace.zero(A.space))
+    """Jacobson radical (= nilradical here); always contains the odd part.
+
+    rad A is the preimage of the radical of A/J, J the canonical ideal.  A
+    quotient of dimension 1 is the base field, whose radical is 0: when
+    dim A - dim J <= 1, rad A = J and no quotient algebra is built.
+    """
     jc = canonical_ideal(A)
+    if A.dim - jc.subspace.dim <= 1:
+        return jc
     abar, proj = quotient_by_superideal(A, jc)
-    if abar.dim == 0:
-        return Superideal(A, jc.subspace)
     if A.field.char == 0:
         radbar = _trace_form_kernel(abar)
     else:
@@ -335,8 +338,6 @@ def _semisimple_idempotent(S):
     """
     F = S.field
     n = S.dim
-    if n == 1:
-        return None
     if F.char != 0:
         q = F.order
         cols = [S.power(unit_vec(F, i), q) for i in range(n)]
@@ -420,9 +421,9 @@ def _subalgebra_on(A, sub, unit):
 
 
 def _residue_descriptor(S):
-    """Residue field data from the residue field S = B / rad B of a local B."""
-    if S.dim == 1:
-        return ResidueField(1)
+    """Residue field data from the residue field S = B / rad B of a local B,
+    for dim S > 1 (a residue of dimension 1 is the base field, and
+    local_decomposition names it without building S)."""
     for b in _split_candidates(S):
         minpoly = _minimal_polynomial(S, b)
         if len(minpoly) - 1 != S.dim:
@@ -443,7 +444,9 @@ def local_decomposition(A, rad):
     Each pending idempotent e gives B = eA, its radical and S = B / rad B
     once: a nontrivial idempotent of S is lifted and splits e in two,
     otherwise S is the residue field of the local factor B.  For e = 1,
-    B is A itself, with the given radical.
+    B is A itself, with the given radical.  A quotient of dimension 1 is
+    the base field: when dim B - dim rad B = 1, B is local with residue k,
+    and S is not built.
     """
     if A.dim == 0:
         return []
@@ -457,6 +460,9 @@ def local_decomposition(A, rad):
         else:
             B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
             rad_b = radical(B)
+        if B.dim - rad_b.subspace.dim == 1:
+            factors.append(LocalFactor(e, B, incl, ResidueField(1)))
+            continue
         S, proj = quotient_by_superideal(B, rad_b)
         e_bar = _semisimple_idempotent(S)
         if e_bar is None:

@@ -17,9 +17,10 @@ from .superalgebra import (
     local_decomposition, radical,
 )
 from .superlinear import (
-    GradedMap, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _parity_defects,
-    _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp, quotient_data,
-    tensor_after, tensor_apply, twist, twist_apply, unit_vec, vec_scale, vec_sub,
+    GradedMap, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _images,
+    _parity_defects, _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp,
+    quotient_data, tensor_after, tensor_apply, twist, twist_apply, unit_vec, vec_scale,
+    vec_sub,
 )
 
 
@@ -58,6 +59,12 @@ class SuperCoalgebra(Record):
     def counit_map(self):
         return linear_form(self.space, self.counit)
 
+    @functools.cached_property
+    def _problems(self):
+        """The verdict of validate_supercoalgebra, found once per frozen
+        coalgebra."""
+        return tuple(_coalgebra_problems(self))
+
 
 def make_supercoalgebra(space, delta, counit):
     """The coalgebra with these columns of delta and this counit (see
@@ -70,12 +77,17 @@ def make_supercoalgebra(space, delta, counit):
 
 def validate_supercoalgebra(C):
     """Violated axiom instances for parity, counit, coassociativity and
-    super-cocommutativity (empty list means valid).
+    super-cocommutativity (empty list means valid), as a fresh list.  The
+    check runs once per coalgebra, which keeps its verdict.
 
     Each axiom is an equality of two composed structure maps, compared
     column by column: (eps (x) id) delta = id = (id (x) eps) delta,
     (delta (x) id) delta = (id (x) delta) delta and twist o delta = delta.
     """
+    return list(C._problems)
+
+
+def _coalgebra_problems(C):
     F = C.field
     n = C.dim
     labels = C.space.labels
@@ -239,9 +251,17 @@ class Component(Record):
 
 
 def irreducible_components(C, rad):
-    """Direct summands dual to the local factors of C*; rad is dual_radical(C)."""
+    """Direct summands dual to the local factors of C*; rad is dual_radical(C).
+
+    A decomposition into one piece is the object itself: when C* is local,
+    the one component is C, on the full subspace, with the identity as its
+    inclusion, and no subcoalgebra is built.
+    """
     dual = rad.algebra
     factors = local_decomposition(dual, rad)
+    if len(factors) == 1:
+        return [Component(C, Subspace.full(C.space), GradedMap.identity(C.space),
+                          factors[0].residue)]
     F = C.field
     comps = []
     for idx, fac in enumerate(factors):
@@ -255,12 +275,14 @@ def irreducible_components(C, rad):
 
 
 def is_grouplike(C, u):
+    """eps(u) = 1 and delta(u) = u (x) u, with delta(u) read off the columns
+    of delta: no labelled map into C (x) C is built."""
     F = C.field
     if C.counit_map().apply(u) != ((0, F.one),):
         return False
     n = C.dim
-    return C.coproduct_map().apply(u) == tuple((i * n + j, F.mul(a, b))
-                                               for i, a in u for j, b in u)
+    return next(_images(F, C.delta, (u,))) == tuple((i * n + j, F.mul(a, b))
+                                                   for i, a in u for j, b in u)
 
 
 def grouplikes(C, comps, corad):

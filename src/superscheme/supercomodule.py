@@ -212,17 +212,20 @@ def flat_check(M):
     (id (x) w) psi and on M* by the transpose, so (e, o) is the sdim of
     (JM*) perp = psi^-1(M (x) J perp) = psi^-1(M (x) C_0), the socle of M,
     for C_0 the coradical (Montgomery, Hopf Algebras and Their Actions on
-    Rings, 1993, 5.1-5.2): the preimage of C_0.
+    Rings, 1993, 5.1-5.2): the preimage of C_0.  A K of dimension 1 is the
+    base field, so K is built, and searched for an idempotent, only when
+    d > 1.
     """
     C = M.coalgebra
     if C.dim == 0:
         raise NotConnected("flatness over the zero coalgebra is undefined")
     rad = dual_radical(C)
-    residue, _ = quotient_by_superideal(rad.algebra, rad)
-    if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
-        raise NotConnected("flat_check needs a connected coalgebra; decompose first")
+    d = C.dim - rad.subspace.dim
+    if d > 1:
+        residue, _ = quotient_by_superideal(rad.algebra, rad)
+        if _semisimple_idempotent(residue) is not None:
+            raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     _, (e, o) = preimage(M, coradical(C, rad))
-    d = residue.dim
     if e % d or o % d:
         raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "
                              f"over a residue field of degree {d}")

@@ -451,13 +451,18 @@ class Subspace:
         return Subspace(self.space, self.matrix.stack(other.matrix))
 
     def intersect(self, other):
-        """Via the kernel of the stacked spanning matrices."""
+        """Via the kernel of the stacked spanning matrices.  The whole space
+        meets a subspace in that subspace, which is returned as it is."""
         if self.space != other.space:
             raise DimensionMismatch("subspace intersection in different ambients")
         F = self.space.field
         a, b = self.matrix, other.matrix
         if a.nrows == 0 or b.nrows == 0:
             return Subspace.zero(self.space)
+        if a.nrows == a.ncols:
+            return other
+        if b.nrows == b.ncols:
+            return self
         # x a = y b exactly when (x, y) is in the kernel of [a^T | -b^T]
         na, neg = a.nrows, F.neg
         combined = Matrix(F, [ra + tuple((na + k, neg(c)) for k, c in rb)
@@ -767,7 +772,7 @@ def canonical_columns(F, cols, count, height):
     """The stored form of a structure map with count domain and height
     codomain basis vectors: per column, a vector.  A column may come as
     (index, entry) pairs in any order or as an index -> entry dict."""
-    out = tuple(vector(F, col) for col in cols)
+    out = tuple(vector(F, col) if col else () for col in cols)
     if len(out) != count or any(col and not 0 <= col[0][0] <= col[-1][0] < height
                                 for col in out):
         raise DimensionMismatch(

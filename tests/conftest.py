@@ -17,21 +17,23 @@ from superscheme.formal_scheme import (  # noqa: E402
     is_closed_immersion, morphism_components, point_images, points,
 )
 from superscheme.superalgebra import (  # noqa: E402
-    _semisimple_idempotent, canonical_ideal, local_decomposition, monomial_superalgebra,
+    LocalFactor, ResidueField, Superideal, _frobenius_kernel, _lift_idempotent,
+    _residue_descriptor, _semisimple_idempotent, _subalgebra_on, _trace_form_kernel,
+    canonical_ideal, ideal_generated_by, local_decomposition, monomial_superalgebra,
     quotient_by_superideal, radical,
 )
 from superscheme.supercoalgebra import (  # noqa: E402
-    _koszul_signed, base_change_coalgebra, coradical_filtration, dual_radical,
-    dualize_algebra, dualize_coalgebra, irreducible_components, subcoalgebra_on,
+    Component, _koszul_signed, base_change_coalgebra, coradical, coradical_filtration,
+    dual_radical, dualize_algebra, dualize_coalgebra, irreducible_components, subcoalgebra_on,
 )
 from superscheme.supercomodule import (  # noqa: E402
-    FlatVerdict, NotConnected, comodule_along, cotensor, make_supercomodule,
+    FlatVerdict, NotConnected, comodule_along, cotensor, make_supercomodule, preimage,
     regular_comodule, subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
     GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns, _transpose,
     coordinates, linear_form, perp, quotient_data, standard_space, tensor_after,
-    tensor_apply, twist, unit_vec, vec_add, vec_scale, vector,
+    tensor_apply, twist, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 
 
@@ -809,6 +811,102 @@ def flat_by_lifting(M):
     if Matrix(F, cols, M.dim).rank() == M.dim:
         return FlatVerdict(True, (r_even, r - r_even))
     return FlatVerdict(False)
+
+
+# ---------------------------------------------------------------------------
+# the general decomposition path: references for the exits that take a
+# quotient of dimension 1 as the base field and a decomposition into one
+# piece as the object itself
+
+def radical_by_quotient(A):
+    """Reference for superalgebra.radical: the preimage of the radical of
+    A/J, J the canonical ideal, with A/J built whatever its dimension."""
+    if A.dim == 0:
+        return Superideal(A, Subspace.zero(A.space))
+    jc = canonical_ideal(A)
+    abar, proj = quotient_by_superideal(A, jc)
+    if abar.dim == 0:
+        return Superideal(A, jc.subspace)
+    if A.field.char == 0:
+        radbar = _trace_form_kernel(abar)
+    else:
+        radbar = _frobenius_kernel(abar)
+    if radbar.dim == 0:
+        pre = jc.subspace
+    else:
+        qspace, qproj, _ = quotient_data(abar.space, radbar)
+        pre = qproj.compose(proj).kernel()
+    return Superideal(A, pre.sum(jc.subspace))
+
+
+def local_decomposition_by_residues(A, rad):
+    """Reference for superalgebra.local_decomposition: every pending
+    idempotent e builds S = eA / rad eA and searches it for an idempotent,
+    a 1-dimensional S included."""
+    if A.dim == 0:
+        return []
+    F = A.field
+    pending = [A.unit]
+    factors = []
+    while pending:
+        e = pending.pop(0)
+        if e == A.unit:
+            B, incl, rad_b = A, GradedMap.identity(A.space), rad
+        else:
+            B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
+            rad_b = radical_by_quotient(B)
+        S, proj = quotient_by_superideal(B, rad_b)
+        e_bar = None if S.dim == 1 else _semisimple_idempotent(S)
+        if e_bar is None:
+            residue = ResidueField(1) if S.dim == 1 else _residue_descriptor(S)
+            factors.append(LocalFactor(e, B, incl, residue))
+            continue
+        _, _, section = quotient_data(B.space, rad_b.subspace)
+        e1 = incl.apply(_lift_idempotent(B, proj, section, e_bar))
+        pending[:0] = [e1, vec_sub(F, e, e1)]
+    total = ()
+    for fac in factors:
+        total = vec_add(F, total, fac.idempotent)
+    if total != A.unit:
+        raise AssertionError("idempotents do not sum to 1")
+    return factors
+
+
+def components_by_subcoalgebras(C, rad):
+    """Reference for supercoalgebra.irreducible_components: every component,
+    the only one included, is rebuilt by subcoalgebra_on on the perp of the
+    ideal of its complementary idempotent; rad is radical_by_quotient of C*."""
+    dual = rad.algebra
+    F = C.field
+    comps = []
+    for idx, fac in enumerate(local_decomposition_by_residues(dual, rad)):
+        rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
+        sub = perp(rest.subspace, C.space)
+        coalg, incl = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        comps.append(Component(coalg, sub, incl, fac.residue))
+    if sum(c.subspace.dim for c in comps) != C.dim:
+        raise AssertionError("components do not fill the coalgebra")
+    return comps
+
+
+def flat_check_by_residue(M):
+    """Reference for supercomodule.flat_check: the residue algebra
+    C*/rad C* is built, and its dimension read, whatever that dimension."""
+    C = M.coalgebra
+    if C.dim == 0:
+        raise NotConnected("flatness over the zero coalgebra is undefined")
+    rad = radical_by_quotient(dualize_coalgebra(C))
+    residue, _ = quotient_by_superideal(rad.algebra, rad)
+    if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
+        raise NotConnected("flat_check needs a connected coalgebra; decompose first")
+    _, (e, o) = preimage(M, coradical(C, rad))
+    d = residue.dim
+    if e % d or o % d:
+        raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "
+                             f"over a residue field of degree {d}")
+    if (e + o) // d * C.dim != M.dim:
+        return FlatVerdict(False)
+    return FlatVerdict(True, (e // d, o // d))
 
 
 def cotensor_functor_image(phi, P, Q, M):

@@ -201,6 +201,14 @@ def test_report_all_computes_components_once(files, monkeypatch):
     assert len(comps) == 2          # once for each of the file's two coalgebras
 
 
+def test_descent_check_validates_each_coalgebra_once(files, monkeypatch):
+    """The file's two coalgebras are validated on loading, and the morphism
+    between them reads their kept verdicts instead of checking them again."""
+    checks = _count_calls(monkeypatch, "supercoalgebra", "_coalgebra_problems")
+    assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
+    assert sorted(C.space.labels for C, in checks) == [("g",), ("g1", "g2")]
+
+
 def test_report_all_takes_each_radical_once(monkeypatch, tmp_path):
     """An algebra's radical serves its radical-dim and its local factors; a
     coalgebra's one dual, and the radical of that dual, serve its coradical

@@ -1,0 +1,106 @@
+"""The decomposition exits against the general path.
+
+radical, local_decomposition, irreducible_components and flat_check take
+a quotient of dimension 1 as the base field and a decomposition into one
+piece as the object itself, building nothing to confirm either.  Each exit
+must return what the general path returns: the references in conftest
+build every quotient, residue and subcoalgebra.  The objects are the
+canonical algebras and coalgebras over Q, F3 and F9, their duals, their
+tensor products of dimension at most 16, and seeded monomial algebras.
+"""
+
+import itertools
+
+import pytest
+
+from superscheme.corpus import Rng, canonical_algebras, canonical_coalgebras
+from superscheme.fields import ExtensionField, PrimeField, QQ
+from superscheme.superalgebra import (
+    local_decomposition, monomial_superalgebra, radical, tensor_superalgebra,
+)
+from superscheme.supercoalgebra import (
+    coradical, dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
+)
+from superscheme.supercomodule import flat_check, regular_comodule, trivial_comodule
+
+from conftest import (
+    components_by_subcoalgebras, flat_check_by_residue, local_decomposition_by_residues,
+    radical_by_quotient,
+)
+
+F3 = PrimeField(3)
+F9 = ExtensionField(F3, (1, 0, 1), "j")
+FIELDS = {"Q": QQ, "F3": F3, "F9": F9}
+
+
+def _canonical(F):
+    return ([(name, A) for name, A in canonical_algebras(F)]
+            + [(f"({name})*", dualize_coalgebra(C)) for name, C in canonical_coalgebras(F)])
+
+
+def _tensors(F):
+    return [(f"{a} (x) {b}", tensor_superalgebra(A, B))
+            for (a, A), (b, B) in itertools.combinations_with_replacement(_canonical(F), 2)
+            if 1 < A.dim * B.dim <= 16]
+
+
+def _monomials(F, count=12):
+    """Seeded truncated monomial algebras: up to 2 even and 3 odd variables,
+    degree 1 to 3, up to two monomial generators."""
+    rng = Rng(37)
+    out = []
+    for _ in range(count):
+        p, q, d = rng.randint(3), rng.randint(4), 1 + rng.randint(3)
+        gens = [(tuple(rng.randint(3) for _ in range(p)),
+                 frozenset(j for j in range(q) if rng.randint(2)))
+                for _ in range(rng.randint(3))]
+        gens = [(e, o) for e, o in gens if sum(e) + len(o) > 0]
+        A, _, _ = monomial_superalgebra(F, p, q, d, gens)
+        out.append((f"monomial({p}, {q}, {d}, {gens})", A))
+    return out
+
+
+KINDS = {"canonical": _canonical, "tensor": _tensors, "monomial": _monomials}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:    # the exits must raise where the general path does
+        return type(exc)
+
+
+def _factor_data(factors):
+    return [(f.idempotent, f.residue, f.algebra.space.parities, f.algebra.mul, f.algebra.unit,
+             f.inclusion.columns) for f in factors]
+
+
+def _component_data(comps):
+    """Everything of a component but the labels of its coalgebra, which no
+    report prints: a component that is the whole keeps the labels of C."""
+    return [(c.subspace, c.residue, c.coalgebra.space.parities, c.coalgebra.delta,
+             c.coalgebra.counit, c.inclusion.columns) for c in comps]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_decomposition_matches_the_general_path(fname, kind):
+    """Per algebra A: the radical and the local factors of A, and the
+    components of C = A* and the flat verdicts of comodules over C, read
+    through C* (A again, relabelled), the way the commands read them."""
+    for name, A in KINDS[kind](FIELDS[fname]):
+        C = dualize_algebra(A)
+        dual = dualize_coalgebra(C)
+        rad, ref = radical(dual), radical_by_quotient(dual)
+        assert rad == ref, name
+        assert _factor_data(local_decomposition(dual, rad)) == \
+            _factor_data(local_decomposition_by_residues(dual, ref)), name
+        comps = irreducible_components(C, rad)
+        assert _component_data(comps) == \
+            _component_data(components_by_subcoalgebras(C, ref)), name
+        modules = [regular_comodule(C)]
+        if len(comps) == 1 and comps[0].residue.degree == 1:
+            (g,) = grouplikes(C, comps, coradical(C, rad))
+            modules.append(trivial_comodule(C, g, 1, 1))
+        for M in modules:
+            assert _outcome(flat_check, M) == _outcome(flat_check_by_residue, M), name

@@ -206,6 +206,38 @@ def test_rational_parse_and_inverse_are_exact():
         QQ.inv(0)
 
 
+def _parse_by_fraction(s):
+    """The reference parse of a Q scalar: Fraction(s) in canonical form, or
+    None where Fraction rejects s."""
+    try:
+        r = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return r.numerator if r.denominator == 1 else r
+
+
+# the characters that make or break a rational literal: ASCII and Unicode
+# digits, ASCII and Unicode white space, signs, separators and exponents
+_scalar_chars = st.sampled_from("0123456789" "١٢३²" " \t\n\x1c\u2003" "+-_/.eE" "x")
+
+
+@pytest.mark.parametrize("s", [" 3 ", "+3", "1_000", "١٢", "6/4", "3/1", "1e3", "0.5", "",
+                               "1/0", "_1", "1__0", "\x1c3", "-0", "00"])
+def test_rational_parse_accepts_what_fraction_accepts(s):
+    want = _parse_by_fraction(s)
+    if want is None:
+        with pytest.raises(FieldError):
+            QQ.parse(s)
+    else:
+        got = QQ.parse(s)
+        assert got == want and type(got) is type(want)
+
+
+@given(st.one_of(st.text(_scalar_chars, max_size=8), st.text(max_size=6)))
+def test_rational_parse_matches_fraction_on_any_string(s):
+    test_rational_parse_accepts_what_fraction_accepts(s)
+
+
 def test_lower_q_writes_integral_sums_as_ints():
     """_lower_q, the end of every sum of products over Q: n / D is the int
     n // D when D divides n and one Fraction(n, D) otherwise."""

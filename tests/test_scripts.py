@@ -40,3 +40,15 @@ def test_size_wall_prints_its_rows_as_one_json_object(tmp_path):
     for row in rows.values():
         assert list(row) == ["dim", "dual+validate", "filtration", "flat_check", "components"]
         assert all(isinstance(t, float) and t >= 0 for t in list(row.values())[1:])
+
+
+def test_report_digest_prints_one_stable_digest_per_workload(tmp_path):
+    args = ("report_digest.py", "--seeds", "1", "--corpus", "2")
+    lines = _run_elsewhere(tmp_path, *args).splitlines()
+    assert [line.split()[:-1] for line in lines] == [
+        ["structure-q", "seed", "1"], ["descent-fp", "seed", "1"],
+        ["grouplike-scan-fp", "seed", "1"], ["corpus", "seeds", "0..1"]]
+    assert all(len(line.split()[-1]) == 64 for line in lines)
+    assert len({line.split()[-1] for line in lines}) == 4
+    assert _run_elsewhere(tmp_path, *args).splitlines() == lines
+    assert not list(tmp_path.iterdir())     # the inputs went to a temporary directory
