@@ -537,76 +537,113 @@ def _count(text):
     return value
 
 
+def _arg(*names, **options):
+    return names, options
+
+
+_FILE = _arg("file")
+
+# Each command's handler and arguments, in help order.  A parser binds the
+# handler that the module holds under the handler's name when the parser is
+# built, so that a handler wrapped after import (by a tracer, say) runs.
+COMMANDS = {
+    "validate": (cmd_validate, _FILE),
+    "dual": (cmd_dual, _FILE),
+    "radical": (cmd_radical, _FILE),
+    "coradical": (cmd_coradical, _FILE),
+    "filtration": (cmd_filtration, _FILE),
+    "wedge": (cmd_wedge, _FILE, _arg("--x", required=True), _arg("--y", required=True)),
+    "components": (cmd_components, _FILE),
+    "grouplikes": (cmd_grouplikes, _FILE, _arg("--over", default=None)),
+    "cotensor": (cmd_cotensor, _FILE),
+    "product": (cmd_product, _FILE),
+    "coproduct": (cmd_coproduct, _FILE),
+    "fiber-product": (cmd_fiber_product, _FILE, _arg("--f", required=True),
+                      _arg("--g", required=True)),
+    "fiber": (cmd_fiber, _FILE, _arg("--morphism", required=True),
+              _arg("--point", type=_count, required=True)),
+    "base-change": (cmd_base_change, _FILE,
+                    _arg("--minpoly", required=True,
+                         help="monic minimal polynomial, low to high, e.g. '1 0 1'"),
+                    _arg("--name", default="a")),
+    "immersion-check": (cmd_immersion_check, _FILE),
+    "flat-check": (cmd_flat_check, _FILE),
+    "descent-check": (cmd_descent_check, _FILE, _arg("--depth", type=_count, default=3)),
+    "finite-check": (cmd_finite_check, _FILE),
+    "ksdim": (cmd_ksdim, _FILE,
+              _arg("--oracle", action="store_true",
+                   help="recompute the even dimension by exhaustive monomial membership")),
+    "check-thm513": (cmd_check_thm513, _FILE,
+                     _arg("--assert-flat", action="store_true",
+                          help="caller asserts flatness; echoed in the report")),
+    "check-thm515": (cmd_check_thm515, _FILE),
+    "corpus": (cmd_corpus, _arg("--seed", type=int, default=0),
+               _arg("--kind", default=None, choices=CORPUS_KINDS)),
+    "report-all": (cmd_report_all, _FILE),
+}
+
+
+def _declare(parser, name):
+    handler, *arguments = COMMANDS[name]
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(handler=globals()[handler.__name__])
+    return parser
+
+
 @functools.cache
 def build_parser():
-    """Built once, on the first run and not at import: it binds the cmd_*
-    handlers as they stand then."""
+    """Every command as a subparser: the parser of an empty argv, a help
+    request and an unknown command.  Built once, when first needed."""
     parser = argparse.ArgumentParser(
         prog="superscheme",
         description="exact checks for superalgebra duality, formal "
                     "superschemes and Krull superdimension")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    add("validate", cmd_validate).add_argument("file")
-    add("dual", cmd_dual).add_argument("file")
-    add("radical", cmd_radical).add_argument("file")
-    add("coradical", cmd_coradical).add_argument("file")
-    add("filtration", cmd_filtration).add_argument("file")
-    p = add("wedge", cmd_wedge)
-    p.add_argument("file")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    add("components", cmd_components).add_argument("file")
-    p = add("grouplikes", cmd_grouplikes)
-    p.add_argument("file")
-    p.add_argument("--over", default=None)
-    add("cotensor", cmd_cotensor).add_argument("file")
-    add("product", cmd_product).add_argument("file")
-    add("coproduct", cmd_coproduct).add_argument("file")
-    p = add("fiber-product", cmd_fiber_product)
-    p.add_argument("file")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p = add("fiber", cmd_fiber)
-    p.add_argument("file")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--point", type=_count, required=True)
-    p = add("base-change", cmd_base_change)
-    p.add_argument("file")
-    p.add_argument("--minpoly", required=True,
-                   help="monic minimal polynomial, low to high, e.g. '1 0 1'")
-    p.add_argument("--name", default="a")
-    add("immersion-check", cmd_immersion_check).add_argument("file")
-    add("flat-check", cmd_flat_check).add_argument("file")
-    p = add("descent-check", cmd_descent_check)
-    p.add_argument("file")
-    p.add_argument("--depth", type=_count, default=3)
-    add("finite-check", cmd_finite_check).add_argument("file")
-    p = add("ksdim", cmd_ksdim)
-    p.add_argument("file")
-    p.add_argument("--oracle", action="store_true",
-                   help="recompute the even dimension by exhaustive "
-                        "monomial membership")
-    p = add("check-thm513", cmd_check_thm513)
-    p.add_argument("file")
-    p.add_argument("--assert-flat", action="store_true",
-                   help="caller asserts flatness; echoed in the report")
-    add("check-thm515", cmd_check_thm515).add_argument("file")
-    p = add("corpus", cmd_corpus)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", default=None, choices=CORPUS_KINDS)
-    add("report-all", cmd_report_all).add_argument("file")
+    for name in COMMANDS:
+        _declare(sub.add_parser(name), name)
     return parser
+
+
+class _ArgumentError(Exception):
+    pass
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A one-command parser that raises on an argument error instead of
+    printing it."""
+
+    def error(self, message):
+        raise _ArgumentError(message)
+
+
+@functools.cache
+def _command_parser(name):
+    """The parser of one command, built like its subparser in build_parser
+    and under the same prog."""
+    return _declare(_CommandParser(prog=f"superscheme {name}"), name)
+
+
+def _parse(argv):
+    """argv parsed by the named command's own parser, so that one command
+    builds one parser.  An argument error, an unrecognized argument or an
+    argv that names no command goes to the full parser, which prints the
+    usage and the message it always has."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        except _ArgumentError:
+            pass
+        else:
+            if not extra:
+                args.command = argv[0]
+                return args
+    return build_parser().parse_args(argv)
 
 
 def run(argv):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         if exc.code == 0:
             return "", EXIT_OK

@@ -201,6 +201,11 @@ class PrimeField(Field):
         return hash(("Fp", self.p))
 
 
+# An extension field of at most this order multiplies and inverts by the
+# exp and log tables of a primitive element.
+TABLE_ORDER = 81
+
+
 class ExtensionField(Field):
     """Simple extension base[x]/(minpoly); elements are coefficient tuples.
 
@@ -237,6 +242,26 @@ class ExtensionField(Field):
             power = tuple(base.sub(c, base.mul(top, m))
                           for c, m in zip((base.zero,) + power[:-1], minpoly))
             self._powers[k] = power
+        self._exp = self._log = None
+        if self.order is not None and self.order <= TABLE_ORDER:
+            self._exp, self._log = self._tables()
+
+    def _tables(self):
+        """exp and log tables of a primitive element g, found by the
+        schoolbook product: exp[i] = g^i for 0 <= i < 2(q - 1), so that
+        exp[log a + log b] is a product, followed by zeros from index
+        2(q - 1) = log 0 on, so that a product with 0 reads 0 too."""
+        n = self.order - 1
+        for g in self.elements():
+            powers, x = [self.one], g
+            while x != self.one and len(powers) < n:
+                powers.append(x)
+                x = self._schoolbook(x, g)
+            if x == self.one and len(powers) == n:
+                log = {x: i for i, x in enumerate(powers)}
+                log[self.zero] = 2 * n
+                return powers * 2 + [self.zero] * (2 * n + 1), log
+        raise FieldError(f"no primitive element in {self.describe()}")
 
     def _wrap(self, coeffs):
         coeffs = list(coeffs)[: self.degree]
@@ -250,8 +275,17 @@ class ExtensionField(Field):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        """Schoolbook product, its high coefficients folded back through the
-        precomputed powers x^k mod minpoly."""
+        """A table lookup in a field of order at most TABLE_ORDER, else the
+        schoolbook product.  The tables are keyed by canonical coefficient
+        tuples, the only elements the field's operations, parse and
+        elements make."""
+        if self._log is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        return self._schoolbook(a, b)
+
+    def _schoolbook(self, a, b):
+        """The schoolbook product, its high coefficients folded back through
+        the precomputed powers x^k mod minpoly."""
         B = self.base
         d = self.degree
         out = [B.zero] * (2 * d - 1)
@@ -269,8 +303,15 @@ class ExtensionField(Field):
         return tuple(out[:d])
 
     def inv(self, a):
+        """A table lookup in a field of order at most TABLE_ORDER, else the
+        extended Euclidean algorithm against minpoly."""
         if all(self.base.is_zero(c) for c in a):
             raise ZeroDivisionError("inverse of 0")
+        if self._log is not None:
+            return self._exp[self.order - 1 - self._log[a]]
+        return self._gcd_inverse(a)
+
+    def _gcd_inverse(self, a):
         g, u, _ = poly_ext_gcd(self.base, poly_trim(self.base, a), self.minpoly)
         if len(g) != 1:
             raise FieldError("element not invertible; minimal polynomial reducible?")

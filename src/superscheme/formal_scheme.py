@@ -401,8 +401,9 @@ def _complex_exactness(levels, depth):
             for deg in range(depth + 1)]
 
 
-def _coequalizer_check(f):
-    """A modulo im(pi1 - pi2) on A box_B A recovers B.
+def _coequalizer_check(f, M):
+    """A modulo im(pi1 - pi2) on A box_B A recovers B; M is A pushed along
+    f, _pushed(f).
 
     The two projections are coalgebra maps, so the image of their difference
     is already a coideal: delta(p1 - p2) = ((p1 - p2) (x) p1 + p2 (x)
@@ -411,7 +412,6 @@ def _coequalizer_check(f):
     """
     from .supercoalgebra import is_coideal
     A = f.source
-    M = _pushed(f)
     basis = cotensor(M, M).basis()
     ident, eps = GradedMap.identity(A.space), A.counit_map()
     p1 = tensor_apply(ident, eps, basis)
@@ -455,7 +455,7 @@ def descent_check(f, depth=3):
         tests.append((f"kappa({y.index})", results))
     failures = tuple((name, deg) for name, results in tests
                      for deg, ok in results if not ok)
-    coeq = _coequalizer_check(f)
+    coeq = _coequalizer_check(f, reg)
     return DescentReport(not failures and coeq, tuple(name for name, _ in tests),
                          tuple(results for _, results in tests), failures, coeq)
 

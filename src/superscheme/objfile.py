@@ -8,7 +8,13 @@ Parsing then serializing is the identity on canonical files.
 
 from __future__ import annotations
 
-import hashlib
+try:                        # the interpreter's own sha256: hashlib loads OpenSSL
+    from _sha2 import sha256            # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
 from .superlinear import GradedMap, Subspace, SuperVectorSpace, _transpose, vector
@@ -105,7 +111,7 @@ def _field_tokens(F):
 
 def parse_text(text):
     """Parse a document; objects are built and cross-checked on load."""
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = sha256(text.encode()).hexdigest()
     lines = text.splitlines()
     field = None
     objects = []

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
 from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _transpose,
-    _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
+    GradedMap, Matrix, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _images,
+    _transpose, _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
     canonical_columns, linear_form, pivot_selection, quotient_data, tensor_apply,
     twist_apply,
 )
@@ -114,7 +114,7 @@ def subcoalgebra_comodule(C, W, prefix="v"):
     """
     sub, incl = subcoalgebra_on(C, W, prefix=prefix)
     psi = tensor_apply(pivot_selection(W, sub.space), GradedMap.identity(C.space),
-                       C.coproduct_map().images(W.basis()))
+                       _images(C.field, C.delta, W.basis()))
     return make_supercomodule(sub.space, C, psi), sub, incl
 
 

@@ -194,6 +194,20 @@ def test_descent_check_on_a_counit_collapse_builds_one_tower(files, monkeypatch)
     assert len(towers) == 1
 
 
+def test_descent_check_pushes_the_source_once_and_builds_no_coproduct_map(files, monkeypatch):
+    """The coequalizer check reads the pushed comodule that the towers use,
+    and checking the morphism on loading reads the coalgebras' delta
+    columns: neither builds a labelled C (x) C map."""
+    pushed = _count_calls(monkeypatch, "formal_scheme", "_pushed")
+    assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
+    assert len(pushed) == 1
+    GK = grouplike_coalgebra(2)
+    K = unit_coalgebra(QQ)
+    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
+    assert SchemeMorphism(GK, K, m).validate() == []
+    assert "_coproduct" not in vars(GK) and "_coproduct" not in vars(K)
+
+
 def test_report_all_computes_components_once(files, monkeypatch):
     comps = _count_calls(monkeypatch, "supercoalgebra", "irreducible_components")
     text = _ok(["report-all", files["pair.coalg"]])
@@ -431,8 +445,10 @@ def _fresh(*args):
 
 def test_cli_import_loads_the_traced_modules_and_nothing_more(files):
     """import superscheme.cli loads every module the layer tracer wraps, and
-    not dataclasses (with the inspect it pulls in), ksdim or corpus; the
-    commands that need those two import them when they run."""
+    not dataclasses (with the inspect it pulls in), ksdim, corpus or
+    hashlib (with the OpenSSL it loads: the input digests use the
+    interpreter's own sha256); the commands that need ksdim and corpus
+    import them when they run."""
     spec = importlib.util.spec_from_file_location(
         "layertrace", ROOT / "perfbench" / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
@@ -440,13 +456,42 @@ def test_cli_import_loads_the_traced_modules_and_nothing_more(files):
     proc = _fresh("-c", "import sys, superscheme.cli; print(*sorted(sys.modules))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert loaded.isdisjoint({"dataclasses", "inspect", "superscheme.ksdim", "superscheme.corpus"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "superscheme.ksdim", "superscheme.corpus",
+                              "hashlib", "_hashlib"})
     assert {f"superscheme.{modname}" for modname, _, _ in layertrace.SPANS} <= loaded
     for argv in (["ksdim", files["pres.pres"]], ["check-thm515", files["twopres.pres"]],
                  ["corpus", "--kind", "presentation"]):
         proc = _fresh("-m", "superscheme.cli", *argv)
         assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
         assert proc.stdout.endswith("status ok\n"), proc.stdout
+
+
+ARGV_TABLE = ([[name, "--help"] for name in cli.COMMANDS]
+              + [[name, "missing.ss"] for name in cli.COMMANDS if name != "corpus"]
+              + [[name, "missing.ss", "--bogus"] for name in cli.COMMANDS]
+              + [["descent-check", "x.ss", "--depth", "-1"], ["descent-check", "x.ss", "--dep", "1"],
+                 ["descent-check"], ["fiber", "x.ss", "--morphism", "f", "--point", "-2"],
+                 ["corpus", "--kind", "bogus"], ["corpus", "--seed", "3", "--kind", "comodule"],
+                 ["grouplikes", "x.ss", "--over"], ["bogus"], [], ["--help"]])
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=" ".join)
+def test_a_command_parser_answers_as_the_full_parser_does(argv, monkeypatch, capsys):
+    """A named command is parsed by its own parser; its help, usage and
+    error text, and the exit code, are the full parser's."""
+    got = run(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    want = run(argv), capsys.readouterr()
+    assert got == want
+
+
+def test_a_named_command_builds_only_its_own_parser(files, monkeypatch):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
+    assert _ok(["corpus", "--kind", "comodule"]).endswith("status ok\n")
 
 
 TRACED_JOB = """

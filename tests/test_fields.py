@@ -320,3 +320,44 @@ def test_extension_mul_matches_divmod_product():
             got = E.mul(a, b)
             assert got == _mul_by_divmod(E, a, b)
             assert all(type(c) is type(E.base.zero) for c in got)
+
+
+def test_small_field_tables_match_the_schoolbook_product_and_gcd_inverse():
+    """A finite extension of order at most TABLE_ORDER multiplies and
+    inverts by exp and log tables; every product and inverse equals the
+    schoolbook product and the extended-gcd inverse it replaces.  F9 is
+    checked before the field over it is built."""
+    minpolys = [(F3, (1, 0, 1)),                    # F9: x^2 + 1
+                (F5, (3, 0, 1)),                    # F25: x^2 - 2
+                (F3, (1, 2, 0, 1)),                 # F27: x^3 + 2x + 1
+                (PrimeField(7), (1, 0, 1)),         # F49: x^2 + 1
+                (F3, (2, 2, 2, 1, 1)),              # F81: x^4 + x^3 + 2x^2 + 2x + 2
+                (F9, ((2, 2), (0, 0), (1, 0)))]     # F81 over F9: y^2 - (1 + j)
+    orders = []
+    for base, minpoly in minpolys:
+        E = ExtensionField(base, minpoly)
+        orders.append(E.order)
+        assert E._log is not None
+        elems = list(E.elements())
+        for a in elems:
+            for b in elems:
+                assert E.mul(a, b) == E._schoolbook(a, b)
+            if a != E.zero:
+                assert E.inv(a) == E._gcd_inverse(a)
+                assert E.mul(a, E.inv(a)) == E.one
+        with pytest.raises(ZeroDivisionError):
+            E.inv(E.zero)
+    assert orders == [9, 25, 27, 49, 81, 81]
+    F243 = ExtensionField(F3, (1, 2, 0, 0, 0, 1), "x")          # x^5 + 2x + 1
+    assert F243._log is None
+    a = (1, 2, 0, 1, 1)
+    assert F243.mul(a, F243.inv(a)) == F243.one
+
+
+def test_a_small_field_without_a_primitive_element_is_refused(monkeypatch):
+    """x^2 + 2 = (x - 1)(x + 1) over F3: with the irreducibility test out of
+    the way, F3[x]/(x^2 + 2) has zero divisors and no element of order 8."""
+    from superscheme import fields
+    monkeypatch.setattr(fields, "poly_is_irreducible", lambda F, p: True)
+    with pytest.raises(FieldError, match="no primitive element"):
+        ExtensionField(F3, (2, 0, 1), "a")

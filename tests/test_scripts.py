@@ -52,3 +52,17 @@ def test_report_digest_prints_one_stable_digest_per_workload(tmp_path):
     assert len({line.split()[-1] for line in lines}) == 4
     assert _run_elsewhere(tmp_path, *args).splitlines() == lines
     assert not list(tmp_path.iterdir())     # the inputs went to a temporary directory
+
+
+def test_footprint_prints_one_row_per_workload(tmp_path):
+    lines = _run_elsewhere(tmp_path, "footprint.py", "--seeds", "1").splitlines()
+    assert lines[0].split() == ["workload", "seed", "jobs", "import_s", "first_job_s",
+                                "median_job_s", "vmhwm_mb", "ru_maxrss_mb"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["structure-q", "1"], ["descent-fp", "1"],
+                                         ["grouplike-scan-fp", "1"]]
+    for row in rows:
+        assert int(row[2]) > 0
+        assert all(float(value) > 0 for value in row[3:6] + row[7:])
+        assert row[6] == "-" or float(row[6]) > 0     # "-" without /proc/self/status
+    assert not list(tmp_path.iterdir())     # the inputs went to a temporary directory
