@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from . import __version__
@@ -667,6 +668,7 @@ def run(argv):
 
 
 def main(argv=None):
+    gc.disable()    # commands make no reference cycles, which a test guards
     text, code = run(sys.argv[1:] if argv is None else argv)
     sys.stdout.write(text)
     return code

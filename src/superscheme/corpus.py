@@ -8,13 +8,11 @@ remainder, so streams are reproducible across platforms and languages.
 
 from __future__ import annotations
 
-import itertools
-
 from .fields import QQ
 from .superlinear import (
     GradedMap, Record, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
 )
-from .superalgebra import make_superalgebra, tensor_superalgebra
+from .superalgebra import make_superalgebra, monomial_superalgebra, tensor_superalgebra
 from .supercoalgebra import (
     dualize_algebra, make_supercoalgebra, tensor_coalgebra, unit_coalgebra,
 )
@@ -54,25 +52,11 @@ class Rng:
 # canonical objects
 
 def grassmann(q, field=QQ):
-    """Exterior algebra on q odd generators, basis ordered by (degree, lex)."""
-    subsets = [s for size in range(q + 1)
-               for s in itertools.combinations(range(q), size)]
-    index = {s: i for i, s in enumerate(subsets)}
-    labels = tuple("1" if not s else "*".join(f"th{i + 1}" for i in s)
-                   for s in subsets)
-    parities = tuple(len(s) % 2 for s in subsets)
-    space = SuperVectorSpace(field, labels, parities)
-    F = field
-    mul = []
-    for s in subsets:
-        for t in subsets:
-            col = []
-            if not set(s) & set(t):
-                inversions = sum(1 for a in s for b in t if a > b)
-                merged = tuple(sorted(s + t))
-                col.append((index[merged], F.neg(F.one) if inversions % 2 else F.one))
-            mul.append(col)
-    return make_superalgebra(space, mul, [(0, F.one)])
+    """Exterior algebra on q odd generators th1..thq, basis ordered by
+    (degree, lex): the monomial superalgebra with no even variable and no
+    generator, truncated in degree q."""
+    alg, _, _ = monomial_superalgebra(field, 0, q, q)
+    return alg
 
 
 def divided_power(d, field=QQ):
@@ -96,7 +80,6 @@ def grouplike_coalgebra(n, field=QQ):
 
 def truncated_polynomial(d, field=QQ):
     """k[x]/(x^{d+1}) with x even; the dual is the divided power coalgebra."""
-    from .superalgebra import monomial_superalgebra
     alg, _, _ = monomial_superalgebra(field, 1, 0, d, even_names=("x",))
     return alg
 
@@ -110,22 +93,23 @@ def quotient_ring_algebra(poly, field=QQ, name="x"):
     labels = tuple("1" if i == 0 else (name if i == 1 else f"{name}^{i}")
                    for i in range(deg))
     space = SuperVectorSpace(F, labels, (0,) * deg)
-    mul = []
+    cop = [[] for _ in range(deg)]
     for i in range(deg):
         for j in range(deg):
             prod = [F.zero] * (i + j + 1)
             prod[i + j] = F.one
             _, rem = poly_divmod(F, prod, f)
-            mul.append(enumerate(rem))
-    return make_superalgebra(space, mul, [(0, F.one)])
+            for k, c in enumerate(rem):
+                cop[k].append((i * deg + j, c))
+    return make_superalgebra(space, cop, [(0, F.one)])
 
 
 def split_pair(field=QQ):
     """k x k with idempotent basis."""
     F = field
     space = SuperVectorSpace(F, ("e1", "e2"), (0, 0))
-    mul = [[(0, F.one)], [], [], [(1, F.one)]]
-    return make_superalgebra(space, mul, [(0, F.one), (1, F.one)])
+    cop = [[(0, F.one)], [(3, F.one)]]
+    return make_superalgebra(space, cop, [(0, F.one), (1, F.one)])
 
 
 def canonical_algebras(field=QQ):

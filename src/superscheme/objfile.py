@@ -228,14 +228,13 @@ def _index(token, n):
     return i
 
 
-def _triple_tensor(doc, po, keyword, n, w, count):
-    """The "keyword i j k c" lines of an n x n x w table as count columns
-    of n * n * w / count entries each: entry (i, j, k) has flat index
-    (i * n + j) * w + k = c * height + r, column c and row r.  The last line
-    for an entry counts; make_* drops the zeros."""
+def _triple_tensor(doc, po, keyword, n, w, by_last=False):
+    """The "keyword i j k c" lines of an n x n x w table as index -> entry
+    dicts, one per column: entry (i, j, k) is row j * w + k of column i, or
+    with by_last, row i * n + j of column k (an algebra's cop, w = n).  The
+    last line for an entry counts; make_* drops the zeros."""
     F = doc.field
-    cols = [{} for _ in range(count)]
-    height = n * n * w // count if count else 0
+    cols = [{} for _ in range(w if by_last else n)]
     for lineno, tokens in po.lines:
         if tokens[0] != keyword:
             continue
@@ -243,7 +242,7 @@ def _triple_tensor(doc, po, keyword, n, w, count):
             raise ParseError(f"{keyword} line needs 3 indices and a scalar", lineno)
         try:
             i, j, k = _index(tokens[1], n), _index(tokens[2], n), _index(tokens[3], w)
-            c, r = divmod((i * n + j) * w + k, height)
+            c, r = (k, i * n + j) if by_last else (i, j * w + k)
             cols[c][r] = F.parse(tokens[4])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad {keyword} entry: {exc}", lineno)
@@ -272,15 +271,15 @@ def _vector(doc, po, keyword, n):
 def _build_algebra(doc, po):
     space = _collect_basis(doc, po)
     n = space.dim
-    mul = _triple_tensor(doc, po, "mul", n, n, n * n)
+    cop = _triple_tensor(doc, po, "mul", n, n, by_last=True)
     unit = _vector(doc, po, "unit", n)
-    return make_superalgebra(space, mul, unit)
+    return make_superalgebra(space, cop, unit)
 
 
 def _build_coalgebra(doc, po):
     space = _collect_basis(doc, po)
     n = space.dim
-    delta = _triple_tensor(doc, po, "delta", n, n, n)
+    delta = _triple_tensor(doc, po, "delta", n, n)
     counit = _vector(doc, po, "counit", n)
     return make_supercoalgebra(space, delta, counit)
 
@@ -290,7 +289,7 @@ def _build_comodule(doc, po):
         raise ParseError(f"comodule {po.name} needs 'over <coalgebra>'")
     C = doc.get(po.over, "coalgebra")
     space = _collect_basis(doc, po)
-    psi = _triple_tensor(doc, po, "coaction", space.dim, C.dim, space.dim)
+    psi = _triple_tensor(doc, po, "coaction", space.dim, C.dim)
     return make_supercomodule(space, C, psi)
 
 
@@ -449,16 +448,16 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 # serialization
 
-def _scalar_lines(F, keyword, cols, n, w):
-    """One line per stored entry of an n x n x w table given as columns;
-    entry r of column c has flat index c * height + r = (i * n + j) * w + k,
-    which ascends as the lines do."""
-    height = n * n * w // len(cols) if cols else 0
+def _scalar_lines(F, keyword, cols, n, w, by_last=False):
+    """One "keyword i j k c" line per stored entry of the columns that
+    _triple_tensor reads, in ascending order of the flat index
+    (i * n + j) * w + k: i * n * w + r for row r of column i, or r * w + k
+    for row r of column k with by_last."""
     lines = []
-    for c, col in enumerate(cols):
-        for r, a in col:
-            i, jk = divmod(c * height + r, n * w)
-            lines.append(f"  {keyword} {i} {jk // w} {jk % w} {F.format(a)}")
+    for flat, a in sorted((r * w + c if by_last else c * n * w + r, a)
+                          for c, col in enumerate(cols) for r, a in col):
+        i, jk = divmod(flat, n * w)
+        lines.append(f"  {keyword} {i} {jk // w} {jk % w} {F.format(a)}")
     return lines
 
 
@@ -473,7 +472,7 @@ def serialize_object(name, value, F, over=None, endpoints=None):
         for l, p in zip(value.space.labels, value.space.parities):
             lines.append(f"  basis {l} {'odd' if p else 'even'}")
         lines.extend(_vector_lines(F, "unit", value.unit))
-        lines.extend(_scalar_lines(F, "mul", value.mul, value.dim, value.dim))
+        lines.extend(_scalar_lines(F, "mul", value.cop, value.dim, value.dim, by_last=True))
     elif isinstance(value, SuperCoalgebra):
         lines.append(f"object coalgebra {name}")
         for l, p in zip(value.space.labels, value.space.parities):

@@ -1,9 +1,10 @@
 """Finite-dimensional supercommutative superalgebras by structure constants.
 
 Elements are vectors (see superlinear.vector) over the underlying super
-vector space.  mul holds the sparse columns of m: A (x) A -> A: column
-i * n + j lists the (k, c) pairs, sorted by k with c nonzero, of
-b_i * b_j = sum c b_k.
+vector space.  cop holds the sparse columns of the transpose coproduct
+A -> A (x) A: column k lists the (i * n + j, c) pairs, sorted with c
+nonzero, of the coefficient c of b_k in b_i * b_j.  It is the layout of
+a coalgebra's delta, so a dual is the same columns, relabelled.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .fields import poly_factor_supported, poly_mul, poly_roots, poly_trim
+from .fields import (
+    FieldError, poly_ext_gcd, poly_factor_supported, poly_mul, poly_roots, poly_trim,
+)
 from .superlinear import (
-    GradedMap, Matrix, Record, Subspace, _defects, _identity_columns, _images,
-    _parity_defects, _sum_ops, _tensor_apply_sparse, _transpose, canonical_columns,
-    coordinates, linear_form, quotient_data, tensor_after, twist, twist_apply, unit_vec,
-    vec_add, vec_scale, vec_sub, vector,
+    GradedMap, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects,
+    _identity_columns, _images, _sum_ops, _transpose, canonical_columns, coordinates,
+    quotient_data, tensor_structure, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 
 
@@ -28,35 +30,28 @@ class FactorizationIncomplete(RuntimeError):
     """Raised when idempotent splitting needs an unsupported factorization."""
 
 
-class SuperAlgebra(Record):
+class SuperAlgebra(StructureRecord):
     space: object
-    mul: tuple
+    cop: tuple
     unit: tuple
-
-    @property
-    def field(self):
-        return self.space.field
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def parity(self, i):
-        return self.space.parities[i]
 
     @functools.cached_property
     def _terms(self):
         """Per basis pair (i, j), the (k, c) pairs of b_i * b_j, lifted over
         D by the field's accumulation rule; D; and the rule (_sum_ops)
-        itself."""
+        itself, read off cop in one pass; an empty cell is ()."""
         n = self.dim
         rule = _sum_ops(self.field)
-        cells, D = rule[0](self.mul)
-        return [cells[i * n:(i + 1) * n] for i in range(n)], D, rule
+        cop, D = rule[0](self.cop)
+        cells = [[()] * n for _ in range(n)]
+        for k, col in enumerate(cop):
+            for ij, c in col:
+                cells[ij // n][ij % n] += ((k, c),)
+        return cells, D, rule
 
     def products(self, xs, ys):
         """x * y for every x of xs and every y of ys, x major: the one sum of
-        products over mul.  The operands are lifted together, once."""
+        products over cop.  The operands are lifted together, once."""
         terms, dm, (lift, _, add, mul, lower) = self._terms
         lifted, d = lift([*xs, *ys])
         nx = len(xs)
@@ -80,10 +75,6 @@ class SuperAlgebra(Record):
         """x * y, the one-pair case of products."""
         return self.products((x,), (y,))[0]
 
-    def multiplication_map(self):
-        """m: A (x) A -> A."""
-        return GradedMap(self.space.tensor(self.space), self.space, self.mul)
-
     def power(self, x, n):
         """x^n by square-and-multiply from the top bit of n down: at most
         2 floor(log2 n) products."""
@@ -102,53 +93,49 @@ class SuperAlgebra(Record):
             [unit_vec(self.field, i) for i in range(self.dim) if self.parity(i) == 1])
 
 
-def make_superalgebra(space, mul, unit):
-    """The algebra with these columns of m and this unit (see
-    canonical_columns); the one constructor.  It does not validate: call
-    validate_superalgebra."""
+def make_superalgebra(space, cop, unit):
+    """The algebra with these columns of the transpose coproduct and this
+    unit (see canonical_columns); the one constructor.  It does not
+    validate: call validate_superalgebra."""
     n = space.dim
-    (unit,) = canonical_columns(space.field, [unit], 1, n)
-    return SuperAlgebra(space, canonical_columns(space.field, mul, n * n, n), unit)
+    (unit,) = canonical_columns(space.field, (unit,), 1, n)
+    return SuperAlgebra(space, canonical_columns(space.field, cop, n, n * n), unit)
 
 
 def validate_superalgebra(A):
     """Return the list of violated axiom instances (empty means valid).
 
     Each axiom is an equality of two composed structure maps, compared
-    column by column on the transpose coproduct cop: A -> A (x) A of the
-    multiplication (column l holds the coefficients of b_l in the products
-    b_i * b_j).  The unit is the counit of cop, supercommutativity is
-    twist o cop = cop and associativity is (cop (x) id) cop = (id (x) cop) cop.
+    column by column on the transpose coproduct cop: A -> A (x) A, as for a
+    coalgebra (_axiom_defects).  The unit is the counit of cop,
+    supercommutativity is twist o cop = cop and associativity is
+    (cop (x) id) cop = (id (x) cop) cop.
     """
-    F = A.field
     n = A.dim
     labels = A.space.labels
-    sq = A.space.tensor(A.space)
-    cols = _transpose(A.mul, n)     # the columns of cop
-    ident = _identity_columns(F, n)
-    unit = linear_form(A.space, A.unit, None).columns
+    parity, left, right, assoc, twisted = _axiom_defects(A.space, A.cop, A.unit)
+    # the unit's own parity is no axiom of an algebra: row n * n is skipped
     problems = [
         f"parity: {labels[ij // n]}*{labels[ij % n]} has a component on {labels[k]}"
-        for ij, k in _parity_defects(A.mul, sq.parities, A.space.parities)]
-    left = {j for _, j in _defects(_tensor_apply_sparse(F, unit, ident, n, (), cols), ident)}
-    right = {i for _, i in _defects(_tensor_apply_sparse(F, ident, unit, 1, (), cols), ident)}
+        for ij, k in sorted((ij, k) for k, ij in parity if ij < n * n)]
+    left = {j for _, j in left}
+    right = {i for _, i in right}
     for i in range(n):
         if i in left:
             problems.append(f"unit: 1*{labels[i]} != {labels[i]}")
         if i in right:
             problems.append(f"unit: {labels[i]}*1 != {labels[i]}")
-    swapped = {ij for _, ij in _defects(cols, twist_apply(A.space, A.space, cols))}
-    for i in range(n):
-        for j in range(n):
-            if i * n + j in swapped:
-                problems.append(
-                    f"supercommutativity: {labels[i]}*{labels[j]} != "
-                    f"(-1)^|x||y| {labels[j]}*{labels[i]}")
-        if A.parity(i) == 1 and A.mul[i * n + i]:
+    # per i, the asymmetric products b_i * b_j by j, then an odd square b_i^2
+    squares = {ij // n for col in A.cop for ij, _ in col if ij // n == ij % n}
+    for i, last, j in sorted({(ij // n, 0, ij % n) for _, ij in twisted}
+                             | {(i, 1, i) for i in squares if A.parity(i) == 1}):
+        if last:
             problems.append(f"odd square: {labels[i]}^2 != 0")
-    lhs = _tensor_apply_sparse(F, cols, ident, n, (), cols)
-    rhs = _tensor_apply_sparse(F, ident, cols, n * n, (), cols)
-    for ijk in sorted({r for _, r in _defects(lhs, rhs)}):
+        else:
+            problems.append(
+                f"supercommutativity: {labels[i]}*{labels[j]} != "
+                f"(-1)^|x||y| {labels[j]}*{labels[i]}")
+    for ijk in sorted({r for _, r in assoc}):
         i, jk = divmod(ijk, n * n)
         j, k = divmod(jk, n)
         problems.append(
@@ -186,8 +173,8 @@ def quotient_by_superideal(A, ideal):
     """Quotient superalgebra by a Superideal and the projection map."""
     qspace, proj, section = quotient_data(A.space, ideal.subspace)
     lifts = section.columns
-    mul = proj.images(A.products(lifts, lifts))
-    quot = make_superalgebra(qspace, mul, proj.apply(A.unit))
+    products = proj.images(A.products(lifts, lifts))
+    quot = make_superalgebra(qspace, _transpose(products, qspace.dim), proj.apply(A.unit))
     return quot, proj
 
 
@@ -227,16 +214,19 @@ def _frobenius_kernel(A):
 def _trace_form_kernel(A):
     """Radical of a finite-dimensional algebra over a char-0 field: the kernel
     of the trace form (b_i, b_j) -> Tr(L_{b_i b_j}) = sum_k c_ijk Tr(L_{b_k}),
-    with Tr(L_{b_k}) the sum of the coefficients of b_i in b_k * b_i."""
+    with Tr(L_{b_k}) the sum of the coefficients of b_i in b_k * b_i (row
+    k * n + i of column i of cop): the Gram matrix is cop applied to them."""
     F = A.field
     n = A.dim
-    traces = [functools.reduce(F.add, (c for i in range(n) for r, c in A.mul[k * n + i]
-                                       if r == i), F.zero)
-              for k in range(n)]
-    gram = [functools.reduce(F.add, (F.mul(c, traces[k]) for k, c in col), F.zero)
-            for col in A.mul]
-    return Subspace(A.space, Matrix(F, [vector(F, enumerate(gram[i * n:(i + 1) * n]))
-                                        for i in range(n)], n).null_space())
+    traces = [F.zero] * n
+    for i, col in enumerate(A.cop):
+        for ki, c in col:
+            if ki % n == i:
+                traces[ki // n] = F.add(traces[ki // n], c)
+    gram = [[] for _ in range(n)]
+    for ij, c in next(_images(F, A.cop, (vector(F, enumerate(traces)),))):
+        gram[ij // n].append((ij % n, c))
+    return Subspace(A.space, Matrix(F, [tuple(row) for row in gram], n).null_space())
 
 
 def radical(A):
@@ -306,7 +296,6 @@ def _eval_in_algebra(A, poly, x):
 
 def _bezout_idempotent(A, x, f, rest):
     """Exact idempotent from a coprime factorization of the minimal polynomial."""
-    from .fields import poly_ext_gcd
     F = A.field
     g, u, _ = poly_ext_gcd(F, f, rest)
     if len(g) != 1:
@@ -401,7 +390,6 @@ def _lift_idempotent(A, proj, section, e_bar):
 
 def _subalgebra_on(A, sub, unit):
     """Structure constants of a unital subalgebra given by a closed subspace."""
-    from .superlinear import SuperVectorSpace
     F = A.field
     basis = sub.basis()
     parities = []
@@ -416,7 +404,7 @@ def _subalgebra_on(A, sub, unit):
     if coords is None:
         raise AssertionError("a product or the unit escapes the subalgebra subspace")
     *products, ucoords = coords
-    B = make_superalgebra(space, products, ucoords)
+    B = make_superalgebra(space, _transpose(products, sub.dim), ucoords)
     return B, GradedMap(space, A.space, basis)
 
 
@@ -535,7 +523,6 @@ def enumerate_homs(A, R, generators):
     """
     F = A.field
     if not F.is_finite():
-        from .fields import FieldError
         raise FieldError("morphism enumeration needs a finite base field")
     if F != R.field:
         raise ValueError("source and target over different fields")
@@ -585,14 +572,13 @@ def enumerate_homs(A, R, generators):
 # tensor product
 
 def tensor_superalgebra(A, B):
-    """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', that is
-    (m_A (x) m_B)(id_A (x) twist(B, A) (x) id_B)."""
+    """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', so cop is
+    (id (x) twist(A, B) (x) id)(cop_A (x) cop_B), as for a tensor coalgebra."""
     F = A.field
-    swap = twist(B.space, A.space).tensor(GradedMap.identity(B.space))
-    mul = tensor_after(A.multiplication_map(), B.multiplication_map(),
-                       GradedMap.identity(A.space).tensor(swap))
+    cop = tensor_structure(*(GradedMap(X.space, X.space.tensor(X.space), X.cop)
+                             for X in (A, B)))
     unit = [(i * B.dim + j, F.mul(a, b)) for i, a in A.unit for j, b in B.unit]
-    return make_superalgebra(mul.codomain, mul.columns, unit)
+    return make_superalgebra(cop.domain, cop.columns, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +599,18 @@ def _monomial_divisible(exps, odds, gen_exps, gen_odds):
     return all(a >= b for a, b in zip(exps, gen_exps)) and gen_odds <= odds
 
 
+def _exponents(p, total):
+    """The exponent tuples of p variables with this sum, in lexicographic
+    order (not nested: a closure that calls itself is a reference cycle)."""
+    if p == 0:
+        if total == 0:
+            yield ()
+        return
+    for e in range(total + 1):
+        for rest in _exponents(p - 1, total - e):
+            yield (e,) + rest
+
+
 def monomial_superalgebra(field, p, q, degree, generators=(),
                           even_names=None, odd_names=None):
     """k[T_1..T_p | th_1..th_q] modulo a monomial superideal and degree > d.
@@ -631,43 +629,31 @@ def monomial_superalgebra(field, p, q, degree, generators=(),
         return any(_monomial_divisible(exps, odds, ge, go) for ge, go in gens)
 
     monomials = []
-
-    def even_parts(total):
-        def rec(i, remaining):
-            if i == p:
-                yield ()
-                return
-            for e in range(remaining + 1):
-                for rest in rec(i + 1, remaining - e):
-                    yield (e,) + rest
-        return rec(0, total)
-
     for total in range(degree + 1):
         layer = []
         for odd_size in range(min(q, total) + 1):
             for odds in itertools.combinations(range(q), odd_size):
-                for exps in even_parts(total - odd_size):
-                    if sum(exps) == total - odd_size and not in_ideal(exps, frozenset(odds)):
+                for exps in _exponents(p, total - odd_size):
+                    if not in_ideal(exps, frozenset(odds)):
                         layer.append((exps, frozenset(odds)))
         layer.sort(key=lambda m: (m[0], tuple(sorted(m[1]))))
         monomials.extend(layer)
     index = {m: i for i, m in enumerate(monomials)}
-    from .superlinear import SuperVectorSpace
     labels = tuple(monomial_label(e, o, even_names, odd_names) for e, o in monomials)
     parities = tuple(len(o) % 2 for _, o in monomials)
     space = SuperVectorSpace(F, labels, parities)
-    mul = []
-    for exps1, odds1 in monomials:
-        for exps2, odds2 in monomials:
-            col = []
+    n = len(monomials)
+    cop = [[] for _ in range(n)]
+    for i, (exps1, odds1) in enumerate(monomials):
+        for j, (exps2, odds2) in enumerate(monomials):
             if not (odds1 & odds2):
                 exps = tuple(a + b for a, b in zip(exps1, exps2))
                 odds = odds1 | odds2
                 if sum(exps) + len(odds) <= degree and not in_ideal(exps, odds):
                     inv = sum(1 for a in odds1 for b in odds2 if a > b)
-                    col.append((index[(exps, odds)], F.neg(F.one) if inv % 2 else F.one))
-            mul.append(col)
+                    cop[index[(exps, odds)]].append(
+                        (i * n + j, F.neg(F.one) if inv % 2 else F.one))
     unit = [(index[((0,) * p, frozenset())], F.one)]
-    alg = make_superalgebra(space, mul, unit)
+    alg = make_superalgebra(space, cop, unit)
     degrees = tuple(sum(e) + len(o) for e, o in monomials)
     return alg, monomials, degrees

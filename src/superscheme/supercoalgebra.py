@@ -2,25 +2,26 @@
 
 delta holds the sparse columns of the coproduct C -> C (x) C: column i
 lists the (j * n + k, c) pairs, sorted with c nonzero, of the terms
-c b_j (x) b_k of delta(b_i).
-Duality with superalgebras is the plain transpose of structure constants,
-which preserves all the super axioms in both directions.  Points over a
-superalgebra R pair C with its Koszul-signed dual instead (_koszul_signed).
+c b_j (x) b_k of delta(b_i).  A superalgebra stores its transpose
+coproduct in the same layout, so duality with superalgebras is the same
+columns, relabelled, and it preserves all the super axioms in both
+directions.  Points over a superalgebra R pair C with its Koszul-signed
+dual instead (_koszul_signed).
 """
 
 from __future__ import annotations
 
 import functools
 
+from .fields import FieldError
 from .superalgebra import (
     _word_basis, enumerate_homs, ideal_generated_by, make_superalgebra,
     local_decomposition, radical,
 )
 from .superlinear import (
-    GradedMap, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _images,
-    _parity_defects, _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp,
-    quotient_data, tensor_after, tensor_apply, twist, twist_apply, unit_vec, vec_scale,
-    vec_sub,
+    GradedMap, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects, _images,
+    _transpose, canonical_columns, linear_form, perp, quotient_data, tensor_apply,
+    tensor_structure, unit_vec, vec_scale, vec_sub,
 )
 
 
@@ -32,21 +33,10 @@ class SearchBoundExceeded(RuntimeError):
     pass
 
 
-class SuperCoalgebra(Record):
+class SuperCoalgebra(StructureRecord):
     space: object
     delta: tuple
     counit: tuple
-
-    @property
-    def field(self):
-        return self.space.field
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def parity(self, i):
-        return self.space.parities[i]
 
     def coproduct_map(self):
         return self._coproduct
@@ -71,7 +61,7 @@ def make_supercoalgebra(space, delta, counit):
     canonical_columns); the one constructor.  It does not validate: call
     validate_supercoalgebra."""
     n = space.dim
-    (counit,) = canonical_columns(space.field, [counit], 1, n)
+    (counit,) = canonical_columns(space.field, (counit,), 1, n)
     return SuperCoalgebra(space, canonical_columns(space.field, delta, n, n * n), counit)
 
 
@@ -88,38 +78,31 @@ def validate_supercoalgebra(C):
 
 
 def _coalgebra_problems(C):
-    F = C.field
     n = C.dim
     labels = C.space.labels
-    sq = C.space.tensor(C.space)
-    cols = C.delta
-    eps = linear_form(C.space, C.counit, None).columns
-    ident = _identity_columns(F, n)
+    parity, left, right, coassoc, twisted = _axiom_defects(C.space, C.delta, C.counit)
     problems = []
-    # delta and eps stacked as one map C -> C (x) C + k: the odd counit
-    # value of b_i comes after the coproduct violations of b_i
-    stacked = [v + tuple((n * n, e) for _, e in u) for v, u in zip(cols, eps)]
-    for i, r in _parity_defects(stacked, C.space.parities, sq.parities + (0,)):
+    # the odd counit value of b_i, on row n * n, comes after the coproduct
+    # violations of b_i
+    for i, r in parity:
         if r < n * n:
             problems.append(
                 f"parity: delta({labels[i]}) hits {labels[r // n]}(x){labels[r % n]}")
         else:
             problems.append(f"counit: nonzero on odd {labels[i]}")
-    left = {i for i, _ in _defects(_tensor_apply_sparse(F, eps, ident, n, (), cols), ident)}
-    right = {i for i, _ in _defects(_tensor_apply_sparse(F, ident, eps, 1, (), cols), ident)}
+    left = {i for i, _ in left}
+    right = {i for i, _ in right}
     for i in range(n):
         if i in left:
             problems.append(f"counit: (eps(x)id)delta({labels[i]}) != {labels[i]}")
         if i in right:
             problems.append(f"counit: (id(x)eps)delta({labels[i]}) != {labels[i]}")
-    lhs = _tensor_apply_sparse(F, cols, ident, n, (), cols)
-    rhs = _tensor_apply_sparse(F, ident, cols, n * n, (), cols)
-    for i, abc in _defects(lhs, rhs):
+    for i, abc in coassoc:
         a, bc = divmod(abc, n * n)
         problems.append(
             f"coassociativity fails on {labels[i]} at "
             f"({labels[a]},{labels[bc // n]},{labels[bc % n]})")
-    for i, jk in _defects(cols, twist_apply(C.space, C.space, cols)):
+    for i, jk in twisted:
         problems.append(
             f"cocommutativity: delta({labels[i]}) asymmetric at "
             f"({labels[jk // n]},{labels[jk % n]})")
@@ -130,19 +113,14 @@ def _coalgebra_problems(C):
 # duality
 
 def dualize_algebra(A):
-    """Coproduct = transpose of multiplication, counit = evaluation at 1."""
-    delta = _transpose(A.mul, A.dim)
-    space = SuperVectorSpace(A.field, tuple(f"{l}*" for l in A.space.labels),
-                             A.space.parities)
-    return make_supercoalgebra(space, delta, A.unit)
+    """Coproduct = the transpose coproduct of A, its columns as they are;
+    counit = evaluation at 1."""
+    return make_supercoalgebra(A.space.dual(), A.cop, A.unit)
 
 
 def dualize_coalgebra(C):
-    """Multiplication = transpose of the coproduct, unit = counit."""
-    mul = _transpose(C.delta, C.dim * C.dim)
-    space = SuperVectorSpace(C.field, tuple(f"{l}*" for l in C.space.labels),
-                             C.space.parities)
-    return make_superalgebra(space, mul, C.counit)
+    """Transpose coproduct = delta, its columns as they are; unit = counit."""
+    return make_superalgebra(C.space.dual(), C.delta, C.counit)
 
 
 def is_coalgebra_morphism(f, C, D):
@@ -314,16 +292,17 @@ DEFAULT_GROUPLIKE_BOUND = 3 ** 12
 
 
 def _koszul_signed(A):
-    """A with b_i * b_j negated when b_i and b_j are both odd.
+    """A with b_i * b_j negated when b_i and b_j are both odd: the odd x odd
+    rows of cop.
 
     Group-likes of (R (x) C)_even are the superalgebra morphisms into R of
     the Koszul-signed dual _koszul_signed(dualize_coalgebra(C)), not of the
     plain transpose.  Signing is an involution and keeps every axiom.
     """
-    neg, n = A.field.neg, A.dim
-    mul = [[(k, neg(c)) for k, c in col] if A.parity(ij // n) and A.parity(ij % n) else col
-           for ij, col in enumerate(A.mul)]
-    return make_superalgebra(A.space, mul, A.unit)
+    neg, n, par = A.field.neg, A.dim, A.space.parities
+    cop = tuple(tuple((ij, neg(c)) if par[ij // n] and par[ij % n] else (ij, c)
+                      for ij, c in col) for col in A.cop)
+    return make_superalgebra(A.space, cop, A.unit)
 
 
 def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
@@ -338,7 +317,6 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     """
     F = C.field
     if not F.is_finite():
-        from .fields import FieldError
         raise FieldError("group-like enumeration needs a finite base field")
     if R.field != F:
         raise ValueError("coefficient algebra over a different field")
@@ -374,9 +352,7 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
 def tensor_coalgebra(C, D):
     """Coproduct (id (x) twist (x) id)(delta_C (x) delta_D); counit product."""
     F = C.field
-    swap = twist(C.space, D.space).tensor(GradedMap.identity(D.space))
-    delta = tensor_after(GradedMap.identity(C.space), swap,
-                         C.coproduct_map().tensor(D.coproduct_map()))
+    delta = tensor_structure(C.coproduct_map(), D.coproduct_map())
     counit = [(i * D.dim + j, F.mul(a, b)) for i, a in C.counit for j, b in D.counit]
     return make_supercoalgebra(delta.domain, delta.columns, counit)
 

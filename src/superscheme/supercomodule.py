@@ -12,10 +12,10 @@ from __future__ import annotations
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
 from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Record, Subspace, SuperVectorSpace, _defects, _identity_columns, _images,
-    _transpose, _null_space_sparse, _parity_defects, _rref_sparse, _tensor_apply_sparse,
-    canonical_columns, linear_form, pivot_selection, quotient_data, tensor_apply,
-    twist_apply,
+    GradedMap, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _defects,
+    _identity_columns, _images, _transpose, _null_space_sparse, _parity_defects, _rref_sparse,
+    _tensor_apply_sparse, canonical_columns, linear_form, pivot_selection, quotient_data,
+    tensor_apply, twist_apply,
 )
 
 
@@ -23,18 +23,10 @@ class NotConnected(ValueError):
     pass
 
 
-class SuperComodule(Record):
+class SuperComodule(StructureRecord):
     space: object
     coalgebra: object
     psi: tuple
-
-    @property
-    def field(self):
-        return self.space.field
-
-    @property
-    def dim(self):
-        return self.space.dim
 
     def left_coaction(self):
         """The sparse columns of the twisted coaction M -> C (x) M."""

@@ -392,6 +392,21 @@ class SuperVectorSpace(Record):
             self.parities + other.parities)
 
 
+class StructureRecord(Record):
+    """An algebra, a coalgebra or a comodule on the super vector space space."""
+
+    @property
+    def field(self):
+        return self.space.field
+
+    @property
+    def dim(self):
+        return self.space.dim
+
+    def parity(self, i):
+        return self.space.parities[i]
+
+
 def standard_space(field, even, odd, even_prefix="e", odd_prefix="o"):
     labels = tuple(f"{even_prefix}{i + 1}" for i in range(even)) + \
         tuple(f"{odd_prefix}{i + 1}" for i in range(odd))
@@ -771,13 +786,22 @@ def _identity_columns(F, n):
 def canonical_columns(F, cols, count, height):
     """The stored form of a structure map with count domain and height
     codomain basis vectors: per column, a vector.  A column may come as
-    (index, entry) pairs in any order or as an index -> entry dict."""
-    out = tuple(vector(F, col) if col else () for col in cols)
-    if len(out) != count or any(col and not 0 <= col[0][0] <= col[-1][0] < height
-                                for col in out):
+    (index, entry) pairs in any order or as an index -> entry dict; a tuple
+    of vectors, such as a stored map's columns, is kept as it is."""
+    if not (type(cols) is tuple and all(_is_vector(F, col) for col in cols)):
+        cols = tuple(vector(F, col) if col else () for col in cols)
+    if len(cols) != count or any(col and not 0 <= col[0][0] <= col[-1][0] < height
+                                 for col in cols):
         raise DimensionMismatch(
             f"a structure map needs {count} columns with indices below {height}")
-    return out
+    return cols
+
+
+def _is_vector(F, col):
+    """Whether col is a vector: a tuple of (index, entry) pairs with
+    ascending indices and nonzero entries."""
+    return (type(col) is tuple and all(a < b for (a, _), (b, _) in zip(col, col[1:]))
+            and not any(F.is_zero(c) for _, c in col))
 
 
 def _defects(lhs, rhs):
@@ -794,6 +818,35 @@ def _parity_defects(cols, domain_parities, codomain_parities):
     by its sparse columns, from being even."""
     return ((c, r) for c, (col, p) in enumerate(zip(cols, domain_parities))
             for r, _ in col if codomain_parities[r] != p)
+
+
+def _axiom_defects(space, cols, counit):
+    """The (column, row) positions where cols, the columns of a map
+    V -> V (x) V on V = space, and the form counit break the axioms of a
+    super-cocommutative super-coalgebra (a coalgebra's delta, or an
+    algebra's cop with its unit): five lists, for parity (counit on row
+    n * n), the two counit laws, coassociativity and twist o cols = cols.
+    A row's parity is read off its two factors: no tensor space is built.
+    """
+    F, n, par = space.field, space.dim, space.parities
+    eps = linear_form(space, counit, None).columns
+    ident = _identity_columns(F, n)
+    stacked = [v + tuple((n * n, e) for _, e in u) for v, u in zip(cols, eps)]
+    rows = {r: par[r // n] ^ par[r % n] if r < n * n else 0 for col in stacked for r, _ in col}
+    return (list(_parity_defects(stacked, par, rows)),
+            list(_defects(_tensor_apply_sparse(F, eps, ident, n, (), cols), ident)),
+            list(_defects(_tensor_apply_sparse(F, ident, eps, 1, (), cols), ident)),
+            list(_defects(_tensor_apply_sparse(F, cols, ident, n, (), cols),
+                          _tensor_apply_sparse(F, ident, cols, n * n, (), cols))),
+            list(_defects(cols, twist_apply(space, space, cols))))
+
+
+def tensor_structure(f, g):
+    """(id (x) twist(V, W) (x) id)(f (x) g) for f: V -> V (x) V and
+    g: W -> W (x) W: the structure map of a tensor (co)algebra."""
+    V, W = f.domain, g.domain
+    swap = twist(V, W).tensor(GradedMap.identity(W))
+    return tensor_after(GradedMap.identity(V), swap, f.tensor(g))
 
 
 def twist(V, W):

@@ -94,40 +94,39 @@ def graded_map(M):
                      M._transpose().rows, None)
 
 
-def _table_shape(x):
-    """(stored columns, n, w, height) of x.mul, x.delta or x.psi read as an
-    n x n x w table: entry (i, j, k) has flat index (i * n + j) * w + k,
-    which is row flat % height of column flat // height."""
-    if hasattr(x, "mul"):
-        return x.mul, x.dim, x.dim, x.dim
-    if hasattr(x, "delta"):
-        return x.delta, x.dim, x.dim, x.dim * x.dim
-    return x.psi, x.dim, x.coalgebra.dim, x.dim * x.coalgebra.dim
-
-
 class DenseView:
     """The [i][j][k] tables of the structure maps of algebras, coalgebras
     and comodules, which store them as sparse columns: mul[i][j][k] is the
-    coefficient of b_k in b_i * b_j, delta[i][j][k] that of b_j (x) b_k in
-    delta(b_i), psi[i][j][k] that of m_j (x) c_k in psi(m_i)."""
+    coefficient of b_k in b_i * b_j, row i * n + j of column k of the
+    transpose coproduct cop; delta[i][j][k] that of b_j (x) b_k in
+    delta(b_i), psi[i][j][k] that of m_j (x) c_k in psi(m_i), row j * w + k
+    of column i."""
 
     @staticmethod
     def table(x):
         """The table of x as nested lists, to read or to edit."""
-        cols, n, w, height = _table_shape(x)
-        flat = [x.field.zero] * (n * n * w)
-        for c, col in enumerate(cols):
-            for r, a in col:
-                flat[c * height + r] = a
-        return [[flat[(i * n + j) * w:(i * n + j + 1) * w] for j in range(n)]
-                for i in range(n)]
+        F, n = x.field, x.dim
+        if hasattr(x, "cop"):
+            out = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
+            for k, col in enumerate(x.cop):
+                for ij, a in col:
+                    out[ij // n][ij % n][k] = a
+            return out
+        cols, w = (x.delta, n) if hasattr(x, "delta") else (x.psi, x.coalgebra.dim)
+        out = [[[F.zero] * w for _ in range(n)] for _ in range(n)]
+        for i, col in enumerate(cols):
+            for jk, a in col:
+                out[i][jk // w][jk % w] = a
+        return out
 
     @staticmethod
     def columns(kind, table):
         """A table of kind "mul", "delta" or "psi" as the columns make_*
-        takes: one per pair (i, j) for mul, one per i otherwise."""
+        takes: one per k for mul, one per i otherwise."""
         if kind == "mul":
-            return [list(enumerate(cell)) for row in table for cell in row]
+            n = len(table)
+            return [[(i * n + j, cell[k]) for i, row in enumerate(table)
+                     for j, cell in enumerate(row)] for k in range(n)]
         return [[(j * len(cell) + k, a) for j, cell in enumerate(row)
                  for k, a in enumerate(cell)] for row in table]
 
@@ -149,8 +148,15 @@ def is_superalgebra_morphism(phi, A, B):
         return False
     if phi.apply(A.unit) != B.unit:
         return False
-    # column i * n + j of A.mul is b_i * b_j
-    return B.products(phi.columns, phi.columns) == list(phi.images(A.mul))
+    # column i * n + j of m is b_i * b_j
+    return B.products(phi.columns, phi.columns) == list(
+        phi.images(multiplication_map(A).columns))
+
+
+def multiplication_map(A):
+    """Reference: m: A (x) A -> A, the transpose of the transpose coproduct
+    cop, whose column i * n + j is b_i * b_j."""
+    return GradedMap(A.space.tensor(A.space), A.space, _transpose(A.cop, A.dim * A.dim))
 
 
 def is_grouplike_over(C, R, u):
@@ -170,7 +176,7 @@ def is_grouplike_over(C, R, u):
                             for row in u])
     uu = tuple((a * nv * nc + k, c) for a, w in enumerate(swapped) for k, c in w)
     id_cc = GradedMap.identity(C.space.tensor(C.space))
-    rhs = next(tensor_apply(R.multiplication_map(), id_cc, [uu]))
+    rhs = next(tensor_apply(multiplication_map(R), id_cc, [uu]))
     return next(tensor_apply(id_r, C.coproduct_map(), [v])) == rhs
 
 
@@ -744,11 +750,12 @@ def check_dual_action_axioms(M):
     mats = dual_action(M)
     problems = []
     unit_mat = dual_action_of(M, mats, dual.unit)
+    products = multiplication_map(dual).columns
     if unit_mat != Matrix.identity(F, M.dim):
         problems.append("counit functional does not act as identity")
     for s in range(C.dim):
         for t in range(C.dim):
-            lhs = dual_action_of(M, mats, dual.mul[s * C.dim + t])
+            lhs = dual_action_of(M, mats, products[s * C.dim + t])
             rhs = mats[s].mul(mats[t])
             if lhs != rhs:
                 problems.append(f"action not multiplicative at ({s},{t})")

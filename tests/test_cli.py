@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -15,7 +16,7 @@ from superscheme import cli
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
 from superscheme.fields import PRIMALITY_BOUND, QQ, PrimeField
 from superscheme.objfile import serialize_document
-from superscheme.superlinear import GradedMap
+from superscheme.superlinear import GradedMap, SuperVectorSpace
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
 from superscheme.formal_scheme import (
     TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
@@ -243,6 +244,34 @@ def test_report_all_takes_each_radical_once(monkeypatch, tmp_path):
     assert on(radicals, G.space.labels) == 1
     assert on(duals, C.space.labels) == 1
     assert on(radicals, tuple(f"{label}*" for label in C.space.labels)) == 1
+
+
+def test_report_all_builds_no_tensor_space(monkeypatch, tmp_path):
+    """The validators read the parities of A (x) A off those of A, and a
+    dual is the same columns relabelled: report-all on an algebra and its
+    dual builds no labelled tensor space."""
+    G = grassmann(4)
+    path = tmp_path / "both.ss"
+    path.write_text(serialize_document(QQ, [("A", G), ("C", dualize_algebra(G))]))
+    calls = []
+    tensor = SuperVectorSpace.tensor
+    monkeypatch.setattr(SuperVectorSpace, "tensor",
+                        lambda V, W: calls.append((V.dim, W.dim)) or tensor(V, W))
+    text = _ok(["report-all", str(path)])
+    assert "algebra A valid True\n" in text and "coalgebra C valid True\n" in text
+    assert calls == []
+
+
+@pytest.mark.parametrize("line", ["mul 2 0 0 1", "mul 0 2 0 1", "mul 0 0 2 1"])
+def test_mul_index_out_of_range_is_a_parse_error(tmp_path, line):
+    """Each index of a mul line is checked before the entry is stored in
+    its column: one out of range exits 3 and names it."""
+    path = tmp_path / "wide.alg"
+    path.write_text("superscheme 1\nfield Q\nobject algebra A\n  basis 1 even\n"
+                    f"  basis x even\n  unit 0 1\n  mul 0 0 0 1\n  {line}\nend\n")
+    assert run(["validate", str(path)]) == (
+        "superscheme-report error\nparse-error line 8: bad mul entry: index 2 out of range "
+        "for dimension 2\nstatus error\n", EXIT_IO)
 
 
 def test_cotensor_and_comodule_flat(files):
@@ -726,8 +755,8 @@ def test_byte_identical_runs(files):
     assert run(["--threads", "4"] + argv)[1] == EXIT_IO
 
 
-def test_every_command_deterministic(files):
-    cases = [
+def _one_job_per_command(files):
+    return [
         ["validate", files["g2.alg"]],
         ["dual", files["g2.alg"]],
         ["radical", files["g2.alg"]],
@@ -752,10 +781,62 @@ def test_every_command_deterministic(files):
         ["corpus", "--seed", "2"],
         ["report-all", files["collapse.mor"]],
     ]
-    for argv in cases:
+
+
+def test_every_command_deterministic(files):
+    for argv in _one_job_per_command(files):
         a = run(argv)
         b = run(argv)
         assert a == b, argv
+
+
+def test_only_the_cli_process_runs_without_the_collector(files):
+    """cli.main switches the cyclic collector off for its one-shot process;
+    run, which the library and the benchmark call in-process, leaves it on."""
+    assert gc.isenabled()
+    assert run(["validate", files["g2.alg"]])[1] == EXIT_OK
+    assert gc.isenabled()
+    proc = _fresh("-c", "import gc, sys\nfrom superscheme import cli\n"
+                  "code = cli.main(['validate', sys.argv[1]])\n"
+                  "print(code, gc.isenabled(), file=sys.stderr)", files["g2.alg"])
+    assert proc.returncode == 0 and proc.stderr == "0 False\n", proc.stderr
+
+
+def test_commands_make_no_reference_cycles(files):
+    """cli.main runs without the cyclic collector, so no command may leave
+    cyclic garbage.  Every command runs through run with the collector off,
+    on valid input and on paths that raise (an invalid structure, a missing
+    file, a bad argument, an unsupported computation); the cycles that
+    gc.collect() then finds are argparse's alone: its help formatters hold
+    their sections, which hold them."""
+    cases = _one_job_per_command(files) + [
+        ["radical", files["bad.alg"]], ["report-all", files["bad.alg"]],
+        ["validate", "missing.ss"], ["dual", files["g2.alg"], "--bogus"],
+        ["descent-check", files["collapse.mor"], "--depth", str(10 ** 6)],
+        ["grouplikes", files["gdual3.coalg"], "--over", files["r3.alg"]],
+        ["report-all", files["g2.alg"]], ["report-all", files["f9split.coalg"]],
+    ]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in cases:
+            run(argv)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    ids = {id(o) for o in garbage}
+    stack = [o for o in garbage if type(o).__module__ == "argparse"]
+    seen = {id(o) for o in stack}
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in ids and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    assert [type(o).__name__ for o in garbage if id(o) not in seen] == []
 
 
 def _fuzz_inputs():

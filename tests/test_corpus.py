@@ -56,9 +56,9 @@ def test_divided_power_shapes():
     from superscheme.supercoalgebra import dualize_coalgebra
     # duals are the truncated polynomial algebras, constants on the nose
     for d in (1, 2):
-        assert dualize_coalgebra(divided_power(d)).mul == \
-            truncated_polynomial(d).mul
-    assert dualize_coalgebra(grouplike_coalgebra(2)).mul == split_pair().mul
+        assert dualize_coalgebra(divided_power(d)).cop == \
+            truncated_polynomial(d).cop
+    assert dualize_coalgebra(grouplike_coalgebra(2)).cop == split_pair().cop
     D3 = divided_power(3)
     chain = coradical_filtration(D3, dual_radical(D3))
     assert [s.dim for s in chain] == [1, 2, 3, 4]
@@ -142,11 +142,11 @@ def _constructions():
 
 @pytest.mark.parametrize("x", [pytest.param(x, id=name) for name, x in _constructions()])
 def test_stored_columns_are_canonical(x):
-    """mul, delta and psi are stored once, as the sparse columns of their
+    """cop, delta and psi are stored once, as the sparse columns of their
     maps: one tuple per domain basis vector of sorted (index, entry) pairs,
     every entry nonzero and every index in range."""
-    if hasattr(x, "mul"):
-        cols, count, height = x.mul, x.dim * x.dim, x.dim
+    if hasattr(x, "cop"):
+        cols, count, height = x.cop, x.dim, x.dim * x.dim
     elif hasattr(x, "delta"):
         cols, count, height = x.delta, x.dim, x.dim * x.dim
     else:

@@ -71,7 +71,7 @@ def _outcome(fn, *args):
 
 
 def _factor_data(factors):
-    return [(f.idempotent, f.residue, f.algebra.space.parities, f.algebra.mul, f.algebra.unit,
+    return [(f.idempotent, f.residue, f.algebra.space.parities, f.algebra.cop, f.algebra.unit,
              f.inclusion.columns) for f in factors]
 
 

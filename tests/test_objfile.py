@@ -18,9 +18,27 @@ def test_algebra_round_trip():
     text = serialize_document(QQ, [("G2", G)])
     doc = parse_text(text)
     _, A = doc.first("algebra")
-    assert A.mul == G.mul and A.unit == G.unit
+    assert A.cop == G.cop and A.unit == G.unit
     assert A.space.labels == G.space.labels
     assert serialize_document(QQ, [("G2", A)]) == text
+
+
+def test_shuffled_mul_lines_parse_to_the_stored_form():
+    """A mul line is stored in its column wherever it stands in the file:
+    lines in any order, with one entry repeated where the last line counts,
+    parse to the canonical algebra, which writes them back in (i, j, k)
+    order."""
+    G = grassmann(3)
+    text = serialize_document(QQ, [("G3", G)])
+    lines = text.splitlines(keepends=True)
+    muls = [line for line in lines if line.startswith("  mul ")]
+    assert muls == sorted(muls, key=lambda line: [int(t) for t in line.split()[1:4]])
+    shuffled = muls[::-1]
+    shuffled.insert(5, muls[7].replace(muls[7].split()[-1] + "\n", "7\n"))
+    rest = [line for line in lines if not line.startswith("  mul ")]
+    _, parsed = parse_text("".join(rest[:-1] + shuffled + rest[-1:])).first("algebra")
+    assert parsed == G and parsed.cop == G.cop
+    assert serialize_document(QQ, [("G3", parsed)]) == text
 
 
 def test_zero_and_repeated_entries_parse_to_the_stored_form():

@@ -60,7 +60,7 @@ def test_field_arithmetic_in_one_place():
 
 
 def test_structure_maps_in_one_form():
-    """mul, delta and psi are stored once, as sparse columns: no converter
+    """cop, delta and psi are stored once, as sparse columns: no converter
     to or from dense [i][j][k] tables is left, and each object is built
     only by its make_*, which puts the columns in canonical form."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -99,7 +99,7 @@ def test_maps_in_one_orientation():
 
 
 def test_one_product_rule():
-    """SuperAlgebra.products is the one sum of products over mul: no other
+    """SuperAlgebra.products is the one sum of products over cop: no other
     helper multiplies two element lists, and multiply, its one-pair case,
     is called only where each product needs the one before it."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -118,7 +118,7 @@ def test_one_product_rule():
 
 def test_one_sum_of_products():
     """_tensor_apply_sparse is the one kernel for every linear combination
-    of sparse columns, and SuperAlgebra.products the one over mul: only
+    of sparse columns, and SuperAlgebra.products the one over cop: only
     these two ask _sum_ops how sums of products accumulate.  No helper for
     a combination, for the counit of one vector or for the action matrices
     of C* is left."""

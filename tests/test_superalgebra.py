@@ -42,7 +42,7 @@ def test_flipped_sign_fails_supercommutativity(dense_view):
 
 def test_broken_unit_fails():
     G = grassmann(1)
-    bad = SuperAlgebra(G.space, G.mul, sparse(QQ, (QQ.zero, QQ.zero)))
+    bad = SuperAlgebra(G.space, G.cop, sparse(QQ, (QQ.zero, QQ.zero)))
     problems = validate_superalgebra(bad)
     assert any("unit" in p for p in problems)
 
@@ -51,9 +51,10 @@ def test_odd_square_violation_detected():
     # one odd basis vector with th^2 = 1 breaks both axioms
     from superscheme.superlinear import SuperVectorSpace
     space = SuperVectorSpace(QQ, ("1", "th"), (0, 1))
-    # 1*1 = 1, 1*th = th*1 = th, th*th = 1
-    mul = [[(0, Fraction(1))], [(1, Fraction(1))], [(1, Fraction(1))], [(0, Fraction(1))]]
-    bad = make_superalgebra(space, mul, sparse(QQ, (Fraction(1), Fraction(0))))
+    # 1*1 = 1, 1*th = th*1 = th, th*th = 1: rows 0 and 3 of column 1, rows
+    # 1 and 2 of column th
+    cop = [[(0, Fraction(1)), (3, Fraction(1))], [(1, Fraction(1)), (2, Fraction(1))]]
+    bad = make_superalgebra(space, cop, sparse(QQ, (Fraction(1), Fraction(0))))
     problems = validate_superalgebra(bad)
     assert any("odd square" in p for p in problems) or \
         any("parity" in p for p in problems)
@@ -74,7 +75,7 @@ def _bosonic_reduction(A):
 def test_bosonic_reduction_examples():
     assert _bosonic_reduction(grassmann(1)).dim == 1
     D = truncated_polynomial(1)
-    assert _bosonic_reduction(D).mul == D.mul
+    assert _bosonic_reduction(D).cop == D.cop
     DT = tensor_superalgebra(truncated_polynomial(1), grassmann(1))
     B = _bosonic_reduction(DT)
     assert B.dim == 2

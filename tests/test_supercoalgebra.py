@@ -7,7 +7,8 @@ import pytest
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superalgebra import make_superalgebra, monomial_superalgebra
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, quotient_data, tensor_after, unit_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _transpose, quotient_data, tensor_after,
+    unit_vec,
 )
 from superscheme.supercoalgebra import (
     SearchBoundExceeded, SuperCoalgebra, coradical,
@@ -18,7 +19,7 @@ from superscheme.supercoalgebra import (
     validate_supercoalgebra,
     wedge,
 )
-from conftest import dense, dense_matrix, dense_rows, is_subcoalgebra, sparse
+from conftest import _count_calls, dense, dense_matrix, dense_rows, is_subcoalgebra, sparse
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     grouplike_coalgebra, quotient_ring_algebra, split_pair,
@@ -65,10 +66,28 @@ def test_dualize_algebra_examples(dense_view):
     assert delta[1][0][1] == 1 and delta[1][1][0] == 1
 
 
+def test_dualization_shares_the_columns(monkeypatch):
+    """An algebra stores its transpose coproduct in the layout of delta, so
+    each dualization hands on the input's column tuple itself, with its
+    unit or counit, and builds no vector: only the labels are new."""
+    objects = ([A for _, A in canonical_algebras(F3)]
+               + [C for _, C in canonical_coalgebras(F3)])
+    built = _count_calls(monkeypatch, "superlinear", "vector")
+    for X in objects:
+        if hasattr(X, "cop"):
+            D = dualize_algebra(X)
+            assert D.delta is X.cop and D.counit is X.unit
+        else:
+            D = dualize_coalgebra(X)
+            assert D.cop is X.delta and D.unit is X.counit
+        assert D.space.labels == tuple(f"{label}*" for label in X.space.labels)
+    assert built == []
+
+
 def test_double_dual_round_trip():
     for name, A in canonical_algebras(QQ):
         back = dualize_coalgebra(dualize_algebra(A))
-        assert back.mul == A.mul and back.unit == A.unit, name
+        assert back.cop == A.cop and back.unit == A.unit, name
     for name, C in canonical_coalgebras(QQ):
         back = dualize_algebra(dualize_coalgebra(C))
         assert back.delta == C.delta and back.counit == C.counit, name
@@ -268,9 +287,9 @@ def _dense_basis_dual(A, rng):
     P = unitriangular(True).mul(unitriangular(False))
     basis = P.rows
     products = P._transpose().solve([A.multiply(x, y) for x in basis for y in basis])
-    mul = products      # column i * n + j is b'_i * b'_j
+    cop = _transpose(products, n)      # entry i * n + j of b'_i * b'_j
     unit = P._transpose().solve([A.unit])[0]
-    return dualize_algebra(make_superalgebra(A.space, mul, unit))
+    return dualize_algebra(make_superalgebra(A.space, cop, unit))
 
 
 def _filtration_cases(F):
