@@ -18,7 +18,9 @@ from .supercoalgebra import (
 )
 from .supercomodule import free_comodule, trivial_comodule
 from .formal_scheme import SchemeMorphism, identity_morphism
-from .ksdim import presentation, presentation_morphism, product_presentation
+from .ksdim import (
+    _substitute_monomial, presentation, presentation_morphism, product_presentation,
+)
 
 
 _MASK = (1 << 64) - 1
@@ -360,8 +362,8 @@ def _seeded_presentation_morphism(rng, seed, field):
         odds = frozenset(j for j in range(tq) if rng.randint(3) == 0)
         if sum(exps) + len(odds) > 0:
             candidates.append((exps, odds))
-    probe = PresentationMorphismProbe(R, even_images, odd_images)
-    kept = [g for g in candidates if probe.lands_in_ideal(g)]
+    images = [_substitute_monomial(R.p, even_images, odd_images, g) for g in candidates]
+    kept = [g for g, img in zip(candidates, images) if img is None or R.contains_monomial(*img)]
     Y = presentation(tp, tq, kept, field)
     f = presentation_morphism(R, Y, even_images, odd_images)
     # no construction-level splitness claim for free-form substitutions
@@ -390,39 +392,6 @@ def _pick_parity_monomial(rng, monos, parity, P):
         # T_1 is always a legal even image, even when it dies in the quotient
         return ((1,) + (0,) * (P.p - 1), frozenset())
     raise ValueError("no odd monomial available for an odd image")
-
-
-class PresentationMorphismProbe:
-    """Membership testing for candidate target generators, construction side."""
-
-    def __init__(self, source, even_images, odd_images):
-        self.source = source
-        self.even_images = [(tuple(e), frozenset(o)) for e, o in even_images]
-        self.odd_images = [(tuple(e), frozenset(o)) for e, o in odd_images]
-
-    def lands_in_ideal(self, gen):
-        exps, odds = gen
-        total = [0] * self.source.p
-        used = set()
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            ie, io = self.even_images[i]
-            if e >= 2 and io:
-                return True  # the image is zero, hence inside the ideal
-            for k, v in enumerate(ie):
-                total[k] += v * e
-            if io & used:
-                return True
-            used |= io
-        for j in sorted(odds):
-            ie, io = self.odd_images[j]
-            for k, v in enumerate(ie):
-                total[k] += v
-            if io & used:
-                return True
-            used |= io
-        return self.source.contains_monomial(tuple(total), frozenset(used))
 
 
 def validate_entry(entry):

@@ -259,15 +259,6 @@ class DescentReport(Record):
     failures: tuple         # (comodule name, degree) pairs
     coequalizer_ok: bool
 
-    def __str__(self):
-        status = "exact" if self.passed else "NOT exact"
-        lines = [f"descent complex {status}; coequalizer "
-                 f"{'ok' if self.coequalizer_ok else 'FAILED'}"]
-        for name, degs in zip(self.comodules, self.degrees):
-            msg = ", ".join(f"deg {d}: {'exact' if ok else 'FAIL'}" for d, ok in degs)
-            lines.append(f"  {name}: {msg}")
-        return "\n".join(lines)
-
 
 class _TowerLevel:
     def __init__(self, field, parities, psi, carrier=None, boundary=None):

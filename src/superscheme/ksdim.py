@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import QQ
+from .superalgebra import _exponents
 from .supercoalgebra import SearchBoundExceeded
 from .superlinear import Record
 
@@ -152,18 +153,9 @@ def oracle_annihilator_dim(P, I=frozenset()):
         return None
     bound = max((sum(e) + len(o) for e, o in P.generators), default=0) + P.q + 1
     members = []
-
-    def exponents(i, remaining):
-        if i == P.p:
-            yield ()
-            return
-        for e in range(remaining + 1):
-            for rest in exponents(i + 1, remaining - e):
-                yield (e,) + rest
-
     for total in range(bound + 1):
-        for exps in exponents(0, total):
-            if sum(exps) == total and P.contains_monomial(exps, I):
+        for exps in _exponents(P.p, total):
+            if P.contains_monomial(exps, I):
                 members.append(frozenset(i for i, e in enumerate(exps) if e > 0))
     for size in range(P.p, -1, -1):
         for S in itertools.combinations(range(P.p), size):
@@ -197,23 +189,24 @@ def presentation_morphism(source, target, even_images, odd_images):
     for exps, odds in odd_images:
         if len(odds) % 2 != 1:
             raise ValueError("odd variable must map to an odd-degree monomial")
-    f = PresentationMorphism(source, target, even_images, odd_images)
     for gen in target.generators:
-        img = _substitute_monomial(f, gen)
+        img = _substitute_monomial(source.p, even_images, odd_images, gen)
         if img is not None and not source.contains_monomial(*img):
             raise ValueError("substitution does not map the ideal into the ideal")
-    return f
+    return PresentationMorphism(source, target, even_images, odd_images)
 
 
-def _substitute_monomial(f, monomial):
-    """Image of a target monomial; None encodes 0 (odd square collision)."""
+def _substitute_monomial(p, even_images, odd_images, monomial):
+    """Image of a target monomial under the substitution of these
+    monomials, in p even source variables, for the target variables; None
+    encodes 0 (odd square collision)."""
     exps, odds = monomial
-    total_exps = [0] * f.source.p
+    total_exps = [0] * p
     total_odds = set()
     for i, e in enumerate(exps):
         if e == 0:
             continue
-        ie, io = f.even_images[i]
+        ie, io = even_images[i]
         if e >= 2 and io:
             return None  # an odd factor squares to zero
         for k, v in enumerate(ie):
@@ -222,7 +215,7 @@ def _substitute_monomial(f, monomial):
             return None
         total_odds |= io
     for j in odds:
-        ie, io = f.odd_images[j]
+        ie, io = odd_images[j]
         for k, v in enumerate(ie):
             total_exps[k] += v
         if io & total_odds:
@@ -264,7 +257,7 @@ def is_split_projection(f):
     even_set, odd_set = set(img_even), set(img_odd)
     target_gen_images = set()
     for gen in f.target.generators:
-        img = _substitute_monomial(f, gen)
+        img = _substitute_monomial(f.source.p, f.even_images, f.odd_images, gen)
         if img is None:
             return False
         target_gen_images.add(img)

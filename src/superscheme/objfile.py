@@ -461,6 +461,18 @@ def _scalar_lines(F, keyword, cols, n, w, by_last=False):
     return lines
 
 
+def _basis_lines(name, space):
+    """The basis lines of an object; a file names each basis vector once,
+    so a repeated label, which a tensor of labels holding ⊗ can make, is
+    refused here, where labels are written."""
+    seen = set()
+    for l in space.labels:
+        if l in seen:
+            raise ParseError(f"object {name}: repeated basis label {l!r}")
+        seen.add(l)
+    return [f"  basis {l} {'odd' if p else 'even'}" for l, p in zip(space.labels, space.parities)]
+
+
 def _vector_lines(F, keyword, vec):
     return [f"  {keyword} {i} {F.format(c)}" for i, c in vec]
 
@@ -469,20 +481,17 @@ def serialize_object(name, value, F, over=None, endpoints=None):
     lines = []
     if isinstance(value, SuperAlgebra):
         lines.append(f"object algebra {name}")
-        for l, p in zip(value.space.labels, value.space.parities):
-            lines.append(f"  basis {l} {'odd' if p else 'even'}")
+        lines.extend(_basis_lines(name, value.space))
         lines.extend(_vector_lines(F, "unit", value.unit))
         lines.extend(_scalar_lines(F, "mul", value.cop, value.dim, value.dim, by_last=True))
     elif isinstance(value, SuperCoalgebra):
         lines.append(f"object coalgebra {name}")
-        for l, p in zip(value.space.labels, value.space.parities):
-            lines.append(f"  basis {l} {'odd' if p else 'even'}")
+        lines.extend(_basis_lines(name, value.space))
         lines.extend(_vector_lines(F, "counit", value.counit))
         lines.extend(_scalar_lines(F, "delta", value.delta, value.dim, value.dim))
     elif isinstance(value, SuperComodule):
         lines.append(f"object comodule {name} over {over}")
-        for l, p in zip(value.space.labels, value.space.parities):
-            lines.append(f"  basis {l} {'odd' if p else 'even'}")
+        lines.extend(_basis_lines(name, value.space))
         lines.extend(_scalar_lines(F, "coaction", value.psi, value.dim,
                                    value.coalgebra.dim))
     elif isinstance(value, SchemeMorphism):

@@ -575,10 +575,9 @@ def tensor_superalgebra(A, B):
     """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', so cop is
     (id (x) twist(A, B) (x) id)(cop_A (x) cop_B), as for a tensor coalgebra."""
     F = A.field
-    cop = tensor_structure(*(GradedMap(X.space, X.space.tensor(X.space), X.cop)
-                             for X in (A, B)))
+    cop = tensor_structure(F, A.cop, A.space.parities, B.cop, B.space.parities)
     unit = [(i * B.dim + j, F.mul(a, b)) for i, a in A.unit for j, b in B.unit]
-    return make_superalgebra(cop.domain, cop.columns, unit)
+    return make_superalgebra(A.space.tensor(B.space), cop, unit)
 
 
 # ---------------------------------------------------------------------------

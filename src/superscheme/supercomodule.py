@@ -12,10 +12,9 @@ from __future__ import annotations
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
 from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _defects,
-    _identity_columns, _images, _transpose, _null_space_sparse, _parity_defects, _rref_sparse,
-    _tensor_apply_sparse, canonical_columns, linear_form, pivot_selection, quotient_data,
-    tensor_apply, twist_apply,
+    GradedMap, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _coaction_defects,
+    _images, _transpose, _null_space_sparse, _rref_sparse, canonical_columns, pivot_selection,
+    quotient_data, tensor_apply, twist_apply,
 )
 
 
@@ -48,22 +47,14 @@ def validate_comodule(M):
     column by column: (id (x) eps) psi = id and
     (psi (x) id) psi = (id (x) delta) psi.
     """
-    F = M.field
     C = M.coalgebra
     nc = C.dim
     labels = M.space.labels
-    target = M.space.tensor(C.space)
-    cols = M.psi
-    eps = linear_form(C.space, C.counit, None).columns
-    ident_m, ident_c = _identity_columns(F, M.dim), _identity_columns(F, nc)
-    problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in
-                _parity_defects(cols, M.space.parities, target.parities)]
-    back = _defects(_tensor_apply_sparse(F, ident_m, eps, 1, (), cols), ident_m)
+    parity, back, coassoc = _coaction_defects(M.space, M.psi, C.space, C.delta, C.counit)
+    problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in parity]
     problems += [f"counit: (id(x)eps)psi({labels[i]}) != {labels[i]}"
                  for i in dict.fromkeys(i for i, _ in back)]
-    lhs = _tensor_apply_sparse(F, cols, ident_c, nc, (), cols)
-    rhs = _tensor_apply_sparse(F, ident_m, C.delta, nc * nc, (), cols)
-    for i, jab in _defects(lhs, rhs):
+    for i, jab in coassoc:
         j, ab = divmod(jab, nc * nc)
         problems.append(
             f"coassociativity fails on {labels[i]} at ({labels[j]},{ab // nc},{ab % nc})")
@@ -122,13 +113,13 @@ def preimage(M, W):
     and psi the coaction of A pushed along f: A -> B, this is the image of
     the cotensor A box_B K in A under id (x) eps (Takeuchi, Formal schemes
     over fields, Comm. Algebra 5, 1977).  psi and pi are even, so the
-    kernel is graded: each echelon row has the parity of its pivot.
+    kernel is graded.
     """
     _, pi, _ = quotient_data(M.coalgebra.space, W)
     cols = tensor_apply(GradedMap.identity(M.space), pi, M.psi)
     P = Subspace(M.space, Matrix(M.field, _transpose(cols, M.dim * pi.codomain.dim),
                                  M.dim).null_space())
-    o = sum(M.space.parities[c] for c in P.matrix.rref()[1])
+    o = sum(P.parities)
     return P, (P.dim - o, o)
 
 

@@ -347,6 +347,10 @@ class Record:
 
 
 class SuperVectorSpace(Record):
+    """A parity and a label per basis vector.  Labels are names for files
+    and reports, checked for uniqueness where a file reads or writes them
+    (objfile): a tensor of labels that hold ⊗ may repeat one."""
+
     field: object
     labels: tuple
     parities: tuple
@@ -354,8 +358,6 @@ class SuperVectorSpace(Record):
     def __init__(self, field, labels, parities):
         if len(labels) != len(parities):
             raise DimensionMismatch("labels/parities length mismatch")
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be unique")
         if any(p not in (0, 1) for p in parities):
             raise ValueError("parities must be 0 or 1")
         super().__init__(field, labels, parities)
@@ -486,19 +488,6 @@ class Subspace:
         coeffs = [tuple(t for t in s if t[0] < na) for s in combined.null_space().rows]
         return Subspace.from_vectors(self.space, Matrix(F, coeffs, na).mul(a).rows)
 
-    def parity_component(self, parity):
-        """Intersection with the even or odd coordinate subspace."""
-        axis = Subspace.from_vectors(
-            self.space, [unit_vec(self.space.field, i)
-                         for i, p in enumerate(self.space.parities) if p == parity])
-        return self.intersect(axis)
-
-    def even_part(self):
-        return self.parity_component(0)
-
-    def odd_part(self):
-        return self.parity_component(1)
-
     def is_graded(self):
         """W = W_even + W_odd iff the even part of each basis vector of W lies in W."""
         parities = self.space.parities
@@ -506,8 +495,19 @@ class Subspace:
                                   for v in self.basis()]) is not None
 
     @property
+    def parities(self):
+        """The parity of each echelon row's pivot.  In a graded subspace W
+        it is the row's parity: the row's component of that parity lies in
+        W and has the row's entries on the pivots, so it is the row."""
+        par = self.space.parities
+        return tuple(par[c] for c in self.matrix.rref()[1])
+
+    @property
     def sdim(self):
-        return (self.even_part().dim, self.odd_part().dim)
+        if not self.is_graded():
+            raise ValueError("a subspace that is not graded has no sdim")
+        odd = sum(self.parities)
+        return (self.dim - odd, odd)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +617,6 @@ class GradedMap:
 
     def is_surjective(self):
         return self.rank() == self.codomain.dim
-
-    def tensor(self, other):
-        """f (x) g: (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w).
-
-        A factor g of parity None contributes no sign; the product has a
-        declared parity only when both factors do.
-        """
-        return tensor_after(self, other,
-                            GradedMap.identity(self.domain.tensor(other.domain)))
 
 
 def _parity_sum(p, q):
@@ -757,16 +748,6 @@ def _lower_field(is_zero, items, D):
     return tuple(out)
 
 
-def tensor_after(f, g, h):
-    """(f (x) g) o h, built column by column without the Kronecker matrix."""
-    if h.codomain.dim != f.domain.dim * g.domain.dim:
-        raise DimensionMismatch(
-            f"{h.codomain.dim}-dimensional codomain vs tensor of "
-            f"{f.domain.dim} and {g.domain.dim}")
-    return GradedMap(h.domain, f.codomain.tensor(g.codomain), tensor_apply(f, g, h.columns),
-                     _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
-
-
 def _transpose(vecs, n):
     """Sparse vectors read the other way, for indices below n: entry i of
     the result lists (k, a) for each pair (i, a) of vecs[k].  Sorted pairs
@@ -820,39 +801,67 @@ def _parity_defects(cols, domain_parities, codomain_parities):
             for r, _ in col if codomain_parities[r] != p)
 
 
+def _coaction_defects(space, cols, cspace, delta, counit):
+    """The (column, row) positions where cols, the columns of a map
+    M -> M (x) C on M = space, breaks the axioms of a right coaction over
+    the coalgebra (delta, counit) on C = cspace: three lists, for parity,
+    (id (x) eps) cols = id and (cols (x) id) cols = (id (x) delta) cols.
+    A row's parity is read off its two factors: no tensor space is built.
+    """
+    F, par, cpar, nc = space.field, space.parities, cspace.parities, cspace.dim
+    eps = linear_form(cspace, counit, None).columns
+    ident = _identity_columns(F, space.dim)
+    rows = {r: par[r // nc] ^ cpar[r % nc] for col in cols for r, _ in col}
+    return (list(_parity_defects(cols, par, rows)),
+            list(_defects(_tensor_apply_sparse(F, ident, eps, 1, (), cols), ident)),
+            list(_defects(_tensor_apply_sparse(F, cols, _identity_columns(F, nc), nc, (), cols),
+                          _tensor_apply_sparse(F, ident, delta, nc * nc, (), cols))))
+
+
 def _axiom_defects(space, cols, counit):
     """The (column, row) positions where cols, the columns of a map
     V -> V (x) V on V = space, and the form counit break the axioms of a
     super-cocommutative super-coalgebra (a coalgebra's delta, or an
     algebra's cop with its unit): five lists, for parity (counit on row
     n * n), the two counit laws, coassociativity and twist o cols = cols.
-    A row's parity is read off its two factors: no tensor space is built.
+    The right counit law and coassociativity are those of the regular
+    coaction, cols over itself.
     """
     F, n, par = space.field, space.dim, space.parities
+    parity, right, coassoc = _coaction_defects(space, cols, space, cols, counit)
+    parity = sorted(parity + [(i, n * n) for i, _ in counit if par[i]])
     eps = linear_form(space, counit, None).columns
     ident = _identity_columns(F, n)
-    stacked = [v + tuple((n * n, e) for _, e in u) for v, u in zip(cols, eps)]
-    rows = {r: par[r // n] ^ par[r % n] if r < n * n else 0 for col in stacked for r, _ in col}
-    return (list(_parity_defects(stacked, par, rows)),
-            list(_defects(_tensor_apply_sparse(F, eps, ident, n, (), cols), ident)),
-            list(_defects(_tensor_apply_sparse(F, ident, eps, 1, (), cols), ident)),
-            list(_defects(_tensor_apply_sparse(F, cols, ident, n, (), cols),
-                          _tensor_apply_sparse(F, ident, cols, n * n, (), cols))),
-            list(_defects(cols, twist_apply(space, space, cols))))
+    return (parity, list(_defects(_tensor_apply_sparse(F, eps, ident, n, (), cols), ident)),
+            right, coassoc, list(_defects(cols, twist_apply(space, space, cols))))
 
 
-def tensor_structure(f, g):
-    """(id (x) twist(V, W) (x) id)(f (x) g) for f: V -> V (x) V and
-    g: W -> W (x) W: the structure map of a tensor (co)algebra."""
-    V, W = f.domain, g.domain
-    swap = twist(V, W).tensor(GradedMap.identity(W))
-    return tensor_after(GradedMap.identity(V), swap, f.tensor(g))
-
-
-def twist(V, W):
-    """Koszul twist c: V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v."""
-    dom = V.tensor(W)
-    return GradedMap(dom, W.tensor(V), twist_apply(V, W, _identity_columns(V.field, dom.dim)), 0)
+def tensor_structure(F, f, fpar, g, gpar):
+    """(id (x) twist(V, W) (x) id)(f (x) g) for the columns f of an even map
+    V -> V (x) V and g of an even map W -> W (x) W, fpar and gpar the
+    parities of V and W: the structure map of a tensor (co)algebra, in one
+    pass over the nonzero entries.  Entry (ab, x) of column i of f and
+    entry (cd, y) of column j of g give the entry xy of column i nW + j on
+    row (a nW + c) nV nW + b nW + d, negated when b and c are both odd."""
+    mul, neg = F.mul, F.neg
+    nv, nw = len(fpar), len(gpar)
+    # column i of f as (row offset of a (x) . (x) b (x) ., |b|, x), column j
+    # of g as (row offset of . (x) c (x) . (x) d, |c|, y)
+    fterms = [[(ab // nv * nw * nv * nw + ab % nv * nw, fpar[ab % nv], x) for ab, x in col]
+              for col in f]
+    gterms = [[(cd // nw * nv * nw + cd % nw, gpar[cd // nw], y) for cd, y in col]
+              for col in g]
+    out = []
+    for fcol in fterms:
+        for gcol in gterms:
+            col = []
+            for fr, odd_b, x in fcol:
+                for gr, odd_c, y in gcol:
+                    t = mul(x, y)
+                    col.append((fr + gr, neg(t) if odd_b and odd_c else t))
+            col.sort()
+            out.append(tuple(col))
+    return tuple(out)
 
 
 def twist_apply(V, W, vecs):

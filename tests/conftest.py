@@ -31,9 +31,9 @@ from superscheme.supercomodule import (  # noqa: E402
     regular_comodule, subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns, _transpose,
-    coordinates, linear_form, perp, quotient_data, standard_space, tensor_after,
-    tensor_apply, twist, unit_vec, vec_add, vec_scale, vec_sub, vector,
+    DimensionMismatch, GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns,
+    _parity_sum, _transpose, coordinates, linear_form, perp, quotient_data, standard_space,
+    tensor_apply, twist_apply, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 
 
@@ -134,6 +134,62 @@ class DenseView:
 @pytest.fixture(scope="session")
 def dense_view():
     return DenseView
+
+
+# ---------------------------------------------------------------------------
+# tensor products of maps and graded parts of subspaces: the package builds
+# tensor structure maps by index arithmetic (superlinear.tensor_structure)
+# and reads the parities of a graded subspace off its pivots
+
+
+def tensor_map(f, g):
+    """f (x) g: (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w).
+
+    A factor g of parity None contributes no sign; the product has a
+    declared parity only when both factors do.
+    """
+    return tensor_after(f, g, GradedMap.identity(f.domain.tensor(g.domain)))
+
+
+def tensor_after(f, g, h):
+    """(f (x) g) o h, built column by column without the Kronecker matrix."""
+    if h.codomain.dim != f.domain.dim * g.domain.dim:
+        raise DimensionMismatch(
+            f"{h.codomain.dim}-dimensional codomain vs tensor of "
+            f"{f.domain.dim} and {g.domain.dim}")
+    return GradedMap(h.domain, f.codomain.tensor(g.codomain), tensor_apply(f, g, h.columns),
+                     _parity_sum(_parity_sum(f.parity, g.parity), h.parity))
+
+
+def twist(V, W):
+    """Koszul twist c: V (x) W -> W (x) V, v (x) w -> (-1)^{|v||w|} w (x) v."""
+    dom = V.tensor(W)
+    return GradedMap(dom, W.tensor(V), twist_apply(V, W, _identity_columns(V.field, dom.dim)), 0)
+
+
+def tensor_structure_by_maps(f, g):
+    """Reference for superlinear.tensor_structure:
+    (id (x) twist(V, W) (x) id)(f (x) g) for f: V -> V (x) V and
+    g: W -> W (x) W, built as a tensor of labelled maps."""
+    V, W = f.domain, g.domain
+    swap = tensor_map(twist(V, W), GradedMap.identity(W))
+    return tensor_after(GradedMap.identity(V), swap, tensor_map(f, g))
+
+
+def parity_component(sub, parity):
+    """Intersection with the even or odd coordinate subspace."""
+    axis = Subspace.from_vectors(
+        sub.space, [unit_vec(sub.space.field, i)
+                    for i, p in enumerate(sub.space.parities) if p == parity])
+    return sub.intersect(axis)
+
+
+def even_part(sub):
+    return parity_component(sub, 0)
+
+
+def odd_part(sub):
+    return parity_component(sub, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +540,8 @@ def bounded_degree_by_dual_action(f):
     degree = 0
     for fac in factors:
         comp = Subspace.from_vectors(qspace, proj.images(acting(fac.idempotent)))
-        even = comp.even_part().dim
-        odd = comp.odd_part().dim
+        even = even_part(comp).dim
+        odd = odd_part(comp).dim
         d = fac.residue.degree
         if even % d or odd % d:
             raise AssertionError("residue field does not divide the cogenerator count")

@@ -38,7 +38,8 @@ from superscheme.cli import run as cli_run
 from superscheme.objfile import serialize_document
 from conftest import (
     base_change_comodule, bosonic_reduction_morphism, cosocle_epi, dense_columns,
-    dual_action, dual_action_of, exactness_probe, graded_map, is_subcoalgebra, point_map,
+    dual_action, dual_action_of, even_part, exactness_probe, graded_map, is_subcoalgebra,
+    odd_part, point_map,
     presentation_truncation, quotient_comodule, sparse, transport_point,
     transport_point_inverse,
 )
@@ -258,8 +259,8 @@ def _seeded_epis(C, count=10):
                     vecs.append(graded_map(dual_action_of(P, mats, [(t, F.one)])).apply(v))
             sub = Subspace.from_vectors(P.space, vecs)
         if not sub.is_graded():
-            even = sub.even_part()
-            odd = sub.odd_part()
+            even = even_part(sub)
+            odd = odd_part(sub)
             sub = even.sum(odd)  # graded subcomodule generated inside
             vecs = list(sub.basis())
             for v in sub.basis():

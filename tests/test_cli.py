@@ -289,6 +289,67 @@ def test_fiber_commands(files):
     assert "carrier-dim 4" in text2
 
 
+def _tensor_label_files(tmp_path):
+    """Two files that differ only in basis labels: the morphism file of the
+    counit collapse and a file of two regular comodules, with the labels of
+    the source (or of both comodules) renamed to p and p⊗p.  A tensor of
+    those labels repeats one: p⊗p⊗p is both p ⊗ (p⊗p) and (p⊗p) ⊗ p."""
+    from superscheme.supercomodule import regular_comodule
+    GK, K, D1 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1)
+    f = SchemeMorphism.finite(
+        GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0), GK, K)
+    mor = serialize_document(QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))])
+    mods = serialize_document(QQ, [("C", D1), ("M", regular_comodule(D1), "C"),
+                                   ("N", regular_comodule(D1), "C")])
+    head, tail = mods.split("object comodule M", 1)
+    renamed = {
+        "mor": mor.replace("basis g1 ", "basis p ").replace("basis g2 ", "basis p⊗p "),
+        "mods": head + "object comodule M" + tail.replace("basis g ", "basis p ").replace(
+            "basis x1 ", "basis p⊗p "),
+    }
+    paths = {}
+    for name, plain in (("mor", mor), ("mods", mods)):
+        for kind, text in (("plain", plain), ("tensor", renamed[name])):
+            assert kind == "plain" or text != plain
+            paths[name, kind] = tmp_path / f"{name}-{kind}.ss"
+            paths[name, kind].write_text(text, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("mor", ["descent-check", "--depth", "2"]),
+    ("mor", ["fiber-product", "--f", "f", "--g", "f"]),
+    ("mods", ["cotensor"]),
+])
+def test_tensor_labels_are_checked_only_where_written(tmp_path, name, argv):
+    """A command that prints no tensor label answers on basis labels whose
+    tensor repeats one, with the report of the same file relabelled; only
+    the input line differs."""
+    paths = _tensor_label_files(tmp_path)
+    reports = []
+    for kind in ("plain", "tensor"):
+        text, code = run([argv[0], str(paths[name, kind])] + argv[1:])
+        assert code == EXIT_OK, text
+        reports.append([line for line in text.splitlines() if not line.startswith("input ")])
+    assert reports[0] == reports[1]
+
+
+def test_product_refuses_to_write_a_repeated_label(tmp_path):
+    """The tensor of the labels a⊗b, a and c, b⊗c names two basis vectors
+    a⊗b⊗c; the product's file would name them once, so it is refused with
+    exit 3, naming the label."""
+    path = tmp_path / "pair.ss"
+    path.write_text(
+        "superscheme 1\nfield Q\n"
+        "object coalgebra A\n  basis a⊗b even\n  basis a even\n  counit 0 1\n  counit 1 1\n"
+        "  delta 0 0 0 1\n  delta 1 1 1 1\nend\n"
+        "object coalgebra B\n  basis c even\n  basis b⊗c even\n  counit 0 1\n  counit 1 1\n"
+        "  delta 0 0 0 1\n  delta 1 1 1 1\nend\n", encoding="utf-8")
+    assert run(["product", str(path)]) == (
+        "superscheme-report error\nparse-error object A_x_B: repeated basis label 'a⊗b⊗c'\n"
+        "status error\n", EXIT_IO)
+
+
 @pytest.mark.parametrize("depth, code, line", [
     ("-1", EXIT_IO, "argument-error"),
     ("0", EXIT_OK, "exact O(Y) degree 0 yes"),
@@ -813,6 +874,7 @@ def test_commands_make_no_reference_cycles(files):
         ["radical", files["bad.alg"]], ["report-all", files["bad.alg"]],
         ["validate", "missing.ss"], ["dual", files["g2.alg"], "--bogus"],
         ["descent-check", files["collapse.mor"], "--depth", str(10 ** 6)],
+        ["ksdim", files["pres.pres"], "--oracle"],
         ["grouplikes", files["gdual3.coalg"], "--over", files["r3.alg"]],
         ["report-all", files["g2.alg"]], ["report-all", files["f9split.coalg"]],
     ]

@@ -7,8 +7,7 @@ import pytest
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superalgebra import make_superalgebra, monomial_superalgebra
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _transpose, quotient_data, tensor_after,
-    unit_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, _transpose, quotient_data, unit_vec,
 )
 from superscheme.supercoalgebra import (
     SearchBoundExceeded, SuperCoalgebra, coradical,
@@ -19,7 +18,10 @@ from superscheme.supercoalgebra import (
     validate_supercoalgebra,
     wedge,
 )
-from conftest import _count_calls, dense, dense_matrix, dense_rows, is_subcoalgebra, sparse
+from conftest import (
+    _count_calls, dense, dense_matrix, dense_rows, is_subcoalgebra, sparse, tensor_after,
+    tensor_structure_by_maps,
+)
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     grouplike_coalgebra, quotient_ring_algebra, split_pair,
@@ -474,6 +476,53 @@ def test_tensor_coalgebra_is_transpose_of_dual_tensor_algebra(F, dense_view):
                 if C.parity(m) and D.parity(l):
                     expected = F.neg(expected)
                 assert T_delta[s][a][b] == expected
+
+
+@pytest.mark.parametrize("F", [QQ, F3, _F9], ids=["Q", "F3", "F9"])
+def test_tensor_structure_matches_the_tensor_of_maps(F):
+    """tensor_structure, one pass over the nonzero entries, equals
+    (id (x) twist (x) id)(f (x) g) built from labelled maps, on every pair
+    of canonical coalgebras and algebras, with Grassmann(3) and its dual:
+    products of dimension at most 64."""
+    from superscheme.superlinear import tensor_structure
+    structures = [(X.space, X.delta) for _, X in canonical_coalgebras(F)]
+    structures += [(X.space, X.cop) for _, X in canonical_algebras(F)]
+    G3 = grassmann(3, F)
+    structures += [(G3.space, G3.cop), (dualize_algebra(G3).space, G3.cop)]
+    for V, f in structures:
+        for W, g in structures:
+            expected = tensor_structure_by_maps(GradedMap(V, V.tensor(V), f),
+                                                GradedMap(W, W.tensor(W), g))
+            assert tensor_structure(F, f, V.parities, g, W.parities) == expected.columns
+
+
+def _sizes_of_built_spaces(monkeypatch):
+    """The dimension of every SuperVectorSpace built from here on."""
+    sizes = []
+    init = SuperVectorSpace.__init__
+
+    def counting(self, field, labels, parities):
+        sizes.append(len(labels))
+        init(self, field, labels, parities)
+
+    monkeypatch.setattr(SuperVectorSpace, "__init__", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_tensor_products_build_no_space_beyond_their_output(monkeypatch, q):
+    """The tensor structure is index arithmetic: tensor_superalgebra builds
+    only its output space, and tensor_coalgebra also the cached C (x) C and
+    D (x) D of its factors' coproduct maps, here as large as its output."""
+    from superscheme.superalgebra import tensor_superalgebra
+    G, G2 = grassmann(q, F3), grassmann(2, F3)
+    C = dualize_algebra(G)
+    sizes = _sizes_of_built_spaces(monkeypatch)
+    P = tensor_coalgebra(C, C)
+    assert P.dim == 4 ** q and max(sizes) <= P.dim
+    sizes.clear()
+    A = tensor_superalgebra(G, G2)
+    assert sizes == [A.dim]
 
 
 def test_truncated_cofree_shapes():

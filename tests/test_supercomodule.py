@@ -4,7 +4,7 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, standard_space, unit_vec,
+    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.supercoalgebra import (
     base_change_coalgebra, coradical_filtration, dual_radical, dualize_algebra,
@@ -18,7 +18,7 @@ from conftest import (
     _count_calls, base_change_comodule, check_dual_action_axioms, cosocle_epi, dense,
     dense_columns, dense_matrix, dual_action, dual_action_of, exactness_probe,
     faithfulness_probe, flat_by_lifting, flatness_of, graded_map, is_comodule_morphism,
-    matrix_of, sparse,
+    matrix_of, sparse, tensor_map,
 )
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
@@ -368,6 +368,20 @@ def test_validate_comodule_full_problem_list(case, dense_view):
     assert validate_comodule(M) == expected
 
 
+def test_validate_comodule_builds_no_tensor_space(monkeypatch):
+    """The parity of a row of M (x) C is read off the two factors: checking
+    a valid and a broken comodule builds no labelled tensor space."""
+    C = dualize_algebra(grassmann(4, F3))
+    broken = make_supercomodule(C.space, C, C.delta[1:] + ((),))
+    calls = []
+    tensor = SuperVectorSpace.tensor
+    monkeypatch.setattr(SuperVectorSpace, "tensor",
+                        lambda V, W: calls.append((V.dim, W.dim)) or tensor(V, W))
+    assert validate_comodule(regular_comodule(C)) == []
+    assert validate_comodule(broken) != []
+    assert calls == []
+
+
 @pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
 def test_subcoalgebra_coordinates_match_solve(F, dense_view):
     """Structure constants of a subcoalgebra and of its comodule agree with
@@ -385,7 +399,7 @@ def test_subcoalgebra_coordinates_match_solve(F, dense_view):
         for w in comp.subspace.basis() for k in range(G.dim)])
     assert any(len(row) > 1 for row in W.basis())
     M, sub, incl = subcoalgebra_comodule(C, W)
-    pair = matrix_of(incl.tensor(incl))
+    pair = matrix_of(tensor_map(incl, incl))
     delta = C.coproduct_map()
     bigs = [delta.apply(v) for v in W.basis()]
     flat = [dense(F, W.dim * W.dim, x) for x in pair.solve(bigs)]

@@ -7,13 +7,14 @@ from hypothesis import given, seed, settings, strategies as st
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
     DimensionMismatch, GradedMap, Matrix, Record, Subspace, _null_space_sparse,
-    _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_after,
-    tensor_apply, twist, unit_vec, vec_add, vec_scale,
+    _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_apply, unit_vec,
+    vec_add, vec_scale,
 )
 from superscheme.corpus import Rng
 
 from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, graded_map, matrix_of, rational, sparse,
+    dense, dense_columns, dense_matrix, dense_rows, even_part, graded_map, matrix_of, odd_part,
+    rational, sparse, tensor_after, tensor_map, twist,
 )
 
 F3 = PrimeField(3)
@@ -114,7 +115,7 @@ def _random_homogeneous_map(rng, dom, cod, parity, scalar=_small_int):
 def test_tensor_map_identity_and_even_kronecker():
     V = standard_space(QQ, 1, 1)
     i = GradedMap.identity(V)
-    assert i.tensor(i).columns == Matrix.identity(QQ, 4).rows
+    assert tensor_map(i, i).columns == Matrix.identity(QQ, 4).rows
 
 
 def test_tensor_map_odd_sign_block():
@@ -123,7 +124,7 @@ def test_tensor_map_odd_sign_block():
     rng = Rng(11)
     f = GradedMap.identity(V)
     g = _random_homogeneous_map(rng, V, V, 1)
-    fg = f.tensor(g)
+    fg = tensor_map(f, g)
     f_rows, g_rows, fg_rows = (dense_rows(matrix_of(h)) for h in (f, g, fg))
     # column (v_odd (x) w): entries use -g
     for i in range(V.dim):
@@ -145,8 +146,8 @@ def test_tensor_compose_sign_rule():
         g = _random_homogeneous_map(rng, V, V, pg)
         f2 = _random_homogeneous_map(rng, V, V, pf2)
         g2 = _random_homogeneous_map(rng, V, V, pg2)
-        lhs = f.tensor(g).compose(f2.tensor(g2))
-        rhs = f.compose(f2).tensor(g.compose(g2))
+        lhs = tensor_map(f, g).compose(tensor_map(f2, g2))
+        rhs = tensor_map(f.compose(f2), g.compose(g2))
         sign = (-1) ** (pg * pf2)
         assert lhs.columns == tuple(vec_scale(QQ, Fraction(sign), col) for col in rhs.columns)
 
@@ -179,11 +180,11 @@ def test_tensor_apply_matches_entry_formula(F):
             dom = V.tensor(W)
             cols = tensor_apply(f, g, [unit_vec(F, c) for c in range(dom.dim)])
             assert Matrix(F, cols, expected.nrows)._transpose() == expected
-            assert matrix_of(f.tensor(g)) == expected
+            assert matrix_of(tensor_map(f, g)) == expected
             h = _random_homogeneous_map(rng, U, dom, None)
             fgh = tensor_after(f, g, h)
             assert matrix_of(fgh) == expected.mul(matrix_of(h))
-            assert fgh.columns == f.tensor(g).compose(h).columns
+            assert fgh.columns == tensor_map(f, g).compose(h).columns
             assert fgh.domain == U and fgh.codomain == W.tensor(V)
 
 
@@ -234,6 +235,8 @@ def test_subspace_graded_parts():
                                        sparse(QQ, (Fraction(0), Fraction(1)))])
     assert graded.is_graded()
     assert graded.sdim == (1, 1)
+    with pytest.raises(ValueError):
+        mixed.sdim
 
 
 def test_subspace_membership_matches_rank_and_intersection():
@@ -250,7 +253,12 @@ def test_subspace_membership_matches_rank_and_intersection():
                     vecs.append(sparse(F, [rng.scalar(F) if keep in (2, p) else F.zero
                                            for p in V.parities]))
                 W = Subspace.from_vectors(V, vecs)
-                assert W.is_graded() == (W.even_part().sum(W.odd_part()) == W)
+                assert W.is_graded() == (even_part(W).sum(odd_part(W)) == W)
+                if W.is_graded():
+                    # each echelon row has its pivot's parity
+                    assert W.sdim == (even_part(W).dim, odd_part(W).dim)
+                    assert all(V.parities[i] == p for row, p in zip(W.basis(), W.parities)
+                               for i, _ in row)
                 probe = sparse(F, [rng.scalar(F) for _ in range(V.dim)])
                 for v in vecs + [probe]:
                     stacked = W.matrix.stack(Matrix(F, [v], V.dim))
