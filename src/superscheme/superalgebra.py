@@ -49,6 +49,22 @@ class SuperAlgebra(StructureRecord):
                 cells[ij // n][ij % n] += ((k, c),)
         return cells, D, rule
 
+    @functools.cached_property
+    def _odd_generators(self):
+        """(V, A * V): V the odd basis vectors b_i, in order, outside the
+        ideal of those kept before them; b_i lies in an echelon ideal exactly
+        when the row at pivot i is b_i.  So A * V = A * A_odd, and A_even * V
+        spans A_odd.  Finding V takes |V| * dim A <= |A_odd| * dim A
+        products, and |V| <= dim A * V."""
+        basis = _identity_columns(self.field, self.dim)
+        gens, ideal, row_at = [], Subspace.zero(self.space), {}
+        for i, b in enumerate(basis):
+            if self.parity(i) and row_at.get(i) != b:
+                gens.append(b)
+                ideal = Subspace.from_vectors(self.space, ideal.basis() + self.products([b], basis))
+                row_at = dict(zip(ideal.matrix.rref()[1], ideal.matrix.rows))
+        return gens, ideal
+
     def products(self, xs, ys):
         """x * y for every x of xs and every y of ys, x major: the one sum of
         products over cop.  The operands are lifted together, once."""
@@ -86,11 +102,6 @@ class SuperAlgebra(StructureRecord):
             if bit == "1":
                 out = self.multiply(out, x)
         return out
-
-    def odd_subspace(self):
-        return Subspace.from_vectors(
-            self.space,
-            [unit_vec(self.field, i) for i in range(self.dim) if self.parity(i) == 1])
 
 
 def make_superalgebra(space, cop, unit):
@@ -162,11 +173,35 @@ def ideal_generated_by(A, elements):
 
 
 def canonical_ideal(A):
-    """The smallest superideal containing the odd part: A * A_odd."""
-    odd = [unit_vec(A.field, i) for i in range(A.dim) if A.parity(i) == 1]
-    if not odd:
-        return Superideal(A, Subspace.zero(A.space))
-    return ideal_generated_by(A, odd)
+    """The smallest superideal containing the odd part: A * A_odd = A * V,
+    for V the odd generators of SuperAlgebra._odd_generators."""
+    return Superideal(A, A._odd_generators[1])
+
+
+def ideal_powers(ideal):
+    """J, J^2, ..., J^m, the nonzero powers of a nilpotent superideal J >= A_odd:
+    J = A * W for W the odd generators V of A * A_odd and the echelon rows of
+    J off the pivots of A * V, which lift a basis of J / A * V.  J^k is an
+    ideal, so J^(k+1) = J^k * A * W = J^k * W: power k takes |W| * dim J^k
+    products, and |W| <= dim J."""
+    A, power = ideal.algebra, ideal.subspace
+    gens, jc = A._odd_generators
+    known = set(jc.matrix.rref()[1])
+    gens = gens + [x for x, c in zip(power.basis(), power.matrix.rref()[1]) if c not in known]
+    powers = []
+    while power.dim:
+        if powers and power.dim >= powers[-1].dim:
+            raise AssertionError("ideal powers stalled: the ideal is not nilpotent")
+        powers.append(power)
+        power = Subspace.from_vectors(A.space, A.products(power.basis(), gens))
+    return powers
+
+
+def ksdim_finite(A):
+    """(0 | largest n with a nonzero n-fold product of odd elements): the
+    number of nonzero powers of J = A * A_odd (ideal_powers), since
+    J^n = A * A_odd^n is nonzero exactly when A_odd^n is."""
+    return (0, len(ideal_powers(canonical_ideal(A))))
 
 
 def quotient_by_superideal(A, ideal):
@@ -232,9 +267,9 @@ def _trace_form_kernel(A):
 def radical(A):
     """Jacobson radical (= nilradical here); always contains the odd part.
 
-    rad A is the preimage of the radical of A/J, J the canonical ideal.  A
-    quotient of dimension 1 is the base field, whose radical is 0: when
-    dim A - dim J <= 1, rad A = J and no quotient algebra is built.
+    rad A is the preimage of rad(A/J) in A, J the canonical ideal, and so
+    contains J.  A quotient of dimension 1 is the base field, whose radical
+    is 0: when dim A - dim J <= 1, rad A = J and no quotient is built.
     """
     jc = canonical_ideal(A)
     if A.dim - jc.subspace.dim <= 1:
@@ -245,12 +280,9 @@ def radical(A):
     else:
         radbar = _frobenius_kernel(abar)
     if radbar.dim == 0:
-        pre = jc.subspace
-    else:
-        qspace, qproj, _ = quotient_data(abar.space, radbar)
-        pre = qproj.compose(proj).kernel()
-    sub = pre.sum(jc.subspace)
-    return Superideal(A, sub)
+        return jc
+    _, qproj, _ = quotient_data(abar.space, radbar)
+    return Superideal(A, qproj.compose(proj).kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +497,6 @@ def local_decomposition(A, rad):
     if total != A.unit:
         raise AssertionError("idempotents do not sum to 1")
     return factors
-
-
-# ---------------------------------------------------------------------------
-# finite Krull superdimension
-
-def ksdim_finite(A):
-    """(0 | largest n with a nonzero n-fold product of odd elements)."""
-    odd = A.odd_subspace()
-    if odd.dim == 0:
-        return (0, 0)
-    current = odd
-    n = 1
-    while True:
-        nxt = Subspace.from_vectors(A.space, A.products(current.basis(), odd.basis()))
-        if nxt.dim == 0:
-            return (0, n)
-        current = nxt
-        n += 1
 
 
 # ---------------------------------------------------------------------------

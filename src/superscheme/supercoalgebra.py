@@ -15,7 +15,7 @@ import functools
 
 from .fields import FieldError
 from .superalgebra import (
-    _word_basis, enumerate_homs, ideal_generated_by, make_superalgebra,
+    _word_basis, enumerate_homs, ideal_generated_by, ideal_powers, make_superalgebra,
     local_decomposition, radical,
 )
 from .superlinear import (
@@ -201,23 +201,9 @@ def coradical(C, rad):
 def coradical_filtration(C, rad):
     """C_0 <= C_1 <= ... <= C with C_k = (J^(k+1)) perp, for J = rad C*
     given as rad = dual_radical(C) (Montgomery, Hopf Algebras and Their
-    Actions on Rings, 1993, 5.2).  J^2 is spanned by the products of the
-    echelon rows of J.  Then J^(k+1) = J^k . S for S the rows of J off the
-    pivots of J^2, which lift a basis of J/J^2.
-    """
-    dual, J = rad.algebra, rad.subspace
-    if J.dim == 0:
-        return [Subspace.full(C.space)]
-    basis = J.basis()
-    powers = [J, Subspace.from_vectors(dual.space, dual.products(basis, basis))]
-    square = set(powers[1].matrix.rref()[1])
-    gens = [x for x, c in zip(basis, J.matrix.rref()[1]) if c not in square]
-    while True:
-        if powers[-1].dim >= powers[-2].dim:
-            raise AssertionError("coradical filtration stalled below the whole space")
-        if powers[-1].dim == 0:
-            return [perp(power, C.space) for power in powers]
-        powers.append(Subspace.from_vectors(dual.space, dual.products(powers[-1].basis(), gens)))
+    Actions on Rings, 1993, 5.2): the perps of the powers J^k * W of
+    ideal_powers, W a generator set of J with |W| <= dim J, then C."""
+    return [perp(P, C.space) for P in ideal_powers(rad)] + [Subspace.full(C.space)]
 
 
 class Component(Record):

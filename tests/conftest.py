@@ -11,6 +11,7 @@ _src = os.path.join(os.path.dirname(__file__), "..", "src")
 if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sys.path):
     sys.path.insert(0, os.path.abspath(_src))
 
+from superscheme.corpus import Rng, canonical_algebras, canonical_coalgebras  # noqa: E402
 from superscheme.fields import Field  # noqa: E402
 from superscheme.formal_scheme import (  # noqa: E402
     FormalSuperscheme, SchemeMorphism, _point_fibers, fiber_product, flatness,
@@ -20,7 +21,7 @@ from superscheme.superalgebra import (  # noqa: E402
     LocalFactor, ResidueField, Superideal, _frobenius_kernel, _lift_idempotent,
     _residue_descriptor, _semisimple_idempotent, _subalgebra_on, _trace_form_kernel,
     canonical_ideal, ideal_generated_by, local_decomposition, monomial_superalgebra,
-    quotient_by_superideal, radical,
+    quotient_by_superideal, radical, tensor_superalgebra,
 )
 from superscheme.supercoalgebra import (  # noqa: E402
     Component, _koszul_signed, base_change_coalgebra, coradical, coradical_filtration,
@@ -970,6 +971,93 @@ def flat_check_by_residue(M):
     if (e + o) // d * C.dim != M.dim:
         return FlatVerdict(False)
     return FlatVerdict(True, (e // d, o // d))
+
+
+# ---------------------------------------------------------------------------
+# the power chain: references for canonical_ideal, ksdim_finite and
+# coradical_filtration, which multiply by a generator set, not by a basis
+
+def odd_subspace(A):
+    """The odd part A_odd, spanned by the odd basis vectors."""
+    return Subspace.from_vectors(
+        A.space, [unit_vec(A.field, i) for i in range(A.dim) if A.parity(i) == 1])
+
+
+def canonical_ideal_by_odd_basis(A):
+    """Reference for superalgebra.canonical_ideal: the products of every odd
+    basis vector with every basis vector."""
+    odd = [unit_vec(A.field, i) for i in range(A.dim) if A.parity(i) == 1]
+    if not odd:
+        return Superideal(A, Subspace.zero(A.space))
+    return ideal_generated_by(A, odd)
+
+
+def ksdim_by_odd_chain(A):
+    """Reference for superalgebra.ksdim_finite: the chain O, O^2, ... of
+    A_odd = O, each power a basis of O^n times the odd basis."""
+    odd = odd_subspace(A)
+    if odd.dim == 0:
+        return (0, 0)
+    current = odd
+    n = 1
+    while True:
+        nxt = Subspace.from_vectors(A.space, A.products(current.basis(), odd.basis()))
+        if nxt.dim == 0:
+            return (0, n)
+        current = nxt
+        n += 1
+
+
+def filtration_by_square(C, rad):
+    """Reference for supercoalgebra.coradical_filtration: J^2 from the
+    products of the echelon rows of J = rad C*, then J^(k+1) = J^k . S for
+    S the rows of J off the pivots of J^2, which lift a basis of J/J^2."""
+    dual, J = rad.algebra, rad.subspace
+    if J.dim == 0:
+        return [Subspace.full(C.space)]
+    basis = J.basis()
+    powers = [J, Subspace.from_vectors(dual.space, dual.products(basis, basis))]
+    square = set(powers[1].matrix.rref()[1])
+    gens = [x for x, c in zip(basis, J.matrix.rref()[1]) if c not in square]
+    while True:
+        if powers[-1].dim >= powers[-2].dim:
+            raise AssertionError("coradical filtration stalled below the whole space")
+        if powers[-1].dim == 0:
+            return [perp(power, C.space) for power in powers]
+        powers.append(Subspace.from_vectors(dual.space, dual.products(powers[-1].basis(), gens)))
+
+
+def algebras_canonical(F):
+    """The canonical algebras and the duals of the canonical coalgebras."""
+    return ([(name, A) for name, A in canonical_algebras(F)]
+            + [(f"({name})*", dualize_coalgebra(C)) for name, C in canonical_coalgebras(F)])
+
+
+def algebras_tensor(F):
+    """The tensor products of the canonical algebras of dimension 2 to 16."""
+    return [(f"{a} (x) {b}", tensor_superalgebra(A, B))
+            for (a, A), (b, B) in itertools.combinations_with_replacement(algebras_canonical(F), 2)
+            if 1 < A.dim * B.dim <= 16]
+
+
+def algebras_monomial(F, count=12):
+    """Seeded truncated monomial algebras: up to 2 even and 3 odd variables,
+    degree 1 to 3, up to two monomial generators."""
+    rng = Rng(37)
+    out = []
+    for _ in range(count):
+        p, q, d = rng.randint(3), rng.randint(4), 1 + rng.randint(3)
+        gens = [(tuple(rng.randint(3) for _ in range(p)),
+                 frozenset(j for j in range(q) if rng.randint(2)))
+                for _ in range(rng.randint(3))]
+        gens = [(e, o) for e, o in gens if sum(e) + len(o) > 0]
+        A, _, _ = monomial_superalgebra(F, p, q, d, gens)
+        out.append((f"monomial({p}, {q}, {d}, {gens})", A))
+    return out
+
+
+ALGEBRA_KINDS = {"canonical": algebras_canonical, "tensor": algebras_tensor,
+                 "monomial": algebras_monomial}
 
 
 def cotensor_functor_image(phi, P, Q, M):

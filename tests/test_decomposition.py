@@ -9,58 +9,23 @@ canonical algebras and coalgebras over Q, F3 and F9, their duals, their
 tensor products of dimension at most 16, and seeded monomial algebras.
 """
 
-import itertools
-
 import pytest
 
-from superscheme.corpus import Rng, canonical_algebras, canonical_coalgebras
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superalgebra import (
-    local_decomposition, monomial_superalgebra, radical, tensor_superalgebra,
-)
+from superscheme.superalgebra import local_decomposition, radical
 from superscheme.supercoalgebra import (
     coradical, dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
 )
 from superscheme.supercomodule import flat_check, regular_comodule, trivial_comodule
 
 from conftest import (
-    components_by_subcoalgebras, flat_check_by_residue, local_decomposition_by_residues,
-    radical_by_quotient,
+    ALGEBRA_KINDS as KINDS, components_by_subcoalgebras, flat_check_by_residue,
+    local_decomposition_by_residues, radical_by_quotient,
 )
 
 F3 = PrimeField(3)
 F9 = ExtensionField(F3, (1, 0, 1), "j")
 FIELDS = {"Q": QQ, "F3": F3, "F9": F9}
-
-
-def _canonical(F):
-    return ([(name, A) for name, A in canonical_algebras(F)]
-            + [(f"({name})*", dualize_coalgebra(C)) for name, C in canonical_coalgebras(F)])
-
-
-def _tensors(F):
-    return [(f"{a} (x) {b}", tensor_superalgebra(A, B))
-            for (a, A), (b, B) in itertools.combinations_with_replacement(_canonical(F), 2)
-            if 1 < A.dim * B.dim <= 16]
-
-
-def _monomials(F, count=12):
-    """Seeded truncated monomial algebras: up to 2 even and 3 odd variables,
-    degree 1 to 3, up to two monomial generators."""
-    rng = Rng(37)
-    out = []
-    for _ in range(count):
-        p, q, d = rng.randint(3), rng.randint(4), 1 + rng.randint(3)
-        gens = [(tuple(rng.randint(3) for _ in range(p)),
-                 frozenset(j for j in range(q) if rng.randint(2)))
-                for _ in range(rng.randint(3))]
-        gens = [(e, o) for e, o in gens if sum(e) + len(o) > 0]
-        A, _, _ = monomial_superalgebra(F, p, q, d, gens)
-        out.append((f"monomial({p}, {q}, {d}, {gens})", A))
-    return out
-
-
-KINDS = {"canonical": _canonical, "tensor": _tensors, "monomial": _monomials}
 
 
 def _outcome(fn, *args):

@@ -19,7 +19,8 @@ from superscheme.corpus import (
 )
 
 from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism, rational, sparse,
+    dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism, odd_subspace,
+    rational, sparse,
 )
 
 F3 = PrimeField(3)
@@ -141,7 +142,7 @@ def test_radical_char_p_and_extension_field():
 def test_radical_invariants_on_corpus():
     for name, A in canonical_algebras(QQ) + canonical_algebras(F3):
         rad = radical(A)
-        assert rad.subspace.contains_subspace(A.odd_subspace()), name
+        assert rad.subspace.contains_subspace(odd_subspace(A)), name
         S, _ = quotient_by_superideal(A, rad)
         assert radical(S).subspace.dim == 0, name
 
