@@ -1,12 +1,14 @@
 """Line-oriented text format for exact algebra objects.
 
-A file declares one field, any number of named objects, and an optional
-expected block.  Scalars are exact strings: "a/b" or "a" over Q, integer
+A file declares one field, then any number of named objects, each built
+when its end line is read, and an optional expected block.  Scalars are exact strings: "a/b" or "a" over Q, integer
 residues over F_p, comma-separated coordinates over an extension field.
 Parsing then serializing is the identity on canonical files.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 try:                        # the interpreter's own sha256: hashlib loads OpenSSL
     from _sha2 import sha256            # CPython >= 3.12
@@ -35,22 +37,29 @@ class ParseError(ValueError):
 
 
 class ParsedObject:
+    """An object between its object and end lines: its lines are kept,
+    grouped by keyword, only until the end line, where it is built."""
+
     def __init__(self, kind, name):
         self.kind = kind
         self.name = name
         self.over = None        # set by the qualifiers of the object line
         self.source = None
         self.target = None
-        self.lines = []
+        self.lines = defaultdict(list)      # keyword -> [(lineno, tokens)], in file order
+
+    def take(self, keyword):
+        """The lines that start with keyword, dropped from the object."""
+        return self.lines.pop(keyword, ())
 
 
 class ObjectFile:
-    def __init__(self, field, objects, expected, digest):
-        self.field = field
-        self.objects = objects
-        self.expected = expected
+    def __init__(self, digest):
+        self.field = None
+        self.expected = {}
         self.digest = digest
         self.built = {}         # name -> (kind, value), filled in file order
+        self.variables = {}     # presentation name -> (even names, odd names)
 
     def first(self, *kinds):
         for name, (kind, value) in self.built.items():
@@ -110,16 +119,14 @@ def _field_tokens(F):
 
 
 def parse_text(text):
-    """Parse a document; objects are built and cross-checked on load."""
-    digest = sha256(text.encode()).hexdigest()
-    lines = text.splitlines()
-    field = None
-    objects = []
-    expected = {}
+    """Parse a document.  Each object is built and cross-checked when its
+    end line is read, so it may name only the objects before it, and its
+    lines are dropped then."""
+    doc = ObjectFile(sha256(text.encode()).hexdigest())
     current = None
     in_expected = False
     header_seen = False
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -136,15 +143,21 @@ def parse_text(text):
             header_seen = True
             continue
         if tokens[0] == "field":
-            if field is not None:
+            if doc.field is not None:
                 raise ParseError("duplicate field declaration", lineno)
-            field = _parse_field(tokens[1:], lineno)
+            doc.field = _parse_field(tokens[1:], lineno)
             continue
         if tokens[0] == "object":
             if current is not None or in_expected:
                 raise ParseError("nested object", lineno)
             if len(tokens) < 3:
                 raise ParseError("object needs a kind and a name", lineno)
+            if doc.field is None:
+                raise ParseError("the field line must precede the first object", lineno)
+            if tokens[1] not in _BUILDERS:
+                raise ParseError(f"unknown object kind {tokens[1]!r}", lineno)
+            if tokens[2] in doc.built:
+                raise ParseError(f"duplicate object name {tokens[2]!r}", lineno)
             current = ParsedObject(tokens[1], tokens[2])
             rest = tokens[3:]
             while rest:
@@ -167,7 +180,7 @@ def parse_text(text):
             continue
         if tokens[0] == "end":
             if current is not None:
-                objects.append(current)
+                doc.built[current.name] = (current.kind, _BUILDERS[current.kind](doc, current))
                 current = None
             elif in_expected:
                 in_expected = False
@@ -175,17 +188,15 @@ def parse_text(text):
                 raise ParseError("stray end", lineno)
             continue
         if current is not None:
-            current.lines.append((lineno, tokens))
+            current.lines[tokens[0]].append((lineno, tokens))
         elif in_expected:
-            expected[tokens[0]] = tokens[1:]
+            doc.expected[tokens[0]] = tokens[1:]
         else:
             raise ParseError(f"unexpected content {line!r}", lineno)
     if current is not None:
         raise ParseError("unterminated object")
-    if field is None:
+    if doc.field is None:
         raise ParseError("missing field declaration")
-    doc = ObjectFile(field, objects, expected, digest)
-    _build_all(doc)
     return doc
 
 
@@ -197,26 +208,15 @@ def parse_path(path):
         raise ParseError(f"cannot read {path}: {exc}")
 
 
-def _build_all(doc):
-    for po in doc.objects:
-        if po.name in doc.built:
-            raise ParseError(f"duplicate object name {po.name!r}")
-        builder = _BUILDERS.get(po.kind)
-        if builder is None:
-            raise ParseError(f"unknown object kind {po.kind!r}")
-        doc.built[po.name] = (po.kind, builder(doc, po))
-
-
 def _collect_basis(doc, po):
     parities = {}           # label -> parity, in the order of the lines
-    for lineno, tokens in po.lines:
-        if tokens[0] == "basis":
-            if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
-                raise ParseError("basis line needs 'basis <label> even|odd'", lineno)
-            if tokens[1] in parities:
-                raise ParseError(f"{po.kind} {po.name}: duplicate basis label "
-                                 f"{tokens[1]!r}", lineno)
-            parities[tokens[1]] = 0 if tokens[2] == "even" else 1
+    for lineno, tokens in po.take("basis"):
+        if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
+            raise ParseError("basis line needs 'basis <label> even|odd'", lineno)
+        if tokens[1] in parities:
+            raise ParseError(f"{po.kind} {po.name}: duplicate basis label "
+                             f"{tokens[1]!r}", lineno)
+        parities[tokens[1]] = 0 if tokens[2] == "even" else 1
     return SuperVectorSpace(doc.field, tuple(parities), tuple(parities.values()))
 
 
@@ -235,9 +235,7 @@ def _triple_tensor(doc, po, keyword, n, w, by_last=False):
     last line for an entry counts; make_* drops the zeros."""
     F = doc.field
     cols = [{} for _ in range(w if by_last else n)]
-    for lineno, tokens in po.lines:
-        if tokens[0] != keyword:
-            continue
+    for lineno, tokens in po.take(keyword):
         if len(tokens) != 5:
             raise ParseError(f"{keyword} line needs 3 indices and a scalar", lineno)
         try:
@@ -256,9 +254,7 @@ def _vector(doc, po, keyword, n):
     an index counts, and make_* drops the zeros."""
     F = doc.field
     vec = {}
-    for lineno, tokens in po.lines:
-        if tokens[0] != keyword:
-            continue
+    for lineno, tokens in po.take(keyword):
         if len(tokens) != 3:
             raise ParseError(f"{keyword} line needs an index and a scalar", lineno)
         try:
@@ -300,9 +296,7 @@ def _build_morphism(doc, po):
     D = doc.get(po.target, "coalgebra")
     F = doc.field
     cols = [{} for _ in range(C.dim)]
-    for lineno, tokens in po.lines:
-        if tokens[0] != "map":
-            continue
+    for lineno, tokens in po.take("map"):
         if len(tokens) != 4:
             raise ParseError("map line needs 'map <row> <col> <scalar>'", lineno)
         try:
@@ -325,9 +319,7 @@ def _build_subspace(doc, po):
     space = host.space
     F = doc.field
     vecs = []
-    for lineno, tokens in po.lines:
-        if tokens[0] != "row":
-            continue
+    for lineno, tokens in po.take("row"):
         coords = tokens[1:]
         if len(coords) != space.dim:
             raise ParseError(f"row needs {space.dim} scalars", lineno)
@@ -363,27 +355,40 @@ def _parse_monomial_tokens(tokens, evars, ovars, lineno):
     return tuple(exps), frozenset(odds)
 
 
-def _presentation_vars(po):
-    evars, ovars = [], []
-    for lineno, tokens in po.lines:
-        if tokens[0] == "evar":
-            evars.extend(tokens[1:])
-        elif tokens[0] == "ovar":
-            ovars.extend(tokens[1:])
-    return evars, ovars
+def _variables(po, keyword, seen):
+    """The variable names of the keyword lines; a name is refused if seen
+    holds it, and added to seen."""
+    names = []
+    for lineno, tokens in po.take(keyword):
+        for name in tokens[1:]:
+            if name in seen:
+                raise ParseError(f"presentation {po.name}: repeated variable {name!r}", lineno)
+            seen.add(name)
+            names.append(name)
+    return tuple(names)
 
 
 def _build_presentation(doc, po):
-    evars, ovars = _presentation_vars(po)
-    gens = []
-    for lineno, tokens in po.lines:
-        if tokens[0] == "gen":
-            gens.append(_parse_monomial_tokens(tokens[1:], evars, ovars, lineno))
+    seen = set()
+    evars = _variables(po, "evar", seen)
+    ovars = _variables(po, "ovar", seen)
+    gens = [_parse_monomial_tokens(tokens[1:], evars, ovars, lineno)
+            for lineno, tokens in po.take("gen")]
     from .ksdim import presentation
     try:
-        return presentation(len(evars), len(ovars), gens, doc.field)
+        P = presentation(len(evars), len(ovars), gens, doc.field)
     except ValueError as exc:
         raise ParseError(str(exc))
+    doc.variables[po.name] = evars, ovars
+    return P
+
+
+def _named(po, keyword):
+    """(lineno, name, rest) for each "keyword name rest..." line."""
+    for lineno, tokens in po.take(keyword):
+        if len(tokens) < 2:
+            raise ParseError(f"{keyword} line needs a name after the keyword", lineno)
+        yield lineno, tokens[1], tokens[2:]
 
 
 def _build_presmorphism(doc, po):
@@ -391,40 +396,26 @@ def _build_presmorphism(doc, po):
         raise ParseError(f"presmorphism {po.name} needs 'from <P> to <Q>'")
     src = doc.get(po.source, "presentation")
     dst = doc.get(po.target, "presentation")
-    src_po = next(p for p in doc.objects if p.name == po.source)
-    evars, ovars = _presentation_vars(src_po)
-    even_images = [None] * dst.p
-    odd_images = [None] * dst.q
-    dst_po = next(p for p in doc.objects if p.name == po.target)
-    devars, dovars = _presentation_vars(dst_po)
-    for lineno, tokens in po.lines:
-        if tokens[0] == "eimage":
-            if tokens[1] not in devars:
-                raise ParseError(f"unknown target even variable {tokens[1]!r}", lineno)
-            even_images[devars.index(tokens[1])] = \
-                _parse_monomial_tokens(tokens[2:], evars, ovars, lineno)
-        elif tokens[0] == "oimage":
-            if tokens[1] not in dovars:
-                raise ParseError(f"unknown target odd variable {tokens[1]!r}", lineno)
-            odd_images[dovars.index(tokens[1])] = \
-                _parse_monomial_tokens(tokens[2:], evars, ovars, lineno)
-    if any(v is None for v in even_images) or any(v is None for v in odd_images):
+    evars, ovars = doc.variables[po.source]
+    images = [None] * dst.p, [None] * dst.q     # of the even and the odd target variables
+    for keyword, parity, names, found in zip(("eimage", "oimage"), ("even", "odd"),
+                                             doc.variables[po.target], images):
+        for lineno, name, monomial in _named(po, keyword):
+            if name not in names:
+                raise ParseError(f"unknown target {parity} variable {name!r}", lineno)
+            found[names.index(name)] = _parse_monomial_tokens(monomial, evars, ovars, lineno)
+    if None in images[0] + images[1]:
         raise ParseError(f"presmorphism {po.name} is missing variable images")
     from .ksdim import presentation_morphism
     try:
-        return presentation_morphism(src, dst, even_images, odd_images)
+        return presentation_morphism(src, dst, *images)
     except ValueError as exc:
         raise ParseError(str(exc))
 
 
 def _build_tower(doc, po):
-    levels = []
-    tmaps = []
-    for lineno, tokens in po.lines:
-        if tokens[0] == "level":
-            levels.append(doc.get(tokens[1], "coalgebra"))
-        elif tokens[0] == "tmap":
-            tmaps.append(doc.get(tokens[1], "morphism").map)
+    levels = [doc.get(name, "coalgebra") for _, name, _ in _named(po, "level")]
+    tmaps = [doc.get(name, "morphism").map for _, name, _ in _named(po, "tmap")]
     if len(levels) == 1 and not tmaps:
         return FormalSuperscheme((levels[0],))
     try:

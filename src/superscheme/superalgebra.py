@@ -450,7 +450,7 @@ def _residue_descriptor(S):
             continue
         try:
             factors, complete = poly_factor_supported(S.field, minpoly)
-        except Exception:
+        except FieldError:      # over Q, a coefficient past the rational-root scan bound
             continue
         if complete and len(factors) == 1:
             return ResidueField(S.dim, minpoly)

@@ -928,6 +928,9 @@ def _fuzz_inputs():
         "mor_odd": serialize_document(
             F3, [("G", G2d), ("K", K3), ("f", g, None, ("G", "K"))]).replace(
                 "  counit 0 1\n", "  counit 0 1\n  delta 0 0 1 0\n", 1),
+        "tower": serialize_document(QQ, [("D1", D1), ("D2", D2)]) + (
+            "object morphism i from D1 to D2\n  map 0 0 1\n  map 1 1 1\nend\n"
+            "object tower T\n  level D1\n  level D2\n  tmap i\nend\n"),
         "pres": ("superscheme 1\nfield Q\n"
                  "object presentation S\n  evar T U\n  ovar a b\n  gen T a\nend\n"
                  "object presentation Y\n  evar T\n  ovar a\nend\n"
@@ -945,6 +948,7 @@ def _fuzz_inputs():
                 ["fiber-product", "--f", "f", "--g", "f"], ["immersion-check"],
                 ["finite-check"]],
         "mor_odd": [["flat-check"], ["descent-check", "--depth", "1"], ["immersion-check"]],
+        "tower": [],
         "pres": [["ksdim"], ["check-thm513"], ["check-thm515"]],
     }
     return [(texts[key], argv) for key in texts
@@ -964,6 +968,8 @@ def _mutate(text, kind, index, scalar):
         lines.insert(i, lines[i])
     elif kind == "truncate":
         lines[i] = " ".join(tokens[:-1])
+    elif kind == "first":
+        lines[i] = " ".join(tokens[:1])
     else:
         lines[i] = " ".join(tokens[:-1] + [scalar])
     return "\n".join(lines) + "\n"
@@ -971,7 +977,7 @@ def _mutate(text, kind, index, scalar):
 
 @seed(20261018)
 @given(case=st.sampled_from(FUZZ_INPUTS),
-       kind=st.sampled_from(["delete", "duplicate", "truncate", "scalar"]),
+       kind=st.sampled_from(["delete", "duplicate", "truncate", "first", "scalar"]),
        index=st.integers(min_value=0, max_value=200),
        # a scalar, or the name of an object of another kind
        scalar=st.sampled_from(["0", "1", "-1", "2", "1/2", "x", "C", "GK", "f", "S"]))
@@ -983,6 +989,19 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, case, kind
     report, code = run([command, str(path)] + options)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_UNSUPPORTED, EXIT_IO), report
     assert any(line.startswith("status ") for line in report.splitlines()), report
+
+
+def test_every_line_cut_to_its_keyword_keeps_the_exit_code_contract(tmp_path):
+    """The "first" mutation of every line of every fuzz input, each read by
+    report-all: a line left with its keyword alone never ends in a
+    traceback."""
+    path = tmp_path / "input.obj"
+    for text in dict.fromkeys(text for text, _ in FUZZ_INPUTS):
+        for index in range(len(text.splitlines())):
+            path.write_text(_mutate(text, "first", index, None))
+            report, code = run(["report-all", str(path)])
+            assert code in (EXIT_OK, EXIT_FAIL, EXIT_UNSUPPORTED, EXIT_IO), report
+            assert report.splitlines()[-1].startswith("status "), report
 
 
 PARITY_BROKEN_SOURCE = """superscheme 1
@@ -1196,6 +1215,27 @@ def test_morphism_and_tower_reports_are_pinned(tmp_path, case):
         text, got = run([command, path])
         assert got == code, text
         assert text.splitlines()[-len(lines) - 1:] == lines + [status], text
+
+
+@pytest.mark.parametrize("keyword", ["level", "tmap", "eimage", "oimage"])
+def test_a_line_without_the_name_it_needs_is_a_parse_error(tmp_path, keyword):
+    """A tower's level and tmap lines and a presmorphism's eimage and
+    oimage lines name an object or a variable first; a line with only the
+    keyword exits 3 and names the line."""
+    path = Path(_with_coalgebras(tmp_path, (
+        "object morphism i from D1 to D2\n  map 0 0 1\n  map 1 1 1\nend\n"
+        "object tower T\n  level D1\n  level D2\n  tmap i\nend\n"
+        "object presentation S\n  evar T U\n  ovar a b\nend\n"
+        "object presentation Y\n  evar T\n  ovar a\nend\n"
+        "object presmorphism proj from S to Y\n  eimage T T\n  oimage a a\nend\n")))
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"  {keyword} "))
+    lines[index] = f"  {keyword}"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["report-all", str(path)]) == (
+        "superscheme-report error\n"
+        f"parse-error line {index + 1}: {keyword} line needs a name after the keyword\n"
+        "status error\n", EXIT_IO)
 
 
 @pytest.mark.parametrize("command", ["validate", "report-all"])

@@ -1,4 +1,7 @@
+import gc
 import time
+import tracemalloc
+import types
 
 import pytest
 
@@ -7,6 +10,7 @@ from superscheme.objfile import (
     ParseError, parse_text, serialize_document,
 )
 from superscheme.corpus import divided_power, grassmann
+from superscheme.supercoalgebra import dualize_algebra
 
 from conftest import dense
 
@@ -122,8 +126,7 @@ end
     assert W.dim == 1
 
 
-def test_presentation_and_morphism_sections():
-    text = """superscheme 1
+PRESENTATIONS = """superscheme 1
 field Q
 object presentation P
   evar T S
@@ -139,7 +142,10 @@ object presmorphism f from P to Q
   oimage c b
 end
 """
-    doc = parse_text(text)
+
+
+def test_presentation_and_morphism_sections():
+    doc = parse_text(PRESENTATIONS)
     P = doc.get("P")
     assert P.p == 2 and P.q == 2
     assert P.generators == (((1, 0), frozenset({0})),)
@@ -148,10 +154,7 @@ end
     assert f.odd_images == (((0, 0), frozenset({1})),)
 
 
-def test_tower_section():
-    D1 = divided_power(1)
-    D2 = divided_power(2)
-    text = """superscheme 1
+TOWER = """superscheme 1
 field Q
 object coalgebra C1
   basis g even
@@ -183,7 +186,10 @@ object tower X
   tmap i
 end
 """
-    doc = parse_text(text)
+
+
+def test_tower_section():
+    doc = parse_text(TOWER)
     X = doc.get("X")
     assert len(X.levels) == 2
     assert X.validate() == []
@@ -229,6 +235,82 @@ def test_parse_errors():
                 ("  mul 0 1 0 1\n", "", "")]:
         with pytest.raises(ParseError, match="out of range"):
             parse_text(one_dim.format(*bad))
+    # a line that names an object or a variable, with only its keyword
+    for text, line in [(TOWER, "  level C2\n"), (TOWER, "  tmap i\n"),
+                       (PRESENTATIONS, "  eimage U S\n"), (PRESENTATIONS, "  oimage c b\n")]:
+        keyword = line.split()[0]
+        lineno = text[:text.index(line)].count("\n") + 1
+        with pytest.raises(ParseError, match=f"^line {lineno}: {keyword} line needs a name"):
+            parse_text(text.replace(line, f"  {keyword}\n"))
+
+
+def test_repeated_variable_names_are_refused():
+    """Each variable of a presentation has its own name: an even and an
+    odd T would leave gen T to pick one, and evar T T a variable no line
+    can name."""
+    for lines, lineno in [("  evar T\n  ovar T\n  gen T\n", 5), ("  evar T T\n", 4),
+                          ("  evar S\n  ovar a b a\n", 5)]:
+        with pytest.raises(ParseError, match=f"^line {lineno}: presentation P: repeated variable"):
+            parse_text("superscheme 1\nfield Q\nobject presentation P\n" + lines + "end\n")
+
+
+def test_field_line_precedes_the_first_object():
+    """An object is built at its end line, over the field declared before
+    it, so a field line after an object is refused."""
+    coalgebra = "object coalgebra C\n  basis g even\n  counit 0 1\n  delta 0 0 0 1\nend\n"
+    assert parse_text("superscheme 1\nfield Q\n" + coalgebra).get("C").dim == 1
+    with pytest.raises(ParseError, match="^line 2: the field line must precede the first object"):
+        parse_text("superscheme 1\n" + coalgebra + "field Q\n")
+
+
+def _reachable_str_lists(root):
+    """The lists of strings reachable from root through containers and
+    instance attributes, not through classes, modules or functions."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+            types.MethodType)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if type(obj) is list and obj and all(type(x) is str for x in obj):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_token_list_outlives_its_object():
+    """A parsed document holds the built objects, not the token lists of
+    the lines they were built from."""
+    D1 = divided_power(1)
+    from superscheme.supercomodule import regular_comodule
+    text = (serialize_document(QQ, [("G", grassmann(2)), ("D", D1),
+                                    ("M", regular_comodule(D1), "D")])
+            + TOWER.split("\n", 2)[2] + "object subspace W over D\n  row 1 0\nend\n"
+            + PRESENTATIONS.split("\n", 2)[2])
+    doc = parse_text(text)
+    assert sorted(kind for kind, _ in doc.built.values()) == [
+        "algebra", "coalgebra", "coalgebra", "coalgebra", "comodule", "morphism",
+        "presentation", "presentation", "presmorphism", "subspace", "tower"]
+    assert _reachable_str_lists(doc) == []
+
+
+def test_parsing_an_object_twice_over_peaks_below_twice_once():
+    """The lines of an object are dropped when it is built, so a second
+    copy of it adds its built form to the peak, not the first copy's lines
+    too."""
+    C = dualize_algebra(grassmann(7))
+    peaks = []
+    for copies in (1, 2):
+        text = serialize_document(QQ, [(f"C{i}", C) for i in range(copies)])
+        tracemalloc.start()
+        try:
+            parse_text(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_wide_basis_is_collected_in_linear_time():

@@ -18,6 +18,18 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_no_catch_all_except_in_package():
+    """A handler names the errors it expects, so an internal AssertionError
+    is never swallowed: no bare except and no except Exception."""
+    catch_all = {"Exception", "BaseException"}
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ExceptHandler)
+             and (node.type is None or catch_all & {n.id for n in ast.walk(node.type)
+                                                    if isinstance(n, ast.Name)})]
+    assert found == []
+
+
 def test_no_true_division_in_package():
     """Field elements are divided only through Field.inv: / on two ints
     gives a float, and an element of Q may be an int."""

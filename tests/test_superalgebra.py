@@ -172,6 +172,25 @@ def test_local_decomposition_extension_residue():
     assert facs[0].residue.minpoly == (1, 0, 1)
 
 
+def test_residue_descriptor_skips_only_a_field_error(monkeypatch):
+    """A candidate whose minimal polynomial cannot be factored within the
+    rational-root scan bound names no minimal polynomial; any other error
+    from the factorization is a fault and propagates."""
+    import superscheme.superalgebra as sa
+    S = quotient_ring_algebra([F3.one, F3.zero, F3.one], F3)
+    assert sa._residue_descriptor(S) == sa.ResidueField(2, (1, 0, 1))
+
+    def raising(error):
+        def factor(F, p):
+            raise error
+        return factor
+    monkeypatch.setattr(sa, "poly_factor_supported", raising(FieldError("scan bound")))
+    assert sa._residue_descriptor(S) == sa.ResidueField(2, None)
+    monkeypatch.setattr(sa, "poly_factor_supported", raising(AssertionError("internal")))
+    with pytest.raises(AssertionError, match="internal"):
+        sa._residue_descriptor(S)
+
+
 def test_local_decomposition_invariants():
     for name, A in canonical_algebras(QQ) + canonical_algebras(F3):
         facs = local_decomposition(A, radical(A))
