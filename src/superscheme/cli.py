@@ -192,7 +192,7 @@ def cmd_components(args):
     rep.add("coalgebra", name)
     rep.add("component-count", len(comps))
     for i, comp in enumerate(comps):
-        res = "base" if comp.residue.is_base else f"extension-degree-{comp.residue.degree}"
+        res = "base" if comp.degree == 1 else f"extension-degree-{comp.degree}"
         rep.add(f"component {i}", f"dim {comp.subspace.dim} residue {res}")
     return rep.emit(), EXIT_OK
 

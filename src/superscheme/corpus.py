@@ -57,8 +57,7 @@ def grassmann(q, field=QQ):
     """Exterior algebra on q odd generators th1..thq, basis ordered by
     (degree, lex): the monomial superalgebra with no even variable and no
     generator, truncated in degree q."""
-    alg, _, _ = monomial_superalgebra(field, 0, q, q)
-    return alg
+    return monomial_superalgebra(field, 0, q, q)
 
 
 def divided_power(d, field=QQ):
@@ -82,8 +81,7 @@ def grouplike_coalgebra(n, field=QQ):
 
 def truncated_polynomial(d, field=QQ):
     """k[x]/(x^{d+1}) with x even; the dual is the divided power coalgebra."""
-    alg, _, _ = monomial_superalgebra(field, 1, 0, d, even_names=("x",))
-    return alg
+    return monomial_superalgebra(field, 1, 0, d, even_names=("x",))
 
 
 def quotient_ring_algebra(poly, field=QQ, name="x"):

@@ -207,7 +207,7 @@ def _point_fibers(f):
     psi = _pushed(f)
     for y in points(f.target):
         carrier, sdim = preimage(psi, y.kappa)
-        yield carrier, sdim, y.component.residue.degree
+        yield carrier, sdim, y.component.degree
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Line-oriented text format for exact algebra objects.
 
 A file declares one field, then any number of named objects, each built
-when its end line is read, and an optional expected block.  Scalars are exact strings: "a/b" or "a" over Q, integer
-residues over F_p, comma-separated coordinates over an extension field.
+when its end line is read.  An expected ... end block between objects is
+read past: no command reads its lines.  Scalars are exact strings: "a/b"
+or "a" over Q, integer residues over F_p, comma-separated coordinates over
+an extension field.
 Parsing then serializing is the identity on canonical files.
 """
 
@@ -56,7 +58,6 @@ class ParsedObject:
 class ObjectFile:
     def __init__(self, digest):
         self.field = None
-        self.expected = {}
         self.digest = digest
         self.built = {}         # name -> (kind, value), filled in file order
         self.variables = {}     # presentation name -> (even names, odd names)
@@ -189,9 +190,7 @@ def parse_text(text):
             continue
         if current is not None:
             current.lines[tokens[0]].append((lineno, tokens))
-        elif in_expected:
-            doc.expected[tokens[0]] = tokens[1:]
-        else:
+        elif not in_expected:
             raise ParseError(f"unexpected content {line!r}", lineno)
     if current is not None:
         raise ParseError("unterminated object")
@@ -496,15 +495,8 @@ def serialize_object(name, value, F, over=None, endpoints=None):
     return lines
 
 
-def serialize_document(F, named_objects, expected=None):
+def serialize_document(F, named_objects):
     lines = [f"{FORMAT_HEADER} {FORMAT_VERSION}", "field " + " ".join(_field_tokens(F))]
     for entry in named_objects:
         lines.extend(serialize_object(*entry[:2], F, *entry[2:]))
-    if expected:
-        lines.append("expected")
-        for k in sorted(expected):
-            v = expected[k]
-            vtxt = " ".join(str(x) for x in v) if isinstance(v, (list, tuple)) else str(v)
-            lines.append(f"  {k} {vtxt}")
-        lines.append("end")
     return "\n".join(lines) + "\n"

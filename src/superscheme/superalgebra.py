@@ -288,20 +288,11 @@ def radical(A):
 # ---------------------------------------------------------------------------
 # local decomposition
 
-class ResidueField(Record):
-    degree: int
-    minpoly: tuple = None
-
-    @property
-    def is_base(self):
-        return self.degree == 1
-
-
 class LocalFactor(Record):
+    """A primitive idempotent e of A and the degree of the residue field of
+    eA over the base field: 1 when the residue field is the base field."""
     idempotent: tuple
-    algebra: object
-    inclusion: object
-    residue: ResidueField
+    degree: int
 
 
 def _minimal_polynomial(A, x):
@@ -405,8 +396,9 @@ def _semisimple_idempotent(S):
         "use a finite-field model")
 
 
-def _lift_idempotent(A, proj, section, e_bar):
-    """Lift an idempotent through the nilpotent kernel of proj."""
+def _lift_idempotent(A, section, e_bar):
+    """Lift an idempotent e_bar of a quotient of A by a nilpotent ideal,
+    carried into A by the section of the quotient, to an idempotent of A."""
     F = A.field
     x = section.apply(e_bar)
     three = F.from_int(3)
@@ -440,33 +432,16 @@ def _subalgebra_on(A, sub, unit):
     return B, GradedMap(space, A.space, basis)
 
 
-def _residue_descriptor(S):
-    """Residue field data from the residue field S = B / rad B of a local B,
-    for dim S > 1 (a residue of dimension 1 is the base field, and
-    local_decomposition names it without building S)."""
-    for b in _split_candidates(S):
-        minpoly = _minimal_polynomial(S, b)
-        if len(minpoly) - 1 != S.dim:
-            continue
-        try:
-            factors, complete = poly_factor_supported(S.field, minpoly)
-        except FieldError:      # over Q, a coefficient past the rational-root scan bound
-            continue
-        if complete and len(factors) == 1:
-            return ResidueField(S.dim, minpoly)
-    return ResidueField(S.dim, None)
-
-
 def local_decomposition(A, rad):
     """Complete orthogonal idempotents and the corresponding local factors;
     rad is radical(A).
 
     Each pending idempotent e gives B = eA, its radical and S = B / rad B
     once: a nontrivial idempotent of S is lifted and splits e in two,
-    otherwise S is the residue field of the local factor B.  For e = 1,
-    B is A itself, with the given radical.  A quotient of dimension 1 is
-    the base field: when dim B - dim rad B = 1, B is local with residue k,
-    and S is not built.
+    otherwise S is the residue field of the local factor B, recorded by
+    its degree dim S.  For e = 1, B is A itself, with the given radical.
+    A quotient of dimension 1 is the base field: when dim B - dim rad B
+    = 1, B is local with residue k, and S is not built.
     """
     if A.dim == 0:
         return []
@@ -481,15 +456,15 @@ def local_decomposition(A, rad):
             B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
             rad_b = radical(B)
         if B.dim - rad_b.subspace.dim == 1:
-            factors.append(LocalFactor(e, B, incl, ResidueField(1)))
+            factors.append(LocalFactor(e, 1))
             continue
-        S, proj = quotient_by_superideal(B, rad_b)
+        S, _ = quotient_by_superideal(B, rad_b)
         e_bar = _semisimple_idempotent(S)
         if e_bar is None:
-            factors.append(LocalFactor(e, B, incl, _residue_descriptor(S)))
+            factors.append(LocalFactor(e, S.dim))
             continue
         _, _, section = quotient_data(B.space, rad_b.subspace)
-        e1 = incl.apply(_lift_idempotent(B, proj, section, e_bar))
+        e1 = incl.apply(_lift_idempotent(B, section, e_bar))
         pending[:0] = [e1, vec_sub(F, e, e1)]
     total = ()
     for fac in factors:
@@ -667,6 +642,4 @@ def monomial_superalgebra(field, p, q, degree, generators=(),
                     cop[index[(exps, odds)]].append(
                         (i * n + j, F.neg(F.one) if inv % 2 else F.one))
     unit = [(index[((0,) * p, frozenset())], F.one)]
-    alg = make_superalgebra(space, cop, unit)
-    degrees = tuple(sum(e) + len(o) for e, o in monomials)
-    return alg, monomials, degrees
+    return make_superalgebra(space, cop, unit)

@@ -207,31 +207,31 @@ def coradical_filtration(C, rad):
 
 
 class Component(Record):
+    """An irreducible component: a subcoalgebra on a subspace of C, and the
+    degree of its residue field over the base field."""
     coalgebra: object
     subspace: object
-    inclusion: object
-    residue: object
+    degree: int
 
 
 def irreducible_components(C, rad):
     """Direct summands dual to the local factors of C*; rad is dual_radical(C).
 
     A decomposition into one piece is the object itself: when C* is local,
-    the one component is C, on the full subspace, with the identity as its
-    inclusion, and no subcoalgebra is built.
+    the one component is C, on the full subspace, and no subcoalgebra is
+    built.
     """
     dual = rad.algebra
     factors = local_decomposition(dual, rad)
     if len(factors) == 1:
-        return [Component(C, Subspace.full(C.space), GradedMap.identity(C.space),
-                          factors[0].residue)]
+        return [Component(C, Subspace.full(C.space), factors[0].degree)]
     F = C.field
     comps = []
     for idx, fac in enumerate(factors):
         rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
         sub = perp(rest.subspace, C.space)
-        coalg, incl = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
-        comps.append(Component(coalg, sub, incl, fac.residue))
+        coalg, _ = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        comps.append(Component(coalg, sub, fac.degree))
     if sum(c.subspace.dim for c in comps) != C.dim:
         raise AssertionError("components do not fill the coalgebra")
     return comps
@@ -255,7 +255,7 @@ def grouplikes(C, comps, corad):
     F = C.field
     out = []
     for comp in comps:
-        if comp.residue.degree != 1:
+        if comp.degree != 1:
             continue
         line = corad.intersect(comp.subspace)
         if line.dim != 1:

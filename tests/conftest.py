@@ -18,8 +18,8 @@ from superscheme.formal_scheme import (  # noqa: E402
     is_closed_immersion, morphism_components, point_images, points,
 )
 from superscheme.superalgebra import (  # noqa: E402
-    LocalFactor, ResidueField, Superideal, _frobenius_kernel, _lift_idempotent,
-    _residue_descriptor, _semisimple_idempotent, _subalgebra_on, _trace_form_kernel,
+    LocalFactor, Superideal, _frobenius_kernel, _lift_idempotent,
+    _semisimple_idempotent, _subalgebra_on, _trace_form_kernel,
     canonical_ideal, ideal_generated_by, local_decomposition, monomial_superalgebra,
     quotient_by_superideal, radical, tensor_superalgebra,
 )
@@ -543,7 +543,7 @@ def bounded_degree_by_dual_action(f):
         comp = Subspace.from_vectors(qspace, proj.images(acting(fac.idempotent)))
         even = even_part(comp).dim
         odd = odd_part(comp).dim
-        d = fac.residue.degree
+        d = fac.degree
         if even % d or odd % d:
             raise AssertionError("residue field does not divide the cogenerator count")
         degree = max(degree, even // d, odd // d)
@@ -613,8 +613,7 @@ def immersion_fiberwise_check(f):
 def presentation_truncation(P, d):
     """The finite-dimensional quotient of a ksdim presentation by all
     monomials of degree > d."""
-    alg, _, _ = monomial_superalgebra(P.field, P.p, P.q, d, P.generators)
-    return alg
+    return monomial_superalgebra(P.field, P.p, P.q, d, P.generators)
 
 
 def truncation_tower(P, depth):
@@ -919,14 +918,13 @@ def local_decomposition_by_residues(A, rad):
         else:
             B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
             rad_b = radical_by_quotient(B)
-        S, proj = quotient_by_superideal(B, rad_b)
+        S, _ = quotient_by_superideal(B, rad_b)
         e_bar = None if S.dim == 1 else _semisimple_idempotent(S)
         if e_bar is None:
-            residue = ResidueField(1) if S.dim == 1 else _residue_descriptor(S)
-            factors.append(LocalFactor(e, B, incl, residue))
+            factors.append(LocalFactor(e, S.dim))
             continue
         _, _, section = quotient_data(B.space, rad_b.subspace)
-        e1 = incl.apply(_lift_idempotent(B, proj, section, e_bar))
+        e1 = incl.apply(_lift_idempotent(B, section, e_bar))
         pending[:0] = [e1, vec_sub(F, e, e1)]
     total = ()
     for fac in factors:
@@ -946,8 +944,8 @@ def components_by_subcoalgebras(C, rad):
     for idx, fac in enumerate(local_decomposition_by_residues(dual, rad)):
         rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
         sub = perp(rest.subspace, C.space)
-        coalg, incl = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
-        comps.append(Component(coalg, sub, incl, fac.residue))
+        coalg, _ = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        comps.append(Component(coalg, sub, fac.degree))
     if sum(c.subspace.dim for c in comps) != C.dim:
         raise AssertionError("components do not fill the coalgebra")
     return comps
@@ -1051,7 +1049,7 @@ def algebras_monomial(F, count=12):
                  frozenset(j for j in range(q) if rng.randint(2)))
                 for _ in range(rng.randint(3))]
         gens = [(e, o) for e, o in gens if sum(e) + len(o) > 0]
-        A, _, _ = monomial_superalgebra(F, p, q, d, gens)
+        A = monomial_superalgebra(F, p, q, d, gens)
         out.append((f"monomial({p}, {q}, {d}, {gens})", A))
     return out
 

@@ -393,11 +393,16 @@ def test_huge_counts_keep_the_exit_code_contract(files, value, argv, code, line)
 @pytest.mark.parametrize("command, build, line", [
     ("radical", lambda F: quotient_ring_algebra([2, 0, 1], F), "radical-dim 0"),
     ("grouplikes", lambda F: dualize_algebra(grassmann(1, F)), "grouplike-count 1"),
-], ids=["radical", "grouplikes"])
+    ("components", lambda F: dualize_algebra(quotient_ring_algebra([2, 0, 1], F)),
+     "component 0 dim 2 residue extension-degree-2"),
+    ("report-all", lambda F: quotient_ring_algebra([2, 0, 1], F), "algebra X local-factors 1"),
+], ids=["radical", "grouplikes", "components", "report-all"])
 def test_frobenius_powers_over_a_large_prime_field_end_at_once(tmp_path, command, build, line):
     """The p-th power maps of radical and the q-th power test of a residue
     field take ~2 log2 p products each, so over F_(10^9 + 7) the run ends
-    at once."""
+    at once.  A residue field that is not the base field is reported by its
+    degree alone: x^2 + 2 has no root mod 10^9 + 7, and no polynomial over
+    the field is factored."""
     F = PrimeField(1000000007)
     path = tmp_path / "big-prime.ss"
     path.write_text(serialize_document(F, [("X", build(F))]))

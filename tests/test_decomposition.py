@@ -35,16 +35,11 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _factor_data(factors):
-    return [(f.idempotent, f.residue, f.algebra.space.parities, f.algebra.cop, f.algebra.unit,
-             f.inclusion.columns) for f in factors]
-
-
 def _component_data(comps):
     """Everything of a component but the labels of its coalgebra, which no
     report prints: a component that is the whole keeps the labels of C."""
-    return [(c.subspace, c.residue, c.coalgebra.space.parities, c.coalgebra.delta,
-             c.coalgebra.counit, c.inclusion.columns) for c in comps]
+    return [(c.subspace, c.degree, c.coalgebra.space.parities, c.coalgebra.delta,
+             c.coalgebra.counit) for c in comps]
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -58,13 +53,12 @@ def test_decomposition_matches_the_general_path(fname, kind):
         dual = dualize_coalgebra(C)
         rad, ref = radical(dual), radical_by_quotient(dual)
         assert rad == ref, name
-        assert _factor_data(local_decomposition(dual, rad)) == \
-            _factor_data(local_decomposition_by_residues(dual, ref)), name
+        assert local_decomposition(dual, rad) == local_decomposition_by_residues(dual, ref), name
         comps = irreducible_components(C, rad)
         assert _component_data(comps) == \
             _component_data(components_by_subcoalgebras(C, ref)), name
         modules = [regular_comodule(C)]
-        if len(comps) == 1 and comps[0].residue.degree == 1:
+        if len(comps) == 1 and comps[0].degree == 1:
             (g,) = grouplikes(C, comps, coradical(C, rad))
             modules.append(trivial_comodule(C, g, 1, 1))
         for M in modules:

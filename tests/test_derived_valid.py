@@ -10,8 +10,9 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superalgebra import (
-    canonical_ideal, local_decomposition, monomial_superalgebra,
-    quotient_by_superideal, radical, tensor_superalgebra, validate_superalgebra,
+    _subalgebra_on, canonical_ideal, ideal_generated_by, local_decomposition,
+    monomial_superalgebra, quotient_by_superideal, radical, tensor_superalgebra,
+    validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
     coradical, direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
@@ -51,7 +52,10 @@ def test_algebra_builders_give_valid_structures(F, name):
         quot, _ = quotient_by_superideal(A, ideal)
         assert validate_superalgebra(quot) == []
     for factor in local_decomposition(A, radical(A)):
-        assert validate_superalgebra(factor.algebra) == []
+        # the factor algebra eA, built as local_decomposition builds it
+        e = factor.idempotent
+        B, _ = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
+        assert validate_superalgebra(B) == []
     assert validate_superalgebra(tensor_superalgebra(A, grassmann(1, F))) == []
 
 
@@ -67,7 +71,8 @@ def test_coalgebra_builders_give_valid_structures(F, name):
         M, _, _ = subcoalgebra_comodule(C, comp.subspace)
         assert validate_comodule(M) == []
         # the regular comodule of a component, pushed into C
-        pushed = comodule_along(regular_comodule(comp.coalgebra), comp.inclusion, C)
+        incl = GradedMap(comp.coalgebra.space, C.space, comp.subspace.basis())
+        pushed = comodule_along(regular_comodule(comp.coalgebra), incl, C)
         assert validate_comodule(pushed) == []
     assert validate_supercoalgebra(tensor_coalgebra(C, divided_power(1, F))) == []
     assert validate_supercoalgebra(direct_sum_coalgebra([C, K])) == []
@@ -84,11 +89,11 @@ def test_monomial_and_cofree_builders_give_valid_structures(F):
     assert validate_supercoalgebra(unit_coalgebra(F)) == []
     for p, q, d, gens in [(1, 0, 2, ()), (1, 1, 2, ()), (2, 1, 3, [((1, 1), frozenset())]),
                           (0, 3, 3, [((), frozenset({0, 1}))])]:
-        A, _, _ = monomial_superalgebra(F, p, q, d, gens)
+        A = monomial_superalgebra(F, p, q, d, gens)
         assert validate_superalgebra(A) == [], (p, q, d, gens)
     for even, odd, d in [(1, 0, 2), (1, 1, 2), (0, 2, 2)]:
         # the truncated cofree coalgebra on k^{even|odd}
-        cof = dualize_algebra(monomial_superalgebra(F, even, odd, d)[0])
+        cof = dualize_algebra(monomial_superalgebra(F, even, odd, d))
         assert validate_supercoalgebra(cof) == [], (even, odd, d)
 
 

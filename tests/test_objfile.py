@@ -330,6 +330,8 @@ def test_wide_basis_is_collected_in_linear_time():
 
 
 def test_expected_block():
+    """An expected block between objects is read past: the objects around
+    it are built, and its lines are kept nowhere."""
     text = """superscheme 1
 field Q
 object coalgebra C
@@ -341,9 +343,15 @@ expected
   components 1
   grouplikes 1
 end
+object coalgebra D
+  basis h even
+  counit 0 1
+  delta 0 0 0 1
+end
 """
     doc = parse_text(text)
-    assert doc.expected == {"components": ["1"], "grouplikes": ["1"]}
+    assert [(name, C.dim) for name, C in doc.all_of("coalgebra")] == [("C", 1), ("D", 1)]
+    assert not hasattr(doc, "expected")
 
 
 def test_readme_format_example_validates():

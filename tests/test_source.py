@@ -169,6 +169,22 @@ def test_a_fiber_is_one_preimage():
     assert builders == {("supercomodule.py", "preimage")}
 
 
+def test_a_residue_field_is_its_degree():
+    """Every command reports a residue field by its degree alone, so no
+    residue descriptor is defined or referenced, and a local factor and a
+    component hold only what the commands read."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    for name in ("_residue_descriptor", "ResidueField"):
+        defined = [node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
+        assert defined == [], name
+        assert [scope for tree in trees for scope in _references(tree, name)] == [], name
+    from superscheme.superalgebra import LocalFactor
+    from superscheme.supercoalgebra import Component
+    assert LocalFactor._fields == ("idempotent", "degree")
+    assert Component._fields == ("coalgebra", "subspace", "degree")
+
+
 # Top-level names of the package that only tests reach.  The list may only
 # shrink: a new helper without a caller in src/ or scripts/ fails the guard,
 # and a listed one that gains a caller must leave the list.

@@ -147,6 +147,11 @@ def test_radical_invariants_on_corpus():
         assert radical(S).subspace.dim == 0, name
 
 
+def _factor_dim(A, factor):
+    """dim eA for the idempotent e of a local factor."""
+    return ideal_generated_by(A, [factor.idempotent]).subspace.dim
+
+
 def test_local_decomposition_split():
     A = quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)])
     facs = local_decomposition(A, radical(A))
@@ -154,7 +159,7 @@ def test_local_decomposition_split():
     idems = sorted(dense(A.field, A.dim, f.idempotent) for f in facs)
     assert idems == [(Fraction(1, 2), Fraction(-1, 2)),
                      (Fraction(1, 2), Fraction(1, 2))]
-    assert all(f.residue.is_base for f in facs)
+    assert all(f.degree == 1 for f in facs)
 
 
 def test_local_decomposition_local():
@@ -168,27 +173,7 @@ def test_local_decomposition_extension_residue():
     A = quotient_ring_algebra([F3.one, F3.zero, F3.one], F3)
     facs = local_decomposition(A, radical(A))
     assert len(facs) == 1
-    assert facs[0].residue.degree == 2
-    assert facs[0].residue.minpoly == (1, 0, 1)
-
-
-def test_residue_descriptor_skips_only_a_field_error(monkeypatch):
-    """A candidate whose minimal polynomial cannot be factored within the
-    rational-root scan bound names no minimal polynomial; any other error
-    from the factorization is a fault and propagates."""
-    import superscheme.superalgebra as sa
-    S = quotient_ring_algebra([F3.one, F3.zero, F3.one], F3)
-    assert sa._residue_descriptor(S) == sa.ResidueField(2, (1, 0, 1))
-
-    def raising(error):
-        def factor(F, p):
-            raise error
-        return factor
-    monkeypatch.setattr(sa, "poly_factor_supported", raising(FieldError("scan bound")))
-    assert sa._residue_descriptor(S) == sa.ResidueField(2, None)
-    monkeypatch.setattr(sa, "poly_factor_supported", raising(AssertionError("internal")))
-    with pytest.raises(AssertionError, match="internal"):
-        sa._residue_descriptor(S)
+    assert facs[0].degree == 2
 
 
 def test_local_decomposition_invariants():
@@ -204,7 +189,7 @@ def test_local_decomposition_invariants():
             for g in facs[i + 1:]:
                 zero = tuple([F.zero] * A.dim)
                 assert dense(F, A.dim, A.multiply(f.idempotent, g.idempotent)) == zero
-        assert sum(f.algebra.dim for f in facs) == A.dim, name
+        assert sum(_factor_dim(A, f) for f in facs) == A.dim, name
 
 
 def test_factorization_incomplete_over_q():
@@ -220,19 +205,19 @@ def test_factorization_incomplete_over_q():
 def test_local_decomposition_many_factors():
     from superscheme.fields import poly_mul
     A = quotient_ring_algebra([0, 4, 0, 1], F5)  # x^3 - x, three roots
-    assert [f.residue.degree for f in local_decomposition(A, radical(A))] == [1, 1, 1]
+    assert [f.degree for f in local_decomposition(A, radical(A))] == [1, 1, 1]
     poly = poly_mul(F3, (1, 0, 1), (0, 2, 1))    # (x^2+1)(x^2-x)
     B = quotient_ring_algebra(poly, F3)
-    assert sorted(f.residue.degree for f in local_decomposition(B, radical(B))) == [1, 1, 2]
+    assert sorted(f.degree for f in local_decomposition(B, radical(B))) == [1, 1, 2]
     C = tensor_superalgebra(B, grassmann(1, F3))
     facs = local_decomposition(C, radical(C))
-    assert sorted(f.residue.degree for f in facs) == [1, 1, 2]
-    assert sum(f.algebra.dim for f in facs) == C.dim
+    assert sorted(f.degree for f in facs) == [1, 1, 2]
+    assert sum(_factor_dim(C, f) for f in facs) == C.dim
     D = tensor_superalgebra(
         quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)]),
         truncated_polynomial(1))
     facs_d = local_decomposition(D, radical(D))
-    assert [f.algebra.dim for f in facs_d] == [2, 2]
+    assert [_factor_dim(D, f) for f in facs_d] == [2, 2]
     assert radical(D).subspace.dim == 2
 
 
