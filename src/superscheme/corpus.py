@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .fields import QQ
 from .superlinear import (
-    GradedMap, Record, Subspace, SuperVectorSpace, standard_space, unit_vec, vector,
+    GradedMap, Record, Subspace, SuperVectorSpace, linear_form, standard_space, unit_vec, vector,
 )
 from .superalgebra import make_superalgebra, monomial_superalgebra, tensor_superalgebra
 from .supercoalgebra import (
@@ -262,7 +262,7 @@ def _seeded_morphism(rng, seed, field):
     if shape == 0:
         # collapse to the point: O(X) -> k by the counit
         K = unit_coalgebra(F)
-        m = GradedMap(C.space, K.space, C.counit_map().columns, 0)
+        m = GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0)
         f = SchemeMorphism.finite(m, C, K)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": True,

@@ -1,10 +1,10 @@
 """Line-oriented text format for exact algebra objects.
 
 A file declares one field, then any number of named objects, each built
-when its end line is read.  An expected ... end block between objects is
-read past: no command reads its lines.  Scalars are exact strings: "a/b"
-or "a" over Q, integer residues over F_p, comma-separated coordinates over
-an extension field.
+when its end line is read.  Every line of an expected ... end block
+between objects is skipped: no command reads them.  Scalars are exact
+strings: "a/b" or "a" over Q, integer residues over F_p, comma-separated
+coordinates over an extension field.
 Parsing then serializing is the identity on canonical files.
 """
 
@@ -143,13 +143,17 @@ def parse_text(text):
                 raise ParseError(f"unsupported format version {tokens[1]}", lineno)
             header_seen = True
             continue
+        if in_expected:
+            # no command reads an expected block: every line up to its end is skipped
+            in_expected = tokens[0] != "end"
+            continue
         if tokens[0] == "field":
             if doc.field is not None:
                 raise ParseError("duplicate field declaration", lineno)
             doc.field = _parse_field(tokens[1:], lineno)
             continue
         if tokens[0] == "object":
-            if current is not None or in_expected:
+            if current is not None:
                 raise ParseError("nested object", lineno)
             if len(tokens) < 3:
                 raise ParseError("object needs a kind and a name", lineno)
@@ -183,17 +187,17 @@ def parse_text(text):
             if current is not None:
                 doc.built[current.name] = (current.kind, _BUILDERS[current.kind](doc, current))
                 current = None
-            elif in_expected:
-                in_expected = False
             else:
                 raise ParseError("stray end", lineno)
             continue
         if current is not None:
             current.lines[tokens[0]].append((lineno, tokens))
-        elif not in_expected:
+        else:
             raise ParseError(f"unexpected content {line!r}", lineno)
     if current is not None:
         raise ParseError("unterminated object")
+    if in_expected:
+        raise ParseError("unterminated expected block")
     if doc.field is None:
         raise ParseError("missing field declaration")
     return doc

@@ -16,8 +16,8 @@ from .fields import (
     FieldError, poly_ext_gcd, poly_factor_supported, poly_mul, poly_roots, poly_trim,
 )
 from .superlinear import (
-    GradedMap, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects,
-    _identity_columns, _images, _sum_ops, _transpose, canonical_columns, coordinates,
+    Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects,
+    _identity_columns, _images, _kernel, _sum_ops, _transpose, canonical_columns, coordinates,
     quotient_data, tensor_structure, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 
@@ -205,23 +205,26 @@ def ksdim_finite(A):
 
 
 def quotient_by_superideal(A, ideal):
-    """Quotient superalgebra by a Superideal and the projection map."""
-    qspace, proj, section = quotient_data(A.space, ideal.subspace)
-    lifts = section.columns
-    products = proj.images(A.products(lifts, lifts))
-    quot = make_superalgebra(qspace, _transpose(products, qspace.dim), proj.apply(A.unit))
-    return quot, proj
+    """The quotient superalgebra by a Superideal, the columns of the
+    projection onto it and the basis vectors of A that represent its basis
+    (quotient_data)."""
+    F = A.field
+    qspace, proj, reps = quotient_data(A.space, ideal.subspace)
+    lifts = [unit_vec(F, r) for r in reps]
+    *products, unit = _images(F, proj, A.products(lifts, lifts) + [A.unit])
+    quot = make_superalgebra(qspace, _transpose(products, qspace.dim), unit)
+    return quot, proj, reps
 
 
 # ---------------------------------------------------------------------------
 # radical
 
 def _frobenius_kernel(A):
-    """Nilradical of a finite-dimensional commutative algebra in char p.
-
-    Iterates kernels of the p^m-power maps; these are semilinear, so the
-    coordinate null space is pulled back through the inverse field
-    automorphism before spanning.
+    """Nilradical of a finite-dimensional commutative algebra in char p: the
+    kernel of the p^m-power map for the least m with p^m >= n = dim A, as a
+    nilpotent x has x^n = 0 (k[x] has dimension at most n) and the map is
+    additive.  It is semilinear, so the coordinate null space is pulled
+    back through the inverse field automorphism before spanning.
     """
     F = A.field
     n = A.dim
@@ -231,19 +234,15 @@ def _frobenius_kernel(A):
     while p ** e != base_order:
         e += 1
     m = 1
-    last = None
-    cols = _identity_columns(F, n)
-    while True:
-        # the p^m-th power of b_i is the p-th power of its p^(m-1)-th power
+    # the p^m-th power of b_i is the p-th power of its p^(m-1)-th power
+    cols = [A.power(unit_vec(F, i), p) for i in range(n)]
+    while p ** m < n:
         cols = [A.power(c, p) for c in cols]
-        null = GradedMap(A.space, A.space, cols, None).kernel()
-        inv_exp = p ** ((e - (m % e)) % e)
-        rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row) for row in null.basis()]
-        ker = Subspace.from_vectors(A.space, rows)
-        if p ** m >= n and (last is None or ker == last):
-            return ker
-        last = ker
         m += 1
+    inv_exp = p ** ((e - (m % e)) % e)
+    rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row)
+            for row in _kernel(A.space, cols, n).basis()]
+    return Subspace.from_vectors(A.space, rows)
 
 
 def _trace_form_kernel(A):
@@ -274,15 +273,15 @@ def radical(A):
     jc = canonical_ideal(A)
     if A.dim - jc.subspace.dim <= 1:
         return jc
-    abar, proj = quotient_by_superideal(A, jc)
+    abar, proj, _ = quotient_by_superideal(A, jc)
     if A.field.char == 0:
         radbar = _trace_form_kernel(abar)
     else:
         radbar = _frobenius_kernel(abar)
     if radbar.dim == 0:
         return jc
-    _, qproj, _ = quotient_data(abar.space, radbar)
-    return Superideal(A, qproj.compose(proj).kernel())
+    qspace, qproj, _ = quotient_data(abar.space, radbar)
+    return Superideal(A, _kernel(A.space, _images(A.field, qproj, proj), qspace.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +351,8 @@ def _semisimple_idempotent(S):
     n = S.dim
     if F.char != 0:
         q = F.order
-        cols = [S.power(unit_vec(F, i), q) for i in range(n)]
-        fixed = GradedMap(S.space, S.space, cols, None).sub(GradedMap.identity(S.space)).kernel()
+        cols = [vec_sub(F, S.power(b, q), b) for b in _identity_columns(F, n)]
+        fixed = _kernel(S.space, cols, n)
         if fixed.dim == 1:
             return None  # one component: S is a field
         for b in fixed.basis():
@@ -396,11 +395,13 @@ def _semisimple_idempotent(S):
         "use a finite-field model")
 
 
-def _lift_idempotent(A, section, e_bar):
-    """Lift an idempotent e_bar of a quotient of A by a nilpotent ideal,
-    carried into A by the section of the quotient, to an idempotent of A."""
+def _lift_idempotent(A, reps, e_bar):
+    """Lift an idempotent e_bar of a quotient of A by a nilpotent ideal, its
+    basis vector q represented by basis vector reps[q] of A, to an
+    idempotent of A."""
     F = A.field
-    x = section.apply(e_bar)
+    # reps ascend, so the lifted coordinates stay sorted
+    x = tuple((reps[q], a) for q, a in e_bar)
     three = F.from_int(3)
     two = F.from_int(2)
     for _ in range(A.dim + 2):
@@ -428,8 +429,7 @@ def _subalgebra_on(A, sub, unit):
     if coords is None:
         raise AssertionError("a product or the unit escapes the subalgebra subspace")
     *products, ucoords = coords
-    B = make_superalgebra(space, _transpose(products, sub.dim), ucoords)
-    return B, GradedMap(space, A.space, basis)
+    return make_superalgebra(space, _transpose(products, sub.dim), ucoords)
 
 
 def local_decomposition(A, rad):
@@ -451,20 +451,20 @@ def local_decomposition(A, rad):
     while pending:
         e = pending.pop(0)
         if e == A.unit:
-            B, incl, rad_b = A, GradedMap.identity(A.space), rad
+            B, incl, rad_b = A, _identity_columns(F, A.dim), rad
         else:
-            B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
+            sub = ideal_generated_by(A, [e]).subspace
+            B, incl = _subalgebra_on(A, sub, e), sub.basis()
             rad_b = radical(B)
         if B.dim - rad_b.subspace.dim == 1:
             factors.append(LocalFactor(e, 1))
             continue
-        S, _ = quotient_by_superideal(B, rad_b)
+        S, _, reps = quotient_by_superideal(B, rad_b)
         e_bar = _semisimple_idempotent(S)
         if e_bar is None:
             factors.append(LocalFactor(e, S.dim))
             continue
-        _, _, section = quotient_data(B.space, rad_b.subspace)
-        e1 = incl.apply(_lift_idempotent(B, section, e_bar))
+        e1 = next(_images(F, incl, (_lift_idempotent(B, reps, e_bar),)))
         pending[:0] = [e1, vec_sub(F, e, e1)]
     total = ()
     for fac in factors:
@@ -501,14 +501,15 @@ def _word_basis(A, generators):
 
 
 def enumerate_homs(A, R, generators):
-    """All superalgebra morphisms A -> R over a finite field.
+    """All superalgebra morphisms A -> R over a finite field, as columns.
 
     Generator images range over the matching parity component of R and fix
     the image of every word.  The induced linear map is multiplicative once
     phi(w * g) = phi(w) phi(g) for every word w and generator g; that holds
     by construction when w * g is itself a word, so only the other pairs are
     checked, against their coordinates in the word basis.  The result order
-    follows the lexicographic enumeration of images.
+    follows the lexicographic enumeration of images.  A morphism is even:
+    b_i has coordinates only on words of its parity, whose images have it.
     """
     F = A.field
     if not F.is_finite():
@@ -550,10 +551,7 @@ def enumerate_homs(A, R, generators):
         if any(R.multiply(word_values[w], gen_imgs[gi]) != r
                for ((w, gi), _), r in zip(unbuilt, rhs)):
             continue
-        try:
-            found.append(GradedMap(A.space, R.space, _images(F, word_values, basis_coeffs)))
-        except ValueError:
-            continue
+        found.append(tuple(_images(F, word_values, basis_coeffs)))
     return found
 
 

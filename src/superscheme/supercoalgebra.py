@@ -20,7 +20,7 @@ from .superalgebra import (
 )
 from .superlinear import (
     GradedMap, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects, _images,
-    _transpose, canonical_columns, linear_form, perp, quotient_data, tensor_apply,
+    _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp, quotient_data,
     tensor_structure, unit_vec, vec_scale, vec_sub,
 )
 
@@ -45,9 +45,6 @@ class SuperCoalgebra(StructureRecord):
     def _coproduct(self):
         """delta: C -> C (x) C, built once per frozen coalgebra."""
         return GradedMap(self.space, self.space.tensor(self.space), self.delta)
-
-    def counit_map(self):
-        return linear_form(self.space, self.counit)
 
     @functools.cached_property
     def _problems(self):
@@ -126,14 +123,17 @@ def dualize_coalgebra(C):
 def is_coalgebra_morphism(f, C, D):
     """delta_D f = (f (x) f) delta_C and eps_D f = eps_C, compared column
     by column, with delta_D f read off the columns of D's delta: no
-    labelled map into D (x) D is built."""
+    labelled map into D (x) D is built.  An odd f is no coalgebra map, so
+    f (x) f is tensored only for an even f and carries no Koszul sign."""
     if f.parity != 0:
         return False
     if f.domain != C.space or f.codomain != D.space:
         return False
-    if list(_images(D.field, D.delta, f.columns)) != list(tensor_apply(f, f, C.delta)):
+    F = D.field
+    if (list(_images(F, D.delta, f.columns))
+            != list(_tensor_apply_sparse(F, f.columns, f.columns, D.dim, C.delta))):
         return False
-    return D.counit_map().compose(f).columns == C.counit_map().columns
+    return list(_images(F, linear_form(D.dim, D.counit), f.columns)) == linear_form(C.dim, C.counit)
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +153,29 @@ def subcoalgebra_on(C, W, prefix="v"):
     m = W.dim
     _, pivots = W.matrix.rref()
     space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)), W.parities)
-    incl = GradedMap(space, C.space, basis)
     slot = {c: s for s, c in enumerate(pivots)}
     n = C.dim
     images = list(_images(F, C.delta, basis))
     # the entries on pivot (x) pivot, in order since slot ascends with the pivots
     coords = [tuple((slot[ab // n] * m + slot[ab % n], c) for ab, c in v
                     if ab // n in slot and ab % n in slot) for v in images]
-    if list(tensor_apply(incl, incl, coords)) != images:
+    # the inclusion W -> C is even, so incl (x) incl carries no Koszul sign
+    if list(_tensor_apply_sparse(F, basis, basis, n, coords)) != images:
         raise NotSubcoalgebra("subspace is not a subcoalgebra")
-    counit = [(i, a) for i, e in enumerate(C.counit_map().images(basis)) for _, a in e]
-    sub = make_supercoalgebra(space, coords, counit)
-    return sub, incl
+    counit = [(i, a) for i, e in enumerate(_images(F, linear_form(n, C.counit), basis))
+              for _, a in e]
+    return make_supercoalgebra(space, coords, counit)
 
 
 def is_coideal(C, W):
     """delta(W) <= W (x) C + C (x) W and eps(W) = 0: (pi (x) pi) delta kills
     W for pi: C -> C/W, with delta(W) read off the columns of delta."""
-    if any(C.counit_map().images(W.basis())):
+    F = C.field
+    if any(_images(F, linear_form(C.dim, C.counit), W.basis())):
         return False
-    _, proj, _ = quotient_data(C.space, W)
-    return not any(tensor_apply(proj, proj, _images(C.field, C.delta, W.basis())))
+    qspace, proj, _ = quotient_data(C.space, W)
+    return not any(_tensor_apply_sparse(F, proj, proj, qspace.dim,
+                                        _images(F, C.delta, W.basis())))
 
 
 def wedge(C, X, Y):
@@ -230,7 +232,7 @@ def irreducible_components(C, rad):
     for idx, fac in enumerate(factors):
         rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
         sub = perp(rest.subspace, C.space)
-        coalg, _ = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        coalg = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
         comps.append(Component(coalg, sub, fac.degree))
     if sum(c.subspace.dim for c in comps) != C.dim:
         raise AssertionError("components do not fill the coalgebra")
@@ -241,7 +243,7 @@ def is_grouplike(C, u):
     """eps(u) = 1 and delta(u) = u (x) u, with delta(u) read off the columns
     of delta: no labelled map into C (x) C is built."""
     F = C.field
-    if C.counit_map().apply(u) != ((0, F.one),):
+    if next(_images(F, linear_form(C.dim, C.counit), (u,))) != ((0, F.one),):
         return False
     n = C.dim
     return next(_images(F, C.delta, (u,))) == tuple((i * n + j, F.mul(a, b))
@@ -262,7 +264,8 @@ def grouplikes(C, comps, corad):
             raise AssertionError("a component with base residue field has a "
                                  "coradical of dimension other than 1")
         v = line.basis()[0]
-        g = vec_scale(F, F.inv(C.counit_map().apply(v)[0][1]), v)
+        eps_v = next(_images(F, linear_form(C.dim, C.counit), (v,)))[0][1]
+        g = vec_scale(F, F.inv(eps_v), v)
         if not is_grouplike(C, g):
             raise AssertionError("component candidate is not group-like")
         out.append(g)
@@ -323,7 +326,7 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
             f"exceed the configured bound {bound}")
     rank = {c: r for r, c in enumerate(sorted(F.elements(), key=F.sort_key))}
     # phi is the element sum_i phi(a_i) (x) a_i* of R (x) C, read by R-row
-    hits = [_transpose(phi.columns, R.dim) for phi in enumerate_homs(A, R, gens)]
+    hits = [_transpose(cols, R.dim) for cols in enumerate_homs(A, R, gens)]
     # zero comes first in sort_key order, so the row-major entries compare
     # as the (-position, rank) pairs of the nonzero ones
     return sorted(hits, key=lambda u: [(-(a * C.dim + m), rank[c])

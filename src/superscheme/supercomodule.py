@@ -12,9 +12,9 @@ from __future__ import annotations
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
 from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    GradedMap, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _coaction_defects,
-    _images, _transpose, _null_space_sparse, _rref_sparse, canonical_columns, pivot_selection,
-    quotient_data, tensor_apply, twist_apply,
+    Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _coaction_defects,
+    _identity_columns, _images, _kernel, _null_space_sparse, _rref_sparse, _tensor_apply_sparse,
+    canonical_columns, quotient_data, twist_apply,
 )
 
 
@@ -92,19 +92,26 @@ def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
 def subcoalgebra_comodule(C, W, prefix="v"):
     """A subcoalgebra W <= C as a right C-comodule via the coproduct.
 
-    delta(W) lies in W (x) C, so the coordinates of each delta(w) are read
-    off the pivot columns of W in the left factor.
+    delta(W) lies in W (x) C, so the coordinates of each delta(w) are its
+    entries on the pivot columns of W in the left factor.
     """
-    sub, incl = subcoalgebra_on(C, W, prefix=prefix)
-    psi = tensor_apply(pivot_selection(W, sub.space), GradedMap.identity(C.space),
-                       _images(C.field, C.delta, W.basis()))
-    return make_supercomodule(sub.space, C, psi), sub, incl
+    sub = subcoalgebra_on(C, W, prefix=prefix)
+    _, pivots = W.matrix.rref()
+    slot = {c: s for s, c in enumerate(pivots)}
+    n = C.dim
+    # in order, since slot ascends with the pivots
+    psi = [tuple((slot[ab // n] * n + ab % n, c) for ab, c in v if ab // n in slot)
+           for v in _images(C.field, C.delta, W.basis())]
+    return make_supercomodule(sub.space, C, psi)
 
 
 def comodule_along(M, f, B):
-    """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B:
-    the coaction (id (x) f) psi."""
-    return make_supercomodule(M.space, B, tensor_apply(GradedMap.identity(M.space), f, M.psi))
+    """Push a C-comodule to a B-comodule along a coalgebra map f: C -> B,
+    given by its columns: the coaction (id (x) f) psi.  f is even, so
+    id (x) f carries no Koszul sign."""
+    F = M.field
+    return make_supercomodule(M.space, B, _tensor_apply_sparse(
+        F, _identity_columns(F, M.dim), f, B.dim, M.psi))
 
 
 def preimage(M, W):
@@ -115,10 +122,10 @@ def preimage(M, W):
     over fields, Comm. Algebra 5, 1977).  psi and pi are even, so the
     kernel is graded.
     """
-    _, pi, _ = quotient_data(M.coalgebra.space, W)
-    cols = tensor_apply(GradedMap.identity(M.space), pi, M.psi)
-    P = Subspace(M.space, Matrix(M.field, _transpose(cols, M.dim * pi.codomain.dim),
-                                 M.dim).null_space())
+    F = M.field
+    qspace, pi, _ = quotient_data(M.coalgebra.space, W)
+    cols = _tensor_apply_sparse(F, _identity_columns(F, M.dim), pi, qspace.dim, M.psi)
+    P = _kernel(M.space, cols, M.dim * qspace.dim)
     o = sum(P.parities)
     return P, (P.dim - o, o)
 
@@ -205,7 +212,7 @@ def flat_check(M):
     rad = dual_radical(C)
     d = C.dim - rad.subspace.dim
     if d > 1:
-        residue, _ = quotient_by_superideal(rad.algebra, rad)
+        residue, _, _ = quotient_by_superideal(rad.algebra, rad)
         if _semisimple_idempotent(residue) is not None:
             raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     _, (e, o) = preimage(M, coradical(C, rad))

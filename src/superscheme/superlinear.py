@@ -1,12 +1,13 @@
-"""Z2-graded exact linear algebra: spaces, canonical subspaces, graded maps.
+"""Z2-graded exact linear algebra: spaces, canonical subspaces, linear maps.
 
 Every vector is sparse: a tuple of (index, entry) pairs, sorted by index,
 with every entry nonzero (see vector).  So is every matrix row and every
-column of a structure map or a graded map, and equal vectors are equal
-tuples.  A graded map is held as its columns; a Matrix holds rows, for
-elimination.  Subspaces are kept in reduced row-echelon form so equality is
-syntactic.  Tensor bases are ordered lexicographically with the left factor
-major; the Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
+column of a linear map, and equal vectors are equal tuples.  A linear map
+is its sparse columns; a GradedMap adds a domain, a codomain and a parity
+only to a morphism a file names.  A Matrix holds rows, for elimination.
+Subspaces are kept in reduced row-echelon form so equality is syntactic.
+Tensor bases are ordered lexicographically with the left factor major; the
+Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def vec_sub(F, u, v):
 class Matrix:
     """Immutable matrix over an explicit field, held as its rows, each a
     vector (sorted (column, entry) pairs with a nonzero entry): what
-    elimination runs on.  A linear map is a GradedMap, held as columns.
+    elimination runs on.  A linear map is held as its columns.
 
     The rref is cached.  A cached rref of (None, pivots) marks a matrix that
     is its own rref; the pivots given to the constructor say so.  Every
@@ -515,10 +516,11 @@ class Subspace:
 
 
 class GradedMap:
-    """Linear map between super vector spaces with a declared parity, held
-    as its sparse columns: columns[j], a vector, is the image of basis
-    vector j of the domain.  Rows are built only where elimination needs
-    them (kernel) and at the text boundary of objfile.
+    """A morphism that an object file or the corpus names: a linear map
+    between super vector spaces with a declared parity, held as its sparse
+    columns: columns[j], a vector, is the image of basis vector j of the
+    domain.  Every map the kernel builds for itself is born as its columns
+    alone.
 
     parity 0 and 1 are enforced as block structure; parity None marks raw
     linear data exempt from homogeneity.
@@ -553,10 +555,6 @@ class GradedMap:
     def identity(cls, space):
         return cls(space, space, _identity_columns(space.field, space.dim), 0)
 
-    @classmethod
-    def zero(cls, domain, codomain):
-        return cls(domain, codomain, ((),) * domain.dim, 0)
-
     def __eq__(self, other):
         # columns are canonical, so they decide equality
         return (isinstance(other, GradedMap) and self.domain == other.domain
@@ -568,42 +566,13 @@ class GradedMap:
     def __repr__(self):
         return f"GradedMap({self.domain.dim}->{self.codomain.dim}, parity={self.parity})"
 
-    def apply(self, vec):
-        """The image of one vector: the one-vector case of images."""
-        if vec and vec[-1][0] >= self.domain.dim:
-            raise DimensionMismatch("vector length mismatch")
-        return next(self.images((vec,)))
-
     def images(self, vecs):
         """The image of each vector of vecs, yielded one at a time, from one
         batched product that lifts the columns once."""
         return _images(self.domain.field, self.columns, vecs)
 
-    def compose(self, other):
-        """self after other: self applied to each column of other."""
-        if other.codomain != self.domain:
-            raise DimensionMismatch("composition domain mismatch")
-        return GradedMap(other.domain, self.codomain, self.images(other.columns),
-                         _parity_sum(self.parity, other.parity))
-
-    def add(self, other):
-        return self._columnwise(vec_add, other)
-
-    def sub(self, other):
-        return self._columnwise(vec_sub, other)
-
-    def _columnwise(self, op, other):
-        if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
-            raise DimensionMismatch("map sum shape mismatch")
-        F = self.domain.field
-        parity = self.parity if self.parity == other.parity else None
-        return GradedMap(self.domain, self.codomain,
-                         [op(F, u, v) for u, v in zip(self.columns, other.columns)], parity)
-
     def kernel(self):
-        """The null space of the rows, read off the columns for elimination."""
-        rows = _transpose(self.columns, self.codomain.dim)
-        return Subspace(self.domain, Matrix(self.domain.field, rows, self.domain.dim).null_space())
+        return _kernel(self.domain, self.columns, self.codomain.dim)
 
     def image(self):
         """The row space of the columns."""
@@ -619,35 +588,17 @@ class GradedMap:
         return self.rank() == self.codomain.dim
 
 
-def _parity_sum(p, q):
-    """Parity of a composite or tensor product; None if either is undeclared."""
-    return None if p is None or q is None else (p + q) % 2
-
-
-def tensor_apply(f, g, vecs):
-    """(f (x) g)(v) for each vector v in vecs, in the tensor basis of the
-    codomains, yielded one at a time.
-
-    (f (x) g)(x_k (x) y_l) = (-1)^{|g||x_k|} f(x_k) (x) g(y_l); a factor g of
-    parity None contributes no sign.
-    """
-    F = f.domain.field
-    odd = {k for k, q in enumerate(f.domain.parities) if q} if g.parity else ()
-    return _tensor_apply_sparse(F, f.columns, g.columns, g.codomain.dim, odd, vecs)
-
-
-def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
+def _tensor_apply_sparse(F, fcols, gcols, nj, vecs):
     """(f (x) g)(v) for each vector v, with f and g given by their sparse
-    columns and nj = dim of g's codomain; the columns x_k of f with k in odd
-    are negated.  Sparse row products in the manner of Gustavson (ACM TOMS
-    1978): only the nonzero coordinates of v and the nonzero column entries
-    of f and g are visited, and sums are accumulated by _sum_ops.  Images
-    are yielded one at a time, as vectors.
+    columns and nj = dim of g's codomain.  No Koszul sign enters, as is right
+    for an even g, and every g the package tensors is even (a validator takes
+    a structure map as even and lists its parity defects apart).  Sparse row
+    products in the manner of Gustavson (ACM TOMS 1978): only the nonzero
+    coordinates of v and the nonzero column entries of f and g are visited,
+    and sums are accumulated by _sum_ops.  Images are yielded one at a time,
+    as vectors.
     """
     lift, lift_each, add, mul, lower = _sum_ops(F)
-    if odd:
-        neg = F.neg
-        fcols = [[(i, neg(a)) for i, a in col] if k in odd else col for k, col in enumerate(fcols)]
     fcols, df = lift(fcols)
     gcols, dg = lift(gcols)
     nl = len(gcols)
@@ -668,7 +619,7 @@ def _tensor_apply_sparse(F, fcols, gcols, nj, odd, vecs):
 
 def _images(F, cols, vecs):
     """Each vector of vecs applied to cols: the tensor kernel, f = id_k."""
-    return _tensor_apply_sparse(F, (((0, F.one),),), cols, 0, (), vecs)
+    return _tensor_apply_sparse(F, (((0, F.one),),), cols, 0, vecs)
 
 
 def _sum_ops(F):
@@ -809,13 +760,13 @@ def _coaction_defects(space, cols, cspace, delta, counit):
     A row's parity is read off its two factors: no tensor space is built.
     """
     F, par, cpar, nc = space.field, space.parities, cspace.parities, cspace.dim
-    eps = linear_form(cspace, counit, None).columns
+    eps = linear_form(nc, counit)
     ident = _identity_columns(F, space.dim)
     rows = {r: par[r // nc] ^ cpar[r % nc] for col in cols for r, _ in col}
     return (list(_parity_defects(cols, par, rows)),
-            list(_defects(_tensor_apply_sparse(F, ident, eps, 1, (), cols), ident)),
-            list(_defects(_tensor_apply_sparse(F, cols, _identity_columns(F, nc), nc, (), cols),
-                          _tensor_apply_sparse(F, ident, delta, nc * nc, (), cols))))
+            list(_defects(_tensor_apply_sparse(F, ident, eps, 1, cols), ident)),
+            list(_defects(_tensor_apply_sparse(F, cols, _identity_columns(F, nc), nc, cols),
+                          _tensor_apply_sparse(F, ident, delta, nc * nc, cols))))
 
 
 def _axiom_defects(space, cols, counit):
@@ -830,9 +781,9 @@ def _axiom_defects(space, cols, counit):
     F, n, par = space.field, space.dim, space.parities
     parity, right, coassoc = _coaction_defects(space, cols, space, cols, counit)
     parity = sorted(parity + [(i, n * n) for i, _ in counit if par[i]])
-    eps = linear_form(space, counit, None).columns
+    eps = linear_form(n, counit)
     ident = _identity_columns(F, n)
-    return (parity, list(_defects(_tensor_apply_sparse(F, eps, ident, n, (), cols), ident)),
+    return (parity, list(_defects(_tensor_apply_sparse(F, eps, ident, n, cols), ident)),
             right, coassoc, list(_defects(cols, twist_apply(space, space, cols))))
 
 
@@ -879,13 +830,13 @@ def twist_apply(V, W, vecs):
         yield tuple(out)
 
 
-def linear_form(space, values, parity=0):
-    """The map space -> k sending basis vector i to entry i of the vector
-    values."""
-    cols = [()] * space.dim
+def linear_form(n, values):
+    """The columns of the form on an n-dimensional space that sends basis
+    vector i to entry i of the vector values."""
+    cols = [()] * n
     for i, a in values:
         cols[i] = ((0, a),)
-    return GradedMap(space, SuperVectorSpace(space.field, ("k",), (0,)), cols, parity)
+    return cols
 
 
 def perp(sub, space=None):
@@ -921,24 +872,13 @@ def _read_coordinates(F, rows, pivots, vecs):
     return out
 
 
-def pivot_selection(sub, space):
-    """The even map V -> space that reads the coordinates of a vector of sub
-    in its echelon basis off the pivot columns; row s of sub is basis vector
-    s of space."""
-    F = sub.space.field
-    _, pivots = sub.matrix.rref()
-    cols = [()] * sub.space.dim
-    for s, c in enumerate(pivots):
-        cols[c] = ((s, F.one),)
-    return GradedMap(sub.space, space, cols, 0)
-
-
 def quotient_data(space, sub):
-    """Quotient space, projection and section for V / W.
+    """The quotient space V / W, the columns of the projection V -> V / W
+    and reps, the basis vectors of V that represent the quotient basis.
 
     The quotient basis consists of the non-pivot coordinates of W, so its
-    labels are original basis labels.  The projection is even when W is
-    graded, raw otherwise.
+    labels are original basis labels, and basis vector q of V / W lifts to
+    basis vector reps[q] of V.  The projection is even when W is graded.
     """
     F = space.field
     red, pivots = sub.matrix.rref()
@@ -952,7 +892,11 @@ def quotient_data(space, sub):
     cols = {r: ((q, F.one),) for r, q in slot.items()}
     for row, pc in zip(red.rows, pivots):
         cols[pc] = tuple((slot[j], F.neg(a)) for j, a in row if j != pc)
-    parity = 0 if sub.is_graded() else None
-    proj = GradedMap(space, qspace, [cols[c] for c in range(space.dim)], parity)
-    section = GradedMap(qspace, space, [unit_vec(F, r) for r in reps], parity)
-    return qspace, proj, section
+    return qspace, [cols[c] for c in range(space.dim)], reps
+
+
+def _kernel(space, cols, height):
+    """The kernel of the map given by cols, its columns on the basis of
+    space with indices below height, as a Subspace of space."""
+    F = space.field
+    return Subspace(space, Matrix(F, _transpose(cols, height), space.dim).null_space())

@@ -33,8 +33,8 @@ from superscheme.supercomodule import (  # noqa: E402
 )
 from superscheme.superlinear import (  # noqa: E402
     DimensionMismatch, GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns,
-    _parity_sum, _transpose, coordinates, linear_form, perp, quotient_data, standard_space,
-    tensor_apply, twist_apply, unit_vec, vec_add, vec_scale, vec_sub, vector,
+    _images, _tensor_apply_sparse, _transpose, coordinates, linear_form, perp, quotient_data,
+    standard_space, twist_apply, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 
 
@@ -82,6 +82,18 @@ def dense_columns(F, rows, ncols=None):
 def coaction_map(M):
     """The coaction psi: M -> M (x) C of a comodule as a map."""
     return GradedMap(M.space, M.space.tensor(M.coalgebra.space), M.psi)
+
+
+def projection(space, sub):
+    """The projection V -> V / W of quotient_data as a map, raw if W is not graded."""
+    qspace, cols, _ = quotient_data(space, sub)
+    return GradedMap(space, qspace, cols, 0 if sub.is_graded() else None)
+
+
+def compose(f, g):
+    """f after g: f applied to each column of g."""
+    return GradedMap(g.domain, f.codomain, f.images(g.columns), _parity_sum(f.parity, g.parity))
+
 
 def matrix_of(f):
     """The Matrix of a GradedMap: its rows, read off its columns."""
@@ -152,6 +164,20 @@ def tensor_map(f, g):
     return tensor_after(f, g, GradedMap.identity(f.domain.tensor(g.domain)))
 
 
+def _parity_sum(p, q):
+    """Parity of a composite or tensor product; None if either is undeclared."""
+    return None if p is None or q is None else (p + q) % 2
+
+
+def tensor_apply(f, g, vecs):
+    """(f (x) g)(v) for each v of vecs, (f (x) g)(x_k (x) y_l) = (-1)^{|g||x_k|}
+    f(x_k) (x) g(y_l); a factor g of parity None contributes no sign."""
+    F = f.domain.field
+    fcols = [vec_scale(F, F.neg(F.one), col) if g.parity and p else col
+             for col, p in zip(f.columns, f.domain.parities)]
+    return _tensor_apply_sparse(F, fcols, g.columns, g.codomain.dim, vecs)
+
+
 def tensor_after(f, g, h):
     """(f (x) g) o h, built column by column without the Kronecker matrix."""
     if h.codomain.dim != f.domain.dim * g.domain.dim:
@@ -203,7 +229,7 @@ def is_superalgebra_morphism(phi, A, B):
         return False
     if phi.domain != A.space or phi.codomain != B.space:
         return False
-    if phi.apply(A.unit) != B.unit:
+    if next(phi.images([A.unit])) != B.unit:
         return False
     # column i * n + j of m is b_i * b_j
     return B.products(phi.columns, phi.columns) == list(
@@ -225,7 +251,8 @@ def is_grouplike_over(C, R, u):
     nc, nv = C.dim, R.dim * C.dim
     v = tuple((a * nc + m, c) for a, row in enumerate(u) for m, c in row)
     id_r, id_c = GradedMap.identity(R.space), GradedMap.identity(C.space)
-    if next(tensor_apply(id_r, C.counit_map(), [v])) != R.unit:
+    eps = linear_form(nc, C.counit)
+    if next(_tensor_apply_sparse(F, _identity_columns(F, R.dim), eps, 1, [v])) != R.unit:
         return False
     # the even map twist (x) id acts on u (x) u one R coordinate at a time
     swapped = tensor_apply(twist(C.space, R.space), id_c,
@@ -334,19 +361,18 @@ def is_subcoalgebra(C, W):
     W, tested via the quotient projection."""
     if not W.is_graded():
         raise ValueError("subcoalgebra test needs a graded subspace")
-    _, proj, _ = quotient_data(C.space, W)
+    proj = projection(C.space, W)
     ident = GradedMap.identity(C.space)
     delta = C.coproduct_map()
     left = tensor_after(proj, ident, delta)
     right = tensor_after(ident, proj, delta)
-    return not any(left.apply(v) or right.apply(v) for v in W.basis())
+    return not any(left.images(W.basis())) and not any(right.images(W.basis()))
 
 
 def wedge_by_kernel(C, X, Y):
     """Reference for supercoalgebra.wedge: the kernel of
     C -> C (x) C -> C/X (x) C/Y."""
-    _, proj_x, _ = quotient_data(C.space, X)
-    _, proj_y, _ = quotient_data(C.space, Y)
+    proj_x, proj_y = projection(C.space, X), projection(C.space, Y)
     return tensor_after(proj_x, proj_y, C.coproduct_map()).kernel()
 
 
@@ -385,8 +411,7 @@ def socle_by_filtration(M):
     out = []
     full = Subspace.full(M.space)
     for stage in coradical_filtration(C, dual_radical(C)):
-        _, proj, _ = quotient_data(C.space, stage)
-        out.append(tensor_after(ident, proj, psi).kernel())
+        out.append(tensor_after(ident, projection(C.space, stage), psi).kernel())
         if out[-1] == full:
             break
     assert out[-1] == full, "socle filtration did not exhaust the comodule"
@@ -424,7 +449,7 @@ def _dense_tower(M, A, reg, depth):
     formal_scheme._iterated_cotensor_tower."""
     F = M.field
     rho = coaction_map(reg)
-    theta_l = matrix_of(twist(reg.space, reg.coalgebra.space).compose(rho))
+    theta_l = matrix_of(compose(twist(reg.space, reg.coalgebra.space), rho))
     B_dim = reg.coalgebra.dim
     ident_A = GradedMap.identity(A.space)
     levels = [(M.space, matrix_of(coaction_map(M)), None, ())]
@@ -451,7 +476,8 @@ def _dense_tower(M, A, reg, depth):
         faces = [coordinates(prev_carrier, tensor_apply(pf, ident_A, basis))
                  for pf in prev_faces]
         assert None not in faces, "face map escapes the carrier"
-        faces.append(tensor_apply(ident_P, A.counit_map(), basis))
+        faces.append(_tensor_apply_sparse(F, ident_P.columns, linear_form(A.dim, A.counit), 1,
+                                          basis))
         faces = tuple(GradedMap(space, prev_space, cols, None) for cols in faces)
         psi = Matrix(F, psi_cols, space.dim * B_dim)._transpose()
         levels.append((space, psi, carrier, faces))
@@ -460,10 +486,10 @@ def _dense_tower(M, A, reg, depth):
 
 def _alternating_sum(faces):
     """The boundary of a dense tower level: the alternating sum of its faces."""
-    out = faces[0]
+    F, cols = faces[0].domain.field, faces[0].columns
     for idx, face in enumerate(faces[1:], start=1):
-        out = out.sub(face) if idx % 2 else out.add(face)
-    return out
+        cols = [(vec_sub if idx % 2 else vec_add)(F, u, v) for u, v in zip(cols, face.columns)]
+    return GradedMap(faces[0].domain, faces[0].codomain, cols, None)
 
 
 def _dense_exactness(levels, depth):
@@ -489,10 +515,10 @@ def descent_degrees_by_dense_tower(f, depth):
     the same test comodules (O(Y), then kappa(y) per point), each complex
     built and checked densely."""
     A, B = f.source, f.target
-    reg = comodule_along(regular_comodule(A), f.map, B)
+    reg = comodule_along(regular_comodule(A), f.map.columns, B)
     tests = [regular_comodule(B)]
     for y in points(B):
-        tests.append(subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}.")[0])
+        tests.append(subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}."))
     return tuple(_dense_exactness(_dense_tower(M, A, reg, depth + 1), depth)
                  for M in tests)
 
@@ -511,7 +537,8 @@ def flatness_of(f):
 def fiber_by_cotensor(f, y):
     """Reference for formal_scheme.fiber: the fiber product of f with the
     inclusion of {y} = Sp*(kappa(y)), a cotensor inside A (x) kappa(y)."""
-    kappa, incl = subcoalgebra_on(f.target, y.kappa, prefix="k")
+    kappa = subcoalgebra_on(f.target, y.kappa, prefix="k")
+    incl = GradedMap(kappa.space, f.target.space, y.kappa.basis(), 0)
     return fiber_product(f, SchemeMorphism(kappa, f.target, incl))
 
 
@@ -531,7 +558,7 @@ def bounded_degree_by_dual_action(f):
     def acting(w):
         """w . a* for every basis vector a* of A*: B* acts on A* through the
         transpose of the coalgebra map, which sends w to w o f."""
-        cols = linear_form(B.space, w, None).compose(f.map).columns
+        cols = _images(F, linear_form(B.dim, w), f.map.columns)
         pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
         return dualA.products([pulled], _identity_columns(F, dualA.dim))
 
@@ -540,7 +567,7 @@ def bounded_degree_by_dual_action(f):
     qspace, proj, _ = quotient_data(dualA.space, JA)
     degree = 0
     for fac in factors:
-        comp = Subspace.from_vectors(qspace, proj.images(acting(fac.idempotent)))
+        comp = Subspace.from_vectors(qspace, _images(F, proj, acting(fac.idempotent)))
         even = even_part(comp).dim
         odd = odd_part(comp).dim
         d = fac.degree
@@ -568,8 +595,9 @@ def bosonic_reduction_scheme(C):
     functionals (like (th1*th2)*) must die too, so the carrier is the perp
     of the canonical superideal of C*.
     """
-    dual = dualize_coalgebra(C)
-    return subcoalgebra_on(C, perp(canonical_ideal(dual).subspace, C.space), prefix="b")
+    carrier = perp(canonical_ideal(dualize_coalgebra(C)).subspace, C.space)
+    sub = subcoalgebra_on(C, carrier, prefix="b")
+    return sub, GradedMap(sub.space, C.space, carrier.basis(), 0)
 
 
 def _restrict_between(m, incl_src, incl_dst):
@@ -579,7 +607,7 @@ def _restrict_between(m, incl_src, incl_dst):
     the coordinates of the images are read on that carrier.
     """
     carrier = incl_dst.image()
-    cols = coordinates(carrier, m.compose(incl_src).columns)
+    cols = coordinates(carrier, m.images(incl_src.columns))
     if cols is None:
         raise AssertionError("bosonic image escapes the target carrier")
     return GradedMap(incl_src.domain, incl_dst.domain, cols, 0)
@@ -645,7 +673,7 @@ def inclusion_to_deepest(X, level):
     """Composite transition map X.levels[level] -> deepest level."""
     comp = GradedMap.identity(X.levels[level].space)
     for m in X.maps[level:]:
-        comp = m.compose(comp)
+        comp = compose(m, comp)
     return comp
 
 
@@ -678,10 +706,10 @@ def is_algebraic_at(X, point_index):
             images.append(Subspace.zero(deepest.space))
             dims.append(0)
             continue
-        sub, incl = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
+        sub = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
         chain = coradical_filtration(sub, dual_radical(sub))
         a1 = chain[min(1, len(chain) - 1)]
-        img_vecs = inc.images(incl.images(a1.basis()))
+        img_vecs = inc.images(_images(C.field, piece.basis(), a1.basis()))
         images.append(Subspace.from_vectors(deepest.space, img_vecs))
         dims.append(a1.dim)
     stabilized = len(images) >= 2 and images[-1] == images[-2]
@@ -714,7 +742,7 @@ def is_comodule_morphism(f, M, N):
     if M.coalgebra != N.coalgebra:
         return False
     ident = GradedMap.identity(M.coalgebra.space)
-    lhs = coaction_map(N).compose(f)
+    lhs = compose(coaction_map(N), f)
     # f (x) id carries no Koszul sign whatever the parity of f
     rhs = tensor_after(f, ident, coaction_map(M))
     return lhs.columns == rhs.columns
@@ -722,9 +750,8 @@ def is_comodule_morphism(f, M, N):
 
 def is_subcomodule(M, W):
     """psi(W) <= W (x) C."""
-    _, proj, _ = quotient_data(M.space, W)
     ident = GradedMap.identity(M.coalgebra.space)
-    test = tensor_after(proj, ident, coaction_map(M))
+    test = tensor_after(projection(M.space, W), ident, coaction_map(M))
     return not any(test.images(W.basis()))
 
 
@@ -735,11 +762,10 @@ def quotient_comodule(M, W):
     if not is_subcomodule(M, W):
         raise ValueError("subspace is not a subcomodule")
     C = M.coalgebra
-    qspace, proj, section = quotient_data(M.space, W)
+    proj = projection(M.space, W)
     psi = tensor_apply(proj, GradedMap.identity(C.space),
-                       coaction_map(M).images(section.columns))
-    quot = make_supercomodule(qspace, C, psi)
-    return quot, GradedMap(M.space, qspace, proj.columns, 0)
+                       [M.psi[r] for r in quotient_data(M.space, W)[2]])
+    return make_supercomodule(proj.codomain, C, psi), proj
 
 
 def cosocle_epi(M):
@@ -747,10 +773,9 @@ def cosocle_epi(M):
     C = M.coalgebra
     rad = dual_radical(C).subspace
     # w . m = (id (x) w)(psi(m)), the pairing with no Koszul sign
-    ident = GradedMap.identity(M.space)
-    sub = Subspace.from_vectors(
-        M.space, [v for w in rad.basis()
-                  for v in tensor_apply(ident, linear_form(C.space, w, None), M.psi)])
+    F = M.field
+    sub = Subspace.from_vectors(M.space, [v for w in rad.basis() for v in _tensor_apply_sparse(
+        F, _identity_columns(F, M.dim), linear_form(C.dim, w), 1, M.psi)])
     return quotient_comodule(M, sub)
 
 
@@ -840,7 +865,7 @@ def flat_by_lifting(M):
     F = M.field
     dual = dualize_coalgebra(C)
     rad = radical(dual)
-    residue, _ = quotient_by_superideal(dual, rad)
+    residue = quotient_by_superideal(dual, rad)[0]
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     mats = dual_action(M)
@@ -851,10 +876,10 @@ def flat_by_lifting(M):
     radM = Subspace.from_vectors(
         dual_space, [row for w in rad.subspace.matrix.rows
                      for row in dual_action_of(M, mats, w).rows])
-    qspace, _, section = quotient_data(dual_space, radM)
+    qspace, _, reps = quotient_data(dual_space, radM)
     kept = []
     span = radM
-    for lift, parity in zip(section.columns, qspace.parities):
+    for lift, parity in zip([unit_vec(F, r) for r in reps], qspace.parities):
         if span.contains(lift):
             continue
         kept.append((lift, parity))
@@ -887,7 +912,7 @@ def radical_by_quotient(A):
     if A.dim == 0:
         return Superideal(A, Subspace.zero(A.space))
     jc = canonical_ideal(A)
-    abar, proj = quotient_by_superideal(A, jc)
+    abar = quotient_by_superideal(A, jc)[0]
     if abar.dim == 0:
         return Superideal(A, jc.subspace)
     if A.field.char == 0:
@@ -897,8 +922,7 @@ def radical_by_quotient(A):
     if radbar.dim == 0:
         pre = jc.subspace
     else:
-        qspace, qproj, _ = quotient_data(abar.space, radbar)
-        pre = qproj.compose(proj).kernel()
+        pre = compose(projection(abar.space, radbar), projection(A.space, jc.subspace)).kernel()
     return Superideal(A, pre.sum(jc.subspace))
 
 
@@ -914,17 +938,17 @@ def local_decomposition_by_residues(A, rad):
     while pending:
         e = pending.pop(0)
         if e == A.unit:
-            B, incl, rad_b = A, GradedMap.identity(A.space), rad
+            B, incl, rad_b = A, _identity_columns(F, A.dim), rad
         else:
-            B, incl = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
+            sub = ideal_generated_by(A, [e]).subspace
+            B, incl = _subalgebra_on(A, sub, e), sub.basis()
             rad_b = radical_by_quotient(B)
-        S, _ = quotient_by_superideal(B, rad_b)
+        S, _, reps = quotient_by_superideal(B, rad_b)
         e_bar = None if S.dim == 1 else _semisimple_idempotent(S)
         if e_bar is None:
             factors.append(LocalFactor(e, S.dim))
             continue
-        _, _, section = quotient_data(B.space, rad_b.subspace)
-        e1 = incl.apply(_lift_idempotent(B, section, e_bar))
+        e1 = next(_images(F, incl, [_lift_idempotent(B, reps, e_bar)]))
         pending[:0] = [e1, vec_sub(F, e, e1)]
     total = ()
     for fac in factors:
@@ -944,7 +968,7 @@ def components_by_subcoalgebras(C, rad):
     for idx, fac in enumerate(local_decomposition_by_residues(dual, rad)):
         rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
         sub = perp(rest.subspace, C.space)
-        coalg, _ = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        coalg = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
         comps.append(Component(coalg, sub, fac.degree))
     if sum(c.subspace.dim for c in comps) != C.dim:
         raise AssertionError("components do not fill the coalgebra")
@@ -958,7 +982,7 @@ def flat_check_by_residue(M):
     if C.dim == 0:
         raise NotConnected("flatness over the zero coalgebra is undefined")
     rad = radical_by_quotient(dualize_coalgebra(C))
-    residue, _ = quotient_by_superideal(rad.algebra, rad)
+    residue = quotient_by_superideal(rad.algebra, rad)[0]
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
     _, (e, o) = preimage(M, coradical(C, rad))

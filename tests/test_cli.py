@@ -16,7 +16,7 @@ from superscheme import cli
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
 from superscheme.fields import PRIMALITY_BOUND, QQ, PrimeField
 from superscheme.objfile import serialize_document
-from superscheme.superlinear import GradedMap, SuperVectorSpace
+from superscheme.superlinear import GradedMap, SuperVectorSpace, linear_form
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
 from superscheme.formal_scheme import (
     TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
@@ -457,7 +457,7 @@ def test_descent_tower_over_the_bound_is_unsupported(tmp_path):
     building it, with an unsupported line that names the bound."""
     assert 65 ** 2 <= TOWER_AMBIENT_BOUND < 65 ** 3
     C, K = grouplike_coalgebra(65, F3), unit_coalgebra(F3)
-    f = SchemeMorphism.finite(GradedMap(C.space, K.space, C.counit_map().columns, 0),
+    f = SchemeMorphism.finite(GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0),
                               C, K)
     path = tmp_path / "collapse65.mor"
     path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
@@ -475,7 +475,7 @@ def test_counit_collapse_tower_over_the_bound_is_refused_before_any_level(tmp_pa
     counit collapse of Grassmann(3)*, so depth 6 is refused for its level 7
     before level 1 is built."""
     C, K = dualize_algebra(grassmann(3, F3)), unit_coalgebra(F3)
-    f = SchemeMorphism.finite(GradedMap(C.space, K.space, C.counit_map().columns, 0),
+    f = SchemeMorphism.finite(GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0),
                               C, K)
     path = tmp_path / "collapse-g3.mor"
     path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
@@ -914,7 +914,7 @@ def _fuzz_inputs():
     # the counit collapse of Grassmann(2)*, whose source has odd basis vectors
     G2d = dualize_algebra(grassmann(2, F3))
     K3 = unit_coalgebra(F3)
-    g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, G2d.counit_map().columns),
+    g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, linear_form(G2d.dim, G2d.counit)),
                               G2d, K3)
     from superscheme.supercomodule import regular_comodule, trivial_comodule
     from superscheme.superlinear import unit_vec

@@ -133,7 +133,7 @@ def _constructions():
         ("base change comodule", base_change_comodule(free_comodule(W, D2), QI, D2i)),
         ("quotient algebra", quotient_by_superideal(G2, canonical_ideal(G2))[0]),
         ("quotient comodule", cosocle_epi(free_comodule(W, D2))[0]),
-        ("subcoalgebra", subcoalgebra_on(grouplike_coalgebra(2), comp.subspace)[0]),
+        ("subcoalgebra", subcoalgebra_on(grouplike_coalgebra(2), comp.subspace)),
         ("regular comodule", regular_comodule(G2d)),
         ("free comodule", free_comodule(W, G2d)),
         ("trivial comodule", trivial_comodule(D2, unit_vec(QQ, 0), 2, 1)),

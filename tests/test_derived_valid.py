@@ -23,7 +23,7 @@ from superscheme.supercomodule import (
     comodule_along, free_comodule, regular_comodule, subcoalgebra_comodule,
     trivial_comodule, validate_comodule,
 )
-from superscheme.superlinear import GradedMap, standard_space
+from superscheme.superlinear import linear_form, standard_space
 from superscheme.corpus import (
     canonical_algebras, canonical_coalgebras, divided_power, grassmann,
     seeded_random,
@@ -49,12 +49,12 @@ def test_algebra_builders_give_valid_structures(F, name):
     A = _named(canonical_algebras, F, name)
     assert validate_supercoalgebra(dualize_algebra(A)) == []
     for ideal in (radical(A), canonical_ideal(A)):
-        quot, _ = quotient_by_superideal(A, ideal)
+        quot = quotient_by_superideal(A, ideal)[0]
         assert validate_superalgebra(quot) == []
     for factor in local_decomposition(A, radical(A)):
         # the factor algebra eA, built as local_decomposition builds it
         e = factor.idempotent
-        B, _ = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
+        B = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
         assert validate_superalgebra(B) == []
     assert validate_superalgebra(tensor_superalgebra(A, grassmann(1, F))) == []
 
@@ -68,11 +68,10 @@ def test_coalgebra_builders_give_valid_structures(F, name):
     comps = irreducible_components(C, rad)
     for comp in comps:
         assert validate_supercoalgebra(comp.coalgebra) == []
-        M, _, _ = subcoalgebra_comodule(C, comp.subspace)
+        M = subcoalgebra_comodule(C, comp.subspace)
         assert validate_comodule(M) == []
         # the regular comodule of a component, pushed into C
-        incl = GradedMap(comp.coalgebra.space, C.space, comp.subspace.basis())
-        pushed = comodule_along(regular_comodule(comp.coalgebra), incl, C)
+        pushed = comodule_along(regular_comodule(comp.coalgebra), comp.subspace.basis(), C)
         assert validate_comodule(pushed) == []
     assert validate_supercoalgebra(tensor_coalgebra(C, divided_power(1, F))) == []
     assert validate_supercoalgebra(direct_sum_coalgebra([C, K])) == []
@@ -80,7 +79,7 @@ def test_coalgebra_builders_give_valid_structures(F, name):
         assert validate_comodule(trivial_comodule(C, g, 1, 1)) == []
     W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
     assert validate_comodule(free_comodule(W, C)) == []
-    counit = GradedMap(C.space, K.space, C.counit_map().columns, 0)
+    counit = linear_form(C.dim, C.counit)
     assert validate_comodule(comodule_along(free_comodule(W, C), counit, K)) == []
 
 

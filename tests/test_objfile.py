@@ -354,6 +354,17 @@ end
     assert not hasattr(doc, "expected")
 
 
+def test_expected_block_lines_are_skipped_to_its_end():
+    """Every line of an expected block up to its end is skipped, keyword or
+    not, and a file that ends inside the block is a parse error."""
+    with pytest.raises(ParseError, match="missing field declaration"):
+        parse_text("superscheme 1\nexpected\nfield Q\nend\n")
+    doc = parse_text("superscheme 1\nfield Q\nexpected\nobject coalgebra C\nend\n")
+    assert doc.all_of("coalgebra") == []
+    with pytest.raises(ParseError, match="unterminated expected block"):
+        parse_text("superscheme 1\nfield Q\nexpected\n  components 1\n")
+
+
 def test_readme_format_example_validates():
     from superscheme.superalgebra import validate_superalgebra
     text = """superscheme 1

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -164,8 +165,8 @@ def test_a_fiber_is_one_preimage():
 
     builders = {(fname, scope) for fname, tree in trees.items()
                 for scope in scopes(tree, "quotient_data")
-                & scopes(tree, "tensor_apply", "tensor_after")
-                & scopes(tree, "null_space", "kernel")}
+                & scopes(tree, "_tensor_apply_sparse", "tensor_apply", "tensor_after")
+                & scopes(tree, "null_space", "kernel", "_kernel") - {"<module>"}}
     assert builders == {("supercomodule.py", "preimage")}
 
 
@@ -183,6 +184,29 @@ def test_a_residue_field_is_its_degree():
     from superscheme.supercoalgebra import Component
     assert LocalFactor._fields == ("idempotent", "degree")
     assert Component._fields == ("coalgebra", "subspace", "degree")
+
+
+def test_a_map_the_kernel_builds_is_its_columns():
+    """A GradedMap is built only for a morphism that a file or the corpus
+    names, for the identity morphism and for the cached coproduct map: every
+    other map is its sparse columns.  Every map the kernel tensors is even,
+    so the tensor kernel takes no Koszul sign, and no helper of an algebra
+    of maps is left."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {(fname, scope) for fname, tree in trees.items()
+             for scope in _references(tree, "GradedMap") if scope != "<module>"}
+    assert found == {("corpus.py", "_seeded_morphism"), ("formal_scheme.py", "identity_morphism"),
+                     ("objfile.py", "_build_morphism"), ("supercoalgebra.py", "_coproduct"),
+                     ("superlinear.py", "__eq__")}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for name in ("tensor_apply", "pivot_selection", "counit_map", "_parity_sum"):
+        assert name not in defined, name
+    from superscheme.superlinear import GradedMap, _tensor_apply_sparse
+    for name in ("compose", "add", "sub", "zero"):
+        assert not hasattr(GradedMap, name), name
+    assert "odd" not in inspect.signature(_tensor_apply_sparse).parameters
 
 
 # Top-level names of the package that only tests reach.  The list may only

@@ -7,14 +7,14 @@ from hypothesis import given, seed, settings, strategies as st
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
     DimensionMismatch, GradedMap, Matrix, Record, Subspace, _null_space_sparse,
-    _rref_sparse, coordinates, perp, quotient_data, standard_space, tensor_apply, unit_vec,
-    vec_add, vec_scale,
+    _rref_sparse, coordinates, perp, quotient_data, standard_space, unit_vec,
+    vec_add, vec_scale, vec_sub,
 )
 from superscheme.corpus import Rng
 
 from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, even_part, graded_map, matrix_of, odd_part,
-    rational, sparse, tensor_after, tensor_map, twist,
+    compose, dense, dense_columns, dense_matrix, dense_rows, even_part, graded_map, matrix_of,
+    odd_part, rational, sparse, tensor_after, tensor_apply, tensor_map, twist,
 )
 
 F3 = PrimeField(3)
@@ -43,7 +43,7 @@ def test_rref_idempotent_and_kernel(M):
     red2, pivots2 = red.rref()
     assert red.rows == red2.rows and pivots == pivots2
     for row in M.null_space().rows:
-        assert all(c == 0 for c in dense(QQ, M.nrows, graded_map(M).apply(row)))
+        assert all(c == 0 for c in dense(QQ, M.nrows, next(graded_map(M).images([row]))))
 
 
 @given(mat_strategy(3), mat_strategy(3))
@@ -62,7 +62,7 @@ def test_kernel_examples():
     # zero map on k^{2|1}: kernel is everything
     V = standard_space(QQ, 2, 1)
     W = standard_space(QQ, 1, 0)
-    z = GradedMap.zero(V, W)
+    z = GradedMap(V, W, [()] * V.dim, 0)
     assert z.kernel() == Subspace.full(V)
     assert z.kernel().sdim == (2, 1)
     # identity on k^{1|1}: kernel 0
@@ -79,11 +79,11 @@ def test_twist_signs_and_involution():
     W = standard_space(QQ, 1, 1)
     c = twist(V, W)
     # even (x) even keeps sign, odd (x) odd flips
-    ee = dense(QQ, 4, c.apply(unit_vec(QQ, 0)))       # e (x) e slot -> e (x) e
+    ee = dense(QQ, 4, next(c.images([unit_vec(QQ, 0)])))       # e (x) e slot -> e (x) e
     assert ee[0] == 1
-    oo = dense(QQ, 4, c.apply(unit_vec(QQ, 3)))       # o (x) o
+    oo = dense(QQ, 4, next(c.images([unit_vec(QQ, 3)])))       # o (x) o
     assert oo[3] == -1
-    back = twist(W, V).compose(c)
+    back = compose(twist(W, V), c)
     assert back.columns == Matrix.identity(QQ, 4).rows
 
 
@@ -146,8 +146,8 @@ def test_tensor_compose_sign_rule():
         g = _random_homogeneous_map(rng, V, V, pg)
         f2 = _random_homogeneous_map(rng, V, V, pf2)
         g2 = _random_homogeneous_map(rng, V, V, pg2)
-        lhs = tensor_map(f, g).compose(tensor_map(f2, g2))
-        rhs = tensor_map(f.compose(f2), g.compose(g2))
+        lhs = compose(tensor_map(f, g), tensor_map(f2, g2))
+        rhs = tensor_map(compose(f, f2), compose(g, g2))
         sign = (-1) ** (pg * pf2)
         assert lhs.columns == tuple(vec_scale(QQ, Fraction(sign), col) for col in rhs.columns)
 
@@ -184,7 +184,7 @@ def test_tensor_apply_matches_entry_formula(F):
             h = _random_homogeneous_map(rng, U, dom, None)
             fgh = tensor_after(f, g, h)
             assert matrix_of(fgh) == expected.mul(matrix_of(h))
-            assert fgh.columns == tensor_map(f, g).compose(h).columns
+            assert fgh.columns == compose(tensor_map(f, g), h).columns
             assert fgh.domain == U and fgh.codomain == W.tensor(V)
 
 
@@ -218,13 +218,32 @@ def test_graded_map_parity_enforced():
 def test_quotient_data_and_coordinates():
     V = standard_space(QQ, 3, 0)
     W = Subspace.from_vectors(V, [sparse(QQ, (Fraction(1), Fraction(1), Fraction(0)))])
-    q, proj, section = quotient_data(V, W)
+    q, proj, reps = quotient_data(V, W)
     assert q.dim == 2
-    for i in range(q.dim):
-        assert proj.apply(section.apply(unit_vec(QQ, i))) == unit_vec(QQ, i)
+    # the projection kills W and sends each representative to its class
+    assert not any(GradedMap(V, q, proj, 0).images(W.basis()))
+    assert [proj[r] for r in reps] == [unit_vec(QQ, i) for i in range(q.dim)]
     coords = coordinates(W, [sparse(QQ, (Fraction(2), Fraction(2), Fraction(0)))])
     assert [dense(QQ, 1, c) for c in coords] == [(Fraction(2),)]
     assert coordinates(W, [sparse(QQ, (Fraction(1), Fraction(0), Fraction(0)))]) is None
+
+
+def test_quotient_projection_of_a_graded_subspace_is_even():
+    """quotient_data returns the projection as columns alone; for a graded W
+    they make an even map, and for a W that is not graded they do not."""
+    V = standard_space(F3, 2, 2)
+    rng = Rng(23)
+    for _ in range(20):
+        vecs = [sparse(F3, [rng.scalar(F3) if p == parity else 0 for p in V.parities])
+                for parity in (0, 0, 1)]
+        W = Subspace.from_vectors(V, vecs[:1 + rng.randint(3)])
+        assert W.is_graded()
+        q, proj, _ = quotient_data(V, W)
+        GradedMap(V, q, proj, 0)
+    mixed = Subspace.from_vectors(V, [sparse(F3, (1, 0, 1, 0))])
+    q, proj, _ = quotient_data(V, mixed)
+    with pytest.raises(ValueError):
+        GradedMap(V, q, proj, 0)
 
 
 def test_subspace_graded_parts():
@@ -326,8 +345,8 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
                          (fast.row_space(), slow.row_space()),
                          (fast.null_space(), slow.null_space()),
                          (fast.mul(fast._transpose()), slow.mul(slow._transpose())),
-                         (matrix_of(graded_map(fast).add(graded_map(fast))),
-                          matrix_of(graded_map(slow).add(graded_map(slow))))]:
+                         (Matrix(F, [vec_add(F, r, r) for r in fast.rows], n),
+                          Matrix(G, [vec_add(G, r, r) for r in slow.rows], n))]:
         assert _typed(f_out.rows) == _typed(g_out.rows)
         assert (f_out.nrows, f_out.ncols) == (g_out.nrows, g_out.ncols)
     # a canonical matrix is its own rref and is not reduced again
@@ -355,7 +374,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
         assert (got is None) == (want is None)
         if got is not None:
             assert _typed(got) == _typed(want)
-        assert _typed([graded_map(fast).apply(v)]) == _typed([graded_map(slow).apply(v)])
+        assert _typed(graded_map(fast).images([v])) == _typed(graded_map(slow).images([v]))
     # a batch is read whole: one vector outside makes it None, against a rank test
     outside_in = fast.stack(Matrix(F, [outside], n)).rank() == fast.rank()
     assert (coordinates(sub_f, [inside, outside, inside]) is None) == (not outside_in)
@@ -365,7 +384,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # solve reduces [M | B] once: M X = B, and None exactly when rank [M | B] > rank M
     m = fast.nrows
     xs = [sparse(F, data.draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(2)]
-    bs = [graded_map(fast).apply(x) for x in xs]
+    bs = [next(graded_map(fast).images([x])) for x in xs]
     if data.draw(st.booleans()):
         bs.append(sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m))))
     B = Matrix(F, bs, m)._transpose()
@@ -384,8 +403,8 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # coefficients: over F, over the generic path, and as the row of
     # coefficients times the matrix
     coeffs = sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m)))
-    combo = graded_map(fast._transpose()).apply(coeffs)
-    assert _typed([combo]) == _typed([graded_map(slow._transpose()).apply(coeffs)])
+    combo = next(graded_map(fast._transpose()).images([coeffs]))
+    assert _typed([combo]) == _typed([next(graded_map(slow._transpose()).images([coeffs]))])
     assert _typed([combo]) == _typed(Matrix(F, [coeffs], m).mul(fast).rows)
 
 
@@ -500,9 +519,9 @@ def _matrix_cases(draw):
 @given(_matrix_cases())
 @settings(max_examples=150, deadline=None)
 def test_matrix_operations_match_the_dense_reference(dense_reference, case):
-    """Every Matrix operation, on sparse rows, and every GradedMap
-    operation, on sparse columns, against the same operation on dense rows
-    over Q, F3 and F9."""
+    """Every Matrix operation, on sparse rows, and every operation on the
+    sparse columns of a map, against the same operation on dense rows over
+    Q, F3 and F9."""
     R = dense_reference
     F, m, n, k, a, b, c_rows, d, v, c, xs, extra = case
     A = dense_matrix(F, a, n)
@@ -520,21 +539,23 @@ def test_matrix_operations_match_the_dense_reference(dense_reference, case):
                    for r in M.rows)
 
     same(A._transpose(), R.transpose(a, n), (n, m))
-    same(matrix_of(f.add(h)), R.add(F, a, b), (m, n))
-    same(matrix_of(f.sub(h)), R.sub(F, a, b), (m, n))
+    added, subtracted = ([op(F, u, w) for u, w in zip(f.columns, h.columns)]
+                         for op in (vec_add, vec_sub))
+    same(Matrix(F, added, m)._transpose(), R.add(F, a, b), (m, n))
+    same(Matrix(F, subtracted, m)._transpose(), R.sub(F, a, b), (m, n))
     scaled = GradedMap(Vn, Vm, [vec_scale(F, c, col) for col in f.columns], None)
     same(matrix_of(scaled), R.scale(F, c, a), (m, n))
     same(A.stack(C), R.stack(a, c_rows), (m + k, n))
     same(A.mul(D), R.mul(F, a, d, k), (m, k))
-    assert dense(F, m, f.apply(sparse(F, v))) == tuple(R.apply(F, a, v))
-    same(matrix_of(f.compose(g)), R.mul(F, a, d, k), (m, k))
+    assert dense(F, m, next(f.images([sparse(F, v)]))) == tuple(R.apply(F, a, v))
+    same(matrix_of(compose(f, g)), R.mul(F, a, d, k), (m, k))
     same(f.kernel().matrix, R.null_space(F, a, n), (len(R.null_space(F, a, n)), n))
     image = R.image(F, a, n)
     same(f.image().matrix, image, (len(image), m))
     assert f.rank() == R.rank(F, a, n) == len(image)
     # the columns are in the one vector form
     assert all(list(col) == sorted(col) and all(not F.is_zero(x) for _, x in col)
-               for col in f.compose(g).columns + f.add(h).columns + f.sub(h).columns)
+               for col in compose(f, g).columns + tuple(added) + tuple(subtracted))
     same(A.null_space(), R.null_space(F, a, n), (len(R.null_space(F, a, n)), n))
     bs = [R.apply(F, a, x) for x in xs] + extra
     got = A.solve([sparse(F, b) for b in bs])
