@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .fields import QQ
 from .superlinear import (
-    GradedMap, Record, Subspace, SuperVectorSpace, linear_form, standard_space, unit_vec, vector,
+    Record, Subspace, SuperVectorSpace, linear_form, standard_space, unit_vec, vector,
 )
 from .superalgebra import make_superalgebra, monomial_superalgebra, tensor_superalgebra
 from .supercoalgebra import (
@@ -262,8 +262,7 @@ def _seeded_morphism(rng, seed, field):
     if shape == 0:
         # collapse to the point: O(X) -> k by the counit
         K = unit_coalgebra(F)
-        m = GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0)
-        f = SchemeMorphism.finite(m, C, K)
+        f = SchemeMorphism.finite(linear_form(C.dim, C.counit), C, K)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": True,
                             "label": "counit-collapse"},
@@ -280,8 +279,7 @@ def _seeded_morphism(rng, seed, field):
         other = grouplike_coalgebra(1 + rng.randint(2), F)
         from .supercoalgebra import direct_sum_coalgebra
         big = direct_sum_coalgebra([C, other])
-        m = GradedMap(C.space, big.space, [unit_vec(F, i) for i in range(C.dim)], 0)
-        f = SchemeMorphism.finite(m, C, big)
+        f = SchemeMorphism.finite([unit_vec(F, i) for i in range(C.dim)], C, big)
         return CorpusEntry("morphism", seed, (f,),
                            {"flat": True, "faithfully_flat": False,
                             "label": "component-inclusion"},
@@ -289,8 +287,7 @@ def _seeded_morphism(rng, seed, field):
     # point into a fat connected scheme: not flat when dim > 1
     K = unit_coalgebra(F)
     g = _host_grouplike(C)
-    m = GradedMap(K.space, C.space, [g], 0)
-    f = SchemeMorphism.finite(m, K, C)
+    f = SchemeMorphism.finite([g], K, C)
     return CorpusEntry("morphism", seed, (f,),
                        {"flat": False, "faithfully_flat": False,
                         "label": "point-into-fat"},

@@ -17,7 +17,7 @@ from .supercomodule import (
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    GradedMap, Record, Subspace, _identity_columns, _read_coordinates, _rref_sparse,
+    Record, Subspace, _identity_columns, _images, _kernel, _read_coordinates, _rref_sparse,
     _tensor_apply_sparse, coordinates, linear_form, vec_add, vec_sub,
 )
 
@@ -28,7 +28,8 @@ class CotensorNotSubcoalgebra(RuntimeError):
 
 class FormalSuperscheme(Record):
     """A tower: levels joined by injective coalgebra maps, standing in for a
-    filtered system.  A finite-level scheme is its coalgebra and needs none."""
+    filtered system.  A finite-level scheme is its coalgebra and needs none.
+    maps holds the SchemeMorphisms from each level to the next."""
     levels: tuple
     maps: tuple = ()
 
@@ -48,9 +49,11 @@ class FormalSuperscheme(Record):
         for i, m in enumerate(self.maps):
             if i in bad or i + 1 in bad:
                 continue
-            if not is_coalgebra_morphism(m, self.levels[i], self.levels[i + 1]):
+            C, D = self.levels[i], self.levels[i + 1]
+            if (m.source.space != C.space or m.target.space != D.space
+                    or not is_coalgebra_morphism(m.columns, C, D)):
                 problems.append(f"transition {i} is not a coalgebra morphism")
-            elif not m.is_injective():
+            elif _image(m).dim != C.dim:
                 problems.append(f"transition {i} is not injective")
         return problems
 
@@ -63,14 +66,15 @@ class Point(Record):
 
 class SchemeMorphism(Record):
     """Sp*(source) -> Sp*(target): two super-coalgebras and one even
-    coalgebra map between them."""
+    coalgebra map between them, held as its sparse columns: columns[j], a
+    vector, is the image of basis vector j of the source."""
     source: object
     target: object
-    map: object
+    columns: tuple
 
     @classmethod
-    def finite(cls, f, C, D):
-        m = cls(C, D, f)
+    def finite(cls, cols, C, D):
+        m = cls(C, D, tuple(cols))
         problems = m.validate()
         if problems:
             raise ValueError("invalid morphism: " + "; ".join(problems[:3]))
@@ -82,13 +86,13 @@ class SchemeMorphism(Record):
                     if validate_supercoalgebra(C)]
         # a map out of or into an invalid coalgebra is not checked, as its
         # coproduct map may not even be even
-        if not problems and not is_coalgebra_morphism(self.map, self.source, self.target):
+        if not problems and not is_coalgebra_morphism(self.columns, self.source, self.target):
             problems.append("level 0 map is not a coalgebra morphism")
         return problems
 
 
 def identity_morphism(C):
-    return SchemeMorphism(C, C, GradedMap.identity(C.space))
+    return SchemeMorphism(C, C, _identity_columns(C.field, C.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +117,7 @@ def point_images(f, xcomps, ycomps):
     """
     out = []
     for xcomp in xcomps:
-        img = list(f.map.images(xcomp.subspace.basis()))
+        img = list(_images(f.source.field, f.columns, xcomp.subspace.basis()))
         hits = [(j, cols) for j, ycomp in enumerate(ycomps)
                 if (cols := coordinates(ycomp.subspace, img)) is not None]
         if len(hits) != 1:
@@ -131,12 +135,17 @@ def morphism_components(f):
 # ---------------------------------------------------------------------------
 # morphism predicates
 
+def _image(f):
+    """The image of f, a Subspace of its target."""
+    return Subspace.from_vectors(f.target.space, f.columns)
+
+
 def is_closed_immersion(f):
-    return f.map.is_injective()
+    return _image(f).dim == f.source.dim
 
 
 def is_strictly_surjective(f):
-    return f.map.is_surjective()
+    return _image(f).dim == f.target.dim
 
 
 def _hits_every_point(images, ycomps):
@@ -154,7 +163,7 @@ def is_open_immersion(f, ycomps):
     the target."""
     if not is_closed_immersion(f):
         return False
-    img = f.map.image()
+    img = _image(f)
     covered = Subspace.zero(f.target.space)
     for comp in ycomps:
         if img.contains_subspace(comp.subspace):
@@ -167,7 +176,7 @@ def is_open_immersion(f, ycomps):
 
 def _pushed(f):
     """The source coalgebra A of f as a right B-comodule: psi = (id (x) f) delta."""
-    return comodule_along(regular_comodule(f.source), f.map.columns, f.target)
+    return comodule_along(regular_comodule(f.source), f.columns, f.target)
 
 
 def _closed_scheme(C, carrier):
@@ -409,9 +418,9 @@ def _coequalizer_check(f, M):
     coideal = Subspace.from_vectors(A.space, [vec_sub(F, a, b) for a, b in zip(p1, p2)])
     if coideal.dim > 0 and not is_coideal(A, coideal):
         raise AssertionError("difference image of the projections must be a coideal")
-    if coideal != f.map.kernel():
+    if coideal != _kernel(A.space, f.columns, f.target.dim):
         return False
-    return f.map.is_surjective()
+    return is_strictly_surjective(f)
 
 
 def descent_check(f, depth=3):

@@ -21,7 +21,7 @@ except ImportError:
         from hashlib import sha256
 
 from .fields import ExtensionField, FieldError, PrimeField, QQ
-from .superlinear import GradedMap, Subspace, SuperVectorSpace, _transpose, vector
+from .superlinear import Subspace, SuperVectorSpace, _parity_defects, _transpose, vector
 from .superalgebra import SuperAlgebra, make_superalgebra
 from .supercoalgebra import SuperCoalgebra, make_supercoalgebra
 from .supercomodule import SuperComodule, make_supercomodule
@@ -308,11 +308,13 @@ def _build_morphism(doc, po):
             cols[_index(tokens[2], C.dim)][i] = c
         except (ValueError, IndexError, FieldError) as exc:
             raise ParseError(f"bad map entry: {exc}", lineno)
-    try:
-        gm = GradedMap(C.space, D.space, [vector(F, col) for col in cols], 0)
-    except ValueError as exc:
-        raise ParseError(f"morphism {po.name}: {exc}")
-    return SchemeMorphism(C, D, gm)
+    cols = tuple(vector(F, col) for col in cols)
+    bad = min(((i, j) for j, i in _parity_defects(cols, C.space.parities, D.space.parities)),
+              default=None)
+    if bad:
+        raise ParseError(f"morphism {po.name}: entry ({bad[0]},{bad[1]}) "
+                         "violates declared parity 0")
+    return SchemeMorphism(C, D, cols)
 
 
 def _build_subspace(doc, po):
@@ -418,7 +420,7 @@ def _build_presmorphism(doc, po):
 
 def _build_tower(doc, po):
     levels = [doc.get(name, "coalgebra") for _, name, _ in _named(po, "level")]
-    tmaps = [doc.get(name, "morphism").map for _, name, _ in _named(po, "tmap")]
+    tmaps = [doc.get(name, "morphism") for _, name, _ in _named(po, "tmap")]
     if len(levels) == 1 and not tmaps:
         return FormalSuperscheme((levels[0],))
     try:
@@ -491,7 +493,7 @@ def serialize_object(name, value, F, over=None, endpoints=None):
     elif isinstance(value, SchemeMorphism):
         src, dst = endpoints
         lines.append(f"object morphism {name} from {src} to {dst}")
-        for i, row in enumerate(_transpose(value.map.columns, value.map.codomain.dim)):
+        for i, row in enumerate(_transpose(value.columns, value.target.dim)):
             lines.extend(f"  map {i} {j} {F.format(c)}" for j, c in row)
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")

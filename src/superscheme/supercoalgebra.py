@@ -19,7 +19,7 @@ from .superalgebra import (
     local_decomposition, radical,
 )
 from .superlinear import (
-    GradedMap, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects, _images,
+    Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects, _images,
     _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp, quotient_data,
     tensor_structure, unit_vec, vec_scale, vec_sub,
 )
@@ -39,12 +39,8 @@ class SuperCoalgebra(StructureRecord):
     counit: tuple
 
     def coproduct_map(self):
-        return self._coproduct
-
-    @functools.cached_property
-    def _coproduct(self):
-        """delta: C -> C (x) C, built once per frozen coalgebra."""
-        return GradedMap(self.space, self.space.tensor(self.space), self.delta)
+        """delta: C -> C (x) C, as its columns."""
+        return self.delta
 
     @functools.cached_property
     def _problems(self):
@@ -120,20 +116,18 @@ def dualize_coalgebra(C):
     return make_superalgebra(C.space.dual(), C.delta, C.counit)
 
 
-def is_coalgebra_morphism(f, C, D):
-    """delta_D f = (f (x) f) delta_C and eps_D f = eps_C, compared column
-    by column, with delta_D f read off the columns of D's delta: no
-    labelled map into D (x) D is built.  An odd f is no coalgebra map, so
-    f (x) f is tensored only for an even f and carries no Koszul sign."""
-    if f.parity != 0:
-        return False
-    if f.domain != C.space or f.codomain != D.space:
-        return False
+def is_coalgebra_morphism(cols, C, D):
+    """delta_D f = (f (x) f) delta_C and eps_D f = eps_C for the map f with
+    these sparse columns, one per basis vector of C, compared column by
+    column, with delta_D f read off the columns of D's delta: no labelled
+    map into D (x) D is built.  f is taken to be even, as every morphism is
+    (one an object file names is checked as it is parsed), so f (x) f
+    carries no Koszul sign."""
     F = D.field
-    if (list(_images(F, D.delta, f.columns))
-            != list(_tensor_apply_sparse(F, f.columns, f.columns, D.dim, C.delta))):
+    if (list(_images(F, D.delta, cols))
+            != list(_tensor_apply_sparse(F, cols, cols, D.dim, C.delta))):
         return False
-    return list(_images(F, linear_form(D.dim, D.counit), f.columns)) == linear_form(C.dim, C.counit)
+    return list(_images(F, linear_form(D.dim, D.counit), cols)) == linear_form(C.dim, C.counit)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +333,9 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
 def tensor_coalgebra(C, D):
     """Coproduct (id (x) twist (x) id)(delta_C (x) delta_D); counit product."""
     F = C.field
-    # read through the cached coproduct maps, whose calls perfbench's layer trace counts
-    delta = tensor_structure(F, C.coproduct_map().columns, C.space.parities,
-                             D.coproduct_map().columns, D.space.parities)
+    # read through coproduct_map, whose calls perfbench's layer trace counts
+    delta = tensor_structure(F, C.coproduct_map(), C.space.parities,
+                             D.coproduct_map(), D.space.parities)
     counit = [(i * D.dim + j, F.mul(a, b)) for i, a in C.counit for j, b in D.counit]
     return make_supercoalgebra(C.space.tensor(D.space), delta, counit)
 

@@ -3,8 +3,8 @@
 Every vector is sparse: a tuple of (index, entry) pairs, sorted by index,
 with every entry nonzero (see vector).  So is every matrix row and every
 column of a linear map, and equal vectors are equal tuples.  A linear map
-is its sparse columns; a GradedMap adds a domain, a codomain and a parity
-only to a morphism a file names.  A Matrix holds rows, for elimination.
+is its sparse columns, column j the image of basis vector j; the spaces
+it runs between are known where it is used.  A Matrix holds rows.
 Subspaces are kept in reduced row-echelon form so equality is syntactic.
 Tensor bases are ordered lexicographically with the left factor major; the
 Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
@@ -509,83 +509,6 @@ class Subspace:
             raise ValueError("a subspace that is not graded has no sdim")
         odd = sum(self.parities)
         return (self.dim - odd, odd)
-
-
-# ---------------------------------------------------------------------------
-# graded maps
-
-
-class GradedMap:
-    """A morphism that an object file or the corpus names: a linear map
-    between super vector spaces with a declared parity, held as its sparse
-    columns: columns[j], a vector, is the image of basis vector j of the
-    domain.  Every map the kernel builds for itself is born as its columns
-    alone.
-
-    parity 0 and 1 are enforced as block structure; parity None marks raw
-    linear data exempt from homogeneity.
-    """
-
-    __slots__ = ("domain", "codomain", "columns", "parity")
-
-    def __init__(self, domain, codomain, columns, parity=0):
-        columns = tuple(columns)
-        if len(columns) != domain.dim or any(
-                col and not 0 <= col[0][0] <= col[-1][0] < codomain.dim for col in columns):
-            raise DimensionMismatch(
-                f"a {codomain.dim}x{domain.dim} map needs {domain.dim} columns "
-                f"with indices below {codomain.dim}")
-        if domain.field != codomain.field:
-            raise ValueError("domain and codomain over different fields")
-        if parity not in (0, 1, None):
-            raise ValueError("parity must be 0, 1 or None")
-        if parity is not None:
-            # column j of a map of this parity may only hit parity |j| + parity
-            shifted = [(p + parity) % 2 for p in domain.parities]
-            bad = min(((i, j) for j, i in _parity_defects(columns, shifted, codomain.parities)),
-                      default=None)
-            if bad:
-                raise ValueError(f"entry ({bad[0]},{bad[1]}) violates declared parity {parity}")
-        self.domain = domain
-        self.codomain = codomain
-        self.columns = columns
-        self.parity = parity
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, _identity_columns(space.field, space.dim), 0)
-
-    def __eq__(self, other):
-        # columns are canonical, so they decide equality
-        return (isinstance(other, GradedMap) and self.domain == other.domain
-                and self.codomain == other.codomain and self.columns == other.columns)
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.columns))
-
-    def __repr__(self):
-        return f"GradedMap({self.domain.dim}->{self.codomain.dim}, parity={self.parity})"
-
-    def images(self, vecs):
-        """The image of each vector of vecs, yielded one at a time, from one
-        batched product that lifts the columns once."""
-        return _images(self.domain.field, self.columns, vecs)
-
-    def kernel(self):
-        return _kernel(self.domain, self.columns, self.codomain.dim)
-
-    def image(self):
-        """The row space of the columns."""
-        return Subspace.from_vectors(self.codomain, self.columns)
-
-    def rank(self):
-        return self.image().dim
-
-    def is_injective(self):
-        return self.rank() == self.domain.dim
-
-    def is_surjective(self):
-        return self.rank() == self.codomain.dim
 
 
 def _tensor_apply_sparse(F, fcols, gcols, nj, vecs):

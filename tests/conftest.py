@@ -32,9 +32,9 @@ from superscheme.supercomodule import (  # noqa: E402
     regular_comodule, subcoalgebra_comodule,
 )
 from superscheme.superlinear import (  # noqa: E402
-    DimensionMismatch, GradedMap, Matrix, Subspace, SuperVectorSpace, _identity_columns,
-    _images, _tensor_apply_sparse, _transpose, coordinates, linear_form, perp, quotient_data,
-    standard_space, twist_apply, unit_vec, vec_add, vec_scale, vec_sub, vector,
+    DimensionMismatch, Matrix, Record, Subspace, SuperVectorSpace, _identity_columns, _images,
+    _kernel, _parity_defects, _tensor_apply_sparse, _transpose, coordinates, linear_form, perp,
+    quotient_data, standard_space, twist_apply, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 
 
@@ -75,8 +75,56 @@ def dense_rows(M):
 
 def dense_columns(F, rows, ncols=None):
     """The columns, as vectors, of the matrix with these dense rows: what a
-    GradedMap holds."""
+    map holds."""
     return dense_matrix(F, rows, ncols)._transpose().rows
+
+
+# ---------------------------------------------------------------------------
+# maps with their spaces: the package holds a map as its sparse columns
+# alone; these reference maps also carry a domain, a codomain and a parity
+
+
+class GradedMap(Record):
+    """columns[j], a vector, is the image of basis vector j of domain.
+    Parity 0 and 1 are enforced as block structure; None marks raw data."""
+    domain: object
+    codomain: object
+    columns: tuple
+    parity: object = 0
+
+    def __init__(self, domain, codomain, columns, parity=0):
+        columns = tuple(columns)
+        if len(columns) != domain.dim or any(
+                col and not 0 <= col[0][0] <= col[-1][0] < codomain.dim for col in columns):
+            raise DimensionMismatch(f"a {codomain.dim}x{domain.dim} map needs {domain.dim} "
+                                    f"columns with indices below {codomain.dim}")
+        if parity is not None and next(_parity_defects(
+                columns, [(p + parity) % 2 for p in domain.parities], codomain.parities), None):
+            raise ValueError(f"an entry violates declared parity {parity}")
+        super().__init__(domain, codomain, columns, parity)
+
+    @classmethod
+    def identity(cls, space):
+        return cls(space, space, _identity_columns(space.field, space.dim))
+
+    def images(self, vecs):
+        return _images(self.domain.field, self.columns, vecs)
+
+    def kernel(self):
+        return _kernel(self.domain, self.columns, self.codomain.dim)
+
+    def image(self):
+        return Subspace.from_vectors(self.codomain, self.columns)
+
+
+def map_of(f):
+    """The map of a SchemeMorphism, between the spaces of its coalgebras."""
+    return GradedMap(f.source.space, f.target.space, f.columns)
+
+
+def coproduct(C):
+    """The coproduct delta: C -> C (x) C of a coalgebra as a map."""
+    return GradedMap(C.space, C.space.tensor(C.space), C.delta)
 
 
 def coaction_map(M):
@@ -261,7 +309,7 @@ def is_grouplike_over(C, R, u):
     uu = tuple((a * nv * nc + k, c) for a, w in enumerate(swapped) for k, c in w)
     id_cc = GradedMap.identity(C.space.tensor(C.space))
     rhs = next(tensor_apply(multiplication_map(R), id_cc, [uu]))
-    return next(tensor_apply(id_r, C.coproduct_map(), [v])) == rhs
+    return next(tensor_apply(id_r, coproduct(C), [v])) == rhs
 
 
 def transport_point(phi, A, R):
@@ -363,7 +411,7 @@ def is_subcoalgebra(C, W):
         raise ValueError("subcoalgebra test needs a graded subspace")
     proj = projection(C.space, W)
     ident = GradedMap.identity(C.space)
-    delta = C.coproduct_map()
+    delta = coproduct(C)
     left = tensor_after(proj, ident, delta)
     right = tensor_after(ident, proj, delta)
     return not any(left.images(W.basis())) and not any(right.images(W.basis()))
@@ -373,7 +421,7 @@ def wedge_by_kernel(C, X, Y):
     """Reference for supercoalgebra.wedge: the kernel of
     C -> C (x) C -> C/X (x) C/Y."""
     proj_x, proj_y = projection(C.space, X), projection(C.space, Y)
-    return tensor_after(proj_x, proj_y, C.coproduct_map()).kernel()
+    return tensor_after(proj_x, proj_y, coproduct(C)).kernel()
 
 
 def filtration_by_wedge_powers(C, corad):
@@ -515,7 +563,7 @@ def descent_degrees_by_dense_tower(f, depth):
     the same test comodules (O(Y), then kappa(y) per point), each complex
     built and checked densely."""
     A, B = f.source, f.target
-    reg = comodule_along(regular_comodule(A), f.map.columns, B)
+    reg = comodule_along(regular_comodule(A), f.columns, B)
     tests = [regular_comodule(B)]
     for y in points(B):
         tests.append(subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}."))
@@ -538,8 +586,7 @@ def fiber_by_cotensor(f, y):
     """Reference for formal_scheme.fiber: the fiber product of f with the
     inclusion of {y} = Sp*(kappa(y)), a cotensor inside A (x) kappa(y)."""
     kappa = subcoalgebra_on(f.target, y.kappa, prefix="k")
-    incl = GradedMap(kappa.space, f.target.space, y.kappa.basis(), 0)
-    return fiber_product(f, SchemeMorphism(kappa, f.target, incl))
+    return fiber_product(f, SchemeMorphism(kappa, f.target, tuple(y.kappa.basis())))
 
 
 def bounded_degree_by_dual_action(f):
@@ -558,7 +605,7 @@ def bounded_degree_by_dual_action(f):
     def acting(w):
         """w . a* for every basis vector a* of A*: B* acts on A* through the
         transpose of the coalgebra map, which sends w to w o f."""
-        cols = _images(F, linear_form(B.dim, w), f.map.columns)
+        cols = _images(F, linear_form(B.dim, w), f.columns)
         pulled = tuple((j, c) for j, col in enumerate(cols) for _, c in col)
         return dualA.products([pulled], _identity_columns(F, dualA.dim))
 
@@ -616,16 +663,13 @@ def _restrict_between(m, incl_src, incl_dst):
 def bosonic_reduction_morphism(f):
     X, incl_src = bosonic_reduction_scheme(f.source)
     Y, incl_dst = bosonic_reduction_scheme(f.target)
-    return SchemeMorphism(X, Y, _restrict_between(f.map, incl_src, incl_dst))
-
-
-def _embed_columns(m, ext):
-    return [tuple((i, ext.embed(c)) for i, c in col) for col in m.columns]
+    return SchemeMorphism(X, Y, _restrict_between(map_of(f), incl_src, incl_dst).columns)
 
 
 def base_change_morphism(f, ext):
     X, Y = (base_change_coalgebra(C, ext) for C in (f.source, f.target))
-    return SchemeMorphism(X, Y, GradedMap(X.space, Y.space, _embed_columns(f.map, ext), 0))
+    return SchemeMorphism(X, Y, tuple(tuple((i, ext.embed(c)) for i, c in col)
+                                      for col in f.columns))
 
 
 def immersion_fiberwise_check(f):
@@ -633,7 +677,8 @@ def immersion_fiberwise_check(f):
     from X_y = psi^-1(A (x) kappa(y)) to {y} is (eps (x) id) psi = f, so it
     is one iff f is injective on that preimage."""
     total = is_closed_immersion(f)
-    fiberwise = all(Subspace.from_vectors(f.map.codomain, f.map.images(P.basis())).dim == P.dim
+    m = map_of(f)
+    fiberwise = all(Subspace.from_vectors(m.codomain, m.images(P.basis())).dim == P.dim
                     for P, _, _ in _point_fibers(f))
     return total == fiberwise, total, fiberwise
 
@@ -651,9 +696,8 @@ def truncation_tower(P, depth):
     maps = []
     for small, big in zip(coalgebras, coalgebras[1:]):
         big_index = {l: i for i, l in enumerate(big.space.labels)}
-        maps.append(GradedMap(
-            small.space, big.space,
-            [unit_vec(small.field, big_index[l]) for l in small.space.labels], 0))
+        maps.append(SchemeMorphism(
+            small, big, tuple(unit_vec(small.field, big_index[l]) for l in small.space.labels)))
     return FormalSuperscheme.tower(coalgebras, maps)
 
 
@@ -673,7 +717,7 @@ def inclusion_to_deepest(X, level):
     """Composite transition map X.levels[level] -> deepest level."""
     comp = GradedMap.identity(X.levels[level].space)
     for m in X.maps[level:]:
-        comp = compose(m, comp)
+        comp = compose(map_of(m), comp)
     return comp
 
 

@@ -6,9 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 from fractions import Fraction
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superlinear import (
-    GradedMap, Subspace, linear_form, standard_space, unit_vec,
-)
+from superscheme.superlinear import Subspace, linear_form, standard_space, unit_vec
 from superscheme.superalgebra import (
     enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
 )
@@ -37,7 +35,7 @@ from superscheme.corpus import (
 from superscheme.cli import run as cli_run
 from superscheme.objfile import serialize_document
 from conftest import (
-    base_change_comodule, bosonic_reduction_morphism, cosocle_epi, dense_columns,
+    GradedMap, base_change_comodule, bosonic_reduction_morphism, cosocle_epi, dense_columns,
     dual_action, dual_action_of, even_part, exactness_probe, graded_map, is_subcoalgebra,
     odd_part, point_map,
     presentation_truncation, quotient_comodule, sparse, transport_point,
@@ -312,8 +310,7 @@ def test_criterion_6_flatness():
 def _collapse_morphism(C):
     F = C.field
     K = unit_coalgebra(F)
-    m = GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0)
-    return SchemeMorphism.finite(m, C, K)
+    return SchemeMorphism.finite(linear_form(C.dim, C.counit), C, K)
 
 
 def _component_inclusion(C, extra):
@@ -323,8 +320,7 @@ def _component_inclusion(C, extra):
     rows = [[F.zero] * C.dim for _ in range(big.dim)]
     for i in range(C.dim):
         rows[i][i] = F.one
-    m = GradedMap(C.space, big.space, dense_columns(F, rows, C.dim), 0)
-    return SchemeMorphism.finite(m, C, big)
+    return SchemeMorphism.finite(dense_columns(F, rows, C.dim), C, big)
 
 
 def test_criterion_7_descent():
@@ -425,8 +421,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     write("d3.coalg", serialize_document(QQ, [("D3", divided_power(3))]))
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    f = SchemeMorphism.finite(m, GK, K)
+    f = SchemeMorphism.finite(dense_columns(QQ, [[QQ.one, QQ.one]]), GK, K)
     write("collapse.mor", serialize_document(
         QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]))
     write("pres.pres", "superscheme 1\nfield Q\nobject presentation P\n"

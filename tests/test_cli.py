@@ -16,7 +16,7 @@ from superscheme import cli
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
 from superscheme.fields import PRIMALITY_BOUND, QQ, PrimeField
 from superscheme.objfile import serialize_document
-from superscheme.superlinear import GradedMap, SuperVectorSpace, linear_form
+from superscheme.superlinear import SuperVectorSpace, linear_form
 from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
 from superscheme.formal_scheme import (
     TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
@@ -45,12 +45,10 @@ def files(tmp_path):
     write("d3.coalg", serialize_document(QQ, [("D3", divided_power(3))]))
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    f = SchemeMorphism.finite(m, GK, K)
+    f = SchemeMorphism.finite(dense_columns(QQ, [[QQ.one, QQ.one]]), GK, K)
     write("collapse.mor", serialize_document(
         QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))]))
-    j = GradedMap(K.space, GK.space, dense_columns(QQ, [[QQ.one], [QQ.zero]]), 0)
-    fj = SchemeMorphism.finite(j, K, GK)
+    fj = SchemeMorphism.finite(dense_columns(QQ, [[QQ.one], [QQ.zero]]), K, GK)
     write("inclusion.mor", serialize_document(
         QQ, [("K", K), ("GK", GK), ("fj", fj, None, ("K", "GK"))]))
     write("pres.pres", """superscheme 1
@@ -198,15 +196,18 @@ def test_descent_check_on_a_counit_collapse_builds_one_tower(files, monkeypatch)
 def test_descent_check_pushes_the_source_once_and_builds_no_coproduct_map(files, monkeypatch):
     """The coequalizer check reads the pushed comodule that the towers use,
     and checking the morphism on loading reads the coalgebras' delta
-    columns: neither builds a labelled C (x) C map."""
+    columns: neither builds a labelled C (x) C space."""
     pushed = _count_calls(monkeypatch, "formal_scheme", "_pushed")
     assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
     assert len(pushed) == 1
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
-    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    assert SchemeMorphism(GK, K, m).validate() == []
-    assert "_coproduct" not in vars(GK) and "_coproduct" not in vars(K)
+    calls = []
+    tensor = SuperVectorSpace.tensor
+    monkeypatch.setattr(SuperVectorSpace, "tensor",
+                        lambda V, W: calls.append((V.dim, W.dim)) or tensor(V, W))
+    assert SchemeMorphism(GK, K, dense_columns(QQ, [[QQ.one, QQ.one]])).validate() == []
+    assert calls == []
 
 
 def test_report_all_computes_components_once(files, monkeypatch):
@@ -296,8 +297,7 @@ def _tensor_label_files(tmp_path):
     those labels repeats one: p⊗p⊗p is both p ⊗ (p⊗p) and (p⊗p) ⊗ p."""
     from superscheme.supercomodule import regular_comodule
     GK, K, D1 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1)
-    f = SchemeMorphism.finite(
-        GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0), GK, K)
+    f = SchemeMorphism.finite(dense_columns(QQ, [[QQ.one, QQ.one]]), GK, K)
     mor = serialize_document(QQ, [("GK", GK), ("K", K), ("f", f, None, ("GK", "K"))])
     mods = serialize_document(QQ, [("C", D1), ("M", regular_comodule(D1), "C"),
                                    ("N", regular_comodule(D1), "C")])
@@ -457,8 +457,7 @@ def test_descent_tower_over_the_bound_is_unsupported(tmp_path):
     building it, with an unsupported line that names the bound."""
     assert 65 ** 2 <= TOWER_AMBIENT_BOUND < 65 ** 3
     C, K = grouplike_coalgebra(65, F3), unit_coalgebra(F3)
-    f = SchemeMorphism.finite(GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0),
-                              C, K)
+    f = SchemeMorphism.finite(linear_form(C.dim, C.counit), C, K)
     path = tmp_path / "collapse65.mor"
     path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
     start = time.perf_counter()
@@ -475,8 +474,7 @@ def test_counit_collapse_tower_over_the_bound_is_refused_before_any_level(tmp_pa
     counit collapse of Grassmann(3)*, so depth 6 is refused for its level 7
     before level 1 is built."""
     C, K = dualize_algebra(grassmann(3, F3)), unit_coalgebra(F3)
-    f = SchemeMorphism.finite(GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0),
-                              C, K)
+    f = SchemeMorphism.finite(linear_form(C.dim, C.counit), C, K)
     path = tmp_path / "collapse-g3.mor"
     path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
     start = time.perf_counter()
@@ -909,13 +907,11 @@ def test_commands_make_no_reference_cycles(files):
 def _fuzz_inputs():
     """Small corpus object files and the commands that read each of them."""
     GK, K, D1, D2 = grouplike_coalgebra(2), unit_coalgebra(QQ), divided_power(1), divided_power(2)
-    m = GradedMap(GK.space, K.space, dense_columns(QQ, [[QQ.one, QQ.one]]), 0)
-    f = SchemeMorphism.finite(m, GK, K)
+    f = SchemeMorphism.finite(dense_columns(QQ, [[QQ.one, QQ.one]]), GK, K)
     # the counit collapse of Grassmann(2)*, whose source has odd basis vectors
     G2d = dualize_algebra(grassmann(2, F3))
     K3 = unit_coalgebra(F3)
-    g = SchemeMorphism.finite(GradedMap(G2d.space, K3.space, linear_form(G2d.dim, G2d.counit)),
-                              G2d, K3)
+    g = SchemeMorphism.finite(linear_form(G2d.dim, G2d.counit), G2d, K3)
     from superscheme.supercomodule import regular_comodule, trivial_comodule
     from superscheme.superlinear import unit_vec
     coalg = serialize_document(QQ, [("D2", D2), ("GK", GK)]) + (
@@ -1253,4 +1249,33 @@ def test_a_tower_with_a_non_injective_transition_is_a_parse_error(tmp_path, comm
     assert run([command, path]) == (
         "superscheme-report error\n"
         "parse-error invalid tower: transition 0 is not injective\n"
+        "status error\n", EXIT_IO)
+
+
+def test_a_tower_transition_between_other_levels_is_a_parse_error(tmp_path):
+    """A tmap runs from its level to the next: i from D1 to D2 cannot join
+    the levels D2 and D1."""
+    path = _with_coalgebras(tmp_path, (
+        "object morphism i from D1 to D2\n  map 0 0 1\n  map 1 1 1\nend\n"
+        "object tower T\n  level D2\n  level D1\n  tmap i\nend\n"))
+    assert run(["validate", path]) == (
+        "superscheme-report error\n"
+        "parse-error invalid tower: transition 0 is not a coalgebra morphism\n"
+        "status error\n", EXIT_IO)
+
+
+@pytest.mark.parametrize("entries, bad", [
+    ("  map 0 0 1\n  map 1 0 1\n", "(1,0)"),
+    ("  map 0 0 1\n  map 1 1 1\n  map 0 1 1\n", "(0,1)"),
+])
+def test_a_morphism_that_is_not_even_is_a_parse_error(tmp_path, entries, bad):
+    """A morphism is even: on the dual of Grassmann(1), of parities 0 and 1,
+    an entry joining the two parities exits 3 and names the least such
+    (row, column)."""
+    path = tmp_path / "odd.mor"
+    path.write_text(serialize_document(QQ, [("C", dualize_algebra(grassmann(1)))])
+                    + f"object morphism f from C to C\n{entries}end\n")
+    assert run(["validate", str(path)]) == (
+        "superscheme-report error\n"
+        f"parse-error morphism f: entry {bad} violates declared parity 0\n"
         "status error\n", EXIT_IO)

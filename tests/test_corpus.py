@@ -98,7 +98,7 @@ def test_seeded_entries_deterministic():
         if kind == "comodule":
             assert a.payload[1].psi == b.payload[1].psi
         if kind == "morphism":
-            assert a.payload[0].map.columns == b.payload[0].map.columns
+            assert a.payload[0].columns == b.payload[0].columns
         if kind == "presentation":
             assert a.payload[0] == b.payload[0]
 

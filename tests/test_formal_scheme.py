@@ -7,9 +7,7 @@ from pathlib import Path
 import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superlinear import (
-    GradedMap, Matrix, SuperVectorSpace, linear_form, unit_vec,
-)
+from superscheme.superlinear import Matrix, SuperVectorSpace, linear_form, unit_vec
 from superscheme.superalgebra import enumerate_homs, monomial_superalgebra
 from superscheme.supercomodule import comodule_along, regular_comodule
 from superscheme.supercoalgebra import (
@@ -23,10 +21,10 @@ from superscheme.formal_scheme import (
     is_surjective, morphism_components, points,
 )
 from conftest import (
-    _alternating_sum, _count_calls, _dense_tower, base_change_morphism,
+    GradedMap, _alternating_sum, _count_calls, _dense_tower, base_change_morphism,
     bosonic_reduction_morphism, bosonic_reduction_scheme, bounded_degree_by_dual_action,
     compose, dense, dense_columns, dense_rows, fiber_by_cotensor, flatness_of,
-    immersion_fiberwise_check, is_algebraic_at, matrix_of, point_map, sparse,
+    immersion_fiberwise_check, is_algebraic_at, map_of, matrix_of, point_map, sparse,
     transport_point, transport_point_inverse, truncation_tower,
 )
 from superscheme.corpus import (
@@ -45,8 +43,7 @@ def _collapse(C):
     """Counit morphism Sp*(C) -> Sp*(k)."""
     F = C.field
     K = unit_coalgebra(F)
-    m = GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0)
-    return SchemeMorphism.finite(m, C, K)
+    return SchemeMorphism.finite(linear_form(C.dim, C.counit), C, K)
 
 
 def test_points_examples():
@@ -83,7 +80,7 @@ def test_point_map_equals_bosonic_point_map():
         # the square incl_dst g = f incl_src
         _, incl_src = bosonic_reduction_scheme(f.source)
         _, incl_dst = bosonic_reduction_scheme(f.target)
-        assert compose(incl_dst, g.map).columns == compose(f.map, incl_src).columns, seed
+        assert compose(incl_dst, map_of(g)).columns == compose(map_of(f), incl_src).columns, seed
 
 
 def test_restrict_between_escape_is_named_under_python_O():
@@ -91,8 +88,8 @@ def test_restrict_between_escape_is_named_under_python_O():
     e2 under the identity leaves the carrier spanned by e1."""
     code = "\n".join([
         "from superscheme.fields import QQ",
-        "from conftest import _restrict_between",
-        "from superscheme.superlinear import GradedMap, standard_space, unit_vec",
+        "from conftest import GradedMap, _restrict_between",
+        "from superscheme.superlinear import standard_space, unit_vec",
         "V, W = standard_space(QQ, 2, 0), standard_space(QQ, 1, 0)",
         "ident = GradedMap.identity(V)",
         "_restrict_between(ident, ident,"
@@ -177,16 +174,12 @@ def test_transport_natural_in_target():
 def test_immersion_predicates():
     KK = dualize_algebra(split_pair())
     K = unit_coalgebra(QQ)
-    incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, KK)
+    incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
     xcomps, ycomps = morphism_components(incl)
     assert is_closed_immersion(incl) and is_open_immersion(incl, ycomps)
     assert not is_surjective(incl, xcomps, ycomps)
     G = dualize_algebra(grassmann(1))
-    j = SchemeMorphism.finite(
-        GradedMap(K.space, G.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, G)
+    j = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, G)
     assert is_closed_immersion(j) and not is_open_immersion(j, morphism_components(j)[1])
     ident = identity_morphism(KK)
     xcomps, ycomps = morphism_components(ident)
@@ -229,18 +222,14 @@ def test_fiber_examples():
     fib2 = fiber(col, points(col.target)[0])
     assert fib2.dim == 2
     K = unit_coalgebra(QQ)
-    incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, KK)
+    incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
     assert fiber(incl, pts[1]).dim == 0
 
 
 def test_immersion_fiberwise():
     KK = dualize_algebra(split_pair())
     K = unit_coalgebra(QQ)
-    incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, KK)
+    incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
     ok, total, fiberwise = immersion_fiberwise_check(incl)
     assert ok and total and fiberwise
     col = _collapse(KK)
@@ -263,14 +252,10 @@ def test_flat_morphism_examples():
     col = _collapse(KK)
     assert flatness_of(col).faithfully_flat
     K = unit_coalgebra(QQ)
-    incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, KK)
+    incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
     assert flatness_of(incl).flat and not flatness_of(incl).faithfully_flat
     D = divided_power(1)
-    pt = SchemeMorphism.finite(
-        GradedMap(K.space, D.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, D)
+    pt = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, D)
     assert not flatness_of(pt).flat
 
 
@@ -301,9 +286,7 @@ def test_descent_examples():
     ident = identity_morphism(divided_power(1))
     assert descent_check(ident, depth=2).passed
     K = unit_coalgebra(QQ)
-    incl = SchemeMorphism.finite(
-        GradedMap(K.space, KK.space, dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), 0),
-        K, KK)
+    incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
     rep3 = descent_check(incl, depth=2)
     assert not rep3.passed
     assert ("kappa(1)", 0) in rep3.failures
@@ -335,7 +318,7 @@ def test_tower_reads_coordinates_twice_per_level_above_the_first(monkeypatch, ma
     is the whole tensor T_(n-1) (x) A, so the tower makes neither."""
     f = make(dualize_algebra(grassmann(2, F3)))
     A, B = f.source, f.target
-    reg = comodule_along(regular_comodule(A), f.map.columns, B)
+    reg = comodule_along(regular_comodule(A), f.columns, B)
     reads = _count_calls(monkeypatch, "formal_scheme", "_read_coordinates")
     kernels = _count_calls(monkeypatch, "formal_scheme", "cotensor_kernel")
     for depth in range(1, 5):
@@ -362,7 +345,7 @@ def test_point_target_tower_matches_dense_tower(field):
         (f,) = entry.payload
         A, B = f.source, f.target
         assert B.dim == 1
-        reg = comodule_along(regular_comodule(A), f.map.columns, B)
+        reg = comodule_along(regular_comodule(A), f.columns, B)
         M = regular_comodule(B)
         for depth in (1, 2, 3):
             levels = formal_scheme._iterated_cotensor_tower(M, A, reg, depth)
@@ -408,11 +391,9 @@ def test_point_image_check_holds_under_python_O():
         "from superscheme.corpus import split_pair",
         "from superscheme.formal_scheme import SchemeMorphism, morphism_components, point_images",
         "from superscheme.supercoalgebra import dualize_algebra",
-        "from superscheme.superlinear import GradedMap",
         "C = dualize_algebra(split_pair())",
         "one, zero = Fraction(1), Fraction(0)",
-        "f = GradedMap(C.space, C.space, [((0, one), (1, one)), ((1, one),)], 0)",
-        "g = SchemeMorphism(C, C, f)",
+        "g = SchemeMorphism(C, C, (((0, one), (1, one)), ((1, one),)))",
         "point_images(g, *morphism_components(g))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -451,8 +432,7 @@ def test_descent_over_extension_residue_target():
     rows = [[F3.zero] * CA.dim for _ in range(C9.dim)]
     for i in range(2):
         rows[i][i * 2] = F3.one  # dual of the inclusion b -> b (x) 1
-    m = GradedMap(CA.space, C9.space, dense_columns(F3, rows, CA.dim), 0)
-    f = SchemeMorphism.finite(m, CA, C9)
+    f = SchemeMorphism.finite(dense_columns(F3, rows, CA.dim), CA, C9)
     assert flatness_of(f).faithfully_flat
     assert descent_check(f, depth=2).passed
     assert descent_check(identity_morphism(C9), depth=2).passed
@@ -470,7 +450,7 @@ def _projection(C, D):
     P = tensor_coalgebra(C, D)
     eps = linear_form(D.dim, D.counit)
     cols = [tuple((i, c) for _, c in eps[j]) for i in range(C.dim) for j in range(D.dim)]
-    return SchemeMorphism.finite(GradedMap(P.space, C.space, cols, 0), P, C)
+    return SchemeMorphism.finite(cols, P, C)
 
 
 def _fiber_corpus():
@@ -516,7 +496,7 @@ def test_finiteness_of_an_empty_source():
     """A = 0 has empty fibers: every fiber dimension and the degree are 0."""
     empty = make_supercoalgebra(SuperVectorSpace(F3, (), ()), (), ())
     for B in (divided_power(2, F3), dualize_algebra(split_pair(F3))):
-        f = SchemeMorphism.finite(GradedMap(empty.space, B.space, [], 0), empty, B)
+        f = SchemeMorphism.finite([], empty, B)
         assert finiteness(f) == (0, 0)
         assert bounded_degree_by_dual_action(f) == 0
         assert [fiber(f, y).dim for y in points(B)] == [0] * len(points(B))
@@ -541,8 +521,7 @@ def test_empty_scheme_predicates():
     empty = make_supercoalgebra(SuperVectorSpace(QQ, (), ()), (), ())
     assert points(empty) == []
     KK = dualize_algebra(split_pair())
-    m = GradedMap(empty.space, KK.space, dense_columns(QQ, [[], []], 0), 0)
-    f = SchemeMorphism.finite(m, empty, KK)
+    f = SchemeMorphism.finite(dense_columns(QQ, [[], []], 0), empty, KK)
     assert flatness_of(f).flat                      # vacuously, no points
     assert not flatness_of(f).faithfully_flat       # misses every point
     assert is_closed_immersion(f)
@@ -566,7 +545,7 @@ def test_algebraicity_growing_cofree_tower():
         rows = [[QQ.zero] * small.dim for _ in range(big.dim)]
         for j, lab in enumerate(small.space.labels):
             rows[big_index[lab]][j] = QQ.one
-        maps.append(GradedMap(small.space, big.space, dense_columns(QQ, rows, small.dim), 0))
+        maps.append(SchemeMorphism(small, big, dense_columns(QQ, rows, small.dim)))
     tower = FormalSuperscheme.tower(levels, maps)
     verdict = is_algebraic_at(tower, 0)
     assert not verdict.stabilized

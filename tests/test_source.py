@@ -100,15 +100,16 @@ def test_vectors_in_one_form():
 
 
 def test_maps_in_one_orientation():
-    """A GradedMap holds its sparse columns in one slot, and a Matrix holds
-    rows only for elimination: nothing applies a Matrix to a vector, and no
-    converter from rows to columns or back is left."""
+    """A morphism holds its map as sparse columns in one field, and a Matrix
+    holds rows only for elimination: nothing applies a Matrix to a vector,
+    and no converter from rows to columns or back is left."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     for name in ("_sparse_columns", "from_columns"):
         assert [scope for tree in trees for scope in _references(tree, name)] == [], name
-    from superscheme.superlinear import GradedMap, Matrix
+    from superscheme.formal_scheme import SchemeMorphism
+    from superscheme.superlinear import Matrix
     assert not hasattr(Matrix, "apply")
-    assert set(GradedMap.__slots__) - {"domain", "codomain", "parity"} == {"columns"}
+    assert set(SchemeMorphism._fields) - {"source", "target"} == {"columns"}
 
 
 def test_one_product_rule():
@@ -187,25 +188,25 @@ def test_a_residue_field_is_its_degree():
 
 
 def test_a_map_the_kernel_builds_is_its_columns():
-    """A GradedMap is built only for a morphism that a file or the corpus
-    names, for the identity morphism and for the cached coproduct map: every
-    other map is its sparse columns.  Every map the kernel tensors is even,
-    so the tensor kernel takes no Koszul sign, and no helper of an algebra
-    of maps is left."""
+    """Every map is its sparse columns: no map class is defined or named, a
+    morphism is its two coalgebras and its columns, and a coalgebra's
+    coproduct map is its delta, with no cached copy.  Every map the kernel
+    tensors is even, so the tensor kernel takes no Koszul sign, and no
+    helper of an algebra of maps is left."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    found = {(fname, scope) for fname, tree in trees.items()
-             for scope in _references(tree, "GradedMap") if scope != "<module>"}
-    assert found == {("corpus.py", "_seeded_morphism"), ("formal_scheme.py", "identity_morphism"),
-                     ("objfile.py", "_build_morphism"), ("supercoalgebra.py", "_coproduct"),
-                     ("superlinear.py", "__eq__")}
+    assert [scope for tree in trees.values() for scope in _references(tree, "GradedMap")] == []
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    for name in ("tensor_apply", "pivot_selection", "counit_map", "_parity_sum"):
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for name in ("GradedMap", "tensor_apply", "pivot_selection", "counit_map", "_parity_sum"):
         assert name not in defined, name
-    from superscheme.superlinear import GradedMap, _tensor_apply_sparse
+    from superscheme.formal_scheme import SchemeMorphism
+    from superscheme.supercoalgebra import SuperCoalgebra
+    from superscheme.superlinear import _tensor_apply_sparse
+    assert SchemeMorphism._fields == ("source", "target", "columns")
+    assert "_coproduct" not in vars(SuperCoalgebra)
     for name in ("compose", "add", "sub", "zero"):
-        assert not hasattr(GradedMap, name), name
+        assert not hasattr(SchemeMorphism, name), name
     assert "odd" not in inspect.signature(_tensor_apply_sparse).parameters
 
 

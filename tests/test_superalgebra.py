@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import FieldError, PrimeField, QQ, ExtensionField
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, _images, standard_space, unit_vec,
+    Matrix, Subspace, SuperVectorSpace, _images, standard_space, unit_vec,
 )
 from superscheme.superalgebra import (
     FactorizationIncomplete, SuperAlgebra, canonical_ideal, enumerate_homs,
@@ -19,8 +19,8 @@ from superscheme.corpus import (
 )
 
 from conftest import (
-    dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism, odd_subspace,
-    rational, sparse,
+    GradedMap, dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism,
+    odd_subspace, rational, sparse,
 )
 
 F3 = PrimeField(3)

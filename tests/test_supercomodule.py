@@ -4,7 +4,7 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import (
-    GradedMap, Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
+    Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.supercoalgebra import (
     base_change_coalgebra, coradical_filtration, dual_radical, dualize_algebra,
@@ -15,8 +15,8 @@ from superscheme.supercomodule import (
     regular_comodule, subcoalgebra_comodule, trivial_comodule, validate_comodule,
 )
 from conftest import (
-    _count_calls, base_change_comodule, check_dual_action_axioms, cosocle_epi, dense,
-    dense_columns, dense_matrix, dual_action, dual_action_of, exactness_probe,
+    GradedMap, _count_calls, base_change_comodule, check_dual_action_axioms, coproduct,
+    cosocle_epi, dense, dense_columns, dense_matrix, dual_action, dual_action_of, exactness_probe,
     faithfulness_probe, flat_by_lifting, flatness_of, graded_map, is_comodule_morphism,
     matrix_of, sparse, tensor_map,
 )
@@ -402,7 +402,7 @@ def test_subcoalgebra_coordinates_match_solve(F, dense_view):
     M, sub = subcoalgebra_comodule(C, W), subcoalgebra_on(C, W)
     incl = GradedMap(sub.space, C.space, W.basis(), 0)
     pair = matrix_of(tensor_map(incl, incl))
-    delta = C.coproduct_map()
+    delta = coproduct(C)
     bigs = [next(delta.images([v])) for v in W.basis()]
     flat = [dense(F, W.dim * W.dim, x) for x in pair.solve(bigs)]
     slots = matrix_of(incl).solve([sparse(F, dense(F, C.dim * C.dim, big)[k::C.dim])

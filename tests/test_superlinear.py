@@ -6,15 +6,15 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, GradedMap, Matrix, Record, Subspace, _null_space_sparse,
+    DimensionMismatch, Matrix, Record, Subspace, _null_space_sparse, _parity_defects,
     _rref_sparse, coordinates, perp, quotient_data, standard_space, unit_vec,
     vec_add, vec_scale, vec_sub,
 )
 from superscheme.corpus import Rng
 
 from conftest import (
-    compose, dense, dense_columns, dense_matrix, dense_rows, even_part, graded_map, matrix_of,
-    odd_part, rational, sparse, tensor_after, tensor_apply, tensor_map, twist,
+    GradedMap, compose, dense, dense_columns, dense_matrix, dense_rows, even_part, graded_map,
+    matrix_of, odd_part, rational, sparse, tensor_after, tensor_apply, tensor_map, twist,
 )
 
 F3 = PrimeField(3)
@@ -207,12 +207,14 @@ def test_perp_examples():
     assert perp(P).matrix == S.matrix
 
 
-def test_graded_map_parity_enforced():
+def test_parity_defects_find_the_entries_off_parity():
+    """The evenness check of a morphism a file names: the entry in row 0 of
+    the odd column 1 breaks parity 0, and nothing breaks parity 1."""
     V = standard_space(QQ, 1, 1)
-    bad = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-    with pytest.raises(ValueError):
-        GradedMap(V, V, dense_columns(QQ, bad, 2), 0)
-    GradedMap(V, V, dense_columns(QQ, bad, 2), 1)  # odd block structure is fine
+    bad = dense_columns(QQ, [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]], 2)
+    assert list(_parity_defects(bad, V.parities, V.parities)) == [(1, 0)]
+    odd = [(p + 1) % 2 for p in V.parities]
+    assert list(_parity_defects(bad, odd, V.parities)) == []  # odd block structure is fine
 
 
 def test_quotient_data_and_coordinates():
@@ -552,7 +554,7 @@ def test_matrix_operations_match_the_dense_reference(dense_reference, case):
     same(f.kernel().matrix, R.null_space(F, a, n), (len(R.null_space(F, a, n)), n))
     image = R.image(F, a, n)
     same(f.image().matrix, image, (len(image), m))
-    assert f.rank() == R.rank(F, a, n) == len(image)
+    assert f.image().dim == R.rank(F, a, n) == len(image)
     # the columns are in the one vector form
     assert all(list(col) == sorted(col) and all(not F.is_zero(x) for _, x in col)
                for col in compose(f, g).columns + tuple(added) + tuple(subtracted))
@@ -627,9 +629,10 @@ def test_record_compares_hashes_and_refuses_assignment_as_a_frozen_dataclass():
 
 
 def test_cached_properties_compute_once_on_records(monkeypatch):
-    """SuperAlgebra._terms and SuperCoalgebra._coproduct are cached in the
-    instance's __dict__: each is computed once, and neither the cache nor
-    its absence changes equality or hashing."""
+    """SuperAlgebra._terms is cached in the instance's __dict__: it is
+    computed once, and neither the cache nor its absence changes equality
+    or hashing.  SuperCoalgebra.coproduct_map is delta itself: nothing is
+    cached."""
     from superscheme import superalgebra
     from superscheme.corpus import grassmann
     from superscheme.supercoalgebra import dualize_algebra
@@ -644,6 +647,6 @@ def test_cached_properties_compute_once_on_records(monkeypatch):
     assert len(calls) == 1
     assert A == twin and hash(A) == hash(twin) and "_terms" not in vars(twin)
     C, twin = dualize_algebra(A), dualize_algebra(twin)
-    delta = C.coproduct_map()
-    assert C.coproduct_map() is delta and vars(C)["_coproduct"] is delta
-    assert C == twin and hash(C) == hash(twin) and "_coproduct" not in vars(twin)
+    assert C.coproduct_map() is C.delta and C.coproduct_map() == twin.coproduct_map()
+    assert set(vars(C)) == set(C._fields)
+    assert C == twin and hash(C) == hash(twin)
