@@ -217,14 +217,16 @@ def cmd_grouplikes(args):
     else:
         gls = grouplikes_over(C, over)
         rep.add("grouplike-count", len(gls))
-        F = C.field
+        F, n = C.field, C.dim
+        text = {c: F.format(c) for c in F.elements()}
+        zero = text[F.zero]
         for u in gls:
             # every entry of the coefficient matrix, row-major, zeros included
-            dense = [F.zero] * (len(u) * C.dim)
+            dense = [zero] * (len(u) * n)
             for a, row in enumerate(u):
                 for m, c in row:
-                    dense[a * C.dim + m] = c
-            rep.add("grouplike", " ".join(F.format(c) for c in dense))
+                    dense[a * n + m] = text[c]
+            rep.add("grouplike", " ".join(dense))
     return rep.emit(), EXIT_OK
 
 

@@ -73,23 +73,14 @@ class SuperAlgebra(StructureRecord):
         nx = len(xs)
         lys = lifted[nx:]
         D = dm * d * d
-        out = []
-        for x in lifted[:nx]:
-            for y in lys:
-                acc = {}
-                for i, xi in x:
-                    row = terms[i]
-                    for j, yj in y:
-                        xy = mul(xi, yj)
-                        for k, c in row[j]:
-                            t = mul(xy, c)
-                            acc[k] = add(acc[k], t) if k in acc else t
-                out.append(lower(acc.items(), D))
-        return out
+        return [lower(_pair_sums(terms, add, mul, x, y), D) for x in lifted[:nx] for y in lys]
 
     def multiply(self, x, y):
-        """x * y, the one-pair case of products."""
-        return self.products((x,), (y,))[0]
+        """x * y, the one-pair case of products: the pair is lifted as it
+        is, which over a finite field builds nothing."""
+        terms, dm, (lift, _, add, mul, lower) = self._terms
+        (x, y), d = lift((x, y))
+        return lower(_pair_sums(terms, add, mul, x, y), dm * d * d)
 
     def power(self, x, n):
         """x^n by square-and-multiply from the top bit of n down: at most
@@ -102,6 +93,21 @@ class SuperAlgebra(StructureRecord):
             if bit == "1":
                 out = self.multiply(out, x)
         return out
+
+
+def _pair_sums(terms, add, mul, x, y):
+    """The (k, sum) items of x * y for lifted x and y, accumulated over the
+    cells of SuperAlgebra._terms: the per-pair body of products and
+    multiply."""
+    acc = {}
+    for i, xi in x:
+        row = terms[i]
+        for j, yj in y:
+            xy = mul(xi, yj)
+            for k, c in row[j]:
+                t = mul(xy, c)
+                acc[k] = add(acc[k], t) if k in acc else t
+    return acc.items()
 
 
 def make_superalgebra(space, cop, unit):
@@ -477,81 +483,177 @@ def local_decomposition(A, rad):
 # ---------------------------------------------------------------------------
 # morphism enumeration over finite fields
 
-def _word_basis(A, generators):
-    """Products of generators whose values form a basis of the subalgebra
-    they generate, and that subalgebra as a subspace.
+class WordBasis:
+    """Words in generators of an algebra whose values form a basis of the
+    subalgebra the generators generate, grown one generator at a time.
 
-    Words are (parent_index, generator_index) pairs; index 0 is the unit.
+    A word is a (parent word, generator index) pair, its value the parent's
+    value times the generator; word 0, (-1, -1), is the unit.  Generator k
+    adds the words from starts[k] on, of level k: each is a product of
+    generators 0..k.  rows is an echelon basis of the span of the values by
+    pivot, each row led by its pivot with entry 1, so a vector is tested
+    against the rows with no fresh reduction.  relations[k] lists the
+    products w * g_h met at level k that are no word, as (w, h, value):
+    each lies in the span of the words of level <= k.
     """
-    words = [(-1, -1)]
-    values = [A.unit]
-    span = Subspace.from_vectors(A.space, [A.unit])
-    frontier = [0]
-    while frontier:
-        nxt = []
-        vals = A.products([values[w] for w in frontier], generators)
-        for (w, gi), val in zip(itertools.product(frontier, range(len(generators))), vals):
-            if not span.contains(val):
-                words.append((w, gi))
-                values.append(val)
-                span = Subspace.from_vectors(A.space, values)
-                nxt.append(len(words) - 1)
-        frontier = nxt
-    return words, values, span
+
+    __slots__ = ("algebra", "gens", "words", "values", "starts", "rows", "relations")
+
+    def __init__(self, A, generators=()):
+        self.algebra = A
+        self.gens, self.words, self.values, self.starts, self.relations = [], [], [], [], []
+        self.rows = {}
+        self._keep((-1, -1), A.unit)
+        for g in generators:
+            self.grow(g)
+
+    def contains(self, v):
+        return not self._reduce(v)
+
+    def _reduce(self, v):
+        """What is left of v once each row whose pivot is its least column
+        is cleared from it: empty exactly when v lies in the span, as the
+        rows have distinct least columns."""
+        F = self.algebra.field
+        add, mul, neg, is_zero = F.add, F.mul, F.neg, F.is_zero
+        rest = dict(v)
+        while rest:
+            c = min(rest)
+            row = self.rows.get(c)
+            if row is None:
+                break
+            f = neg(rest[c])
+            for j, y in row:
+                x = add(rest[j], mul(f, y)) if j in rest else mul(f, y)
+                if is_zero(x):
+                    del rest[j]
+                else:
+                    rest[j] = x
+        return rest
+
+    def _keep(self, word, value):
+        """Add word when its value lies outside the span; whether it did."""
+        rest = self._reduce(value)
+        if not rest:
+            return False
+        c = min(rest)
+        F = self.algebra.field
+        s = F.inv(rest[c])
+        self.rows[c] = tuple(sorted((j, F.mul(s, y)) for j, y in rest.items()))
+        self.words.append(word)
+        self.values.append(value)
+        return True
+
+    def grow(self, g):
+        """Add generator g: every word so far times g, then every new word
+        times every generator, until no new word appears.  The span is then
+        closed under every generator, so it is the subalgebra they generate,
+        and each product that is no word is a relation of this level."""
+        A = self.algebra
+        k = len(self.gens)
+        self.gens.append(g)
+        self.starts.append(len(self.words))
+        relations = []
+        self.relations.append(relations)
+        pairs = [(w, k) for w in range(len(self.words))]
+        values = A.products(self.values, [g])
+        while pairs:
+            first = len(self.words)
+            for (w, h), value in zip(pairs, values):
+                if not self._keep((w, h), value):
+                    relations.append((w, h, value))
+            new = range(first, len(self.words))
+            pairs = [(w, h) for w in new for h in range(k + 1)]
+            values = A.products([self.values[w] for w in new], self.gens)
 
 
 def enumerate_homs(A, R, generators):
     """All superalgebra morphisms A -> R over a finite field, as columns.
 
-    Generator images range over the matching parity component of R and fix
-    the image of every word.  The induced linear map is multiplicative once
+    generators are vectors of A, or a WordBasis grown from them.  Generator
+    images range over the matching parity component of R and fix the image
+    of every word.  The induced linear map is multiplicative once
     phi(w * g) = phi(w) phi(g) for every word w and generator g; that holds
-    by construction when w * g is itself a word, so only the other pairs are
-    checked, against their coordinates in the word basis.  The result order
-    follows the lexicographic enumeration of images.  A morphism is even:
-    b_i has coordinates only on words of its parity, whose images have it.
+    by construction when w * g is itself a word, so only the relations of
+    the word basis are checked, against their coordinates over the words.
+    A relation of level k involves generators 0..k alone, so the images are
+    assigned depth first, generator 0 first: at depth k each image of
+    generator k gives the words of level k their values, one product from
+    the parent each, and the relations of level k are checked, so no
+    assignment that breaks one is extended.  The result order follows the
+    lexicographic enumeration of images, generator 0 major.  A morphism is
+    even: b_i has coordinates only on words of its parity, whose images
+    have it.
     """
     F = A.field
     if not F.is_finite():
         raise FieldError("morphism enumeration needs a finite base field")
     if F != R.field:
         raise ValueError("source and target over different fields")
-    gens = [tuple(g) for g in generators]
+    basis = generators if isinstance(generators, WordBasis) else None
+    gens = basis.gens if basis else [tuple(g) for g in generators]
     gen_parities = []
     for g in gens:
         ps = {A.parity(i) for i, _ in g}
         if len(ps) != 1:
             raise ValueError("generators must be nonzero homogeneous")
         gen_parities.append(ps.pop())
-    words, values, span = _word_basis(A, gens)
-    if span.dim != A.dim:
+    if basis is None:
+        basis = WordBasis(A, gens)
+    if len(basis.rows) != A.dim:
         raise ValueError("declared generators do not generate the algebra")
-    value_mat = Matrix(F, _transpose(values, A.dim), len(words))
-    basis_coeffs = value_mat.solve(Matrix.identity(F, A.dim).rows)
-    built = set(words)
-    # the word coordinates of each w * g that is no word, read once via basis_coeffs
-    unbuilt = [(wg, val) for wg, val in zip(itertools.product(range(len(words)), range(len(gens))),
-                                            A.products(values, gens)) if wg not in built]
-    relation_coeffs = list(_images(F, basis_coeffs, [val for _, val in unbuilt]))
+    words, m = basis.words, len(gens)
+    starts = basis.starts + [len(words)]
+    # one solve: the word coordinates of each basis vector, then of each
+    # relation's product, level by level
+    coords = Matrix(F, _transpose(basis.values, A.dim), len(words)).solve(
+        [*_identity_columns(F, A.dim),
+         *(value for level in basis.relations for _, _, value in level)])
+    read, coords = coords[:A.dim], iter(coords[A.dim:])
+    # per level: its words; its relations as (w, h), those whose product is
+    # zero first; as many empty right-hand sides; and the coordinates of the
+    # others, whose right-hand sides one _images call reads only if needed
+    levels = []
+    for k, level in enumerate(basis.relations):
+        rels = sorted(((w, h, next(coords)) for w, h, _ in level), key=lambda r: bool(r[2]))
+        levels.append((words[starts[k]:starts[k + 1]], [(w, h) for w, h, _ in rels],
+                       tuple(c for *_, c in rels if not c), [c for *_, c in rels if c]))
     elems = sorted(F.elements(), key=F.sort_key)
-    image_slots = [[i for i in range(R.dim) if R.parity(i) == p] for p in gen_parities]
+    # every candidate image of a generator of each parity, as a vector, in
+    # the lexicographic order of its coefficients on the slots; the (slot,
+    # c) pairs are shared, so a candidate costs no more than its coefficients
+    images = {p: [tuple(t for t in combo if t) for combo in itertools.product(
+                  *([(s, c) if not F.is_zero(c) else () for c in elems]
+                    for s in range(R.dim) if R.parity(s) == p))]
+              for p in set(gen_parities)}
+    multiply = R.multiply
+    img = [None] * m
+    values = [R.unit]
+    if not m:
+        return [tuple(_images(F, values, read))]
     found = []
-    # every candidate image of each generator, as a vector, in the
-    # lexicographic order of its coefficients on the slots; the (slot, c)
-    # pairs are shared, so a candidate costs no more than its coefficients
-    spaces = [[tuple(t for t in combo if t) for combo in itertools.product(
-                   *([(s, c) if not F.is_zero(c) else () for c in elems] for s in slots))]
-              for slots in image_slots]
-    for gen_imgs in itertools.product(*spaces):
-        word_values = [R.unit]
-        for parent, gi in words[1:]:
-            word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
-        # the right-hand sides come one at a time: the first failure ends it
-        rhs = _images(F, word_values, relation_coeffs)
-        if any(R.multiply(word_values[w], gen_imgs[gi]) != r
-               for ((w, gi), _), r in zip(unbuilt, rhs)):
+    # the search's stack: per depth k, the images of generator k not yet tried
+    stack = [iter(images[gen_parities[0]])]
+    while stack:
+        k = len(stack) - 1
+        r = next(stack[k], None)
+        if r is None:
+            stack.pop()
             continue
-        found.append(tuple(_images(F, word_values, basis_coeffs)))
+        img[k] = r
+        new, checks, zeros, rhs = levels[k]
+        del values[starts[k]:]
+        for parent, h in new:
+            values.append(multiply(values[parent], img[h]))
+        # the right-hand sides come one at a time: the first failure ends it
+        for (w, h), v in zip(checks, itertools.chain(zeros, _images(F, values, rhs))):
+            if multiply(values[w], img[h]) != v:
+                break
+        else:
+            if k + 1 < m:
+                stack.append(iter(images[gen_parities[k + 1]]))
+            else:
+                found.append(tuple(_images(F, values, read)))
     return found
 
 

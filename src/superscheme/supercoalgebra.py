@@ -15,7 +15,7 @@ import functools
 
 from .fields import FieldError
 from .superalgebra import (
-    _word_basis, enumerate_homs, ideal_generated_by, ideal_powers, make_superalgebra,
+    WordBasis, enumerate_homs, ideal_generated_by, ideal_powers, make_superalgebra,
     local_decomposition, radical,
 )
 from .superlinear import (
@@ -292,9 +292,11 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     elements in sort_key order).
 
     They are read off the superalgebra morphisms A -> R of the
-    Koszul-signed dual A of C, found by enumerate_homs on generators kept
-    greedily from the basis of A.  The search visits
-    q^(sum over generators g of dim R_|g|) candidates, at most the bound.
+    Koszul-signed dual A of C, found by enumerate_homs on the word basis of
+    the generators kept greedily from the basis of A: b_i is kept when the
+    basis grown so far does not contain it.  The depth-first search visits
+    at most q^(sum over generators g of dim R_|g|) complete assignments;
+    that count, computed before the search, must not exceed the bound.
     """
     F = C.field
     if not F.is_finite():
@@ -302,14 +304,12 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     if R.field != F:
         raise ValueError("coefficient algebra over a different field")
     A = _koszul_signed(dualize_coalgebra(C))
-    gens, slots = [], 0
-    span = Subspace.from_vectors(A.space, [A.unit])
+    basis, slots = WordBasis(A), 0
     for i in range(A.dim):
         e = unit_vec(F, i)
-        if not span.contains(e):
-            gens.append(e)
+        if not basis.contains(e):
+            basis.grow(e)
             slots += R.space.sdim[A.parity(i)]
-            span = _word_basis(A, gens)[2]
     q = F.order
     total = q ** slots
     if total > bound:
@@ -319,11 +319,12 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
             f"{total} candidates (blind scan of the even slots: {blind}) "
             f"exceed the configured bound {bound}")
     rank = {c: r for r, c in enumerate(sorted(F.elements(), key=F.sort_key))}
+    n = C.dim
     # phi is the element sum_i phi(a_i) (x) a_i* of R (x) C, read by R-row
-    hits = [_transpose(cols, R.dim) for cols in enumerate_homs(A, R, gens)]
+    hits = [_transpose(cols, R.dim) for cols in enumerate_homs(A, R, basis)]
     # zero comes first in sort_key order, so the row-major entries compare
     # as the (-position, rank) pairs of the nonzero ones
-    return sorted(hits, key=lambda u: [(-(a * C.dim + m), rank[c])
+    return sorted(hits, key=lambda u: [(-(a * n + m), rank[c])
                                        for a, row in enumerate(u) for m, c in row])
 
 

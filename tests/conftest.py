@@ -364,6 +364,54 @@ def grouplike_oracle():
     return grouplikes_by_scan
 
 
+def enumerate_homs_by_scan(A, R, generators):
+    """Reference for superalgebra.enumerate_homs: the flat scan.  Words
+    (parent, generator) are found breadth first from the unit, a product
+    kept when a fresh echelon form of the values so far does not contain
+    it.  Every tuple of generator images, in itertools.product order over
+    the lexicographic images of each, gives every word its value from the
+    unit, and is kept when phi(w * g) = phi(w) phi(g) for every word w and
+    generator g that is no word."""
+    F = A.field
+    gens = [tuple(g) for g in generators]
+    words, values, frontier = [(-1, -1)], [A.unit], [0]
+    while frontier:
+        new = []
+        for w, (gi, g) in itertools.product(frontier, enumerate(gens)):
+            value = A.multiply(values[w], g)
+            if not Subspace.from_vectors(A.space, values).contains(value):
+                words.append((w, gi))
+                values.append(value)
+                new.append(len(words) - 1)
+        frontier = new
+    basis_coeffs = Matrix(F, _transpose(values, A.dim), len(words)).solve(
+        Matrix.identity(F, A.dim).rows)
+    if basis_coeffs is None:
+        raise ValueError("declared generators do not generate the algebra")
+    built = set(words)
+    unbuilt = [(w, gi) for w, gi in itertools.product(range(len(words)), range(len(gens)))
+               if (w, gi) not in built]
+    relation_coeffs = list(_images(F, basis_coeffs, [A.multiply(values[w], gens[gi])
+                                                     for w, gi in unbuilt]))
+    elems = sorted(F.elements(), key=F.sort_key)
+    spaces = []
+    for g in gens:
+        parity = A.parity(g[0][0])
+        slots = [s for s in range(R.dim) if R.parity(s) == parity]
+        spaces.append([sparse(F, [dict(zip(slots, combo)).get(s, F.zero) for s in range(R.dim)])
+                       for combo in itertools.product(elems, repeat=len(slots))])
+    found = []
+    for gen_imgs in itertools.product(*spaces):
+        word_values = [R.unit]
+        for parent, gi in words[1:]:
+            word_values.append(R.multiply(word_values[parent], gen_imgs[gi]))
+        rhs = _images(F, word_values, relation_coeffs)
+        if all(R.multiply(word_values[w], gen_imgs[gi]) == r
+               for (w, gi), r in zip(unbuilt, rhs)):
+            found.append(tuple(_images(F, word_values, basis_coeffs)))
+    return found
+
+
 def multiply_by_dense_loop(A, x, y):
     """Reference for SuperAlgebra.multiply: for every pair of nonzero
     coordinates x_i, y_j, add x_i y_j times the dense row mul[i][j]."""

@@ -14,16 +14,18 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme import cli
 from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
-from superscheme.fields import PRIMALITY_BOUND, QQ, PrimeField
+from superscheme.fields import PRIMALITY_BOUND, QQ, ExtensionField, PrimeField
 from superscheme.objfile import serialize_document
 from superscheme.superlinear import SuperVectorSpace, linear_form
-from superscheme.supercoalgebra import dualize_algebra, unit_coalgebra
+from superscheme.supercoalgebra import dualize_algebra, grouplikes_over, unit_coalgebra
 from superscheme.formal_scheme import (
     TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra, seeded_random,
+    truncated_polynomial,
 )
+from superscheme.superalgebra import SuperAlgebra, tensor_superalgebra
 
 from conftest import _count_calls, dense_columns, sparse
 
@@ -800,6 +802,50 @@ def test_grouplikes_over_validates_its_algebra(files, tmp_path):
     text, code = run(["grouplikes", files["gdual3.coalg"], "--over", str(p)])
     assert code == EXIT_FAIL
     assert text.splitlines()[1].startswith("axiom-failure invalid superalgebra R: unit: ")
+
+
+def test_grouplikes_over_prints_every_entry_as_its_field_formats_it(tmp_path):
+    """Each grouplike line is the coefficient matrix read row-major, zeros
+    included, each entry as the field formats it: over F9 an entry is its
+    two coordinates."""
+    F9 = ExtensionField(F3, (1, 0, 1), "j")
+    C, R = dualize_algebra(grassmann(1, F9)), grassmann(1, F9)
+    (tmp_path / "c.ss").write_text(serialize_document(F9, [("C", C)]))
+    (tmp_path / "r.ss").write_text(serialize_document(F9, [("R", R)]))
+    text, code = run(["grouplikes", str(tmp_path / "c.ss"), "--over", str(tmp_path / "r.ss")])
+    want = []
+    for u in grouplikes_over(C, R):
+        entries = [dict(row).get(m, F9.zero) for row in u for m in range(C.dim)]
+        want.append("grouplike " + " ".join(F9.format(c) for c in entries))
+    assert code == EXIT_OK and len(want) == 9
+    assert [l for l in text.splitlines() if l.startswith("grouplike ")] == want
+
+
+def test_grouplikes_over_prunes_at_the_first_deciding_level(tmp_path, monkeypatch):
+    """Points of (t2 (x) t2)* over R = k[x]/(x^5), F3: the images r of the
+    generators u = 1 (x) x and v = x (x) 1 must each have r^3 = 0, so r
+    lies in (x^2) and there are 27^2 hits.  u^3 = 0 is checked as soon as
+    the image of u is chosen, so the six words of level 1 (v, uv, u^2 v,
+    v^2, uv^2, u^2 v^2) get values on 27 * 243 assignments, not on all
+    243^2 of an unpruned search."""
+    t2 = truncated_polynomial(2, F3)
+    (tmp_path / "c.ss").write_text(
+        serialize_document(F3, [("C", dualize_algebra(tensor_superalgebra(t2, t2)))]))
+    (tmp_path / "r.ss").write_text(serialize_document(F3, [("R", truncated_polynomial(4, F3))]))
+    products = []
+    multiply = SuperAlgebra.multiply
+
+    def counting(self, x, y):
+        products.append(None)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(SuperAlgebra, "multiply", counting)
+    start = time.perf_counter()
+    text, code = run(["grouplikes", str(tmp_path / "c.ss"), "--over", str(tmp_path / "r.ss")])
+    seconds = time.perf_counter() - start
+    assert code == EXIT_OK and "grouplike-count 729" in text.splitlines(), text
+    assert len(products) < 6 * 243 ** 2
+    assert seconds < 1.0
 
 
 def test_huge_rational_constant_is_unsupported(tmp_path):

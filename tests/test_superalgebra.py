@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,16 @@ from superscheme.superalgebra import (
     tensor_superalgebra, validate_superalgebra,
 )
 from superscheme.corpus import (
-    Rng, canonical_algebras, grassmann, quotient_ring_algebra, split_pair,
+    Rng, canonical_algebras, divided_power, grassmann, quotient_ring_algebra, split_pair,
     truncated_polynomial,
+)
+from superscheme.supercoalgebra import (
+    _koszul_signed, dualize_algebra, dualize_coalgebra, tensor_coalgebra,
 )
 
 from conftest import (
-    GradedMap, dense, dense_columns, dense_matrix, dense_rows, is_superalgebra_morphism,
-    odd_subspace, rational, sparse,
+    GradedMap, dense, dense_columns, dense_matrix, dense_rows, enumerate_homs_by_scan,
+    is_superalgebra_morphism, odd_subspace, rational, sparse,
 )
 
 F3 = PrimeField(3)
@@ -268,6 +272,55 @@ def test_enumerate_homs_rejects_non_generators():
     G = grassmann(2, F3)
     with pytest.raises(ValueError):
         enumerate_homs(G, G, [unit_vec(F3, 1)])  # th1 alone does not generate
+
+
+def _hom_sources(F):
+    """(name, A, generators): Grassmann algebras, truncated polynomials, one
+    of each with a generator the others already generate, t2 (x) t2, the
+    Koszul-signed dual of D1 (x) G(1)*, which has an even and an odd
+    generator, and split_pair (x) t1 on an idempotent u and a square-zero
+    v = 1 (x) x, given as a vector that is no basis vector."""
+    G = [grassmann(n, F) for n in range(4)]
+    t = [truncated_polynomial(d, F) for d in range(4)]
+    mixed = _koszul_signed(dualize_coalgebra(tensor_coalgebra(
+        divided_power(1, F), dualize_algebra(G[1]))))
+    sources = [(f"G({n})", G[n], [[i] for i in range(1, n + 1)]) for n in (1, 2, 3)]
+    sources += [(f"t{d}", t[d], [[1]]) for d in (1, 2, 3)]
+    sources += [("G(2) with th1th2", G[2], [[1], [2], [3]]), ("t3 with x^2", t[3], [[1], [2]]),
+                ("t2 (x) t2", tensor_superalgebra(t[2], t[2]), [[1], [3]]),
+                ("(D1 (x) G(1)*)*", mixed, [[2], [1]]),
+                ("split_pair (x) t1", tensor_superalgebra(split_pair(F), t[1]), [[0], [1, 3]])]
+    return [(name, A, [tuple((i, F.one) for i in g) for g in gens]) for name, A, gens in sources]
+
+
+def _upper_triangular(F):
+    """The upper triangular 2 x 2 matrices on e11, e12, e22: associative and
+    unital but not commutative, so no relation of a source holds in it for
+    free."""
+    space = SuperVectorSpace(F, ("e11", "e12", "e22"), (0, 0, 0))
+    # e11 e11 = e11, e11 e12 = e12 = e12 e22, e22 e22 = e22
+    return make_superalgebra(space, [[(0, F.one)], [(1, F.one), (5, F.one)], [(8, F.one)]],
+                             [(0, F.one), (2, F.one)])
+
+
+def test_enumerate_homs_matches_scan():
+    """The depth-first search finds the hits of the flat scan, in its order,
+    from every source into Grassmann(0..2), truncated_polynomial(1..3),
+    split_pair and the upper triangular matrices over F3, F5 and F9,
+    wherever the scan has at most 2,000 candidates."""
+    F9 = ExtensionField(F3, (1, 0, 1), "j")
+    compared = 0
+    for F in (F3, F5, F9):
+        targets = ([grassmann(n, F) for n in range(3)] + [truncated_polynomial(d, F) for d in (1, 2, 3)]
+                   + [split_pair(F), _upper_triangular(F)])
+        for name, A, gens in _hom_sources(F):
+            for R in targets:
+                if math.prod(F.order ** R.space.sdim[A.parity(g[0][0])] for g in gens) > 2000:
+                    continue
+                assert enumerate_homs(A, R, gens) == enumerate_homs_by_scan(A, R, gens), (
+                    F.describe(), name, R.space.labels)
+                compared += 1
+    assert compared >= 100
 
 
 def test_enumerate_homs_deterministic():
