@@ -16,7 +16,7 @@ from .fields import (
     FieldError, poly_ext_gcd, poly_factor_supported, poly_mul, poly_roots, poly_trim,
 )
 from .superlinear import (
-    Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects,
+    Echelon, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects,
     _identity_columns, _images, _kernel, _sum_ops, _transpose, canonical_columns, coordinates,
     quotient_data, tensor_structure, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
@@ -52,18 +52,18 @@ class SuperAlgebra(StructureRecord):
     @functools.cached_property
     def _odd_generators(self):
         """(V, A * V): V the odd basis vectors b_i, in order, outside the
-        ideal of those kept before them; b_i lies in an echelon ideal exactly
-        when the row at pivot i is b_i.  So A * V = A * A_odd, and A_even * V
-        spans A_odd.  Finding V takes |V| * dim A <= |A_odd| * dim A
-        products, and |V| <= dim A * V."""
-        basis = _identity_columns(self.field, self.dim)
-        gens, ideal, row_at = [], Subspace.zero(self.space), {}
+        ideal of those kept before them, one Echelon grown by the products
+        of each.  So A * V = A * A_odd, and A_even * V spans A_odd.  Finding
+        V takes |V| * dim A <= |A_odd| * dim A products, and |V| <= dim A * V."""
+        F = self.field
+        basis = _identity_columns(F, self.dim)
+        gens, ideal = [], Echelon(F)
         for i, b in enumerate(basis):
-            if self.parity(i) and row_at.get(i) != b:
+            if self.parity(i) and not ideal.has_unit_vec(i):
                 gens.append(b)
-                ideal = Subspace.from_vectors(self.space, ideal.basis() + self.products([b], basis))
-                row_at = dict(zip(ideal.matrix.rref()[1], ideal.matrix.rows))
-        return gens, ideal
+                ideal.extend(self.products([b], basis))
+        rows, pivots = ideal.rows()
+        return gens, Subspace(self.space, Matrix(F, rows, self.dim, pivots))
 
     def products(self, xs, ys):
         """x * y for every x of xs and every y of ys, x major: the one sum of
@@ -301,17 +301,17 @@ class LocalFactor(Record):
 
 
 def _minimal_polynomial(A, x):
-    """Minimal polynomial of an algebra element, low to high, monic."""
+    """Minimal polynomial of an algebra element, low to high, monic: the
+    powers of x join one Echelon until x^d lies in the span of those before
+    it, and one solve writes x^d in them."""
     F = A.field
+    span = Echelon(F)
     powers = [A.unit]
-    while True:
+    while span.add(powers[-1]):
         powers.append(A.multiply(powers[-1], x))
-        mat = Matrix(F, powers[:-1], A.dim)._transpose()
-        sol = mat.solve([powers[-1]])
-        if sol is not None:
-            sol = dict(sol[0])
-            coeffs = [F.neg(sol.get(j, F.zero)) for j in range(mat.ncols)] + [F.one]
-            return poly_trim(F, coeffs)
+    (sol,) = Matrix(F, powers[:-1], A.dim)._transpose().solve([powers[-1]])
+    sol = dict(sol)
+    return poly_trim(F, [F.neg(sol.get(j, F.zero)) for j in range(len(powers) - 1)] + [F.one])
 
 
 def _eval_in_algebra(A, poly, x):
@@ -488,61 +488,25 @@ class WordBasis:
     subalgebra the generators generate, grown one generator at a time.
 
     A word is a (parent word, generator index) pair, its value the parent's
-    value times the generator; word 0, (-1, -1), is the unit.  Generator k
-    adds the words from starts[k] on, of level k: each is a product of
-    generators 0..k.  rows is an echelon basis of the span of the values by
-    pivot, each row led by its pivot with entry 1, so a vector is tested
-    against the rows with no fresh reduction.  relations[k] lists the
-    products w * g_h met at level k that are no word, as (w, h, value):
-    each lies in the span of the words of level <= k.
+    value times the generator; word 0, (-1, -1), is the unit, unless the
+    unit is zero.  Generator k adds the words from starts[k] on, of level
+    k: each is a product of generators 0..k.  echelon is the span of the
+    values, so a product is a new word exactly when it grows the echelon.
+    relations[k] lists the products w * g_h met at level k that are no
+    word, as (w, h, value): each lies in the span of the words of level <= k.
     """
 
-    __slots__ = ("algebra", "gens", "words", "values", "starts", "rows", "relations")
+    __slots__ = ("algebra", "gens", "words", "values", "starts", "echelon", "relations")
 
     def __init__(self, A, generators=()):
         self.algebra = A
         self.gens, self.words, self.values, self.starts, self.relations = [], [], [], [], []
-        self.rows = {}
-        self._keep((-1, -1), A.unit)
+        self.echelon = Echelon(A.field)
+        if self.echelon.add(A.unit):
+            self.words.append((-1, -1))
+            self.values.append(A.unit)
         for g in generators:
             self.grow(g)
-
-    def contains(self, v):
-        return not self._reduce(v)
-
-    def _reduce(self, v):
-        """What is left of v once each row whose pivot is its least column
-        is cleared from it: empty exactly when v lies in the span, as the
-        rows have distinct least columns."""
-        F = self.algebra.field
-        add, mul, neg, is_zero = F.add, F.mul, F.neg, F.is_zero
-        rest = dict(v)
-        while rest:
-            c = min(rest)
-            row = self.rows.get(c)
-            if row is None:
-                break
-            f = neg(rest[c])
-            for j, y in row:
-                x = add(rest[j], mul(f, y)) if j in rest else mul(f, y)
-                if is_zero(x):
-                    del rest[j]
-                else:
-                    rest[j] = x
-        return rest
-
-    def _keep(self, word, value):
-        """Add word when its value lies outside the span; whether it did."""
-        rest = self._reduce(value)
-        if not rest:
-            return False
-        c = min(rest)
-        F = self.algebra.field
-        s = F.inv(rest[c])
-        self.rows[c] = tuple(sorted((j, F.mul(s, y)) for j, y in rest.items()))
-        self.words.append(word)
-        self.values.append(value)
-        return True
 
     def grow(self, g):
         """Add generator g: every word so far times g, then every new word
@@ -559,18 +523,21 @@ class WordBasis:
         values = A.products(self.values, [g])
         while pairs:
             first = len(self.words)
-            for (w, h), value in zip(pairs, values):
-                if not self._keep((w, h), value):
+            for (w, h), value, grew in zip(pairs, values, self.echelon.extend(values)):
+                if grew:
+                    self.words.append((w, h))
+                    self.values.append(value)
+                else:
                     relations.append((w, h, value))
             new = range(first, len(self.words))
             pairs = [(w, h) for w in new for h in range(k + 1)]
             values = A.products([self.values[w] for w in new], self.gens)
 
 
-def enumerate_homs(A, R, generators):
+def enumerate_homs(A, R, basis):
     """All superalgebra morphisms A -> R over a finite field, as columns.
 
-    generators are vectors of A, or a WordBasis grown from them.  Generator
+    basis is a WordBasis of A grown from its generators.  Generator
     images range over the matching parity component of R and fix the image
     of every word.  The induced linear map is multiplicative once
     phi(w * g) = phi(w) phi(g) for every word w and generator g; that holds
@@ -590,17 +557,14 @@ def enumerate_homs(A, R, generators):
         raise FieldError("morphism enumeration needs a finite base field")
     if F != R.field:
         raise ValueError("source and target over different fields")
-    basis = generators if isinstance(generators, WordBasis) else None
-    gens = basis.gens if basis else [tuple(g) for g in generators]
+    gens = basis.gens
     gen_parities = []
     for g in gens:
         ps = {A.parity(i) for i, _ in g}
         if len(ps) != 1:
             raise ValueError("generators must be nonzero homogeneous")
         gen_parities.append(ps.pop())
-    if basis is None:
-        basis = WordBasis(A, gens)
-    if len(basis.rows) != A.dim:
+    if not all(map(basis.echelon.has_unit_vec, range(A.dim))):
         raise ValueError("declared generators do not generate the algebra")
     words, m = basis.words, len(gens)
     starts = basis.starts + [len(words)]
@@ -630,7 +594,9 @@ def enumerate_homs(A, R, generators):
     img = [None] * m
     values = [R.unit]
     if not m:
-        return [tuple(_images(F, values, read))]
+        # phi(1) = 1_R; the unit of A = 0 is zero and no word, so A = 0
+        # maps only to R = 0
+        return [tuple(_images(F, values, read))] if words or not R.unit else []
     found = []
     # the search's stack: per depth k, the images of generator k not yet tried
     stack = [iter(images[gen_parities[0]])]

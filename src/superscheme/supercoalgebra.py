@@ -306,9 +306,8 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     A = _koszul_signed(dualize_coalgebra(C))
     basis, slots = WordBasis(A), 0
     for i in range(A.dim):
-        e = unit_vec(F, i)
-        if not basis.contains(e):
-            basis.grow(e)
+        if not basis.echelon.has_unit_vec(i):
+            basis.grow(unit_vec(F, i))
             slots += R.space.sdim[A.parity(i)]
     q = F.order
     total = q ** slots

@@ -197,61 +197,95 @@ class Matrix:
         return [tuple(x) for x in out]
 
 
-def _rref_sparse(F, rows):
-    """Gauss-Jordan elimination over sparse rows (column -> nonzero entry
-    dicts, or vectors).
+class Echelon:
+    """A growing span over F, kept in reduced row-echelon form: the one
+    elimination, a sparse Gauss-Jordan over rows given as column -> nonzero
+    entry dicts, or vectors.
 
     Each incoming row is reduced against the pivot rows found so far.  Its
     least column becomes a new pivot, which is cleared only from the pivot
     rows that hold it, found through a column -> pivot-rows index; only
     nonzero entries are touched (LaMacchia-Odlyzko, CRYPTO 1990).  A pivot row's
     pivot stays its least column, so the rows in pivot order are the unique
-    reduced echelon form.  Returns (rows, pivots), each row a vector.
+    reduced echelon form, whatever order the rows came in.
     """
-    add, mul, neg, inv, is_zero = F.add, F.mul, F.neg, F.inv, F.is_zero
-    one = F.one
-    red = {}            # pivot column -> its row
-    holders = {}        # non-pivot column -> pivot columns whose rows hold it
-    for row in rows:
-        row = dict(row)
-        # pivot rows hold no other pivot column, so one pass clears them all
-        for c in [c for c in row if c in red]:
-            fac = neg(row.pop(c))
-            for j, y in red[c].items():
+
+    __slots__ = ("field", "red", "holders")
+
+    def __init__(self, F):
+        self.field = F
+        self.red = {}       # pivot column -> its row
+        self.holders = {}   # non-pivot column -> pivot columns whose rows hold it
+
+    def extend(self, rows):
+        """Add the rows in order; per row, whether it grew the span."""
+        F = self.field
+        add, mul, neg, inv, is_zero = F.add, F.mul, F.neg, F.inv, F.is_zero
+        one = F.one
+        red, holders = self.red, self.holders
+        grew = []
+        for row in rows:
+            row = dict(row)
+            # pivot rows hold no other pivot column, so one pass clears them all
+            for c in [c for c in row if c in red]:
+                fac = neg(row.pop(c))
+                for j, y in red[c].items():
+                    if j != c:
+                        x = add(row[j], mul(fac, y)) if j in row else mul(fac, y)
+                        if is_zero(x):
+                            del row[j]
+                        else:
+                            row[j] = x
+            grew.append(bool(row))
+            if not row:
+                continue
+            c = min(row)
+            if row[c] != one:
+                s = inv(row[c])
+                row = {j: mul(s, y) for j, y in row.items()}
+            for pc in holders.pop(c, ()):
+                prow = red[pc]
+                fac = neg(prow.pop(c))
+                for j, y in row.items():
+                    if j == c:
+                        continue
+                    if j in prow:
+                        x = add(prow[j], mul(fac, y))
+                        if is_zero(x):
+                            del prow[j]
+                            holders[j].discard(pc)
+                        else:
+                            prow[j] = x
+                    else:
+                        prow[j] = mul(fac, y)
+                        holders.setdefault(j, set()).add(pc)
+            red[c] = row
+            for j in row:
                 if j != c:
-                    x = add(row[j], mul(fac, y)) if j in row else mul(fac, y)
-                    if is_zero(x):
-                        del row[j]
-                    else:
-                        row[j] = x
-        if not row:
-            continue
-        c = min(row)
-        if row[c] != one:
-            s = inv(row[c])
-            row = {j: mul(s, y) for j, y in row.items()}
-        for pc in holders.pop(c, ()):
-            prow = red[pc]
-            fac = neg(prow.pop(c))
-            for j, y in row.items():
-                if j == c:
-                    continue
-                if j in prow:
-                    x = add(prow[j], mul(fac, y))
-                    if is_zero(x):
-                        del prow[j]
-                        holders[j].discard(pc)
-                    else:
-                        prow[j] = x
-                else:
-                    prow[j] = mul(fac, y)
-                    holders.setdefault(j, set()).add(pc)
-        red[c] = row
-        for j in row:
-            if j != c:
-                holders.setdefault(j, set()).add(c)
-    pivots = sorted(red)
-    return [tuple(sorted(red[c].items())) for c in pivots], tuple(pivots)
+                    holders.setdefault(j, set()).add(c)
+        return grew
+
+    def add(self, row):
+        """Add one row; whether it grew the span."""
+        return self.extend((row,))[0]
+
+    def rows(self):
+        """(rows, pivots): the rows as vectors, in pivot order."""
+        pivots = sorted(self.red)
+        return [tuple(sorted(self.red[c].items())) for c in pivots], tuple(pivots)
+
+    def has_unit_vec(self, i):
+        """Whether basis vector i lies in the span: exactly when the row at
+        pivot i is b_i, as the other rows hold no pivot column."""
+        return len(self.red.get(i, ())) == 1
+
+
+def _rref_sparse(F, rows):
+    """The reduced row-echelon form (rows, pivots) of these rows, each row
+    a vector: one Echelon, extended once."""
+    echelon = Echelon(F)
+    echelon.extend(rows)
+    return echelon.rows()
 
 
 def _null_space_sparse(F, red, pivots, ncols):

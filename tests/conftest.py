@@ -12,7 +12,7 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
     sys.path.insert(0, os.path.abspath(_src))
 
 from superscheme.corpus import Rng, canonical_algebras, canonical_coalgebras  # noqa: E402
-from superscheme.fields import Field  # noqa: E402
+from superscheme.fields import Field, poly_trim  # noqa: E402
 from superscheme.formal_scheme import (  # noqa: E402
     FormalSuperscheme, SchemeMorphism, _point_fibers, fiber_product, flatness,
     is_closed_immersion, morphism_components, point_images, points,
@@ -362,6 +362,21 @@ def grouplikes_by_scan(C, R):
 @pytest.fixture
 def grouplike_oracle():
     return grouplikes_by_scan
+
+
+def minimal_polynomial_by_powers(A, x):
+    """Reference for superalgebra._minimal_polynomial: one fresh solve per
+    power x^d against the powers before it, until one succeeds."""
+    F = A.field
+    powers = [A.unit]
+    while True:
+        powers.append(A.multiply(powers[-1], x))
+        mat = Matrix(F, powers[:-1], A.dim)._transpose()
+        sol = mat.solve([powers[-1]])
+        if sol is not None:
+            sol = dict(sol[0])
+            coeffs = [F.neg(sol.get(j, F.zero)) for j in range(mat.ncols)] + [F.one]
+            return poly_trim(F, coeffs)
 
 
 def enumerate_homs_by_scan(A, R, generators):

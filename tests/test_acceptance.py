@@ -8,7 +8,7 @@ from fractions import Fraction
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import Subspace, linear_form, standard_space, unit_vec
 from superscheme.superalgebra import (
-    enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
+    WordBasis, enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
     SuperCoalgebra, base_change_coalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
@@ -119,7 +119,7 @@ def test_criterion_2_duality_equivalence(grouplike_oracle):
     for field in (F3, F5):
         for A, gens, R in _hom_grouplike_pairs(field):
             # every hit is even: its columns make a map of parity 0
-            homs = [GradedMap(A.space, R.space, cols, 0) for cols in enumerate_homs(A, R, gens)]
+            homs = [GradedMap(A.space, R.space, cols, 0) for cols in enumerate_homs(A, R, WordBasis(A, gens))]
             gls = grouplike_oracle(dualize_algebra(A), R)
             ok &= len(homs) == len(gls)
             transported = sorted(transport_point(phi, A, R) for phi in homs)

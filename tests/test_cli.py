@@ -17,7 +17,9 @@ from superscheme.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, run
 from superscheme.fields import PRIMALITY_BOUND, QQ, ExtensionField, PrimeField
 from superscheme.objfile import serialize_document
 from superscheme.superlinear import SuperVectorSpace, linear_form
-from superscheme.supercoalgebra import dualize_algebra, grouplikes_over, unit_coalgebra
+from superscheme.supercoalgebra import (
+    dualize_algebra, grouplikes_over, make_supercoalgebra, unit_coalgebra,
+)
 from superscheme.formal_scheme import (
     TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
 )
@@ -25,7 +27,7 @@ from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra, seeded_random,
     truncated_polynomial,
 )
-from superscheme.superalgebra import SuperAlgebra, tensor_superalgebra
+from superscheme.superalgebra import SuperAlgebra, make_superalgebra, tensor_superalgebra
 
 from conftest import _count_calls, dense_columns, sparse
 
@@ -819,6 +821,25 @@ def test_grouplikes_over_prints_every_entry_as_its_field_formats_it(tmp_path):
         want.append("grouplike " + " ".join(F9.format(c) for c in entries))
     assert code == EXIT_OK and len(want) == 9
     assert [l for l in text.splitlines() if l.startswith("grouplike ")] == want
+
+
+def test_grouplikes_of_the_zero_coalgebra(tmp_path):
+    """The zero coalgebra Z has no group-like.  Its points over R are the
+    morphisms 0 -> R, and phi(1) = 1_R where 1 = 0: one point, with no
+    entry, over R = 0, and none over R = k."""
+    E = SuperVectorSpace(F3, (), ())
+    (tmp_path / "z.ss").write_text(serialize_document(F3, [("Z", make_supercoalgebra(E, [], []))]))
+    (tmp_path / "k.ss").write_text(serialize_document(F3, [("R", grassmann(0, F3))]))
+    (tmp_path / "zero.ss").write_text(serialize_document(F3, [("R", make_superalgebra(E, [], []))]))
+
+    def counted(*over):
+        text, code = run(["grouplikes", str(tmp_path / "z.ss"), *over])
+        assert code == EXIT_OK, text
+        return [l for l in text.splitlines() if l.startswith("grouplike")]
+
+    assert counted() == ["grouplike-count 0"]
+    assert counted("--over", str(tmp_path / "k.ss")) == ["grouplike-count 0"]
+    assert counted("--over", str(tmp_path / "zero.ss")) == ["grouplike-count 1", "grouplike"]
 
 
 def test_grouplikes_over_prunes_at_the_first_deciding_level(tmp_path, monkeypatch):

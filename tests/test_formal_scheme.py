@@ -8,7 +8,7 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superlinear import Matrix, SuperVectorSpace, linear_form, unit_vec
-from superscheme.superalgebra import enumerate_homs, monomial_superalgebra
+from superscheme.superalgebra import WordBasis, enumerate_homs, monomial_superalgebra
 from superscheme.supercomodule import comodule_along, regular_comodule
 from superscheme.supercoalgebra import (
     base_change_coalgebra, direct_sum_coalgebra, dualize_algebra, grouplikes_over,
@@ -132,7 +132,7 @@ def test_transport_bijection_over_f3():
     gens = {2: [unit_vec(F3, 1)]}
     for A, R in pairs:
         homs = [GradedMap(A.space, R.space, cols, 0)
-                for cols in enumerate_homs(A, R, gens[A.dim])]
+                for cols in enumerate_homs(A, R, WordBasis(A, gens[A.dim]))]
         gls = grouplikes_over(dualize_algebra(A), R)
         assert len(homs) == len(gls)
         transported = sorted(transport_point(phi, A, R) for phi in homs)
@@ -147,7 +147,7 @@ def test_transport_grassmann_odd_products_over_f3():
     # the dual shows
     G = grassmann(2, F3)
     homs = [GradedMap(G.space, G.space, cols, 0)
-            for cols in enumerate_homs(G, G, [unit_vec(F3, 1), unit_vec(F3, 2)])]
+            for cols in enumerate_homs(G, G, WordBasis(G, [unit_vec(F3, 1), unit_vec(F3, 2)]))]
     assert len(homs) == 81
     for phi in homs:
         u = transport_point(phi, G, G)
@@ -160,7 +160,7 @@ def test_transport_natural_in_target():
     R = grassmann(1, F3)
     Rp = grassmann(0, F3)
     rho = GradedMap(R.space, Rp.space, dense_columns(F3, [[1, 0]]), 0)
-    for cols in enumerate_homs(A, R, [unit_vec(F3, 1)]):
+    for cols in enumerate_homs(A, R, WordBasis(A, [unit_vec(F3, 1)])):
         phi = GradedMap(A.space, R.space, cols, 0)
         u = dense_rows(Matrix(F3, transport_point(compose(rho, phi), A, Rp), A.dim))
         v = dense_rows(Matrix(F3, transport_point(phi, A, R), A.dim))

@@ -210,6 +210,22 @@ def test_a_map_the_kernel_builds_is_its_columns():
     assert "odd" not in inspect.signature(_tensor_apply_sparse).parameters
 
 
+def test_one_elimination():
+    """superlinear.Echelon is the one elimination: no private semi-echelon
+    (_reduce, _keep) and no pivot -> row map (row_at) is left beside it,
+    and a WordBasis reads its span off its Echelon, with no rows of its
+    own."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    for name in ("_reduce", "_keep", "row_at"):
+        defined = [node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name == name]
+        assert defined == [], name
+        assert [scope for tree in trees for scope in _references(tree, name)] == [], name
+    from superscheme.superalgebra import WordBasis
+    assert "rows" not in WordBasis.__slots__ and "echelon" in WordBasis.__slots__
+
+
 # Top-level names of the package that only tests reach.  The list may only
 # shrink: a new helper without a caller in src/ or scripts/ fails the guard,
 # and a listed one that gains a caller must leave the list.

@@ -9,8 +9,8 @@ from superscheme.superlinear import (
     Matrix, Subspace, SuperVectorSpace, _images, standard_space, unit_vec,
 )
 from superscheme.superalgebra import (
-    FactorizationIncomplete, SuperAlgebra, canonical_ideal, enumerate_homs,
-    ideal_generated_by, ksdim_finite,
+    FactorizationIncomplete, SuperAlgebra, WordBasis, _minimal_polynomial, canonical_ideal,
+    enumerate_homs, ideal_generated_by, ksdim_finite,
     local_decomposition, make_superalgebra, quotient_by_superideal, radical,
     tensor_superalgebra, validate_superalgebra,
 )
@@ -24,7 +24,7 @@ from superscheme.supercoalgebra import (
 
 from conftest import (
     GradedMap, dense, dense_columns, dense_matrix, dense_rows, enumerate_homs_by_scan,
-    is_superalgebra_morphism, odd_subspace, rational, sparse,
+    is_superalgebra_morphism, minimal_polynomial_by_powers, odd_subspace, rational, sparse,
 )
 
 F3 = PrimeField(3)
@@ -255,23 +255,23 @@ def test_enumerate_homs_counts():
     G = grassmann(1, F3)
     K = grassmann(0, F3)
     theta = unit_vec(F3, 1)
-    assert len(enumerate_homs(G, K, [theta])) == 1
-    assert len(enumerate_homs(G, G, [theta])) == 3
+    assert len(enumerate_homs(G, K, WordBasis(G, [theta]))) == 1
+    assert len(enumerate_homs(G, G, WordBasis(G, [theta]))) == 3
     D = truncated_polynomial(1, F3)
     x = unit_vec(F3, 1)
-    assert len(enumerate_homs(D, K, [x])) == 1
+    assert len(enumerate_homs(D, K, WordBasis(D, [x]))) == 1
 
 
 def test_enumerate_homs_requires_finite_field():
     G = grassmann(1)
     with pytest.raises(FieldError):
-        enumerate_homs(G, G, [unit_vec(QQ, 1)])
+        enumerate_homs(G, G, WordBasis(G, [unit_vec(QQ, 1)]))
 
 
 def test_enumerate_homs_rejects_non_generators():
     G = grassmann(2, F3)
     with pytest.raises(ValueError):
-        enumerate_homs(G, G, [unit_vec(F3, 1)])  # th1 alone does not generate
+        enumerate_homs(G, G, WordBasis(G, [unit_vec(F3, 1)]))  # th1 alone does not generate
 
 
 def _hom_sources(F):
@@ -317,7 +317,7 @@ def test_enumerate_homs_matches_scan():
             for R in targets:
                 if math.prod(F.order ** R.space.sdim[A.parity(g[0][0])] for g in gens) > 2000:
                     continue
-                assert enumerate_homs(A, R, gens) == enumerate_homs_by_scan(A, R, gens), (
+                assert enumerate_homs(A, R, WordBasis(A, gens)) == enumerate_homs_by_scan(A, R, gens), (
                     F.describe(), name, R.space.labels)
                 compared += 1
     assert compared >= 100
@@ -325,8 +325,66 @@ def test_enumerate_homs_matches_scan():
 
 def test_enumerate_homs_deterministic():
     G = grassmann(1, F3)
-    a = enumerate_homs(G, G, [unit_vec(F3, 1)])
-    assert a == enumerate_homs(G, G, [unit_vec(F3, 1)])
+    a = enumerate_homs(G, G, WordBasis(G, [unit_vec(F3, 1)]))
+    assert a == enumerate_homs(G, G, WordBasis(G, [unit_vec(F3, 1)]))
+
+
+def test_odd_generators_grow_one_echelon(monkeypatch):
+    """Grassmann(6) keeps its six generators, and their ideal, A * A_odd,
+    comes out of one growing echelon form with no Matrix reduction; one
+    reduction per kept generator and one for the zero ideal would be 7.
+    A Matrix.rref call reduces when its rref is not cached yet."""
+    A = grassmann(6)
+    basis = [unit_vec(QQ, i) for i in range(A.dim)]
+    odd = [b for i, b in enumerate(basis) if A.parity(i)]
+    want = Subspace.from_vectors(A.space, A.products(odd, basis))
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append(self._rref is None)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    gens, ideal = A._odd_generators
+    assert gens == basis[1:7]
+    assert ideal == want
+    assert not any(calls), calls
+
+
+def test_minimal_polynomial_makes_one_solve(monkeypatch):
+    """_minimal_polynomial equals the power loop that solves once per power,
+    with one Matrix.solve, on the basis vectors, the unit and seeded
+    elements of the canonical algebras, Grassmann(3), k[x]/(x^6) and
+    k[x]/(x^2-1) (x) k[x]/(x^3), over Q, F3 and F9."""
+    solves = []
+    solve = Matrix.solve
+
+    def counting(self, bs):
+        solves.append(None)
+        return solve(self, bs)
+
+    rng = Rng(48)
+    F9 = ExtensionField(F3, (1, 0, 1), "j")
+    checked = 0
+    for F in (QQ, F3, F9):
+        algebras = [A for _, A in canonical_algebras(F)] + [
+            grassmann(3, F), truncated_polynomial(5, F),
+            tensor_superalgebra(quotient_ring_algebra([F.neg(F.one), F.zero, F.one], F),
+                                truncated_polynomial(2, F))]
+        for A in algebras:
+            elements = [unit_vec(F, i) for i in range(A.dim)] + [A.unit] + [
+                sparse(F, [rng.scalar(F) for _ in range(A.dim)]) for _ in range(3)]
+            for x in elements:
+                want = minimal_polynomial_by_powers(A, x)
+                with monkeypatch.context() as m:
+                    m.setattr(Matrix, "solve", counting)
+                    del solves[:]
+                    got = _minimal_polynomial(A, x)
+                    assert len(solves) == 1
+                assert got == want, (F.describe(), A.space.labels, x)
+                checked += 1
+    assert checked >= 150
 
 
 def test_tensor_superalgebra_koszul():

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, Matrix, Record, Subspace, _null_space_sparse, _parity_defects,
+    DimensionMismatch, Echelon, Matrix, Record, Subspace, _null_space_sparse, _parity_defects,
     _rref_sparse, coordinates, perp, quotient_data, standard_space, unit_vec,
     vec_add, vec_scale, vec_sub,
 )
@@ -495,18 +495,23 @@ def test_sparse_elimination_over_f9(rref_oracle, null_space_oracle, case, data):
 F9 = ExtensionField(F3, (1, 0, 1), "j")
 
 
+def _mostly_zero(F):
+    """Entries of F, zero two times in three."""
+    if F == QQ:
+        nonzero = st.builds(rational, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    else:
+        nonzero = st.sampled_from(sorted((a for a in F.elements() if a != F.zero),
+                                         key=F.sort_key))
+    return st.one_of(st.just(F.zero), st.just(F.zero), nonzero)
+
+
 @st.composite
 def _matrix_cases(draw):
     """A field, shapes m, n, k, matrices A and B (m x n), C (k x n) and
     D (n x k), a vector v, a scalar c and right-hand sides for A x = b, one
     of them possibly outside the column space; most entries zero."""
     F = draw(st.sampled_from([QQ, F3, F9]))
-    if F == QQ:
-        nonzero = st.builds(rational, st.integers(-9, 9).filter(bool), st.integers(1, 9))
-    else:
-        nonzero = st.sampled_from(sorted((a for a in F.elements() if a != F.zero),
-                                         key=F.sort_key))
-    entry = st.one_of(st.just(F.zero), st.just(F.zero), nonzero)
+    entry = _mostly_zero(F)
     m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
 
     def rows(h, w):
@@ -565,6 +570,52 @@ def test_matrix_operations_match_the_dense_reference(dense_reference, case):
     assert (got is None) == (want is None)
     if got is not None:
         assert [dense(F, n, x) for x in got] == [tuple(x) for x in want]
+
+
+@st.composite
+def _echelon_cases(draw):
+    """A field, a width n, up to seven rows of width n, the last ones
+    combinations of those before them, and an order to add them in."""
+    F = draw(st.sampled_from([QQ, F3, F9]))
+    entry = _mostly_zero(F)
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        combo = [F.zero] * n
+        for r in list(rows):
+            c = draw(entry)
+            combo = [F.add(a, F.mul(c, b)) for a, b in zip(combo, r)]
+        rows.append(combo)
+    return F, n, rows, draw(st.permutations(range(len(rows))))
+
+
+@seed(48)
+@given(_echelon_cases())
+@settings(max_examples=150, deadline=None)
+def test_echelon_grows_to_the_one_reduced_form(dense_reference, case):
+    """Rows added to an Echelon one at a time, in any order, give the rows
+    and pivots of _rref_sparse on all of them at once and those of the
+    dense reference, over Q, F3 and F9.  add is True exactly when the rank
+    grows, extend gives the same answer per row, and basis vector i lies in
+    the span exactly when Subspace.contains says so."""
+    F, n, rows, order = case
+    vecs = [sparse(F, r) for r in rows]
+    echelon, grew = Echelon(F), []
+    for i in order:
+        rank = len(echelon.rows()[1])
+        grew.append(echelon.add(vecs[i]))
+        assert grew[-1] == (len(echelon.rows()[1]) > rank)
+    red, pivots = echelon.rows()
+    assert (red, pivots) == _rref_sparse(F, vecs)
+    want, want_pivots = dense_reference.rref(F, rows, n)
+    assert pivots == tuple(want_pivots)
+    assert _dense(F, red, n) == tuple(map(tuple, want[:len(want_pivots)]))
+    batch = Echelon(F)
+    assert batch.extend([vecs[i] for i in order]) == grew
+    assert batch.rows() == (red, pivots)
+    span = Subspace.from_vectors(standard_space(F, n, 0), vecs)
+    assert [echelon.has_unit_vec(i) for i in range(n)] == [
+        span.contains(unit_vec(F, i)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
