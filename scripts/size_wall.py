@@ -5,8 +5,9 @@ Usage: python scripts/size_wall.py [--max N] [--json]
 Prints one row per n = 1..N (default 5) for C = Grassmann(n)*, of
 dimension 2^n: the seconds spent in dual + validate, dual_radical plus
 coradical_filtration, flat_check(regular_comodule) and
-irreducible_components, each timed on its own, and in radical plus
-ksdim_finite on the algebra Grassmann(n), as report-all runs them.  With
+irreducible_components, each timed on its own, and in
+validate_superalgebra and in radical plus ksdim_finite on the algebra
+Grassmann(n), as report-all runs them.  With
 --json the rows are printed at the end as one JSON object, keyed by
 coalgebra, each row holding its dim and its seconds per stage, so a
 benchmark record takes them as data.
@@ -21,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from superscheme.corpus import grassmann  # noqa: E402
-from superscheme.superalgebra import ksdim_finite, radical  # noqa: E402
+from superscheme.superalgebra import ksdim_finite, radical, validate_superalgebra  # noqa: E402
 from superscheme.supercoalgebra import (  # noqa: E402
     coradical_filtration, dual_radical, dualize_algebra,
     irreducible_components, validate_supercoalgebra,
@@ -43,7 +44,8 @@ def _dual_and_validate(A):
     return C
 
 
-STAGES = ("dual+validate", "filtration", "flat_check", "components", "radical+ksdim")
+STAGES = ("dual+validate", "filtration", "flat_check", "components", "validate",
+          "radical+ksdim")
 
 
 def main():
@@ -55,22 +57,24 @@ def main():
     if not args.json:
         print(f"{'coalgebra':16s} {'dim':>4s} {'dual+validate':>14s} "
               f"{'filtration':>11s} {'flat_check':>11s} {'components':>11s} "
-              f"{'radical+ksdim':>14s}")
+              f"{'validate':>9s} {'radical+ksdim':>14s}")
     for n in range(1, args.max + 1):
         C, t_dual = _timed(_dual_and_validate, grassmann(n))
         _, t_filt = _timed(lambda C: coradical_filtration(C, dual_radical(C)), C)
         verdict, t_flat = _timed(flat_check, regular_comodule(C))
         comps, t_comp = _timed(lambda C: irreducible_components(C, dual_radical(C)), C)
+        problems, t_valid = _timed(validate_superalgebra, grassmann(n))
         (_, sd), t_alg = _timed(lambda G: (radical(G), ksdim_finite(G)), grassmann(n))
-        if not verdict.free or len(comps) != 1 or sd != (0, n):
+        if not verdict.free or len(comps) != 1 or problems or sd != (0, n):
             raise SystemExit(f"Grassmann({n})*: unexpected verdict {verdict}, "
-                             f"{len(comps)} components, ksdim {sd}")
-        times = (t_dual, t_filt, t_flat, t_comp, t_alg)
+                             f"{len(comps)} components, {len(problems)} problems, ksdim {sd}")
+        times = (t_dual, t_filt, t_flat, t_comp, t_valid, t_alg)
         rows[f"Grassmann({n})*"] = dict(zip(("dim",) + STAGES,
                                             (C.dim,) + tuple(round(t, 4) for t in times)))
         if not args.json:
             print(f"{f'Grassmann({n})*':16s} {C.dim:4d} {t_dual:14.2f} "
-                  f"{t_filt:11.2f} {t_flat:11.2f} {t_comp:11.2f} {t_alg:14.2f}", flush=True)
+                  f"{t_filt:11.2f} {t_flat:11.2f} {t_comp:11.2f} {t_valid:9.2f} {t_alg:14.2f}",
+                  flush=True)
     if args.json:
         print(json.dumps(rows, indent=1))
     return 0

@@ -207,6 +207,9 @@ def cmd_grouplikes(args):
         _, over = odoc.first("algebra")
     rep = Report("grouplikes", docs)
     name, C = doc.first("coalgebra")
+    if over is not None and over.field != C.field:
+        raise ParseError(f"coefficient algebra over {over.field.describe()}, coalgebra over "
+                         f"{C.field.describe()}")
     rep.add("coalgebra", name)
     if over is None:
         rad = dual_radical(C)
@@ -548,7 +551,8 @@ _FILE = _arg("file")
 
 # Each command's handler and arguments, in help order.  A parser binds the
 # handler that the module holds under the handler's name when the parser is
-# built, so that a handler wrapped after import (by a tracer, say) runs.
+# built, and _parse when it reads argv, so that a handler wrapped after
+# import (by a tracer, say) runs.
 COMMANDS = {
     "validate": (cmd_validate, _FILE),
     "dual": (cmd_dual, _FILE),
@@ -608,39 +612,44 @@ def build_parser():
     return parser
 
 
-class _ArgumentError(Exception):
-    pass
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """A one-command parser that raises on an argument error instead of
-    printing it."""
-
-    def error(self, message):
-        raise _ArgumentError(message)
-
-
-@functools.cache
-def _command_parser(name):
-    """The parser of one command, built like its subparser in build_parser
-    and under the same prog."""
-    return _declare(_CommandParser(prog=f"superscheme {name}"), name)
-
-
 def _parse(argv):
-    """argv parsed by the named command's own parser, so that one command
-    builds one parser.  An argument error, an unrecognized argument or an
-    argv that names no command goes to the full parser, which prints the
-    usage and the message it always has."""
+    """argv read straight off COMMANDS when it names a command and every
+    token stands as it is: each positional in turn, each option by its
+    exact name and once, no value dash-led or refused by its type or
+    choices, nothing required left out.  Any other argv goes to the full
+    parser, which prints its help, usage and errors and exits as it always
+    has.  The handler is looked up by name now, as a parser does when built."""
     if argv and argv[0] in COMMANDS:
-        try:
-            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-        except _ArgumentError:
-            pass
+        handler, *arguments = COMMANDS[argv[0]]
+        options = {names[0]: opts for names, opts in arguments}
+        positionals = iter([name for name in options if not name.startswith("-")])
+        given, tokens = {}, iter(argv[1:])
+        for token in tokens:
+            positional = not token.startswith("-")
+            name = next(positionals, None) if positional else token
+            opts = options.get(name)
+            if opts is None or name in given:
+                break
+            if opts.get("action") == "store_true":
+                given[name] = True
+                continue
+            value = token if positional else next(tokens, "-")
+            if value.startswith("-"):
+                break
+            try:
+                value = opts.get("type", str)(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                break
+            if value not in opts.get("choices", (value,)):
+                break
+            given[name] = value
         else:
-            if not extra:
-                args.command = argv[0]
-                return args
+            if next(positionals, None) is None and all(
+                    name in given for name, opts in options.items() if opts.get("required")):
+                return argparse.Namespace(command=argv[0], handler=globals()[handler.__name__], **{
+                    name.lstrip("-").replace("-", "_"): given.get(name, opts.get(
+                        "default", False if opts.get("action") == "store_true" else None))
+                    for name, opts in options.items()})
     return build_parser().parse_args(argv)
 
 

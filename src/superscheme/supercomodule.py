@@ -50,7 +50,7 @@ def validate_comodule(M):
     C = M.coalgebra
     nc = C.dim
     labels = M.space.labels
-    parity, back, coassoc = _coaction_defects(M.space, M.psi, C.space, C.delta, C.counit)
+    parity, _, back, coassoc, _ = _coaction_defects(M.space, M.psi, C.space, C.delta, C.counit)
     problems = [f"parity: psi({labels[i]}) is not homogeneous" for i, _ in parity]
     problems += [f"counit: (id(x)eps)psi({labels[i]}) != {labels[i]}"
                  for i in dict.fromkeys(i for i, _ in back)]

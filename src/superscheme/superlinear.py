@@ -693,15 +693,6 @@ def _is_vector(F, col):
             and not any(F.is_zero(c) for _, c in col))
 
 
-def _defects(lhs, rhs):
-    """The (column, row) positions where two maps, given as iterables of
-    vectors, differ; the columns are consumed in step, one at a time."""
-    for c, (u, v) in enumerate(zip(lhs, rhs)):
-        if u != v:
-            u, v = dict(u), dict(v)
-            yield from ((c, r) for r in sorted(u.keys() | v.keys()) if u.get(r) != v.get(r))
-
-
 def _parity_defects(cols, domain_parities, codomain_parities):
     """The (column, row) positions of the entries that keep a raw map, given
     by its sparse columns, from being even."""
@@ -709,39 +700,64 @@ def _parity_defects(cols, domain_parities, codomain_parities):
             for r, _ in col if codomain_parities[r] != p)
 
 
-def _coaction_defects(space, cols, cspace, delta, counit):
+def _coaction_defects(space, cols, cspace, delta, counit, regular=False):
     """The (column, row) positions where cols, the columns of a map
     M -> M (x) C on M = space, breaks the axioms of a right coaction over
-    the coalgebra (delta, counit) on C = cspace: three lists, for parity,
-    (id (x) eps) cols = id and (cols (x) id) cols = (id (x) delta) cols.
-    A row's parity is read off its two factors: no tensor space is built.
-    """
+    the coalgebra (delta, counit) on C = cspace: five lists, for parity,
+    (eps (x) id) cols = id, (id (x) eps) cols = id, (cols (x) id) cols =
+    (id (x) delta) cols and twist o cols = cols, the first counit law and
+    the twist (and the counit's parity, on row n * n) for a regular
+    coaction only.  One pass per column: each term c on row m nc + a is
+    expanded through column m of cols and, negated, through column a of
+    delta into one dict, whose nonzero sums are the defects; the counit
+    sums and the twist gather their two sides alike.  Sums go by _sum_ops,
+    over Q with every operand lifted to one denominator D, so each sum and
+    the identity it meets are numerators over D * D."""
     F, par, cpar, nc = space.field, space.parities, cspace.parities, cspace.dim
-    eps = linear_form(nc, counit)
-    ident = _identity_columns(F, space.dim)
-    rows = {r: par[r // nc] ^ cpar[r % nc] for col in cols for r, _ in col}
-    return (list(_parity_defects(cols, par, rows)),
-            list(_defects(_tensor_apply_sparse(F, ident, eps, 1, cols), ident)),
-            list(_defects(_tensor_apply_sparse(F, cols, _identity_columns(F, nc), nc, cols),
-                          _tensor_apply_sparse(F, ident, delta, nc * nc, cols))))
+    lift, _, add, mul, lower = _sum_ops(F)
+    n, minus = len(cols), F.neg(F.one)
+    *lifted, eps, ((_, one),) = lift([*cols, *(() if regular else delta), counit,
+                                       ((0, F.one),)])[0]
+    cols = lifted[:n]
+    delta = cols if regular else lifted[n:]
+    eps, minus_id, nn, zero = dict(eps), mul(minus, mul(one, one)), nc * nc, F.zero
+    parity, left, right, coassoc, twisted = [], [], [], [], []
+    for i, col in enumerate(cols):
+        acc, back, front, twist = {}, {i: minus_id}, {i: minus_id}, dict(col) if regular else None
+        get = acc.get
+        for r, c in col:
+            m, a = divmod(r, nc)
+            if par[m] ^ cpar[a] != par[i]:
+                parity.append((i, r))
+            if a in eps:
+                back[m] = add(back.get(m, zero), mul(c, eps[a]))
+            if regular:
+                if m in eps:
+                    front[a] = add(front.get(a, zero), mul(eps[m], c))
+                k = a * nc + m
+                twist[k] = add(twist.get(k, zero), c if par[m] and par[a] else mul(minus, c))
+            for s, d in cols[m]:
+                k = s * nc + a
+                acc[k] = add(get(k, zero), mul(c, d))
+            c, base = mul(minus, c), m * nn
+            for jk, d in delta[a]:
+                k = base + jk
+                acc[k] = add(get(k, zero), mul(c, d))
+        if regular:
+            parity += [(i, nn)] if par[i] and i in eps else []
+            left += [(i, r) for r, _ in lower(front.items(), 1)]
+            twisted += [(i, r) for r, _ in lower(twist.items(), 1)]
+        right += [(i, r) for r, _ in lower(back.items(), 1)]
+        coassoc += [(i, r) for r, _ in lower(acc.items(), 1)]
+    return parity, left, right, coassoc, twisted
 
 
 def _axiom_defects(space, cols, counit):
-    """The (column, row) positions where cols, the columns of a map
-    V -> V (x) V on V = space, and the form counit break the axioms of a
-    super-cocommutative super-coalgebra (a coalgebra's delta, or an
-    algebra's cop with its unit): five lists, for parity (counit on row
-    n * n), the two counit laws, coassociativity and twist o cols = cols.
-    The right counit law and coassociativity are those of the regular
-    coaction, cols over itself.
-    """
-    F, n, par = space.field, space.dim, space.parities
-    parity, right, coassoc = _coaction_defects(space, cols, space, cols, counit)
-    parity = sorted(parity + [(i, n * n) for i, _ in counit if par[i]])
-    eps = linear_form(n, counit)
-    ident = _identity_columns(F, n)
-    return (parity, list(_defects(_tensor_apply_sparse(F, eps, ident, n, cols), ident)),
-            right, coassoc, list(_defects(cols, twist_apply(space, space, cols))))
+    """The five lists of _coaction_defects for the regular coaction of cols,
+    the columns of a map V -> V (x) V on V = space, with the form counit:
+    where a coalgebra's delta, or an algebra's cop with its unit, breaks
+    the axioms of a super-cocommutative super-coalgebra."""
+    return _coaction_defects(space, cols, space, cols, counit, regular=True)
 
 
 def tensor_structure(F, f, fpar, g, gpar):

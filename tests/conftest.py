@@ -12,7 +12,7 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
     sys.path.insert(0, os.path.abspath(_src))
 
 from superscheme.corpus import Rng, canonical_algebras, canonical_coalgebras  # noqa: E402
-from superscheme.fields import Field, poly_trim  # noqa: E402
+from superscheme.fields import QQ, Field, poly_trim  # noqa: E402
 from superscheme.formal_scheme import (  # noqa: E402
     FormalSuperscheme, SchemeMorphism, _point_fibers, fiber_product, flatness,
     is_closed_immersion, morphism_components, point_images, points,
@@ -20,8 +20,8 @@ from superscheme.formal_scheme import (  # noqa: E402
 from superscheme.superalgebra import (  # noqa: E402
     LocalFactor, Superideal, _frobenius_kernel, _lift_idempotent,
     _semisimple_idempotent, _subalgebra_on, _trace_form_kernel,
-    canonical_ideal, ideal_generated_by, local_decomposition, monomial_superalgebra,
-    quotient_by_superideal, radical, tensor_superalgebra,
+    canonical_ideal, ideal_generated_by, local_decomposition, make_superalgebra,
+    monomial_superalgebra, quotient_by_superideal, radical, tensor_superalgebra,
 )
 from superscheme.supercoalgebra import (  # noqa: E402
     Component, _koszul_signed, base_change_coalgebra, coradical, coradical_filtration,
@@ -249,6 +249,61 @@ def tensor_structure_by_maps(f, g):
     V, W = f.domain, g.domain
     swap = tensor_map(twist(V, W), GradedMap.identity(W))
     return tensor_after(GradedMap.identity(V), swap, tensor_map(f, g))
+
+
+def _differences(lhs, rhs):
+    """The (column, row) positions where two maps, given as iterables of
+    vectors, differ; the columns are consumed in step, one at a time."""
+    for c, (u, v) in enumerate(zip(lhs, rhs)):
+        if u != v:
+            u, v = dict(u), dict(v)
+            yield from ((c, r) for r in sorted(u.keys() | v.keys()) if u.get(r) != v.get(r))
+
+
+def coaction_defects_by_composition(space, cols, cspace, delta, counit):
+    """Reference for superlinear._coaction_defects: each side of an axiom
+    is composed as a map by _tensor_apply_sparse and the two are compared
+    column by column.  Three lists, for parity, (id (x) eps) cols = id and
+    (cols (x) id) cols = (id (x) delta) cols."""
+    F, par, cpar, nc = space.field, space.parities, cspace.parities, cspace.dim
+    eps = linear_form(nc, counit)
+    ident = _identity_columns(F, space.dim)
+    rows = {r: par[r // nc] ^ cpar[r % nc] for col in cols for r, _ in col}
+    return (list(_parity_defects(cols, par, rows)),
+            list(_differences(_tensor_apply_sparse(F, ident, eps, 1, cols), ident)),
+            list(_differences(_tensor_apply_sparse(F, cols, _identity_columns(F, nc), nc, cols),
+                              _tensor_apply_sparse(F, ident, delta, nc * nc, cols))))
+
+
+def axiom_defects_by_composition(space, cols, counit):
+    """Reference for superlinear._axiom_defects, composed as above: five
+    lists, for parity (counit on row n * n), the two counit laws,
+    coassociativity and twist o cols = cols."""
+    F, n, par = space.field, space.dim, space.parities
+    parity, right, coassoc = coaction_defects_by_composition(space, cols, space, cols, counit)
+    parity = sorted(parity + [(i, n * n) for i, _ in counit if par[i]])
+    eps = linear_form(n, counit)
+    ident = _identity_columns(F, n)
+    return (parity, list(_differences(_tensor_apply_sparse(F, eps, ident, n, cols), ident)),
+            right, coassoc, list(_differences(cols, twist_apply(space, space, cols))))
+
+
+def in_rational_basis(A, rng):
+    """A in the dense basis b'_i = P b_i, P = LU with L and U unitriangular
+    within each parity block and entries a/b, |a| <= 9, 1 <= b <= 9, drawn
+    from rng: the same algebra with rational structure constants."""
+    n, parities = A.dim, A.space.parities
+
+    def unitriangular(lower):
+        return dense_matrix(QQ, [[QQ.one if i == j else rational(rng.randint(19) - 9,
+                                                                 rng.randint(9) + 1)
+                                  if (i > j) == lower and parities[i] == parities[j]
+                                  else QQ.zero for j in range(n)] for i in range(n)], n)
+
+    P = unitriangular(True).mul(unitriangular(False))
+    basis = P._transpose().rows
+    products = P.solve([A.multiply(x, y) for x in basis for y in basis])
+    return make_superalgebra(A.space, _transpose(products, n), P.solve([A.unit])[0])
 
 
 def parity_component(sub, parity):

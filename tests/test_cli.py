@@ -591,6 +591,78 @@ def test_a_named_command_builds_only_its_own_parser(files, monkeypatch):
     assert _ok(["corpus", "--kind", "comodule"]).endswith("status ok\n")
 
 
+def _perfbench_workloads():
+    """perfbench's workloads module, imported from its own directory."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return workloads
+
+
+def _well_formed_argv():
+    """Every argv of the seed-1 job lists of the three perfbench workloads,
+    and for each command its file followed and preceded by its options:
+    the required ones only, and all of them with each store_true flag set.
+    A value is one its type takes, and each of its choices in turn."""
+    out = [[token.format("a.ss", "b.ss") for token in job.argv]
+           for make in _perfbench_workloads().WORKLOADS.values() for job in make(1).jobs]
+    for name, (_, *arguments) in cli.COMMANDS.items():
+        files = [names[0] + ".ss" for names, _ in arguments if not names[0].startswith("-")]
+        options = [(names[0], opts) for names, opts in arguments if names[0].startswith("-")]
+        for choice in range(max([1] + [len(opts.get("choices", ())) for _, opts in options])):
+            for everything in (False, True):
+                tokens = []
+                for option, opts in options:
+                    if opts.get("action") == "store_true":
+                        tokens += [option] if everything else []
+                    elif everything or opts.get("required"):
+                        choices = opts.get("choices") or ["2" if "type" in opts else "v"]
+                        tokens += [option, choices[choice % len(choices)]]
+                out += [[name, *files, *tokens], [name, *tokens, *files]]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
+
+
+def test_a_well_formed_argv_is_read_as_the_full_parser_reads_it():
+    argvs = _well_formed_argv()
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    for argv in argvs:
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def test_a_well_formed_argv_builds_no_parser():
+    """_parse reads a well-formed argv without an argparse parser: in a
+    fresh interpreter, where no parser is cached, ArgumentParser.__init__
+    raises, and every argv above still parses."""
+    proc = _fresh("-c", "import argparse, json, sys\n"
+                        "from superscheme import cli\n"
+                        "def refuse(*args, **kwargs):\n"
+                        "    raise AssertionError('an ArgumentParser was built')\n"
+                        "argparse.ArgumentParser.__init__ = refuse\n"
+                        "for argv in json.loads(sys.argv[1]):\n"
+                        "    assert cli._parse(argv).command == argv[0]\n",
+                  json.dumps(_well_formed_argv()))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_grouplikes_over_another_field_is_a_parse_error(tmp_path):
+    """The coalgebra of one grouplike-scan-fp job over F3 and the coefficient
+    algebra of another over F5, and the other way round: exit 3 with a
+    parse-error line that names both fields, not a traceback."""
+    jobs = {job.name: job for job in _perfbench_workloads().grouplike_scan_fp(1).jobs}
+    for coalgebra_job, algebra_job, want in [
+            ("grouplikes-d1-over-g1-f3", "grouplikes-d1-over-g1-f5", "over F5, coalgebra over F3"),
+            ("grouplikes-d1-over-g1-f5", "grouplikes-d1-over-g1-f3", "over F3, coalgebra over F5")]:
+        (c_name, c_text), _ = jobs[coalgebra_job].files
+        _, (r_name, r_text) = jobs[algebra_job].files
+        (tmp_path / c_name).write_text(c_text)
+        (tmp_path / r_name).write_text(r_text)
+        text, code = run(["grouplikes", str(tmp_path / c_name), "--over", str(tmp_path / r_name)])
+        assert code == EXIT_IO
+        assert text.splitlines()[1:] == [f"parse-error coefficient algebra {want}", "status error"]
+
+
 TRACED_JOB = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

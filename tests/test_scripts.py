@@ -28,7 +28,7 @@ def test_script_runs_from_any_directory(tmp_path, script, seeds):
 def test_size_wall_prints_one_row_per_grassmann_dual(tmp_path):
     lines = _run_elsewhere(tmp_path, "size_wall.py", "--max", "3").splitlines()
     assert lines[0].split() == ["coalgebra", "dim", "dual+validate", "filtration",
-                                "flat_check", "components", "radical+ksdim"]
+                                "flat_check", "components", "validate", "radical+ksdim"]
     assert [line.split()[:2] for line in lines[1:]] == [
         ["Grassmann(1)*", "2"], ["Grassmann(2)*", "4"], ["Grassmann(3)*", "8"]]
 
@@ -39,7 +39,7 @@ def test_size_wall_prints_its_rows_as_one_json_object(tmp_path):
     assert [row["dim"] for row in rows.values()] == [2, 4, 8]
     for row in rows.values():
         assert list(row) == ["dim", "dual+validate", "filtration", "flat_check", "components",
-                             "radical+ksdim"]
+                             "validate", "radical+ksdim"]
         assert all(isinstance(t, float) and t >= 0 for t in list(row.values())[1:])
 
 

@@ -133,14 +133,17 @@ def test_one_product_rule():
 def test_one_sum_of_products():
     """_tensor_apply_sparse is the one kernel for every linear combination
     of sparse columns, and SuperAlgebra.products the one over cop: only
-    these two ask _sum_ops how sums of products accumulate.  No helper for
-    a combination, for the counit of one vector or for the action matrices
-    of C* is left."""
+    these two ask _sum_ops how sums of products accumulate, and the
+    validator kernel _coaction_defects, which sums both sides of every
+    axiom into one accumulator and builds no image to compare.  No helper
+    for a combination, for the counit of one vector or for the action
+    matrices of C* is left."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     found = sorted((fname, scope) for fname, tree in trees.items()
                    for scope in _references(tree, "_sum_ops", calls=True))
-    assert found == [("superalgebra.py", "_terms"), ("superlinear.py", "_tensor_apply_sparse")]
+    assert found == [("superalgebra.py", "_terms"), ("superlinear.py", "_coaction_defects"),
+                     ("superlinear.py", "_tensor_apply_sparse")]
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     for name in ("_combination", "dual_action", "dual_action_of", "counit_value"):

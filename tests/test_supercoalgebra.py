@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superalgebra import make_superalgebra, monomial_superalgebra
+from superscheme.superalgebra import make_superalgebra, monomial_superalgebra, validate_superalgebra
 from superscheme.superlinear import (
     Matrix, Subspace, SuperVectorSpace, _images, _transpose, linear_form, unit_vec,
 )
@@ -586,4 +587,20 @@ def test_validate_supercoalgebra_full_problem_list(case, dense_view):
     counit = C.counit if counit is None else sparse(F, [F.from_int(c) for c in counit])
     D = make_supercoalgebra(C.space, _edited(dense_view, C, F, edits), counit)
     assert validate_supercoalgebra(D) == expected
+
+
+def test_the_validators_build_no_image_of_a_composed_map():
+    """validate_superalgebra(Grassmann(8)) and validate_supercoalgebra of its
+    dual each peak below 1.5 MB under tracemalloc: every axiom sums its two
+    sides into one accumulator per column, so no image of a composed map is
+    built, lowered or compared (comparing images peaked at ~2.6 MB)."""
+    A = grassmann(8)
+    for validate, x in ((validate_superalgebra, A), (validate_supercoalgebra, dualize_algebra(A))):
+        tracemalloc.start()
+        try:
+            assert validate(x) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, (validate.__name__, peak)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,15 @@ from hypothesis import given, seed, settings, strategies as st
 
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
-    DimensionMismatch, Echelon, Matrix, Record, Subspace, _null_space_sparse, _parity_defects,
-    _rref_sparse, coordinates, perp, quotient_data, standard_space, unit_vec,
-    vec_add, vec_scale, vec_sub,
+    DimensionMismatch, Echelon, Matrix, Record, Subspace, _axiom_defects, _coaction_defects,
+    _null_space_sparse, _parity_defects, _rref_sparse, coordinates, perp, quotient_data,
+    standard_space, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 from superscheme.corpus import Rng
 
 from conftest import (
-    GradedMap, compose, dense, dense_columns, dense_matrix, dense_rows, even_part, graded_map,
+    GradedMap, axiom_defects_by_composition, coaction_defects_by_composition, compose, dense,
+    dense_columns, dense_matrix, dense_rows, even_part, graded_map, in_rational_basis,
     matrix_of, odd_part, rational, sparse, tensor_after, tensor_apply, tensor_map, twist,
 )
 
@@ -701,3 +703,95 @@ def test_cached_properties_compute_once_on_records(monkeypatch):
     assert C.coproduct_map() is C.delta and C.coproduct_map() == twin.coproduct_map()
     assert set(vars(C)) == set(C._fields)
     assert C == twin and hash(C) == hash(twin)
+
+
+_F9 = ExtensionField(F3, (1, 0, 1), "j")
+
+
+@functools.cache
+def _axiom_kernel_cases(F):
+    """The validator kernel's arguments (space, cols, cspace, delta, counit,
+    regular) over F: the cop and unit of every canonical algebra, the delta
+    and counit of every canonical coalgebra, and the regular comodule and
+    the free comodule on a one even, one odd space of each coalgebra.  Over
+    Q also the canonical algebras that a dense rational basis gives
+    denominators, their duals and the comodules of those, so that every
+    operand is lifted to a common denominator above 1."""
+    from superscheme.corpus import canonical_algebras, canonical_coalgebras
+    from superscheme.supercoalgebra import dualize_algebra
+    from superscheme.supercomodule import free_comodule, regular_comodule
+
+    algebras = [A for _, A in canonical_algebras(F)]
+    coalgebras = [C for _, C in canonical_coalgebras(F)]
+    if F == QQ:
+        rng = Rng(49)
+        rational_algebras = [B for B in (in_rational_basis(A, rng) for A in algebras)
+                             if any(c.denominator > 1 for col in B.cop for _, c in col)]
+        assert len(rational_algebras) >= 5
+        algebras += rational_algebras
+        coalgebras += [dualize_algebra(A) for A in rational_algebras]
+    W = standard_space(F, 1, 1)
+    cases = [(A.space, A.cop, A.space, A.cop, A.unit, True) for A in algebras]
+    cases += [(C.space, C.delta, C.space, C.delta, C.counit, True) for C in coalgebras]
+    cases += [(M.space, M.psi, C.space, C.delta, C.counit, False)
+              for C in coalgebras for M in (regular_comodule(C), free_comodule(W, C))]
+    return cases
+
+
+def _kernel_against_reference(space, cols, cspace, delta, counit, regular):
+    if regular:
+        got, want = (_axiom_defects(space, cols, counit),
+                     axiom_defects_by_composition(space, cols, counit))
+    else:
+        parity, left, right, coassoc, twisted = _coaction_defects(
+            space, cols, cspace, delta, counit)
+        assert left == twisted == []
+        got, want = ((parity, right, coassoc),
+                     coaction_defects_by_composition(space, cols, cspace, delta, counit))
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("F", [QQ, F3, _F9], ids=["Q", "F3", "F9"])
+def test_axiom_kernel_passes_every_canonical_structure(F):
+    """Every canonical algebra, coalgebra and comodule, and over Q the same
+    in a dense rational basis, satisfies its axioms by the one-pass kernel
+    and by the composed reference alike."""
+    for case in _axiom_kernel_cases(F):
+        assert not any(_kernel_against_reference(*case))
+
+
+@seed(4949)
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_axiom_kernel_finds_the_defects_of_the_composed_reference(data):
+    """The one-pass validator kernel lists the positions of the composed
+    reference, list by list and in its order: the five lists of an algebra's
+    cop or a coalgebra's delta, the three of a comodule's psi.  Each case
+    may carry a one-entry mutant of cols, alone or with its twisted partner
+    (the entry on the row whose last two C factors are swapped, with the
+    Koszul sign), which keeps a cop or delta super-cocommutative and so
+    tests the other laws apart from the twist."""
+    F = data.draw(st.sampled_from([QQ, F3, _F9]))
+    space, cols, cspace, delta, counit, regular = data.draw(
+        st.sampled_from(_axiom_kernel_cases(F)))
+    nc, cpar = cspace.dim, cspace.parities
+    mutants = data.draw(st.sampled_from([0, 1, 2]))
+    if mutants and cols:
+        i = data.draw(st.integers(0, len(cols) - 1))
+        r = data.draw(st.integers(0, space.dim * nc - 1))
+        units = ([1, -1, 2, Fraction(1, 3), Fraction(-5, 7)] if F == QQ
+                 else [a for a in F.elements() if a != F.zero])
+        v = data.draw(st.sampled_from(units))
+        col = dict(cols[i])
+        col[r] = F.add(col.get(r, F.zero), v)
+        m, k = divmod(r, nc)
+        w, j = divmod(m, nc)
+        partner = (w * nc + k) * nc + j
+        if mutants == 2 and partner != r:
+            col[partner] = F.add(col.get(partner, F.zero),
+                                 F.neg(v) if cpar[j] and cpar[k] else v)
+        cols = cols[:i] + (vector(F, col),) + cols[i + 1:]
+        if regular:
+            delta = cols
+    _kernel_against_reference(space, cols, cspace, delta, counit, regular)
