@@ -84,14 +84,13 @@ def truncated_polynomial(d, field=QQ):
     return monomial_superalgebra(field, 1, 0, d, even_names=("x",))
 
 
-def quotient_ring_algebra(poly, field=QQ, name="x"):
+def quotient_ring_algebra(poly, field=QQ):
     """k[x]/(f) for a monic polynomial f, as a purely even superalgebra."""
     from .fields import poly_divmod, poly_trim
     F = field
     f = poly_trim(F, poly)
     deg = len(f) - 1
-    labels = tuple("1" if i == 0 else (name if i == 1 else f"{name}^{i}")
-                   for i in range(deg))
+    labels = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(deg))
     space = SuperVectorSpace(F, labels, (0,) * deg)
     cop = [[] for _ in range(deg)]
     for i in range(deg):

@@ -418,7 +418,7 @@ def _coequalizer_check(f, M):
     coideal = Subspace.from_vectors(A.space, [vec_sub(F, a, b) for a, b in zip(p1, p2)])
     if coideal.dim > 0 and not is_coideal(A, coideal):
         raise AssertionError("difference image of the projections must be a coideal")
-    if coideal != _kernel(A.space, f.columns, f.target.dim):
+    if coideal != Subspace(A.space, _kernel(F, f.columns, f.target.dim)):
         return False
     return is_strictly_surjective(f)
 

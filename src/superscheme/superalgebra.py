@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from .fields import (
-    FieldError, poly_ext_gcd, poly_factor_supported, poly_mul, poly_roots, poly_trim,
+    FieldError, poly_ext_gcd, poly_factor_supported, poly_mul, poly_roots,
 )
 from .superlinear import (
     Echelon, Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects,
@@ -247,7 +247,7 @@ def _frobenius_kernel(A):
         m += 1
     inv_exp = p ** ((e - (m % e)) % e)
     rows = [tuple((j, F.pow(c, inv_exp)) for j, c in row)
-            for row in _kernel(A.space, cols, n).basis()]
+            for row in _kernel(F, cols, n).rows]
     return Subspace.from_vectors(A.space, rows)
 
 
@@ -275,19 +275,21 @@ def radical(A):
     rad A is the preimage of rad(A/J) in A, J the canonical ideal, and so
     contains J.  A quotient of dimension 1 is the base field, whose radical
     is 0: when dim A - dim J <= 1, rad A = J and no quotient is built.
+    Otherwise the preimage is J plus the lifts of a basis of rad(A/J),
+    basis vector q of A/J lifting to basis vector reps[q] of A.
     """
     jc = canonical_ideal(A)
     if A.dim - jc.subspace.dim <= 1:
         return jc
-    abar, proj, _ = quotient_by_superideal(A, jc)
+    abar, _, reps = quotient_by_superideal(A, jc)
     if A.field.char == 0:
         radbar = _trace_form_kernel(abar)
     else:
         radbar = _frobenius_kernel(abar)
     if radbar.dim == 0:
         return jc
-    qspace, qproj, _ = quotient_data(abar.space, radbar)
-    return Superideal(A, _kernel(A.space, _images(A.field, qproj, proj), qspace.dim))
+    lifts = [tuple((reps[q], c) for q, c in row) for row in radbar.basis()]
+    return Superideal(A, Subspace.from_vectors(A.space, jc.subspace.basis() + lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +305,16 @@ class LocalFactor(Record):
 def _minimal_polynomial(A, x):
     """Minimal polynomial of an algebra element, low to high, monic: the
     powers of x join one Echelon until x^d lies in the span of those before
-    it, and one solve writes x^d in them."""
+    it, and the one-dimensional kernel of the columns 1, x, ..., x^d,
+    divided by its coefficient of x^d, writes x^d in them."""
     F = A.field
     span = Echelon(F)
     powers = [A.unit]
     while span.add(powers[-1]):
         powers.append(A.multiply(powers[-1], x))
-    (sol,) = Matrix(F, powers[:-1], A.dim)._transpose().solve([powers[-1]])
-    sol = dict(sol)
-    return poly_trim(F, [F.neg(sol.get(j, F.zero)) for j in range(len(powers) - 1)] + [F.one])
+    (row,) = _kernel(F, powers, A.dim).rows
+    s, coeffs = F.inv(row[-1][1]), dict(row)
+    return tuple(F.mul(s, coeffs[j]) if j in coeffs else F.zero for j in range(len(powers)))
 
 
 def _eval_in_algebra(A, poly, x):
@@ -358,10 +361,10 @@ def _semisimple_idempotent(S):
     if F.char != 0:
         q = F.order
         cols = [vec_sub(F, S.power(b, q), b) for b in _identity_columns(F, n)]
-        fixed = _kernel(S.space, cols, n)
-        if fixed.dim == 1:
+        fixed = _kernel(F, cols, n).rows
+        if len(fixed) == 1:
             return None  # one component: S is a field
-        for b in fixed.basis():
+        for b in fixed:
             if Subspace.from_vectors(S.space, [b, S.unit]).dim == 1:
                 continue
             minpoly = _minimal_polynomial(S, b)

@@ -340,8 +340,8 @@ def tensor_coalgebra(C, D):
     return make_supercoalgebra(C.space.tensor(D.space), delta, counit)
 
 
-def unit_coalgebra(field, label="g"):
-    space = SuperVectorSpace(field, (label,), (0,))
+def unit_coalgebra(field):
+    space = SuperVectorSpace(field, ("g",), (0,))
     return make_supercoalgebra(space, [[(0, field.one)]], [(0, field.one)])
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
 from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
 from .superlinear import (
-    Matrix, Record, StructureRecord, Subspace, SuperVectorSpace, _coaction_defects,
-    _identity_columns, _images, _kernel, _null_space_sparse, _rref_sparse, _tensor_apply_sparse,
-    canonical_columns, quotient_data, twist_apply,
+    Record, StructureRecord, Subspace, SuperVectorSpace, _coaction_defects,
+    _identity_columns, _images, _kernel, _tensor_apply_sparse, canonical_columns,
+    quotient_data, twist_apply,
 )
 
 
@@ -125,7 +125,7 @@ def preimage(M, W):
     F = M.field
     qspace, pi, _ = quotient_data(M.coalgebra.space, W)
     cols = _tensor_apply_sparse(F, _identity_columns(F, M.dim), pi, qspace.dim, M.psi)
-    P = _kernel(M.space, cols, M.dim * qspace.dim)
+    P = Subspace(M.space, _kernel(F, cols, M.dim * qspace.dim))
     o = sum(P.parities)
     return P, (P.dim - o, o)
 
@@ -139,31 +139,28 @@ def cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
     psi_right and theta_left are the sparse columns (per basis vector, the
     (index, entry) pairs of its image with a nonzero entry) of M -> M (x) C
     and N -> C (x) N; of m_space and n_space only .field and .dim are read.
-    The kernel is taken on sparse rows and returned as its canonical Matrix,
-    in the basis m_i (x) n_j at index i * dim N + j.
+    The kernel is returned as its canonical Matrix, in the basis
+    m_i (x) n_j at index i * dim N + j.
     """
     F = m_space.field
-    nm, nn = m_space.dim, n_space.dim
+    nn = n_space.dim
     neg, sub, is_zero = F.neg, F.sub, F.is_zero
-    # row (a, k, b) of T(m_i (x) n_j) = psi(m_i) (x) n_j - m_i (x) theta(n_j),
-    # filled from the nonzero entries only; a cell gets at most one term of each kind
-    rows = {}
-    for i, col in enumerate(psi_right):
-        for r, c in col:                    # r = a * c_dim + k
-            for j in range(nn):
-                rows.setdefault(r * nn + j, {})[i * nn + j] = c
-    for j, col in enumerate(theta_left):
-        for r, c in col:                    # r = k * nn + b
-            for i in range(nm):
-                row = rows.setdefault(i * c_dim * nn + r, {})
-                ij = i * nn + j
-                x = sub(row[ij], c) if ij in row else neg(c)
+    # column (i, j) is psi(m_i) (x) n_j - m_i (x) theta(n_j); the term
+    # m_a (x) c_k (x) n_b lands on row (a * c_dim + k) * nn + b
+    cols = []
+    for i, pcol in enumerate(psi_right):
+        base = i * c_dim * nn
+        for j, tcol in enumerate(theta_left):
+            col = {r * nn + j: c for r, c in pcol}      # r = a * c_dim + k
+            for r, c in tcol:                           # r = k * nn + b
+                k = base + r
+                x = sub(col[k], c) if k in col else neg(c)
                 if is_zero(x):
-                    del row[ij]
+                    del col[k]
                 else:
-                    row[ij] = x
-    kernel, pivots = _null_space_sparse(F, *_rref_sparse(F, rows.values()), nm * nn)
-    return Matrix(F, kernel, nm * nn, pivots)
+                    col[k] = x
+            cols.append(col.items())
+    return _kernel(F, cols, m_space.dim * c_dim * nn)
 
 
 def cotensor(M, N):

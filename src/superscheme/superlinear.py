@@ -6,6 +6,8 @@ column of a linear map, and equal vectors are equal tuples.  A linear map
 is its sparse columns, column j the image of basis vector j; the spaces
 it runs between are known where it is used.  A Matrix holds rows.
 Subspaces are kept in reduced row-echelon form so equality is syntactic.
+Every kernel, null space and intersection is one column elimination with
+an identity tail (_kernel), which yields that form directly.
 Tensor bases are ordered lexicographically with the left factor major; the
 Koszul sign (-1)^{|x||y|} enters whenever two odd symbols swap.
 """
@@ -133,9 +135,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
-    def _transpose(self):
-        return Matrix(self.field, _transpose(self.rows, self.ncols), self.nrows)
-
     def mul(self, other):
         """Row r of the product is other^T applied to row r of self."""
         F = self.field
@@ -158,10 +157,6 @@ class Matrix:
         self._rref = (red, pivots)
         return red, pivots
 
-    def rank(self):
-        _, pivots = self.rref()
-        return len(pivots)
-
     def row_space(self):
         """Canonical spanning matrix: RREF with zero rows dropped."""
         red, pivots = self.rref()
@@ -171,11 +166,9 @@ class Matrix:
         return Matrix(self.field, red.rows[:len(pivots)], self.ncols, pivots)
 
     def null_space(self):
-        """Canonical matrix whose rows span {v : M v = 0}."""
-        red, pivots = self.rref()
-        kernel, kpivots = _null_space_sparse(self.field, red.rows[:len(pivots)],
-                                             pivots, self.ncols)
-        return Matrix(self.field, kernel, self.ncols, kpivots)
+        """Canonical matrix whose rows span {v : M v = 0}: the kernel of the
+        map whose columns are the columns of M."""
+        return _kernel(self.field, _transpose(self.rows, self.ncols), self.nrows)
 
     def solve(self, bs):
         """Solutions x of M x = b, one per right-hand side b in bs, from one
@@ -288,17 +281,27 @@ def _rref_sparse(F, rows):
     return echelon.rows()
 
 
-def _null_space_sparse(F, red, pivots, ncols):
-    """Sparse RREF (rows as vectors, pivots) of {v : M v = 0}, from that of
-    M: one vector per free column, reduced by _rref_sparse."""
-    kernel = {c: {c: F.one} for c in range(ncols)}
-    for c in pivots:
-        del kernel[c]
-    for row, c in zip(red, pivots):
-        for j, y in row:
-            if j != c:
-                kernel[j][c] = F.neg(y)
-    return _rref_sparse(F, kernel.values())
+def _kernel(F, cols, height):
+    """The kernel of the map given by cols, its columns with indices below
+    height (each as (index, entry) pairs in any order), as its canonical
+    Matrix over the domain: every kernel, null space and intersection.
+
+    Column i joins one Echelon with the identity tail, entry 1 at index
+    height + i (the kernel by column echelon form; Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, 2.3.1).  A pivot is a
+    row's least column, so a reduced row whose pivot is at least height
+    has a zero map part, and its tail is the coefficient vector of a
+    vanishing combination; there are dim ker of them.  Gauss-Jordan clears
+    every pivot from every other row, so those tails, shifted by -height,
+    are already the kernel's reduced echelon form.
+    """
+    one = F.one
+    echelon = Echelon(F)
+    n = len(echelon.extend([*col, (height + i, one)] for i, col in enumerate(cols)))
+    red = echelon.red
+    pivots = sorted(c for c in red if c >= height)
+    rows = [tuple(sorted((j - height, y) for j, y in red[c].items())) for c in pivots]
+    return Matrix(F, rows, n, [c - height for c in pivots])
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +506,9 @@ class Subspace:
         return Subspace(self.space, self.matrix.stack(other.matrix))
 
     def intersect(self, other):
-        """Via the kernel of the stacked spanning matrices.  The whole space
-        meets a subspace in that subspace, which is returned as it is."""
+        """x a = -y b for each (x, y) in the kernel of the map whose columns
+        are the rows of a and then those of b.  The whole space meets a
+        subspace in that subspace, which is returned as it is."""
         if self.space != other.space:
             raise DimensionMismatch("subspace intersection in different ambients")
         F = self.space.field
@@ -515,12 +519,9 @@ class Subspace:
             return other
         if b.nrows == b.ncols:
             return self
-        # x a = y b exactly when (x, y) is in the kernel of [a^T | -b^T]
-        na, neg = a.nrows, F.neg
-        combined = Matrix(F, [ra + tuple((na + k, neg(c)) for k, c in rb)
-                              for ra, rb in zip(a._transpose().rows, b._transpose().rows)],
-                          na + b.nrows)
-        coeffs = [tuple(t for t in s if t[0] < na) for s in combined.null_space().rows]
+        na = a.nrows
+        coeffs = [tuple(t for t in s if t[0] < na)
+                  for s in _kernel(F, a.rows + b.rows, a.ncols).rows]
         return Subspace.from_vectors(self.space, Matrix(F, coeffs, na).mul(a).rows)
 
     def is_graded(self):
@@ -866,10 +867,3 @@ def quotient_data(space, sub):
     for row, pc in zip(red.rows, pivots):
         cols[pc] = tuple((slot[j], F.neg(a)) for j, a in row if j != pc)
     return qspace, [cols[c] for c in range(space.dim)], reps
-
-
-def _kernel(space, cols, height):
-    """The kernel of the map given by cols, its columns on the basis of
-    space with indices below height, as a Subspace of space."""
-    F = space.field
-    return Subspace(space, Matrix(F, _transpose(cols, height), space.dim).null_space())

@@ -73,10 +73,20 @@ def dense_rows(M):
     return tuple(dense(M.field, M.ncols, r) for r in M.rows)
 
 
+def transpose(M):
+    """The transpose of a Matrix."""
+    return Matrix(M.field, _transpose(M.rows, M.ncols), M.nrows)
+
+
+def rank(M):
+    """The rank of a Matrix: the number of pivots of its rref."""
+    return len(M.rref()[1])
+
+
 def dense_columns(F, rows, ncols=None):
     """The columns, as vectors, of the matrix with these dense rows: what a
     map holds."""
-    return dense_matrix(F, rows, ncols)._transpose().rows
+    return transpose(dense_matrix(F, rows, ncols)).rows
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +121,7 @@ class GradedMap(Record):
         return _images(self.domain.field, self.columns, vecs)
 
     def kernel(self):
-        return _kernel(self.domain, self.columns, self.codomain.dim)
+        return Subspace(self.domain, _kernel(self.domain.field, self.columns, self.codomain.dim))
 
     def image(self):
         return Subspace.from_vectors(self.codomain, self.columns)
@@ -145,14 +155,14 @@ def compose(f, g):
 
 def matrix_of(f):
     """The Matrix of a GradedMap: its rows, read off its columns."""
-    return Matrix(f.domain.field, f.columns, f.codomain.dim)._transpose()
+    return transpose(Matrix(f.domain.field, f.columns, f.codomain.dim))
 
 
 def graded_map(M):
     """The raw map k^n -> k^m whose matrix is the m x n Matrix M."""
     F = M.field
     return GradedMap(standard_space(F, M.ncols, 0), standard_space(F, M.nrows, 0),
-                     M._transpose().rows, None)
+                     transpose(M).rows, None)
 
 
 class DenseView:
@@ -301,7 +311,7 @@ def in_rational_basis(A, rng):
                                   else QQ.zero for j in range(n)] for i in range(n)], n)
 
     P = unitriangular(True).mul(unitriangular(False))
-    basis = P._transpose().rows
+    basis = transpose(P).rows
     products = P.solve([A.multiply(x, y) for x in basis for y in basis])
     return make_superalgebra(A.space, _transpose(products, n), P.solve([A.unit])[0])
 
@@ -426,7 +436,7 @@ def minimal_polynomial_by_powers(A, x):
     powers = [A.unit]
     while True:
         powers.append(A.multiply(powers[-1], x))
-        mat = Matrix(F, powers[:-1], A.dim)._transpose()
+        mat = transpose(Matrix(F, powers[:-1], A.dim))
         sol = mat.solve([powers[-1]])
         if sol is not None:
             sol = dict(sol[0])
@@ -589,10 +599,10 @@ def socle_filtration():
     return socle_by_filtration
 
 
-def _dense_cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
-    """Kernel of psi_M (x) id - id (x) theta_N as the null space of the dense
-    (nm * c_dim * nn) x (nm * nn) matrix; psi_right and theta_left are the
-    coaction matrices."""
+def dense_cotensor_map(psi_right, theta_left, m_space, n_space, c_dim):
+    """psi_M (x) id - id (x) theta_N as the dense (nm * c_dim * nn) x (nm * nn)
+    Matrix, filled row by row; psi_right and theta_left are the coaction
+    matrices."""
     F = m_space.field
     nm, nn = m_space.dim, n_space.dim
     rows = [[F.zero] * (nm * nn) for _ in range(nm * c_dim * nn)]
@@ -606,7 +616,14 @@ def _dense_cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
             for i in range(nm):
                 row = rows[i * c_dim * nn + r]
                 row[i * nn + j] = F.sub(row[i * nn + j], c)
-    return Subspace(m_space.tensor(n_space), dense_matrix(F, rows, nm * nn).null_space())
+    return dense_matrix(F, rows, nm * nn)
+
+
+def _dense_cotensor_kernel(psi_right, theta_left, m_space, n_space, c_dim):
+    """Kernel of psi_M (x) id - id (x) theta_N as the null space of
+    dense_cotensor_map."""
+    T = dense_cotensor_map(psi_right, theta_left, m_space, n_space, c_dim)
+    return Subspace(m_space.tensor(n_space), T.null_space())
 
 
 def _dense_tower(M, A, reg, depth):
@@ -645,7 +662,7 @@ def _dense_tower(M, A, reg, depth):
         faces.append(_tensor_apply_sparse(F, ident_P.columns, linear_form(A.dim, A.counit), 1,
                                           basis))
         faces = tuple(GradedMap(space, prev_space, cols, None) for cols in faces)
-        psi = Matrix(F, psi_cols, space.dim * B_dim)._transpose()
+        psi = transpose(Matrix(F, psi_cols, space.dim * B_dim))
         levels.append((space, psi, carrier, faces))
     return levels
 
@@ -668,10 +685,10 @@ def _dense_exactness(levels, depth):
     results = []
     for deg in range(depth + 1):
         if deg == 0:
-            exact = boundaries[0].rank() == levels[0][0].dim
+            exact = rank(boundaries[0]) == levels[0][0].dim
         else:
             exact = (boundaries[deg - 1].null_space()
-                     == boundaries[deg]._transpose().row_space())
+                     == transpose(boundaries[deg]).row_space())
         results.append((deg, exact))
     return tuple(results)
 
@@ -1058,7 +1075,7 @@ def flat_by_lifting(M):
     cols = [_field_combination(F, lift, mats[t].rows)
             for lift, _ in kept for t in range(dual.dim)]
     # phi: (C*)^r -> M* sends its basis to cols; rank phi = rank of its columns
-    if Matrix(F, cols, M.dim).rank() == M.dim:
+    if rank(Matrix(F, cols, M.dim)) == M.dim:
         return FlatVerdict(True, (r_even, r - r_even))
     return FlatVerdict(False)
 
@@ -1357,6 +1374,21 @@ def rref_by_gauss_jordan(F, rows, ncols):
     if not p:
         rows = [map(rational, row) for row in rows]
     return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def kernel_by_rows(F, cols, height):
+    """Reference for superlinear._kernel, the row path it replaced: the
+    columns are transposed into height rows and reduced, one vector per
+    free column is read off that rref, and those vectors are reduced
+    again.  The canonical Matrix of the kernel."""
+    n = len(cols)
+    red, pivots = Matrix(F, _transpose(cols, height), n).rref()
+    kernel = {c: {c: F.one} for c in range(n) if c not in pivots}
+    for row, c in zip(red.rows, pivots):
+        for j, y in row:
+            if j != c:
+                kernel[j][c] = F.neg(y)
+    return Matrix(F, [vector(F, v) for v in kernel.values()], n).row_space()
 
 
 def null_space_by_gauss_jordan(F, rows, ncols):

@@ -26,7 +26,7 @@ from superscheme.superlinear import Matrix, Subspace, _transpose, unit_vec, vect
 
 from conftest import (
     ALGEBRA_KINDS, canonical_ideal_by_odd_basis, filtration_by_square, ksdim_by_odd_chain,
-    odd_subspace, radical_by_quotient,
+    odd_subspace, radical_by_quotient, rank,
 )
 
 F3 = PrimeField(3)
@@ -42,7 +42,7 @@ def dense_basis_change(A, rng):
         cols = [vector(F, [(j, rng.scalar(F)) for j in range(n) if A.parity(j) == A.parity(i)])
                 for i in range(n)]
         P = Matrix(F, _transpose(cols, n), n)
-        if P.rank() == n:
+        if rank(P) == n:
             break
     *products, unit = P.solve(A.products(cols, cols) + [A.unit])
     return make_superalgebra(A.space, _transpose(products, n), unit)

@@ -229,6 +229,29 @@ def test_one_elimination():
     assert "rows" not in WordBasis.__slots__ and "echelon" in WordBasis.__slots__
 
 
+def test_one_kernel():
+    """superlinear._kernel, one column elimination with an identity tail, is
+    the one kernel: no null space is read off the free columns of a row
+    reduction, a Matrix is neither transposed nor ranked on its own, and
+    every null space, cotensor, intersection, minimal polynomial and socle
+    reaches _kernel."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "_null_space_sparse" not in defined
+    assert [scope for tree in trees.values()
+            for scope in _references(tree, "_null_space_sparse")] == []
+    from superscheme.superlinear import Matrix
+    for name in ("_transpose", "rank"):
+        assert not hasattr(Matrix, name), name
+    found = {(fname, scope) for fname, tree in trees.items()
+             for scope in _references(tree, "_kernel", calls=True)}
+    assert {("superlinear.py", "null_space"), ("superlinear.py", "intersect"),
+            ("supercomodule.py", "cotensor_kernel"), ("supercomodule.py", "preimage"),
+            ("superalgebra.py", "_minimal_polynomial")} <= found, found
+
+
 # Top-level names of the package that only tests reach.  The list may only
 # shrink: a new helper without a caller in src/ or scripts/ fails the guard,
 # and a listed one that gains a caller must leave the list.

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from superscheme import superalgebra
 from superscheme.fields import FieldError, PrimeField, QQ, ExtensionField
 from superscheme.superlinear import (
     Matrix, Subspace, SuperVectorSpace, _images, standard_space, unit_vec,
@@ -25,6 +26,7 @@ from superscheme.supercoalgebra import (
 from conftest import (
     GradedMap, dense, dense_columns, dense_matrix, dense_rows, enumerate_homs_by_scan,
     is_superalgebra_morphism, minimal_polynomial_by_powers, odd_subspace, rational, sparse,
+    transpose,
 )
 
 F3 = PrimeField(3)
@@ -124,7 +126,7 @@ def test_radical_dual_numbers_matches_trace_oracle():
     left = []
     for i in range(2):
         cols = [D.multiply(unit_vec(QQ, i), unit_vec(QQ, j)) for j in range(2)]
-        left.append(dense_rows(Matrix(QQ, cols, 2)._transpose()))
+        left.append(dense_rows(transpose(Matrix(QQ, cols, 2))))
     gram = [[sum(dense(QQ, 2, D.multiply(unit_vec(QQ, i), unit_vec(QQ, j)))[k]
                  * left[k][t][t]
                  for k in range(2) for t in range(2)) for j in range(2)]
@@ -352,17 +354,21 @@ def test_odd_generators_grow_one_echelon(monkeypatch):
     assert not any(calls), calls
 
 
-def test_minimal_polynomial_makes_one_solve(monkeypatch):
+def test_minimal_polynomial_takes_one_kernel(monkeypatch):
     """_minimal_polynomial equals the power loop that solves once per power,
-    with one Matrix.solve, on the basis vectors, the unit and seeded
-    elements of the canonical algebras, Grassmann(3), k[x]/(x^6) and
-    k[x]/(x^2-1) (x) k[x]/(x^3), over Q, F3 and F9."""
-    solves = []
-    solve = Matrix.solve
+    with one superlinear._kernel and no Matrix.solve, on the basis vectors,
+    the unit and seeded elements of the canonical algebras, Grassmann(3),
+    k[x]/(x^6) and k[x]/(x^2-1) (x) k[x]/(x^3), over Q, F3 and F9."""
+    calls = []
+    solve, kernel = Matrix.solve, superalgebra._kernel
 
     def counting(self, bs):
-        solves.append(None)
+        calls.append("solve")
         return solve(self, bs)
+
+    def counting_kernel(F, cols, height):
+        calls.append("kernel")
+        return kernel(F, cols, height)
 
     rng = Rng(48)
     F9 = ExtensionField(F3, (1, 0, 1), "j")
@@ -379,9 +385,10 @@ def test_minimal_polynomial_makes_one_solve(monkeypatch):
                 want = minimal_polynomial_by_powers(A, x)
                 with monkeypatch.context() as m:
                     m.setattr(Matrix, "solve", counting)
-                    del solves[:]
+                    m.setattr(superalgebra, "_kernel", counting_kernel)
+                    del calls[:]
                     got = _minimal_polynomial(A, x)
-                    assert len(solves) == 1
+                    assert calls == ["kernel"]
                 assert got == want, (F.describe(), A.space.labels, x)
                 checked += 1
     assert checked >= 150
@@ -520,7 +527,7 @@ def test_validate_dense_rational_grassmann_3_against_generic_path(generic_field,
                                   else QQ.zero for j in range(n)] for i in range(n)], n)
 
     P = unitriangular(True).mul(unitriangular(False))
-    basis = P._transpose().rows
+    basis = transpose(P).rows
     products = P.solve([A.multiply(x, y) for x in basis for y in basis])
     mul = [[list(dense(QQ, n, products[i * n + j])) for j in range(n)] for i in range(n)]
     assert len({c.denominator for row in mul for cell in row for c in cell}) > 10

@@ -21,7 +21,7 @@ from superscheme.supercoalgebra import (
 )
 from conftest import (
     GradedMap, _count_calls, compose, coproduct, dense, dense_matrix, dense_rows, is_subcoalgebra,
-    projection, sparse, tensor_after, tensor_structure_by_maps,
+    projection, sparse, tensor_after, tensor_structure_by_maps, transpose,
 )
 from superscheme.corpus import (
     Rng, canonical_algebras, canonical_coalgebras, divided_power, grassmann,
@@ -287,9 +287,9 @@ def _dense_basis_dual(A, rng):
 
     P = unitriangular(True).mul(unitriangular(False))
     basis = P.rows
-    products = P._transpose().solve([A.multiply(x, y) for x in basis for y in basis])
+    products = transpose(P).solve([A.multiply(x, y) for x in basis for y in basis])
     cop = _transpose(products, n)      # entry i * n + j of b'_i * b'_j
-    unit = P._transpose().solve([A.unit])[0]
+    unit = transpose(P).solve([A.unit])[0]
     return dualize_algebra(make_superalgebra(A.space, cop, unit))
 
 

@@ -7,18 +7,19 @@ from superscheme.superlinear import (
     Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.supercoalgebra import (
-    base_change_coalgebra, coradical_filtration, dual_radical, dualize_algebra,
+    base_change_coalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
     dualize_coalgebra, irreducible_components, subcoalgebra_on, tensor_coalgebra,
 )
 from superscheme.supercomodule import (
-    FlatVerdict, NotConnected, cotensor, flat_check, free_comodule, make_supercomodule,
-    regular_comodule, subcoalgebra_comodule, trivial_comodule, validate_comodule,
+    FlatVerdict, NotConnected, cotensor, cotensor_kernel, flat_check, free_comodule,
+    make_supercomodule, regular_comodule, subcoalgebra_comodule, trivial_comodule, validate_comodule,
 )
 from conftest import (
     GradedMap, _count_calls, base_change_comodule, check_dual_action_axioms, coproduct,
-    cosocle_epi, dense, dense_columns, dense_matrix, dual_action, dual_action_of, exactness_probe,
-    faithfulness_probe, flat_by_lifting, flatness_of, graded_map, is_comodule_morphism,
-    matrix_of, sparse, tensor_map,
+    cosocle_epi, dense, dense_columns, dense_cotensor_map, dense_matrix, dual_action,
+    dual_action_of, exactness_probe, faithfulness_probe, flat_by_lifting, flatness_of,
+    graded_map, is_comodule_morphism, kernel_by_rows, matrix_of, rank, sparse, tensor_map,
+    transpose,
 )
 from superscheme.corpus import (
     Rng, canonical_coalgebras, divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra,
@@ -125,6 +126,26 @@ def test_cotensor_dimension_duality():
                 assert cotensor(M, N).dim == _module_tensor_dim(M, N)
 
 
+@pytest.mark.parametrize("F", [QQ, F3, ExtensionField(F3, (1, 0, 1), "j")],
+                         ids=["Q", "F3", "F9"])
+def test_cotensor_kernel_matches_the_dense_map(F):
+    """cotensor_kernel builds the columns of psi (x) id - id (x) theta; its
+    kernel is the row path's kernel (kernel_by_rows) of the same map filled
+    densely row by row, on every pair of the regular, a free and the
+    coradical comodule of every canonical coalgebra."""
+    for _, C in canonical_coalgebras(F):
+        mods = [regular_comodule(C), free_comodule(standard_space(F, 1, 1), C),
+                subcoalgebra_comodule(C, coradical(C, dual_radical(C)))]
+        for M in mods:
+            psi = transpose(Matrix(F, M.psi, M.dim * C.dim))
+            for N in mods:
+                theta = N.left_coaction()
+                got = cotensor_kernel(M.psi, theta, M.space, N.space, C.dim)
+                T = dense_cotensor_map(psi, transpose(Matrix(F, theta, C.dim * N.dim)),
+                                       M.space, N.space, C.dim)
+                assert got == kernel_by_rows(F, transpose(T).rows, T.nrows)
+
+
 def _grouplike_of(C):
     return unit_vec(C.field, 0)
 
@@ -133,8 +154,8 @@ def _module_tensor_dim(M, N):
     """dim of M* (x)_{C*} N* from the balanced-tensor relations."""
     F = M.field
     C = M.coalgebra
-    matsM = [m._transpose() for m in dual_action(M)]   # right action on M*
-    matsN = [m._transpose() for m in dual_action(N)]
+    matsM = [transpose(m) for m in dual_action(M)]   # right action on M*
+    matsN = [transpose(m) for m in dual_action(N)]
     nm, nn = M.dim, N.dim
     rels = []
     for t in range(C.dim):
@@ -153,8 +174,7 @@ def _module_tensor_dim(M, N):
                 for j, c in enumerate(ag):
                     rel[u * nn + j] = F.sub(rel[u * nn + j], F.mul(sign, c))
                 rels.append(rel)
-    rank = dense_matrix(F, rels, nm * nn).rank()
-    return nm * nn - rank
+    return nm * nn - rank(dense_matrix(F, rels, nm * nn))
 
 
 def test_socle_filtration_examples(socle_filtration):

@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
     DimensionMismatch, Echelon, Matrix, Record, Subspace, _axiom_defects, _coaction_defects,
-    _null_space_sparse, _parity_defects, _rref_sparse, coordinates, perp, quotient_data,
+    _kernel, _parity_defects, _rref_sparse, coordinates, perp, quotient_data,
     standard_space, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 from superscheme.corpus import Rng
@@ -16,7 +16,8 @@ from superscheme.corpus import Rng
 from conftest import (
     GradedMap, axiom_defects_by_composition, coaction_defects_by_composition, compose, dense,
     dense_columns, dense_matrix, dense_rows, even_part, graded_map, in_rational_basis,
-    matrix_of, odd_part, rational, sparse, tensor_after, tensor_apply, tensor_map, twist,
+    kernel_by_rows, matrix_of, odd_part, rank, rational, sparse, tensor_after, tensor_apply, tensor_map,
+    transpose, twist,
 )
 
 F3 = PrimeField(3)
@@ -35,7 +36,7 @@ def mat_strategy(max_dim=4):
 @given(mat_strategy())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(M):
-    assert M.rank() + M.null_space().nrows == M.ncols
+    assert rank(M) + M.null_space().nrows == M.ncols
 
 
 @given(mat_strategy())
@@ -181,7 +182,7 @@ def test_tensor_apply_matches_entry_formula(F):
             expected = _tensor_by_entry_formula(f, g)
             dom = V.tensor(W)
             cols = tensor_apply(f, g, [unit_vec(F, c) for c in range(dom.dim)])
-            assert Matrix(F, cols, expected.nrows)._transpose() == expected
+            assert transpose(Matrix(F, cols, expected.nrows)) == expected
             assert matrix_of(tensor_map(f, g)) == expected
             h = _random_homogeneous_map(rng, U, dom, None)
             fgh = tensor_after(f, g, h)
@@ -285,7 +286,7 @@ def test_subspace_membership_matches_rank_and_intersection():
                 probe = sparse(F, [rng.scalar(F) for _ in range(V.dim)])
                 for v in vecs + [probe]:
                     stacked = W.matrix.stack(Matrix(F, [v], V.dim))
-                    assert W.contains(v) == (stacked.rank() == W.dim)
+                    assert W.contains(v) == (rank(stacked) == W.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     for f_out, g_out in [(fast.rref()[0], slow.rref()[0]),
                          (fast.row_space(), slow.row_space()),
                          (fast.null_space(), slow.null_space()),
-                         (fast.mul(fast._transpose()), slow.mul(slow._transpose())),
+                         (fast.mul(transpose(fast)), slow.mul(transpose(slow))),
                          (Matrix(F, [vec_add(F, r, r) for r in fast.rows], n),
                           Matrix(G, [vec_add(G, r, r) for r in slow.rows], n))]:
         assert _typed(f_out.rows) == _typed(g_out.rows)
@@ -356,14 +357,12 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # a canonical matrix is its own rref and is not reduced again
     canon = fast.row_space()
     assert canon.rref() == (canon, fast.rref()[1]) and canon.row_space() is canon
-    # the sparse elimination and its null space on the same rows, over F
-    # and over G, against Matrix.rref and null_space, which run them
+    # the sparse elimination on the same rows, over F and over G, against
+    # Matrix.rref, which runs it
     for K, M in ((F, fast), (G, slow)):
         red, pivots = _rref_sparse(K, [dict(r) for r in M.rows])
         assert pivots == M.rref()[1]
         assert _typed(_dense(K, red, n)) == _typed(dense_rows(M.row_space()))
-        kernel, _ = _null_space_sparse(K, red, pivots, n)
-        assert _typed(_dense(K, kernel, n)) == _typed(dense_rows(M.null_space()))
 
     VF, VG = standard_space(F, n, 0), standard_space(G, n, 0)
     sub_f, sub_g = Subspace(VF, fast), Subspace(VG, slow)
@@ -380,7 +379,7 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
             assert _typed(got) == _typed(want)
         assert _typed(graded_map(fast).images([v])) == _typed(graded_map(slow).images([v]))
     # a batch is read whole: one vector outside makes it None, against a rank test
-    outside_in = fast.stack(Matrix(F, [outside], n)).rank() == fast.rank()
+    outside_in = rank(fast.stack(Matrix(F, [outside], n))) == rank(fast)
     assert (coordinates(sub_f, [inside, outside, inside]) is None) == (not outside_in)
     batch = [inside, vec_scale(F, F.neg(F.one), inside), ()]
     assert _typed(coordinates(sub_f, batch)) == _typed(coordinates(sub_g, batch))
@@ -391,13 +390,13 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     bs = [next(graded_map(fast).images([x])) for x in xs]
     if data.draw(st.booleans()):
         bs.append(sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m))))
-    B = Matrix(F, bs, m)._transpose()
+    B = transpose(Matrix(F, bs, m))
     aug = dense_matrix(F, [r + c for r, c in zip(dense_rows(fast), dense_rows(B))],
                        n + len(bs))
     X = fast.solve(bs)
-    assert (X is None) == (aug.rank() > fast.rank())
+    assert (X is None) == (rank(aug) > rank(fast))
     if X is not None:
-        assert fast.mul(Matrix(F, X, n)._transpose()) == B
+        assert fast.mul(transpose(Matrix(F, X, n))) == B
     slow_x = slow.solve(bs)
     assert (X is None) == (slow_x is None)
     if X is not None:
@@ -407,8 +406,8 @@ def test_plain_kernels_match_generic_path(generic_field, rref_oracle, null_space
     # coefficients: over F, over the generic path, and as the row of
     # coefficients times the matrix
     coeffs = sparse(F, data.draw(st.lists(entries, min_size=m, max_size=m)))
-    combo = next(graded_map(fast._transpose()).images([coeffs]))
-    assert _typed([combo]) == _typed([next(graded_map(slow._transpose()).images([coeffs]))])
+    combo = next(graded_map(transpose(fast)).images([coeffs]))
+    assert _typed([combo]) == _typed([next(graded_map(transpose(slow)).images([coeffs]))])
     assert _typed([combo]) == _typed(Matrix(F, [coeffs], m).mul(fast).rows)
 
 
@@ -489,8 +488,7 @@ def test_sparse_elimination_over_f9(rref_oracle, null_space_oracle, case, data):
     assert pivots == base.rref()[1]
     assert _dense(F9, red, n) == dense_rows(want)
     assert dense_matrix(F9, mixed, n).row_space() == want
-    kernel, _ = _null_space_sparse(F9, red, pivots, n)
-    assert _dense(F9, kernel, n) == tuple(
+    assert dense_rows(dense_matrix(F9, mixed, n).null_space()) == tuple(
         tuple(F9.embed(x) for x in r) for r in dense_rows(base.null_space()))
 
 
@@ -547,11 +545,11 @@ def test_matrix_operations_match_the_dense_reference(dense_reference, case):
         assert all(list(r) == sorted(r) and all(not F.is_zero(x) for _, x in r)
                    for r in M.rows)
 
-    same(A._transpose(), R.transpose(a, n), (n, m))
+    same(transpose(A), R.transpose(a, n), (n, m))
     added, subtracted = ([op(F, u, w) for u, w in zip(f.columns, h.columns)]
                          for op in (vec_add, vec_sub))
-    same(Matrix(F, added, m)._transpose(), R.add(F, a, b), (m, n))
-    same(Matrix(F, subtracted, m)._transpose(), R.sub(F, a, b), (m, n))
+    same(transpose(Matrix(F, added, m)), R.add(F, a, b), (m, n))
+    same(transpose(Matrix(F, subtracted, m)), R.sub(F, a, b), (m, n))
     scaled = GradedMap(Vn, Vm, [vec_scale(F, c, col) for col in f.columns], None)
     same(matrix_of(scaled), R.scale(F, c, a), (m, n))
     same(A.stack(C), R.stack(a, c_rows), (m + k, n))
@@ -618,6 +616,53 @@ def test_echelon_grows_to_the_one_reduced_form(dense_reference, case):
     span = Subspace.from_vectors(standard_space(F, n, 0), vecs)
     assert [echelon.has_unit_vec(i) for i in range(n)] == [
         span.contains(unit_vec(F, i)) for i in range(n)]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A field, a height h and the columns of a map k^n -> k^h, n and h
+    down to 0: sparse columns with a zero column among them, the zero map,
+    or a map of full rank min(n, h), most entries zero."""
+    F = draw(st.sampled_from([QQ, F3, F9]))
+    entry = _mostly_zero(F)
+    nonzero = entry.filter(lambda x: not F.is_zero(x))
+    kind = draw(st.sampled_from(["sparse", "zero map", "full rank"]))
+    h, n = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    cols = [draw(st.lists(entry, min_size=h, max_size=h)) for _ in range(n)]
+    if kind == "zero map":
+        cols = [[F.zero] * h for _ in range(n)]
+    elif kind == "full rank":
+        # column j < h has its first nonzero entry at j
+        for j, col in enumerate(cols[:h]):
+            col[:j + 1] = [F.zero] * j + [draw(nonzero)]
+    elif n and draw(st.booleans()):
+        cols[draw(st.integers(0, n - 1))] = [F.zero] * h
+    return F, h, [sparse(F, col) for col in cols]
+
+
+@seed(51)
+@given(_kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_one_kernel_matches_the_row_path(dense_reference, null_space_oracle, case):
+    """superlinear._kernel, one column elimination with an identity tail,
+    gives the canonical rows and pivots of the row path it replaced
+    (kernel_by_rows), of the dense Gauss-Jordan reference and, over Q and
+    F3, of the plain-value oracle; its pivots are its own, and it takes its
+    columns as any iterable of (index, entry) pairs in any order."""
+    F, h, cols = case
+    n = len(cols)
+    K = _kernel(F, cols, h)
+    want = kernel_by_rows(F, cols, h)
+    assert (K.nrows, K.ncols) == (want.nrows, n)
+    assert _typed(K.rows) == _typed(want.rows)
+    assert K.rref()[1] == want.rref()[1]
+    fresh = Matrix(F, K.rows, n).rref()
+    assert (fresh[0].rows, fresh[1]) == (K.rows, K.rref()[1])
+    rows = dense_rows(transpose(Matrix(F, cols, h)))
+    assert dense_rows(K) == tuple(map(tuple, dense_reference.null_space(F, rows, n)))
+    if F != F9:
+        assert _typed(dense_rows(K)) == _typed(null_space_oracle(F, rows, n))
+    assert _kernel(F, (reversed(col) for col in cols), h) == K
 
 
 # ---------------------------------------------------------------------------
