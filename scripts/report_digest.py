@@ -6,7 +6,10 @@ Usage: python scripts/report_digest.py [--seeds 1,2,7] [--corpus N]
 Per workload and seed, writes the job inputs of perfbench/workloads.py to a
 temporary directory, runs each job once in this process with
 superscheme.cli.run, and prints `<workload> seed <s> <sha256>` over every
-job's (name, exit code, report), in job order.  Then prints
+job's (name, exit code, report), in job order.  After each descent-fp
+line it prints `descent-fp seed <s> depth 0 <sha256>`, the same digest of
+`descent-check --depth 0` on the input of each descent-check job: no
+benchmark job runs depth 0.  Then prints
 `corpus seeds 0..<N-1> <sha256>` over the (seed, exit code, report) of
 `corpus --seed s` for s < N (default 50; 0 skips it).  Two trees that print
 the same lines print byte-identical reports.  The benchmark's files are
@@ -14,6 +17,7 @@ only imported, never written.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,17 +41,15 @@ def _digest(records):
     return h.hexdigest()
 
 
-def workload_digest(name, seed):
-    """The digest of one workload's jobs on one seed.  Jobs name their
-    inputs relative to the directory they run in, so no report holds a
-    temporary path."""
-    workload = WORKLOADS[name](seed)
+def jobs_digest(jobs):
+    """The digest of these jobs.  Jobs name their inputs relative to the
+    directory they run in, so no report holds a temporary path."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         records = []
         try:
             os.chdir(tmp)
-            for job in workload.jobs:
+            for job in jobs:
                 for fname, text in job.files:
                     Path(fname).write_text(text, encoding="utf-8")
                 paths = [fname for fname, _ in job.files]
@@ -56,6 +58,16 @@ def workload_digest(name, seed):
         finally:
             os.chdir(cwd)
     return _digest(records)
+
+
+def depth0_jobs(seed):
+    """The descent-check jobs of descent-fp, each run at depth 0."""
+    jobs = []
+    for job in WORKLOADS["descent-fp"](seed).jobs:
+        if job.argv[0] == "descent-check":
+            at = job.argv.index("--depth") + 1
+            jobs.append(dataclasses.replace(job, argv=job.argv[:at] + ["0"] + job.argv[at + 1:]))
+    return jobs
 
 
 def corpus_digest(count):
@@ -73,7 +85,11 @@ def main():
     args = parser.parse_args()
     for name in WORKLOADS:
         for seed in args.seeds.split(","):
-            print(f"{name} seed {seed} {workload_digest(name, int(seed))}", flush=True)
+            print(f"{name} seed {seed} {jobs_digest(WORKLOADS[name](int(seed)).jobs)}",
+                  flush=True)
+            if name == "descent-fp":
+                print(f"{name} seed {seed} depth 0 {jobs_digest(depth0_jobs(int(seed)))}",
+                      flush=True)
     if args.corpus:
         print(f"corpus seeds 0..{args.corpus - 1} {corpus_digest(args.corpus)}")
     return 0

@@ -255,7 +255,9 @@ def _trace_form_kernel(A):
     """Radical of a finite-dimensional algebra over a char-0 field: the kernel
     of the trace form (b_i, b_j) -> Tr(L_{b_i b_j}) = sum_k c_ijk Tr(L_{b_k}),
     with Tr(L_{b_k}) the sum of the coefficients of b_i in b_k * b_i (row
-    k * n + i of column i of cop): the Gram matrix is cop applied to them."""
+    k * n + i of column i of cop): the Gram matrix is cop applied to them.
+    A is the purely even, commutative A/J, so the Gram matrix is symmetric
+    and its rows are its columns."""
     F = A.field
     n = A.dim
     traces = [F.zero] * n
@@ -266,7 +268,7 @@ def _trace_form_kernel(A):
     gram = [[] for _ in range(n)]
     for ij, c in next(_images(F, A.cop, (vector(F, enumerate(traces)),))):
         gram[ij // n].append((ij % n, c))
-    return Subspace(A.space, Matrix(F, [tuple(row) for row in gram], n).null_space())
+    return Subspace(A.space, _kernel(F, gram, n))
 
 
 def radical(A):

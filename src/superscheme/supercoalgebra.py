@@ -20,7 +20,7 @@ from .superalgebra import (
 )
 from .superlinear import (
     Record, StructureRecord, Subspace, SuperVectorSpace, _axiom_defects, _images,
-    _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp, quotient_data,
+    _read_coordinates, _tensor_apply_sparse, _transpose, canonical_columns, linear_form, perp,
     tensor_structure, unit_vec, vec_scale, vec_sub,
 )
 
@@ -131,45 +131,42 @@ def is_coalgebra_morphism(cols, C, D):
 
 
 # ---------------------------------------------------------------------------
-# subobjects, coideals, wedge
+# subobjects, wedge
 
-def subcoalgebra_on(C, W, prefix="v"):
-    """The coalgebra structure restricted to a subcoalgebra subspace W.
+def _subcoalgebra_read(C, W):
+    """(space, pivots, psi) of a subcoalgebra W <= C: W on the labels of C
+    at its pivots, and delta(w) of each basis vector read in W (x) C.
 
-    Where delta(w) lies in W (x) W, its coordinates in the echelon basis
-    are its entries on the pivot columns of W in both factors; rebuilding
-    each delta(w) from them tells whether it does.
+    That read is the closure check: it fails, and NotSubcoalgebra is
+    raised, unless delta(W) lies in W (x) C, which for a super-cocommutative
+    C means in W (x) W = W (x) C intersect C (x) W.
     """
     F = C.field
     if not W.is_graded():
         raise ValueError("subcoalgebra test needs a graded subspace")
-    basis = W.basis()
-    m = W.dim
     _, pivots = W.matrix.rref()
-    space = SuperVectorSpace(F, tuple(f"{prefix}{i + 1}" for i in range(m)), W.parities)
-    slot = {c: s for s, c in enumerate(pivots)}
-    n = C.dim
-    images = list(_images(F, C.delta, basis))
-    # the entries on pivot (x) pivot, in order since slot ascends with the pivots
-    coords = [tuple((slot[ab // n] * m + slot[ab % n], c) for ab, c in v
-                    if ab // n in slot and ab % n in slot) for v in images]
-    # the inclusion W -> C is even, so incl (x) incl carries no Koszul sign
-    if list(_tensor_apply_sparse(F, basis, basis, n, coords)) != images:
+    psi = _read_coordinates(F, W.matrix.rows, pivots, _images(F, C.delta, W.basis()), C.dim)
+    if psi is None:
         raise NotSubcoalgebra("subspace is not a subcoalgebra")
-    counit = [(i, a) for i, e in enumerate(_images(F, linear_form(n, C.counit), basis))
+    space = SuperVectorSpace(F, tuple(C.space.labels[c] for c in pivots), W.parities)
+    return space, pivots, psi
+
+
+def subcoalgebra_on(C, W):
+    """The coalgebra structure restricted to a subcoalgebra subspace W.
+
+    delta(w) read in W (x) C lies in W (x) W (_subcoalgebra_read), so its
+    coordinates there are its right factors' entries on the pivots of W.
+    """
+    space, pivots, psi = _subcoalgebra_read(C, W)
+    n, m = C.dim, W.dim
+    slot = dict(zip(pivots, range(m)))
+    # in order, since slot ascends with the pivots
+    coords = [tuple([(ak // n * m + slot[ak % n], c) for ak, c in v if ak % n in slot])
+              for v in psi]
+    counit = [(i, a) for i, e in enumerate(_images(C.field, linear_form(n, C.counit), W.basis()))
               for _, a in e]
     return make_supercoalgebra(space, coords, counit)
-
-
-def is_coideal(C, W):
-    """delta(W) <= W (x) C + C (x) W and eps(W) = 0: (pi (x) pi) delta kills
-    W for pi: C -> C/W, with delta(W) read off the columns of delta."""
-    F = C.field
-    if any(_images(F, linear_form(C.dim, C.counit), W.basis())):
-        return False
-    qspace, proj, _ = quotient_data(C.space, W)
-    return not any(_tensor_apply_sparse(F, proj, proj, qspace.dim,
-                                        _images(F, C.delta, W.basis())))
 
 
 def wedge(C, X, Y):
@@ -223,10 +220,10 @@ def irreducible_components(C, rad):
         return [Component(C, Subspace.full(C.space), factors[0].degree)]
     F = C.field
     comps = []
-    for idx, fac in enumerate(factors):
+    for fac in factors:
         rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
         sub = perp(rest.subspace, C.space)
-        coalg = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        coalg = subcoalgebra_on(C, sub)
         comps.append(Component(coalg, sub, fac.degree))
     if sum(c.subspace.dim for c in comps) != C.dim:
         raise AssertionError("components do not fill the coalgebra")

@@ -10,11 +10,11 @@ canonical here because all coalgebras are super-cocommutative.
 from __future__ import annotations
 
 from .superalgebra import _semisimple_idempotent, quotient_by_superideal
-from .supercoalgebra import coradical, dual_radical, is_grouplike, subcoalgebra_on
+from .supercoalgebra import _subcoalgebra_read, coradical, dual_radical, is_grouplike
 from .superlinear import (
     Record, StructureRecord, Subspace, SuperVectorSpace, _coaction_defects,
-    _identity_columns, _images, _kernel, _tensor_apply_sparse, canonical_columns,
-    quotient_data, twist_apply,
+    _identity_columns, _kernel, _tensor_apply_sparse, canonical_columns, quotient_data,
+    twist_apply,
 )
 
 
@@ -76,33 +76,24 @@ def free_comodule(W, C):
     return make_supercomodule(W.tensor(C.space), C, psi)
 
 
-def trivial_comodule(C, g, dim_even=1, dim_odd=0, prefix="m"):
+def trivial_comodule(C, g, dim_even=1, dim_odd=0):
     """W (x) span(g) for a group-like g: psi(m) = m (x) g."""
     if not is_grouplike(C, g):
         raise ValueError("trivial comodule needs a group-like element")
     F = C.field
     space = SuperVectorSpace(
         F,
-        tuple(f"{prefix}{i + 1}" for i in range(dim_even + dim_odd)),
+        tuple(f"m{i + 1}" for i in range(dim_even + dim_odd)),
         (0,) * dim_even + (1,) * dim_odd)
     psi = [[(i * C.dim + k, c) for k, c in g] for i in range(space.dim)]
     return make_supercomodule(space, C, psi)
 
 
-def subcoalgebra_comodule(C, W, prefix="v"):
-    """A subcoalgebra W <= C as a right C-comodule via the coproduct.
-
-    delta(W) lies in W (x) C, so the coordinates of each delta(w) are its
-    entries on the pivot columns of W in the left factor.
-    """
-    sub = subcoalgebra_on(C, W, prefix=prefix)
-    _, pivots = W.matrix.rref()
-    slot = {c: s for s, c in enumerate(pivots)}
-    n = C.dim
-    # in order, since slot ascends with the pivots
-    psi = [tuple((slot[ab // n] * n + ab % n, c) for ab, c in v if ab // n in slot)
-           for v in _images(C.field, C.delta, W.basis())]
-    return make_supercomodule(sub.space, C, psi)
+def subcoalgebra_comodule(C, W):
+    """A subcoalgebra W <= C as a right C-comodule via the coproduct: the
+    coaction is delta(w) read in W (x) C, which is the closure check."""
+    space, _, psi = _subcoalgebra_read(C, W)
+    return make_supercomodule(space, C, psi)
 
 
 def comodule_along(M, f, B):

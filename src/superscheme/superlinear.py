@@ -813,10 +813,9 @@ def linear_form(n, values):
     return cols
 
 
-def perp(sub, space=None):
+def perp(sub, space):
     """{f in V* : f(s) = 0 for all s in S}, V the space of S, as a subspace
-    of space (by default V*) read in the dual basis."""
-    space = sub.space.dual() if space is None else space
+    of space, which stands for V* in the dual basis."""
     if sub.dim == 0:
         return Subspace.full(space)
     return Subspace(space, sub.matrix.null_space())
@@ -829,19 +828,30 @@ def coordinates(sub, vecs):
     return _read_coordinates(sub.space.field, sub.matrix.rows, pivots, vecs)
 
 
-def _read_coordinates(F, rows, pivots, vecs):
-    """Coordinates of vectors in the echelon basis with these rows and
-    these pivots, as vectors over its rows; None if any vector lies outside
-    the span.
+def _read_coordinates(F, rows, pivots, vecs, width=1):
+    """Coordinates of vectors of V (x) k^width in the basis S (x) k^width,
+    S the echelon basis of V with these rows and these pivots: entry
+    c width + k of a vector is read as entry s width + k, for c the pivot
+    of row s.  None if any vector lies outside the span.
 
     The basis is in RREF, so the coordinates are the entries on the pivot
-    columns; rebuilding each vector from the rows checks them.
+    columns; rebuilding each vector from the rows (tensored with the
+    identity of k^width) checks them.
     """
-    row_of = {c: s for s, c in enumerate(pivots)}
+    row_of = dict(zip(pivots, itertools.count()))
     vecs = list(vecs)
     # pivots ascend with their rows, so the coordinates come out sorted
-    out = [tuple([(row_of[c], a) for c, a in v if c in row_of]) for v in vecs]
-    if not all(map(operator.eq, _images(F, rows, out), vecs)):
+    if width == 1:
+        # the plain read: the general one pays a // and a % per entry and a
+        # product with the entry of id_1 per row entry, 2-4% of contains
+        # and is_graded over F3
+        out = [tuple([(row_of[c], a) for c, a in v if c in row_of]) for v in vecs]
+        rebuilt = _images(F, rows, out)
+    else:
+        out = [tuple([(row_of[c // width] * width + c % width, a) for c, a in v
+                      if c // width in row_of]) for v in vecs]
+        rebuilt = _tensor_apply_sparse(F, rows, _identity_columns(F, width), width, out)
+    if not all(map(operator.eq, rebuilt, vecs)):
         return None
     return out
 

@@ -701,7 +701,7 @@ def descent_degrees_by_dense_tower(f, depth):
     reg = comodule_along(regular_comodule(A), f.columns, B)
     tests = [regular_comodule(B)]
     for y in points(B):
-        tests.append(subcoalgebra_comodule(B, y.kappa, prefix=f"s{y.index}."))
+        tests.append(subcoalgebra_comodule(B, y.kappa))
     return tuple(_dense_exactness(_dense_tower(M, A, reg, depth + 1), depth)
                  for M in tests)
 
@@ -709,6 +709,36 @@ def descent_degrees_by_dense_tower(f, depth):
 @pytest.fixture
 def descent_oracle():
     return descent_degrees_by_dense_tower
+
+
+def _coideal_by_tensor_space(C, W):
+    """Whether W is a coideal of C: eps(W) = 0 and (pi (x) pi) delta, built
+    as a map into C/W (x) C/W, kills W."""
+    if any(_images(C.field, linear_form(C.dim, C.counit), W.basis())):
+        return False
+    proj = projection(C.space, W)
+    return not any(tensor_after(proj, proj, coproduct(C)).images(W.basis()))
+
+
+def coequalizer_by_cotensor(f):
+    """Reference for DescentReport.coequalizer_ok: A modulo im(p1 - p2) on
+    A box_B A, built as its own cotensor, recovers B.
+
+    The two projections are coalgebra maps, so the image of their difference
+    is a coideal (asserted).  The coequalizer agrees with B exactly when
+    that image is the kernel of f and f is onto.
+    """
+    A = f.source
+    F = A.field
+    M = comodule_along(regular_comodule(A), f.columns, f.target)
+    basis = cotensor(M, M).basis()
+    ident, eps = _identity_columns(F, A.dim), linear_form(A.dim, A.counit)
+    p1 = _tensor_apply_sparse(F, ident, eps, 1, basis)
+    p2 = _tensor_apply_sparse(F, eps, ident, A.dim, basis)
+    coideal = Subspace.from_vectors(A.space, [vec_sub(F, a, b) for a, b in zip(p1, p2)])
+    assert _coideal_by_tensor_space(A, coideal)
+    f_map = map_of(f)
+    return coideal == f_map.kernel() and f_map.image().dim == f.target.dim
 
 
 def flatness_of(f):
@@ -720,7 +750,7 @@ def flatness_of(f):
 def fiber_by_cotensor(f, y):
     """Reference for formal_scheme.fiber: the fiber product of f with the
     inclusion of {y} = Sp*(kappa(y)), a cotensor inside A (x) kappa(y)."""
-    kappa = subcoalgebra_on(f.target, y.kappa, prefix="k")
+    kappa = subcoalgebra_on(f.target, y.kappa)
     return fiber_product(f, SchemeMorphism(kappa, f.target, tuple(y.kappa.basis())))
 
 
@@ -778,7 +808,7 @@ def bosonic_reduction_scheme(C):
     of the canonical superideal of C*.
     """
     carrier = perp(canonical_ideal(dualize_coalgebra(C)).subspace, C.space)
-    sub = subcoalgebra_on(C, carrier, prefix="b")
+    sub = subcoalgebra_on(C, carrier)
     return sub, GradedMap(sub.space, C.space, carrier.basis(), 0)
 
 
@@ -885,7 +915,7 @@ def is_algebraic_at(X, point_index):
             images.append(Subspace.zero(deepest.space))
             dims.append(0)
             continue
-        sub = subcoalgebra_on(C, piece, prefix=f"p{lvl}.")
+        sub = subcoalgebra_on(C, piece)
         chain = coradical_filtration(sub, dual_radical(sub))
         a1 = chain[min(1, len(chain) - 1)]
         img_vecs = inc.images(_images(C.field, piece.basis(), a1.basis()))
@@ -1144,10 +1174,10 @@ def components_by_subcoalgebras(C, rad):
     dual = rad.algebra
     F = C.field
     comps = []
-    for idx, fac in enumerate(local_decomposition_by_residues(dual, rad)):
+    for fac in local_decomposition_by_residues(dual, rad):
         rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
         sub = perp(rest.subspace, C.space)
-        coalg = subcoalgebra_on(C, sub, prefix=f"c{idx}.")
+        coalg = subcoalgebra_on(C, sub)
         comps.append(Component(coalg, sub, fac.degree))
     if sum(c.subspace.dim for c in comps) != C.dim:
         raise AssertionError("components do not fill the coalgebra")

@@ -198,9 +198,9 @@ def test_descent_check_on_a_counit_collapse_builds_one_tower(files, monkeypatch)
 
 
 def test_descent_check_pushes_the_source_once_and_builds_no_coproduct_map(files, monkeypatch):
-    """The coequalizer check reads the pushed comodule that the towers use,
-    and checking the morphism on loading reads the coalgebras' delta
-    columns: neither builds a labelled C (x) C space."""
+    """The towers share one pushed comodule, and checking the morphism on
+    loading reads the coalgebras' delta columns: neither builds a labelled
+    C (x) C space."""
     pushed = _count_calls(monkeypatch, "formal_scheme", "_pushed")
     assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
     assert len(pushed) == 1
@@ -212,6 +212,21 @@ def test_descent_check_pushes_the_source_once_and_builds_no_coproduct_map(files,
                         lambda V, W: calls.append((V.dim, W.dim)) or tensor(V, W))
     assert SchemeMorphism(GK, K, dense_columns(QQ, [[QQ.one, QQ.one]])).validate() == []
     assert calls == []
+
+
+def test_descent_check_builds_no_cotensor_outside_its_towers(files, monkeypatch):
+    """The coequalizer is O(Y)'s degrees 0 and 1, so descent-check builds no
+    A box_B A of its own: at every depth, over B = k and over a target of
+    two points, it makes no cotensor call, and its towers alone cut
+    cotensor kernels."""
+    cotensors = _count_calls(monkeypatch, "formal_scheme", "cotensor")
+    kernels = _count_calls(monkeypatch, "formal_scheme", "cotensor_kernel")
+    for depth in ("0", "1", "2"):
+        assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", depth])
+        text, code = run(["descent-check", files["inclusion.mor"], "--depth", depth])
+        assert code == EXIT_FAIL and "coequalizer FAIL" in text
+    assert cotensors == []
+    assert kernels
 
 
 def test_report_all_computes_components_once(files, monkeypatch):
@@ -471,6 +486,25 @@ def test_descent_tower_over_the_bound_is_unsupported(tmp_path):
     assert text.splitlines()[1] == (
         "unsupported descent tower level 3 lies in a space of dimension 4225 x 65 = "
         f"274625, over the bound {TOWER_AMBIENT_BOUND}")
+
+
+def test_descent_check_at_depth_0_bounds_the_coequalizer_level(tmp_path):
+    """The coequalizer is read off level 2 of O(Y), A box_B A, so depth 0
+    builds that level too, under the bound: on the counit collapse of 513
+    group-likes it lies in a space of dimension 513^2, just over the bound,
+    and the run stops before building it."""
+    assert 512 ** 2 <= TOWER_AMBIENT_BOUND < 513 ** 2
+    C, K = grouplike_coalgebra(513, F3), unit_coalgebra(F3)
+    f = SchemeMorphism.finite(linear_form(C.dim, C.counit), C, K)
+    path = tmp_path / "collapse513.mor"
+    path.write_text(serialize_document(F3, [("C", C), ("K", K), ("f", f, None, ("C", "K"))]))
+    start = time.perf_counter()
+    text, code = run(["descent-check", str(path), "--depth", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_UNSUPPORTED
+    assert text.splitlines()[1] == (
+        "unsupported descent tower level 2 lies in a space of dimension 513 x 513 = "
+        f"263169, over the bound {TOWER_AMBIENT_BOUND}")
 
 
 def test_counit_collapse_tower_over_the_bound_is_refused_before_any_level(tmp_path):

@@ -22,6 +22,7 @@ from superscheme.formal_scheme import (
 )
 from conftest import (
     GradedMap, _alternating_sum, _count_calls, _dense_tower, base_change_morphism,
+    coequalizer_by_cotensor,
     bosonic_reduction_morphism, bosonic_reduction_scheme, bounded_degree_by_dual_action,
     compose, dense, dense_columns, dense_rows, fiber_by_cotensor, flatness_of,
     immersion_fiberwise_check, is_algebraic_at, map_of, matrix_of, point_map, sparse,
@@ -490,6 +491,28 @@ def test_fibers_and_degrees_match_the_cotensor_and_dual_action_references():
             residue_degrees.add(y.component.degree)
         assert finiteness(f) == (max(dims, default=0), bounded_degree_by_dual_action(f))
     assert residue_degrees == {1, 2}
+
+
+def test_coequalizer_is_read_off_degrees_0_and_1_of_o_y(descent_oracle):
+    """descent_check reads the coequalizer A box_B A => A -> B off the
+    complex of O(Y) in degrees 0 and 1, at every depth; the reference
+    builds A box_B A and its two projections itself.  passed is the
+    coequalizer and the exactness of every reported degree, which the dense
+    tower decides apart."""
+    morphisms = _fiber_corpus()
+    assert len(morphisms) == 226
+    verdicts = set()
+    for f in morphisms:
+        coeq = coequalizer_by_cotensor(f)
+        dense = descent_oracle(f, 2)
+        for depth in (0, 1, 2):
+            rep = descent_check(f, depth)
+            assert rep.coequalizer_ok == coeq, (f, depth)
+            exact = all(ok for results in dense for _, ok in results[:depth + 1])
+            assert rep.passed == (coeq and exact), (f, depth)
+        verdicts.add((coeq, dense[0][0][1]))
+    # maps that are not onto fail at degree 0, and some onto maps pass
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_finiteness_of_an_empty_source():

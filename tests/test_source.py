@@ -252,6 +252,29 @@ def test_one_kernel():
             ("superalgebra.py", "_minimal_polynomial")} <= found, found
 
 
+def test_the_descent_complex_decides_the_coequalizer():
+    """The coequalizer is read off the complex of O(Y) in degrees 0 and 1:
+    no second A box_B A (_coequalizer_check) and no coideal check is left,
+    and a subcoalgebra comodule reads its coaction in W (x) C, which is its
+    closure check, without building the subcoalgebra.  The subcoalgebra
+    takes the same read, with no tensor rebuild of its own."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for name in ("_coequalizer_check", "is_coideal"):
+        assert name not in defined, name
+        assert [scope for tree in trees.values() for scope in _references(tree, name)] == [], name
+    assert "subcoalgebra_comodule" not in _references(trees["supercomodule.py"],
+                                                      "subcoalgebra_on")
+    assert "subcoalgebra_comodule" in _references(trees["supercomodule.py"],
+                                                  "_subcoalgebra_read", calls=True)
+    assert "subcoalgebra_on" in _references(trees["supercoalgebra.py"],
+                                            "_subcoalgebra_read", calls=True)
+    assert "subcoalgebra_on" not in _references(trees["supercoalgebra.py"],
+                                                "_tensor_apply_sparse")
+
+
 # Top-level names of the package that only tests reach.  The list may only
 # shrink: a new helper without a caller in src/ or scripts/ fails the guard,
 # and a listed one that gains a caller must leave the list.

@@ -106,8 +106,8 @@ def test_cotensor_counit_isos():
 
 def test_cotensor_opposite_components_vanish():
     C = grouplike_coalgebra(2)
-    M1 = trivial_comodule(C, unit_vec(QQ, 0), prefix="a")
-    M2 = trivial_comodule(C, unit_vec(QQ, 1), prefix="b")
+    M1 = trivial_comodule(C, unit_vec(QQ, 0))
+    M2 = trivial_comodule(C, unit_vec(QQ, 1))
     assert cotensor(M1, M2).dim == 0
     assert cotensor(M1, M1).dim == 1
 

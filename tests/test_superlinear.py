@@ -8,8 +8,8 @@ from hypothesis import given, seed, settings, strategies as st
 from superscheme.fields import QQ, ExtensionField, PrimeField
 from superscheme.superlinear import (
     DimensionMismatch, Echelon, Matrix, Record, Subspace, _axiom_defects, _coaction_defects,
-    _kernel, _parity_defects, _rref_sparse, coordinates, perp, quotient_data,
-    standard_space, unit_vec, vec_add, vec_scale, vec_sub, vector,
+    _kernel, _parity_defects, _read_coordinates, _rref_sparse, coordinates, perp,
+    quotient_data, standard_space, unit_vec, vec_add, vec_scale, vec_sub, vector,
 )
 from superscheme.corpus import Rng
 
@@ -201,13 +201,78 @@ def test_tensor_after_rejects_wrong_size():
 def test_perp_examples():
     V = standard_space(QQ, 2, 0)
     zero = Subspace.zero(V)
-    assert perp(zero) == Subspace.full(V.dual())
-    assert perp(Subspace.full(V)).dim == 0
+    assert perp(zero, V.dual()) == Subspace.full(V.dual())
+    assert perp(Subspace.full(V), V.dual()).dim == 0
     S = Subspace.from_vectors(V, [sparse(QQ, (Fraction(1), Fraction(1)))])
-    P = perp(S)
+    P = perp(S, V.dual())
     assert [dense(QQ, 2, v) for v in P.basis()] == [(Fraction(1), Fraction(-1))]
     assert S.dim + P.dim == V.dim
-    assert perp(P).matrix == S.matrix
+    assert perp(P, V) == S       # V** is V
+
+
+_WIDTH_FIELDS = [QQ, PrimeField(3), ExtensionField(PrimeField(3), (1, 0, 1), "j")]
+
+
+def _width_scalars(F):
+    if F.order is None:
+        return st.builds(rational, st.integers(-3, 3), st.integers(1, 3))
+    return st.sampled_from(list(F.elements()))
+
+
+def _tensor_combination(F, rows, coeffs, width, n):
+    """The dense entries of sum of coeffs[s width + k] rows[s] (x) e_k in
+    V (x) k^width, V of dimension n."""
+    entries = [F.zero] * (n * width)
+    for sk, a in enumerate(coeffs):
+        s, k = divmod(sk, width)
+        for c, b in rows[s]:
+            entries[c * width + k] = F.add(entries[c * width + k], F.mul(a, b))
+    return entries
+
+
+@seed(1618)
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_width_read_matches_a_read_per_slot(data):
+    """_read_coordinates with a tensor width reads V (x) k^width as width
+    slots of V: entry c width + k of a vector is entry c of slot k, and its
+    coordinate s width + k is coordinate s of that slot.  Each vector is a
+    drawn combination of the basis S (x) k^width, perturbed about half the
+    time, so that some vectors lie outside the span.  The reference reads
+    each slot at width 1 and interleaves the coordinates; a vector is in the
+    span exactly when no slot raises the rank of S, and an unperturbed one
+    is read back as its drawn coefficients."""
+    F = data.draw(st.sampled_from(_WIDTH_FIELDS))
+    scalars = _width_scalars(F)
+    width, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
+    drawn = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n), max_size=4))
+    S = Matrix(F, [sparse(F, r) for r in drawn], n).row_space()
+    rows, pivots = S.rows, S.rref()[1]
+    vecs, wanted = [], []
+    for _ in range(data.draw(st.integers(0, 3))):
+        size = len(rows) * width
+        coeffs = data.draw(st.lists(scalars, min_size=size, max_size=size))
+        entries = _tensor_combination(F, rows, coeffs, width, n)
+        perturbed = data.draw(st.booleans())
+        if perturbed:
+            noise = data.draw(st.lists(scalars, min_size=n * width, max_size=n * width))
+            entries = [F.add(a, b) for a, b in zip(entries, noise)]
+        vecs.append(sparse(F, entries))
+        wanted.append(None if perturbed else sparse(F, coeffs))
+    got = _read_coordinates(F, rows, pivots, vecs, width)
+
+    def slots(v):
+        return [tuple((ck // width, a) for ck, a in v if ck % width == k) for k in range(width)]
+
+    inside = all(Matrix(F, rows + (slot,), n).row_space().nrows == len(rows)
+                 for v in vecs for slot in slots(v))
+    reads = [_read_coordinates(F, rows, pivots, slots(v)) for v in vecs]
+    if not inside:
+        assert got is None and None in reads
+        return
+    assert got == [tuple(sorted((s * width + k, a) for k, coords in enumerate(read)
+                                for s, a in coords)) for read in reads]
+    assert all(coords == want for coords, want in zip(got, wanted) if want is not None)
 
 
 def test_parity_defects_find_the_entries_off_parity():
