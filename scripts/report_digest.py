@@ -11,9 +11,13 @@ line it prints `descent-fp seed <s> depth 0 <sha256>`, the same digest of
 `descent-check --depth 0` on the input of each descent-check job: no
 benchmark job runs depth 0.  Then prints
 `corpus seeds 0..<N-1> <sha256>` over the (seed, exit code, report) of
-`corpus --seed s` for s < N (default 50; 0 skips it).  Two trees that print
-the same lines print byte-identical reports.  The benchmark's files are
-only imported, never written.
+`corpus --seed s` for s < N (default 50; 0 skips it), and
+`commands seeds 0..<N-1> <sha256>` over the commands no workload runs:
+per seeded_random("morphism", s) over Q and F3 with s < N, report-all,
+immersion-check, finite-check, fiber-product of f with itself and fiber at
+points 0 to 3 (a point out of range is exit 3).  Two trees that print the
+same lines print byte-identical reports.  The benchmark's files are only
+imported, never written.
 """
 
 import argparse
@@ -30,7 +34,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from superscheme.cli import run  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from superscheme.corpus import seeded_random  # noqa: E402
+from superscheme.fields import QQ, PrimeField  # noqa: E402
+from superscheme.objfile import serialize_document  # noqa: E402
+from workloads import WORKLOADS, Job  # noqa: E402
+
+MORPHISM_COMMANDS = [["report-all"], ["immersion-check"], ["finite-check"],
+                     ["fiber-product", "--f", "f", "--g", "f"]] + [
+    ["fiber", "--morphism", "f", "--point", str(i)] for i in range(4)]
 
 
 def _digest(records):
@@ -78,6 +89,20 @@ def corpus_digest(count):
     return _digest(records)
 
 
+def command_jobs(count):
+    """MORPHISM_COMMANDS on each seeded morphism f: S -> T over Q and F3."""
+    jobs = []
+    for F in (QQ, PrimeField(3)):
+        for seed in range(count):
+            (f,) = seeded_random("morphism", seed, F).payload
+            files = [("morphism.ss", serialize_document(
+                F, [("S", f.source), ("T", f.target), ("f", f, None, ("S", "T"))]))]
+            jobs.extend(Job(f"{F.describe()} {seed} {' '.join(argv)}",
+                            argv[:1] + ["{0}"] + argv[1:], files, None)
+                        for argv in MORPHISM_COMMANDS)
+    return jobs
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", default="1,2,7")
@@ -92,6 +117,7 @@ def main():
                       flush=True)
     if args.corpus:
         print(f"corpus seeds 0..{args.corpus - 1} {corpus_digest(args.corpus)}")
+        print(f"commands seeds 0..{args.corpus - 1} {jobs_digest(command_jobs(args.corpus))}")
     return 0
 
 

@@ -21,15 +21,14 @@ from .superalgebra import (
     local_decomposition, radical, validate_superalgebra,
 )
 from .supercoalgebra import (
-    SearchBoundExceeded, base_change_coalgebra, coradical, coradical_filtration,
+    NotSubcoalgebra, SearchBoundExceeded, base_change_coalgebra, coradical, coradical_filtration,
     direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra, grouplikes,
     grouplikes_over, irreducible_components, tensor_coalgebra, validate_supercoalgebra, wedge,
 )
 from .supercomodule import NotConnected, cotensor, flat_check, validate_comodule
 from .formal_scheme import (
-    CotensorNotSubcoalgebra, descent_check, fiber, fiber_product, finiteness, flatness,
-    is_closed_immersion, is_open_immersion, is_strictly_surjective, is_surjective,
-    morphism_components, points,
+    descent_check, fiber, fiber_product, finiteness, flatness, is_closed_immersion,
+    is_open_immersion, is_strictly_surjective, is_surjective, morphism_components, points,
 )
 
 EXIT_OK = 0
@@ -667,7 +666,7 @@ def run(argv):
     except (FactorizationIncomplete, SearchBoundExceeded, NotConnected, FieldError) as exc:
         return (f"superscheme-report error\nunsupported {exc}\nstatus error\n",
                 EXIT_UNSUPPORTED)
-    except CotensorNotSubcoalgebra as exc:
+    except NotSubcoalgebra as exc:
         return (f"superscheme-report error\nclosure-failure {exc}\nstatus error\n",
                 EXIT_FAIL)
     except InvalidStructure as exc:

@@ -9,8 +9,8 @@ irreducible components (dual local factors) of a coalgebra.
 from __future__ import annotations
 
 from .supercoalgebra import (
-    coradical, dual_radical, irreducible_components, is_coalgebra_morphism, NotSubcoalgebra,
-    SearchBoundExceeded, subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
+    coradical, dual_radical, irreducible_components, is_coalgebra_morphism, SearchBoundExceeded,
+    subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, preimage, regular_comodule,
@@ -20,10 +20,6 @@ from .superlinear import (
     Record, Subspace, _identity_columns, _images, _read_coordinates, _rref_sparse,
     _tensor_apply_sparse, coordinates, linear_form, vec_add, vec_sub,
 )
-
-
-class CotensorNotSubcoalgebra(RuntimeError):
-    """The restricted coproduct failed to close on a cotensor carrier."""
 
 
 class FormalSuperscheme(Record):
@@ -179,34 +175,26 @@ def _pushed(f):
     return comodule_along(regular_comodule(f.source), f.columns, f.target)
 
 
-def _closed_scheme(C, carrier):
-    """The subcoalgebra of C on carrier; a carrier the coproduct does not
-    close on is a CotensorNotSubcoalgebra."""
-    try:
-        return subcoalgebra_on(C, carrier)
-    except NotSubcoalgebra as exc:
-        raise CotensorNotSubcoalgebra(
-            "restricted coproduct does not close on the cotensor carrier") from exc
-
-
 def _fiber_product_carrier(f, g):
     return cotensor(_pushed(f), _pushed(g)), f.source, g.source
 
 
 def fiber_product(f, g):
-    """The cotensor A1 box_B A2, with closure explicitly verified."""
+    """The cotensor A1 box_B A2; a carrier the coproduct does not close on
+    is a NotSubcoalgebra."""
     if f.target is not g.target and f.target != g.target:
         raise ValueError("fiber product needs a shared target")
     carrier, A1, A2 = _fiber_product_carrier(f, g)
-    return _closed_scheme(tensor_coalgebra(A1, A2), carrier)
+    return subcoalgebra_on(tensor_coalgebra(A1, A2), carrier)
 
 
 def fiber(f, y):
     """X_y = X x_Y Sp*(kappa(y)) for a point y of the target: the cotensor
     A box_B kappa(y), read in A as the preimage psi^-1(A (x) kappa(y)) of
-    the coaction psi of A pushed along f, with closure explicitly verified."""
+    the coaction psi of A pushed along f; a carrier the coproduct does not
+    close on is a NotSubcoalgebra."""
     carrier, _ = preimage(_pushed(f), y.kappa)
-    return _closed_scheme(f.source, carrier)
+    return subcoalgebra_on(f.source, carrier)
 
 
 def _point_fibers(f):

@@ -120,11 +120,12 @@ def odd_annihilator_dim(P, I):
     return _combinatorial_dim(P.p, odd_annihilator_contraction(P, I))
 
 
-def ksdim(P, odd_bound=DEFAULT_ODD_SEARCH_BOUND):
-    """(even Krull dimension | largest odd parameter system length)."""
-    if P.q > odd_bound:
-        raise SubsetBoundExceeded(
-            f"{P.q} odd variables exceed the subset search bound {odd_bound}")
+def ksdim(P):
+    """(even Krull dimension | largest odd parameter system length); the
+    subset search takes at most DEFAULT_ODD_SEARCH_BOUND odd variables."""
+    if P.q > DEFAULT_ODD_SEARCH_BOUND:
+        raise SubsetBoundExceeded(f"{P.q} odd variables exceed the subset search "
+                                  f"bound {DEFAULT_ODD_SEARCH_BOUND}")
     even = even_kdim(P)
     best = 0
     for size in range(P.q, 0, -1):

@@ -192,8 +192,8 @@ def ideal_powers(ideal):
     products, and |W| <= dim J."""
     A, power = ideal.algebra, ideal.subspace
     gens, jc = A._odd_generators
-    known = set(jc.matrix.rref()[1])
-    gens = gens + [x for x, c in zip(power.basis(), power.matrix.rref()[1]) if c not in known]
+    known = set(jc.pivots)
+    gens = gens + [x for x, c in zip(power.basis(), power.pivots) if c not in known]
     powers = []
     while power.dim:
         if powers and power.dim >= powers[-1].dim:
@@ -425,17 +425,11 @@ def _lift_idempotent(A, reps, e_bar):
 
 
 def _subalgebra_on(A, sub, unit):
-    """Structure constants of a unital subalgebra given by a closed subspace."""
-    F = A.field
+    """Structure constants of a unital subalgebra given by a closed graded
+    subspace, on the labels of A at its pivots."""
     basis = sub.basis()
-    parities = []
-    for row in basis:
-        ps = {A.parity(j) for j, _ in row}
-        if len(ps) != 1:
-            raise AssertionError("subalgebra basis vector is not homogeneous")
-        parities.append(ps.pop())
-    space = SuperVectorSpace(F, tuple(f"f{i + 1}" for i in range(sub.dim)),
-                             tuple(parities))
+    space = SuperVectorSpace(A.field, tuple(A.space.labels[c] for c in sub.pivots),
+                             sub.parities)
     coords = coordinates(sub, A.products(basis, basis) + [unit])
     if coords is None:
         raise AssertionError("a product or the unit escapes the subalgebra subspace")

@@ -26,7 +26,7 @@ from .superlinear import (
 
 
 class NotSubcoalgebra(ValueError):
-    """delta(W) does not lie in W (x) W."""
+    """delta(W) does not lie in W (x) W: the carrier does not close."""
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -144,10 +144,10 @@ def _subcoalgebra_read(C, W):
     F = C.field
     if not W.is_graded():
         raise ValueError("subcoalgebra test needs a graded subspace")
-    _, pivots = W.matrix.rref()
+    pivots = W.pivots
     psi = _read_coordinates(F, W.matrix.rows, pivots, _images(F, C.delta, W.basis()), C.dim)
     if psi is None:
-        raise NotSubcoalgebra("subspace is not a subcoalgebra")
+        raise NotSubcoalgebra("restricted coproduct does not close on the cotensor carrier")
     space = SuperVectorSpace(F, tuple(C.space.labels[c] for c in pivots), W.parities)
     return space, pivots, psi
 
@@ -283,7 +283,7 @@ def _koszul_signed(A):
     return make_superalgebra(A.space, cop, A.unit)
 
 
-def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
+def grouplikes_over(C, R):
     """All group-likes in (R (x) C)_even, as the rows of R.dim x C.dim
     coefficient matrices, in the order of their entries (row-major, field
     elements in sort_key order).
@@ -292,8 +292,8 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
     Koszul-signed dual A of C, found by enumerate_homs on the word basis of
     the generators kept greedily from the basis of A: b_i is kept when the
     basis grown so far does not contain it.  The depth-first search visits
-    at most q^(sum over generators g of dim R_|g|) complete assignments;
-    that count, computed before the search, must not exceed the bound.
+    at most q^(sum over generators g of dim R_|g|) complete assignments, a
+    count checked against DEFAULT_GROUPLIKE_BOUND before the search.
     """
     F = C.field
     if not F.is_finite():
@@ -308,12 +308,12 @@ def grouplikes_over(C, R, bound=DEFAULT_GROUPLIKE_BOUND):
             slots += R.space.sdim[A.parity(i)]
     q = F.order
     total = q ** slots
-    if total > bound:
+    if total > DEFAULT_GROUPLIKE_BOUND:
         (re, ro), (ce, co) = R.space.sdim, C.space.sdim
         blind = q ** (re * ce + ro * co)
         raise SearchBoundExceeded(
             f"{total} candidates (blind scan of the even slots: {blind}) "
-            f"exceed the configured bound {bound}")
+            f"exceed the configured bound {DEFAULT_GROUPLIKE_BOUND}")
     rank = {c: r for r, c in enumerate(sorted(F.elements(), key=F.sort_key))}
     n = C.dim
     # phi is the element sum_i phi(a_i) (x) a_i* of R (x) C, read by R-row

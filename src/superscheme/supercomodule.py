@@ -169,11 +169,6 @@ class FlatVerdict(Record):
     free: bool
     rank: tuple = None
 
-    def __str__(self):
-        if self.free:
-            return f"free of rank {self.rank[0]}|{self.rank[1]}"
-        return "not flat"
-
 
 def flat_check(M):
     """Lemma: over a connected coalgebra, flat comodule <=> free comodule.

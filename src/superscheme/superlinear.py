@@ -531,12 +531,17 @@ class Subspace:
                                   for v in self.basis()]) is not None
 
     @property
+    def pivots(self):
+        """The pivot column of each echelon row, ascending."""
+        return self.matrix.rref()[1]
+
+    @property
     def parities(self):
         """The parity of each echelon row's pivot.  In a graded subspace W
         it is the row's parity: the row's component of that parity lies in
         W and has the row's entries on the pivots, so it is the row."""
         par = self.space.parities
-        return tuple(par[c] for c in self.matrix.rref()[1])
+        return tuple(par[c] for c in self.pivots)
 
     @property
     def sdim(self):
@@ -824,8 +829,7 @@ def perp(sub, space):
 def coordinates(sub, vecs):
     """Coordinates of each vector in the canonical basis of sub, as vectors
     over its rows, or None if any of them lies outside sub."""
-    _, pivots = sub.matrix.rref()
-    return _read_coordinates(sub.space.field, sub.matrix.rows, pivots, vecs)
+    return _read_coordinates(sub.space.field, sub.matrix.rows, sub.pivots, vecs)
 
 
 def _read_coordinates(F, rows, pivots, vecs, width=1):
@@ -841,19 +845,10 @@ def _read_coordinates(F, rows, pivots, vecs, width=1):
     row_of = dict(zip(pivots, itertools.count()))
     vecs = list(vecs)
     # pivots ascend with their rows, so the coordinates come out sorted
-    if width == 1:
-        # the plain read: the general one pays a // and a % per entry and a
-        # product with the entry of id_1 per row entry, 2-4% of contains
-        # and is_graded over F3
-        out = [tuple([(row_of[c], a) for c, a in v if c in row_of]) for v in vecs]
-        rebuilt = _images(F, rows, out)
-    else:
-        out = [tuple([(row_of[c // width] * width + c % width, a) for c, a in v
-                      if c // width in row_of]) for v in vecs]
-        rebuilt = _tensor_apply_sparse(F, rows, _identity_columns(F, width), width, out)
-    if not all(map(operator.eq, rebuilt, vecs)):
-        return None
-    return out
+    out = [tuple([(row_of[c // width] * width + c % width, a) for c, a in v
+                  if c // width in row_of]) for v in vecs]
+    rebuilt = _tensor_apply_sparse(F, rows, _identity_columns(F, width), width, out)
+    return out if all(map(operator.eq, rebuilt, vecs)) else None
 
 
 def quotient_data(space, sub):
@@ -865,7 +860,7 @@ def quotient_data(space, sub):
     basis vector reps[q] of V.  The projection is even when W is graded.
     """
     F = space.field
-    red, pivots = sub.matrix.rref()
+    pivots = sub.pivots
     pivot_set = set(pivots)
     reps = [c for c in range(space.dim) if c not in pivot_set]
     qspace = SuperVectorSpace(F, tuple(space.labels[c] for c in reps),
@@ -874,6 +869,6 @@ def quotient_data(space, sub):
     # negated rest of its echelon row, whose other entries lie off the pivots
     slot = {r: q for q, r in enumerate(reps)}
     cols = {r: ((q, F.one),) for r, q in slot.items()}
-    for row, pc in zip(red.rows, pivots):
+    for row, pc in zip(sub.matrix.rows, pivots):
         cols[pc] = tuple((slot[j], F.neg(a)) for j, a in row if j != pc)
     return qspace, [cols[c] for c in range(space.dim)], reps

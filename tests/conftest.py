@@ -19,7 +19,7 @@ from superscheme.formal_scheme import (  # noqa: E402
 )
 from superscheme.superalgebra import (  # noqa: E402
     LocalFactor, Superideal, _frobenius_kernel, _lift_idempotent,
-    _semisimple_idempotent, _subalgebra_on, _trace_form_kernel,
+    _semisimple_idempotent, _trace_form_kernel,
     canonical_ideal, ideal_generated_by, local_decomposition, make_superalgebra,
     monomial_superalgebra, quotient_by_superideal, radical, tensor_superalgebra,
 )
@@ -1115,6 +1115,27 @@ def flat_by_lifting(M):
 # quotient of dimension 1 as the base field and a decomposition into one
 # piece as the object itself
 
+def subalgebra_by_homogeneous_rows(A, sub, unit):
+    """Reference for superalgebra._subalgebra_on: the parity of each basis
+    row read off its entries, which must all have one parity, and the rows
+    labelled f1, ..., fn."""
+    F = A.field
+    basis = sub.basis()
+    parities = []
+    for row in basis:
+        ps = {A.parity(j) for j, _ in row}
+        if len(ps) != 1:
+            raise AssertionError("subalgebra basis vector is not homogeneous")
+        parities.append(ps.pop())
+    space = SuperVectorSpace(F, tuple(f"f{i + 1}" for i in range(sub.dim)),
+                             tuple(parities))
+    coords = coordinates(sub, A.products(basis, basis) + [unit])
+    if coords is None:
+        raise AssertionError("a product or the unit escapes the subalgebra subspace")
+    *products, ucoords = coords
+    return make_superalgebra(space, _transpose(products, sub.dim), ucoords)
+
+
 def radical_by_quotient(A):
     """Reference for superalgebra.radical: the preimage of the radical of
     A/J, J the canonical ideal, with A/J built whatever its dimension."""
@@ -1150,7 +1171,7 @@ def local_decomposition_by_residues(A, rad):
             B, incl, rad_b = A, _identity_columns(F, A.dim), rad
         else:
             sub = ideal_generated_by(A, [e]).subspace
-            B, incl = _subalgebra_on(A, sub, e), sub.basis()
+            B, incl = subalgebra_by_homogeneous_rows(A, sub, e), sub.basis()
             rad_b = radical_by_quotient(B)
         S, _, reps = quotient_by_superideal(B, rad_b)
         e_bar = None if S.dim == 1 else _semisimple_idempotent(S)

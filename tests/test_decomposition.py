@@ -12,7 +12,9 @@ tensor products of dimension at most 16, and seeded monomial algebras.
 import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superalgebra import local_decomposition, radical
+from superscheme.superalgebra import (
+    _subalgebra_on, ideal_generated_by, local_decomposition, radical,
+)
 from superscheme.supercoalgebra import (
     coradical, dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
 )
@@ -20,7 +22,7 @@ from superscheme.supercomodule import flat_check, regular_comodule, trivial_como
 
 from conftest import (
     ALGEBRA_KINDS as KINDS, components_by_subcoalgebras, flat_check_by_residue,
-    local_decomposition_by_residues, radical_by_quotient,
+    local_decomposition_by_residues, radical_by_quotient, subalgebra_by_homogeneous_rows,
 )
 
 F3 = PrimeField(3)
@@ -63,3 +65,25 @@ def test_decomposition_matches_the_general_path(fname, kind):
             modules.append(trivial_comodule(C, g, 1, 1))
         for M in modules:
             assert _outcome(flat_check, M) == _outcome(flat_check_by_residue, M), name
+
+
+@pytest.mark.parametrize("kind", ["canonical", "tensor"])
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_a_split_local_factor_is_its_parent_at_the_pivots(fname, kind):
+    """Per split local factor eA of an algebra A, as local_decomposition
+    builds it: the structure, unit and parities of the reference that reads
+    each row's parity off its entries, and the labels of A at the pivots.
+    The monomial algebras are local, so they split into no factor."""
+    split, odd = 0, 0
+    for name, A in KINDS[kind](FIELDS[fname]):
+        for factor in local_decomposition(A, radical(A)):
+            e = factor.idempotent
+            if e == A.unit:
+                continue
+            sub = ideal_generated_by(A, [e]).subspace
+            B, ref = _subalgebra_on(A, sub, e), subalgebra_by_homogeneous_rows(A, sub, e)
+            assert (B.cop, B.unit, B.space.parities) == \
+                (ref.cop, ref.unit, ref.space.parities), name
+            assert B.space.labels == tuple(A.space.labels[c] for c in sub.pivots), name
+            split, odd = split + 1, odd + sum(B.space.parities)
+    assert split and (odd or kind == "canonical")

@@ -75,11 +75,13 @@ def test_ksdim_odd_bounded_by_q():
         assert val[1] <= P.q
 
 
-def test_subset_bound():
+def test_subset_bound(monkeypatch):
+    from superscheme import ksdim as ksdim_module
     P = presentation(0, 13, [])
     with pytest.raises(SubsetBoundExceeded):
         ksdim(P)
-    assert ksdim(P, odd_bound=13) == (0, 13)
+    monkeypatch.setattr(ksdim_module, "DEFAULT_ODD_SEARCH_BOUND", 13)
+    assert ksdim(P) == (0, 13)
 
 
 def test_fiber_dimension_split_projection():

@@ -49,9 +49,10 @@ def test_report_digest_prints_one_stable_digest_per_workload(tmp_path):
     assert [line.split()[:-1] for line in lines] == [
         ["structure-q", "seed", "1"], ["descent-fp", "seed", "1"],
         ["descent-fp", "seed", "1", "depth", "0"],
-        ["grouplike-scan-fp", "seed", "1"], ["corpus", "seeds", "0..1"]]
+        ["grouplike-scan-fp", "seed", "1"], ["corpus", "seeds", "0..1"],
+        ["commands", "seeds", "0..1"]]
     assert all(len(line.split()[-1]) == 64 for line in lines)
-    assert len({line.split()[-1] for line in lines}) == 5
+    assert len({line.split()[-1] for line in lines}) == 6
     assert _run_elsewhere(tmp_path, *args).splitlines() == lines
     assert not list(tmp_path.iterdir())     # the inputs went to a temporary directory
 

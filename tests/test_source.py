@@ -275,6 +275,30 @@ def test_the_descent_complex_decides_the_coequalizer():
                                                 "_tensor_apply_sparse")
 
 
+def test_a_subobject_is_read_one_way():
+    """One coordinate read with no branch, pivots read through
+    Subspace.pivots outside superlinear, one closure failure
+    (NotSubcoalgebra, with no cotensor wrapper), no string form of a flat
+    verdict, and no search bound a caller can pass."""
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    functions = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    read = functions["_read_coordinates"]
+    assert not [node for node in ast.walk(read) if isinstance(node, ast.If)]
+    assert "CotensorNotSubcoalgebra" not in classes
+    assert "_closed_scheme" not in functions
+    assert "__str__" not in {node.name for node in classes["FlatVerdict"].body
+                             if isinstance(node, ast.FunctionDef)}
+    assert [name for name, text in texts.items()
+            if name != "superlinear.py" and ".matrix.rref(" in text] == []
+    for name in ("grouplikes_over", "ksdim"):
+        args = functions[name].args
+        assert args.defaults == [] and args.kw_defaults == [], name
+
+
 # Top-level names of the package that only tests reach.  The list may only
 # shrink: a new helper without a caller in src/ or scripts/ fails the guard,
 # and a listed one that gains a caller must leave the list.

@@ -399,12 +399,15 @@ def test_grouplikes_over_matches_scan(grouplike_oracle):
                     field.describe(), name, R.space.labels)
 
 
-def test_grouplikes_over_bound():
+def test_grouplikes_over_bound(monkeypatch):
+    from superscheme import supercoalgebra
     C = dualize_algebra(grassmann(2, F3))
     R = grassmann(2, F3)
+    monkeypatch.setattr(supercoalgebra, "DEFAULT_GROUPLIKE_BOUND", 10)
     with pytest.raises(SearchBoundExceeded, match=r"^81 candidates .*: 6561\) .* 10$"):
-        grouplikes_over(C, R, bound=10)
-    assert len(grouplikes_over(C, R, bound=81)) == 81
+        grouplikes_over(C, R)
+    monkeypatch.setattr(supercoalgebra, "DEFAULT_GROUPLIKE_BOUND", 81)
+    assert len(grouplikes_over(C, R)) == 81
 
 
 def test_tensor_coalgebra_examples():

@@ -233,15 +233,15 @@ def _tensor_combination(F, rows, coeffs, width, n):
 @seed(1618)
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_width_read_matches_a_read_per_slot(data):
+def test_width_read_matches_a_read_per_slot(dense_reference, data):
     """_read_coordinates with a tensor width reads V (x) k^width as width
     slots of V: entry c width + k of a vector is entry c of slot k, and its
     coordinate s width + k is coordinate s of that slot.  Each vector is a
     drawn combination of the basis S (x) k^width, perturbed about half the
-    time, so that some vectors lie outside the span.  The reference reads
-    each slot at width 1 and interleaves the coordinates; a vector is in the
-    span exactly when no slot raises the rank of S, and an unperturbed one
-    is read back as its drawn coefficients."""
+    time, so that some vectors lie outside the span.  The reference solves
+    S^T x = slot k densely for each slot and interleaves the solutions; a
+    vector is in the span exactly when no slot raises the rank of S, and an
+    unperturbed one is read back as its drawn coefficients."""
     F = data.draw(st.sampled_from(_WIDTH_FIELDS))
     scalars = _width_scalars(F)
     width, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
@@ -266,12 +266,13 @@ def test_width_read_matches_a_read_per_slot(data):
 
     inside = all(Matrix(F, rows + (slot,), n).row_space().nrows == len(rows)
                  for v in vecs for slot in slots(v))
-    reads = [_read_coordinates(F, rows, pivots, slots(v)) for v in vecs]
+    rows_t = dense_reference.transpose([dense(F, n, r) for r in rows], n)
+    reads = [dense_reference.solve(F, rows_t, len(rows), [dense(F, n, slot) for slot in slots(v)])
+             for v in vecs]
     if not inside:
         assert got is None and None in reads
         return
-    assert got == [tuple(sorted((s * width + k, a) for k, coords in enumerate(read)
-                                for s, a in coords)) for read in reads]
+    assert got == [sparse(F, [xs[s] for s in range(len(rows)) for xs in read]) for read in reads]
     assert all(coords == want for coords, want in zip(got, wanted) if want is not None)
 
 
