@@ -42,6 +42,10 @@ CORPUS_KINDS = ("subspace-triple", "comodule", "morphism", "presentation",
                 "presentation-morphism")
 
 
+class ArgumentError(Exception):
+    """A well-formed argument that names nothing in the parsed input."""
+
+
 class Report:
     def __init__(self, command, docs=()):
         self.lines = [f"superscheme-report {command}", f"tool-version {__version__}"]
@@ -300,7 +304,8 @@ def cmd_fiber(args):
     f = doc.get(args.morphism, "morphism")
     pts = points(f.target)
     if args.point >= len(pts):
-        raise ParseError(f"target has only {len(pts)} points")
+        raise ArgumentError(f"point {args.point} out of range: the target has {len(pts)} point"
+                            + "s" * (len(pts) != 1))
     fib = fiber(f, pts[args.point])
     rep.add("morphism", args.morphism)
     rep.add("point", args.point)
@@ -661,8 +666,9 @@ def run(argv):
         return "superscheme-report error\nargument-error\nstatus error\n", EXIT_IO
     try:
         text, code = args.handler(args)
-    except ParseError as exc:
-        return f"superscheme-report error\nparse-error {exc}\nstatus error\n", EXIT_IO
+    except (ParseError, ArgumentError) as exc:
+        kind = "parse" if isinstance(exc, ParseError) else "argument"
+        return f"superscheme-report error\n{kind}-error {exc}\nstatus error\n", EXIT_IO
     except (FactorizationIncomplete, SearchBoundExceeded, NotConnected, FieldError) as exc:
         return (f"superscheme-report error\nunsupported {exc}\nstatus error\n",
                 EXIT_UNSUPPORTED)

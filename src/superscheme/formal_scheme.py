@@ -8,6 +8,8 @@ irreducible components (dual local factors) of a coalgebra.
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 from .supercoalgebra import (
     coradical, dual_radical, irreducible_components, is_coalgebra_morphism, SearchBoundExceeded,
     subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
@@ -17,7 +19,7 @@ from .supercomodule import (
     subcoalgebra_comodule,
 )
 from .superlinear import (
-    Record, Subspace, _identity_columns, _images, _read_coordinates, _rref_sparse,
+    Echelon, Record, Subspace, _identity_columns, _images, _read_coordinates,
     _tensor_apply_sparse, coordinates, linear_form, vec_add, vec_sub,
 )
 
@@ -291,44 +293,43 @@ def _check_ambient(n, prev_dim, a_dim):
 def _iterated_cotensor_tower(M, A, reg, depth):
     """Levels T_n = M box_B A^{box n} with their boundaries, built iteratively.
 
-    reg is A as a right B-comodule.  Face j collapses A-slot j with the
-    counit of A (the net effect of applying the structure map there); faces
-    j < n - 1 of T_n are those of T_(n-1) tensored with id_A, and face n - 1
-    is id (x) eps.  So the alternating face sum is d_n = (d_(n-1) (x) id_A) +
-    (-1)^(n-1) id (x) eps, with d_1 = id (x) eps.  Maps are kept as sparse
-    columns.  Over B = k the cotensor is the whole tensor T_(n-1) (x) A, its
-    basis vector (s, a) at index s dim A + a with parity p_s + q_a, so d_n is
-    written down by index arithmetic and a level has no carrier and no
-    coaction; as dim T_n = dim M (dim A)^n, a tower with a level over
-    TOWER_AMBIENT_BOUND is refused at once.  Otherwise T_n is the cotensor of
-    T_(n-1) with A, its basis vector s row s of its carrier, and its coaction
-    and (for n > 1) d_(n-1) (x) id_A are read back in that carrier; a level
-    whose ambient space exceeds TOWER_AMBIENT_BOUND is not built.  A level
-    keeps the parities of its basis, not a labelled space.
+    reg is A as a right B-comodule, B the coalgebra of M.  Face j collapses
+    A-slot j with the counit of A (the net effect of applying the structure map
+    there); faces j < n - 1 of T_n are those of T_(n-1) tensored with id_A, and
+    face n - 1 is id (x) eps.  So the alternating face sum is d_n = (d_(n-1)
+    (x) id_A) + (-1)^(n-1) id (x) eps, with d_1 = id (x) eps.  Maps are kept as
+    sparse columns.  Over B = k the cotensor is the whole tensor T_(n-1) (x) A,
+    its basis vector (s, a) at index s dim A + a with parity p_s + q_a, so d_n
+    is written down by index arithmetic, a level has no carrier and no
+    coaction, and reg may be None; as dim T_n = dim M (dim A)^n, a tower with a
+    level over TOWER_AMBIENT_BOUND is refused at once.  Otherwise T_n is the
+    cotensor of T_(n-1) with A, its basis vector s row s of its carrier, and
+    its coaction and (for n > 1) d_(n-1) (x) id_A are read back in that
+    carrier; a level whose ambient space exceeds TOWER_AMBIENT_BOUND is not
+    built.  A level keeps the parities of its basis, not a labelled space.
     """
     F = M.field
-    B_dim = reg.coalgebra.dim
     a_dim, a_parities = A.dim, A.space.parities
-    eps = linear_form(a_dim, A.counit)
     levels = [_TowerLevel(F, M.space.parities, M.psi)]
-    if B_dim == 1:
+    if M.coalgebra.dim == 1:
         for n in range(1, depth + 1):
             _check_ambient(n, M.dim * a_dim ** (n - 1), a_dim)
         for n in range(1, depth + 1):
             prev = levels[-1]
             sign = F.one if n % 2 else F.neg(F.one)
-            # the id (x) eps term of column (s, a), at index s
-            ends = [F.mul(sign, e[0][1]) if e else None for e in eps]
+            ends = {a: F.mul(sign, e) for a, e in A.counit}    # id (x) eps of (s, a), at s
             boundary = []
             for s, col in enumerate(prev.boundary or [()] * prev.dim):
-                for a, end in enumerate(ends):
-                    lifted = tuple((i * a_dim + a, c) for i, c in col)
-                    boundary.append(lifted if end is None else vec_add(F, lifted, ((s, end),)))
+                base = [(i * a_dim, c) for i, c in col]     # d_(n-1) column s, lifted once
+                cols = [tuple([(j + a, c) for j, c in base]) for a in range(a_dim)]
+                for a, end in ends.items():
+                    cols[a] = vec_add(F, cols[a], ((s, end),))
+                boundary += cols
             parities = tuple((p + q) % 2 for p in prev.parities for q in a_parities)
             levels.append(_TowerLevel(F, parities, None, boundary=boundary))
         return levels
-    rho, theta = reg.psi, reg.left_coaction()
-    ident_A = _identity_columns(F, a_dim)
+    B_dim, rho, theta = M.coalgebra.dim, reg.psi, reg.left_coaction()
+    ident_A, eps = _identity_columns(F, a_dim), linear_form(a_dim, A.counit)
     for n in range(1, depth + 1):
         prev = levels[-1]
         _check_ambient(n, prev.dim, a_dim)
@@ -365,7 +366,9 @@ def _complex_exactness(levels, depth):
 
     Once consecutive boundaries compose to zero, im d_(n+1) lies in ker d_n,
     so the complex is exact at T_n exactly when rank d_n + rank d_(n+1) =
-    dim T_n, with d_0 = 0.
+    dim T_n, with d_0 = 0.  So rank d_(n+1) <= dim T_n - rank d_n, and the
+    columns of d_(n+1) join one Echelon only until that cap: the span is then
+    ker d_n, which holds every later column, so the rank stays exact.
     """
     F = levels[0].field
     # lower o upper, read as (lower (x) id_k) on T_n (x) k = T_n
@@ -373,7 +376,11 @@ def _complex_exactness(levels, depth):
     for lower, upper in zip(levels[1:], levels[2:]):
         if any(_tensor_apply_sparse(F, lower.boundary, ident_k, 1, upper.boundary)):
             raise AssertionError("boundary maps do not compose to zero")
-    ranks = [0] + [len(_rref_sparse(F, level.boundary)[1]) for level in levels[1:]]
+    ranks = [0]
+    for prev, level in zip(levels, levels[1:]):
+        cap, echelon = prev.dim - ranks[-1], Echelon(F)
+        echelon.extend(takewhile(lambda _: len(echelon.red) < cap, level.boundary))
+        ranks.append(len(echelon.red))
     return [(deg, ranks[deg] + ranks[deg + 1] == levels[deg].dim)
             for deg in range(depth + 1)]
 
@@ -401,7 +408,7 @@ def descent_check(f, depth=3):
         raise SearchBoundExceeded(
             f"descent depth {depth} is over the bound {TOWER_DEPTH_BOUND}")
     A, B = f.source, f.target
-    reg = _pushed(f)
+    reg = _pushed(f) if B.dim > 1 else None
 
     def degrees(M, top):
         return tuple(_complex_exactness(_iterated_cotensor_tower(M, A, reg, top + 1), top))

@@ -198,11 +198,15 @@ def test_descent_check_on_a_counit_collapse_builds_one_tower(files, monkeypatch)
 
 
 def test_descent_check_pushes_the_source_once_and_builds_no_coproduct_map(files, monkeypatch):
-    """The towers share one pushed comodule, and checking the morphism on
-    loading reads the coalgebras' delta columns: neither builds a labelled
-    C (x) C space."""
+    """The towers share one pushed comodule, and a point target (B = k),
+    whose towers are written down by index arithmetic, builds none; checking
+    the morphism on loading reads the coalgebras' delta columns: neither
+    builds a labelled C (x) C space."""
     pushed = _count_calls(monkeypatch, "formal_scheme", "_pushed")
     assert "descent pass" in _ok(["descent-check", files["collapse.mor"], "--depth", "2"])
+    assert len(pushed) == 0
+    text, code = run(["descent-check", files["inclusion.mor"], "--depth", "2"])
+    assert code == EXIT_FAIL and "exact kappa(1) degree 0 NO" in text.splitlines()
     assert len(pushed) == 1
     GK = grouplike_coalgebra(2)
     K = unit_coalgebra(QQ)
@@ -382,10 +386,12 @@ def test_descent_check_rejects_a_negative_depth(files, depth, code, line):
 @pytest.mark.parametrize("point, code, line", [
     ("-1", EXIT_IO, "argument-error"),
     ("0", EXIT_OK, "fiber-dim 2"),
-    ("1", EXIT_IO, "parse-error target has only 1 points"),
+    ("1", EXIT_IO, "argument-error point 1 out of range: the target has 1 point"),
 ])
 def test_fiber_rejects_a_point_out_of_range(files, point, code, line):
-    """A negative index would read the points from the end."""
+    """A negative index would read the points from the end; an index past
+    the last point is an argument error, not a parse error, as the file
+    parsed."""
     text, got = run(["fiber", files["collapse.mor"], "--morphism", "f", "--point", point])
     assert got == code and line in text.splitlines(), text
 
@@ -395,7 +401,7 @@ def test_fiber_rejects_a_point_out_of_range(files, point, code, line):
     (["descent-check", "collapse.mor", "--depth"], EXIT_UNSUPPORTED,
      f"unsupported descent depth {{}} is over the bound {TOWER_DEPTH_BOUND}"),
     (["fiber", "collapse.mor", "--morphism", "f", "--point"], EXIT_IO,
-     "parse-error target has only 1 points"),
+     "argument-error point {} out of range: the target has 1 point"),
     (["corpus", "--seed"], EXIT_OK, "entry subspace-triple seed {} pass"),
 ])
 def test_huge_counts_keep_the_exit_code_contract(files, value, argv, code, line):
@@ -1326,7 +1332,10 @@ def test_fiber_and_finite_check_reports_are_pinned(tmp_path, key):
         assert run(["fiber", str(path), "--morphism", "f", "--point", str(i)]) == \
             (report("fiber", f"point {i}", *lines), EXIT_OK)
     text, code = run(["fiber", str(path), "--morphism", "f", "--point", str(len(fiber_lines))])
-    assert code == EXIT_IO and f"target has only {len(fiber_lines)} points" in text
+    count = f"{len(fiber_lines)} point" + "s" * (len(fiber_lines) != 1)
+    assert (text, code) == ("superscheme-report error\nargument-error point "
+                            f"{len(fiber_lines)} out of range: the target has {count}\n"
+                            "status error\n", EXIT_IO)
 
 
 def test_finite_check_takes_each_preimage_once(tmp_path, monkeypatch):

@@ -7,14 +7,16 @@ from pathlib import Path
 import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
-from superscheme.superlinear import Matrix, SuperVectorSpace, linear_form, unit_vec
+from superscheme.superlinear import (
+    Echelon, Matrix, SuperVectorSpace, _rref_sparse, linear_form, unit_vec,
+)
 from superscheme.superalgebra import WordBasis, enumerate_homs, monomial_superalgebra
-from superscheme.supercomodule import comodule_along, regular_comodule
+from superscheme.supercomodule import comodule_along, regular_comodule, subcoalgebra_comodule
 from superscheme.supercoalgebra import (
     base_change_coalgebra, direct_sum_coalgebra, dualize_algebra, grouplikes_over,
     make_supercoalgebra, tensor_coalgebra, unit_coalgebra,
 )
-from superscheme import formal_scheme
+from superscheme import formal_scheme, superlinear
 from superscheme.formal_scheme import (
     FormalSuperscheme, SchemeMorphism, descent_check, fiber, fiber_product, finiteness,
     identity_morphism, is_closed_immersion, is_open_immersion, is_strictly_surjective,
@@ -382,6 +384,58 @@ def test_complex_exactness_is_checked_under_python_O():
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines()[-1] == \
         "AssertionError: boundary maps do not compose to zero"
+
+
+def test_capped_ranks_are_the_full_ranks_and_the_verdicts_the_dense_ones(
+        monkeypatch, descent_oracle):
+    """_complex_exactness stops eliminating the columns of d_n once the rank
+    reaches dim T_(n-1) - rank d_(n-1); the ranks it finds are those of a
+    full elimination of every column, and its per-degree verdicts are the
+    dense tower's, for every test comodule of every morphism of the fiber
+    corpus at depths 0, 1 and 2."""
+    echelons = []
+
+    class Recorded(Echelon):
+        def __init__(self, F):
+            super().__init__(F)
+            echelons.append(self)
+
+    for module in (formal_scheme, superlinear):
+        monkeypatch.setattr(module, "Echelon", Recorded, raising=False)
+    morphisms = _fiber_corpus()
+    assert len(morphisms) == 226
+    for f in morphisms:
+        A, B = f.source, f.target
+        reg = comodule_along(regular_comodule(A), f.columns, B)
+        tests = [regular_comodule(B)] + [subcoalgebra_comodule(B, y.kappa) for y in points(B)]
+        for M, dense in zip(tests, descent_oracle(f, 2), strict=True):
+            levels = formal_scheme._iterated_cotensor_tower(M, A, reg, 3)
+            full = [len(_rref_sparse(A.field, level.boundary)[1]) for level in levels[1:]]
+            for depth in (0, 1, 2):
+                echelons.clear()
+                verdicts = formal_scheme._complex_exactness(levels[:depth + 2], depth)
+                assert [len(e.red) for e in echelons] == full[:depth + 1], (f, depth)
+                assert tuple(verdicts) == dense[:depth + 1], (f, depth)
+
+
+def test_capped_elimination_of_the_g3_collapse_takes_73_rows(monkeypatch):
+    """On the counit collapse of Grassmann(3)* over F3 at depth 2 the levels
+    have dimensions 1, 8, 64 and 512, and d_1, d_2, d_3 have ranks 1, 7 and
+    57, each the cap dim T_(n-1) - rank d_(n-1).  Each elimination stops at
+    its cap, after 1, 8 and 64 of the 584 columns."""
+    f = _collapse(dualize_algebra(grassmann(3, F3)))
+    reg = comodule_along(regular_comodule(f.source), f.columns, f.target)
+    levels = formal_scheme._iterated_cotensor_tower(regular_comodule(f.target), f.source, reg, 3)
+    assert [level.dim for level in levels] == [1, 8, 64, 512]
+    rows = []
+    extend = Echelon.extend
+
+    def counted(self, given):
+        return extend(self, (rows.append(row) or row for row in given))
+
+    monkeypatch.setattr(Echelon, "extend", counted)
+    assert formal_scheme._complex_exactness(levels, 2) == [(0, True), (1, True), (2, True)]
+    assert len(rows) == 73
 
 
 def test_point_image_check_holds_under_python_O():

@@ -26,21 +26,28 @@ def test_script_runs_from_any_directory(tmp_path, script, seeds):
 
 
 def test_size_wall_prints_one_row_per_grassmann_dual(tmp_path):
-    lines = _run_elsewhere(tmp_path, "size_wall.py", "--max", "3").splitlines()
+    """The descent column of Grassmann(7)*, whose collapse tower at depth 2
+    is over TOWER_AMBIENT_BOUND, reads bound."""
+    lines = _run_elsewhere(tmp_path, "size_wall.py", "--max", "7").splitlines()
     assert lines[0].split() == ["coalgebra", "dim", "dual+validate", "filtration",
-                                "flat_check", "components", "validate", "radical+ksdim"]
-    assert [line.split()[:2] for line in lines[1:]] == [
-        ["Grassmann(1)*", "2"], ["Grassmann(2)*", "4"], ["Grassmann(3)*", "8"]]
+                                "flat_check", "components", "validate", "radical+ksdim",
+                                "descent"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [[f"Grassmann({n})*", str(2 ** n)] for n in range(1, 8)]
+    assert [row[-1] == "bound" for row in rows] == [False] * 6 + [True]
+    assert all(float(t) >= 0 for row in rows for t in row[2:] if t != "bound")
 
 
 def test_size_wall_prints_its_rows_as_one_json_object(tmp_path):
-    rows = json.loads(_run_elsewhere(tmp_path, "size_wall.py", "--max", "3", "--json"))
-    assert list(rows) == ["Grassmann(1)*", "Grassmann(2)*", "Grassmann(3)*"]
-    assert [row["dim"] for row in rows.values()] == [2, 4, 8]
+    rows = json.loads(_run_elsewhere(tmp_path, "size_wall.py", "--max", "7", "--json"))
+    assert list(rows) == [f"Grassmann({n})*" for n in range(1, 8)]
+    assert [row["dim"] for row in rows.values()] == [2 ** n for n in range(1, 8)]
     for row in rows.values():
         assert list(row) == ["dim", "dual+validate", "filtration", "flat_check", "components",
-                             "validate", "radical+ksdim"]
-        assert all(isinstance(t, float) and t >= 0 for t in list(row.values())[1:])
+                             "validate", "radical+ksdim", "descent"]
+        assert all(isinstance(t, float) and t >= 0 for t in list(row.values())[1:-1])
+    assert [row["descent"] is None for row in rows.values()] == [False] * 6 + [True]
+    assert all(isinstance(row["descent"], float) for row in list(rows.values())[:6])
 
 
 def test_report_digest_prints_one_stable_digest_per_workload(tmp_path):
