@@ -15,8 +15,11 @@ benchmark job runs depth 0.  Then prints
 `commands seeds 0..<N-1> <sha256>` over the commands no workload runs:
 per seeded_random("morphism", s) over Q and F3 with s < N, report-all,
 immersion-check, finite-check, fiber-product of f with itself and fiber at
-points 0 to 3 (a point out of range is exit 3).  Two trees that print the
-same lines print byte-identical reports.  The benchmark's files are only
+points 0 to 3 (a point out of range is exit 3); then
+`morphisms seeds 0..<N-1> <sha256>` over flat-check, descent-check
+--depth 1 and components on the same morphisms, which read the points and
+components of their coalgebras.  Two trees that print the same lines print
+byte-identical reports.  The benchmark's files are only
 imported, never written.
 """
 
@@ -42,6 +45,7 @@ from workloads import WORKLOADS, Job  # noqa: E402
 MORPHISM_COMMANDS = [["report-all"], ["immersion-check"], ["finite-check"],
                      ["fiber-product", "--f", "f", "--g", "f"]] + [
     ["fiber", "--morphism", "f", "--point", str(i)] for i in range(4)]
+POINT_COMMANDS = [["flat-check"], ["descent-check", "--depth", "1"], ["components"]]
 
 
 def _digest(records):
@@ -89,8 +93,8 @@ def corpus_digest(count):
     return _digest(records)
 
 
-def command_jobs(count):
-    """MORPHISM_COMMANDS on each seeded morphism f: S -> T over Q and F3."""
+def command_jobs(count, commands):
+    """The commands on each seeded morphism f: S -> T over Q and F3."""
     jobs = []
     for F in (QQ, PrimeField(3)):
         for seed in range(count):
@@ -99,7 +103,7 @@ def command_jobs(count):
                 F, [("S", f.source), ("T", f.target), ("f", f, None, ("S", "T"))]))]
             jobs.extend(Job(f"{F.describe()} {seed} {' '.join(argv)}",
                             argv[:1] + ["{0}"] + argv[1:], files, None)
-                        for argv in MORPHISM_COMMANDS)
+                        for argv in commands)
     return jobs
 
 
@@ -117,7 +121,9 @@ def main():
                       flush=True)
     if args.corpus:
         print(f"corpus seeds 0..{args.corpus - 1} {corpus_digest(args.corpus)}")
-        print(f"commands seeds 0..{args.corpus - 1} {jobs_digest(command_jobs(args.corpus))}")
+        for name, commands in (("commands", MORPHISM_COMMANDS), ("morphisms", POINT_COMMANDS)):
+            print(f"{name} seeds 0..{args.corpus - 1} "
+                  f"{jobs_digest(command_jobs(args.corpus, commands))}")
     return 0
 
 

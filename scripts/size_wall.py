@@ -3,9 +3,11 @@
 
 Usage: python scripts/size_wall.py [--max N] [--json]
 Prints one row per n = 1..N (default 5) for C = Grassmann(n)*, of
-dimension 2^n: the seconds spent in dual + validate, dual_radical plus
+dimension 2^n: the seconds spent in dual + validate, then in
 coradical_filtration, flat_check(regular_comodule) and
-irreducible_components, each timed on its own, in
+irreducible_components, each timed on its own freshly dualized C, which
+finds rad C* again (a coalgebra keeps its radical, so a stage timed on a C
+that an earlier stage read would read it for free), in
 validate_superalgebra and in radical plus ksdim_finite on the algebra
 Grassmann(n), as report-all runs them, and in descent_check at depth 2 on
 the counit collapse C -> k.  That tower's top level has dimension 8^n; one
@@ -28,8 +30,8 @@ from superscheme.corpus import grassmann  # noqa: E402
 from superscheme.formal_scheme import SchemeMorphism, descent_check  # noqa: E402
 from superscheme.superalgebra import ksdim_finite, radical, validate_superalgebra  # noqa: E402
 from superscheme.supercoalgebra import (  # noqa: E402
-    SearchBoundExceeded, coradical_filtration, dual_radical, dualize_algebra,
-    irreducible_components, unit_coalgebra, validate_supercoalgebra,
+    SearchBoundExceeded, coradical_filtration, dualize_algebra, irreducible_components,
+    unit_coalgebra, validate_supercoalgebra,
 )
 from superscheme.supercomodule import flat_check, regular_comodule  # noqa: E402
 from superscheme.superlinear import linear_form  # noqa: E402
@@ -79,9 +81,9 @@ def main():
               f"{'validate':>9s} {'radical+ksdim':>14s} {'descent':>8s}")
     for n in range(1, args.max + 1):
         C, t_dual = _timed(_dual_and_validate, grassmann(n))
-        _, t_filt = _timed(lambda C: coradical_filtration(C, dual_radical(C)), C)
-        verdict, t_flat = _timed(flat_check, regular_comodule(C))
-        comps, t_comp = _timed(lambda C: irreducible_components(C, dual_radical(C)), C)
+        _, t_filt = _timed(coradical_filtration, dualize_algebra(grassmann(n)))
+        verdict, t_flat = _timed(flat_check, regular_comodule(dualize_algebra(grassmann(n))))
+        comps, t_comp = _timed(irreducible_components, dualize_algebra(grassmann(n)))
         problems, t_valid = _timed(validate_superalgebra, grassmann(n))
         (_, sd), t_alg = _timed(lambda G: (radical(G), ksdim_finite(G)), grassmann(n))
         t_desc = _collapse_descent(C)

@@ -22,13 +22,13 @@ from .superalgebra import (
 )
 from .supercoalgebra import (
     NotSubcoalgebra, SearchBoundExceeded, base_change_coalgebra, coradical, coradical_filtration,
-    direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra, grouplikes,
-    grouplikes_over, irreducible_components, tensor_coalgebra, validate_supercoalgebra, wedge,
+    direct_sum_coalgebra, dualize_algebra, dualize_coalgebra, grouplikes, grouplikes_over,
+    irreducible_components, points, tensor_coalgebra, validate_supercoalgebra, wedge,
 )
 from .supercomodule import NotConnected, cotensor, flat_check, validate_comodule
 from .formal_scheme import (
     descent_check, fiber, fiber_product, finiteness, flatness, is_closed_immersion,
-    is_open_immersion, is_strictly_surjective, is_surjective, morphism_components, points,
+    is_open_immersion, is_strictly_surjective, is_surjective,
 )
 
 EXIT_OK = 0
@@ -152,7 +152,7 @@ def cmd_coradical(args):
     path, doc = _load_valid(args.file)
     rep = Report("coradical", [(path, doc)])
     name, C = doc.first("coalgebra")
-    cor = coradical(C, dual_radical(C))
+    cor = coradical(C)
     rep.add("coalgebra", name)
     rep.add("coradical-dim", cor.dim)
     for row in cor.basis():
@@ -164,7 +164,7 @@ def cmd_filtration(args):
     path, doc = _load_valid(args.file)
     rep = Report("filtration", [(path, doc)])
     name, C = doc.first("coalgebra")
-    chain = coradical_filtration(C, dual_radical(C))
+    chain = coradical_filtration(C)
     rep.add("coalgebra", name)
     rep.add("stages", len(chain))
     for n, stage in enumerate(chain):
@@ -191,7 +191,7 @@ def cmd_components(args):
     path, doc = _load_valid(args.file)
     rep = Report("components", [(path, doc)])
     name, C = doc.first("coalgebra")
-    comps = irreducible_components(C, dual_radical(C))
+    comps = irreducible_components(C)
     rep.add("coalgebra", name)
     rep.add("component-count", len(comps))
     for i, comp in enumerate(comps):
@@ -215,8 +215,7 @@ def cmd_grouplikes(args):
                          f"{C.field.describe()}")
     rep.add("coalgebra", name)
     if over is None:
-        rad = dual_radical(C)
-        gls = grouplikes(C, irreducible_components(C, rad), coradical(C, rad))
+        gls = grouplikes(C)
         rep.add("grouplike-count", len(gls))
         for g in gls:
             rep.add("grouplike", _basis_line(C.space, g))
@@ -251,11 +250,6 @@ def cmd_cotensor(args):
     return rep.emit(), EXIT_OK
 
 
-def _point_count(C):
-    """The number of points of Sp*(C): the irreducible components of C."""
-    return len(irreducible_components(C, dual_radical(C)))
-
-
 def cmd_product(args):
     path, doc = _load_valid(args.file)
     rep = Report("product", [(path, doc)])
@@ -266,7 +260,7 @@ def cmd_product(args):
     P = tensor_coalgebra(A, B)
     rep.add("factors", na, nb)
     rep.add("product-dim", P.dim)
-    rep.add("product-points", _point_count(P))
+    rep.add("product-points", len(irreducible_components(P)))
     body = serialize_document(doc.field, [(f"{na}_x_{nb}", P)])
     return rep.emit() + body, EXIT_OK
 
@@ -280,7 +274,7 @@ def cmd_coproduct(args):
     S = direct_sum_coalgebra([C for _, C in coalgs])
     rep.add("summands", *(n for n, _ in coalgs))
     rep.add("coproduct-dim", S.dim)
-    rep.add("coproduct-points", _point_count(S))
+    rep.add("coproduct-points", len(irreducible_components(S)))
     return rep.emit(), EXIT_OK
 
 
@@ -294,7 +288,7 @@ def cmd_fiber_product(args):
     W = fiber_product(f, g)
     rep.add("carrier-dim", W.dim)
     rep.add("carrier-sdim", _sdim(W.space.sdim))
-    rep.add("points", _point_count(W))
+    rep.add("points", len(irreducible_components(W)))
     return rep.emit(), EXIT_OK
 
 
@@ -323,8 +317,8 @@ def cmd_base_change(args):
         ext = ExtensionField(doc.field, minpoly, args.name)
     except FieldError as exc:
         raise ParseError(str(exc))
-    before = _point_count(C)
-    after = _point_count(base_change_coalgebra(C, ext))
+    before = len(irreducible_components(C))
+    after = len(irreducible_components(base_change_coalgebra(C, ext)))
     rep.add("coalgebra", name)
     rep.add("extension", ext.describe())
     rep.add("points-before", before)
@@ -336,11 +330,10 @@ def cmd_immersion_check(args):
     path, doc = _load_valid(args.file)
     rep = Report("immersion-check", [(path, doc)])
     name, f = doc.first("morphism")
-    xcomps, ycomps = morphism_components(f)
     rep.add("morphism", name)
     rep.add("closed-immersion", is_closed_immersion(f))
-    rep.add("open-immersion", is_open_immersion(f, ycomps))
-    rep.add("surjective", is_surjective(f, xcomps, ycomps))
+    rep.add("open-immersion", is_open_immersion(f))
+    rep.add("surjective", is_surjective(f))
     rep.add("strictly-surjective", is_strictly_surjective(f))
     return rep.emit(), EXIT_OK
 
@@ -358,7 +351,7 @@ def cmd_flat_check(args):
             rep.add("rank", _sdim(verdict.rank))
         return rep.emit(), EXIT_OK
     name, f = doc.first("morphism")
-    verdict = flatness(f, *morphism_components(f))
+    verdict = flatness(f)
     rep.add("morphism", name)
     for i, flat in enumerate(verdict.flat_at):
         rep.add(f"flat-at {i}", flat)
@@ -494,32 +487,27 @@ def cmd_report_all(args):
             invalid.add(id(value))      # nothing is computed on or over it
             continue
         if kind == "algebra":
-            rad = radical(value)
             rep.add(f"algebra {name} sdim", _sdim(value.space.sdim))
-            rep.add(f"algebra {name} radical-dim", rad.subspace.dim)
+            rep.add(f"algebra {name} radical-dim", radical(value).subspace.dim)
             rep.add(f"algebra {name} ksdim-finite", _sdim(ksdim_finite(value)))
             try:
-                rep.add(f"algebra {name} local-factors",
-                        len(local_decomposition(value, rad)))
+                rep.add(f"algebra {name} local-factors", len(local_decomposition(value)))
             except FactorizationIncomplete:
                 rep.add(f"algebra {name} local-factors",
                         "unsupported-factorization")
         elif kind == "coalgebra":
-            rad = dual_radical(value)
-            corad = coradical(value, rad)
-            comps = irreducible_components(value, rad)
-            rep.add(f"coalgebra {name} coradical-dim", corad.dim)
+            rep.add(f"coalgebra {name} coradical-dim", coradical(value).dim)
             rep.add(f"coalgebra {name} filtration-dims",
-                    *(s.dim for s in coradical_filtration(value, rad)))
-            rep.add(f"coalgebra {name} components", len(comps))
-            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value, comps, corad)))
+                    *(s.dim for s in coradical_filtration(value)))
+            rep.add(f"coalgebra {name} components", len(irreducible_components(value)))
+            rep.add(f"coalgebra {name} grouplikes", len(grouplikes(value)))
         elif kind == "comodule":
             try:
                 rep.add(f"comodule {name} flat", flat_check(value).free)
             except NotConnected:
                 rep.add(f"comodule {name} flat", "needs-connected-base")
         elif kind == "morphism":
-            verdict = flatness(value, *morphism_components(value))
+            verdict = flatness(value)
             rep.add(f"morphism {name} closed-immersion",
                     is_closed_immersion(value))
             rep.add(f"morphism {name} flat", verdict.flat)

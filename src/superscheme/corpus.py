@@ -42,12 +42,12 @@ class Rng:
     def randint(self, n):
         return self.next64() % n
 
-    def scalar(self, F, spread=5):
+    def scalar(self, F):
         """A small scalar: integers -2..2 over Q, any element over F_p."""
         if F.is_finite():
             elems = sorted(F.elements(), key=F.sort_key)
             return elems[self.randint(len(elems))]
-        return F.from_int(self.randint(spread) - 2)
+        return F.from_int(self.randint(5) - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def _connected_coalgebra(rng, field):
     return name, dict(canonical_coalgebras(field))[name]
 
 
-def seeded_random(kind, seed, field=QQ, **bounds):
+def seeded_random(kind, seed, field=QQ):
     """Reproducible corpus entry of a documented kind.
 
     Kinds: subspace-triple, comodule, morphism, presentation,
@@ -188,7 +188,7 @@ def seeded_random(kind, seed, field=QQ, **bounds):
     """
     rng = Rng(seed)
     if kind == "subspace-triple":
-        dim = bounds.get("dim", 4 + rng.randint(3))
+        dim = 4 + rng.randint(3)
         hosts = [divided_power(dim - 1, field),
                  dualize_algebra(grassmann(2, field)),
                  grouplike_coalgebra(dim, field)]
@@ -221,8 +221,8 @@ def seeded_random(kind, seed, field=QQ, **bounds):
     if kind == "morphism":
         return _seeded_morphism(rng, seed, field)
     if kind == "presentation":
-        p = rng.randint(bounds.get("max_p", 3) + 1)
-        q = rng.randint(bounds.get("max_q", 3) + 1)
+        p = rng.randint(4)
+        q = rng.randint(4)
         gens = []
         for _ in range(rng.randint(3)):
             exps = tuple(rng.randint(2) for _ in range(p))
@@ -401,9 +401,9 @@ def validate_entry(entry):
         if exp.get("rank") and verdict.rank != tuple(exp["rank"]):
             problems.append(f"rank mismatch: {verdict.rank} vs {exp['rank']}")
     elif entry.kind == "morphism":
-        from .formal_scheme import flatness, morphism_components
+        from .formal_scheme import flatness
         (f,) = entry.payload
-        verdict = flatness(f, *morphism_components(f))
+        verdict = flatness(f)
         if verdict.flat != exp["flat"]:
             problems.append("flat label mismatch")
         if verdict.faithfully_flat != exp["faithfully_flat"]:

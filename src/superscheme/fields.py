@@ -10,6 +10,7 @@ rejected everywhere.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -109,12 +110,16 @@ class RationalField(Field):
         """int(s) when it reads s, else Fraction(s).  int accepts some of
         the strings Fraction accepts, with the same value, and no other, so
         the accepted strings are Fraction's and an integral token builds no
-        Fraction."""
+        Fraction.  A token read with exponent 0, which Fraction accepts just
+        when it accepts the token, and found 0 is 0: no 10^e is built."""
         try:
             return int(s)
         except ValueError:
             pass
         try:
+            exponent = _EXPONENT.search(s)
+            if exponent and not Fraction(s[:exponent.start()] + "e0"):
+                return 0
             r = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational scalar {s!r}") from exc
@@ -137,6 +142,9 @@ class RationalField(Field):
 
 
 QQ = RationalField()
+
+# The exponent of a token, as Fraction's own pattern reads it
+_EXPONENT = re.compile(r"[eE][-+]?\d+(?:_\d+)*\s*\Z")
 
 
 class PrimeField(Field):

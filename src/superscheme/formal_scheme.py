@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import takewhile
 
 from .supercoalgebra import (
-    coradical, dual_radical, irreducible_components, is_coalgebra_morphism, SearchBoundExceeded,
-    subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
+    irreducible_components, is_coalgebra_morphism, points, SearchBoundExceeded, subcoalgebra_on,
+    tensor_coalgebra, validate_supercoalgebra,
 )
 from .supercomodule import (
     comodule_along, cotensor, cotensor_kernel, flat_check, preimage, regular_comodule,
@@ -56,12 +56,6 @@ class FormalSuperscheme(Record):
         return problems
 
 
-class Point(Record):
-    index: int
-    component: object
-    kappa: object           # the subcoalgebra kappa(y), a Subspace of the whole coalgebra
-
-
 class SchemeMorphism(Record):
     """Sp*(source) -> Sp*(target): two super-coalgebras and one even
     coalgebra map between them, held as its sparse columns: columns[j], a
@@ -94,27 +88,16 @@ def identity_morphism(C):
 
 
 # ---------------------------------------------------------------------------
-# points and components
+# points and morphism predicates
 
-def points(C):
-    """Per irreducible component of C, its coradical kappa: where the
-    coradical of C meets the component."""
-    rad = dual_radical(C)
-    corad = coradical(C, rad)
-    return [Point(i, comp, corad.intersect(comp.subspace))
-            for i, comp in enumerate(irreducible_components(C, rad))]
-
-
-def point_images(f, xcomps, ycomps):
-    """Where f sends each point of its source.
-
-    xcomps and ycomps are the irreducible components of the source and the
-    target.  Per source component, the index of the one target component
-    that holds its image, and the coordinates of that image in the target
-    component's echelon basis.
-    """
+def point_images(f):
+    """Where f sends each point of its source: per irreducible component of
+    the source, the index of the one target component that holds its image,
+    and the coordinates of that image in the target component's echelon
+    basis."""
+    ycomps = irreducible_components(f.target)
     out = []
-    for xcomp in xcomps:
+    for xcomp in irreducible_components(f.source):
         img = list(_images(f.source.field, f.columns, xcomp.subspace.basis()))
         hits = [(j, cols) for j, ycomp in enumerate(ycomps)
                 if (cols := coordinates(ycomp.subspace, img)) is not None]
@@ -123,15 +106,6 @@ def point_images(f, xcomps, ycomps):
         out.append(hits[0])
     return out
 
-
-def morphism_components(f):
-    """The irreducible components of the source and of the target of f."""
-    return tuple(irreducible_components(C, dual_radical(C))
-                 for C in (f.source, f.target))
-
-
-# ---------------------------------------------------------------------------
-# morphism predicates
 
 def _image(f):
     """The image of f, a Subspace of its target."""
@@ -146,27 +120,18 @@ def is_strictly_surjective(f):
     return _image(f).dim == f.target.dim
 
 
-def _hits_every_point(images, ycomps):
-    return len({j for j, _ in images}) == len(ycomps)
+def is_surjective(f):
+    """Every point of the target is the image of a point of the source."""
+    return len({j for j, _ in point_images(f)}) == len(irreducible_components(f.target))
 
 
-def is_surjective(f, xcomps, ycomps):
-    """Every point of the target is the image of a point of the source;
-    xcomps and ycomps are the irreducible components of source and target."""
-    return _hits_every_point(point_images(f, xcomps, ycomps), ycomps)
-
-
-def is_open_immersion(f, ycomps):
-    """Injective with image a union of ycomps, the irreducible components of
-    the target."""
-    if not is_closed_immersion(f):
-        return False
+def is_open_immersion(f):
+    """Injective with image a union of irreducible components of the target:
+    the components the image contains, whose sum is direct, fill it."""
     img = _image(f)
-    covered = Subspace.zero(f.target.space)
-    for comp in ycomps:
-        if img.contains_subspace(comp.subspace):
-            covered = covered.sum(comp.subspace)
-    return covered == img
+    return img.dim == f.source.dim and img.dim == sum(
+        c.subspace.dim for c in irreducible_components(f.target)
+        if img.contains_subspace(c.subspace))
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +191,20 @@ class Flatness(Record):
         return self.flat and self.surjective
 
 
-def flatness(f, xcomps, ycomps):
-    """Flatness of f at each source point and surjectivity on points, from
-    xcomps and ycomps, the irreducible components of source and target.
+def flatness(f):
+    """Flatness of f at each source point and surjectivity on points.
 
     f is flat at x when O_x is a flat comodule over the target component
     that holds its image.  A flat f is surjective exactly when it is
     strictly surjective; that equivalence is re-checked.
     """
-    images = point_images(f, xcomps, ycomps)
+    images = point_images(f)
+    ycomps = irreducible_components(f.target)
     flat_at = []
-    for xcomp, (j, cols) in zip(xcomps, images):
+    for xcomp, (j, cols) in zip(irreducible_components(f.source), images):
         O_x, O_y = xcomp.coalgebra, ycomps[j].coalgebra
         flat_at.append(flat_check(comodule_along(regular_comodule(O_x), cols, O_y)).free)
-    surjective = _hits_every_point(images, ycomps)
+    surjective = len({j for j, _ in images}) == len(ycomps)
     if all(flat_at) and surjective != is_strictly_surjective(f):
         raise AssertionError(
             "flat morphism breaks the surjective/strictly-surjective equivalence")

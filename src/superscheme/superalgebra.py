@@ -65,6 +65,11 @@ class SuperAlgebra(StructureRecord):
         rows, pivots = ideal.rows()
         return gens, Subspace(self.space, Matrix(F, rows, self.dim, pivots))
 
+    @functools.cached_property
+    def _radical(self):
+        """rad A, a subspace, found once (_radical_subspace)."""
+        return _radical_subspace(self)
+
     def products(self, xs, ys):
         """x * y for every x of xs and every y of ys, x major: the one sum of
         products over cop.  The operands are lifted together, once."""
@@ -272,7 +277,13 @@ def _trace_form_kernel(A):
 
 
 def radical(A):
-    """Jacobson radical (= nilradical here); always contains the odd part.
+    """The Jacobson radical (= nilradical here) as a Superideal of A, read
+    off A, which keeps its subspace."""
+    return Superideal(A, A._radical)
+
+
+def _radical_subspace(A):
+    """rad A; it always contains the odd part.
 
     rad A is the preimage of rad(A/J) in A, J the canonical ideal, and so
     contains J.  A quotient of dimension 1 is the base field, whose radical
@@ -282,16 +293,16 @@ def radical(A):
     """
     jc = canonical_ideal(A)
     if A.dim - jc.subspace.dim <= 1:
-        return jc
+        return jc.subspace
     abar, _, reps = quotient_by_superideal(A, jc)
     if A.field.char == 0:
         radbar = _trace_form_kernel(abar)
     else:
         radbar = _frobenius_kernel(abar)
     if radbar.dim == 0:
-        return jc
+        return jc.subspace
     lifts = [tuple((reps[q], c) for q, c in row) for row in radbar.basis()]
-    return Superideal(A, Subspace.from_vectors(A.space, jc.subspace.basis() + lifts))
+    return Subspace.from_vectors(A.space, jc.subspace.basis() + lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +448,13 @@ def _subalgebra_on(A, sub, unit):
     return make_superalgebra(space, _transpose(products, sub.dim), ucoords)
 
 
-def local_decomposition(A, rad):
-    """Complete orthogonal idempotents and the corresponding local factors;
-    rad is radical(A).
+def local_decomposition(A):
+    """Complete orthogonal idempotents and the corresponding local factors.
 
     Each pending idempotent e gives B = eA, its radical and S = B / rad B
     once: a nontrivial idempotent of S is lifted and splits e in two,
     otherwise S is the residue field of the local factor B, recorded by
-    its degree dim S.  For e = 1, B is A itself, with the given radical.
+    its degree dim S.  For e = 1, B is A itself, whose radical A keeps.
     A quotient of dimension 1 is the base field: when dim B - dim rad B
     = 1, B is local with residue k, and S is not built.
     """
@@ -456,11 +466,11 @@ def local_decomposition(A, rad):
     while pending:
         e = pending.pop(0)
         if e == A.unit:
-            B, incl, rad_b = A, _identity_columns(F, A.dim), rad
+            B, incl = A, _identity_columns(F, A.dim)
         else:
             sub = ideal_generated_by(A, [e]).subspace
             B, incl = _subalgebra_on(A, sub, e), sub.basis()
-            rad_b = radical(B)
+        rad_b = radical(B)
         if B.dim - rad_b.subspace.dim == 1:
             factors.append(LocalFactor(e, 1))
             continue

@@ -48,6 +48,35 @@ class SuperCoalgebra(StructureRecord):
         coalgebra."""
         return tuple(_coalgebra_problems(self))
 
+    @functools.cached_property
+    def _dual(self):
+        """C*, which keeps rad C*."""
+        return dualize_coalgebra(self)
+
+    @functools.cached_property
+    def _coradical(self):
+        """C_0 = (rad C*) perp, a subspace of C."""
+        return perp(self._dual._radical, self.space)
+
+    @functools.cached_property
+    def _decomposition(self):
+        """(subcoalgebra, subspace, residue degree) per direct summand of C
+        dual to a local factor of C*.  One piece is C itself, on the full
+        subspace: no subcoalgebra is built, and None stands for C, as no
+        value C keeps may hold C (cli.main runs without the cyclic GC)."""
+        dual, F = self._dual, self.field
+        factors = local_decomposition(dual)
+        if len(factors) == 1:
+            return ((None, Subspace.full(self.space), factors[0].degree),)
+        comps = []
+        for fac in factors:
+            rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
+            sub = perp(rest.subspace, self.space)
+            comps.append((subcoalgebra_on(self, sub), sub, fac.degree))
+        if sum(sub.dim for _, sub, _ in comps) != self.dim:
+            raise AssertionError("components do not fill the coalgebra")
+        return tuple(comps)
+
 
 def make_supercoalgebra(space, delta, counit):
     """The coalgebra with these columns of delta and this counit (see
@@ -172,7 +201,7 @@ def subcoalgebra_on(C, W):
 def wedge(C, X, Y):
     """X ^ Y = (X^perp . Y^perp)^perp, the product taken in C* (Sweedler,
     Hopf Algebras, 1969, ch. 9): the kernel of C -> C/X (x) C/Y."""
-    dual = dualize_coalgebra(C)
+    dual = C._dual
     xs, ys = perp(X, dual.space).basis(), perp(Y, dual.space).basis()
     return perp(Subspace.from_vectors(dual.space, dual.products(xs, ys)), C.space)
 
@@ -182,21 +211,21 @@ def wedge(C, X, Y):
 
 def dual_radical(C):
     """rad C*, the radical of the dual algebra (which it carries as its
-    algebra): what coradical and irreducible_components read C through."""
-    return radical(dualize_coalgebra(C))
+    algebra), kept by C."""
+    return radical(C._dual)
 
 
-def coradical(C, rad):
-    """(rad C*) perp, as a subspace of C; rad is dual_radical(C)."""
-    return perp(rad.subspace, C.space)
+def coradical(C):
+    """C_0 = (rad C*) perp, as a subspace of C, kept by C."""
+    return C._coradical
 
 
-def coradical_filtration(C, rad):
+def coradical_filtration(C):
     """C_0 <= C_1 <= ... <= C with C_k = (J^(k+1)) perp, for J = rad C*
-    given as rad = dual_radical(C) (Montgomery, Hopf Algebras and Their
-    Actions on Rings, 1993, 5.2): the perps of the powers J^k * W of
-    ideal_powers, W a generator set of J with |W| <= dim J, then C."""
-    return [perp(P, C.space) for P in ideal_powers(rad)] + [Subspace.full(C.space)]
+    (Montgomery, Hopf Algebras and Their Actions on Rings, 1993, 5.2): the
+    perps of the powers J^k * W of ideal_powers, W a generator set of J
+    with |W| <= dim J, then C."""
+    return [perp(P, C.space) for P in ideal_powers(dual_radical(C))] + [Subspace.full(C.space)]
 
 
 class Component(Record):
@@ -207,27 +236,24 @@ class Component(Record):
     degree: int
 
 
-def irreducible_components(C, rad):
-    """Direct summands dual to the local factors of C*; rad is dual_radical(C).
+def irreducible_components(C):
+    """The direct summands dual to the local factors of C*, kept by C."""
+    return [Component(C if coalg is None else coalg, sub, degree)
+            for coalg, sub, degree in C._decomposition]
 
-    A decomposition into one piece is the object itself: when C* is local,
-    the one component is C, on the full subspace, and no subcoalgebra is
-    built.
-    """
-    dual = rad.algebra
-    factors = local_decomposition(dual, rad)
-    if len(factors) == 1:
-        return [Component(C, Subspace.full(C.space), factors[0].degree)]
-    F = C.field
-    comps = []
-    for fac in factors:
-        rest = ideal_generated_by(dual, [vec_sub(F, dual.unit, fac.idempotent)])
-        sub = perp(rest.subspace, C.space)
-        coalg = subcoalgebra_on(C, sub)
-        comps.append(Component(coalg, sub, fac.degree))
-    if sum(c.subspace.dim for c in comps) != C.dim:
-        raise AssertionError("components do not fill the coalgebra")
-    return comps
+
+class Point(Record):
+    index: int
+    component: object
+    kappa: object           # the subcoalgebra kappa(y), a Subspace of the whole coalgebra
+
+
+def points(C):
+    """Per irreducible component of C, its coradical kappa: where the
+    coradical of C meets the component."""
+    corad = coradical(C)
+    return [Point(i, comp, corad.intersect(comp.subspace))
+            for i, comp in enumerate(irreducible_components(C))]
 
 
 def is_grouplike(C, u):
@@ -241,20 +267,18 @@ def is_grouplike(C, u):
                                                    for i, a in u for j, b in u)
 
 
-def grouplikes(C, comps, corad):
-    """Group-like elements of C, one per component with base residue field
-    among comps, its irreducible components: the coradical corad of C meets
-    such a component in the line of its group-like."""
+def grouplikes(C):
+    """Group-like elements of C, one per point with base residue field: its
+    kappa, the coradical of its component, is the line of its group-like."""
     F = C.field
     out = []
-    for comp in comps:
-        if comp.degree != 1:
+    for y in points(C):
+        if y.component.degree != 1:
             continue
-        line = corad.intersect(comp.subspace)
-        if line.dim != 1:
+        if y.kappa.dim != 1:
             raise AssertionError("a component with base residue field has a "
                                  "coradical of dimension other than 1")
-        v = line.basis()[0]
+        v = y.kappa.basis()[0]
         eps_v = next(_images(F, linear_form(C.dim, C.counit), (v,)))[0][1]
         g = vec_scale(F, F.inv(eps_v), v)
         if not is_grouplike(C, g):
@@ -300,7 +324,7 @@ def grouplikes_over(C, R):
         raise FieldError("group-like enumeration needs a finite base field")
     if R.field != F:
         raise ValueError("coefficient algebra over a different field")
-    A = _koszul_signed(dualize_coalgebra(C))
+    A = _koszul_signed(C._dual)
     basis, slots = WordBasis(A), 0
     for i in range(A.dim):
         if not basis.echelon.has_unit_vec(i):

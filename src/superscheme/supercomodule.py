@@ -187,7 +187,8 @@ def flat_check(M):
     for C_0 the coradical (Montgomery, Hopf Algebras and Their Actions on
     Rings, 1993, 5.1-5.2): the preimage of C_0.  A K of dimension 1 is the
     base field, so K is built, and searched for an idempotent, only when
-    d > 1.
+    d > 1: one split, where decomposing C may need an unsupported
+    factorization.
     """
     C = M.coalgebra
     if C.dim == 0:
@@ -198,7 +199,7 @@ def flat_check(M):
         residue, _, _ = quotient_by_superideal(rad.algebra, rad)
         if _semisimple_idempotent(residue) is not None:
             raise NotConnected("flat_check needs a connected coalgebra; decompose first")
-    _, (e, o) = preimage(M, coradical(C, rad))
+    _, (e, o) = preimage(M, coradical(C))
     if e % d or o % d:
         raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "
                              f"over a residue field of degree {d}")

@@ -14,8 +14,8 @@ if not any(os.path.samefile(p, _src) if os.path.exists(p) else False for p in sy
 from superscheme.corpus import Rng, canonical_algebras, canonical_coalgebras  # noqa: E402
 from superscheme.fields import QQ, Field, poly_trim  # noqa: E402
 from superscheme.formal_scheme import (  # noqa: E402
-    FormalSuperscheme, SchemeMorphism, _point_fibers, fiber_product, flatness,
-    is_closed_immersion, morphism_components, point_images, points,
+    FormalSuperscheme, SchemeMorphism, _point_fibers, fiber_product, is_closed_immersion,
+    point_images, points,
 )
 from superscheme.superalgebra import (  # noqa: E402
     LocalFactor, Superideal, _frobenius_kernel, _lift_idempotent,
@@ -24,7 +24,7 @@ from superscheme.superalgebra import (  # noqa: E402
     monomial_superalgebra, quotient_by_superideal, radical, tensor_superalgebra,
 )
 from superscheme.supercoalgebra import (  # noqa: E402
-    Component, _koszul_signed, base_change_coalgebra, coradical, coradical_filtration,
+    Component, _koszul_signed, base_change_coalgebra, coradical_filtration,
     dual_radical, dualize_algebra, dualize_coalgebra, irreducible_components, subcoalgebra_on,
 )
 from superscheme.supercomodule import (  # noqa: E402
@@ -586,7 +586,7 @@ def socle_by_filtration(M):
     ident = GradedMap.identity(M.space)
     out = []
     full = Subspace.full(M.space)
-    for stage in coradical_filtration(C, dual_radical(C)):
+    for stage in coradical_filtration(C):
         out.append(tensor_after(ident, projection(C.space, stage), psi).kernel())
         if out[-1] == full:
             break
@@ -741,12 +741,6 @@ def coequalizer_by_cotensor(f):
     return coideal == f_map.kernel() and f_map.image().dim == f.target.dim
 
 
-def flatness_of(f):
-    """formal_scheme.flatness of f, from the components of its source and
-    target."""
-    return flatness(f, *morphism_components(f))
-
-
 def fiber_by_cotensor(f, y):
     """Reference for formal_scheme.fiber: the fiber product of f with the
     inclusion of {y} = Sp*(kappa(y)), a cotensor inside A (x) kappa(y)."""
@@ -765,7 +759,7 @@ def bounded_degree_by_dual_action(f):
     dualA = dualize_coalgebra(A)
     dualB = dualize_coalgebra(B)
     radB = radical(dualB)
-    factors = local_decomposition(dualB, radB)
+    factors = local_decomposition(dualB)
 
     def acting(w):
         """w . a* for every basis vector a* of A*: B* acts on A* through the
@@ -796,7 +790,7 @@ def bounded_degree_by_dual_action(f):
 
 def point_map(f):
     """Index map points(X) -> points(Y)."""
-    return [j for j, _ in point_images(f, *morphism_components(f))]
+    return [j for j, _ in point_images(f)]
 
 
 def bosonic_reduction_scheme(C):
@@ -895,19 +889,19 @@ def is_algebraic_at(X, point_index):
     """
     deepest = X.levels[-1]
     if len(X.levels) == 1:
-        comp = irreducible_components(deepest, dual_radical(deepest))[point_index]
+        comp = irreducible_components(deepest)[point_index]
         B = comp.coalgebra
-        chain = coradical_filtration(B, dual_radical(B))
+        chain = coradical_filtration(B)
         a1 = chain[min(1, len(chain) - 1)]
         return AlgebraicityVerdict(True, 1, (a1.dim,))
-    target = irreducible_components(deepest, dual_radical(deepest))[point_index].subspace
+    target = irreducible_components(deepest)[point_index].subspace
     images = []
     dims = []
     for lvl in range(len(X.levels)):
         C = X.levels[lvl]
         inc = inclusion_to_deepest(X, lvl)
         piece = Subspace.zero(C.space)
-        for comp in irreducible_components(C, dual_radical(C)):
+        for comp in irreducible_components(C):
             img = list(inc.images(comp.subspace.basis()))
             if coordinates(target, img) is not None:
                 piece = piece.sum(comp.subspace)
@@ -916,7 +910,7 @@ def is_algebraic_at(X, point_index):
             dims.append(0)
             continue
         sub = subcoalgebra_on(C, piece)
-        chain = coradical_filtration(sub, dual_radical(sub))
+        chain = coradical_filtration(sub)
         a1 = chain[min(1, len(chain) - 1)]
         img_vecs = inc.images(_images(C.field, piece.basis(), a1.basis()))
         images.append(Subspace.from_vectors(deepest.space, img_vecs))
@@ -1215,7 +1209,7 @@ def flat_check_by_residue(M):
     residue = quotient_by_superideal(rad.algebra, rad)[0]
     if residue.dim > 1 and _semisimple_idempotent(residue) is not None:
         raise NotConnected("flat_check needs a connected coalgebra; decompose first")
-    _, (e, o) = preimage(M, coradical(C, rad))
+    _, (e, o) = preimage(M, perp(rad.subspace, C.space))
     d = residue.dim
     if e % d or o % d:
         raise AssertionError(f"M*/rad(C*)M* of sdim {e}|{o} is no vector space "

@@ -11,7 +11,7 @@ from superscheme.superalgebra import (
     WordBasis, enumerate_homs, ksdim_finite, make_superalgebra, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
-    SuperCoalgebra, base_change_coalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
+    SuperCoalgebra, base_change_coalgebra, coradical_filtration, dualize_algebra,
     dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
     unit_coalgebra, validate_supercoalgebra, wedge,
 )
@@ -143,17 +143,17 @@ def test_criterion_3_coradical_machinery():
     ok = True
     for d in range(1, 5):
         C = divided_power(d)
-        dims = [s.dim for s in coradical_filtration(C, dual_radical(C))]
+        dims = [s.dim for s in coradical_filtration(C)]
         ok &= dims == list(range(1, d + 2))
     for q in range(1, 4):
         C = dualize_algebra(grassmann(q))
-        dims = [s.dim for s in coradical_filtration(C, dual_radical(C))]
+        dims = [s.dim for s in coradical_filtration(C)]
         expected = [sum(_binomial(q, i) for i in range(n + 1))
                     for n in range(q + 1)]
         ok &= dims == expected
     for field in (QQ, F3):
         for name, C in canonical_coalgebras(field):
-            chain = coradical_filtration(C, dual_radical(C))
+            chain = coradical_filtration(C)
             ok &= len(chain) <= C.dim + 1
             ok &= chain[-1] == Subspace.full(C.space)
     _report(3, "coradical machinery", ok)
@@ -185,8 +185,8 @@ def test_criterion_4_wedge_algebra():
              dualize_algebra(grassmann(1))]
     for C in hosts:
         zero = Subspace.zero(C.space)
-        cands = [c.subspace for c in irreducible_components(C, dual_radical(C))]
-        cands += coradical_filtration(C, dual_radical(C))
+        cands = [c.subspace for c in irreducible_components(C)]
+        cands += coradical_filtration(C)
         cands.append(Subspace.full(C.space))
         for B in cands:
             if not is_subcoalgebra(C, B):
@@ -203,7 +203,7 @@ def test_criterion_5_components_and_grouplikes():
     ok = True
     for field in (QQ, F3):
         for name, C in canonical_coalgebras(field):
-            comps = irreducible_components(C, dual_radical(C))
+            comps = irreducible_components(C)
             ok &= sum(c.subspace.dim for c in comps) == C.dim
             total = Subspace.zero(C.space)
             for c in comps:
@@ -216,8 +216,7 @@ def test_criterion_5_components_and_grouplikes():
             if field.order ** sum(1 for m in range(C.dim)
                                   if C.parity(m) == 0) > 3 ** 12:
                 continue
-            rad = dual_radical(C)
-            structural = grouplikes(C, irreducible_components(C, rad), coradical(C, rad))
+            structural = grouplikes(C)
             brute = grouplikes_over(C, k_alg)
             ok &= len(structural) == len(brute)
             ok &= sorted(structural) == sorted(tuple(u[0]) for u in brute)

@@ -18,10 +18,10 @@ from superscheme.fields import PRIMALITY_BOUND, QQ, ExtensionField, PrimeField
 from superscheme.objfile import serialize_document
 from superscheme.superlinear import SuperVectorSpace, linear_form
 from superscheme.supercoalgebra import (
-    dualize_algebra, grouplikes_over, make_supercoalgebra, unit_coalgebra,
+    direct_sum_coalgebra, dualize_algebra, grouplikes_over, make_supercoalgebra, unit_coalgebra,
 )
 from superscheme.formal_scheme import (
-    TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism,
+    TOWER_AMBIENT_BOUND, TOWER_DEPTH_BOUND, SchemeMorphism, identity_morphism,
 )
 from superscheme.corpus import (
     divided_power, grassmann, grouplike_coalgebra, quotient_ring_algebra, seeded_random,
@@ -177,15 +177,65 @@ def test_morphism_commands(files):
     assert "bounded-degree 2" in _ok(["finite-check", files["collapse.mor"]])
 
 
-def test_flat_check_computes_each_invariant_once(files, monkeypatch):
-    """flat-check on a morphism: the components of source and target once
-    each, one flat_check per source point."""
-    comps = _count_calls(monkeypatch, "supercoalgebra", "irreducible_components")
+def _count_builds(monkeypatch):
+    """Count what a command builds on each object: the dual of a coalgebra,
+    and the radical and the local decomposition of an algebra, which for
+    the dual C* of a coalgebra is the decomposition of C (a dual labels
+    basis vector b as b*).  Reading one again builds nothing.  A function
+    that gives, per kind, the sorted labels of the objects built so far."""
+    found = {"dual": _count_calls(monkeypatch, "supercoalgebra", "dualize_coalgebra"),
+             "radical": _count_calls(monkeypatch, "superalgebra", "_radical_subspace"),
+             "decomposition": _count_calls(monkeypatch, "superalgebra", "local_decomposition")}
+    return lambda: {kind: sorted(args[0].space.labels for args in calls)
+                    for kind, calls in found.items()}
+
+
+def _identity_file(tmp_path):
+    """The identity morphism of D3 over F3: source and target are one
+    coalgebra."""
+    D3 = divided_power(3, F3)
+    path = tmp_path / "identity.mor"
+    path.write_text(serialize_document(
+        F3, [("D3", D3), ("id", identity_morphism(D3), None, ("D3", "D3"))]))
+    return str(path)
+
+
+D3_LABELS = ("g", "x1", "x2", "x3")
+D3_DUAL = tuple(f"{label}*" for label in D3_LABELS)
+# the coalgebras of collapse.mor, their duals, and those and the two local
+# factors of the dual k x k of GK, whose radicals its decomposition builds
+GK_K = [("g",), ("g1", "g2")]
+GK_K_DUALS = [("g*",), ("g1*", "g2*")]
+GK_K_RADICALS = [("g*",), ("g1*",), ("g1*", "g2*"), ("g2*",)]
+
+
+def test_flat_check_computes_each_invariant_once(files, monkeypatch, tmp_path):
+    """flat-check on a morphism builds the dual of each coalgebra, its
+    radical and its decomposition once, and runs one flat_check per source
+    point.  The source and target of an identity are one coalgebra, so the
+    command builds one of each."""
+    builds = _count_builds(monkeypatch)
     flats = _count_calls(monkeypatch, "supercomodule", "flat_check")
     text = _ok(["flat-check", files["collapse.mor"]])
     assert "flat-at 0 True\nflat-at 1 True\n" in text
-    assert [C.dim for C, _ in comps] == [2, 1]
+    assert builds() == {"dual": GK_K, "radical": GK_K_RADICALS, "decomposition": GK_K_DUALS}
     assert len(flats) == 2
+    builds = _count_builds(monkeypatch)
+    text = _ok(["flat-check", _identity_file(tmp_path)])
+    assert "flat-at 0 True\nflat True\nfaithfully-flat True\n" in text
+    assert builds() == {"dual": [D3_LABELS], "radical": [D3_DUAL],
+                        "decomposition": [D3_DUAL]}
+    assert len(flats) == 3
+
+
+def test_immersion_check_decomposes_an_identity_once(monkeypatch, tmp_path):
+    """immersion-check reads the components of the source and the target of
+    an identity, one coalgebra, off one decomposition."""
+    builds = _count_builds(monkeypatch)
+    text = _ok(["immersion-check", _identity_file(tmp_path)])
+    assert "open-immersion True\nsurjective True\n" in text
+    assert builds() == {"dual": [D3_LABELS], "radical": [D3_DUAL],
+                        "decomposition": [D3_DUAL]}
 
 
 def test_descent_check_on_a_counit_collapse_builds_one_tower(files, monkeypatch):
@@ -233,11 +283,17 @@ def test_descent_check_builds_no_cotensor_outside_its_towers(files, monkeypatch)
     assert kernels
 
 
-def test_report_all_computes_components_once(files, monkeypatch):
-    comps = _count_calls(monkeypatch, "supercoalgebra", "irreducible_components")
+def test_report_all_computes_components_once(files, monkeypatch, tmp_path):
+    """Once per coalgebra of the file, and once for the identity's one
+    coalgebra, whose coalgebra line and morphism lines both read them."""
+    builds = _count_builds(monkeypatch)
     text = _ok(["report-all", files["pair.coalg"]])
     assert "coalgebra A grouplikes 2" in text
-    assert len(comps) == 2          # once for each of the file's two coalgebras
+    assert builds()["decomposition"] == [("g*", "x1*"), ("g1*", "g2*")]
+    builds = _count_builds(monkeypatch)
+    text = _ok(["report-all", _identity_file(tmp_path)])
+    assert "coalgebra D3 components 1\n" in text and "morphism id flat True\n" in text
+    assert builds()["decomposition"] == [D3_DUAL]
 
 
 def test_descent_check_validates_each_coalgebra_once(files, monkeypatch):
@@ -248,26 +304,28 @@ def test_descent_check_validates_each_coalgebra_once(files, monkeypatch):
     assert sorted(C.space.labels for C, in checks) == [("g",), ("g1", "g2")]
 
 
-def test_report_all_takes_each_radical_once(monkeypatch, tmp_path):
+def test_report_all_takes_each_radical_once(files, monkeypatch, tmp_path):
     """An algebra's radical serves its radical-dim and its local factors; a
-    coalgebra's one dual, and the radical of that dual, serve its coradical
-    and its components.  Calls on other objects (the component coalgebras
-    of grouplikes, subalgebras of local factors) carry other labels."""
+    coalgebra's one dual, and the radical of that dual, serve its coradical,
+    its components and, when a morphism of the file reads it, the
+    components, points and flat verdicts of the morphism.  Builds on other
+    objects (the local factors of a dual) carry other labels."""
     G = grassmann(3)
     C = dualize_algebra(G)
     path = tmp_path / "both.ss"
     path.write_text(serialize_document(QQ, [("A", G), ("C", C)]))
-    radicals = _count_calls(monkeypatch, "superalgebra", "radical")
-    duals = _count_calls(monkeypatch, "supercoalgebra", "dualize_coalgebra")
+    builds = _count_builds(monkeypatch)
     text = _ok(["report-all", str(path)])
     assert "algebra A local-factors 1\n" in text and "coalgebra C components 1\n" in text
-
-    def on(calls, labels):
-        return sum(1 for args in calls if args[0].space.labels == labels)
-
-    assert on(radicals, G.space.labels) == 1
-    assert on(duals, C.space.labels) == 1
-    assert on(radicals, tuple(f"{label}*" for label in C.space.labels)) == 1
+    both = sorted([G.space.labels, C.space.dual().labels])
+    assert builds() == {"dual": [C.space.labels], "radical": both, "decomposition": both}
+    builds = _count_builds(monkeypatch)
+    assert "morphism id faithfully-flat True\n" in _ok(["report-all", _identity_file(tmp_path)])
+    assert builds() == {"dual": [D3_LABELS], "radical": [D3_DUAL],
+                        "decomposition": [D3_DUAL]}
+    builds = _count_builds(monkeypatch)
+    assert "morphism f faithfully-flat True\n" in _ok(["report-all", files["collapse.mor"]])
+    assert builds() == {"dual": GK_K, "radical": GK_K_RADICALS, "decomposition": GK_K_DUALS}
 
 
 def test_report_all_builds_no_tensor_space(monkeypatch, tmp_path):
@@ -284,6 +342,40 @@ def test_report_all_builds_no_tensor_space(monkeypatch, tmp_path):
     text = _ok(["report-all", str(path)])
     assert "algebra A valid True\n" in text and "coalgebra C valid True\n" in text
     assert calls == []
+
+
+def test_flat_check_splits_a_disconnected_base_once(tmp_path):
+    """flat_check decides connectedness by one split of C*/rad C*.  On the
+    regular comodule of k + (Q[x]/(x^4 - 2))*, whose second residue field
+    is quartic, that split finds C disconnected; decomposing C in full, as
+    report-all does, needs a factorization of x^4 - 2 over Q that is not
+    supported."""
+    from superscheme.supercomodule import regular_comodule
+    C = direct_sum_coalgebra([unit_coalgebra(QQ), dualize_algebra(
+        quotient_ring_algebra([-2, 0, 0, 0, 1]))])
+    path = tmp_path / "quartic.comod"
+    path.write_text(serialize_document(QQ, [("C", C), ("M", regular_comodule(C), "C")]))
+    assert run(["flat-check", str(path)]) == (
+        "superscheme-report error\nunsupported flat_check needs a connected coalgebra; "
+        "decompose first\nstatus error\n", EXIT_UNSUPPORTED)
+    assert run(["report-all", str(path)]) == (
+        "superscheme-report error\nunsupported cannot split semisimple algebra of dimension 4 "
+        "over Q; use a finite-field model\nstatus error\n", EXIT_UNSUPPORTED)
+
+
+def test_a_zero_scalar_with_a_huge_exponent_is_read_at_once(tmp_path):
+    """A counit entry 0e9999999999 is 0: the file gets its verdict (both
+    counit laws fail on g) without building 10^9999999999."""
+    path = tmp_path / "zero.coalg"
+    path.write_text("superscheme 1\nfield Q\nobject coalgebra C\n  basis g even\n"
+                    "  counit 0 0e9999999999\n  delta 0 0 0 1\nend\n")
+    start = time.perf_counter()
+    text, code = run(["validate", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_FAIL
+    assert text.splitlines()[3:] == [
+        "object C FAIL", "  violation C counit: (eps(x)id)delta(g) != g",
+        "  violation C counit: (id(x)eps)delta(g) != g", "status fail"]
 
 
 @pytest.mark.parametrize("line", ["mul 2 0 0 1", "mul 0 2 0 1", "mul 0 0 2 1"])

@@ -7,8 +7,8 @@ from superscheme.superalgebra import (
     canonical_ideal, quotient_by_superideal, tensor_superalgebra, validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
-    base_change_coalgebra, coradical, coradical_filtration, direct_sum_coalgebra,
-    dual_radical, dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
+    base_change_coalgebra, coradical_filtration, direct_sum_coalgebra,
+    dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
     subcoalgebra_on, tensor_coalgebra, validate_supercoalgebra,
 )
 from superscheme.supercomodule import free_comodule, regular_comodule, trivial_comodule
@@ -60,7 +60,7 @@ def test_divided_power_shapes():
             truncated_polynomial(d).cop
     assert dualize_coalgebra(grouplike_coalgebra(2)).cop == split_pair().cop
     D3 = divided_power(3)
-    chain = coradical_filtration(D3, dual_radical(D3))
+    chain = coradical_filtration(D3)
     assert [s.dim for s in chain] == [1, 2, 3, 4]
 
 
@@ -68,8 +68,7 @@ def test_grouplike_coalgebra_shapes():
     assert grouplike_coalgebra(1).dim == 1
     gl2 = grouplike_coalgebra(2)
     for gl, count in ((gl2, 2), (grouplike_coalgebra(3, F3), 3)):
-        rad = dual_radical(gl)
-        assert len(grouplikes(gl, irreducible_components(gl, rad), coradical(gl, rad))) == count
+        assert len(grouplikes(gl)) == count
     with pytest.raises(ValueError):
         grouplike_coalgebra(0)
 
@@ -124,7 +123,7 @@ def _constructions():
     QI = ExtensionField(QQ, (QQ.one, QQ.zero, QQ.one), "i")
     D2i = base_change_coalgebra(D2, QI)
     W = standard_space(QQ, 1, 1, even_prefix="w", odd_prefix="u")
-    comp = irreducible_components(grouplike_coalgebra(2), dual_radical(grouplike_coalgebra(2)))[0]
+    comp = irreducible_components(grouplike_coalgebra(2))[0]
     return out + [
         ("tensor algebra", tensor_superalgebra(G2, grassmann(1))),
         ("tensor coalgebra", tensor_coalgebra(D2, G2d)),

@@ -13,10 +13,10 @@ import pytest
 
 from superscheme.fields import ExtensionField, PrimeField, QQ
 from superscheme.superalgebra import (
-    _subalgebra_on, ideal_generated_by, local_decomposition, radical,
+    _subalgebra_on, ideal_generated_by, local_decomposition,
 )
 from superscheme.supercoalgebra import (
-    coradical, dualize_algebra, dualize_coalgebra, grouplikes, irreducible_components,
+    dual_radical, dualize_algebra, grouplikes, irreducible_components,
 )
 from superscheme.supercomodule import flat_check, regular_comodule, trivial_comodule
 
@@ -52,16 +52,16 @@ def test_decomposition_matches_the_general_path(fname, kind):
     through C* (A again, relabelled), the way the commands read them."""
     for name, A in KINDS[kind](FIELDS[fname]):
         C = dualize_algebra(A)
-        dual = dualize_coalgebra(C)
-        rad, ref = radical(dual), radical_by_quotient(dual)
+        rad = dual_radical(C)
+        dual, ref = rad.algebra, radical_by_quotient(rad.algebra)
         assert rad == ref, name
-        assert local_decomposition(dual, rad) == local_decomposition_by_residues(dual, ref), name
-        comps = irreducible_components(C, rad)
+        assert local_decomposition(dual) == local_decomposition_by_residues(dual, ref), name
+        comps = irreducible_components(C)
         assert _component_data(comps) == \
             _component_data(components_by_subcoalgebras(C, ref)), name
         modules = [regular_comodule(C)]
         if len(comps) == 1 and comps[0].degree == 1:
-            (g,) = grouplikes(C, comps, coradical(C, rad))
+            (g,) = grouplikes(C)
             modules.append(trivial_comodule(C, g, 1, 1))
         for M in modules:
             assert _outcome(flat_check, M) == _outcome(flat_check_by_residue, M), name
@@ -76,7 +76,7 @@ def test_a_split_local_factor_is_its_parent_at_the_pivots(fname, kind):
     The monomial algebras are local, so they split into no factor."""
     split, odd = 0, 0
     for name, A in KINDS[kind](FIELDS[fname]):
-        for factor in local_decomposition(A, radical(A)):
+        for factor in local_decomposition(A):
             e = factor.idempotent
             if e == A.unit:
                 continue

@@ -15,7 +15,7 @@ from superscheme.superalgebra import (
     validate_superalgebra,
 )
 from superscheme.supercoalgebra import (
-    coradical, direct_sum_coalgebra, dual_radical, dualize_algebra, dualize_coalgebra,
+    direct_sum_coalgebra, dualize_algebra, dualize_coalgebra,
     grouplikes, irreducible_components, tensor_coalgebra, unit_coalgebra,
     validate_supercoalgebra,
 )
@@ -51,7 +51,7 @@ def test_algebra_builders_give_valid_structures(F, name):
     for ideal in (radical(A), canonical_ideal(A)):
         quot = quotient_by_superideal(A, ideal)[0]
         assert validate_superalgebra(quot) == []
-    for factor in local_decomposition(A, radical(A)):
+    for factor in local_decomposition(A):
         # the factor algebra eA, built as local_decomposition builds it
         e = factor.idempotent
         B = _subalgebra_on(A, ideal_generated_by(A, [e]).subspace, e)
@@ -64,9 +64,7 @@ def test_coalgebra_builders_give_valid_structures(F, name):
     C = _named(canonical_coalgebras, F, name)
     K = unit_coalgebra(F)
     assert validate_superalgebra(dualize_coalgebra(C)) == []
-    rad = dual_radical(C)
-    comps = irreducible_components(C, rad)
-    for comp in comps:
+    for comp in irreducible_components(C):
         assert validate_supercoalgebra(comp.coalgebra) == []
         M = subcoalgebra_comodule(C, comp.subspace)
         assert validate_comodule(M) == []
@@ -75,7 +73,7 @@ def test_coalgebra_builders_give_valid_structures(F, name):
         assert validate_comodule(pushed) == []
     assert validate_supercoalgebra(tensor_coalgebra(C, divided_power(1, F))) == []
     assert validate_supercoalgebra(direct_sum_coalgebra([C, K])) == []
-    for g in grouplikes(C, comps, coradical(C, rad)):
+    for g in grouplikes(C):
         assert validate_comodule(trivial_comodule(C, g, 1, 1)) == []
     W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
     assert validate_comodule(free_comodule(W, C)) == []

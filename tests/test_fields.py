@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -236,6 +237,15 @@ def test_rational_parse_accepts_what_fraction_accepts(s):
 @given(st.one_of(st.text(_scalar_chars, max_size=8), st.text(max_size=6)))
 def test_rational_parse_matches_fraction_on_any_string(s):
     test_rational_parse_accepts_what_fraction_accepts(s)
+
+
+@pytest.mark.parametrize("s", ["0e9999999999", "-0.000E+99999999999", "0_0e1_0"])
+def test_a_zero_mantissa_reads_as_zero_without_its_power_of_ten(s):
+    """Fraction(s) builds 10^e before it multiplies by the mantissa 0."""
+    start = time.perf_counter()
+    got = QQ.parse(s)
+    assert time.perf_counter() - start < 0.01
+    assert got == 0 and type(got) is int
 
 
 def test_lower_q_writes_integral_sums_as_ints():

@@ -19,14 +19,14 @@ from superscheme.supercoalgebra import (
 from superscheme import formal_scheme, superlinear
 from superscheme.formal_scheme import (
     FormalSuperscheme, SchemeMorphism, descent_check, fiber, fiber_product, finiteness,
-    identity_morphism, is_closed_immersion, is_open_immersion, is_strictly_surjective,
-    is_surjective, morphism_components, points,
+    flatness, identity_morphism, is_closed_immersion, is_open_immersion, is_strictly_surjective,
+    is_surjective, points,
 )
 from conftest import (
     GradedMap, _alternating_sum, _count_calls, _dense_tower, base_change_morphism,
     coequalizer_by_cotensor,
     bosonic_reduction_morphism, bosonic_reduction_scheme, bounded_degree_by_dual_action,
-    compose, dense, dense_columns, dense_rows, fiber_by_cotensor, flatness_of,
+    compose, dense, dense_columns, dense_rows, fiber_by_cotensor,
     immersion_fiberwise_check, is_algebraic_at, map_of, matrix_of, point_map, sparse,
     transport_point, transport_point_inverse, truncation_tower,
 )
@@ -178,23 +178,21 @@ def test_immersion_predicates():
     KK = dualize_algebra(split_pair())
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
-    xcomps, ycomps = morphism_components(incl)
-    assert is_closed_immersion(incl) and is_open_immersion(incl, ycomps)
-    assert not is_surjective(incl, xcomps, ycomps)
+    assert is_closed_immersion(incl) and is_open_immersion(incl)
+    assert not is_surjective(incl)
     G = dualize_algebra(grassmann(1))
     j = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, G)
-    assert is_closed_immersion(j) and not is_open_immersion(j, morphism_components(j)[1])
+    assert is_closed_immersion(j) and not is_open_immersion(j)
     ident = identity_morphism(KK)
-    xcomps, ycomps = morphism_components(ident)
-    assert is_closed_immersion(ident) and is_open_immersion(ident, ycomps)
-    assert is_surjective(ident, xcomps, ycomps) and is_strictly_surjective(ident)
+    assert is_closed_immersion(ident) and is_open_immersion(ident)
+    assert is_surjective(ident) and is_strictly_surjective(ident)
 
 
 def test_strict_surjectivity_implies_surjectivity():
     for seed in range(20):
         (f,) = seeded_random("morphism", seed).payload
         if is_strictly_surjective(f):
-            assert is_surjective(f, *morphism_components(f))
+            assert is_surjective(f)
 
 
 def test_product_coproduct():
@@ -253,21 +251,21 @@ def test_base_change_splits_components():
 def test_flat_morphism_examples():
     KK = dualize_algebra(split_pair())
     col = _collapse(KK)
-    assert flatness_of(col).faithfully_flat
+    assert flatness(col).faithfully_flat
     K = unit_coalgebra(QQ)
     incl = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, KK)
-    assert flatness_of(incl).flat and not flatness_of(incl).faithfully_flat
+    assert flatness(incl).flat and not flatness(incl).faithfully_flat
     D = divided_power(1)
     pt = SchemeMorphism.finite(dense_columns(QQ, [[Fraction(1)], [Fraction(0)]]), K, D)
-    assert not flatness_of(pt).flat
+    assert not flatness(pt).flat
 
 
 def test_faithfully_flat_equivalences_on_seeds():
     for seed in range(25):
         (f,) = seeded_random("morphism", seed).payload
-        verdict = flatness_of(f)
+        verdict = flatness(f)
         flat, ff = verdict.flat, verdict.faithfully_flat
-        surj = is_surjective(f, *morphism_components(f))
+        surj = is_surjective(f)
         assert ff == (flat and surj)
         if flat:
             assert surj == is_strictly_surjective(f)
@@ -277,7 +275,7 @@ def test_flat_invariant_under_base_change():
     for seed in range(12):
         (f,) = seeded_random("morphism", seed, field=F3).payload
         f9 = base_change_morphism(f, F9)
-        before, after = flatness_of(f), flatness_of(f9)
+        before, after = flatness(f), flatness(f9)
         assert before.flat == after.flat, seed
         assert before.faithfully_flat == after.faithfully_flat, seed
 
@@ -444,12 +442,12 @@ def test_point_image_check_holds_under_python_O():
     code = "\n".join([
         "from fractions import Fraction",
         "from superscheme.corpus import split_pair",
-        "from superscheme.formal_scheme import SchemeMorphism, morphism_components, point_images",
+        "from superscheme.formal_scheme import SchemeMorphism, point_images",
         "from superscheme.supercoalgebra import dualize_algebra",
         "C = dualize_algebra(split_pair())",
         "one, zero = Fraction(1), Fraction(0)",
         "g = SchemeMorphism(C, C, (((0, one), (1, one)), ((1, one),)))",
-        "point_images(g, *morphism_components(g))",
+        "point_images(g)",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -474,7 +472,7 @@ def test_fiber_over_non_rational_point():
     assert y.kappa.dim == 2
     fib = fiber(ident, y)
     assert fib.dim == 2
-    assert flatness_of(ident).faithfully_flat
+    assert flatness(ident).faithfully_flat
 
 
 def test_descent_over_extension_residue_target():
@@ -488,7 +486,7 @@ def test_descent_over_extension_residue_target():
     for i in range(2):
         rows[i][i * 2] = F3.one  # dual of the inclusion b -> b (x) 1
     f = SchemeMorphism.finite(dense_columns(F3, rows, CA.dim), CA, C9)
-    assert flatness_of(f).faithfully_flat
+    assert flatness(f).faithfully_flat
     assert descent_check(f, depth=2).passed
     assert descent_check(identity_morphism(C9), depth=2).passed
 
@@ -599,8 +597,8 @@ def test_empty_scheme_predicates():
     assert points(empty) == []
     KK = dualize_algebra(split_pair())
     f = SchemeMorphism.finite(dense_columns(QQ, [[], []], 0), empty, KK)
-    assert flatness_of(f).flat                      # vacuously, no points
-    assert not flatness_of(f).faithfully_flat       # misses every point
+    assert flatness(f).flat                      # vacuously, no points
+    assert not flatness(f).faithfully_flat       # misses every point
     assert is_closed_immersion(f)
     assert fiber(f, points(KK)[0]).dim == 0
 

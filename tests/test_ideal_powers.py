@@ -79,8 +79,7 @@ def test_power_chain_matches_the_basis_loops(fname, kind):
         assert ksdim_finite(A) == ksdim_by_odd_chain(A), name
         assert radical(A) == radical_by_quotient(A), name
         C = dualize_algebra(A)
-        rad = dual_radical(C)
-        assert coradical_filtration(C, rad) == filtration_by_square(C, rad), name
+        assert coradical_filtration(C) == filtration_by_square(C, dual_radical(C)), name
 
 
 def test_radical_has_lifts_beyond_the_canonical_ideal():
@@ -125,5 +124,5 @@ def test_power_chain_multiplies_by_generators(monkeypatch):
     assert sum(pairs) <= bound
     pairs.clear()
     C = dualize_algebra(grassmann(n))
-    assert len(coradical_filtration(C, dual_radical(C))) == n + 1
+    assert len(coradical_filtration(C)) == n + 1
     assert sum(pairs) <= bound

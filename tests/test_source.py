@@ -1,8 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
+import gc
 import inspect
 import re
+import sys
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superscheme"
@@ -297,6 +301,74 @@ def test_a_subobject_is_read_one_way():
     for name in ("grouplikes_over", "ksdim"):
         args = functions[name].args
         assert args.defaults == [] and args.kw_defaults == [], name
+    # a seeded entry and a scalar take no size, bound or spread either
+    for name, params in (("seeded_random", ["kind", "seed", "field"]), ("scalar", ["self", "F"])):
+        args = functions[name].args
+        assert [arg.arg for arg in args.args] == params, name
+        assert not (args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg), name
+        assert len(args.defaults) == (name == "seeded_random"), name
+
+
+def _reaches(value, target):
+    """Whether target is reachable from value through the objects that
+    value holds: containers, instance attributes and the cells of closures,
+    but no class, module or function globals."""
+    seen, stack = set(), [value]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        else:
+            stack += gc.get_referents(obj)
+    return False
+
+
+def test_a_coalgebra_is_decomposed_once():
+    """Each invariant is kept by the frozen object it belongs to and read
+    off it, so no function takes a radical, a coradical or a list of
+    components as an argument, and the helpers that passed them on are
+    gone.  cli.main runs with the cyclic collector off, so no cached value
+    may hold the record that caches it: a record that holds it (a
+    Superideal its algebra, a one-piece Component its coalgebra) is built
+    when it is read."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    threaded = {"rad", "comps", "corad", "xcomps", "ycomps"}
+    assert [f"{path.name}:{node.lineno} {node.arg}" for path, tree in zip(paths, trees)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arg) and node.arg in threaded] == []
+    for name in ("morphism_components", "_point_count"):
+        defined = [node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name == name]
+        assert defined == [], name
+        assert [scope for tree in trees for scope in _references(tree, name)] == [], name
+    from superscheme import superalgebra, supercoalgebra
+    from superscheme.corpus import canonical_algebras, canonical_coalgebras
+    from superscheme.fields import QQ, PrimeField
+    from superscheme.superlinear import Record
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("superscheme.")]
+    cached = {cls: [name for name, member in vars(cls).items()
+                    if isinstance(member, functools.cached_property)]
+              for module in modules for cls in vars(module).values()
+              if isinstance(cls, type) and issubclass(cls, Record)}
+    cached = {cls: names for cls, names in cached.items() if names}
+    assert set(cached) == {superalgebra.SuperAlgebra, supercoalgebra.SuperCoalgebra}
+    samples = []
+    for F in (QQ, PrimeField(3)):
+        for _, A in canonical_algebras(F):
+            samples += [A, supercoalgebra.dualize_algebra(A)]
+        for _, C in canonical_coalgebras(F):
+            samples += [C, C._dual]
+    for record in samples:
+        for name in cached[type(record)]:
+            assert not _reaches(getattr(record, name), record), (type(record).__name__, name)
 
 
 # Top-level names of the package that only tests reach.  The list may only

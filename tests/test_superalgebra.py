@@ -160,7 +160,7 @@ def _factor_dim(A, factor):
 
 def test_local_decomposition_split():
     A = quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)])
-    facs = local_decomposition(A, radical(A))
+    facs = local_decomposition(A)
     assert len(facs) == 2
     idems = sorted(dense(A.field, A.dim, f.idempotent) for f in facs)
     assert idems == [(Fraction(1, 2), Fraction(-1, 2)),
@@ -170,21 +170,21 @@ def test_local_decomposition_split():
 
 def test_local_decomposition_local():
     G = grassmann(2)
-    facs = local_decomposition(G, radical(G))
+    facs = local_decomposition(G)
     assert len(facs) == 1
     assert facs[0].idempotent == G.unit
 
 
 def test_local_decomposition_extension_residue():
     A = quotient_ring_algebra([F3.one, F3.zero, F3.one], F3)
-    facs = local_decomposition(A, radical(A))
+    facs = local_decomposition(A)
     assert len(facs) == 1
     assert facs[0].degree == 2
 
 
 def test_local_decomposition_invariants():
     for name, A in canonical_algebras(QQ) + canonical_algebras(F3):
-        facs = local_decomposition(A, radical(A))
+        facs = local_decomposition(A)
         F = A.field
         total = tuple([F.zero] * A.dim)
         for f in facs:
@@ -202,27 +202,27 @@ def test_factorization_incomplete_over_q():
     # Q[x]/(x^4+1) is semisimple; its splitting needs a quartic factorization
     A = quotient_ring_algebra([Fraction(c) for c in (1, 0, 0, 0, 1)])
     with pytest.raises(FactorizationIncomplete):
-        local_decomposition(A, radical(A))
+        local_decomposition(A)
     # the finite-field model handles it
     B = quotient_ring_algebra([F3.one, F3.zero, F3.zero, F3.zero, F3.one], F3)
-    assert len(local_decomposition(B, radical(B))) == 2  # x^4+1 = two quadratics over F3
+    assert len(local_decomposition(B)) == 2  # x^4+1 = two quadratics over F3
 
 
 def test_local_decomposition_many_factors():
     from superscheme.fields import poly_mul
     A = quotient_ring_algebra([0, 4, 0, 1], F5)  # x^3 - x, three roots
-    assert [f.degree for f in local_decomposition(A, radical(A))] == [1, 1, 1]
+    assert [f.degree for f in local_decomposition(A)] == [1, 1, 1]
     poly = poly_mul(F3, (1, 0, 1), (0, 2, 1))    # (x^2+1)(x^2-x)
     B = quotient_ring_algebra(poly, F3)
-    assert sorted(f.degree for f in local_decomposition(B, radical(B))) == [1, 1, 2]
+    assert sorted(f.degree for f in local_decomposition(B)) == [1, 1, 2]
     C = tensor_superalgebra(B, grassmann(1, F3))
-    facs = local_decomposition(C, radical(C))
+    facs = local_decomposition(C)
     assert sorted(f.degree for f in facs) == [1, 1, 2]
     assert sum(_factor_dim(C, f) for f in facs) == C.dim
     D = tensor_superalgebra(
         quotient_ring_algebra([Fraction(-1), Fraction(0), Fraction(1)]),
         truncated_polynomial(1))
-    facs_d = local_decomposition(D, radical(D))
+    facs_d = local_decomposition(D)
     assert [_factor_dim(D, f) for f in facs_d] == [2, 2]
     assert radical(D).subspace.dim == 2
 

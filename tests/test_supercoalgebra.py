@@ -12,7 +12,7 @@ from superscheme.superlinear import (
 )
 from superscheme.supercoalgebra import (
     SearchBoundExceeded, SuperCoalgebra, coradical,
-    coradical_filtration, direct_sum_coalgebra, dual_radical, dualize_algebra,
+    coradical_filtration, direct_sum_coalgebra, dualize_algebra,
     dualize_coalgebra, grouplikes, grouplikes_over, irreducible_components,
     is_coalgebra_morphism, is_grouplike,
     make_supercoalgebra, subcoalgebra_on, tensor_coalgebra, unit_coalgebra,
@@ -32,11 +32,6 @@ from superscheme.corpus import (
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 _F9 = ExtensionField(F3, (1, 0, 1), "j")
-
-
-def _grouplikes(C):
-    rad = dual_radical(C)
-    return grouplikes(C, irreducible_components(C, rad), coradical(C, rad))
 
 
 def test_broken_counit_detected():
@@ -150,11 +145,10 @@ def test_morphism_check_matches_the_tensor_space_reference():
         small = [C for _, C in canonical_coalgebras(F) if C.dim <= 4]
         K = unit_coalgebra(F)
         for C in small:
-            rad = dual_radical(C)
             cases = [(GradedMap.identity(C.space), C, C),
                      (GradedMap(C.space, K.space, linear_form(C.dim, C.counit), 0), C, K)]
             cases += [(GradedMap(K.space, C.space, [g], 0), K, C)
-                      for g in grouplikes(C, irreducible_components(C, rad), coradical(C, rad))]
+                      for g in grouplikes(C)]
             for D in small:
                 for _ in range(2):
                     cols = [sparse(F, [rng.scalar(F) if D.parity(j) == C.parity(i) else F.zero
@@ -212,12 +206,12 @@ def test_wedge_monotone_and_associative_seeded():
 def test_coradical_examples():
     for d in range(1, 4):
         D = divided_power(d)
-        assert coradical(D, dual_radical(D)).basis() == [unit_vec(QQ, 0)]
+        assert coradical(D).basis() == [unit_vec(QQ, 0)]
     S = dualize_algebra(quotient_ring_algebra([Fraction(-1), Fraction(0),
                                                Fraction(1)]))
-    assert coradical(S, dual_radical(S)) == Subspace.full(S.space)
+    assert coradical(S) == Subspace.full(S.space)
     G = dualize_algebra(grassmann(1))
-    assert coradical(G, dual_radical(G)).basis() == [unit_vec(QQ, 0)]
+    assert coradical(G).basis() == [unit_vec(QQ, 0)]
 
 
 def test_filtration_examples():
@@ -225,12 +219,12 @@ def test_filtration_examples():
                     (dualize_algebra(split_pair()), [2]),
                     (dualize_algebra(grassmann(2)), [1, 3, 4]),
                     (dualize_algebra(grassmann(3)), [1, 4, 7, 8])]:
-        assert [s.dim for s in coradical_filtration(C, dual_radical(C))] == dims
+        assert [s.dim for s in coradical_filtration(C)] == dims
 
 
 def test_filtration_stabilizes_within_dim_steps():
     for name, C in canonical_coalgebras(QQ):
-        chain = coradical_filtration(C, dual_radical(C))
+        chain = coradical_filtration(C)
         assert len(chain) <= C.dim + 1, name
         assert chain[-1] == Subspace.full(C.space)
         for a, b in zip(chain, chain[1:]):
@@ -240,7 +234,7 @@ def test_filtration_stabilizes_within_dim_steps():
 def test_filtration_wedge_superadditivity():
     # A_m wedge A_n <= A_{m+n+1}
     for C in (divided_power(3), dualize_algebra(grassmann(2))):
-        chain = coradical_filtration(C, dual_radical(C))
+        chain = coradical_filtration(C)
         ext = chain + [chain[-1]] * (2 * len(chain))
         for m in range(len(chain)):
             for n in range(len(chain)):
@@ -287,10 +281,9 @@ def test_wedge_and_filtration_match_kernel_oracle(F, wedge_oracle, filtration_or
     rng = Rng(61)
     for name, C in _filtration_cases(F):
         assert validate_supercoalgebra(C) == [], name
-        rad = dual_radical(C)
-        chain = coradical_filtration(C, rad)
-        assert chain == filtration_oracle(C, coradical(C, rad)), name
-        comps = irreducible_components(C, rad)
+        chain = coradical_filtration(C)
+        assert chain == filtration_oracle(C, coradical(C)), name
+        comps = irreducible_components(C)
         subspaces = [Subspace.zero(C.space), chain[0], chain[min(1, len(chain) - 1)],
                      comps[-1].subspace, Subspace.from_vectors(
                          C.space, [sparse(F, [rng.scalar(F) for _ in range(C.dim)])
@@ -306,7 +299,7 @@ def test_grassmann_dual_filtration_closed_form():
     for F, top in ((QQ, 6), (F3, 4)):
         for n in range(top + 1):
             C = dualize_algebra(grassmann(n, F))
-            dims = [s.dim for s in coradical_filtration(C, dual_radical(C))]
+            dims = [s.dim for s in coradical_filtration(C)]
             assert dims == [sum(math.comb(n, i) for i in range(k + 1))
                             for k in range(n + 1)], (F.describe(), n)
 
@@ -314,41 +307,41 @@ def test_grassmann_dual_filtration_closed_form():
 def test_components_examples():
     S = dualize_algebra(quotient_ring_algebra([Fraction(-1), Fraction(0),
                                                Fraction(1)]))
-    comps = irreducible_components(S, dual_radical(S))
+    comps = irreducible_components(S)
     assert len(comps) == 2 and all(c.subspace.dim == 1 for c in comps)
     D = divided_power(2)
-    comps = irreducible_components(D, dual_radical(D))
+    comps = irreducible_components(D)
     assert len(comps) == 1 and comps[0].subspace == Subspace.full(D.space)
     C9 = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
-    comps = irreducible_components(C9, dual_radical(C9))
+    comps = irreducible_components(C9)
     assert len(comps) == 1 and comps[0].degree == 2
 
 
 def test_component_decomposition_invariants():
     for name, C in canonical_coalgebras(QQ) + canonical_coalgebras(F3):
-        comps = irreducible_components(C, dual_radical(C))
+        comps = irreducible_components(C)
         assert sum(c.subspace.dim for c in comps) == C.dim, name
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
                 assert a.subspace.intersect(b.subspace).dim == 0
         base_count = sum(1 for c in comps if c.degree == 1)
-        assert base_count == len(_grouplikes(C)), name
+        assert base_count == len(grouplikes(C)), name
 
 
 def test_grouplikes_examples():
     KK = dualize_algebra(split_pair())
-    gls = _grouplikes(KK)
+    gls = grouplikes(KK)
     assert sorted(dense(QQ, 2, g) for g in gls) == [(Fraction(0), Fraction(1)),
                                                     (Fraction(1), Fraction(0))]
     D = divided_power(3)
-    assert _grouplikes(D) == [unit_vec(QQ, 0)]
+    assert grouplikes(D) == [unit_vec(QQ, 0)]
     C9 = dualize_algebra(quotient_ring_algebra([F3.one, F3.zero, F3.one], F3))
-    assert _grouplikes(C9) == []
+    assert grouplikes(C9) == []
 
 
 def test_grouplikes_always_even():
     for name, C in canonical_coalgebras(QQ):
-        for g in _grouplikes(C):
+        for g in grouplikes(C):
             for i, c in enumerate(dense(QQ, C.dim, g)):
                 if not QQ.is_zero(c):
                     assert C.parity(i) == 0, name
@@ -361,7 +354,7 @@ def test_grouplikes_structural_vs_brute_force():
         for name, C in canonical_coalgebras(field):
             if C.dim > 4:
                 continue
-            structural = _grouplikes(C)
+            structural = grouplikes(C)
             brute = grouplikes_over(C, k_as_algebra)
             assert len(structural) == len(brute), (field.p, name)
             brute_vecs = sorted(tuple(u[0]) for u in brute)
@@ -417,7 +410,7 @@ def test_tensor_coalgebra_examples():
     assert T.delta == C.delta and T.counit == C.counit
     KK = dualize_algebra(split_pair())
     T4 = tensor_coalgebra(KK, KK)
-    assert len(_grouplikes(T4)) == 4
+    assert len(grouplikes(T4)) == 4
     GG = tensor_coalgebra(dualize_algebra(grassmann(1)),
                           dualize_algebra(grassmann(1)))
     assert validate_supercoalgebra(GG) == []

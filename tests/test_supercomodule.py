@@ -7,9 +7,10 @@ from superscheme.superlinear import (
     Matrix, Subspace, SuperVectorSpace, standard_space, unit_vec,
 )
 from superscheme.supercoalgebra import (
-    base_change_coalgebra, coradical, coradical_filtration, dual_radical, dualize_algebra,
+    base_change_coalgebra, coradical, coradical_filtration, dualize_algebra,
     dualize_coalgebra, irreducible_components, subcoalgebra_on, tensor_coalgebra,
 )
+from superscheme.formal_scheme import flatness
 from superscheme.supercomodule import (
     FlatVerdict, NotConnected, cotensor, cotensor_kernel, flat_check, free_comodule,
     make_supercomodule, regular_comodule, subcoalgebra_comodule, trivial_comodule, validate_comodule,
@@ -17,7 +18,7 @@ from superscheme.supercomodule import (
 from conftest import (
     GradedMap, _count_calls, base_change_comodule, check_dual_action_axioms, coproduct,
     cosocle_epi, dense, dense_columns, dense_cotensor_map, dense_matrix, dual_action,
-    dual_action_of, exactness_probe, faithfulness_probe, flat_by_lifting, flatness_of,
+    dual_action_of, exactness_probe, faithfulness_probe, flat_by_lifting,
     graded_map, is_comodule_morphism, kernel_by_rows, matrix_of, rank, sparse, tensor_map,
     transpose,
 )
@@ -135,7 +136,7 @@ def test_cotensor_kernel_matches_the_dense_map(F):
     coradical comodule of every canonical coalgebra."""
     for _, C in canonical_coalgebras(F):
         mods = [regular_comodule(C), free_comodule(standard_space(F, 1, 1), C),
-                subcoalgebra_comodule(C, coradical(C, dual_radical(C)))]
+                subcoalgebra_comodule(C, coradical(C))]
         for M in mods:
             psi = transpose(Matrix(F, M.psi, M.dim * C.dim))
             for N in mods:
@@ -290,7 +291,7 @@ def _residue_degree_two_comodules():
                 W = standard_space(F, 1, 1, even_prefix="w", odd_prefix="u")
                 out += [regular_comodule(C), free_comodule(W, C)]
                 out += [subcoalgebra_comodule(C, stage)
-                        for stage in coradical_filtration(C, dual_radical(C))]
+                        for stage in coradical_filtration(C)]
     return out
 
 
@@ -306,7 +307,7 @@ def test_flat_check_matches_greedy_lifting(monkeypatch):
     points = _count_calls(monkeypatch, "supercomodule", "flat_check")
     for F in fields:
         for seed in range(40):
-            flatness_of(seeded_random("morphism", seed, field=F).payload[0])
+            flatness(seeded_random("morphism", seed, field=F).payload[0])
     comodules += [M for M, in points]
     outcomes = [_flat_outcome(flat_check, M) for M in comodules]
     assert outcomes == [_flat_outcome(flat_by_lifting, M) for M in comodules]
@@ -318,11 +319,13 @@ def test_flat_check_matches_greedy_lifting(monkeypatch):
 @pytest.mark.parametrize("F", [QQ, F3], ids=["Q", "F3"])
 def test_flat_check_eliminations_do_not_grow_with_the_rank(F, monkeypatch):
     """The free rank is one count on M*/rad(C*)M*, so a free comodule of
-    any rank costs flat_check the same eliminations."""
-    C = divided_power(2, F)
+    any rank costs flat_check the same eliminations.  Each rank gets a
+    fresh C, whose radical flat_check finds again: C keeps its radical,
+    which would hide that cost after the first rank."""
     calls = _count_calls(monkeypatch, "superlinear", "_rref_sparse")
     counts = []
     for r0, r1 in ((1, 0), (2, 0), (2, 1), (3, 2)):
+        C = divided_power(2, F)
         M = free_comodule(standard_space(F, r0, r1, even_prefix="w", odd_prefix="u"), C)
         before = len(calls)
         assert flat_check(M) == FlatVerdict(True, (r0, r1))
@@ -413,7 +416,7 @@ def test_subcoalgebra_coordinates_match_solve(F, dense_view):
         [F.from_int(c) for c in (1, 0, -2, 0, 1)], F))
     G = dualize_algebra(grassmann(1, F))
     C = tensor_coalgebra(D, G)
-    comp = irreducible_components(D, dual_radical(D))[0]
+    comp = irreducible_components(D)[0]
     W = Subspace.from_vectors(C.space, [
         sparse(F, [F.mul(a, b) for a in dense(F, D.dim, w)
                    for b in dense(F, G.dim, unit_vec(F, k))])
@@ -455,5 +458,5 @@ def test_flat_check_connected_iff_one_component():
             f = seeded_random("morphism", seed, field=field).payload[0]
             coalgebras += [f.source, f.target]
     verdicts = [_connected_by_flat_check(C) for C in coalgebras]
-    assert verdicts == [len(irreducible_components(C, dual_radical(C))) == 1 for C in coalgebras]
+    assert verdicts == [len(irreducible_components(C)) == 1 for C in coalgebras]
     assert verdicts[:2] == [True, False] and verdicts.count(False) >= 10
